@@ -5,18 +5,10 @@
 //! * `chain_fanout` — is `Chain::clone` O(1)? Broadcasting a length-L
 //!   chain to 63 peers must cost the same for L = 8, 32 and 128 now that
 //!   chains share their signature storage (`Arc` copy-on-write);
-//! * `flood` — what do mailbox pooling and parallel intra-phase stepping
-//!   buy on a broadcast-heavy chain-relay workload (every actor endorses
-//!   once and rebroadcasts every phase, n² messages per phase)? Strategies:
-//!   sequential without pooling (the seed engine), sequential pooled, and
-//!   pooled with 4 worker threads. The seed data plane showed a 2–3 %
-//!   *regression* for `seq-pooled` over `seq-unpooled`: the old pooled path
-//!   retained per-actor `Vec` mailboxes and paid clear/refill bookkeeping
-//!   without saving allocations that mattered. The flat
-//!   [`Inboxes`](ba_sim::arena) arena removes that bookkeeping — pooling
-//!   now reuses two contiguous buffers and one offset table, so
-//!   `seq-pooled` is expected at parity or better; the check below
-//!   (`flood_pooling_not_regressed`) records whether it held on this host;
+//! * `flood` — what does parallel intra-phase stepping buy on a
+//!   broadcast-heavy chain-relay workload (every actor endorses once and
+//!   rebroadcasts every phase, n² messages per phase)? Strategies:
+//!   sequential and 4 worker threads;
 //! * `dolev_strong` / `algorithm3` — the same comparison on the two real
 //!   protocol workloads the experiments scale up;
 //! * `pool_scaling` — the persistent-pool grid: Dolev–Strong and
@@ -119,7 +111,7 @@ impl Actor<Chain> for FloodRelay {
     }
 }
 
-fn run_flood(n: usize, threads: usize, pooling: bool, traced: bool) -> RunOutcome<Chain> {
+fn run_flood(n: usize, threads: usize, traced: bool) -> RunOutcome<Chain> {
     let registry = KeyRegistry::new(n, 7, SchemeKind::Fast);
     let actors: Vec<Box<dyn Actor<Chain>>> = (0..n)
         .map(|i| {
@@ -134,8 +126,7 @@ fn run_flood(n: usize, threads: usize, pooling: bool, traced: bool) -> RunOutcom
         .collect();
     let mut sim = Simulation::new(actors)
         .with_threads(threads)
-        .with_registry(&registry)
-        .with_mailbox_pooling(pooling);
+        .with_registry(&registry);
     if traced {
         sim = sim.with_trace();
     }
@@ -143,7 +134,7 @@ fn run_flood(n: usize, threads: usize, pooling: bool, traced: bool) -> RunOutcom
 }
 
 fn dump_trace(threads: usize) {
-    let outcome = run_flood(16, threads, true, true);
+    let outcome = run_flood(16, threads, true);
     println!("decisions: {:?}", outcome.decisions);
     println!("metrics: {:#?}", outcome.metrics);
     for (k, phase) in outcome.trace.phases.iter().enumerate() {
@@ -227,7 +218,6 @@ struct Row {
     label: String,
     n: usize,
     threads: usize,
-    pooled: bool,
     batched: bool,
     /// Wire bytes sent by correct processors in one run of this cell
     /// (`Metrics::bytes_by_correct`; for the `chain_fanout` microbench,
@@ -242,12 +232,11 @@ fn json_rows(rows: &[Row], parallelism: usize) -> String {
     for (i, r) in rows.iter().enumerate() {
         let _ = writeln!(
             out,
-            "    {{\"section\": \"{}\", \"label\": \"{}\", \"n\": {}, \"threads\": {}, \"pooled\": {}, \"batched\": {}, \"parallelism\": {}, \"single_core\": {single_core}, \"bytes_sent\": {}, \"median_ns\": {:.1}, \"mean_ns\": {:.1}, \"min_ns\": {:.1}}}{}",
+            "    {{\"section\": \"{}\", \"label\": \"{}\", \"n\": {}, \"threads\": {}, \"batched\": {}, \"parallelism\": {}, \"single_core\": {single_core}, \"bytes_sent\": {}, \"median_ns\": {:.1}, \"mean_ns\": {:.1}, \"min_ns\": {:.1}}}{}",
             r.section,
             r.label,
             r.n,
             r.threads,
-            r.pooled,
             r.batched,
             parallelism,
             r.bytes_sent,
@@ -379,7 +368,6 @@ fn main() {
                 label: format!("L={len}"),
                 n: FANOUT_PEERS,
                 threads: 1,
-                pooled: false,
                 batched: false,
                 bytes_sent: (chain.weight_bytes() * (FANOUT_PEERS - 1)) as u64,
                 sample: bench(
@@ -400,40 +388,25 @@ fn main() {
     }
 
     // -- flood: engine strategies on the synthetic broadcast workload -----
-    let strategies: [(&str, usize, bool); 3] = [
-        ("seq-unpooled", 1, false),
-        ("seq-pooled", 1, true),
-        ("par4-pooled", 4, true),
-    ];
     let mut flood_identical = true;
-    let mut flood_pooling_ok = true;
     if cfg.section("flood") {
         for n in FLOOD_SIZES {
-            let baseline: Metrics = run_flood(n, 1, false, false).metrics;
-            let mut medians = [0.0f64; 3];
-            for (si, (label, threads, pooled)) in strategies.into_iter().enumerate() {
-                let outcome = run_flood(n, threads, pooled, false);
+            let baseline: Metrics = run_flood(n, 1, false).metrics;
+            for (label, threads) in [("seq", 1usize), ("par4", 4)] {
+                let outcome = run_flood(n, threads, false);
                 flood_identical &= outcome.metrics == baseline;
-                let sample = bench(format!("flood n={n:>3} {label}"), || {
-                    run_flood(n, threads, pooled, false)
-                        .metrics
-                        .messages_total()
-                });
-                medians[si] = sample.median_ns;
                 rows.push(Row {
                     section: "flood",
                     label: label.to_string(),
                     n,
                     threads,
-                    pooled,
                     batched: false,
                     bytes_sent: outcome.metrics.bytes_by_correct,
-                    sample,
+                    sample: bench(format!("flood n={n:>3} {label}"), || {
+                        run_flood(n, threads, false).metrics.messages_total()
+                    }),
                 });
             }
-            // seq-pooled regressed vs seq-unpooled on the seed engine; the
-            // flat arena is expected to hold parity (10 % noise allowance).
-            flood_pooling_ok &= medians[1] <= medians[0] * 1.10;
         }
     }
 
@@ -465,7 +438,6 @@ fn main() {
                     label: format!("t={t} threads={threads}"),
                     n,
                     threads,
-                    pooled: true,
                     batched: false,
                     bytes_sent: probe.bytes_by_correct,
                     sample: bench(format!("dolev-strong n={n:>3} threads={threads}"), || {
@@ -502,7 +474,6 @@ fn main() {
                 label: format!("t={t} s={s} threads={threads}"),
                 n,
                 threads,
-                pooled: true,
                 batched: false,
                 bytes_sent: probe.bytes_by_correct,
                 sample: bench(format!("algorithm3 n={n:>3} threads={threads}"), || {
@@ -552,7 +523,6 @@ fn main() {
                         label: format!("{label} threads={threads}"),
                         n,
                         threads,
-                        pooled: true,
                         batched: true,
                         bytes_sent: baseline.as_ref().map_or(0, |m| m.bytes_by_correct),
                         sample,
@@ -574,7 +544,7 @@ fn main() {
     let _ = writeln!(json, "  \"available_parallelism\": {parallelism},");
     let _ = writeln!(
         json,
-        "  \"checks\": {{\"chain_fanout_flat\": {fanout_flat}, \"flood_metrics_identical\": {flood_identical}, \"flood_pooling_not_regressed\": {flood_pooling_ok}, \"dolev_strong_metrics_identical\": {ds_identical}, \"algorithm3_metrics_identical\": {alg3_identical}, \"pool_scaling_metrics_identical\": {pool_identical}}},"
+        "  \"checks\": {{\"chain_fanout_flat\": {fanout_flat}, \"flood_metrics_identical\": {flood_identical}, \"dolev_strong_metrics_identical\": {ds_identical}, \"algorithm3_metrics_identical\": {alg3_identical}, \"pool_scaling_metrics_identical\": {pool_identical}}},"
     );
     json.push_str("  \"rows\": [\n");
     json.push_str(&json_rows(&rows, parallelism));

@@ -6,8 +6,9 @@
 //! * `throughput` — K instances of `ds-broadcast` (n = 16, t = 1) on a
 //!   reliable wire, three execution strategies:
 //!   - `serial-runtime`: K back-to-back [`NetRuntime`] runs — the
-//!     pre-service baseline, each run paying its own worker lease, channel
-//!     setup and cold verifier cache;
+//!     pre-service baseline: the same phase driver one instance at a
+//!     time, each run with its own cold verifier cache, per-recipient
+//!     verification and one wire flush per frame;
 //!   - `svc-serial`: the multiplexer with `max_inflight = 1` — same
 //!     admission order, one instance at a time (isolates the service's
 //!     fixed overhead from its wins);
@@ -32,10 +33,8 @@
 //!   2× saturation and report steady-state agreements/sec, p50/p99
 //!   submission-to-decision latency, shed rate and queue depth. The
 //!   section also gates exact admission accounting
-//!   (`submitted = decided + degraded + shed`), no-deadlock under
-//!   block-with-deadline admission, and byte-identity of the deprecated
-//!   closed-loop `run()` wrapper with a hand-driven session at every
-//!   thread count.
+//!   (`submitted = decided + degraded + shed`) and no-deadlock under
+//!   block-with-deadline admission.
 //!
 //! The determinism check always runs first and the binary exits non-zero
 //! if it fails: the pipelined fleet must be byte-identical across worker
@@ -52,14 +51,14 @@
 //! ```text
 //! cargo run -p ba-bench --release --bin bench_service
 //! cargo run -p ba-bench --release --bin bench_service -- \
-//!     --k 8 --threads 1,4 --assert-speedup 2.0
+//!     --k 8 --threads 1,4 --assert-speedup 1.5
 //! ```
 //!
 //! `--assert-speedup <ratio>` exits non-zero unless pipelined
 //! agreements/sec ≥ ratio × serial-runtime agreements/sec at the widest
 //! thread count. This gate does **not** skip on single-core hosts: the
-//! speedup comes from eliminating per-run setup and sharing verification
-//! work, not from parallelism. `--assert-scaling <ratio>` exits non-zero
+//! speedup comes from sharing verification work (one cache, one batch
+//! pass per flush) and per-tick coordination, not from parallelism. `--assert-scaling <ratio>` exits non-zero
 //! if the widest thread count's pipelined median exceeds ratio × the
 //! narrowest's — that gate *is* skipped on single-core hosts, where extra
 //! workers can only add coordination overhead. CI uses both as the
@@ -94,6 +93,11 @@ const OPEN_LOOP_RATES: [f64; 3] = [1.0, 2.0, 4.0];
 /// Ticks over which the Poisson process offers load (the session then
 /// drains to quiescence).
 const OPEN_LOOP_ARRIVAL_TICKS: u64 = 64;
+/// The pipelined-vs-serial-runtime ratio the committed report's
+/// `pipelined_speedup_meets_floor` check holds the widest thread count to
+/// (CI passes the same figure to `--assert-speedup`). Set from ten runs of
+/// this tree; see DESIGN §11.4.
+const SPEEDUP_FLOOR: f64 = 1.5;
 const OPEN_LOOP_INFLIGHT: usize = 8;
 const OPEN_LOOP_QUEUE: usize = 8;
 
@@ -395,35 +399,6 @@ fn svc_fingerprint(report: &SvcReport) -> String {
     )
 }
 
-/// Proves the deprecated closed-loop `run()` wrapper byte-identical to a
-/// hand-driven session over the same fixed fleet.
-fn wrapper_matches(target: &CheckTarget, k: usize, threads: usize) -> bool {
-    let svc = SvcConfig::new()
-        .with_threads(threads)
-        .with_queue_capacity(k);
-    let session_report = {
-        let cache = Arc::new(VerifierCache::new());
-        let service = BaService::new(svc.clone()).with_shared_cache(Arc::clone(&cache));
-        let mut session = service.session();
-        for i in 0..k as u64 {
-            session
-                .submit(build_spec(target, i, &cache))
-                .expect("queue sized to the fleet");
-        }
-        session.drain()
-    };
-    let wrapper_report = {
-        let cache = Arc::new(VerifierCache::new());
-        let service = BaService::new(svc).with_shared_cache(Arc::clone(&cache));
-        let specs = (0..k as u64)
-            .map(|i| build_spec(target, i, &cache))
-            .collect();
-        #[allow(deprecated)]
-        service.run(specs)
-    };
-    svc_fingerprint(&session_report) == svc_fingerprint(&wrapper_report)
-}
-
 /// Saturates a tiny session under block-with-deadline admission and
 /// proves every submit returns (accepted or refused — never wedged) and
 /// the drained report still accounts exactly.
@@ -645,7 +620,6 @@ fn main() {
     let mut open_loop_accounting: Option<bool> = None;
     let mut open_loop_deterministic: Option<bool> = None;
     let mut deadlock_free: Option<bool> = None;
-    let mut wrapper_identical: Option<bool> = None;
     if cfg.section("open_loop") {
         let mut accounting = true;
         for rate in OPEN_LOOP_RATES {
@@ -704,7 +678,6 @@ fn main() {
                 svc_fingerprint(&run_open_loop(target, th, OPEN_LOOP_RATES[1])) == want
             }));
         deadlock_free = Some(no_admission_deadlock(target, th_hi));
-        wrapper_identical = Some(cfg.threads.iter().all(|&th| wrapper_matches(target, k, th)));
     }
 
     let samples: Vec<Sample> = rows.iter().map(|r| r.sample.clone()).collect();
@@ -720,21 +693,20 @@ fn main() {
         json,
         "  \"checks\": {{\"determinism\": {deterministic}, \"no_agreement_violations\": \
          {no_violations}, \"pipelined_speedup_vs_serial\": {speedup_str}, \
-         \"pipelined_speedup_at_least_2x\": {}, \"open_loop_accounting\": {}, \
-         \"open_loop_determinism\": {}, \"no_admission_deadlock\": {}, \
-         \"run_wrapper_byte_identical\": {}}},",
-        speedup_hi.is_some_and(|s| s >= 2.0),
+         \"pipelined_speedup_floor\": {SPEEDUP_FLOOR:?}, \
+         \"pipelined_speedup_meets_floor\": {}, \"open_loop_accounting\": {}, \
+         \"open_loop_determinism\": {}, \"no_admission_deadlock\": {}}},",
+        speedup_hi.is_some_and(|s| s >= SPEEDUP_FLOOR),
         opt(open_loop_accounting),
         opt(open_loop_deterministic),
         opt(deadlock_free),
-        opt(wrapper_identical),
     );
     json.push_str("  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {
         let _ = writeln!(
             json,
             "    {{\"section\": \"{}\", \"label\": \"{}\", \"n\": {N}, \"threads\": {}, \
-             \"pooled\": true, \"batched\": {}, \"parallelism\": {parallelism}, \
+             \"batched\": {}, \"parallelism\": {parallelism}, \
              \"single_core\": {single_core}, \"median_ns\": {:.1}, \"mean_ns\": {:.1}, \
              \"min_ns\": {:.1}{}}}{}",
             r.section,
@@ -776,10 +748,6 @@ fn main() {
         (
             "no admission deadlock under block-with-deadline",
             deadlock_free,
-        ),
-        (
-            "run() wrapper byte-identity with session()",
-            wrapper_identical,
         ),
     ] {
         if ok == Some(false) {

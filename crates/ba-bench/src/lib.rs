@@ -32,8 +32,8 @@
 //! `cargo run -p ba-bench --release --bin bench_chain_verify` regenerates
 //! `BENCH_chain_verify.json`, and
 //! `cargo run -p ba-bench --release --bin bench_engine` regenerates
-//! `BENCH_engine.json` (mailbox pooling, O(1) chain cloning and parallel
-//! intra-phase stepping; `--dump-trace N` prints a traced run for the CI
+//! `BENCH_engine.json` (O(1) chain cloning and parallel intra-phase
+//! stepping; `--dump-trace N` prints a traced run for the CI
 //! determinism check).
 
 pub mod experiments;

@@ -4,10 +4,12 @@
 //! directly: every message sent in phase `k` arrives at phase `k + 1`.
 //! This module earns that abstraction on an unreliable wire instead: all
 //! four stages — digest-word agreement, grid dissemination, the
-//! availability vote and the payload fetch — are driven through
-//! [`NetRuntime`], riding its bounded retransmission, backoff, dedup and
-//! phase watchdogs under a seeded [`ChaosProfile`] (loss, duplication,
-//! delay, reordering). Two contracts:
+//! availability vote and the payload fetch — run as standalone
+//! [`NetRuntime`] runs, one after another (four digest words, the
+//! dissemination grid, `n` one-word votes, the fetch grid), each riding
+//! the runtime's bounded retransmission, backoff, dedup and phase
+//! watchdog under a seeded [`ChaosProfile`] (loss, duplication, delay,
+//! reordering). Two contracts:
 //!
 //! * **Reliable wire ⇒ byte identity.** Under [`ChaosProfile::reliable`]
 //!   every stage's decisions and [`Metrics`] are byte-identical to the
@@ -27,9 +29,11 @@
 //!
 //! The availability vote's `n` one-word instances all share one cluster
 //! identity (crate-internal `vote_seed`), which is exactly the service
-//! layer's soundness invariant — [`multiplex_votes`] pipelines them over
-//! one wire through `ba-svc` with a fleet-shared verifier cache and
-//! returns the same per-node vote views as the serial path.
+//! layer's soundness invariant. [`run_extension_net`] does not use that:
+//! it runs the votes serially. [`multiplex_votes`] is the separate entry
+//! point that pipelines them over one wire through `ba-svc` with a
+//! fleet-shared verifier cache and returns the same per-node vote views
+//! as the serial path (`tests/net.rs` checks both agree).
 
 use crate::{
     apply_spec_faults, assemble_digest_views, count_repair_requests, count_repair_response_bytes,
@@ -38,6 +42,7 @@ use crate::{
 };
 use ba_algos::checkable::{CheckConfig, CheckTarget};
 use ba_algos::common::Board;
+use ba_crypto::keys::KeyRegistry;
 use ba_crypto::sha256::Sha256;
 use ba_crypto::{Bytes, ProcessId, Value};
 use ba_net::harness::NetRunError;
@@ -45,7 +50,7 @@ use ba_net::svc::instance_seed;
 use ba_net::verdict::{DegradationVerdict, NetStats};
 use ba_net::{run_target_multiplexed, ChaosProfile, NetConfig, NetOutcome, NetRuntime, SvcConfig};
 use ba_sim::schedule::{ScheduleError, ScheduleSpec};
-use ba_sim::{Actor, Metrics};
+use ba_sim::{Actor, Metrics, Payload};
 
 /// Which stage of the extension protocol a wire event belongs to.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -161,6 +166,55 @@ impl ExtNetRun {
     }
 }
 
+/// What every stage of one net-driven run shares; [`run`](Stages::run) is
+/// the one place a stage becomes a standalone runtime run.
+struct Stages<'a> {
+    net: &'a NetConfig,
+    chaos: &'a ChaosProfile,
+    spec: &'a ScheduleSpec,
+    wire: Vec<StageWire>,
+}
+
+impl Stages<'_> {
+    /// Runs one stage under its own reseeded chaos profile and records its
+    /// wire accounting. The stages differ only in their actors, registry
+    /// and fault budget.
+    fn run<P: Payload + 'static>(
+        &mut self,
+        stage: ExtStage,
+        actors: Vec<Box<dyn Actor<P>>>,
+        phases: usize,
+        registry: &KeyRegistry,
+        fault_budget: usize,
+    ) -> Result<NetOutcome, ExtNetError> {
+        let seed = instance_seed(self.chaos.seed, stage.chaos_index(actors.len()));
+        let net = self.net.clone().with_fault_budget(fault_budget);
+        let outcome = NetRuntime::new(actors, net)
+            .with_registry(registry)
+            .with_link_drops(self.spec.link_drops.iter().copied())
+            .with_chaos(self.chaos.clone().reseeded(seed))
+            .run(phases)
+            .map_err(|verdict| ExtNetError::Degraded { stage, verdict })?;
+        self.wire.push(StageWire {
+            stage,
+            stats: outcome.stats.clone(),
+            suspected: outcome.suspected.clone(),
+        });
+        Ok(outcome)
+    }
+
+    /// Builds `cfg`'s inner-BA instance of `target` and runs it as `stage`.
+    fn run_inner(
+        &mut self,
+        stage: ExtStage,
+        target: &CheckTarget,
+        cfg: &CheckConfig,
+    ) -> Result<NetOutcome, ExtNetError> {
+        let built = target.build(cfg).map_err(ExtNetError::Schedule)?;
+        self.run(stage, built.actors, built.phases, &built.registry, cfg.t)
+    }
+}
+
 /// Drives the full extension protocol through the message-passing runtime
 /// under `chaos`, with the fault schedule compiled onto every stage and
 /// the `rewrite` hook splicing extension-specific adversaries into the
@@ -191,38 +245,11 @@ pub fn run_extension_net(
         .chunks_exact(8)
         .map(|w| u64::from_be_bytes(w.try_into().expect("8-byte digest word")))
         .collect();
-    let mut wire: Vec<StageWire> = Vec::new();
-
-    let stage_chaos = |stage: ExtStage| {
-        chaos
-            .clone()
-            .reseeded(instance_seed(chaos.seed, stage.chaos_index(opts.n)))
-    };
-
-    // Inner-BA stages (digest words and votes) through the runtime.
-    let run_inner = |target: &CheckTarget,
-                     cfg: &CheckConfig,
-                     stage: ExtStage,
-                     wire: &mut Vec<StageWire>|
-     -> Result<NetOutcome, ExtNetError> {
-        let setup = target.build(cfg).map_err(ExtNetError::Schedule)?;
-        let netcfg = NetConfig {
-            threads: net.threads,
-            fault_budget: cfg.t,
-            ..net.clone()
-        };
-        let outcome = NetRuntime::new(setup.actors, netcfg)
-            .with_registry(&setup.registry)
-            .with_link_drops(cfg.spec.link_drops.iter().copied())
-            .with_chaos(stage_chaos(stage))
-            .run(setup.phases)
-            .map_err(|verdict| ExtNetError::Degraded { stage, verdict })?;
-        wire.push(StageWire {
-            stage,
-            stats: outcome.stats.clone(),
-            suspected: outcome.suspected.clone(),
-        });
-        Ok(outcome)
+    let mut stages = Stages {
+        net,
+        chaos,
+        spec,
+        wire: Vec::new(),
     };
 
     // Stage 1 — digest agreement.
@@ -238,37 +265,13 @@ pub fn run_extension_net(
             net.threads,
             spec.clone(),
         );
-        let outcome = run_inner(target, &cfg, ExtStage::DigestWord(w), &mut wire)?;
+        let outcome = stages.run_inner(ExtStage::DigestWord(w), target, &cfg)?;
         inner_metrics.merge(&outcome.metrics);
         word_views.push(outcome.decisions.iter().map(|d| d.map(|v| v.0)).collect());
     }
     let digest_views = assemble_digest_views(&word_views, opts.n);
 
-    // Grid stages (dissemination and fetch) through the runtime.
     let setup = ExtSetup::new(opts);
-    let run_grid = |actors: Vec<Box<dyn Actor<ExtMsg>>>,
-                    phases: usize,
-                    stage: ExtStage,
-                    wire: &mut Vec<StageWire>|
-     -> Result<NetOutcome, ExtNetError> {
-        let netcfg = NetConfig {
-            threads: net.threads,
-            fault_budget: opts.t,
-            ..net.clone()
-        };
-        let outcome = NetRuntime::new(actors, netcfg)
-            .with_registry(&setup.registry)
-            .with_link_drops(spec.link_drops.iter().copied())
-            .with_chaos(stage_chaos(stage))
-            .run(phases)
-            .map_err(|verdict| ExtNetError::Degraded { stage, verdict })?;
-        wire.push(StageWire {
-            stage,
-            stats: outcome.stats.clone(),
-            suspected: outcome.suspected.clone(),
-        });
-        Ok(outcome)
-    };
 
     // Stage 2 — dissemination into provisional decisions.
     let outgoing = setup.sign_chunks(payload);
@@ -277,11 +280,12 @@ pub fn run_extension_net(
         setup.dissemination_actors(opts, payload, &digest_views, &outgoing, &provisional_board);
     apply_spec_faults(&mut actors, spec).map_err(ExtNetError::Schedule)?;
     let actors = rewrite(actors);
-    let dissemination_outcome = run_grid(
+    let dissemination_outcome = stages.run(
+        ExtStage::Dissemination,
         actors,
         DISSEMINATION_PHASES,
-        ExtStage::Dissemination,
-        &mut wire,
+        &setup.registry,
+        opts.t,
     )?;
     let provisional = provisional_board.snapshot();
 
@@ -292,7 +296,7 @@ pub fn run_extension_net(
     let mut vote_views: Vec<Vec<Option<Value>>> = Vec::with_capacity(opts.n);
     for (v, &vote) in votes.iter().enumerate() {
         let cfg = vote_cfg(opts, spec, v, vote);
-        let outcome = run_inner(vote_target, &cfg, ExtStage::Vote(v), &mut wire)?;
+        let outcome = stages.run_inner(ExtStage::Vote(v), vote_target, &cfg)?;
         vote_metrics.merge(&outcome.metrics);
         vote_views.push(outcome.decisions);
     }
@@ -302,7 +306,13 @@ pub fn run_extension_net(
     let mut actors = setup.fetch_actors(opts, &digest_views, &provisional, &vote_views, &board);
     apply_spec_faults(&mut actors, spec).map_err(ExtNetError::Schedule)?;
     let actors = rewrite(actors);
-    let fetch_outcome = run_grid(actors, FETCH_PHASES, ExtStage::Fetch, &mut wire)?;
+    let fetch_outcome = stages.run(
+        ExtStage::Fetch,
+        actors,
+        FETCH_PHASES,
+        &setup.registry,
+        opts.t,
+    )?;
 
     let correct = fetch_outcome.correct;
     let availability: Vec<ProcessId> = correct
@@ -335,7 +345,10 @@ pub fn run_extension_net(
         vote: vote_metrics,
         fetch: fetch_outcome.metrics,
     };
-    Ok(ExtNetRun { report, wire })
+    Ok(ExtNetRun {
+        report,
+        wire: stages.wire,
+    })
 }
 
 /// Checks that no two correct nodes in `report` disagree on the outcome —

@@ -5,7 +5,7 @@
 
 use crate::chaos::ChaosProfile;
 use crate::runtime::{NetConfig, NetRuntime};
-use crate::svc::{BaService, InstanceSpec, SvcConfig};
+use crate::svc::{BaService, InstanceRun, InstanceSpec, SvcConfig};
 use crate::verdict::{DegradationVerdict, NetStats};
 use ba_algos::checkable::{CheckConfig, CheckTarget};
 use ba_crypto::{Chain, ProcessId, Value, VerifierCache};
@@ -60,6 +60,27 @@ impl NetRun {
     pub fn violated(&self) -> bool {
         self.agreement.is_err()
     }
+
+    /// Judges a completed instance of `cfg` — standalone or multiplexed,
+    /// the driver hands back the same type.
+    fn judge(run: InstanceRun, cfg: &CheckConfig) -> NetRun {
+        // The checker only reads decisions and correctness flags; metrics
+        // and trace in the shim outcome are irrelevant to the verdict.
+        let shim: RunOutcome<Chain> = RunOutcome {
+            decisions: run.decisions.clone(),
+            correct: run.correct.clone(),
+            metrics: Metrics::default(),
+            trace: Trace::default(),
+        };
+        NetRun {
+            agreement: check_byzantine_agreement(&shim, cfg.transmitter, cfg.value),
+            decisions: run.decisions,
+            correct: run.correct,
+            metrics: run.metrics,
+            stats: run.stats,
+            suspected: run.suspected,
+        }
+    }
 }
 
 /// Runs `target` under `cfg`'s schedule through the message-passing
@@ -76,33 +97,12 @@ pub fn run_target(
     chaos: &ChaosProfile,
 ) -> Result<NetRun, NetRunError> {
     let setup = target.build(cfg).map_err(NetRunError::Schedule)?;
-    let netcfg = NetConfig {
-        threads: net.threads,
-        fault_budget: cfg.t,
-        ..net.clone()
-    };
-    let runtime = NetRuntime::new(setup.actors, netcfg)
+    let runtime = NetRuntime::new(setup.actors, net.clone().with_fault_budget(cfg.t))
         .with_registry(&setup.registry)
         .with_link_drops(cfg.spec.link_drops.iter().copied())
         .with_chaos(chaos.clone());
     let outcome = runtime.run(setup.phases).map_err(NetRunError::Degraded)?;
-    // The checker only reads decisions and correctness flags; metrics and
-    // trace in the shim outcome are irrelevant to the verdict.
-    let shim: RunOutcome<Chain> = RunOutcome {
-        decisions: outcome.decisions.clone(),
-        correct: outcome.correct.clone(),
-        metrics: Metrics::default(),
-        trace: Trace::default(),
-    };
-    let agreement = check_byzantine_agreement(&shim, cfg.transmitter, cfg.value);
-    Ok(NetRun {
-        decisions: outcome.decisions,
-        correct: outcome.correct,
-        metrics: outcome.metrics,
-        stats: outcome.stats,
-        suspected: outcome.suspected,
-        agreement,
-    })
+    Ok(NetRun::judge(outcome, cfg))
 }
 
 /// One multiplexed service run over a fleet of checkable-target instances.
@@ -188,23 +188,7 @@ pub fn run_target_multiplexed(
     let mut latencies = Vec::with_capacity(report.outcomes.len());
     for (outcome, cfg) in report.outcomes.into_iter().zip(cfgs) {
         latencies.push(outcome.latency());
-        runs.push(outcome.result.map(|run| {
-            let shim: RunOutcome<Chain> = RunOutcome {
-                decisions: run.decisions.clone(),
-                correct: run.correct.clone(),
-                metrics: Metrics::default(),
-                trace: Trace::default(),
-            };
-            let agreement = check_byzantine_agreement(&shim, cfg.transmitter, cfg.value);
-            NetRun {
-                decisions: run.decisions,
-                correct: run.correct,
-                metrics: run.metrics,
-                stats: run.stats,
-                suspected: run.suspected,
-                agreement,
-            }
-        }));
+        runs.push(outcome.result.map(|run| NetRun::judge(run, cfg)));
     }
     Ok(MultiplexRun {
         runs,
@@ -242,21 +226,9 @@ pub fn check_equivalence(
         .with_link_drops(cfg.spec.link_drops.iter().copied());
     let engine = sim.run(setup.phases);
 
-    let net_setup = target
-        .build(cfg)
-        .map_err(|e| format!("net schedule error: {e}"))?;
-    let netcfg = NetConfig {
-        threads,
-        fault_budget: cfg.t,
-        ..NetConfig::default()
-    };
-    let runtime = NetRuntime::new(net_setup.actors, netcfg)
-        .with_registry(&net_setup.registry)
-        .with_link_drops(cfg.spec.link_drops.iter().copied())
-        .with_chaos(ChaosProfile::reliable());
-    let net = runtime
-        .run(net_setup.phases)
-        .map_err(|v| format!("net degraded under reliable wire: {v}"))?;
+    let netcfg = NetConfig::new().with_threads(threads);
+    let net = run_target(target, cfg, &netcfg, &ChaosProfile::reliable())
+        .map_err(|e| format!("net run under reliable wire: {e}"))?;
 
     if net.decisions != engine.decisions {
         return Err(format!(

@@ -12,12 +12,16 @@
 //!   fault-schedule vocabulary in [`ba_sim::schedule`];
 //! * [`wire`](crate::runtime) — virtual-tick delivery with bounded
 //!   retransmission, exponential backoff, acks and receiver-side dedup;
-//! * [`runtime`] — actor chunks on real worker threads behind mpsc
-//!   channels, a coordinator phase synchronizer with a wall-clock
-//!   watchdog, and graceful degradation: suspected senders are tolerated
-//!   while the observable fault set fits the budget `t`, and the run
-//!   aborts with a structured [`DegradationVerdict`] the moment it
-//!   doesn't — it never panics and never returns untrustworthy decisions;
+//! * the phase driver (private `driver` module) — the one place a BA
+//!   instance advances a phase over that wire: actors stepped in chunks
+//!   on the shared worker pool, sends accounted, frames delivered, faults
+//!   attributed, and graceful degradation: suspected senders are
+//!   tolerated while the observable fault set fits the budget `t`, and
+//!   the instance settles with a structured [`DegradationVerdict`] the
+//!   moment it doesn't — or when an actor panics or overruns the phase
+//!   watchdog — never a panic, never untrustworthy decisions;
+//! * [`runtime`] — the standalone entry point: [`NetRuntime`] runs one
+//!   driver to completion;
 //! * [`verdict`] — the structured failure vocabulary ([`NetStats`],
 //!   [`FailedLink`], [`DegradationVerdict`]);
 //! * [`harness`] — drives any `ba-algos` checkable target through the
@@ -26,7 +30,8 @@
 //!   [`ba_sim::Simulation`] at any worker-thread count;
 //! * [`svc`] — the multi-instance service (`ba-svc`): a session-based
 //!   open-loop API (`session`/`submit`/`tick`/`try_outcome`/`drain`) over
-//!   many concurrent BA instances with pipelined phases on one wire,
+//!   many concurrent BA instances — one driver per ticket, the same code
+//!   the standalone runtime runs — with pipelined phases on one wire,
 //!   per-link batched flushes, a fleet-shared verifier cache, per-instance
 //!   degradation verdicts, and explicit admission control — a bounded
 //!   queue with reject / shed-oldest / block-with-deadline backpressure,
@@ -76,6 +81,7 @@
 //! ```
 
 pub mod chaos;
+mod driver;
 pub mod harness;
 pub mod runtime;
 pub mod svc;

@@ -1,24 +1,30 @@
-//! The message-passing runtime: actor chunks on real worker threads, a
-//! coordinator phase synchronizer, and the unreliable wire in between.
+//! The standalone message-passing runtime: one BA instance over the
+//! unreliable wire, run to completion.
 //!
 //! # Architecture
 //!
-//! [`NetRuntime::run`] spawns `threads` workers, each owning a contiguous
-//! chunk of actors, wired to the coordinator with mpsc channels. Each phase
-//! proceeds as:
+//! [`NetRuntime::run`] is a thin loop over one phase driver (the
+//! crate-private `driver` module) — the very code a
+//! [`SvcSession`](crate::svc::SvcSession) runs per ticket, configured as a
+//! fleet of one: chaos fates seeded with the profile's own seed, no
+//! flush-boundary batch verification (`registry: None`, so signature
+//! checks stay per recipient like the lock-step engine's default), every
+//! frame its own wire flush. Each phase proceeds as:
 //!
-//! 1. **dispatch** — the coordinator sends every worker its actors' inboxes;
-//! 2. **step** — workers step their actors concurrently and send back the
-//!    staged envelopes, per-actor suppressed-send counts and their
-//!    thread-local [`CryptoStats`] delta;
-//! 3. **barrier** — the coordinator collects replies under a wall-clock
-//!    watchdog ([`NetConfig::phase_timeout`]); a missing reply (stalled or
-//!    panicked worker) aborts with a [`WorkerStalled`] verdict;
-//! 4. **wire** — staged frames (in sender-id order, after scheduled link
-//!    drops) are played over the [`wire`](crate::wire): chaos-rolled loss,
-//!    delay, duplication, acks, bounded retransmission with exponential
-//!    backoff;
-//! 5. **budget** — permanently failed links make their *senders* suspected
+//! 1. **step** — the actors step in up to [`NetConfig::threads`]
+//!    contiguous ascending chunks on the shared worker pool (one chunk
+//!    runs inline), each chunk returning its thread-local `CryptoStats`
+//!    delta; suppressed sends, nonexistent receivers and scheduled link
+//!    drops are then accounted in actor-id order;
+//! 2. **watchdog** — an actor that panics while being stepped, or a step
+//!    fan-out that returns after more than [`NetConfig::phase_timeout`],
+//!    aborts the run with a [`WorkerStalled`] verdict instead of a panic.
+//!    A step that *never* returns is not contained: that needed actors on
+//!    a leaked detached thread, and no actor in the workspace blocks;
+//! 3. **wire** — surviving frames (in sender-id order) are played over
+//!    the wire: chaos-rolled loss, delay, duplication, acks, bounded
+//!    retransmission with exponential backoff;
+//! 4. **budget** — permanently failed links make their *senders* suspected
 //!    (an omission-faulty sender explains every lost frame). While the
 //!    union of scheduled-faulty and suspected processors stays within the
 //!    budget `t` the run degrades gracefully — suspects are reported
@@ -33,27 +39,22 @@
 //! attempt in staging order, so inbox contents, metrics and decisions are
 //! byte-identical to [`ba_sim::Simulation`] at any worker-thread count —
 //! the `harness` module proves this for every checkable target. The same
-//! [`Metrics`] recording primitives are used, workers return thread-local
-//! crypto deltas exactly like the engine's scoped workers, and a registry
-//! passed via [`NetRuntime::with_registry`] runs its verifier cache in the
-//! same deferred phase-snapshot mode.
+//! `Metrics` recording primitives and the same chunked stepper
+//! ([`ba_sim::engine::step_chunks`]) are used, and a registry passed via
+//! [`NetRuntime::with_registry`] runs its verifier cache in the same
+//! deferred phase-snapshot mode, flushed once per phase.
 //!
 //! [`WorkerStalled`]: crate::verdict::DegradationReason::WorkerStalled
 //! [`FaultBudgetExceeded`]: crate::verdict::DegradationReason::FaultBudgetExceeded
 //! [`ChaosProfile::reliable`]: crate::chaos::ChaosProfile::reliable
 
 use crate::chaos::ChaosProfile;
-use crate::verdict::{DegradationReason, DegradationVerdict, NetStats};
-use crate::wire::{self, WirePolicy};
+use crate::driver::{InstanceRun, InstanceSpec, PhaseDriver};
+use crate::verdict::DegradationVerdict;
+use crate::wire::WirePolicy;
 use ba_crypto::keys::KeyRegistry;
-use ba_crypto::rng::SimRng;
-use ba_crypto::stats::CryptoStats;
-use ba_crypto::{ProcessId, Value};
 use ba_sim::schedule::LinkDrop;
-use ba_sim::transport::{Fate, ScheduledDrops, Transport};
-use ba_sim::{Actor, Envelope, Metrics, Outbox, Payload};
-use std::collections::BTreeSet;
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use ba_sim::{Actor, Payload};
 use std::time::Duration;
 
 /// Tuning knobs for the runtime. Construct with
@@ -65,8 +66,8 @@ use std::time::Duration;
 /// `deadline_ticks = 128`, `phase_timeout = 5s`.
 #[derive(Clone, Debug)]
 pub struct NetConfig {
-    /// Worker threads stepping actors (clamped to at least 1 and at most
-    /// the actor count).
+    /// Worker chunks the actors are stepped in (clamped to at least 1 and
+    /// at most the actor count).
     pub threads: usize,
     /// The fault budget `t`: the run aborts when scheduled-faulty plus
     /// suspected processors exceed this.
@@ -75,8 +76,8 @@ pub struct NetConfig {
     pub max_retries: u32,
     /// Virtual ticks one phase may use before it is declared blown.
     pub deadline_ticks: u64,
-    /// Wall-clock watchdog for each phase barrier: how long the
-    /// coordinator waits for a worker before declaring it stalled.
+    /// Wall-clock watchdog for each phase: a step fan-out that takes
+    /// longer than this is declared stalled once it returns.
     pub phase_timeout: Duration,
 }
 
@@ -122,131 +123,25 @@ impl NetConfig {
         self
     }
 
-    /// Sets the wall-clock watchdog per phase barrier.
+    /// Sets the wall-clock watchdog per phase.
     pub fn with_phase_timeout(mut self, phase_timeout: Duration) -> Self {
         self.phase_timeout = phase_timeout;
         self
     }
 }
 
-/// What a completed (possibly degraded-but-sound) run produced.
-#[derive(Clone, Debug)]
-pub struct NetOutcome {
-    /// Each processor's decision, indexed by processor id.
-    pub decisions: Vec<Option<Value>>,
-    /// Which processors the run stands behind as correct: the actors'
-    /// own flags, minus any sender suspected via failed links.
-    pub correct: Vec<bool>,
-    /// Logical traffic accounting — byte-identical to the lock-step
-    /// engine's under a reliable profile.
-    pub metrics: Metrics,
-    /// Physical wire statistics (attempts, retransmissions, dedup, acks).
-    pub stats: NetStats,
-    /// Senders suspected faulty from permanently failed links, in id
-    /// order. Non-empty means the run degraded but stayed within budget.
-    pub suspected: Vec<ProcessId>,
-}
-
-/// One worker's barrier contribution: per-actor staged envelopes plus
-/// per-actor omitted-send counts.
-type StagedBatch<P> = (Vec<Vec<Envelope<P>>>, Vec<u64>);
-
-enum ToWorker<P> {
-    Step {
-        phase: usize,
-        inboxes: Vec<Vec<Envelope<P>>>,
-    },
-    Finalize {
-        inboxes: Vec<Vec<Envelope<P>>>,
-    },
-}
-
-enum FromWorker<P> {
-    Stepped {
-        worker: usize,
-        staged: Vec<Vec<Envelope<P>>>,
-        omitted: Vec<u64>,
-        crypto: CryptoStats,
-    },
-    Finalized {
-        worker: usize,
-        decisions: Vec<Option<Value>>,
-        crypto: CryptoStats,
-    },
-}
-
-struct Worker<P> {
-    tx: Sender<ToWorker<P>>,
-    base: usize,
-    len: usize,
-    // The message pump runs detached on the shared WorkerPool (leased via
-    // spawn_detached), never joined: a stalled worker must not be able to
-    // hang the coordinator's abort path. It exits — releasing its pool
-    // thread — when `tx` is dropped and its channel closes.
-}
-
-fn worker_loop<P: Payload + 'static>(
-    worker: usize,
-    base: usize,
-    mut actors: Vec<Box<dyn Actor<P>>>,
-    rx: Receiver<ToWorker<P>>,
-    tx: Sender<FromWorker<P>>,
-) {
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            ToWorker::Step { phase, inboxes } => {
-                let before = CryptoStats::snapshot();
-                let mut staged = Vec::with_capacity(actors.len());
-                let mut omitted = Vec::with_capacity(actors.len());
-                for (j, actor) in actors.iter_mut().enumerate() {
-                    let mut out = Outbox::new(ProcessId((base + j) as u32));
-                    actor.step(phase, &inboxes[j], &mut out);
-                    omitted.push(out.omitted_count());
-                    staged.push(out.into_staged());
-                }
-                let crypto = CryptoStats::snapshot().since(&before);
-                if tx
-                    .send(FromWorker::Stepped {
-                        worker,
-                        staged,
-                        omitted,
-                        crypto,
-                    })
-                    .is_err()
-                {
-                    return;
-                }
-            }
-            ToWorker::Finalize { inboxes } => {
-                let before = CryptoStats::snapshot();
-                for (j, actor) in actors.iter_mut().enumerate() {
-                    actor.finalize(&inboxes[j]);
-                }
-                let crypto = CryptoStats::snapshot().since(&before);
-                let decisions = actors.iter().map(|a| a.decision()).collect();
-                if tx
-                    .send(FromWorker::Finalized {
-                        worker,
-                        decisions,
-                        crypto,
-                    })
-                    .is_err()
-                {
-                    return;
-                }
-            }
-        }
-    }
-}
+/// What a completed (possibly degraded-but-sound) run produced: the same
+/// type a multiplexed instance settles with.
+pub type NetOutcome = InstanceRun;
 
 /// A message-passing run over `n` actors. Build with [`NetRuntime::new`],
 /// configure, then [`run`](NetRuntime::run) — the runtime is consumed
-/// because the actors move onto the worker threads.
+/// because the actors move into the run's phase driver.
 pub struct NetRuntime<P: Payload> {
     actors: Vec<Box<dyn Actor<P>>>,
     config: NetConfig,
     chaos: ChaosProfile,
-    link_drops: BTreeSet<LinkDrop>,
+    link_drops: Vec<LinkDrop>,
     registry: Option<KeyRegistry>,
 }
 
@@ -267,7 +162,7 @@ impl<P: Payload + 'static> NetRuntime<P> {
             actors,
             config,
             chaos: ChaosProfile::reliable(),
-            link_drops: BTreeSet::new(),
+            link_drops: Vec::new(),
             registry: None,
         }
     }
@@ -308,9 +203,10 @@ impl<P: Payload + 'static> NetRuntime<P> {
     /// # Errors
     /// A [`DegradationVerdict`] (boxed — the verdict carries full wire
     /// statistics) when the observable fault set exceeds the budget, a
-    /// phase's delivery deadline is blown, or a worker misses the phase
-    /// barrier. The runtime never panics on wire failures and never
-    /// returns decisions from a run whose fault assumptions broke.
+    /// phase's delivery deadline is blown, an actor panics while being
+    /// stepped, or a step fan-out overruns the watchdog. The runtime never
+    /// panics on wire failures and never returns decisions from a run
+    /// whose fault assumptions broke.
     pub fn run(self, phases: usize) -> Result<NetOutcome, Box<DegradationVerdict>> {
         let NetRuntime {
             actors,
@@ -319,277 +215,40 @@ impl<P: Payload + 'static> NetRuntime<P> {
             link_drops,
             registry,
         } = self;
-        let n = actors.len();
-        let correct: Vec<bool> = actors.iter().map(|a| a.is_correct()).collect();
-        let scheduled_faulty: BTreeSet<ProcessId> = correct
-            .iter()
-            .enumerate()
-            .filter(|(_, ok)| !**ok)
-            .map(|(i, _)| ProcessId(i as u32))
-            .collect();
-
-        // Spawn workers over contiguous actor chunks, mirroring the
-        // engine's chunking so "threads = k" means the same partition.
-        let worker_count = config.threads.clamp(1, n.max(1));
-        let chunk = n.div_ceil(worker_count.max(1)).max(1);
-        let (reply_tx, reply_rx) = channel::<FromWorker<P>>();
-        let mut workers: Vec<Worker<P>> = Vec::with_capacity(worker_count);
-        let mut remaining = actors;
-        let mut base = 0usize;
-        let mut widx = 0usize;
-        while !remaining.is_empty() {
-            let take = chunk.min(remaining.len());
-            let rest = remaining.split_off(take);
-            let owned = std::mem::replace(&mut remaining, rest);
-            let (tx, rx) = channel::<ToWorker<P>>();
-            let reply = reply_tx.clone();
-            let (w, b) = (widx, base);
-            ba_sim::WorkerPool::shared()
-                .spawn_detached(move || worker_loop(w, b, owned, rx, reply));
-            workers.push(Worker {
-                tx,
-                base,
-                len: take,
-            });
-            base += take;
-            widx += 1;
-        }
-        drop(reply_tx);
-
-        if let Some(registry) = &registry {
-            registry.cache().set_deferred(true);
-        }
-
-        let mut scheduled = ScheduledDrops::new(link_drops.iter().copied());
-        let mut rng = SimRng::new(chaos.seed);
         let policy = WirePolicy {
             max_retries: config.max_retries,
             deadline_ticks: config.deadline_ticks,
         };
-        let mut metrics = Metrics::default();
-        let mut stats = NetStats::default();
-        let mut suspected: BTreeSet<ProcessId> = BTreeSet::new();
-        let mut inboxes: Vec<Vec<Envelope<P>>> = vec![Vec::new(); n];
-
-        let finish_registry = |registry: &Option<KeyRegistry>| {
-            if let Some(registry) = registry {
-                registry.cache().set_deferred(false);
+        // `registry: None`: verification stays per recipient, the
+        // lock-step engine's default, so crypto counters match it too.
+        let spec = InstanceSpec {
+            actors,
+            phases,
+            fault_budget: config.fault_budget,
+            link_drops,
+            registry: None,
+        };
+        let mut driver = PhaseDriver::new(spec, chaos.seed, Some(config.phase_timeout));
+        let cache = registry.as_ref().map(KeyRegistry::cache);
+        if let Some(cache) = cache {
+            cache.set_deferred(true);
+        }
+        let result = loop {
+            driver.step(config.threads);
+            // A standalone runtime flushes each frame as its own wire
+            // send; only the service layer coalesces.
+            let frames = driver.take_frames();
+            driver.note_solo_flushes(frames.len());
+            if let Some(result) = driver.deliver(frames, &chaos, policy).transpose() {
+                break result;
+            }
+            if let Some(cache) = cache {
+                cache.flush_pending();
             }
         };
-        let verdict = |phase: usize,
-                       reason: DegradationReason,
-                       suspected: &BTreeSet<ProcessId>,
-                       stats: &NetStats,
-                       stalled: Vec<usize>| {
-            Box::new(DegradationVerdict {
-                phase,
-                reason,
-                suspected: suspected.iter().copied().collect(),
-                failed_links: stats.failed_links.clone(),
-                stalled_workers: stalled,
-                stats: stats.clone(),
-            })
-        };
-
-        for phase in 1..=phases {
-            // Dispatch: hand each worker its actors' inboxes.
-            for worker in &workers {
-                let slice: Vec<Vec<Envelope<P>>> = inboxes[worker.base..worker.base + worker.len]
-                    .iter_mut()
-                    .map(std::mem::take)
-                    .collect();
-                // A send failure means the worker is already dead; the
-                // barrier below will convert that into a verdict.
-                let _ = worker.tx.send(ToWorker::Step {
-                    phase,
-                    inboxes: slice,
-                });
-            }
-
-            // Barrier with wall-clock watchdog.
-            let mut staged_by_worker: Vec<Option<StagedBatch<P>>> =
-                (0..workers.len()).map(|_| None).collect();
-            let mut phase_crypto = CryptoStats::default();
-            let mut replied = 0usize;
-            while replied < workers.len() {
-                match reply_rx.recv_timeout(config.phase_timeout) {
-                    Ok(FromWorker::Stepped {
-                        worker,
-                        staged,
-                        omitted,
-                        crypto,
-                    }) => {
-                        phase_crypto = phase_crypto.add(&crypto);
-                        staged_by_worker[worker] = Some((staged, omitted));
-                        replied += 1;
-                    }
-                    Ok(FromWorker::Finalized { .. }) => {
-                        // Impossible by protocol order; ignore defensively.
-                    }
-                    Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => {
-                        let stalled: Vec<usize> = staged_by_worker
-                            .iter()
-                            .enumerate()
-                            .filter(|(_, s)| s.is_none())
-                            .map(|(w, _)| w)
-                            .collect();
-                        finish_registry(&registry);
-                        return Err(verdict(
-                            phase,
-                            DegradationReason::WorkerStalled {
-                                waited_ms: config.phase_timeout.as_millis() as u64,
-                            },
-                            &suspected,
-                            &stats,
-                            stalled,
-                        ));
-                    }
-                }
-            }
-
-            // Accounting in actor-id order, exactly like the engine's
-            // routing barrier: suppressed sends, nonexistent receivers,
-            // scheduled link drops.
-            let mut frames: Vec<Envelope<P>> = Vec::new();
-            for slot in staged_by_worker {
-                let (staged, omitted) = slot.expect("all workers replied");
-                for (staged_one, omitted_one) in staged.into_iter().zip(omitted) {
-                    metrics.record_omitted(phase, omitted_one);
-                    for env in staged_one {
-                        if env.to.index() >= n {
-                            continue;
-                        }
-                        if scheduled.admit(phase, env.from, env.to) == Fate::Omit {
-                            metrics.record_omitted(phase, 1);
-                            continue;
-                        }
-                        frames.push(env);
-                    }
-                }
-            }
-
-            // The unreliable wire. A standalone runtime flushes each frame
-            // as its own wire send; only the service layer coalesces.
-            stats.note_solo_flushes(frames.len() as u64);
-            let report = wire::deliver(phase, frames, &chaos, &mut rng, policy, &mut stats);
-            if report.pending > 0 {
-                finish_registry(&registry);
-                return Err(verdict(
-                    phase,
-                    DegradationReason::DeadlineBlown {
-                        pending_frames: report.pending,
-                        deadline_ticks: config.deadline_ticks,
-                    },
-                    &suspected,
-                    &stats,
-                    vec![],
-                ));
-            }
-            for link in &report.failed {
-                suspected.insert(link.from);
-                // A frame that never made it is suppressed traffic, same
-                // bucket as a scheduled drop: sent but never on the wire.
-                metrics.record_omitted(phase, 1);
-            }
-            stats.failed_links.extend(report.failed.iter().copied());
-
-            // Fault budget: scheduled faults plus suspected senders.
-            let observed = scheduled_faulty.union(&suspected).count();
-            if observed > config.fault_budget {
-                finish_registry(&registry);
-                return Err(verdict(
-                    phase,
-                    DegradationReason::FaultBudgetExceeded {
-                        observed,
-                        budget: config.fault_budget,
-                    },
-                    &suspected,
-                    &stats,
-                    vec![],
-                ));
-            }
-
-            // Deliveries, in arrival order.
-            for env in report.delivered {
-                metrics.record_send(
-                    phase,
-                    correct[env.from.index()],
-                    env.payload.signature_count(),
-                    env.payload.weight_bytes(),
-                    env.payload.payload_bytes(),
-                    env.payload.kind(),
-                );
-                inboxes[env.to.index()].push(env);
-            }
-
-            metrics.record_phase_crypto(phase, phase_crypto);
-            if let Some(registry) = &registry {
-                registry.cache().flush_pending();
-            }
+        if let Some(cache) = cache {
+            cache.set_deferred(false);
         }
-
-        // Finalize on the workers; same watchdog.
-        for worker in &workers {
-            let slice: Vec<Vec<Envelope<P>>> = inboxes[worker.base..worker.base + worker.len]
-                .iter_mut()
-                .map(std::mem::take)
-                .collect();
-            let _ = worker.tx.send(ToWorker::Finalize { inboxes: slice });
-        }
-        let mut decisions: Vec<Option<Value>> = vec![None; n];
-        let mut finalize_crypto = CryptoStats::default();
-        let mut replied = 0usize;
-        let mut done: Vec<bool> = vec![false; workers.len()];
-        while replied < workers.len() {
-            match reply_rx.recv_timeout(config.phase_timeout) {
-                Ok(FromWorker::Finalized {
-                    worker,
-                    decisions: worker_decisions,
-                    crypto,
-                }) => {
-                    finalize_crypto = finalize_crypto.add(&crypto);
-                    let base = workers[worker].base;
-                    for (j, d) in worker_decisions.into_iter().enumerate() {
-                        decisions[base + j] = d;
-                    }
-                    done[worker] = true;
-                    replied += 1;
-                }
-                Ok(FromWorker::Stepped { .. }) => {}
-                Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => {
-                    let stalled: Vec<usize> = done
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, d)| !**d)
-                        .map(|(w, _)| w)
-                        .collect();
-                    finish_registry(&registry);
-                    return Err(verdict(
-                        phases + 1,
-                        DegradationReason::WorkerStalled {
-                            waited_ms: config.phase_timeout.as_millis() as u64,
-                        },
-                        &suspected,
-                        &stats,
-                        stalled,
-                    ));
-                }
-            }
-        }
-        metrics.absorb_crypto(finalize_crypto);
-        finish_registry(&registry);
-        metrics.phases = phases;
-
-        let mut correct_out = correct;
-        for p in &suspected {
-            correct_out[p.index()] = false;
-        }
-        Ok(NetOutcome {
-            decisions,
-            correct: correct_out,
-            metrics,
-            stats,
-            suspected: suspected.into_iter().collect(),
-        })
+        result
     }
 }

@@ -14,9 +14,7 @@
 //!   [`AdmissionError`]), [`tick`](SvcSession::tick) advances every
 //!   in-flight instance one phase, [`try_outcome`](SvcSession::try_outcome)
 //!   polls a ticket for settlement, and [`drain`](SvcSession::drain) runs
-//!   the session to quiescence and produces the [`SvcReport`]. The old
-//!   batch entry point [`BaService::run`] survives as a deprecated thin
-//!   wrapper over a session and is proven byte-identical for fixed fleets.
+//!   the session to quiescence and produces the [`SvcReport`].
 //! * **Admission control & backpressure** — a bounded queue
 //!   ([`SvcConfig::queue_capacity`]) guards [`SvcConfig::max_inflight`].
 //!   When the queue is full the session applies its [`AdmissionPolicy`] —
@@ -57,16 +55,27 @@
 //!   so all `n` recipients' own `verify` calls are O(1) stamp hits.
 //! * **Per-instance verdicts** — chaos fates, retransmission state, fault
 //!   budgets and degradation are all tracked per instance: one instance
-//!   blowing its budget yields *its own* [`DegradationVerdict`] while the
-//!   rest of the fleet keeps deciding.
+//!   blowing its budget — or one whose actor panics mid-step — yields
+//!   *its own* [`DegradationVerdict`] while the rest of the fleet keeps
+//!   deciding.
+//!
+//! # One driver
+//!
+//! Every in-flight ticket owns one phase driver (the crate-private
+//! `driver` module) — the same code a standalone
+//! [`NetRuntime`](crate::runtime::NetRuntime) runs as its single
+//! instance. The session adds only what is fleet-level: tickets and
+//! timestamps, admission, the per-link flush coalescing between a
+//! driver's step and its wire delivery, and the shared cache's flush
+//! cadence.
 //!
 //! # Determinism
 //!
-//! Each instance draws its chaos fates from a private [`SimRng`] seeded
-//! [`instance_seed`]`(profile.seed, ticket)`, and its phases play the wire
-//! in exactly the standalone [`NetRuntime`](crate::runtime::NetRuntime)
-//! order. A multiplexed instance is therefore byte-identical — decisions,
-//! suspicion, wire statistics — to a standalone run under
+//! Each instance draws its chaos fates from a private rng seeded
+//! [`instance_seed`]`(profile.seed, ticket)`; a standalone run seeds the
+//! same driver with its profile's seed directly. A multiplexed instance
+//! is therefore byte-identical — decisions, suspicion, wire statistics —
+//! to a standalone run under
 //! [`ChaosProfile::reseeded`]`(instance_seed(seed, ticket))`, at any
 //! worker count: batching changes *when* frames share a physical flush,
 //! never which frames exist or what fate each one rolls. The shared cache
@@ -110,19 +119,16 @@
 //! ```
 
 use crate::chaos::ChaosProfile;
+use crate::driver::PhaseDriver;
+pub use crate::driver::{InstanceRun, InstanceSpec};
 use crate::verdict::{
-    AdmissionError, AdmissionVerdict, DegradationReason, DegradationVerdict, NetStats, ShedOutcome,
-    Ticket,
+    AdmissionError, AdmissionVerdict, DegradationVerdict, NetStats, ShedOutcome, Ticket,
 };
-use crate::wire::{self, WirePolicy};
-use ba_crypto::keys::KeyRegistry;
+use crate::wire::WirePolicy;
 use ba_crypto::rng::{splitmix64, SimRng};
-use ba_crypto::stats::CryptoStats;
-use ba_crypto::{ProcessId, Value, VerifierCache};
-use ba_sim::schedule::LinkDrop;
-use ba_sim::transport::{Fate, ScheduledDrops, Transport};
-use ba_sim::{Actor, Envelope, Metrics, Outbox, Payload, QueueStats, WorkerPool};
-use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
+use ba_crypto::{ProcessId, VerifierCache};
+use ba_sim::{Envelope, Payload, QueueStats, WorkerPool};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -337,38 +343,6 @@ impl SvcConfig {
     }
 }
 
-/// One BA instance handed to the service: its actors (faults already
-/// applied), phase count, fault budget and scheduled link drops — the same
-/// ingredients a standalone [`NetRuntime`](crate::runtime::NetRuntime)
-/// takes.
-pub struct InstanceSpec<P> {
-    /// One actor per processor; actor `i` is processor `i`.
-    pub actors: Vec<Box<dyn Actor<P>>>,
-    /// Phases the algorithm needs before finalization.
-    pub phases: usize,
-    /// The fault budget `t` for this instance.
-    pub fault_budget: usize,
-    /// Scheduled link drops, with standalone-runtime semantics.
-    pub link_drops: Vec<LinkDrop>,
-    /// The instance's key registry. When present, the service batch-verifies
-    /// each distinct signature chain once per flush and stamps its shared
-    /// buffer, so every recipient's own `verify` is an O(1) stamp hit
-    /// instead of a full hash-and-check pass (the engine's
-    /// `with_batched_verification`, applied at the service's flush
-    /// boundary).
-    pub registry: Option<KeyRegistry>,
-}
-
-impl<P> std::fmt::Debug for InstanceSpec<P> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("InstanceSpec")
-            .field("n", &self.actors.len())
-            .field("phases", &self.phases)
-            .field("fault_budget", &self.fault_budget)
-            .finish()
-    }
-}
-
 /// A wire frame annotated with the BA instance it belongs to — the unit a
 /// coalesced per-link flush carries.
 #[derive(Debug)]
@@ -380,23 +354,6 @@ pub struct TaggedFrame<P> {
     pub seq: usize,
     /// The wire envelope itself.
     pub frame: Envelope<P>,
-}
-
-/// What one settled instance produced — the per-instance analogue of
-/// [`NetOutcome`](crate::runtime::NetOutcome).
-#[derive(Clone, Debug)]
-pub struct InstanceRun {
-    /// Each processor's decision.
-    pub decisions: Vec<Option<Value>>,
-    /// Correctness flags after suspicion.
-    pub correct: Vec<bool>,
-    /// Logical traffic accounting for this instance alone.
-    pub metrics: Metrics,
-    /// This instance's physical wire statistics (its frames only; flush
-    /// coalescing is accounted fleet-wide in [`SvcReport::stats`]).
-    pub stats: NetStats,
-    /// Senders this instance suspects from its failed links, in id order.
-    pub suspected: Vec<ProcessId>,
 }
 
 /// One instance's journey through the service: tick-precise and
@@ -524,16 +481,6 @@ impl SvcReport {
             .map(|o| o.latency())
             .collect()
     }
-
-    /// Documented alias for
-    /// [`submission_to_decision_latencies`](Self::submission_to_decision_latencies),
-    /// kept for callers of the pre-session API. Note the semantic upgrade:
-    /// this used to measure admission-to-decision; it now measures
-    /// submission-to-decision (use
-    /// [`InstanceOutcome::service_time`] for the old figure).
-    pub fn decision_latencies(&self) -> Vec<Duration> {
-        self.submission_to_decision_latencies()
-    }
 }
 
 /// The service front door. Configure once, then open any number of
@@ -579,31 +526,6 @@ impl BaService {
             self.chaos.clone(),
             self.shared_cache.clone(),
         )
-    }
-
-    /// Runs every instance in `specs` to settlement (decision or
-    /// per-instance degradation) and reports the fleet outcome — the
-    /// closed-loop batch entry point, kept as a thin wrapper over
-    /// [`session`](Self::session): it widens the queue to hold the whole
-    /// batch, submits every spec up front and drains. For a fixed fleet
-    /// this is byte-identical to driving a session by hand (and to the
-    /// pre-session batch runner); `tests/service.rs` and `bench_service`
-    /// prove it at 1 and 4 workers.
-    #[deprecated(
-        since = "0.9.0",
-        note = "use `session()` + `submit()` + `drain()`; `run` is a closed-loop wrapper"
-    )]
-    pub fn run<P: Payload + 'static>(&self, specs: Vec<InstanceSpec<P>>) -> SvcReport {
-        let mut wrapper = self.clone();
-        wrapper.config.queue_capacity = wrapper.config.queue_capacity.max(specs.len());
-        wrapper.config.admission = AdmissionPolicy::Reject;
-        let mut session = wrapper.session();
-        for spec in specs {
-            session
-                .submit(spec)
-                .expect("run(): queue was widened to the batch size");
-        }
-        session.drain()
     }
 }
 
@@ -781,10 +703,14 @@ impl<P: Payload + 'static> SvcSession<P> {
     fn issue(&mut self, spec: InstanceSpec<P>) -> Ticket {
         let id = self.next_id;
         self.next_id += 1;
-        let mut inst = Instance::new(id, spec, self.chaos.seed);
-        inst.submitted_tick = self.tick;
-        inst.submitted_at = self.started.elapsed();
-        self.queue.push_back(inst);
+        self.queue.push_back(Instance {
+            id,
+            driver: PhaseDriver::new(spec, instance_seed(self.chaos.seed, id), None),
+            submitted_tick: self.tick,
+            submitted_at: self.started.elapsed(),
+            admitted_tick: 0,
+            admitted_at: Duration::ZERO,
+        });
         self.queue_stats.submitted += 1;
         Ticket(id)
     }
@@ -817,20 +743,31 @@ impl<P: Payload + 'static> SvcSession<P> {
         self.queue_stats.record_depth(self.queue.len());
 
         // Step: every in-flight instance advances one phase (or
-        // finalizes) concurrently on the shared pool. One pool task
-        // steps all actors of one instance, so the per-instance
-        // thread-local crypto delta is measured where the work runs.
-        let cells: Vec<Mutex<&mut Instance<P>>> = self.active.iter_mut().map(Mutex::new).collect();
-        WorkerPool::shared().run_chunks_capped(cells.len(), self.config.threads, |i| {
-            cells[i].lock().expect("instance cell poisoned").step_one();
-        });
-        drop(cells);
+        // finalizes) concurrently on the shared pool, the session's
+        // `threads` split between instances first and, when fewer
+        // instances than threads are in flight, between each instance's
+        // actor chunks (nested pool use is deadlock-free). One worker runs
+        // everything inline.
+        let threads = self.config.threads.max(1);
+        let chunk_threads = (threads / self.active.len().max(1)).max(1);
+        if threads == 1 || self.active.len() <= 1 {
+            for inst in &mut self.active {
+                inst.driver.step(chunk_threads);
+            }
+        } else {
+            let cells: Vec<Mutex<&mut Instance<P>>> =
+                self.active.iter_mut().map(Mutex::new).collect();
+            WorkerPool::shared().run_chunks_capped(cells.len(), threads, |i| {
+                let mut inst = cells[i].lock().expect("instance cell poisoned");
+                inst.driver.step(chunk_threads);
+            });
+        }
 
         // Coalesce: collect every instance's post-schedule frames,
         // assemble one flush per directed link carrying all of them.
         let mut batches: BTreeMap<(ProcessId, ProcessId), Vec<TaggedFrame<P>>> = BTreeMap::new();
         for inst in self.active.iter_mut() {
-            for (seq, frame) in inst.wire_frames.drain(..).enumerate() {
+            for (seq, frame) in inst.driver.take_frames().into_iter().enumerate() {
                 batches
                     .entry((frame.from, frame.to))
                     .or_default()
@@ -858,28 +795,21 @@ impl<P: Payload + 'static> SvcSession<P> {
         let now = self.started.elapsed();
         let mut still_active: Vec<Instance<P>> = Vec::with_capacity(self.active.len());
         for mut inst in std::mem::take(&mut self.active) {
-            if inst.finalized() {
-                let outcome = inst.into_decided(self.tick, now);
-                if let Ok(run) = &outcome.result {
-                    self.stats.absorb(&run.stats);
-                }
-                self.settled.insert(outcome.id, outcome);
-                continue;
-            }
             let mut frames: Vec<(usize, Envelope<P>)> =
                 per_instance.remove(&inst.id).unwrap_or_default();
             frames.sort_unstable_by_key(|(seq, _)| *seq);
             let frames: Vec<Envelope<P>> = frames.into_iter().map(|(_, env)| env).collect();
-            match inst.deliver_phase(frames, &self.chaos, self.policy) {
-                Ok(()) => still_active.push(inst),
-                Err(verdict) => {
-                    let outcome = inst.into_degraded(self.tick, now, verdict);
-                    if let Err(verdict) = &outcome.result {
-                        self.stats.absorb(&verdict.stats);
-                    }
-                    self.settled.insert(outcome.id, outcome);
-                }
-            }
+            let delivered = inst.driver.deliver(frames, &self.chaos, self.policy);
+            let Some(result) = delivered.transpose() else {
+                still_active.push(inst);
+                continue;
+            };
+            self.stats.absorb(match &result {
+                Ok(run) => &run.stats,
+                Err(verdict) => &verdict.stats,
+            });
+            self.settled
+                .insert(inst.id, inst.settle(self.tick, now, result));
         }
         self.active = still_active;
 
@@ -914,7 +844,9 @@ impl<P: Payload + 'static> SvcSession<P> {
             return TicketStatus::Queued { position };
         }
         if let Some(inst) = self.active.iter().find(|i| i.id == ticket.0) {
-            return TicketStatus::InFlight { phase: inst.phase };
+            return TicketStatus::InFlight {
+                phase: inst.driver.phase(),
+            };
         }
         TicketStatus::Unknown
     }
@@ -986,243 +918,22 @@ impl<P> std::fmt::Debug for SvcSession<P> {
     }
 }
 
-/// One in-flight instance: the standalone runtime's entire per-run state,
-/// privately owned so fates and verdicts never leak across instances.
+/// One ticket's journey bookkeeping around its phase driver.
 struct Instance<P> {
     id: u64,
-    actors: Vec<Box<dyn Actor<P>>>,
-    n: usize,
-    phases: usize,
-    fault_budget: usize,
-    /// Next phase to step, 1-based; `phases + 1` means finalize.
-    phase: usize,
-    inboxes: Vec<Vec<Envelope<P>>>,
-    scheduled: ScheduledDrops,
-    scheduled_faulty: BTreeSet<ProcessId>,
-    correct: Vec<bool>,
-    suspected: BTreeSet<ProcessId>,
-    rng: SimRng,
-    metrics: Metrics,
-    stats: NetStats,
+    driver: PhaseDriver<P>,
     submitted_tick: u64,
     submitted_at: Duration,
     admitted_tick: u64,
     admitted_at: Duration,
-    /// Post-schedule frames staged by the last step, awaiting the wire.
-    wire_frames: Vec<Envelope<P>>,
-    /// Thread-local crypto delta of the last step.
-    step_crypto: CryptoStats,
-    /// Crypto spent by the last flush's batch-verification pass, attributed
-    /// to the phase that consumes the stamped frames (the engine's
-    /// carry-forward rule).
-    carry_crypto: CryptoStats,
-    /// This instance's registry, enabling flush-boundary batch
-    /// verification.
-    registry: Option<KeyRegistry>,
-    /// Set once finalize ran.
-    decisions: Option<Vec<Option<Value>>>,
 }
 
-impl<P: Payload> Instance<P> {
-    fn new(id: u64, spec: InstanceSpec<P>, base_seed: u64) -> Self {
-        let n = spec.actors.len();
-        let correct: Vec<bool> = spec.actors.iter().map(|a| a.is_correct()).collect();
-        let scheduled_faulty: BTreeSet<ProcessId> = correct
-            .iter()
-            .enumerate()
-            .filter(|(_, ok)| !**ok)
-            .map(|(i, _)| ProcessId(i as u32))
-            .collect();
-        Instance {
-            id,
-            n,
-            phases: spec.phases,
-            fault_budget: spec.fault_budget,
-            phase: 1,
-            inboxes: vec![Vec::new(); n],
-            scheduled: ScheduledDrops::new(spec.link_drops.iter().copied()),
-            scheduled_faulty,
-            correct,
-            suspected: BTreeSet::new(),
-            rng: SimRng::new(instance_seed(base_seed, id)),
-            metrics: Metrics::default(),
-            stats: NetStats::default(),
-            submitted_tick: 0,
-            submitted_at: Duration::ZERO,
-            admitted_tick: 0,
-            admitted_at: Duration::ZERO,
-            wire_frames: Vec::new(),
-            step_crypto: CryptoStats::default(),
-            carry_crypto: CryptoStats::default(),
-            registry: spec.registry,
-            actors: spec.actors,
-            decisions: None,
-        }
-    }
-
-    fn finalized(&self) -> bool {
-        self.decisions.is_some()
-    }
-
-    /// Advances the instance by one phase — or finalizes it — on whatever
-    /// pool thread picked it up. Mirrors one worker-loop round of the
-    /// standalone runtime, including the accounting the coordinator does
-    /// there: suppressed sends, nonexistent receivers, scheduled drops.
-    fn step_one(&mut self) {
-        let before = CryptoStats::snapshot();
-        let inboxes: Vec<Vec<Envelope<P>>> = self.inboxes.iter_mut().map(std::mem::take).collect();
-        if self.phase <= self.phases {
-            let phase = self.phase;
-            for (j, actor) in self.actors.iter_mut().enumerate() {
-                let mut out = Outbox::new(ProcessId(j as u32));
-                actor.step(phase, &inboxes[j], &mut out);
-                self.metrics.record_omitted(phase, out.omitted_count());
-                for env in out.into_staged() {
-                    if env.to.index() >= self.n {
-                        continue;
-                    }
-                    if self.scheduled.admit(phase, env.from, env.to) == Fate::Omit {
-                        self.metrics.record_omitted(phase, 1);
-                        continue;
-                    }
-                    self.wire_frames.push(env);
-                }
-            }
-        } else {
-            for (j, actor) in self.actors.iter_mut().enumerate() {
-                actor.finalize(&inboxes[j]);
-            }
-            self.decisions = Some(self.actors.iter().map(|a| a.decision()).collect());
-        }
-        self.step_crypto = CryptoStats::snapshot().since(&before);
-    }
-
-    /// Plays this instance's staged frames over the wire and applies the
-    /// standalone runtime's post-wire pipeline: deadline, suspicion, fault
-    /// budget, deliveries, per-phase crypto.
-    fn deliver_phase(
-        &mut self,
-        frames: Vec<Envelope<P>>,
-        chaos: &ChaosProfile,
-        policy: WirePolicy,
-    ) -> Result<(), Box<DegradationVerdict>> {
-        let phase = self.phase;
-        let report = wire::deliver(phase, frames, chaos, &mut self.rng, policy, &mut self.stats);
-        if report.pending > 0 {
-            return Err(self.verdict(DegradationReason::DeadlineBlown {
-                pending_frames: report.pending,
-                deadline_ticks: policy.deadline_ticks,
-            }));
-        }
-        for link in &report.failed {
-            self.suspected.insert(link.from);
-            self.metrics.record_omitted(phase, 1);
-        }
-        self.stats
-            .failed_links
-            .extend(report.failed.iter().copied());
-
-        let observed = self.scheduled_faulty.union(&self.suspected).count();
-        if observed > self.fault_budget {
-            return Err(self.verdict(DegradationReason::FaultBudgetExceeded {
-                observed,
-                budget: self.fault_budget,
-            }));
-        }
-
-        // Flush-boundary batched verification: verify each distinct
-        // signature chain this flush delivered once, stamp its shared
-        // buffer, and every recipient's own `verify` next step becomes an
-        // O(1) stamp hit. Runs on the coordinator thread in delivery order
-        // — deterministic at any worker count. This is the service-side
-        // analogue of the engine's batched barrier; the standalone runtime
-        // verifies per recipient.
-        let batch_crypto = if let Some(registry) = &self.registry {
-            let before = CryptoStats::snapshot();
-            let verifier = registry.verifier();
-            let mut seen: HashSet<(usize, u32, u64)> = HashSet::new();
-            for env in &report.delivered {
-                let Some(chain) = env.payload.batch_chain() else {
-                    continue;
-                };
-                if chain.is_empty() {
-                    continue;
-                }
-                let key = (chain.storage_id(), chain.domain(), chain.value().0);
-                if seen.insert(key) && chain.verify(&verifier).is_ok() {
-                    chain.mark_verified(&verifier);
-                }
-            }
-            CryptoStats::snapshot().since(&before)
-        } else {
-            CryptoStats::default()
-        };
-
-        for env in report.delivered {
-            self.metrics.record_send(
-                phase,
-                self.correct[env.from.index()],
-                env.payload.signature_count(),
-                env.payload.weight_bytes(),
-                env.payload.payload_bytes(),
-                env.payload.kind(),
-            );
-            self.inboxes[env.to.index()].push(env);
-        }
-        let phase_crypto =
-            std::mem::take(&mut self.step_crypto).add(&std::mem::take(&mut self.carry_crypto));
-        self.metrics.record_phase_crypto(phase, phase_crypto);
-        // The batch pass verified frames the *next* phase consumes; carry
-        // its cost there, the engine's attribution rule.
-        self.carry_crypto = batch_crypto;
-        self.phase += 1;
-        Ok(())
-    }
-
-    fn verdict(&self, reason: DegradationReason) -> Box<DegradationVerdict> {
-        Box::new(DegradationVerdict {
-            phase: self.phase,
-            reason,
-            suspected: self.suspected.iter().copied().collect(),
-            failed_links: self.stats.failed_links.clone(),
-            stalled_workers: vec![],
-            stats: self.stats.clone(),
-        })
-    }
-
-    fn into_decided(mut self, tick: u64, now: Duration) -> InstanceOutcome {
-        let mut metrics = std::mem::take(&mut self.metrics);
-        let tail =
-            std::mem::take(&mut self.step_crypto).add(&std::mem::take(&mut self.carry_crypto));
-        metrics.absorb_crypto(tail);
-        metrics.phases = self.phases;
-        let mut correct = std::mem::take(&mut self.correct);
-        for p in &self.suspected {
-            correct[p.index()] = false;
-        }
-        InstanceOutcome {
-            id: self.id,
-            submitted_tick: self.submitted_tick,
-            admitted_tick: self.admitted_tick,
-            settled_tick: tick,
-            submitted_at: self.submitted_at,
-            admitted_at: self.admitted_at,
-            decided_at: now,
-            result: Ok(InstanceRun {
-                decisions: self.decisions.take().expect("finalized"),
-                correct,
-                metrics,
-                stats: std::mem::take(&mut self.stats),
-                suspected: self.suspected.iter().copied().collect(),
-            }),
-        }
-    }
-
-    fn into_degraded(
+impl<P> Instance<P> {
+    fn settle(
         self,
         tick: u64,
         now: Duration,
-        verdict: Box<DegradationVerdict>,
+        result: Result<InstanceRun, Box<DegradationVerdict>>,
     ) -> InstanceOutcome {
         InstanceOutcome {
             id: self.id,
@@ -1232,7 +943,7 @@ impl<P: Payload> Instance<P> {
             submitted_at: self.submitted_at,
             admitted_at: self.admitted_at,
             decided_at: now,
-            result: Err(verdict),
+            result,
         }
     }
 }
@@ -1291,22 +1002,13 @@ mod tests {
     #[test]
     fn empty_session_drains_immediately() {
         let service = BaService::new(SvcConfig::default());
-        let report = service.session::<Value>().drain();
+        let report = service.session::<ba_crypto::Value>().drain();
         assert_eq!(report.outcomes.len(), 0);
         assert_eq!(report.ticks, 0);
         assert_eq!(report.decided(), 0);
         assert_eq!(report.degraded(), 0);
         assert_eq!(report.shed_count(), 0);
         assert!(report.accounting_balanced());
-    }
-
-    #[test]
-    fn empty_service_run_settles_immediately() {
-        let service = BaService::new(SvcConfig::default());
-        #[allow(deprecated)]
-        let report = service.run::<Value>(vec![]);
-        assert_eq!(report.outcomes.len(), 0);
-        assert_eq!(report.ticks, 0);
     }
 
     #[test]

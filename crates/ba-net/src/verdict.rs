@@ -321,10 +321,13 @@ pub enum DegradationReason {
         /// The deadline that expired.
         deadline_ticks: u64,
     },
-    /// A worker thread failed to answer the phase barrier within the
-    /// wall-clock watchdog (stalled, dead, or its actor panicked).
+    /// A chunk of actors was lost while being stepped: one of its actors
+    /// panicked, or (standalone runs) the step fan-out overran the
+    /// wall-clock watchdog.
     WorkerStalled {
-        /// The watchdog timeout that expired, in milliseconds.
+        /// The watchdog timeout in force, in milliseconds (`0` for a
+        /// service instance, which runs without one and only reports
+        /// panics).
         waited_ms: u64,
     },
 }
@@ -365,7 +368,7 @@ pub struct DegradationVerdict {
     pub suspected: Vec<ProcessId>,
     /// Every permanently failed link observed up to the abort.
     pub failed_links: Vec<FailedLink>,
-    /// Indices of worker threads that missed the phase barrier.
+    /// Indices of the actor chunks lost to a panic or the watchdog.
     pub stalled_workers: Vec<usize>,
     /// Wire statistics accumulated up to the abort.
     pub stats: NetStats,

@@ -1,7 +1,7 @@
 //! The virtual-tick wire: deterministic unreliable delivery with
 //! retransmission, exponential backoff, acks and receiver-side dedup.
 //!
-//! Within one phase the coordinator hands the wire every staged frame (in
+//! Within one phase the phase driver hands the wire every staged frame (in
 //! sender-id order) and the wire plays out delivery over *virtual ticks*:
 //!
 //! * tick `k`: every frame whose retransmission timer expires is put on the
@@ -17,7 +17,7 @@
 //!   phase's synchrony assumption is broken and the caller turns the
 //!   pending count into a [`DeadlineBlown`] verdict.
 //!
-//! The wire runs entirely on the coordinator thread with one seeded
+//! The wire runs entirely on the driver's calling thread with one seeded
 //! [`SimRng`], so a chaos campaign is bit-reproducible from the seed — at
 //! any worker-thread count. Under a reliable profile no RNG draw is ever
 //! consumed and delivery order equals staging order, which is what makes

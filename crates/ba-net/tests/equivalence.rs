@@ -7,9 +7,10 @@ use ba_algos::checkable::{targets, CheckConfig};
 use ba_crypto::{ProcessId, Value};
 use ba_net::{
     check_equivalence, run_target, ChaosProfile, DegradationReason, LinkChaos, NetConfig,
-    NetRunError,
+    NetRunError, NetRuntime,
 };
 use ba_sim::schedule::{FaultBehavior, ScheduleSpec};
+use ba_sim::{Actor, Envelope, Outbox};
 
 fn cfg_for(target_name: &str, spec: ScheduleSpec) -> CheckConfig {
     let (n, t) = if target_name == "algorithm1" {
@@ -180,4 +181,31 @@ fn chaos_runs_are_reproducible_at_any_worker_count() {
     let one = run(1);
     let four = run(4);
     assert_eq!(one, four, "chaos outcome depends only on the seed");
+}
+
+#[test]
+fn a_panicking_actor_yields_a_structured_verdict_not_a_process_panic() {
+    #[derive(Debug)]
+    struct PanicsAt(Option<usize>);
+    impl Actor<Value> for PanicsAt {
+        fn step(&mut self, phase: usize, _inbox: &[Envelope<Value>], _out: &mut Outbox<Value>) {
+            assert!(Some(phase) != self.0, "actor bug at phase {phase}");
+        }
+        fn decision(&self) -> Option<Value> {
+            Some(Value::ONE)
+        }
+    }
+    // Four actors in four chunks; only processor 2's chunk is lost.
+    let actors = (0..4)
+        .map(|i| Box::new(PanicsAt((i == 2).then_some(2))) as Box<dyn Actor<Value>>)
+        .collect();
+    let verdict = NetRuntime::new(actors, NetConfig::new().with_threads(4))
+        .run(3)
+        .expect_err("a lost chunk cannot decide");
+    assert!(
+        matches!(verdict.reason, DegradationReason::WorkerStalled { .. }),
+        "{verdict}"
+    );
+    assert_eq!(verdict.phase, 2);
+    assert_eq!(verdict.stalled_workers, vec![2]);
 }

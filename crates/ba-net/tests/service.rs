@@ -15,6 +15,7 @@ use ba_net::{
     SvcReport, TicketOutcome, TicketStatus,
 };
 use ba_sim::schedule::{FaultBehavior, ScheduleSpec};
+use ba_sim::{Actor, Envelope, Outbox};
 use std::sync::Arc;
 
 fn cfg_for(target_name: &str, value: Value, spec: ScheduleSpec) -> CheckConfig {
@@ -587,12 +588,8 @@ fn tickets_report_status_and_outcomes_while_streaming() {
     assert_eq!(report.decided(), 2);
     let streamed: Vec<u64> = report.outcomes_iter().map(|o| o.id).collect();
     assert_eq!(streamed, vec![0, 1]);
-    // The alias and the new accessor agree, and per-outcome timestamps
-    // reconstruct the latencies without batch-level context.
-    assert_eq!(
-        report.decision_latencies(),
-        report.submission_to_decision_latencies()
-    );
+    // Per-outcome timestamps reconstruct the latencies without
+    // batch-level context.
     assert_eq!(
         report.submission_to_decision_latencies(),
         report
@@ -602,40 +599,63 @@ fn tickets_report_status_and_outcomes_while_streaming() {
     );
 }
 
-#[test]
-fn deprecated_run_wrapper_is_byte_identical_to_a_session() {
-    // The old closed-loop entry point must produce exactly the report a
-    // hand-driven session produces for the same fixed fleet — at 1 and 4
-    // workers.
-    let target = find_target("ds-broadcast").unwrap();
-    for threads in [1usize, 4] {
-        let svc = SvcConfig::new()
-            .with_threads(threads)
-            .with_queue_capacity(6);
-        let via_session = {
-            let cache = Arc::new(VerifierCache::new());
-            let service = BaService::new(svc.clone()).with_shared_cache(Arc::clone(&cache));
-            let mut session = service.session();
-            for i in 0..6u64 {
-                session.submit(open_loop_spec(target, i, &cache)).unwrap();
-            }
-            session.drain()
-        };
-        let via_run = {
-            let cache = Arc::new(VerifierCache::new());
-            let service = BaService::new(svc).with_shared_cache(Arc::clone(&cache));
-            let specs = (0..6u64)
-                .map(|i| open_loop_spec(target, i, &cache))
-                .collect();
-            #[allow(deprecated)]
-            service.run(specs)
-        };
-        assert_eq!(
-            report_fingerprint(&via_session),
-            report_fingerprint(&via_run),
-            "threads={threads}"
-        );
+/// Relays nothing and panics when stepped at `phase` (`usize::MAX`:
+/// never) — a bug in one instance's actor, not a wire fault.
+#[derive(Debug)]
+struct PanicsAt {
+    phase: usize,
+}
+
+impl Actor<Chain> for PanicsAt {
+    fn step(&mut self, phase: usize, _inbox: &[Envelope<Chain>], _out: &mut Outbox<Chain>) {
+        assert!(phase != self.phase, "actor bug at phase {phase}");
     }
+    fn decision(&self) -> Option<Value> {
+        Some(Value::ONE)
+    }
+}
+
+#[test]
+fn a_panicking_actor_settles_only_its_own_instance() {
+    // Three instances in flight together; the middle one has an actor
+    // that panics at phase 2. The panic must not unwind through tick():
+    // the neighbours decide, the middle settles with its own
+    // WorkerStalled verdict, accounting balances — identically at 1 and 4
+    // workers.
+    let run = |threads: usize| {
+        let service = BaService::new(SvcConfig::new().with_threads(threads));
+        let mut session = service.session::<Chain>();
+        for panics_at in [usize::MAX, 2, usize::MAX] {
+            let actors = (0..4)
+                .map(|_| Box::new(PanicsAt { phase: panics_at }) as Box<dyn Actor<Chain>>)
+                .collect();
+            session
+                .submit(InstanceSpec {
+                    actors,
+                    phases: 3,
+                    fault_budget: 1,
+                    link_drops: vec![],
+                    registry: None,
+                })
+                .unwrap();
+        }
+        session.drain()
+    };
+    let report = run(1);
+    assert!(report.accounting_balanced(), "{:?}", report.queue);
+    assert_eq!((report.decided(), report.degraded()), (2, 1));
+    for healthy in [0, 2] {
+        let run = report.outcomes[healthy].result.as_ref().unwrap();
+        assert_eq!(run.decisions, vec![Some(Value::ONE); 4]);
+    }
+    let verdict = report.outcomes[1].result.as_ref().unwrap_err();
+    assert!(
+        matches!(verdict.reason, DegradationReason::WorkerStalled { .. }),
+        "{verdict}"
+    );
+    assert_eq!(verdict.phase, 2);
+    assert_eq!(verdict.stalled_workers, vec![0]);
+    assert_eq!(report_fingerprint(&report), report_fingerprint(&run(4)));
 }
 
 #[test]

@@ -6,9 +6,8 @@
 //! each phase's deliveries occupy one contiguous [`Inboxes`] buffer
 //! partitioned by an offsets table, double-buffered and swapped at the
 //! phase barrier; each worker stages its actors' sends into one
-//! [`Segment`] buffer in (actor, send-seq) order. With pooling enabled
-//! (the default) every arena retains its capacity across phases, so a
-//! steady-state phase allocates nothing.
+//! [`Segment`] buffer in (actor, send-seq) order. Every arena retains its
+//! capacity across phases, so a steady-state phase allocates nothing.
 //!
 //! # Intra-phase parallelism
 //!
@@ -102,7 +101,6 @@ pub struct Simulation<P: Payload> {
     record_trace: bool,
     observer: Option<PhaseObserver<P>>,
     threads: usize,
-    pooling: bool,
     registry: Option<KeyRegistry>,
     link_drops: BTreeSet<LinkDrop>,
     transport: Option<Box<dyn Transport>>,
@@ -116,7 +114,6 @@ impl<P: Payload> std::fmt::Debug for Simulation<P> {
             .field("n", &self.actors.len())
             .field("record_trace", &self.record_trace)
             .field("threads", &self.threads)
-            .field("pooling", &self.pooling)
             .field("batch_verify", &self.batch_verify)
             .finish()
     }
@@ -130,7 +127,6 @@ impl<P: Payload> Simulation<P> {
             record_trace: false,
             observer: None,
             threads: 1,
-            pooling: true,
             registry: None,
             link_drops: BTreeSet::new(),
             transport: None,
@@ -208,15 +204,6 @@ impl<P: Payload> Simulation<P> {
         self
     }
 
-    /// Enables or disables the mailbox arenas' capacity retention
-    /// (default: enabled). With pooling off the engine allocates fresh
-    /// arena buffers every phase — the seed behaviour, kept reachable so
-    /// the engine benchmark can measure what pooling buys.
-    pub fn with_mailbox_pooling(mut self, pooling: bool) -> Self {
-        self.pooling = pooling;
-        self
-    }
-
     /// Enables batched phase-barrier verification (see the [module
     /// docs](self)): each unique signature chain delivered in a phase is
     /// verified once at the barrier and its shared buffer stamped, so
@@ -262,20 +249,7 @@ impl<P: Payload> Simulation<P> {
         let mut metrics = Metrics::default();
         let mut trace = Trace::default();
 
-        // Worker geometry: contiguous ascending actor chunks, one segment
-        // per chunk. `chunks` can be smaller than the requested thread
-        // count when n is small (matching `slice::chunks_mut`).
-        let workers = self.threads.min(n.max(1)).max(1);
-        let chunk_size = n.div_ceil(workers).max(1);
-        let chunks = n.div_ceil(chunk_size).max(1);
-        // The persistent pool: acquired once per run, its threads parked
-        // between phases. Sequential runs never touch it.
-        let pool = if chunks > 1 {
-            Some(self.pool.clone().unwrap_or_else(WorkerPool::shared))
-        } else {
-            None
-        };
-
+        let (chunk_size, chunks) = chunk_geometry(n, self.threads);
         // Double-buffered inbox arenas: `cur` holds messages delivered to
         // actors this phase, `nxt` collects deliveries for phase k + 1;
         // the pair swaps at the barrier. One staging segment per worker
@@ -312,8 +286,7 @@ impl<P: Payload> Simulation<P> {
             let mut phase_trace = PhaseTrace::default();
             let mut any_sent = false;
 
-            let mut phase_crypto =
-                self.step_phase(phase, chunk_size, &cur, &mut segments, pool.as_ref());
+            let mut phase_crypto = self.step_phase(phase, chunk_size, &cur, &mut segments);
             phase_crypto = phase_crypto.add(&std::mem::take(&mut carry_crypto));
 
             // Route strictly in actor-id order on this thread — the single
@@ -413,16 +386,9 @@ impl<P: Payload> Simulation<P> {
             }
 
             // Phase barrier: consumed inboxes become next phase's
-            // collection arena. Pooling keeps every buffer's capacity;
-            // without it the arenas are reallocated from scratch (seed
-            // behaviour).
+            // collection arena, every buffer keeping its capacity.
             std::mem::swap(&mut cur, &mut nxt);
-            if self.pooling {
-                nxt.clear();
-            } else {
-                nxt = Inboxes::new(n);
-                segments = (0..chunks).map(|_| Segment::new()).collect();
-            }
+            nxt.clear();
 
             if stop_when_quiet && !any_sent {
                 break;
@@ -454,62 +420,100 @@ impl<P: Payload> Simulation<P> {
     }
 
     /// Steps every actor once for `phase`, staging each worker chunk's
-    /// sends into its segment. Sequential (one segment) runs inline;
-    /// otherwise chunks are dispatched onto the persistent pool, each
-    /// chunk measuring its own thread-local [`CryptoStats`] delta. Returns
-    /// the phase's total stepping crypto delta (schedule-independent: the
-    /// per-chunk work is deterministic and the sum is order-free).
+    /// sends into its segment; returns the phase's total stepping crypto
+    /// delta (see [`step_chunks`]).
     fn step_phase(
         &mut self,
         phase: usize,
         chunk_size: usize,
         cur: &Inboxes<P>,
         segments: &mut [Segment<P>],
-        pool: Option<&WorkerPool>,
     ) -> CryptoStats {
-        if segments.len() <= 1 {
-            let before = CryptoStats::snapshot();
-            if let Some(segment) = segments.first_mut() {
-                step_chunk(&mut self.actors, 0, phase, cur, segment);
-            }
-            return CryptoStats::snapshot().since(&before);
-        }
-
-        struct ChunkJob<'a, P: Payload> {
-            base: usize,
-            actors: &'a mut [Box<dyn Actor<P>>],
-            segment: &'a mut Segment<P>,
-            delta: CryptoStats,
-        }
-
-        let jobs: Vec<Mutex<ChunkJob<'_, P>>> = self
-            .actors
-            .chunks_mut(chunk_size)
-            .zip(segments.iter_mut())
-            .enumerate()
-            .map(|(w, (actors, segment))| {
-                Mutex::new(ChunkJob {
-                    base: w * chunk_size,
-                    actors,
-                    segment,
-                    delta: CryptoStats::default(),
-                })
-            })
-            .collect();
-
-        let pool = pool.expect("parallel stepping requires a pool");
-        pool.run_chunks(jobs.len(), |w| {
-            let mut guard = jobs[w].lock().expect("chunk job poisoned");
-            let job = &mut *guard;
-            let before = CryptoStats::snapshot();
-            step_chunk(job.actors, job.base, phase, cur, job.segment);
-            job.delta = CryptoStats::snapshot().since(&before);
-        });
-
-        jobs.into_iter()
-            .map(|job| job.into_inner().expect("chunk job poisoned").delta)
-            .fold(CryptoStats::default(), |acc, d| acc.add(&d))
+        step_chunks(
+            &mut self.actors,
+            chunk_size,
+            segments,
+            self.pool.as_ref(),
+            |base, actors, segment| step_chunk(actors, base, phase, cur, segment),
+        )
     }
+}
+
+/// Worker geometry for [`step_chunks`]: `n` actors stepped by up to
+/// `threads` workers are cut into contiguous ascending chunks of the
+/// returned `chunk_size`, and the returned chunk count says how many sinks
+/// to provide — it can be smaller than `threads` when `n` is small
+/// (matching `slice::chunks_mut`), and is never zero.
+pub fn chunk_geometry(n: usize, threads: usize) -> (usize, usize) {
+    let workers = threads.clamp(1, n.max(1));
+    let chunk_size = n.div_ceil(workers).max(1);
+    (chunk_size, n.div_ceil(chunk_size).max(1))
+}
+
+/// The intra-phase fan-out every phase driver in the workspace steps its
+/// actors through: `actors` is cut into contiguous ascending chunks of
+/// `chunk_size` (see [`chunk_geometry`]; one sink per chunk), and
+/// `step(base, chunk, sink)` runs once per chunk with `base` the id of the
+/// chunk's first actor. A single chunk runs inline — no pool, no lock;
+/// otherwise chunks are dispatched onto `pool` (`None`: the process-shared
+/// [`WorkerPool`]), each chunk measuring its own thread-local
+/// [`CryptoStats`] delta. Returns the summed delta, which is
+/// schedule-independent: the per-chunk work is deterministic and the sum is
+/// order-free. A panic in `step` resumes on the caller after every chunk
+/// has quiesced; callers that contain actor panics catch them inside `step`.
+pub fn step_chunks<P, S, F>(
+    actors: &mut [Box<dyn Actor<P>>],
+    chunk_size: usize,
+    sinks: &mut [S],
+    pool: Option<&WorkerPool>,
+    step: F,
+) -> CryptoStats
+where
+    P: Payload,
+    S: Send,
+    F: Fn(usize, &mut [Box<dyn Actor<P>>], &mut S) + Sync,
+{
+    if sinks.len() <= 1 {
+        let before = CryptoStats::snapshot();
+        if let Some(sink) = sinks.first_mut() {
+            step(0, actors, sink);
+        }
+        return CryptoStats::snapshot().since(&before);
+    }
+
+    struct ChunkJob<'a, P: Payload, S> {
+        base: usize,
+        actors: &'a mut [Box<dyn Actor<P>>],
+        sink: &'a mut S,
+        delta: CryptoStats,
+    }
+
+    let jobs: Vec<Mutex<ChunkJob<'_, P, S>>> = actors
+        .chunks_mut(chunk_size)
+        .zip(sinks.iter_mut())
+        .enumerate()
+        .map(|(w, (actors, sink))| {
+            Mutex::new(ChunkJob {
+                base: w * chunk_size,
+                actors,
+                sink,
+                delta: CryptoStats::default(),
+            })
+        })
+        .collect();
+
+    let pool = pool.cloned().unwrap_or_else(WorkerPool::shared);
+    pool.run_chunks(jobs.len(), |w| {
+        let mut guard = jobs[w].lock().expect("chunk job poisoned");
+        let job = &mut *guard;
+        let before = CryptoStats::snapshot();
+        step(job.base, job.actors, job.sink);
+        job.delta = CryptoStats::snapshot().since(&before);
+    });
+
+    jobs.into_iter()
+        .map(|job| job.into_inner().expect("chunk job poisoned").delta)
+        .fold(CryptoStats::default(), |acc, d| acc.add(&d))
 }
 
 /// Steps one contiguous actor chunk (ids `base..base + actors.len()`),
@@ -743,7 +747,6 @@ mod tests {
     fn chain_relay_sim(
         n: usize,
         threads: usize,
-        pooling: bool,
     ) -> (Simulation<ba_crypto::Chain>, ba_crypto::keys::KeyRegistry) {
         use ba_crypto::keys::{KeyRegistry, SchemeKind};
         // Fresh registry per run: the shared verifier cache starts cold, so
@@ -763,20 +766,19 @@ mod tests {
         let sim = Simulation::new(actors)
             .with_trace()
             .with_threads(threads)
-            .with_registry(&registry)
-            .with_mailbox_pooling(pooling);
+            .with_registry(&registry);
         (sim, registry)
     }
 
-    fn chain_relay_run(n: usize, threads: usize, pooling: bool) -> RunOutcome<ba_crypto::Chain> {
-        chain_relay_sim(n, threads, pooling).0.run(3)
+    fn chain_relay_run(n: usize, threads: usize) -> RunOutcome<ba_crypto::Chain> {
+        chain_relay_sim(n, threads).0.run(3)
     }
 
     #[test]
     fn parallel_stepping_matches_sequential_byte_for_byte() {
-        let baseline = chain_relay_run(8, 1, true);
+        let baseline = chain_relay_run(8, 1);
         for threads in [2, 4, 8] {
-            let run = chain_relay_run(8, threads, true);
+            let run = chain_relay_run(8, threads);
             assert_eq!(run.decisions, baseline.decisions, "threads={threads}");
             assert_eq!(run.correct, baseline.correct, "threads={threads}");
             assert_eq!(run.metrics, baseline.metrics, "threads={threads}");
@@ -798,8 +800,8 @@ mod tests {
         // Satellite: pin the CryptoStats accounting specifically — every
         // phase's hash and signature-check totals under multi-threaded
         // stepping equal the sequential run's exactly.
-        let sequential = chain_relay_run(8, 1, true);
-        let parallel = chain_relay_run(8, 4, true);
+        let sequential = chain_relay_run(8, 1);
+        let parallel = chain_relay_run(8, 4);
         assert_eq!(
             sequential.metrics.per_phase.len(),
             parallel.metrics.per_phase.len()
@@ -830,19 +832,6 @@ mod tests {
     }
 
     #[test]
-    fn mailbox_pooling_does_not_change_results() {
-        let pooled = chain_relay_run(6, 1, true);
-        let unpooled = chain_relay_run(6, 1, false);
-        assert_eq!(pooled.decisions, unpooled.decisions);
-        assert_eq!(pooled.metrics, unpooled.metrics);
-        let pooled_par = chain_relay_run(6, 4, true);
-        let unpooled_par = chain_relay_run(6, 4, false);
-        assert_eq!(pooled_par.decisions, unpooled_par.decisions);
-        assert_eq!(pooled_par.metrics, unpooled_par.metrics);
-        assert_eq!(pooled.metrics, unpooled_par.metrics);
-    }
-
-    #[test]
     fn batched_verification_preserves_outcomes_and_cuts_sig_checks() {
         // Same workload, per-delivery vs batched: decisions, message
         // counts and traces are byte-identical; signature-check work
@@ -850,9 +839,9 @@ mod tests {
         // once per recipient — deferred-mode recipients can't see each
         // other's intra-phase verifications, so per-delivery pays per
         // recipient).
-        let per_delivery = chain_relay_run(8, 1, true);
+        let per_delivery = chain_relay_run(8, 1);
         let run_batched = |threads: usize| {
-            let (sim, _reg) = chain_relay_sim(8, threads, true);
+            let (sim, _reg) = chain_relay_sim(8, threads);
             let mut sim = sim.with_batched_verification(true);
             sim.run(3)
         };
@@ -939,9 +928,9 @@ mod tests {
     #[test]
     fn injected_pool_is_used_and_results_identical() {
         let pool = WorkerPool::new(2);
-        let (sim, _reg) = chain_relay_sim(8, 4, true);
+        let (sim, _reg) = chain_relay_sim(8, 4);
         let outcome = sim.with_pool(&pool).run(3);
-        let baseline = chain_relay_run(8, 1, true);
+        let baseline = chain_relay_run(8, 1);
         assert_eq!(outcome.decisions, baseline.decisions);
         assert_eq!(outcome.metrics, baseline.metrics);
         assert!(pool.live_workers() <= 2);

@@ -35,15 +35,6 @@
 //!   is drained so other participants stop early, and the panic resumes on
 //!   the caller after every participant has quiesced — matching
 //!   `std::thread::scope` semantics.
-//!
-//! [`spawn_detached`](WorkerPool::spawn_detached) runs a `'static` job on
-//! a parked worker when one is free, growing the pool up to its cap
-//! otherwise, and falling back to a dedicated thread when the pool is
-//! saturated — so a job is never queued behind a long-running occupant.
-//! The `ba-net` runtime leases its per-run message-pump workers this way
-//! instead of spawning fresh threads every run; a worker whose job blocks
-//! forever (a deliberately stalled chaos actor) costs the pool one thread,
-//! which the fallback path replaces on demand.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -82,17 +73,11 @@ struct PoolInner {
 
 #[derive(Default)]
 struct PoolState {
-    queue: VecDeque<Task>,
-    /// Worker threads spawned so far (they never exit; a detached job that
-    /// blocks forever permanently occupies one).
+    queue: VecDeque<ChunkTask>,
+    /// Worker threads spawned so far (they never exit).
     live: usize,
     /// Workers currently parked on `work_ready`.
     idle: usize,
-}
-
-enum Task {
-    Chunk(ChunkTask),
-    Detached(Box<dyn FnOnce() + Send + 'static>),
 }
 
 /// One helper's share of a `run_chunks` call: a lifetime-erased pointer to
@@ -197,10 +182,7 @@ fn worker_loop(inner: Arc<PoolInner>) {
                 st.idle -= 1;
             }
         };
-        match task {
-            Task::Chunk(chunk) => run_chunk_task(chunk),
-            Task::Detached(job) => job(),
-        }
+        run_chunk_task(task);
     }
 }
 
@@ -320,10 +302,10 @@ impl WorkerPool {
             let mut st = self.inner.state.lock().expect("pool state poisoned");
             *ctl.outstanding.lock().expect("chunk latch poisoned") = helpers;
             for _ in 0..helpers {
-                st.queue.push_back(Task::Chunk(ChunkTask {
+                st.queue.push_back(ChunkTask {
                     job: raw,
                     ctl: ctl.clone(),
-                }));
+                });
             }
             self.grow_locked(&mut st, helpers);
         }
@@ -338,10 +320,7 @@ impl WorkerPool {
         {
             let mut st = self.inner.state.lock().expect("pool state poisoned");
             let before = st.queue.len();
-            st.queue.retain(|task| match task {
-                Task::Chunk(chunk) => !Arc::ptr_eq(&chunk.ctl, &ctl),
-                Task::Detached(_) => true,
-            });
+            st.queue.retain(|task| !Arc::ptr_eq(&task.ctl, &ctl));
             let cancelled = before - st.queue.len();
             drop(st);
             ctl.finish_helpers(cancelled);
@@ -360,48 +339,12 @@ impl WorkerPool {
             resume_unwind(payload);
         }
     }
-
-    /// Runs `job` on a parked worker when one is free; otherwise grows the
-    /// pool (up to its cap), and when saturated falls back to a dedicated
-    /// thread so the job starts promptly no matter what currently occupies
-    /// the pool. Fire-and-forget: completion is the job's own business
-    /// (the `ba-net` runtime coordinates its leased workers over
-    /// channels).
-    pub fn spawn_detached<F>(&self, job: F)
-    where
-        F: FnOnce() + Send + 'static,
-    {
-        let job: Box<dyn FnOnce() + Send> = Box::new(job);
-        let mut st = self.inner.state.lock().expect("pool state poisoned");
-        if st.idle > st.queue.len() {
-            st.queue.push_back(Task::Detached(job));
-            drop(st);
-            self.inner.work_ready.notify_all();
-        } else if st.live < self.inner.max_workers {
-            st.live += 1;
-            st.queue.push_back(Task::Detached(job));
-            let inner = self.inner.clone();
-            drop(st);
-            std::thread::Builder::new()
-                .name("ba-pool".into())
-                .spawn(move || worker_loop(inner))
-                .expect("spawn pool worker");
-            self.inner.work_ready.notify_all();
-        } else {
-            drop(st);
-            std::thread::Builder::new()
-                .name("ba-detached".into())
-                .spawn(job)
-                .expect("spawn detached worker");
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-    use std::sync::mpsc;
 
     #[test]
     fn every_chunk_runs_exactly_once() {
@@ -480,49 +423,6 @@ mod tests {
             sum.fetch_add(i as u64, Ordering::Relaxed);
         });
         assert_eq!(sum.load(Ordering::Relaxed), 6);
-    }
-
-    #[test]
-    fn detached_jobs_run_and_reuse_workers() {
-        let pool = WorkerPool::new(2);
-        let (tx, rx) = mpsc::channel();
-        for i in 0..6u32 {
-            let tx = tx.clone();
-            pool.spawn_detached(move || {
-                tx.send(i).unwrap();
-            });
-        }
-        drop(tx);
-        let mut got: Vec<u32> = rx.iter().collect();
-        got.sort_unstable();
-        assert_eq!(got, vec![0, 1, 2, 3, 4, 5]);
-    }
-
-    #[test]
-    fn detached_jobs_never_starve_behind_blocked_occupants() {
-        // Two jobs park forever on a channel, filling the 2-worker pool;
-        // a third must still run (fallback thread) and release them.
-        let pool = WorkerPool::new(2);
-        let (release_tx, release_rx) = mpsc::channel::<()>();
-        let release_rx = std::sync::Arc::new(Mutex::new(release_rx));
-        let (done_tx, done_rx) = mpsc::channel();
-        for _ in 0..2 {
-            let rx = release_rx.clone();
-            let done = done_tx.clone();
-            pool.spawn_detached(move || {
-                rx.lock().unwrap().recv().unwrap();
-                done.send("blocked").unwrap();
-            });
-        }
-        let done = done_tx.clone();
-        pool.spawn_detached(move || {
-            done.send("free").unwrap();
-        });
-        assert_eq!(done_rx.recv().unwrap(), "free");
-        release_tx.send(()).unwrap();
-        release_tx.send(()).unwrap();
-        assert_eq!(done_rx.recv().unwrap(), "blocked");
-        assert_eq!(done_rx.recv().unwrap(), "blocked");
     }
 
     #[test]
