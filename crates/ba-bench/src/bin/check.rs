@@ -38,14 +38,17 @@
 //!
 //! Each violation carries the found and minimized schedules in the same
 //! object format the corpus uses, so a pipeline can feed them straight
-//! back into `ba-check` (`FaultSchedule::from_json`).
+//! back into `ba-check` (`Case::from_json`). A family contributes its
+//! schedule space and the identity fields of its report block; exploring,
+//! printing and JSON emission are written once over `ba_check::Case`.
 
+use ba_bench::cli::parse_num;
 use ba_check::corpus::{self, default_corpus_path, CorpusEntry};
 use ba_check::json::Json;
 use ba_check::{
-    explore, explore_ext, find_target, targets, ExploreOptions, ExtExploreOptions, ExtViolation,
-    Strategy, Violation,
+    explore, find_target, targets, Case, ExploreOptions, ExtSchedule, Strategy, Violation,
 };
+use ba_sim::schedule::ScheduleSpec;
 use ba_sim::sweep::default_threads;
 use std::path::Path;
 use std::process::ExitCode;
@@ -54,7 +57,8 @@ struct Cli {
     target: Option<String>,
     n: usize,
     t: usize,
-    value: u64,
+    /// `None` until `--value` is given (explorations default to 1).
+    value: Option<u64>,
     seed: u64,
     budget: usize,
     threads: usize,
@@ -91,7 +95,7 @@ fn parse_cli() -> Cli {
         target: None,
         n: 4,
         t: 1,
-        value: 1,
+        value: None,
         seed: 0,
         budget: 150,
         threads: default_threads().max(1),
@@ -103,17 +107,12 @@ fn parse_cli() -> Cli {
     };
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
-        let mut value_of = |flag: &str| {
-            args.next().unwrap_or_else(|| {
-                eprintln!("{flag} expects a value");
-                std::process::exit(2);
-            })
-        };
+        let mut value_of = |flag: &str| ba_bench::cli::value_of(&mut args, flag);
         match flag.as_str() {
             "--target" => cli.target = Some(value_of("--target")),
             "--n" => cli.n = parse_num(&value_of("--n"), "--n"),
             "--t" => cli.t = parse_num(&value_of("--t"), "--t"),
-            "--value" => cli.value = parse_num(&value_of("--value"), "--value") as u64,
+            "--value" => cli.value = Some(parse_num(&value_of("--value"), "--value") as u64),
             "--seed" => cli.seed = parse_num(&value_of("--seed"), "--seed") as u64,
             "--budget" => cli.budget = parse_num(&value_of("--budget"), "--budget"),
             "--threads" => cli.threads = parse_num(&value_of("--threads"), "--threads").max(1),
@@ -129,24 +128,25 @@ fn parse_cli() -> Cli {
             }
         }
     }
+    // The ext schedule space has no strategy and no input value: refuse
+    // rather than explore something other than what was asked.
+    if cli.target.as_deref() == Some("ext")
+        && (cli.strategy == Strategy::Random || cli.value.is_some())
+    {
+        eprintln!("--target ext takes neither --random nor --value");
+        usage();
+    }
     cli
 }
 
-fn parse_num(text: &str, flag: &str) -> usize {
-    text.parse().unwrap_or_else(|_| {
-        eprintln!("{flag} expects a non-negative integer, got {text:?}");
-        std::process::exit(2);
-    })
-}
-
-fn print_violation(violation: &Violation) {
+fn print_violation<C: Case>(violation: &Violation<C>) {
     println!("  found:     {}", violation.schedule.to_json().render());
     println!("  failure:   {}", violation.failure);
     println!("  minimized: {}", violation.minimized.to_json().render());
     println!("  failure:   {}", violation.minimized_failure);
 }
 
-fn violation_json(violation: &Violation) -> Json {
+fn violation_json<C: Case>(violation: &Violation<C>) -> Json {
     Json::Obj(vec![
         ("found".to_string(), violation.schedule.to_json()),
         ("failure".to_string(), Json::Str(violation.failure.clone())),
@@ -158,7 +158,48 @@ fn violation_json(violation: &Violation) -> Json {
     ])
 }
 
-/// Explores one target; returns the number of violations found.
+/// Explores `cases` and emits the report block: a JSON object under
+/// `--json` (the family's `identity` fields first), text under `label`
+/// otherwise. `sound` says whether violations are unexpected (returned as
+/// a count) and `sound_of` what it qualifies in text mode.
+fn run_cases<C: Case + Clone>(
+    cli: &Cli,
+    out: &mut JsonOut,
+    (label, mut identity): (String, Vec<(String, Json)>),
+    (n, t): (usize, usize),
+    (sound, sound_of): (bool, &str),
+    cases: Vec<C>,
+) -> usize {
+    let report = explore(cases, cli.threads);
+    if cli.json {
+        identity.extend([
+            ("n".to_string(), Json::Int(n as u64)),
+            ("t".to_string(), Json::Int(t as u64)),
+            ("sound".to_string(), Json::Bool(sound)),
+            ("explored".to_string(), Json::Int(report.explored as u64)),
+            (
+                "violations".to_string(),
+                Json::Arr(report.violations.iter().map(violation_json).collect()),
+            ),
+        ]);
+        out.reports.push(Json::Obj(identity));
+    } else {
+        let kind = if sound { "sound" } else { "unsound" };
+        println!(
+            "{label}: explored {} schedule(s) at n = {n}, t = {t} ({kind}{sound_of}) — {} violation(s)",
+            report.explored,
+            report.violations.len()
+        );
+        report.violations.iter().for_each(print_violation);
+    }
+    if sound {
+        report.violations.len()
+    } else {
+        0
+    }
+}
+
+/// Explores one target; returns the number of unexpected violations.
 fn run_target(
     cli: &Cli,
     out: &mut JsonOut,
@@ -170,70 +211,32 @@ fn run_target(
     if !target.supports(n, t) {
         return Err(format!("{name} does not support n = {n}, t = {t}"));
     }
-    let report = explore(&ExploreOptions {
+    let space = ExploreOptions {
         target,
         n,
         t,
-        value: cli.value,
+        value: cli.value.unwrap_or(1),
         seed: cli.seed,
         budget: cli.budget,
-        threads: cli.threads,
         strategy: cli.strategy,
-    });
-    if cli.json {
-        out.reports.push(Json::Obj(vec![
-            ("target".to_string(), Json::Str(target.name.to_string())),
-            ("n".to_string(), Json::Int(n as u64)),
-            ("t".to_string(), Json::Int(t as u64)),
-            ("sound".to_string(), Json::Bool(target.sound)),
-            ("explored".to_string(), Json::Int(report.explored as u64)),
-            (
-                "violations".to_string(),
-                Json::Arr(report.violations.iter().map(violation_json).collect()),
-            ),
-        ]));
-    } else {
-        let kind = if target.sound { "sound" } else { "unsound" };
-        println!(
-            "{}: explored {} schedule(s) at n = {n}, t = {t} ({kind}) — {} violation(s)",
-            target.name,
-            report.explored,
-            report.violations.len()
-        );
-        for violation in &report.violations {
-            print_violation(violation);
-        }
-    }
-    Ok(if target.sound {
-        report.violations.len()
-    } else {
-        0
-    })
-}
-
-fn print_ext_violation(violation: &ExtViolation) {
-    println!("  found:     {}", violation.schedule.to_json().render());
-    println!("  failure:   {}", violation.failure);
-    println!("  minimized: {}", violation.minimized.to_json().render());
-    println!("  failure:   {}", violation.minimized_failure);
-}
-
-fn ext_violation_json(violation: &ExtViolation) -> Json {
-    Json::Obj(vec![
-        ("found".to_string(), violation.schedule.to_json()),
-        ("failure".to_string(), Json::Str(violation.failure.clone())),
-        ("minimized".to_string(), violation.minimized.to_json()),
-        (
-            "minimized_failure".to_string(),
-            Json::Str(violation.minimized_failure.clone()),
-        ),
-    ])
+    };
+    let name = target.name.to_string();
+    let identity = vec![("target".to_string(), Json::Str(name.clone()))];
+    let sound = (target.sound, "");
+    Ok(run_cases(
+        cli,
+        out,
+        (name, identity),
+        (n, t),
+        sound,
+        space.cases(),
+    ))
 }
 
 /// Explores the extension-layer family: the standard scenario set plus
-/// `--budget` seeded random schedules, every violation shrunk. Violations
-/// are unexpected exactly when the `--inner` digest target is sound (the
-/// vote target is the sound committee relay).
+/// `--budget` seeded random schedules. Violations are unexpected exactly
+/// when the `--inner` digest target is sound (the vote target is the
+/// sound committee relay).
 fn run_ext(
     cli: &Cli,
     out: &mut JsonOut,
@@ -243,45 +246,25 @@ fn run_ext(
 ) -> Result<usize, String> {
     let inner =
         find_target(&cli.inner).ok_or_else(|| format!("unknown inner target {:?}", cli.inner))?;
-    let report = explore_ext(&ExtExploreOptions {
+    let space = ExtSchedule {
         n,
         t,
+        payload_len: 2_048,
+        payload_seed: 1,
         seed: cli.seed,
         inner: inner.name.to_string(),
-        extra_random,
-        threads: cli.threads,
-        ..ExtExploreOptions::default()
-    });
-    if cli.json {
-        out.reports.push(Json::Obj(vec![
-            ("target".to_string(), Json::Str("ext".to_string())),
-            ("inner".to_string(), Json::Str(inner.name.to_string())),
-            ("n".to_string(), Json::Int(n as u64)),
-            ("t".to_string(), Json::Int(t as u64)),
-            ("sound".to_string(), Json::Bool(inner.sound)),
-            ("explored".to_string(), Json::Int(report.explored as u64)),
-            (
-                "violations".to_string(),
-                Json::Arr(report.violations.iter().map(ext_violation_json).collect()),
-            ),
-        ]));
-    } else {
-        let kind = if inner.sound { "sound" } else { "unsound" };
-        println!(
-            "ext[{}]: explored {} schedule(s) at n = {n}, t = {t} ({kind} inner) — {} violation(s)",
-            inner.name,
-            report.explored,
-            report.violations.len()
-        );
-        for violation in &report.violations {
-            print_ext_violation(violation);
-        }
+        vote_inner: "ds-relay".to_string(),
+        spec: ScheduleSpec::default(),
+        garble: Vec::new(),
     }
-    Ok(if inner.sound {
-        report.violations.len()
-    } else {
-        0
-    })
+    .family(extra_random);
+    let identity = vec![
+        ("target".to_string(), Json::Str("ext".to_string())),
+        ("inner".to_string(), Json::Str(inner.name.to_string())),
+    ];
+    let head = (format!("ext[{}]", inner.name), identity);
+    let sound = (inner.sound, " inner");
+    Ok(run_cases(cli, out, head, (n, t), sound, space))
 }
 
 fn replay_corpus(cli: &Cli, out: &mut JsonOut) -> Result<(), String> {
@@ -291,8 +274,12 @@ fn replay_corpus(cli: &Cli, out: &mut JsonOut) -> Result<(), String> {
         .unwrap_or_else(|| default_corpus_path());
     let entries: Vec<CorpusEntry> = corpus::load(Path::new(path))?;
     for (i, entry) in entries.iter().enumerate() {
-        corpus::replay_minimal(entry, cli.threads)
-            .map_err(|e| format!("corpus entry {i} ({}): {e}", entry.describe()))?;
+        corpus::replay_minimal(entry, cli.threads).map_err(|e| {
+            format!(
+                "corpus entry {i} ({}): {e}",
+                entry.case.as_case().describe()
+            )
+        })?;
     }
     if cli.json {
         out.corpus = Some(Json::Obj(vec![

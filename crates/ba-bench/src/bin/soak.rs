@@ -38,18 +38,23 @@
 //!     # (strict outcome agreement), degradation verdicts are acceptable
 //! ```
 //!
+//! Both families run the same campaign loop ([`soak`]): a family supplies
+//! only its campaign cases and how to run one through `ba-net`; the rest
+//! is generic over `ba_check::Case`.
+//!
 //! Determinism: campaign `i` of a target uses the schedule sampler seeded
 //! from `--seed` and a chaos profile seeded with `derive_seed(seed, i)`,
 //! and all chaos randomness runs on the coordinator thread — reruns with
 //! the same flags reproduce byte-identical campaign outcomes at any
 //! `--threads`.
 
-use ba_check::corpus::{self, CorpusEntry};
-use ba_check::{explore, shrink, shrink_ext, ExploreOptions, ExtSchedule, FaultSchedule, Strategy};
+use ba_bench::cli::parse_num;
+use ba_check::corpus::{self, CorpusCase, CorpusEntry};
+use ba_check::{shrink, Case, ExploreOptions, ExtSchedule, Strategy};
 use ba_crypto::rng::derive_seed;
-use ba_ext::check::{run_scenario_net, standard_scenarios};
+use ba_ext::check::run_scenario_net;
 use ba_ext::net::ExtNetError;
-use ba_net::{run_target, ChaosProfile, NetConfig, NetRunError};
+use ba_net::{run_target, ChaosProfile, FailedLink, NetConfig, NetRunError};
 use ba_sim::schedule::{FaultBehavior, LinkDrop, ScheduleSpec};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
@@ -74,8 +79,8 @@ struct Tally {
     clean: usize,
     degraded: usize,
     skipped: usize,
-    expected_violations: usize,
-    unexpected_violations: usize,
+    violations: usize,
+    unexpected: usize,
     reproduced: usize,
     corpus_new: Vec<CorpusEntry>,
 }
@@ -106,12 +111,7 @@ fn parse_cli() -> Cli {
     };
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
-        let mut value_of = |flag: &str| {
-            args.next().unwrap_or_else(|| {
-                eprintln!("{flag} expects a value");
-                std::process::exit(2);
-            })
-        };
+        let mut value_of = |flag: &str| ba_bench::cli::value_of(&mut args, flag);
         match flag.as_str() {
             "--target" => cli.target = Some(value_of("--target")),
             "--profile" => cli.profile = value_of("--profile"),
@@ -138,265 +138,117 @@ fn parse_cli() -> Cli {
     cli
 }
 
-fn parse_num(text: &str, flag: &str) -> usize {
-    text.parse().unwrap_or_else(|_| {
-        eprintln!("{flag} expects a non-negative integer, got {text:?}");
-        std::process::exit(2);
-    })
-}
-
 /// Maps a chaos run's permanently failed links onto the lock-step
 /// vocabulary: the sender becomes a `Passive` fault (honest behaviour,
 /// counted against the budget — exactly how the runtime suspected it) and
 /// each failed frame becomes a scheduled [`LinkDrop`].
-fn absorb_failed_links(spec: &ScheduleSpec, failed: &[ba_net::FailedLink]) -> ScheduleSpec {
-    let mut out = spec.clone();
+fn absorb_failed_links(spec: &mut ScheduleSpec, failed: &[FailedLink]) {
     for link in failed {
-        if !out.is_faulty(link.from) {
-            out.faults.push((link.from, FaultBehavior::Passive));
+        if !spec.is_faulty(link.from) {
+            spec.faults.push((link.from, FaultBehavior::Passive));
         }
-        out.link_drops.push(LinkDrop {
+        spec.link_drops.push(LinkDrop {
             phase: link.phase,
             from: link.from,
             to: link.to,
         });
     }
-    out.faults.sort_by_key(|(p, _)| *p);
-    out.link_drops.sort();
-    out.link_drops.dedup();
-    out
+    spec.faults.sort_by_key(|(p, _)| *p);
+    spec.link_drops.sort();
+    spec.link_drops.dedup();
 }
 
 /// Replays a chaos-found violation on the deterministic engine; returns
 /// the shrunk corpus entry when the failure reproduces.
-fn reproduce_and_shrink(
-    target: &'static ba_check::CheckTarget,
-    schedule: &FaultSchedule,
-) -> Option<CorpusEntry> {
-    let replay = catch_unwind(AssertUnwindSafe(|| {
-        target.run(&schedule.config(1)).failure()
-    }));
-    match replay {
-        Ok(Some(_failure)) => {
-            let (minimized, minimized_failure) = shrink::shrink(target, schedule);
-            Some(CorpusEntry::target(minimized, minimized_failure))
-        }
-        Ok(None) => None,
-        Err(_) => {
-            eprintln!(
-                "  lock-step replay panicked for {} — schedule kept un-shrunk: {}",
-                schedule.target,
-                schedule.to_json().render()
-            );
-            None
-        }
-    }
-}
-
-/// Replays a chaos-found extension violation on the lock-step engine;
-/// returns the shrunk ext corpus entry when the failure reproduces.
-fn reproduce_and_shrink_ext(schedule: &ExtSchedule) -> Option<CorpusEntry> {
-    if schedule.validate().is_err() {
+fn reproduce_and_shrink<C>(case: &C) -> Option<CorpusEntry>
+where
+    C: Case + Clone + Into<CorpusCase>,
+{
+    if case.validate().is_err() {
         // Absorbing failed links can push the schedule past the fault
         // budget; an over-budget schedule has no lock-step reproduction.
         return None;
     }
-    let replay = catch_unwind(AssertUnwindSafe(|| schedule.failure(1)));
-    match replay {
-        Ok(Some(_failure)) => {
-            let (minimized, minimized_failure) = shrink_ext(schedule);
-            Some(CorpusEntry::ext(minimized, minimized_failure))
-        }
-        Ok(None) => None,
+    match catch_unwind(AssertUnwindSafe(|| case.failure(1).map(|_| shrink(case)))) {
+        Ok(shrunk) => shrunk.map(|(minimized, failure)| CorpusEntry::new(minimized, failure)),
         Err(_) => {
             eprintln!(
-                "  lock-step replay panicked for ext — schedule kept un-shrunk: {}",
-                schedule.to_json().render()
+                "  lock-step replay panicked for {} — schedule kept un-shrunk: {}",
+                case.describe(),
+                case.to_json().render()
             );
             None
         }
     }
 }
 
-/// Chaos-soaks the extension layer: the standard scenario family plus
-/// seeded random schedules runs through `run_extension_net` under the
-/// chosen profile. With a sound inner target (the default) every
-/// completed run must judge clean (strict outcome agreement, no wrong
-/// payload) and a degradation verdict is the only other acceptable
-/// outcome; `--inner` swaps in a weakened digest-agreement target, whose
-/// violations are expected and feed the shrink-to-corpus pipeline.
-fn soak_ext(cli: &Cli, tally: &mut Tally) {
-    let Some(inner) = ba_check::find_target(&cli.inner) else {
-        eprintln!("unknown inner target {:?}", cli.inner);
-        std::process::exit(2);
-    };
-    let (n, t) = (cli.n, cli.t);
-    let scenarios = standard_scenarios(n, t, cli.seed, cli.campaigns);
-    let net = NetConfig {
-        threads: cli.threads,
-        ..NetConfig::default()
-    };
-    let mut local = Tally::default();
-    for (i, scenario) in scenarios.iter().enumerate() {
-        let chaos = ChaosProfile::from_name(&cli.profile, derive_seed(cli.seed, i as u64))
-            .expect("profile validated at parse time");
-        let schedule = ExtSchedule {
-            n,
-            t,
-            payload_len: 2_048,
-            payload_seed: derive_seed(cli.seed, 2_000_000 + i as u64),
-            seed: derive_seed(cli.seed, 1_000_000 + i as u64),
-            inner: inner.name.to_string(),
-            vote_inner: "ds-relay".to_string(),
-            spec: scenario.spec.clone(),
-            garble: scenario.garble.clone(),
-        };
-        let opts = match schedule.options(1) {
-            Ok(opts) if schedule.validate().is_ok() => opts,
-            _ => {
-                local.skipped += 1;
-                continue;
-            }
-        };
-        match run_scenario_net(
-            &schedule.payload(),
-            &opts,
-            &schedule.scenario(),
-            &net,
-            &chaos,
-        ) {
-            Err(ExtNetError::BadOptions(_)) | Err(ExtNetError::Schedule(_)) => local.skipped += 1,
-            Err(ExtNetError::Degraded { .. }) => local.degraded += 1,
-            Ok((_, None)) => local.clean += 1,
-            Ok((run, Some(failure))) => {
-                if inner.sound {
-                    local.unexpected_violations += 1;
-                    eprintln!(
-                        "  EXT SOUNDNESS BREACH under {} chaos (campaign {i}, {}): {failure}",
-                        cli.profile, scenario.label
-                    );
-                } else {
-                    local.expected_violations += 1;
-                }
-                let failed: Vec<ba_net::FailedLink> = run
-                    .wire
-                    .iter()
-                    .flat_map(|stage| stage.stats.failed_links.iter().cloned())
-                    .collect();
-                let augmented = ExtSchedule {
-                    spec: absorb_failed_links(&schedule.spec, &failed),
-                    ..schedule.clone()
-                };
-                if let Some(entry) = reproduce_and_shrink_ext(&augmented) {
-                    local.reproduced += 1;
-                    if !local.corpus_new.iter().any(|e| e.case == entry.case)
-                        && !tally.corpus_new.iter().any(|e| e.case == entry.case)
-                    {
-                        println!(
-                            "  minimized: {} — {}",
-                            entry.schedule_json().render(),
-                            entry.failure
-                        );
-                        local.corpus_new.push(entry);
-                    }
-                } else {
-                    println!(
-                        "  campaign {i}: ext violation did not reproduce on the lock-step \
-                         engine (chaos-order dependent): {}",
-                        augmented.to_json().render()
-                    );
-                }
-            }
-        }
-    }
-    println!(
-        "ext: {} campaign(s) under {:?} at n = {n}, t = {t} — {} clean, {} degraded, \
-         {} violation(s) ({} unexpected), {} reproduced, {} skipped",
-        scenarios.len(),
-        cli.profile,
-        local.clean,
-        local.degraded,
-        local.expected_violations + local.unexpected_violations,
-        local.unexpected_violations,
-        local.reproduced,
-        local.skipped
-    );
-    tally.clean += local.clean;
-    tally.degraded += local.degraded;
-    tally.skipped += local.skipped;
-    tally.expected_violations += local.expected_violations;
-    tally.unexpected_violations += local.unexpected_violations;
-    tally.reproduced += local.reproduced;
-    tally.corpus_new.extend(local.corpus_new);
+/// How one campaign ended on the `ba-net` runtime.
+enum Campaign {
+    /// The case did not validate or compile; nothing ran.
+    Skipped,
+    /// The runtime aborted with a structured degradation verdict.
+    Degraded,
+    /// The run completed and every guaranteed property held.
+    Clean,
+    /// The run completed and the family's judge failed it.
+    Violation {
+        failure: String,
+        failed_links: Vec<FailedLink>,
+    },
 }
 
-fn soak_target(cli: &Cli, target: &'static ba_check::CheckTarget, tally: &mut Tally) {
-    let (n, t) = if cli.target.is_some() {
-        (cli.n, cli.t)
-    } else if target.supports(4, 1) {
-        (4, 1)
-    } else {
-        (3, 1)
-    };
-    if !target.supports(n, t) {
-        eprintln!("{}: skipping, n = {n}, t = {t} unsupported", target.name);
-        return;
-    }
-    // The sampler is the model checker's own schedule vocabulary; chaos
-    // rides on top as wire-level noise.
-    let specs = explore::sample_schedules(&ExploreOptions {
-        target,
-        n,
-        t,
-        value: cli.value,
-        seed: cli.seed,
-        budget: cli.campaigns,
-        threads: 1,
-        strategy: Strategy::Random,
-    });
+/// The campaign loop, written once: campaign `i` runs `cases[i]` under the
+/// chosen profile seeded `derive_seed(seed, i)`; every violation is
+/// replayed on the lock-step engine with the chaos run's failed links
+/// absorbed into its schedule and, when it reproduces, shrunk into a new
+/// corpus entry. Violations are unexpected exactly when `sound`.
+fn soak<C>(
+    cli: &Cli,
+    tally: &mut Tally,
+    label: &str,
+    sound: bool,
+    (n, t): (usize, usize),
+    cases: &[C],
+    run: impl Fn(&C, &NetConfig, &ChaosProfile) -> Campaign,
+) where
+    C: Case + Clone + Into<CorpusCase>,
+{
     let net = NetConfig {
         threads: cli.threads,
         ..NetConfig::default()
     };
     let mut local = Tally::default();
-    for (i, spec) in specs.iter().enumerate() {
+    for (i, case) in cases.iter().enumerate() {
         let chaos = ChaosProfile::from_name(&cli.profile, derive_seed(cli.seed, i as u64))
             .expect("profile validated at parse time");
-        let schedule = FaultSchedule {
-            target: target.name.to_string(),
-            n,
-            t,
-            value: cli.value,
-            seed: derive_seed(cli.seed, 1_000_000 + i as u64),
-            spec: spec.clone(),
-        };
-        let cfg = schedule.config(1);
-        match run_target(target, &cfg, &net, &chaos) {
-            Err(NetRunError::Schedule(_)) => local.skipped += 1,
-            Err(NetRunError::Degraded(_)) => local.degraded += 1,
-            Ok(run) if !run.violated() => local.clean += 1,
-            Ok(run) => {
-                if target.sound {
-                    local.unexpected_violations += 1;
+        match run(case, &net, &chaos) {
+            Campaign::Skipped => local.skipped += 1,
+            Campaign::Degraded => local.degraded += 1,
+            Campaign::Clean => local.clean += 1,
+            Campaign::Violation {
+                failure,
+                failed_links,
+            } => {
+                local.violations += 1;
+                if sound {
+                    local.unexpected += 1;
                     eprintln!(
-                        "  SOUNDNESS BREACH: {} decided wrongly under {} chaos (campaign {i}): {:?}",
-                        target.name, cli.profile, run.agreement
+                        "  SOUNDNESS BREACH: {label} decided wrongly under {} chaos \
+                         (campaign {i}): {failure} — {}",
+                        cli.profile,
+                        case.to_json().render()
                     );
-                } else {
-                    local.expected_violations += 1;
                 }
-                let augmented = FaultSchedule {
-                    spec: absorb_failed_links(&schedule.spec, &run.stats.failed_links),
-                    ..schedule.clone()
-                };
-                if let Some(entry) = reproduce_and_shrink(target, &augmented) {
+                let mut augmented = case.clone();
+                absorb_failed_links(augmented.spec_mut(), &failed_links);
+                if let Some(entry) = reproduce_and_shrink(&augmented) {
                     local.reproduced += 1;
                     if !local.corpus_new.iter().any(|e| e.case == entry.case)
                         && !tally.corpus_new.iter().any(|e| e.case == entry.case)
                     {
                         println!(
                             "  minimized: {} — {}",
-                            entry.schedule_json().render(),
+                            entry.case.as_case().to_json().render(),
                             entry.failure
                         );
                         local.corpus_new.push(entry);
@@ -412,25 +264,133 @@ fn soak_target(cli: &Cli, target: &'static ba_check::CheckTarget, tally: &mut Ta
         }
     }
     println!(
-        "{}: {} campaign(s) under {:?} at n = {n}, t = {t} — {} clean, {} degraded, \
+        "{label}: {} campaign(s) under {:?} at n = {n}, t = {t} — {} clean, {} degraded, \
          {} violation(s) ({} unexpected), {} reproduced, {} skipped",
-        target.name,
-        specs.len(),
+        cases.len(),
         cli.profile,
         local.clean,
         local.degraded,
-        local.expected_violations + local.unexpected_violations,
-        local.unexpected_violations,
+        local.violations,
+        local.unexpected,
         local.reproduced,
         local.skipped
     );
     tally.clean += local.clean;
     tally.degraded += local.degraded;
     tally.skipped += local.skipped;
-    tally.expected_violations += local.expected_violations;
-    tally.unexpected_violations += local.unexpected_violations;
+    tally.violations += local.violations;
+    tally.unexpected += local.unexpected;
     tally.reproduced += local.reproduced;
     tally.corpus_new.extend(local.corpus_new);
+}
+
+/// The classic family: fault schedules drawn from the model checker's own
+/// sampler (chaos rides on top as wire-level noise), each run through
+/// [`run_target`] and judged for Byzantine Agreement.
+fn soak_target(cli: &Cli, target: &'static ba_check::CheckTarget, tally: &mut Tally) {
+    let (n, t) = if cli.target.is_some() {
+        (cli.n, cli.t)
+    } else if target.supports(4, 1) {
+        (4, 1)
+    } else {
+        (3, 1)
+    };
+    if !target.supports(n, t) {
+        eprintln!("{}: skipping, n = {n}, t = {t} unsupported", target.name);
+        return;
+    }
+    let mut cases = ExploreOptions {
+        target,
+        n,
+        t,
+        value: cli.value,
+        seed: cli.seed,
+        budget: cli.campaigns,
+        strategy: Strategy::Random,
+    }
+    .cases();
+    for (i, case) in cases.iter_mut().enumerate() {
+        case.seed = derive_seed(cli.seed, 1_000_000 + i as u64);
+    }
+    soak(
+        cli,
+        tally,
+        target.name,
+        target.sound,
+        (n, t),
+        &cases,
+        |schedule, net, chaos| match run_target(target, &schedule.config(1), net, chaos) {
+            Err(NetRunError::Schedule(_)) => Campaign::Skipped,
+            Err(NetRunError::Degraded(_)) => Campaign::Degraded,
+            Ok(run) => match run.agreement {
+                Ok(_) => Campaign::Clean,
+                Err(violation) => Campaign::Violation {
+                    failure: violation.to_string(),
+                    failed_links: run.stats.failed_links,
+                },
+            },
+        },
+    );
+}
+
+/// The extension family: the standard scenario family plus seeded random
+/// schedules, each run through [`run_scenario_net`] and its strict judge
+/// (outcome agreement, no wrong payload). With a sound inner target (the
+/// default) a degradation verdict is the only acceptable alternative to a
+/// clean run; `--inner` swaps in a weakened digest-agreement target whose
+/// violations are expected.
+fn soak_ext(cli: &Cli, tally: &mut Tally) {
+    let Some(inner) = ba_check::find_target(&cli.inner) else {
+        eprintln!("unknown inner target {:?}", cli.inner);
+        std::process::exit(2);
+    };
+    let (n, t) = (cli.n, cli.t);
+    let template = ExtSchedule {
+        n,
+        t,
+        payload_len: 2_048,
+        payload_seed: 0, // every campaign gets its own below
+        seed: cli.seed,
+        inner: inner.name.to_string(),
+        vote_inner: "ds-relay".to_string(),
+        spec: ScheduleSpec::default(),
+        garble: Vec::new(),
+    };
+    let mut cases = template.family(cli.campaigns);
+    for (i, case) in cases.iter_mut().enumerate() {
+        case.payload_seed = derive_seed(cli.seed, 2_000_000 + i as u64);
+        case.seed = derive_seed(cli.seed, 1_000_000 + i as u64);
+    }
+    soak(
+        cli,
+        tally,
+        "ext",
+        inner.sound,
+        (n, t),
+        &cases,
+        |schedule, net, chaos| {
+            let opts = match schedule.options(1) {
+                Ok(opts) if schedule.validate().is_ok() => opts,
+                _ => return Campaign::Skipped,
+            };
+            let (payload, scenario) = (schedule.payload(), schedule.scenario());
+            match run_scenario_net(&payload, &opts, &scenario, net, chaos) {
+                Err(ExtNetError::BadOptions(_)) | Err(ExtNetError::Schedule(_)) => {
+                    Campaign::Skipped
+                }
+                Err(ExtNetError::Degraded { .. }) => Campaign::Degraded,
+                Ok((_, None)) => Campaign::Clean,
+                Ok((run, Some(failure))) => Campaign::Violation {
+                    failure,
+                    failed_links: run
+                        .wire
+                        .iter()
+                        .flat_map(|stage| stage.stats.failed_links.iter().cloned())
+                        .collect(),
+                },
+            }
+        },
+    );
 }
 
 fn save_corpus(path: &str, new_entries: &[CorpusEntry]) -> Result<usize, String> {
@@ -479,23 +439,22 @@ fn main() -> ExitCode {
             }
         }
     }
-    let total_violations = tally.expected_violations + tally.unexpected_violations;
     println!(
         "soak: {} clean, {} degraded, {} violation(s) ({} unexpected), {} reproduced, \
          {} skipped in {:.2?}",
         tally.clean,
         tally.degraded,
-        total_violations,
-        tally.unexpected_violations,
+        tally.violations,
+        tally.unexpected,
         tally.reproduced,
         tally.skipped,
         started.elapsed()
     );
-    if tally.unexpected_violations > 0 {
+    if tally.unexpected > 0 {
         eprintln!("sound target(s) decided wrongly under chaos — the runtime must abort instead");
         return ExitCode::FAILURE;
     }
-    if cli.expect_violation && total_violations == 0 {
+    if cli.expect_violation && tally.violations == 0 {
         eprintln!("--expect-violation: no violation surfaced");
         return ExitCode::FAILURE;
     }

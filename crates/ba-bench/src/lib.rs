@@ -36,6 +36,7 @@
 //! stepping; `--dump-trace N` prints a traced run for the CI
 //! determinism check).
 
+pub mod cli;
 pub mod experiments;
 pub mod microbench;
 pub mod table;

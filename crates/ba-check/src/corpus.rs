@@ -25,12 +25,17 @@
 //! extension layer. Old corpora, written before the ext family existed,
 //! parse unchanged.
 //!
+//! The `"family"` dispatch in [`parse`] and each family's
+//! `to_json`/`from_json` are the only per-family code here; rendering,
+//! replay and the minimality re-check go through the [`Case`] contract.
+//!
 //! Replay is strict for both families: an entry passes only if the
 //! schedule still fails with the *exact* recorded failure string — a
 //! changed message means the behaviour drifted and the corpus entry must
 //! be regenerated on purpose.
 
-use crate::ext::{self, ExtSchedule};
+use crate::case::Case;
+use crate::ext::ExtSchedule;
 use crate::json::{self, Json};
 use crate::schedule::FaultSchedule;
 use crate::shrink;
@@ -56,47 +61,34 @@ pub struct CorpusEntry {
     pub failure: String,
 }
 
+impl From<FaultSchedule> for CorpusCase {
+    fn from(schedule: FaultSchedule) -> CorpusCase {
+        CorpusCase::Target(schedule)
+    }
+}
+
+impl From<ExtSchedule> for CorpusCase {
+    fn from(schedule: ExtSchedule) -> CorpusCase {
+        CorpusCase::Ext(schedule)
+    }
+}
+
+impl CorpusCase {
+    /// The case behind the family tag.
+    pub fn as_case(&self) -> &dyn Case {
+        match self {
+            CorpusCase::Target(schedule) => schedule,
+            CorpusCase::Ext(schedule) => schedule,
+        }
+    }
+}
+
 impl CorpusEntry {
-    /// Wraps a classic target-family schedule.
-    pub fn target(schedule: FaultSchedule, failure: String) -> CorpusEntry {
+    /// Pairs a minimized schedule of either family with its failure.
+    pub fn new(case: impl Into<CorpusCase>, failure: String) -> CorpusEntry {
         CorpusEntry {
-            case: CorpusCase::Target(schedule),
+            case: case.into(),
             failure,
-        }
-    }
-
-    /// Wraps an extension-family schedule.
-    pub fn ext(schedule: ExtSchedule, failure: String) -> CorpusEntry {
-        CorpusEntry {
-            case: CorpusCase::Ext(schedule),
-            failure,
-        }
-    }
-
-    /// The family discriminator as written to JSON.
-    pub fn family(&self) -> &'static str {
-        match &self.case {
-            CorpusCase::Target(_) => "target",
-            CorpusCase::Ext(_) => "ext",
-        }
-    }
-
-    /// A short human-readable label for error messages: the target name
-    /// for the classic family, the inner-target pair for ext.
-    pub fn describe(&self) -> String {
-        match &self.case {
-            CorpusCase::Target(schedule) => schedule.target.clone(),
-            CorpusCase::Ext(schedule) => {
-                format!("ext[{} / {}]", schedule.inner, schedule.vote_inner)
-            }
-        }
-    }
-
-    /// The schedule's JSON object form, whichever family it belongs to.
-    pub fn schedule_json(&self) -> Json {
-        match &self.case {
-            CorpusCase::Target(schedule) => schedule.to_json(),
-            CorpusCase::Ext(schedule) => schedule.to_json(),
         }
     }
 }
@@ -114,11 +106,7 @@ pub fn render(entries: &[CorpusEntry]) -> String {
     let rendered = entries
         .iter()
         .map(|entry| {
-            let schedule_json = match &entry.case {
-                CorpusCase::Target(schedule) => schedule.to_json(),
-                CorpusCase::Ext(schedule) => schedule.to_json(),
-            };
-            let Json::Obj(mut pairs) = schedule_json else {
+            let Json::Obj(mut pairs) = entry.case.as_case().to_json() else {
                 unreachable!("schedule to_json returns an object");
             };
             pairs.push(("failure".to_string(), Json::Str(entry.failure.clone())));
@@ -202,17 +190,9 @@ pub fn save(path: &Path, entries: &[CorpusEntry]) -> Result<(), String> {
 /// # Errors
 /// Resolution failures, a vanished failure, or a drifted failure string.
 pub fn replay(entry: &CorpusEntry, threads: usize) -> Result<(), String> {
-    let reproduced = match &entry.case {
-        CorpusCase::Target(schedule) => {
-            let target = schedule.resolve()?;
-            target.run(&schedule.config(threads)).failure()
-        }
-        CorpusCase::Ext(schedule) => {
-            schedule.validate()?;
-            schedule.failure(threads)
-        }
-    };
-    match reproduced {
+    let case = entry.case.as_case();
+    case.validate()?;
+    match case.failure(threads) {
         Some(f) if f == entry.failure => Ok(()),
         Some(f) => Err(format!(
             "failure drifted: expected {:?}, reproduced {:?}",
@@ -232,11 +212,8 @@ pub fn replay(entry: &CorpusEntry, threads: usize) -> Result<(), String> {
 pub fn replay_minimal(entry: &CorpusEntry, threads: usize) -> Result<(), String> {
     replay(entry, threads)?;
     match &entry.case {
-        CorpusCase::Target(schedule) => {
-            let target = schedule.resolve()?;
-            shrink::assert_minimal(target, schedule)
-        }
-        CorpusCase::Ext(schedule) => ext::assert_minimal_ext(schedule),
+        CorpusCase::Target(schedule) => shrink::assert_minimal(schedule),
+        CorpusCase::Ext(schedule) => shrink::assert_minimal(schedule),
     }
 }
 
@@ -264,12 +241,9 @@ mod tests {
             },
         };
         let failure = schedule
-            .resolve()
-            .unwrap()
-            .run(&schedule.config(1))
-            .failure()
+            .failure(1)
             .expect("the splitting schedule fails on the weakened target");
-        CorpusEntry::target(schedule, failure)
+        CorpusEntry::new(schedule, failure)
     }
 
     /// The ext-family analogue of the splitting schedule: the weakened
@@ -300,7 +274,7 @@ mod tests {
         let failure = schedule
             .failure(1)
             .expect("the splitting schedule splits the ext outcome too");
-        CorpusEntry::ext(schedule, failure)
+        CorpusEntry::new(schedule, failure)
     }
 
     #[test]

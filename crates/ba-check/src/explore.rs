@@ -10,12 +10,16 @@
 //!   to enumerate; candidate `i` is drawn from `derive_seed(seed, i)`, so
 //!   the sample set depends only on `(seed, budget)`.
 //!
-//! Candidates run through the target via [`run_sweep`]: outer fan-out
-//! across worker threads, every inner simulation sequential, results
-//! re-sorted by candidate index — the violation list is byte-identical at
-//! any thread count. Each violating schedule is then shrunk to a minimal
-//! counterexample (see [`shrink`](crate::shrink)).
+//! [`ExploreOptions::cases`] binds them into [`FaultSchedule`]s. [`explore`]
+//! is family-agnostic: it takes any [`Case`] list (the extension family
+//! supplies its own via `ExtSchedule::family`), runs every case via
+//! [`run_sweep`] — outer fan-out across worker threads, every inner
+//! simulation sequential, results in case order — shrinking each
+//! violating case to a minimal counterexample (see
+//! [`shrink`](crate::shrink)) in the same pass. The report is
+//! byte-identical at any thread count.
 
+use crate::case::Case;
 use crate::schedule::FaultSchedule;
 use crate::shrink;
 use ba_algos::checkable::CheckTarget;
@@ -34,7 +38,7 @@ pub enum Strategy {
     Random,
 }
 
-/// Parameters of one exploration.
+/// The classic family's schedule space: one target at fixed parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct ExploreOptions {
     /// The target under test.
@@ -50,77 +54,65 @@ pub struct ExploreOptions {
     pub seed: u64,
     /// Maximum number of schedules to run.
     pub budget: usize,
-    /// Worker threads for the outer fan-out (inner runs are sequential;
-    /// results are identical for any value).
-    pub threads: usize,
     /// Coverage strategy.
     pub strategy: Strategy,
 }
 
-/// One discovered violation: the schedule as found and its shrunk form.
+impl ExploreOptions {
+    /// The cases this space holds, in exploration order.
+    pub fn cases(&self) -> Vec<FaultSchedule> {
+        let specs = match self.strategy {
+            Strategy::Exhaustive => enumerate_schedules(self),
+            Strategy::Random => sample_schedules(self),
+        };
+        specs.into_iter().map(|spec| bind(self, spec)).collect()
+    }
+}
+
+/// One discovered violation: the case as found and its shrunk form.
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub struct Violation {
-    /// The schedule as the explorer found it.
-    pub schedule: FaultSchedule,
-    /// What failed (agreement violation or bound excess).
+pub struct Violation<C> {
+    /// The case as the explorer found it.
+    pub schedule: C,
+    /// What failed (the family's judge says: agreement violation, bound
+    /// excess, split outcome, wrong payload, ...).
     pub failure: String,
     /// The greedily-minimized counterexample.
-    pub minimized: FaultSchedule,
-    /// The minimized schedule's failure (may differ in wording from
+    pub minimized: C,
+    /// The minimized case's failure (may differ in wording from
     /// `failure` while still violating).
     pub minimized_failure: String,
 }
 
 /// Result of one exploration.
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub struct ExploreReport {
-    /// The target's name.
-    pub target: String,
-    /// How many schedules actually ran.
+pub struct ExploreReport<C> {
+    /// How many cases ran.
     pub explored: usize,
-    /// Violations in candidate order.
-    pub violations: Vec<Violation>,
+    /// Violations in case order.
+    pub violations: Vec<Violation<C>>,
 }
 
-/// Explores the schedule space per `options`.
-pub fn explore(options: &ExploreOptions) -> ExploreReport {
-    let specs = match options.strategy {
-        Strategy::Exhaustive => enumerate_schedules(options),
-        Strategy::Random => sample_schedules(options),
-    };
-    let failures: Vec<Option<String>> = run_sweep(&specs, options.threads, |_, spec| {
-        let schedule = bind(options, spec.clone());
-        options.target.run(&schedule.config(1)).failure()
+/// Runs every well-formed case (the rest are dropped, not counted) on
+/// `threads` workers — inner runs are sequential; results are identical
+/// for any value — and shrinks each violation.
+pub fn explore<C: Case + Clone>(mut cases: Vec<C>, threads: usize) -> ExploreReport<C> {
+    cases.retain(|case| case.validate().is_ok());
+    // Shrinking is greedy and deterministic per case, so it rides in the
+    // fan-out slot of the run that found the violation.
+    let found: Vec<Option<Violation<C>>> = run_sweep(&cases, threads, |_, case| {
+        let failure = case.failure(1)?;
+        let (minimized, minimized_failure) = shrink::shrink(case);
+        Some(Violation {
+            schedule: case.clone(),
+            failure,
+            minimized,
+            minimized_failure,
+        })
     });
-
-    let violating: Vec<(FaultSchedule, String)> = specs
-        .iter()
-        .zip(failures)
-        .filter_map(|(spec, failure)| failure.map(|f| (bind(options, spec.clone()), f)))
-        .collect();
-    // Shrinking is greedy and deterministic per schedule; fan the violations
-    // out the same way the runs were.
-    let minimized: Vec<(FaultSchedule, String)> =
-        run_sweep(&violating, options.threads, |_, (schedule, _)| {
-            shrink::shrink(options.target, schedule)
-        });
-    let violations = violating
-        .into_iter()
-        .zip(minimized)
-        .map(
-            |((schedule, failure), (minimized, minimized_failure))| Violation {
-                schedule,
-                failure,
-                minimized,
-                minimized_failure,
-            },
-        )
-        .collect();
-
     ExploreReport {
-        target: options.target.name.to_string(),
-        explored: specs.len(),
-        violations,
+        explored: cases.len(),
+        violations: found.into_iter().flatten().collect(),
     }
 }
 
@@ -359,7 +351,6 @@ mod tests {
             value: 1,
             seed: 7,
             budget: 64,
-            threads: 1,
             strategy,
         }
     }
@@ -419,7 +410,7 @@ mod tests {
     #[test]
     fn sound_target_explores_clean() {
         let opts = options("ds-broadcast", Strategy::Exhaustive);
-        let report = explore(&opts);
+        let report = explore(opts.cases(), 1);
         assert_eq!(report.explored, enumerate_schedules(&opts).len());
         assert!(report.explored > 0);
         assert!(report.violations.is_empty());
@@ -427,10 +418,11 @@ mod tests {
 
     #[test]
     fn weak_target_yields_minimized_violations() {
-        let report = explore(&ExploreOptions {
+        let weak = ExploreOptions {
             budget: 200,
             ..options("ds-weak-relay-threshold", Strategy::Exhaustive)
-        });
+        };
+        let report = explore(weak.cases(), 1);
         assert!(!report.violations.is_empty());
         for violation in &report.violations {
             // Shrinking never grows the schedule.
@@ -438,9 +430,8 @@ mod tests {
                 violation.minimized.spec.fault_count() <= violation.schedule.spec.fault_count()
             );
             // The minimized schedule still fails.
-            let target = find_target("ds-weak-relay-threshold").unwrap();
             assert_eq!(
-                target.run(&violation.minimized.config(1)).failure(),
+                violation.minimized.failure(1),
                 Some(violation.minimized_failure.clone())
             );
         }

@@ -1,6 +1,7 @@
-//! The extension-layer check family: serializable schedules for
-//! [`ba_ext`]'s payload-agreement protocol, explored, shrunk and replayed
-//! through the same corpus machinery as the classic targets.
+//! The extension-layer check family for [`ba_ext`]'s payload-agreement
+//! protocol: the case type, its JSON form and its schedule space
+//! ([`ExtSchedule::family`]). Exploring, shrinking and replaying are the
+//! generic [`crate::explore`], [`crate::shrink`] and [`crate::corpus`].
 //!
 //! An [`ExtSchedule`] is the extension analogue of
 //! [`FaultSchedule`](crate::schedule::FaultSchedule): instead of a target
@@ -14,19 +15,20 @@
 //! outcome agreement — so a corpus entry in this family certifies a
 //! reproducible *split outcome*, wrong payload, or unexcused abort.
 //!
-//! Shrinking mirrors [`crate::shrink`]: greedy, deterministic, first
-//! still-failing candidate wins, with two extension-specific steps —
-//! dropping a garbler (a removal that counts against 1-minimality) and
-//! halving the payload (a simplification that does not).
+//! The family adds two shrink steps to the generic ones: dropping a
+//! garbler (a removal that counts against 1-minimality) and halving the
+//! payload (a simplification that does not).
 
-use crate::json::{self, Json};
-use crate::schedule::{field_u64, ids_from_json, ids_to_json, spec_from_json, spec_to_json};
+use crate::case::Case;
+use crate::json::Json;
+use crate::schedule::{
+    field_str, field_u64, ids_from_json, ids_to_json, spec_from_json, spec_to_json,
+};
 use ba_crypto::rng::SimRng;
 use ba_crypto::{Bytes, ProcessId};
-use ba_ext::check::{run_scenario, standard_scenarios, ExtCheckOutcome, ExtScenario};
+use ba_ext::check::{run_scenario, standard_scenarios, ExtScenario};
 use ba_ext::{ExtOptions, DISSEMINATION_PHASES};
-use ba_sim::schedule::{FaultBehavior, ScheduleSpec};
-use ba_sim::sweep::run_sweep;
+use ba_sim::schedule::ScheduleSpec;
 
 /// A complete, replayable extension check case.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -82,54 +84,84 @@ impl ExtSchedule {
             .with_vote_inner(vote.name))
     }
 
+    /// The family's schedule space at this schedule's coordinates: every
+    /// [`standard_scenarios`] member plus `extra_random` seeded random
+    /// ones, each in place of `self`'s own `spec` and `garble`.
+    pub fn family(&self, extra_random: usize) -> Vec<ExtSchedule> {
+        standard_scenarios(self.n, self.t, self.seed, extra_random)
+            .into_iter()
+            .map(|scenario| ExtSchedule {
+                spec: scenario.spec,
+                garble: scenario.garble,
+                ..self.clone()
+            })
+            .collect()
+    }
+
     /// The scenario form [`ba_ext::check`] runs.
     pub fn scenario(&self) -> ExtScenario {
         ExtScenario {
             spec: self.spec.clone(),
             garble: self.garble.clone(),
-            label: format!(
-                "ext n={} t={} ({} fault(s), {} garbler(s))",
-                self.n,
-                self.t,
-                self.spec.fault_count(),
-                self.garble.len()
-            ),
+            label: self.describe(),
         }
     }
+}
 
-    /// Validates geometry, inner targets and the scenario without running.
-    ///
-    /// # Errors
-    /// A human-readable description of the first violated invariant.
-    pub fn validate(&self) -> Result<(), String> {
+impl Case for ExtSchedule {
+    /// Geometry, inner targets and the scenario.
+    fn validate(&self) -> Result<(), String> {
         let opts = self.options(1)?;
         opts.validate()?;
         self.scenario().validate(self.n, self.t)
     }
 
-    /// Runs the schedule and judges the outcome.
-    pub fn run(&self, threads: usize) -> ExtCheckOutcome {
-        let opts = match self.options(threads) {
-            Ok(opts) => opts,
-            Err(msg) => {
-                return ExtCheckOutcome {
-                    label: self.scenario().label,
-                    report: None,
-                    failure: Some(format!("invalid schedule: {msg}")),
-                }
-            }
-        };
-        run_scenario(&self.payload(), &opts, &self.scenario())
+    /// Delegates to [`run_scenario`] and its strict judge.
+    fn failure(&self, threads: usize) -> Option<String> {
+        match self.options(threads) {
+            Ok(opts) => run_scenario(&self.payload(), &opts, &self.scenario()).failure,
+            Err(msg) => Some(format!("invalid schedule: {msg}")),
+        }
     }
 
-    /// `Some(description)` when a guaranteed property is violated.
-    pub fn failure(&self, threads: usize) -> Option<String> {
-        self.run(threads).failure
+    fn spec(&self) -> &ScheduleSpec {
+        &self.spec
     }
 
-    /// The JSON object form: a `"family": "ext"` discriminator plus the
-    /// integer-only parameters (see the corpus format in `DESIGN.md`).
-    pub fn to_json(&self) -> Json {
+    fn spec_mut(&mut self) -> &mut ScheduleSpec {
+        &mut self.spec
+    }
+
+    /// The dissemination stage is the longest one.
+    fn crash_phase_cap(&self) -> usize {
+        DISSEMINATION_PHASES
+    }
+
+    /// Drop a garbler.
+    fn removals(&self) -> Vec<Self> {
+        (0..self.garble.len())
+            .map(|i| {
+                let mut c = self.clone();
+                c.garble.remove(i);
+                c
+            })
+            .collect()
+    }
+
+    /// Halve the payload — smaller counterexamples replay faster and often
+    /// expose that the fault pattern, not the payload, is the trigger.
+    fn simplifications(&self) -> Vec<Self> {
+        if self.payload_len < 2 {
+            return Vec::new();
+        }
+        vec![ExtSchedule {
+            payload_len: self.payload_len / 2,
+            ..self.clone()
+        }]
+    }
+
+    /// A `"family": "ext"` discriminator plus the integer-only parameters.
+    fn to_json(&self) -> Json {
         let (faults, drops) = spec_to_json(&self.spec);
         Json::Obj(vec![
             ("family".to_string(), Json::Str("ext".to_string())),
@@ -149,313 +181,35 @@ impl ExtSchedule {
         ])
     }
 
-    /// Parses the object form produced by [`ExtSchedule::to_json`].
-    ///
-    /// # Errors
-    /// A description of the first missing or ill-typed field.
-    pub fn from_json(value: &Json) -> Result<ExtSchedule, String> {
+    fn describe(&self) -> String {
+        format!("ext[{} / {}]", self.inner, self.vote_inner)
+    }
+
+    fn from_json(value: &Json) -> Result<ExtSchedule, String> {
         match value.get("family").and_then(Json::as_str) {
             Some("ext") => {}
             other => return Err(format!("expected \"family\": \"ext\", got {other:?}")),
         }
-        let string_field = |key: &str| -> Result<String, String> {
-            value
-                .get(key)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("ext schedule missing string field {key:?}"))
-        };
         Ok(ExtSchedule {
             n: field_u64(value, "n")? as usize,
             t: field_u64(value, "t")? as usize,
             payload_len: field_u64(value, "payload_len")? as usize,
             payload_seed: field_u64(value, "payload_seed")?,
             seed: field_u64(value, "seed")?,
-            inner: string_field("inner")?,
-            vote_inner: string_field("vote_inner")?,
+            inner: field_str(value, "inner")?,
+            vote_inner: field_str(value, "vote_inner")?,
             spec: spec_from_json(value)?,
             garble: ids_from_json(value, "garble")?,
         })
-    }
-
-    /// Parses an ext schedule from JSON text.
-    ///
-    /// # Errors
-    /// Syntax errors from the parser or structural errors from
-    /// [`ExtSchedule::from_json`].
-    pub fn from_text(text: &str) -> Result<ExtSchedule, String> {
-        ExtSchedule::from_json(&json::parse(text)?)
-    }
-}
-
-/// Shrinks a failing ext schedule to a 1-minimal counterexample and
-/// returns it with its failure description.
-///
-/// Candidate order mirrors [`crate::shrink`]: removals first (faulty
-/// processor with its link drops, garbler, single link drop, single
-/// omission target or equivocation recipient), then a crash delayed by
-/// one phase (capped at the dissemination phase count), then the payload
-/// halved. Every accepted step strictly decreases the measure (fault
-/// count, restriction count, crash headroom, payload length), so the
-/// loop terminates deterministically.
-///
-/// # Panics
-/// Panics if `schedule` does not actually fail.
-pub fn shrink_ext(schedule: &ExtSchedule) -> (ExtSchedule, String) {
-    let mut current = schedule.clone();
-    let mut failure = current
-        .failure(1)
-        .expect("shrink requires a schedule that fails");
-    loop {
-        let mut improved = false;
-        for candidate in candidates(&current) {
-            if candidate.validate().is_err() {
-                continue;
-            }
-            if let Some(f) = candidate.failure(1) {
-                current = candidate;
-                failure = f;
-                improved = true;
-                break;
-            }
-        }
-        if !improved {
-            return (current, failure);
-        }
-    }
-}
-
-/// Checks that a failing ext schedule is 1-minimal: no single removal —
-/// faulty processor, garbler, link drop, or omission — still fails.
-/// Payload halving is a simplification, not a removal, so it does not
-/// count against minimality.
-///
-/// # Errors
-/// Describes the first reduction that still violates, or reports that the
-/// schedule does not fail at all.
-pub fn assert_minimal_ext(schedule: &ExtSchedule) -> Result<(), String> {
-    if schedule.failure(1).is_none() {
-        return Err("schedule does not fail, so minimality is vacuous".to_string());
-    }
-    for candidate in removal_candidates(schedule) {
-        if candidate.validate().is_err() {
-            continue;
-        }
-        if let Some(f) = candidate.failure(1) {
-            return Err(format!(
-                "not minimal: a reduced schedule ({} fault(s), {} garbler(s), {} link drop(s)) still fails: {f}",
-                candidate.spec.fault_count(),
-                candidate.garble.len(),
-                candidate.spec.link_drops.len(),
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// Strict removals only: the reductions whose failure would contradict
-/// 1-minimality.
-fn removal_candidates(schedule: &ExtSchedule) -> Vec<ExtSchedule> {
-    let mut out = Vec::new();
-
-    // Drop a whole faulty processor, taking its link drops with it.
-    for i in 0..schedule.spec.faults.len() {
-        let mut c = schedule.clone();
-        let (pid, _) = c.spec.faults.remove(i);
-        c.spec.link_drops.retain(|d| d.from != pid);
-        out.push(c);
-    }
-
-    // Drop a garbler.
-    for i in 0..schedule.garble.len() {
-        let mut c = schedule.clone();
-        c.garble.remove(i);
-        out.push(c);
-    }
-
-    // Remove a single link drop.
-    for j in 0..schedule.spec.link_drops.len() {
-        let mut c = schedule.clone();
-        c.spec.link_drops.remove(j);
-        out.push(c);
-    }
-
-    // Remove a single omission target or equivocation recipient.
-    for (i, (_, behavior)) in schedule.spec.faults.iter().enumerate() {
-        match behavior {
-            FaultBehavior::OmitTo { targets } => {
-                for k in 0..targets.len() {
-                    let mut reduced = targets.clone();
-                    reduced.remove(k);
-                    let mut c = schedule.clone();
-                    c.spec.faults[i].1 = if reduced.is_empty() {
-                        FaultBehavior::Passive
-                    } else {
-                        FaultBehavior::OmitTo { targets: reduced }
-                    };
-                    out.push(c);
-                }
-            }
-            FaultBehavior::Equivocate { ones } => {
-                for k in 0..ones.len() {
-                    let mut reduced = ones.clone();
-                    reduced.remove(k);
-                    let mut c = schedule.clone();
-                    c.spec.faults[i].1 = FaultBehavior::Equivocate { ones: reduced };
-                    out.push(c);
-                }
-            }
-            _ => {}
-        }
-    }
-    out
-}
-
-fn candidates(schedule: &ExtSchedule) -> Vec<ExtSchedule> {
-    let mut out = removal_candidates(schedule);
-
-    // Delay a crash by one phase. Capped at the dissemination phase count
-    // (the longest stage), so the headroom measure strictly decreases.
-    for (i, (_, behavior)) in schedule.spec.faults.iter().enumerate() {
-        if let FaultBehavior::CrashAt { phase } = behavior {
-            if *phase < DISSEMINATION_PHASES {
-                let mut c = schedule.clone();
-                c.spec.faults[i].1 = FaultBehavior::CrashAt { phase: phase + 1 };
-                out.push(c);
-            }
-        }
-    }
-
-    // Halve the payload — smaller counterexamples replay faster and often
-    // expose that the fault pattern, not the payload, is the trigger.
-    if schedule.payload_len >= 2 {
-        let mut c = schedule.clone();
-        c.payload_len /= 2;
-        out.push(c);
-    }
-    out
-}
-
-/// Parameters of one extension-family exploration.
-#[derive(Clone, Debug)]
-pub struct ExtExploreOptions {
-    /// Number of processors.
-    pub n: usize,
-    /// Fault budget.
-    pub t: usize,
-    /// Payload length in bytes.
-    pub payload_len: usize,
-    /// Payload byte-stream seed.
-    pub payload_seed: u64,
-    /// Run seed (keys, inner-BA seeds, random-scenario sampling).
-    pub seed: u64,
-    /// Inner-BA target for digest agreement.
-    pub inner: String,
-    /// Inner-BA target for the availability vote.
-    pub vote_inner: String,
-    /// Seeded random scenarios appended to the standard family.
-    pub extra_random: usize,
-    /// Worker threads for the outer fan-out (inner runs sequential;
-    /// results identical for any value).
-    pub threads: usize,
-}
-
-impl Default for ExtExploreOptions {
-    fn default() -> Self {
-        ExtExploreOptions {
-            n: 16,
-            t: 2,
-            payload_len: 2_048,
-            payload_seed: 1,
-            seed: 0,
-            inner: "ds-broadcast".to_string(),
-            vote_inner: "ds-relay".to_string(),
-            extra_random: 8,
-            threads: 1,
-        }
-    }
-}
-
-/// One discovered ext violation: the schedule as found and its shrunk form.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct ExtViolation {
-    /// The schedule as the explorer found it.
-    pub schedule: ExtSchedule,
-    /// What failed (split outcome, wrong payload, unexcused abort).
-    pub failure: String,
-    /// The greedily-minimized counterexample.
-    pub minimized: ExtSchedule,
-    /// The minimized schedule's failure.
-    pub minimized_failure: String,
-}
-
-/// Result of one extension-family exploration.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct ExtExploreReport {
-    /// How many scenarios actually ran.
-    pub explored: usize,
-    /// Violations in scenario order.
-    pub violations: Vec<ExtViolation>,
-}
-
-/// Runs the [`standard_scenarios`] family (plus `extra_random` seeded
-/// random schedules) against the extension layer, shrinking every
-/// violation — the ext analogue of [`crate::explore::explore`]. Results
-/// are byte-identical at any thread count.
-pub fn explore_ext(options: &ExtExploreOptions) -> ExtExploreReport {
-    let schedules: Vec<ExtSchedule> =
-        standard_scenarios(options.n, options.t, options.seed, options.extra_random)
-            .into_iter()
-            .map(|scenario| bind(options, scenario))
-            .filter(|s| s.validate().is_ok())
-            .collect();
-    let explored = schedules.len();
-    let failures: Vec<Option<String>> = run_sweep(&schedules, options.threads, |_, s| s.failure(1));
-    let violating: Vec<(ExtSchedule, String)> = schedules
-        .into_iter()
-        .zip(failures)
-        .filter_map(|(schedule, failure)| failure.map(|f| (schedule, f)))
-        .collect();
-    let minimized: Vec<(ExtSchedule, String)> =
-        run_sweep(&violating, options.threads, |_, (schedule, _)| {
-            shrink_ext(schedule)
-        });
-    let violations = violating
-        .into_iter()
-        .zip(minimized)
-        .map(
-            |((schedule, failure), (minimized, minimized_failure))| ExtViolation {
-                schedule,
-                failure,
-                minimized,
-                minimized_failure,
-            },
-        )
-        .collect();
-    ExtExploreReport {
-        explored,
-        violations,
-    }
-}
-
-fn bind(options: &ExtExploreOptions, scenario: ExtScenario) -> ExtSchedule {
-    ExtSchedule {
-        n: options.n,
-        t: options.t,
-        payload_len: options.payload_len,
-        payload_seed: options.payload_seed,
-        seed: options.seed,
-        inner: options.inner.clone(),
-        vote_inner: options.vote_inner.clone(),
-        spec: scenario.spec,
-        garble: scenario.garble,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ba_sim::schedule::LinkDrop;
+    use crate::explore::explore;
+    use crate::shrink::{assert_minimal, shrink};
+    use ba_sim::schedule::{FaultBehavior, LinkDrop};
 
     fn sample() -> ExtSchedule {
         ExtSchedule {
@@ -505,6 +259,16 @@ mod tests {
         assert!(ExtSchedule::from_text(&no_garble)
             .unwrap_err()
             .contains("garble"));
+        // Ids are 32-bit: a wider one is an error, not p0 after truncation.
+        let wide_garble = sample()
+            .to_json()
+            .render()
+            .replace("\"garble\":[]", "\"garble\":[4294967296]");
+        let err = ExtSchedule::from_text(&wide_garble).unwrap_err();
+        assert!(
+            err.contains("garble") && err.contains("out of range"),
+            "got: {err}"
+        );
         let bad_inner = sample();
         let mut unknown = bad_inner.clone();
         unknown.inner = "no-such-target".to_string();
@@ -529,7 +293,7 @@ mod tests {
             failure.contains("disagree on the outcome"),
             "got: {failure}"
         );
-        assert_minimal_ext(&schedule).unwrap();
+        assert_minimal(&schedule).unwrap();
     }
 
     #[test]
@@ -547,49 +311,37 @@ mod tests {
             to: ProcessId(1),
         }];
         assert!(bloated.failure(1).is_some(), "precondition: bloated fails");
-        let (minimal, failure) = shrink_ext(&bloated);
+        let (minimal, failure) = shrink(&bloated);
         assert!(!failure.is_empty());
         assert_eq!(minimal.spec.fault_count(), 1);
         assert!(minimal.spec.link_drops.is_empty(), "drop was irrelevant");
         assert!(minimal.payload_len <= bloated.payload_len);
-        assert_minimal_ext(&minimal).unwrap();
-        assert_eq!(shrink_ext(&bloated), (minimal, failure), "deterministic");
+        assert_minimal(&minimal).unwrap();
+        assert_eq!(shrink(&bloated), (minimal, failure), "deterministic");
     }
 
     #[test]
     fn sound_inner_explores_clean_at_any_thread_count() {
-        let options = ExtExploreOptions {
-            n: 4,
-            t: 1,
+        let sound = ExtSchedule {
             payload_len: 64,
-            extra_random: 4,
-            ..ExtExploreOptions::default()
+            payload_seed: 1,
+            inner: "ds-broadcast".to_string(),
+            ..sample()
         };
-        let report = explore_ext(&options);
+        let report = explore(sound.family(4), 1);
         assert!(
             report.explored > 10,
             "family too small: {}",
             report.explored
         );
         assert!(report.violations.is_empty(), "{:?}", report.violations);
-        let threaded = explore_ext(&ExtExploreOptions {
-            threads: 4,
-            ..options
-        });
+        let threaded = explore(sound.family(4), 4);
         assert_eq!(report, threaded, "exploration is thread-count invariant");
     }
 
     #[test]
     fn weak_inner_yields_minimized_violations() {
-        let report = explore_ext(&ExtExploreOptions {
-            n: 4,
-            t: 1,
-            payload_len: 96,
-            payload_seed: 9,
-            inner: "ds-weak-relay-threshold".to_string(),
-            extra_random: 2,
-            ..ExtExploreOptions::default()
-        });
+        let report = explore(sample().family(2), 1);
         assert!(
             !report.violations.is_empty(),
             "the weak inner target must split some ext outcome"

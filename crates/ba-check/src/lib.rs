@@ -6,18 +6,21 @@
 //! agreement, validity, and the paper's message-count bounds after every
 //! run.
 //!
-//! * [`schedule`] — [`FaultSchedule`]: a serializable check case (target
-//!   name, `(n, t)`, value, seed, [`ba_sim::schedule::ScheduleSpec`]);
-//! * [`explore`] — seeded exploration: bounded exhaustive enumeration for
-//!   small `(n, t)` and `SimRng`-driven random sampling for large, fanned
-//!   out with `run_sweep` so reports are byte-identical at any thread
-//!   count;
-//! * [`shrink`] — greedy deterministic shrinking of violating schedules to
+//! * [`case`] — the [`Case`] contract: what a family of check cases owes
+//!   the checker (validate, run-and-judge, its embedded `ScheduleSpec`,
+//!   the shrink steps outside it, a JSON form). Everything below the two
+//!   families is written once against it;
+//! * [`schedule`] — [`FaultSchedule`], the classic family: a target name,
+//!   `(n, t)`, value, seed and a [`ba_sim::schedule::ScheduleSpec`];
+//! * [`ext`] — [`ExtSchedule`], the extension-layer family: a seeded
+//!   payload, inner-BA target names and the garbling adversary beside the
+//!   same `ScheduleSpec`, judged by strict outcome agreement;
+//! * [`explore`] — the classic schedule space (bounded exhaustive
+//!   enumeration for small `(n, t)`, `SimRng`-driven random sampling for
+//!   large) and the one [`explore()`] pipeline, fanned out with
+//!   `run_sweep` so reports are byte-identical at any thread count;
+//! * [`shrink`] — greedy deterministic shrinking of violating cases to
 //!   1-minimal counterexamples;
-//! * [`ext`] — the extension-layer family: [`ExtSchedule`] binds a seeded
-//!   payload and the garbling adversary to the same corpus machinery, with
-//!   its own explorer and shrinker (strict outcome agreement is part of
-//!   the judged contract);
 //! * [`corpus`] — the committed JSON regression corpus (both families,
 //!   discriminated by `"family"`), replayed strictly (exact failure-string
 //!   match) by tests and CI;
@@ -29,6 +32,7 @@
 //! strategy)` — never from thread scheduling, iteration order of hash
 //! containers, or wall-clock time.
 
+pub mod case;
 pub mod corpus;
 pub mod explore;
 pub mod ext;
@@ -37,11 +41,9 @@ pub mod schedule;
 pub mod shrink;
 
 pub use ba_algos::checkable::{find_target, targets, CheckTarget};
+pub use case::Case;
 pub use corpus::{replay, replay_minimal, CorpusCase, CorpusEntry};
 pub use explore::{explore, ExploreOptions, ExploreReport, Strategy, Violation};
-pub use ext::{
-    assert_minimal_ext, explore_ext, shrink_ext, ExtExploreOptions, ExtExploreReport, ExtSchedule,
-    ExtViolation,
-};
+pub use ext::ExtSchedule;
 pub use schedule::FaultSchedule;
 pub use shrink::{assert_minimal, shrink};

@@ -2,7 +2,8 @@
 //! check target and its run parameters, with a JSON form stable enough to
 //! commit as a regression corpus.
 
-use crate::json::{self, Json};
+use crate::case::Case;
+use crate::json::Json;
 use ba_algos::checkable::{CheckConfig, CheckTarget};
 use ba_crypto::{ProcessId, Value};
 use ba_sim::schedule::{FaultBehavior, LinkDrop, ScheduleSpec};
@@ -49,9 +50,34 @@ impl FaultSchedule {
         target.validate(&self.config(1))?;
         Ok(target)
     }
+}
 
-    /// The JSON object form (see the corpus format in `DESIGN.md`).
-    pub fn to_json(&self) -> Json {
+impl Case for FaultSchedule {
+    fn validate(&self) -> Result<(), String> {
+        self.resolve().map(|_| ())
+    }
+
+    fn failure(&self, threads: usize) -> Option<String> {
+        match self.resolve() {
+            Ok(target) => target.run(&self.config(threads)).failure(),
+            Err(msg) => Some(format!("invalid schedule: {msg}")),
+        }
+    }
+
+    fn spec(&self) -> &ScheduleSpec {
+        &self.spec
+    }
+
+    fn spec_mut(&mut self) -> &mut ScheduleSpec {
+        &mut self.spec
+    }
+
+    /// Every registered target finishes within `t + 4` phases.
+    fn crash_phase_cap(&self) -> usize {
+        self.t + 4
+    }
+
+    fn to_json(&self) -> Json {
         let (faults, drops) = spec_to_json(&self.spec);
         Json::Obj(vec![
             ("target".to_string(), Json::Str(self.target.clone())),
@@ -64,16 +90,12 @@ impl FaultSchedule {
         ])
     }
 
-    /// Parses the object form produced by [`FaultSchedule::to_json`].
-    ///
-    /// # Errors
-    /// A description of the first missing or ill-typed field.
-    pub fn from_json(value: &Json) -> Result<FaultSchedule, String> {
-        let target = value
-            .get("target")
-            .and_then(Json::as_str)
-            .ok_or("schedule missing string field \"target\"")?
-            .to_string();
+    fn describe(&self) -> String {
+        self.target.clone()
+    }
+
+    fn from_json(value: &Json) -> Result<FaultSchedule, String> {
+        let target = field_str(value, "target")?;
         let n = field_u64(value, "n")? as usize;
         let t = field_u64(value, "t")? as usize;
         let val = field_u64(value, "value")?;
@@ -86,15 +108,6 @@ impl FaultSchedule {
             seed,
             spec: spec_from_json(value)?,
         })
-    }
-
-    /// Parses a schedule from JSON text.
-    ///
-    /// # Errors
-    /// Syntax errors from the parser or structural errors from
-    /// [`FaultSchedule::from_json`].
-    pub fn from_text(text: &str) -> Result<FaultSchedule, String> {
-        FaultSchedule::from_json(&json::parse(text)?)
     }
 }
 
@@ -151,7 +164,7 @@ pub(crate) fn spec_from_json(value: &Json) -> Result<ScheduleSpec, String> {
         .and_then(Json::as_arr)
         .ok_or("schedule missing array field \"faults\"")?
     {
-        let process = ProcessId(field_u64(entry, "process")? as u32);
+        let process = field_id(entry, "process")?;
         let tag = entry
             .get("behavior")
             .and_then(Json::as_str)
@@ -180,11 +193,19 @@ pub(crate) fn spec_from_json(value: &Json) -> Result<ScheduleSpec, String> {
     {
         link_drops.push(LinkDrop {
             phase: field_u64(entry, "phase")? as usize,
-            from: ProcessId(field_u64(entry, "from")? as u32),
-            to: ProcessId(field_u64(entry, "to")? as u32),
+            from: field_id(entry, "from")?,
+            to: field_id(entry, "to")?,
         });
     }
     Ok(ScheduleSpec { faults, link_drops })
+}
+
+pub(crate) fn field_str(value: &Json, key: &str) -> Result<String, String> {
+    value
+        .get(key)
+        .and_then(Json::as_str)
+        .map(str::to_string)
+        .ok_or_else(|| format!("missing string field {key:?}"))
 }
 
 pub(crate) fn field_u64(value: &Json, key: &str) -> Result<u64, String> {
@@ -192,6 +213,16 @@ pub(crate) fn field_u64(value: &Json, key: &str) -> Result<u64, String> {
         .get(key)
         .and_then(Json::as_u64)
         .ok_or_else(|| format!("missing integer field {key:?}"))
+}
+
+fn id_from_u64(raw: u64, key: &str) -> Result<ProcessId, String> {
+    u32::try_from(raw)
+        .map(ProcessId)
+        .map_err(|_| format!("processor id {raw} in {key:?} is out of range"))
+}
+
+fn field_id(value: &Json, key: &str) -> Result<ProcessId, String> {
+    id_from_u64(field_u64(value, key)?, key)
 }
 
 pub(crate) fn ids_to_json(ids: &[ProcessId]) -> Json {
@@ -205,9 +236,10 @@ pub(crate) fn ids_from_json(entry: &Json, key: &str) -> Result<Vec<ProcessId>, S
         .ok_or_else(|| format!("fault missing array field {key:?}"))?
         .iter()
         .map(|item| {
-            item.as_u64()
-                .map(|v| ProcessId(v as u32))
-                .ok_or_else(|| format!("non-integer id in {key:?}"))
+            let raw = item
+                .as_u64()
+                .ok_or_else(|| format!("non-integer id in {key:?}"))?;
+            id_from_u64(raw, key)
         })
         .collect()
 }
@@ -312,5 +344,18 @@ mod tests {
         assert!(FaultSchedule::from_text(&bad_behavior)
             .unwrap_err()
             .contains("explode"));
+        // Ids are 32-bit: a wider one is an error, not p0 after truncation.
+        let rendered = sample().to_json().render();
+        for (field, narrow, wide) in [
+            ("process", "\"process\":0", "\"process\":4294967296"),
+            ("targets", "\"targets\":[2]", "\"targets\":[4294967298]"),
+        ] {
+            assert!(rendered.contains(narrow));
+            let err = FaultSchedule::from_text(&rendered.replace(narrow, wide)).unwrap_err();
+            assert!(
+                err.contains(field) && err.contains("out of range"),
+                "got: {err}"
+            );
+        }
     }
 }

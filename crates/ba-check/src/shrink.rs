@@ -1,162 +1,155 @@
-//! Greedy counterexample shrinking.
+//! Greedy counterexample shrinking, written once for every [`Case`]
+//! family.
 //!
-//! Given a failing [`FaultSchedule`], [`shrink`] repeatedly tries the
-//! smallest structural reductions — in a fixed order, accepting the first
-//! one that still fails — until no reduction keeps the failure alive:
+//! Given a failing case, [`shrink`] repeatedly tries the smallest
+//! structural reductions — in a fixed order, accepting the first one that
+//! still fails — until no reduction keeps the failure alive:
 //!
 //! 1. drop a whole faulty processor (and its link drops);
-//! 2. remove a single link drop;
-//! 3. remove a single omission target (an emptied `OmitTo` becomes
+//! 2. the family's own removals ([`Case::removals`]);
+//! 3. remove a single link drop;
+//! 4. remove a single omission target (an emptied `OmitTo` becomes
 //!    `Passive`) or equivocation recipient;
-//! 4. delay a crash by one phase (capped at the run's phase count).
+//! 5. delay a crash by one phase (capped at [`Case::crash_phase_cap`]);
+//! 6. the family's own simplifications ([`Case::simplifications`]).
 //!
 //! Every accepted step strictly decreases the lexicographic measure
-//! (fault count, restriction count, total crash headroom), so the loop
-//! terminates; the fixpoint is *1-minimal*: removing any single faulty
-//! processor or omission from the result makes the violation disappear.
-//! The process is fully deterministic — same input schedule, same output.
+//! (fault count, restriction count, total crash headroom, family
+//! simplification measure), so the loop terminates; the fixpoint is
+//! *1-minimal*: removing any single faulty processor or omission from the
+//! result (steps 1–4) makes the violation disappear. The process is fully
+//! deterministic — same input case, same output.
 
-use crate::schedule::FaultSchedule;
-use ba_algos::checkable::CheckTarget;
+use crate::case::Case;
 use ba_sim::schedule::FaultBehavior;
 
-/// Shrinks a failing schedule to a 1-minimal counterexample and returns it
+/// The first well-formed candidate that still fails, with its failure.
+fn first_failing<C: Case>(candidates: Vec<C>) -> Option<(C, String)> {
+    candidates
+        .into_iter()
+        .filter(|candidate| candidate.validate().is_ok())
+        .find_map(|candidate| candidate.failure(1).map(|f| (candidate, f)))
+}
+
+/// Shrinks a failing case to a 1-minimal counterexample and returns it
 /// with its failure description.
 ///
 /// # Panics
-/// Panics if `schedule` does not actually fail under `target`.
-pub fn shrink(target: &CheckTarget, schedule: &FaultSchedule) -> (FaultSchedule, String) {
-    let mut current = schedule.clone();
-    let mut failure = run_failure(target, &current)
-        .expect("shrink requires a schedule that fails under the target");
-    loop {
-        let mut improved = false;
-        for candidate in candidates(&current) {
-            if target.validate(&candidate.config(1)).is_err() {
-                continue;
-            }
-            if let Some(f) = run_failure(target, &candidate) {
-                current = candidate;
-                failure = f;
-                improved = true;
-                break;
-            }
-        }
-        if !improved {
-            return (current, failure);
-        }
+/// Panics if `case` does not actually fail.
+pub fn shrink<C: Case + Clone>(case: &C) -> (C, String) {
+    let failure = case.failure(1).expect("shrink requires a case that fails");
+    let mut current = (case.clone(), failure);
+    while let Some(smaller) = first_failing(candidates(&current.0)) {
+        current = smaller;
     }
+    current
 }
 
-/// Checks that `schedule` (which must fail under `target`) is 1-minimal:
-/// no single-fault or single-omission removal still fails.
+/// Checks that `case` (which must fail) is 1-minimal: no single removal —
+/// faulty processor, family removal, link drop, or omission — still
+/// fails. Simplifications (crash delay, [`Case::simplifications`]) do not
+/// count against minimality.
 ///
 /// # Errors
 /// Describes the first reduction that still violates, or reports that the
-/// schedule does not fail at all.
-pub fn assert_minimal(target: &CheckTarget, schedule: &FaultSchedule) -> Result<(), String> {
-    if run_failure(target, schedule).is_none() {
+/// case does not fail at all.
+pub fn assert_minimal<C: Case + Clone>(case: &C) -> Result<(), String> {
+    if case.failure(1).is_none() {
         return Err("schedule does not fail, so minimality is vacuous".to_string());
     }
-    for candidate in removal_candidates(schedule) {
-        if target.validate(&candidate.config(1)).is_err() {
-            continue;
-        }
-        if let Some(f) = run_failure(target, &candidate) {
-            return Err(format!(
-                "not minimal: a reduced schedule ({} fault(s), {} link drop(s)) still fails: {f}",
-                candidate.spec.fault_count(),
-                candidate.spec.link_drops.len(),
-            ));
-        }
+    match first_failing(removal_candidates(case)) {
+        Some((reduced, f)) => Err(format!(
+            "not minimal: a reduced schedule still fails ({f}): {}",
+            reduced.to_json().render()
+        )),
+        None => Ok(()),
     }
-    Ok(())
 }
 
-fn run_failure(target: &CheckTarget, schedule: &FaultSchedule) -> Option<String> {
-    target.run(&schedule.config(1)).failure()
-}
-
-/// Strict removals only (steps 1–3): the reductions whose failure would
+/// Strict removals only (steps 1–4): the reductions whose failure would
 /// contradict 1-minimality.
-fn removal_candidates(schedule: &FaultSchedule) -> Vec<FaultSchedule> {
+fn removal_candidates<C: Case + Clone>(case: &C) -> Vec<C> {
+    let spec = case.spec();
     let mut out = Vec::new();
 
     // 1. Drop a whole faulty processor, taking its link drops with it.
-    for i in 0..schedule.spec.faults.len() {
-        let mut c = schedule.clone();
-        let (pid, _) = c.spec.faults.remove(i);
-        c.spec.link_drops.retain(|d| d.from != pid);
+    for i in 0..spec.faults.len() {
+        let mut c = case.clone();
+        let (pid, _) = c.spec_mut().faults.remove(i);
+        c.spec_mut().link_drops.retain(|d| d.from != pid);
         out.push(c);
     }
 
-    // 2. Remove a single link drop.
-    for j in 0..schedule.spec.link_drops.len() {
-        let mut c = schedule.clone();
-        c.spec.link_drops.remove(j);
+    // 2. Whatever else the family can remove.
+    out.extend(case.removals());
+
+    // 3. Remove a single link drop.
+    for j in 0..spec.link_drops.len() {
+        let mut c = case.clone();
+        c.spec_mut().link_drops.remove(j);
         out.push(c);
     }
 
-    // 3. Remove a single omission target or equivocation recipient.
-    for (i, (_, behavior)) in schedule.spec.faults.iter().enumerate() {
-        match behavior {
-            FaultBehavior::OmitTo { targets } => {
-                for k in 0..targets.len() {
-                    let mut reduced = targets.clone();
-                    reduced.remove(k);
-                    let mut c = schedule.clone();
-                    c.spec.faults[i].1 = if reduced.is_empty() {
+    // 4. Remove a single omission target or equivocation recipient.
+    for (i, (_, behavior)) in spec.faults.iter().enumerate() {
+        let reduced: Vec<FaultBehavior> = match behavior {
+            FaultBehavior::OmitTo { targets } => (0..targets.len())
+                .map(|k| {
+                    let mut targets = targets.clone();
+                    targets.remove(k);
+                    if targets.is_empty() {
                         FaultBehavior::Passive
                     } else {
-                        FaultBehavior::OmitTo { targets: reduced }
-                    };
-                    out.push(c);
-                }
-            }
-            FaultBehavior::Equivocate { ones } => {
-                for k in 0..ones.len() {
-                    let mut reduced = ones.clone();
-                    reduced.remove(k);
-                    let mut c = schedule.clone();
-                    c.spec.faults[i].1 = FaultBehavior::Equivocate { ones: reduced };
-                    out.push(c);
-                }
-            }
-            _ => {}
+                        FaultBehavior::OmitTo { targets }
+                    }
+                })
+                .collect(),
+            FaultBehavior::Equivocate { ones } => (0..ones.len())
+                .map(|k| {
+                    let mut ones = ones.clone();
+                    ones.remove(k);
+                    FaultBehavior::Equivocate { ones }
+                })
+                .collect(),
+            _ => Vec::new(),
+        };
+        for behavior in reduced {
+            let mut c = case.clone();
+            c.spec_mut().faults[i].1 = behavior;
+            out.push(c);
         }
     }
     out
 }
 
-fn candidates(schedule: &FaultSchedule) -> Vec<FaultSchedule> {
-    let mut out = removal_candidates(schedule);
+fn candidates<C: Case + Clone>(case: &C) -> Vec<C> {
+    let mut out = removal_candidates(case);
 
-    // 4. Delay a crash by one phase — a processor that crashes later is
+    // 5. Delay a crash by one phase — a processor that crashes later is
     // "less faulty". Capped so the measure (total headroom to the cap)
     // strictly decreases and the loop terminates.
-    let phase_cap = schedule.t + 4;
-    for (i, (_, behavior)) in schedule.spec.faults.iter().enumerate() {
+    let phase_cap = case.crash_phase_cap();
+    for (i, (_, behavior)) in case.spec().faults.iter().enumerate() {
         if let FaultBehavior::CrashAt { phase } = behavior {
             if *phase < phase_cap {
-                let mut c = schedule.clone();
-                c.spec.faults[i].1 = FaultBehavior::CrashAt { phase: phase + 1 };
+                let mut c = case.clone();
+                c.spec_mut().faults[i].1 = FaultBehavior::CrashAt { phase: phase + 1 };
                 out.push(c);
             }
         }
     }
+
+    // 6. Whatever else the family can simplify.
+    out.extend(case.simplifications());
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ba_algos::checkable::find_target;
+    use crate::schedule::FaultSchedule;
     use ba_crypto::ProcessId;
     use ba_sim::schedule::{LinkDrop, ScheduleSpec};
-
-    fn weak_target() -> &'static CheckTarget {
-        find_target("ds-weak-relay-threshold").unwrap()
-    }
 
     /// A deliberately bloated failing schedule: the splitting omission plus
     /// an extra omission target and a link drop in a phase where the
@@ -186,24 +179,22 @@ mod tests {
 
     #[test]
     fn shrinks_bloated_schedule_to_one_minimal_core() {
-        let target = weak_target();
         assert!(
-            target.run(&bloated().config(1)).failure().is_some(),
+            bloated().failure(1).is_some(),
             "precondition: the bloated schedule fails"
         );
-        let (minimal, failure) = shrink(target, &bloated());
+        let (minimal, failure) = shrink(&bloated());
         assert!(!failure.is_empty());
         assert_eq!(minimal.spec.fault_count(), 1, "one faulty processor");
         assert!(minimal.spec.link_drops.is_empty(), "drop was irrelevant");
-        assert_minimal(target, &minimal).unwrap();
+        assert_minimal(&minimal).unwrap();
         // Shrinking is deterministic.
-        assert_eq!(shrink(target, &bloated()), (minimal, failure));
+        assert_eq!(shrink(&bloated()), (minimal, failure));
     }
 
     #[test]
     fn assert_minimal_flags_reducible_schedules() {
-        let target = weak_target();
-        let err = assert_minimal(target, &bloated()).unwrap_err();
+        let err = assert_minimal(&bloated()).unwrap_err();
         assert!(err.contains("not minimal"), "got: {err}");
     }
 
@@ -211,8 +202,7 @@ mod tests {
     fn assert_minimal_rejects_passing_schedules() {
         let mut passing = bloated();
         passing.target = "ds-broadcast".to_string();
-        let sound = find_target("ds-broadcast").unwrap();
-        let err = assert_minimal(sound, &passing).unwrap_err();
+        let err = assert_minimal(&passing).unwrap_err();
         assert!(err.contains("does not fail"), "got: {err}");
     }
 }

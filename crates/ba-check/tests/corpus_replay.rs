@@ -4,21 +4,21 @@
 //! committed counterexample must be 1-minimal.
 
 use ba_check::corpus::{self, default_corpus_path};
-use ba_check::{explore, find_target, CorpusCase, ExploreOptions, Strategy};
+use ba_check::{explore, find_target, Case, CorpusCase, ExploreOptions, Strategy};
 use std::path::Path;
 
 #[test]
 fn explorer_rediscovers_the_weakened_relay_bug() {
-    let report = explore(&ExploreOptions {
+    let space = ExploreOptions {
         target: find_target("ds-weak-relay-threshold").unwrap(),
         n: 4,
         t: 1,
         value: 1,
         seed: 0,
         budget: 200,
-        threads: 2,
         strategy: Strategy::Exhaustive,
-    });
+    };
+    let report = explore(space.cases(), 2);
     assert!(
         !report.violations.is_empty(),
         "bounded enumeration must expose the off-by-one relay threshold"

@@ -1,10 +1,12 @@
-//! The checker's determinism contract: same `(target, n, t, value, seed,
-//! budget, strategy)` must yield an identical report — violation list and
-//! minimized counterexamples included — at any worker-thread count.
+//! The checker's determinism contract: the same schedule space — classic
+//! `(target, n, t, value, seed, budget, strategy)` or ext `(n, t, payload,
+//! seed, inner targets, extra_random)` — must yield an identical report,
+//! violation list and minimized counterexamples included, at any
+//! worker-thread count.
 
-use ba_check::{explore, find_target, ExploreOptions, Strategy};
+use ba_check::{assert_minimal, explore, find_target, Case, ExploreOptions, ExtSchedule, Strategy};
 
-fn options(target: &'static str, strategy: Strategy, threads: usize) -> ExploreOptions {
+fn options(target: &'static str, strategy: Strategy) -> ExploreOptions {
     ExploreOptions {
         target: find_target(target).expect("registered target"),
         n: 4,
@@ -12,15 +14,15 @@ fn options(target: &'static str, strategy: Strategy, threads: usize) -> ExploreO
         value: 1,
         seed: 0xBA5E,
         budget: 120,
-        threads,
         strategy,
     }
 }
 
 #[test]
 fn exhaustive_reports_are_identical_at_one_and_four_threads() {
-    let weak_1 = explore(&options("ds-weak-relay-threshold", Strategy::Exhaustive, 1));
-    let weak_4 = explore(&options("ds-weak-relay-threshold", Strategy::Exhaustive, 4));
+    let weak = options("ds-weak-relay-threshold", Strategy::Exhaustive);
+    let weak_1 = explore(weak.cases(), 1);
+    let weak_4 = explore(weak.cases(), 4);
     assert_eq!(weak_1, weak_4);
     assert!(
         !weak_1.violations.is_empty(),
@@ -31,15 +33,48 @@ fn exhaustive_reports_are_identical_at_one_and_four_threads() {
     }
 }
 
+/// The ext family is one more input to the same explorer: a weakened
+/// inner target must split outcomes, and the report — minimized cases
+/// included — must not depend on the thread count.
+#[test]
+fn ext_reports_are_identical_at_one_and_four_threads() {
+    let weak = ExtSchedule {
+        n: 4,
+        t: 1,
+        payload_len: 2_048,
+        payload_seed: 1,
+        seed: 0,
+        inner: "ds-weak-relay-threshold".to_string(),
+        vote_inner: "ds-relay".to_string(),
+        spec: Default::default(),
+        garble: Vec::new(),
+    };
+    let weak_1 = explore(weak.family(8), 1);
+    let weak_4 = explore(weak.family(8), 4);
+    assert_eq!(weak_1, weak_4);
+    assert!(
+        !weak_1.violations.is_empty(),
+        "the weakened inner must yield violations for the comparison to mean anything"
+    );
+    for violation in &weak_1.violations {
+        assert_eq!(
+            violation.minimized.failure(1),
+            Some(violation.minimized_failure.clone()),
+            "the minimized case still fails with the recorded string"
+        );
+        assert_minimal(&violation.minimized).unwrap();
+    }
+}
+
 #[test]
 fn random_reports_are_identical_at_one_and_four_threads() {
     for target in ["ds-broadcast", "ds-relay", "algorithm1"] {
-        let opts = |threads| ExploreOptions {
+        let opts = ExploreOptions {
             n: if target == "algorithm1" { 3 } else { 4 },
-            ..options(target, Strategy::Random, threads)
+            ..options(target, Strategy::Random)
         };
-        let one = explore(&opts(1));
-        let four = explore(&opts(4));
+        let one = explore(opts.cases(), 1);
+        let four = explore(opts.cases(), 4);
         assert_eq!(one, four, "{target} diverged across thread counts");
         assert!(one.explored > 0, "{target} sampled nothing");
         assert!(
@@ -52,11 +87,13 @@ fn random_reports_are_identical_at_one_and_four_threads() {
 
 #[test]
 fn reports_depend_on_the_seed_only_through_sampling() {
-    let base = explore(&options("ds-weak-relay-threshold", Strategy::Exhaustive, 2));
-    let reseeded = explore(&ExploreOptions {
+    let base = options("ds-weak-relay-threshold", Strategy::Exhaustive);
+    let reseeded = ExploreOptions {
         seed: 0xF00D,
-        ..options("ds-weak-relay-threshold", Strategy::Exhaustive, 2)
-    });
+        ..base
+    };
+    let base = explore(base.cases(), 2);
+    let reseeded = explore(reseeded.cases(), 2);
     // Exhaustive enumeration explores the same spec sequence regardless of
     // seed; only the bound key-registry seed differs.
     assert_eq!(base.explored, reseeded.explored);

@@ -36,9 +36,7 @@
 //!   votes carry the collective decide.
 
 use crate::net::{run_extension_net, ExtNetError, ExtNetRun};
-use crate::{
-    agree_on_payload, run_extension, ExtDecision, ExtError, ExtMsg, ExtOptions, ExtReport,
-};
+use crate::{run_extension, ExtDecision, ExtError, ExtMsg, ExtOptions, ExtReport};
 use ba_crypto::rng::SimRng;
 use ba_crypto::{Bytes, ProcessId, Value};
 use ba_net::{ChaosProfile, NetConfig};
@@ -157,6 +155,22 @@ impl Actor<ExtMsg> for Garbler {
     }
 }
 
+/// Wraps every garbling processor's honest dissemination actor in a
+/// [`Garbler`] — the actor rewrite both runners hand to the extension.
+fn install_garblers(
+    garble: &[ProcessId],
+    mut actors: Vec<Box<dyn Actor<ExtMsg>>>,
+) -> Vec<Box<dyn Actor<ExtMsg>>> {
+    for p in garble {
+        let honest = std::mem::replace(
+            &mut actors[p.index()],
+            Box::new(crate::NullActor) as Box<dyn Actor<ExtMsg>>,
+        );
+        actors[p.index()] = Box::new(Garbler { honest, id: *p });
+    }
+    actors
+}
+
 /// What one checked scenario produced.
 #[derive(Debug)]
 pub struct ExtCheckOutcome {
@@ -170,43 +184,24 @@ pub struct ExtCheckOutcome {
 
 /// Runs one scenario and judges the outcome.
 pub fn run_scenario(payload: &Bytes, opts: &ExtOptions, scenario: &ExtScenario) -> ExtCheckOutcome {
-    if let Err(msg) = scenario.validate(opts.n, opts.t) {
-        return ExtCheckOutcome {
-            label: scenario.label.clone(),
-            report: None,
-            failure: Some(format!("invalid scenario: {msg}")),
-        };
-    }
-    let garble = scenario.garble.clone();
-    let result = run_extension(payload, opts, &scenario.spec, move |mut actors| {
-        for p in &garble {
-            let honest = std::mem::replace(
-                &mut actors[p.index()],
-                Box::new(crate::NullActor) as Box<dyn Actor<ExtMsg>>,
-            );
-            actors[p.index()] = Box::new(Garbler { honest, id: *p });
-        }
-        actors
-    });
-    match result {
-        Ok(report) => {
-            let failure = judge(payload, &report, scenario);
-            ExtCheckOutcome {
-                label: scenario.label.clone(),
-                report: Some(report),
-                failure,
+    let install = |actors| install_garblers(&scenario.garble, actors);
+    let (report, failure) = match scenario.validate(opts.n, opts.t) {
+        Err(msg) => (None, Some(format!("invalid scenario: {msg}"))),
+        Ok(()) => match run_extension(payload, opts, &scenario.spec, install) {
+            Ok(report) => {
+                let failure = judge(payload, &report, scenario);
+                (Some(report), failure)
             }
-        }
-        Err(ExtError::Schedule(err)) => ExtCheckOutcome {
-            label: scenario.label.clone(),
-            report: None,
-            failure: Some(format!("schedule did not compile: {err}")),
+            Err(ExtError::Schedule(err)) => {
+                (None, Some(format!("schedule did not compile: {err}")))
+            }
+            Err(err) => (None, Some(err.to_string())),
         },
-        Err(err) => ExtCheckOutcome {
-            label: scenario.label.clone(),
-            report: None,
-            failure: Some(err.to_string()),
-        },
+    };
+    ExtCheckOutcome {
+        label: scenario.label.clone(),
+        report,
+        failure,
     }
 }
 
@@ -230,24 +225,8 @@ pub fn run_scenario_net(
     if let Err(msg) = scenario.validate(opts.n, opts.t) {
         return Err(ExtNetError::BadOptions(format!("invalid scenario: {msg}")));
     }
-    let garble = scenario.garble.clone();
-    let run = run_extension_net(
-        payload,
-        opts,
-        net,
-        chaos,
-        &scenario.spec,
-        move |mut actors| {
-            for p in &garble {
-                let honest = std::mem::replace(
-                    &mut actors[p.index()],
-                    Box::new(crate::NullActor) as Box<dyn Actor<ExtMsg>>,
-                );
-                actors[p.index()] = Box::new(Garbler { honest, id: *p });
-            }
-            actors
-        },
-    )?;
+    let install = |actors| install_garblers(&scenario.garble, actors);
+    let run = run_extension_net(payload, opts, net, chaos, &scenario.spec, install)?;
     let failure = judge(payload, &run.report, scenario);
     Ok((run, failure))
 }
@@ -411,46 +390,13 @@ pub fn standard_scenarios(n: usize, t: usize, seed: u64, extra_random: usize) ->
     out
 }
 
-/// Result of [`sweep`]: every scenario outcome, failures surfaced.
-#[derive(Debug)]
-pub struct SweepReport {
-    /// One outcome per scenario, in order.
-    pub outcomes: Vec<ExtCheckOutcome>,
-}
-
-impl SweepReport {
-    /// Outcomes whose guaranteed properties were violated.
-    pub fn failures(&self) -> impl Iterator<Item = &ExtCheckOutcome> {
-        self.outcomes.iter().filter(|o| o.failure.is_some())
-    }
-
-    /// Number of scenarios swept.
-    pub fn len(&self) -> usize {
-        self.outcomes.len()
-    }
-
-    /// Whether no scenarios ran.
-    pub fn is_empty(&self) -> bool {
-        self.outcomes.is_empty()
-    }
-}
-
-/// Runs the [`standard_scenarios`] family against `payload` and `opts`.
-pub fn sweep(payload: &Bytes, opts: &ExtOptions, extra_random: usize) -> SweepReport {
-    let outcomes = standard_scenarios(opts.n, opts.t, opts.seed, extra_random)
+/// Runs the [`standard_scenarios`] family against `payload` and `opts`:
+/// one outcome per scenario, in order.
+pub fn sweep(payload: &Bytes, opts: &ExtOptions, extra_random: usize) -> Vec<ExtCheckOutcome> {
+    standard_scenarios(opts.n, opts.t, opts.seed, extra_random)
         .iter()
         .map(|scenario| run_scenario(payload, opts, scenario))
-        .collect();
-    SweepReport { outcomes }
-}
-
-/// Convenience: the fault-free baseline must decide everywhere with the
-/// gated overhead; returns the report for inspection.
-///
-/// # Errors
-/// Propagates [`agree_on_payload`] errors.
-pub fn baseline(payload: &Bytes, opts: &ExtOptions) -> Result<ExtReport, ExtError> {
-    agree_on_payload(payload, opts)
+        .collect()
 }
 
 #[cfg(test)]
@@ -536,7 +482,8 @@ mod tests {
             ..ExtOptions::default()
         };
         let report = sweep(&p, &opts, 4);
-        let failures: Vec<&ExtCheckOutcome> = report.failures().collect();
+        let failures: Vec<&ExtCheckOutcome> =
+            report.iter().filter(|o| o.failure.is_some()).collect();
         assert!(
             failures.is_empty(),
             "violations: {:?}",
