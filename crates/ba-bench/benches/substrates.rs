@@ -8,7 +8,7 @@
 
 use ba_bench::microbench::{bench, print_samples, Sample};
 use ba_crypto::keys::{KeyRegistry, SchemeKind};
-use ba_crypto::sha256::Sha256;
+use ba_crypto::sha256::{self, Sha256};
 use ba_crypto::{Chain, ProcessId, Value};
 use ba_sim::actor::{Actor, Envelope, Outbox};
 use ba_sim::engine::Simulation;
@@ -92,7 +92,7 @@ fn bench_engine() -> Vec<Sample> {
 }
 
 fn main() {
-    print_samples("sha256", &bench_sha256());
+    print_samples(&format!("sha256 ({})", sha256::backend()), &bench_sha256());
     print_samples("signing", &bench_signing());
     print_samples("chains", &bench_chains());
     print_samples("engine flood", &bench_engine());

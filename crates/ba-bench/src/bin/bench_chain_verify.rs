@@ -10,6 +10,13 @@
 //!   `VerifierCache`, as a relaying processor sees it: O(L) hashing and
 //!   O(1) signature checks per re-verification.
 //!
+//! Below the chains sits the hash itself, so the report also carries
+//! `sha256` rows: one digest of 64 B, 1 KiB and 256 KiB per compression
+//! backend this host can run (`scalar` always, `sha-ni` when
+//! `ba_crypto::sha256::backend()` reports it), in MB/s, each with its
+//! digest so the backends can be checked against each other — and a `host`
+//! object naming the backend every other number in the file ran on.
+//!
 //! Emits a JSON report (timings plus exact per-verify hash / signature-check
 //! counts) to the path given as the first argument, default
 //! `BENCH_chain_verify.json`, and prints the human-readable table on
@@ -19,12 +26,45 @@
 //! cargo run -p ba-bench --release --bin bench_chain_verify
 //! ```
 
-use ba_bench::microbench::{bench, print_samples, Sample};
+use ba_bench::microbench::{bench, host_json, print_samples, Sample};
 use ba_crypto::keys::{KeyRegistry, SchemeKind};
+use ba_crypto::sha256::{self, Sha256, DIGEST_LEN};
 use ba_crypto::{Chain, CryptoStats, ProcessId, Value};
 use std::fmt::Write as _;
 
 const LENGTHS: [usize; 3] = [8, 32, 128];
+/// Message sizes of the `sha256` rows: one block, a small message, the
+/// `ext_bulk` payload.
+const SHA_SIZES: [usize; 3] = [64, 1024, 256 * 1024];
+
+struct ShaRow {
+    backend: &'static str,
+    bytes: usize,
+    sample: Sample,
+    digest: [u8; DIGEST_LEN],
+}
+
+/// One row per size for every compressor this host can run.
+fn sha_rows() -> Vec<ShaRow> {
+    type Digest = fn(&[u8]) -> [u8; DIGEST_LEN];
+    let mut backends: Vec<(&'static str, Digest)> = vec![("scalar", sha256::scalar_digest)];
+    if sha256::backend() != "scalar" {
+        backends.push((sha256::backend(), Sha256::digest));
+    }
+    let mut rows = Vec::new();
+    for bytes in SHA_SIZES {
+        let data: Vec<u8> = (0..bytes).map(|i| (i * 131 % 251) as u8).collect();
+        for &(backend, digest) in &backends {
+            rows.push(ShaRow {
+                backend,
+                bytes,
+                sample: bench(format!("sha256 {bytes:>6} B {backend}"), || digest(&data)),
+                digest: digest(&data),
+            });
+        }
+    }
+    rows
+}
 
 struct Row {
     length: usize,
@@ -109,9 +149,13 @@ fn main() {
 
     let samples: Vec<Sample> = rows.iter().map(|r| r.sample.clone()).collect();
     print_samples("chain verification", &samples);
+    let sha = sha_rows();
+    let samples: Vec<Sample> = sha.iter().map(|r| r.sample.clone()).collect();
+    print_samples("sha256", &samples);
 
-    let mut json =
-        String::from("{\n  \"bench\": \"chain_verify\",\n  \"scheme\": \"Fast\",\n  \"rows\": [\n");
+    let mut json = String::from("{\n  \"bench\": \"chain_verify\",\n  \"scheme\": \"Fast\",\n");
+    let _ = writeln!(json, "  \"host\": {},", host_json());
+    json.push_str("  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {
         let _ = writeln!(
             json,
@@ -124,6 +168,20 @@ fn main() {
             r.hashes_per_verify,
             r.sig_checks_per_verify,
             if i + 1 == rows.len() { "" } else { "," }
+        );
+    }
+    json.push_str("  ],\n  \"sha256\": [\n");
+    for (i, r) in sha.iter().enumerate() {
+        let hex: String = r.digest.iter().map(|b| format!("{b:02x}")).collect();
+        let _ = writeln!(
+            json,
+            "    {{\"backend\": \"{}\", \"bytes\": {}, \"median_ns\": {:.1}, \"mb_per_s\": {:.1}, \"digest\": \"{}\"}}{}",
+            r.backend,
+            r.bytes,
+            r.sample.median_ns,
+            r.bytes as f64 * 1e3 / r.sample.median_ns,
+            hex,
+            if i + 1 == sha.len() { "" } else { "," }
         );
     }
     json.push_str("  ]\n}\n");

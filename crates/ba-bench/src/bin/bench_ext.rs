@@ -10,8 +10,14 @@
 //! * `payload_bytes` / `control_bytes` — the user-data vs framing split;
 //! * `overhead_ratio` — `total_bytes / (ℓ·n)`, the figure the
 //!   extension-protocol literature's `Ω(ℓn)` lower bound normalizes;
+//! * `inner_bytes` / `dissemination_bytes` / `vote_bytes` / `fetch_bytes` —
+//!   the same total by stage (the last two are the control plane ROADMAP
+//!   wants cut: the `n`-instance availability vote and the fetch round);
 //! * `repair_requests` / `repair_response_bytes` — how much of the grid's
 //!   column repair machinery each cell exercised.
+//!
+//! The report's `host` object names the SHA-256 backend the timings ran
+//! on: chunk authentication and payload digests are most of a large cell.
 //!
 //! Each `(ℓ, n)` cell appears three times: fault-free (`"none"`), with the
 //! last `t` grid nodes silent (`"withhold-t"` — their chunks must be
@@ -38,7 +44,7 @@
 //! cargo run -p ba-bench --release --bin bench_ext -- --section small --check-overhead
 //! ```
 
-use ba_bench::microbench::{bench, print_samples, Sample};
+use ba_bench::microbench::{bench, host_json, print_samples, Sample};
 use ba_crypto::rng::SimRng;
 use ba_crypto::{Bytes, ProcessId};
 use ba_ext::check::{run_scenario, ExtScenario};
@@ -68,6 +74,8 @@ struct Row {
     payload_bytes: u64,
     inner_bytes: u64,
     dissemination_bytes: u64,
+    vote_bytes: u64,
+    fetch_bytes: u64,
     overhead_ratio: f64,
     repair_requests: u64,
     repair_response_bytes: u64,
@@ -239,6 +247,8 @@ fn main() {
                     payload_bytes: report.payload_wire_bytes(),
                     inner_bytes: report.inner_metrics.wire_bytes(),
                     dissemination_bytes: report.dissemination.wire_bytes(),
+                    vote_bytes: report.vote.wire_bytes(),
+                    fetch_bytes: report.fetch.wire_bytes(),
                     overhead_ratio: report.overhead_ratio(),
                     repair_requests: report.repair_requests,
                     repair_response_bytes: report.repair_response_bytes,
@@ -259,6 +269,7 @@ fn main() {
         .filter(|r| gate_applies(r))
         .all(|r| r.overhead_ratio <= GATE);
     let mut json = String::from("{\n  \"bench\": \"ext\",\n");
+    let _ = writeln!(json, "  \"host\": {},", host_json());
     let _ = writeln!(
         json,
         "  \"checks\": {{\"overhead_gate\": {overhead_ok}, \"gate_constant\": {GATE}, \
@@ -271,7 +282,8 @@ fn main() {
             "    {{\"payload_len\": {}, \"n\": {}, \"t\": {}, \"fault\": \"{}\", \
              \"bytes_sent\": {}, \
              \"payload_bytes\": {}, \"control_bytes\": {}, \"inner_bytes\": {}, \
-             \"dissemination_bytes\": {}, \"overhead_ratio\": {:.4}, \
+             \"dissemination_bytes\": {}, \"vote_bytes\": {}, \"fetch_bytes\": {}, \
+             \"overhead_ratio\": {:.4}, \
              \"repair_requests\": {}, \"repair_response_bytes\": {}, \"gated\": {}, \
              \"decided\": {}, \"median_ns\": {:.1}, \"mean_ns\": {:.1}, \"min_ns\": {:.1}}}{}",
             r.payload_len,
@@ -283,6 +295,8 @@ fn main() {
             r.total_bytes - r.payload_bytes,
             r.inner_bytes,
             r.dissemination_bytes,
+            r.vote_bytes,
+            r.fetch_bytes,
             r.overhead_ratio,
             r.repair_requests,
             r.repair_response_bytes,

@@ -163,19 +163,22 @@ impl PartialEq for Chain {
 
 impl Eq for Chain {}
 
-/// `d_0`: binds the protocol domain and the carried value.
+/// `d_0 = H("ba-chain" || domain || value)`: binds the protocol domain and
+/// the carried value.
 fn seed_digest(domain: u32, value: Value) -> [u8; DIGEST_LEN] {
-    let mut enc = Encoder::with_capacity(20);
-    enc.raw(b"ba-chain").u32(domain).value(value);
-    Sha256::digest(enc.as_slice())
+    let mut h = Sha256::new();
+    h.update(b"ba-chain");
+    h.update(&domain.to_be_bytes());
+    h.update(&value.0.to_be_bytes());
+    h.finalize()
 }
 
 /// `d_{i+1} = H(d_i || encode(sig_i))`.
 fn extend_digest(prev: &[u8; DIGEST_LEN], sig: &Signature) -> [u8; DIGEST_LEN] {
-    let mut enc = Encoder::with_capacity(DIGEST_LEN + sig.encoded_len());
-    enc.raw(prev);
-    sig.encode(&mut enc);
-    Sha256::digest(enc.as_slice())
+    let mut h = Sha256::new();
+    h.update(prev);
+    sig.hash_into(&mut h);
+    h.finalize()
 }
 
 impl Chain {
@@ -500,6 +503,28 @@ mod tests {
         assert_eq!(c.last_signer(), Some(ProcessId(2)));
         c.verify(&reg.verifier()).unwrap();
         c.verify_simple_path(&reg.verifier()).unwrap();
+    }
+
+    #[test]
+    fn prefix_digest_preimages_are_the_documented_encoding() {
+        // d_0 = H("ba-chain" || domain || value) and
+        // d_{i+1} = H(d_i || encode(sig_i)), byte for byte: the digests
+        // are fed field by field, the encoder spells the same preimage.
+        for kind in [SchemeKind::Hmac, SchemeKind::Fast] {
+            let reg = KeyRegistry::new(6, 99, kind);
+            let c = signed_chain(&reg, &[0, 4, 2]);
+            let mut enc = Encoder::new();
+            enc.raw(b"ba-chain").u32(c.domain).value(c.value);
+            let mut expected = vec![Sha256::digest(enc.as_slice())];
+            for sig in c.signatures() {
+                let mut enc = Encoder::new();
+                enc.raw(expected.last().expect("seeded"));
+                sig.encode(&mut enc);
+                expected.push(Sha256::digest(enc.as_slice()));
+            }
+            assert_eq!(c.prefix_digests(), expected);
+            assert_eq!(Some(&c.tip), expected.last());
+        }
     }
 
     #[test]

@@ -9,6 +9,50 @@
 
 use crate::sha256::{Sha256, BLOCK_LEN, DIGEST_LEN};
 
+/// A key prepared for tagging: the two SHA-256 states after absorbing the
+/// `key ^ ipad` and `key ^ opad` blocks.
+///
+/// Those two compressions depend on the key alone, so a holder of many
+/// messages per key (the [`KeyRegistry`](crate::keys::KeyRegistry)) pays
+/// them once; each tag then costs the message plus two finalizations.
+#[derive(Clone, Debug)]
+pub(crate) struct HmacKey {
+    inner: Sha256,
+    outer: Sha256,
+}
+
+impl HmacKey {
+    /// Prepares `key`. Keys longer than the SHA-256 block size are hashed
+    /// first, per RFC 2104.
+    pub(crate) fn new(key: &[u8]) -> HmacKey {
+        let mut key_block = [0u8; BLOCK_LEN];
+        if key.len() > BLOCK_LEN {
+            let digest = Sha256::digest(key);
+            key_block[..DIGEST_LEN].copy_from_slice(&digest);
+        } else {
+            key_block[..key.len()].copy_from_slice(key);
+        }
+        let keyed = |pad: u8| {
+            let mut h = Sha256::new();
+            h.update(&key_block.map(|b| b ^ pad));
+            h
+        };
+        HmacKey {
+            inner: keyed(0x36),
+            outer: keyed(0x5c),
+        }
+    }
+
+    /// `HMAC-SHA256(key, message)` for the prepared key.
+    pub(crate) fn tag(&self, message: &[u8]) -> [u8; DIGEST_LEN] {
+        let mut inner = self.inner.clone();
+        inner.update(message);
+        let mut outer = self.outer.clone();
+        outer.update(&inner.finalize());
+        outer.finalize()
+    }
+}
+
 /// Computes `HMAC-SHA256(key, message)`.
 ///
 /// Keys longer than the SHA-256 block size are hashed first, per RFC 2104.
@@ -19,30 +63,7 @@ use crate::sha256::{Sha256, BLOCK_LEN, DIGEST_LEN};
 /// assert_eq!(tag[0], 0xf7);
 /// ```
 pub fn hmac_sha256(key: &[u8], message: &[u8]) -> [u8; DIGEST_LEN] {
-    let mut key_block = [0u8; BLOCK_LEN];
-    if key.len() > BLOCK_LEN {
-        let digest = Sha256::digest(key);
-        key_block[..DIGEST_LEN].copy_from_slice(&digest);
-    } else {
-        key_block[..key.len()].copy_from_slice(key);
-    }
-
-    let mut ipad = [0x36u8; BLOCK_LEN];
-    let mut opad = [0x5cu8; BLOCK_LEN];
-    for i in 0..BLOCK_LEN {
-        ipad[i] ^= key_block[i];
-        opad[i] ^= key_block[i];
-    }
-
-    let mut inner = Sha256::new();
-    inner.update(&ipad);
-    inner.update(message);
-    let inner_digest = inner.finalize();
-
-    let mut outer = Sha256::new();
-    outer.update(&opad);
-    outer.update(&inner_digest);
-    outer.finalize()
+    HmacKey::new(key).tag(message)
 }
 
 /// Constant-shape comparison of two tags.
@@ -151,6 +172,37 @@ mod tests {
                 let key = gen.vec_u8(0, 100);
                 let msg = gen.vec_u8(0, 300);
                 assert_eq!(hmac_sha256(&key, &msg), hmac_sha256(&key, &msg));
+            });
+        }
+
+        /// RFC 2104 as written: `H((K ^ opad) || H((K ^ ipad) || m))`
+        /// over concatenated buffers, no midstates.
+        fn hmac_by_definition(key: &[u8], message: &[u8]) -> [u8; DIGEST_LEN] {
+            let mut block = [0u8; BLOCK_LEN];
+            if key.len() > BLOCK_LEN {
+                block[..DIGEST_LEN].copy_from_slice(&Sha256::digest(key));
+            } else {
+                block[..key.len()].copy_from_slice(key);
+            }
+            let mut inner: Vec<u8> = block.iter().map(|b| b ^ 0x36).collect();
+            inner.extend_from_slice(message);
+            let mut outer: Vec<u8> = block.iter().map(|b| b ^ 0x5c).collect();
+            outer.extend_from_slice(&Sha256::digest(&inner));
+            Sha256::digest(&outer)
+        }
+
+        #[test]
+        fn prop_prepared_key_matches_definition_across_messages() {
+            run_cases(48, 0x43, |gen| {
+                // Keys on both sides of the hash-it-first threshold.
+                let key = gen.vec_u8(0, 2 * BLOCK_LEN);
+                let prepared = HmacKey::new(&key);
+                for _ in 0..3 {
+                    let msg = gen.vec_u8(0, 300);
+                    let expected = hmac_by_definition(&key, &msg);
+                    assert_eq!(prepared.tag(&msg), expected);
+                    assert_eq!(hmac_sha256(&key, &msg), expected);
+                }
             });
         }
 

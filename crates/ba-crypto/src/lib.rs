@@ -14,7 +14,8 @@
 //!
 //! This crate provides that abstraction for an in-process simulation:
 //!
-//! * [`sha256`] — a from-scratch FIPS 180-4 SHA-256 implementation;
+//! * [`sha256`] — a from-scratch FIPS 180-4 SHA-256 implementation (SHA-NI
+//!   kernel where the CPU has one, portable compressor elsewhere);
 //! * [`hmac`] — HMAC-SHA-256 (RFC 2104);
 //! * [`keys`] — a [`KeyRegistry`] holding one secret per
 //!   processor. Actors receive a [`Signer`] handle bound to a
@@ -48,6 +49,10 @@
 //! assert!(registry.verifier().verify(&sig, b"hello"));
 //! assert!(!registry.verifier().verify(&sig, b"tampered"));
 //! ```
+
+// The one `unsafe fn` (the SHA-NI kernel in `sha256`) must spell out each
+// unsafe operation and why it is sound.
+#![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod chain;
 pub mod error;

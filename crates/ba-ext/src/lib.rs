@@ -56,7 +56,6 @@ pub mod net;
 use ba_algos::checkable::{find_target, CheckConfig, CheckTarget};
 use ba_algos::common::Board;
 use ba_crypto::sha256::{Sha256, DIGEST_LEN};
-use ba_crypto::wire::Encoder;
 use ba_crypto::{Bytes, KeyRegistry, ProcessId, SchemeKind, Signature, Signer, Value, Verifier};
 use ba_sim::schedule::{ScheduleError, ScheduleSpec};
 use ba_sim::{Actor, Envelope, Metrics, Outbox, Payload, Simulation, WorkerPool};
@@ -143,13 +142,15 @@ pub struct SignedChunk {
 }
 
 impl SignedChunk {
-    fn content(index: u16, payload_len: u64, data: &[u8]) -> Bytes {
-        let mut enc = Encoder::with_capacity(4 + 4 + 8 + DIGEST_LEN);
-        enc.u32(DOMAIN_EXT_CHUNK)
-            .u32(u32::from(index))
-            .u64(payload_len)
-            .raw(&Sha256::digest(data));
-        enc.finish()
+    /// The signed bytes: domain, index and payload length as big-endian
+    /// `u32`/`u32`/`u64`, then `H(data)`.
+    fn content(index: u16, payload_len: u64, data: &[u8]) -> [u8; 16 + DIGEST_LEN] {
+        let mut out = [0u8; 16 + DIGEST_LEN];
+        out[..4].copy_from_slice(&DOMAIN_EXT_CHUNK.to_be_bytes());
+        out[4..8].copy_from_slice(&u32::from(index).to_be_bytes());
+        out[8..16].copy_from_slice(&payload_len.to_be_bytes());
+        out[16..].copy_from_slice(&Sha256::digest(data));
+        out
     }
 
     /// Signs `data` as chunk `index` of a `payload_len`-byte payload.
@@ -469,14 +470,13 @@ impl Actor<ExtMsg> for ExtActor {
                 if let Some(chunks) = self.outgoing.take() {
                     for chunk in chunks {
                         let owner = ProcessId(u32::from(chunk.index));
-                        if owner == self.id {
-                            self.try_store(chunk);
-                        } else {
-                            // The sender keeps every chunk (it can answer
-                            // any repair) and sends node i its chunk.
-                            self.try_store(chunk.clone());
-                            out.send(owner, ExtMsg::Chunk(chunk));
+                        if owner != self.id {
+                            out.send(owner, ExtMsg::Chunk(chunk.clone()));
                         }
+                        // The sender keeps every chunk (it can answer any
+                        // repair). It signed them itself, so they skip the
+                        // verification every received chunk goes through.
+                        self.chunks[owner.index()] = Some(chunk);
                     }
                 }
             }
@@ -1402,6 +1402,42 @@ mod tests {
         assert!(
             report.dissemination.payload_bytes_by_correct < report.dissemination.bytes_by_correct
         );
+    }
+
+    #[test]
+    fn sender_stores_its_own_chunks_without_verifying_them() {
+        // Chunk authentication is one digest + one signature check per
+        // *received* chunk. The sender holds all n chunks from phase 1 on
+        // — it signed them — so its disperse phase does no crypto, and the
+        // run's totals are the other n − 1 nodes' n chunks each plus every
+        // node's reconstruction digest. The same ledger over `ba_ext::net`.
+        let p = payload(10_000, 42);
+        let opts = ExtOptions::default();
+        let n = opts.n as u64;
+        let lockstep = agree_on_payload(&p, &opts).unwrap();
+        let net = net::run_extension_net(
+            &p,
+            &opts,
+            &ba_net::NetConfig::new(),
+            &ba_net::ChaosProfile::reliable(),
+            &ScheduleSpec::default(),
+            |actors| actors,
+        )
+        .unwrap()
+        .report;
+        for (driver, report) in [("lock-step", &lockstep), ("net", &net)] {
+            let m = &report.dissemination;
+            assert_eq!(m.per_phase[0].hash_invocations, 0, "{driver}");
+            assert_eq!(m.per_phase[0].sig_verifications, 0, "{driver}");
+            assert_eq!(m.crypto.sig_verifications, (n - 1) * n, "{driver}");
+            assert_eq!(m.crypto.tag_ops, (n - 1) * n, "{driver}");
+            assert_eq!(m.crypto.hash_invocations, (n - 1) * n + n, "{driver}");
+            // What the sender disperses is untouched: n − 1 signed chunks.
+            assert_eq!(m.per_phase[0].messages_by_correct, n - 1, "{driver}");
+            assert_eq!(m.per_phase[0].signatures_by_correct, n - 1, "{driver}");
+            assert_eq!(report.availability.len(), opts.n, "{driver}");
+        }
+        assert_eq!(lockstep, net);
     }
 
     #[test]
