@@ -35,9 +35,9 @@
 //! `--check-overhead` exits non-zero unless every fault-free cell with
 //! ℓ ≥ 256 KiB satisfies `total_bytes ≤ 4·ℓ·n` (at small ℓ the inner-BA
 //! signature chains dominate and the ratio is meaningless — the bound is
-//! asymptotic in ℓ). A worker-count determinism check (threads 1 vs 4,
-//! scoped vs shared pool) is always on: decisions and metrics must be
-//! byte-identical or the run aborts. Emits a JSON report to the path given
+//! asymptotic in ℓ). A worker-count determinism check (threads 1 vs 4) is
+//! always on: decisions and metrics must be byte-identical or the run
+//! aborts. Emits a JSON report to the path given
 //! as the first positional argument (default `BENCH_ext.json`).
 //!
 //! ```text
@@ -164,7 +164,7 @@ fn decided_count(report: &ExtReport) -> usize {
 /// Runs one cell and asserts the determinism and totality contracts: the
 /// judge finds no violation, every correct node decides (the faulty
 /// families stay within the `t` budget, so repair must recover the
-/// payload), and a threads=4/pooled rerun is byte-identical.
+/// payload), and a threads=4 rerun is byte-identical.
 fn probe(p: &Bytes, opts: &ExtOptions, scenario: &ExtScenario) -> ExtReport {
     let base = run_scenario(p, opts, scenario);
     if let Some(failure) = &base.failure {
@@ -189,14 +189,13 @@ fn probe(p: &Bytes, opts: &ExtOptions, scenario: &ExtScenario) -> ExtReport {
         p,
         &ExtOptions {
             threads: 4,
-            pooled: true,
             ..opts.clone()
         },
         scenario,
     );
     if threaded.report.as_ref() != Some(&report) {
         die(&format!(
-            "DETERMINISM BROKEN at n={} ℓ={} [{}]: threads=4/pooled diverges from threads=1",
+            "DETERMINISM BROKEN at n={} ℓ={} [{}]: threads=4 diverges from threads=1",
             opts.n, report.payload_len, scenario.label
         ));
     }

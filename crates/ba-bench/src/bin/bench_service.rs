@@ -22,7 +22,7 @@
 //!   ratio — pipelined vs serial-runtime at the widest thread count — is
 //!   recorded in the JSON `checks` object and gated by `--assert-speedup`.
 //! * `latency` — p50/p99 admission-to-decision latency of the pipelined
-//!   fleet, pooled over several runs;
+//!   fleet, merged over several runs;
 //! * `degradation` — agreements/sec and decided/degraded split for the
 //!   pipelined fleet as per-link loss sweeps 0 → 350 ‰: the curve must
 //!   degrade gracefully (fewer decisions, never an agreement violation);
@@ -83,7 +83,7 @@ const T: usize = 1;
 const CHAOS_SEED: u64 = 77;
 /// Per-link loss sweep for the degradation curve, in 1/1000.
 const LOSS_SWEEP: [u16; 5] = [0, 75, 150, 250, 350];
-/// Runs pooled for the latency percentiles.
+/// Runs merged for the latency percentiles.
 const LATENCY_RUNS: usize = 5;
 /// Offered-load sweep for the open-loop section, in instances per tick.
 /// `ds-broadcast` (n = 16, t = 1) settles in 4 service ticks, so with
@@ -549,18 +549,18 @@ fn main() {
 
     // -- latency: p50/p99 admission-to-decision, pipelined fleet -----------
     if cfg.section("latency") {
-        let mut pooled_ns: Vec<f64> = Vec::new();
+        let mut merged_ns: Vec<f64> = Vec::new();
         let mut fleet_wire: u64 = 0;
         for i in 0..LATENCY_RUNS {
             let mux = run_svc(target, &cfgs, &reliable, th_hi, true);
             if i == 0 {
                 fleet_wire = fleet_bytes(&mux);
             }
-            pooled_ns.extend(mux.latencies.iter().map(|d| d.as_nanos() as f64));
+            merged_ns.extend(mux.latencies.iter().map(|d| d.as_nanos() as f64));
         }
-        pooled_ns.sort_by(|a, b| a.total_cmp(b));
+        merged_ns.sort_by(|a, b| a.total_cmp(b));
         for (label, p) in [("p50", 0.50), ("p99", 0.99)] {
-            let ns = percentile(&pooled_ns, p);
+            let ns = percentile(&merged_ns, p);
             rows.push(Row {
                 section: "latency",
                 label: format!("decision {label} k={k}"),
@@ -569,10 +569,10 @@ fn main() {
                 sample: Sample {
                     name: format!("decision latency {label} (pipelined, k={k})"),
                     batch_iters: 1,
-                    batches: (pooled_ns.len()) as u32,
+                    batches: (merged_ns.len()) as u32,
                     median_ns: ns,
-                    mean_ns: pooled_ns.iter().sum::<f64>() / pooled_ns.len() as f64,
-                    min_ns: pooled_ns[0],
+                    mean_ns: merged_ns.iter().sum::<f64>() / merged_ns.len() as f64,
+                    min_ns: merged_ns[0],
                 },
                 extra: format!(", \"bytes_sent\": {fleet_wire}"),
             });

@@ -44,8 +44,8 @@ use std::path::Path;
 /// The schedule a corpus entry replays: one of the two check families.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum CorpusCase {
-    /// A classic schedule against a registered [`CheckTarget`]
-    /// (see [`ba_algos::checkable`]).
+    /// A classic schedule against a registered
+    /// [`CheckTarget`](ba_algos::checkable::CheckTarget).
     Target(FaultSchedule),
     /// An extension-layer schedule (see [`crate::ext`]).
     Ext(ExtSchedule),

@@ -16,7 +16,7 @@
 //! [`run_sweep`] — outer fan-out across worker threads, every inner
 //! simulation sequential, results in case order — shrinking each
 //! violating case to a minimal counterexample (see
-//! [`shrink`](crate::shrink)) in the same pass. The report is
+//! [`shrink()`](crate::shrink())) in the same pass. The report is
 //! byte-identical at any thread count.
 
 use crate::case::Case;

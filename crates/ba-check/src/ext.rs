@@ -1,7 +1,7 @@
 //! The extension-layer check family for [`ba_ext`]'s payload-agreement
 //! protocol: the case type, its JSON form and its schedule space
 //! ([`ExtSchedule::family`]). Exploring, shrinking and replaying are the
-//! generic [`crate::explore`], [`crate::shrink`] and [`crate::corpus`].
+//! generic [`crate::explore()`], [`crate::shrink()`] and [`crate::corpus`].
 //!
 //! An [`ExtSchedule`] is the extension analogue of
 //! [`FaultSchedule`](crate::schedule::FaultSchedule): instead of a target

@@ -15,11 +15,11 @@
 //! * [`ext`] — [`ExtSchedule`], the extension-layer family: a seeded
 //!   payload, inner-BA target names and the garbling adversary beside the
 //!   same `ScheduleSpec`, judged by strict outcome agreement;
-//! * [`explore`] — the classic schedule space (bounded exhaustive
+//! * [`mod@explore`] — the classic schedule space (bounded exhaustive
 //!   enumeration for small `(n, t)`, `SimRng`-driven random sampling for
 //!   large) and the one [`explore()`] pipeline, fanned out with
 //!   `run_sweep` so reports are byte-identical at any thread count;
-//! * [`shrink`] — greedy deterministic shrinking of violating cases to
+//! * [`mod@shrink`] — greedy deterministic shrinking of violating cases to
 //!   1-minimal counterexamples;
 //! * [`corpus`] — the committed JSON regression corpus (both families,
 //!   discriminated by `"family"`), replayed strictly (exact failure-string

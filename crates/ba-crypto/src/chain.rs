@@ -49,10 +49,10 @@
 //! [`VerifierCache`](crate::keys::VerifierCache): digests of fully verified
 //! prefixes are memoized, so re-verifying a chain that grew by `k`
 //! signatures since it was last seen (the Dolev-Strong relay pattern) pays
-//! for only the `k` new signature checks. [`verify_uncached`]
-//! (Chain::verify_uncached) skips the cache, and [`verify_reference`]
-//! (Chain::verify_reference) is a deliberately naive O(L²) implementation
-//! retained as the oracle for the equivalence property tests.
+//! for only the `k` new signature checks. [`Chain::verify_uncached`] skips
+//! the cache, and [`Chain::verify_reference`] is a deliberately naive O(L²)
+//! implementation retained as the oracle for the equivalence property
+//! tests.
 
 use crate::error::CryptoError;
 use crate::keys::{Signature, Signer, Verifier};
@@ -284,9 +284,9 @@ impl Chain {
     }
 
     /// Verifies every signature against its prefix digest, resuming after
-    /// the longest prefix the registry's [`VerifierCache`]
-    /// (crate::keys::VerifierCache) already knows to be valid. On success
-    /// all prefixes of this chain are added to the cache.
+    /// the longest prefix the registry's
+    /// [`VerifierCache`](crate::keys::VerifierCache) already knows to be
+    /// valid. On success all prefixes of this chain are added to the cache.
     ///
     /// The cache changes cost only, never outcome: a cached prefix contains
     /// no invalid signature (it could not have entered the cache

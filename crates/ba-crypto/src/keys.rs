@@ -174,15 +174,15 @@ impl fmt::Display for Signature {
 /// per-run work counters — depends on the order in which actors verify
 /// chains *within* one simulation phase. A parallel engine stepping actors
 /// on worker threads cannot reproduce the sequential order, so the
-/// counters would become schedule-dependent. [`set_deferred`]
-/// (Self::set_deferred) switches the cache to snapshot semantics: lookups
-/// see only the state the cache had at the last [`flush_pending`]
-/// (Self::flush_pending) (the engine flushes at every phase barrier), and
-/// inserts accumulate in a pending buffer until that flush. Every actor in
-/// a phase then observes the same cache state no matter how the phase is
-/// scheduled, making hit/miss/verification counts byte-identical for any
-/// thread count. Deferred mode never changes accept/reject outcomes —
-/// only which verifications are skipped as redundant.
+/// counters would become schedule-dependent. [`Self::set_deferred`]
+/// switches the cache to snapshot semantics: lookups see only the state
+/// the cache had at the last [`Self::flush_pending`] (the engine flushes
+/// at every phase barrier), and inserts accumulate in a pending buffer
+/// until that flush. Every actor in a phase then observes the same cache
+/// state no matter how the phase is scheduled, making
+/// hit/miss/verification counts byte-identical for any thread count.
+/// Deferred mode never changes accept/reject outcomes — only which
+/// verifications are skipped as redundant.
 ///
 /// # Sharding
 ///

@@ -9,7 +9,7 @@
 //! parallel sweeps.
 //!
 //! The simulation engine snapshots these around every phase and folds the
-//! deltas into [`ba_sim::Metrics`]-style accounting; tests use them to
+//! deltas into `ba_sim::Metrics`-style accounting; tests use them to
 //! assert the asymptotics (an L-signature chain must verify in O(L) hash
 //! invocations, and a cached re-verification of an extended chain must pay
 //! only for the new signatures).

@@ -4,7 +4,7 @@
 //! crates-io registry is unreachable in the build environments this
 //! reproduction targets — even *optional* external dependencies fail to
 //! resolve. This module replaces it with the smallest thing that preserves
-//! the tests' value: a seeded case runner over [`SimRng`](crate::rng::SimRng)
+//! the tests' value: a seeded case runner over [`SimRng`]
 //! generators. Failures print the case seed so a failing case can be
 //! replayed exactly.
 //!

@@ -18,7 +18,7 @@
 //!
 //! * **No wrong payload** (safety): every decided payload is byte-for-byte
 //!   the sender's payload. This holds even for a *faulty* sender here,
-//!   because [`run_extension`](crate::run_extension) always signs the real
+//!   because [`run_extension`] always signs the real
 //!   payload — fault wrappers suppress or corrupt traffic, they cannot
 //!   re-sign. (A sender signing inconsistent chunks is exercised
 //!   separately in the crate tests; it forces aborts, never a wrong
@@ -156,7 +156,7 @@ impl Actor<ExtMsg> for Garbler {
 }
 
 /// Wraps every garbling processor's honest dissemination actor in a
-/// [`Garbler`] — the actor rewrite both runners hand to the extension.
+/// [`Garbler`] — the actor rewrite [`run_judged`] hands to the extension.
 fn install_garblers(
     garble: &[ProcessId],
     mut actors: Vec<Box<dyn Actor<ExtMsg>>>,
@@ -182,21 +182,39 @@ pub struct ExtCheckOutcome {
     pub failure: Option<String>,
 }
 
+/// The body both runners share: validates `scenario`, hands `run` the
+/// garbler-installing rewrite, and judges the report it produced. Returns
+/// the run plus `Some(description)` when a guaranteed property was violated.
+fn run_judged<T, E: From<ExtError>>(
+    payload: &Bytes,
+    opts: &ExtOptions,
+    scenario: &ExtScenario,
+    run: impl FnOnce(
+        &dyn Fn(Vec<Box<dyn Actor<ExtMsg>>>) -> Vec<Box<dyn Actor<ExtMsg>>>,
+    ) -> Result<T, E>,
+    report: impl FnOnce(&T) -> &ExtReport,
+) -> Result<(T, Option<String>), E> {
+    scenario
+        .validate(opts.n, opts.t)
+        .map_err(|msg| ExtError::BadOptions(format!("invalid scenario: {msg}")))?;
+    let run = run(&|actors| install_garblers(&scenario.garble, actors))?;
+    let failure = judge(payload, report(&run), scenario);
+    Ok((run, failure))
+}
+
 /// Runs one scenario and judges the outcome.
 pub fn run_scenario(payload: &Bytes, opts: &ExtOptions, scenario: &ExtScenario) -> ExtCheckOutcome {
-    let install = |actors| install_garblers(&scenario.garble, actors);
-    let (report, failure) = match scenario.validate(opts.n, opts.t) {
-        Err(msg) => (None, Some(format!("invalid scenario: {msg}"))),
-        Ok(()) => match run_extension(payload, opts, &scenario.spec, install) {
-            Ok(report) => {
-                let failure = judge(payload, &report, scenario);
-                (Some(report), failure)
-            }
-            Err(ExtError::Schedule(err)) => {
-                (None, Some(format!("schedule did not compile: {err}")))
-            }
-            Err(err) => (None, Some(err.to_string())),
-        },
+    let judged = run_judged(
+        payload,
+        opts,
+        scenario,
+        |install| run_extension(payload, opts, &scenario.spec, install),
+        |report| report,
+    );
+    let (report, failure) = match judged {
+        Ok((report, failure)) => (Some(report), failure),
+        Err(ExtError::Schedule(err)) => (None, Some(format!("schedule did not compile: {err}"))),
+        Err(err) => (None, Some(err.to_string())),
     };
     ExtCheckOutcome {
         label: scenario.label.clone(),
@@ -222,13 +240,13 @@ pub fn run_scenario_net(
     net: &NetConfig,
     chaos: &ChaosProfile,
 ) -> Result<(ExtNetRun, Option<String>), ExtNetError> {
-    if let Err(msg) = scenario.validate(opts.n, opts.t) {
-        return Err(ExtNetError::BadOptions(format!("invalid scenario: {msg}")));
-    }
-    let install = |actors| install_garblers(&scenario.garble, actors);
-    let run = run_extension_net(payload, opts, net, chaos, &scenario.spec, install)?;
-    let failure = judge(payload, &run.report, scenario);
-    Ok((run, failure))
+    run_judged(
+        payload,
+        opts,
+        scenario,
+        |install| run_extension_net(payload, opts, net, chaos, &scenario.spec, install),
+        |run| &run.report,
+    )
 }
 
 /// Judges a report against the guaranteed properties. `None` = all held.

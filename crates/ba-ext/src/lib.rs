@@ -42,9 +42,10 @@
 //!    chunks) can force nothing at all.
 //!
 //! The fault-schedule surface mirroring `ba-check`'s explorer lives in
-//! [`check`]; the chaos-runtime driver (dissemination and votes over
-//! `ba-net` with structured degradation verdicts) lives in [`net`];
-//! wire-volume accounting rides the engine's
+//! [`check`]; the stage sequence is written once in the private `pipeline`
+//! module and driven either by the lock-step engine ([`run_extension`]) or
+//! by the `ba-net` chaos runtime with structured degradation verdicts
+//! ([`net`]); wire-volume accounting rides the engine's
 //! [`Metrics`] (`bytes_by_correct` / `payload_bytes_by_correct`), so the
 //! bits-exchanged figures are schedule-independent and byte-identical at
 //! any worker count like every other counter.
@@ -52,13 +53,14 @@
 pub mod check;
 pub mod coding;
 pub mod net;
+pub(crate) mod pipeline;
 
 use ba_algos::checkable::{find_target, CheckConfig, CheckTarget};
 use ba_algos::common::Board;
 use ba_crypto::sha256::{Sha256, DIGEST_LEN};
 use ba_crypto::{Bytes, KeyRegistry, ProcessId, SchemeKind, Signature, Signer, Value, Verifier};
 use ba_sim::schedule::{ScheduleError, ScheduleSpec};
-use ba_sim::{Actor, Envelope, Metrics, Outbox, Payload, Simulation, WorkerPool};
+use ba_sim::{Actor, Envelope, Metrics, Outbox, Payload};
 use coding::Coder;
 use std::sync::Arc;
 
@@ -682,8 +684,8 @@ impl Actor<ExtMsg> for FetchActor {
 /// builders (the same convention as `SvcConfig`, `NetConfig`, `DsOptions`
 /// and `Alg3Options`).
 ///
-/// Defaults: `n = 16`, `t = 2`, seed 0, sequential stepping, scoped
-/// threads, fast scheme, `ds-broadcast` inner target.
+/// Defaults: `n = 16`, `t = 2`, seed 0, sequential stepping, fast scheme,
+/// `ds-broadcast` inner target, `ds-relay` vote target.
 #[derive(Clone, Debug)]
 pub struct ExtOptions {
     /// Number of processors; must be a perfect square `m² ≥ 4` (the grid).
@@ -694,12 +696,9 @@ pub struct ExtOptions {
     pub t: usize,
     /// Run seed (keys, inner-BA seeds).
     pub seed: u64,
-    /// Worker threads for intra-phase stepping (results byte-identical
-    /// at any count).
+    /// Worker threads for intra-phase stepping on the process-wide worker
+    /// pool (results byte-identical at any count).
     pub threads: usize,
-    /// When set, dissemination rides the process-wide
-    /// [`WorkerPool::shared`] instead of per-run scoped threads.
-    pub pooled: bool,
     /// Tag scheme for chunk signatures.
     pub scheme: SchemeKind,
     /// Name of the inner-BA target for digest agreement (must be
@@ -720,7 +719,6 @@ impl Default for ExtOptions {
             t: 2,
             seed: 0,
             threads: 1,
-            pooled: false,
             scheme: SchemeKind::Fast,
             inner: "ds-broadcast",
             vote_inner: "ds-relay",
@@ -755,12 +753,6 @@ impl ExtOptions {
     /// Sets the worker-thread count for intra-phase stepping.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Routes dissemination over the process-wide shared pool.
-    pub fn with_pooled(mut self, pooled: bool) -> Self {
-        self.pooled = pooled;
         self
     }
 
@@ -956,8 +948,7 @@ pub(crate) fn word_seed(seed: u64, w: usize) -> u64 {
 }
 
 /// Seed shared by the `n` availability-vote inner-BA runs (one cluster
-/// identity — the instances differ by transmitter and vote value, which
-/// is what lets the service layer multiplex them over one wire).
+/// identity — the instances differ only by transmitter and vote value).
 pub(crate) fn vote_seed(seed: u64) -> u64 {
     seed ^ 0xA0BA_0001
 }
@@ -988,7 +979,7 @@ pub(crate) fn apply_spec_faults(
 /// Per-node digest views assembled from each node's OWN word decisions —
 /// agreement on the full digest follows from agreement on every word.
 pub(crate) fn assemble_digest_views(
-    word_views: &[Vec<Option<u64>>],
+    word_views: &[Vec<Option<Value>>],
     n: usize,
 ) -> Vec<Option<[u8; DIGEST_LEN]>> {
     (0..n)
@@ -997,7 +988,7 @@ pub(crate) fn assemble_digest_views(
             let mut complete = true;
             for (w, view) in word_views.iter().enumerate() {
                 match view[i] {
-                    Some(word) => out[w * 8..(w + 1) * 8].copy_from_slice(&word.to_be_bytes()),
+                    Some(word) => out[w * 8..(w + 1) * 8].copy_from_slice(&word.0.to_be_bytes()),
                     None => complete = false,
                 }
             }
@@ -1006,8 +997,8 @@ pub(crate) fn assemble_digest_views(
         .collect()
 }
 
-/// The state shared by the lock-step and ba-net drivers: chunk-signing
-/// registry, signed outgoing chunks, and the run-A actor builder.
+/// The state the two grid stages share: chunk-signing registry, signed
+/// outgoing chunks, and the dissemination / fetch actor builders.
 pub(crate) struct ExtSetup {
     pub(crate) grid: Grid,
     pub(crate) coder: Coder,
@@ -1078,10 +1069,7 @@ impl ExtSetup {
     ) -> Vec<Box<dyn Actor<ExtMsg>>> {
         (0..opts.n)
             .map(|i| {
-                let available: Vec<ProcessId> = (0..opts.n)
-                    .filter(|&v| vote_views[v][i] == Some(Value::ONE))
-                    .map(|v| ProcessId(v as u32))
-                    .collect();
+                let available = available_at(vote_views, i);
                 let outcome_decide = available.len() >= opts.vote_needed();
                 Box::new(FetchActor {
                     id: ProcessId(i as u32),
@@ -1102,10 +1090,8 @@ impl ExtSetup {
 
 /// Availability votes derived from run A's provisional board: node `v`
 /// votes 1 iff it provisionally decided (reconstructed a digest-matching
-/// payload). Faulty nodes that never posted vote 0. Public so
-/// [`net::multiplex_votes`] callers can derive vote inputs from a
-/// provisional snapshot.
-pub fn vote_inputs(provisional: &[Option<ExtDecision>]) -> Vec<Value> {
+/// payload). Faulty nodes that never posted vote 0.
+pub(crate) fn vote_inputs(provisional: &[Option<ExtDecision>]) -> Vec<Value> {
     provisional
         .iter()
         .map(|d| match d {
@@ -1115,11 +1101,21 @@ pub fn vote_inputs(provisional: &[Option<ExtDecision>]) -> Vec<Value> {
         .collect()
 }
 
+/// The availability set as `node` derived it: the voters whose instance
+/// decided 1 in `node`'s view (`vote_views[instance][node]`).
+pub(crate) fn available_at(vote_views: &[Vec<Option<Value>>], node: usize) -> Vec<ProcessId> {
+    (0..vote_views.len())
+        .filter(|&v| vote_views[v][node] == Some(Value::ONE))
+        .map(|v| ProcessId(v as u32))
+        .collect()
+}
+
 /// The inner-BA config for availability-vote instance `v`: node `v`
 /// transmits its own vote.
 pub(crate) fn vote_cfg(
     opts: &ExtOptions,
     spec: &ScheduleSpec,
+    threads: usize,
     v: usize,
     vote: Value,
 ) -> CheckConfig {
@@ -1128,7 +1124,7 @@ pub(crate) fn vote_cfg(
         opts.t.max(1),
         vote,
         vote_seed(opts.seed),
-        opts.threads,
+        threads,
         spec.clone(),
     );
     cfg.transmitter = ProcessId(v as u32);
@@ -1169,120 +1165,11 @@ pub fn run_extension(
     spec: &ScheduleSpec,
     rewrite: impl Fn(Vec<Box<dyn Actor<ExtMsg>>>) -> Vec<Box<dyn Actor<ExtMsg>>>,
 ) -> Result<ExtReport, ExtError> {
-    opts.validate().map_err(ExtError::BadOptions)?;
-    spec.validate(opts.n, opts.t)
-        .map_err(ExtError::BadOptions)?;
-    let digest = Sha256::digest(payload);
-    let words: Vec<u64> = digest
-        .chunks_exact(8)
-        .map(|w| u64::from_be_bytes(w.try_into().expect("8-byte digest word")))
-        .collect();
-
-    let run_inner = |target: &CheckTarget, cfg: &CheckConfig| -> Result<_, ExtError> {
-        let setup = target.build(cfg).map_err(ExtError::Schedule)?;
-        let mut sim = Simulation::new(setup.actors)
-            .with_threads(opts.threads)
-            .with_registry(&setup.registry)
-            .with_link_drops(spec.link_drops.iter().copied());
-        Ok(sim.run(setup.phases))
+    let mut runner = pipeline::LockStep {
+        threads: opts.threads,
+        spec,
     };
-
-    // Stage 1 — digest agreement: one inner-BA run per digest word.
-    let target = opts.inner_target();
-    let mut inner_metrics = Metrics::default();
-    let mut word_views: Vec<Vec<Option<u64>>> = Vec::with_capacity(words.len());
-    for (w, &word) in words.iter().enumerate() {
-        let cfg = CheckConfig::new(
-            opts.n,
-            opts.t.max(1),
-            Value(word),
-            word_seed(opts.seed, w),
-            opts.threads,
-            spec.clone(),
-        );
-        let outcome = run_inner(target, &cfg)?;
-        inner_metrics.merge(&outcome.metrics);
-        word_views.push(outcome.decisions.iter().map(|d| d.map(|v| v.0)).collect());
-    }
-    let digest_views = assemble_digest_views(&word_views, opts.n);
-
-    // Stage 2 — dissemination: encode, sign, run the grid exchange into
-    // provisional decisions.
-    let setup = ExtSetup::new(opts);
-    let outgoing = setup.sign_chunks(payload);
-    let provisional_board = Board::new(opts.n);
-    let mut actors =
-        setup.dissemination_actors(opts, payload, &digest_views, &outgoing, &provisional_board);
-    apply_spec_faults(&mut actors, spec).map_err(ExtError::Schedule)?;
-    let actors = rewrite(actors);
-
-    let run_grid = |actors: Vec<Box<dyn Actor<ExtMsg>>>, phases: usize| {
-        let shared_pool;
-        let mut sim = Simulation::new(actors)
-            .with_threads(opts.threads)
-            .with_registry(&setup.registry)
-            .with_link_drops(spec.link_drops.iter().copied());
-        if opts.pooled {
-            shared_pool = WorkerPool::shared();
-            sim = sim.with_pool(&shared_pool);
-        }
-        sim.run(phases)
-    };
-    let dissemination_outcome = run_grid(actors, DISSEMINATION_PHASES);
-    let provisional = provisional_board.snapshot();
-
-    // Stage 3 — availability vote: n parallel one-word inner-BA
-    // instances, instance v transmitted by node v.
-    let votes = vote_inputs(&provisional);
-    let vote_target = opts.vote_target();
-    let mut vote_metrics = Metrics::default();
-    let mut vote_views: Vec<Vec<Option<Value>>> = Vec::with_capacity(opts.n);
-    for (v, &vote) in votes.iter().enumerate() {
-        let cfg = vote_cfg(opts, spec, v, vote);
-        let outcome = run_inner(vote_target, &cfg)?;
-        vote_metrics.merge(&outcome.metrics);
-        vote_views.push(outcome.decisions);
-    }
-
-    // Stage 4 — payload fetch: nodes lacking the payload pull it from
-    // available voters; everyone finalizes the agreed decision.
-    let board = Board::new(opts.n);
-    let mut actors = setup.fetch_actors(opts, &digest_views, &provisional, &vote_views, &board);
-    apply_spec_faults(&mut actors, spec).map_err(ExtError::Schedule)?;
-    let actors = rewrite(actors);
-    let fetch_outcome = run_grid(actors, FETCH_PHASES);
-
-    let correct = fetch_outcome.correct;
-    let availability = correct
-        .iter()
-        .position(|&c| c)
-        .map(|i| {
-            (0..opts.n)
-                .filter(|&v| vote_views[v][i] == Some(Value::ONE))
-                .map(|v| ProcessId(v as u32))
-                .collect()
-        })
-        .unwrap_or_default();
-
-    Ok(ExtReport {
-        payload_len: payload.len(),
-        digest,
-        decisions: board.snapshot(),
-        correct,
-        availability,
-        repair_requests: count_repair_requests(
-            &dissemination_outcome.metrics,
-            &fetch_outcome.metrics,
-        ),
-        repair_response_bytes: count_repair_response_bytes(
-            &dissemination_outcome.metrics,
-            &fetch_outcome.metrics,
-        ),
-        inner_metrics,
-        dissemination: dissemination_outcome.metrics,
-        vote: vote_metrics,
-        fetch: fetch_outcome.metrics,
-    })
+    pipeline::run(&mut runner, payload, opts, spec, rewrite)
 }
 
 /// Placeholder actor used while splicing fault wrappers in.
@@ -1487,22 +1374,10 @@ mod tests {
         for threads in [4, 8] {
             let opts = ExtOptions {
                 threads,
-                pooled: true,
                 ..ExtOptions::default()
             };
             let report = agree_on_payload(&p, &opts).unwrap();
-            assert_eq!(report.decisions, base.decisions, "threads {threads}");
-            assert_eq!(
-                report.dissemination, base.dissemination,
-                "threads {threads}"
-            );
-            assert_eq!(
-                report.inner_metrics, base.inner_metrics,
-                "threads {threads}"
-            );
-            assert_eq!(report.vote, base.vote, "threads {threads}");
-            assert_eq!(report.fetch, base.fetch, "threads {threads}");
-            assert_eq!(report.availability, base.availability, "threads {threads}");
+            assert_eq!(report, base, "threads {threads}");
         }
     }
 }

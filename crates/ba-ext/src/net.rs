@@ -2,19 +2,20 @@
 //!
 //! [`run_extension`](crate::run_extension) realizes the synchronous model
 //! directly: every message sent in phase `k` arrives at phase `k + 1`.
-//! This module earns that abstraction on an unreliable wire instead: all
-//! four stages — digest-word agreement, grid dissemination, the
-//! availability vote and the payload fetch — run as standalone
-//! [`NetRuntime`] runs, one after another (four digest words, the
-//! dissemination grid, `n` one-word votes, the fetch grid), each riding
-//! the runtime's bounded retransmission, backoff, dedup and phase
-//! watchdog under a seeded [`ChaosProfile`] (loss, duplication, delay,
-//! reordering). Two contracts:
+//! This module earns that abstraction on an unreliable wire instead. It is
+//! the same stage sequence (the crate-private `pipeline`, written once)
+//! with a different runner: each of its `n + 6` stages — four digest
+//! words, the dissemination grid, `n` one-word votes, the fetch grid — is
+//! one standalone [`NetRuntime`] run, one after another, riding the
+//! runtime's bounded retransmission, backoff, dedup and phase watchdog
+//! under a seeded [`ChaosProfile`] (loss, duplication, delay, reordering).
+//! Two contracts:
 //!
 //! * **Reliable wire ⇒ byte identity.** Under [`ChaosProfile::reliable`]
-//!   every stage's decisions and [`Metrics`] are byte-identical to the
-//!   lock-step run at any worker count (`tests/net.rs` proves it at 1 and
-//!   4 workers).
+//!   the whole [`ExtReport`] — decisions and every stage's
+//!   [`Metrics`](ba_sim::Metrics) — equals the lock-step report at any
+//!   worker count (`tests/net.rs` pins it at 1 and 4 workers, along with
+//!   the stage order).
 //! * **Chaos ⇒ decide right or degrade loudly.** When a stage's observable
 //!   fault set exceeds the budget, the runtime aborts that stage with a
 //!   structured [`DegradationVerdict`] and the run surfaces it as
@@ -26,31 +27,17 @@
 //! ([`instance_seed`] over a stable per-stage index), so a single profile
 //! seed yields independent wire weather per stage, and any stage's run is
 //! individually reproducible.
-//!
-//! The availability vote's `n` one-word instances all share one cluster
-//! identity (crate-internal `vote_seed`), which is exactly the service
-//! layer's soundness invariant. [`run_extension_net`] does not use that:
-//! it runs the votes serially. [`multiplex_votes`] is the separate entry
-//! point that pipelines them over one wire through `ba-svc` with a
-//! fleet-shared verifier cache and returns the same per-node vote views
-//! as the serial path (`tests/net.rs` checks both agree).
 
-use crate::{
-    apply_spec_faults, assemble_digest_views, count_repair_requests, count_repair_response_bytes,
-    vote_cfg, vote_inputs, word_seed, ExtDecision, ExtMsg, ExtOptions, ExtReport, ExtSetup,
-    DISSEMINATION_PHASES, FETCH_PHASES,
-};
-use ba_algos::checkable::{CheckConfig, CheckTarget};
-use ba_algos::common::Board;
+use crate::pipeline::{self, StageOutcome, StageRunner};
+use crate::{ExtDecision, ExtError, ExtMsg, ExtOptions, ExtReport};
 use ba_crypto::keys::KeyRegistry;
 use ba_crypto::sha256::Sha256;
-use ba_crypto::{Bytes, ProcessId, Value};
-use ba_net::harness::NetRunError;
+use ba_crypto::{Bytes, ProcessId};
 use ba_net::svc::instance_seed;
 use ba_net::verdict::{DegradationVerdict, NetStats};
-use ba_net::{run_target_multiplexed, ChaosProfile, NetConfig, NetOutcome, NetRuntime, SvcConfig};
+use ba_net::{ChaosProfile, NetConfig, NetRuntime};
 use ba_sim::schedule::{ScheduleError, ScheduleSpec};
-use ba_sim::{Actor, Metrics, Payload};
+use ba_sim::{Actor, Payload};
 
 /// Which stage of the extension protocol a wire event belongs to.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -122,6 +109,15 @@ impl std::fmt::Display for ExtNetError {
 
 impl std::error::Error for ExtNetError {}
 
+impl From<ExtError> for ExtNetError {
+    fn from(err: ExtError) -> Self {
+        match err {
+            ExtError::BadOptions(msg) => ExtNetError::BadOptions(msg),
+            ExtError::Schedule(err) => ExtNetError::Schedule(err),
+        }
+    }
+}
+
 /// Per-stage physical wire accounting of a net-driven run.
 #[derive(Clone, Debug)]
 pub struct StageWire {
@@ -166,8 +162,9 @@ impl ExtNetRun {
     }
 }
 
-/// What every stage of one net-driven run shares; [`run`](Stages::run) is
-/// the one place a stage becomes a standalone runtime run.
+/// What every stage of one net-driven run shares — the pipeline's
+/// chaos-runtime runner: [`run`](StageRunner::run) is the one place a stage
+/// becomes a standalone runtime run.
 struct Stages<'a> {
     net: &'a NetConfig,
     chaos: &'a ChaosProfile,
@@ -175,7 +172,13 @@ struct Stages<'a> {
     wire: Vec<StageWire>,
 }
 
-impl Stages<'_> {
+impl StageRunner for Stages<'_> {
+    type Error = ExtNetError;
+
+    fn threads(&self) -> usize {
+        self.net.threads
+    }
+
     /// Runs one stage under its own reseeded chaos profile and records its
     /// wire accounting. The stages differ only in their actors, registry
     /// and fault budget.
@@ -186,7 +189,7 @@ impl Stages<'_> {
         phases: usize,
         registry: &KeyRegistry,
         fault_budget: usize,
-    ) -> Result<NetOutcome, ExtNetError> {
+    ) -> Result<StageOutcome, ExtNetError> {
         let seed = instance_seed(self.chaos.seed, stage.chaos_index(actors.len()));
         let net = self.net.clone().with_fault_budget(fault_budget);
         let outcome = NetRuntime::new(actors, net)
@@ -197,21 +200,14 @@ impl Stages<'_> {
             .map_err(|verdict| ExtNetError::Degraded { stage, verdict })?;
         self.wire.push(StageWire {
             stage,
-            stats: outcome.stats.clone(),
-            suspected: outcome.suspected.clone(),
+            stats: outcome.stats,
+            suspected: outcome.suspected,
         });
-        Ok(outcome)
-    }
-
-    /// Builds `cfg`'s inner-BA instance of `target` and runs it as `stage`.
-    fn run_inner(
-        &mut self,
-        stage: ExtStage,
-        target: &CheckTarget,
-        cfg: &CheckConfig,
-    ) -> Result<NetOutcome, ExtNetError> {
-        let built = target.build(cfg).map_err(ExtNetError::Schedule)?;
-        self.run(stage, built.actors, built.phases, &built.registry, cfg.t)
+        Ok(StageOutcome {
+            decisions: outcome.decisions,
+            correct: outcome.correct,
+            metrics: outcome.metrics,
+        })
     }
 }
 
@@ -237,114 +233,13 @@ pub fn run_extension_net(
     spec: &ScheduleSpec,
     rewrite: impl Fn(Vec<Box<dyn Actor<ExtMsg>>>) -> Vec<Box<dyn Actor<ExtMsg>>>,
 ) -> Result<ExtNetRun, ExtNetError> {
-    opts.validate().map_err(ExtNetError::BadOptions)?;
-    spec.validate(opts.n, opts.t)
-        .map_err(ExtNetError::BadOptions)?;
-    let digest = Sha256::digest(payload);
-    let words: Vec<u64> = digest
-        .chunks_exact(8)
-        .map(|w| u64::from_be_bytes(w.try_into().expect("8-byte digest word")))
-        .collect();
     let mut stages = Stages {
         net,
         chaos,
         spec,
         wire: Vec::new(),
     };
-
-    // Stage 1 — digest agreement.
-    let target = opts.inner_target();
-    let mut inner_metrics = Metrics::default();
-    let mut word_views: Vec<Vec<Option<u64>>> = Vec::with_capacity(words.len());
-    for (w, &word) in words.iter().enumerate() {
-        let cfg = CheckConfig::new(
-            opts.n,
-            opts.t.max(1),
-            Value(word),
-            word_seed(opts.seed, w),
-            net.threads,
-            spec.clone(),
-        );
-        let outcome = stages.run_inner(ExtStage::DigestWord(w), target, &cfg)?;
-        inner_metrics.merge(&outcome.metrics);
-        word_views.push(outcome.decisions.iter().map(|d| d.map(|v| v.0)).collect());
-    }
-    let digest_views = assemble_digest_views(&word_views, opts.n);
-
-    let setup = ExtSetup::new(opts);
-
-    // Stage 2 — dissemination into provisional decisions.
-    let outgoing = setup.sign_chunks(payload);
-    let provisional_board = Board::new(opts.n);
-    let mut actors =
-        setup.dissemination_actors(opts, payload, &digest_views, &outgoing, &provisional_board);
-    apply_spec_faults(&mut actors, spec).map_err(ExtNetError::Schedule)?;
-    let actors = rewrite(actors);
-    let dissemination_outcome = stages.run(
-        ExtStage::Dissemination,
-        actors,
-        DISSEMINATION_PHASES,
-        &setup.registry,
-        opts.t,
-    )?;
-    let provisional = provisional_board.snapshot();
-
-    // Stage 3 — availability vote.
-    let votes = vote_inputs(&provisional);
-    let vote_target = opts.vote_target();
-    let mut vote_metrics = Metrics::default();
-    let mut vote_views: Vec<Vec<Option<Value>>> = Vec::with_capacity(opts.n);
-    for (v, &vote) in votes.iter().enumerate() {
-        let cfg = vote_cfg(opts, spec, v, vote);
-        let outcome = stages.run_inner(ExtStage::Vote(v), vote_target, &cfg)?;
-        vote_metrics.merge(&outcome.metrics);
-        vote_views.push(outcome.decisions);
-    }
-
-    // Stage 4 — payload fetch and final decisions.
-    let board = Board::new(opts.n);
-    let mut actors = setup.fetch_actors(opts, &digest_views, &provisional, &vote_views, &board);
-    apply_spec_faults(&mut actors, spec).map_err(ExtNetError::Schedule)?;
-    let actors = rewrite(actors);
-    let fetch_outcome = stages.run(
-        ExtStage::Fetch,
-        actors,
-        FETCH_PHASES,
-        &setup.registry,
-        opts.t,
-    )?;
-
-    let correct = fetch_outcome.correct;
-    let availability: Vec<ProcessId> = correct
-        .iter()
-        .position(|&c| c)
-        .map(|i| {
-            (0..opts.n)
-                .filter(|&v| vote_views[v][i] == Some(Value::ONE))
-                .map(|v| ProcessId(v as u32))
-                .collect()
-        })
-        .unwrap_or_default();
-
-    let report = ExtReport {
-        payload_len: payload.len(),
-        digest,
-        decisions: board.snapshot(),
-        correct,
-        availability,
-        repair_requests: count_repair_requests(
-            &dissemination_outcome.metrics,
-            &fetch_outcome.metrics,
-        ),
-        repair_response_bytes: count_repair_response_bytes(
-            &dissemination_outcome.metrics,
-            &fetch_outcome.metrics,
-        ),
-        inner_metrics,
-        dissemination: dissemination_outcome.metrics,
-        vote: vote_metrics,
-        fetch: fetch_outcome.metrics,
-    };
+    let report = pipeline::run(&mut stages, payload, opts, spec, rewrite)?;
     Ok(ExtNetRun {
         report,
         wire: stages.wire,
@@ -389,57 +284,4 @@ fn describe(decision: &ExtDecision) -> String {
         ExtDecision::Decide(payload) => format!("Decide({} bytes)", payload.len()),
         ExtDecision::Abort(reason) => format!("Abort({reason})"),
     }
-}
-
-/// Runs the `n` availability-vote instances through the multiplexing
-/// service layer (`ba-svc`): one wire, pipelined phases, per-link batched
-/// flushes, one fleet-shared verifier cache. The instances share one
-/// cluster identity by construction (crate-internal `vote_seed`), which
-/// is exactly the service's cache-sharing soundness invariant; instance
-/// `v` differs only by transmitter and vote value.
-///
-/// `votes[v]` is node `v`'s availability vote, as
-/// [`vote_inputs`](crate::vote_inputs) derives it from a provisional
-/// board snapshot. Returns `vote_views[instance][node]` — the same shape
-/// the serial paths produce, with decisions byte-identical to standalone
-/// runs under per-instance reseeded chaos.
-///
-/// # Errors
-/// [`ExtNetError::Schedule`] when the schedule does not compile;
-/// [`ExtNetError::Degraded`] with the failing [`ExtStage::Vote`] when an
-/// instance degrades.
-pub fn multiplex_votes(
-    opts: &ExtOptions,
-    spec: &ScheduleSpec,
-    votes: &[Value],
-    svc: &SvcConfig,
-    chaos: &ChaosProfile,
-) -> Result<Vec<Vec<Option<Value>>>, ExtNetError> {
-    opts.validate().map_err(ExtNetError::BadOptions)?;
-    let cfgs: Vec<CheckConfig> = votes
-        .iter()
-        .enumerate()
-        .map(|(v, &vote)| vote_cfg(opts, spec, v, vote))
-        .collect();
-    let run =
-        run_target_multiplexed(opts.vote_target(), &cfgs, svc, chaos).map_err(|err| match err {
-            NetRunError::Schedule(e) => ExtNetError::Schedule(e),
-            NetRunError::Degraded(verdict) => ExtNetError::Degraded {
-                stage: ExtStage::Vote(0),
-                verdict,
-            },
-        })?;
-    let mut views = Vec::with_capacity(run.runs.len());
-    for (v, result) in run.runs.into_iter().enumerate() {
-        match result {
-            Ok(net_run) => views.push(net_run.decisions),
-            Err(verdict) => {
-                return Err(ExtNetError::Degraded {
-                    stage: ExtStage::Vote(v),
-                    verdict,
-                })
-            }
-        }
-    }
-    Ok(views)
 }

@@ -1,0 +1,201 @@
+//! The extension protocol's stage sequence, written once.
+//!
+//! [`run`] is the whole protocol — validate, digest words, dissemination,
+//! availability vote, fetch, report — and never touches a phase driver:
+//! every stage meets one through [`StageRunner::run`]. The public entry
+//! points are its two configurations — [`LockStep`] behind
+//! [`run_extension`](crate::run_extension), `net`'s `Stages` behind
+//! [`run_extension_net`](crate::net::run_extension_net) — and [`run`] is
+//! monomorphised per runner, so neither pays for the seam.
+
+use crate::net::ExtStage;
+use crate::{
+    apply_spec_faults, assemble_digest_views, available_at, count_repair_requests,
+    count_repair_response_bytes, vote_cfg, vote_inputs, word_seed, ExtError, ExtMsg, ExtOptions,
+    ExtReport, ExtSetup, DISSEMINATION_PHASES, FETCH_PHASES,
+};
+use ba_algos::checkable::{CheckConfig, CheckTarget};
+use ba_algos::common::Board;
+use ba_crypto::sha256::Sha256;
+use ba_crypto::{Bytes, KeyRegistry, Value};
+use ba_sim::schedule::ScheduleSpec;
+use ba_sim::{Actor, Metrics, Payload, Simulation};
+
+/// What the pipeline reads back from one completed stage.
+pub(crate) struct StageOutcome {
+    /// Each processor's engine-channel decision (the inner-BA stages' word
+    /// and vote views; the grid stages post to a board instead).
+    pub(crate) decisions: Vec<Option<Value>>,
+    /// Which processors were modeled correct.
+    pub(crate) correct: Vec<bool>,
+    /// The stage's traffic accounting.
+    pub(crate) metrics: Metrics,
+}
+
+/// The seam between the stage sequence and a phase driver.
+pub(crate) trait StageRunner {
+    /// What a stage can fail with; [`run`]'s own validation and
+    /// schedule-compile errors convert into it.
+    type Error: From<ExtError>;
+
+    /// Worker threads the runner steps with — the one source of every
+    /// inner-BA `CheckConfig::threads`.
+    fn threads(&self) -> usize;
+
+    /// Drives `actors` through `phases` phases (plus finalize) as `stage`,
+    /// with `registry`'s verifier cache shared for the run and at most
+    /// `fault_budget` observable faults tolerated.
+    fn run<P: Payload + 'static>(
+        &mut self,
+        stage: ExtStage,
+        actors: Vec<Box<dyn Actor<P>>>,
+        phases: usize,
+        registry: &KeyRegistry,
+        fault_budget: usize,
+    ) -> Result<StageOutcome, Self::Error>;
+}
+
+/// The synchronous model realized directly: every stage is one
+/// [`Simulation`] run. Nothing is observed on a perfect wire, so the stage
+/// label and the fault budget go unused and a stage cannot fail.
+pub(crate) struct LockStep<'a> {
+    pub(crate) threads: usize,
+    pub(crate) spec: &'a ScheduleSpec,
+}
+
+impl StageRunner for LockStep<'_> {
+    type Error = ExtError;
+
+    fn threads(&self) -> usize {
+        self.threads
+    }
+
+    fn run<P: Payload + 'static>(
+        &mut self,
+        _stage: ExtStage,
+        actors: Vec<Box<dyn Actor<P>>>,
+        phases: usize,
+        registry: &KeyRegistry,
+        _fault_budget: usize,
+    ) -> Result<StageOutcome, ExtError> {
+        let outcome = Simulation::new(actors)
+            .with_threads(self.threads)
+            .with_registry(registry)
+            .with_link_drops(self.spec.link_drops.iter().copied())
+            .run(phases);
+        Ok(StageOutcome {
+            decisions: outcome.decisions,
+            correct: outcome.correct,
+            metrics: outcome.metrics,
+        })
+    }
+}
+
+/// Per-node decisions of consecutive inner-BA instances:
+/// `views[instance][node]`.
+type Views = Vec<Vec<Option<Value>>>;
+
+/// Runs one `target` inner-BA instance per config, one stage each, in
+/// order. Returns their merged metrics and views.
+fn run_instances<R: StageRunner>(
+    runner: &mut R,
+    target: &CheckTarget,
+    cfgs: impl Iterator<Item = (ExtStage, CheckConfig)>,
+) -> Result<(Metrics, Views), R::Error> {
+    let mut metrics = Metrics::default();
+    let mut views = Vec::new();
+    for (stage, cfg) in cfgs {
+        let built = target.build(&cfg).map_err(ExtError::Schedule)?;
+        let outcome = runner.run(stage, built.actors, built.phases, &built.registry, cfg.t)?;
+        metrics.merge(&outcome.metrics);
+        views.push(outcome.decisions);
+    }
+    Ok((metrics, views))
+}
+
+/// Agrees on `payload` through `runner`: `spec`'s faulty processors are
+/// faulty in every stage, and `rewrite` splices extension-specific
+/// adversaries into the two grid stages (once each).
+pub(crate) fn run<R: StageRunner>(
+    runner: &mut R,
+    payload: &Bytes,
+    opts: &ExtOptions,
+    spec: &ScheduleSpec,
+    rewrite: impl Fn(Vec<Box<dyn Actor<ExtMsg>>>) -> Vec<Box<dyn Actor<ExtMsg>>>,
+) -> Result<ExtReport, R::Error> {
+    opts.validate().map_err(ExtError::BadOptions)?;
+    spec.validate(opts.n, opts.t)
+        .map_err(ExtError::BadOptions)?;
+    let threads = runner.threads();
+    let digest = Sha256::digest(payload);
+
+    // Stage 1 — digest agreement: one inner-BA run per 64-bit digest word.
+    let word_cfgs = digest.chunks_exact(8).enumerate().map(|(w, word)| {
+        let word = Value(u64::from_be_bytes(word.try_into().expect("8-byte word")));
+        let seed = word_seed(opts.seed, w);
+        let cfg = CheckConfig::new(opts.n, opts.t.max(1), word, seed, threads, spec.clone());
+        (ExtStage::DigestWord(w), cfg)
+    });
+    let (inner_metrics, word_views) = run_instances(runner, opts.inner_target(), word_cfgs)?;
+    let digest_views = assemble_digest_views(&word_views, opts.n);
+
+    // The two grid stages: schedule faults, then the caller's adversaries,
+    // compiled onto the honest actors.
+    let setup = ExtSetup::new(opts);
+    let run_grid = |runner: &mut R,
+                    stage: ExtStage,
+                    mut actors: Vec<Box<dyn Actor<ExtMsg>>>,
+                    phases: usize|
+     -> Result<StageOutcome, R::Error> {
+        apply_spec_faults(&mut actors, spec).map_err(ExtError::Schedule)?;
+        runner.run(stage, rewrite(actors), phases, &setup.registry, opts.t)
+    };
+
+    // Stage 2 — dissemination: encode, sign, run the grid exchange into
+    // provisional decisions.
+    let outgoing = setup.sign_chunks(payload);
+    let provisional_board = Board::new(opts.n);
+    let actors =
+        setup.dissemination_actors(opts, payload, &digest_views, &outgoing, &provisional_board);
+    let dissemination = run_grid(
+        runner,
+        ExtStage::Dissemination,
+        actors,
+        DISSEMINATION_PHASES,
+    )?;
+    let provisional = provisional_board.snapshot();
+
+    // Stage 3 — availability vote: n one-word inner-BA instances, instance
+    // v transmitted by node v.
+    let vote_cfgs = vote_inputs(&provisional)
+        .into_iter()
+        .enumerate()
+        .map(|(v, vote)| (ExtStage::Vote(v), vote_cfg(opts, spec, threads, v, vote)));
+    let (vote, vote_views) = run_instances(runner, opts.vote_target(), vote_cfgs)?;
+
+    // Stage 4 — payload fetch: nodes lacking the payload pull it from
+    // available voters; everyone finalizes the agreed decision.
+    let board = Board::new(opts.n);
+    let actors = setup.fetch_actors(opts, &digest_views, &provisional, &vote_views, &board);
+    let fetch = run_grid(runner, ExtStage::Fetch, actors, FETCH_PHASES)?;
+
+    let availability = fetch
+        .correct
+        .iter()
+        .position(|&c| c)
+        .map(|i| available_at(&vote_views, i))
+        .unwrap_or_default();
+    Ok(ExtReport {
+        payload_len: payload.len(),
+        digest,
+        decisions: board.snapshot(),
+        correct: fetch.correct,
+        availability,
+        repair_requests: count_repair_requests(&dissemination.metrics, &fetch.metrics),
+        repair_response_bytes: count_repair_response_bytes(&dissemination.metrics, &fetch.metrics),
+        inner_metrics,
+        dissemination: dissemination.metrics,
+        vote,
+        fetch: fetch.metrics,
+    })
+}

@@ -1,7 +1,7 @@
 //! End-to-end properties of the extension protocol:
 //!
 //! * reassembled payloads are byte-identical — to the input and across
-//!   worker counts {1, 4, 8} (scoped threads and the shared pool);
+//!   worker counts {1, 4, 8};
 //! * any `t` chunk-withholding or chunk-garbling Byzantine processors
 //!   either reconstruct (correct sender ⇒ always) or abort with a
 //!   structured reason — **never** a wrong payload;
@@ -20,7 +20,7 @@ fn payload(len: usize, seed: u64) -> Bytes {
 }
 
 /// Reassembly is byte-identical to the input payload and across worker
-/// counts, with and without the shared pool, on several geometries.
+/// counts on several geometries.
 #[test]
 fn reassembly_is_byte_identical_across_worker_counts() {
     for (n, t, len) in [(4, 1, 3_000), (16, 3, 65_536), (25, 4, 10_007)] {
@@ -37,26 +37,12 @@ fn reassembly_is_byte_identical_across_worker_counts() {
             assert_eq!(got, &p, "node {id} (n={n})");
         }
         for threads in [4, 8] {
-            for pooled in [false, true] {
-                let opts = ExtOptions {
-                    threads,
-                    pooled,
-                    ..base_opts.clone()
-                };
-                let report = agree_on_payload(&p, &opts).expect("threaded run");
-                assert_eq!(
-                    report.decisions, base.decisions,
-                    "decisions diverge at threads={threads} pooled={pooled} n={n}"
-                );
-                assert_eq!(
-                    report.dissemination, base.dissemination,
-                    "metrics diverge at threads={threads} pooled={pooled} n={n}"
-                );
-                assert_eq!(report.inner_metrics, base.inner_metrics);
-                assert_eq!(report.vote, base.vote);
-                assert_eq!(report.fetch, base.fetch);
-                assert_eq!(report.availability, base.availability);
-            }
+            let opts = ExtOptions {
+                threads,
+                ..base_opts.clone()
+            };
+            let report = agree_on_payload(&p, &opts).expect("threaded run");
+            assert_eq!(report, base, "report diverges at threads={threads} n={n}");
         }
     }
 }

@@ -208,7 +208,6 @@ impl<P: Payload> PhaseDriver<P> {
             &mut self.actors,
             chunk_size,
             &mut self.staged,
-            None,
             |base, actors, stage| {
                 stage.per_actor.clear();
                 let stepped = catch_unwind(AssertUnwindSafe(|| {

@@ -614,7 +614,7 @@ impl<P: Payload + 'static> SvcSession<P> {
     }
 
     /// Offers one instance to the session. On success the returned
-    /// [`Ticket`] identifies the instance for [`try_outcome`] polling; on
+    /// [`Ticket`] identifies the instance for [`try_outcome`](Self::try_outcome) polling; on
     /// refusal the structured [`AdmissionError`] says why. Either way the
     /// decision is appended to the [admission log](Self::admission_log).
     ///

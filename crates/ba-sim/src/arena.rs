@@ -26,7 +26,7 @@
 //! Scattering staged envelopes into the next phase's inbox arena is the
 //! one `unsafe` block in the crate: pass A (the engine's routing loop)
 //! decides each envelope's fate and counts deliveries per recipient, pass
-//! B turns counts into prefix-sum offsets, and [`Inboxes::fill_from`]
+//! B turns counts into prefix-sum offsets, and `Inboxes::fill_from`
 //! (pass C) moves every delivered envelope into its reserved slot with no
 //! user code running between the writes and the final `set_len`.
 

@@ -104,7 +104,6 @@ pub struct Simulation<P: Payload> {
     registry: Option<KeyRegistry>,
     link_drops: BTreeSet<LinkDrop>,
     transport: Option<Box<dyn Transport>>,
-    pool: Option<WorkerPool>,
     batch_verify: bool,
 }
 
@@ -130,7 +129,6 @@ impl<P: Payload> Simulation<P> {
             registry: None,
             link_drops: BTreeSet::new(),
             transport: None,
-            pool: None,
             batch_verify: false,
         }
     }
@@ -143,19 +141,10 @@ impl<P: Payload> Simulation<P> {
 
     /// Steps actors across `threads` worker chunks within each phase (see
     /// the [module docs](self) for the determinism contract). `0` and `1`
-    /// both mean sequential, the default. Chunks run on the persistent
-    /// [`WorkerPool`] — the process-shared pool unless
-    /// [`with_pool`](Self::with_pool) injected one.
+    /// both mean sequential, the default. Chunks run on the process-shared
+    /// persistent [`WorkerPool`].
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Uses `pool` for intra-phase stepping instead of the process-shared
-    /// [`WorkerPool::shared`]. The pool only decides where chunks run;
-    /// results are byte-identical for any pool.
-    pub fn with_pool(mut self, pool: &WorkerPool) -> Self {
-        self.pool = Some(pool.clone());
         self
     }
 
@@ -433,7 +422,6 @@ impl<P: Payload> Simulation<P> {
             &mut self.actors,
             chunk_size,
             segments,
-            self.pool.as_ref(),
             |base, actors, segment| step_chunk(actors, base, phase, cur, segment),
         )
     }
@@ -455,17 +443,16 @@ pub fn chunk_geometry(n: usize, threads: usize) -> (usize, usize) {
 /// `chunk_size` (see [`chunk_geometry`]; one sink per chunk), and
 /// `step(base, chunk, sink)` runs once per chunk with `base` the id of the
 /// chunk's first actor. A single chunk runs inline — no pool, no lock;
-/// otherwise chunks are dispatched onto `pool` (`None`: the process-shared
-/// [`WorkerPool`]), each chunk measuring its own thread-local
-/// [`CryptoStats`] delta. Returns the summed delta, which is
-/// schedule-independent: the per-chunk work is deterministic and the sum is
-/// order-free. A panic in `step` resumes on the caller after every chunk
-/// has quiesced; callers that contain actor panics catch them inside `step`.
+/// otherwise chunks are dispatched onto the process-shared [`WorkerPool`],
+/// each chunk measuring its own thread-local [`CryptoStats`] delta. Returns
+/// the summed delta, which is schedule-independent: the per-chunk work is
+/// deterministic and the sum is order-free. A panic in `step` resumes on the
+/// caller after every chunk has quiesced; callers that contain actor panics
+/// catch them inside `step`.
 pub fn step_chunks<P, S, F>(
     actors: &mut [Box<dyn Actor<P>>],
     chunk_size: usize,
     sinks: &mut [S],
-    pool: Option<&WorkerPool>,
     step: F,
 ) -> CryptoStats
 where
@@ -502,8 +489,7 @@ where
         })
         .collect();
 
-    let pool = pool.cloned().unwrap_or_else(WorkerPool::shared);
-    pool.run_chunks(jobs.len(), |w| {
+    WorkerPool::shared().run_chunks(jobs.len(), |w| {
         let mut guard = jobs[w].lock().expect("chunk job poisoned");
         let job = &mut *guard;
         let before = CryptoStats::snapshot();
@@ -923,17 +909,6 @@ mod tests {
         assert_eq!(par.metrics.phases, 3);
         assert_eq!(par.metrics, seq.metrics);
         assert_eq!(par.decisions, seq.decisions);
-    }
-
-    #[test]
-    fn injected_pool_is_used_and_results_identical() {
-        let pool = WorkerPool::new(2);
-        let (sim, _reg) = chain_relay_sim(8, 4);
-        let outcome = sim.with_pool(&pool).run(3);
-        let baseline = chain_relay_run(8, 1);
-        assert_eq!(outcome.decisions, baseline.decisions);
-        assert_eq!(outcome.metrics, baseline.metrics);
-        assert!(pool.live_workers() <= 2);
     }
 
     #[test]

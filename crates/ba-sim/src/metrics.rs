@@ -67,13 +67,13 @@ pub struct Metrics {
     /// depends only on what each correct actor sends, never on how a phase
     /// was threaded or which runtime carried the traffic.
     pub bytes_by_correct: u64,
-    /// The application-payload portion of [`bytes_by_correct`]
-    /// (Metrics::bytes_by_correct): bytes of user data being agreed on, as
-    /// reported by [`Payload::payload_bytes`]
-    /// (crate::actor::Payload::payload_bytes). Zero for the single-value
-    /// targets; the extension layer's coded chunks report their data
-    /// slices here, so `bytes_by_correct - payload_bytes_by_correct` is
-    /// the protocol-control overhead.
+    /// The application-payload portion of [`Self::bytes_by_correct`]: bytes
+    /// of user data being agreed on, as reported by
+    /// [`Payload::payload_bytes`](crate::actor::Payload::payload_bytes).
+    /// Zero for the single-value targets; the extension layer's coded
+    /// chunks report their data slices here, so
+    /// `bytes_by_correct - payload_bytes_by_correct` is the
+    /// protocol-control overhead.
     pub payload_bytes_by_correct: u64,
     /// Messages sent by faulty processors (diagnostic only).
     pub messages_by_faulty: u64,

@@ -1,14 +1,14 @@
 //! Deterministic parallel parameter sweeps.
 //!
 //! Every experiment cell in this workspace — one `(n, t, scheme, seed)`
-//! simulation — is self-contained: it builds its own [`KeyRegistry`]
-//! (ba_crypto::KeyRegistry), actors and engine, and shares no mutable
-//! state with other cells. That makes a sweep embarrassingly parallel, and
-//! the persistent [`WorkerPool`] lets us exploit it with no external
-//! dependency (the crates-io registry is unreachable in this environment,
-//! so a rayon-style crate is not an option) and without spawning fresh
-//! threads per sweep: cells fan out over the same parked workers the
-//! engine's intra-phase stepping uses.
+//! simulation — is self-contained: it builds its own
+//! [`KeyRegistry`](ba_crypto::KeyRegistry), actors and engine, and shares
+//! no mutable state with other cells. That makes a sweep embarrassingly
+//! parallel, and the persistent [`WorkerPool`] lets us exploit it with no
+//! external dependency (the crates-io registry is unreachable in this
+//! environment, so a rayon-style crate is not an option) and without
+//! spawning fresh threads per sweep: cells fan out over the same parked
+//! workers the engine's intra-phase stepping uses.
 //!
 //! Determinism is preserved by construction:
 //!
@@ -20,7 +20,7 @@
 //!   inline with no threads at all;
 //! * the crypto work counters ([`ba_crypto::stats`]) are thread-local and
 //!   each cell runs wholly on one worker thread, so per-cell
-//!   [`Metrics`](crate::metrics::Metrics) deltas are exact.
+//!   [`Metrics`] deltas are exact.
 //!
 //! Cells are free to use intra-phase parallelism themselves (nested
 //! [`WorkerPool::run_chunks`] cannot deadlock — see the
