@@ -527,8 +527,7 @@ pub enum Alg3Fault {
 /// `with_*` builders (the same convention as `SvcConfig`, `NetConfig`,
 /// `DsOptions` and `ExtOptions`).
 ///
-/// Defaults: no fault, seed 0, fast scheme, sequential stepping,
-/// per-delivery verification.
+/// Defaults: no fault, seed 0, fast scheme, sequential stepping.
 #[derive(Debug, Default)]
 pub struct Alg3Options {
     /// Fault scenario.
@@ -541,11 +540,6 @@ pub struct Alg3Options {
     /// Results are byte-identical for any value — see
     /// [`Simulation::with_threads`].
     pub threads: usize,
-    /// Verify each unique signature chain once at the phase barrier
-    /// instead of per delivery — see
-    /// [`Simulation::with_batched_verification`]. Decisions and message
-    /// counts are unchanged; the crypto work counters honestly shrink.
-    pub batch_verify: bool,
 }
 
 impl Alg3Options {
@@ -575,12 +569,6 @@ impl Alg3Options {
     /// Sets the worker-thread count for intra-phase stepping.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Enables or disables barrier-batched signature verification.
-    pub fn with_batch_verify(mut self, batch_verify: bool) -> Self {
-        self.batch_verify = batch_verify;
         self
     }
 }
@@ -691,8 +679,7 @@ pub fn run(
 
     let mut sim = Simulation::new(actors)
         .with_threads(options.threads)
-        .with_registry(&registry)
-        .with_batched_verification(options.batch_verify);
+        .with_registry(&registry);
     let outcome = sim.run(params.phases());
     into_report(outcome, ProcessId(0), value)
 }

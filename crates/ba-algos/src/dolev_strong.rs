@@ -312,7 +312,7 @@ pub enum DsFault {
 /// `Alg3Options` and `ExtOptions`).
 ///
 /// Defaults: full variant, no fault, seed 0, fast scheme, sequential
-/// stepping, per-delivery verification.
+/// stepping.
 #[derive(Debug, Default)]
 pub struct DsOptions {
     /// Message pattern.
@@ -327,11 +327,6 @@ pub struct DsOptions {
     /// Results are byte-identical for any value — see
     /// [`Simulation::with_threads`].
     pub threads: usize,
-    /// Verify each unique signature chain once at the phase barrier
-    /// instead of per delivery — see
-    /// [`Simulation::with_batched_verification`]. Decisions and message
-    /// counts are unchanged; the crypto work counters honestly shrink.
-    pub batch_verify: bool,
 }
 
 impl DsOptions {
@@ -370,9 +365,13 @@ impl DsOptions {
         self
     }
 
-    /// Enables or disables barrier-batched signature verification.
-    pub fn with_batch_verify(mut self, batch_verify: bool) -> Self {
-        self.batch_verify = batch_verify;
+    /// Does nothing: every run verifies at the phase barrier (see
+    /// [`Simulation::with_batched_verification`]). Kept only because
+    /// `benchmark/src/workload/engine.rs:49` calls it and `benchmark/` is
+    /// frozen for this change; the `benchmark` PR that drops that call
+    /// deletes this method.
+    #[deprecated(note = "barrier verification is not optional; remove the call")]
+    pub fn with_batch_verify(self, _batch_verify: bool) -> Self {
         self
     }
 }
@@ -459,8 +458,7 @@ pub fn run(
 
     let mut sim = Simulation::new(actors)
         .with_threads(options.threads)
-        .with_registry(&registry)
-        .with_batched_verification(options.batch_verify);
+        .with_registry(&registry);
     let outcome = sim.run(params.phases());
     into_report(outcome, ProcessId(0), value)
 }

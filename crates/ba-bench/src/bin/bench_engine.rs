@@ -12,21 +12,23 @@
 //! * `dolev_strong` / `algorithm3` — the same comparison on the two real
 //!   protocol workloads the experiments scale up;
 //! * `pool_scaling` — the persistent-pool grid: Dolev–Strong and
-//!   Algorithm 3 at n ∈ {1024, 10240, 51200} × threads ∈ {1, 2, 4, 8}
-//!   with batched phase-barrier verification on. Dolev–Strong uses the
-//!   relay variant (O(nt) traffic) at every n and additionally the
-//!   broadcast variant at n = 1024 only — O(n²) traffic per phase is
-//!   ~6 GB/phase at n ≥ 10k and is deliberately omitted. Algorithm 3 runs
-//!   with fixed s = 32 so the phase count (t + 2s + 3) stays constant
-//!   across n and the rows measure data-plane scaling, not phase-count
-//!   growth. Override the grid with `--n 1024,4096` / `--threads 1,4`.
+//!   Algorithm 3 at n ∈ {1024, 10240, 51200} × threads ∈ {1, 2, 4, 8}.
+//!   Dolev–Strong uses the relay variant (O(nt) traffic) at every n and
+//!   additionally the broadcast variant at n = 1024 only — O(n²) traffic
+//!   per phase is ~6 GB/phase at n ≥ 10k and is deliberately omitted.
+//!   Algorithm 3 runs with fixed s = 32 so the phase count (t + 2s + 3)
+//!   stays constant across n and the rows measure data-plane scaling, not
+//!   phase-count growth. Override the grid with `--n 1024,4096` /
+//!   `--threads 1,4`.
 //!
-//! Every strategy of every workload must produce identical `Metrics` — the
-//! run aborts otherwise. Emits a JSON report to the path given as the first
-//! positional argument (default `BENCH_engine.json`). Each row is tagged
-//! with the host's `available_parallelism`: on a single-core container the
-//! parallel rows can only show the pool's (small) coordination overhead,
-//! never a speedup, and the binary says so on stderr.
+//! Every section runs the engine the way every driver does, with barrier
+//! verification (`ba_sim::engine` module docs). Every strategy of every
+//! workload must produce identical `Metrics` — the run aborts otherwise.
+//! Emits a JSON report to the path given as the first positional argument
+//! (default `BENCH_engine.json`). Each row is tagged with the host's
+//! `available_parallelism`: on a single-core container the parallel rows
+//! can only show the pool's (small) coordination overhead, never a
+//! speedup, and the binary says so on stderr.
 //!
 //! ```text
 //! cargo run -p ba-bench --release --bin bench_engine
@@ -167,7 +169,7 @@ impl PoolWorkload {
         }
     }
 
-    /// Runs the workload once with batched phase-barrier verification on.
+    /// Runs the workload once.
     fn run(&self, threads: usize) -> Metrics {
         match *self {
             PoolWorkload::DsRelay { n, t } | PoolWorkload::DsBroadcast { n, t } => {
@@ -184,7 +186,6 @@ impl PoolWorkload {
                         variant,
                         scheme: SchemeKind::Fast,
                         threads,
-                        batch_verify: true,
                         ..Default::default()
                     },
                 )
@@ -201,7 +202,6 @@ impl PoolWorkload {
                     algorithm3::Alg3Options {
                         scheme: SchemeKind::Fast,
                         threads,
-                        batch_verify: true,
                         ..Default::default()
                     },
                 )
@@ -218,7 +218,6 @@ struct Row {
     label: String,
     n: usize,
     threads: usize,
-    batched: bool,
     /// Wire bytes sent by correct processors in one run of this cell
     /// (`Metrics::bytes_by_correct`; for the `chain_fanout` microbench,
     /// the staged broadcast volume).
@@ -232,12 +231,11 @@ fn json_rows(rows: &[Row], parallelism: usize) -> String {
     for (i, r) in rows.iter().enumerate() {
         let _ = writeln!(
             out,
-            "    {{\"section\": \"{}\", \"label\": \"{}\", \"n\": {}, \"threads\": {}, \"batched\": {}, \"parallelism\": {}, \"single_core\": {single_core}, \"bytes_sent\": {}, \"median_ns\": {:.1}, \"mean_ns\": {:.1}, \"min_ns\": {:.1}}}{}",
+            "    {{\"section\": \"{}\", \"label\": \"{}\", \"n\": {}, \"threads\": {}, \"parallelism\": {}, \"single_core\": {single_core}, \"bytes_sent\": {}, \"median_ns\": {:.1}, \"mean_ns\": {:.1}, \"min_ns\": {:.1}}}{}",
             r.section,
             r.label,
             r.n,
             r.threads,
-            r.batched,
             parallelism,
             r.bytes_sent,
             r.sample.median_ns,
@@ -368,7 +366,6 @@ fn main() {
                 label: format!("L={len}"),
                 n: FANOUT_PEERS,
                 threads: 1,
-                batched: false,
                 bytes_sent: (chain.weight_bytes() * (FANOUT_PEERS - 1)) as u64,
                 sample: bench(
                     format!("fanout L={len:>3} to {} peers", FANOUT_PEERS - 1),
@@ -400,7 +397,6 @@ fn main() {
                     label: label.to_string(),
                     n,
                     threads,
-                    batched: false,
                     bytes_sent: outcome.metrics.bytes_by_correct,
                     sample: bench(format!("flood n={n:>3} {label}"), || {
                         run_flood(n, threads, false).metrics.messages_total()
@@ -438,7 +434,6 @@ fn main() {
                     label: format!("t={t} threads={threads}"),
                     n,
                     threads,
-                    batched: false,
                     bytes_sent: probe.bytes_by_correct,
                     sample: bench(format!("dolev-strong n={n:>3} threads={threads}"), || {
                         run_ds(threads).outcome.metrics.messages_by_correct
@@ -474,7 +469,6 @@ fn main() {
                 label: format!("t={t} s={s} threads={threads}"),
                 n,
                 threads,
-                batched: false,
                 bytes_sent: probe.bytes_by_correct,
                 sample: bench(format!("algorithm3 n={n:>3} threads={threads}"), || {
                     run_a3(threads).outcome.metrics.messages_by_correct
@@ -523,7 +517,6 @@ fn main() {
                         label: format!("{label} threads={threads}"),
                         n,
                         threads,
-                        batched: true,
                         bytes_sent: baseline.as_ref().map_or(0, |m| m.bytes_by_correct),
                         sample,
                     });

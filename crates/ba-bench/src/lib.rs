@@ -1,7 +1,7 @@
 //! Benchmark harness: regenerates every quantitative claim of the paper.
 //!
 //! The paper has no numbered tables or figures — its evaluation content is
-//! the set of theorem bounds. Each experiment `E1..E10` (see DESIGN.md's
+//! the set of theorem bounds. Each experiment `E1..E16` (see DESIGN.md's
 //! experiment index) reruns the relevant algorithm/attack sweep and prints
 //! a markdown table of *paper bound vs measured count*:
 //!
@@ -22,6 +22,7 @@
 //! | E13 | Algorithm 1 decision latency vs the `t+2` bound |
 //! | E14 | Crypto cost — hashes, signature checks, verifier-cache hit rate |
 //! | E15 | Engine scaling — sequential vs parallel stepping, byte-identical |
+//! | E16 | `ba-net` runtime under chaos vs the lock-step baseline |
 //!
 //! Run them with `cargo run -p ba-bench --bin experiments -- all` (or a
 //! single id); ids fan out across worker threads by default (`--seq` /

@@ -58,25 +58,26 @@ use crate::error::CryptoError;
 use crate::keys::{Signature, Signer, Verifier};
 use crate::rng::splitmix64;
 use crate::sha256::{Sha256, DIGEST_LEN};
+use crate::stats::CryptoStats;
 use crate::wire::{Decoder, Encoder};
 use crate::{ProcessId, Value};
+use std::collections::HashSet;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// The shared signature buffer plus its batched-verification stamp.
+/// The shared signature buffer plus its barrier-verification stamp.
 ///
-/// The stamp implements the engine's *batched phase-barrier verification*:
-/// after [`Chain::verify`] succeeds at a phase barrier, the engine calls
-/// [`Chain::mark_verified`], which writes a token derived from the
-/// verifying registry, the chain's domain and its value into the buffer.
+/// The stamp implements *barrier verification*, the way every phase driver
+/// verifies what it delivers: [`Chain::verify_at_barrier`] verifies each
+/// unique delivered chain once and, on success, writes a token derived from
+/// the verifying registry, the chain's domain and its value into the buffer.
 /// Every clone sharing the buffer (a broadcast fan-out) then short-circuits
 /// [`Chain::verify`] to an O(1) stamp comparison. The stamp can never
 /// validate the wrong content: it is compared against a value recomputed
 /// from the *asking* chain's domain/value and the *asking* verifier's
 /// registry token, and any mutation of the buffer (append, copy-on-write,
 /// test surgery) resets it to the never-valid `0`.
-#[derive(Debug)]
 struct SigBuf {
     sigs: Vec<Signature>,
     /// `0` = unstamped; otherwise [`expected_stamp`] of the registry that
@@ -90,6 +91,16 @@ impl SigBuf {
             sigs,
             stamp: AtomicU64::new(0),
         }
+    }
+}
+
+/// The stamp is process-local verification state, not content: printing it
+/// would make a trace dump depend on which driver delivered the chain.
+impl fmt::Debug for SigBuf {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SigBuf")
+            .field("sigs", &self.sigs)
+            .finish_non_exhaustive()
     }
 }
 
@@ -141,7 +152,7 @@ pub struct Chain {
     /// shares it (the relay pattern — receive, clone, extend — pays exactly
     /// one copy at the extension point, where the seed engine paid one copy
     /// per recipient at the broadcast point). The buffer also carries the
-    /// batched-verification stamp (see [`SigBuf`]).
+    /// barrier-verification stamp (see [`SigBuf`]).
     sigs: Arc<SigBuf>,
     /// Rolling digest over everything above (`d_L`); makes
     /// [`sign_and_append`](Self::sign_and_append) O(1). Never trusted by
@@ -234,7 +245,7 @@ impl Chain {
 
     /// An address identifying this chain's shared signature buffer —
     /// chains cloned from one another (a broadcast fan-out) report the
-    /// same id. The engine's batched-verification barrier uses it to
+    /// same id. [`verify_at_barrier`](Self::verify_at_barrier) uses it to
     /// verify each unique buffer once per phase. Only meaningful while
     /// the chains are alive (it is the buffer's heap address).
     pub fn storage_id(&self) -> usize {
@@ -268,7 +279,7 @@ impl Chain {
         let sig = signer.sign(&self.tip);
         self.tip = extend_digest(&self.tip, &sig);
         let buf = Arc::make_mut(&mut self.sigs);
-        // The buffer's content changes: any batched-verification stamp no
+        // The buffer's content changes: any barrier-verification stamp no
         // longer describes it. (The copy-on-write clone already starts
         // unstamped; this covers the sole-owner fast path.)
         *buf.stamp.get_mut() = 0;
@@ -314,10 +325,10 @@ impl Chain {
         if self.sigs.sigs.is_empty() {
             return Err(CryptoError::EmptyChain);
         }
-        // Batched-verification fast path: the engine's phase barrier
+        // Barrier-verification fast path: the driver's phase barrier
         // already verified this exact buffer under this registry for this
-        // (domain, value) and stamped it (see [`mark_verified`]
-        // (Self::mark_verified)). O(1): no digests are recomputed.
+        // (domain, value) and stamped it (see [`verify_at_barrier`]
+        // (Self::verify_at_barrier)). O(1): no digests are recomputed.
         if use_cache
             && self.sigs.stamp.load(Ordering::Acquire)
                 == expected_stamp(verifier.batch_token(), self.domain, self.value)
@@ -346,15 +357,46 @@ impl Chain {
         Ok(())
     }
 
+    /// Barrier verification — how every phase driver verifies the chains
+    /// it is about to deliver. Each *unique* chain among `chains` (unique
+    /// by shared signature buffer, domain and value, so a broadcast
+    /// fan-out is one entry) is [`verify`](Self::verify)-ed once and, on
+    /// success, its buffer is stamped: every recipient's own `verify` of a
+    /// clone sharing that buffer is then an O(1) stamp comparison. A chain
+    /// that fails stays unstamped, so each recipient's `verify` still
+    /// rejects it in full; unsigned chains are skipped.
+    ///
+    /// `seen` is scratch the caller recycles across barriers (cleared
+    /// here: buffer addresses only identify chains that are alive).
+    /// Returns the calling thread's [`CryptoStats`] delta for the pass;
+    /// attributing it to a phase and flushing the verifier cache stay with
+    /// the caller.
+    pub fn verify_at_barrier<'a>(
+        chains: impl IntoIterator<Item = &'a Chain>,
+        verifier: &Verifier,
+        seen: &mut HashSet<(usize, u32, u64)>,
+    ) -> CryptoStats {
+        let before = CryptoStats::snapshot();
+        seen.clear();
+        for chain in chains {
+            if chain.is_empty() {
+                continue;
+            }
+            let key = (chain.storage_id(), chain.domain, chain.value.0);
+            if seen.insert(key) && chain.verify(verifier).is_ok() {
+                chain.mark_verified(verifier);
+            }
+        }
+        CryptoStats::snapshot().since(&before)
+    }
+
     /// Stamps this chain's shared signature buffer as verified by
-    /// `verifier`'s registry, making [`verify`](Self::verify) on *any*
-    /// chain sharing the buffer (and carrying the same domain and value)
-    /// an O(1) stamp comparison. Called by the simulation engine's batched
-    /// phase-barrier pass after a successful [`verify`](Self::verify);
-    /// callers must not stamp unverified chains. Sound against misuse of
-    /// shared buffers: the stamp binds the registry, domain and value, and
-    /// any buffer mutation resets it.
-    pub fn mark_verified(&self, verifier: &Verifier) {
+    /// `verifier`'s registry. Private so that only
+    /// [`verify_at_barrier`](Self::verify_at_barrier) can stamp, and only
+    /// after a successful [`verify`](Self::verify). Sound against misuse of
+    /// shared buffers all the same: the stamp binds the registry, domain
+    /// and value, and any buffer mutation resets it.
+    fn mark_verified(&self, verifier: &Verifier) {
         self.sigs.stamp.store(
             expected_stamp(verifier.batch_token(), self.domain, self.value),
             Ordering::Release,

@@ -363,8 +363,8 @@ impl VerifierCache {
         }
     }
 
-    /// Records a batched-verification stamp hit (see
-    /// [`Chain::mark_verified`](crate::Chain::mark_verified)) on this
+    /// Records a barrier-verification stamp hit (see
+    /// [`Chain::verify_at_barrier`](crate::Chain::verify_at_barrier)) on this
     /// cache's hit counter and the thread-local
     /// [`CryptoStats`](crate::stats::CryptoStats) counters: the stamp is
     /// this cache's O(1) front end, so its reuse counts as cache reuse.
@@ -471,9 +471,9 @@ struct RegistryInner {
     fast_keys: Vec<u64>,
     kind: SchemeKind,
     cache: Arc<VerifierCache>,
-    /// Process-unique instance token; the batched-verification stamp on a
+    /// Process-unique instance token; the barrier-verification stamp on a
     /// signature-chain buffer (see
-    /// [`Chain::mark_verified`](crate::Chain::mark_verified)) mixes it in
+    /// [`Chain::verify_at_barrier`](crate::Chain::verify_at_barrier)) mixes it in
     /// so a stamp written under one registry can never satisfy a verifier
     /// over another — even one built from the same seed.
     token: u64,
@@ -521,7 +521,7 @@ impl KeyRegistry {
     /// Sharing one cache across registries is sound **only** when every
     /// registry handed the cache is built with the same `(n, seed, kind)`
     /// (see the cross-registry paragraph in [`VerifierCache`]'s docs); the
-    /// caller owns that invariant. Batched-verification stamps never cross
+    /// caller owns that invariant. Barrier-verification stamps never cross
     /// registries regardless — each registry keeps its own token.
     pub fn with_shared_cache(
         n: usize,
@@ -601,7 +601,7 @@ impl KeyRegistry {
         Arc::clone(&self.inner.cache)
     }
 
-    /// This registry instance's unique batched-verification token (see
+    /// This registry instance's unique barrier-verification token (see
     /// [`RegistryInner::token`]).
     pub(crate) fn batch_token(&self) -> u64 {
         self.inner.token
@@ -712,7 +712,7 @@ impl Verifier {
         self.registry.cache()
     }
 
-    /// The underlying registry's batched-verification token.
+    /// The underlying registry's barrier-verification token.
     pub(crate) fn batch_token(&self) -> u64 {
         self.registry.batch_token()
     }

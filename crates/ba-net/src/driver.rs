@@ -17,9 +17,9 @@
 //!    accounted, and the surviving frames are staged for the wire.
 //! 2. [`deliver`](PhaseDriver::deliver) — the staged frames are played
 //!    over the [`wire`]; then deadline, sender suspicion, the fault
-//!    budget, optional flush-boundary batch verification, `record_send` +
-//!    inbox push, and per-phase crypto attribution. After the finalize
-//!    step it returns the finished [`InstanceRun`] instead.
+//!    budget, barrier verification of what the flush delivered,
+//!    `record_send` + inbox push, and per-phase crypto attribution. After
+//!    the finalize step it returns the finished [`InstanceRun`] instead.
 //!
 //! The caller owns what happens *between* the two calls (a session
 //! coalesces every instance's frames into per-link flushes) and around
@@ -41,7 +41,7 @@ use crate::wire::{self, WirePolicy};
 use ba_crypto::keys::KeyRegistry;
 use ba_crypto::rng::SimRng;
 use ba_crypto::stats::CryptoStats;
-use ba_crypto::{ProcessId, Value};
+use ba_crypto::{Chain, ProcessId, Value};
 use ba_sim::engine::{chunk_geometry, step_chunks};
 use ba_sim::schedule::LinkDrop;
 use ba_sim::transport::{Fate, ScheduledDrops, Transport};
@@ -64,13 +64,12 @@ pub struct InstanceSpec<P> {
     /// a matching frame is suppressed before it ever reaches the wire and
     /// accounted under `omitted_messages`.
     pub link_drops: Vec<LinkDrop>,
-    /// The instance's key registry. When present, each distinct signature
-    /// chain a flush delivers is verified *once* and its shared buffer
-    /// stamped, so every recipient's own `verify` is an O(1) stamp hit
-    /// instead of a full hash-and-check pass (the engine's
-    /// `with_batched_verification`, applied at the flush boundary). When
-    /// absent, verification stays per recipient — the lock-step engine's
-    /// default, and what a standalone runtime runs.
+    /// The instance's keys, absent for key-less payloads. Each distinct
+    /// signature chain a flush delivers is verified against them *once*
+    /// and its shared buffer stamped
+    /// ([`Chain::verify_at_barrier`] — the lock-step engine's barrier
+    /// pass, at the flush boundary), so every recipient's own `verify` is
+    /// an O(1) stamp hit instead of a full hash-and-check pass.
     pub registry: Option<KeyRegistry>,
 }
 
@@ -136,11 +135,13 @@ pub(crate) struct PhaseDriver<P> {
     wire_frames: Vec<Envelope<P>>,
     /// Thread-local crypto delta of the last step.
     step_crypto: CryptoStats,
-    /// Crypto spent by the last flush's batch-verification pass, attributed
-    /// to the phase that consumes the stamped frames (the engine's
-    /// carry-forward rule).
+    /// Crypto spent by the last flush's barrier-verification pass,
+    /// attributed to the phase that consumes the stamped frames (the
+    /// engine's carry-forward rule).
     carry_crypto: CryptoStats,
     registry: Option<KeyRegistry>,
+    /// Barrier-verification scratch, recycled across phases.
+    seen_chains: HashSet<(usize, u32, u64)>,
     watchdog: Option<Duration>,
     /// Chunk indices the last step lost to a panic or the watchdog.
     stalled: Vec<usize>,
@@ -179,6 +180,7 @@ impl<P: Payload> PhaseDriver<P> {
             step_crypto: CryptoStats::default(),
             carry_crypto: CryptoStats::default(),
             registry: spec.registry,
+            seen_chains: HashSet::new(),
             watchdog,
             stalled: Vec::new(),
             actors: spec.actors,
@@ -273,7 +275,7 @@ impl<P: Payload> PhaseDriver<P> {
 
     /// Plays `frames` — this instance's staged frames, in staging order —
     /// over the wire and applies the post-wire pipeline: deadline,
-    /// suspicion, fault budget, batch verification, deliveries, per-phase
+    /// suspicion, fault budget, barrier verification, deliveries, per-phase
     /// crypto. `Ok(None)` means the phase completed and the instance keeps
     /// going; `Ok(Some(run))` is the finished run, returned by the call
     /// that follows the finalize step.
@@ -327,30 +329,18 @@ impl<P: Payload> PhaseDriver<P> {
             }));
         }
 
-        // Flush-boundary batched verification: verify each distinct
-        // signature chain this flush delivered once, stamp its shared
-        // buffer, and every recipient's own `verify` next step becomes an
-        // O(1) stamp hit. Runs on the calling thread in delivery order —
-        // deterministic at any worker count.
-        let batch_crypto = if let Some(registry) = &self.registry {
-            let before = CryptoStats::snapshot();
-            let verifier = registry.verifier();
-            let mut seen: HashSet<(usize, u32, u64)> = HashSet::new();
-            for env in &report.delivered {
-                let Some(chain) = env.payload.batch_chain() else {
-                    continue;
-                };
-                if chain.is_empty() {
-                    continue;
-                }
-                let key = (chain.storage_id(), chain.domain(), chain.value().0);
-                if seen.insert(key) && chain.verify(&verifier).is_ok() {
-                    chain.mark_verified(&verifier);
-                }
-            }
-            CryptoStats::snapshot().since(&before)
-        } else {
-            CryptoStats::default()
+        // Barrier verification at the flush boundary, on the calling
+        // thread in delivery order — deterministic at any worker count.
+        let barrier_crypto = match &self.registry {
+            Some(registry) => Chain::verify_at_barrier(
+                report
+                    .delivered
+                    .iter()
+                    .filter_map(|env| env.payload.batch_chain()),
+                &registry.verifier(),
+                &mut self.seen_chains,
+            ),
+            None => CryptoStats::default(),
         };
 
         // Deliveries, in arrival order.
@@ -368,9 +358,9 @@ impl<P: Payload> PhaseDriver<P> {
         let phase_crypto =
             std::mem::take(&mut self.step_crypto).add(&std::mem::take(&mut self.carry_crypto));
         self.metrics.record_phase_crypto(phase, phase_crypto);
-        // The batch pass verified frames the *next* phase consumes; carry
-        // its cost there, the engine's attribution rule.
-        self.carry_crypto = batch_crypto;
+        // The barrier pass verified frames the *next* phase consumes;
+        // carry its cost there, the engine's attribution rule.
+        self.carry_crypto = barrier_crypto;
         self.phase += 1;
         Ok(None)
     }

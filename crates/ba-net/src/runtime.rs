@@ -6,9 +6,7 @@
 //! [`NetRuntime::run`] is a thin loop over one phase driver (the
 //! crate-private `driver` module) — the very code a
 //! [`SvcSession`](crate::svc::SvcSession) runs per ticket, configured as a
-//! fleet of one: chaos fates seeded with the profile's own seed, no
-//! flush-boundary batch verification (`registry: None`, so signature
-//! checks stay per recipient like the lock-step engine's default), every
+//! fleet of one: chaos fates seeded with the profile's own seed, every
 //! frame its own wire flush. Each phase proceeds as:
 //!
 //! 1. **step** — the actors step in up to [`NetConfig::threads`]
@@ -39,10 +37,13 @@
 //! attempt in staging order, so inbox contents, metrics and decisions are
 //! byte-identical to [`ba_sim::Simulation`] at any worker-thread count —
 //! the `harness` module proves this for every checkable target. The same
-//! `Metrics` recording primitives and the same chunked stepper
-//! ([`ba_sim::engine::step_chunks`]) are used, and a registry passed via
-//! [`NetRuntime::with_registry`] runs its verifier cache in the same
-//! deferred phase-snapshot mode, flushed once per phase.
+//! `Metrics` recording primitives, the same chunked stepper
+//! ([`ba_sim::engine::step_chunks`]) and the same barrier verification
+//! ([`Chain::verify_at_barrier`](ba_crypto::Chain::verify_at_barrier), run
+//! at the flush boundary against the registry passed via
+//! [`NetRuntime::with_registry`]) are used, and that registry's verifier
+//! cache runs in the same deferred phase-snapshot mode, flushed once per
+//! phase.
 //!
 //! [`WorkerStalled`]: crate::verdict::DegradationReason::WorkerStalled
 //! [`FaultBudgetExceeded`]: crate::verdict::DegradationReason::FaultBudgetExceeded
@@ -183,8 +184,9 @@ impl<P: Payload + 'static> NetRuntime<P> {
         self
     }
 
-    /// Declares the [`KeyRegistry`] whose verifier cache this run's actors
-    /// share; mirrors [`Simulation::with_registry`]'s deferred
+    /// Declares the [`KeyRegistry`] this run's actors sign and verify
+    /// under; mirrors [`Simulation::with_registry`] — barrier verification
+    /// of every delivered chain, and the verifier cache in deferred
     /// phase-snapshot mode so crypto counters stay schedule-independent.
     ///
     /// [`Simulation::with_registry`]: ba_sim::Simulation::with_registry
@@ -219,14 +221,12 @@ impl<P: Payload + 'static> NetRuntime<P> {
             max_retries: config.max_retries,
             deadline_ticks: config.deadline_ticks,
         };
-        // `registry: None`: verification stays per recipient, the
-        // lock-step engine's default, so crypto counters match it too.
         let spec = InstanceSpec {
             actors,
             phases,
             fault_budget: config.fault_budget,
             link_drops,
-            registry: None,
+            registry: registry.clone(),
         };
         let mut driver = PhaseDriver::new(spec, chaos.seed, Some(config.phase_timeout));
         let cache = registry.as_ref().map(KeyRegistry::cache);
@@ -250,5 +250,92 @@ impl<P: Payload + 'static> NetRuntime<P> {
             cache.set_deferred(false);
         }
         result
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ba_algos::checkable::{find_target, CheckConfig};
+    use ba_algos::domains;
+    use ba_crypto::keys::SchemeKind;
+    use ba_crypto::stats::CryptoStats;
+    use ba_crypto::{Chain, ProcessId, Value};
+    use ba_sim::schedule::ScheduleSpec;
+    use ba_sim::{Envelope, Metrics, Outbox, Simulation};
+
+    /// Faulty relay: broadcasts `forged` in phase 2 and nothing else.
+    #[derive(Debug)]
+    struct Forger {
+        n: usize,
+        forged: Chain,
+    }
+
+    impl Actor<Chain> for Forger {
+        fn step(&mut self, phase: usize, _inbox: &[Envelope<Chain>], out: &mut Outbox<Chain>) {
+            if phase == 2 {
+                out.broadcast((0..self.n as u32).map(ProcessId), self.forged.clone());
+            }
+        }
+        fn decision(&self) -> Option<Value> {
+            None
+        }
+        fn is_correct(&self) -> bool {
+            false
+        }
+    }
+
+    #[test]
+    fn chain_failing_barrier_verification_is_rejected_by_every_recipient() {
+        // p1 relays a well-formed length-2 Dolev–Strong chain for value 9
+        // whose signatures come from a *different* registry seed. A
+        // recipient waved through by a stamp would extract a second value
+        // and fall back to the default decision.
+        let (n, t) = (6, 2);
+        let target = find_target("ds-broadcast").expect("registered target");
+        let cfg = CheckConfig::new(n, t, Value::ONE, 11, 1, ScheduleSpec::default());
+        let foreign = KeyRegistry::new(n, 12, SchemeKind::Fast);
+        let mut forged = Chain::new(domains::DOLEV_STRONG, Value(9));
+        forged
+            .sign_and_append(&foreign.signer(ProcessId(0)))
+            .sign_and_append(&foreign.signer(ProcessId(1)));
+        let build = || {
+            let mut setup = target.build(&cfg).expect("fault-free schedule");
+            setup.actors[1] = Box::new(Forger {
+                n,
+                forged: forged.clone(),
+            });
+            setup
+        };
+        let sans_crypto = |metrics: &Metrics| {
+            let mut m = metrics.clone();
+            m.crypto = CryptoStats::default();
+            for phase in &mut m.per_phase {
+                (phase.hash_invocations, phase.sig_verifications) = (0, 0);
+            }
+            m
+        };
+
+        let setup = build();
+        let reference = Simulation::new(setup.actors)
+            .with_registry(&setup.registry)
+            .with_batched_verification(false)
+            .run(setup.phases);
+
+        let setup = build();
+        let net = NetRuntime::new(setup.actors, NetConfig::new().with_fault_budget(t))
+            .with_registry(&setup.registry)
+            .run(setup.phases)
+            .expect("reliable wire, one scheduled fault");
+        // `forged` shares its buffer with every delivered copy: had the
+        // flush-boundary pass stamped it, this would be a stamp hit.
+        assert!(forged.verify(&setup.registry.verifier()).is_err());
+
+        let mut expected = vec![Some(Value::ONE); n];
+        expected[1] = None;
+        assert_eq!(net.decisions, expected);
+        assert_eq!(net.decisions, reference.decisions);
+        assert_eq!(net.correct, reference.correct);
+        assert_eq!(sans_crypto(&net.metrics), sans_crypto(&reference.metrics));
     }
 }

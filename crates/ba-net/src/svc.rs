@@ -48,10 +48,11 @@
 //!   instance is a cache hit fleet-wide. Sound only because all instances
 //!   of one service share a cluster identity (same registry seed); see
 //!   [`KeyRegistry::with_shared_cache`](ba_crypto::keys::KeyRegistry::with_shared_cache).
-//! * **Flush-boundary batch verification** — when an instance's
-//!   [`InstanceSpec::registry`] is present, the service verifies each
-//!   distinct signature chain a flush delivers *once* and stamps its
-//!   shared buffer ([`Chain::mark_verified`](ba_crypto::Chain::mark_verified)),
+//! * **Barrier verification at the flush boundary** — like every driver,
+//!   the service verifies each distinct signature chain a flush delivers
+//!   *once* against the instance's [`InstanceSpec::registry`] and stamps
+//!   its shared buffer
+//!   ([`Chain::verify_at_barrier`](ba_crypto::Chain::verify_at_barrier)),
 //!   so all `n` recipients' own `verify` calls are O(1) stamp hits.
 //! * **Per-instance verdicts** — chaos fates, retransmission state, fault
 //!   budgets and degradation are all tracked per instance: one instance

@@ -46,14 +46,12 @@ pub trait Payload: Clone + fmt::Debug + Send + Sync {
         "message"
     }
 
-    /// The signature chain this payload carries, if any — the hook behind
-    /// the engine's batched phase-barrier verification
-    /// ([`Simulation::with_batched_verification`]): payloads that return
-    /// `Some` are verified once per unique chain at the barrier instead of
-    /// once per recipient. Defaults to `None` (no batching possible).
-    ///
-    /// [`Simulation::with_batched_verification`]:
-    ///     crate::engine::Simulation::with_batched_verification
+    /// The signature chain this payload carries, if any — what a phase
+    /// driver hands to
+    /// [`Chain::verify_at_barrier`](ba_crypto::Chain::verify_at_barrier):
+    /// payloads that return `Some` are verified once per unique chain at
+    /// the barrier, and each recipient's own `verify` is then a stamp
+    /// comparison. Defaults to `None` (recipients verify in full).
     fn batch_chain(&self) -> Option<&ba_crypto::Chain> {
         None
     }

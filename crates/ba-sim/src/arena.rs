@@ -65,7 +65,7 @@ impl<P: Payload> Inboxes<P> {
     }
 
     /// Iterates over every held envelope in delivery order (recipient-major
-    /// — used by the engine's batched-verification barrier pass).
+    /// — used by the engine's barrier-verification pass).
     pub fn iter(&self) -> impl Iterator<Item = &Envelope<P>> {
         self.slots.iter()
     }

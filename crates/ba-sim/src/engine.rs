@@ -30,22 +30,28 @@
 //! deferred phase-snapshot mode, so intra-phase cache lookups see only the
 //! state frozen at the previous barrier regardless of scheduling.
 //!
-//! # Batched phase-barrier verification
+//! # Barrier verification
 //!
-//! [`Simulation::with_batched_verification`] moves signature-chain
-//! verification from the receivers to the barrier: after routing, the
-//! engine walks the next phase's inbox arena, verifies each *unique* chain
-//! once (deduplicated by shared signature storage — a broadcast fan-out is
-//! one entry), and stamps the chain's buffer as verified under this run's
-//! registry. When recipients call [`Chain::verify`](ba_crypto::Chain)
-//! during the next phase, the stamp short-circuits to a cache hit — so a
-//! Dolev–Strong phase delivering O(n²) envelopes pays crypto for O(unique
-//! chains) instead of O(n²) full verifications. Accept/reject outcomes,
-//! decisions, message counts and traces are untouched; only the `crypto`
-//! work counters shrink (the barrier's work is attributed to the phase in
-//! which the messages are delivered, where per-delivery verification would
-//! have paid it). Counters remain byte-identical across thread counts —
-//! the barrier pass runs on the calling thread in delivery order.
+//! A run wired to a [`KeyRegistry`] verifies signature chains at the
+//! barrier, not at the receivers: after routing, the engine hands the next
+//! phase's inbox arena to [`Chain::verify_at_barrier`], which verifies each
+//! *unique* chain once (deduplicated by shared signature storage — a
+//! broadcast fan-out is one entry) and stamps the chain's buffer as
+//! verified under this run's registry. When recipients call
+//! [`Chain::verify`] during the next phase, the stamp short-circuits to a
+//! cache hit — so a Dolev–Strong phase delivering O(n²) envelopes pays
+//! crypto for O(unique chains) instead of O(n²) full verifications. A chain
+//! that fails at the barrier is left unstamped and every recipient's own
+//! `verify` rejects it. The barrier's work is attributed to the phase in
+//! which the messages are delivered, and the counters are byte-identical
+//! across thread counts — the pass runs on the calling thread in delivery
+//! order. `ba_net`'s phase driver runs the same pass at its flush boundary.
+//!
+//! [`Simulation::with_batched_verification`]`(false)` switches the pass off
+//! so every recipient verifies every delivery in full: the reference the
+//! tests compare against. Accept/reject outcomes, decisions, message counts
+//! and traces are the same on both sides; only the `crypto` work counters
+//! differ.
 
 use crate::actor::{Actor, Envelope, Outbox, Payload};
 use crate::arena::{Inboxes, Segment};
@@ -56,7 +62,7 @@ use crate::trace::{PhaseTrace, Trace};
 use crate::transport::{Fate, ScheduledDrops, Transport};
 use ba_crypto::keys::KeyRegistry;
 use ba_crypto::stats::CryptoStats;
-use ba_crypto::{ProcessId, Value};
+use ba_crypto::{Chain, ProcessId, Value};
 use std::collections::{BTreeSet, HashSet};
 use std::sync::Mutex;
 
@@ -129,7 +135,7 @@ impl<P: Payload> Simulation<P> {
             registry: None,
             link_drops: BTreeSet::new(),
             transport: None,
-            batch_verify: false,
+            batch_verify: true,
         }
     }
 
@@ -148,13 +154,15 @@ impl<P: Payload> Simulation<P> {
         self
     }
 
-    /// Declares the [`KeyRegistry`] whose verifier cache this run's actors
-    /// share. For the duration of the run the cache operates in deferred
-    /// phase-snapshot mode (flushed at every phase barrier), which makes
-    /// the per-phase cache hit/miss counters independent of how actors are
-    /// scheduled within a phase. Required for byte-identical `Metrics`
-    /// across thread counts when actors verify chains; runs that never
-    /// touch a shared cache don't need it.
+    /// Declares the [`KeyRegistry`] this run's actors sign and verify
+    /// under. The engine verifies every delivered chain against it at the
+    /// phase barrier (see the [module docs](self)), and for the duration
+    /// of the run its verifier cache operates in deferred phase-snapshot
+    /// mode (flushed at every phase barrier), which makes the per-phase
+    /// cache hit/miss counters independent of how actors are scheduled
+    /// within a phase. Required for byte-identical `Metrics` across thread
+    /// counts when actors verify chains; runs whose payloads carry no keys
+    /// don't need it.
     pub fn with_registry(mut self, registry: &KeyRegistry) -> Self {
         self.registry = Some(registry.clone());
         self
@@ -193,15 +201,13 @@ impl<P: Payload> Simulation<P> {
         self
     }
 
-    /// Enables batched phase-barrier verification (see the [module
-    /// docs](self)): each unique signature chain delivered in a phase is
-    /// verified once at the barrier and its shared buffer stamped, so
-    /// recipients' `verify` calls short-circuit. Requires
-    /// [`with_registry`](Self::with_registry) (the barrier needs a
-    /// verifier); without a registry this is a no-op. Off by default:
-    /// batching honestly *reduces* the `crypto` work counters, so runs
-    /// being compared against per-delivery baselines must opt in on both
-    /// sides.
+    /// The one verification switch in the workspace. `true`, the default,
+    /// is barrier verification (see the [module docs](self)) and is what
+    /// every driver runs; it needs [`with_registry`](Self::with_registry)
+    /// and does nothing without one. `false` is the test reference: no
+    /// barrier pass, every recipient verifies every delivery in full, same
+    /// outcomes and larger `crypto` counters. No product path passes
+    /// `false`.
     pub fn with_batched_verification(mut self, batch: bool) -> Self {
         self.batch_verify = batch;
         self
@@ -252,10 +258,10 @@ impl<P: Payload> Simulation<P> {
         let mut fates: Vec<bool> = Vec::new();
         let mut counts: Vec<usize> = vec![0; n];
         let mut cursors: Vec<usize> = Vec::new();
-        // Batched-verification scratch: unique chains seen this barrier.
-        let mut seen_chains: HashSet<(usize, u32, u64)> = HashSet::new();
+        // Barrier-verification scratch: unique chains seen this barrier.
+        let mut seen_chains = HashSet::new();
         // Barrier crypto work carried into the phase where the verified
-        // messages are delivered (where per-delivery mode would pay it).
+        // messages are delivered.
         let mut carry_crypto = CryptoStats::default();
         let mut executed = 0usize;
 
@@ -345,32 +351,15 @@ impl<P: Payload> Simulation<P> {
             }
             if let Some(registry) = &self.registry {
                 registry.cache().flush_pending();
-            }
-
-            // Batched verification: verify each unique chain delivered
-            // this barrier once, stamp its shared buffer, and publish the
-            // digests so next phase's lookups (for anything unstamped)
-            // still benefit. Runs on this thread in delivery order —
-            // deterministic at any thread count.
-            if self.batch_verify {
-                if let Some(registry) = &self.registry {
-                    let before = CryptoStats::snapshot();
-                    let verifier = registry.verifier();
-                    seen_chains.clear();
-                    for env in nxt.iter() {
-                        let Some(chain) = env.payload.batch_chain() else {
-                            continue;
-                        };
-                        if chain.is_empty() {
-                            continue;
-                        }
-                        let key = (chain.storage_id(), chain.domain(), chain.value().0);
-                        if seen_chains.insert(key) && chain.verify(&verifier).is_ok() {
-                            chain.mark_verified(&verifier);
-                        }
-                    }
+                // Barrier verification, then publish its digests so next
+                // phase's lookups (for anything unstamped) still benefit.
+                if self.batch_verify {
+                    carry_crypto = Chain::verify_at_barrier(
+                        nxt.iter().filter_map(|env| env.payload.batch_chain()),
+                        &registry.verifier(),
+                        &mut seen_chains,
+                    );
                     registry.cache().flush_pending();
-                    carry_crypto = CryptoStats::snapshot().since(&before);
                 }
             }
 
@@ -386,8 +375,7 @@ impl<P: Payload> Simulation<P> {
 
         // Deliver the last phase's messages (sequentially: finalize is
         // cheap and order-stable accounting matters more than speed here).
-        // Barrier work for these deliveries (if batching) is absorbed the
-        // same way per-delivery finalize verification would be.
+        // Barrier work for these deliveries is absorbed with it.
         let crypto_before = CryptoStats::snapshot();
         for (i, actor) in self.actors.iter_mut().enumerate() {
             actor.finalize(cur.of(i));
@@ -730,6 +718,16 @@ mod tests {
         }
     }
 
+    fn chain_relay(registry: &KeyRegistry, i: usize, n: usize) -> Box<dyn Actor<Chain>> {
+        Box::new(ChainRelay {
+            signer: registry.signer(ProcessId(i as u32)),
+            verifier: registry.verifier(),
+            n,
+            relayed: false,
+            accepted: None,
+        })
+    }
+
     fn chain_relay_sim(
         n: usize,
         threads: usize,
@@ -738,17 +736,7 @@ mod tests {
         // Fresh registry per run: the shared verifier cache starts cold, so
         // cache counters are comparable across runs.
         let registry = KeyRegistry::new(n, 99, SchemeKind::Fast);
-        let actors: Vec<Box<dyn Actor<ba_crypto::Chain>>> = (0..n)
-            .map(|i| {
-                Box::new(ChainRelay {
-                    signer: registry.signer(ProcessId(i as u32)),
-                    verifier: registry.verifier(),
-                    n,
-                    relayed: false,
-                    accepted: None,
-                }) as Box<dyn Actor<ba_crypto::Chain>>
-            })
-            .collect();
+        let actors = (0..n).map(|i| chain_relay(&registry, i, n)).collect();
         let sim = Simulation::new(actors)
             .with_trace()
             .with_threads(threads)
@@ -819,19 +807,17 @@ mod tests {
 
     #[test]
     fn batched_verification_preserves_outcomes_and_cuts_sig_checks() {
-        // Same workload, per-delivery vs batched: decisions, message
-        // counts and traces are byte-identical; signature-check work
-        // drops (each unique chain verified once per barrier instead of
-        // once per recipient — deferred-mode recipients can't see each
-        // other's intra-phase verifications, so per-delivery pays per
-        // recipient).
-        let per_delivery = chain_relay_run(8, 1);
-        let run_batched = |threads: usize| {
-            let (sim, _reg) = chain_relay_sim(8, threads);
-            let mut sim = sim.with_batched_verification(true);
-            sim.run(3)
-        };
-        let batched = run_batched(1);
+        // Same workload, the per-delivery reference vs the default
+        // barrier pass: decisions, message counts and traces are
+        // byte-identical; signature-check work drops (each unique chain
+        // verified once per barrier instead of once per recipient —
+        // deferred-mode recipients can't see each other's intra-phase
+        // verifications, so per-delivery pays per recipient).
+        let per_delivery = chain_relay_sim(8, 1)
+            .0
+            .with_batched_verification(false)
+            .run(3);
+        let batched = chain_relay_run(8, 1);
         assert_eq!(batched.decisions, per_delivery.decisions);
         assert_eq!(batched.correct, per_delivery.correct);
         assert_eq!(
@@ -860,10 +846,96 @@ mod tests {
         // And the batched counters are themselves thread-count
         // independent.
         for threads in [2, 4, 8] {
-            let par = run_batched(threads);
+            let par = chain_relay_run(8, threads);
             assert_eq!(par.metrics, batched.metrics, "threads={threads}");
             assert_eq!(par.decisions, batched.decisions, "threads={threads}");
         }
+    }
+
+    /// Faulty p0: broadcasts `forged` in phase 1 and `genuine` in phase 2.
+    #[derive(Debug)]
+    struct Forger {
+        n: usize,
+        forged: Chain,
+        genuine: Chain,
+    }
+
+    impl Actor<Chain> for Forger {
+        fn step(&mut self, phase: usize, _inbox: &[Envelope<Chain>], out: &mut Outbox<Chain>) {
+            let chain = match phase {
+                1 => &self.forged,
+                2 => &self.genuine,
+                _ => return,
+            };
+            out.broadcast((1..self.n as u32).map(ProcessId), chain.clone());
+        }
+        fn decision(&self) -> Option<Value> {
+            None
+        }
+        fn is_correct(&self) -> bool {
+            false
+        }
+    }
+
+    #[test]
+    fn chain_failing_barrier_verification_is_rejected_by_every_recipient() {
+        use ba_crypto::keys::SchemeKind;
+        // p0's first chain is signed under a *different* registry seed, its
+        // second under this run's. A relay adopts the first chain its own
+        // `verify` accepts, so one recipient waved through by a stamp would
+        // decide 9 — the forged chain arrives a phase earlier.
+        let n = 6;
+        let run = |barrier: bool| {
+            let registry = KeyRegistry::new(n, 99, SchemeKind::Fast);
+            let foreign = KeyRegistry::new(n, 100, SchemeKind::Fast);
+            let mut forged = Chain::new(7, Value(9));
+            forged.sign_and_append(&foreign.signer(ProcessId(0)));
+            let mut genuine = Chain::new(7, Value::ONE);
+            genuine.sign_and_append(&registry.signer(ProcessId(0)));
+            let mut actors: Vec<Box<dyn Actor<Chain>>> = vec![Box::new(Forger {
+                n,
+                forged: forged.clone(),
+                genuine,
+            })];
+            actors.extend((1..n).map(|i| chain_relay(&registry, i, n)));
+            let outcome = Simulation::new(actors)
+                .with_trace()
+                .with_registry(&registry)
+                .with_batched_verification(barrier)
+                .run(4);
+            // `forged` shares its buffer with every delivered copy: had the
+            // barrier stamped it, this would be a stamp hit.
+            assert!(forged.verify(&registry.verifier()).is_err());
+            outcome
+        };
+        let sans_crypto = |metrics: &Metrics| {
+            let mut m = metrics.clone();
+            m.crypto = CryptoStats::default();
+            for phase in &mut m.per_phase {
+                (phase.hash_invocations, phase.sig_verifications) = (0, 0);
+            }
+            m
+        };
+
+        let reference = run(false);
+        let barrier = run(true);
+        let mut expected = vec![Some(Value::ONE); n];
+        expected[0] = None;
+        assert_eq!(barrier.decisions, expected);
+        assert_eq!(barrier.decisions, reference.decisions);
+        assert_eq!(barrier.correct, reference.correct);
+        assert_eq!(
+            sans_crypto(&barrier.metrics),
+            sans_crypto(&reference.metrics)
+        );
+        for (a, b) in barrier.trace.phases.iter().zip(&reference.trace.phases) {
+            assert_eq!(a.envelopes, b.envelopes);
+        }
+        // Phase 2 is where the forged copies are consumed: one failed
+        // check per recipient on both sides (nothing to short-circuit),
+        // plus the barrier's own failed attempt carried into that phase.
+        assert_eq!(reference.metrics.per_phase[1].sig_verifications, 5);
+        assert_eq!(barrier.metrics.per_phase[1].sig_verifications, 6);
     }
 
     #[test]
