@@ -1,38 +1,39 @@
-//! The one phase driver: how a single BA instance advances one phase over
-//! the unreliable wire.
+//! The unreliable-wire loop around the phase core: how a single BA
+//! instance advances one phase when its frames have to cross the
+//! [`wire`].
 //!
-//! Both public entry points run this code — a standalone
-//! [`NetRuntime`](crate::runtime::NetRuntime) drives one [`PhaseDriver`]
+//! The phase itself — actors stepped, sends routed, [`Metrics`] recorded,
+//! inboxes filled, chains verified at the barrier — is
+//! [`ba_sim::PhaseCore`], the same code the lock-step
+//! [`Simulation`](ba_sim::Simulation) loops over. [`PhaseDriver`] adds
+//! what only an unreliable wire needs, and both public entry points run
+//! it: a standalone [`NetRuntime`](crate::runtime::NetRuntime) drives one
 //! to completion, a [`SvcSession`](crate::svc::SvcSession) drives one per
-//! in-flight ticket — so "actors stepped" turns into "frames on the wire,
-//! faults attributed, [`Metrics`] recorded" in exactly one place. One
-//! phase is two calls:
+//! in-flight ticket. One phase is two calls:
 //!
-//! 1. [`step`](PhaseDriver::step) — every actor steps (or, after the last
-//!    phase, finalizes) in contiguous ascending chunks on the shared
-//!    [`WorkerPool`](ba_sim::WorkerPool) through [`ba_sim::engine::step_chunks`],
-//!    the same fan-out the lock-step engine uses; a single chunk runs
-//!    inline. Then, on the calling thread in actor-id order: suppressed
-//!    sends, sends to nonexistent receivers and scheduled link drops are
-//!    accounted, and the surviving frames are staged for the wire.
-//! 2. [`deliver`](PhaseDriver::deliver) — the staged frames are played
-//!    over the [`wire`]; then deadline, sender suspicion, the fault
-//!    budget, barrier verification of what the flush delivered,
-//!    `record_send` + inbox push, and per-phase crypto attribution. After
+//! 1. [`step`](PhaseDriver::step) — the core steps (or, after the last
+//!    phase, finalizes) the actors; the driver times the call for the
+//!    watchdog and remembers lost chunks.
+//! 2. [`deliver`](PhaseDriver::deliver) — the core routes what was staged
+//!    and the surviving frames' links are played over the [`wire`]; then
+//!    deadline, sender suspicion and the fault budget; then the core
+//!    scatters the frames in the order the wire says they arrived. After
 //!    the finalize step it returns the finished [`InstanceRun`] instead.
 //!
-//! The caller owns what happens *between* the two calls (a session
-//! coalesces every instance's frames into per-link flushes) and around
-//! them (tickets, timestamps, the verifier cache's flush cadence).
+//! No frame ever leaves the core: the wire and the caller read
+//! [`links`](PhaseDriver::links), `(from, to)` per frame. The caller owns
+//! what happens *between* the two calls (a session counts every
+//! instance's links into per-link flushes) and around them (tickets,
+//! timestamps, the verifier cache's flush cadence).
 //!
 //! # Fault containment
 //!
 //! An actor that panics while being stepped does not unwind into the
-//! caller: the panic is caught inside its chunk, the other chunks finish,
-//! and the next `deliver` settles *this instance* with a
+//! caller: the core catches the panic inside its chunk, the other chunks
+//! finish, and the next `deliver` settles *this instance* with a
 //! [`WorkerStalled`](DegradationReason::WorkerStalled) verdict naming the
 //! chunk indices that panicked. A driver built with a watchdog yields the
-//! same verdict when a step fan-out returns after more than the watchdog
+//! same verdict when a step returns after more than the watchdog
 //! duration. A step that never returns is not contained — see DESIGN §9.
 
 use crate::chaos::ChaosProfile;
@@ -40,14 +41,11 @@ use crate::verdict::{DegradationReason, DegradationVerdict, NetStats};
 use crate::wire::{self, WirePolicy};
 use ba_crypto::keys::KeyRegistry;
 use ba_crypto::rng::SimRng;
-use ba_crypto::stats::CryptoStats;
-use ba_crypto::{Chain, ProcessId, Value};
-use ba_sim::engine::{chunk_geometry, step_chunks};
+use ba_crypto::{ProcessId, Value};
+use ba_sim::engine::chunk_geometry;
 use ba_sim::schedule::LinkDrop;
-use ba_sim::transport::{Fate, ScheduledDrops, Transport};
-use ba_sim::{Actor, Envelope, Metrics, Outbox, Payload};
-use std::collections::{BTreeSet, HashSet};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use ba_sim::{Actor, Metrics, Payload, PhaseCore};
+use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 
 /// One BA instance handed to the driver: its actors (faults already
@@ -67,9 +65,9 @@ pub struct InstanceSpec<P> {
     /// The instance's keys, absent for key-less payloads. Each distinct
     /// signature chain a flush delivers is verified against them *once*
     /// and its shared buffer stamped
-    /// ([`Chain::verify_at_barrier`] — the lock-step engine's barrier
-    /// pass, at the flush boundary), so every recipient's own `verify` is
-    /// an O(1) stamp hit instead of a full hash-and-check pass.
+    /// ([`Chain::verify_at_barrier`](ba_crypto::Chain::verify_at_barrier),
+    /// the phase core's barrier pass), so every recipient's own `verify`
+    /// is an O(1) stamp hit instead of a full hash-and-check pass.
     pub registry: Option<KeyRegistry>,
 }
 
@@ -105,180 +103,98 @@ pub struct InstanceRun {
     pub suspected: Vec<ProcessId>,
 }
 
-/// One chunk's staging for one step: per actor, in ascending id order,
-/// its sends in send-seq order and its suppressed-send count.
-struct ChunkStage<P> {
-    per_actor: Vec<(Vec<Envelope<P>>, u64)>,
-    panicked: bool,
-}
-
-/// One instance's entire per-run state, privately owned so fates and
-/// verdicts never leak across instances.
+/// One instance over the unreliable wire: its [`PhaseCore`] plus what is
+/// about the wire — chaos rng, wire statistics, suspicion, fault budget,
+/// watchdog — privately owned so fates and verdicts never leak across
+/// instances.
 pub(crate) struct PhaseDriver<P> {
-    actors: Vec<Box<dyn Actor<P>>>,
-    n: usize,
+    core: PhaseCore<P>,
     phases: usize,
     fault_budget: usize,
-    /// Next phase to step, 1-based; `phases + 1` means finalize.
-    phase: usize,
-    inboxes: Vec<Vec<Envelope<P>>>,
-    scheduled: ScheduledDrops,
     scheduled_faulty: BTreeSet<ProcessId>,
-    correct: Vec<bool>,
     suspected: BTreeSet<ProcessId>,
     rng: SimRng,
-    metrics: Metrics,
     stats: NetStats,
-    /// Per-chunk staging, recycled across phases.
-    staged: Vec<ChunkStage<P>>,
-    /// Post-schedule frames staged by the last step, awaiting the wire.
-    wire_frames: Vec<Envelope<P>>,
-    /// Thread-local crypto delta of the last step.
-    step_crypto: CryptoStats,
-    /// Crypto spent by the last flush's barrier-verification pass,
-    /// attributed to the phase that consumes the stamped frames (the
-    /// engine's carry-forward rule).
-    carry_crypto: CryptoStats,
-    registry: Option<KeyRegistry>,
-    /// Barrier-verification scratch, recycled across phases.
-    seen_chains: HashSet<(usize, u32, u64)>,
     watchdog: Option<Duration>,
     /// Chunk indices the last step lost to a panic or the watchdog.
     stalled: Vec<usize>,
-    /// Set once finalize ran.
-    decisions: Option<Vec<Option<Value>>>,
+    /// Set once the finalize step ran.
+    finalized: bool,
 }
 
 impl<P: Payload> PhaseDriver<P> {
     /// Builds the driver for `spec`, drawing chaos fates from a private
     /// rng seeded `seed`. `watchdog` bounds the wall-clock duration of one
-    /// step fan-out.
+    /// step.
     pub(crate) fn new(spec: InstanceSpec<P>, seed: u64, watchdog: Option<Duration>) -> Self {
-        let n = spec.actors.len();
-        let correct: Vec<bool> = spec.actors.iter().map(|a| a.is_correct()).collect();
-        let scheduled_faulty: BTreeSet<ProcessId> = correct
-            .iter()
-            .enumerate()
-            .filter(|(_, ok)| !**ok)
-            .map(|(i, _)| ProcessId(i as u32))
+        let core = PhaseCore::new(spec.actors, spec.link_drops, spec.registry);
+        let scheduled_faulty = (0..core.n())
+            .filter(|&i| !core.correct()[i])
+            .map(|i| ProcessId(i as u32))
             .collect();
         PhaseDriver {
-            n,
+            core,
             phases: spec.phases,
             fault_budget: spec.fault_budget,
-            phase: 1,
-            inboxes: vec![Vec::new(); n],
-            scheduled: ScheduledDrops::new(spec.link_drops.iter().copied()),
             scheduled_faulty,
-            correct,
             suspected: BTreeSet::new(),
             rng: SimRng::new(seed),
-            metrics: Metrics::default(),
             stats: NetStats::default(),
-            staged: Vec::new(),
-            wire_frames: Vec::new(),
-            step_crypto: CryptoStats::default(),
-            carry_crypto: CryptoStats::default(),
-            registry: spec.registry,
-            seen_chains: HashSet::new(),
             watchdog,
             stalled: Vec::new(),
-            actors: spec.actors,
-            decisions: None,
+            finalized: false,
         }
     }
 
     /// Next phase to execute, 1-based (`phases + 1` = finalize pending).
     pub(crate) fn phase(&self) -> usize {
-        self.phase
+        self.core.phase()
     }
 
-    /// Advances every actor by one phase — or finalizes them — across up
-    /// to `threads` contiguous chunks, then accounts the staged sends in
-    /// actor-id order and leaves the frames bound for the wire in
-    /// [`take_frames`](Self::take_frames).
+    /// Advances every actor by one phase — or, past the last one,
+    /// finalizes them — across up to `threads` contiguous chunks
+    /// ([`PhaseCore::step`]). A lost chunk or an overrun watchdog is
+    /// remembered for [`deliver`](Self::deliver).
     pub(crate) fn step(&mut self, threads: usize) {
-        let (chunk_size, chunks) = chunk_geometry(self.n, threads);
-        self.staged.resize_with(chunks, || ChunkStage {
-            per_actor: Vec::new(),
-            panicked: false,
-        });
-        let (phase, inboxes) = (self.phase, &self.inboxes);
-        let finalize = phase > self.phases;
         let started = Instant::now();
-        self.step_crypto = step_chunks(
-            &mut self.actors,
-            chunk_size,
-            &mut self.staged,
-            |base, actors, stage| {
-                stage.per_actor.clear();
-                let stepped = catch_unwind(AssertUnwindSafe(|| {
-                    for (j, actor) in actors.iter_mut().enumerate() {
-                        let i = base + j;
-                        if finalize {
-                            actor.finalize(&inboxes[i]);
-                            continue;
-                        }
-                        let mut out = Outbox::new(ProcessId(i as u32));
-                        actor.step(phase, &inboxes[i], &mut out);
-                        let omitted = out.omitted_count();
-                        stage.per_actor.push((out.into_staged(), omitted));
-                    }
-                }));
-                stage.panicked = stepped.is_err();
-            },
-        );
-        self.stalled = (0..chunks).filter(|&w| self.staged[w].panicked).collect();
+        self.finalized = self.core.phase() > self.phases;
+        self.stalled = if self.finalized {
+            self.core.finalize(threads)
+        } else {
+            self.core.step(threads)
+        };
         if self.stalled.is_empty() && self.watchdog.is_some_and(|limit| started.elapsed() > limit) {
-            self.stalled = (0..chunks).collect();
+            self.stalled = (0..chunk_geometry(self.core.n(), threads).1).collect();
         }
-        for inbox in &mut self.inboxes {
-            inbox.clear();
-        }
-        if !self.stalled.is_empty() {
-            return;
-        }
-        if finalize {
-            self.decisions = Some(self.actors.iter().map(|a| a.decision()).collect());
-            return;
-        }
-        for stage in &mut self.staged {
-            for (sent, omitted) in stage.per_actor.drain(..) {
-                self.metrics.record_omitted(phase, omitted);
-                for env in sent {
-                    // Sends to nonexistent processors are dropped; a
-                    // correct protocol never does this, an adversary may.
-                    if env.to.index() >= self.n {
-                        continue;
-                    }
-                    if self.scheduled.admit(phase, env.from, env.to) == Fate::Omit {
-                        self.metrics.record_omitted(phase, 1);
-                        continue;
-                    }
-                    self.wire_frames.push(env);
-                }
-            }
+        // Route now, on whichever worker steps this instance: the wire
+        // will want the links, and a session's serial section between the
+        // fleet's steps and deliveries should not pay for the pass.
+        self.links();
+    }
+
+    /// The `(from, to)` of every frame the last step left bound for the
+    /// wire, in staging order; none when the step stalled.
+    pub(crate) fn links(&mut self) -> &[(ProcessId, ProcessId)] {
+        if self.stalled.is_empty() {
+            self.core.links()
+        } else {
+            &[]
         }
     }
 
-    /// Hands over the frames the last step staged for the wire, in
-    /// staging order.
-    pub(crate) fn take_frames(&mut self) -> Vec<Envelope<P>> {
-        std::mem::take(&mut self.wire_frames)
-    }
-
-    /// Records that `frames` of this instance each went out as their own
+    /// Records that this instance's frames each went out as their own
     /// wire send (no coalescing layer above this driver).
-    pub(crate) fn note_solo_flushes(&mut self, frames: usize) {
+    pub(crate) fn note_solo_flushes(&mut self) {
+        let frames = self.links().len();
         self.stats.note_solo_flushes(frames as u64);
     }
 
-    /// Plays `frames` — this instance's staged frames, in staging order —
-    /// over the wire and applies the post-wire pipeline: deadline,
-    /// suspicion, fault budget, barrier verification, deliveries, per-phase
-    /// crypto. `Ok(None)` means the phase completed and the instance keeps
-    /// going; `Ok(Some(run))` is the finished run, returned by the call
-    /// that follows the finalize step.
+    /// Plays the last step's frames over the wire and applies the
+    /// post-wire pipeline: deadline, suspicion, fault budget, then the
+    /// core's scatter in arrival order ([`PhaseCore::deliver`]). `Ok(None)`
+    /// means the phase completed and the instance keeps going;
+    /// `Ok(Some(run))` is the finished run, returned by the call that
+    /// follows the finalize step.
     ///
     /// # Errors
     /// This instance's own [`DegradationVerdict`]: the last step lost a
@@ -286,7 +202,6 @@ impl<P: Payload> PhaseDriver<P> {
     /// outgrew the budget. The driver is spent afterwards.
     pub(crate) fn deliver(
         &mut self,
-        frames: Vec<Envelope<P>>,
         chaos: &ChaosProfile,
         policy: WirePolicy,
     ) -> Result<Option<InstanceRun>, Box<DegradationVerdict>> {
@@ -295,11 +210,17 @@ impl<P: Payload> PhaseDriver<P> {
                 waited_ms: self.watchdog.map_or(0, |w| w.as_millis() as u64),
             }));
         }
-        if let Some(decisions) = self.decisions.take() {
-            return Ok(Some(self.finish(decisions)));
+        if self.finalized {
+            return Ok(Some(self.finish()));
         }
-        let phase = self.phase;
-        let report = wire::deliver(phase, frames, chaos, &mut self.rng, policy, &mut self.stats);
+        let report = wire::deliver(
+            self.core.phase(),
+            self.core.links(),
+            chaos,
+            &mut self.rng,
+            policy,
+            &mut self.stats,
+        );
         if report.pending > 0 {
             return Err(self.verdict(DegradationReason::DeadlineBlown {
                 pending_frames: report.pending,
@@ -307,16 +228,10 @@ impl<P: Payload> PhaseDriver<P> {
             }));
         }
         // Permanently failed links make their *senders* suspected (an
-        // omission-faulty sender explains every lost frame). A frame that
-        // never made it is suppressed traffic, same bucket as a scheduled
-        // drop: sent but never on the wire.
-        for link in &report.failed {
-            self.suspected.insert(link.from);
-            self.metrics.record_omitted(phase, 1);
-        }
-        self.stats
-            .failed_links
-            .extend(report.failed.iter().copied());
+        // omission-faulty sender explains every lost frame).
+        self.suspected
+            .extend(report.failed.iter().map(|link| link.from));
+        self.stats.failed_links.extend(report.failed);
 
         // Fault budget: scheduled faults plus suspected senders. Within it
         // the run degrades gracefully; past it no decision could be
@@ -328,46 +243,13 @@ impl<P: Payload> PhaseDriver<P> {
                 budget: self.fault_budget,
             }));
         }
-
-        // Barrier verification at the flush boundary, on the calling
-        // thread in delivery order — deterministic at any worker count.
-        let barrier_crypto = match &self.registry {
-            Some(registry) => Chain::verify_at_barrier(
-                report
-                    .delivered
-                    .iter()
-                    .filter_map(|env| env.payload.batch_chain()),
-                &registry.verifier(),
-                &mut self.seen_chains,
-            ),
-            None => CryptoStats::default(),
-        };
-
-        // Deliveries, in arrival order.
-        for env in report.delivered {
-            self.metrics.record_send(
-                phase,
-                self.correct[env.from.index()],
-                env.payload.signature_count(),
-                env.payload.weight_bytes(),
-                env.payload.payload_bytes(),
-                env.payload.kind(),
-            );
-            self.inboxes[env.to.index()].push(env);
-        }
-        let phase_crypto =
-            std::mem::take(&mut self.step_crypto).add(&std::mem::take(&mut self.carry_crypto));
-        self.metrics.record_phase_crypto(phase, phase_crypto);
-        // The barrier pass verified frames the *next* phase consumes;
-        // carry its cost there, the engine's attribution rule.
-        self.carry_crypto = barrier_crypto;
-        self.phase += 1;
+        self.core.deliver(Some(&report.order));
         Ok(None)
     }
 
     fn verdict(&self, reason: DegradationReason) -> Box<DegradationVerdict> {
         Box::new(DegradationVerdict {
-            phase: self.phase,
+            phase: self.core.phase(),
             reason,
             suspected: self.suspected.iter().copied().collect(),
             failed_links: self.stats.failed_links.clone(),
@@ -376,20 +258,16 @@ impl<P: Payload> PhaseDriver<P> {
         })
     }
 
-    fn finish(&mut self, decisions: Vec<Option<Value>>) -> InstanceRun {
-        let mut metrics = std::mem::take(&mut self.metrics);
-        let tail =
-            std::mem::take(&mut self.step_crypto).add(&std::mem::take(&mut self.carry_crypto));
-        metrics.absorb_crypto(tail);
-        metrics.phases = self.phases;
-        let mut correct = std::mem::take(&mut self.correct);
+    fn finish(&mut self) -> InstanceRun {
+        let outcome = self.core.finish();
+        let mut correct = outcome.correct;
         for p in &self.suspected {
             correct[p.index()] = false;
         }
         InstanceRun {
-            decisions,
+            decisions: outcome.decisions,
             correct,
-            metrics,
+            metrics: outcome.metrics,
             stats: std::mem::take(&mut self.stats),
             suspected: self.suspected.iter().copied().collect(),
         }

@@ -11,15 +11,19 @@
 //!   duplication, delay, reordering), the runtime's counterpart of the
 //!   fault-schedule vocabulary in [`ba_sim::schedule`];
 //! * [`wire`](crate::runtime) — virtual-tick delivery with bounded
-//!   retransmission, exponential backoff, acks and receiver-side dedup;
-//! * the phase driver (private `driver` module) — the one place a BA
-//!   instance advances a phase over that wire: actors stepped in chunks
-//!   on the shared worker pool, sends accounted, frames delivered, faults
-//!   attributed, and graceful degradation: suspected senders are
-//!   tolerated while the observable fault set fits the budget `t`, and
-//!   the instance settles with a structured [`DegradationVerdict`] the
-//!   moment it doesn't — or when an actor panics or overruns the phase
-//!   watchdog — never a panic, never untrustworthy decisions;
+//!   retransmission, exponential backoff, acks and receiver-side dedup,
+//!   over links: it is told `(from, to)` per frame and answers with
+//!   arrival order, never touching a payload;
+//! * the phase driver (private `driver` module) — the unreliable-wire
+//!   loop around [`ba_sim::PhaseCore`], the phase implementation shared
+//!   with the lock-step engine. The core steps actors, routes and records
+//!   their sends and fills inboxes; the driver plays the links over the
+//!   wire in between, attributes faults, and degrades gracefully:
+//!   suspected senders are tolerated while the observable fault set fits
+//!   the budget `t`, and the instance settles with a structured
+//!   [`DegradationVerdict`] the moment it doesn't — or when an actor
+//!   panics or overruns the phase watchdog — never a panic, never
+//!   untrustworthy decisions;
 //! * [`runtime`] — the standalone entry point: [`NetRuntime`] runs one
 //!   driver to completion;
 //! * [`verdict`] — the structured failure vocabulary ([`NetStats`],
@@ -32,7 +36,7 @@
 //!   open-loop API (`session`/`submit`/`tick`/`try_outcome`/`drain`) over
 //!   many concurrent BA instances — one driver per ticket, the same code
 //!   the standalone runtime runs — with pipelined phases on one wire,
-//!   per-link batched flushes, a fleet-shared verifier cache, per-instance
+//!   per-link flush accounting, a fleet-shared verifier cache, per-instance
 //!   degradation verdicts, and explicit admission control — a bounded
 //!   queue with reject / shed-oldest / block-with-deadline backpressure,
 //!   every decision recorded as a structured [`AdmissionVerdict`].
@@ -95,7 +99,7 @@ pub use harness::{
 pub use runtime::{NetConfig, NetOutcome, NetRuntime};
 pub use svc::{
     instance_seed, AdmissionPolicy, BaService, InstanceOutcome, InstanceRun, InstanceSpec,
-    PoissonArrivals, SvcConfig, SvcReport, SvcSession, TaggedFrame, TicketOutcome, TicketStatus,
+    PoissonArrivals, SvcConfig, SvcReport, SvcSession, TicketOutcome, TicketStatus,
 };
 pub use verdict::{
     AdmissionError, AdmissionVerdict, DegradationReason, DegradationVerdict, FailedLink, NetStats,

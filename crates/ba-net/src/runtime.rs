@@ -7,21 +7,24 @@
 //! crate-private `driver` module) — the very code a
 //! [`SvcSession`](crate::svc::SvcSession) runs per ticket, configured as a
 //! fleet of one: chaos fates seeded with the profile's own seed, every
-//! frame its own wire flush. Each phase proceeds as:
+//! frame its own wire flush. The driver in turn is the unreliable-wire
+//! loop around [`ba_sim::PhaseCore`], the phase implementation the
+//! lock-step engine shares. Each phase proceeds as:
 //!
-//! 1. **step** — the actors step in up to [`NetConfig::threads`]
-//!    contiguous ascending chunks on the shared worker pool (one chunk
-//!    runs inline), each chunk returning its thread-local `CryptoStats`
-//!    delta; suppressed sends, nonexistent receivers and scheduled link
-//!    drops are then accounted in actor-id order;
+//! 1. **step** — the core steps the actors in up to
+//!    [`NetConfig::threads`] contiguous ascending chunks on the shared
+//!    worker pool (one chunk runs inline), each chunk returning its
+//!    thread-local `CryptoStats` delta;
 //! 2. **watchdog** — an actor that panics while being stepped, or a step
-//!    fan-out that returns after more than [`NetConfig::phase_timeout`],
-//!    aborts the run with a [`WorkerStalled`] verdict instead of a panic.
-//!    A step that *never* returns is not contained: that needed actors on
-//!    a leaked detached thread, and no actor in the workspace blocks;
-//! 3. **wire** — surviving frames (in sender-id order) are played over
-//!    the wire: chaos-rolled loss, delay, duplication, acks, bounded
-//!    retransmission with exponential backoff;
+//!    that returns after more than [`NetConfig::phase_timeout`], aborts
+//!    the run with a [`WorkerStalled`] verdict instead of a panic. A step
+//!    that *never* returns is not contained: that needed actors on a
+//!    leaked detached thread, and no actor in the workspace blocks;
+//! 3. **wire** — the core routes what was staged (suppressed sends,
+//!    nonexistent receivers and scheduled link drops accounted in
+//!    actor-id order) and the surviving frames' links are played over
+//!    the wire: chaos-rolled loss, delay, duplication, acks,
+//!    bounded retransmission with exponential backoff;
 //! 4. **budget** — permanently failed links make their *senders* suspected
 //!    (an omission-faulty sender explains every lost frame). While the
 //!    union of scheduled-faulty and suspected processors stays within the
@@ -29,19 +32,22 @@
 //!    `correct = false` so the agreement checker holds them to nothing.
 //!    The moment the union exceeds `t` the model is broken and the run
 //!    aborts with a [`FaultBudgetExceeded`] verdict: no decisions are
-//!    produced, because none could be trusted.
+//!    produced, because none could be trusted;
+//! 5. **scatter** — the core moves the frames into next phase's inboxes in
+//!    the order the wire says they arrived, recording each in `Metrics`,
+//!    and verifies the delivered chains at the barrier.
 //!
 //! # Equivalence with the lock-step engine
 //!
 //! Under [`ChaosProfile::reliable`] every frame arrives on its first
 //! attempt in staging order, so inbox contents, metrics and decisions are
 //! byte-identical to [`ba_sim::Simulation`] at any worker-thread count —
-//! the `harness` module proves this for every checkable target. The same
-//! `Metrics` recording primitives, the same chunked stepper
-//! ([`ba_sim::engine::step_chunks`]) and the same barrier verification
-//! ([`Chain::verify_at_barrier`](ba_crypto::Chain::verify_at_barrier), run
-//! at the flush boundary against the registry passed via
-//! [`NetRuntime::with_registry`]) are used, and that registry's verifier
+//! the `harness` module checks this for every checkable target. It is one
+//! implementation under two loops, not two that agree: stepping, routing,
+//! `Metrics` recording, the scatter and barrier verification
+//! ([`Chain::verify_at_barrier`](ba_crypto::Chain::verify_at_barrier),
+//! against the registry passed via [`NetRuntime::with_registry`]) are the
+//! core's, and the wire is the only variable. That registry's verifier
 //! cache runs in the same deferred phase-snapshot mode, flushed once per
 //! phase.
 //!
@@ -237,9 +243,8 @@ impl<P: Payload + 'static> NetRuntime<P> {
             driver.step(config.threads);
             // A standalone runtime flushes each frame as its own wire
             // send; only the service layer coalesces.
-            let frames = driver.take_frames();
-            driver.note_solo_flushes(frames.len());
-            if let Some(result) = driver.deliver(frames, &chaos, policy).transpose() {
+            driver.note_solo_flushes();
+            if let Some(result) = driver.deliver(&chaos, policy).transpose() {
                 break result;
             }
             if let Some(cache) = cache {

@@ -29,19 +29,18 @@
 //!   sustained load (λ instances per tick) instead of a fixed batch, and
 //!   measure steady-state agreements/sec plus submission-to-decision
 //!   latency (queue wait included) rather than batch-relative figures.
-//! * **Instance tagging** — every frame the service coalesces is a
-//!   [`TaggedFrame`]: the wire envelope plus the id of the BA instance it
-//!   belongs to, so one physical flush can carry many instances' traffic
-//!   and still demultiplex exactly.
 //! * **Pipelined phases** — each [`tick`](SvcSession::tick) admits up to
 //!   [`SvcConfig::admit_per_tick`] queued instances and advances *every*
 //!   in-flight instance by one phase, so instance `k + 1`'s phase 1
 //!   overlaps instance `k`'s phase 2: the coordination cost of a tick (one
 //!   pool fan-out, one cache flush) is paid once for the whole fleet.
 //! * **Shared-wire batching** — all instances' frames for one directed
-//!   link are assembled into a single flush per tick
-//!   ([`NetStats::flushes`] counts them; the standalone runtime's
-//!   one-send-per-frame behaviour shows up as `solo_flushes`).
+//!   link share a single flush per tick. The session *counts* them — each
+//!   driver's links, summed per directed link, one
+//!   [`NetStats::note_flush`] per link ([`NetStats::flushes`]; the
+//!   standalone runtime's one-send-per-frame behaviour shows up as
+//!   `solo_flushes`) — and never holds a frame: frames stay in their
+//!   instance's arena from staging to inbox.
 //! * **Shared verifier cache** — built with
 //!   [`BaService::with_shared_cache`], every instance's registry shares
 //!   one sharded [`VerifierCache`], so a signer prefix verified by any
@@ -63,12 +62,11 @@
 //! # One driver
 //!
 //! Every in-flight ticket owns one phase driver (the crate-private
-//! `driver` module) — the same code a standalone
-//! [`NetRuntime`](crate::runtime::NetRuntime) runs as its single
+//! `driver` module: [`ba_sim::PhaseCore`] plus the wire) — the same code a
+//! standalone [`NetRuntime`](crate::runtime::NetRuntime) runs as its single
 //! instance. The session adds only what is fleet-level: tickets and
-//! timestamps, admission, the per-link flush coalescing between a
-//! driver's step and its wire delivery, and the shared cache's flush
-//! cadence.
+//! timestamps, admission, the per-link flush count between a driver's
+//! step and its wire delivery, and the shared cache's flush cadence.
 //!
 //! # Determinism
 //!
@@ -128,7 +126,7 @@ use crate::verdict::{
 use crate::wire::WirePolicy;
 use ba_crypto::rng::{splitmix64, SimRng};
 use ba_crypto::{ProcessId, VerifierCache};
-use ba_sim::{Envelope, Payload, QueueStats, WorkerPool};
+use ba_sim::{Payload, QueueStats, WorkerPool};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -342,19 +340,6 @@ impl SvcConfig {
         self.admission = admission;
         self
     }
-}
-
-/// A wire frame annotated with the BA instance it belongs to — the unit a
-/// coalesced per-link flush carries.
-#[derive(Debug)]
-pub struct TaggedFrame<P> {
-    /// The owning instance's id (submission order).
-    pub instance: u64,
-    /// The instance's staging-order index of this frame, so demultiplexing
-    /// restores the exact standalone delivery order.
-    pub seq: usize,
-    /// The wire envelope itself.
-    pub frame: Envelope<P>,
 }
 
 /// One instance's journey through the service: tick-precise and
@@ -718,7 +703,7 @@ impl<P: Payload + 'static> SvcSession<P> {
 
     /// Advances the session by one service tick: admit up to
     /// `admit_per_tick` queued instances (bounded by `max_inflight`), step
-    /// every in-flight instance one phase on the shared pool, coalesce all
+    /// every in-flight instance one phase on the shared pool, count all
     /// staged frames into one flush per directed link, play each
     /// instance's frames over the wire, settle the finished, and publish
     /// this tick's verifications fleet-wide. A no-op-ish tick on an idle
@@ -764,30 +749,17 @@ impl<P: Payload + 'static> SvcSession<P> {
             });
         }
 
-        // Coalesce: collect every instance's post-schedule frames,
-        // assemble one flush per directed link carrying all of them.
-        let mut batches: BTreeMap<(ProcessId, ProcessId), Vec<TaggedFrame<P>>> = BTreeMap::new();
-        for inst in self.active.iter_mut() {
-            for (seq, frame) in inst.driver.take_frames().into_iter().enumerate() {
-                batches
-                    .entry((frame.from, frame.to))
-                    .or_default()
-                    .push(TaggedFrame {
-                        instance: inst.id,
-                        seq,
-                        frame,
-                    });
+        // Coalesce: every in-flight instance's frames for one directed
+        // link share one flush this tick. Only the count is fleet-level —
+        // the frames themselves never leave their instance.
+        let mut flushes: BTreeMap<(ProcessId, ProcessId), u64> = BTreeMap::new();
+        for inst in &mut self.active {
+            for &link in inst.driver.links() {
+                *flushes.entry(link).or_default() += 1;
             }
         }
-        let mut per_instance: BTreeMap<u64, Vec<(usize, Envelope<P>)>> = BTreeMap::new();
-        for (_, batch) in batches {
-            self.stats.note_flush(batch.len() as u64);
-            for tagged in batch {
-                per_instance
-                    .entry(tagged.instance)
-                    .or_default()
-                    .push((tagged.seq, tagged.frame));
-            }
+        for frames in flushes.into_values() {
+            self.stats.note_flush(frames);
         }
 
         // Deliver and settle, in submission order. Each instance plays
@@ -796,11 +768,7 @@ impl<P: Payload + 'static> SvcSession<P> {
         let now = self.started.elapsed();
         let mut still_active: Vec<Instance<P>> = Vec::with_capacity(self.active.len());
         for mut inst in std::mem::take(&mut self.active) {
-            let mut frames: Vec<(usize, Envelope<P>)> =
-                per_instance.remove(&inst.id).unwrap_or_default();
-            frames.sort_unstable_by_key(|(seq, _)| *seq);
-            let frames: Vec<Envelope<P>> = frames.into_iter().map(|(_, env)| env).collect();
-            let delivered = inst.driver.deliver(frames, &self.chaos, self.policy);
+            let delivered = inst.driver.deliver(&self.chaos, self.policy);
             let Some(result) = delivered.transpose() else {
                 still_active.push(inst);
                 continue;

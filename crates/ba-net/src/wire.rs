@@ -1,8 +1,11 @@
 //! The virtual-tick wire: deterministic unreliable delivery with
 //! retransmission, exponential backoff, acks and receiver-side dedup.
 //!
-//! Within one phase the phase driver hands the wire every staged frame (in
-//! sender-id order) and the wire plays out delivery over *virtual ticks*:
+//! Within one phase the phase driver hands the wire the *links* of every
+//! frame that survived routing — `(from, to)` in staging order, i.e.
+//! sender-id order — and the wire plays out delivery over *virtual ticks*.
+//! A frame is its index in that list: the wire never sees a payload, and
+//! answers with the order in which the indices arrived.
 //!
 //! * tick `k`: every frame whose retransmission timer expires is put on the
 //!   wire; the chaos profile rolls loss, delay and duplication per attempt;
@@ -28,7 +31,7 @@
 use crate::chaos::ChaosProfile;
 use crate::verdict::{FailedLink, NetStats};
 use ba_crypto::rng::SimRng;
-use ba_sim::{Envelope, Payload};
+use ba_crypto::ProcessId;
 use std::collections::BTreeMap;
 
 /// Retry policy for one phase of wire delivery.
@@ -46,9 +49,10 @@ const INITIAL_BACKOFF: u64 = 3;
 const BACKOFF_CAP: u64 = 64;
 
 /// What one phase of wire delivery produced.
-pub(crate) struct WireReport<P> {
-    /// Frames that reached their receiver, in arrival order.
-    pub delivered: Vec<Envelope<P>>,
+pub(crate) struct WireReport {
+    /// The frames that reached their receiver, in arrival order, as
+    /// indices into the phase's link list.
+    pub order: Vec<usize>,
     /// Links that permanently failed (frame never delivered).
     pub failed: Vec<FailedLink>,
     /// Frames neither delivered nor given up on when the deadline expired;
@@ -77,17 +81,17 @@ fn shuffle(items: &mut [usize], rng: &mut SimRng) {
     }
 }
 
-/// Plays out one phase's frames over the unreliable wire.
-pub(crate) fn deliver<P: Payload>(
+/// Plays out one phase's frames — one per entry of `links`, `(from, to)`
+/// in staging order — over the unreliable wire.
+pub(crate) fn deliver(
     phase: usize,
-    frames: Vec<Envelope<P>>,
+    links: &[(ProcessId, ProcessId)],
     profile: &ChaosProfile,
     rng: &mut SimRng,
     policy: WirePolicy,
     stats: &mut NetStats,
-) -> WireReport<P> {
-    let mut frames: Vec<Option<Envelope<P>>> = frames.into_iter().map(Some).collect();
-    let mut slots: Vec<Slot> = frames
+) -> WireReport {
+    let mut slots: Vec<Slot> = links
         .iter()
         .map(|_| Slot {
             attempts: 0,
@@ -102,7 +106,7 @@ pub(crate) fn deliver<P: Payload>(
     // in-tick push order keeps everything deterministic.
     let mut arrivals: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
     let mut acks: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
-    let mut delivery_order: Vec<usize> = Vec::new();
+    let mut order: Vec<usize> = Vec::new();
     let mut failed: Vec<FailedLink> = Vec::new();
     let mut unresolved = slots.len();
     let mut tick = 0u64;
@@ -125,14 +129,14 @@ pub(crate) fn deliver<P: Payload>(
                 shuffle(&mut list, rng);
             }
             for idx in list {
-                let env = frames[idx].as_ref().expect("frame taken before settle");
-                let link = profile.link(env.from, env.to);
+                let (from, to) = links[idx];
+                let link = profile.link(from, to);
                 if slots[idx].delivered {
                     stats.duplicates_suppressed += 1;
                 } else {
                     slots[idx].delivered = true;
                     stats.frames_delivered += 1;
-                    delivery_order.push(idx);
+                    order.push(idx);
                 }
                 // The receiver acks every copy it sees; a lost ack keeps
                 // the sender's retransmission timer armed.
@@ -157,12 +161,12 @@ pub(crate) fn deliver<P: Payload>(
                 slot.done = true;
                 unresolved -= 1;
                 if !slot.delivered {
-                    let env = frames[idx].as_ref().expect("frame taken before settle");
+                    let (from, to) = links[idx];
                     stats.frames_failed += 1;
                     failed.push(FailedLink {
                         phase,
-                        from: env.from,
-                        to: env.to,
+                        from,
+                        to,
                         attempts: slot.attempts,
                     });
                 }
@@ -173,8 +177,8 @@ pub(crate) fn deliver<P: Payload>(
             if slot.attempts > 1 {
                 stats.retransmissions += 1;
             }
-            let env = frames[idx].as_ref().expect("frame taken before settle");
-            let link = profile.link(env.from, env.to);
+            let (from, to) = links[idx];
+            let link = profile.link(from, to);
             if !roll(rng, link.drop_per_mille) {
                 let delay = if link.max_delay_ticks > 0 {
                     rng.range_u64(0, u64::from(link.max_delay_ticks) + 1)
@@ -198,12 +202,8 @@ pub(crate) fn deliver<P: Payload>(
     // Anything unsettled and undelivered at the deadline blew the phase;
     // unsettled-but-delivered frames were only waiting for an ack.
     let pending = slots.iter().filter(|s| !s.done && !s.delivered).count();
-    let delivered = delivery_order
-        .into_iter()
-        .map(|idx| frames[idx].take().expect("each frame delivered once"))
-        .collect();
     WireReport {
-        delivered,
+        order,
         failed,
         pending,
     }
@@ -213,20 +213,15 @@ pub(crate) fn deliver<P: Payload>(
 mod tests {
     use super::*;
     use crate::chaos::LinkChaos;
-    use ba_crypto::{ProcessId, Value};
 
     const POLICY: WirePolicy = WirePolicy {
         max_retries: 4,
         deadline_ticks: 128,
     };
 
-    fn frames(n: u32) -> Vec<Envelope<Value>> {
+    fn frames(n: u32) -> Vec<(ProcessId, ProcessId)> {
         (0..n)
-            .map(|i| Envelope {
-                from: ProcessId(i),
-                to: ProcessId((i + 1) % n),
-                payload: Value(i as u64),
-            })
+            .map(|i| (ProcessId(i), ProcessId((i + 1) % n)))
             .collect()
     }
 
@@ -235,12 +230,14 @@ mod tests {
         let profile = ChaosProfile::reliable();
         let mut rng = SimRng::new(1);
         let mut stats = NetStats::default();
-        let report = deliver(1, frames(5), &profile, &mut rng, POLICY, &mut stats);
-        assert_eq!(report.delivered.len(), 5);
+        let report = deliver(1, &frames(5), &profile, &mut rng, POLICY, &mut stats);
         assert_eq!(report.failed.len(), 0);
         assert_eq!(report.pending, 0);
-        let order: Vec<u64> = report.delivered.iter().map(|e| e.payload.0).collect();
-        assert_eq!(order, vec![0, 1, 2, 3, 4], "delivery order = staging order");
+        assert_eq!(
+            report.order,
+            vec![0, 1, 2, 3, 4],
+            "delivery order = staging order"
+        );
         assert_eq!(stats.physical_transmissions, 5);
         assert_eq!(stats.retransmissions, 0);
         assert_eq!(stats.duplicates_suppressed, 0);
@@ -256,8 +253,8 @@ mod tests {
             ChaosProfile::reliable().with_link(ProcessId(0), ProcessId(1), LinkChaos::dead());
         let mut rng = SimRng::new(2);
         let mut stats = NetStats::default();
-        let report = deliver(4, frames(3), &profile, &mut rng, POLICY, &mut stats);
-        assert_eq!(report.delivered.len(), 2, "other links deliver");
+        let report = deliver(4, &frames(3), &profile, &mut rng, POLICY, &mut stats);
+        assert_eq!(report.order.len(), 2, "other links deliver");
         assert_eq!(report.failed.len(), 1);
         let link = report.failed[0];
         assert_eq!(
@@ -285,8 +282,8 @@ mod tests {
         };
         let mut rng = SimRng::new(3);
         let mut stats = NetStats::default();
-        let report = deliver(1, frames(2), &profile, &mut rng, POLICY, &mut stats);
-        assert_eq!(report.delivered.len(), 2, "delivered exactly once each");
+        let report = deliver(1, &frames(2), &profile, &mut rng, POLICY, &mut stats);
+        assert_eq!(report.order.len(), 2, "delivered exactly once each");
         assert_eq!(report.failed.len(), 0, "delivered frames never fail");
         assert_eq!(report.pending, 0);
         assert_eq!(stats.retransmissions, 2 * u64::from(POLICY.max_retries));
@@ -300,9 +297,8 @@ mod tests {
         let run = |seed: u64| {
             let mut rng = SimRng::new(seed);
             let mut stats = NetStats::default();
-            let report = deliver(2, frames(8), &profile, &mut rng, POLICY, &mut stats);
-            let order: Vec<u64> = report.delivered.iter().map(|e| e.payload.0).collect();
-            (order, report.failed, stats)
+            let report = deliver(2, &frames(8), &profile, &mut rng, POLICY, &mut stats);
+            (report.order, report.failed, stats)
         };
         assert_eq!(run(5), run(5));
         assert_ne!(run(5), run(6), "different seeds behave differently");
@@ -320,9 +316,9 @@ mod tests {
         };
         let mut rng = SimRng::new(4);
         let mut stats = NetStats::default();
-        let report = deliver(1, frames(2), &profile, &mut rng, policy, &mut stats);
+        let report = deliver(1, &frames(2), &profile, &mut rng, policy, &mut stats);
         assert_eq!(report.pending, 1);
-        assert_eq!(report.delivered.len(), 1);
+        assert_eq!(report.order.len(), 1);
         assert!(report.failed.is_empty(), "pending, not yet failed");
     }
 
@@ -331,11 +327,11 @@ mod tests {
         let profile = ChaosProfile::jitter(11);
         let mut rng = SimRng::new(profile.seed);
         let mut stats = NetStats::default();
-        let report = deliver(1, frames(16), &profile, &mut rng, POLICY, &mut stats);
-        assert_eq!(report.delivered.len(), 16);
+        let report = deliver(1, &frames(16), &profile, &mut rng, POLICY, &mut stats);
+        assert_eq!(report.order.len(), 16);
         assert_eq!(report.failed.len(), 0);
         assert_eq!(report.pending, 0);
-        let order: Vec<u64> = report.delivered.iter().map(|e| e.payload.0).collect();
+        let order = report.order;
         let mut sorted = order.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..16).collect::<Vec<_>>(), "every frame arrives");

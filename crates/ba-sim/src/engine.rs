@@ -1,4 +1,20 @@
-//! The lock-step phase engine.
+//! The phase core and the lock-step loop around it.
+//!
+//! # One core, two loops
+//!
+//! [`PhaseCore`] is the only code in the workspace that steps actors,
+//! routes their sends, records [`Metrics`] and fills inboxes. A phase is
+//! [`step`](PhaseCore::step) (fan the actors out; they stage their sends)
+//! followed by [`deliver`](PhaseCore::deliver) (route what was staged,
+//! scatter the survivors into next phase's inboxes, attribute the phase's
+//! crypto, verify at the barrier, swap). Between the two calls exactly one
+//! thing can leave the core: [`links`](PhaseCore::links), the survivors'
+//! `(from, to)` in staging order. [`Simulation`] is the lock-step loop —
+//! every survivor arrives, in staging order — and keeps what is about
+//! *watching* a run: trace, observer, quiescence. `ba_net`'s phase driver
+//! is the other loop: it plays `links()` over an unreliable wire and tells
+//! `deliver` in what order the frames arrived and which never did.
+//! Envelopes themselves never leave the arena.
 //!
 //! # Data plane
 //!
@@ -13,39 +29,42 @@
 //!
 //! In the lock-step model actors are independent *within* a phase — every
 //! actor only reads its own inbox (frozen at the barrier) and writes its
-//! own outbox. [`Simulation::with_threads`] exploits this by stepping
-//! contiguous actor chunks on the persistent [`WorkerPool`] — long-lived
-//! threads parked between phases, replacing the seed engine's
-//! spawn-per-phase `std::thread::scope` (whose thread churn made parallel
-//! stepping *lose* to sequential). Everything order-sensitive stays on the
-//! calling thread: staged envelopes are routed (and metrics/trace
-//! recorded) strictly in actor-id order after the barrier — worker
-//! segments cover ascending actor ranges, so walking segments in order
-//! reproduces the sequential send order exactly — making `Metrics`, the
-//! trace and every decision byte-identical for any thread count. Per-phase
-//! crypto counters stay identical too: each chunk measures its own
-//! thread-local [`CryptoStats`] delta (the sum over chunks is
-//! schedule-independent), and a run wired to a [`KeyRegistry`] via
-//! [`Simulation::with_registry`] puts the shared verifier cache into
-//! deferred phase-snapshot mode, so intra-phase cache lookups see only the
-//! state frozen at the previous barrier regardless of scheduling.
+//! own outbox. [`PhaseCore::step`] exploits this by stepping contiguous
+//! actor chunks on the persistent [`WorkerPool`] — long-lived threads
+//! parked between phases, replacing the seed engine's spawn-per-phase
+//! `std::thread::scope` (whose thread churn made parallel stepping *lose*
+//! to sequential). Everything order-sensitive stays on the calling thread:
+//! staged envelopes are routed, recorded and scattered strictly in
+//! actor-id order once the chunks have quiesced — worker segments cover
+//! ascending actor ranges, so walking segments in order reproduces the
+//! sequential send order exactly — making `Metrics`, the trace and every
+//! decision byte-identical for any thread count, and for a chunk count
+//! that changes from one phase to the next. Per-phase crypto counters stay
+//! identical too: each chunk measures its own thread-local [`CryptoStats`]
+//! delta (the sum over chunks is schedule-independent), and a caller that
+//! runs its [`KeyRegistry`]'s verifier cache in deferred phase-snapshot
+//! mode (as `Simulation` does for the registry passed to
+//! [`Simulation::with_registry`]) makes intra-phase cache lookups see only
+//! the state frozen at the previous barrier regardless of scheduling.
 //!
 //! # Barrier verification
 //!
-//! A run wired to a [`KeyRegistry`] verifies signature chains at the
-//! barrier, not at the receivers: after routing, the engine hands the next
-//! phase's inbox arena to [`Chain::verify_at_barrier`], which verifies each
-//! *unique* chain once (deduplicated by shared signature storage — a
-//! broadcast fan-out is one entry) and stamps the chain's buffer as
-//! verified under this run's registry. When recipients call
+//! A core given a [`KeyRegistry`] verifies signature chains at the
+//! barrier, not at the receivers: once the next phase's inbox arena is
+//! filled, `deliver` hands it to [`Chain::verify_at_barrier`], which
+//! verifies each *unique* chain once (deduplicated by shared signature
+//! storage — a broadcast fan-out is one entry) and stamps the chain's
+//! buffer as verified under this run's registry. When recipients call
 //! [`Chain::verify`] during the next phase, the stamp short-circuits to a
 //! cache hit — so a Dolev–Strong phase delivering O(n²) envelopes pays
 //! crypto for O(unique chains) instead of O(n²) full verifications. A chain
 //! that fails at the barrier is left unstamped and every recipient's own
 //! `verify` rejects it. The barrier's work is attributed to the phase in
-//! which the messages are delivered, and the counters are byte-identical
-//! across thread counts — the pass runs on the calling thread in delivery
-//! order. `ba_net`'s phase driver runs the same pass at its flush boundary.
+//! which the messages are consumed, and the counters are byte-identical
+//! across thread counts — the pass runs on the calling thread over the
+//! filled arena. Flushing the verifier cache stays with the caller: a
+//! simulation flushes per phase, a service session once per tick for its
+//! whole fleet.
 //!
 //! [`Simulation::with_batched_verification`]`(false)` switches the pass off
 //! so every recipient verifies every delivery in full: the reference the
@@ -54,16 +73,18 @@
 //! differ.
 
 use crate::actor::{Actor, Envelope, Outbox, Payload};
-use crate::arena::{Inboxes, Segment};
+use crate::arena::{Inboxes, Link, Segment};
 use crate::metrics::Metrics;
 use crate::pool::WorkerPool;
 use crate::schedule::LinkDrop;
 use crate::trace::{PhaseTrace, Trace};
-use crate::transport::{Fate, ScheduledDrops, Transport};
+use crate::transport::{Fate, ScheduledDrops};
 use ba_crypto::keys::KeyRegistry;
 use ba_crypto::stats::CryptoStats;
 use ba_crypto::{Chain, ProcessId, Value};
-use std::collections::{BTreeSet, HashSet};
+use std::any::Any;
+use std::collections::HashSet;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 
 /// Result of driving a [`Simulation`] to completion.
@@ -90,11 +111,341 @@ impl<P> RunOutcome<P> {
     }
 }
 
+/// One run's whole per-phase state: the actors, their double-buffered
+/// inboxes, the staging segments, the scheduled link drops and the
+/// [`Metrics`] — advanced one phase at a time by whichever loop owns it
+/// (see the [module docs](self)). `Send`, so a service can step a fleet of
+/// cores on the worker pool.
+///
+/// A phase is `step` → (`links`, for a caller with a wire) → `deliver`;
+/// after the last one, `finalize` → `finish`.
+pub struct PhaseCore<P> {
+    actors: Vec<Box<dyn Actor<P>>>,
+    correct: Vec<bool>,
+    /// Next phase to step, 1-based.
+    phase: usize,
+    /// `cur` holds the messages delivered to actors this phase, `nxt`
+    /// collects deliveries for the next; the pair swaps at the barrier.
+    cur: Inboxes<P>,
+    nxt: Inboxes<P>,
+    /// One staging segment per worker chunk of the last step.
+    segments: Vec<Segment<P>>,
+    scheduled: ScheduledDrops,
+    metrics: Metrics,
+    registry: Option<KeyRegistry>,
+    batch_verify: bool,
+    /// Barrier-verification scratch: unique chains seen this barrier.
+    seen_chains: HashSet<(usize, u32, u64)>,
+    /// Summed thread-local crypto delta of the last step's chunks.
+    step_crypto: CryptoStats,
+    /// Barrier crypto work, carried into the phase that consumes the
+    /// verified messages.
+    carry_crypto: CryptoStats,
+    /// Whether the last step's staging has been through the route pass.
+    routed: bool,
+    /// Routing scratch, recycled across phases: per staged envelope (in
+    /// deterministic merge order) whether it survived the route pass, and
+    /// per recipient how many survivors are addressed to it.
+    fates: Vec<bool>,
+    counts: Vec<usize>,
+    /// The survivors' `(from, to)` in staging order — collected only by a
+    /// route pass that [`links`](Self::links) asked for.
+    links: Vec<Link>,
+    /// Whether the last routed step staged anything for an existing
+    /// processor.
+    sent_any: bool,
+    /// When kept, every recorded envelope is also cloned into it.
+    phase_log: Option<Vec<Envelope<P>>>,
+    /// The first payload among the chunks the last step lost to a panic.
+    panic: Option<Box<dyn Any + Send>>,
+}
+
+impl<P: Payload> PhaseCore<P> {
+    /// A core over `actors` (actor `i` is processor `i`) at phase 1.
+    /// `link_drops` are suppressed at the route pass (see
+    /// [`Simulation::with_link_drops`]); `registry`, when the payloads
+    /// carry keys, is what delivered chains are verified against at the
+    /// barrier (see the [module docs](self)).
+    pub fn new(
+        actors: Vec<Box<dyn Actor<P>>>,
+        link_drops: impl IntoIterator<Item = LinkDrop>,
+        registry: Option<KeyRegistry>,
+    ) -> Self {
+        let n = actors.len();
+        PhaseCore {
+            correct: actors.iter().map(|a| a.is_correct()).collect(),
+            actors,
+            phase: 1,
+            cur: Inboxes::new(n),
+            nxt: Inboxes::new(n),
+            segments: Vec::new(),
+            scheduled: ScheduledDrops::new(link_drops),
+            metrics: Metrics::default(),
+            registry,
+            batch_verify: true,
+            seen_chains: HashSet::new(),
+            step_crypto: CryptoStats::default(),
+            carry_crypto: CryptoStats::default(),
+            routed: true,
+            fates: Vec::new(),
+            counts: vec![0; n],
+            links: Vec::new(),
+            sent_any: false,
+            phase_log: None,
+            panic: None,
+        }
+    }
+
+    /// Number of processors.
+    pub fn n(&self) -> usize {
+        self.actors.len()
+    }
+
+    /// Next phase to step, 1-based: `k + 1` once phase `k` was delivered.
+    pub fn phase(&self) -> usize {
+        self.phase
+    }
+
+    /// Which processors are modeled as correct (the actors' own flags).
+    pub fn correct(&self) -> &[bool] {
+        &self.correct
+    }
+
+    /// Whether the phase last routed — by [`links`](Self::links) or
+    /// [`deliver`](Self::deliver) — staged anything addressed to an
+    /// existing processor, delivered or suppressed by a scheduled link
+    /// drop. `false` means the system was quiet that phase.
+    pub fn sent_any(&self) -> bool {
+        self.sent_any
+    }
+
+    /// Steps every actor through the current phase across up to `threads`
+    /// contiguous chunks (see [`step_chunks`]), each staging its actors'
+    /// sends into its segment. The chunk count may differ from one phase
+    /// to the next.
+    ///
+    /// Returns the indices of the chunks lost to a panicking actor, in
+    /// ascending order — empty when the step completed. A panic is caught
+    /// inside its chunk and the other chunks finish; the staging is
+    /// discarded then, and the core must not be advanced further.
+    pub fn step(&mut self, threads: usize) -> Vec<usize> {
+        self.fan_out(threads, false)
+    }
+
+    /// Hands every actor its final inbox (the last delivered phase's
+    /// messages) through the same fan-out as [`step`](Self::step), with
+    /// the same panic containment and return value.
+    pub fn finalize(&mut self, threads: usize) -> Vec<usize> {
+        self.fan_out(threads, true)
+    }
+
+    fn fan_out(&mut self, threads: usize, finalize: bool) -> Vec<usize> {
+        let (chunk_size, chunks) = chunk_geometry(self.actors.len(), threads);
+        self.segments.resize_with(chunks, Segment::new);
+        self.routed = false;
+        let (phase, cur) = (self.phase, &self.cur);
+        self.step_crypto = step_chunks(
+            &mut self.actors,
+            chunk_size,
+            &mut self.segments,
+            |base, actors, segment| {
+                segment.begin_phase();
+                segment.panic = catch_unwind(AssertUnwindSafe(|| {
+                    if finalize {
+                        for (j, actor) in actors.iter_mut().enumerate() {
+                            actor.finalize(cur.of(base + j));
+                        }
+                    } else {
+                        step_chunk(actors, base, phase, cur, segment);
+                    }
+                }))
+                .err();
+            },
+        );
+        let lost: Vec<usize> = (0..chunks)
+            .filter(|&w| self.segments[w].panic.is_some())
+            .collect();
+        if let Some(&first) = lost.first() {
+            self.panic = self.segments[first].panic.take();
+            // A lost chunk's staging is incomplete: route nothing.
+            self.segments.iter_mut().for_each(Segment::begin_phase);
+        }
+        lost
+    }
+
+    /// The route pass over the last step's staging, on the calling thread
+    /// in `(actor, seq)` order — the single point where ordering matters,
+    /// so metrics, trace and delivery order are independent of how the
+    /// stepping was scheduled. Suppressed sends and scheduled link drops
+    /// are accounted as omitted, sends to nonexistent processors are
+    /// dropped, every other envelope survives and is counted for its
+    /// recipient.
+    ///
+    /// It runs once per step, when its result is first needed, because
+    /// what a survivor needs then differs and a pass over a phase's
+    /// envelopes is memory-bound (11 ns each at n = 1024): a wire wants
+    /// the survivors' links and will say later which arrived; in lock step
+    /// every survivor arrives, so `arrive_all` records each one right here
+    /// instead of in a pass of its own.
+    fn route(&mut self, arrive_all: bool) {
+        let (phase, n) = (self.phase, self.actors.len());
+        self.routed = true;
+        self.sent_any = false;
+        self.fates.clear();
+        self.links.clear();
+        self.counts.fill(0);
+        for seg in &self.segments {
+            for (_, staged_run, omitted) in seg.per_actor_runs() {
+                self.metrics.record_omitted(phase, omitted);
+                for env in staged_run {
+                    let to = env.to.index();
+                    // Sends to nonexistent processors are dropped; a
+                    // correct protocol never does this, an adversary may.
+                    let mut survives = to < n;
+                    if survives {
+                        self.sent_any = true;
+                        if self.scheduled.admit(phase, env.from, env.to) == Fate::Omit {
+                            // A scheduled drop: the processor still "sent"
+                            // (the system is not quiet), but nothing
+                            // reaches the wire.
+                            self.metrics.record_omitted(phase, 1);
+                            survives = false;
+                        } else if arrive_all {
+                            self.counts[to] += 1;
+                            let log = self.phase_log.as_mut();
+                            record(&mut self.metrics, &self.correct, log, phase, env);
+                        } else {
+                            self.counts[to] += 1;
+                            self.links.push((env.from, env.to));
+                        }
+                    }
+                    self.fates.push(survives);
+                }
+            }
+        }
+    }
+
+    /// The `(from, to)` of every envelope of the last [`step`](Self::step)
+    /// that survives routing, in staging order — all a wire needs to know
+    /// about a phase's frames, and the index space
+    /// [`deliver`](Self::deliver)'s arrival order speaks. A lock-step loop
+    /// never asks, and then no list is built.
+    pub fn links(&mut self) -> &[(ProcessId, ProcessId)] {
+        if !self.routed {
+            self.route(false);
+        }
+        &self.links
+    }
+
+    /// Completes the phase: scatters the survivors of the last
+    /// [`step`](Self::step) into the next phase's inboxes, each delivered
+    /// envelope recorded in [`Metrics`] once; attributes the phase's
+    /// crypto (stepping plus the previous barrier's carry); verifies the
+    /// delivered chains at the barrier; swaps the arenas.
+    ///
+    /// `arrivals == None` is the lock-step model: every survivor arrives,
+    /// in staging order. `Some(order)` is a wire's verdict: the sequence in
+    /// which frames arrived, as indices into [`links`](Self::links) — each
+    /// recipient's inbox ends up in that order — and a link absent from it
+    /// permanently failed: sent but never on the wire, the same
+    /// [`omitted`](Metrics::omitted_messages) bucket as a scheduled drop.
+    ///
+    /// # Panics
+    /// If an arrival index is out of range or appears twice — before any
+    /// envelope is moved.
+    pub fn deliver(&mut self, arrivals: Option<&[usize]>) {
+        let phase = self.phase;
+        // Envelopes the route pass has not recorded are recorded as the
+        // scatter moves them.
+        let recorded = !self.routed && arrivals.is_none();
+        if !self.routed {
+            self.route(recorded);
+        }
+        if let Some(order) = arrivals {
+            let failed = self.links.len().saturating_sub(order.len());
+            self.metrics.record_omitted(phase, failed as u64);
+        }
+        let (metrics, correct, log) = (&mut self.metrics, &self.correct, &mut self.phase_log);
+        self.nxt.fill(
+            &mut self.segments,
+            &self.fates,
+            &mut self.counts,
+            arrivals.map(|order| (&self.links[..], order)),
+            |env| {
+                if !recorded {
+                    record(metrics, correct, log.as_mut(), phase, env);
+                }
+            },
+        );
+        let phase_crypto =
+            std::mem::take(&mut self.step_crypto).add(&std::mem::take(&mut self.carry_crypto));
+        self.metrics.record_phase_crypto(phase, phase_crypto);
+        if let (true, Some(registry)) = (self.batch_verify, &self.registry) {
+            // The pass verifies what the *next* phase consumes; its cost is
+            // carried there.
+            self.carry_crypto = Chain::verify_at_barrier(
+                self.nxt.iter().filter_map(|env| env.payload.batch_chain()),
+                &registry.verifier(),
+                &mut self.seen_chains,
+            );
+        }
+        // Phase barrier: consumed inboxes become next phase's collection
+        // arena, every buffer keeping its capacity.
+        std::mem::swap(&mut self.cur, &mut self.nxt);
+        self.nxt.clear();
+        self.phase += 1;
+    }
+
+    /// Reads the decisions and hands over the run's accounting, with the
+    /// finalize step's crypto and the last barrier's carry absorbed. Call
+    /// after [`finalize`](Self::finalize); the core is back at phase 1
+    /// with empty inboxes afterwards. The outcome's trace is empty — a
+    /// trace belongs to the loop that kept one.
+    pub fn finish(&mut self) -> RunOutcome<P> {
+        let mut metrics = std::mem::take(&mut self.metrics);
+        let tail =
+            std::mem::take(&mut self.step_crypto).add(&std::mem::take(&mut self.carry_crypto));
+        metrics.absorb_crypto(tail);
+        metrics.phases = self.phase - 1;
+        self.phase = 1;
+        self.cur.clear();
+        RunOutcome {
+            decisions: self.actors.iter().map(|a| a.decision()).collect(),
+            correct: self.correct.clone(),
+            metrics,
+            trace: Trace::default(),
+        }
+    }
+}
+
+/// Records one delivered envelope: the one place a send enters [`Metrics`]
+/// (and the phase log, when one is kept).
+fn record<P: Payload>(
+    metrics: &mut Metrics,
+    correct: &[bool],
+    log: Option<&mut Vec<Envelope<P>>>,
+    phase: usize,
+    env: &Envelope<P>,
+) {
+    metrics.record_send(
+        phase,
+        correct[env.from.index()],
+        env.payload.signature_count(),
+        env.payload.weight_bytes(),
+        env.payload.payload_bytes(),
+        env.payload.kind(),
+    );
+    if let Some(log) = log {
+        log.push(env.clone());
+    }
+}
+
 /// A per-phase observer: called with the phase number and that phase's
 /// sent envelopes (see [`Simulation::with_observer`]).
 pub type PhaseObserver<P> = Box<dyn FnMut(usize, &[Envelope<P>])>;
 
-/// A synchronous simulation of `n` processors.
+/// A synchronous simulation of `n` processors: the lock-step loop around a
+/// [`PhaseCore`].
 ///
 /// Phases execute in lock step: at phase `k` every actor is stepped (in id
 /// order) with the messages addressed to it during phase `k − 1`; the
@@ -103,23 +454,19 @@ pub type PhaseObserver<P> = Box<dyn FnMut(usize, &[Envelope<P>])>;
 ///
 /// See the [crate docs](crate) for a complete example.
 pub struct Simulation<P: Payload> {
-    actors: Vec<Box<dyn Actor<P>>>,
+    core: PhaseCore<P>,
     record_trace: bool,
     observer: Option<PhaseObserver<P>>,
     threads: usize,
-    registry: Option<KeyRegistry>,
-    link_drops: BTreeSet<LinkDrop>,
-    transport: Option<Box<dyn Transport>>,
-    batch_verify: bool,
 }
 
 impl<P: Payload> std::fmt::Debug for Simulation<P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Simulation")
-            .field("n", &self.actors.len())
+            .field("n", &self.core.n())
             .field("record_trace", &self.record_trace)
             .field("threads", &self.threads)
-            .field("batch_verify", &self.batch_verify)
+            .field("batch_verify", &self.core.batch_verify)
             .finish()
     }
 }
@@ -128,14 +475,10 @@ impl<P: Payload> Simulation<P> {
     /// Creates a simulation over `actors`; actor `i` is processor `i`.
     pub fn new(actors: Vec<Box<dyn Actor<P>>>) -> Self {
         Simulation {
-            actors,
+            core: PhaseCore::new(actors, [], None),
             record_trace: false,
             observer: None,
             threads: 1,
-            registry: None,
-            link_drops: BTreeSet::new(),
-            transport: None,
-            batch_verify: true,
         }
     }
 
@@ -155,7 +498,7 @@ impl<P: Payload> Simulation<P> {
     }
 
     /// Declares the [`KeyRegistry`] this run's actors sign and verify
-    /// under. The engine verifies every delivered chain against it at the
+    /// under. The core verifies every delivered chain against it at the
     /// phase barrier (see the [module docs](self)), and for the duration
     /// of the run its verifier cache operates in deferred phase-snapshot
     /// mode (flushed at every phase barrier), which makes the per-phase
@@ -164,7 +507,7 @@ impl<P: Payload> Simulation<P> {
     /// counts when actors verify chains; runs whose payloads carry no keys
     /// don't need it.
     pub fn with_registry(mut self, registry: &KeyRegistry) -> Self {
-        self.registry = Some(registry.clone());
+        self.core.registry = Some(registry.clone());
         self
     }
 
@@ -179,25 +522,7 @@ impl<P: Payload> Simulation<P> {
     ///
     /// [`Metrics::omitted_messages`]: crate::metrics::Metrics::omitted_messages
     pub fn with_link_drops(mut self, drops: impl IntoIterator<Item = LinkDrop>) -> Self {
-        self.link_drops.extend(drops);
-        self
-    }
-
-    /// Injects a [`Transport`] consulted for every staged envelope that
-    /// survives the scheduled link drops. An [`Fate::Omit`] verdict is
-    /// accounted exactly like a scheduled drop: the send happened (the
-    /// system is not quiescent) but nothing is delivered, traced or
-    /// counted as sent — only [`Metrics::omitted_messages`] grows.
-    ///
-    /// The transport runs on the calling thread in actor-id order (see the
-    /// [`transport`](crate::transport) module docs), so stateful policies
-    /// such as [`Flaky`](crate::transport::Flaky) stay byte-identical for
-    /// any worker-thread count. Defaults to
-    /// [`Reliable`](crate::transport::Reliable).
-    ///
-    /// [`Metrics::omitted_messages`]: crate::metrics::Metrics::omitted_messages
-    pub fn with_transport(mut self, transport: impl Transport + 'static) -> Self {
-        self.transport = Some(Box::new(transport));
+        self.core.scheduled.extend(drops);
         self
     }
 
@@ -209,7 +534,7 @@ impl<P: Payload> Simulation<P> {
     /// outcomes and larger `crypto` counters. No product path passes
     /// `false`.
     pub fn with_batched_verification(mut self, batch: bool) -> Self {
-        self.batch_verify = batch;
+        self.core.batch_verify = batch;
         self
     }
 
@@ -223,7 +548,7 @@ impl<P: Payload> Simulation<P> {
 
     /// Number of processors.
     pub fn n(&self) -> usize {
-        self.actors.len()
+        self.core.n()
     }
 
     /// Runs exactly `phases` phases and returns the outcome.
@@ -239,179 +564,60 @@ impl<P: Payload> Simulation<P> {
     }
 
     fn run_inner(&mut self, phases: usize, stop_when_quiet: bool) -> RunOutcome<P> {
-        let n = self.actors.len();
-        let correct: Vec<bool> = self.actors.iter().map(|a| a.is_correct()).collect();
-        let mut metrics = Metrics::default();
         let mut trace = Trace::default();
-
-        let (chunk_size, chunks) = chunk_geometry(n, self.threads);
-        // Double-buffered inbox arenas: `cur` holds messages delivered to
-        // actors this phase, `nxt` collects deliveries for phase k + 1;
-        // the pair swaps at the barrier. One staging segment per worker
-        // chunk.
-        let mut cur: Inboxes<P> = Inboxes::new(n);
-        let mut nxt: Inboxes<P> = Inboxes::new(n);
-        let mut segments: Vec<Segment<P>> = (0..chunks).map(|_| Segment::new()).collect();
-        // Routing scratch, recycled across phases: per-envelope delivery
-        // fates (in deterministic merge order), per-recipient delivery
-        // counts, and the scatter cursors.
-        let mut fates: Vec<bool> = Vec::new();
-        let mut counts: Vec<usize> = vec![0; n];
-        let mut cursors: Vec<usize> = Vec::new();
-        // Barrier-verification scratch: unique chains seen this barrier.
-        let mut seen_chains = HashSet::new();
-        // Barrier crypto work carried into the phase where the verified
-        // messages are delivered.
-        let mut carry_crypto = CryptoStats::default();
-        let mut executed = 0usize;
-
-        if let Some(registry) = &self.registry {
-            registry.cache().set_deferred(true);
-        }
-
-        // The routing policy: scheduled link drops are checked first, then
-        // the injected transport (default: deliver everything). Both run
-        // on this thread in actor-id order, keeping results byte-identical
-        // for any worker-thread count.
-        let mut scheduled = ScheduledDrops::new(self.link_drops.iter().copied());
-
         let keep_phase_log = self.record_trace || self.observer.is_some();
+        self.core.phase_log = keep_phase_log.then(Vec::new);
+        let cache = self.core.registry.as_ref().map(KeyRegistry::shared_cache);
+        if let Some(cache) = &cache {
+            cache.set_deferred(true);
+        }
         for phase in 1..=phases {
-            executed = phase;
-            let mut phase_trace = PhaseTrace::default();
-            let mut any_sent = false;
-
-            let mut phase_crypto = self.step_phase(phase, chunk_size, &cur, &mut segments);
-            phase_crypto = phase_crypto.add(&std::mem::take(&mut carry_crypto));
-
-            // Route strictly in actor-id order on this thread — the single
-            // point where ordering matters, so metrics, trace and delivery
-            // order are independent of how the stepping was scheduled.
-            // Pass A: decide fates, account, count per recipient.
-            fates.clear();
-            counts.fill(0);
-            for (w, seg) in segments.iter().enumerate() {
-                let base = w * chunk_size;
-                for (j, staged_run, omitted) in seg.per_actor_runs() {
-                    let i = base + j;
-                    metrics.record_omitted(phase, omitted);
-                    for env in staged_run {
-                        let to = env.to.index();
-                        if to >= n {
-                            // Sends to nonexistent processors are dropped;
-                            // a correct protocol never does this, an
-                            // adversary may.
-                            fates.push(false);
-                            continue;
-                        }
-                        let fate = if scheduled.admit(phase, env.from, env.to) == Fate::Omit {
-                            Fate::Omit
-                        } else if let Some(transport) = self.transport.as_mut() {
-                            transport.admit(phase, env.from, env.to)
-                        } else {
-                            Fate::Deliver
-                        };
-                        if fate == Fate::Omit {
-                            // The transport suppresses this link this
-                            // phase: the processor still "sent" (the
-                            // system is not quiet), but nothing reaches
-                            // the wire.
-                            any_sent = true;
-                            metrics.record_omitted(phase, 1);
-                            fates.push(false);
-                            continue;
-                        }
-                        any_sent = true;
-                        metrics.record_send(
-                            phase,
-                            correct[i],
-                            env.payload.signature_count(),
-                            env.payload.weight_bytes(),
-                            env.payload.payload_bytes(),
-                            env.payload.kind(),
-                        );
-                        if keep_phase_log {
-                            phase_trace.envelopes.push(env.clone());
-                        }
-                        counts[to] += 1;
-                        fates.push(true);
-                    }
-                }
+            let lost = self.core.step(self.threads);
+            self.reraise(&lost);
+            // Publish the step's verifications before the barrier pass
+            // looks them up, and the pass's own digests after it, so next
+            // phase's lookups (for anything unstamped) still benefit.
+            if let Some(cache) = &cache {
+                cache.flush_pending();
             }
-            // Passes B + C: prefix-sum the offsets and scatter every
-            // delivered envelope into the next phase's contiguous arena.
-            nxt.fill_from(&mut segments, &fates, &counts, &mut cursors);
-
-            metrics.record_phase_crypto(phase, phase_crypto);
+            self.core.deliver(None);
+            if let Some(cache) = &cache {
+                cache.flush_pending();
+            }
+            let envelopes = self.core.phase_log.as_mut().map(std::mem::take);
+            let envelopes = envelopes.unwrap_or_default();
             if let Some(observer) = &mut self.observer {
-                observer(phase, &phase_trace.envelopes);
+                observer(phase, &envelopes);
             }
             if self.record_trace {
-                trace.phases.push(phase_trace);
+                trace.phases.push(PhaseTrace { envelopes });
             }
-            if let Some(registry) = &self.registry {
-                registry.cache().flush_pending();
-                // Barrier verification, then publish its digests so next
-                // phase's lookups (for anything unstamped) still benefit.
-                if self.batch_verify {
-                    carry_crypto = Chain::verify_at_barrier(
-                        nxt.iter().filter_map(|env| env.payload.batch_chain()),
-                        &registry.verifier(),
-                        &mut seen_chains,
-                    );
-                    registry.cache().flush_pending();
-                }
-            }
-
-            // Phase barrier: consumed inboxes become next phase's
-            // collection arena, every buffer keeping its capacity.
-            std::mem::swap(&mut cur, &mut nxt);
-            nxt.clear();
-
-            if stop_when_quiet && !any_sent {
+            if stop_when_quiet && !self.core.sent_any() {
                 break;
             }
         }
-
-        // Deliver the last phase's messages (sequentially: finalize is
-        // cheap and order-stable accounting matters more than speed here).
-        // Barrier work for these deliveries is absorbed with it.
-        let crypto_before = CryptoStats::snapshot();
-        for (i, actor) in self.actors.iter_mut().enumerate() {
-            actor.finalize(cur.of(i));
+        let lost = self.core.finalize(self.threads);
+        self.reraise(&lost);
+        if let Some(cache) = &cache {
+            cache.set_deferred(false);
         }
-        let finalize_crypto = CryptoStats::snapshot().since(&crypto_before);
-        metrics.absorb_crypto(finalize_crypto.add(&carry_crypto));
-
-        if let Some(registry) = &self.registry {
-            registry.cache().set_deferred(false);
-        }
-
-        metrics.phases = executed;
         RunOutcome {
-            decisions: self.actors.iter().map(|a| a.decision()).collect(),
-            correct,
-            metrics,
             trace,
+            ..self.core.finish()
         }
     }
 
-    /// Steps every actor once for `phase`, staging each worker chunk's
-    /// sends into its segment; returns the phase's total stepping crypto
-    /// delta (see [`step_chunks`]).
-    fn step_phase(
-        &mut self,
-        phase: usize,
-        chunk_size: usize,
-        cur: &Inboxes<P>,
-        segments: &mut [Segment<P>],
-    ) -> CryptoStats {
-        step_chunks(
-            &mut self.actors,
-            chunk_size,
-            segments,
-            |base, actors, segment| step_chunk(actors, base, phase, cur, segment),
-        )
+    /// An actor's panic is the caller's: re-raised with its own payload
+    /// once every chunk has quiesced.
+    fn reraise(&mut self, lost: &[usize]) {
+        if !lost.is_empty() {
+            resume_unwind(
+                self.core
+                    .panic
+                    .take()
+                    .expect("a lost chunk keeps its payload"),
+            );
+        }
     }
 }
 
@@ -426,8 +632,8 @@ pub fn chunk_geometry(n: usize, threads: usize) -> (usize, usize) {
     (chunk_size, n.div_ceil(chunk_size).max(1))
 }
 
-/// The intra-phase fan-out every phase driver in the workspace steps its
-/// actors through: `actors` is cut into contiguous ascending chunks of
+/// The intra-phase fan-out [`PhaseCore`] steps and finalizes its actors
+/// through: `actors` is cut into contiguous ascending chunks of
 /// `chunk_size` (see [`chunk_geometry`]; one sink per chunk), and
 /// `step(base, chunk, sink)` runs once per chunk with `base` the id of the
 /// chunk's first actor. A single chunk runs inline — no pool, no lock;
@@ -435,8 +641,8 @@ pub fn chunk_geometry(n: usize, threads: usize) -> (usize, usize) {
 /// each chunk measuring its own thread-local [`CryptoStats`] delta. Returns
 /// the summed delta, which is schedule-independent: the per-chunk work is
 /// deterministic and the sum is order-free. A panic in `step` resumes on the
-/// caller after every chunk has quiesced; callers that contain actor panics
-/// catch them inside `step`.
+/// caller after every chunk has quiesced; the core contains actor panics by
+/// catching them inside `step`.
 pub fn step_chunks<P, S, F>(
     actors: &mut [Box<dyn Actor<P>>],
     chunk_size: usize,
@@ -499,7 +705,6 @@ fn step_chunk<P: Payload>(
     cur: &Inboxes<P>,
     segment: &mut Segment<P>,
 ) {
-    segment.begin_phase();
     let mut buf = std::mem::take(&mut segment.staged);
     for (j, actor) in actors.iter_mut().enumerate() {
         let i = base + j;
@@ -1080,81 +1285,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn injected_transport_composes_with_link_drops() {
-        use crate::transport::{Fate, Transport};
-        // A transport that censors everything addressed to p2.
-        #[derive(Debug)]
-        struct CensorP2;
-        impl Transport for CensorP2 {
-            fn admit(&mut self, _phase: usize, _from: ProcessId, to: ProcessId) -> Fate {
-                if to == ProcessId(2) {
-                    Fate::Omit
-                } else {
-                    Fate::Deliver
-                }
-            }
-        }
-        let mut sim = Simulation::new(vec![
-            Box::new(Flooder {
-                n: 3,
-                value: Value(5),
-                stop_after: 2,
-            }) as Box<dyn Actor<Value>>,
-            Box::new(Listener::default()),
-            Box::new(Listener::default()),
-        ])
-        .with_trace()
-        .with_transport(CensorP2)
-        .with_link_drops([LinkDrop {
-            phase: 1,
-            from: ProcessId(0),
-            to: ProcessId(1),
-        }]);
-        let outcome = sim.run(2);
-        // Phase 1: sends to p1 (scheduled drop) and p2 (transport omit);
-        // phase 2: p1 delivered, p2 omitted again — 3 omissions, 1 send.
-        assert_eq!(outcome.metrics.omitted_messages, 3);
-        assert_eq!(outcome.metrics.messages_by_correct, 1);
-        assert_eq!(outcome.decisions[1], Some(Value(5)));
-        assert_eq!(outcome.decisions[2], None, "p2 never hears anything");
-        assert_eq!(outcome.trace.message_count(), 1);
-    }
-
-    #[test]
-    fn flaky_transport_is_seed_deterministic_across_thread_counts() {
-        use crate::transport::Flaky;
-        let run = |threads: usize, seed: u64| {
-            let mut sim = Simulation::new(vec![
-                Box::new(Flooder {
-                    n: 4,
-                    value: Value(9),
-                    stop_after: 3,
-                }) as Box<dyn Actor<Value>>,
-                Box::new(Listener::default()),
-                Box::new(Listener::default()),
-                Box::new(Listener::default()),
-            ])
-            .with_threads(threads)
-            .with_transport(Flaky::new(seed, 400));
-            sim.run(3)
-        };
-        let seq = run(1, 7);
-        let par = run(4, 7);
-        assert_eq!(seq.metrics, par.metrics);
-        assert_eq!(seq.decisions, par.decisions);
-        assert!(seq.metrics.omitted_messages > 0, "40% loss drops something");
-        assert!(
-            seq.metrics.messages_by_correct > 0,
-            "and delivers something"
-        );
-        assert_eq!(
-            seq.metrics.messages_by_correct + seq.metrics.omitted_messages,
-            9,
-            "every staged envelope is either sent or omitted"
-        );
-    }
-
     /// Satellite: `run_until_quiescent` under scheduled link drops — the
     /// run still quiesces (drops must not make the engine think traffic is
     /// pending), and the `sent + omitted` totals are identical for any
@@ -1212,6 +1342,141 @@ mod tests {
             );
             assert_eq!(run.metrics, baseline.metrics, "threads={threads}");
             assert_eq!(run.decisions, baseline.decisions, "threads={threads}");
+        }
+    }
+
+    /// A core over `n` flooders (payload = sender id, so inbox order is
+    /// visible), stepped through phase 1 with the phase log kept.
+    fn stepped_flooders(n: usize) -> PhaseCore<Value> {
+        let actors = (0..n)
+            .map(|i| {
+                Box::new(Flooder {
+                    n,
+                    value: Value(i as u64),
+                    stop_after: 1,
+                }) as Box<dyn Actor<Value>>
+            })
+            .collect();
+        let mut core = PhaseCore::new(actors, [], None);
+        core.phase_log = Some(Vec::new());
+        assert!(core.step(2).is_empty());
+        core
+    }
+
+    fn inboxes_of(core: &PhaseCore<Value>) -> Vec<Vec<Envelope<Value>>> {
+        (0..core.n()).map(|i| core.cur.of(i).to_vec()).collect()
+    }
+
+    #[test]
+    fn identity_wire_order_is_staging_order() {
+        let mut lock_step = stepped_flooders(4);
+        lock_step.deliver(None);
+        let mut wire = stepped_flooders(4);
+        let identity: Vec<usize> = (0..wire.links().len()).collect();
+        assert_eq!(identity.len(), 12);
+        wire.deliver(Some(&identity));
+        assert_eq!(inboxes_of(&wire), inboxes_of(&lock_step));
+        assert_eq!(wire.metrics, lock_step.metrics);
+        assert_eq!(wire.phase_log, lock_step.phase_log);
+        assert_eq!(wire.phase(), 2);
+        assert_eq!(wire.phase_log.map(|log| log.len()), Some(12));
+    }
+
+    #[test]
+    fn reversed_wire_order_reverses_inboxes_and_moves_no_metric() {
+        let mut lock_step = stepped_flooders(4);
+        lock_step.deliver(None);
+        let mut wire = stepped_flooders(4);
+        let reversed: Vec<usize> = (0..wire.links().len()).rev().collect();
+        wire.deliver(Some(&reversed));
+        let mut expected = inboxes_of(&lock_step);
+        expected.iter_mut().for_each(|inbox| inbox.reverse());
+        assert_ne!(expected, inboxes_of(&lock_step), "order is observable");
+        assert_eq!(inboxes_of(&wire), expected);
+        assert_eq!(wire.metrics, lock_step.metrics);
+        assert_eq!(wire.phase_log, lock_step.phase_log, "logged as sent");
+    }
+
+    #[test]
+    fn a_link_missing_from_the_wire_order_is_omitted_not_sent() {
+        let mut lock_step = stepped_flooders(4);
+        lock_step.deliver(None);
+        let mut wire = stepped_flooders(4);
+        // Link 4 is p1 → p2 (p1's sends are links 3, 4, 5: to p0, p2, p3).
+        assert_eq!(wire.links()[4], (ProcessId(1), ProcessId(2)));
+        let order: Vec<usize> = (0..12).filter(|&k| k != 4).collect();
+        wire.deliver(Some(&order));
+        assert_eq!(wire.metrics.omitted_messages, 1);
+        assert_eq!(wire.metrics.per_phase[0].omitted, 1);
+        assert_eq!(
+            wire.metrics.messages_by_correct,
+            lock_step.metrics.messages_by_correct - 1
+        );
+        let senders = |core: &PhaseCore<Value>| -> Vec<u64> {
+            core.cur.of(2).iter().map(|env| env.payload.0).collect()
+        };
+        assert_eq!(senders(&lock_step), vec![0, 1, 3]);
+        assert_eq!(senders(&wire), vec![0, 3]);
+        let logged = wire.phase_log.expect("kept").len();
+        assert_eq!(logged, 11, "never on the wire, never logged");
+    }
+
+    #[test]
+    fn chunk_count_may_change_every_phase() {
+        // One instance stepped in 1, then 4, then 2 chunks — what a
+        // session does as its fleet grows and shrinks — against the same
+        // instance at a fixed chunk count: same inboxes after every
+        // barrier, same Metrics (crypto included), same decisions.
+        let drive = |threads: [usize; 3]| {
+            let n = 8;
+            let registry = KeyRegistry::new(n, 99, ba_crypto::keys::SchemeKind::Fast);
+            let actors = (0..n).map(|i| chain_relay(&registry, i, n)).collect();
+            let mut core = PhaseCore::new(actors, [], Some(registry.clone()));
+            registry.cache().set_deferred(true);
+            let mut inboxes = Vec::new();
+            for threads in threads {
+                assert!(core.step(threads).is_empty());
+                registry.cache().flush_pending();
+                core.deliver(None);
+                registry.cache().flush_pending();
+                inboxes.push((0..n).map(|i| core.cur.of(i).to_vec()).collect::<Vec<_>>());
+            }
+            assert!(core.finalize(3).is_empty());
+            registry.cache().set_deferred(false);
+            (inboxes, core.finish())
+        };
+        let (fixed_inboxes, fixed) = drive([2, 2, 2]);
+        let (inboxes, varied) = drive([1, 4, 2]);
+        assert_eq!(inboxes, fixed_inboxes);
+        assert_eq!(varied.metrics, fixed.metrics);
+        assert_eq!(varied.decisions, fixed.decisions);
+        assert!(fixed.metrics.crypto.sig_verifications > 0);
+        assert_eq!(fixed.metrics.phases, 3);
+    }
+
+    #[test]
+    fn run_re_raises_an_actors_panic_with_its_own_message() {
+        #[derive(Debug)]
+        struct PanicsAt(Option<usize>);
+        impl Actor<Value> for PanicsAt {
+            fn step(&mut self, phase: usize, _i: &[Envelope<Value>], _o: &mut Outbox<Value>) {
+                assert!(Some(phase) != self.0, "actor bug at phase {phase}");
+            }
+            fn decision(&self) -> Option<Value> {
+                Some(Value::ONE)
+            }
+        }
+        for threads in [1, 4] {
+            let actors = (0..4)
+                .map(|i| Box::new(PanicsAt((i == 2).then_some(2))) as Box<dyn Actor<Value>>)
+                .collect();
+            let mut sim = Simulation::new(actors).with_threads(threads);
+            let payload = catch_unwind(AssertUnwindSafe(|| sim.run(3)))
+                .expect_err("a panicking actor fails the run");
+            let message = payload
+                .downcast_ref::<String>()
+                .expect("the actor's own formatted message");
+            assert_eq!(message, "actor bug at phase 2", "threads={threads}");
         }
     }
 

@@ -10,7 +10,10 @@
 //! * [`actor`] — the [`Actor`] trait (one implementation per
 //!   protocol role), [`Envelope`]s and the
 //!   [`Outbox`];
-//! * [`engine`] — the lock-step [`Simulation`] driver;
+//! * [`engine`] — the phase core ([`PhaseCore`]: step → route → scatter
+//!   on the arena, the one place a phase advances) and the lock-step
+//!   [`Simulation`] loop around it; the `ba-net` crate's unreliable-wire
+//!   driver is the other loop around the same core;
 //! * [`metrics`] — message/signature/phase accounting with the paper's
 //!   convention (count traffic *sent by correct processors*);
 //! * [`adversary`] — generic Byzantine behaviours (silence, crashing,
@@ -22,19 +25,19 @@
 //!   ([`FaultBehavior`], [`LinkDrop`], [`ScheduleSpec`]) that the
 //!   `ba-check` model checker compiles onto the adversary wrappers and the
 //!   engine's link-drop hook;
-//! * [`transport`] — the injectable per-envelope delivery policy the
-//!   routing barrier consults ([`Reliable`], [`ScheduledDrops`], seeded
-//!   [`Flaky`] loss); the `ba-net` crate builds its real message-passing
-//!   runtime on the same actor contract with a richer chaos model;
+//! * [`transport`] — the routing [`Fate`] of a staged envelope and the
+//!   one policy that decides it, [`ScheduledDrops`]; anything less
+//!   reliable is a wire's business (`ba-net`);
 //! * [`trace`] — optional full message trace for debugging and for the
 //!   formal-model experiments;
-//! * [`pool`] — the persistent [`WorkerPool`] shared by the engine's
-//!   intra-phase stepping, the sweep fan-out and the `ba-net` runtime:
+//! * [`pool`] — the persistent [`WorkerPool`] shared by the core's
+//!   intra-phase stepping, the sweep fan-out and `ba-net`'s service tick:
 //!   long-lived threads parked between dispatches instead of
 //!   spawn-per-phase;
 //! * [`arena`] — flat struct-of-arrays mailbox storage: one contiguous
 //!   inbox arena per phase plus per-worker outbox segments, merged in
-//!   deterministic `(sender, seq)` order at the barrier;
+//!   deterministic `(sender, seq)` order at the barrier, with one scatter
+//!   for staging-order and wire-order arrival;
 //! * [`sweep`] — deterministic fan-out of independent experiment cells
 //!   across the shared worker pool, with per-cell seed derivation and
 //!   metrics merging.
@@ -96,8 +99,8 @@ pub mod transport;
 
 pub use actor::{Actor, Envelope, Outbox, Payload};
 pub use checker::{check_byzantine_agreement, AgreementViolation, RunVerdict};
-pub use engine::{RunOutcome, Simulation};
+pub use engine::{PhaseCore, RunOutcome, Simulation};
 pub use metrics::{Metrics, QueueStats};
 pub use pool::WorkerPool;
 pub use schedule::{FaultBehavior, LinkDrop, ScheduleError, ScheduleSpec};
-pub use transport::{Fate, Flaky, Reliable, ScheduledDrops, Transport};
+pub use transport::{Fate, ScheduledDrops};

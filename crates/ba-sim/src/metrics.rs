@@ -110,13 +110,9 @@ impl Metrics {
         self.bytes_by_correct - self.payload_bytes_by_correct
     }
 
-    /// Records one sent message.
-    ///
-    /// Public (not `pub(crate)`) because the `ba-net` runtime drives the
-    /// same accounting from outside this crate: byte-identical `Metrics`
-    /// between the lock-step engine and the message-passing runtime is the
-    /// equivalence harness's contract, so both must share the recording
-    /// primitives rather than reimplement them.
+    /// Records one sent message. The phase core's scatter
+    /// ([`PhaseCore::deliver`](crate::engine::PhaseCore::deliver)) is the
+    /// one caller in the workspace, for every driver.
     pub fn record_send(
         &mut self,
         phase: usize,

@@ -1,32 +1,18 @@
-//! Injectable lock-step transports: the per-envelope delivery decision,
-//! extracted from the engine's routing barrier.
+//! The routing fate of a staged envelope, and the one policy that decides
+//! it: scheduled link drops.
 //!
-//! The engine stages every envelope an actor sends and then routes the
-//! staged traffic in actor-id order at the phase barrier. Historically the
-//! only routing policy was "deliver everything except scheduled
-//! [`LinkDrop`]s"; that policy now lives behind the [`Transport`] trait so
-//! alternative delivery models can be injected without touching the
-//! engine:
-//!
-//! * [`Reliable`] — the paper's synchronous model: every envelope sent in
-//!   phase `k` arrives at phase `k + 1`;
-//! * [`ScheduledDrops`] — the fault-schedule policy compiled from
-//!   [`ScheduleSpec::link_drops`](crate::schedule::ScheduleSpec): exact
-//!   `(phase, from, to)` matches are suppressed;
-//! * [`Flaky`] — seeded stochastic loss ([`SimRng`]), the lock-step
-//!   counterpart of the `ba-net` chaos profiles: useful for probing how an
-//!   algorithm's *accounting* behaves when the synchrony assumption is
-//!   violated underneath it.
-//!
-//! Determinism contract: [`Transport::admit`] is only ever called on the
-//! engine's routing thread, in actor-id order, once per staged envelope
-//! (scheduled link drops are checked first and do not reach the
-//! transport). A transport may therefore keep internal state — an RNG, a
-//! counter — and the run remains byte-identical for any worker-thread
-//! count.
+//! The phase core ([`crate::engine::PhaseCore`]) stages every envelope an
+//! actor sends and routes the staged traffic in actor-id order on its
+//! calling thread. An envelope addressed to an existing processor either
+//! survives routing ([`Fate::Deliver`]) or matches a scheduled
+//! [`LinkDrop`] ([`Fate::Omit`]); [`ScheduledDrops`] is that lookup,
+//! compiled from
+//! [`ScheduleSpec::link_drops`](crate::schedule::ScheduleSpec). Anything
+//! less reliable than that — loss, delay, duplication, reordering — is a
+//! wire's business and lives in `ba-net`, which tells the core in what
+//! order the survivors arrived.
 
 use crate::schedule::LinkDrop;
-use ba_crypto::rng::SimRng;
 use ba_crypto::ProcessId;
 use std::collections::BTreeSet;
 
@@ -39,26 +25,6 @@ pub enum Fate {
     /// nothing reaches the wire; accounted under
     /// [`Metrics::omitted_messages`](crate::metrics::Metrics::omitted_messages).
     Omit,
-}
-
-/// A per-envelope delivery policy consulted at the routing barrier.
-///
-/// Implementations are stateful and single-threaded by contract (see the
-/// [module docs](self)); `Send` is required only so the owning
-/// [`Simulation`](crate::engine::Simulation) stays `Send`.
-pub trait Transport: Send + std::fmt::Debug {
-    /// Decides the fate of the envelope `from → to` staged during `phase`.
-    fn admit(&mut self, phase: usize, from: ProcessId, to: ProcessId) -> Fate;
-}
-
-/// The synchronous model's transport: everything is delivered.
-#[derive(Clone, Copy, Default, Debug)]
-pub struct Reliable;
-
-impl Transport for Reliable {
-    fn admit(&mut self, _phase: usize, _from: ProcessId, _to: ProcessId) -> Fate {
-        Fate::Deliver
-    }
 }
 
 /// Suppresses exactly the scheduled `(phase, from, to)` links.
@@ -79,10 +45,9 @@ impl ScheduledDrops {
     pub fn is_empty(&self) -> bool {
         self.drops.is_empty()
     }
-}
 
-impl Transport for ScheduledDrops {
-    fn admit(&mut self, phase: usize, from: ProcessId, to: ProcessId) -> Fate {
+    /// Decides the fate of the envelope `from → to` staged during `phase`.
+    pub fn admit(&self, phase: usize, from: ProcessId, to: ProcessId) -> Fate {
         if self.drops.contains(&LinkDrop { phase, from, to }) {
             Fate::Omit
         } else {
@@ -91,37 +56,9 @@ impl Transport for ScheduledDrops {
     }
 }
 
-/// Seeded stochastic loss: each envelope is independently dropped with
-/// probability `drop_per_mille / 1000`.
-///
-/// The RNG advances once per admitted envelope in routing order, so a run
-/// is fully determined by `(seed, drop_per_mille)` — rerunning with the
-/// same seed reproduces the same loss pattern exactly, at any thread
-/// count.
-#[derive(Clone, Debug)]
-pub struct Flaky {
-    rng: SimRng,
-    drop_per_mille: u16,
-}
-
-impl Flaky {
-    /// Creates a lossy transport dropping ~`drop_per_mille`/1000 of
-    /// envelopes, driven by `seed`.
-    pub fn new(seed: u64, drop_per_mille: u16) -> Self {
-        Flaky {
-            rng: SimRng::new(seed),
-            drop_per_mille: drop_per_mille.min(1000),
-        }
-    }
-}
-
-impl Transport for Flaky {
-    fn admit(&mut self, _phase: usize, _from: ProcessId, _to: ProcessId) -> Fate {
-        if self.rng.range_u64(0, 1000) < u64::from(self.drop_per_mille) {
-            Fate::Omit
-        } else {
-            Fate::Deliver
-        }
+impl Extend<LinkDrop> for ScheduledDrops {
+    fn extend<I: IntoIterator<Item = LinkDrop>>(&mut self, drops: I) {
+        self.drops.extend(drops);
     }
 }
 
@@ -130,16 +67,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn reliable_always_delivers() {
-        let mut t = Reliable;
-        for phase in 1..5 {
-            assert_eq!(t.admit(phase, ProcessId(0), ProcessId(1)), Fate::Deliver);
-        }
-    }
-
-    #[test]
     fn scheduled_drops_match_exactly() {
-        let mut t = ScheduledDrops::new([LinkDrop {
+        let t = ScheduledDrops::new([LinkDrop {
             phase: 2,
             from: ProcessId(0),
             to: ProcessId(1),
@@ -150,33 +79,5 @@ mod tests {
         assert_eq!(t.admit(2, ProcessId(1), ProcessId(0)), Fate::Deliver);
         assert_eq!(t.admit(2, ProcessId(0), ProcessId(2)), Fate::Deliver);
         assert!(ScheduledDrops::default().is_empty());
-    }
-
-    #[test]
-    fn flaky_is_seed_deterministic() {
-        let fates = |seed: u64| -> Vec<Fate> {
-            let mut t = Flaky::new(seed, 300);
-            (0..64)
-                .map(|i| t.admit(1, ProcessId(i % 4), ProcessId((i + 1) % 4)))
-                .collect()
-        };
-        assert_eq!(fates(7), fates(7));
-        assert_ne!(fates(7), fates(8), "different seeds drop differently");
-        let drops = fates(7).iter().filter(|f| **f == Fate::Omit).count();
-        assert!(drops > 0, "a 30% loss rate drops something in 64 frames");
-        assert!(drops < 64, "and delivers something");
-    }
-
-    #[test]
-    fn flaky_extremes() {
-        let mut never = Flaky::new(1, 0);
-        let mut always = Flaky::new(1, 1000);
-        for _ in 0..32 {
-            assert_eq!(never.admit(1, ProcessId(0), ProcessId(1)), Fate::Deliver);
-            assert_eq!(always.admit(1, ProcessId(0), ProcessId(1)), Fate::Omit);
-        }
-        // Rates above 1000 clamp rather than panic.
-        let mut clamped = Flaky::new(1, u16::MAX);
-        assert_eq!(clamped.admit(1, ProcessId(0), ProcessId(1)), Fate::Omit);
     }
 }
