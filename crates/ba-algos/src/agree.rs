@@ -22,7 +22,7 @@ use crate::algorithm5::{self, is_valid_message};
 use crate::bounds;
 use crate::common::{into_report, Board};
 use ba_crypto::{Chain, KeyRegistry, ProcessId, SchemeKind, Signer, Value};
-use ba_sim::actor::{Actor, Envelope, Outbox};
+use ba_sim::actor::{Actor, Inbox, Outbox};
 use ba_sim::engine::Simulation;
 use ba_sim::{AgreementViolation, Metrics, RunVerdict};
 use std::sync::Arc;
@@ -104,7 +104,7 @@ impl SmallNActor {
 }
 
 impl Actor<Chain> for SmallNActor {
-    fn step(&mut self, phase: usize, inbox: &[Envelope<Chain>], out: &mut Outbox<Chain>) {
+    fn step(&mut self, phase: usize, inbox: Inbox<'_, Chain>, out: &mut Outbox<Chain>) {
         let t = self.t;
         if phase <= 3 * t + 3 {
             if let Some(core) = &mut self.core {
@@ -131,13 +131,13 @@ impl Actor<Chain> for SmallNActor {
         }
     }
 
-    fn finalize(&mut self, inbox: &[Envelope<Chain>]) {
+    fn finalize(&mut self, inbox: Inbox<'_, Chain>) {
         if self.core.is_some() {
             return;
         }
         for env in inbox {
             if self.decided.is_none()
-                && is_valid_message(&env.payload, self.t, &self.params.verifier)
+                && is_valid_message(env.payload, self.t, &self.params.verifier)
             {
                 self.decided = Some(env.payload.value());
             }

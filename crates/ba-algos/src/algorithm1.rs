@@ -26,7 +26,7 @@
 
 use crate::common::{domains, into_report, AlgoReport};
 use ba_crypto::{Chain, KeyRegistry, ProcessId, SchemeKind, Signer, Value, Verifier};
-use ba_sim::actor::{Actor, Envelope, Outbox};
+use ba_sim::actor::{Actor, Inbox, Outbox};
 use ba_sim::engine::Simulation;
 use ba_sim::AgreementViolation;
 use std::collections::BTreeSet;
@@ -152,7 +152,7 @@ impl Algo1Actor {
     }
 
     /// Scans `inbox` (phase `k` receipts) for a first correct 1-message.
-    fn absorb(&mut self, inbox: &[Envelope<Chain>], k: usize) {
+    fn absorb(&mut self, inbox: Inbox<'_, Chain>, k: usize) {
         if self.got_one.is_some() {
             return;
         }
@@ -160,7 +160,7 @@ impl Algo1Actor {
             // The path must actually have been relayed by the sender: the
             // chain's last signer is the sender itself.
             if env.payload.last_signer() == Some(env.from)
-                && self.params.is_correct_one_message(&env.payload, k, self.me)
+                && self.params.is_correct_one_message(env.payload, k, self.me)
             {
                 self.got_one = Some(env.payload.clone());
                 return;
@@ -175,7 +175,7 @@ impl Algo1Actor {
 }
 
 impl Actor<Chain> for Algo1Actor {
-    fn step(&mut self, phase: usize, inbox: &[Envelope<Chain>], out: &mut Outbox<Chain>) {
+    fn step(&mut self, phase: usize, inbox: Inbox<'_, Chain>, out: &mut Outbox<Chain>) {
         self.phase = phase;
         let t = self.params.t;
 
@@ -206,7 +206,7 @@ impl Actor<Chain> for Algo1Actor {
         }
     }
 
-    fn finalize(&mut self, inbox: &[Envelope<Chain>]) {
+    fn finalize(&mut self, inbox: Inbox<'_, Chain>) {
         if self.own_value.is_none() {
             self.absorb(inbox, self.phase);
         }
@@ -253,7 +253,7 @@ pub mod adversaries {
     }
 
     impl Actor<Chain> for EquivocatingTransmitter {
-        fn step(&mut self, phase: usize, _inbox: &[Envelope<Chain>], out: &mut Outbox<Chain>) {
+        fn step(&mut self, phase: usize, _inbox: Inbox<'_, Chain>, out: &mut Outbox<Chain>) {
             if phase != 1 {
                 return;
             }
@@ -317,7 +317,7 @@ pub mod adversaries {
     }
 
     impl Actor<Chain> for WithholdingMember {
-        fn step(&mut self, phase: usize, inbox: &[Envelope<Chain>], out: &mut Outbox<Chain>) {
+        fn step(&mut self, phase: usize, inbox: Inbox<'_, Chain>, out: &mut Outbox<Chain>) {
             // Receive the private chain from the previous coalition member.
             for env in inbox {
                 if self.chain.is_none() && env.payload.value() == Value::ONE {

@@ -23,7 +23,7 @@
 use crate::algorithm1::Algo1Params;
 use crate::common::{domains, into_report, AlgoReport};
 use ba_crypto::{Chain, KeyRegistry, ProcessId, SchemeKind, Signer, Value};
-use ba_sim::actor::{Actor, Envelope, Outbox};
+use ba_sim::actor::{Actor, Inbox, Outbox};
 use ba_sim::engine::Simulation;
 use ba_sim::AgreementViolation;
 use std::collections::BTreeSet;
@@ -95,13 +95,13 @@ impl Algo1MultiActor {
         }
     }
 
-    fn absorb(&mut self, inbox: &[Envelope<Chain>], k: usize, out: Option<&mut Outbox<Chain>>) {
+    fn absorb(&mut self, inbox: Inbox<'_, Chain>, k: usize, out: Option<&mut Outbox<Chain>>) {
         let mut fresh: Vec<Chain> = Vec::new();
         for env in inbox {
             if env.payload.last_signer() != Some(env.from) {
                 continue;
             }
-            if let Some(v) = correct_value_message(&self.params, &env.payload, k, self.me) {
+            if let Some(v) = correct_value_message(&self.params, env.payload, k, self.me) {
                 if !self.seen.contains(&v) {
                     // Relay only the first two distinct values.
                     if self.seen.len() < 2 {
@@ -122,7 +122,7 @@ impl Algo1MultiActor {
 }
 
 impl Actor<Chain> for Algo1MultiActor {
-    fn step(&mut self, phase: usize, inbox: &[Envelope<Chain>], out: &mut Outbox<Chain>) {
+    fn step(&mut self, phase: usize, inbox: Inbox<'_, Chain>, out: &mut Outbox<Chain>) {
         self.phase = phase;
         if phase == 1 {
             if let Some(v) = self.own_value {
@@ -140,7 +140,7 @@ impl Actor<Chain> for Algo1MultiActor {
         }
     }
 
-    fn finalize(&mut self, inbox: &[Envelope<Chain>]) {
+    fn finalize(&mut self, inbox: Inbox<'_, Chain>) {
         if self.own_value.is_none() {
             let k = self.phase;
             self.absorb(inbox, k, None);
@@ -175,7 +175,7 @@ impl RainbowTransmitter {
 }
 
 impl Actor<Chain> for RainbowTransmitter {
-    fn step(&mut self, phase: usize, _inbox: &[Envelope<Chain>], out: &mut Outbox<Chain>) {
+    fn step(&mut self, phase: usize, _inbox: Inbox<'_, Chain>, out: &mut Outbox<Chain>) {
         if phase != 1 {
             return;
         }

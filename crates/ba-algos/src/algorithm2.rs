@@ -24,7 +24,7 @@
 use crate::algorithm1::{Algo1Actor, Algo1Params};
 use crate::common::{domains, into_report, AlgoReport, Board};
 use ba_crypto::{Chain, KeyRegistry, ProcessId, SchemeKind, Signer, Value, Verifier};
-use ba_sim::actor::{Actor, Envelope, Outbox};
+use ba_sim::actor::{Actor, Inbox, Outbox};
 use ba_sim::engine::Simulation;
 use ba_sim::AgreementViolation;
 use std::sync::Arc;
@@ -120,12 +120,12 @@ impl Algo2Actor {
         self.me.index() + 1
     }
 
-    fn absorb_increasing(&mut self, inbox: &[Envelope<Chain>]) {
+    fn absorb_increasing(&mut self, inbox: Inbox<'_, Chain>) {
         let Some(committed) = self.committed else {
             return;
         };
         for env in inbox {
-            if is_increasing_message(&env.payload, committed, self.label(), &self.params.verifier) {
+            if is_increasing_message(env.payload, committed, self.label(), &self.params.verifier) {
                 let better = self
                     .best
                     .as_ref()
@@ -136,7 +136,7 @@ impl Algo2Actor {
             }
             if env.payload.domain() == domains::ALG2
                 && is_transferable_proof(
-                    &env.payload,
+                    env.payload,
                     committed,
                     self.me,
                     self.params.t,
@@ -161,7 +161,7 @@ impl Algo2Actor {
 }
 
 impl Actor<Chain> for Algo2Actor {
-    fn step(&mut self, phase: usize, inbox: &[Envelope<Chain>], out: &mut Outbox<Chain>) {
+    fn step(&mut self, phase: usize, inbox: Inbox<'_, Chain>, out: &mut Outbox<Chain>) {
         let t = self.params.t;
         let n = self.params.n();
 
@@ -202,7 +202,7 @@ impl Actor<Chain> for Algo2Actor {
         }
     }
 
-    fn finalize(&mut self, inbox: &[Envelope<Chain>]) {
+    fn finalize(&mut self, inbox: Inbox<'_, Chain>) {
         self.absorb_increasing(inbox);
         if let Some(proof) = &self.proof {
             self.proofs.post(self.me, proof.clone());
@@ -250,7 +250,7 @@ pub mod adversaries {
     }
 
     impl Actor<Chain> for WrongValueGossip {
-        fn step(&mut self, phase: usize, inbox: &[Envelope<Chain>], out: &mut Outbox<Chain>) {
+        fn step(&mut self, phase: usize, inbox: Inbox<'_, Chain>, out: &mut Outbox<Chain>) {
             let t = self.params.t;
             let n = self.params.n();
             if phase <= t + 2 {
@@ -267,7 +267,7 @@ pub mod adversaries {
                 self.inner.step(phase, inbox, out);
             }
         }
-        fn finalize(&mut self, inbox: &[Envelope<Chain>]) {
+        fn finalize(&mut self, inbox: Inbox<'_, Chain>) {
             self.inner.finalize(inbox);
         }
         fn decision(&self) -> Option<Value> {

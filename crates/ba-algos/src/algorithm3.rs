@@ -27,7 +27,7 @@
 use crate::algorithm1::{Algo1Actor, Algo1Params};
 use crate::common::{domains, into_report, AlgoReport};
 use ba_crypto::{Chain, KeyRegistry, ProcessId, SchemeKind, Signer, Value, Verifier};
-use ba_sim::actor::{Actor, Envelope, Outbox};
+use ba_sim::actor::{Actor, Inbox, Outbox};
 use ba_sim::engine::Simulation;
 use ba_sim::AgreementViolation;
 use std::collections::{BTreeMap, BTreeSet};
@@ -121,35 +121,32 @@ impl Alg3Params {
         self.n - self.active_count()
     }
 
-    /// The passive groups in index order.
-    pub fn groups(&self) -> Vec<Group> {
-        let first = self.active_count();
-        let mut groups = Vec::new();
-        let mut start = first;
-        let mut index = 0;
-        while start < self.n {
-            let end = (start + self.s).min(self.n);
-            groups.push(Group {
-                index,
-                members: (start..end).map(|i| ProcessId(i as u32)).collect(),
-            });
-            start = end;
-            index += 1;
+    /// The passive group at `index`: up to `s` consecutive ids, the last
+    /// group possibly short.
+    fn group(&self, index: usize) -> Group {
+        let start = self.active_count() + index * self.s;
+        let end = (start + self.s).min(self.n);
+        Group {
+            index,
+            members: (start..end).map(|i| ProcessId(i as u32)).collect(),
         }
-        groups
     }
 
-    /// The group containing passive `p`, with `p`'s 1-based position.
+    /// The passive groups in index order.
+    pub fn groups(&self) -> Vec<Group> {
+        (0..self.passive_count().div_ceil(self.s))
+            .map(|index| self.group(index))
+            .collect()
+    }
+
+    /// The group containing passive `p`, with `p`'s 1-based position —
+    /// built arithmetically, without materialising the other groups.
     pub fn group_of(&self, p: ProcessId) -> Option<(Group, usize)> {
         if self.is_active(p) || p.index() >= self.n {
             return None;
         }
         let offset = p.index() - self.active_count();
-        let gi = offset / self.s;
-        let groups = self.groups();
-        let group = groups.get(gi)?.clone();
-        let pos = group.position(p)?;
-        Some((group, pos))
+        Some((self.group(offset / self.s), offset % self.s + 1))
     }
 
     /// Total phases of the schedule.
@@ -218,7 +215,7 @@ impl Alg3Active {
 }
 
 impl Actor<Chain> for Alg3Active {
-    fn step(&mut self, phase: usize, inbox: &[Envelope<Chain>], out: &mut Outbox<Chain>) {
+    fn step(&mut self, phase: usize, inbox: Inbox<'_, Chain>, out: &mut Outbox<Chain>) {
         let t = self.params.t;
 
         if phase <= t + 2 {
@@ -250,7 +247,7 @@ impl Actor<Chain> for Alg3Active {
                     .iter()
                     .find_map(|g| g.position(env.from).map(|pos| (g, pos)))
                 {
-                    if self.params.is_collection_chain(&env.payload, group) {
+                    if self.params.is_collection_chain(env.payload, group) {
                         self.reports
                             .entry(group.index)
                             .or_default()
@@ -321,7 +318,7 @@ impl Alg3Root {
 }
 
 impl Actor<Chain> for Alg3Root {
-    fn step(&mut self, phase: usize, inbox: &[Envelope<Chain>], out: &mut Outbox<Chain>) {
+    fn step(&mut self, phase: usize, inbox: Inbox<'_, Chain>, out: &mut Outbox<Chain>) {
         let t = self.params.t;
         let s_g = self.group.members.len();
 
@@ -330,7 +327,7 @@ impl Actor<Chain> for Alg3Root {
             // with >= t+1 distinct active signers.
             let mut by_value: BTreeMap<Value, BTreeSet<ProcessId>> = BTreeMap::new();
             for env in inbox {
-                if self.params.is_direct(&env.payload)
+                if self.params.is_direct(env.payload)
                     && env.payload.first_signer() == Some(env.from)
                 {
                     by_value
@@ -356,7 +353,7 @@ impl Actor<Chain> for Alg3Root {
             let j = (phase - t) / 2;
             if let (Some(m), Some(prev_member)) = (&self.m, self.group.member(j - 1)) {
                 for env in inbox {
-                    let ret = &env.payload;
+                    let ret = env.payload;
                     if env.from == prev_member
                         && ret.len() == m.len() + 1
                         && ret.last_signer() == Some(prev_member)
@@ -431,10 +428,10 @@ impl Alg3Member {
         }
     }
 
-    fn absorb_direct(&mut self, inbox: &[Envelope<Chain>]) {
+    fn absorb_direct(&mut self, inbox: Inbox<'_, Chain>) {
         let mut by_value: BTreeMap<Value, BTreeSet<ProcessId>> = BTreeMap::new();
         for env in inbox {
-            if self.params.is_direct(&env.payload) && env.payload.first_signer() == Some(env.from) {
+            if self.params.is_direct(env.payload) && env.payload.first_signer() == Some(env.from) {
                 by_value
                     .entry(env.payload.value())
                     .or_default()
@@ -450,7 +447,7 @@ impl Alg3Member {
 }
 
 impl Actor<Chain> for Alg3Member {
-    fn step(&mut self, phase: usize, inbox: &[Envelope<Chain>], out: &mut Outbox<Chain>) {
+    fn step(&mut self, phase: usize, inbox: Inbox<'_, Chain>, out: &mut Outbox<Chain>) {
         self.phase = phase;
         let t = self.params.t;
         // The root's m(j-1) (sent at t+2j) arrives at phase t+2j+1.
@@ -459,7 +456,7 @@ impl Actor<Chain> for Alg3Member {
             let candidates: Vec<&Chain> = inbox
                 .iter()
                 .filter(|env| env.from == root)
-                .map(|env| &env.payload)
+                .map(|env| env.payload)
                 .filter(|c| {
                     self.params.is_collection_chain(c, &self.group)
                         && c.signers()
@@ -476,7 +473,7 @@ impl Actor<Chain> for Alg3Member {
         }
     }
 
-    fn finalize(&mut self, inbox: &[Envelope<Chain>]) {
+    fn finalize(&mut self, inbox: Inbox<'_, Chain>) {
         if self.phase == self.params.phases() {
             self.absorb_direct(inbox);
         }
@@ -705,6 +702,24 @@ mod tests {
         assert!(params.group_of(ProcessId(3)).is_none());
         assert_eq!(groups[0].member(4), Some(ProcessId(8)));
         assert_eq!(groups[0].member(5), None);
+    }
+
+    #[test]
+    fn group_of_is_the_listed_group_and_position_for_every_passive() {
+        // Even split, short last group (3 of 4, then 1 of 7), s > passives.
+        for (n, t, s) in [(13, 2, 4), (16, 2, 4), (30, 3, 7), (24, 3, 7), (9, 1, 10)] {
+            let registry = KeyRegistry::new(n, 0, SchemeKind::Fast);
+            let params = Alg3Params::new(n, t, s, registry.verifier());
+            let groups = params.groups();
+            let listed: usize = groups.iter().map(|g| g.members.len()).sum();
+            assert_eq!(listed, params.passive_count(), "n={n} t={t} s={s}");
+            for p in (0..n as u32 + 2).map(ProcessId) {
+                let expected = groups
+                    .iter()
+                    .find_map(|g| g.position(p).map(|pos| (g.clone(), pos)));
+                assert_eq!(params.group_of(p), expected, "n={n} t={t} s={s} {p:?}");
+            }
+        }
     }
 
     #[test]

@@ -27,7 +27,7 @@ use crate::common::domains;
 use ba_crypto::wire::Encoder;
 use ba_crypto::Bytes;
 use ba_crypto::{KeyRegistry, ProcessId, SchemeKind, Signature, Signer, Value, Verifier};
-use ba_sim::actor::{Actor, Envelope, Outbox, Payload};
+use ba_sim::actor::{Actor, Inbox, Outbox, Payload};
 use ba_sim::engine::{RunOutcome, Simulation};
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -248,7 +248,7 @@ impl Alg4State {
     /// column.
     pub fn phase2_sends(
         &mut self,
-        inbox: &[Envelope<GridMsg>],
+        inbox: Inbox<'_, GridMsg>,
         mut send: impl FnMut(ProcessId, GridMsg),
     ) {
         let row_set: BTreeSet<ProcessId> = self.layout.row(self.row).collect();
@@ -276,7 +276,7 @@ impl Alg4State {
     /// my row.
     pub fn phase3_sends(
         &mut self,
-        inbox: &[Envelope<GridMsg>],
+        inbox: Inbox<'_, GridMsg>,
         mut send: impl FnMut(ProcessId, GridMsg),
     ) {
         for env in inbox {
@@ -307,7 +307,7 @@ impl Alg4State {
     }
 
     /// Final absorption of phase-3 bundles into `M3`.
-    pub fn finish(&mut self, inbox: &[Envelope<GridMsg>]) {
+    pub fn finish(&mut self, inbox: Inbox<'_, GridMsg>) {
         let row_set: BTreeSet<ProcessId> = self.layout.row(self.row).collect();
         for env in inbox {
             if let GridMsg::Rows(rows) = &env.payload {
@@ -373,7 +373,7 @@ impl GridActor {
 }
 
 impl Actor<GridMsg> for GridActor {
-    fn step(&mut self, phase: usize, inbox: &[Envelope<GridMsg>], out: &mut Outbox<GridMsg>) {
+    fn step(&mut self, phase: usize, inbox: Inbox<'_, GridMsg>, out: &mut Outbox<GridMsg>) {
         match phase {
             1 => self.state.phase1_sends(|to, msg| out.send(to, msg)),
             2 => self.state.phase2_sends(inbox, |to, msg| out.send(to, msg)),
@@ -382,7 +382,7 @@ impl Actor<GridMsg> for GridActor {
         }
     }
 
-    fn finalize(&mut self, inbox: &[Envelope<GridMsg>]) {
+    fn finalize(&mut self, inbox: Inbox<'_, GridMsg>) {
         self.state.finish(inbox);
         self.results
             .post(self.state.me(), self.state.result().to_vec());
@@ -565,7 +565,7 @@ impl RelayExchangeActor {
         }
     }
 
-    fn absorb(&mut self, inbox: &[Envelope<GridMsg>]) {
+    fn absorb(&mut self, inbox: Inbox<'_, GridMsg>) {
         let mut collected: Vec<SignedItem> = Vec::new();
         for env in inbox {
             match &env.payload {
@@ -583,7 +583,7 @@ impl RelayExchangeActor {
 }
 
 impl Actor<GridMsg> for RelayExchangeActor {
-    fn step(&mut self, phase: usize, inbox: &[Envelope<GridMsg>], out: &mut Outbox<GridMsg>) {
+    fn step(&mut self, phase: usize, inbox: Inbox<'_, GridMsg>, out: &mut Outbox<GridMsg>) {
         match phase {
             1 => {
                 // Everyone sends its signed value to every relay.
@@ -606,7 +606,7 @@ impl Actor<GridMsg> for RelayExchangeActor {
         }
     }
 
-    fn finalize(&mut self, inbox: &[Envelope<GridMsg>]) {
+    fn finalize(&mut self, inbox: Inbox<'_, GridMsg>) {
         self.absorb(inbox);
         self.results.post(self.me, self.harvested.clone());
     }

@@ -41,7 +41,7 @@ use crate::trees::Forest;
 use ba_crypto::wire::{Decoder, Encoder};
 use ba_crypto::Bytes;
 use ba_crypto::{Chain, KeyRegistry, ProcessId, SchemeKind, Signer, Value, Verifier};
-use ba_sim::actor::{Actor, Envelope, Outbox, Payload};
+use ba_sim::actor::{Actor, Envelope, Inbox, Outbox, Payload};
 use ba_sim::engine::Simulation;
 use ba_sim::AgreementViolation;
 use std::collections::{BTreeMap, BTreeSet};
@@ -413,10 +413,10 @@ impl Alg5Active {
         }
     }
 
-    fn chains_of(inbox: &[Envelope<Msg5>]) -> Vec<Envelope<Chain>> {
+    fn chains_of(inbox: Inbox<'_, Msg5>) -> Vec<Envelope<Chain>> {
         inbox
             .iter()
-            .filter_map(|e| match &e.payload {
+            .filter_map(|e| match e.payload {
                 Msg5::Chain(c) => Some(Envelope {
                     from: e.from,
                     to: e.to,
@@ -427,10 +427,10 @@ impl Alg5Active {
             .collect()
     }
 
-    fn grids_of(inbox: &[Envelope<Msg5>]) -> Vec<Envelope<GridMsg>> {
+    fn grids_of(inbox: Inbox<'_, Msg5>) -> Vec<Envelope<GridMsg>> {
         inbox
             .iter()
-            .filter_map(|e| match &e.payload {
+            .filter_map(|e| match e.payload {
                 Msg5::Grid(g) => Some(Envelope {
                     from: e.from,
                     to: e.to,
@@ -493,7 +493,7 @@ impl Alg5Active {
 }
 
 impl Actor<Msg5> for Alg5Active {
-    fn step(&mut self, phase: usize, inbox: &[Envelope<Msg5>], out: &mut Outbox<Msg5>) {
+    fn step(&mut self, phase: usize, inbox: Inbox<'_, Msg5>, out: &mut Outbox<Msg5>) {
         let cfg = self.cfg.clone();
         let t = cfg.t;
         match cfg.slot(phase) {
@@ -501,7 +501,7 @@ impl Actor<Msg5> for Alg5Active {
                 if let Some(algo2) = &mut self.algo2 {
                     let chains = Self::chains_of(inbox);
                     let mut scratch = Outbox::new(self.me);
-                    algo2.step(phase, &chains, &mut scratch);
+                    algo2.step(phase, Inbox::of(&chains), &mut scratch);
                     for env in scratch.into_staged() {
                         out.send(env.to, Msg5::Chain(env.payload));
                     }
@@ -510,7 +510,7 @@ impl Actor<Msg5> for Alg5Active {
             PhaseSlot::Handoff => {
                 if let Some(algo2) = &mut self.algo2 {
                     let chains = Self::chains_of(inbox);
-                    algo2.finalize(&chains);
+                    algo2.finalize(Inbox::of(&chains));
                     let proof = algo2
                         .proof()
                         .expect("Theorem 4: every correct core processor holds a proof")
@@ -550,7 +550,7 @@ impl Actor<Msg5> for Alg5Active {
                         // Finish the previous block's grid round, then
                         // compute B(p, x) and C(p, x) from the strings.
                         if let Some(grid) = &mut self.grid_state {
-                            grid.finish(&Self::grids_of(inbox));
+                            grid.finish(Inbox::of(&Self::grids_of(inbox)));
                             self.strings = grid.result().to_vec();
                         }
                         let pi = self.pi(x);
@@ -594,13 +594,13 @@ impl Actor<Msg5> for Alg5Active {
                     self.grid_state = Some(grid);
                 } else if local == 2 * l + 2 {
                     if let Some(grid) = &mut self.grid_state {
-                        grid.phase2_sends(&Self::grids_of(inbox), |to, msg| {
+                        grid.phase2_sends(Inbox::of(&Self::grids_of(inbox)), |to, msg| {
                             out.send(to, Msg5::Grid(msg))
                         });
                     }
                 } else if local == 2 * l + 3 {
                     if let Some(grid) = &mut self.grid_state {
-                        grid.phase3_sends(&Self::grids_of(inbox), |to, msg| {
+                        grid.phase3_sends(Inbox::of(&Self::grids_of(inbox)), |to, msg| {
                             out.send(to, Msg5::Grid(msg))
                         });
                     }
@@ -611,7 +611,7 @@ impl Actor<Msg5> for Alg5Active {
                 // Block 0: finish the block-1 grid, compute B(p, 0) and
                 // deliver the valid message directly.
                 if let Some(grid) = &mut self.grid_state {
-                    grid.finish(&Self::grids_of(inbox));
+                    grid.finish(Inbox::of(&Self::grids_of(inbox)));
                     self.strings = grid.result().to_vec();
                 }
                 let pi = self.pi(0);
@@ -700,13 +700,7 @@ impl Alg5Passive {
     }
 
     /// Root behaviour for block `x == height`, local phase `local = 2k`.
-    fn root_step(
-        &mut self,
-        x: u32,
-        local: usize,
-        inbox: &[Envelope<Msg5>],
-        out: &mut Outbox<Msg5>,
-    ) {
+    fn root_step(&mut self, x: u32, local: usize, inbox: Inbox<'_, Msg5>, out: &mut Outbox<Msg5>) {
         let cfg = self.cfg.clone();
         let l = cfg.block(x).l;
         if !local.is_multiple_of(2) || local > 2 * l {
@@ -780,7 +774,7 @@ impl Alg5Passive {
         &mut self,
         x: u32,
         local: usize,
-        inbox: &[Envelope<Msg5>],
+        inbox: Inbox<'_, Msg5>,
         out: &mut Outbox<Msg5>,
     ) {
         let cfg = self.cfg.clone();
@@ -820,7 +814,7 @@ impl Alg5Passive {
 }
 
 impl Actor<Msg5> for Alg5Passive {
-    fn step(&mut self, phase: usize, inbox: &[Envelope<Msg5>], out: &mut Outbox<Msg5>) {
+    fn step(&mut self, phase: usize, inbox: Inbox<'_, Msg5>, out: &mut Outbox<Msg5>) {
         // Opportunistically decide on any valid chain that reaches us.
         for env in inbox {
             match &env.payload {
@@ -838,7 +832,7 @@ impl Actor<Msg5> for Alg5Passive {
         }
     }
 
-    fn finalize(&mut self, inbox: &[Envelope<Msg5>]) {
+    fn finalize(&mut self, inbox: Inbox<'_, Msg5>) {
         for env in inbox {
             if let Msg5::Chain(c) = &env.payload {
                 self.consider(&c.clone());

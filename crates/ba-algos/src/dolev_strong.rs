@@ -23,7 +23,7 @@
 
 use crate::common::{domains, into_report, AlgoReport};
 use ba_crypto::{Chain, KeyRegistry, ProcessId, SchemeKind, Signer, Value, Verifier};
-use ba_sim::actor::{Actor, Envelope, Outbox};
+use ba_sim::actor::{Actor, Inbox, Outbox};
 use ba_sim::engine::Simulation;
 use ba_sim::AgreementViolation;
 use std::collections::BTreeSet;
@@ -151,14 +151,14 @@ impl DsActor {
 
     fn absorb_and_relay(
         &mut self,
-        inbox: &[Envelope<Chain>],
+        inbox: Inbox<'_, Chain>,
         k: usize,
         out: Option<&mut Outbox<Chain>>,
     ) {
         let mut fresh: Vec<Chain> = Vec::new();
         for env in inbox {
             if env.payload.last_signer() == Some(env.from)
-                && self.params.is_acceptable(&env.payload, k, self.me)
+                && self.params.is_acceptable(env.payload, k, self.me)
                 && !self.extracted.contains(&env.payload.value())
             {
                 // Relay only the first two distinct values ever extracted.
@@ -180,8 +180,7 @@ impl DsActor {
                         if self.params.in_committee(self.me) {
                             out.broadcast((0..self.params.n as u32).map(ProcessId), relay);
                         } else {
-                            let committee: Vec<ProcessId> = self.params.committee().collect();
-                            out.broadcast(committee, relay);
+                            out.broadcast(self.params.committee(), relay);
                         }
                     }
                 }
@@ -191,7 +190,7 @@ impl DsActor {
 }
 
 impl Actor<Chain> for DsActor {
-    fn step(&mut self, phase: usize, inbox: &[Envelope<Chain>], out: &mut Outbox<Chain>) {
+    fn step(&mut self, phase: usize, inbox: Inbox<'_, Chain>, out: &mut Outbox<Chain>) {
         self.phase = phase;
         if phase == 1 {
             if let Some(v) = self.own_value {
@@ -208,7 +207,7 @@ impl Actor<Chain> for DsActor {
         self.absorb_and_relay(inbox, phase - 1, Some(out));
     }
 
-    fn finalize(&mut self, inbox: &[Envelope<Chain>]) {
+    fn finalize(&mut self, inbox: Inbox<'_, Chain>) {
         if self.own_value.is_none() {
             let k = self.phase;
             self.absorb_and_relay(inbox, k, None);
@@ -258,7 +257,7 @@ impl DsEquivocator {
 }
 
 impl Actor<Chain> for DsEquivocator {
-    fn step(&mut self, phase: usize, _inbox: &[Envelope<Chain>], out: &mut Outbox<Chain>) {
+    fn step(&mut self, phase: usize, _inbox: Inbox<'_, Chain>, out: &mut Outbox<Chain>) {
         if phase != 1 {
             return;
         }

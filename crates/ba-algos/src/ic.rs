@@ -18,7 +18,7 @@
 use crate::common::Board;
 use crate::dolev_strong::{DsActor, DsParams, Variant};
 use ba_crypto::{Chain, KeyRegistry, ProcessId, SchemeKind, Signer, Value, Verifier};
-use ba_sim::actor::{Actor, Envelope, Outbox, Payload};
+use ba_sim::actor::{Actor, Envelope, Inbox, Outbox, Payload};
 use ba_sim::engine::{RunOutcome, Simulation};
 use std::sync::Arc;
 
@@ -93,7 +93,7 @@ impl IcActor {
         IcActor { me, subs, vectors }
     }
 
-    fn demux(inbox: &[Envelope<IcMsg>], instance: u32) -> Vec<Envelope<Chain>> {
+    fn demux(inbox: Inbox<'_, IcMsg>, instance: u32) -> Vec<Envelope<Chain>> {
         inbox
             .iter()
             .filter(|e| e.payload.instance == instance)
@@ -115,11 +115,11 @@ impl IcActor {
 }
 
 impl Actor<IcMsg> for IcActor {
-    fn step(&mut self, phase: usize, inbox: &[Envelope<IcMsg>], out: &mut Outbox<IcMsg>) {
+    fn step(&mut self, phase: usize, inbox: Inbox<'_, IcMsg>, out: &mut Outbox<IcMsg>) {
         for (i, sub) in self.subs.iter_mut().enumerate() {
             let sub_inbox = Self::demux(inbox, i as u32);
             let mut scratch = Outbox::new(self.me);
-            sub.step(phase, &sub_inbox, &mut scratch);
+            sub.step(phase, Inbox::of(&sub_inbox), &mut scratch);
             for env in scratch.into_staged() {
                 out.send(
                     env.to,
@@ -132,10 +132,10 @@ impl Actor<IcMsg> for IcActor {
         }
     }
 
-    fn finalize(&mut self, inbox: &[Envelope<IcMsg>]) {
+    fn finalize(&mut self, inbox: Inbox<'_, IcMsg>) {
         for (i, sub) in self.subs.iter_mut().enumerate() {
             let sub_inbox = Self::demux(inbox, i as u32);
-            sub.finalize(&sub_inbox);
+            sub.finalize(Inbox::of(&sub_inbox));
         }
         self.vectors.post(self.me, self.vector());
     }
@@ -184,7 +184,7 @@ struct IcEquivocator {
 }
 
 impl Actor<IcMsg> for IcEquivocator {
-    fn step(&mut self, phase: usize, inbox: &[Envelope<IcMsg>], out: &mut Outbox<IcMsg>) {
+    fn step(&mut self, phase: usize, inbox: Inbox<'_, IcMsg>, out: &mut Outbox<IcMsg>) {
         // Drive the honest actor but strip its own-instance phase-1
         // broadcast, replacing it with a split-value send.
         let mut scratch = Outbox::new(self.me);
@@ -214,7 +214,7 @@ impl Actor<IcMsg> for IcEquivocator {
             }
         }
     }
-    fn finalize(&mut self, inbox: &[Envelope<IcMsg>]) {
+    fn finalize(&mut self, inbox: Inbox<'_, IcMsg>) {
         self.inner.finalize(inbox);
     }
     fn decision(&self) -> Option<Value> {

@@ -20,7 +20,7 @@
 
 use crate::common::{into_report, AlgoReport};
 use ba_crypto::{ProcessId, Value};
-use ba_sim::actor::{Actor, Envelope, Outbox, Payload};
+use ba_sim::actor::{Actor, Inbox, Outbox, Payload, Received};
 use ba_sim::engine::Simulation;
 use ba_sim::AgreementViolation;
 use std::collections::BTreeMap;
@@ -70,8 +70,8 @@ impl OmActor {
         }
     }
 
-    fn is_valid(&self, env: &Envelope<OmMsg>, k: usize) -> bool {
-        let path = &env.path_ref().path;
+    fn is_valid(&self, env: Received<'_, OmMsg>, k: usize) -> bool {
+        let path = &env.payload.path;
         path.len() == k
             && path[0] == ProcessId(0)
             && *path.last().expect("nonempty") == env.from
@@ -84,7 +84,7 @@ impl OmActor {
             }
     }
 
-    fn absorb(&mut self, inbox: &[Envelope<OmMsg>], k: usize, out: Option<&mut Outbox<OmMsg>>) {
+    fn absorb(&mut self, inbox: Inbox<'_, OmMsg>, k: usize, out: Option<&mut Outbox<OmMsg>>) {
         let mut relays: Vec<OmMsg> = Vec::new();
         for env in inbox {
             if !self.is_valid(env, k) {
@@ -150,7 +150,7 @@ impl OmActor {
 }
 
 impl Actor<OmMsg> for OmActor {
-    fn step(&mut self, phase: usize, inbox: &[Envelope<OmMsg>], out: &mut Outbox<OmMsg>) {
+    fn step(&mut self, phase: usize, inbox: Inbox<'_, OmMsg>, out: &mut Outbox<OmMsg>) {
         self.phase = phase;
         if phase == 1 {
             if let Some(v) = self.own_value {
@@ -168,7 +168,7 @@ impl Actor<OmMsg> for OmActor {
         self.absorb(inbox, phase - 1, Some(out));
     }
 
-    fn finalize(&mut self, inbox: &[Envelope<OmMsg>]) {
+    fn finalize(&mut self, inbox: Inbox<'_, OmMsg>) {
         if self.own_value.is_none() {
             let k = self.phase;
             self.absorb(inbox, k, None);
@@ -180,15 +180,6 @@ impl Actor<OmMsg> for OmActor {
             return Some(v);
         }
         Some(self.resolve(&[ProcessId(0)]))
-    }
-}
-
-trait PathRef {
-    fn path_ref(&self) -> &OmMsg;
-}
-impl PathRef for Envelope<OmMsg> {
-    fn path_ref(&self) -> &OmMsg {
-        &self.payload
     }
 }
 
@@ -212,7 +203,7 @@ pub mod adversaries {
     }
 
     impl Actor<OmMsg> for OmEquivocator {
-        fn step(&mut self, phase: usize, _inbox: &[Envelope<OmMsg>], out: &mut Outbox<OmMsg>) {
+        fn step(&mut self, phase: usize, _inbox: Inbox<'_, OmMsg>, out: &mut Outbox<OmMsg>) {
             if phase != 1 {
                 return;
             }
@@ -258,7 +249,7 @@ pub mod adversaries {
     }
 
     impl Actor<OmMsg> for FlippingRelay {
-        fn step(&mut self, phase: usize, inbox: &[Envelope<OmMsg>], out: &mut Outbox<OmMsg>) {
+        fn step(&mut self, phase: usize, inbox: Inbox<'_, OmMsg>, out: &mut Outbox<OmMsg>) {
             // Run the honest logic into a scratch outbox, then corrupt.
             let mut scratch = Outbox::new(out.sender());
             self.inner.step(phase, inbox, &mut scratch);
@@ -388,6 +379,7 @@ pub fn run(
 mod tests {
     use super::*;
     use crate::bounds;
+    use ba_sim::Envelope;
 
     #[test]
     fn fault_free_agrees_with_exact_message_count() {
@@ -463,26 +455,30 @@ mod tests {
     #[test]
     fn message_validation_rejects_malformed_paths() {
         let actor = OmActor::new(5, 1, ProcessId(3), None);
-        let env = |from: u32, path: Vec<u32>| Envelope {
-            from: ProcessId(from),
-            to: ProcessId(3),
-            payload: OmMsg {
-                path: path.into_iter().map(ProcessId).collect(),
-                value: Value::ONE,
-            },
+        let is_valid = |from: u32, path: Vec<u32>, k: usize| {
+            let env = Envelope {
+                from: ProcessId(from),
+                to: ProcessId(3),
+                payload: OmMsg {
+                    path: path.into_iter().map(ProcessId).collect(),
+                    value: Value::ONE,
+                },
+            };
+            let received = Inbox::of(std::slice::from_ref(&env)).first();
+            actor.is_valid(received.expect("one message"), k)
         };
         // Valid: phase-2 message from p1 with path [q, p1].
-        assert!(actor.is_valid(&env(1, vec![0, 1]), 2));
+        assert!(is_valid(1, vec![0, 1], 2));
         // Path must end at the actual sender.
-        assert!(!actor.is_valid(&env(2, vec![0, 1]), 2));
+        assert!(!is_valid(2, vec![0, 1], 2));
         // Path must start at the transmitter.
-        assert!(!actor.is_valid(&env(1, vec![1, 1]), 2));
+        assert!(!is_valid(1, vec![1, 1], 2));
         // Receiver must not appear on the path.
-        assert!(!actor.is_valid(&env(3, vec![0, 3]), 2));
+        assert!(!is_valid(3, vec![0, 3], 2));
         // Length must match the phase.
-        assert!(!actor.is_valid(&env(1, vec![0, 1]), 3));
+        assert!(!is_valid(1, vec![0, 1], 3));
         // Duplicates rejected.
-        assert!(!actor.is_valid(&env(1, vec![0, 2, 2, 1]), 4));
+        assert!(!is_valid(1, vec![0, 2, 2, 1], 4));
     }
 
     #[test]

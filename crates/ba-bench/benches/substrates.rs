@@ -10,7 +10,7 @@ use ba_bench::microbench::{bench, print_samples, Sample};
 use ba_crypto::keys::{KeyRegistry, SchemeKind};
 use ba_crypto::sha256::{self, Sha256};
 use ba_crypto::{Chain, ProcessId, Value};
-use ba_sim::actor::{Actor, Envelope, Outbox};
+use ba_sim::actor::{Actor, Inbox, Outbox};
 use ba_sim::engine::Simulation;
 use std::hint::black_box;
 
@@ -67,7 +67,7 @@ struct Flood {
 }
 
 impl Actor<Value> for Flood {
-    fn step(&mut self, _phase: usize, inbox: &[Envelope<Value>], out: &mut Outbox<Value>) {
+    fn step(&mut self, _phase: usize, inbox: Inbox<'_, Value>, out: &mut Outbox<Value>) {
         black_box(inbox.len());
         out.broadcast((0..self.n as u32).map(ProcessId), Value::ONE);
     }

@@ -2,9 +2,13 @@
 //!
 //! Sections (select with `--section`, default all):
 //!
-//! * `chain_fanout` — is `Chain::clone` O(1)? Broadcasting a length-L
-//!   chain to 63 peers must cost the same for L = 8, 32 and 128 now that
-//!   chains share their signature storage (`Arc` copy-on-write);
+//! * `chain_fanout` — is a broadcast staged, routed, verified and dropped
+//!   once? One processor broadcasts a length-L chain to k peers through
+//!   `PhaseCore::step` → `deliver`, k ∈ {63, 1023}, L ∈ {8, 32, 128}; the
+//!   rows report `ns_per_message` (a phase's time over its k delivered
+//!   messages), which must be flat in L — nothing copies or re-verifies
+//!   the chain per recipient — and in k — a message costs a routing fate
+//!   and a four-byte inbox index, a frame's fixed cost is paid once;
 //! * `flood` — what does parallel intra-phase stepping buy on a
 //!   broadcast-heavy chain-relay workload (every actor endorses once and
 //!   rebroadcasts every phase, n² messages per phase)? Strategies:
@@ -14,8 +18,10 @@
 //! * `pool_scaling` — the persistent-pool grid: Dolev–Strong and
 //!   Algorithm 3 at n ∈ {1024, 10240, 51200} × threads ∈ {1, 2, 4, 8}.
 //!   Dolev–Strong uses the relay variant (O(nt) traffic) at every n and
-//!   additionally the broadcast variant at n = 1024 only — O(n²) traffic
-//!   per phase is ~6 GB/phase at n ≥ 10k and is deliberately omitted.
+//!   additionally the broadcast variant at n = 1024 only — O(n²)
+//!   messages per phase is 10⁸ routing fates and inbox indices (~0.5 GB,
+//!   about a second) per phase at n = 10 240 and 25× that at n = 51 200
+//!   even though no payload is copied, and is deliberately omitted.
 //!   Algorithm 3 runs with fixed s = 32 so the phase count (t + 2s + 3)
 //!   stays constant across n and the rows measure data-plane scaling, not
 //!   phase-count growth. Override the grid with `--n 1024,4096` /
@@ -50,11 +56,14 @@ use ba_algos::{algorithm3, dolev_strong};
 use ba_bench::microbench::{bench, print_samples, Sample};
 use ba_crypto::keys::{KeyRegistry, SchemeKind, Signer, Verifier};
 use ba_crypto::{Chain, ProcessId, Value};
-use ba_sim::{Actor, Envelope, Metrics, Outbox, Payload, RunOutcome, Simulation};
+use ba_sim::adversary::Silent;
+use ba_sim::{Actor, Inbox, Metrics, Outbox, Payload, PhaseCore, RunOutcome, Simulation};
 use std::fmt::Write as _;
 
-const FANOUT_PEERS: usize = 64;
+const FANOUT_PEERS: [usize; 2] = [63, 1023];
 const FANOUT_LENGTHS: [usize; 3] = [8, 32, 128];
+/// Phases a `chain_fanout` core runs before its accounting is reset.
+const FANOUT_PHASES: usize = 256;
 const FLOOD_SIZES: [usize; 2] = [16, 64];
 const FLOOD_PHASES: usize = 4;
 
@@ -65,6 +74,22 @@ const POOL_THREADS: [usize; 4] = [1, 2, 4, 8];
 const POOL_T: usize = 4;
 const POOL_S: usize = 32;
 const BROADCAST_MAX_N: usize = 2048;
+
+/// Broadcasts its chain to every other processor, every phase.
+#[derive(Debug)]
+struct Broadcaster {
+    n: usize,
+    chain: Chain,
+}
+
+impl Actor<Chain> for Broadcaster {
+    fn step(&mut self, _phase: usize, _inbox: Inbox<'_, Chain>, out: &mut Outbox<Chain>) {
+        out.broadcast((0..self.n as u32).map(ProcessId), self.chain.clone());
+    }
+    fn decision(&self) -> Option<Value> {
+        Some(self.chain.value())
+    }
+}
 
 /// Broadcast-heavy chain relay: actor 0 starts a signed chain; every actor
 /// verifies what it hears, endorses the longest chain once, and
@@ -80,7 +105,7 @@ struct FloodRelay {
 }
 
 impl Actor<Chain> for FloodRelay {
-    fn step(&mut self, phase: usize, inbox: &[Envelope<Chain>], out: &mut Outbox<Chain>) {
+    fn step(&mut self, phase: usize, inbox: Inbox<'_, Chain>, out: &mut Outbox<Chain>) {
         if phase == 1 && out.sender() == ProcessId(0) {
             let mut chain = Chain::new(3, Value::ONE);
             chain.sign_and_append(&self.signer);
@@ -220,8 +245,11 @@ struct Row {
     threads: usize,
     /// Wire bytes sent by correct processors in one run of this cell
     /// (`Metrics::bytes_by_correct`; for the `chain_fanout` microbench,
-    /// the staged broadcast volume).
+    /// one phase's broadcast).
     bytes_sent: u64,
+    /// `chain_fanout` rows only: the phase's median time over the messages
+    /// it delivered.
+    ns_per_message: Option<f64>,
     sample: Sample,
 }
 
@@ -231,13 +259,15 @@ fn json_rows(rows: &[Row], parallelism: usize) -> String {
     for (i, r) in rows.iter().enumerate() {
         let _ = writeln!(
             out,
-            "    {{\"section\": \"{}\", \"label\": \"{}\", \"n\": {}, \"threads\": {}, \"parallelism\": {}, \"single_core\": {single_core}, \"bytes_sent\": {}, \"median_ns\": {:.1}, \"mean_ns\": {:.1}, \"min_ns\": {:.1}}}{}",
+            "    {{\"section\": \"{}\", \"label\": \"{}\", \"n\": {}, \"threads\": {}, \"parallelism\": {}, \"single_core\": {single_core}, \"bytes_sent\": {}, {}\"median_ns\": {:.1}, \"mean_ns\": {:.1}, \"min_ns\": {:.1}}}{}",
             r.section,
             r.label,
             r.n,
             r.threads,
             parallelism,
             r.bytes_sent,
+            r.ns_per_message
+                .map_or(String::new(), |ns| format!("\"ns_per_message\": {ns:.2}, ")),
             r.sample.median_ns,
             r.sample.mean_ns,
             r.sample.min_ns,
@@ -351,37 +381,49 @@ fn main() {
     }
     let mut rows: Vec<Row> = Vec::new();
 
-    // -- chain_fanout: broadcast cost must be flat in chain length --------
+    // -- chain_fanout: a delivered message costs the same at any L and k --
     let mut fanout_flat = true;
     if cfg.section("chain_fanout") {
-        for len in FANOUT_LENGTHS {
-            let registry = KeyRegistry::new(len.max(FANOUT_PEERS), 42, SchemeKind::Fast);
-            let mut chain = Chain::new(3, Value::ONE);
-            for i in 0..len {
-                chain.sign_and_append(&registry.signer(ProcessId(i as u32)));
+        let mut per_message: Vec<f64> = Vec::new();
+        for peers in FANOUT_PEERS {
+            for len in FANOUT_LENGTHS {
+                let n = peers + 1;
+                let registry = KeyRegistry::new(len.max(n), 42, SchemeKind::Fast);
+                let mut chain = Chain::new(3, Value::ONE);
+                for i in 0..len {
+                    chain.sign_and_append(&registry.signer(ProcessId(i as u32)));
+                }
+                let bytes_sent = (chain.weight_bytes() * peers) as u64;
+                let mut actors: Vec<Box<dyn Actor<Chain>>> =
+                    vec![Box::new(Broadcaster { n, chain })];
+                actors.resize_with(n, || Box::new(Silent));
+                let mut core = PhaseCore::new(actors, [], Some(registry));
+                let sample = bench(format!("fanout L={len:>3} to {peers} peers"), || {
+                    assert!(core.step(1).is_empty());
+                    core.deliver(None);
+                    if core.phase() > FANOUT_PHASES {
+                        let metrics = core.finish().metrics;
+                        assert_eq!(metrics.messages_total(), (FANOUT_PHASES * peers) as u64);
+                    }
+                });
+                per_message.push(sample.median_ns / peers as f64);
+                rows.push(Row {
+                    section: "chain_fanout",
+                    label: format!("L={len} k={peers}"),
+                    n,
+                    threads: 1,
+                    bytes_sent,
+                    ns_per_message: per_message.last().copied(),
+                    sample,
+                });
             }
-            let from = ProcessId(FANOUT_PEERS as u32 - 1);
-            rows.push(Row {
-                section: "chain_fanout",
-                label: format!("L={len}"),
-                n: FANOUT_PEERS,
-                threads: 1,
-                bytes_sent: (chain.weight_bytes() * (FANOUT_PEERS - 1)) as u64,
-                sample: bench(
-                    format!("fanout L={len:>3} to {} peers", FANOUT_PEERS - 1),
-                    || {
-                        let mut out: Outbox<Chain> = Outbox::new(from);
-                        out.broadcast((0..FANOUT_PEERS as u32).map(ProcessId), chain.clone());
-                        out.staged_len()
-                    },
-                ),
-            });
         }
-        let shortest = rows[0].sample.median_ns;
-        let longest = rows[FANOUT_LENGTHS.len() - 1].sample.median_ns;
-        // O(L) copying would scale ~16× from L=8 to L=128; shared storage
-        // should keep the ratio near 1. Allow generous noise.
-        fanout_flat = longest < shortest * 4.0;
+        let cheapest = per_message.iter().copied().fold(f64::INFINITY, f64::min);
+        let dearest = per_message.iter().copied().fold(0.0, f64::max);
+        // Copying or verifying per recipient would scale ~16× from L = 8
+        // to L = 128, and a per-frame cost paid per message would not
+        // amortise from k = 63 to k = 1023. Allow generous noise.
+        fanout_flat = dearest < cheapest * 4.0;
     }
 
     // -- flood: engine strategies on the synthetic broadcast workload -----
@@ -398,6 +440,7 @@ fn main() {
                     n,
                     threads,
                     bytes_sent: outcome.metrics.bytes_by_correct,
+                    ns_per_message: None,
                     sample: bench(format!("flood n={n:>3} {label}"), || {
                         run_flood(n, threads, false).metrics.messages_total()
                     }),
@@ -435,6 +478,7 @@ fn main() {
                     n,
                     threads,
                     bytes_sent: probe.bytes_by_correct,
+                    ns_per_message: None,
                     sample: bench(format!("dolev-strong n={n:>3} threads={threads}"), || {
                         run_ds(threads).outcome.metrics.messages_by_correct
                     }),
@@ -470,6 +514,7 @@ fn main() {
                 n,
                 threads,
                 bytes_sent: probe.bytes_by_correct,
+                ns_per_message: None,
                 sample: bench(format!("algorithm3 n={n:>3} threads={threads}"), || {
                     run_a3(threads).outcome.metrics.messages_by_correct
                 }),
@@ -518,6 +563,7 @@ fn main() {
                         n,
                         threads,
                         bytes_sent: baseline.as_ref().map_or(0, |m| m.bytes_by_correct),
+                        ns_per_message: None,
                         sample,
                     });
                 }

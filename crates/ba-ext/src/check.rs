@@ -41,7 +41,7 @@ use ba_crypto::rng::SimRng;
 use ba_crypto::{Bytes, ProcessId, Value};
 use ba_net::{ChaosProfile, NetConfig};
 use ba_sim::schedule::{FaultBehavior, ScheduleSpec};
-use ba_sim::{Actor, Envelope, Outbox};
+use ba_sim::{Actor, Inbox, Outbox};
 
 /// One adversarial scenario for the extension protocol.
 #[derive(Clone, Debug, Default)]
@@ -134,7 +134,7 @@ impl Garbler {
 }
 
 impl Actor<ExtMsg> for Garbler {
-    fn step(&mut self, phase: usize, inbox: &[Envelope<ExtMsg>], out: &mut Outbox<ExtMsg>) {
+    fn step(&mut self, phase: usize, inbox: Inbox<'_, ExtMsg>, out: &mut Outbox<ExtMsg>) {
         let mut scratch = Outbox::new(self.id);
         self.honest.step(phase, inbox, &mut scratch);
         for env in scratch.into_staged() {
@@ -142,7 +142,7 @@ impl Actor<ExtMsg> for Garbler {
         }
     }
 
-    fn finalize(&mut self, inbox: &[Envelope<ExtMsg>]) {
+    fn finalize(&mut self, inbox: Inbox<'_, ExtMsg>) {
         self.honest.finalize(inbox);
     }
 

@@ -60,7 +60,7 @@ use ba_algos::common::Board;
 use ba_crypto::sha256::{Sha256, DIGEST_LEN};
 use ba_crypto::{Bytes, KeyRegistry, ProcessId, SchemeKind, Signature, Signer, Value, Verifier};
 use ba_sim::schedule::{ScheduleError, ScheduleSpec};
-use ba_sim::{Actor, Envelope, Metrics, Outbox, Payload};
+use ba_sim::{Actor, Inbox, Metrics, Outbox, Payload};
 use coding::Coder;
 use std::sync::Arc;
 
@@ -360,7 +360,7 @@ impl ExtActor {
         self.chunks[idx] = Some(chunk);
     }
 
-    fn absorb(&mut self, inbox: &[Envelope<ExtMsg>]) {
+    fn absorb(&mut self, inbox: Inbox<'_, ExtMsg>) {
         for env in inbox {
             match &env.payload {
                 ExtMsg::Chunk(chunk) => self.try_store(chunk.clone()),
@@ -463,7 +463,7 @@ impl ExtActor {
 }
 
 impl Actor<ExtMsg> for ExtActor {
-    fn step(&mut self, phase: usize, inbox: &[Envelope<ExtMsg>], out: &mut Outbox<ExtMsg>) {
+    fn step(&mut self, phase: usize, inbox: Inbox<'_, ExtMsg>, out: &mut Outbox<ExtMsg>) {
         self.absorb(inbox);
         let id = self.id.index();
         match phase {
@@ -526,7 +526,7 @@ impl Actor<ExtMsg> for ExtActor {
         }
     }
 
-    fn finalize(&mut self, inbox: &[Envelope<ExtMsg>]) {
+    fn finalize(&mut self, inbox: Inbox<'_, ExtMsg>) {
         self.absorb(inbox);
         self.decide();
     }
@@ -596,7 +596,7 @@ impl FetchActor {
         self.outcome_decide && self.payload.is_none()
     }
 
-    fn absorb(&mut self, inbox: &[Envelope<ExtMsg>]) {
+    fn absorb(&mut self, inbox: Inbox<'_, ExtMsg>) {
         for env in inbox {
             match &env.payload {
                 ExtMsg::Fetch => self.fetch_requests.push(env.from),
@@ -624,7 +624,7 @@ impl FetchActor {
 }
 
 impl Actor<ExtMsg> for FetchActor {
-    fn step(&mut self, phase: usize, inbox: &[Envelope<ExtMsg>], out: &mut Outbox<ExtMsg>) {
+    fn step(&mut self, phase: usize, inbox: Inbox<'_, ExtMsg>, out: &mut Outbox<ExtMsg>) {
         self.absorb(inbox);
         match phase {
             // Ask the designated voter.
@@ -652,7 +652,7 @@ impl Actor<ExtMsg> for FetchActor {
         }
     }
 
-    fn finalize(&mut self, inbox: &[Envelope<ExtMsg>]) {
+    fn finalize(&mut self, inbox: Inbox<'_, ExtMsg>) {
         self.absorb(inbox);
         let decision = if !self.outcome_decide {
             ExtDecision::Abort(AbortReason::InsufficientAvailability {
@@ -1177,7 +1177,7 @@ pub fn run_extension(
 pub(crate) struct NullActor;
 
 impl Actor<ExtMsg> for NullActor {
-    fn step(&mut self, _: usize, _: &[Envelope<ExtMsg>], _: &mut Outbox<ExtMsg>) {}
+    fn step(&mut self, _: usize, _: Inbox<'_, ExtMsg>, _: &mut Outbox<ExtMsg>) {}
     fn decision(&self) -> Option<Value> {
         None
     }

@@ -19,7 +19,7 @@
 
 use ba_algos::domains;
 use ba_crypto::{Chain, ProcessId, Signer, Value, Verifier};
-use ba_sim::actor::{Actor, Envelope, Outbox};
+use ba_sim::actor::{Actor, Inbox, Outbox};
 
 /// Chain domain for the frugal protocols.
 pub const FRUGAL_DOMAIN: u32 = 7_777;
@@ -81,9 +81,9 @@ impl FrugalBroadcast {
             && chain.verify_simple_path(&self.verifier).is_ok()
     }
 
-    fn absorb(&mut self, inbox: &[Envelope<Chain>]) {
+    fn absorb(&mut self, inbox: Inbox<'_, Chain>) {
         for env in inbox {
-            if self.heard.is_none() && self.accepts(&env.payload) {
+            if self.heard.is_none() && self.accepts(env.payload) {
                 self.heard = Some(env.payload.value());
             }
         }
@@ -95,7 +95,7 @@ impl FrugalBroadcast {
 }
 
 impl Actor<Chain> for FrugalBroadcast {
-    fn step(&mut self, phase: usize, inbox: &[Envelope<Chain>], out: &mut Outbox<Chain>) {
+    fn step(&mut self, phase: usize, inbox: Inbox<'_, Chain>, out: &mut Outbox<Chain>) {
         self.phase = phase;
         match phase {
             1 => {
@@ -110,7 +110,7 @@ impl Actor<Chain> for FrugalBroadcast {
             2 => {
                 self.absorb(inbox);
                 if self.is_relay() {
-                    if let Some(env) = inbox.iter().find(|e| self.accepts(&e.payload)) {
+                    if let Some(env) = inbox.iter().find(|e| self.accepts(e.payload)) {
                         let mut relay = env.payload.clone();
                         relay.sign_and_append(&self.signer);
                         out.broadcast((1..self.n as u32).map(ProcessId), relay);
@@ -121,7 +121,7 @@ impl Actor<Chain> for FrugalBroadcast {
         }
     }
 
-    fn finalize(&mut self, inbox: &[Envelope<Chain>]) {
+    fn finalize(&mut self, inbox: Inbox<'_, Chain>) {
         self.absorb(inbox);
     }
 
@@ -163,7 +163,7 @@ impl QuietBroadcast {
 }
 
 impl Actor<Chain> for QuietBroadcast {
-    fn step(&mut self, phase: usize, _inbox: &[Envelope<Chain>], out: &mut Outbox<Chain>) {
+    fn step(&mut self, phase: usize, _inbox: Inbox<'_, Chain>, out: &mut Outbox<Chain>) {
         if phase == 1 {
             if let Some(v) = self.own_value {
                 let mut chain = Chain::new(FRUGAL_DOMAIN, v);
@@ -173,7 +173,7 @@ impl Actor<Chain> for QuietBroadcast {
         }
     }
 
-    fn finalize(&mut self, inbox: &[Envelope<Chain>]) {
+    fn finalize(&mut self, inbox: Inbox<'_, Chain>) {
         for env in inbox {
             if env.payload.domain() == FRUGAL_DOMAIN
                 && env.payload.first_signer() == Some(ProcessId(0))
@@ -197,6 +197,7 @@ mod tests {
     use super::*;
     use ba_crypto::{KeyRegistry, SchemeKind};
     use ba_sim::engine::Simulation;
+    use ba_sim::Envelope;
 
     fn frugal_actors(n: usize, k: usize, value: Value, seed: u64) -> Vec<Box<dyn Actor<Chain>>> {
         let registry = KeyRegistry::new(n, seed, SchemeKind::Fast);
@@ -274,7 +275,7 @@ mod tests {
             to: ProcessId(4),
             payload: forged,
         };
-        actor.finalize(&[env]);
+        actor.finalize(Inbox::of(&[env]));
         assert_eq!(actor.decision(), Some(Value::ZERO));
     }
 }

@@ -2,7 +2,7 @@
 //! histories — the constructive device behind both lower-bound proofs.
 
 use ba_crypto::{ProcessId, Value};
-use ba_sim::actor::{Actor, Envelope, Outbox, Payload};
+use ba_sim::actor::{Actor, Inbox, Outbox, Payload};
 use ba_sim::trace::Trace;
 use std::collections::BTreeMap;
 
@@ -34,7 +34,7 @@ impl<P: Payload> ReplayActor<P> {
 }
 
 impl<P: Payload> Actor<P> for ReplayActor<P> {
-    fn step(&mut self, phase: usize, _inbox: &[Envelope<P>], out: &mut Outbox<P>) {
+    fn step(&mut self, phase: usize, _inbox: Inbox<'_, P>, out: &mut Outbox<P>) {
         if let Some(sends) = self.script.get(&phase) {
             for (to, payload) in sends {
                 out.send(*to, payload.clone());
@@ -105,6 +105,7 @@ pub fn split_script<P: Clone>(
 mod tests {
     use super::*;
     use ba_sim::trace::PhaseTrace;
+    use ba_sim::Envelope;
 
     fn env(from: u32, to: u32, v: u64) -> Envelope<Value> {
         Envelope {
@@ -155,13 +156,13 @@ mod tests {
         let mut actor = ReplayActor::new(script_from_trace(&trace(true), ProcessId(1)));
         assert_eq!(actor.scripted_sends(), 3);
         let mut out = Outbox::new(ProcessId(1));
-        actor.step(1, &[], &mut out);
+        actor.step(1, Inbox::of(&[]), &mut out);
         assert_eq!(out.staged_len(), 2);
         let mut out = Outbox::new(ProcessId(1));
-        actor.step(2, &[], &mut out);
+        actor.step(2, Inbox::of(&[]), &mut out);
         assert_eq!(out.staged_len(), 1);
         let mut out = Outbox::new(ProcessId(1));
-        actor.step(3, &[], &mut out);
+        actor.step(3, Inbox::of(&[]), &mut out);
         assert_eq!(out.staged_len(), 0);
         assert_eq!(Actor::<Value>::decision(&actor), None);
         assert!(!Actor::<Value>::is_correct(&actor));

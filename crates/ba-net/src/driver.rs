@@ -17,7 +17,7 @@
 //! 2. [`deliver`](PhaseDriver::deliver) — the core routes what was staged
 //!    and the surviving frames' links are played over the [`wire`]; then
 //!    deadline, sender suspicion and the fault budget; then the core
-//!    scatters the frames in the order the wire says they arrived. After
+//!    fills the inboxes in the order the wire says they arrived. After
 //!    the finalize step it returns the finished [`InstanceRun`] instead.
 //!
 //! No frame ever leaves the core: the wire and the caller read
@@ -191,7 +191,7 @@ impl<P: Payload> PhaseDriver<P> {
 
     /// Plays the last step's frames over the wire and applies the
     /// post-wire pipeline: deadline, suspicion, fault budget, then the
-    /// core's scatter in arrival order ([`PhaseCore::deliver`]). `Ok(None)`
+    /// core's fill in arrival order ([`PhaseCore::deliver`]). `Ok(None)`
     /// means the phase completed and the instance keeps going;
     /// `Ok(Some(run))` is the finished run, returned by the call that
     /// follows the finalize step.

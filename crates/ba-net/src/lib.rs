@@ -46,7 +46,7 @@
 //! ```
 //! use ba_crypto::{ProcessId, Value};
 //! use ba_net::{ChaosProfile, NetConfig, NetRuntime};
-//! use ba_sim::actor::{Actor, Envelope, Outbox};
+//! use ba_sim::actor::{Actor, Inbox, Outbox};
 //!
 //! #[derive(Debug)]
 //! struct Sender(Value);
@@ -54,7 +54,7 @@
 //! struct Receiver(Option<Value>);
 //!
 //! impl Actor<Value> for Sender {
-//!     fn step(&mut self, phase: usize, _inbox: &[Envelope<Value>], out: &mut Outbox<Value>) {
+//!     fn step(&mut self, phase: usize, _inbox: Inbox<'_, Value>, out: &mut Outbox<Value>) {
 //!         if phase == 1 {
 //!             out.send(ProcessId(1), self.0);
 //!         }
@@ -63,9 +63,9 @@
 //! }
 //!
 //! impl Actor<Value> for Receiver {
-//!     fn step(&mut self, _phase: usize, inbox: &[Envelope<Value>], _out: &mut Outbox<Value>) {
+//!     fn step(&mut self, _phase: usize, inbox: Inbox<'_, Value>, _out: &mut Outbox<Value>) {
 //!         if let Some(env) = inbox.first() {
-//!             self.0 = Some(env.payload);
+//!             self.0 = Some(*env.payload);
 //!         }
 //!     }
 //!     fn decision(&self) -> Option<Value> { self.0 }

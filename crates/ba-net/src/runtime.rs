@@ -33,9 +33,10 @@
 //!    The moment the union exceeds `t` the model is broken and the run
 //!    aborts with a [`FaultBudgetExceeded`] verdict: no decisions are
 //!    produced, because none could be trusted;
-//! 5. **scatter** — the core moves the frames into next phase's inboxes in
-//!    the order the wire says they arrived, recording each in `Metrics`,
-//!    and verifies the delivered chains at the barrier.
+//! 5. **fill** — the core indexes the messages into next phase's inboxes
+//!    in the order the wire says they arrived (a broadcast's payload is
+//!    held once, however many of its links made it), records them in
+//!    `Metrics`, and verifies the delivered chains at the barrier.
 //!
 //! # Equivalence with the lock-step engine
 //!
@@ -44,7 +45,7 @@
 //! byte-identical to [`ba_sim::Simulation`] at any worker-thread count —
 //! the `harness` module checks this for every checkable target. It is one
 //! implementation under two loops, not two that agree: stepping, routing,
-//! `Metrics` recording, the scatter and barrier verification
+//! `Metrics` recording, the inbox fill and barrier verification
 //! ([`Chain::verify_at_barrier`](ba_crypto::Chain::verify_at_barrier),
 //! against the registry passed via [`NetRuntime::with_registry`]) are the
 //! core's, and the wire is the only variable. That registry's verifier
@@ -267,7 +268,7 @@ mod tests {
     use ba_crypto::stats::CryptoStats;
     use ba_crypto::{Chain, ProcessId, Value};
     use ba_sim::schedule::ScheduleSpec;
-    use ba_sim::{Envelope, Metrics, Outbox, Simulation};
+    use ba_sim::{Inbox, Metrics, Outbox, Simulation};
 
     /// Faulty relay: broadcasts `forged` in phase 2 and nothing else.
     #[derive(Debug)]
@@ -277,7 +278,7 @@ mod tests {
     }
 
     impl Actor<Chain> for Forger {
-        fn step(&mut self, phase: usize, _inbox: &[Envelope<Chain>], out: &mut Outbox<Chain>) {
+        fn step(&mut self, phase: usize, _inbox: Inbox<'_, Chain>, out: &mut Outbox<Chain>) {
             if phase == 2 {
                 out.broadcast((0..self.n as u32).map(ProcessId), self.forged.clone());
             }

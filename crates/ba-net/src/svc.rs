@@ -90,12 +90,12 @@
 //! ```
 //! use ba_net::{AdmissionPolicy, BaService, InstanceSpec, SvcConfig};
 //! use ba_crypto::{ProcessId, Value};
-//! use ba_sim::actor::{Actor, Envelope, Outbox};
+//! use ba_sim::actor::{Actor, Inbox, Outbox};
 //!
 //! #[derive(Debug)]
 //! struct Echo(Value);
 //! impl Actor<Value> for Echo {
-//!     fn step(&mut self, _phase: usize, _inbox: &[Envelope<Value>], out: &mut Outbox<Value>) {
+//!     fn step(&mut self, _phase: usize, _inbox: Inbox<'_, Value>, out: &mut Outbox<Value>) {
 //!         out.send(ProcessId(0), self.0);
 //!     }
 //!     fn decision(&self) -> Option<Value> { Some(self.0) }

@@ -10,7 +10,7 @@ use ba_net::{
     NetRunError, NetRuntime,
 };
 use ba_sim::schedule::{FaultBehavior, ScheduleSpec};
-use ba_sim::{Actor, Envelope, Outbox};
+use ba_sim::{Actor, Inbox, Outbox};
 
 fn cfg_for(target_name: &str, spec: ScheduleSpec) -> CheckConfig {
     let (n, t) = if target_name == "algorithm1" {
@@ -188,7 +188,7 @@ fn a_panicking_actor_yields_a_structured_verdict_not_a_process_panic() {
     #[derive(Debug)]
     struct PanicsAt(Option<usize>);
     impl Actor<Value> for PanicsAt {
-        fn step(&mut self, phase: usize, _inbox: &[Envelope<Value>], _out: &mut Outbox<Value>) {
+        fn step(&mut self, phase: usize, _inbox: Inbox<'_, Value>, _out: &mut Outbox<Value>) {
             assert!(Some(phase) != self.0, "actor bug at phase {phase}");
         }
         fn decision(&self) -> Option<Value> {

@@ -15,7 +15,7 @@ use ba_net::{
     SvcReport, TicketOutcome, TicketStatus,
 };
 use ba_sim::schedule::{FaultBehavior, ScheduleSpec};
-use ba_sim::{Actor, Envelope, Outbox};
+use ba_sim::{Actor, Inbox, Outbox};
 use std::sync::Arc;
 
 fn cfg_for(target_name: &str, value: Value, spec: ScheduleSpec) -> CheckConfig {
@@ -607,7 +607,7 @@ struct PanicsAt {
 }
 
 impl Actor<Chain> for PanicsAt {
-    fn step(&mut self, phase: usize, _inbox: &[Envelope<Chain>], _out: &mut Outbox<Chain>) {
+    fn step(&mut self, phase: usize, _inbox: Inbox<'_, Chain>, _out: &mut Outbox<Chain>) {
         assert!(phase != self.phase, "actor bug at phase {phase}");
     }
     fn decision(&self) -> Option<Value> {

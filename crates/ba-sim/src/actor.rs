@@ -1,6 +1,7 @@
 //! The actor abstraction: protocol roles as state machines stepped once per
 //! phase.
 
+use crate::arena::{Frame, Staging};
 use ba_crypto::{ProcessId, Value};
 use core::fmt;
 
@@ -95,13 +96,171 @@ pub struct Envelope<P> {
     pub payload: P,
 }
 
+/// One received message, borrowed from wherever the phase's deliveries
+/// live: an [`Envelope`] whose payload is a reference. A broadcast reaches
+/// all of its recipients as the *same* payload, staged once.
+#[derive(PartialEq, Eq, Debug)]
+pub struct Received<'a, P> {
+    /// The sending processor (stamped by the engine).
+    pub from: ProcessId,
+    /// The receiving processor.
+    pub to: ProcessId,
+    /// The message contents.
+    pub payload: &'a P,
+}
+
+impl<P> Clone for Received<'_, P> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<P> Copy for Received<'_, P> {}
+
+impl<P: Clone> Received<'_, P> {
+    /// An owned copy of this message.
+    pub fn to_envelope(&self) -> Envelope<P> {
+        Envelope {
+            from: self.from,
+            to: self.to,
+            payload: self.payload.clone(),
+        }
+    }
+}
+
+/// The messages delivered to one actor for one phase, in delivery order: a
+/// borrowed view, cheap to copy. The engine hands out views over its arena
+/// ([`Inboxes`](crate::arena::Inboxes): a slice of indices into the
+/// phase's shared frames); anyone else builds one over a slice of owned
+/// envelopes with [`Inbox::of`].
+#[derive(Debug)]
+pub struct Inbox<'a, P>(Repr<'a, P>);
+
+#[derive(Debug)]
+enum Repr<'a, P> {
+    Envelopes(&'a [Envelope<P>]),
+    Frames {
+        to: ProcessId,
+        frames: &'a [Frame<P>],
+        idx: &'a [u32],
+    },
+}
+
+impl<P> Clone for Inbox<'_, P> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<P> Copy for Inbox<'_, P> {}
+
+impl<P> Clone for Repr<'_, P> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<P> Copy for Repr<'_, P> {}
+
+impl<'a, P> Inbox<'a, P> {
+    /// An inbox holding exactly `envelopes`, in order.
+    pub fn of(envelopes: &'a [Envelope<P>]) -> Self {
+        Inbox(Repr::Envelopes(envelopes))
+    }
+
+    /// Processor `to`'s inbox: for each entry of `idx`, that frame.
+    pub(crate) fn over_frames(to: ProcessId, frames: &'a [Frame<P>], idx: &'a [u32]) -> Self {
+        Inbox(Repr::Frames { to, frames, idx })
+    }
+
+    /// Number of messages.
+    pub fn len(&self) -> usize {
+        match self.0 {
+            Repr::Envelopes(envelopes) => envelopes.len(),
+            Repr::Frames { idx, .. } => idx.len(),
+        }
+    }
+
+    /// Whether there are no messages.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The `k`-th message in delivery order.
+    pub fn get(&self, k: usize) -> Option<Received<'a, P>> {
+        match self.0 {
+            Repr::Envelopes(envelopes) => envelopes.get(k).map(|env| Received {
+                from: env.from,
+                to: env.to,
+                payload: &env.payload,
+            }),
+            Repr::Frames { to, frames, idx } => idx.get(k).map(|&f| {
+                let frame = &frames[f as usize];
+                Received {
+                    from: frame.from,
+                    to,
+                    payload: &frame.payload,
+                }
+            }),
+        }
+    }
+
+    /// The first message, if any.
+    pub fn first(&self) -> Option<Received<'a, P>> {
+        self.get(0)
+    }
+
+    /// The messages in delivery order.
+    pub fn iter(&self) -> InboxIter<'a, P> {
+        InboxIter {
+            inbox: *self,
+            next: 0,
+        }
+    }
+}
+
+/// Iterator over an [`Inbox`].
+#[derive(Debug)]
+pub struct InboxIter<'a, P> {
+    inbox: Inbox<'a, P>,
+    next: usize,
+}
+
+impl<'a, P> Iterator for InboxIter<'a, P> {
+    type Item = Received<'a, P>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let item = self.inbox.get(self.next)?;
+        self.next += 1;
+        Some(item)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.inbox.len() - self.next;
+        (left, Some(left))
+    }
+}
+
+impl<P> ExactSizeIterator for InboxIter<'_, P> {}
+
+impl<'a, P> IntoIterator for Inbox<'a, P> {
+    type Item = Received<'a, P>;
+    type IntoIter = InboxIter<'a, P>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
 /// Collects the messages an actor sends during one phase.
 ///
 /// Obtained only from the engine; actors cannot fabricate the `from` field.
 #[derive(Debug)]
 pub struct Outbox<P> {
     from: ProcessId,
-    staged: Vec<Envelope<P>>,
+    staged: Staging<P>,
+    /// Messages `staged` already held when this outbox took it over.
+    base: usize,
     omitted: u64,
 }
 
@@ -113,38 +272,28 @@ impl<P: Payload> Outbox<P> {
     /// before forwarding a filtered subset (only the engine's own outbox
     /// reaches the network, so this cannot spoof identities).
     pub fn new(from: ProcessId) -> Self {
+        Outbox::resume(from, Staging::default())
+    }
+
+    /// Creates an outbox sending as `from` that appends to `staged`
+    /// *without* clearing it. The engine's segment arena stages every
+    /// actor in a worker's range into one shared set of buffers, so
+    /// steady-state phases allocate nothing.
+    pub(crate) fn resume(from: ProcessId, staged: Staging<P>) -> Self {
         Outbox {
             from,
-            staged: Vec::new(),
+            base: staged.messages(),
+            staged,
             omitted: 0,
         }
     }
 
-    /// Creates an outbox sending as `from`, recycling `buf` as the staging
-    /// storage. The buffer is cleared but its capacity is kept — the
-    /// engine's mailbox pool uses this so steady-state phases allocate
-    /// nothing.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn with_buffer(from: ProcessId, mut buf: Vec<Envelope<P>>) -> Self {
-        buf.clear();
-        Outbox {
-            from,
-            staged: buf,
-            omitted: 0,
-        }
-    }
-
-    /// Creates an outbox sending as `from` that appends to `buf` *without*
-    /// clearing it. The engine's segment arena stages every actor in a
-    /// worker's range into one shared buffer; the caller records the
-    /// buffer length before and after each actor's step to recover the
-    /// per-actor runs.
-    pub(crate) fn resume(from: ProcessId, buf: Vec<Envelope<P>>) -> Self {
-        Outbox {
-            from,
-            staged: buf,
-            omitted: 0,
-        }
+    /// Hands this outbox to the next actor of a worker's range: it sends
+    /// as `from` from here on, appending to what is already staged;
+    /// [`omitted_count`](Self::omitted_count) keeps running.
+    pub(crate) fn pass_to(&mut self, from: ProcessId) {
+        self.from = from;
+        self.base = self.staged.messages();
     }
 
     /// The identity this outbox sends as.
@@ -153,45 +302,29 @@ impl<P: Payload> Outbox<P> {
     }
 
     /// Queues `payload` for delivery to `to` at the start of the next
-    /// phase. Self-sends are ignored (the model has no self-edges).
+    /// phase: a broadcast to one target. Self-sends are ignored (the model
+    /// has no self-edges).
     pub fn send(&mut self, to: ProcessId, payload: P) {
-        if to == self.from {
-            return;
-        }
-        self.staged.push(Envelope {
-            from: self.from,
-            to,
-            payload,
-        });
+        self.broadcast([to], payload);
     }
 
-    /// Queues `payload` for every identity in `targets` except the sender.
+    /// Queues `payload` for every identity in `targets` except the sender,
+    /// delivered in the order listed.
     ///
-    /// The payload is moved into the last send rather than cloned for every
-    /// target, so a broadcast to `k` recipients costs `k − 1` clones. With
-    /// [`Chain`](ba_crypto::Chain)'s shared signature storage each of those
-    /// clones is O(1), making chain fan-out effectively zero-copy.
+    /// It counts as one message per target, but it is staged, routed and
+    /// dropped as one frame: the payload is moved in and never cloned,
+    /// however many recipients read it.
     pub fn broadcast<I>(&mut self, targets: I, payload: P)
     where
         I: IntoIterator<Item = ProcessId>,
-        P: Clone,
     {
-        let mut iter = targets.into_iter();
-        // Hold one target in `pending` so the final send can consume the
-        // payload by value.
-        let Some(mut pending) = iter.next() else {
-            return;
-        };
-        for next in iter {
-            self.send(pending, payload.clone());
-            pending = next;
-        }
-        self.send(pending, payload);
+        self.staged.push(self.from, targets, payload);
     }
 
-    /// Number of messages staged so far this phase.
+    /// Number of messages (targets, not `send`/`broadcast` calls) staged so
+    /// far this phase.
     pub fn staged_len(&self) -> usize {
-        self.staged.len()
+        self.staged.messages() - self.base
     }
 
     /// Records that `count` messages the wrapped honest actor wanted to
@@ -212,9 +345,15 @@ impl<P: Payload> Outbox<P> {
         self.omitted
     }
 
-    /// Consumes the outbox, returning the staged envelopes (used by the
-    /// engine and by adversary wrappers inspecting a scratch outbox).
+    /// Consumes the outbox, returning what it staged as one owned envelope
+    /// per message — a broadcast expands into one per target, so a wrapper
+    /// inspecting a scratch outbox filters per link.
     pub fn into_staged(self) -> Vec<Envelope<P>> {
+        self.staged.into_envelopes()
+    }
+
+    /// Consumes the outbox, handing the engine its buffers back.
+    pub(crate) fn into_staging(self) -> Staging<P> {
         self.staged
     }
 }
@@ -240,13 +379,13 @@ impl<P: Payload> Outbox<P> {
 pub trait Actor<P: Payload>: fmt::Debug + Send {
     /// Executes phase `phase` given the previous phase's inbox, staging
     /// sends into `out`.
-    fn step(&mut self, phase: usize, inbox: &[Envelope<P>], out: &mut Outbox<P>);
+    fn step(&mut self, phase: usize, inbox: Inbox<'_, P>, out: &mut Outbox<P>);
 
     /// Consumes the final phase's inbox. Default: re-dispatches to a
     /// phase-numbered [`step`](Actor::step) with a dead outbox is *not*
     /// done automatically — override when the protocol decides on
     /// last-phase messages.
-    fn finalize(&mut self, inbox: &[Envelope<P>]) {
+    fn finalize(&mut self, inbox: Inbox<'_, P>) {
         let _ = inbox;
     }
 
@@ -263,10 +402,10 @@ pub trait Actor<P: Payload>: fmt::Debug + Send {
 }
 
 impl<P: Payload> Actor<P> for Box<dyn Actor<P>> {
-    fn step(&mut self, phase: usize, inbox: &[Envelope<P>], out: &mut Outbox<P>) {
+    fn step(&mut self, phase: usize, inbox: Inbox<'_, P>, out: &mut Outbox<P>) {
         (**self).step(phase, inbox, out)
     }
-    fn finalize(&mut self, inbox: &[Envelope<P>]) {
+    fn finalize(&mut self, inbox: Inbox<'_, P>) {
         (**self).finalize(inbox)
     }
     fn decision(&self) -> Option<Value> {
@@ -314,18 +453,22 @@ mod tests {
         let clones = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
         let mut out: Outbox<CountingPayload> = Outbox::new(ProcessId(0));
         out.broadcast((0..4).map(ProcessId), CountingPayload(clones.clone()));
-        // Four targets, one of which is the sender: three envelopes staged,
-        // and the payload moved into the last send — so exactly three
-        // clones total (the sender's copy is cloned then dropped by the
-        // self-send filter, the final target receives the original).
+        // Four targets, one of which is the sender: three messages staged
+        // as one frame, the payload moved in — no clone at all.
         assert_eq!(out.staged_len(), 3);
-        assert_eq!(clones.load(std::sync::atomic::Ordering::Relaxed), 3);
+        assert_eq!(clones.load(std::sync::atomic::Ordering::Relaxed), 0);
 
-        // Without the sender among the targets: k targets, k − 1 clones.
-        clones.store(0, std::sync::atomic::Ordering::Relaxed);
+        // Without the sender among the targets: k targets, still no clone.
         let mut out: Outbox<CountingPayload> = Outbox::new(ProcessId(9));
         out.broadcast((0..4).map(ProcessId), CountingPayload(clones.clone()));
         assert_eq!(out.staged_len(), 4);
+        assert_eq!(clones.load(std::sync::atomic::Ordering::Relaxed), 0);
+
+        // Only an owned per-link view of a scratch outbox clones: k − 1
+        // times, the last target taking the payload itself.
+        let staged = out.into_staged();
+        let targets: Vec<_> = staged.iter().map(|env| env.to).collect();
+        assert_eq!(targets, (0..4).map(ProcessId).collect::<Vec<_>>());
         assert_eq!(clones.load(std::sync::atomic::Ordering::Relaxed), 3);
     }
 
@@ -337,17 +480,59 @@ mod tests {
     }
 
     #[test]
-    fn with_buffer_recycles_capacity() {
-        let mut out: Outbox<Value> = Outbox::new(ProcessId(0));
-        out.send(ProcessId(1), Value::ONE);
-        out.send(ProcessId(2), Value::ONE);
-        let buf = out.into_staged();
-        let cap = buf.capacity();
-        assert!(cap >= 2);
-        let recycled: Outbox<Value> = Outbox::with_buffer(ProcessId(5), buf);
-        assert_eq!(recycled.staged_len(), 0);
-        assert_eq!(recycled.sender(), ProcessId(5));
-        assert_eq!(recycled.staged.capacity(), cap);
+    fn resumed_outbox_appends_and_counts_only_its_own_messages() {
+        let mut first: Outbox<Value> = Outbox::new(ProcessId(0));
+        first.broadcast((0..3).map(ProcessId), Value::ONE);
+        let mut second = Outbox::resume(ProcessId(5), first.into_staging());
+        assert_eq!(second.staged_len(), 0);
+        assert_eq!(second.sender(), ProcessId(5));
+        second.send(ProcessId(1), Value::ZERO);
+        assert_eq!(second.staged_len(), 1);
+        let links: Vec<_> = second
+            .into_staged()
+            .iter()
+            .map(|env| (env.from.0, env.to.0, env.payload))
+            .collect();
+        assert_eq!(
+            links,
+            vec![(0, 1, Value::ONE), (0, 2, Value::ONE), (5, 1, Value::ZERO)]
+        );
+    }
+
+    #[test]
+    fn inbox_views_read_the_same_over_envelopes_and_frames() {
+        let envelopes = [
+            Envelope {
+                from: ProcessId(3),
+                to: ProcessId(1),
+                payload: Value(7),
+            },
+            Envelope {
+                from: ProcessId(0),
+                to: ProcessId(1),
+                payload: Value(8),
+            },
+        ];
+        let frames = [
+            Frame {
+                from: ProcessId(0),
+                payload: Value(8),
+            },
+            Frame {
+                from: ProcessId(3),
+                payload: Value(7),
+            },
+        ];
+        let owned = Inbox::of(&envelopes);
+        let shared = Inbox::over_frames(ProcessId(1), &frames, &[1, 0]);
+        assert_eq!(owned.len(), 2);
+        assert_eq!(owned.first(), shared.first());
+        assert!(owned.iter().eq(shared.iter()));
+        assert_eq!(shared.iter().len(), 2);
+        let copies: Vec<_> = shared.iter().map(|m| m.to_envelope()).collect();
+        assert_eq!(copies, envelopes);
+        let empty: Inbox<'_, Value> = Inbox::of(&[]);
+        assert!(empty.is_empty() && empty.first().is_none());
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! Every wrapper reports [`is_correct`](Actor::is_correct) as `false`, so
 //! metrics and the checker treat the processor as faulty.
 
-use crate::actor::{Actor, Envelope, Outbox, Payload};
+use crate::actor::{Actor, Envelope, Inbox, Outbox, Payload};
 use ba_crypto::{ProcessId, Value};
 use std::collections::BTreeSet;
 
@@ -22,7 +22,7 @@ use std::collections::BTreeSet;
 pub struct Silent;
 
 impl<P: Payload> Actor<P> for Silent {
-    fn step(&mut self, _phase: usize, _inbox: &[Envelope<P>], _out: &mut Outbox<P>) {}
+    fn step(&mut self, _phase: usize, _inbox: Inbox<'_, P>, _out: &mut Outbox<P>) {}
     fn decision(&self) -> Option<Value> {
         None
     }
@@ -47,12 +47,12 @@ impl<A> Crash<A> {
 }
 
 impl<P: Payload, A: Actor<P>> Actor<P> for Crash<A> {
-    fn step(&mut self, phase: usize, inbox: &[Envelope<P>], out: &mut Outbox<P>) {
+    fn step(&mut self, phase: usize, inbox: Inbox<'_, P>, out: &mut Outbox<P>) {
         if phase < self.crash_phase {
             self.inner.step(phase, inbox, out);
         }
     }
-    fn finalize(&mut self, _inbox: &[Envelope<P>]) {}
+    fn finalize(&mut self, _inbox: Inbox<'_, P>) {}
     fn decision(&self) -> Option<Value> {
         None
     }
@@ -82,7 +82,7 @@ impl<A> OmitTo<A> {
 }
 
 impl<P: Payload, A: Actor<P>> Actor<P> for OmitTo<A> {
-    fn step(&mut self, phase: usize, inbox: &[Envelope<P>], out: &mut Outbox<P>) {
+    fn step(&mut self, phase: usize, inbox: Inbox<'_, P>, out: &mut Outbox<P>) {
         // Run the honest actor into a scratch outbox, then forward only the
         // permitted envelopes, counting every suppression.
         let mut scratch = Outbox::new(out.sender());
@@ -96,7 +96,7 @@ impl<P: Payload, A: Actor<P>> Actor<P> for OmitTo<A> {
             }
         }
     }
-    fn finalize(&mut self, inbox: &[Envelope<P>]) {
+    fn finalize(&mut self, inbox: Inbox<'_, P>) {
         self.inner.finalize(inbox);
     }
     fn decision(&self) -> Option<Value> {
@@ -136,14 +136,14 @@ impl<A> IgnoreFirst<A> {
 }
 
 impl<A> IgnoreFirst<A> {
-    fn filter<P: Clone>(&mut self, inbox: &[Envelope<P>]) -> Vec<Envelope<P>> {
+    fn filter<P: Clone>(&mut self, inbox: Inbox<'_, P>) -> Vec<Envelope<P>> {
         let mut kept = Vec::with_capacity(inbox.len());
         for env in inbox {
             let matches = self.from_set.is_empty() || self.from_set.contains(&env.from);
             if matches && self.remaining > 0 {
                 self.remaining -= 1;
             } else {
-                kept.push(env.clone());
+                kept.push(env.to_envelope());
             }
         }
         kept
@@ -151,13 +151,13 @@ impl<A> IgnoreFirst<A> {
 }
 
 impl<P: Payload, A: Actor<P>> Actor<P> for IgnoreFirst<A> {
-    fn step(&mut self, phase: usize, inbox: &[Envelope<P>], out: &mut Outbox<P>) {
+    fn step(&mut self, phase: usize, inbox: Inbox<'_, P>, out: &mut Outbox<P>) {
         let kept = self.filter(inbox);
-        self.inner.step(phase, &kept, out);
+        self.inner.step(phase, Inbox::of(&kept), out);
     }
-    fn finalize(&mut self, inbox: &[Envelope<P>]) {
+    fn finalize(&mut self, inbox: Inbox<'_, P>) {
         let kept = self.filter(inbox);
-        self.inner.finalize(&kept);
+        self.inner.finalize(Inbox::of(&kept));
     }
     fn decision(&self) -> Option<Value> {
         self.inner.decision()
@@ -188,14 +188,14 @@ impl<A> RestrictPeers<A> {
 }
 
 impl<P: Payload, A: Actor<P>> Actor<P> for RestrictPeers<A> {
-    fn step(&mut self, phase: usize, inbox: &[Envelope<P>], out: &mut Outbox<P>) {
+    fn step(&mut self, phase: usize, inbox: Inbox<'_, P>, out: &mut Outbox<P>) {
         let kept: Vec<Envelope<P>> = inbox
             .iter()
             .filter(|e| self.peers.contains(&e.from))
-            .cloned()
+            .map(|e| e.to_envelope())
             .collect();
         let mut scratch = Outbox::new(out.sender());
-        self.inner.step(phase, &kept, &mut scratch);
+        self.inner.step(phase, Inbox::of(&kept), &mut scratch);
         out.note_omitted(scratch.omitted_count());
         for env in scratch.into_staged() {
             if self.peers.contains(&env.to) {
@@ -205,13 +205,13 @@ impl<P: Payload, A: Actor<P>> Actor<P> for RestrictPeers<A> {
             }
         }
     }
-    fn finalize(&mut self, inbox: &[Envelope<P>]) {
+    fn finalize(&mut self, inbox: Inbox<'_, P>) {
         let kept: Vec<Envelope<P>> = inbox
             .iter()
             .filter(|e| self.peers.contains(&e.from))
-            .cloned()
+            .map(|e| e.to_envelope())
             .collect();
-        self.inner.finalize(&kept);
+        self.inner.finalize(Inbox::of(&kept));
     }
     fn decision(&self) -> Option<Value> {
         self.inner.decision()
@@ -233,13 +233,13 @@ mod tests {
     }
 
     impl Actor<Value> for Echo {
-        fn step(&mut self, phase: usize, inbox: &[Envelope<Value>], out: &mut Outbox<Value>) {
+        fn step(&mut self, phase: usize, inbox: Inbox<'_, Value>, out: &mut Outbox<Value>) {
             if phase == 1 {
                 out.send(ProcessId(0), Value(42));
             }
             for env in inbox {
-                self.first.get_or_insert(env.payload);
-                out.send(env.from, env.payload);
+                self.first.get_or_insert(*env.payload);
+                out.send(env.from, *env.payload);
             }
         }
         fn decision(&self) -> Option<Value> {
@@ -259,7 +259,7 @@ mod tests {
     fn silent_never_sends_or_decides() {
         let mut s = Silent;
         let mut out: Outbox<Value> = Outbox::new(ProcessId(1));
-        Actor::<Value>::step(&mut s, 1, &[env(0, 1)], &mut out);
+        Actor::<Value>::step(&mut s, 1, Inbox::of(&[env(0, 1)]), &mut out);
         assert_eq!(out.staged_len(), 0);
         assert_eq!(Actor::<Value>::decision(&s), None);
         assert!(!Actor::<Value>::is_correct(&s));
@@ -269,10 +269,10 @@ mod tests {
     fn crash_stops_at_phase() {
         let mut c = Crash::new(Echo::default(), 2);
         let mut out = Outbox::new(ProcessId(1));
-        c.step(1, &[], &mut out);
+        c.step(1, Inbox::of(&[]), &mut out);
         assert_eq!(out.staged_len(), 1, "phase 1 still active");
         let mut out = Outbox::new(ProcessId(1));
-        c.step(2, &[env(0, 5)], &mut out);
+        c.step(2, Inbox::of(&[env(0, 5)]), &mut out);
         assert_eq!(out.staged_len(), 0, "crashed at phase 2");
         assert_eq!(c.decision(), None);
     }
@@ -281,7 +281,7 @@ mod tests {
     fn omit_to_filters_targets_only() {
         let mut o = OmitTo::new(Echo::default(), [ProcessId(0)]);
         let mut out = Outbox::new(ProcessId(1));
-        o.step(2, &[env(0, 5), env(2, 6)], &mut out);
+        o.step(2, Inbox::of(&[env(0, 5), env(2, 6)]), &mut out);
         assert_eq!(out.omitted_count(), 1, "the suppressed p0 echo is counted");
         let staged = out.into_staged();
         // Echo would send to p0 (twice: echo of env(0) and p0-copy is the
@@ -295,7 +295,7 @@ mod tests {
     fn ignore_first_discards_prefix() {
         let mut i = IgnoreFirst::new(Echo::default(), 2, []);
         let mut out = Outbox::new(ProcessId(1));
-        i.step(2, &[env(0, 5), env(2, 6), env(3, 7)], &mut out);
+        i.step(2, Inbox::of(&[env(0, 5), env(2, 6), env(3, 7)]), &mut out);
         // First two discarded; only env(3,7) reaches the inner actor.
         assert_eq!(i.decision(), Some(Value(7)));
         assert_eq!(i.remaining(), 0);
@@ -308,7 +308,7 @@ mod tests {
     fn ignore_first_respects_from_set() {
         let mut i = IgnoreFirst::new(Echo::default(), 1, [ProcessId(2)]);
         let mut out = Outbox::new(ProcessId(1));
-        i.step(2, &[env(0, 5), env(2, 6)], &mut out);
+        i.step(2, Inbox::of(&[env(0, 5), env(2, 6)]), &mut out);
         // env(0,5) passes (not in from_set); env(2,6) is the first match and
         // is discarded.
         assert_eq!(i.decision(), Some(Value(5)));
@@ -318,7 +318,7 @@ mod tests {
     fn restrict_peers_drops_both_directions() {
         let mut r = RestrictPeers::new(Echo::default(), [ProcessId(2)]);
         let mut out = Outbox::new(ProcessId(1));
-        r.step(1, &[env(0, 5), env(2, 6)], &mut out);
+        r.step(1, Inbox::of(&[env(0, 5), env(2, 6)]), &mut out);
         // Inbox from p0 dropped; echo of p2 kept; the phase-1 send to p0 dropped.
         let staged = out.into_staged();
         assert_eq!(staged.len(), 1);
@@ -345,7 +345,7 @@ mod tests {
         }
 
         impl Actor<Value> for Gossip {
-            fn step(&mut self, _phase: usize, inbox: &[Envelope<Value>], out: &mut Outbox<Value>) {
+            fn step(&mut self, _phase: usize, inbox: Inbox<'_, Value>, out: &mut Outbox<Value>) {
                 for env in inbox {
                     self.sum = self
                         .sum

@@ -1,68 +1,185 @@
-//! Flat struct-of-arrays mailbox storage.
+//! Flat mailbox storage: frames staged once, inboxes as slices of indices.
 //!
-//! The seed engine kept one `Vec<Envelope>` per actor for inboxes and one
-//! per actor for outbox staging — 3·n vectors resized and walked every
-//! phase, with routing moving envelopes between them one `push` at a time.
-//! This module replaces that per-actor Vec dance with two arenas:
+//! The paper counts a broadcast as `n − 1` messages and [`Metrics`] does
+//! too, but nothing in the model says a simulator has to *move* `n − 1`
+//! copies. A `send` or `broadcast` call is staged once, as a *frame* —
+//! the sender, the payload, and a run of target ids in a side buffer — and
+//! stays one object until it is dropped:
 //!
-//! * [`Inboxes`] — all of a phase's deliveries in **one** contiguous
-//!   buffer, partitioned by an `offsets` table so actor `i`'s inbox is the
-//!   slice `slots[offsets[i]..offsets[i + 1]]`. The actor-facing API is
-//!   unchanged (`&[Envelope<P>]`).
-//! * [`Segment`] — one per worker: every envelope the worker's actors
-//!   staged this phase, appended to a single buffer in (actor, send-seq)
-//!   order, with a per-actor table of end offsets and omitted counts.
-//!   An actor's `Outbox` writes straight into the segment buffer
-//!   ([`Outbox`](crate::actor::Outbox) resumes over it), so staging does
-//!   no per-actor allocation at all.
+//! * [`Segment`] — one per worker: every frame the worker's actors staged
+//!   this phase, in (actor, send-seq) order, with each frame's targets in
+//!   the order the caller listed them. "Frames in staging order × targets
+//!   in listed order" is the `(sender, seq)` *message* order every fate,
+//!   link index, trace line and arrival index is expressed in. An actor's
+//!   [`Outbox`](crate::actor::Outbox) writes straight into the segment's
+//!   buffers, so staging does no per-actor allocation at all.
+//! * [`Inboxes`] — one phase's deliveries: the frames that reached at least
+//!   one recipient, plus `idx`, one `u32` per delivered message naming its
+//!   frame, partitioned by an `offsets` table so actor `i`'s inbox is the
+//!   index slice `idx[offsets[i]..offsets[i + 1]]` over the shared frames.
+//!   Actors read it through the borrowed [`Inbox`] view.
 //!
 //! The deterministic merge every phase driver depends on falls out of the
 //! layout: workers own contiguous ascending actor ranges, so walking
 //! segments in worker order and each segment in staging order visits every
-//! envelope in exactly the `(sender, seq)` order a sequential run would
-//! produce — routing, metrics, trace and delivery order are byte-identical
-//! at any thread count.
+//! message in exactly the order a sequential run would produce — routing,
+//! metrics, trace and delivery order are byte-identical at any thread
+//! count.
 //!
-//! Scattering staged envelopes into the next phase's inbox arena is the
-//! one `unsafe` block in the crate, and there is one scatter for both
-//! kinds of arrival. The phase core's route pass decides each envelope's
-//! fate; `Inboxes::fill` then moves every surviving envelope into its
-//! reserved slot, either in staging order (lock-step: a per-recipient
-//! cursor, nothing materialised) or in the order a wire says the frames
-//! arrived (a destination table built from link indices before any
-//! envelope is touched). The block's precondition — every reserved slot
-//! written exactly once — is checked, not assumed: see `Inboxes::fill`.
+//! There is one fill for both kinds of arrival, and it is safe code. The
+//! phase core's route pass decides each message's fate; `Inboxes::fill`
+//! then *moves the frames* (O(frames)) and *writes indices* (O(messages),
+//! four bytes each), either in staging order (lock-step: a per-recipient
+//! cursor, nothing materialised) or in the order a wire says the messages
+//! arrived (a destination table built from link indices before any frame
+//! is touched). A frame none of whose targets was reached is dropped right
+//! there; every other frame is dropped once, at [`Inboxes::clear`].
+//!
+//! [`Metrics`]: crate::metrics::Metrics
 
-use crate::actor::{Envelope, Payload};
+#![forbid(unsafe_code)]
+
+use crate::actor::{Envelope, Inbox, Payload};
 use ba_crypto::ProcessId;
 use std::any::Any;
+use std::ops::Range;
 
-/// A directed link, `(from, to)`: all a wire ever learns about a frame.
+/// A directed link, `(from, to)`: all a wire ever learns about a message.
 pub(crate) type Link = (ProcessId, ProcessId);
 
-/// One phase's deliveries for all `n` actors, in one contiguous buffer.
+/// One `send` or `broadcast` call: who sent what. To whom lives beside it —
+/// in [`Staging`] while staged, in the index slices of [`Inboxes`] once
+/// delivered.
+#[derive(Debug)]
+pub(crate) struct Frame<P> {
+    pub(crate) from: ProcessId,
+    pub(crate) payload: P,
+}
+
+/// Staged frames and their target runs: frame `f` is addressed to
+/// `targets[ends[f − 1]..ends[f]]`, in the order the caller listed them.
+#[derive(Debug)]
+pub(crate) struct Staging<P> {
+    frames: Vec<Frame<P>>,
+    /// Per frame: exclusive end offset of its run in `targets`.
+    ends: Vec<u32>,
+    targets: Vec<ProcessId>,
+}
+
+/// The target runs `ends` delimits, as index ranges, frame by frame.
+fn runs(ends: &[u32]) -> impl Iterator<Item = Range<usize>> + '_ {
+    let mut start = 0usize;
+    ends.iter().map(move |&end| {
+        let run = start..end as usize;
+        start = run.end;
+        run
+    })
+}
+
+impl<P> Default for Staging<P> {
+    fn default() -> Self {
+        Staging {
+            frames: Vec::new(),
+            ends: Vec::new(),
+            targets: Vec::new(),
+        }
+    }
+}
+
+impl<P> Staging<P> {
+    /// Stages one frame from `from` to every id in `targets` but `from`
+    /// itself (the model has no self-edges). A frame left with no target
+    /// is not staged at all.
+    pub(crate) fn push(
+        &mut self,
+        from: ProcessId,
+        targets: impl IntoIterator<Item = ProcessId>,
+        payload: P,
+    ) {
+        let start = self.targets.len();
+        self.targets
+            .extend(targets.into_iter().filter(|&to| to != from));
+        if self.targets.len() == start {
+            return;
+        }
+        let end = u32::try_from(self.targets.len()).expect("under 2^32 messages per segment");
+        self.frames.push(Frame { from, payload });
+        self.ends.push(end);
+    }
+
+    /// Number of staged messages (targets, not frames).
+    pub(crate) fn messages(&self) -> usize {
+        self.targets.len()
+    }
+
+    /// Drops everything staged, keeping capacity.
+    pub(crate) fn clear(&mut self) {
+        self.frames.clear();
+        self.ends.clear();
+        self.targets.clear();
+    }
+
+    /// Every staged frame with its target run, in staging order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&Frame<P>, &[ProcessId])> {
+        let runs = runs(&self.ends).map(|run| &self.targets[run]);
+        self.frames.iter().zip(runs)
+    }
+
+    /// Consumes the staging, expanding every frame into one owned
+    /// [`Envelope`] per target, in message order; the last target of a
+    /// frame takes the payload itself.
+    pub(crate) fn into_envelopes(self) -> Vec<Envelope<P>>
+    where
+        P: Clone,
+    {
+        let mut envelopes = Vec::with_capacity(self.targets.len());
+        for (Frame { from, payload }, run) in self.frames.into_iter().zip(runs(&self.ends)) {
+            let (&last, rest) = self.targets[run]
+                .split_last()
+                .expect("a staged frame has a target");
+            envelopes.extend(rest.iter().map(|&to| Envelope {
+                from,
+                to,
+                payload: payload.clone(),
+            }));
+            envelopes.push(Envelope {
+                from,
+                to: last,
+                payload,
+            });
+        }
+        envelopes
+    }
+}
+
+/// One phase's deliveries for all `n` actors: shared frames, and per actor
+/// a slice of indices into them.
 #[derive(Debug)]
 pub struct Inboxes<P> {
-    slots: Vec<Envelope<P>>,
-    /// `n + 1` entries; actor `i` owns `slots[offsets[i]..offsets[i+1]]`.
+    /// The frames that reached at least one recipient, in staging order.
+    frames: Vec<Frame<P>>,
+    /// One entry per delivered message: its frame's position in `frames`.
+    idx: Vec<u32>,
+    /// `n + 1` entries; actor `i` owns `idx[offsets[i]..offsets[i+1]]`.
     offsets: Vec<usize>,
-    /// Scatter scratch, recycled across phases: the next free slot of each
+    /// Fill scratch, recycled across phases: the next free slot of each
     /// recipient's inbox.
     cursors: Vec<usize>,
-    /// Scatter scratch, recycled across phases: each surviving frame's
+    /// Fill scratch, recycled across phases: each surviving message's
     /// destination slot, or `FAILED` (wire-order arrival only; empty
     /// otherwise).
     dest: Vec<usize>,
 }
 
-/// Destination of a surviving frame its wire never delivered.
+/// Destination of a surviving message its wire never delivered.
 const FAILED: usize = usize::MAX;
 
 impl<P: Payload> Inboxes<P> {
     /// An empty arena for `n` actors.
     pub fn new(n: usize) -> Self {
         Inboxes {
-            slots: Vec::new(),
+            frames: Vec::new(),
+            idx: Vec::new(),
             offsets: vec![0; n + 1],
             cursors: Vec::new(),
             dest: Vec::new(),
@@ -70,39 +187,44 @@ impl<P: Payload> Inboxes<P> {
     }
 
     /// Actor `i`'s inbox for the current phase.
-    pub fn of(&self, i: usize) -> &[Envelope<P>] {
-        &self.slots[self.offsets[i]..self.offsets[i + 1]]
+    pub fn of(&self, i: usize) -> Inbox<'_, P> {
+        let idx = &self.idx[self.offsets[i]..self.offsets[i + 1]];
+        Inbox::over_frames(ProcessId(i as u32), &self.frames, idx)
     }
 
-    /// Total envelopes currently held.
+    /// Total messages currently held.
     pub fn len(&self) -> usize {
-        self.slots.len()
+        self.idx.len()
     }
 
-    /// Whether no envelopes are held.
+    /// Whether no messages are held.
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.idx.is_empty()
     }
 
-    /// Iterates over every held envelope in delivery order (recipient-major
-    /// — used by the engine's barrier-verification pass).
-    pub fn iter(&self) -> impl Iterator<Item = &Envelope<P>> {
-        self.slots.iter()
+    /// The payload of every held frame, in staging order — each frame once,
+    /// however many inboxes index it (the engine's barrier-verification
+    /// pass walks this).
+    pub fn payloads(&self) -> impl Iterator<Item = &P> {
+        self.frames.iter().map(|frame| &frame.payload)
     }
 
-    /// Drops all envelopes, keeping the arena's capacity for the next
-    /// phase.
+    /// Drops all frames, keeping the arena's capacity for the next phase.
     pub fn clear(&mut self) {
-        self.slots.clear();
+        self.frames.clear();
+        self.idx.clear();
         self.offsets.fill(0);
     }
 
     /// Rebuilds this arena from the phase's staged segments — the one fill
     /// routine, for both kinds of arrival. `fates[k]` tells whether the
-    /// `k`-th staged envelope (in segment-major staging order, the
-    /// deterministic merge order) survived the route pass. Consumes every
-    /// segment's staged buffer: `on_delivered` sees each delivered envelope
-    /// as it moves into its slot, every other envelope is dropped here.
+    /// `k`-th staged message (in segment-major staging order, the
+    /// deterministic merge order) survived the route pass; on return it
+    /// tells whether the message was *delivered*. Consumes every segment's
+    /// staging: `on_delivered` sees each frame that reached anyone, with
+    /// the number of recipients it reached and their ids in listed order,
+    /// as the frame moves into the arena; a frame that reached no one is
+    /// dropped here.
     ///
     /// * `wire == None` — every survivor arrives, in staging order.
     ///   `counts[i]` is the number of survivors addressed to recipient `i`
@@ -111,30 +233,30 @@ impl<P: Payload> Inboxes<P> {
     /// * `wire == Some((links, order))` — `links` lists the survivors'
     ///   `(from, to)` in staging order and `order` is the sequence in which
     ///   a wire delivered them, as indices into `links`; a survivor absent
-    ///   from `order` permanently failed and is dropped. `counts` is
-    ///   recomputed from `order`, and each recipient's inbox ends up in
-    ///   arrival order.
+    ///   from `order` permanently failed. `counts` is recomputed from
+    ///   `order`, and each recipient's inbox ends up in arrival order.
     ///
     /// # Panics
     /// Before anything is written, if an index in `order` is out of range
-    /// or appears twice. While scattering (envelopes already written leak,
-    /// nothing is dropped twice and the arena stays empty), if `fates`,
-    /// `counts` or `links` do not describe the segments.
+    /// or appears twice. While filling (the arena is left holding indices
+    /// that mean nothing and must not be read), if `fates`, `counts` or
+    /// `links` do not describe the segments.
     pub(crate) fn fill(
         &mut self,
         segments: &mut [Segment<P>],
-        fates: &[bool],
+        fates: &mut [bool],
         counts: &mut [usize],
         wire: Option<(&[Link], &[usize])>,
-        mut on_delivered: impl FnMut(&Envelope<P>),
+        mut on_delivered: impl FnMut(&Frame<P>, usize, &mut dyn Iterator<Item = ProcessId>),
     ) {
         let n = self.offsets.len() - 1;
         assert_eq!(counts.len(), n, "one count per recipient");
-        self.slots.clear();
+        self.frames.clear();
+        self.idx.clear();
         self.dest.clear();
         if let Some((links, order)) = wire {
             // Validate the order and count arrivals per recipient, without
-            // touching an envelope.
+            // touching a frame.
             self.dest.resize(links.len(), FAILED);
             counts.fill(0);
             for &k in order {
@@ -152,7 +274,7 @@ impl<P: Payload> Inboxes<P> {
             total += c;
         }
         self.offsets[n] = total;
-        self.slots.reserve(total);
+        self.idx.resize(total, 0);
         self.cursors.clear();
         self.cursors.extend_from_slice(&self.offsets[..n]);
         if let Some((links, order)) = wire {
@@ -164,65 +286,69 @@ impl<P: Payload> Inboxes<P> {
             }
         }
 
-        let spare = self.slots.spare_capacity_mut();
-        let mut fates = fates.iter();
         let mut dest = self.dest.iter();
         let mut written = 0usize;
+        let mut first = 0usize; // the current frame's first message
         for seg in segments.iter_mut() {
-            for env in seg.staged.drain(..) {
-                // A `continue` drops the envelope right here. If a drop or
-                // `on_delivered` panics, already-written envelopes leak
-                // (len is still 0, so they are never touched again) — a
-                // leak, never a double drop.
-                if !fates.next().expect("one fate per staged envelope") {
-                    continue;
-                }
-                let slot = match wire {
-                    None => {
-                        let to = env.to.index();
-                        let slot = self.cursors[to];
-                        assert!(slot < self.offsets[to + 1], "recipient {to} is full");
-                        self.cursors[to] = slot + 1;
-                        slot
+            let staged = &mut seg.staged;
+            for (frame, run) in staged.frames.drain(..).zip(runs(&staged.ends)) {
+                let run = &staged.targets[run];
+                let run_fates = fates
+                    .get_mut(first..first + run.len())
+                    .expect("one fate per staged message");
+                first += run.len();
+                let f = u32::try_from(self.frames.len()).expect("under 2^32 frames per phase");
+                let mut reached = 0usize;
+                for (&to, fate) in run.iter().zip(run_fates.iter_mut()) {
+                    if !*fate {
+                        continue;
                     }
-                    Some(_) => *dest.next().expect("one link per survivor"),
-                };
-                if slot == FAILED {
-                    continue;
+                    let slot = match wire {
+                        None => {
+                            let to = to.index();
+                            let slot = self.cursors[to];
+                            assert!(slot < self.offsets[to + 1], "recipient {to} is full");
+                            self.cursors[to] = slot + 1;
+                            slot
+                        }
+                        Some(_) => *dest.next().expect("one link per survivor"),
+                    };
+                    if slot == FAILED {
+                        *fate = false;
+                        continue;
+                    }
+                    self.idx[slot] = f;
+                    reached += 1;
                 }
-                on_delivered(&env);
-                spare[slot].write(env);
-                written += 1;
+                if reached == 0 {
+                    continue; // drops the frame
+                }
+                let arrived = run.iter().zip(run_fates.iter());
+                let mut arrived = arrived.filter(|(_, &ok)| ok).map(|(&to, _)| to);
+                on_delivered(&frame, reached, &mut arrived);
+                self.frames.push(frame);
+                written += reached;
             }
+            staged.clear();
         }
-        assert!(fates.next().is_none(), "one staged envelope per fate");
+        assert_eq!(first, fates.len(), "one staged message per fate");
+        // With distinct slots — a recipient's cursor only increments inside
+        // its own range, and `dest` was dealt by those same cursors to the
+        // distinct indices of `order` — this says every index was written.
         assert_eq!(written, total, "every reserved slot is filled");
-        // SAFETY: every index in `0..total` was written exactly once: the
-        // `written` writes went to distinct slots below `total`, and
-        // `written == total` (asserted). In staging order a slot comes from
-        // its recipient's cursor, which starts at `offsets[to]`, only
-        // increments and is asserted to stay below `offsets[to + 1]` — so
-        // it stays inside that recipient's half-open range, and the ranges
-        // partition `0..total`. In wire order a slot comes from `dest`,
-        // whose non-`FAILED` entries were dealt by the same cursors to the
-        // distinct (checked above) indices of `order`, exactly `counts[i]`
-        // of them to recipient `i`; each entry is consumed at most once.
-        unsafe { self.slots.set_len(total) };
     }
 }
 
-/// One worker's staged output for a phase: all of its actors' sends in one
-/// buffer, plus a per-actor table recording where each actor's run of
-/// envelopes ends and how many sends adversary wrappers suppressed.
+/// One worker's staged output for a phase: all of its actors' frames in
+/// staging order, plus how many sends adversary wrappers suppressed.
 #[derive(Debug)]
 pub struct Segment<P> {
-    /// Envelopes in (actor, send-seq) order within this worker's actor
-    /// range.
-    pub(crate) staged: Vec<Envelope<P>>,
-    /// Per actor (in ascending id order within the worker's range):
-    /// exclusive end offset into `staged`, and the actor's
-    /// [`Outbox::note_omitted`](crate::actor::Outbox::note_omitted) count.
-    pub(crate) per_actor: Vec<(usize, u64)>,
+    /// Frames in (actor, send-seq) order within this worker's actor range.
+    pub(crate) staged: Staging<P>,
+    /// The summed
+    /// [`Outbox::note_omitted`](crate::actor::Outbox::note_omitted) counts
+    /// of this worker's actors.
+    pub(crate) omitted: u64,
     /// The payload of the panic that cut this chunk's step short, if one
     /// did; the staging above is then incomplete and must not be routed.
     pub(crate) panic: Option<Box<dyn Any + Send>>,
@@ -232,8 +358,8 @@ impl<P: Payload> Segment<P> {
     /// An empty segment.
     pub fn new() -> Self {
         Segment {
-            staged: Vec::new(),
-            per_actor: Vec::new(),
+            staged: Staging::default(),
+            omitted: 0,
             panic: None,
         }
     }
@@ -241,28 +367,13 @@ impl<P: Payload> Segment<P> {
     /// Clears the segment for a new phase, retaining capacity.
     pub(crate) fn begin_phase(&mut self) {
         self.staged.clear();
-        self.per_actor.clear();
+        self.omitted = 0;
         self.panic = None;
     }
 
-    /// Number of envelopes currently staged.
+    /// Number of messages currently staged.
     pub fn staged_len(&self) -> usize {
-        self.staged.len()
-    }
-
-    /// Iterates `(actor_offset, envelopes, omitted)` per actor, in actor
-    /// order: `actor_offset` is the actor's position within the worker's
-    /// range.
-    pub(crate) fn per_actor_runs(&self) -> impl Iterator<Item = (usize, &[Envelope<P>], u64)> + '_ {
-        let mut start = 0usize;
-        self.per_actor
-            .iter()
-            .enumerate()
-            .map(move |(j, &(end, omitted))| {
-                let run = &self.staged[start..end];
-                start = end;
-                (j, run, omitted)
-            })
+        self.staged.messages()
     }
 }
 
@@ -280,12 +391,52 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
-    fn env(from: u32, to: u32, v: u64) -> Envelope<Value> {
-        Envelope {
-            from: ProcessId(from),
-            to: ProcessId(to),
-            payload: Value(v),
+    fn ids(ids: impl IntoIterator<Item = u32>) -> impl Iterator<Item = ProcessId> {
+        ids.into_iter().map(ProcessId)
+    }
+
+    /// A segment holding `frames`, each `(from, targets, payload)`.
+    fn segment<P: Payload, const K: usize>(frames: [(u32, &[u32], P); K]) -> Segment<P> {
+        let mut seg = Segment::new();
+        for (from, targets, payload) in frames {
+            seg.staged
+                .push(ProcessId(from), ids(targets.iter().copied()), payload);
         }
+        seg
+    }
+
+    /// Recipient `i`'s inbox as `(from, payload)` pairs.
+    fn inbox<P: Payload>(inboxes: &Inboxes<P>, i: usize) -> Vec<(u32, P)> {
+        let inbox = inboxes.of(i);
+        assert!(inbox.iter().all(|m| m.to == ProcessId(i as u32)));
+        inbox
+            .iter()
+            .map(|m| (m.from.0, m.payload.clone()))
+            .collect()
+    }
+
+    #[test]
+    fn staging_skips_the_sender_and_stages_no_targetless_frame() {
+        let mut staged: Staging<Value> = Staging::default();
+        staged.push(ProcessId(1), ids([0, 1, 2, 1]), Value(7));
+        staged.push(ProcessId(1), ids([1]), Value(8));
+        staged.push(ProcessId(1), ids([]), Value(9));
+        staged.push(ProcessId(2), ids([0, 0]), Value(10));
+        assert_eq!(staged.messages(), 4);
+        let runs: Vec<_> = staged
+            .iter()
+            .map(|(frame, run)| (frame.from.0, frame.payload.0, run.to_vec()))
+            .collect();
+        assert_eq!(
+            runs,
+            vec![
+                (1, 7, ids([0, 2]).collect::<Vec<_>>()),
+                (2, 10, ids([0, 0]).collect()),
+            ],
+            "a duplicate target is two messages"
+        );
+        let links: Vec<_> = staged.into_envelopes().iter().map(|e| e.to.0).collect();
+        assert_eq!(links, vec![0, 2, 0, 0]);
     }
 
     #[test]
@@ -299,29 +450,40 @@ mod tests {
 
     #[test]
     fn fill_from_scatters_in_merge_order() {
-        // Two segments (workers over actors {0,1} and {2,3}); envelopes
-        // to shared recipients must land in segment-major staging order.
-        let mut seg_a: Segment<Value> = Segment::new();
-        seg_a.staged = vec![env(0, 3, 10), env(0, 2, 11), env(1, 3, 12)];
-        seg_a.per_actor = vec![(2, 0), (3, 1)];
-        let mut seg_b: Segment<Value> = Segment::new();
-        seg_b.staged = vec![env(2, 3, 13), env(3, 0, 14)];
-        seg_b.per_actor = vec![(1, 0), (2, 0)];
+        // Two segments (workers over actors {0,1} and {2,3}); messages to
+        // shared recipients must land in segment-major staging order,
+        // whether they were staged as a send or inside a broadcast.
+        let seg_a = segment([
+            (0, &[3, 2], Value(10)),
+            (1, &[3], Value(12)),
+            (1, &[9], Value(99)),
+        ]);
+        let seg_b = segment([(2, &[3], Value(13)), (3, &[0], Value(14))]);
 
         let mut inboxes: Inboxes<Value> = Inboxes::new(4);
-        let fates = vec![true, true, true, true, false];
+        let mut fates = vec![true, true, true, false, true, false];
         let mut counts = vec![0, 0, 1, 3];
-        inboxes.fill(&mut [seg_a, seg_b], &fates, &mut counts, None, |_| {});
+        let mut recorded = Vec::new();
+        inboxes.fill(
+            &mut [seg_a, seg_b],
+            &mut fates,
+            &mut counts,
+            None,
+            |frame, reached, to| recorded.push((frame.payload.0, reached, to.count())),
+        );
 
         assert_eq!(inboxes.len(), 4);
-        assert!(inboxes.of(0).is_empty(), "fate=false envelope dropped");
-        assert!(inboxes.of(1).is_empty());
-        assert_eq!(inboxes.of(2), &[env(0, 2, 11)]);
+        assert!(inbox(&inboxes, 0).is_empty(), "fate=false message dropped");
+        assert!(inbox(&inboxes, 1).is_empty());
+        assert_eq!(inbox(&inboxes, 2), vec![(0, Value(10))]);
         assert_eq!(
-            inboxes.of(3),
-            &[env(0, 3, 10), env(1, 3, 12), env(2, 3, 13)],
+            inbox(&inboxes, 3),
+            vec![(0, Value(10)), (1, Value(12)), (2, Value(13))],
             "recipient 3 sees senders in (sender, seq) order"
         );
+        assert_eq!(recorded, vec![(10, 2, 2), (12, 1, 1), (13, 1, 1)]);
+        let held: Vec<_> = inboxes.payloads().copied().collect();
+        assert_eq!(held, vec![Value(10), Value(12), Value(13)]);
     }
 
     /// A payload that counts its drops, so a test can tell "dropped once"
@@ -337,28 +499,19 @@ mod tests {
 
     impl Payload for Counted {}
 
-    /// Two segments (actors {0, 1} and {2}) holding seven envelopes with
-    /// payload ids 0..7 in staging order; id 2 is fated out by the route
-    /// pass, so the six survivors' link indices are 0, 1, 2, 3, 4, 5 for
-    /// ids 0, 1, 3, 4, 5, 6.
+    /// Two segments (actors {0, 1} and {2}) holding five frames, ids 0..5
+    /// in staging order, seven messages in all. Frame 1's only message is
+    /// fated out by the route pass, so the six survivors' link indices
+    /// are 0, 1 (frame 0), 2 (frame 2), 3 (frame 3), 4, 5 (frame 4).
     fn counted_phase(drops: &Arc<AtomicUsize>) -> ([Segment<Counted>; 2], Vec<bool>, Vec<Link>) {
-        let env = |from: u32, to: u32, id: u64| Envelope {
-            from: ProcessId(from),
-            to: ProcessId(to),
-            payload: Counted(id, drops.clone()),
-        };
-        let mut seg_a = Segment::new();
-        seg_a.staged = vec![
-            env(0, 2, 0),
-            env(0, 1, 1),
-            env(0, 1, 2),
-            env(1, 2, 3),
-            env(1, 0, 4),
-        ];
-        seg_a.per_actor = vec![(3, 0), (5, 0)];
-        let mut seg_b = Segment::new();
-        seg_b.staged = vec![env(2, 1, 5), env(2, 0, 6)];
-        seg_b.per_actor = vec![(2, 0)];
+        let frame = |id: u64| Counted(id, drops.clone());
+        let seg_a = segment([
+            (0, &[2, 1], frame(0)),
+            (0, &[1], frame(1)),
+            (1, &[2], frame(2)),
+            (1, &[0], frame(3)),
+        ]);
+        let seg_b = segment([(2, &[1, 0], frame(4))]);
         let fates = vec![true, true, false, true, true, true, true];
         let links = [(0, 2), (0, 1), (1, 2), (1, 0), (2, 1), (2, 0)]
             .map(|(from, to)| (ProcessId(from), ProcessId(to)))
@@ -369,57 +522,78 @@ mod tests {
     #[test]
     fn wire_order_fills_each_inbox_in_arrival_order_and_drops_the_rest_once() {
         let drops = Arc::new(AtomicUsize::new(0));
-        let (mut segments, fates, links) = counted_phase(&drops);
+        let (mut segments, mut fates, links) = counted_phase(&drops);
         let mut inboxes: Inboxes<Counted> = Inboxes::new(3);
         // Arrival order interleaves both segments, back to front; link 2
-        // (id 3) never arrives.
+        // (all of frame 2) never arrives.
         let order = [5, 4, 3, 1, 0];
         let mut counts = vec![9; 3];
         let mut delivered = Vec::new();
         inboxes.fill(
             &mut segments,
-            &fates,
+            &mut fates,
             &mut counts,
             Some((&links, &order)),
-            |env| delivered.push(env.payload.0),
+            |frame, reached, to| {
+                let to: Vec<u32> = to.map(|to| to.0).collect();
+                assert_eq!(to.len(), reached);
+                delivered.push((frame.payload.0, to));
+            },
         );
 
-        let ids = |i: usize| -> Vec<u64> { inboxes.of(i).iter().map(|e| e.payload.0).collect() };
-        assert_eq!(ids(0), vec![6, 4], "p0: link 5 arrived before link 3");
-        assert_eq!(ids(1), vec![5, 1], "p1: link 4 arrived before link 1");
+        let ids = |i: usize| -> Vec<u64> { inboxes.of(i).iter().map(|m| m.payload.0).collect() };
+        assert_eq!(ids(0), vec![4, 3], "p0: link 5 arrived before link 3");
+        assert_eq!(ids(1), vec![4, 0], "p1: link 4 arrived before link 1");
         assert_eq!(ids(2), vec![0], "p2: link 2 failed, link 0 arrived");
         assert_eq!(counts, vec![2, 2, 1], "counts recomputed from the order");
-        assert_eq!(delivered, vec![0, 1, 4, 5, 6], "recorded in staging order");
-        assert!(segments.iter().all(|seg| seg.staged.is_empty()));
+        assert_eq!(
+            delivered,
+            vec![(0, vec![2, 1]), (3, vec![0]), (4, vec![1, 0])],
+            "recorded once per frame, in staging order"
+        );
+        assert_eq!(
+            fates,
+            vec![true, true, false, false, true, true, true],
+            "fates now say delivered"
+        );
+        assert!(segments.iter().all(|seg| seg.staged_len() == 0));
         assert_eq!(
             drops.load(Ordering::Relaxed),
             2,
-            "the fated-out and the failed envelope, once each"
+            "the fated-out and the failed frame, once each"
         );
+        let held: Vec<u64> = inboxes.payloads().map(|p| p.0).collect();
+        assert_eq!(
+            held,
+            vec![0, 3, 4],
+            "a frame that reached no one is not held"
+        );
+        inboxes.clear();
+        assert_eq!(drops.load(Ordering::Relaxed), 5, "and the rest once");
         drop(inboxes);
-        assert_eq!(drops.load(Ordering::Relaxed), 7, "and the rest once");
+        assert_eq!(drops.load(Ordering::Relaxed), 5);
     }
 
     /// Runs a wire-order fill that must be refused, checks that nothing
     /// was touched, and re-raises the refusal.
     fn refused_fill(order: &[usize]) {
         let drops = Arc::new(AtomicUsize::new(0));
-        let (mut segments, fates, links) = counted_phase(&drops);
+        let (mut segments, mut fates, links) = counted_phase(&drops);
         let mut inboxes: Inboxes<Counted> = Inboxes::new(3);
         let mut delivered = 0usize;
         let refusal = catch_unwind(AssertUnwindSafe(|| {
             inboxes.fill(
                 &mut segments,
-                &fates,
+                &mut fates,
                 &mut [0; 3],
                 Some((&links, order)),
-                |_| delivered += 1,
+                |_, _, _| delivered += 1,
             );
         }))
         .expect_err("the order is invalid");
         assert!(inboxes.is_empty(), "nothing written");
         assert_eq!(delivered, 0, "nothing recorded");
-        assert_eq!(segments[0].staged.len() + segments[1].staged.len(), 7);
+        assert_eq!(segments[0].staged_len() + segments[1].staged_len(), 7);
         assert_eq!(drops.load(Ordering::Relaxed), 0, "nothing dropped");
         resume_unwind(refusal);
     }
@@ -438,30 +612,19 @@ mod tests {
 
     #[test]
     fn clear_retains_capacity_and_empties_inboxes() {
-        let mut seg: Segment<Value> = Segment::new();
-        seg.staged = vec![env(0, 1, 1), env(0, 1, 2)];
-        seg.per_actor = vec![(2, 0)];
+        let seg = segment([(0, &[1], Value(1)), (0, &[1], Value(2))]);
         let mut inboxes: Inboxes<Value> = Inboxes::new(2);
-        inboxes.fill(&mut [seg], &[true, true], &mut [0, 2], None, |_| {});
+        inboxes.fill(
+            &mut [seg],
+            &mut [true, true],
+            &mut [0, 2],
+            None,
+            |_, _, _| {},
+        );
         assert_eq!(inboxes.of(1).len(), 2);
-        let cap = inboxes.slots.capacity();
+        let cap = (inboxes.frames.capacity(), inboxes.idx.capacity());
         inboxes.clear();
         assert!(inboxes.of(1).is_empty());
-        assert_eq!(inboxes.slots.capacity(), cap);
-    }
-
-    #[test]
-    fn per_actor_runs_splits_staging() {
-        let mut seg: Segment<Value> = Segment::new();
-        seg.staged = vec![env(0, 1, 1), env(1, 0, 2), env(1, 2, 3)];
-        seg.per_actor = vec![(1, 0), (3, 5)];
-        let runs: Vec<_> = seg.per_actor_runs().collect();
-        assert_eq!(runs.len(), 2);
-        assert_eq!(runs[0].0, 0);
-        assert_eq!(runs[0].1.len(), 1);
-        assert_eq!(runs[0].2, 0);
-        assert_eq!(runs[1].0, 1);
-        assert_eq!(runs[1].1, &[env(1, 0, 2), env(1, 2, 3)]);
-        assert_eq!(runs[1].2, 5);
+        assert_eq!((inboxes.frames.capacity(), inboxes.idx.capacity()), cap);
     }
 }

@@ -97,12 +97,12 @@ pub struct RunVerdict {
 ///
 /// ```
 /// # use ba_sim::engine::Simulation;
-/// # use ba_sim::actor::{Actor, Envelope, Outbox};
+/// # use ba_sim::actor::{Actor, Inbox, Outbox};
 /// # use ba_crypto::{ProcessId, Value};
 /// use ba_sim::check_byzantine_agreement;
 /// # #[derive(Debug)] struct Fixed(Value);
 /// # impl Actor<Value> for Fixed {
-/// #     fn step(&mut self, _: usize, _: &[Envelope<Value>], _: &mut Outbox<Value>) {}
+/// #     fn step(&mut self, _: usize, _: Inbox<'_, Value>, _: &mut Outbox<Value>) {}
 /// #     fn decision(&self) -> Option<Value> { Some(self.0) }
 /// # }
 /// let mut sim = Simulation::new(vec![

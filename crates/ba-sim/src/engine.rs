@@ -4,26 +4,36 @@
 //!
 //! [`PhaseCore`] is the only code in the workspace that steps actors,
 //! routes their sends, records [`Metrics`] and fills inboxes. A phase is
-//! [`step`](PhaseCore::step) (fan the actors out; they stage their sends)
-//! followed by [`deliver`](PhaseCore::deliver) (route what was staged,
-//! scatter the survivors into next phase's inboxes, attribute the phase's
-//! crypto, verify at the barrier, swap). Between the two calls exactly one
-//! thing can leave the core: [`links`](PhaseCore::links), the survivors'
+//! [`step`](PhaseCore::step) (fan the actors out; they stage their sends,
+//! one frame per `send`/`broadcast` call) followed by
+//! [`deliver`](PhaseCore::deliver) (route what was staged, message by
+//! message; move the frames that reach anyone into next phase's inboxes
+//! and index them per recipient; attribute the phase's crypto; verify at
+//! the barrier; swap). Between the two calls exactly one thing can leave
+//! the core: [`links`](PhaseCore::links), the surviving messages'
 //! `(from, to)` in staging order. [`Simulation`] is the lock-step loop —
 //! every survivor arrives, in staging order — and keeps what is about
 //! *watching* a run: trace, observer, quiescence. `ba_net`'s phase driver
 //! is the other loop: it plays `links()` over an unreliable wire and tells
-//! `deliver` in what order the frames arrived and which never did.
-//! Envelopes themselves never leave the arena.
+//! `deliver` in what order the messages arrived and which never did.
+//! Payloads themselves never leave the arena, and never multiply in it: an
+//! owned [`Envelope`] per message exists only in a trace, in front of an
+//! observer, or in an adversary wrapper's scratch outbox.
 //!
 //! # Data plane
 //!
-//! Mailboxes live in flat struct-of-arrays arenas (see [`crate::arena`]):
-//! each phase's deliveries occupy one contiguous [`Inboxes`] buffer
-//! partitioned by an offsets table, double-buffered and swapped at the
-//! phase barrier; each worker stages its actors' sends into one
-//! [`Segment`] buffer in (actor, send-seq) order. Every arena retains its
-//! capacity across phases, so a steady-state phase allocates nothing.
+//! A broadcast counts as one message per recipient and is stored as one
+//! frame (see [`crate::arena`]): each worker stages its actors' frames
+//! into one [`Segment`] in (actor, send-seq) order, targets in a side
+//! buffer; each phase's deliveries are an [`Inboxes`] — the delivered
+//! frames, once each, plus a flat array of four-byte frame indices
+//! partitioned per recipient by an offsets table — double-buffered and
+//! swapped at the phase barrier. An actor reads its slice of indices
+//! through a borrowed [`Inbox`](crate::actor::Inbox) view. A frame is
+//! staged, routed (per target), recorded (with its multiplicity),
+//! barrier-verified and dropped once, however many inboxes index it. Every
+//! buffer retains its capacity across phases, so a steady-state phase
+//! allocates nothing (`tests/alloc_budget.rs` counts).
 //!
 //! # Intra-phase parallelism
 //!
@@ -34,7 +44,7 @@
 //! parked between phases, replacing the seed engine's spawn-per-phase
 //! `std::thread::scope` (whose thread churn made parallel stepping *lose*
 //! to sequential). Everything order-sensitive stays on the calling thread:
-//! staged envelopes are routed, recorded and scattered strictly in
+//! staged messages are routed, recorded and indexed strictly in
 //! actor-id order once the chunks have quiesced — worker segments cover
 //! ascending actor ranges, so walking segments in order reproduces the
 //! sequential send order exactly — making `Metrics`, the trace and every
@@ -51,12 +61,14 @@
 //!
 //! A core given a [`KeyRegistry`] verifies signature chains at the
 //! barrier, not at the receivers: once the next phase's inbox arena is
-//! filled, `deliver` hands it to [`Chain::verify_at_barrier`], which
-//! verifies each *unique* chain once (deduplicated by shared signature
-//! storage — a broadcast fan-out is one entry) and stamps the chain's
-//! buffer as verified under this run's registry. When recipients call
+//! filled, `deliver` hands its frames — each once, and only those that
+//! reached a recipient — to [`Chain::verify_at_barrier`], which verifies
+//! each *unique* chain once (deduplicated by shared signature storage, so
+//! a loop of sends of one chain is one entry like the broadcast it spells
+//! out) and stamps the chain's buffer as verified under this run's
+//! registry. When recipients call
 //! [`Chain::verify`] during the next phase, the stamp short-circuits to a
-//! cache hit — so a Dolev–Strong phase delivering O(n²) envelopes pays
+//! cache hit — so a Dolev–Strong phase delivering O(n²) messages pays
 //! crypto for O(unique chains) instead of O(n²) full verifications. A chain
 //! that fails at the barrier is left unstamped and every recipient's own
 //! `verify` rejects it. The barrier's work is attributed to the phase in
@@ -143,9 +155,10 @@ pub struct PhaseCore<P> {
     carry_crypto: CryptoStats,
     /// Whether the last step's staging has been through the route pass.
     routed: bool,
-    /// Routing scratch, recycled across phases: per staged envelope (in
-    /// deterministic merge order) whether it survived the route pass, and
-    /// per recipient how many survivors are addressed to it.
+    /// Routing scratch, recycled across phases: per staged message (in
+    /// deterministic merge order) whether it survived the route pass — and,
+    /// once filled, whether it was delivered — and per recipient how many
+    /// survivors are addressed to it.
     fates: Vec<bool>,
     counts: Vec<usize>,
     /// The survivors' `(from, to)` in staging order — collected only by a
@@ -154,7 +167,8 @@ pub struct PhaseCore<P> {
     /// Whether the last routed step staged anything for an existing
     /// processor.
     sent_any: bool,
-    /// When kept, every recorded envelope is also cloned into it.
+    /// When kept, every delivered message is also cloned into it, as an
+    /// owned envelope.
     phase_log: Option<Vec<Envelope<P>>>,
     /// The first payload among the chunks the last step lost to a panic.
     panic: Option<Box<dyn Any + Send>>,
@@ -274,20 +288,18 @@ impl<P: Payload> PhaseCore<P> {
     }
 
     /// The route pass over the last step's staging, on the calling thread
-    /// in `(actor, seq)` order — the single point where ordering matters,
-    /// so metrics, trace and delivery order are independent of how the
-    /// stepping was scheduled. Suppressed sends and scheduled link drops
-    /// are accounted as omitted, sends to nonexistent processors are
-    /// dropped, every other envelope survives and is counted for its
-    /// recipient.
+    /// in `(actor, seq)` message order — the single point where ordering
+    /// matters, so metrics, trace and delivery order are independent of
+    /// how the stepping was scheduled. Fate is per message, not per frame:
+    /// suppressed sends and scheduled link drops are accounted as omitted,
+    /// sends to nonexistent processors are dropped, every other message
+    /// survives and is counted for its recipient — so one target of a
+    /// broadcast can be fated out while the rest go through.
     ///
-    /// It runs once per step, when its result is first needed, because
-    /// what a survivor needs then differs and a pass over a phase's
-    /// envelopes is memory-bound (11 ns each at n = 1024): a wire wants
-    /// the survivors' links and will say later which arrived; in lock step
-    /// every survivor arrives, so `arrive_all` records each one right here
-    /// instead of in a pass of its own.
-    fn route(&mut self, arrive_all: bool) {
+    /// It runs once per step, when its result is first needed. A wire
+    /// wants the survivors' links (`want_links`) and will say later which
+    /// arrived; a lock-step loop never asks, and then no list is built.
+    fn route(&mut self, want_links: bool) {
         let (phase, n) = (self.phase, self.actors.len());
         self.routed = true;
         self.sent_any = false;
@@ -295,28 +307,25 @@ impl<P: Payload> PhaseCore<P> {
         self.links.clear();
         self.counts.fill(0);
         for seg in &self.segments {
-            for (_, staged_run, omitted) in seg.per_actor_runs() {
-                self.metrics.record_omitted(phase, omitted);
-                for env in staged_run {
-                    let to = env.to.index();
+            self.metrics.record_omitted(phase, seg.omitted);
+            for (frame, targets) in seg.staged.iter() {
+                for &to in targets {
                     // Sends to nonexistent processors are dropped; a
                     // correct protocol never does this, an adversary may.
-                    let mut survives = to < n;
+                    let mut survives = to.index() < n;
                     if survives {
                         self.sent_any = true;
-                        if self.scheduled.admit(phase, env.from, env.to) == Fate::Omit {
+                        if self.scheduled.admit(phase, frame.from, to) == Fate::Omit {
                             // A scheduled drop: the processor still "sent"
                             // (the system is not quiet), but nothing
                             // reaches the wire.
                             self.metrics.record_omitted(phase, 1);
                             survives = false;
-                        } else if arrive_all {
-                            self.counts[to] += 1;
-                            let log = self.phase_log.as_mut();
-                            record(&mut self.metrics, &self.correct, log, phase, env);
                         } else {
-                            self.counts[to] += 1;
-                            self.links.push((env.from, env.to));
+                            self.counts[to.index()] += 1;
+                            if want_links {
+                                self.links.push((frame.from, to));
+                            }
                         }
                     }
                     self.fates.push(survives);
@@ -325,41 +334,39 @@ impl<P: Payload> PhaseCore<P> {
         }
     }
 
-    /// The `(from, to)` of every envelope of the last [`step`](Self::step)
+    /// The `(from, to)` of every message of the last [`step`](Self::step)
     /// that survives routing, in staging order — all a wire needs to know
-    /// about a phase's frames, and the index space
+    /// about a phase's traffic, and the index space
     /// [`deliver`](Self::deliver)'s arrival order speaks. A lock-step loop
     /// never asks, and then no list is built.
     pub fn links(&mut self) -> &[(ProcessId, ProcessId)] {
         if !self.routed {
-            self.route(false);
+            self.route(true);
         }
         &self.links
     }
 
-    /// Completes the phase: scatters the survivors of the last
-    /// [`step`](Self::step) into the next phase's inboxes, each delivered
-    /// envelope recorded in [`Metrics`] once; attributes the phase's
-    /// crypto (stepping plus the previous barrier's carry); verifies the
-    /// delivered chains at the barrier; swaps the arenas.
+    /// Completes the phase: moves the frames of the last
+    /// [`step`](Self::step) that reach anyone into the next phase's arena
+    /// and indexes them into their recipients' inboxes, each frame recorded
+    /// in [`Metrics`] once, times the messages it delivered; attributes the
+    /// phase's crypto (stepping plus the previous barrier's carry);
+    /// verifies the delivered chains at the barrier; swaps the arenas.
     ///
     /// `arrivals == None` is the lock-step model: every survivor arrives,
     /// in staging order. `Some(order)` is a wire's verdict: the sequence in
-    /// which frames arrived, as indices into [`links`](Self::links) — each
+    /// which messages arrived, as indices into [`links`](Self::links) — each
     /// recipient's inbox ends up in that order — and a link absent from it
     /// permanently failed: sent but never on the wire, the same
     /// [`omitted`](Metrics::omitted_messages) bucket as a scheduled drop.
     ///
     /// # Panics
     /// If an arrival index is out of range or appears twice — before any
-    /// envelope is moved.
+    /// frame is moved.
     pub fn deliver(&mut self, arrivals: Option<&[usize]>) {
         let phase = self.phase;
-        // Envelopes the route pass has not recorded are recorded as the
-        // scatter moves them.
-        let recorded = !self.routed && arrivals.is_none();
         if !self.routed {
-            self.route(recorded);
+            self.route(arrivals.is_some());
         }
         if let Some(order) = arrivals {
             let failed = self.links.len().saturating_sub(order.len());
@@ -368,12 +375,21 @@ impl<P: Payload> PhaseCore<P> {
         let (metrics, correct, log) = (&mut self.metrics, &self.correct, &mut self.phase_log);
         self.nxt.fill(
             &mut self.segments,
-            &self.fates,
+            &mut self.fates,
             &mut self.counts,
             arrivals.map(|order| (&self.links[..], order)),
-            |env| {
-                if !recorded {
-                    record(metrics, correct, log.as_mut(), phase, env);
+            // The one place a send enters `Metrics` (and the phase log,
+            // when one is kept): once per frame, times the recipients it
+            // reached.
+            |frame, reached, recipients| {
+                let sender_correct = correct[frame.from.index()];
+                metrics.record_send(phase, sender_correct, reached as u64, &frame.payload);
+                if let Some(log) = log {
+                    log.extend(recipients.map(|to| Envelope {
+                        from: frame.from,
+                        to,
+                        payload: frame.payload.clone(),
+                    }));
                 }
             },
         );
@@ -384,7 +400,7 @@ impl<P: Payload> PhaseCore<P> {
             // The pass verifies what the *next* phase consumes; its cost is
             // carried there.
             self.carry_crypto = Chain::verify_at_barrier(
-                self.nxt.iter().filter_map(|env| env.payload.batch_chain()),
+                self.nxt.payloads().filter_map(Payload::batch_chain),
                 &registry.verifier(),
                 &mut self.seen_chains,
             );
@@ -415,28 +431,6 @@ impl<P: Payload> PhaseCore<P> {
             metrics,
             trace: Trace::default(),
         }
-    }
-}
-
-/// Records one delivered envelope: the one place a send enters [`Metrics`]
-/// (and the phase log, when one is kept).
-fn record<P: Payload>(
-    metrics: &mut Metrics,
-    correct: &[bool],
-    log: Option<&mut Vec<Envelope<P>>>,
-    phase: usize,
-    env: &Envelope<P>,
-) {
-    metrics.record_send(
-        phase,
-        correct[env.from.index()],
-        env.payload.signature_count(),
-        env.payload.weight_bytes(),
-        env.payload.payload_bytes(),
-        env.payload.kind(),
-    );
-    if let Some(log) = log {
-        log.push(env.clone());
     }
 }
 
@@ -511,7 +505,7 @@ impl<P: Payload> Simulation<P> {
         self
     }
 
-    /// Declares scheduled link drops: an envelope sent from `drop.from` to
+    /// Declares scheduled link drops: a message sent from `drop.from` to
     /// `drop.to` during phase `drop.phase` is suppressed at the routing
     /// barrier — it is never delivered, traced or counted as sent, only
     /// accounted under [`Metrics::omitted_messages`]. Dropping happens on
@@ -697,7 +691,7 @@ where
 }
 
 /// Steps one contiguous actor chunk (ids `base..base + actors.len()`),
-/// staging every actor's sends into `segment` in (actor, send-seq) order.
+/// staging every actor's frames into `segment` in (actor, send-seq) order.
 fn step_chunk<P: Payload>(
     actors: &mut [Box<dyn Actor<P>>],
     base: usize,
@@ -705,22 +699,20 @@ fn step_chunk<P: Payload>(
     cur: &Inboxes<P>,
     segment: &mut Segment<P>,
 ) {
-    let mut buf = std::mem::take(&mut segment.staged);
+    let mut out = Outbox::resume(ProcessId(base as u32), std::mem::take(&mut segment.staged));
     for (j, actor) in actors.iter_mut().enumerate() {
         let i = base + j;
-        let mut out = Outbox::resume(ProcessId(i as u32), buf);
+        out.pass_to(ProcessId(i as u32));
         actor.step(phase, cur.of(i), &mut out);
-        let omitted = out.omitted_count();
-        buf = out.into_staged();
-        segment.per_actor.push((buf.len(), omitted));
     }
-    segment.staged = buf;
+    segment.omitted = out.omitted_count();
+    segment.staged = out.into_staging();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::actor::Outbox;
+    use crate::actor::{Inbox, Outbox};
 
     /// Floods `Value` to everyone each phase until `stop_after`.
     #[derive(Debug)]
@@ -731,7 +723,7 @@ mod tests {
     }
 
     impl Actor<Value> for Flooder {
-        fn step(&mut self, phase: usize, _inbox: &[Envelope<Value>], out: &mut Outbox<Value>) {
+        fn step(&mut self, phase: usize, _inbox: Inbox<'_, Value>, out: &mut Outbox<Value>) {
             if phase <= self.stop_after {
                 out.broadcast((0..self.n as u32).map(ProcessId), self.value);
             }
@@ -750,17 +742,17 @@ mod tests {
     }
 
     impl Actor<Value> for Listener {
-        fn step(&mut self, phase: usize, inbox: &[Envelope<Value>], _out: &mut Outbox<Value>) {
+        fn step(&mut self, phase: usize, inbox: Inbox<'_, Value>, _out: &mut Outbox<Value>) {
             self.phase = phase;
             for env in inbox {
-                self.heard.push((phase, env.payload));
-                self.decided.get_or_insert(env.payload);
+                self.heard.push((phase, *env.payload));
+                self.decided.get_or_insert(*env.payload);
             }
         }
-        fn finalize(&mut self, inbox: &[Envelope<Value>]) {
+        fn finalize(&mut self, inbox: Inbox<'_, Value>) {
             for env in inbox {
-                self.heard.push((self.phase + 1, env.payload));
-                self.decided.get_or_insert(env.payload);
+                self.heard.push((self.phase + 1, *env.payload));
+                self.decided.get_or_insert(*env.payload);
             }
         }
         fn decision(&self) -> Option<Value> {
@@ -864,7 +856,7 @@ mod tests {
         #[derive(Debug)]
         struct Wild;
         impl Actor<Value> for Wild {
-            fn step(&mut self, _p: usize, _i: &[Envelope<Value>], out: &mut Outbox<Value>) {
+            fn step(&mut self, _p: usize, _i: Inbox<'_, Value>, out: &mut Outbox<Value>) {
                 out.send(ProcessId(99), Value::ONE);
             }
             fn decision(&self) -> Option<Value> {
@@ -894,7 +886,7 @@ mod tests {
         fn step(
             &mut self,
             phase: usize,
-            inbox: &[Envelope<ba_crypto::Chain>],
+            inbox: Inbox<'_, ba_crypto::Chain>,
             out: &mut Outbox<ba_crypto::Chain>,
         ) {
             if phase == 1 && out.sender() == ProcessId(0) && !self.relayed {
@@ -1066,7 +1058,7 @@ mod tests {
     }
 
     impl Actor<Chain> for Forger {
-        fn step(&mut self, phase: usize, _inbox: &[Envelope<Chain>], out: &mut Outbox<Chain>) {
+        fn step(&mut self, phase: usize, _inbox: Inbox<'_, Chain>, out: &mut Outbox<Chain>) {
             let chain = match phase {
                 1 => &self.forged,
                 2 => &self.genuine,
@@ -1363,8 +1355,12 @@ mod tests {
         core
     }
 
+    fn envelopes_of<P: Payload>(core: &PhaseCore<P>, i: usize) -> Vec<Envelope<P>> {
+        core.cur.of(i).iter().map(|m| m.to_envelope()).collect()
+    }
+
     fn inboxes_of(core: &PhaseCore<Value>) -> Vec<Vec<Envelope<Value>>> {
-        (0..core.n()).map(|i| core.cur.of(i).to_vec()).collect()
+        (0..core.n()).map(|i| envelopes_of(core, i)).collect()
     }
 
     #[test]
@@ -1439,7 +1435,7 @@ mod tests {
                 registry.cache().flush_pending();
                 core.deliver(None);
                 registry.cache().flush_pending();
-                inboxes.push((0..n).map(|i| core.cur.of(i).to_vec()).collect::<Vec<_>>());
+                inboxes.push((0..n).map(|i| envelopes_of(&core, i)).collect::<Vec<_>>());
             }
             assert!(core.finalize(3).is_empty());
             registry.cache().set_deferred(false);
@@ -1459,7 +1455,7 @@ mod tests {
         #[derive(Debug)]
         struct PanicsAt(Option<usize>);
         impl Actor<Value> for PanicsAt {
-            fn step(&mut self, phase: usize, _i: &[Envelope<Value>], _o: &mut Outbox<Value>) {
+            fn step(&mut self, phase: usize, _i: Inbox<'_, Value>, _o: &mut Outbox<Value>) {
                 assert!(Some(phase) != self.0, "actor bug at phase {phase}");
             }
             fn decision(&self) -> Option<Value> {
@@ -1485,7 +1481,7 @@ mod tests {
         #[derive(Debug)]
         struct Faulty;
         impl Actor<Value> for Faulty {
-            fn step(&mut self, _p: usize, _i: &[Envelope<Value>], out: &mut Outbox<Value>) {
+            fn step(&mut self, _p: usize, _i: Inbox<'_, Value>, out: &mut Outbox<Value>) {
                 out.send(ProcessId(1), Value(7));
             }
             fn decision(&self) -> Option<Value> {
@@ -1505,5 +1501,267 @@ mod tests {
         assert_eq!(outcome.metrics.messages_by_correct, 0);
         let correct: Vec<_> = outcome.correct_decisions().collect();
         assert_eq!(correct, vec![(ProcessId(1), Some(Value(7)))]);
+    }
+
+    #[test]
+    fn a_frame_that_reaches_no_one_is_neither_recorded_nor_verified() {
+        // p0 broadcasts one signed chain to p1 and p2. Fated out on both
+        // links, or failed on both by the wire, the frame is dropped at the
+        // fill: nothing recorded, nothing for the barrier to verify.
+        let run = |drops: Vec<LinkDrop>, arrivals: Option<&[usize]>| {
+            let n = 3;
+            let registry = KeyRegistry::new(n, 99, ba_crypto::keys::SchemeKind::Fast);
+            let actors = (0..n).map(|i| chain_relay(&registry, i, n)).collect();
+            let mut core = PhaseCore::new(actors, drops, Some(registry));
+            assert!(core.step(1).is_empty());
+            if arrivals.is_some() {
+                core.links();
+            }
+            core.deliver(arrivals);
+            assert!(core.finalize(1).is_empty());
+            core.finish().metrics
+        };
+        let link = |to: u32| LinkDrop {
+            phase: 1,
+            from: ProcessId(0),
+            to: ProcessId(to),
+        };
+        let delivered = run(vec![], None);
+        assert_eq!(delivered.messages_total(), 2);
+        assert_eq!(
+            delivered.crypto.sig_verifications, 1,
+            "once, at the barrier"
+        );
+        for lost in [run(vec![link(1), link(2)], None), run(vec![], Some(&[]))] {
+            assert_eq!(lost.messages_total(), 0);
+            assert_eq!(lost.omitted_messages, 2);
+            assert_eq!(lost.crypto.sig_verifications, 0);
+        }
+        let half = run(vec![link(1)], Some(&[0]));
+        assert_eq!((half.messages_total(), half.omitted_messages), (1, 1));
+        assert_eq!(half.crypto.sig_verifications, 1);
+    }
+
+    /// `broadcast` ≡ the loop of `send`s it abbreviates.
+    mod props {
+        use super::*;
+        use crate::arena::Link;
+        use ba_crypto::keys::{SchemeKind, Signer, Verifier};
+        use ba_crypto::rng::SimRng;
+        use ba_crypto::testkit::{run_cases, Gen};
+        use std::sync::{Arc, Mutex};
+
+        /// One `send`/`broadcast` call an actor is scripted to make.
+        #[derive(Clone, Debug)]
+        struct Call {
+            targets: Vec<ProcessId>,
+            value: Value,
+            /// Signed under a foreign registry: fails every verification.
+            forged: bool,
+        }
+
+        /// What one processor heard: `(phase, from, value, verified)`.
+        type Heard = Vec<(usize, u32, u64, bool)>;
+
+        /// Plays its script; with `expand`, every call as one `send` per
+        /// target. Verifies and logs whatever it receives.
+        #[derive(Debug)]
+        struct Scripted {
+            script: Vec<Vec<Call>>,
+            expand: bool,
+            signer: Signer,
+            forger: Signer,
+            verifier: Verifier,
+            heard: Arc<Mutex<Heard>>,
+        }
+
+        impl Scripted {
+            fn hear(&mut self, phase: usize, inbox: Inbox<'_, Chain>) {
+                let mut heard = self.heard.lock().unwrap();
+                for m in inbox {
+                    assert_eq!(m.to, self.signer.id());
+                    let ok = m.payload.verify(&self.verifier).is_ok();
+                    heard.push((phase, m.from.0, m.payload.value().0, ok));
+                }
+            }
+        }
+
+        impl Actor<Chain> for Scripted {
+            fn step(&mut self, phase: usize, inbox: Inbox<'_, Chain>, out: &mut Outbox<Chain>) {
+                self.hear(phase, inbox);
+                for call in self.script.get(phase - 1).into_iter().flatten() {
+                    let mut chain = Chain::new(11, call.value);
+                    chain.sign_and_append(if call.forged {
+                        &self.forger
+                    } else {
+                        &self.signer
+                    });
+                    if self.expand {
+                        for &to in &call.targets {
+                            out.send(to, chain.clone());
+                        }
+                    } else if let [to] = call.targets[..] {
+                        out.send(to, chain);
+                    } else {
+                        out.broadcast(call.targets.iter().copied(), chain);
+                    }
+                }
+            }
+            fn finalize(&mut self, inbox: Inbox<'_, Chain>) {
+                self.hear(usize::MAX, inbox);
+            }
+            fn decision(&self) -> Option<Value> {
+                None
+            }
+            fn is_correct(&self) -> bool {
+                self.signer.id().0 % 3 != 2
+            }
+        }
+
+        /// A random target list: mostly real ids, now and then the sender,
+        /// a duplicate, a nonexistent id; sometimes empty.
+        fn targets(gen: &mut Gen, n: usize) -> Vec<ProcessId> {
+            let len = match gen.usize_in(0, 8) {
+                0 => 0,
+                1 | 2 => 1,
+                _ => gen.usize_in(2, n + 3),
+            };
+            (0..len)
+                .map(|_| ProcessId(gen.u32_in(0, n as u32 + 2)))
+                .collect()
+        }
+
+        struct Case {
+            n: usize,
+            phases: usize,
+            /// `scripts[i][phase − 1]`: processor `i`'s calls that phase.
+            scripts: Vec<Vec<Vec<Call>>>,
+            drops: Vec<LinkDrop>,
+            seed: u64,
+        }
+
+        fn case(gen: &mut Gen) -> Case {
+            let n = gen.usize_in(2, 7);
+            let phases = gen.usize_in(1, 4);
+            let mut drops = Vec::new();
+            let scripts = (0..n)
+                .map(|i| {
+                    (1..=phases)
+                        .map(|phase| {
+                            (0..gen.usize_in(0, 4))
+                                .map(|_| {
+                                    let call = Call {
+                                        targets: targets(gen, n),
+                                        value: Value(gen.u64_in(0, 5)),
+                                        forged: gen.usize_in(0, 5) == 0,
+                                    };
+                                    // Drop one target out of the middle of
+                                    // a call, now and then a whole call.
+                                    let whole = gen.usize_in(0, 6) == 0;
+                                    for (k, &to) in call.targets.iter().enumerate() {
+                                        if whole || (k == 1 && gen.bool()) {
+                                            let from = ProcessId(i as u32);
+                                            drops.push(LinkDrop { phase, from, to });
+                                        }
+                                    }
+                                    call
+                                })
+                                .collect()
+                        })
+                        .collect()
+                })
+                .collect();
+            Case {
+                n,
+                phases,
+                scripts,
+                drops,
+                seed: gen.u64(),
+            }
+        }
+
+        /// Everything a run lets anyone observe.
+        #[derive(PartialEq, Debug)]
+        struct Observed {
+            metrics: Metrics,
+            trace: Vec<Vec<Envelope<Chain>>>,
+            heard: Vec<Heard>,
+            links: Vec<Vec<Link>>,
+        }
+
+        /// Runs `case` on a fresh registry. `lossy_wire` plays every phase
+        /// over a wire that delivers back to front and loses some links
+        /// (the same ones for the same seed).
+        fn observe(case: &Case, expand: bool, threads: usize, lossy_wire: bool) -> Observed {
+            let registry = KeyRegistry::new(case.n, 5, SchemeKind::Fast);
+            let foreign = KeyRegistry::new(case.n, 6, SchemeKind::Fast);
+            let heard: Vec<Arc<Mutex<Heard>>> = (0..case.n).map(|_| Arc::default()).collect();
+            let actors = (0..case.n)
+                .map(|i| {
+                    let id = ProcessId(i as u32);
+                    Box::new(Scripted {
+                        script: case.scripts[i].clone(),
+                        expand,
+                        signer: registry.signer(id),
+                        forger: foreign.signer(id),
+                        verifier: registry.verifier(),
+                        heard: heard[i].clone(),
+                    }) as Box<dyn Actor<Chain>>
+                })
+                .collect();
+            let mut core = PhaseCore::new(actors, case.drops.clone(), Some(registry.clone()));
+            registry.cache().set_deferred(true);
+            let mut wire = SimRng::new(case.seed);
+            let (mut trace, mut links) = (Vec::new(), Vec::new());
+            for _ in 0..case.phases {
+                core.phase_log = Some(Vec::new());
+                assert!(core.step(threads).is_empty());
+                registry.cache().flush_pending();
+                if lossy_wire {
+                    links.push(core.links().to_vec());
+                    let survivors = links.last().map_or(0, Vec::len);
+                    let order: Vec<usize> = (0..survivors)
+                        .rev()
+                        .filter(|_| wire.range_u32(0, 4) != 0)
+                        .collect();
+                    core.deliver(Some(&order));
+                } else {
+                    core.deliver(None);
+                }
+                registry.cache().flush_pending();
+                trace.push(core.phase_log.take().expect("kept"));
+            }
+            assert!(core.finalize(threads).is_empty());
+            registry.cache().set_deferred(false);
+            Observed {
+                metrics: core.finish().metrics,
+                trace,
+                heard: heard.iter().map(|h| h.lock().unwrap().clone()).collect(),
+                links,
+            }
+        }
+
+        #[test]
+        fn prop_broadcast_is_its_loop_of_sends() {
+            let (mut multi, mut lost_inside, mut unheard) = (0usize, 0usize, 0usize);
+            run_cases(48, 0xB40A_DCA5, |gen| {
+                let case = case(gen);
+                for lossy_wire in [false, true] {
+                    let reference = observe(&case, true, 1, lossy_wire);
+                    for threads in [1, 4] {
+                        let framed = observe(&case, false, threads, lossy_wire);
+                        assert_eq!(framed, reference, "threads={threads} wire={lossy_wire}");
+                    }
+                    unheard += usize::from(reference.metrics.omitted_messages > 0);
+                }
+                let calls = case.scripts.iter().flatten().flatten();
+                multi += calls.filter(|call| call.targets.len() > 1).count();
+                lost_inside += case.drops.len();
+            });
+            // The generator really does exercise what the property is about.
+            assert!(multi > 100, "{multi} multi-target calls");
+            assert!(lost_inside > 50, "{lost_inside} scheduled drops");
+            assert!(unheard > 40, "{unheard} runs with omissions");
+        }
     }
 }

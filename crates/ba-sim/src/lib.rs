@@ -8,9 +8,9 @@
 //! that model as an executable substrate:
 //!
 //! * [`actor`] — the [`Actor`] trait (one implementation per
-//!   protocol role), [`Envelope`]s and the
-//!   [`Outbox`];
-//! * [`engine`] — the phase core ([`PhaseCore`]: step → route → scatter
+//!   protocol role), the borrowed [`Inbox`] it reads, the [`Outbox`] it
+//!   sends through and owned [`Envelope`]s;
+//! * [`engine`] — the phase core ([`PhaseCore`]: step → route → fill
 //!   on the arena, the one place a phase advances) and the lock-step
 //!   [`Simulation`] loop around it; the `ba-net` crate's unreliable-wire
 //!   driver is the other loop around the same core;
@@ -34,10 +34,11 @@
 //!   intra-phase stepping, the sweep fan-out and `ba-net`'s service tick:
 //!   long-lived threads parked between dispatches instead of
 //!   spawn-per-phase;
-//! * [`arena`] — flat struct-of-arrays mailbox storage: one contiguous
-//!   inbox arena per phase plus per-worker outbox segments, merged in
-//!   deterministic `(sender, seq)` order at the barrier, with one scatter
-//!   for staging-order and wire-order arrival;
+//! * [`arena`] — flat mailbox storage: a `send`/`broadcast` call staged
+//!   once as a frame in a per-worker segment, a phase's inboxes as slices
+//!   of four-byte indices into its shared frames, merged in deterministic
+//!   `(sender, seq)` order at the barrier, with one safe fill for
+//!   staging-order and wire-order arrival;
 //! * [`sweep`] — deterministic fan-out of independent experiment cells
 //!   across the shared worker pool, with per-cell seed derivation and
 //!   metrics merging.
@@ -49,7 +50,7 @@
 //!
 //! ```
 //! use ba_crypto::{ProcessId, Value};
-//! use ba_sim::actor::{Actor, Envelope, Outbox};
+//! use ba_sim::actor::{Actor, Inbox, Outbox};
 //! use ba_sim::engine::Simulation;
 //!
 //! #[derive(Debug)]
@@ -58,7 +59,7 @@
 //! struct Receiver(Option<Value>);
 //!
 //! impl Actor<Value> for Sender {
-//!     fn step(&mut self, phase: usize, _inbox: &[Envelope<Value>], out: &mut Outbox<Value>) {
+//!     fn step(&mut self, phase: usize, _inbox: Inbox<'_, Value>, out: &mut Outbox<Value>) {
 //!         if phase == 1 {
 //!             out.send(ProcessId(1), self.0);
 //!         }
@@ -67,9 +68,9 @@
 //! }
 //!
 //! impl Actor<Value> for Receiver {
-//!     fn step(&mut self, _phase: usize, inbox: &[Envelope<Value>], _out: &mut Outbox<Value>) {
+//!     fn step(&mut self, _phase: usize, inbox: Inbox<'_, Value>, _out: &mut Outbox<Value>) {
 //!         if let Some(env) = inbox.first() {
-//!             self.0 = Some(env.payload);
+//!             self.0 = Some(*env.payload);
 //!         }
 //!     }
 //!     fn decision(&self) -> Option<Value> { self.0 }
@@ -97,7 +98,7 @@ pub mod sweep;
 pub mod trace;
 pub mod transport;
 
-pub use actor::{Actor, Envelope, Outbox, Payload};
+pub use actor::{Actor, Envelope, Inbox, Outbox, Payload, Received};
 pub use checker::{check_byzantine_agreement, AgreementViolation, RunVerdict};
 pub use engine::{PhaseCore, RunOutcome, Simulation};
 pub use metrics::{Metrics, QueueStats};

@@ -14,6 +14,7 @@
 //! — per phase and per run, so the effect of the incremental chain
 //! verification is visible in experiment output and not just wall-clock.
 
+use crate::actor::Payload;
 use ba_crypto::stats::CryptoStats;
 use core::fmt;
 use std::collections::BTreeMap;
@@ -69,7 +70,7 @@ pub struct Metrics {
     pub bytes_by_correct: u64,
     /// The application-payload portion of [`Self::bytes_by_correct`]: bytes
     /// of user data being agreed on, as reported by
-    /// [`Payload::payload_bytes`](crate::actor::Payload::payload_bytes).
+    /// [`Payload::payload_bytes`].
     /// Zero for the single-value targets; the extension layer's coded
     /// chunks report their data slices here, so
     /// `bytes_by_correct - payload_bytes_by_correct` is the
@@ -85,7 +86,7 @@ pub struct Metrics {
     /// Per-phase breakdown.
     pub per_phase: Vec<PhaseMetrics>,
     /// Correct-sender message counts by payload kind (see
-    /// [`Payload::kind`](crate::actor::Payload::kind)).
+    /// [`Payload::kind`]).
     pub by_kind_correct: BTreeMap<&'static str, u64>,
     /// Cryptographic work performed over the whole run (all actors): hash
     /// invocations, signature verifications, verifier-cache hits/misses.
@@ -110,18 +111,18 @@ impl Metrics {
         self.bytes_by_correct - self.payload_bytes_by_correct
     }
 
-    /// Records one sent message. The phase core's scatter
+    /// Records `count` sent copies of `payload` — a frame and the number
+    /// of recipients it reached. The phase core's fill
     /// ([`PhaseCore::deliver`](crate::engine::PhaseCore::deliver)) is the
     /// one caller in the workspace, for every driver.
-    pub fn record_send(
+    pub fn record_send<P: Payload>(
         &mut self,
         phase: usize,
         correct_sender: bool,
-        signatures: usize,
-        bytes: usize,
-        payload_bytes: usize,
-        kind: &'static str,
+        count: u64,
+        payload: &P,
     ) {
+        let (bytes, payload_bytes) = (payload.weight_bytes(), payload.payload_bytes());
         debug_assert!(
             payload_bytes <= bytes,
             "payload portion ({payload_bytes}) exceeds wire bytes ({bytes})"
@@ -131,19 +132,22 @@ impl Metrics {
         }
         let slot = &mut self.per_phase[phase - 1];
         if correct_sender {
-            slot.messages_by_correct += 1;
-            slot.signatures_by_correct += signatures as u64;
-            slot.bytes_by_correct += bytes as u64;
-            slot.payload_bytes_by_correct += payload_bytes as u64;
-            self.messages_by_correct += 1;
-            self.signatures_by_correct += signatures as u64;
-            self.bytes_by_correct += bytes as u64;
-            self.payload_bytes_by_correct += payload_bytes as u64;
-            *self.by_kind_correct.entry(kind).or_insert(0) += 1;
+            let signatures = count * payload.signature_count() as u64;
+            let bytes = count * bytes as u64;
+            let payload_bytes = count * payload_bytes as u64;
+            slot.messages_by_correct += count;
+            slot.signatures_by_correct += signatures;
+            slot.bytes_by_correct += bytes;
+            slot.payload_bytes_by_correct += payload_bytes;
+            self.messages_by_correct += count;
+            self.signatures_by_correct += signatures;
+            self.bytes_by_correct += bytes;
+            self.payload_bytes_by_correct += payload_bytes;
+            *self.by_kind_correct.entry(payload.kind()).or_insert(0) += count;
             self.last_active_phase = self.last_active_phase.max(phase);
         } else {
-            slot.messages_by_faulty += 1;
-            self.messages_by_faulty += 1;
+            slot.messages_by_faulty += count;
+            self.messages_by_faulty += count;
         }
     }
 
@@ -296,6 +300,28 @@ impl fmt::Display for QueueStats {
     }
 }
 
+/// A test payload weighing what it is told to: `(signatures, bytes,
+/// payload bytes, kind)`.
+#[cfg(test)]
+#[derive(Clone, Debug)]
+pub(crate) struct Weighed(pub usize, pub usize, pub usize, pub &'static str);
+
+#[cfg(test)]
+impl Payload for Weighed {
+    fn signature_count(&self) -> usize {
+        self.0
+    }
+    fn weight_bytes(&self) -> usize {
+        self.1
+    }
+    fn payload_bytes(&self) -> usize {
+        self.2
+    }
+    fn kind(&self) -> &'static str {
+        self.3
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -303,9 +329,9 @@ mod tests {
     #[test]
     fn record_aggregates_by_correctness() {
         let mut m = Metrics::default();
-        m.record_send(1, true, 2, 10, 6, "a");
-        m.record_send(1, false, 5, 99, 0, "a");
-        m.record_send(3, true, 0, 4, 0, "b");
+        m.record_send(1, true, 1, &Weighed(2, 10, 6, "a"));
+        m.record_send(1, false, 1, &Weighed(5, 99, 0, "a"));
+        m.record_send(3, true, 1, &Weighed(0, 4, 0, "b"));
         assert_eq!(m.messages_by_correct, 2);
         assert_eq!(m.signatures_by_correct, 2);
         assert_eq!(m.messages_by_faulty, 1);
@@ -343,7 +369,7 @@ mod tests {
     #[test]
     fn faulty_sends_do_not_advance_last_active_phase() {
         let mut m = Metrics::default();
-        m.record_send(5, false, 0, 0, 0, "a");
+        m.record_send(5, false, 1, &Weighed(0, 0, 0, "a"));
         assert_eq!(m.last_active_phase, 0);
     }
 
@@ -357,7 +383,7 @@ mod tests {
             cache_misses: 2,
         };
         let mut a = Metrics::default();
-        a.record_send(1, true, 1, 8, 2, "x");
+        a.record_send(1, true, 1, &Weighed(1, 8, 2, "x"));
         a.record_phase_crypto(2, delta);
         assert_eq!(a.per_phase[1].hash_invocations, 10);
         assert_eq!(a.per_phase[1].sig_verifications, 3);
@@ -369,8 +395,8 @@ mod tests {
             phases: 5,
             ..Default::default()
         };
-        b.record_send(3, false, 0, 0, 0, "x");
-        b.record_send(1, true, 2, 4, 4, "y");
+        b.record_send(3, false, 1, &Weighed(0, 0, 0, "x"));
+        b.record_send(1, true, 1, &Weighed(2, 4, 4, "y"));
         b.record_phase_crypto(1, delta);
 
         let mut merged = a.clone();
@@ -408,7 +434,7 @@ mod tests {
             phases: 4,
             ..Default::default()
         };
-        m.record_send(2, true, 1, 0, 0, "a");
+        m.record_send(2, true, 1, &Weighed(1, 0, 0, "a"));
         let s = m.to_string();
         assert!(s.contains("phases=4"));
         assert!(s.contains("msgs(correct)=1"));

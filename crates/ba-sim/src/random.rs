@@ -11,7 +11,7 @@
 //! `t` faulty processors: every algorithm crate runs fuzz suites built on
 //! these actors.
 
-use crate::actor::{Actor, Envelope, Outbox, Payload};
+use crate::actor::{Actor, Inbox, Outbox, Payload};
 use ba_crypto::rng::SimRng;
 use ba_crypto::{ProcessId, Value};
 
@@ -49,7 +49,7 @@ impl<P, F> Spammer<P, F> {
 }
 
 impl<P: Payload, F: PayloadFuzzer<P>> Actor<P> for Spammer<P, F> {
-    fn step(&mut self, phase: usize, _inbox: &[Envelope<P>], out: &mut Outbox<P>) {
+    fn step(&mut self, phase: usize, _inbox: Inbox<'_, P>, out: &mut Outbox<P>) {
         for _ in 0..self.per_phase {
             let target = ProcessId(self.rng.range_u32(0, self.n as u32));
             let payload = self.fuzzer.next(&mut self.rng, phase, target);
@@ -85,7 +85,7 @@ impl<A> RandomOmit<A> {
 }
 
 impl<P: Payload, A: Actor<P>> Actor<P> for RandomOmit<A> {
-    fn step(&mut self, phase: usize, inbox: &[Envelope<P>], out: &mut Outbox<P>) {
+    fn step(&mut self, phase: usize, inbox: Inbox<'_, P>, out: &mut Outbox<P>) {
         let mut scratch = Outbox::new(out.sender());
         self.inner.step(phase, inbox, &mut scratch);
         out.note_omitted(scratch.omitted_count());
@@ -97,7 +97,7 @@ impl<P: Payload, A: Actor<P>> Actor<P> for RandomOmit<A> {
             }
         }
     }
-    fn finalize(&mut self, inbox: &[Envelope<P>]) {
+    fn finalize(&mut self, inbox: Inbox<'_, P>) {
         self.inner.finalize(inbox);
     }
     fn decision(&self) -> Option<Value> {
@@ -129,10 +129,10 @@ mod tests {
         heard: usize,
     }
     impl Actor<Value> for Counter {
-        fn step(&mut self, _p: usize, inbox: &[Envelope<Value>], _o: &mut Outbox<Value>) {
+        fn step(&mut self, _p: usize, inbox: Inbox<'_, Value>, _o: &mut Outbox<Value>) {
             self.heard += inbox.len();
         }
-        fn finalize(&mut self, inbox: &[Envelope<Value>]) {
+        fn finalize(&mut self, inbox: Inbox<'_, Value>) {
             self.heard += inbox.len();
         }
         fn decision(&self) -> Option<Value> {
@@ -175,7 +175,7 @@ mod tests {
         #[derive(Debug)]
         struct Chatty;
         impl Actor<Value> for Chatty {
-            fn step(&mut self, _p: usize, _i: &[Envelope<Value>], out: &mut Outbox<Value>) {
+            fn step(&mut self, _p: usize, _i: Inbox<'_, Value>, out: &mut Outbox<Value>) {
                 out.send(ProcessId(1), Value::ONE);
             }
             fn decision(&self) -> Option<Value> {
@@ -207,7 +207,7 @@ mod tests {
         #[derive(Debug)]
         struct Chatty;
         impl Actor<Value> for Chatty {
-            fn step(&mut self, _p: usize, _i: &[Envelope<Value>], out: &mut Outbox<Value>) {
+            fn step(&mut self, _p: usize, _i: Inbox<'_, Value>, out: &mut Outbox<Value>) {
                 for _ in 0..20 {
                     out.send(ProcessId(1), Value::ONE);
                 }

@@ -221,15 +221,15 @@ impl ScheduleSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::actor::{Envelope, Outbox};
+    use crate::actor::{Envelope, Inbox, Outbox};
     use ba_crypto::Value;
 
     #[derive(Debug, Default)]
     struct Echo;
     impl Actor<Value> for Echo {
-        fn step(&mut self, _phase: usize, inbox: &[Envelope<Value>], out: &mut Outbox<Value>) {
+        fn step(&mut self, _phase: usize, inbox: Inbox<'_, Value>, out: &mut Outbox<Value>) {
             for env in inbox {
-                out.send(env.from, env.payload);
+                out.send(env.from, *env.payload);
             }
         }
         fn decision(&self) -> Option<Value> {
@@ -259,7 +259,7 @@ mod tests {
             let mut actor = b.apply(Box::new(Echo) as Box<dyn Actor<Value>>).unwrap();
             assert!(!actor.is_correct(), "{}", b.tag());
             let mut out = Outbox::new(ProcessId(1));
-            actor.step(2, &[env(0), env(2)], &mut out);
+            actor.step(2, Inbox::of(&[env(0), env(2)]), &mut out);
             let sent = out.staged_len();
             match b {
                 FaultBehavior::Silent | FaultBehavior::CrashAt { .. } => assert_eq!(sent, 0),

@@ -118,7 +118,7 @@ pub fn merge_metrics<'a>(per_cell: impl IntoIterator<Item = &'a Metrics>) -> Met
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::actor::{Actor, Envelope, Outbox};
+    use crate::actor::{Actor, Inbox, Outbox};
     use crate::engine::Simulation;
     use ba_crypto::keys::{KeyRegistry, SchemeKind};
     use ba_crypto::{Chain, ProcessId, Value};
@@ -170,7 +170,7 @@ mod tests {
     }
 
     impl Actor<Chain> for Relay {
-        fn step(&mut self, phase: usize, inbox: &[Envelope<Chain>], out: &mut Outbox<Chain>) {
+        fn step(&mut self, phase: usize, inbox: Inbox<'_, Chain>, out: &mut Outbox<Chain>) {
             if phase == 1 && self.id == ProcessId(0) {
                 let mut c = Chain::new(1, Value::ONE);
                 c.sign_and_append(&self.registry.signer(self.id));
@@ -229,9 +229,9 @@ mod tests {
     #[test]
     fn merge_metrics_sums_cells() {
         let mut a = Metrics::default();
-        a.record_send(1, true, 1, 8, 0, "x");
+        a.record_send(1, true, 1, &crate::metrics::Weighed(1, 8, 0, "x"));
         let mut b = Metrics::default();
-        b.record_send(2, true, 3, 8, 0, "x");
+        b.record_send(2, true, 1, &crate::metrics::Weighed(3, 8, 0, "x"));
         let total = merge_metrics([&a, &b]);
         assert_eq!(total.messages_by_correct, 2);
         assert_eq!(total.signatures_by_correct, 4);

@@ -1,0 +1,142 @@
+//! Integration: what the phase engine allocates, counted — a broadcast is
+//! one frame plus a four-byte index per recipient, and a warm phase reuses
+//! every buffer. The numbers DESIGN §7.4 and ROADMAP state, asserted.
+//!
+//! The counting allocator only counts the thread that asked it to, so the
+//! test harness's own threads never show up in a window.
+
+use byzantine_agreement::algos::checkable::{find_target, CheckConfig, CheckSetup};
+use byzantine_agreement::crypto::{Chain, Value};
+use byzantine_agreement::sim::{PhaseCore, ScheduleSpec, Simulation};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+struct Counting;
+
+thread_local! {
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+    static LIVE: Cell<isize> = const { Cell::new(0) };
+    static PEAK: Cell<isize> = const { Cell::new(0) };
+}
+
+/// Notes one allocator call on the counting thread: `grown` bytes came
+/// alive (negative: were freed), through `calls` allocations.
+fn note(grown: isize, calls: usize) {
+    if !COUNTING.with(Cell::get) {
+        return;
+    }
+    ALLOCATIONS.with(|a| a.set(a.get() + calls));
+    let live = LIVE.with(|l| {
+        l.set(l.get() + grown);
+        l.get()
+    });
+    PEAK.with(|p| p.set(p.get().max(live)));
+}
+
+// SAFETY: every call is forwarded unchanged to `System`; the bookkeeping
+// touches only const-initialised, destructor-free thread-locals and never
+// allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size() as isize, 1);
+        System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        note(-(layout.size() as isize), 0);
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size as isize - layout.size() as isize, 1);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Runs `work` and returns its result with what this thread's allocator
+/// calls did meanwhile: `(allocations, peak live bytes above the start)`.
+fn counted<R>(work: impl FnOnce() -> R) -> (R, usize, usize) {
+    ALLOCATIONS.with(|a| a.set(0));
+    LIVE.with(|l| l.set(0));
+    PEAK.with(|p| p.set(0));
+    COUNTING.with(|c| c.set(true));
+    let result = work();
+    COUNTING.with(|c| c.set(false));
+    let peak = PEAK.with(Cell::get).max(0) as usize;
+    (result, ALLOCATIONS.with(Cell::get), peak)
+}
+
+fn fault_free(target: &str, n: usize, t: usize) -> CheckSetup {
+    let target = find_target(target).expect("a registered target");
+    let cfg = CheckConfig::new(n, t, Value::ONE, 7, 1, ScheduleSpec::default());
+    target.build(&cfg).expect("a fault-free schedule compiles")
+}
+
+/// One all-to-all signed broadcast run holds, at its peak, a few bytes per
+/// delivered message — an inbox index, a routing fate, a staged target id —
+/// not an owned envelope apiece (which read ≈ 128 here).
+#[test]
+fn ds_broadcast_peaks_at_a_few_bytes_per_delivered_message() {
+    let setup = fault_free("ds-broadcast", 256, 1);
+    let mut sim = Simulation::new(setup.actors).with_registry(&setup.registry);
+    let (outcome, _, peak) = counted(|| sim.run(setup.phases));
+    let delivered = outcome.metrics.messages_total();
+    assert_eq!(delivered, 255 * 256);
+    assert!(outcome.decisions.iter().all(|d| *d == Some(Value::ONE)));
+    let per_message = peak as f64 / delivered as f64;
+    assert!(
+        per_message <= 16.0,
+        "peak {peak} B over {delivered} delivered messages = {per_message:.1} B each"
+    );
+}
+
+/// One phase the way every driver advances it: step, publish the step's
+/// verifications, deliver (route, fill, verify at the barrier), publish.
+fn phase(core: &mut PhaseCore<Chain>, setup: &CheckSetup) {
+    assert!(core.step(1).is_empty());
+    setup.registry.cache().flush_pending();
+    core.deliver(None);
+    setup.registry.cache().flush_pending();
+}
+
+/// On a core that has run the protocol once, a phase that carries traffic
+/// allocates nothing that grows with `n`, and a phase that only reads
+/// allocates nothing at all: no per-actor allocation on the serving path.
+#[test]
+fn warm_ds_relay_phase_allocates_nothing_per_actor() {
+    let warm_phase_allocations = |n: usize| {
+        let mut setup = fault_free("ds-relay", n, 3);
+        let actors = std::mem::take(&mut setup.actors);
+        let mut core = PhaseCore::new(actors, [], Some(setup.registry.clone()));
+        setup.registry.cache().set_deferred(true);
+        for _ in 0..setup.phases {
+            phase(&mut core, &setup);
+        }
+        assert!(core.finalize(1).is_empty());
+        let first = core.finish();
+        assert!(first.decisions.iter().all(|d| *d == Some(Value::ONE)));
+        assert!(first.metrics.messages_total() > 4 * n as u64);
+
+        // The reused core, phase 1: the transmitter signs and broadcasts a
+        // new chain to n − 1 recipients; it is staged, routed, indexed
+        // into n − 1 inboxes and verified at the barrier.
+        let ((), traffic, _) = counted(|| phase(&mut core, &setup));
+        // Phase 2: every processor reads its inbox — the stamped chain it
+        // has already extracted — and stays quiet.
+        let ((), reading, _) = counted(|| phase(&mut core, &setup));
+        setup.registry.cache().set_deferred(false);
+        let second = core.finish();
+        assert_eq!(second.metrics.messages_total(), n as u64 - 1);
+        (traffic, reading)
+    };
+    let (small, small_reading) = warm_phase_allocations(64);
+    let (large, large_reading) = warm_phase_allocations(256);
+    assert_eq!((small_reading, large_reading), (0, 0), "a reading phase");
+    // What is left is the transmitter's own chain (its buffer, its one
+    // signature), that chain's barrier verification, and a fresh run's
+    // first `Metrics` rows.
+    assert_eq!(small, large, "a traffic-bearing phase, n = 64 vs n = 256");
+    assert!(small <= 8, "{small} allocations in a warm phase");
+}
