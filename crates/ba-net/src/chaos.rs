@@ -158,10 +158,22 @@ impl ChaosProfile {
 
     /// The behaviour of the directed link `from → to`.
     pub fn link(&self, from: ProcessId, to: ProcessId) -> LinkChaos {
+        // The wire asks once per attempt and once per arrival; almost
+        // every profile has nothing to look up.
+        if self.overrides.is_empty() {
+            return self.base;
+        }
         self.overrides
             .get(&(from, to))
             .copied()
             .unwrap_or(self.base)
+    }
+
+    /// The largest delay any link may add — what sizes the wire's ring of
+    /// arrival buckets.
+    pub(crate) fn max_delay_ticks(&self) -> u8 {
+        let overrides = self.overrides.values().map(|link| link.max_delay_ticks);
+        overrides.fold(self.base.max_delay_ticks, u8::max)
     }
 
     /// Whether no link ever misbehaves and no reordering happens — the wire

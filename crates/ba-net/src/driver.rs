@@ -38,7 +38,7 @@
 
 use crate::chaos::ChaosProfile;
 use crate::verdict::{DegradationReason, DegradationVerdict, NetStats};
-use crate::wire::{self, WirePolicy};
+use crate::wire::{self, WirePolicy, WireScratch};
 use ba_crypto::keys::KeyRegistry;
 use ba_crypto::rng::SimRng;
 use ba_crypto::{ProcessId, Value};
@@ -151,6 +151,11 @@ impl<P: Payload> PhaseDriver<P> {
         self.core.phase()
     }
 
+    /// Number of processors.
+    pub(crate) fn n(&self) -> usize {
+        self.core.n()
+    }
+
     /// Advances every actor by one phase — or, past the last one,
     /// finalizes them — across up to `threads` contiguous chunks
     /// ([`PhaseCore::step`]). A lost chunk or an overrun watchdog is
@@ -189,7 +194,8 @@ impl<P: Payload> PhaseDriver<P> {
         self.stats.note_solo_flushes(frames as u64);
     }
 
-    /// Plays the last step's frames over the wire and applies the
+    /// Plays the last step's frames over the wire — on `scratch`, the
+    /// caller's to keep between calls and instances — and applies the
     /// post-wire pipeline: deadline, suspicion, fault budget, then the
     /// core's fill in arrival order ([`PhaseCore::deliver`]). `Ok(None)`
     /// means the phase completed and the instance keeps going;
@@ -204,6 +210,7 @@ impl<P: Payload> PhaseDriver<P> {
         &mut self,
         chaos: &ChaosProfile,
         policy: WirePolicy,
+        scratch: &mut WireScratch,
     ) -> Result<Option<InstanceRun>, Box<DegradationVerdict>> {
         if !self.stalled.is_empty() {
             return Err(self.verdict(DegradationReason::WorkerStalled {
@@ -220,6 +227,7 @@ impl<P: Payload> PhaseDriver<P> {
             &mut self.rng,
             policy,
             &mut self.stats,
+            scratch,
         );
         if report.pending > 0 {
             return Err(self.verdict(DegradationReason::DeadlineBlown {
@@ -243,7 +251,7 @@ impl<P: Payload> PhaseDriver<P> {
                 budget: self.fault_budget,
             }));
         }
-        self.core.deliver(Some(&report.order));
+        self.core.deliver(Some(report.order));
         Ok(None)
     }
 

@@ -59,7 +59,7 @@
 use crate::chaos::ChaosProfile;
 use crate::driver::{InstanceRun, InstanceSpec, PhaseDriver};
 use crate::verdict::DegradationVerdict;
-use crate::wire::WirePolicy;
+use crate::wire::{WirePolicy, WireScratch};
 use ba_crypto::keys::KeyRegistry;
 use ba_sim::schedule::LinkDrop;
 use ba_sim::{Actor, Payload};
@@ -240,12 +240,13 @@ impl<P: Payload + 'static> NetRuntime<P> {
         if let Some(cache) = cache {
             cache.set_deferred(true);
         }
+        let mut scratch = WireScratch::default();
         let result = loop {
             driver.step(config.threads);
             // A standalone runtime flushes each frame as its own wire
             // send; only the service layer coalesces.
             driver.note_solo_flushes();
-            if let Some(result) = driver.deliver(&chaos, policy).transpose() {
+            if let Some(result) = driver.deliver(&chaos, policy, &mut scratch).transpose() {
                 break result;
             }
             if let Some(cache) = cache {

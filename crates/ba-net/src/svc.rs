@@ -123,9 +123,9 @@ pub use crate::driver::{InstanceRun, InstanceSpec};
 use crate::verdict::{
     AdmissionError, AdmissionVerdict, DegradationVerdict, NetStats, ShedOutcome, Ticket,
 };
-use crate::wire::WirePolicy;
+use crate::wire::{WirePolicy, WireScratch};
 use ba_crypto::rng::{splitmix64, SimRng};
-use ba_crypto::{ProcessId, VerifierCache};
+use ba_crypto::VerifierCache;
 use ba_sim::{Payload, QueueStats, WorkerPool};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex};
@@ -565,6 +565,14 @@ pub struct SvcSession<P> {
     tick: u64,
     next_id: u64,
     peak_inflight: usize,
+    /// Frames staged this tick per directed link, at `from · stride + to`
+    /// for that tick's stride (the widest in-flight instance); all zero
+    /// between ticks.
+    flush_counts: Vec<u32>,
+    /// The cells of `flush_counts` this tick has made non-zero.
+    flush_touched: Vec<usize>,
+    /// The buffers every instance's wire delivery plays out on, in turn.
+    wire: WireScratch,
 }
 
 impl<P: Payload + 'static> SvcSession<P> {
@@ -596,6 +604,9 @@ impl<P: Payload + 'static> SvcSession<P> {
             tick: 0,
             next_id: 0,
             peak_inflight: 0,
+            flush_counts: Vec::new(),
+            flush_touched: Vec::new(),
+            wire: WireScratch::default(),
         }
     }
 
@@ -751,27 +762,38 @@ impl<P: Payload + 'static> SvcSession<P> {
 
         // Coalesce: every in-flight instance's frames for one directed
         // link share one flush this tick. Only the count is fleet-level —
-        // the frames themselves never leave their instance.
-        let mut flushes: BTreeMap<(ProcessId, ProcessId), u64> = BTreeMap::new();
+        // the frames themselves never leave their instance — and a count
+        // per cell and what `note_flush` keeps (sums and a maximum) need
+        // no order among the links.
+        let stride = self.active.iter().map(|inst| inst.driver.n()).max();
+        let stride = stride.unwrap_or(0);
+        if self.flush_counts.len() < stride * stride {
+            self.flush_counts.resize(stride * stride, 0);
+        }
         for inst in &mut self.active {
-            for &link in inst.driver.links() {
-                *flushes.entry(link).or_default() += 1;
+            for &(from, to) in inst.driver.links() {
+                let cell = from.index() * stride + to.index();
+                if self.flush_counts[cell] == 0 {
+                    self.flush_touched.push(cell);
+                }
+                self.flush_counts[cell] += 1;
             }
         }
-        for frames in flushes.into_values() {
-            self.stats.note_flush(frames);
+        for cell in self.flush_touched.drain(..) {
+            let frames = std::mem::take(&mut self.flush_counts[cell]);
+            self.stats.note_flush(u64::from(frames));
         }
 
         // Deliver and settle, in submission order. Each instance plays
         // the wire with its own rng and policy state — fates are
         // per-instance even though the physical flushes were shared.
         let now = self.started.elapsed();
-        let mut still_active: Vec<Instance<P>> = Vec::with_capacity(self.active.len());
-        for mut inst in std::mem::take(&mut self.active) {
-            let delivered = inst.driver.deliver(&self.chaos, self.policy);
+        self.active.retain_mut(|inst| {
+            let delivered = inst
+                .driver
+                .deliver(&self.chaos, self.policy, &mut self.wire);
             let Some(result) = delivered.transpose() else {
-                still_active.push(inst);
-                continue;
+                return true;
             };
             self.stats.absorb(match &result {
                 Ok(run) => &run.stats,
@@ -779,8 +801,8 @@ impl<P: Payload + 'static> SvcSession<P> {
             });
             self.settled
                 .insert(inst.id, inst.settle(self.tick, now, result));
-        }
-        self.active = still_active;
+            false
+        });
 
         // The tick barrier publishes this tick's verifications
         // fleet-wide, exactly like the engine's phase barrier.
@@ -899,7 +921,7 @@ struct Instance<P> {
 
 impl<P> Instance<P> {
     fn settle(
-        self,
+        &self,
         tick: u64,
         now: Duration,
         result: Result<InstanceRun, Box<DegradationVerdict>>,
@@ -920,6 +942,9 @@ impl<P> Instance<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ba_algos::checkable::{find_target, CheckConfig};
+    use ba_crypto::Value;
+    use ba_sim::schedule::ScheduleSpec;
 
     #[test]
     fn instance_seeds_are_distinct_and_stable() {
@@ -978,6 +1003,51 @@ mod tests {
         assert_eq!(report.degraded(), 0);
         assert_eq!(report.shed_count(), 0);
         assert!(report.accounting_balanced());
+    }
+
+    #[test]
+    fn flush_counts_survive_a_changing_stride() {
+        // Instances of two widths share ticks: the stride of the flush
+        // table is 4, then 7, then 4 again as the wide instances come and
+        // go, while its cells are warm. The constants are what the ordered
+        // map this table replaced counted on the same sessions.
+        let target = find_target("ds-broadcast").expect("registered target");
+        let expected = [
+            (ChaosProfile::reliable(), (222, 282, 60, 162, 2)),
+            (ChaosProfile::lossy(77, 500), (213, 279, 66, 147, 2)),
+        ];
+        for (chaos, counts) in expected {
+            let config = SvcConfig::new().with_admit_per_tick(2).with_max_inflight(4);
+            let mut session = BaService::new(config).with_chaos(chaos).session();
+            for i in 0..16u64 {
+                let (n, t) = if i % 6 == 1 { (7, 2) } else { (4, 1) };
+                let cfg = CheckConfig::new(n, t, Value(i % 2), 11, 1, ScheduleSpec::default());
+                let setup = target.build(&cfg).expect("fault-free schedule");
+                session
+                    .submit(InstanceSpec {
+                        actors: setup.actors,
+                        phases: setup.phases,
+                        fault_budget: t,
+                        link_drops: vec![],
+                        registry: Some(setup.registry),
+                    })
+                    .expect("queue has room");
+                if i % 3 != 0 {
+                    session.tick();
+                }
+            }
+            let stats = session.drain().stats;
+            assert_eq!(
+                (
+                    stats.flushes,
+                    stats.coalesced_frames,
+                    stats.batched_flushes,
+                    stats.solo_flushes,
+                    stats.max_frames_per_flush
+                ),
+                counts
+            );
+        }
     }
 
     #[test]

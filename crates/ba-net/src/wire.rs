@@ -32,7 +32,6 @@ use crate::chaos::ChaosProfile;
 use crate::verdict::{FailedLink, NetStats};
 use ba_crypto::rng::SimRng;
 use ba_crypto::ProcessId;
-use std::collections::BTreeMap;
 
 /// Retry policy for one phase of wire delivery.
 #[derive(Clone, Copy, Debug)]
@@ -49,10 +48,10 @@ const INITIAL_BACKOFF: u64 = 3;
 const BACKOFF_CAP: u64 = 64;
 
 /// What one phase of wire delivery produced.
-pub(crate) struct WireReport {
+pub(crate) struct WireReport<'a> {
     /// The frames that reached their receiver, in arrival order, as
     /// indices into the phase's link list.
-    pub order: Vec<usize>,
+    pub order: &'a [usize],
     /// Links that permanently failed (frame never delivered).
     pub failed: Vec<FailedLink>,
     /// Frames neither delivered nor given up on when the deadline expired;
@@ -61,6 +60,7 @@ pub(crate) struct WireReport {
     pub pending: usize,
 }
 
+#[derive(Clone)]
 struct Slot {
     attempts: u32,
     backoff: u64,
@@ -69,12 +69,32 @@ struct Slot {
     done: bool,
 }
 
+/// The buffers [`deliver`] plays a phase out on. The caller keeps one and
+/// hands it to every call, so a warm wire allocates nothing; a call leaves
+/// nothing in it that the next one reads.
+#[derive(Default)]
+pub(crate) struct WireScratch {
+    /// One per frame.
+    slots: Vec<Slot>,
+    /// Frame copies in flight, by arrival tick modulo the ring's length.
+    /// A copy is at most `2 + max_delay_ticks` ticks away and the bucket
+    /// of the current tick is emptied before anything is sent, so that
+    /// many buckets never hold two ticks at once.
+    ring: Vec<Vec<u32>>,
+    /// Acks on their way back. An ack takes exactly one tick and a tick
+    /// consumes the acks due before it sends any, so one buffer holds
+    /// either last tick's or this tick's, never both.
+    acks: Vec<u32>,
+    /// [`WireReport::order`].
+    order: Vec<usize>,
+}
+
 fn roll(rng: &mut SimRng, per_mille: u16) -> bool {
     per_mille > 0 && rng.range_u64(0, 1000) < u64::from(per_mille)
 }
 
 /// Deterministic Fisher–Yates shuffle for same-tick arrival reordering.
-fn shuffle(items: &mut [usize], rng: &mut SimRng) {
+fn shuffle<T>(items: &mut [T], rng: &mut SimRng) {
     for i in (1..items.len()).rev() {
         let j = rng.range_usize(0, i + 1);
         items.swap(i, j);
@@ -83,116 +103,139 @@ fn shuffle(items: &mut [usize], rng: &mut SimRng) {
 
 /// Plays out one phase's frames — one per entry of `links`, `(from, to)`
 /// in staging order — over the unreliable wire.
-pub(crate) fn deliver(
+///
+/// Same-tick arrivals are handled in the order they were put on the wire
+/// and transmissions in frame order, whatever holds the events: that
+/// order is the order of the rng draws, and so of every fate.
+pub(crate) fn deliver<'a>(
     phase: usize,
     links: &[(ProcessId, ProcessId)],
     profile: &ChaosProfile,
     rng: &mut SimRng,
     policy: WirePolicy,
     stats: &mut NetStats,
-) -> WireReport {
-    let mut slots: Vec<Slot> = links
-        .iter()
-        .map(|_| Slot {
+    scratch: &'a mut WireScratch,
+) -> WireReport<'a> {
+    let WireScratch {
+        slots,
+        ring,
+        acks,
+        order,
+    } = scratch;
+    slots.clear();
+    slots.resize(
+        links.len(),
+        Slot {
             attempts: 0,
             backoff: INITIAL_BACKOFF,
             next_send: 0,
             delivered: false,
             done: false,
-        })
-        .collect();
+        },
+    );
+    // A call that blew its deadline left events behind.
+    ring.iter_mut().for_each(Vec::clear);
+    let horizon = 2 + usize::from(profile.max_delay_ticks());
+    if ring.len() < horizon {
+        ring.resize_with(horizon, Vec::new);
+    }
+    let buckets = ring.len() as u64;
+    acks.clear();
+    order.clear();
 
-    // Event queues keyed by arrival tick; BTreeMap iteration order plus
-    // in-tick push order keeps everything deterministic.
-    let mut arrivals: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
-    let mut acks: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
-    let mut order: Vec<usize> = Vec::new();
     let mut failed: Vec<FailedLink> = Vec::new();
     let mut unresolved = slots.len();
+    // The earliest retransmission timer among the unsettled slots (an ack
+    // may have settled its owner since: then the scan finds nothing).
+    let mut timer_due = 0u64;
     let mut tick = 0u64;
 
     while unresolved > 0 && tick <= policy.deadline_ticks {
         // Acks first: an ack arriving this tick cancels a retransmission
         // timer that would fire this same tick.
-        if let Some(list) = acks.remove(&tick) {
-            for idx in list {
-                if !slots[idx].done {
-                    slots[idx].done = true;
-                    unresolved -= 1;
-                }
+        for idx in acks.drain(..) {
+            let slot = &mut slots[idx as usize];
+            if !slot.done {
+                slot.done = true;
+                unresolved -= 1;
             }
         }
 
         // Frame copies arriving this tick.
-        if let Some(mut list) = arrivals.remove(&tick) {
-            if profile.reorder && list.len() > 1 {
-                shuffle(&mut list, rng);
+        let arrivals = &mut ring[(tick % buckets) as usize];
+        if profile.reorder && arrivals.len() > 1 {
+            shuffle(arrivals, rng);
+        }
+        for idx in arrivals.drain(..) {
+            let (from, to) = links[idx as usize];
+            let link = profile.link(from, to);
+            let slot = &mut slots[idx as usize];
+            if slot.delivered {
+                stats.duplicates_suppressed += 1;
+            } else {
+                slot.delivered = true;
+                stats.frames_delivered += 1;
+                order.push(idx as usize);
             }
-            for idx in list {
-                let (from, to) = links[idx];
-                let link = profile.link(from, to);
-                if slots[idx].delivered {
-                    stats.duplicates_suppressed += 1;
-                } else {
-                    slots[idx].delivered = true;
-                    stats.frames_delivered += 1;
-                    order.push(idx);
-                }
-                // The receiver acks every copy it sees; a lost ack keeps
-                // the sender's retransmission timer armed.
-                if roll(rng, link.ack_drop_per_mille) {
-                    stats.acks_lost += 1;
-                } else {
-                    acks.entry(tick + 1).or_default().push(idx);
-                }
+            // The receiver acks every copy it sees; a lost ack keeps
+            // the sender's retransmission timer armed.
+            if roll(rng, link.ack_drop_per_mille) {
+                stats.acks_lost += 1;
+            } else {
+                acks.push(idx);
             }
         }
 
         // Transmissions whose timer expires this tick, in frame order.
-        for idx in 0..slots.len() {
-            let slot = &mut slots[idx];
-            if slot.done || slot.next_send != tick {
-                continue;
-            }
-            if slot.attempts > policy.max_retries {
-                // Retry budget exhausted. A frame that did arrive (ack
-                // losses only) is settled; one that never arrived is a
-                // permanently failed link.
-                slot.done = true;
-                unresolved -= 1;
-                if !slot.delivered {
-                    let (from, to) = links[idx];
-                    stats.frames_failed += 1;
-                    failed.push(FailedLink {
-                        phase,
-                        from,
-                        to,
-                        attempts: slot.attempts,
-                    });
+        if tick == timer_due {
+            timer_due = u64::MAX;
+            for (idx, slot) in slots.iter_mut().enumerate() {
+                if slot.done {
+                    continue;
                 }
-                continue;
-            }
-            slot.attempts += 1;
-            stats.physical_transmissions += 1;
-            if slot.attempts > 1 {
-                stats.retransmissions += 1;
-            }
-            let (from, to) = links[idx];
-            let link = profile.link(from, to);
-            if !roll(rng, link.drop_per_mille) {
-                let delay = if link.max_delay_ticks > 0 {
-                    rng.range_u64(0, u64::from(link.max_delay_ticks) + 1)
-                } else {
-                    0
-                };
-                arrivals.entry(tick + 1 + delay).or_default().push(idx);
-                if roll(rng, link.dup_per_mille) {
-                    arrivals.entry(tick + 2 + delay).or_default().push(idx);
+                if slot.next_send != tick {
+                    timer_due = timer_due.min(slot.next_send);
+                    continue;
                 }
+                let (from, to) = links[idx];
+                if slot.attempts > policy.max_retries {
+                    // Retry budget exhausted. A frame that did arrive (ack
+                    // losses only) is settled; one that never arrived is a
+                    // permanently failed link.
+                    slot.done = true;
+                    unresolved -= 1;
+                    if !slot.delivered {
+                        stats.frames_failed += 1;
+                        failed.push(FailedLink {
+                            phase,
+                            from,
+                            to,
+                            attempts: slot.attempts,
+                        });
+                    }
+                    continue;
+                }
+                slot.attempts += 1;
+                stats.physical_transmissions += 1;
+                if slot.attempts > 1 {
+                    stats.retransmissions += 1;
+                }
+                let link = profile.link(from, to);
+                if !roll(rng, link.drop_per_mille) {
+                    let delay = if link.max_delay_ticks > 0 {
+                        rng.range_u64(0, u64::from(link.max_delay_ticks) + 1)
+                    } else {
+                        0
+                    };
+                    ring[((tick + 1 + delay) % buckets) as usize].push(idx as u32);
+                    if roll(rng, link.dup_per_mille) {
+                        ring[((tick + 2 + delay) % buckets) as usize].push(idx as u32);
+                    }
+                }
+                slot.next_send = tick + slot.backoff;
+                slot.backoff = (slot.backoff * 2).min(BACKOFF_CAP);
+                timer_due = timer_due.min(slot.next_send);
             }
-            let slot = &mut slots[idx];
-            slot.next_send = tick + slot.backoff;
-            slot.backoff = (slot.backoff * 2).min(BACKOFF_CAP);
         }
 
         tick += 1;
@@ -213,6 +256,308 @@ pub(crate) fn deliver(
 mod tests {
     use super::*;
     use crate::chaos::LinkChaos;
+    use ba_crypto::testkit::{run_cases, Gen};
+    use std::collections::BTreeMap;
+
+    /// The wire as it was written first — fresh slots and two ordered maps
+    /// of events per call, every slot looked at on every tick — kept as
+    /// the oracle [`deliver`] is held to: `(order, failed, pending)`.
+    fn deliver_reference(
+        phase: usize,
+        links: &[(ProcessId, ProcessId)],
+        profile: &ChaosProfile,
+        rng: &mut SimRng,
+        policy: WirePolicy,
+        stats: &mut NetStats,
+    ) -> (Vec<usize>, Vec<FailedLink>, usize) {
+        let mut slots: Vec<Slot> = links
+            .iter()
+            .map(|_| Slot {
+                attempts: 0,
+                backoff: INITIAL_BACKOFF,
+                next_send: 0,
+                delivered: false,
+                done: false,
+            })
+            .collect();
+
+        // Event queues keyed by arrival tick; BTreeMap iteration order plus
+        // in-tick push order keeps everything deterministic.
+        let mut arrivals: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
+        let mut acks: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
+        let mut order: Vec<usize> = Vec::new();
+        let mut failed: Vec<FailedLink> = Vec::new();
+        let mut unresolved = slots.len();
+        let mut tick = 0u64;
+
+        while unresolved > 0 && tick <= policy.deadline_ticks {
+            if let Some(list) = acks.remove(&tick) {
+                for idx in list {
+                    if !slots[idx].done {
+                        slots[idx].done = true;
+                        unresolved -= 1;
+                    }
+                }
+            }
+
+            if let Some(mut list) = arrivals.remove(&tick) {
+                if profile.reorder && list.len() > 1 {
+                    shuffle(&mut list, rng);
+                }
+                for idx in list {
+                    let (from, to) = links[idx];
+                    let link = profile.link(from, to);
+                    if slots[idx].delivered {
+                        stats.duplicates_suppressed += 1;
+                    } else {
+                        slots[idx].delivered = true;
+                        stats.frames_delivered += 1;
+                        order.push(idx);
+                    }
+                    if roll(rng, link.ack_drop_per_mille) {
+                        stats.acks_lost += 1;
+                    } else {
+                        acks.entry(tick + 1).or_default().push(idx);
+                    }
+                }
+            }
+
+            for idx in 0..slots.len() {
+                let slot = &mut slots[idx];
+                if slot.done || slot.next_send != tick {
+                    continue;
+                }
+                if slot.attempts > policy.max_retries {
+                    slot.done = true;
+                    unresolved -= 1;
+                    if !slot.delivered {
+                        let (from, to) = links[idx];
+                        stats.frames_failed += 1;
+                        failed.push(FailedLink {
+                            phase,
+                            from,
+                            to,
+                            attempts: slot.attempts,
+                        });
+                    }
+                    continue;
+                }
+                slot.attempts += 1;
+                stats.physical_transmissions += 1;
+                if slot.attempts > 1 {
+                    stats.retransmissions += 1;
+                }
+                let (from, to) = links[idx];
+                let link = profile.link(from, to);
+                if !roll(rng, link.drop_per_mille) {
+                    let delay = if link.max_delay_ticks > 0 {
+                        rng.range_u64(0, u64::from(link.max_delay_ticks) + 1)
+                    } else {
+                        0
+                    };
+                    arrivals.entry(tick + 1 + delay).or_default().push(idx);
+                    if roll(rng, link.dup_per_mille) {
+                        arrivals.entry(tick + 2 + delay).or_default().push(idx);
+                    }
+                }
+                let slot = &mut slots[idx];
+                slot.next_send = tick + slot.backoff;
+                slot.backoff = (slot.backoff * 2).min(BACKOFF_CAP);
+            }
+
+            tick += 1;
+        }
+
+        stats.max_ticks_in_phase = stats.max_ticks_in_phase.max(tick);
+        let pending = slots.iter().filter(|s| !s.done && !s.delivered).count();
+        (order, failed, pending)
+    }
+
+    /// 0–300 links over a handful of processors: repeats of one link,
+    /// runs of one sender, and self-links all occur.
+    fn seeded_links(gen: &mut Gen) -> Vec<(ProcessId, ProcessId)> {
+        let n = gen.u32_in(1, 9);
+        let len = match gen.usize_in(0, 4) {
+            0 => gen.usize_in(0, 4),
+            _ => gen.usize_in(0, 301),
+        };
+        let mut links: Vec<(ProcessId, ProcessId)> = Vec::with_capacity(len);
+        for _ in 0..len {
+            let link = match (links.last(), gen.usize_in(0, 4)) {
+                (Some(&(from, to)), 0) => (from, to),
+                (Some(&(from, _)), 1) => (from, from),
+                _ => (ProcessId(gen.u32_in(0, n)), ProcessId(gen.u32_in(0, n))),
+            };
+            links.push(link);
+        }
+        links
+    }
+
+    fn seeded_profile(gen: &mut Gen) -> ChaosProfile {
+        let seed = gen.u64();
+        match gen.usize_in(0, 6) {
+            0 => ChaosProfile::reliable(),
+            1 => ChaosProfile::jitter(seed),
+            2 => ChaosProfile::lossy(seed, 300),
+            3 => ChaosProfile::stress(seed),
+            4 => ChaosProfile::stress(seed)
+                .with_link(ProcessId(0), ProcessId(1), LinkChaos::dead())
+                .with_link(
+                    ProcessId(1),
+                    ProcessId(0),
+                    LinkChaos {
+                        max_delay_ticks: 7,
+                        ..LinkChaos::RELIABLE
+                    },
+                ),
+            _ => {
+                let mut acks_only_lost = ChaosProfile::reliable();
+                acks_only_lost.base = LinkChaos {
+                    ack_drop_per_mille: 700,
+                    ..LinkChaos::RELIABLE
+                };
+                acks_only_lost
+            }
+        }
+    }
+
+    fn seeded_policy(gen: &mut Gen) -> WirePolicy {
+        match gen.usize_in(0, 4) {
+            0 => POLICY,
+            // Too short for the backoff schedule to settle a lost frame.
+            1 => WirePolicy {
+                max_retries: 10,
+                deadline_ticks: gen.u64_in(0, 9),
+            },
+            _ => WirePolicy {
+                max_retries: gen.u32_in(0, 7),
+                deadline_ticks: gen.u64_in(0, 200),
+            },
+        }
+    }
+
+    #[test]
+    fn deliver_matches_the_reference_loop() {
+        // Each case plays on a fresh scratch and on one the whole property
+        // shares, which holds whatever the cases before left in it: a
+        // longer ring, the events of a blown deadline.
+        let mut shared = WireScratch::default();
+        let mut blown = 0usize;
+        run_cases(256, 0x317E, |gen| {
+            let links = seeded_links(gen);
+            let profile = seeded_profile(gen);
+            let policy = seeded_policy(gen);
+            let seed = gen.u64();
+
+            let mut expected_rng = SimRng::new(seed);
+            let mut expected_stats = NetStats::default();
+            let expected = deliver_reference(
+                3,
+                &links,
+                &profile,
+                &mut expected_rng,
+                policy,
+                &mut expected_stats,
+            );
+            let expected_draw = expected_rng.next_u64();
+            blown += usize::from(expected.2 > 0);
+
+            for scratch in [&mut WireScratch::default(), &mut shared] {
+                let mut rng = SimRng::new(seed);
+                let mut stats = NetStats::default();
+                let report = deliver(3, &links, &profile, &mut rng, policy, &mut stats, scratch);
+                assert_eq!(
+                    (report.order.to_vec(), report.failed, report.pending),
+                    expected
+                );
+                assert_eq!(stats, expected_stats);
+                assert_eq!(rng.next_u64(), expected_draw, "draws consumed");
+            }
+        });
+        assert!(blown > 0, "no case blew its deadline");
+    }
+
+    #[test]
+    fn a_blown_call_leaves_nothing_the_next_one_reads() {
+        let profile = ChaosProfile::stress(5);
+        let links = frames(40);
+        let short = WirePolicy {
+            max_retries: 10,
+            deadline_ticks: 2,
+        };
+        let mut dirty = WireScratch::default();
+        let mut rng = SimRng::new(8);
+        let blown = deliver(
+            1,
+            &links,
+            &profile,
+            &mut rng,
+            short,
+            &mut NetStats::default(),
+            &mut dirty,
+        );
+        assert!(blown.pending > 0);
+        assert!(
+            dirty.ring.iter().any(|bucket| !bucket.is_empty()) || !dirty.acks.is_empty(),
+            "the blown call left events in flight"
+        );
+
+        let run = |scratch: &mut WireScratch| {
+            let mut rng = SimRng::new(9);
+            let mut stats = NetStats::default();
+            let report = deliver(2, &links, &profile, &mut rng, POLICY, &mut stats, scratch);
+            (
+                report.order.to_vec(),
+                report.failed,
+                report.pending,
+                stats,
+                rng.next_u64(),
+            )
+        };
+        assert_eq!(run(&mut dirty), run(&mut WireScratch::default()));
+    }
+
+    #[test]
+    fn warm_scratch_allocates_nothing_on_a_reliable_wire() {
+        let profile = ChaosProfile::reliable();
+        let links = frames(240);
+        let mut scratch = WireScratch::default();
+        let footprint = |scratch: &WireScratch| {
+            let mut buffers = vec![
+                (scratch.slots.as_ptr() as usize, scratch.slots.capacity()),
+                (scratch.ring.as_ptr() as usize, scratch.ring.capacity()),
+                (scratch.order.as_ptr() as usize, scratch.order.capacity()),
+                (scratch.acks.as_ptr() as usize, scratch.acks.capacity()),
+            ];
+            buffers.extend(
+                scratch
+                    .ring
+                    .iter()
+                    .map(|bucket| (bucket.as_ptr() as usize, bucket.capacity())),
+            );
+            buffers
+        };
+        let play = |scratch: &mut WireScratch, links: &[(ProcessId, ProcessId)]| {
+            let mut stats = NetStats::default();
+            let report = deliver(
+                1,
+                links,
+                &profile,
+                &mut SimRng::new(1),
+                POLICY,
+                &mut stats,
+                scratch,
+            );
+            assert_eq!((report.order.len(), report.pending), (links.len(), 0));
+            assert_eq!(report.failed.capacity(), 0);
+        };
+        play(&mut scratch, &links);
+        let warm = footprint(&scratch);
+        // Same buffers, same capacities: no call to the allocator.
+        play(&mut scratch, &links);
+        play(&mut scratch, &links[..100]);
+        assert_eq!(footprint(&scratch), warm);
+    }
 
     const POLICY: WirePolicy = WirePolicy {
         max_retries: 4,
@@ -230,7 +575,16 @@ mod tests {
         let profile = ChaosProfile::reliable();
         let mut rng = SimRng::new(1);
         let mut stats = NetStats::default();
-        let report = deliver(1, &frames(5), &profile, &mut rng, POLICY, &mut stats);
+        let mut scratch = WireScratch::default();
+        let report = deliver(
+            1,
+            &frames(5),
+            &profile,
+            &mut rng,
+            POLICY,
+            &mut stats,
+            &mut scratch,
+        );
         assert_eq!(report.failed.len(), 0);
         assert_eq!(report.pending, 0);
         assert_eq!(
@@ -253,7 +607,16 @@ mod tests {
             ChaosProfile::reliable().with_link(ProcessId(0), ProcessId(1), LinkChaos::dead());
         let mut rng = SimRng::new(2);
         let mut stats = NetStats::default();
-        let report = deliver(4, &frames(3), &profile, &mut rng, POLICY, &mut stats);
+        let mut scratch = WireScratch::default();
+        let report = deliver(
+            4,
+            &frames(3),
+            &profile,
+            &mut rng,
+            POLICY,
+            &mut stats,
+            &mut scratch,
+        );
         assert_eq!(report.order.len(), 2, "other links deliver");
         assert_eq!(report.failed.len(), 1);
         let link = report.failed[0];
@@ -282,7 +645,16 @@ mod tests {
         };
         let mut rng = SimRng::new(3);
         let mut stats = NetStats::default();
-        let report = deliver(1, &frames(2), &profile, &mut rng, POLICY, &mut stats);
+        let mut scratch = WireScratch::default();
+        let report = deliver(
+            1,
+            &frames(2),
+            &profile,
+            &mut rng,
+            POLICY,
+            &mut stats,
+            &mut scratch,
+        );
         assert_eq!(report.order.len(), 2, "delivered exactly once each");
         assert_eq!(report.failed.len(), 0, "delivered frames never fail");
         assert_eq!(report.pending, 0);
@@ -297,8 +669,17 @@ mod tests {
         let run = |seed: u64| {
             let mut rng = SimRng::new(seed);
             let mut stats = NetStats::default();
-            let report = deliver(2, &frames(8), &profile, &mut rng, POLICY, &mut stats);
-            (report.order, report.failed, stats)
+            let mut scratch = WireScratch::default();
+            let report = deliver(
+                2,
+                &frames(8),
+                &profile,
+                &mut rng,
+                POLICY,
+                &mut stats,
+                &mut scratch,
+            );
+            (report.order.to_vec(), report.failed, stats)
         };
         assert_eq!(run(5), run(5));
         assert_ne!(run(5), run(6), "different seeds behave differently");
@@ -316,7 +697,16 @@ mod tests {
         };
         let mut rng = SimRng::new(4);
         let mut stats = NetStats::default();
-        let report = deliver(1, &frames(2), &profile, &mut rng, policy, &mut stats);
+        let mut scratch = WireScratch::default();
+        let report = deliver(
+            1,
+            &frames(2),
+            &profile,
+            &mut rng,
+            policy,
+            &mut stats,
+            &mut scratch,
+        );
         assert_eq!(report.pending, 1);
         assert_eq!(report.order.len(), 1);
         assert!(report.failed.is_empty(), "pending, not yet failed");
@@ -327,11 +717,20 @@ mod tests {
         let profile = ChaosProfile::jitter(11);
         let mut rng = SimRng::new(profile.seed);
         let mut stats = NetStats::default();
-        let report = deliver(1, &frames(16), &profile, &mut rng, POLICY, &mut stats);
+        let mut scratch = WireScratch::default();
+        let report = deliver(
+            1,
+            &frames(16),
+            &profile,
+            &mut rng,
+            POLICY,
+            &mut stats,
+            &mut scratch,
+        );
         assert_eq!(report.order.len(), 16);
         assert_eq!(report.failed.len(), 0);
         assert_eq!(report.pending, 0);
-        let order = report.order;
+        let order = report.order.to_vec();
         let mut sorted = order.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..16).collect::<Vec<_>>(), "every frame arrives");

@@ -1,12 +1,14 @@
 //! Integration: what the phase engine allocates, counted — a broadcast is
 //! one frame plus a four-byte index per recipient, and a warm phase reuses
-//! every buffer. The numbers DESIGN §7.4 and ROADMAP state, asserted.
+//! every buffer — and a service session's ticks run on buffers it keeps.
+//! The numbers DESIGN §7.4, §11.4 and ROADMAP state, asserted.
 //!
 //! The counting allocator only counts the thread that asked it to, so the
 //! test harness's own threads never show up in a window.
 
 use byzantine_agreement::algos::checkable::{find_target, CheckConfig, CheckSetup};
 use byzantine_agreement::crypto::{Chain, Value};
+use byzantine_agreement::net::{BaService, InstanceSpec, SvcConfig};
 use byzantine_agreement::sim::{PhaseCore, ScheduleSpec, Simulation};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -16,6 +18,7 @@ struct Counting;
 thread_local! {
     static COUNTING: Cell<bool> = const { Cell::new(false) };
     static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+    static REQUESTED: Cell<usize> = const { Cell::new(0) };
     static LIVE: Cell<isize> = const { Cell::new(0) };
     static PEAK: Cell<isize> = const { Cell::new(0) };
 }
@@ -27,6 +30,7 @@ fn note(grown: isize, calls: usize) {
         return;
     }
     ALLOCATIONS.with(|a| a.set(a.get() + calls));
+    REQUESTED.with(|r| r.set(r.get() + grown.max(0) as usize));
     let live = LIVE.with(|l| {
         l.set(l.get() + grown);
         l.get()
@@ -59,6 +63,7 @@ static ALLOCATOR: Counting = Counting;
 /// calls did meanwhile: `(allocations, peak live bytes above the start)`.
 fn counted<R>(work: impl FnOnce() -> R) -> (R, usize, usize) {
     ALLOCATIONS.with(|a| a.set(0));
+    REQUESTED.with(|r| r.set(0));
     LIVE.with(|l| l.set(0));
     PEAK.with(|p| p.set(0));
     COUNTING.with(|c| c.set(true));
@@ -139,4 +144,52 @@ fn warm_ds_relay_phase_allocates_nothing_per_actor() {
     // first `Metrics` rows.
     assert_eq!(small, large, "a traffic-bearing phase, n = 64 vs n = 256");
     assert!(small <= 8, "{small} allocations in a warm phase");
+}
+
+/// A reliable session's allocator traffic per delivered message: a ticket's
+/// phase core and its report, plus whatever a tick still allocates — the
+/// flush table, the wire's slots and event buffers are the session's own
+/// and warm after the first tick.
+#[test]
+fn svc_session_allocates_a_bounded_amount_per_delivered_message() {
+    let instances = 200;
+    let specs: Vec<InstanceSpec<Chain>> = (0..instances)
+        .map(|_| {
+            let setup = fault_free("ds-broadcast", 16, 1);
+            InstanceSpec {
+                actors: setup.actors,
+                phases: setup.phases,
+                fault_budget: 1,
+                link_drops: vec![],
+                registry: Some(setup.registry),
+            }
+        })
+        .collect();
+    let config = SvcConfig::new()
+        .with_max_inflight(8)
+        .with_queue_capacity(instances);
+    let (report, blocks, _) = counted(|| {
+        let mut session = BaService::new(config).session();
+        for spec in specs {
+            session.submit(spec).expect("the queue holds the fleet");
+        }
+        session.drain()
+    });
+    let bytes = REQUESTED.with(Cell::get);
+    assert_eq!(report.decided(), instances);
+    let delivered: u64 = report
+        .outcomes
+        .iter()
+        .map(|o| o.result.as_ref().expect("decided").metrics.messages_total())
+        .sum();
+    assert_eq!(delivered, 240 * instances as u64);
+    let (bytes, blocks) = (
+        bytes as f64 / delivered as f64,
+        blocks as f64 / delivered as f64,
+    );
+    // 1.25 × the 112.5 B and 0.652 blocks measured; with a flush map and
+    // the wire's slots, event maps and order built anew for every instance
+    // every tick they read 187.0 B and 0.824 blocks.
+    assert!(bytes <= 141.0, "{bytes:.2} B per delivered message");
+    assert!(blocks <= 0.815, "{blocks:.4} blocks per delivered message");
 }
