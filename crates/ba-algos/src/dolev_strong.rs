@@ -157,9 +157,11 @@ impl DsActor {
     ) {
         let mut fresh: Vec<Chain> = Vec::new();
         for env in inbox {
+            // An already-extracted value is ignored whatever its chain, so
+            // the set lookup goes before the O(L²) acceptance check.
             if env.payload.last_signer() == Some(env.from)
-                && self.params.is_acceptable(env.payload, k, self.me)
                 && !self.extracted.contains(&env.payload.value())
+                && self.params.is_acceptable(env.payload, k, self.me)
             {
                 // Relay only the first two distinct values ever extracted.
                 if self.extracted.len() < 2 {
