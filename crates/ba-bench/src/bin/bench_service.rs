@@ -46,7 +46,12 @@
 //!
 //! Emits a JSON report (default `BENCH_service.json`) in the same row
 //! format as `bench_engine`, each row tagged with the host's
-//! `available_parallelism` and a `single_core` flag. On a single-core host
+//! `available_parallelism` and a `single_core` flag. Beside `median_ns`
+//! every row carries `build_ns`: the part of it spent building the
+//! instances the timed call runs (`CheckTarget::build` for the standalone
+//! runtime, `build_shared` for a session), timed on its own around the
+//! same build calls; 0 on the latency rows, whose clock starts at
+//! admission. On a single-core host
 //! one consolidated warning is printed and thread-scaling rows measure
 //! coordination overhead only.
 //!
@@ -228,6 +233,30 @@ fn run_svc(
     };
     run_target_multiplexed(target, cfgs, &svc, chaos)
         .unwrap_or_else(|e| die(&format!("multiplexed run: {e}")))
+}
+
+/// What building one fleet costs, timed apart from running it: the median
+/// time of the build calls a timed row makes before anything is stepped —
+/// [`run_target`] builds each instance alone, a session's instances share
+/// one verifier cache.
+fn fleet_build_ns(target: &CheckTarget, cfgs: &[CheckConfig], shared: bool) -> f64 {
+    let label = if shared { "build_shared" } else { "build" };
+    bench(format!("{label} k={} n={N}", cfgs.len()), || {
+        let cache = Arc::new(VerifierCache::new());
+        cfgs.iter()
+            .map(|cfg| {
+                let setup = if shared {
+                    target.build_shared(cfg, &cache)
+                } else {
+                    target.build(cfg)
+                };
+                setup
+                    .unwrap_or_else(|e| die(&format!("{label}: {e}")))
+                    .phases
+            })
+            .sum::<usize>()
+    })
+    .median_ns
 }
 
 /// Instances whose correct processors reached agreement.
@@ -412,6 +441,8 @@ struct Row {
     label: String,
     threads: usize,
     sample: Sample,
+    /// The share of `sample.median_ns` that is instance building.
+    build_ns: f64,
     /// Extra JSON key/value pairs, already rendered (`, "key": value`).
     extra: String,
 }
@@ -462,6 +493,8 @@ fn main() {
     let mut speedup_hi: Option<f64> = None;
     let mut pipelined_medians: Vec<(usize, f64)> = Vec::new();
     if cfg.section("throughput") {
+        let runtime_build_ns = fleet_build_ns(target, &cfgs, false);
+        let session_build_ns = fleet_build_ns(target, &cfgs, true);
         for &threads in &cfg.threads {
             let serial_decided = run_serial(target, &cfgs, &reliable, threads);
             // The svc-serial probe doubles as the wire-volume source for
@@ -504,6 +537,11 @@ fn main() {
                     label: format!("{label} k={k}"),
                     threads,
                     sample,
+                    build_ns: if label == "serial-runtime" {
+                        runtime_build_ns
+                    } else {
+                        session_build_ns
+                    },
                     extra: format!(
                         ", \"agreements_per_sec\": {agreements_per_sec:.1}, \
                          \"bytes_sent\": {bytes_sent}"
@@ -550,6 +588,7 @@ fn main() {
                     mean_ns: merged_ns.iter().sum::<f64>() / merged_ns.len() as f64,
                     min_ns: merged_ns[0],
                 },
+                build_ns: 0.0,
                 extra: format!(", \"bytes_sent\": {fleet_wire}"),
             });
         }
@@ -558,6 +597,7 @@ fn main() {
     // -- degradation: agreements/sec vs per-link loss ----------------------
     let mut no_violations = true;
     if cfg.section("degradation") {
+        let session_build_ns = fleet_build_ns(target, &cfgs, true);
         for drop in LOSS_SWEEP {
             let chaos = if drop == 0 {
                 ChaosProfile::reliable()
@@ -581,6 +621,7 @@ fn main() {
                 label: format!("lossy d={drop} k={k}"),
                 threads: th_hi,
                 sample,
+                build_ns: session_build_ns,
                 extra: format!(
                     ", \"drop_per_mille\": {drop}, \"decided\": {decided}, \
                      \"degraded\": {failed}, \"agreements_per_sec\": {agreements_per_sec:.1}, \
@@ -617,6 +658,8 @@ fn main() {
                 || run_open_loop(target, th_hi, rate).decided(),
             );
             let agreements_per_sec = decided as f64 * 1e9 / sample.median_ns;
+            // `build_spec` builds exactly the configs `fleet_cfgs` lists.
+            let build_ns = fleet_build_ns(target, &fleet_cfgs(submitted), true);
             eprintln!(
                 "bench_service: open-loop λ={rate}: {submitted} submitted → {decided} decided, \
                  {failed} degraded, {shed} shed ({:.0}% shed) at {agreements_per_sec:.0} agr/s",
@@ -627,6 +670,7 @@ fn main() {
                 label: format!("poisson λ={rate}"),
                 threads: th_hi,
                 sample,
+                build_ns,
                 extra: format!(
                     ", \"offered_per_tick\": {rate}, \"submitted\": {submitted}, \
                      \"decided\": {decided}, \"degraded\": {failed}, \"shed\": {shed}, \
@@ -679,12 +723,13 @@ fn main() {
             json,
             "    {{\"section\": \"{}\", \"label\": \"{}\", \"n\": {N}, \"threads\": {}, \
              \"parallelism\": {parallelism}, \
-             \"single_core\": {single_core}, \"median_ns\": {:.1}, \"mean_ns\": {:.1}, \
-             \"min_ns\": {:.1}{}}}{}",
+             \"single_core\": {single_core}, \"median_ns\": {:.1}, \"build_ns\": {:.1}, \
+             \"mean_ns\": {:.1}, \"min_ns\": {:.1}{}}}{}",
             r.section,
             r.label,
             r.threads,
             r.sample.median_ns,
+            r.build_ns,
             r.sample.mean_ns,
             r.sample.min_ns,
             r.extra,

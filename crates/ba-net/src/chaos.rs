@@ -158,11 +158,6 @@ impl ChaosProfile {
 
     /// The behaviour of the directed link `from → to`.
     pub fn link(&self, from: ProcessId, to: ProcessId) -> LinkChaos {
-        // The wire asks once per attempt and once per arrival; almost
-        // every profile has nothing to look up.
-        if self.overrides.is_empty() {
-            return self.base;
-        }
         self.overrides
             .get(&(from, to))
             .copied()

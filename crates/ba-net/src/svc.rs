@@ -765,8 +765,8 @@ impl<P: Payload + 'static> SvcSession<P> {
         // the frames themselves never leave their instance — and a count
         // per cell and what `note_flush` keeps (sums and a maximum) need
         // no order among the links.
-        let stride = self.active.iter().map(|inst| inst.driver.n()).max();
-        let stride = stride.unwrap_or(0);
+        let widths = self.active.iter().map(|inst| inst.driver.n());
+        let stride = widths.max().unwrap_or(0);
         if self.flush_counts.len() < stride * stride {
             self.flush_counts.resize(stride * stride, 0);
         }

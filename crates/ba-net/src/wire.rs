@@ -122,6 +122,10 @@ pub(crate) fn deliver<'a>(
         acks,
         order,
     } = scratch;
+    assert!(
+        u32::try_from(links.len()).is_ok(),
+        "the wire indexes a phase's frames with u32"
+    );
     slots.clear();
     slots.resize(
         links.len(),
@@ -436,6 +440,24 @@ mod tests {
         }
     }
 
+    /// Everything a call of the wire can be observed by: arrival order,
+    /// failed links, pending count, statistics, and the rng's next draw.
+    type Played = (Vec<usize>, Vec<FailedLink>, usize, NetStats, u64);
+
+    fn play(
+        links: &[(ProcessId, ProcessId)],
+        profile: &ChaosProfile,
+        policy: WirePolicy,
+        seed: u64,
+        scratch: &mut WireScratch,
+    ) -> Played {
+        let mut rng = SimRng::new(seed);
+        let mut stats = NetStats::default();
+        let report = deliver(3, links, profile, &mut rng, policy, &mut stats, scratch);
+        let (order, pending) = (report.order.to_vec(), report.pending);
+        (order, report.failed, pending, stats, rng.next_u64())
+    }
+
     #[test]
     fn deliver_matches_the_reference_loop() {
         // Each case plays on a fresh scratch and on one the whole property
@@ -449,29 +471,15 @@ mod tests {
             let policy = seeded_policy(gen);
             let seed = gen.u64();
 
-            let mut expected_rng = SimRng::new(seed);
-            let mut expected_stats = NetStats::default();
-            let expected = deliver_reference(
-                3,
-                &links,
-                &profile,
-                &mut expected_rng,
-                policy,
-                &mut expected_stats,
-            );
-            let expected_draw = expected_rng.next_u64();
-            blown += usize::from(expected.2 > 0);
+            let mut rng = SimRng::new(seed);
+            let mut stats = NetStats::default();
+            let (order, failed, pending) =
+                deliver_reference(3, &links, &profile, &mut rng, policy, &mut stats);
+            let expected = (order, failed, pending, stats, rng.next_u64());
+            blown += usize::from(pending > 0);
 
             for scratch in [&mut WireScratch::default(), &mut shared] {
-                let mut rng = SimRng::new(seed);
-                let mut stats = NetStats::default();
-                let report = deliver(3, &links, &profile, &mut rng, policy, &mut stats, scratch);
-                assert_eq!(
-                    (report.order.to_vec(), report.failed, report.pending),
-                    expected
-                );
-                assert_eq!(stats, expected_stats);
-                assert_eq!(rng.next_u64(), expected_draw, "draws consumed");
+                assert_eq!(play(&links, &profile, policy, seed, scratch), expected);
             }
         });
         assert!(blown > 0, "no case blew its deadline");
@@ -486,35 +494,16 @@ mod tests {
             deadline_ticks: 2,
         };
         let mut dirty = WireScratch::default();
-        let mut rng = SimRng::new(8);
-        let blown = deliver(
-            1,
-            &links,
-            &profile,
-            &mut rng,
-            short,
-            &mut NetStats::default(),
-            &mut dirty,
-        );
-        assert!(blown.pending > 0);
+        let blown = play(&links, &profile, short, 8, &mut dirty);
+        assert!(blown.2 > 0, "frames still pending at the deadline");
         assert!(
             dirty.ring.iter().any(|bucket| !bucket.is_empty()) || !dirty.acks.is_empty(),
             "the blown call left events in flight"
         );
-
-        let run = |scratch: &mut WireScratch| {
-            let mut rng = SimRng::new(9);
-            let mut stats = NetStats::default();
-            let report = deliver(2, &links, &profile, &mut rng, POLICY, &mut stats, scratch);
-            (
-                report.order.to_vec(),
-                report.failed,
-                report.pending,
-                stats,
-                rng.next_u64(),
-            )
-        };
-        assert_eq!(run(&mut dirty), run(&mut WireScratch::default()));
+        assert_eq!(
+            play(&links, &profile, POLICY, 9, &mut dirty),
+            play(&links, &profile, POLICY, 9, &mut WireScratch::default())
+        );
     }
 
     #[test]
@@ -537,25 +526,16 @@ mod tests {
             );
             buffers
         };
-        let play = |scratch: &mut WireScratch, links: &[(ProcessId, ProcessId)]| {
-            let mut stats = NetStats::default();
-            let report = deliver(
-                1,
-                links,
-                &profile,
-                &mut SimRng::new(1),
-                POLICY,
-                &mut stats,
-                scratch,
-            );
-            assert_eq!((report.order.len(), report.pending), (links.len(), 0));
-            assert_eq!(report.failed.capacity(), 0);
+        let settle = |scratch: &mut WireScratch, links: &[(ProcessId, ProcessId)]| {
+            let (order, failed, pending, ..) = play(links, &profile, POLICY, 1, scratch);
+            assert_eq!((order.len(), pending), (links.len(), 0));
+            assert_eq!(failed.capacity(), 0);
         };
-        play(&mut scratch, &links);
+        settle(&mut scratch, &links);
         let warm = footprint(&scratch);
         // Same buffers, same capacities: no call to the allocator.
-        play(&mut scratch, &links);
-        play(&mut scratch, &links[..100]);
+        settle(&mut scratch, &links);
+        settle(&mut scratch, &links[..100]);
         assert_eq!(footprint(&scratch), warm);
     }
 
