@@ -18,7 +18,7 @@
 use crate::algorithm1::{adversaries::EquivocatingTransmitter, Algo1Actor, Algo1Params};
 use crate::bounds;
 use crate::dolev_strong::{DsActor, DsEquivocator, DsParams, Variant};
-use ba_crypto::{Chain, KeyRegistry, ProcessId, SchemeKind, Value, VerifierCache};
+use ba_crypto::{Chain, KeyRegistry, ProcessId, SchemeKind, Value};
 use ba_sim::schedule::{FaultBehavior, ScheduleError, ScheduleSpec};
 use ba_sim::{check_byzantine_agreement, Actor, AgreementViolation, RunVerdict, Simulation};
 use std::collections::BTreeSet;
@@ -175,7 +175,7 @@ pub struct CheckTarget {
     /// is inherently binary.
     pub multi_valued: bool,
     supports: fn(n: usize, t: usize) -> bool,
-    build_fn: fn(&CheckConfig, Option<&Arc<VerifierCache>>) -> Result<CheckSetup, ScheduleError>,
+    build_fn: fn(&CheckConfig) -> Result<CheckSetup, ScheduleError>,
 }
 
 impl std::fmt::Debug for CheckTarget {
@@ -242,25 +242,23 @@ impl CheckTarget {
     /// all intercept — the error path exists for external targets).
     pub fn build(&self, cfg: &CheckConfig) -> Result<CheckSetup, ScheduleError> {
         debug_assert!(self.validate(cfg).is_ok());
-        (self.build_fn)(cfg, None)
+        (self.build_fn)(cfg)
     }
 
-    /// Like [`build`](Self::build) but installing `cache` as the built
-    /// registry's chain-verification cache, so several setups share one
-    /// fleet-wide cache. Sound only when every setup handed this cache uses
-    /// the same `(n, seed)` — the multi-instance service layer's "one
-    /// cluster identity" invariant (see
-    /// [`KeyRegistry::with_shared_cache`]).
+    /// [`build`](Self::build): there is no verifier cache to install.
+    /// `benchmark/` still calls it; the `benchmark` PR that drops the call
+    /// deletes it.
     ///
     /// # Errors
     /// As for [`build`](Self::build).
+    #[deprecated(note = "there is no verifier cache; call `build`")]
+    #[allow(deprecated)]
     pub fn build_shared(
         &self,
         cfg: &CheckConfig,
-        cache: &Arc<VerifierCache>,
+        _cache: &Arc<ba_crypto::VerifierCache>,
     ) -> Result<CheckSetup, ScheduleError> {
-        debug_assert!(self.validate(cfg).is_ok());
-        (self.build_fn)(cfg, Some(cache))
+        self.build(cfg)
     }
 
     /// Runs the target under `cfg`'s schedule through the lock-step
@@ -329,45 +327,29 @@ fn alg1_supports(n: usize, t: usize) -> bool {
     t >= 1 && n == 2 * t + 1
 }
 
-/// Builds the registry for a target, installing the fleet-shared cache
-/// when one is supplied (see [`CheckTarget::build_shared`]).
-fn registry_for(cfg: &CheckConfig, cache: Option<&Arc<VerifierCache>>) -> KeyRegistry {
-    match cache {
-        Some(cache) => {
-            KeyRegistry::with_shared_cache(cfg.n, cfg.seed, SchemeKind::Fast, Arc::clone(cache))
-        }
-        None => KeyRegistry::new(cfg.n, cfg.seed, SchemeKind::Fast),
-    }
+/// The registry every target signs with.
+fn registry_for(cfg: &CheckConfig) -> KeyRegistry {
+    KeyRegistry::new(cfg.n, cfg.seed, SchemeKind::Fast)
 }
 
-fn build_ds_broadcast(
-    cfg: &CheckConfig,
-    cache: Option<&Arc<VerifierCache>>,
-) -> Result<CheckSetup, ScheduleError> {
-    build_ds(cfg, cache, Variant::Broadcast, false)
+fn build_ds_broadcast(cfg: &CheckConfig) -> Result<CheckSetup, ScheduleError> {
+    build_ds(cfg, Variant::Broadcast, false)
 }
 
-fn build_ds_relay(
-    cfg: &CheckConfig,
-    cache: Option<&Arc<VerifierCache>>,
-) -> Result<CheckSetup, ScheduleError> {
-    build_ds(cfg, cache, Variant::Relay, false)
+fn build_ds_relay(cfg: &CheckConfig) -> Result<CheckSetup, ScheduleError> {
+    build_ds(cfg, Variant::Relay, false)
 }
 
-fn build_ds_weak(
-    cfg: &CheckConfig,
-    cache: Option<&Arc<VerifierCache>>,
-) -> Result<CheckSetup, ScheduleError> {
-    build_ds(cfg, cache, Variant::Broadcast, true)
+fn build_ds_weak(cfg: &CheckConfig) -> Result<CheckSetup, ScheduleError> {
+    build_ds(cfg, Variant::Broadcast, true)
 }
 
 fn build_ds(
     cfg: &CheckConfig,
-    cache: Option<&Arc<VerifierCache>>,
     variant: Variant,
     weaken: bool,
 ) -> Result<CheckSetup, ScheduleError> {
-    let registry = registry_for(cfg, cache);
+    let registry = registry_for(cfg);
     let mut params = DsParams::standard(cfg.n, cfg.t, variant, registry.verifier());
     params.weaken_relay_threshold = weaken;
     params.transmitter = cfg.transmitter;
@@ -399,11 +381,8 @@ fn build_ds(
     })
 }
 
-fn build_algorithm1(
-    cfg: &CheckConfig,
-    cache: Option<&Arc<VerifierCache>>,
-) -> Result<CheckSetup, ScheduleError> {
-    let registry = registry_for(cfg, cache);
+fn build_algorithm1(cfg: &CheckConfig) -> Result<CheckSetup, ScheduleError> {
+    let registry = registry_for(cfg);
     let params = Arc::new(Algo1Params {
         t: cfg.t,
         verifier: registry.verifier(),
@@ -689,21 +668,6 @@ mod tests {
         assert_eq!(outcome.phases, setup.phases);
         assert_eq!(outcome.message_bound, setup.message_bound);
         assert_eq!(outcome.schedule_error, None);
-    }
-
-    #[test]
-    fn build_shared_installs_the_fleet_cache() {
-        let target = find_target("ds-broadcast").unwrap();
-        let config = cfg(4, 1, ScheduleSpec::default());
-        let cache = Arc::new(VerifierCache::new());
-        let a = target.build_shared(&config, &cache).unwrap();
-        let b = target.build_shared(&config, &cache).unwrap();
-        a.registry.cache().insert_verified(&[[3u8; 32]]);
-        assert_eq!(b.registry.cache().len(), 1);
-        assert_eq!(cache.len(), 1);
-        // A plain build keeps its own private cache.
-        let solo = target.build(&config).unwrap();
-        assert_eq!(solo.registry.cache().len(), 0);
     }
 
     #[test]

@@ -7,22 +7,19 @@
 //!   reliable wire, three execution strategies:
 //!   - `serial-runtime`: K back-to-back [`NetRuntime`] runs — the
 //!     pre-service baseline: the same phase driver and the same barrier
-//!     verification one instance at a time, each run with its own cold
-//!     verifier cache and one wire flush per frame;
+//!     verification one instance at a time, one wire flush per frame;
 //!   - `svc-serial`: the multiplexer with `max_inflight = 1` — same
 //!     admission order, one instance at a time (isolates the service's
 //!     fixed overhead from its wins);
 //!   - `svc-pipelined`: staggered admission (`admit_per_tick = 1`) with a
-//!     deep in-flight window — phases overlap across instances, per-link
-//!     flushes coalesce frames from every in-flight instance, and the
-//!     fleet-shared verifier cache converts repeated chain prefixes into
-//!     hits.
+//!     deep in-flight window — phases overlap across instances, and per-link
+//!     flushes coalesce frames from every in-flight instance.
 //!
 //!   Each row reports agreements/sec (`k × 10⁹ / median_ns`). The ratio
 //!   pipelined vs serial-runtime at the widest thread count is recorded in
 //!   the JSON `checks` object as a reported number, not a gate: both sides
 //!   run one driver and one verification discipline, so it reads what the
-//!   multiplexer's per-tick machinery costs (DESIGN §11.4).
+//!   multiplexer's per-tick machinery costs (DESIGN §11.3).
 //! * `latency` — p50/p99 admission-to-decision latency of the pipelined
 //!   fleet, merged over several runs;
 //! * `degradation` — agreements/sec and decided/degraded split for the
@@ -42,16 +39,15 @@
 //! if it fails: the pipelined fleet must be byte-identical across worker
 //! counts, and every multiplexed instance must match its standalone
 //! [`NetRuntime`] run under `chaos.reseeded(instance_seed(seed, i))` —
-//! with and without chaos.
+//! decisions, suspicion and the whole `Metrics`, with and without chaos.
 //!
 //! Emits a JSON report (default `BENCH_service.json`) in the same row
 //! format as `bench_engine`, each row tagged with the host's
 //! `available_parallelism` and a `single_core` flag. Beside `median_ns`
 //! every row carries `build_ns`: the part of it spent building the
-//! instances the timed call runs (`CheckTarget::build` for the standalone
-//! runtime, `build_shared` for a session), timed on its own around the
-//! same build calls; 0 on the latency rows, whose clock starts at
-//! admission. On a single-core host
+//! instances the timed call runs (`CheckTarget::build`), timed on its own
+//! around the same build calls; 0 on the latency rows, whose clock starts
+//! at admission. On a single-core host
 //! one consolidated warning is printed and thread-scaling rows measure
 //! coordination overhead only.
 //!
@@ -70,14 +66,13 @@
 
 use ba_algos::checkable::{find_target, CheckConfig, CheckTarget};
 use ba_bench::microbench::{bench, print_samples, Sample};
-use ba_crypto::{Chain, Value, VerifierCache};
+use ba_crypto::{Chain, Value};
 use ba_net::{
     instance_seed, run_target, run_target_multiplexed, AdmissionPolicy, BaService, ChaosProfile,
     InstanceSpec, MultiplexRun, NetConfig, NetRunError, PoissonArrivals, SvcConfig, SvcReport,
 };
 use ba_sim::schedule::ScheduleSpec;
 use std::fmt::Write as _;
-use std::sync::Arc;
 
 const TARGET: &str = "ds-broadcast";
 const N: usize = 16;
@@ -178,9 +173,9 @@ fn parse_args(args: &[String]) -> Config {
     cfg
 }
 
-/// The fleet under test: K `ds-broadcast` instances sharing one cluster
-/// identity (n, seed), transmitter values alternating so neighbouring
-/// instances are not trivially identical.
+/// The fleet under test: K `ds-broadcast` instances of one (n, seed),
+/// transmitter values alternating so neighbouring instances are not
+/// trivially identical.
 fn fleet_cfgs(k: usize) -> Vec<CheckConfig> {
     (0..k)
         .map(|i| {
@@ -236,22 +231,14 @@ fn run_svc(
 }
 
 /// What building one fleet costs, timed apart from running it: the median
-/// time of the build calls a timed row makes before anything is stepped —
-/// [`run_target`] builds each instance alone, a session's instances share
-/// one verifier cache.
-fn fleet_build_ns(target: &CheckTarget, cfgs: &[CheckConfig], shared: bool) -> f64 {
-    let label = if shared { "build_shared" } else { "build" };
-    bench(format!("{label} k={} n={N}", cfgs.len()), || {
-        let cache = Arc::new(VerifierCache::new());
+/// time of the build calls a timed row makes before anything is stepped.
+fn fleet_build_ns(target: &CheckTarget, cfgs: &[CheckConfig]) -> f64 {
+    bench(format!("build k={} n={N}", cfgs.len()), || {
         cfgs.iter()
             .map(|cfg| {
-                let setup = if shared {
-                    target.build_shared(cfg, &cache)
-                } else {
-                    target.build(cfg)
-                };
-                setup
-                    .unwrap_or_else(|e| die(&format!("{label}: {e}")))
+                target
+                    .build(cfg)
+                    .unwrap_or_else(|e| die(&format!("build: {e}")))
                     .phases
             })
             .sum::<usize>()
@@ -282,13 +269,10 @@ fn degraded(mux: &MultiplexRun) -> usize {
 }
 
 /// Everything deterministic about a multiplexed run — per-instance
-/// decisions, metrics and verdicts, fleet wire stats, tick count and
-/// shared-cache counters. Wall-clock fields are excluded.
+/// decisions, metrics and verdicts, fleet wire stats and tick count.
+/// Wall-clock fields are excluded.
 fn fingerprint(mux: &MultiplexRun) -> String {
-    format!(
-        "{:?} | {:?} | ticks={} cache={:?}",
-        mux.runs, mux.stats, mux.ticks, mux.cache
-    )
+    format!("{:?} | {:?} | ticks={}", mux.runs, mux.stats, mux.ticks)
 }
 
 /// The service determinism contract, gated before any timing runs:
@@ -320,6 +304,7 @@ fn determinism_check(target: &CheckTarget, cfgs: &[CheckConfig], threads: &[usiz
                     m.decisions == s.decisions
                         && m.correct == s.correct
                         && m.suspected == s.suspected
+                        && m.metrics == s.metrics
                 }
                 (Err(m), Err(NetRunError::Degraded(s))) => {
                     m.phase == s.phase && m.reason == s.reason && m.suspected == s.suspected
@@ -338,9 +323,8 @@ fn determinism_check(target: &CheckTarget, cfgs: &[CheckConfig], threads: &[usiz
     ok
 }
 
-/// Builds the spec for open-loop arrival number `i` (alternating values,
-/// one cluster identity) against the session's shared cache.
-fn build_spec(target: &CheckTarget, i: u64, cache: &Arc<VerifierCache>) -> InstanceSpec<Chain> {
+/// Builds the spec for open-loop arrival number `i` (alternating values).
+fn build_spec(target: &CheckTarget, i: u64) -> InstanceSpec<Chain> {
     let value = if i.is_multiple_of(2) {
         Value::ONE
     } else {
@@ -348,7 +332,7 @@ fn build_spec(target: &CheckTarget, i: u64, cache: &Arc<VerifierCache>) -> Insta
     };
     let cfg = CheckConfig::new(N, T, value, 11, 1, ScheduleSpec::default());
     let setup = target
-        .build_shared(&cfg, cache)
+        .build(&cfg)
         .unwrap_or_else(|e| die(&format!("open-loop spec {i}: {e}")));
     InstanceSpec {
         actors: setup.actors,
@@ -363,20 +347,18 @@ fn build_spec(target: &CheckTarget, i: u64, cache: &Arc<VerifierCache>) -> Insta
 /// over [`OPEN_LOOP_ARRIVAL_TICKS`] ticks against a bounded queue with
 /// shed-oldest backpressure, then drains to quiescence.
 fn run_open_loop(target: &CheckTarget, threads: usize, rate: f64) -> SvcReport {
-    let cache = Arc::new(VerifierCache::new());
     let svc = SvcConfig::new()
         .with_threads(threads)
         .with_max_inflight(OPEN_LOOP_INFLIGHT)
         .with_queue_capacity(OPEN_LOOP_QUEUE)
         .with_admission(AdmissionPolicy::ShedOldest);
-    let service = BaService::new(svc).with_shared_cache(Arc::clone(&cache));
-    let mut session = service.session();
+    let mut session = BaService::new(svc).session();
     let mut arrivals = PoissonArrivals::new(CHAOS_SEED, rate);
     let mut submitted = 0u64;
     for _ in 0..OPEN_LOOP_ARRIVAL_TICKS {
         for _ in 0..arrivals.next_arrivals() {
             session
-                .submit(build_spec(target, submitted, &cache))
+                .submit(build_spec(target, submitted))
                 .expect("shed-oldest admission never refuses");
             submitted += 1;
         }
@@ -417,18 +399,16 @@ fn svc_fingerprint(report: &SvcReport) -> String {
 /// proves every submit returns (accepted or refused — never wedged) and
 /// the drained report still accounts exactly.
 fn no_admission_deadlock(target: &CheckTarget, threads: usize) -> bool {
-    let cache = Arc::new(VerifierCache::new());
     let svc = SvcConfig::new()
         .with_threads(threads)
         .with_max_inflight(2)
         .with_admit_per_tick(1)
         .with_queue_capacity(2)
         .with_admission(AdmissionPolicy::BlockWithDeadline { deadline_ticks: 64 });
-    let service = BaService::new(svc).with_shared_cache(Arc::clone(&cache));
-    let mut session = service.session();
+    let mut session = BaService::new(svc).session();
     let mut accepted = 0usize;
     for i in 0..16u64 {
-        if session.submit(build_spec(target, i, &cache)).is_ok() {
+        if session.submit(build_spec(target, i)).is_ok() {
             accepted += 1;
         }
     }
@@ -493,8 +473,7 @@ fn main() {
     let mut speedup_hi: Option<f64> = None;
     let mut pipelined_medians: Vec<(usize, f64)> = Vec::new();
     if cfg.section("throughput") {
-        let runtime_build_ns = fleet_build_ns(target, &cfgs, false);
-        let session_build_ns = fleet_build_ns(target, &cfgs, true);
+        let build_ns = fleet_build_ns(target, &cfgs);
         for &threads in &cfg.threads {
             let serial_decided = run_serial(target, &cfgs, &reliable, threads);
             // The svc-serial probe doubles as the wire-volume source for
@@ -537,11 +516,7 @@ fn main() {
                     label: format!("{label} k={k}"),
                     threads,
                     sample,
-                    build_ns: if label == "serial-runtime" {
-                        runtime_build_ns
-                    } else {
-                        session_build_ns
-                    },
+                    build_ns,
                     extra: format!(
                         ", \"agreements_per_sec\": {agreements_per_sec:.1}, \
                          \"bytes_sent\": {bytes_sent}"
@@ -597,7 +572,7 @@ fn main() {
     // -- degradation: agreements/sec vs per-link loss ----------------------
     let mut no_violations = true;
     if cfg.section("degradation") {
-        let session_build_ns = fleet_build_ns(target, &cfgs, true);
+        let build_ns = fleet_build_ns(target, &cfgs);
         for drop in LOSS_SWEEP {
             let chaos = if drop == 0 {
                 ChaosProfile::reliable()
@@ -621,7 +596,7 @@ fn main() {
                 label: format!("lossy d={drop} k={k}"),
                 threads: th_hi,
                 sample,
-                build_ns: session_build_ns,
+                build_ns,
                 extra: format!(
                     ", \"drop_per_mille\": {drop}, \"decided\": {decided}, \
                      \"degraded\": {failed}, \"agreements_per_sec\": {agreements_per_sec:.1}, \
@@ -659,7 +634,7 @@ fn main() {
             );
             let agreements_per_sec = decided as f64 * 1e9 / sample.median_ns;
             // `build_spec` builds exactly the configs `fleet_cfgs` lists.
-            let build_ns = fleet_build_ns(target, &fleet_cfgs(submitted), true);
+            let build_ns = fleet_build_ns(target, &fleet_cfgs(submitted));
             eprintln!(
                 "bench_service: open-loop λ={rate}: {submitted} submitted → {decided} decided, \
                  {failed} degraded, {shed} shed ({:.0}% shed) at {agreements_per_sec:.0} agr/s",

@@ -1040,16 +1040,16 @@ pub fn e13() -> Vec<Table> {
     vec![t_out]
 }
 
-/// E14 — crypto cost: hash invocations, signature checks and verifier
-/// cache effectiveness per algorithm run.
+/// E14 — crypto cost: hash invocations, signature checks and how each
+/// chain verification went, per algorithm run.
 ///
-/// The chain verifier memoizes verified prefixes (see
-/// `ba_crypto::keys::VerifierCache`), so relaying patterns — where a chain
-/// arrives, is verified, extended by one signature and verified again
-/// downstream — pay O(1) signature checks per extension instead of
-/// re-checking the whole chain. This table makes that visible: without the
-/// cache every run's `sig checks` column would grow with the square of the
-/// chain length.
+/// Every driver verifies each unique delivered chain once at the phase
+/// barrier and stamps it (`Chain::verify_at_barrier`); a recipient's own
+/// `verify` of a stamped chain is O(1). `cache hits` counts those stamp
+/// hits, `cache misses` the full O(L) checks (the barrier's, and any of an
+/// unstamped chain), and the hit rate is the share of verifications the
+/// stamp answered — the columns keep the names they had when a prefix
+/// memo stood behind them.
 pub fn e14() -> Vec<Table> {
     let mut t_out = Table::new(
         "E14 — crypto work per run (Fast scheme): hashes and signature checks actually performed, and the verifier-cache hit rate that keeps chain re-verification O(1) per extension",
@@ -1155,10 +1155,9 @@ pub fn e14() -> Vec<Table> {
 ///
 /// Each workload runs twice, sequentially and across 4 worker threads, and
 /// every accounting column must match exactly: the engine routes staged
-/// messages in actor-id order on the calling thread and puts the shared
-/// verifier cache into deferred phase-snapshot mode
-/// (`Simulation::with_registry`), so `Metrics`, decisions and traces are
-/// byte-identical for any thread count. Wall-clock numbers live in the
+/// messages in actor-id order on the calling thread and verifies at the
+/// barrier on it too, so `Metrics`, decisions and traces are byte-identical
+/// for any thread count. Wall-clock numbers live in the
 /// engine benchmark (`bench_engine` → `BENCH_engine.json`); this table pins
 /// the determinism contract the parallelism rests on.
 pub fn e15() -> Vec<Table> {

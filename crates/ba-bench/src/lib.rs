@@ -20,7 +20,7 @@
 //! | E11 | Lemma 4 — Algorithm 5 activation audit |
 //! | E12 | Ablation — proof-of-work activation gating vs always-activate |
 //! | E13 | Algorithm 1 decision latency vs the `t+2` bound |
-//! | E14 | Crypto cost — hashes, signature checks, verifier-cache hit rate |
+//! | E14 | Crypto cost — hashes, signature checks, barrier-stamp hit rate |
 //! | E15 | Engine scaling — sequential vs parallel stepping, byte-identical |
 //! | E16 | `ba-net` runtime under chaos vs the lock-step baseline |
 //!

@@ -156,17 +156,18 @@ fn batched_verification_is_pure_accounting() {
             assert_eq!(per_phase_messages(&dm), per_phase_messages(&rm), "{case}");
 
             // Neither discipline bounds the other. The barrier checks every
-            // unique chain delivered: fault-free, the transmitter's and the
-            // n − 1 relays of it. A receiver checks only a chain that could
-            // still teach it a value — the Dolev–Strong actors look the
-            // value up before they verify, Algorithm 1's stop at their
+            // unique chain delivered in full: fault-free, the transmitter's
+            // one signature and both signatures of each of its n − 1
+            // relays, 1 + 2(n − 1). A receiver checks only a chain that
+            // could still teach it a value — the Dolev–Strong actors look
+            // the value up before they verify, Algorithm 1's stop at their
             // first accepted chain — so per delivery it is the n − 1
             // receivers' one check of the transmitter's chain, and the
             // relays nobody needed go unverified.
             if spec.faults.is_empty() {
                 assert_eq!(
                     (dm.crypto.sig_verifications, rm.crypto.sig_verifications),
-                    (n as u64, n as u64 - 1),
+                    (2 * n as u64 - 1, n as u64 - 1),
                     "{case}: (barrier, per-delivery) signature checks"
                 );
             }

@@ -45,12 +45,16 @@
 //! value types (cloning then mutating never aliases), enforced by the
 //! copy-on-write tests.
 //!
-//! [`verify`](Chain::verify) additionally consults the registry's shared
-//! [`VerifierCache`](crate::keys::VerifierCache): digests of fully verified
-//! prefixes are memoized, so re-verifying a chain that grew by `k`
-//! signatures since it was last seen (the Dolev-Strong relay pattern) pays
-//! for only the `k` new signature checks. [`Chain::verify_uncached`] skips
-//! the cache, and [`Chain::verify_reference`] is a deliberately naive O(L²)
+//! # What a verification costs
+//!
+//! [`verify`](Chain::verify) is one of two things. If the phase barrier
+//! already verified this exact signature buffer under the asking
+//! verifier's registry (see [`Chain::verify_at_barrier`]), it is an O(1)
+//! stamp comparison. Otherwise it is a full check, rolling the prefix
+//! digest forward signature by signature: `L + 1` hashes and `L` signature
+//! checks, stopping at the first bad signature. Nothing else is remembered
+//! between calls. [`Chain::verify_uncached`] is the full check alone, and
+//! [`Chain::verify_reference`] is a deliberately naive O(L²)
 //! implementation retained as the oracle for the equivalence property
 //! tests.
 
@@ -257,19 +261,6 @@ impl Chain {
         self.signers().any(|s| s == id)
     }
 
-    /// Recomputes the `L + 1` prefix digests `d_0 ..= d_L` from the chain's
-    /// fields — exactly `L + 1` hash invocations.
-    fn prefix_digests(&self) -> Vec<[u8; DIGEST_LEN]> {
-        let mut digests = Vec::with_capacity(self.sigs.sigs.len() + 1);
-        let mut d = seed_digest(self.domain, self.value);
-        digests.push(d);
-        for sig in self.sigs.sigs.iter() {
-            d = extend_digest(&d, sig);
-            digests.push(d);
-        }
-        digests
-    }
-
     /// Signs the current chain state with `signer` and appends the
     /// signature. O(1) thanks to the rolling tip digest — except when the
     /// signature buffer is still shared with a clone (copy-on-write: the
@@ -294,65 +285,44 @@ impl Chain {
         Arc::ptr_eq(&self.sigs, &other.sigs)
     }
 
-    /// Verifies every signature against its prefix digest, resuming after
-    /// the longest prefix the registry's
-    /// [`VerifierCache`](crate::keys::VerifierCache) already knows to be
-    /// valid. On success all prefixes of this chain are added to the cache.
-    ///
-    /// The cache changes cost only, never outcome: a cached prefix contains
-    /// no invalid signature (it could not have entered the cache
-    /// otherwise), so the first failing index — and hence the returned
-    /// error — is identical with and without it.
+    /// Verifies every signature against its prefix digest: an O(1)
+    /// barrier-stamp hit when the phase barrier already verified this
+    /// buffer under `verifier`'s registry for this domain and value (see
+    /// [`verify_at_barrier`](Self::verify_at_barrier)), a full
+    /// [`verify_uncached`](Self::verify_uncached) otherwise. The stamp
+    /// changes cost only, never outcome: only a buffer that passed the full
+    /// check carries one, and any mutation resets it.
     ///
     /// # Errors
     /// [`CryptoError::EmptyChain`] when no signatures are present, or the
     /// first failing signature's error.
     pub fn verify(&self, verifier: &Verifier) -> Result<(), CryptoError> {
-        self.verify_inner(verifier, true)
+        if !self.is_empty()
+            && self.sigs.stamp.load(Ordering::Acquire)
+                == expected_stamp(verifier.batch_token(), self.domain, self.value)
+        {
+            crate::stats::record_cache_hit();
+            return Ok(());
+        }
+        self.verify_uncached(verifier)
     }
 
-    /// [`verify`](Self::verify) without the cache: always checks every
-    /// signature (still O(L) hashing). Used by benchmarks and equivalence
-    /// tests.
+    /// The full check, ignoring any stamp: rolls the prefix digest forward
+    /// from `d_0`, checking each signature against the digest of what
+    /// precedes it — `L + 1` hashes and `L` signature checks on a valid
+    /// chain, fewer when a signature fails.
     ///
     /// # Errors
     /// As [`verify`](Self::verify).
     pub fn verify_uncached(&self, verifier: &Verifier) -> Result<(), CryptoError> {
-        self.verify_inner(verifier, false)
-    }
-
-    fn verify_inner(&self, verifier: &Verifier, use_cache: bool) -> Result<(), CryptoError> {
-        if self.sigs.sigs.is_empty() {
+        if self.is_empty() {
             return Err(CryptoError::EmptyChain);
         }
-        // Barrier-verification fast path: the driver's phase barrier
-        // already verified this exact buffer under this registry for this
-        // (domain, value) and stamped it (see [`verify_at_barrier`]
-        // (Self::verify_at_barrier)). O(1): no digests are recomputed.
-        if use_cache
-            && self.sigs.stamp.load(Ordering::Acquire)
-                == expected_stamp(verifier.batch_token(), self.domain, self.value)
-        {
-            verifier.cache().note_stamp_hit();
-            return Ok(());
-        }
-        let digests = self.prefix_digests();
-        // digests[1..][j] is d_{j+1}, the digest binding the first j+1
-        // signatures; finding it cached means verification can resume at
-        // signature j+1.
-        let start = if use_cache {
-            verifier
-                .cache()
-                .longest_verified_prefix(&digests[1..])
-                .map_or(0, |j| j + 1)
-        } else {
-            0
-        };
-        for (sig, digest) in self.sigs.sigs.iter().zip(&digests).skip(start) {
-            verifier.check(sig, digest)?;
-        }
-        if use_cache {
-            verifier.cache().insert_verified(&digests[1..]);
+        crate::stats::record_cache_miss();
+        let mut d = seed_digest(self.domain, self.value);
+        for sig in self.sigs.sigs.iter() {
+            verifier.check(sig, &d)?;
+            d = extend_digest(&d, sig);
         }
         Ok(())
     }
@@ -369,8 +339,7 @@ impl Chain {
     /// `seen` is scratch the caller recycles across barriers (cleared
     /// here: buffer addresses only identify chains that are alive).
     /// Returns the calling thread's [`CryptoStats`] delta for the pass;
-    /// attributing it to a phase and flushing the verifier cache stay with
-    /// the caller.
+    /// attributing it to a phase stays with the caller.
     pub fn verify_at_barrier<'a>(
         chains: impl IntoIterator<Item = &'a Chain>,
         verifier: &Verifier,
@@ -405,7 +374,7 @@ impl Chain {
 
     /// A deliberately naive O(L²) verification retained as the oracle for
     /// the equivalence property tests: each signature's prefix digest is
-    /// re-derived from scratch instead of rolled forward, and no cache is
+    /// re-derived from scratch instead of rolled forward, and no stamp is
     /// consulted.
     ///
     /// # Errors
@@ -564,7 +533,11 @@ mod tests {
                 sig.encode(&mut enc);
                 expected.push(Sha256::digest(enc.as_slice()));
             }
-            assert_eq!(c.prefix_digests(), expected);
+            // Signature i covers d_i, and the tip is d_L.
+            let v = reg.verifier();
+            for (sig, d) in c.signatures().iter().zip(&expected) {
+                v.check(sig, d).unwrap();
+            }
             assert_eq!(Some(&c.tip), expected.last());
         }
     }
@@ -780,104 +753,25 @@ mod tests {
     }
 
     #[test]
-    fn cache_makes_extension_cost_constant() {
-        let reg = KeyRegistry::new(12, 5, SchemeKind::Fast);
-        let v = reg.verifier();
-        let mut c = Chain::new(2, Value::ONE);
-        for id in 0..8 {
-            c.sign_and_append(&reg.signer(ProcessId(id)));
-        }
-
-        // First sight: a miss, all 8 signatures checked.
-        let before = CryptoStats::snapshot();
-        c.verify(&v).unwrap();
-        let delta = CryptoStats::snapshot().since(&before);
-        assert_eq!(delta.cache_misses, 1);
-        assert_eq!(delta.sig_verifications, 8);
-
-        // Extend by one (the relay pattern): only the new signature is
-        // checked — O(1) additional verification work.
-        c.sign_and_append(&reg.signer(ProcessId(8)));
-        let before = CryptoStats::snapshot();
-        c.verify(&v).unwrap();
-        let delta = CryptoStats::snapshot().since(&before);
-        assert_eq!(delta.cache_hits, 1);
-        assert_eq!(delta.sig_verifications, 1);
-
-        // Identical chain again: nothing left to check.
-        let before = CryptoStats::snapshot();
-        c.verify(&v).unwrap();
-        let delta = CryptoStats::snapshot().since(&before);
-        assert_eq!(delta.cache_hits, 1);
-        assert_eq!(delta.sig_verifications, 0);
-        assert!(v.cache().hit_rate() > 0.5);
-    }
-
-    #[test]
-    fn cap_pressure_cannot_force_redundant_reverification() {
-        // Regression: a per-shard cap-clear used to evict the prefix
-        // digest a verify had just reused, so the *next* verify of the
-        // same chain in the same tick re-checked every signature (and,
-        // under HMAC, re-hashed every tag). The touched-this-flush pin
-        // keeps the hot prefix across the clear.
-        let reg = KeyRegistry::new(12, 13, SchemeKind::Fast);
-        reg.cache().set_shard_cap(4);
-        let v = reg.verifier();
-        let mut c = Chain::new(4, Value::ONE);
-        for id in 0..8 {
-            c.sign_and_append(&reg.signer(ProcessId(id)));
-        }
-        c.verify(&v).unwrap();
-
-        // Reuse the full prefix once — this pins it for the current
-        // flush window.
-        let before = CryptoStats::snapshot();
-        c.verify(&v).unwrap();
-        assert_eq!(CryptoStats::snapshot().since(&before).sig_verifications, 0);
-
-        // Cap pressure from other traffic: 16 unrelated digests per shard
-        // (XOR fold of i < 256 is its low byte, so i % 16 walks the
-        // shards), overflowing every shard's cap of 4 several times over
-        // and evicting everything unpinned.
-        let mut d = [0u8; DIGEST_LEN];
-        for i in 0..256u64 {
-            d[..8].copy_from_slice(&i.to_be_bytes());
-            reg.cache().insert_verified(&[d]);
-        }
-        assert!(reg.cache().evictions() > 0);
-
-        // The reused prefix survived: still zero redundant signature
-        // checks (pre-fix this delta was 8 — the whole chain again).
-        let before = CryptoStats::snapshot();
-        c.verify(&v).unwrap();
-        let delta = CryptoStats::snapshot().since(&before);
-        assert_eq!(delta.cache_hits, 1);
-        assert_eq!(
-            delta.sig_verifications, 0,
-            "pinned prefix was evicted under cap pressure"
-        );
-    }
-
-    #[test]
     fn cache_never_rescues_a_tampered_chain() {
-        // Verify a good chain (populating the cache), then tamper with a
-        // *suffix* signature: the cached prefix is reused but the bad
-        // signature is still caught.
+        // Stamp a good chain at the barrier, then tamper with a *suffix*
+        // signature on a clone: the copy-on-write drops the stamp, so the
+        // bad signature is caught — every time, the stamp never moves to
+        // the tampered buffer.
         let reg = KeyRegistry::new(6, 11, SchemeKind::Fast);
         let v = reg.verifier();
-        let mut c = Chain::new(0, Value::ONE);
-        for id in 0..4 {
-            c.sign_and_append(&reg.signer(ProcessId(id)));
-        }
-        c.verify(&v).unwrap();
+        let c = signed_chain(&reg, &[0, 1, 2, 3]);
+        Chain::verify_at_barrier([&c], &v, &mut HashSet::new());
         let mut bad = c.clone();
         sigs_mut(&mut bad).push(Signature::forged(ProcessId(5), SchemeKind::Fast));
         assert!(bad.verify(&v).is_err());
-        // And the failed chain's prefixes beyond the valid part must not
-        // have been cached: re-verifying still fails.
+        Chain::verify_at_barrier([&bad], &v, &mut HashSet::new());
         assert!(bad.verify(&v).is_err());
-        // The untampered chain still passes.
+        // The untampered chain is still a stamp hit.
+        let before = CryptoStats::snapshot();
         c.verify(&v).unwrap();
+        let delta = CryptoStats::snapshot().since(&before);
+        assert_eq!((delta.cache_hits, delta.sig_verifications), (1, 0));
     }
 
     #[test]
@@ -1020,10 +914,10 @@ mod tests {
             });
         }
 
-        /// The equivalence oracle required by the issue: the cached and
-        /// incremental verifiers must accept and reject *exactly* the same
-        /// chains — with the same error — as the naive O(L²) reference,
-        /// across honest chains and truncate/splice/extend/tamper attacks.
+        /// The equivalence oracle: the full check and the stamped path must
+        /// accept and reject *exactly* the same chains — with the same
+        /// error — as the naive O(L²) reference, across honest chains and
+        /// truncate/splice/extend/tamper attacks.
         #[test]
         fn prop_cached_and_incremental_match_reference() {
             run_cases(96, 0x34, |gen| {
@@ -1075,8 +969,10 @@ mod tests {
                 let v = reg.verifier();
                 let reference = c.verify_reference(&v);
                 assert_eq!(c.verify_uncached(&v), reference);
-                // Twice through the cached path: cold and (possibly) warm.
+                // Before and after the barrier pass: unstamped, then
+                // stamped when (and only when) the chain is valid.
                 assert_eq!(c.verify(&v), reference);
+                Chain::verify_at_barrier([&c], &v, &mut HashSet::new());
                 assert_eq!(c.verify(&v), reference);
             });
         }

@@ -15,23 +15,16 @@
 //! 32-byte tags) and [`SchemeKind::Fast`] (64-bit keyed-mix tags) for large
 //! parameter sweeps where hashing would dominate runtime. Both are
 //! deterministic in the run seed.
-//!
-//! Each registry also carries a shared [`VerifierCache`] memoizing the
-//! prefix digests of signature chains that have already fully verified, so
-//! a receiver seeing a chain extended by `k` signatures re-verifies only
-//! the `k` new ones (the Dolev-Strong relay pattern). See
-//! [`chain`](crate::chain) for how the digests are formed.
 
 use crate::error::CryptoError;
 use crate::hmac::HmacKey;
 use crate::rng::splitmix64;
-use crate::sha256::{Sha256, DIGEST_LEN};
+use crate::sha256::Sha256;
 use crate::wire::{Decoder, Encoder};
 use crate::ProcessId;
-use std::collections::HashSet;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Which tag construction a [`KeyRegistry`] uses.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
@@ -143,322 +136,19 @@ impl fmt::Display for Signature {
     }
 }
 
-/// Memoization of fully verified signature-chain prefixes.
-///
-/// The cache stores the *rolling prefix digests* of chains that a
-/// [`Verifier`] over the same registry has already accepted. A digest
-/// collision-resistantly binds the chain's domain, value and every
-/// signature in the prefix, so finding a digest in the cache proves that
-/// exact prefix verified before — re-verification can resume after it and
-/// pay only for the new signatures.
-///
-/// The cache is shared by every `Verifier` cloned from one
-/// [`KeyRegistry`] (all actors of one simulated run), which is sound
-/// because signature validity depends only on the registry's keys, never
-/// on who is asking. It is a pure runtime optimization: accept/reject
-/// behavior is bit-identical with or without it.
-///
-/// A cache may additionally be shared *across* registries via
-/// [`KeyRegistry::with_shared_cache`], but only when every participating
-/// registry is built from the same `(n, seed, kind)` — keys are derived
-/// purely from the seed, so such registries agree on which chains verify
-/// and a digest cached by one is a sound skip for all. The service layer
-/// uses this to verify repeated signer prefixes once fleet-wide across
-/// concurrent BA instances of one cluster identity. Sharing across
-/// *different* seeds would be unsound (a digest valid under one key set
-/// would skip verification under another) and must not be done.
-///
-/// # Deferred (phase-snapshot) mode
-///
-/// With immediate writes, the cache's hit/miss pattern — and therefore the
-/// per-run work counters — depends on the order in which actors verify
-/// chains *within* one simulation phase. A parallel engine stepping actors
-/// on worker threads cannot reproduce the sequential order, so the
-/// counters would become schedule-dependent. [`Self::set_deferred`]
-/// switches the cache to snapshot semantics: lookups see only the state
-/// the cache had at the last [`Self::flush_pending`] (the engine flushes
-/// at every phase barrier), and inserts accumulate in a pending buffer
-/// until that flush. Every actor in a phase then observes the same cache
-/// state no matter how the phase is scheduled, making
-/// hit/miss/verification counts byte-identical for any thread count.
-/// Deferred mode never changes accept/reject outcomes — only which
-/// verifications are skipped as redundant.
-///
-/// # Sharding
-///
-/// The digest set is split across [`CACHE_SHARDS`] independently locked
-/// shards so that worker threads verifying different chains in the same
-/// phase do not serialize on one mutex. A digest's shard is a pure
-/// function of its bytes (an XOR fold), so which shard holds which digest
-/// — and therefore every hit/miss decision and every per-shard cap-clear
-/// decision — is schedule-independent: sharding changes contention, never
-/// counters.
-#[derive(Debug)]
-pub struct VerifierCache {
-    shards: Vec<CacheShard>,
-    /// Whether inserts are currently buffered instead of applied.
-    deferred: AtomicBool,
-    /// Per-shard entry bound; a shard at its cap is cleared before the next
-    /// insert (the cheap whole-shard eviction). Configurable so long
-    /// multi-instance runs can trade hit rate for memory.
-    shard_cap: AtomicUsize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    /// Total digests discarded by cap-clears since creation.
-    evictions: AtomicU64,
-}
-
+/// A stand-in for the verified-prefix memo [`Chain::verify`](crate::Chain::verify)
+/// no longer has: a verify is a barrier-stamp hit or a full O(L) check.
+/// `benchmark/` still constructs one; the `benchmark` PR that drops those
+/// calls deletes it.
+#[deprecated(note = "there is no verifier cache; remove the call")]
 #[derive(Debug, Default)]
-struct CacheShard {
-    verified: Mutex<HashSet<[u8; DIGEST_LEN]>>,
-    /// Inserts buffered while in deferred mode, applied at the next flush.
-    /// Duplicates are fine (the target is a set); only the *multiset* of
-    /// buffered digests must be schedule-independent, which it is because
-    /// each actor's verifications are deterministic.
-    pending: Mutex<Vec<[u8; DIGEST_LEN]>>,
-    /// Digests a lookup reused since the last flush: the *hot* prefixes.
-    /// A cap-clear retains these instead of wiping the whole shard, so
-    /// eviction under cap pressure can no longer discard a digest that the
-    /// very next verification in the same tick would redundantly re-hash.
-    /// The set is schedule independent (a phase's reused prefixes are a
-    /// deterministic union over actors) and is reset at every flush
-    /// boundary, so it pins at most one flush window's working set.
-    touched: Mutex<HashSet<[u8; DIGEST_LEN]>>,
-}
+pub struct VerifierCache;
 
-impl CacheShard {
-    /// Evicts down to the touched-this-flush pin set, charging the removed
-    /// entries to `evictions`. The pin set survives the clear (repeated
-    /// overflow within one flush window must not strip the pins) and is
-    /// reset only at flush boundaries — except when it has itself grown to
-    /// `cap`, where everything is wiped so the cap keeps bounding memory
-    /// even for immediate-mode callers that never flush.
-    fn evict_keeping_touched(
-        &self,
-        verified: &mut HashSet<[u8; DIGEST_LEN]>,
-        evictions: &AtomicU64,
-        cap: usize,
-    ) {
-        let mut touched = self.touched.lock().expect("verifier cache poisoned");
-        let before = verified.len();
-        if touched.is_empty() || touched.len() >= cap {
-            verified.clear();
-            touched.clear();
-        } else {
-            verified.retain(|d| touched.contains(d));
-        }
-        evictions.fetch_add((before - verified.len()) as u64, Ordering::Relaxed);
-    }
-}
-
-/// Number of independently locked cache shards.
-pub const CACHE_SHARDS: usize = 16;
-
-/// Default bound on cached digests; a shard is cleared when full so a long
-/// sweep cannot grow memory without bound (32 B/entry → ≤ 2 MiB total).
-const CACHE_CAP: usize = 1 << 16;
-
-/// Default per-shard digest bound (see
-/// [`VerifierCache::set_shard_cap`] for overriding it).
-const SHARD_CAP: usize = CACHE_CAP / CACHE_SHARDS;
-
-/// A digest's home shard: XOR fold of all bytes. Content-determined, so
-/// shard placement is identical for any scheduling of the inserts.
-fn shard_of(digest: &[u8; DIGEST_LEN]) -> usize {
-    digest.iter().fold(0u8, |acc, b| acc ^ b) as usize % CACHE_SHARDS
-}
-
-impl Default for VerifierCache {
-    fn default() -> Self {
-        VerifierCache::new()
-    }
-}
-
+#[allow(deprecated)]
 impl VerifierCache {
-    /// Creates an empty cache with the default per-shard cap.
+    /// The stand-in; it holds nothing.
     pub fn new() -> Self {
-        Self::with_shard_cap(SHARD_CAP)
-    }
-
-    /// Creates an empty cache whose shards each hold at most `cap` digests
-    /// (clamped to at least 1).
-    pub fn with_shard_cap(cap: usize) -> Self {
-        VerifierCache {
-            shards: (0..CACHE_SHARDS).map(|_| CacheShard::default()).collect(),
-            deferred: AtomicBool::new(false),
-            shard_cap: AtomicUsize::new(cap.max(1)),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-        }
-    }
-
-    /// Reconfigures the per-shard entry bound (clamped to at least 1).
-    /// Shards over the new cap are cleared lazily on their next insert, so
-    /// this is O(1) and safe to call mid-run.
-    pub fn set_shard_cap(&self, cap: usize) {
-        self.shard_cap.store(cap.max(1), Ordering::Relaxed);
-    }
-
-    /// The current per-shard entry bound.
-    pub fn shard_cap(&self) -> usize {
-        self.shard_cap.load(Ordering::Relaxed)
-    }
-
-    /// Returns the largest index `i` such that `digests[i]` is a known
-    /// verified prefix, scanning longest-first. Records a hit (some prefix
-    /// was reusable) or a miss on this cache *and* on the thread-local
-    /// [`CryptoStats`](crate::stats::CryptoStats) counters.
-    pub fn longest_verified_prefix(&self, digests: &[[u8; DIGEST_LEN]]) -> Option<usize> {
-        let found = digests.iter().rposition(|d| {
-            self.shards[shard_of(d)]
-                .verified
-                .lock()
-                .expect("verifier cache poisoned")
-                .contains(d)
-        });
-        match found {
-            Some(i) => {
-                // Pin the reused prefix against cap-clears until the next
-                // flush: evicting a digest that lookups in the same tick
-                // still depend on would force a redundant re-hash.
-                let d = &digests[i];
-                self.shards[shard_of(d)]
-                    .touched
-                    .lock()
-                    .expect("verifier cache poisoned")
-                    .insert(*d);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                crate::stats::record_cache_hit();
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                crate::stats::record_cache_miss();
-            }
-        }
-        found
-    }
-
-    /// Marks every digest in `digests` as a verified prefix. In deferred
-    /// mode the digests only become visible to lookups at the next
-    /// [`flush_pending`](Self::flush_pending).
-    pub fn insert_verified(&self, digests: &[[u8; DIGEST_LEN]]) {
-        let deferred = self.deferred.load(Ordering::Acquire);
-        for d in digests {
-            let shard = &self.shards[shard_of(d)];
-            if deferred {
-                shard
-                    .pending
-                    .lock()
-                    .expect("verifier cache poisoned")
-                    .push(*d);
-                continue;
-            }
-            let cap = self.shard_cap();
-            let mut verified = shard.verified.lock().expect("verifier cache poisoned");
-            if verified.len() >= cap {
-                shard.evict_keeping_touched(&mut verified, &self.evictions, cap);
-            }
-            verified.insert(*d);
-        }
-    }
-
-    /// Records a barrier-verification stamp hit (see
-    /// [`Chain::verify_at_barrier`](crate::Chain::verify_at_barrier)) on this
-    /// cache's hit counter and the thread-local
-    /// [`CryptoStats`](crate::stats::CryptoStats) counters: the stamp is
-    /// this cache's O(1) front end, so its reuse counts as cache reuse.
-    pub(crate) fn note_stamp_hit(&self) {
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        crate::stats::record_cache_hit();
-    }
-
-    /// Switches between immediate writes (the default) and deferred
-    /// phase-snapshot writes (see the type docs). Turning deferred mode
-    /// *off* flushes any buffered inserts.
-    pub fn set_deferred(&self, deferred: bool) {
-        self.deferred.store(deferred, Ordering::Release);
-        if !deferred {
-            self.flush_pending();
-        }
-    }
-
-    /// Whether inserts are currently deferred.
-    pub fn is_deferred(&self) -> bool {
-        self.deferred.load(Ordering::Acquire)
-    }
-
-    /// Publishes all buffered inserts to lookups — the simulation engine's
-    /// phase barrier. Each shard's buffer is applied as one batch so the
-    /// cap-clear decision depends only on the (schedule-independent)
-    /// per-shard buffered digests, never on intra-phase ordering.
-    pub fn flush_pending(&self) {
-        for shard in &self.shards {
-            let mut pending = shard.pending.lock().expect("verifier cache poisoned");
-            if pending.is_empty() {
-                // Flush is still a tick boundary: expire the shard's pins
-                // so a quiet phase does not extend their lifetime.
-                shard
-                    .touched
-                    .lock()
-                    .expect("verifier cache poisoned")
-                    .clear();
-                continue;
-            }
-            let cap = self.shard_cap();
-            let mut verified = shard.verified.lock().expect("verifier cache poisoned");
-            if verified.len() + pending.len() > cap {
-                shard.evict_keeping_touched(&mut verified, &self.evictions, cap);
-            }
-            // Flush is the pin boundary: the window's pins expire here.
-            shard
-                .touched
-                .lock()
-                .expect("verifier cache poisoned")
-                .clear();
-            verified.extend(pending.drain(..));
-        }
-    }
-
-    /// Number of lookups that found a reusable verified prefix (including
-    /// O(1) stamp hits).
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Number of lookups that found nothing.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Total digests discarded by per-shard cap-clears. A steadily climbing
-    /// value means the working set exceeds the configured bound and the
-    /// cap (see [`set_shard_cap`](Self::set_shard_cap)) is costing hits.
-    pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
-    }
-
-    /// Fraction of lookups that hit (`0.0` before any lookup).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits() + self.misses();
-        if total == 0 {
-            0.0
-        } else {
-            self.hits() as f64 / total as f64
-        }
-    }
-
-    /// Number of digests currently cached, across all shards.
-    pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.verified.lock().expect("verifier cache poisoned").len())
-            .sum()
-    }
-
-    /// Whether the cache holds no digests.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        VerifierCache
     }
 }
 
@@ -470,7 +160,6 @@ struct RegistryInner {
     hmac_keys: Vec<HmacKey>,
     fast_keys: Vec<u64>,
     kind: SchemeKind,
-    cache: Arc<VerifierCache>,
     /// Process-unique instance token; the barrier-verification stamp on a
     /// signature-chain buffer (see
     /// [`Chain::verify_at_barrier`](crate::Chain::verify_at_barrier)) mixes it in
@@ -510,41 +199,22 @@ pub struct KeyRegistry {
 
 impl KeyRegistry {
     /// Creates a registry for `n` processors with secrets derived from
-    /// `seed`.
+    /// `seed`. Only [`SchemeKind::Hmac`] derives HMAC secrets (one SHA-256
+    /// per identity); a [`SchemeKind::Fast`] registry never reads them.
     pub fn new(n: usize, seed: u64, kind: SchemeKind) -> Self {
-        Self::with_shared_cache(n, seed, kind, Arc::new(VerifierCache::new()))
-    }
-
-    /// Like [`new`](Self::new) but installing `cache` as the registry's
-    /// chain-verification cache instead of a fresh one.
-    ///
-    /// Sharing one cache across registries is sound **only** when every
-    /// registry handed the cache is built with the same `(n, seed, kind)`
-    /// (see the cross-registry paragraph in [`VerifierCache`]'s docs); the
-    /// caller owns that invariant. Barrier-verification stamps never cross
-    /// registries regardless — each registry keeps its own token.
-    pub fn with_shared_cache(
-        n: usize,
-        seed: u64,
-        kind: SchemeKind,
-        cache: Arc<VerifierCache>,
-    ) -> Self {
-        let mut hmac_keys = Vec::new();
-        let mut fast_keys = Vec::with_capacity(n);
+        let hmac_keys = match kind {
+            SchemeKind::Hmac => (0..n)
+                .map(|id| HmacKey::new(&hmac_secret(seed, id)))
+                .collect(),
+            SchemeKind::Fast => Vec::new(),
+        };
         let mut state = seed ^ 0xA076_1D64_78BD_642F;
-        for id in 0..n {
-            let secret = hmac_secret(seed, id);
-            if kind == SchemeKind::Hmac {
-                hmac_keys.push(HmacKey::new(&secret));
-            }
-            fast_keys.push(splitmix64(&mut state) | 1);
-        }
+        let fast_keys = (0..n).map(|_| splitmix64(&mut state) | 1).collect();
         KeyRegistry {
             inner: Arc::new(RegistryInner {
                 hmac_keys,
                 fast_keys,
                 kind,
-                cache,
                 token: NEXT_REGISTRY_TOKEN.fetch_add(1, Ordering::Relaxed),
             }),
         }
@@ -587,18 +257,6 @@ impl KeyRegistry {
         Verifier {
             registry: self.clone(),
         }
-    }
-
-    /// The chain-verification cache shared by every verifier over this
-    /// registry.
-    pub fn cache(&self) -> &VerifierCache {
-        &self.inner.cache
-    }
-
-    /// An owned handle to the same cache, for installing it into further
-    /// registries via [`with_shared_cache`](Self::with_shared_cache).
-    pub fn shared_cache(&self) -> Arc<VerifierCache> {
-        Arc::clone(&self.inner.cache)
     }
 
     /// This registry instance's unique barrier-verification token (see
@@ -704,12 +362,6 @@ impl Verifier {
     /// Whether the underlying registry is empty.
     pub fn is_empty(&self) -> bool {
         self.registry.is_empty()
-    }
-
-    /// The chain-verification cache shared with every verifier over the
-    /// same registry.
-    pub fn cache(&self) -> &VerifierCache {
-        self.registry.cache()
     }
 
     /// The underlying registry's barrier-verification token.
@@ -843,232 +495,6 @@ mod tests {
     fn signer_out_of_range_panics() {
         let reg = KeyRegistry::new(2, 0, SchemeKind::Fast);
         let _ = reg.signer(ProcessId(2));
-    }
-
-    #[test]
-    fn cache_tracks_prefixes_and_hit_rate() {
-        let cache = VerifierCache::new();
-        let d1 = [1u8; 32];
-        let d2 = [2u8; 32];
-        let d3 = [3u8; 32];
-        assert!(cache.is_empty());
-        assert_eq!(cache.longest_verified_prefix(&[d1, d2]), None);
-        cache.insert_verified(&[d1, d2]);
-        assert_eq!(cache.len(), 2);
-        // Longest cached prefix wins, even when a shorter one is also cached.
-        assert_eq!(cache.longest_verified_prefix(&[d1, d2, d3]), Some(1));
-        assert_eq!(cache.hits(), 1);
-        assert_eq!(cache.misses(), 1);
-        assert_eq!(cache.hit_rate(), 0.5);
-    }
-
-    #[test]
-    fn cache_clears_when_full_instead_of_growing() {
-        // The bounded-memory invariant, now per shard: no matter how many
-        // distinct digests are inserted, no shard exceeds its cap (so the
-        // whole cache never exceeds CACHE_CAP entries).
-        let cache = VerifierCache::new();
-        let mut digest = [0u8; 32];
-        for i in 0..(2 * CACHE_CAP as u64) {
-            digest[..8].copy_from_slice(&i.to_be_bytes());
-            cache.insert_verified(&[digest]);
-            if i % 4096 == 0 {
-                assert!(cache.len() <= CACHE_CAP, "after {} inserts", i + 1);
-            }
-        }
-        assert!(cache.len() <= CACHE_CAP);
-        assert!(!cache.is_empty());
-
-        // A shard at its cap clears and keeps only the overflowing digest:
-        // hammer one shard (constant XOR fold) past SHARD_CAP.
-        let cache = VerifierCache::new();
-        let mut digest = [0u8; 32];
-        for i in 0..(SHARD_CAP as u16) {
-            digest[..2].copy_from_slice(&i.to_be_bytes());
-            digest[2] = (i & 0xFF) as u8 ^ (i >> 8) as u8; // keep fold 0
-            cache.insert_verified(&[digest]);
-        }
-        assert_eq!(cache.len(), SHARD_CAP);
-        let i = SHARD_CAP as u16;
-        digest[..2].copy_from_slice(&i.to_be_bytes());
-        digest[2] = (i & 0xFF) as u8 ^ (i >> 8) as u8;
-        cache.insert_verified(&[digest]);
-        assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
-    fn deferred_inserts_invisible_until_flush() {
-        let cache = VerifierCache::new();
-        cache.set_deferred(true);
-        assert!(cache.is_deferred());
-        let d = [9u8; 32];
-        cache.insert_verified(&[d]);
-        // Buffered, not published: lookups still miss.
-        assert_eq!(cache.len(), 0);
-        assert_eq!(cache.longest_verified_prefix(&[d]), None);
-        cache.flush_pending();
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.longest_verified_prefix(&[d]), Some(0));
-    }
-
-    #[test]
-    fn disabling_deferred_mode_flushes() {
-        let cache = VerifierCache::new();
-        cache.set_deferred(true);
-        cache.insert_verified(&[[4u8; 32]]);
-        assert_eq!(cache.len(), 0);
-        cache.set_deferred(false);
-        assert!(!cache.is_deferred());
-        assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
-    fn deferred_flush_applies_cap_as_one_batch() {
-        // Fill one shard (constant XOR fold of 0) to its cap…
-        let fold0 = |i: u16| {
-            let mut d = [0u8; 32];
-            d[..2].copy_from_slice(&i.to_be_bytes());
-            d[2] = (i & 0xFF) as u8 ^ (i >> 8) as u8;
-            d
-        };
-        let cache = VerifierCache::new();
-        for i in 0..(SHARD_CAP as u16) {
-            cache.insert_verified(&[fold0(i)]);
-        }
-        assert_eq!(cache.len(), SHARD_CAP);
-        cache.set_deferred(true);
-        // …then buffer two more for the same shard; combined they overflow
-        // its cap, so the flush clears the shard once and then applies the
-        // whole batch.
-        cache.insert_verified(&[fold0(SHARD_CAP as u16)]);
-        cache.insert_verified(&[fold0(SHARD_CAP as u16 + 1)]);
-        cache.flush_pending();
-        assert_eq!(cache.len(), 2);
-    }
-
-    #[test]
-    fn sharding_never_changes_lookup_outcomes() {
-        // Digests land in content-determined shards; lookups agree with a
-        // reference (unsharded) set over many mixed inserts.
-        let cache = VerifierCache::new();
-        let mut reference = HashSet::new();
-        let digest = |i: u64| {
-            let mut d = [0u8; 32];
-            d[..8].copy_from_slice(&i.to_be_bytes());
-            d[8..16].copy_from_slice(&i.wrapping_mul(0x9E37_79B9).to_be_bytes());
-            d
-        };
-        for i in 0..512u64 {
-            if i % 3 != 0 {
-                cache.insert_verified(&[digest(i)]);
-                reference.insert(digest(i));
-            }
-        }
-        for i in 0..512u64 {
-            let found = cache.longest_verified_prefix(&[digest(i)]).is_some();
-            assert_eq!(found, reference.contains(&digest(i)), "digest {i}");
-        }
-    }
-
-    #[test]
-    fn cap_clears_count_as_evictions() {
-        let cache = VerifierCache::with_shard_cap(4);
-        assert_eq!(cache.shard_cap(), 4);
-        // Hammer one shard (constant XOR fold of 0) well past its cap.
-        let fold0 = |i: u16| {
-            let mut d = [0u8; 32];
-            d[..2].copy_from_slice(&i.to_be_bytes());
-            d[2] = (i & 0xFF) as u8 ^ (i >> 8) as u8;
-            d
-        };
-        for i in 0..9 {
-            cache.insert_verified(&[fold0(i)]);
-        }
-        // Inserts 5 and 9 each found the shard full: two clears of 4.
-        assert_eq!(cache.evictions(), 8);
-        assert_eq!(cache.len(), 1);
-
-        // The deferred flush path counts its clear too.
-        cache.set_deferred(true);
-        for i in 9..13 {
-            cache.insert_verified(&[fold0(i)]);
-        }
-        cache.flush_pending();
-        assert_eq!(cache.evictions(), 9);
-    }
-
-    #[test]
-    fn cap_clear_retains_digests_touched_this_flush() {
-        // Regression: a shard at its cap used to clear *everything*,
-        // including a digest a lookup had reused moments earlier in the
-        // same flush window — the next verification depending on that
-        // prefix then redundantly re-verified the whole chain. A reused
-        // digest is now pinned until the next flush boundary.
-        let cache = VerifierCache::with_shard_cap(2);
-        let fold0 = |i: u16| {
-            let mut d = [0u8; 32];
-            d[..2].copy_from_slice(&i.to_be_bytes());
-            d[2] = (i & 0xFF) as u8 ^ (i >> 8) as u8; // keep fold 0
-            d
-        };
-        let hot = fold0(0);
-        cache.insert_verified(&[hot]);
-        // A lookup reuses `hot`, pinning it for this flush window.
-        assert_eq!(cache.longest_verified_prefix(&[hot]), Some(0));
-        // Cap pressure in the same window: the shard overflows and
-        // clears — but must keep the pinned digest.
-        cache.insert_verified(&[fold0(1)]);
-        cache.insert_verified(&[fold0(2)]);
-        assert!(cache.evictions() > 0);
-        assert_eq!(
-            cache.longest_verified_prefix(&[hot]),
-            Some(0),
-            "cap-clear evicted a digest reused this flush"
-        );
-        // The pin expires at the flush boundary, so the cap still bounds
-        // memory: after a flush an untouched `hot` is evictable again.
-        cache.flush_pending();
-        cache.insert_verified(&[fold0(3)]);
-        assert_eq!(cache.longest_verified_prefix(&[hot]), None);
-    }
-
-    #[test]
-    fn shard_cap_reconfigurable_mid_run() {
-        let cache = VerifierCache::new();
-        assert_eq!(cache.shard_cap(), SHARD_CAP);
-        cache.set_shard_cap(0); // clamped
-        assert_eq!(cache.shard_cap(), 1);
-        let fold0 = |i: u16| {
-            let mut d = [0u8; 32];
-            d[..2].copy_from_slice(&i.to_be_bytes());
-            d[2] = (i & 0xFF) as u8 ^ (i >> 8) as u8;
-            d
-        };
-        cache.insert_verified(&[fold0(0)]);
-        cache.insert_verified(&[fold0(1)]);
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.evictions(), 1);
-    }
-
-    #[test]
-    fn shared_cache_spans_same_seed_registries() {
-        let a = KeyRegistry::new(3, 11, SchemeKind::Fast);
-        let b = KeyRegistry::with_shared_cache(3, 11, SchemeKind::Fast, a.shared_cache());
-        a.cache().insert_verified(&[[5u8; 32]]);
-        assert_eq!(b.cache().len(), 1);
-        // Distinct registries still get distinct batch tokens, so chain
-        // stamps cannot cross even with a shared cache.
-        assert_ne!(a.batch_token(), b.batch_token());
-    }
-
-    #[test]
-    fn cache_is_shared_across_verifier_clones() {
-        let reg = KeyRegistry::new(2, 0, SchemeKind::Fast);
-        let v1 = reg.verifier();
-        let v2 = reg.verifier();
-        v1.cache().insert_verified(&[[7u8; 32]]);
-        assert_eq!(v2.cache().len(), 1);
-        assert_eq!(reg.cache().len(), 1);
     }
 
     mod props {

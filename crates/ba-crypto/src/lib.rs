@@ -29,7 +29,7 @@
 //!   [`Bytes`] buffer type;
 //! * [`rng`], [`testkit`], [`stats`] — a seedable splitmix64 generator, a
 //!   deterministic property-test harness, and thread-local work counters
-//!   (hash invocations, signature verifications, cache hits) so the
+//!   (hash invocations, signature verifications, stamp hits) so the
 //!   simulation can account for cryptographic cost precisely.
 //!
 //! Two interchangeable schemes are offered (see [`keys::SchemeKind`]):
@@ -66,7 +66,9 @@ pub mod wire;
 
 pub use chain::Chain;
 pub use error::CryptoError;
-pub use keys::{KeyRegistry, SchemeKind, Signature, Signer, Verifier, VerifierCache};
+#[allow(deprecated)]
+pub use keys::VerifierCache;
+pub use keys::{KeyRegistry, SchemeKind, Signature, Signer, Verifier};
 pub use stats::CryptoStats;
 pub use wire::Bytes;
 

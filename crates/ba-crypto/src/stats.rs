@@ -2,7 +2,8 @@
 //!
 //! Signature-chain verification dominates every simulated run, so the
 //! substrate counts its own work: SHA-256 digest computations, tag
-//! operations (sign + verify) and verifier-cache hits/misses. The counters
+//! operations (sign + verify), and how each chain verification went —
+//! barrier-stamp hit or full check. The counters
 //! are **thread-local**: a parameter sweep running cells on worker threads
 //! gets exact per-cell deltas with no cross-cell interference, which keeps
 //! the printed per-run numbers byte-identical between sequential and
@@ -11,8 +12,7 @@
 //! The simulation engine snapshots these around every phase and folds the
 //! deltas into `ba_sim::Metrics`-style accounting; tests use them to
 //! assert the asymptotics (an L-signature chain must verify in O(L) hash
-//! invocations, and a cached re-verification of an extended chain must pay
-//! only for the new signatures).
+//! invocations, and a stamped one in none).
 
 use std::cell::Cell;
 
@@ -65,9 +65,13 @@ pub struct CryptoStats {
     pub tag_ops: u64,
     /// Individual signature verifications performed by a `Verifier`.
     pub sig_verifications: u64,
-    /// Chain verifications that resumed from a cached verified prefix.
+    /// Chain verifications answered by a barrier stamp in O(1) (see
+    /// `Chain::verify_at_barrier`). The name predates the stamp: it
+    /// counted verifier-cache hits when there was a cache.
     pub cache_hits: u64,
-    /// Chain verifications that found no cached prefix.
+    /// Full chain verifications: every signature checked against its
+    /// prefix digest (`Chain::verify_uncached`, and `Chain::verify`
+    /// without a stamp).
     pub cache_misses: u64,
 }
 
@@ -109,7 +113,7 @@ impl CryptoStats {
         }
     }
 
-    /// Fraction of chain verifications that hit the cache (`0.0` when no
+    /// Fraction of chain verifications answered by a stamp (`0.0` when no
     /// verification ran).
     pub fn cache_hit_rate(&self) -> f64 {
         let total = self.cache_hits + self.cache_misses;

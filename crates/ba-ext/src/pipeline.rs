@@ -43,8 +43,8 @@ pub(crate) trait StageRunner {
     fn threads(&self) -> usize;
 
     /// Drives `actors` through `phases` phases (plus finalize) as `stage`,
-    /// with `registry`'s verifier cache shared for the run and at most
-    /// `fault_budget` observable faults tolerated.
+    /// verifying delivered chains against `registry` at every barrier and
+    /// tolerating at most `fault_budget` observable faults.
     fn run<P: Payload + 'static>(
         &mut self,
         stage: ExtStage,

@@ -24,7 +24,7 @@
 //! [`links`](PhaseDriver::links), `(from, to)` per frame. The caller owns
 //! what happens *between* the two calls (a session counts every
 //! instance's links into per-link flushes) and around them (tickets,
-//! timestamps, the verifier cache's flush cadence).
+//! timestamps).
 //!
 //! # Fault containment
 //!

@@ -8,11 +8,10 @@ use crate::runtime::{NetConfig, NetRuntime};
 use crate::svc::{BaService, InstanceRun, InstanceSpec, SvcConfig};
 use crate::verdict::{DegradationVerdict, NetStats};
 use ba_algos::checkable::{CheckConfig, CheckTarget};
-use ba_crypto::{Chain, ProcessId, Value, VerifierCache};
+use ba_crypto::{Chain, ProcessId, Value};
 use ba_sim::schedule::ScheduleError;
 use ba_sim::trace::Trace;
 use ba_sim::{check_byzantine_agreement, AgreementViolation, Metrics, RunOutcome, RunVerdict};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Why a net-driven check run produced no decisions.
@@ -121,25 +120,16 @@ pub struct MultiplexRun {
     pub ticks: u64,
     /// Wall-clock duration of the whole service run.
     pub elapsed: Duration,
-    /// Verifier-cache counters of the fleet-shared cache after the run:
-    /// `(hits, misses, evictions)`.
-    pub cache: (u64, u64, u64),
 }
 
 /// Runs one instance of `target` per entry of `cfgs` through the
 /// multiplexing service ([`BaService`]): pipelined phases, shared-wire
-/// batched flushes, one fleet-shared verifier cache. Every config must
-/// share `n` and `seed` — the service's "one cluster identity" invariant
-/// that makes cache sharing sound; values and schedules may differ per
-/// instance.
+/// batched flushes.
 ///
 /// Instance `i` draws chaos fates from
 /// [`instance_seed`](crate::svc::instance_seed)`(chaos.seed, i)`, so its
 /// outcome is byte-identical to [`run_target`] under
 /// `chaos.reseeded(instance_seed(chaos.seed, i))`.
-///
-/// # Panics
-/// When `cfgs` mix different `n` or `seed` values.
 ///
 /// # Errors
 /// [`NetRunError::Schedule`] when any instance's schedule does not
@@ -151,18 +141,9 @@ pub fn run_target_multiplexed(
     svc: &SvcConfig,
     chaos: &ChaosProfile,
 ) -> Result<MultiplexRun, NetRunError> {
-    if let Some(first) = cfgs.first() {
-        assert!(
-            cfgs.iter().all(|c| c.n == first.n && c.seed == first.seed),
-            "multiplexed instances must share one cluster identity (n, seed)"
-        );
-    }
-    let cache = Arc::new(VerifierCache::new());
     let mut specs = Vec::with_capacity(cfgs.len());
     for cfg in cfgs {
-        let setup = target
-            .build_shared(cfg, &cache)
-            .map_err(NetRunError::Schedule)?;
+        let setup = target.build(cfg).map_err(NetRunError::Schedule)?;
         specs.push(InstanceSpec {
             actors: setup.actors,
             phases: setup.phases,
@@ -173,9 +154,7 @@ pub fn run_target_multiplexed(
     }
     let mut cfg_svc = svc.clone();
     cfg_svc.queue_capacity = cfg_svc.queue_capacity.max(specs.len());
-    let service = BaService::new(cfg_svc)
-        .with_chaos(chaos.clone())
-        .with_shared_cache(Arc::clone(&cache));
+    let service = BaService::new(cfg_svc).with_chaos(chaos.clone());
     let mut session = service.session();
     for spec in specs {
         session
@@ -196,7 +175,6 @@ pub fn run_target_multiplexed(
         stats: report.stats,
         ticks: report.ticks,
         elapsed: report.elapsed,
-        cache: (cache.hits(), cache.misses(), cache.evictions()),
     })
 }
 

@@ -36,7 +36,7 @@
 //!   open-loop API (`session`/`submit`/`tick`/`try_outcome`/`drain`) over
 //!   many concurrent BA instances — one driver per ticket, the same code
 //!   the standalone runtime runs — with pipelined phases on one wire,
-//!   per-link flush accounting, a fleet-shared verifier cache, per-instance
+//!   per-link flush accounting, per-instance
 //!   degradation verdicts, and explicit admission control — a bounded
 //!   queue with reject / shed-oldest / block-with-deadline backpressure,
 //!   every decision recorded as a structured [`AdmissionVerdict`].

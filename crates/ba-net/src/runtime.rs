@@ -48,9 +48,7 @@
 //! `Metrics` recording, the inbox fill and barrier verification
 //! ([`Chain::verify_at_barrier`](ba_crypto::Chain::verify_at_barrier),
 //! against the registry passed via [`NetRuntime::with_registry`]) are the
-//! core's, and the wire is the only variable. That registry's verifier
-//! cache runs in the same deferred phase-snapshot mode, flushed once per
-//! phase.
+//! core's, and the wire is the only variable.
 //!
 //! [`WorkerStalled`]: crate::verdict::DegradationReason::WorkerStalled
 //! [`FaultBudgetExceeded`]: crate::verdict::DegradationReason::FaultBudgetExceeded
@@ -193,8 +191,7 @@ impl<P: Payload + 'static> NetRuntime<P> {
 
     /// Declares the [`KeyRegistry`] this run's actors sign and verify
     /// under; mirrors [`Simulation::with_registry`] — barrier verification
-    /// of every delivered chain, and the verifier cache in deferred
-    /// phase-snapshot mode so crypto counters stay schedule-independent.
+    /// of every delivered chain.
     ///
     /// [`Simulation::with_registry`]: ba_sim::Simulation::with_registry
     pub fn with_registry(mut self, registry: &KeyRegistry) -> Self {
@@ -233,30 +230,19 @@ impl<P: Payload + 'static> NetRuntime<P> {
             phases,
             fault_budget: config.fault_budget,
             link_drops,
-            registry: registry.clone(),
+            registry,
         };
         let mut driver = PhaseDriver::new(spec, chaos.seed, Some(config.phase_timeout));
-        let cache = registry.as_ref().map(KeyRegistry::cache);
-        if let Some(cache) = cache {
-            cache.set_deferred(true);
-        }
         let mut scratch = WireScratch::default();
-        let result = loop {
+        loop {
             driver.step(config.threads);
             // A standalone runtime flushes each frame as its own wire
             // send; only the service layer coalesces.
             driver.note_solo_flushes();
             if let Some(result) = driver.deliver(&chaos, policy, &mut scratch).transpose() {
-                break result;
+                return result;
             }
-            if let Some(cache) = cache {
-                cache.flush_pending();
-            }
-        };
-        if let Some(cache) = cache {
-            cache.set_deferred(false);
         }
-        result
     }
 }
 

@@ -1,6 +1,6 @@
 //! `ba-svc`: the multi-instance BA service — many concurrent agreement
-//! instances over one wire, one worker pool and one verifier cache, behind
-//! an open-loop session API with explicit admission control.
+//! instances over one wire and one worker pool, behind an open-loop
+//! session API with explicit admission control.
 //!
 //! The paper bounds the information exchange of a *single* agreement; a
 //! serving system runs one instance per client request, amortizes the
@@ -33,7 +33,7 @@
 //!   [`SvcConfig::admit_per_tick`] queued instances and advances *every*
 //!   in-flight instance by one phase, so instance `k + 1`'s phase 1
 //!   overlaps instance `k`'s phase 2: the coordination cost of a tick (one
-//!   pool fan-out, one cache flush) is paid once for the whole fleet.
+//!   pool fan-out) is paid once for the whole fleet.
 //! * **Shared-wire batching** — all instances' frames for one directed
 //!   link share a single flush per tick. The session *counts* them — each
 //!   driver's links, summed per directed link, one
@@ -41,12 +41,6 @@
 //!   standalone runtime's one-send-per-frame behaviour shows up as
 //!   `solo_flushes`) — and never holds a frame: frames stay in their
 //!   instance's arena from staging to inbox.
-//! * **Shared verifier cache** — built with
-//!   [`BaService::with_shared_cache`], every instance's registry shares
-//!   one sharded [`VerifierCache`], so a signer prefix verified by any
-//!   instance is a cache hit fleet-wide. Sound only because all instances
-//!   of one service share a cluster identity (same registry seed); see
-//!   [`KeyRegistry::with_shared_cache`](ba_crypto::keys::KeyRegistry::with_shared_cache).
 //! * **Barrier verification at the flush boundary** — like every driver,
 //!   the service verifies each distinct signature chain a flush delivers
 //!   *once* against the instance's [`InstanceSpec::registry`] and stamps
@@ -65,8 +59,8 @@
 //! `driver` module: [`ba_sim::PhaseCore`] plus the wire) — the same code a
 //! standalone [`NetRuntime`](crate::runtime::NetRuntime) runs as its single
 //! instance. The session adds only what is fleet-level: tickets and
-//! timestamps, admission, the per-link flush count between a driver's
-//! step and its wire delivery, and the shared cache's flush cadence.
+//! timestamps, admission, and the per-link flush count between a driver's
+//! step and its wire delivery.
 //!
 //! # Determinism
 //!
@@ -77,9 +71,10 @@
 //! to a standalone run under
 //! [`ChaosProfile::reseeded`]`(instance_seed(seed, ticket))`, at any
 //! worker count: batching changes *when* frames share a physical flush,
-//! never which frames exist or what fate each one rolls. The shared cache
-//! runs in deferred mode and flushes once per service tick, so the
-//! session's own counters are also worker-count independent. Admission is
+//! never which frames exist or what fate each one rolls. Each instance
+//! verifies against its own [`InstanceSpec::registry`] and shares nothing
+//! with its neighbours, so its `Metrics`, crypto counters included, are
+//! the standalone run's too. Admission is
 //! deterministic too: the same submission schedule (which `submit`/`tick`
 //! calls in which order) yields the same tickets, the same admission
 //! verdicts and the same shed set, at any worker count — only wall-clock
@@ -125,7 +120,6 @@ use crate::verdict::{
 };
 use crate::wire::{WirePolicy, WireScratch};
 use ba_crypto::rng::{splitmix64, SimRng};
-use ba_crypto::VerifierCache;
 use ba_sim::{Payload, QueueStats, WorkerPool};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex};
@@ -476,7 +470,6 @@ impl SvcReport {
 pub struct BaService {
     config: SvcConfig,
     chaos: ChaosProfile,
-    shared_cache: Option<Arc<VerifierCache>>,
 }
 
 impl BaService {
@@ -485,7 +478,6 @@ impl BaService {
         BaService {
             config,
             chaos: ChaosProfile::reliable(),
-            shared_cache: None,
         }
     }
 
@@ -496,22 +488,19 @@ impl BaService {
         self
     }
 
-    /// Declares the verifier cache the instances' registries share. Each
-    /// session runs it in deferred mode, flushing once per tick, so
-    /// fleet-wide hit/miss counters are worker-count independent.
-    pub fn with_shared_cache(mut self, cache: Arc<VerifierCache>) -> Self {
-        self.shared_cache = Some(cache);
+    /// Returns the service unchanged: there is no verifier cache to share.
+    /// `benchmark/` still calls it; the `benchmark` PR that drops the call
+    /// deletes it.
+    #[deprecated(note = "there is no verifier cache; remove the call")]
+    #[allow(deprecated)]
+    pub fn with_shared_cache(self, _cache: Arc<ba_crypto::VerifierCache>) -> Self {
         self
     }
 
     /// Opens a long-lived session: submit instances over time, tick the
     /// service, poll tickets, drain for the report.
     pub fn session<P: Payload + 'static>(&self) -> SvcSession<P> {
-        SvcSession::new(
-            self.config.clone(),
-            self.chaos.clone(),
-            self.shared_cache.clone(),
-        )
+        SvcSession::new(self.config.clone(), self.chaos.clone())
     }
 }
 
@@ -552,7 +541,6 @@ pub enum TicketOutcome {
 pub struct SvcSession<P> {
     config: SvcConfig,
     chaos: ChaosProfile,
-    shared_cache: Option<Arc<VerifierCache>>,
     policy: WirePolicy,
     started: Instant,
     queue: VecDeque<Instance<P>>,
@@ -576,22 +564,14 @@ pub struct SvcSession<P> {
 }
 
 impl<P: Payload + 'static> SvcSession<P> {
-    fn new(
-        config: SvcConfig,
-        chaos: ChaosProfile,
-        shared_cache: Option<Arc<VerifierCache>>,
-    ) -> Self {
+    fn new(config: SvcConfig, chaos: ChaosProfile) -> Self {
         let policy = WirePolicy {
             max_retries: config.max_retries,
             deadline_ticks: config.deadline_ticks,
         };
-        if let Some(cache) = &shared_cache {
-            cache.set_deferred(true);
-        }
         SvcSession {
             config,
             chaos,
-            shared_cache,
             policy,
             started: Instant::now(),
             queue: VecDeque::new(),
@@ -716,9 +696,9 @@ impl<P: Payload + 'static> SvcSession<P> {
     /// `admit_per_tick` queued instances (bounded by `max_inflight`), step
     /// every in-flight instance one phase on the shared pool, count all
     /// staged frames into one flush per directed link, play each
-    /// instance's frames over the wire, settle the finished, and publish
-    /// this tick's verifications fleet-wide. A no-op-ish tick on an idle
-    /// session still counts (the tick counter is the session's clock).
+    /// instance's frames over the wire, and settle the finished. A
+    /// no-op-ish tick on an idle session still counts (the tick counter is
+    /// the session's clock).
     pub fn tick(&mut self) {
         // Admission: drain the queue into flight, bounded by the caps.
         let mut admitted = 0usize;
@@ -803,12 +783,6 @@ impl<P: Payload + 'static> SvcSession<P> {
                 .insert(inst.id, inst.settle(self.tick, now, result));
             false
         });
-
-        // The tick barrier publishes this tick's verifications
-        // fleet-wide, exactly like the engine's phase barrier.
-        if let Some(cache) = &self.shared_cache {
-            cache.flush_pending();
-        }
         self.tick += 1;
     }
 
@@ -873,16 +847,10 @@ impl<P: Payload + 'static> SvcSession<P> {
     }
 
     /// Runs the session to quiescence (every accepted ticket settled) and
-    /// produces the report. Restores the shared verifier cache to
-    /// immediate mode. A session abandoned without `drain` leaves the
-    /// shared cache in deferred mode — its pending verifications publish
-    /// at the next flush, so correctness is unaffected, but drain anyway.
+    /// produces the report.
     pub fn drain(mut self) -> SvcReport {
         while !self.is_idle() {
             self.tick();
-        }
-        if let Some(cache) = &self.shared_cache {
-            cache.set_deferred(false);
         }
         SvcReport {
             outcomes: std::mem::take(&mut self.settled).into_values().collect(),

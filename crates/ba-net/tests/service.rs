@@ -1,13 +1,12 @@
 //! Acceptance tests for the `ba-svc` service layer: K concurrent instances
 //! decide byte-identically to K standalone runs — at 1 and 4 workers, with
-//! and without chaos — degradation verdicts stay per-instance, flush
-//! coalescing is visible in the counters, the fleet-shared verifier cache
-//! does strictly less crypto work than isolated runs, and the open-loop
-//! session API (Poisson arrivals, bounded admission queue, backpressure)
-//! is deterministic with exact accounting.
+//! and without chaos, `Metrics` included — degradation verdicts stay
+//! per-instance, flush coalescing is visible in the counters, and the
+//! open-loop session API (Poisson arrivals, bounded admission queue,
+//! backpressure) is deterministic with exact accounting.
 
 use ba_algos::checkable::{find_target, targets, CheckConfig, CheckTarget};
-use ba_crypto::{Chain, ProcessId, Value, VerifierCache};
+use ba_crypto::{Chain, ProcessId, Value};
 use ba_net::{
     instance_seed, run_target, run_target_multiplexed, AdmissionError, AdmissionPolicy,
     AdmissionVerdict, BaService, ChaosProfile, DegradationReason, FailedLink, InstanceSpec,
@@ -16,7 +15,6 @@ use ba_net::{
 };
 use ba_sim::schedule::{FaultBehavior, ScheduleSpec};
 use ba_sim::{Actor, Inbox, Outbox};
-use std::sync::Arc;
 
 fn cfg_for(target_name: &str, value: Value, spec: ScheduleSpec) -> CheckConfig {
     let (n, t) = if target_name == "algorithm1" {
@@ -89,14 +87,9 @@ fn multiplexed_instances_match_standalone_runs_for_every_target() {
                             assert_eq!(m.correct, s.correct, "{ctx}");
                             assert_eq!(m.suspected, s.suspected, "{ctx}");
                             assert_eq!(m.agreement, s.agreement, "{ctx}");
-                            assert_eq!(
-                                m.metrics.messages_by_correct, s.metrics.messages_by_correct,
-                                "{ctx}"
-                            );
-                            assert_eq!(
-                                m.metrics.omitted_messages, s.metrics.omitted_messages,
-                                "{ctx}"
-                            );
+                            // Every counter, crypto included: an instance
+                            // shares nothing with its fleet.
+                            assert_eq!(m.metrics, s.metrics, "{ctx}");
                             assert_eq!(wire_fields(&m.stats), wire_fields(&s.stats), "{ctx}");
                         }
                         (Err(m), Err(NetRunError::Degraded(s))) => {
@@ -115,9 +108,9 @@ fn multiplexed_instances_match_standalone_runs_for_every_target() {
 
 #[test]
 fn multiplexed_runs_are_worker_count_independent() {
-    // Not just decisions: metrics (including deferred-mode crypto
-    // counters), wire stats, tick count and the fleet flush counters must
-    // be byte-identical at any worker count.
+    // Not just decisions: metrics (crypto counters included), wire stats,
+    // tick count and the fleet flush counters must be byte-identical at
+    // any worker count.
     let summarize = |mux: &MultiplexRun| {
         let per_instance: Vec<_> = mux
             .runs
@@ -135,7 +128,7 @@ fn multiplexed_runs_are_worker_count_independent() {
                 Err(v) => (None, Some((*v).clone())),
             })
             .collect();
-        (per_instance, mux.stats.clone(), mux.ticks, mux.cache)
+        (per_instance, mux.stats.clone(), mux.ticks)
     };
     for target in targets() {
         let cfgs = fleet_cfgs(target.name);
@@ -189,45 +182,6 @@ fn coalesced_flushes_are_batched_across_instances() {
     let solo = run_target_multiplexed(target, &cfgs, &serial, &ChaosProfile::reliable()).unwrap();
     assert_eq!(solo.stats.batched_flushes, 0, "{}", solo.stats);
     assert_eq!(solo.stats.frames_delivered, mux.stats.frames_delivered);
-}
-
-#[test]
-fn shared_cache_verifies_repeated_prefixes_once_fleet_wide() {
-    // Six identical instances, admitted one per tick: instance k's phase-p
-    // verifications were already published by instance k-1's identical
-    // phase-p work, so the fleet does strictly less signature verification
-    // than six isolated runs — the cache is shared, not merely present.
-    let target = find_target("ds-broadcast").unwrap();
-    let cfg = cfg_for(target.name, Value::ONE, ScheduleSpec::default());
-    let cfgs = vec![cfg.clone(); 6];
-    let svc = SvcConfig::new().with_admit_per_tick(1);
-    let mux = run_target_multiplexed(target, &cfgs, &svc, &ChaosProfile::reliable()).unwrap();
-    let mux_verifications: u64 = mux
-        .runs
-        .iter()
-        .map(|r| r.as_ref().unwrap().metrics.crypto.sig_verifications)
-        .sum();
-    let solo_verifications: u64 = (0..6)
-        .map(|_| {
-            run_target(
-                target,
-                &cfg,
-                &NetConfig::default(),
-                &ChaosProfile::reliable(),
-            )
-            .unwrap()
-            .metrics
-            .crypto
-            .sig_verifications
-        })
-        .sum();
-    assert!(
-        mux_verifications < solo_verifications,
-        "fleet-shared cache must save work: multiplexed {mux_verifications} vs isolated {solo_verifications}"
-    );
-    let (hits, _, evictions) = mux.cache;
-    assert!(hits > 0, "the shared cache must actually hit");
-    assert_eq!(evictions, 0, "this workload fits the default cap");
 }
 
 #[test]
@@ -307,16 +261,15 @@ fn latencies_and_ticks_reflect_pipelining() {
 // Open-loop session API
 // ---------------------------------------------------------------------------
 
-/// Builds the `i`-th open-loop spec (alternating values, shared cluster
-/// identity) against the session's shared cache.
-fn open_loop_spec(target: &CheckTarget, i: u64, cache: &Arc<VerifierCache>) -> InstanceSpec<Chain> {
+/// Builds the `i`-th open-loop spec (alternating values).
+fn open_loop_spec(target: &CheckTarget, i: u64) -> InstanceSpec<Chain> {
     let value = if i.is_multiple_of(2) {
         Value::ONE
     } else {
         Value::ZERO
     };
     let cfg = cfg_for(target.name, value, ScheduleSpec::default());
-    let setup = target.build_shared(&cfg, cache).expect("valid schedule");
+    let setup = target.build(&cfg).expect("valid schedule");
     InstanceSpec {
         actors: setup.actors,
         phases: setup.phases,
@@ -334,7 +287,6 @@ fn open_loop_run(
     chaos: &ChaosProfile,
     arrival_seed: u64,
 ) -> SvcReport {
-    let cache = Arc::new(VerifierCache::new());
     let service = BaService::new(
         SvcConfig::new()
             .with_threads(threads)
@@ -343,15 +295,14 @@ fn open_loop_run(
             .with_queue_capacity(4)
             .with_admission(AdmissionPolicy::ShedOldest),
     )
-    .with_chaos(chaos.clone())
-    .with_shared_cache(Arc::clone(&cache));
+    .with_chaos(chaos.clone());
     let mut session = service.session();
     let mut arrivals = PoissonArrivals::new(arrival_seed, 1.5);
     let mut submitted = 0u64;
     for _ in 0..24 {
         for _ in 0..arrivals.next_arrivals() {
             session
-                .submit(open_loop_spec(target, submitted, &cache))
+                .submit(open_loop_spec(target, submitted))
                 .expect("shed-oldest never refuses");
             submitted += 1;
         }
@@ -418,19 +369,17 @@ fn shed_oldest_keeps_exact_accounting_under_overload() {
     // occur, every shed must leave a structured record, and
     // submitted = decided + degraded + shed must hold exactly.
     let target = find_target("ds-broadcast").unwrap();
-    let cache = Arc::new(VerifierCache::new());
     let service = BaService::new(
         SvcConfig::new()
             .with_max_inflight(2)
             .with_admit_per_tick(1)
             .with_queue_capacity(2)
             .with_admission(AdmissionPolicy::ShedOldest),
-    )
-    .with_shared_cache(Arc::clone(&cache));
+    );
     let mut session = service.session();
     let mut tickets = Vec::new();
     for i in 0..12u64 {
-        tickets.push(session.submit(open_loop_spec(target, i, &cache)).unwrap());
+        tickets.push(session.submit(open_loop_spec(target, i)).unwrap());
         // No ticks between submits: the queue must overflow.
     }
     let shed_in_log = session
@@ -461,21 +410,19 @@ fn shed_oldest_keeps_exact_accounting_under_overload() {
 #[test]
 fn reject_policy_refuses_with_structured_error() {
     let target = find_target("ds-broadcast").unwrap();
-    let cache = Arc::new(VerifierCache::new());
     let service = BaService::new(
         SvcConfig::new()
             .with_max_inflight(1)
             .with_admit_per_tick(1)
             .with_queue_capacity(2)
             .with_admission(AdmissionPolicy::Reject),
-    )
-    .with_shared_cache(Arc::clone(&cache));
+    );
     let mut session = service.session();
     for i in 0..2u64 {
-        session.submit(open_loop_spec(target, i, &cache)).unwrap();
+        session.submit(open_loop_spec(target, i)).unwrap();
     }
     let err = session
-        .submit(open_loop_spec(target, 2, &cache))
+        .submit(open_loop_spec(target, 2))
         .expect_err("third submit must refuse");
     assert_eq!(err, AdmissionError::QueueFull { capacity: 2 });
     assert!(matches!(
@@ -491,19 +438,17 @@ fn reject_policy_refuses_with_structured_error() {
 #[test]
 fn block_with_deadline_waits_for_space_and_never_deadlocks() {
     let target = find_target("ds-broadcast").unwrap();
-    let cache = Arc::new(VerifierCache::new());
     let service = BaService::new(
         SvcConfig::new()
             .with_max_inflight(1)
             .with_admit_per_tick(1)
             .with_queue_capacity(1)
             .with_admission(AdmissionPolicy::BlockWithDeadline { deadline_ticks: 32 }),
-    )
-    .with_shared_cache(Arc::clone(&cache));
+    );
     let mut session = service.session();
     for i in 0..6u64 {
         session
-            .submit(open_loop_spec(target, i, &cache))
+            .submit(open_loop_spec(target, i))
             .expect("instances settle within the deadline, so waiting succeeds");
     }
     assert!(
@@ -521,19 +466,17 @@ fn block_with_deadline_waits_for_space_and_never_deadlocks() {
 
     // A zero-tick deadline can never free space: the refusal must be the
     // structured DeadlineExpired error, not a hang or a panic.
-    let cache2 = Arc::new(VerifierCache::new());
     let service = BaService::new(
         SvcConfig::new()
             .with_max_inflight(1)
             .with_admit_per_tick(1)
             .with_queue_capacity(1)
             .with_admission(AdmissionPolicy::BlockWithDeadline { deadline_ticks: 0 }),
-    )
-    .with_shared_cache(Arc::clone(&cache2));
+    );
     let mut session = service.session();
-    session.submit(open_loop_spec(target, 0, &cache2)).unwrap();
+    session.submit(open_loop_spec(target, 0)).unwrap();
     let err = session
-        .submit(open_loop_spec(target, 1, &cache2))
+        .submit(open_loop_spec(target, 1))
         .expect_err("deadline 0 cannot wait");
     assert!(matches!(err, AdmissionError::DeadlineExpired { .. }));
     assert!(session.drain().accounting_balanced());
@@ -542,17 +485,15 @@ fn block_with_deadline_waits_for_space_and_never_deadlocks() {
 #[test]
 fn tickets_report_status_and_outcomes_while_streaming() {
     let target = find_target("ds-broadcast").unwrap();
-    let cache = Arc::new(VerifierCache::new());
     let service = BaService::new(
         SvcConfig::new()
             .with_max_inflight(1)
             .with_admit_per_tick(1)
             .with_queue_capacity(8),
-    )
-    .with_shared_cache(Arc::clone(&cache));
+    );
     let mut session = service.session();
-    let first = session.submit(open_loop_spec(target, 0, &cache)).unwrap();
-    let second = session.submit(open_loop_spec(target, 1, &cache)).unwrap();
+    let first = session.submit(open_loop_spec(target, 0)).unwrap();
+    let second = session.submit(open_loop_spec(target, 1)).unwrap();
     assert_eq!(session.status(first), TicketStatus::Queued { position: 0 });
     assert!(session.try_outcome(first).is_none(), "nothing settled yet");
 

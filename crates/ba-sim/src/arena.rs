@@ -35,6 +35,14 @@
 //! is touched). A frame none of whose targets was reached is dropped right
 //! there; every other frame is dropped once, at [`Inboxes::clear`].
 //!
+//! Two buffers hold one entry per staged message and have one role each:
+//! a segment's target ids and the phase core's route fates. They are taken
+//! from a per-thread `Spare` when their owner is built and returned to it
+//! when the owner drops, so a run that follows another on the same thread
+//! writes into pages the last one already faulted in, instead of asking
+//! the allocator for megabytes the allocator may just have given back to
+//! the kernel.
+//!
 //! [`Metrics`]: crate::metrics::Metrics
 
 #![forbid(unsafe_code)]
@@ -42,7 +50,71 @@
 use crate::actor::{Envelope, Inbox, Payload};
 use ba_crypto::ProcessId;
 use std::any::Any;
-use std::ops::Range;
+use std::cell::Cell;
+use std::ops::{Deref, DerefMut, Range};
+use std::thread::LocalKey;
+
+thread_local! {
+    static SPARE_TARGETS: Cell<Vec<ProcessId>> = const { Cell::new(Vec::new()) };
+    static SPARE_FATES: Cell<Vec<bool>> = const { Cell::new(Vec::new()) };
+}
+
+/// A message-count-sized buffer whose allocation outlives its owner: on
+/// drop it goes back, emptied, to its thread's spare slot — which keeps
+/// at most one buffer, the larger — and the next owner built on that
+/// thread starts from it.
+#[derive(Debug)]
+pub(crate) struct Spare<T: 'static> {
+    buf: Vec<T>,
+    slot: &'static LocalKey<Cell<Vec<T>>>,
+}
+
+impl<T> Spare<T> {
+    /// The buffer `slot` holds on this thread, if any.
+    fn take(slot: &'static LocalKey<Cell<Vec<T>>>) -> Self {
+        let buf = slot.try_with(Cell::take).unwrap_or_default();
+        Spare { buf, slot }
+    }
+}
+
+impl Spare<bool> {
+    /// The phase core's route fates.
+    pub(crate) fn fates() -> Self {
+        Spare::take(&SPARE_FATES)
+    }
+}
+
+impl<T> Drop for Spare<T> {
+    fn drop(&mut self) {
+        if self.buf.capacity() == 0 {
+            return; // nothing to give back
+        }
+        let mut buf = std::mem::take(&mut self.buf);
+        buf.clear();
+        // A thread that is exiting has no spare left; the buffer just frees.
+        let _ = self.slot.try_with(|slot| {
+            let held = slot.take();
+            slot.set(if held.capacity() >= buf.capacity() {
+                held
+            } else {
+                buf
+            });
+        });
+    }
+}
+
+impl<T> Deref for Spare<T> {
+    type Target = Vec<T>;
+    fn deref(&self) -> &Vec<T> {
+        &self.buf
+    }
+}
+
+impl<T> DerefMut for Spare<T> {
+    fn deref_mut(&mut self) -> &mut Vec<T> {
+        &mut self.buf
+    }
+}
 
 /// A directed link, `(from, to)`: all a wire ever learns about a message.
 pub(crate) type Link = (ProcessId, ProcessId);
@@ -63,7 +135,7 @@ pub(crate) struct Staging<P> {
     frames: Vec<Frame<P>>,
     /// Per frame: exclusive end offset of its run in `targets`.
     ends: Vec<u32>,
-    targets: Vec<ProcessId>,
+    targets: Spare<ProcessId>,
 }
 
 /// The target runs `ends` delimits, as index ranges, frame by frame.
@@ -76,12 +148,17 @@ fn runs(ends: &[u32]) -> impl Iterator<Item = Range<usize>> + '_ {
     })
 }
 
+/// Empty, and not from the spare: an adversary's scratch outbox, or the
+/// placeholder a segment leaves while its staging is out with an outbox.
 impl<P> Default for Staging<P> {
     fn default() -> Self {
         Staging {
             frames: Vec::new(),
             ends: Vec::new(),
-            targets: Vec::new(),
+            targets: Spare {
+                buf: Vec::new(),
+                slot: &SPARE_TARGETS,
+            },
         }
     }
 }
@@ -358,7 +435,10 @@ impl<P: Payload> Segment<P> {
     /// An empty segment.
     pub fn new() -> Self {
         Segment {
-            staged: Staging::default(),
+            staged: Staging {
+                targets: Spare::take(&SPARE_TARGETS),
+                ..Staging::default()
+            },
             omitted: 0,
             panic: None,
         }

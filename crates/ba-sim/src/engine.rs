@@ -51,11 +51,9 @@
 //! decision byte-identical for any thread count, and for a chunk count
 //! that changes from one phase to the next. Per-phase crypto counters stay
 //! identical too: each chunk measures its own thread-local [`CryptoStats`]
-//! delta (the sum over chunks is schedule-independent), and a caller that
-//! runs its [`KeyRegistry`]'s verifier cache in deferred phase-snapshot
-//! mode (as `Simulation` does for the registry passed to
-//! [`Simulation::with_registry`]) makes intra-phase cache lookups see only
-//! the state frozen at the previous barrier regardless of scheduling.
+//! delta (the sum over chunks is schedule-independent), and what a
+//! [`Chain::verify`] costs depends only on the chain and on the stamps the
+//! previous barrier wrote — never on which actor verified what first.
 //!
 //! # Barrier verification
 //!
@@ -67,16 +65,14 @@
 //! a loop of sends of one chain is one entry like the broadcast it spells
 //! out) and stamps the chain's buffer as verified under this run's
 //! registry. When recipients call
-//! [`Chain::verify`] during the next phase, the stamp short-circuits to a
-//! cache hit — so a Dolev–Strong phase delivering O(n²) messages pays
+//! [`Chain::verify`] during the next phase, the stamp short-circuits to an
+//! O(1) comparison — so a Dolev–Strong phase delivering O(n²) messages pays
 //! crypto for O(unique chains) instead of O(n²) full verifications. A chain
 //! that fails at the barrier is left unstamped and every recipient's own
 //! `verify` rejects it. The barrier's work is attributed to the phase in
 //! which the messages are consumed, and the counters are byte-identical
 //! across thread counts — the pass runs on the calling thread over the
-//! filled arena. Flushing the verifier cache stays with the caller: a
-//! simulation flushes per phase, a service session once per tick for its
-//! whole fleet.
+//! filled arena.
 //!
 //! [`Simulation::with_batched_verification`]`(false)` switches the pass off
 //! so every recipient verifies every delivery in full: the reference the
@@ -85,7 +81,7 @@
 //! differ.
 
 use crate::actor::{Actor, Envelope, Outbox, Payload};
-use crate::arena::{Inboxes, Link, Segment};
+use crate::arena::{Inboxes, Link, Segment, Spare};
 use crate::metrics::Metrics;
 use crate::pool::WorkerPool;
 use crate::schedule::LinkDrop;
@@ -158,8 +154,9 @@ pub struct PhaseCore<P> {
     /// Routing scratch, recycled across phases: per staged message (in
     /// deterministic merge order) whether it survived the route pass — and,
     /// once filled, whether it was delivered — and per recipient how many
-    /// survivors are addressed to it.
-    fates: Vec<bool>,
+    /// survivors are addressed to it. The fates outlive the core in the
+    /// thread's spare (see [`crate::arena`]), for the next run.
+    fates: Spare<bool>,
     counts: Vec<usize>,
     /// The survivors' `(from, to)` in staging order — collected only by a
     /// route pass that [`links`](Self::links) asked for.
@@ -201,7 +198,7 @@ impl<P: Payload> PhaseCore<P> {
             step_crypto: CryptoStats::default(),
             carry_crypto: CryptoStats::default(),
             routed: true,
-            fates: Vec::new(),
+            fates: Spare::fates(),
             counts: vec![0; n],
             links: Vec::new(),
             sent_any: false,
@@ -493,13 +490,8 @@ impl<P: Payload> Simulation<P> {
 
     /// Declares the [`KeyRegistry`] this run's actors sign and verify
     /// under. The core verifies every delivered chain against it at the
-    /// phase barrier (see the [module docs](self)), and for the duration
-    /// of the run its verifier cache operates in deferred phase-snapshot
-    /// mode (flushed at every phase barrier), which makes the per-phase
-    /// cache hit/miss counters independent of how actors are scheduled
-    /// within a phase. Required for byte-identical `Metrics` across thread
-    /// counts when actors verify chains; runs whose payloads carry no keys
-    /// don't need it.
+    /// phase barrier (see the [module docs](self)); runs whose payloads
+    /// carry no keys don't need it.
     pub fn with_registry(mut self, registry: &KeyRegistry) -> Self {
         self.core.registry = Some(registry.clone());
         self
@@ -561,23 +553,10 @@ impl<P: Payload> Simulation<P> {
         let mut trace = Trace::default();
         let keep_phase_log = self.record_trace || self.observer.is_some();
         self.core.phase_log = keep_phase_log.then(Vec::new);
-        let cache = self.core.registry.as_ref().map(KeyRegistry::shared_cache);
-        if let Some(cache) = &cache {
-            cache.set_deferred(true);
-        }
         for phase in 1..=phases {
             let lost = self.core.step(self.threads);
             self.reraise(&lost);
-            // Publish the step's verifications before the barrier pass
-            // looks them up, and the pass's own digests after it, so next
-            // phase's lookups (for anything unstamped) still benefit.
-            if let Some(cache) = &cache {
-                cache.flush_pending();
-            }
             self.core.deliver(None);
-            if let Some(cache) = &cache {
-                cache.flush_pending();
-            }
             let envelopes = self.core.phase_log.as_mut().map(std::mem::take);
             let envelopes = envelopes.unwrap_or_default();
             if let Some(observer) = &mut self.observer {
@@ -592,9 +571,6 @@ impl<P: Payload> Simulation<P> {
         }
         let lost = self.core.finalize(self.threads);
         self.reraise(&lost);
-        if let Some(cache) = &cache {
-            cache.set_deferred(false);
-        }
         RunOutcome {
             trace,
             ..self.core.finish()
@@ -870,7 +846,7 @@ mod tests {
 
     /// Dolev-Strong-style chain relay: actor 0 starts a signed chain in
     /// phase 1; every actor verifies incoming chains against the shared
-    /// registry (exercising the verifier cache), endorses the longest one
+    /// registry (stamp hits and full checks), endorses the longest one
     /// once, and rebroadcasts. Heavy enough to make scheduling effects
     /// visible if the engine had any.
     #[derive(Debug)]
@@ -930,8 +906,8 @@ mod tests {
         threads: usize,
     ) -> (Simulation<ba_crypto::Chain>, ba_crypto::keys::KeyRegistry) {
         use ba_crypto::keys::{KeyRegistry, SchemeKind};
-        // Fresh registry per run: the shared verifier cache starts cold, so
-        // cache counters are comparable across runs.
+        // Fresh registry per run: its token is new, so no stamp from an
+        // earlier run answers for this one.
         let registry = KeyRegistry::new(n, 99, SchemeKind::Fast);
         let actors = (0..n).map(|i| chain_relay(&registry, i, n)).collect();
         let sim = Simulation::new(actors)
@@ -1007,9 +983,7 @@ mod tests {
         // Same workload, the per-delivery reference vs the default
         // barrier pass: decisions, message counts and traces are
         // byte-identical; signature-check work drops (each unique chain
-        // verified once per barrier instead of once per recipient —
-        // deferred-mode recipients can't see each other's intra-phase
-        // verifications, so per-delivery pays per recipient).
+        // verified once per barrier instead of once per recipient).
         let per_delivery = chain_relay_sim(8, 1)
             .0
             .with_batched_verification(false)
@@ -1427,18 +1401,14 @@ mod tests {
             let n = 8;
             let registry = KeyRegistry::new(n, 99, ba_crypto::keys::SchemeKind::Fast);
             let actors = (0..n).map(|i| chain_relay(&registry, i, n)).collect();
-            let mut core = PhaseCore::new(actors, [], Some(registry.clone()));
-            registry.cache().set_deferred(true);
+            let mut core = PhaseCore::new(actors, [], Some(registry));
             let mut inboxes = Vec::new();
             for threads in threads {
                 assert!(core.step(threads).is_empty());
-                registry.cache().flush_pending();
                 core.deliver(None);
-                registry.cache().flush_pending();
                 inboxes.push((0..n).map(|i| envelopes_of(&core, i)).collect::<Vec<_>>());
             }
             assert!(core.finalize(3).is_empty());
-            registry.cache().set_deferred(false);
             (inboxes, core.finish())
         };
         let (fixed_inboxes, fixed) = drive([2, 2, 2]);
@@ -1709,14 +1679,12 @@ mod tests {
                     }) as Box<dyn Actor<Chain>>
                 })
                 .collect();
-            let mut core = PhaseCore::new(actors, case.drops.clone(), Some(registry.clone()));
-            registry.cache().set_deferred(true);
+            let mut core = PhaseCore::new(actors, case.drops.clone(), Some(registry));
             let mut wire = SimRng::new(case.seed);
             let (mut trace, mut links) = (Vec::new(), Vec::new());
             for _ in 0..case.phases {
                 core.phase_log = Some(Vec::new());
                 assert!(core.step(threads).is_empty());
-                registry.cache().flush_pending();
                 if lossy_wire {
                     links.push(core.links().to_vec());
                     let survivors = links.last().map_or(0, Vec::len);
@@ -1728,11 +1696,9 @@ mod tests {
                 } else {
                     core.deliver(None);
                 }
-                registry.cache().flush_pending();
                 trace.push(core.phase_log.take().expect("kept"));
             }
             assert!(core.finalize(threads).is_empty());
-            registry.cache().set_deferred(false);
             Observed {
                 metrics: core.finish().metrics,
                 trace,

@@ -10,8 +10,8 @@
 //!
 //! Beyond the paper's message/signature counts, the engine folds in the
 //! cryptographic work counters from [`ba_crypto::stats`] — hash
-//! invocations, signature verifications and verifier-cache hit/miss totals
-//! — per phase and per run, so the effect of the incremental chain
+//! invocations, signature verifications, and barrier-stamp hits vs full
+//! chain checks — per phase and per run, so the effect of barrier
 //! verification is visible in experiment output and not just wall-clock.
 
 use crate::actor::Payload;
@@ -89,7 +89,7 @@ pub struct Metrics {
     /// [`Payload::kind`]).
     pub by_kind_correct: BTreeMap<&'static str, u64>,
     /// Cryptographic work performed over the whole run (all actors): hash
-    /// invocations, signature verifications, verifier-cache hits/misses.
+    /// invocations, signature verifications, stamp hits vs full checks.
     pub crypto: CryptoStats,
 }
 

@@ -1,7 +1,9 @@
 //! Integration: what the phase engine allocates, counted — a broadcast is
-//! one frame plus a four-byte index per recipient, and a warm phase reuses
-//! every buffer — and a service session's ticks run on buffers it keeps.
-//! The numbers DESIGN §7.4, §11.4 and ROADMAP state, asserted.
+//! one frame plus a four-byte index per recipient, a warm phase reuses
+//! every buffer, a run that follows another on the same thread reuses its
+//! message-count-sized staging buffers — and a service session's ticks run
+//! on buffers it keeps. The numbers DESIGN §7.4, §10.4, §11.3 and ROADMAP
+//! state, asserted.
 //!
 //! The counting allocator only counts the thread that asked it to, so the
 //! test harness's own threads never show up in a window.
@@ -19,17 +21,25 @@ thread_local! {
     static COUNTING: Cell<bool> = const { Cell::new(false) };
     static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
     static REQUESTED: Cell<usize> = const { Cell::new(0) };
+    static LARGE: Cell<usize> = const { Cell::new(0) };
     static LIVE: Cell<isize> = const { Cell::new(0) };
     static PEAK: Cell<isize> = const { Cell::new(0) };
 }
 
+/// A block at least this big is one of a run's message-count-sized buffers.
+const LARGE_BLOCK: usize = 1 << 20;
+
 /// Notes one allocator call on the counting thread: `grown` bytes came
-/// alive (negative: were freed), through `calls` allocations.
-fn note(grown: isize, calls: usize) {
+/// alive (negative: were freed), through `calls` allocations of a block of
+/// `size` bytes.
+fn note(grown: isize, calls: usize, size: usize) {
     if !COUNTING.with(Cell::get) {
         return;
     }
     ALLOCATIONS.with(|a| a.set(a.get() + calls));
+    if size >= LARGE_BLOCK {
+        LARGE.with(|l| l.set(l.get() + 1));
+    }
     REQUESTED.with(|r| r.set(r.get() + grown.max(0) as usize));
     let live = LIVE.with(|l| {
         l.set(l.get() + grown);
@@ -43,15 +53,15 @@ fn note(grown: isize, calls: usize) {
 // allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(layout.size() as isize, 1);
+        note(layout.size() as isize, 1, layout.size());
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        note(-(layout.size() as isize), 0);
+        note(-(layout.size() as isize), 0, 0);
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note(new_size as isize - layout.size() as isize, 1);
+        note(new_size as isize - layout.size() as isize, 1, new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -64,6 +74,7 @@ static ALLOCATOR: Counting = Counting;
 fn counted<R>(work: impl FnOnce() -> R) -> (R, usize, usize) {
     ALLOCATIONS.with(|a| a.set(0));
     REQUESTED.with(|r| r.set(0));
+    LARGE.with(|l| l.set(0));
     LIVE.with(|l| l.set(0));
     PEAK.with(|p| p.set(0));
     COUNTING.with(|c| c.set(true));
@@ -97,13 +108,32 @@ fn ds_broadcast_peaks_at_a_few_bytes_per_delivered_message() {
     );
 }
 
-/// One phase the way every driver advances it: step, publish the step's
-/// verifications, deliver (route, fill, verify at the barrier), publish.
-fn phase(core: &mut PhaseCore<Chain>, setup: &CheckSetup) {
+/// Two fault-free `ds-broadcast` runs at n = 1024 back to back on this
+/// thread — `engine_wide`'s run. The first leaves its staged-target and
+/// route-fate buffers (4 MiB and 1 MiB) in the thread's spare; the second
+/// asks the allocator for one large block only, its delivery index.
+#[test]
+fn a_run_after_a_run_reuses_the_staging_buffers() {
+    let run = || {
+        let setup = fault_free("ds-broadcast", 1024, 1);
+        let outcome = Simulation::new(setup.actors)
+            .with_registry(&setup.registry)
+            .run(setup.phases);
+        assert_eq!(outcome.metrics.messages_total(), 1023 * 1024);
+    };
+    let ((), _, _) = counted(run);
+    let first = LARGE.with(Cell::get);
+    let ((), _, _) = counted(run);
+    let second = LARGE.with(Cell::get);
+    assert!(first >= 3, "{first} blocks of 1 MiB or more in a cold run");
+    assert_eq!(second, 1, "blocks of 1 MiB or more in a warm run");
+}
+
+/// One phase the way every driver advances it: step, then deliver (route,
+/// fill, verify at the barrier).
+fn phase(core: &mut PhaseCore<Chain>) {
     assert!(core.step(1).is_empty());
-    setup.registry.cache().flush_pending();
     core.deliver(None);
-    setup.registry.cache().flush_pending();
 }
 
 /// On a core that has run the protocol once, a phase that carries traffic
@@ -114,10 +144,9 @@ fn warm_ds_relay_phase_allocates_nothing_per_actor() {
     let warm_phase_allocations = |n: usize| {
         let mut setup = fault_free("ds-relay", n, 3);
         let actors = std::mem::take(&mut setup.actors);
-        let mut core = PhaseCore::new(actors, [], Some(setup.registry.clone()));
-        setup.registry.cache().set_deferred(true);
+        let mut core = PhaseCore::new(actors, [], Some(setup.registry));
         for _ in 0..setup.phases {
-            phase(&mut core, &setup);
+            phase(&mut core);
         }
         assert!(core.finalize(1).is_empty());
         let first = core.finish();
@@ -127,11 +156,10 @@ fn warm_ds_relay_phase_allocates_nothing_per_actor() {
         // The reused core, phase 1: the transmitter signs and broadcasts a
         // new chain to n − 1 recipients; it is staged, routed, indexed
         // into n − 1 inboxes and verified at the barrier.
-        let ((), traffic, _) = counted(|| phase(&mut core, &setup));
+        let ((), traffic, _) = counted(|| phase(&mut core));
         // Phase 2: every processor reads its inbox — the stamped chain it
         // has already extracted — and stays quiet.
-        let ((), reading, _) = counted(|| phase(&mut core, &setup));
-        setup.registry.cache().set_deferred(false);
+        let ((), reading, _) = counted(|| phase(&mut core));
         let second = core.finish();
         assert_eq!(second.metrics.messages_total(), n as u64 - 1);
         (traffic, reading)
