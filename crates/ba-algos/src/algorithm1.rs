@@ -24,10 +24,11 @@
 //! chain-withholding coalition that releases a correct 1-message as late as
 //! possible.
 
-use crate::common::{domains, into_report, AlgoReport};
+use crate::common::{domains, into_report, simulation, AlgoReport};
+use crate::fuzz::ChainFuzzer;
 use ba_crypto::{Chain, KeyRegistry, ProcessId, SchemeKind, Signer, Value, Verifier};
 use ba_sim::actor::{Actor, Inbox, Outbox};
-use ba_sim::engine::Simulation;
+use ba_sim::schedule::{FaultBehavior, ScheduleSpec};
 use ba_sim::AgreementViolation;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -369,40 +370,13 @@ pub mod adversaries {
     }
 }
 
-/// Fault scenarios for [`run`].
-#[derive(Debug, Default)]
-pub enum Algo1Fault {
-    /// All processors correct.
-    #[default]
-    None,
-    /// Transmitter faulty and completely silent.
-    SilentTransmitter,
-    /// Transmitter sends `1` to the given processors, `0` to the others.
-    Equivocate {
-        /// Recipients of the signed `1`.
-        ones: Vec<ProcessId>,
-    },
-    /// A coalition (transmitter plus `extra_members` alternating-side
-    /// processors) builds a private 1-chain and releases it at
-    /// `release_phase`.
-    Withhold {
-        /// Number of faulty processors beyond the transmitter.
-        extra_members: usize,
-        /// Phase at which the chain is released to correct processors.
-        release_phase: usize,
-    },
-    /// The given relays crash before phase 1 (silent faults).
-    CrashedRelays {
-        /// The crashed processors (must not include the transmitter).
-        relays: Vec<ProcessId>,
-    },
-}
-
 /// Options for [`run`].
 #[derive(Debug, Default)]
 pub struct Algo1Options {
-    /// Fault scenario to inject.
-    pub fault: Algo1Fault,
+    /// Fault schedule: `Equivocate` is an equivocating transmitter,
+    /// `Withhold` a chain-withholding coalition (see [`withholding`]),
+    /// `Forge` a [`ChainFuzzer`] spammer.
+    pub schedule: ScheduleSpec,
     /// Key-registry seed (determinism knob).
     pub seed: u64,
     /// Signature scheme.
@@ -419,7 +393,7 @@ pub struct Algo1Options {
 /// here).
 ///
 /// # Panics
-/// Panics if `t == 0`, if a fault plan names out-of-range processors, or
+/// Panics if `t == 0`, if the schedule is malformed, or
 /// if `value` is not binary (Algorithm 1 is specified for `V = {0, 1}`).
 pub fn run(
     t: usize,
@@ -438,102 +412,84 @@ pub fn run(
         verifier: registry.verifier(),
     });
 
-    let honest = |p: u32, own: Option<Value>| -> Box<dyn Actor<Chain>> {
-        Box::new(Algo1Actor::new(
-            params.clone(),
-            ProcessId(p),
-            registry.signer(ProcessId(p)),
-            own,
-        ))
+    let honest = |p: ProcessId| -> Box<dyn Actor<Chain>> {
+        let own = (p == ProcessId(0)).then_some(value);
+        Box::new(Algo1Actor::new(params.clone(), p, registry.signer(p), own))
     };
-
-    let mut actors: Vec<Box<dyn Actor<Chain>>> = Vec::with_capacity(n);
-    match &options.fault {
-        Algo1Fault::None => {
-            actors.push(honest(0, Some(value)));
-            for p in 1..n as u32 {
-                actors.push(honest(p, None));
-            }
-        }
-        Algo1Fault::SilentTransmitter => {
-            actors.push(Box::new(ba_sim::adversary::Silent));
-            for p in 1..n as u32 {
-                actors.push(honest(p, None));
-            }
-        }
-        Algo1Fault::Equivocate { ones } => {
-            let ones: BTreeSet<ProcessId> = ones.iter().copied().collect();
-            assert!(ones.iter().all(|p| p.index() > 0 && p.index() < n));
-            let zeros: Vec<ProcessId> = (1..n as u32)
-                .map(ProcessId)
-                .filter(|p| !ones.contains(p))
-                .collect();
-            actors.push(Box::new(adversaries::EquivocatingTransmitter::new(
-                registry.signer(ProcessId(0)),
-                ones,
-                zeros,
-            )));
-            for p in 1..n as u32 {
-                actors.push(honest(p, None));
-            }
-        }
-        Algo1Fault::Withhold {
-            extra_members,
-            release_phase,
-        } => {
-            assert!(*extra_members < t, "coalition must stay within t faults");
-            // Coalition alternates sides: transmitter, a1, b1, a2, b2, …
-            let mut coalition = vec![ProcessId(0)];
-            for i in 0..*extra_members {
-                let id = if i % 2 == 0 {
-                    ProcessId(1 + (i / 2) as u32) // side A
-                } else {
-                    ProcessId((t + 1 + i / 2) as u32) // side B
-                };
-                coalition.push(id);
-            }
-            let coalition_set: BTreeSet<ProcessId> = coalition.iter().copied().collect();
-            assert!(
-                *release_phase >= coalition.len(),
-                "chain must exist before release"
-            );
-            for p in 0..n as u32 {
-                let id = ProcessId(p);
-                if let Some(pos) = coalition.iter().position(|&c| c == id) {
-                    actors.push(Box::new(adversaries::WithholdingMember::new(
-                        params.clone(),
-                        registry.signer(id),
-                        coalition.clone(),
-                        pos,
-                        *release_phase,
-                    )));
-                } else {
-                    debug_assert!(!coalition_set.contains(&id));
-                    actors.push(honest(p, None));
-                }
-            }
-        }
-        Algo1Fault::CrashedRelays { relays } => {
-            let crashed: BTreeSet<ProcessId> = relays.iter().copied().collect();
-            assert!(crashed.len() <= t);
-            assert!(crashed.iter().all(|p| p.index() > 0 && p.index() < n));
-            actors.push(honest(0, Some(value)));
-            for p in 1..n as u32 {
-                if crashed.contains(&ProcessId(p)) {
-                    actors.push(Box::new(ba_sim::adversary::Silent));
-                } else {
-                    actors.push(honest(p, None));
-                }
-            }
-        }
-    }
-
-    let mut sim = Simulation::new(actors);
+    let hook = adversary(&params, &registry, &options.schedule);
+    let mut sim = simulation(&options.schedule, n, t, honest, hook);
     if options.trace {
         sim = sim.with_trace();
     }
     let outcome = sim.run(t + 2);
     into_report(outcome, ProcessId(0), value)
+}
+
+/// The chain-withholding scenario: the transmitter and `extra` more
+/// processors, alternating sides (`1, t+1, 2, t+2, …`), carry a private
+/// 1-chain and release it at phase `release`.
+pub fn withholding(t: usize, extra: usize, release: usize) -> ScheduleSpec {
+    let members = (0..extra).map(|i| if i % 2 == 0 { 1 + i / 2 } else { t + 1 + i / 2 });
+    let carriers = std::iter::once(0)
+        .chain(members)
+        .map(|p| ProcessId(p as u32));
+    ScheduleSpec::each(carriers, FaultBehavior::Withhold { release })
+}
+
+/// Algorithm 1's adversary hook for [`ScheduleSpec::compile`]:
+///
+/// * `Equivocate { ones }` — an [`EquivocatingTransmitter`] signing `1`
+///   for `ones` and `0` for every other processor;
+/// * `Withhold { release }` — a [`WithholdingMember`] of the coalition
+///   of every `Withhold` carrier in `schedule`, ordered transmitter first
+///   and then alternating sides (`p0, 1, t+1, 2, t+2, …`) so the private
+///   chain stays a path in `G`;
+/// * `Forge` — a [`ChainFuzzer`] spammer.
+///
+/// [`EquivocatingTransmitter`]: adversaries::EquivocatingTransmitter
+/// [`WithholdingMember`]: adversaries::WithholdingMember
+pub(crate) fn adversary<'a>(
+    params: &'a Arc<Algo1Params>,
+    registry: &'a KeyRegistry,
+    schedule: &ScheduleSpec,
+) -> impl FnMut(ProcessId, &FaultBehavior) -> Option<Box<dyn Actor<Chain>>> + 'a {
+    let t = params.t;
+    let mut coalition: Vec<ProcessId> = schedule
+        .faults
+        .iter()
+        .filter(|(_, b)| matches!(b, FaultBehavior::Withhold { .. }))
+        .map(|&(p, _)| p)
+        .collect();
+    coalition.sort_by_key(|&p| match side(p, t) {
+        Side::Transmitter => (0, 0),
+        Side::A => (p.index(), 0),
+        Side::B => (p.index() - t, 1),
+    });
+    move |p, behavior| -> Option<Box<dyn Actor<Chain>>> {
+        Some(match behavior {
+            FaultBehavior::Equivocate { ones } => {
+                let zeros = (1..params.n() as u32)
+                    .map(ProcessId)
+                    .filter(|q| !ones.contains(q));
+                Box::new(adversaries::EquivocatingTransmitter::new(
+                    registry.signer(p),
+                    ones.iter().copied(),
+                    zeros,
+                ))
+            }
+            FaultBehavior::Withhold { release } => Box::new(adversaries::WithholdingMember::new(
+                params.clone(),
+                registry.signer(p),
+                coalition.clone(),
+                coalition.iter().position(|&q| q == p)?,
+                *release,
+            )),
+            FaultBehavior::Forge { seed, per_phase } => {
+                ChainFuzzer::spammer(registry, p, *seed, *per_phase)
+            }
+            _ => return None,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -572,7 +528,7 @@ mod tests {
             3,
             Value::ONE,
             Algo1Options {
-                fault: Algo1Fault::SilentTransmitter,
+                schedule: ScheduleSpec::each([ProcessId(0)], FaultBehavior::Silent),
                 ..Default::default()
             },
         )
@@ -592,7 +548,10 @@ mod tests {
                     t,
                     Value::ONE,
                     Algo1Options {
-                        fault: Algo1Fault::Equivocate { ones },
+                        schedule: ScheduleSpec::each(
+                            [ProcessId(0)],
+                            FaultBehavior::Equivocate { ones },
+                        ),
                         ..Default::default()
                     },
                 )
@@ -617,10 +576,7 @@ mod tests {
                     t,
                     Value::ONE,
                     Algo1Options {
-                        fault: Algo1Fault::Withhold {
-                            extra_members: extra,
-                            release_phase: release,
-                        },
+                        schedule: withholding(t, extra, release),
                         ..Default::default()
                     },
                 )
@@ -643,10 +599,7 @@ mod tests {
             t,
             Value::ONE,
             Algo1Options {
-                fault: Algo1Fault::Withhold {
-                    extra_members: t - 1,
-                    release_phase: t,
-                },
+                schedule: withholding(t, t - 1, t),
                 ..Default::default()
             },
         )
@@ -662,9 +615,10 @@ mod tests {
             t,
             Value::ONE,
             Algo1Options {
-                fault: Algo1Fault::CrashedRelays {
-                    relays: vec![ProcessId(1), ProcessId(4), ProcessId(6)],
-                },
+                schedule: ScheduleSpec::each(
+                    [ProcessId(1), ProcessId(4), ProcessId(6)],
+                    FaultBehavior::Silent,
+                ),
                 ..Default::default()
             },
         )
@@ -762,16 +716,16 @@ mod tests {
                     .filter(|p| mask & (1 << (p % 31)) != 0)
                     .map(ProcessId)
                     .collect();
-                let fault = if ones.is_empty() {
-                    Algo1Fault::SilentTransmitter
+                let behavior = if ones.is_empty() {
+                    FaultBehavior::Silent
                 } else {
-                    Algo1Fault::Equivocate { ones }
+                    FaultBehavior::Equivocate { ones }
                 };
                 let report = run(
                     t,
                     Value::ONE,
                     Algo1Options {
-                        fault,
+                        schedule: ScheduleSpec::each([ProcessId(0)], behavior),
                         seed,
                         scheme: SchemeKind::Fast,
                         ..Default::default()
@@ -800,7 +754,7 @@ mod tests {
                     t,
                     Value(value),
                     Algo1Options {
-                        fault: Algo1Fault::CrashedRelays { relays },
+                        schedule: ScheduleSpec::each(relays, FaultBehavior::Silent),
                         seed,
                         scheme: SchemeKind::Fast,
                         ..Default::default()

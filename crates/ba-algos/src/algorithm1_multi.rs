@@ -21,10 +21,10 @@
 //! *set*. Messages at most double: `2 · (2t² + 2t)`.
 
 use crate::algorithm1::Algo1Params;
-use crate::common::{domains, into_report, AlgoReport};
+use crate::common::{domains, into_report, simulation, AlgoReport};
 use ba_crypto::{Chain, KeyRegistry, ProcessId, SchemeKind, Signer, Value};
 use ba_sim::actor::{Actor, Inbox, Outbox};
-use ba_sim::engine::Simulation;
+use ba_sim::schedule::{FaultBehavior, ScheduleSpec};
 use ba_sim::AgreementViolation;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -159,18 +159,20 @@ impl Actor<Chain> for Algo1MultiActor {
     }
 }
 
-/// A transmitter that signs a different value for every receiver — the
-/// strongest equivocation the multi-valued setting allows.
+/// A transmitter that signs a different value, `100 + p`, for every
+/// receiver `p` in `ones` and `0` for the rest — with every receiver in
+/// `ones`, the strongest equivocation the multi-valued setting allows.
 #[derive(Debug)]
 pub struct RainbowTransmitter {
     signer: Signer,
     n: usize,
+    ones: Vec<ProcessId>,
 }
 
 impl RainbowTransmitter {
     /// Creates the adversary.
-    pub fn new(signer: Signer, n: usize) -> Self {
-        RainbowTransmitter { signer, n }
+    pub fn new(signer: Signer, n: usize, ones: Vec<ProcessId>) -> Self {
+        RainbowTransmitter { signer, n, ones }
     }
 }
 
@@ -180,7 +182,12 @@ impl Actor<Chain> for RainbowTransmitter {
             return;
         }
         for p in 1..self.n as u32 {
-            let mut chain = Chain::new(domains::ALG1, Value(100 + p as u64));
+            let value = if self.ones.contains(&ProcessId(p)) {
+                Value(100 + p as u64)
+            } else {
+                Value::ZERO
+            };
+            let mut chain = Chain::new(domains::ALG1, value);
             chain.sign_and_append(&self.signer);
             out.send(ProcessId(p), chain);
         }
@@ -193,28 +200,16 @@ impl Actor<Chain> for RainbowTransmitter {
     }
 }
 
-/// Fault scenarios for [`run`].
-#[derive(Debug, Default)]
-pub enum MultiFault {
-    /// All correct.
-    #[default]
-    None,
-    /// The transmitter signs a distinct value per receiver.
-    Rainbow,
-    /// The given relays are silent.
-    SilentRelays {
-        /// The silent relays.
-        set: Vec<ProcessId>,
-    },
-}
-
 /// Runs the multi-valued Algorithm 1 with any `value` (not just binary).
+/// `schedule`'s `Equivocate { ones }` on the transmitter is a
+/// [`RainbowTransmitter`] giving each of `ones` its own value.
 ///
 /// ```
-/// use ba_algos::algorithm1_multi::{run, MultiFault};
+/// use ba_algos::algorithm1_multi::run;
 /// use ba_crypto::{SchemeKind, Value};
+/// use ba_sim::ScheduleSpec;
 ///
-/// let r = run(2, Value(42), MultiFault::None, 1, SchemeKind::Fast)?;
+/// let r = run(2, Value(42), &ScheduleSpec::default(), 1, SchemeKind::Fast)?;
 /// assert_eq!(r.verdict.agreed, Some(Value(42)));
 /// # Ok::<(), ba_sim::AgreementViolation>(())
 /// ```
@@ -223,11 +218,11 @@ pub enum MultiFault {
 /// Propagates any [`AgreementViolation`].
 ///
 /// # Panics
-/// Panics if `t == 0` or the fault set exceeds `t`.
+/// Panics if `t == 0` or the schedule is malformed.
 pub fn run(
     t: usize,
     value: Value,
-    fault: MultiFault,
+    schedule: &ScheduleSpec,
     seed: u64,
     scheme: SchemeKind,
 ) -> Result<AlgoReport<Chain>, AgreementViolation> {
@@ -238,51 +233,26 @@ pub fn run(
         t,
         verifier: registry.verifier(),
     });
-
-    let mut actors: Vec<Box<dyn Actor<Chain>>> = Vec::with_capacity(n);
-    match &fault {
-        MultiFault::None => {
-            for p in 0..n as u32 {
-                actors.push(Box::new(Algo1MultiActor::new(
-                    params.clone(),
-                    ProcessId(p),
-                    registry.signer(ProcessId(p)),
-                    (p == 0).then_some(value),
-                )));
-            }
-        }
-        MultiFault::Rainbow => {
-            actors.push(Box::new(RainbowTransmitter::new(
-                registry.signer(ProcessId(0)),
-                n,
-            )));
-            for p in 1..n as u32 {
-                actors.push(Box::new(Algo1MultiActor::new(
-                    params.clone(),
-                    ProcessId(p),
-                    registry.signer(ProcessId(p)),
-                    None,
-                )));
-            }
-        }
-        MultiFault::SilentRelays { set } => {
-            assert!(set.len() <= t && !set.contains(&ProcessId(0)));
-            for p in 0..n as u32 {
-                if set.contains(&ProcessId(p)) {
-                    actors.push(Box::new(ba_sim::adversary::Silent));
-                } else {
-                    actors.push(Box::new(Algo1MultiActor::new(
-                        params.clone(),
-                        ProcessId(p),
-                        registry.signer(ProcessId(p)),
-                        (p == 0).then_some(value),
-                    )));
-                }
-            }
-        }
-    }
-
-    let mut sim = Simulation::new(actors);
+    let honest = |p: ProcessId| -> Box<dyn Actor<Chain>> {
+        let own = (p == ProcessId(0)).then_some(value);
+        Box::new(Algo1MultiActor::new(
+            params.clone(),
+            p,
+            registry.signer(p),
+            own,
+        ))
+    };
+    let adversary = |p, behavior: &FaultBehavior| -> Option<Box<dyn Actor<Chain>>> {
+        let FaultBehavior::Equivocate { ones } = behavior else {
+            return None;
+        };
+        Some(Box::new(RainbowTransmitter::new(
+            registry.signer(p),
+            n,
+            ones.clone(),
+        )))
+    };
+    let mut sim = simulation(schedule, n, t, honest, adversary);
     let outcome = sim.run(t + 2);
     into_report(outcome, ProcessId(0), value)
 }
@@ -292,11 +262,17 @@ mod tests {
     use super::*;
     use crate::bounds;
 
+    /// The transmitter signs a distinct value for every receiver.
+    fn rainbow(t: usize) -> ScheduleSpec {
+        let ones = (1..=2 * t as u32).map(ProcessId).collect();
+        ScheduleSpec::each([ProcessId(0)], FaultBehavior::Equivocate { ones })
+    }
+
     #[test]
     fn arbitrary_values_agree_fault_free() {
         for t in 1..=4 {
             for v in [Value(0), Value(7), Value(1_000_000), Value(u64::MAX)] {
-                let r = run(t, v, MultiFault::None, 1, SchemeKind::Fast).unwrap();
+                let r = run(t, v, &ScheduleSpec::default(), 1, SchemeKind::Fast).unwrap();
                 assert_eq!(r.verdict.agreed, Some(v), "t={t} v={v}");
             }
         }
@@ -305,7 +281,7 @@ mod tests {
     #[test]
     fn rainbow_transmitter_forces_default_but_agrees() {
         for t in 2..=5 {
-            let r = run(t, Value(42), MultiFault::Rainbow, 3, SchemeKind::Fast).unwrap();
+            let r = run(t, Value(42), &rainbow(t), 3, SchemeKind::Fast).unwrap();
             // Every correct processor sees >= 2 distinct values (its own
             // direct one plus relayed ones) and defaults.
             assert_eq!(r.verdict.agreed, Some(Value::ZERO), "t={t}");
@@ -315,7 +291,7 @@ mod tests {
     #[test]
     fn message_count_at_most_doubles() {
         for t in 1..=5 {
-            let r = run(t, Value(9), MultiFault::Rainbow, 1, SchemeKind::Fast).unwrap();
+            let r = run(t, Value(9), &rainbow(t), 1, SchemeKind::Fast).unwrap();
             assert!(
                 r.outcome.metrics.messages_by_correct <= 2 * bounds::alg1_max_messages(t as u64),
                 "t={t}"
@@ -329,9 +305,7 @@ mod tests {
         let r = run(
             t,
             Value(555),
-            MultiFault::SilentRelays {
-                set: vec![ProcessId(2), ProcessId(5)],
-            },
+            &ScheduleSpec::each([ProcessId(2), ProcessId(5)], FaultBehavior::Silent),
             9,
             SchemeKind::Fast,
         )
@@ -371,12 +345,12 @@ mod tests {
                 let v = gen.u64();
                 let seed = gen.u64();
                 let rainbow = gen.bool();
-                let fault = if rainbow {
-                    MultiFault::Rainbow
+                let schedule = if rainbow {
+                    super::rainbow(t)
                 } else {
-                    MultiFault::None
+                    ScheduleSpec::default()
                 };
-                let r = run(t, Value(v), fault, seed, SchemeKind::Fast).unwrap();
+                let r = run(t, Value(v), &schedule, seed, SchemeKind::Fast).unwrap();
                 assert!(r.verdict.agreed.is_some());
             });
         }

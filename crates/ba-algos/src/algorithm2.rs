@@ -22,10 +22,11 @@
 //! [`Board`] in [`common`](crate::common) so callers can inspect it after the run.
 
 use crate::algorithm1::{Algo1Actor, Algo1Params};
-use crate::common::{domains, into_report, AlgoReport, Board};
+use crate::common::{domains, into_report, simulation, AlgoReport, Board};
+use crate::fuzz::ChainFuzzer;
 use ba_crypto::{Chain, KeyRegistry, ProcessId, SchemeKind, Signer, Value, Verifier};
 use ba_sim::actor::{Actor, Inbox, Outbox};
-use ba_sim::engine::Simulation;
+use ba_sim::schedule::{FaultBehavior, ScheduleSpec};
 use ba_sim::AgreementViolation;
 use std::sync::Arc;
 
@@ -279,38 +280,14 @@ pub mod adversaries {
     }
 }
 
-/// Fault scenarios for [`run`].
-#[derive(Debug, Default)]
-pub enum Algo2Fault {
-    /// All processors correct.
-    #[default]
-    None,
-    /// The given processors are silent for the whole run (the transmitter
-    /// may be among them).
-    Silent {
-        /// The silent processors.
-        set: Vec<ProcessId>,
-    },
-    /// The given processors run Algorithm 1 honestly, then crash at the
-    /// start of the accumulation stage.
-    CrashAfterCommit {
-        /// The crashing processors.
-        set: Vec<ProcessId>,
-    },
-    /// The given processors gossip a wrong value during their slots.
-    WrongValueGossip {
-        /// The lying processors (transmitter excluded).
-        set: Vec<ProcessId>,
-        /// The value they push.
-        wrong: Value,
-    },
-}
-
 /// Options for [`run`].
 #[derive(Debug, Default)]
 pub struct Algo2Options {
-    /// Fault scenario.
-    pub fault: Algo2Fault,
+    /// Fault schedule: `Lie { value }` is a [`WrongValueGossip`] pushing
+    /// `value`, `Forge` a [`ChainFuzzer`] spammer.
+    ///
+    /// [`WrongValueGossip`]: adversaries::WrongValueGossip
+    pub schedule: ScheduleSpec,
     /// Key-registry seed.
     pub seed: u64,
     /// Signature scheme.
@@ -345,7 +322,8 @@ pub struct Algo2Report {
 /// Propagates any [`AgreementViolation`] (a bug if it happens).
 ///
 /// # Panics
-/// Panics if `t == 0`, the fault set exceeds `t`, or `value` is not binary.
+/// Panics if `t == 0`, the schedule is malformed, or `value` is not
+/// binary.
 pub fn run(
     t: usize,
     value: Value,
@@ -364,73 +342,32 @@ pub fn run(
     });
     let proofs = Board::new(n);
 
-    let honest = |p: u32| -> Box<dyn Actor<Chain>> {
+    let honest = |p: ProcessId| -> Box<dyn Actor<Chain>> {
+        let own = (p == ProcessId(0)).then_some(value);
         Box::new(Algo2Actor::new(
             params.clone(),
-            ProcessId(p),
-            registry.signer(ProcessId(p)),
-            if p == 0 { Some(value) } else { None },
+            p,
+            registry.signer(p),
+            own,
             proofs.clone(),
         ))
     };
-
-    let mut actors: Vec<Box<dyn Actor<Chain>>> = Vec::with_capacity(n);
-    match &options.fault {
-        Algo2Fault::None => {
-            for p in 0..n as u32 {
-                actors.push(honest(p));
+    let adversary = |p, behavior: &FaultBehavior| -> Option<Box<dyn Actor<Chain>>> {
+        match *behavior {
+            FaultBehavior::Lie { value } => Some(Box::new(adversaries::WrongValueGossip::new(
+                params.clone(),
+                p,
+                registry.signer(p),
+                proofs.clone(),
+                value,
+            ))),
+            FaultBehavior::Forge { seed, per_phase } => {
+                Some(ChainFuzzer::spammer(&registry, p, seed, per_phase))
             }
+            _ => None,
         }
-        Algo2Fault::Silent { set } => {
-            assert!(set.len() <= t);
-            for p in 0..n as u32 {
-                if set.contains(&ProcessId(p)) {
-                    actors.push(Box::new(ba_sim::adversary::Silent));
-                } else {
-                    actors.push(honest(p));
-                }
-            }
-        }
-        Algo2Fault::CrashAfterCommit { set } => {
-            assert!(set.len() <= t);
-            for p in 0..n as u32 {
-                if set.contains(&ProcessId(p)) {
-                    let inner = Algo2Actor::new(
-                        params.clone(),
-                        ProcessId(p),
-                        registry.signer(ProcessId(p)),
-                        if p == 0 { Some(value) } else { None },
-                        proofs.clone(),
-                    );
-                    actors.push(Box::new(ba_sim::adversary::Crash::new(inner, t + 4)));
-                } else {
-                    actors.push(honest(p));
-                }
-            }
-        }
-        Algo2Fault::WrongValueGossip { set, wrong } => {
-            assert!(set.len() <= t);
-            assert!(
-                !set.contains(&ProcessId(0)),
-                "use Equivocate scenarios for the transmitter"
-            );
-            for p in 0..n as u32 {
-                if set.contains(&ProcessId(p)) {
-                    actors.push(Box::new(adversaries::WrongValueGossip::new(
-                        params.clone(),
-                        ProcessId(p),
-                        registry.signer(ProcessId(p)),
-                        proofs.clone(),
-                        *wrong,
-                    )));
-                } else {
-                    actors.push(honest(p));
-                }
-            }
-        }
-    }
-
-    let mut sim = Simulation::new(actors);
+    };
+    let mut sim = simulation(&options.schedule, n, t, honest, adversary);
     let outcome = sim.run(3 * t + 3);
     let report = into_report(outcome, ProcessId(0), value)?;
     Ok(Algo2Report {
@@ -496,9 +433,10 @@ mod tests {
             t,
             Value::ONE,
             Algo2Options {
-                fault: Algo2Fault::Silent {
-                    set: vec![ProcessId(1), ProcessId(3), ProcessId(5)],
-                },
+                schedule: ScheduleSpec::each(
+                    [ProcessId(1), ProcessId(3), ProcessId(5)],
+                    FaultBehavior::Silent,
+                ),
                 ..Default::default()
             },
         )
@@ -514,9 +452,10 @@ mod tests {
             t,
             Value::ONE,
             Algo2Options {
-                fault: Algo2Fault::CrashAfterCommit {
-                    set: vec![ProcessId(2), ProcessId(4), ProcessId(7)],
-                },
+                schedule: ScheduleSpec::each(
+                    [ProcessId(2), ProcessId(4), ProcessId(7)],
+                    FaultBehavior::CrashAt { phase: t + 4 },
+                ),
                 ..Default::default()
             },
         )
@@ -534,9 +473,7 @@ mod tests {
             t,
             Value::ONE,
             Algo2Options {
-                fault: Algo2Fault::Silent {
-                    set: vec![ProcessId(2), ProcessId(3), ProcessId(4)],
-                },
+                schedule: ScheduleSpec::each((2..=4).map(ProcessId), FaultBehavior::Silent),
                 ..Default::default()
             },
         )
@@ -552,10 +489,10 @@ mod tests {
             t,
             Value::ONE,
             Algo2Options {
-                fault: Algo2Fault::WrongValueGossip {
-                    set: vec![ProcessId(2), ProcessId(5)],
-                    wrong: Value::ZERO,
-                },
+                schedule: ScheduleSpec::each(
+                    [ProcessId(2), ProcessId(5)],
+                    FaultBehavior::Lie { value: Value::ZERO },
+                ),
                 ..Default::default()
             },
         )
@@ -652,7 +589,7 @@ mod tests {
                     t,
                     Value::ONE,
                     Algo2Options {
-                        fault: Algo2Fault::Silent { set },
+                        schedule: ScheduleSpec::each(set, FaultBehavior::Silent),
                         seed,
                         scheme: SchemeKind::Fast,
                     },

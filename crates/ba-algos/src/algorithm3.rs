@@ -25,10 +25,11 @@
 //! intro's trade-off of `t + 3 + 2⌈t/α⌉` phases and `O(αn)` messages.
 
 use crate::algorithm1::{Algo1Actor, Algo1Params};
-use crate::common::{domains, into_report, AlgoReport};
+use crate::common::{domains, into_report, simulation, AlgoReport};
+use crate::fuzz::ChainFuzzer;
 use ba_crypto::{Chain, KeyRegistry, ProcessId, SchemeKind, Signer, Value, Verifier};
 use ba_sim::actor::{Actor, Inbox, Outbox};
-use ba_sim::engine::Simulation;
+use ba_sim::schedule::{FaultBehavior, ScheduleSpec};
 use ba_sim::AgreementViolation;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -484,41 +485,6 @@ impl Actor<Chain> for Alg3Member {
     }
 }
 
-/// Fault scenarios for [`run`].
-#[derive(Debug, Default)]
-pub enum Alg3Fault {
-    /// All correct.
-    #[default]
-    None,
-    /// The roots of the given groups are silent.
-    SilentRoots {
-        /// Group indices.
-        groups: Vec<usize>,
-    },
-    /// The roots of the given groups push a wrong value to their members.
-    LyingRoots {
-        /// Group indices.
-        groups: Vec<usize>,
-        /// The pushed value.
-        wrong: Value,
-    },
-    /// The roots of the given groups skip every even-position member.
-    SelectiveRoots {
-        /// Group indices.
-        groups: Vec<usize>,
-    },
-    /// The given passive members never sign (silent).
-    SilentMembers {
-        /// Member ids.
-        set: Vec<ProcessId>,
-    },
-    /// The given non-transmitter actives are silent.
-    SilentActives {
-        /// Active ids.
-        set: Vec<ProcessId>,
-    },
-}
-
 /// Options for [`run`]. Construct with
 /// [`Alg3Options::new`]/[`default`](Alg3Options::default) and the
 /// `with_*` builders (the same convention as `SvcConfig`, `NetConfig`,
@@ -527,15 +493,16 @@ pub enum Alg3Fault {
 /// Defaults: no fault, seed 0, fast scheme, sequential stepping.
 #[derive(Debug, Default)]
 pub struct Alg3Options {
-    /// Fault scenario.
-    pub fault: Alg3Fault,
+    /// Fault schedule: `Lie { value }` on a group root is a lying
+    /// [`Alg3Root`] pushing `value`, `Forge` a [`ChainFuzzer`] spammer.
+    pub schedule: ScheduleSpec,
     /// Registry seed.
     pub seed: u64,
     /// Signature scheme.
     pub scheme: SchemeKind,
     /// Worker threads for intra-phase stepping (`0`/`1` = sequential).
     /// Results are byte-identical for any value — see
-    /// [`Simulation::with_threads`].
+    /// [`Simulation::with_threads`](ba_sim::Simulation::with_threads).
     pub threads: usize,
 }
 
@@ -545,9 +512,9 @@ impl Alg3Options {
         Self::default()
     }
 
-    /// Sets the fault scenario.
-    pub fn with_fault(mut self, fault: Alg3Fault) -> Self {
-        self.fault = fault;
+    /// Sets the fault schedule.
+    pub fn with_schedule(mut self, schedule: ScheduleSpec) -> Self {
+        self.schedule = schedule;
         self
     }
 
@@ -570,6 +537,11 @@ impl Alg3Options {
     }
 }
 
+/// The root `c(1)` of passive group `g`: processor `2t + 1 + g·s`.
+pub fn group_root(t: usize, s: usize, g: usize) -> ProcessId {
+    ProcessId((2 * t + 1 + g * s) as u32)
+}
+
 /// Builds and runs an Algorithm 3 scenario.
 ///
 /// ```
@@ -585,8 +557,8 @@ impl Alg3Options {
 /// Propagates any [`AgreementViolation`].
 ///
 /// # Panics
-/// Panics on invalid parameters (`t == 0`, `n < 2t + 2`, oversized fault
-/// sets, non-binary value).
+/// Panics on invalid parameters (`t == 0`, `n < 2t + 2`, a malformed
+/// schedule, non-binary value).
 pub fn run(
     n: usize,
     t: usize,
@@ -601,80 +573,34 @@ pub fn run(
     let registry = KeyRegistry::new(n, options.seed, options.scheme);
     let params = Arc::new(Alg3Params::new(n, t, s, registry.verifier()));
 
-    let mut actors: Vec<Box<dyn Actor<Chain>>> = Vec::with_capacity(n);
-    let mut fault_count = 0usize;
-
-    for i in 0..n as u32 {
-        let id = ProcessId(i);
-        let actor: Box<dyn Actor<Chain>> = if params.is_active(id) {
-            let silent = matches!(
-                &options.fault,
-                Alg3Fault::SilentActives { set } if set.contains(&id)
-            );
-            if silent {
-                assert!(
-                    id != ProcessId(0),
-                    "use algorithm1 scenarios for transmitter faults"
-                );
-                fault_count += 1;
-                Box::new(ba_sim::adversary::Silent)
-            } else {
-                Box::new(Alg3Active::new(
-                    params.clone(),
-                    id,
-                    registry.signer(id),
-                    if i == 0 { Some(value) } else { None },
-                ))
+    let honest = |p: ProcessId| -> Box<dyn Actor<Chain>> {
+        match params.group_of(p) {
+            None => {
+                let own = (p == ProcessId(0)).then_some(value);
+                Box::new(Alg3Active::new(params.clone(), p, registry.signer(p), own))
             }
-        } else {
-            let (group, pos) = params.group_of(id).expect("passive processor has a group");
-            if pos == 1 {
-                match &options.fault {
-                    Alg3Fault::SilentRoots { groups } if groups.contains(&group.index) => {
-                        fault_count += 1;
-                        Box::new(ba_sim::adversary::Silent)
-                    }
-                    Alg3Fault::LyingRoots { groups, wrong } if groups.contains(&group.index) => {
-                        fault_count += 1;
-                        Box::new(Alg3Root::new_lying(params.clone(), group, *wrong))
-                    }
-                    Alg3Fault::SelectiveRoots { groups } if groups.contains(&group.index) => {
-                        fault_count += 1;
-                        let skipped: Vec<ProcessId> = group
-                            .members
-                            .iter()
-                            .enumerate()
-                            .filter(|(idx, _)| idx % 2 == 1 && *idx > 0)
-                            .map(|(_, &m)| m)
-                            .collect();
-                        let inner = Alg3Root::new(params.clone(), group);
-                        Box::new(ba_sim::adversary::OmitTo::new(inner, skipped))
-                    }
-                    _ => Box::new(Alg3Root::new(params.clone(), group)),
-                }
-            } else {
-                let silent = matches!(
-                    &options.fault,
-                    Alg3Fault::SilentMembers { set } if set.contains(&id)
-                );
-                if silent {
-                    fault_count += 1;
-                    Box::new(ba_sim::adversary::Silent)
-                } else {
-                    Box::new(Alg3Member::new(
-                        params.clone(),
-                        group,
-                        pos,
-                        registry.signer(id),
-                    ))
-                }
+            Some((group, 1)) => Box::new(Alg3Root::new(params.clone(), group)),
+            Some((group, pos)) => Box::new(Alg3Member::new(
+                params.clone(),
+                group,
+                pos,
+                registry.signer(p),
+            )),
+        }
+    };
+    let adversary = |p, behavior: &FaultBehavior| -> Option<Box<dyn Actor<Chain>>> {
+        match *behavior {
+            FaultBehavior::Lie { value } => match params.group_of(p)? {
+                (group, 1) => Some(Box::new(Alg3Root::new_lying(params.clone(), group, value))),
+                _ => None,
+            },
+            FaultBehavior::Forge { seed, per_phase } => {
+                Some(ChainFuzzer::spammer(&registry, p, seed, per_phase))
             }
-        };
-        actors.push(actor);
-    }
-    assert!(fault_count <= t, "fault plan exceeds t");
-
-    let mut sim = Simulation::new(actors)
+            _ => None,
+        }
+    };
+    let mut sim = simulation(&options.schedule, n, t, honest, adversary)
         .with_threads(options.threads)
         .with_registry(&registry);
     let outcome = sim.run(params.phases());
@@ -749,7 +675,10 @@ mod tests {
             s,
             Value::ONE,
             Alg3Options {
-                fault: Alg3Fault::SilentRoots { groups: vec![0, 2] },
+                schedule: ScheduleSpec::each(
+                    [0, 2].map(|g| group_root(t, s, g)),
+                    FaultBehavior::Silent,
+                ),
                 ..Default::default()
             },
         )
@@ -766,10 +695,10 @@ mod tests {
             s,
             Value::ONE,
             Alg3Options {
-                fault: Alg3Fault::LyingRoots {
-                    groups: vec![1],
-                    wrong: Value::ZERO,
-                },
+                schedule: ScheduleSpec::each(
+                    [group_root(t, s, 1)],
+                    FaultBehavior::Lie { value: Value::ZERO },
+                ),
                 ..Default::default()
             },
         )
@@ -780,15 +709,25 @@ mod tests {
     #[test]
     fn selective_roots_leave_no_member_behind() {
         let (n, t, s) = (24, 2, 5);
+        // Each root omits its even-position members.
+        let faults = [0, 1]
+            .map(|g| {
+                let root = group_root(t, s, g).0;
+                let members = (root + 1..root + s as u32).step_by(2);
+                let targets = members.map(ProcessId).collect();
+                (ProcessId(root), FaultBehavior::OmitTo { targets })
+            })
+            .to_vec();
+        let schedule = ScheduleSpec {
+            faults,
+            link_drops: vec![],
+        };
         let r = run(
             n,
             t,
             s,
             Value::ONE,
-            Alg3Options {
-                fault: Alg3Fault::SelectiveRoots { groups: vec![0, 1] },
-                ..Default::default()
-            },
+            Alg3Options::new().with_schedule(schedule),
         )
         .unwrap();
         assert_eq!(r.verdict.agreed, Some(Value::ONE));
@@ -804,9 +743,7 @@ mod tests {
             s,
             Value::ONE,
             Alg3Options {
-                fault: Alg3Fault::SilentMembers {
-                    set: vec![ProcessId(6), ProcessId(10)],
-                },
+                schedule: ScheduleSpec::each([ProcessId(6), ProcessId(10)], FaultBehavior::Silent),
                 ..Default::default()
             },
         )
@@ -825,9 +762,7 @@ mod tests {
             s,
             Value::ONE,
             Alg3Options {
-                fault: Alg3Fault::SilentActives {
-                    set: vec![ProcessId(1), ProcessId(3)],
-                },
+                schedule: ScheduleSpec::each([ProcessId(1), ProcessId(3)], FaultBehavior::Silent),
                 ..Default::default()
             },
         )
@@ -901,15 +836,10 @@ mod tests {
                 let which = gen.u32() as u8;
                 let n = 2 * t + 1 + s * extra_groups;
                 let bad_group = (which as usize) % extra_groups;
-                let fault = if lying {
-                    Alg3Fault::LyingRoots {
-                        groups: vec![bad_group],
-                        wrong: Value::ZERO,
-                    }
+                let behavior = if lying {
+                    FaultBehavior::Lie { value: Value::ZERO }
                 } else {
-                    Alg3Fault::SilentRoots {
-                        groups: vec![bad_group],
-                    }
+                    FaultBehavior::Silent
                 };
                 let r = run(
                     n,
@@ -917,7 +847,7 @@ mod tests {
                     s,
                     Value::ONE,
                     Alg3Options {
-                        fault,
+                        schedule: ScheduleSpec::each([group_root(t, s, bad_group)], behavior),
                         seed,
                         scheme: SchemeKind::Fast,
                         ..Default::default()

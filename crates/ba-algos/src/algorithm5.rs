@@ -36,13 +36,14 @@ use crate::algorithm1::Algo1Params;
 use crate::algorithm2::Algo2Actor;
 use crate::algorithm4::{Alg4State, GridLayout, GridMsg, SignedItem};
 use crate::bounds;
-use crate::common::{domains, into_report, AlgoReport, Board};
+use crate::common::{domains, into_report, simulation, AlgoReport, Board};
+use crate::fuzz::Msg5Fuzzer;
 use crate::trees::Forest;
 use ba_crypto::wire::{Decoder, Encoder};
 use ba_crypto::Bytes;
 use ba_crypto::{Chain, KeyRegistry, ProcessId, SchemeKind, Signer, Value, Verifier};
 use ba_sim::actor::{Actor, Envelope, Inbox, Outbox, Payload};
-use ba_sim::engine::Simulation;
+use ba_sim::schedule::{FaultBehavior, ScheduleSpec};
 use ba_sim::AgreementViolation;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -845,40 +846,17 @@ impl Actor<Msg5> for Alg5Passive {
     }
 }
 
-/// Fault scenarios for [`run`].
-#[derive(Debug, Default)]
-pub enum Alg5Fault {
-    /// All correct.
-    #[default]
-    None,
-    /// The given passive processors are silent for the whole run.
-    SilentPassives {
-        /// The silent processors.
-        set: Vec<ProcessId>,
-    },
-    /// The roots of the given trees (heap position 1) are silent.
-    SilentTreeRoots {
-        /// Tree indices.
-        trees: Vec<usize>,
-    },
-    /// The roots of the given trees participate in collections but never
-    /// report back to the actives (report withholding).
-    WithholdingTreeRoots {
-        /// Tree indices.
-        trees: Vec<usize>,
-    },
-    /// The given non-transmitter core actives are silent.
-    SilentActives {
-        /// Active ids (must be `1..2t+1`).
-        set: Vec<ProcessId>,
-    },
+/// The root (heap position 1) of passive tree `tree` in the forest
+/// [`run`] builds for `(n, t, s)`, unless that slot is padding.
+pub fn tree_root(n: usize, t: usize, s: usize, tree: usize) -> Option<ProcessId> {
+    Forest::new(bounds::alpha(t as u64) as usize, n, s).processor(tree, 1)
 }
 
 /// Options for [`run`].
 #[derive(Debug, Default)]
 pub struct Alg5Options {
-    /// Fault scenario.
-    pub fault: Alg5Fault,
+    /// Fault schedule: `Forge` is a [`Msg5Fuzzer`] spammer.
+    pub schedule: ScheduleSpec,
     /// Registry seed.
     pub seed: u64,
     /// Signature scheme.
@@ -904,8 +882,8 @@ pub struct Alg5Options {
 /// Propagates any [`AgreementViolation`].
 ///
 /// # Panics
-/// Panics on invalid parameters (see [`Alg5Config::new`]) or oversized
-/// fault plans.
+/// Panics on invalid parameters (see [`Alg5Config::new`]) or a malformed
+/// schedule.
 pub fn run(
     n: usize,
     t: usize,
@@ -946,59 +924,29 @@ pub fn run_audited(
     let scratch = Board::new(cfg.core_count());
     let audit_board: Arc<Board<bool>> = Board::new(n);
 
-    let mut actors: Vec<Box<dyn Actor<Msg5>>> = Vec::with_capacity(n);
-    let mut faults = 0usize;
-    for i in 0..n as u32 {
-        let id = ProcessId(i);
-        let silent = match &options.fault {
-            Alg5Fault::None => false,
-            Alg5Fault::SilentPassives { set } => set.contains(&id),
-            Alg5Fault::SilentTreeRoots { trees } => cfg
-                .forest
-                .locate(id)
-                .is_some_and(|(tree, pos)| pos == 1 && trees.contains(&tree)),
-            Alg5Fault::WithholdingTreeRoots { .. } => false, // handled below
-            Alg5Fault::SilentActives { set } => {
-                let is = set.contains(&id);
-                assert!(!is || (1..cfg.core_count()).contains(&id.index()));
-                is
-            }
-        };
-        let withholding = matches!(
-            &options.fault,
-            Alg5Fault::WithholdingTreeRoots { trees }
-                if cfg.forest.locate(id).is_some_and(|(tree, pos)| pos == 1 && trees.contains(&tree))
-        );
-
-        let actor: Box<dyn Actor<Msg5>> = if silent {
-            faults += 1;
-            Box::new(ba_sim::adversary::Silent)
-        } else if withholding {
-            faults += 1;
-            // An honest passive whose sends to the actives are suppressed.
-            let inner = Alg5Passive::new(cfg.clone(), id, registry.signer(id))
-                .with_audit(audit_board.clone());
-            let active_ids: Vec<ProcessId> = (0..cfg.alpha as u32).map(ProcessId).collect();
-            Box::new(ba_sim::adversary::OmitTo::new(inner, active_ids))
-        } else if (id.index()) < cfg.alpha {
+    let honest = |p: ProcessId| -> Box<dyn Actor<Msg5>> {
+        if p.index() < cfg.alpha {
+            let own = (p == ProcessId(0)).then_some(value);
+            let signer = registry.signer(p);
             Box::new(Alg5Active::new(
                 cfg.clone(),
-                id,
-                registry.signer(id),
-                (i == 0).then_some(value),
+                p,
+                signer,
+                own,
                 scratch.clone(),
             ))
         } else {
-            Box::new(
-                Alg5Passive::new(cfg.clone(), id, registry.signer(id))
-                    .with_audit(audit_board.clone()),
-            )
-        };
-        actors.push(actor);
-    }
-    assert!(faults <= t, "fault plan exceeds t");
-
-    let mut sim = Simulation::new(actors);
+            let passive = Alg5Passive::new(cfg.clone(), p, registry.signer(p));
+            Box::new(passive.with_audit(audit_board.clone()))
+        }
+    };
+    let adversary = |p, behavior: &FaultBehavior| match *behavior {
+        FaultBehavior::Forge { seed, per_phase } => {
+            Some(Msg5Fuzzer::spammer(&registry, p, seed, per_phase))
+        }
+        _ => None,
+    };
+    let mut sim = simulation(&options.schedule, n, t, honest, adversary);
     let outcome = sim.run(cfg.last_phase);
     let report = into_report(outcome, ProcessId(0), value)?;
     let activated: Vec<bool> = audit_board
@@ -1113,7 +1061,7 @@ mod tests {
             7,
             Value::ONE,
             Alg5Options {
-                fault: Alg5Fault::SilentTreeRoots { trees: vec![0] },
+                schedule: ScheduleSpec::each(tree_root(30, 1, 7, 0), FaultBehavior::Silent),
                 ..Default::default()
             },
         )
@@ -1129,7 +1077,12 @@ mod tests {
             7,
             Value::ONE,
             Alg5Options {
-                fault: Alg5Fault::WithholdingTreeRoots { trees: vec![1] },
+                schedule: ScheduleSpec::each(
+                    tree_root(30, 1, 7, 1),
+                    FaultBehavior::OmitTo {
+                        targets: (0..9).map(ProcessId).collect(),
+                    },
+                ),
                 ..Default::default()
             },
         )
@@ -1145,9 +1098,7 @@ mod tests {
             3,
             Value::ONE,
             Alg5Options {
-                fault: Alg5Fault::SilentPassives {
-                    set: vec![ProcessId(11)],
-                },
+                schedule: ScheduleSpec::each([ProcessId(11)], FaultBehavior::Silent),
                 ..Default::default()
             },
         )
@@ -1163,9 +1114,7 @@ mod tests {
             3,
             Value::ONE,
             Alg5Options {
-                fault: Alg5Fault::SilentActives {
-                    set: vec![ProcessId(2)],
-                },
+                schedule: ScheduleSpec::each([ProcessId(2)], FaultBehavior::Silent),
                 ..Default::default()
             },
         )
@@ -1193,14 +1142,14 @@ mod tests {
 
     /// Lemma 4 audit: per tree `C` with `b(C)` faults, the number of
     /// activated-or-faulty processors is at most `2*b(C) + 1`.
-    fn assert_lemma4(n: usize, t: usize, s: usize, fault: Alg5Fault, faulty_ids: &[ProcessId]) {
+    fn assert_lemma4(n: usize, t: usize, s: usize, faulty_ids: &[ProcessId]) {
         let (report, activated) = run_audited(
             n,
             t,
             s,
             Value::ONE,
             Alg5Options {
-                fault,
+                schedule: ScheduleSpec::each(faulty_ids.iter().copied(), FaultBehavior::Silent),
                 ..Default::default()
             },
         )
@@ -1224,47 +1173,34 @@ mod tests {
 
     #[test]
     fn lemma4_fault_free_only_tree_roots_activate() {
-        assert_lemma4(30, 1, 7, Alg5Fault::None, &[]);
+        assert_lemma4(30, 1, 7, &[]);
     }
 
     #[test]
     fn lemma4_silent_root_bounds_activations() {
         // The silent root of tree 0 (p9 with alpha = 9) forces child
         // activations; Lemma 4 caps the total at 2*1 + 1 = 3.
-        assert_lemma4(
-            30,
-            1,
-            7,
-            Alg5Fault::SilentTreeRoots { trees: vec![0] },
-            &[ProcessId(9)],
-        );
+        assert_eq!(tree_root(30, 1, 7, 0), Some(ProcessId(9)));
+        assert_lemma4(30, 1, 7, &[ProcessId(9)]);
     }
 
     #[test]
     fn lemma4_with_larger_t_and_silent_passives() {
         // alpha = 16 at t = 2; passives start at id 16.
-        assert_lemma4(
-            46,
-            2,
-            7,
-            Alg5Fault::SilentPassives {
-                set: vec![ProcessId(17), ProcessId(30)],
-            },
-            &[ProcessId(17), ProcessId(30)],
-        );
+        assert_lemma4(46, 2, 7, &[ProcessId(17), ProcessId(30)]);
     }
 
     #[test]
     fn naive_activation_still_agrees_but_costs_more() {
         let (n, t, s) = (120usize, 3usize, 7usize);
-        let fault = || Alg5Fault::SilentTreeRoots { trees: vec![0] };
+        let schedule = || ScheduleSpec::each(tree_root(n, t, s, 0), FaultBehavior::Silent);
         let gated = run(
             n,
             t,
             s,
             Value::ONE,
             Alg5Options {
-                fault: fault(),
+                schedule: schedule(),
                 ..Default::default()
             },
         )
@@ -1275,7 +1211,7 @@ mod tests {
             s,
             Value::ONE,
             Alg5Options {
-                fault: fault(),
+                schedule: schedule(),
                 naive_activation: true,
                 ..Default::default()
             },
@@ -1313,9 +1249,7 @@ mod tests {
                     s,
                     Value::ONE,
                     Alg5Options {
-                        fault: Alg5Fault::SilentPassives {
-                            set: vec![ProcessId(passive)],
-                        },
+                        schedule: ScheduleSpec::each([ProcessId(passive)], FaultBehavior::Silent),
                         seed,
                         scheme: SchemeKind::Fast,
                         ..Default::default()

@@ -4,10 +4,9 @@
 //! links drop — but it cannot know how to build each algorithm's actors.
 //! This module is that binding: every [`CheckTarget`] names one algorithm
 //! configuration, validates a schedule against its parameter constraints,
-//! compiles the schedule onto the algorithm's honest actors (mapping
-//! [`FaultBehavior::Equivocate`] to the algorithm's own signed-message
-//! adversary, everything else through [`FaultBehavior::apply`]) and runs it
-//! through the deterministic engine.
+//! compiles it through [`ScheduleSpec::compile`] with the same adversary
+//! hook the algorithm's own `run` uses, and runs it through the
+//! deterministic engine.
 //!
 //! The registry deliberately includes one **unsound** target,
 //! [`weakened Dolev–Strong`](DsParams::weaken_relay_threshold): its relay
@@ -15,13 +14,12 @@
 //! correct processors. It exists so the checker's corpus can prove the
 //! explorer finds real violations and the shrinker minimizes them.
 
-use crate::algorithm1::{adversaries::EquivocatingTransmitter, Algo1Actor, Algo1Params};
+use crate::algorithm1::{self, Algo1Actor, Algo1Params};
 use crate::bounds;
-use crate::dolev_strong::{DsActor, DsEquivocator, DsParams, Variant};
+use crate::dolev_strong::{self, DsParams, Variant};
 use ba_crypto::{Chain, KeyRegistry, ProcessId, SchemeKind, Value};
 use ba_sim::schedule::{FaultBehavior, ScheduleError, ScheduleSpec};
 use ba_sim::{check_byzantine_agreement, Actor, AgreementViolation, RunVerdict, Simulation};
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// One schedule-driven run request against a [`CheckTarget`].
@@ -237,9 +235,10 @@ impl CheckTarget {
     /// may panic inside the algorithm.
     ///
     /// # Errors
-    /// [`ScheduleError`] when a fault behaviour cannot be mapped onto the
-    /// target (today only unmapped equivocation, which the registry targets
-    /// all intercept — the error path exists for external targets).
+    /// [`ScheduleError::Unmapped`] when the schedule carries a
+    /// protocol-specific behaviour the target's adversary hook does not
+    /// map (`lie` and `withhold` on the Dolev–Strong targets, `lie` on
+    /// `algorithm1`).
     pub fn build(&self, cfg: &CheckConfig) -> Result<CheckSetup, ScheduleError> {
         debug_assert!(self.validate(cfg).is_ok());
         (self.build_fn)(cfg)
@@ -354,24 +353,11 @@ fn build_ds(
     params.weaken_relay_threshold = weaken;
     params.transmitter = cfg.transmitter;
     let params = Arc::new(params);
-    let honest = |p: ProcessId| -> Box<dyn Actor<Chain>> {
-        let own = (p == params.transmitter).then_some(cfg.value);
-        Box::new(DsActor::new(params.clone(), p, registry.signer(p), own))
-    };
-    let mut actors: Vec<Box<dyn Actor<Chain>>> = Vec::with_capacity(cfg.n);
-    for p in (0..cfg.n as u32).map(ProcessId) {
-        actors.push(match cfg.spec.behavior_of(p) {
-            None => honest(p),
-            Some(FaultBehavior::Equivocate { ones }) => Box::new(DsEquivocator::new(
-                registry.signer(p),
-                cfg.n,
-                Value::ONE,
-                ones.iter().copied(),
-                Value::ZERO,
-            )),
-            Some(other) => other.apply(honest(p))?,
-        });
-    }
+    let actors = cfg.spec.compile(
+        cfg.n,
+        |p| dolev_strong::honest(&params, &registry, p, cfg.value),
+        |p, b| dolev_strong::adversary(&registry, p, b),
+    )?;
     let phases = params.phases();
     Ok(CheckSetup {
         registry,
@@ -391,25 +377,8 @@ fn build_algorithm1(cfg: &CheckConfig) -> Result<CheckSetup, ScheduleError> {
         let own = (p == cfg.transmitter).then_some(cfg.value);
         Box::new(Algo1Actor::new(params.clone(), p, registry.signer(p), own))
     };
-    let mut actors: Vec<Box<dyn Actor<Chain>>> = Vec::with_capacity(cfg.n);
-    for p in (0..cfg.n as u32).map(ProcessId) {
-        actors.push(match cfg.spec.behavior_of(p) {
-            None => honest(p),
-            Some(FaultBehavior::Equivocate { ones }) => {
-                let ones: BTreeSet<ProcessId> = ones.iter().copied().collect();
-                let zeros: Vec<ProcessId> = (1..cfg.n as u32)
-                    .map(ProcessId)
-                    .filter(|q| !ones.contains(q))
-                    .collect();
-                Box::new(EquivocatingTransmitter::new(
-                    registry.signer(p),
-                    ones,
-                    zeros,
-                ))
-            }
-            Some(other) => other.apply(honest(p))?,
-        });
-    }
+    let hook = algorithm1::adversary(&params, &registry, &cfg.spec);
+    let actors = cfg.spec.compile(cfg.n, honest, hook)?;
     Ok(CheckSetup {
         registry,
         actors,
@@ -606,6 +575,13 @@ mod tests {
                 )],
                 link_drops: vec![],
             },
+            ScheduleSpec::each(
+                [ProcessId(3), ProcessId(4)],
+                FaultBehavior::Forge {
+                    seed: 7,
+                    per_phase: 6,
+                },
+            ),
         ];
         for target_name in ["ds-broadcast", "ds-relay"] {
             let target = find_target(target_name).unwrap();
@@ -646,7 +622,13 @@ mod tests {
 
     #[test]
     fn schedule_errors_surface_as_failures_not_panics() {
-        let outcome = CheckOutcome::from_schedule_error(ScheduleError::UnmappedEquivocation);
+        let lie = ScheduleSpec::each([ProcessId(1)], FaultBehavior::Lie { value: Value::ONE });
+        let ds = find_target("ds-broadcast").unwrap();
+        let outcome = ds.run(&cfg(4, 1, lie));
+        assert_eq!(
+            outcome.schedule_error.as_deref(),
+            Some(ScheduleError::Unmapped("lie").to_string().as_str())
+        );
         let failure = outcome.failure().unwrap();
         assert!(failure.starts_with("schedule error:"), "{failure}");
         assert!(failure.contains("protocol-specific"), "{failure}");

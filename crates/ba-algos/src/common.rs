@@ -1,8 +1,9 @@
 //! Shared vocabulary for the algorithm implementations.
 
 use ba_crypto::{ProcessId, Value};
-use ba_sim::engine::RunOutcome;
-use ba_sim::{AgreementViolation, Payload, RunVerdict};
+use ba_sim::engine::{RunOutcome, Simulation};
+use ba_sim::schedule::{FaultBehavior, ScheduleSpec};
+use ba_sim::{Actor, AgreementViolation, Payload, RunVerdict};
 
 /// Chain/signature domain tags, one per protocol message space, so a
 /// signature produced inside one algorithm can never be replayed into
@@ -82,6 +83,30 @@ pub fn into_report<P: Payload>(
 ) -> Result<AlgoReport<P>, AgreementViolation> {
     let verdict = ba_sim::check_byzantine_agreement(&outcome, transmitter, sent)?;
     Ok(AlgoReport { outcome, verdict })
+}
+
+/// What every algorithm's `run` does with its schedule: validate it
+/// against `(n, t)`, [`compile`](ScheduleSpec::compile) it with the
+/// algorithm's `adversary` hook, and install its link drops on the
+/// simulation.
+///
+/// # Panics
+/// On a malformed schedule or a behaviour the hook does not map — like
+/// every other bad parameter of a standalone run.
+pub(crate) fn simulation<P: Payload + 'static>(
+    schedule: &ScheduleSpec,
+    n: usize,
+    t: usize,
+    honest: impl FnMut(ProcessId) -> Box<dyn Actor<P>>,
+    adversary: impl FnMut(ProcessId, &FaultBehavior) -> Option<Box<dyn Actor<P>>>,
+) -> Simulation<P> {
+    if let Err(err) = schedule.validate(n, t) {
+        panic!("invalid schedule: {err}");
+    }
+    let actors = schedule
+        .compile(n, honest, adversary)
+        .unwrap_or_else(|err| panic!("{err}"));
+    Simulation::new(actors).with_link_drops(schedule.link_drops.iter().copied())
 }
 
 #[cfg(test)]

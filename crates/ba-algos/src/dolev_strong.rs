@@ -21,10 +21,11 @@
 //! Decision: the unique extracted value, or the default `0` when zero or
 //! several values were extracted.
 
-use crate::common::{domains, into_report, AlgoReport};
+use crate::common::{domains, into_report, simulation, AlgoReport};
+use crate::fuzz::ChainFuzzer;
 use ba_crypto::{Chain, KeyRegistry, ProcessId, SchemeKind, Signer, Value, Verifier};
 use ba_sim::actor::{Actor, Inbox, Outbox};
-use ba_sim::engine::Simulation;
+use ba_sim::schedule::{FaultBehavior, ScheduleSpec};
 use ba_sim::AgreementViolation;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -287,26 +288,6 @@ impl Actor<Chain> for DsEquivocator {
     }
 }
 
-/// Fault scenarios for [`run`].
-#[derive(Debug, Default)]
-pub enum DsFault {
-    /// All correct.
-    #[default]
-    None,
-    /// Transmitter silent.
-    SilentTransmitter,
-    /// Transmitter equivocates between `1` (to the given set) and `0`.
-    Equivocate {
-        /// Recipients of value `1`.
-        ones: Vec<ProcessId>,
-    },
-    /// Given relays silent.
-    SilentRelays {
-        /// The silent relays.
-        set: Vec<ProcessId>,
-    },
-}
-
 /// Options for [`run`]. Construct with
 /// [`DsOptions::new`]/[`default`](DsOptions::default) and the `with_*`
 /// builders (the same convention as `SvcConfig`, `NetConfig`,
@@ -318,15 +299,17 @@ pub enum DsFault {
 pub struct DsOptions {
     /// Message pattern.
     pub variant: Variant,
-    /// Fault scenario.
-    pub fault: DsFault,
+    /// Fault schedule: `Equivocate { ones }` is a [`DsEquivocator`]
+    /// signing `1` for `ones` and `0` for the rest, `Forge` a
+    /// [`ChainFuzzer`] spammer.
+    pub schedule: ScheduleSpec,
     /// Registry seed.
     pub seed: u64,
     /// Signature scheme.
     pub scheme: SchemeKind,
     /// Worker threads for intra-phase stepping (`0`/`1` = sequential).
     /// Results are byte-identical for any value — see
-    /// [`Simulation::with_threads`].
+    /// [`Simulation::with_threads`](ba_sim::Simulation::with_threads).
     pub threads: usize,
 }
 
@@ -342,9 +325,9 @@ impl DsOptions {
         self
     }
 
-    /// Sets the fault scenario.
-    pub fn with_fault(mut self, fault: DsFault) -> Self {
-        self.fault = fault;
+    /// Sets the fault schedule.
+    pub fn with_schedule(mut self, schedule: ScheduleSpec) -> Self {
+        self.schedule = schedule;
         self
     }
 
@@ -367,7 +350,7 @@ impl DsOptions {
     }
 
     /// Does nothing: every run verifies at the phase barrier (see
-    /// [`Simulation::with_batched_verification`]). Kept only because
+    /// [`Simulation::with_batched_verification`](ba_sim::Simulation::with_batched_verification)). Kept only because
     /// `benchmark/src/workload/engine.rs:49` calls it and `benchmark/` is
     /// frozen for this change; the `benchmark` PR that drops that call
     /// deletes this method.
@@ -393,7 +376,7 @@ impl DsOptions {
 /// Propagates any [`AgreementViolation`].
 ///
 /// # Panics
-/// Panics unless `1 <= t` and `t + 2 <= n`.
+/// Panics unless `1 <= t` and `t + 2 <= n`, or on a malformed schedule.
 pub fn run(
     n: usize,
     t: usize,
@@ -408,60 +391,51 @@ pub fn run(
         options.variant,
         registry.verifier(),
     ));
-
-    let honest = |p: u32, own: Option<Value>| -> Box<dyn Actor<Chain>> {
-        Box::new(DsActor::new(
-            params.clone(),
-            ProcessId(p),
-            registry.signer(ProcessId(p)),
-            own,
-        ))
-    };
-
-    let mut actors: Vec<Box<dyn Actor<Chain>>> = Vec::with_capacity(n);
-    match &options.fault {
-        DsFault::None => {
-            actors.push(honest(0, Some(value)));
-            for p in 1..n as u32 {
-                actors.push(honest(p, None));
-            }
-        }
-        DsFault::SilentTransmitter => {
-            actors.push(Box::new(ba_sim::adversary::Silent));
-            for p in 1..n as u32 {
-                actors.push(honest(p, None));
-            }
-        }
-        DsFault::Equivocate { ones } => {
-            actors.push(Box::new(DsEquivocator::new(
-                registry.signer(ProcessId(0)),
-                n,
-                Value::ONE,
-                ones.iter().copied(),
-                Value::ZERO,
-            )));
-            for p in 1..n as u32 {
-                actors.push(honest(p, None));
-            }
-        }
-        DsFault::SilentRelays { set } => {
-            assert!(set.len() <= t && !set.contains(&ProcessId(0)));
-            actors.push(honest(0, Some(value)));
-            for p in 1..n as u32 {
-                if set.contains(&ProcessId(p)) {
-                    actors.push(Box::new(ba_sim::adversary::Silent));
-                } else {
-                    actors.push(honest(p, None));
-                }
-            }
-        }
-    }
-
-    let mut sim = Simulation::new(actors)
-        .with_threads(options.threads)
-        .with_registry(&registry);
+    let mut sim = simulation(
+        &options.schedule,
+        n,
+        t,
+        |p| honest(&params, &registry, p, value),
+        |p, b| adversary(&registry, p, b),
+    )
+    .with_threads(options.threads)
+    .with_registry(&registry);
     let outcome = sim.run(params.phases());
     into_report(outcome, ProcessId(0), value)
+}
+
+/// `p`'s honest Dolev–Strong actor; the transmitter sends `value`.
+pub(crate) fn honest(
+    params: &Arc<DsParams>,
+    registry: &KeyRegistry,
+    p: ProcessId,
+    value: Value,
+) -> Box<dyn Actor<Chain>> {
+    let own = (p == params.transmitter).then_some(value);
+    Box::new(DsActor::new(params.clone(), p, registry.signer(p), own))
+}
+
+/// Dolev–Strong's adversary hook for [`ScheduleSpec::compile`]:
+/// `Equivocate { ones }` is a [`DsEquivocator`] signing `1` for `ones` and
+/// `0` for everyone else, `Forge` a [`ChainFuzzer`] spammer.
+pub(crate) fn adversary(
+    registry: &KeyRegistry,
+    p: ProcessId,
+    behavior: &FaultBehavior,
+) -> Option<Box<dyn Actor<Chain>>> {
+    match behavior {
+        FaultBehavior::Equivocate { ones } => Some(Box::new(DsEquivocator::new(
+            registry.signer(p),
+            registry.len(),
+            Value::ONE,
+            ones.iter().copied(),
+            Value::ZERO,
+        ))),
+        FaultBehavior::Forge { seed, per_phase } => {
+            Some(ChainFuzzer::spammer(registry, p, *seed, *per_phase))
+        }
+        _ => None,
+    }
 }
 
 #[cfg(test)]
@@ -527,7 +501,10 @@ mod tests {
                 Value::ONE,
                 DsOptions {
                     variant,
-                    fault: DsFault::Equivocate { ones },
+                    schedule: ScheduleSpec::each(
+                        [ProcessId(0)],
+                        FaultBehavior::Equivocate { ones },
+                    ),
                     ..Default::default()
                 },
             )
@@ -544,7 +521,7 @@ mod tests {
             2,
             Value::ONE,
             DsOptions {
-                fault: DsFault::SilentTransmitter,
+                schedule: ScheduleSpec::each([ProcessId(0)], FaultBehavior::Silent),
                 ..Default::default()
             },
         )
@@ -562,9 +539,7 @@ mod tests {
             Value::ONE,
             DsOptions {
                 variant: Variant::Relay,
-                fault: DsFault::SilentRelays {
-                    set: vec![ProcessId(1), ProcessId(2), ProcessId(3)],
-                },
+                schedule: ScheduleSpec::each((1..=3).map(ProcessId), FaultBehavior::Silent),
                 ..Default::default()
             },
         )
@@ -657,7 +632,10 @@ mod tests {
                     Value::ONE,
                     DsOptions {
                         variant,
-                        fault: DsFault::Equivocate { ones },
+                        schedule: ScheduleSpec::each(
+                            [ProcessId(0)],
+                            FaultBehavior::Equivocate { ones },
+                        ),
                         seed,
                         scheme: SchemeKind::Fast,
                         ..Default::default()

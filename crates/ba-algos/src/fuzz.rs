@@ -1,23 +1,21 @@
-//! Chain-aware payload fuzzers and fuzz harnesses.
+//! Chain-aware payload fuzzers: what [`FaultBehavior::Forge`] sends.
 //!
 //! The paper's adversary can send *anything* — malformed chains, forged
 //! signatures, replayed prefixes, wrong domains. These fuzzers generate
-//! exactly that traffic (deterministically, per seed), and the harnesses
-//! run each algorithm with up to `t` spamming processors: agreement and
-//! validity must survive, and nothing may panic.
+//! exactly that traffic (deterministically, per seed); each algorithm's
+//! adversary hook compiles `Forge` into a [`Spammer`] over the fuzzer for
+//! its payload type, so forged traffic is one more schedule entry that
+//! runs, the checker and the shrinker all share.
 
-use crate::algorithm1::{Algo1Actor, Algo1Params};
 use crate::algorithm4::SignedItem;
-use crate::algorithm5::{Alg5Active, Alg5Config, Alg5Passive, Msg5};
-use crate::common::{domains, into_report, AlgoReport, Board};
+use crate::algorithm5::Msg5;
+use crate::common::domains;
 use ba_crypto::rng::SimRng;
 use ba_crypto::Bytes;
 use ba_crypto::{Chain, KeyRegistry, ProcessId, SchemeKind, Signature, Signer, Value};
 use ba_sim::actor::Actor;
-use ba_sim::engine::Simulation;
-use ba_sim::random::{PayloadFuzzer, Spammer};
-use ba_sim::AgreementViolation;
-use std::sync::Arc;
+use ba_sim::adversary::{PayloadFuzzer, Spammer};
+use ba_sim::schedule::{FaultBehavior, ScheduleSpec};
 
 /// Generates adversarial [`Chain`]s: unsigned, self-signed under random
 /// domains/values, forged-signature, over-long, and duplicate-signer
@@ -33,6 +31,18 @@ impl ChainFuzzer {
     /// own identity — the only signing power a Byzantine processor has.
     pub fn new(signer: Signer, kind: SchemeKind) -> Self {
         ChainFuzzer { signer, kind }
+    }
+
+    /// `p`'s [`FaultBehavior::Forge`] on a chain-payload algorithm over
+    /// `registry`.
+    pub fn spammer(
+        registry: &KeyRegistry,
+        p: ProcessId,
+        seed: u64,
+        per_phase: usize,
+    ) -> Box<dyn Actor<Chain>> {
+        let fuzzer = ChainFuzzer::new(registry.signer(p), registry.kind());
+        Box::new(Spammer::new(registry.len(), per_phase, seed, fuzzer))
     }
 
     fn random_chain(&mut self, rng: &mut SimRng) -> Chain {
@@ -102,6 +112,17 @@ impl Msg5Fuzzer {
             chains: ChainFuzzer::new(signer, kind),
         }
     }
+
+    /// `p`'s [`FaultBehavior::Forge`] on Algorithm 5 over `registry`.
+    pub fn spammer(
+        registry: &KeyRegistry,
+        p: ProcessId,
+        seed: u64,
+        per_phase: usize,
+    ) -> Box<dyn Actor<Msg5>> {
+        let fuzzer = Msg5Fuzzer::new(registry.signer(p), registry.kind());
+        Box::new(Spammer::new(registry.len(), per_phase, seed, fuzzer))
+    }
 }
 
 impl PayloadFuzzer<Msg5> for Msg5Fuzzer {
@@ -139,124 +160,53 @@ impl PayloadFuzzer<Msg5> for Msg5Fuzzer {
     }
 }
 
-/// Runs Algorithm 1 with `spammers` of the non-transmitter processors
-/// replaced by chain spammers.
-///
-/// # Errors
-/// Propagates any [`AgreementViolation`] (must not happen).
-///
-/// # Panics
-/// Panics if `spammers > t`.
-pub fn fuzz_algorithm1(
-    t: usize,
-    value: Value,
-    spammers: usize,
-    per_phase: usize,
-    seed: u64,
-) -> Result<AlgoReport<Chain>, AgreementViolation> {
-    assert!(spammers <= t);
-    let n = 2 * t + 1;
-    let registry = KeyRegistry::new(n, seed, SchemeKind::Fast);
-    let params = Arc::new(Algo1Params {
-        t,
-        verifier: registry.verifier(),
-    });
-
-    let mut actors: Vec<Box<dyn Actor<Chain>>> = Vec::with_capacity(n);
-    for p in 0..n as u32 {
-        let id = ProcessId(p);
-        // Spammers take the highest non-transmitter ids.
-        if p as usize >= n - spammers {
-            let fuzzer = ChainFuzzer::new(registry.signer(id), SchemeKind::Fast);
-            actors.push(Box::new(Spammer::new(
-                n,
-                per_phase,
-                seed ^ p as u64,
-                fuzzer,
-            )));
-        } else {
-            actors.push(Box::new(Algo1Actor::new(
-                params.clone(),
-                id,
-                registry.signer(id),
-                (p == 0).then_some(value),
-            )));
-        }
+/// The spam scenario: the top `count` of `n` processors forge
+/// `per_phase` payloads a phase, processor `p` seeded with `seed ^ p`.
+pub fn spammers(n: usize, count: usize, per_phase: usize, seed: u64) -> ScheduleSpec {
+    ScheduleSpec {
+        faults: (n - count..n)
+            .map(|p| {
+                let seed = seed ^ p as u64;
+                (
+                    ProcessId(p as u32),
+                    FaultBehavior::Forge { seed, per_phase },
+                )
+            })
+            .collect(),
+        link_drops: Vec::new(),
     }
-    let mut sim = Simulation::new(actors);
-    let outcome = sim.run(t + 2);
-    into_report(outcome, ProcessId(0), value)
-}
-
-/// Runs Algorithm 5 with the given number of passive processors replaced
-/// by [`Msg5`] spammers.
-///
-/// # Errors
-/// Propagates any [`AgreementViolation`] (must not happen).
-///
-/// # Panics
-/// Panics if `spammers > t` or the parameters violate
-/// [`Alg5Config::new`].
-pub fn fuzz_algorithm5(
-    n: usize,
-    t: usize,
-    s: usize,
-    value: Value,
-    spammers: usize,
-    per_phase: usize,
-    seed: u64,
-) -> Result<AlgoReport<Msg5>, AgreementViolation> {
-    assert!(spammers <= t);
-    let registry = KeyRegistry::new(n, seed, SchemeKind::Fast);
-    let cfg = Arc::new(Alg5Config::new(n, t, s, registry.verifier()));
-    let scratch = Board::new(cfg.core_count());
-
-    let mut actors: Vec<Box<dyn Actor<Msg5>>> = Vec::with_capacity(n);
-    for i in 0..n as u32 {
-        let id = ProcessId(i);
-        if (id.index()) >= n - spammers {
-            let fuzzer = Msg5Fuzzer::new(registry.signer(id), SchemeKind::Fast);
-            actors.push(Box::new(Spammer::new(
-                n,
-                per_phase,
-                seed ^ i as u64,
-                fuzzer,
-            )));
-        } else if id.index() < cfg.alpha {
-            actors.push(Box::new(Alg5Active::new(
-                cfg.clone(),
-                id,
-                registry.signer(id),
-                (i == 0).then_some(value),
-                scratch.clone(),
-            )));
-        } else {
-            actors.push(Box::new(Alg5Passive::new(
-                cfg.clone(),
-                id,
-                registry.signer(id),
-            )));
-        }
-    }
-    let mut sim = Simulation::new(actors);
-    let outcome = sim.run(cfg.last_phase);
-    into_report(outcome, ProcessId(0), value)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithm1::{self, Algo1Options};
+    use crate::algorithm5::{self, Alg5Options};
+    use crate::AlgoReport;
+    use ba_sim::AgreementViolation;
+
+    fn algorithm1_spam(
+        t: usize,
+        value: Value,
+        count: usize,
+        per_phase: usize,
+        seed: u64,
+    ) -> Result<AlgoReport<Chain>, AgreementViolation> {
+        let options = Algo1Options {
+            schedule: spammers(2 * t + 1, count, per_phase, seed),
+            seed,
+            scheme: SchemeKind::Fast,
+            ..Default::default()
+        };
+        algorithm1::run(t, value, options)
+    }
 
     #[test]
     fn algorithm1_survives_chain_spam() {
         for t in [2usize, 4] {
-            for spammers in 1..=t.min(2) {
-                let r = fuzz_algorithm1(t, Value::ONE, spammers, 8, 31).unwrap();
-                assert_eq!(
-                    r.verdict.agreed,
-                    Some(Value::ONE),
-                    "t={t} spammers={spammers}"
-                );
+            for count in 1..=t.min(2) {
+                let r = algorithm1_spam(t, Value::ONE, count, 8, 31).unwrap();
+                assert_eq!(r.verdict.agreed, Some(Value::ONE), "t={t} spammers={count}");
                 assert!(r.outcome.metrics.messages_by_faulty > 0);
             }
         }
@@ -265,13 +215,19 @@ mod tests {
     #[test]
     fn algorithm1_spam_cannot_fake_value_one() {
         // Transmitter honestly sends 0; spammers push garbage 1-chains.
-        let r = fuzz_algorithm1(3, Value::ZERO, 2, 10, 7).unwrap();
+        let r = algorithm1_spam(3, Value::ZERO, 2, 10, 7).unwrap();
         assert_eq!(r.verdict.agreed, Some(Value::ZERO));
     }
 
     #[test]
     fn algorithm5_survives_msg5_spam() {
-        let r = fuzz_algorithm5(30, 1, 3, Value::ONE, 1, 6, 11).unwrap();
+        let options = Alg5Options {
+            schedule: spammers(30, 1, 6, 11),
+            seed: 11,
+            scheme: SchemeKind::Fast,
+            ..Default::default()
+        };
+        let r = algorithm5::run(30, 1, 3, Value::ONE, options).unwrap();
         assert_eq!(r.verdict.agreed, Some(Value::ONE));
     }
 
@@ -285,7 +241,7 @@ mod tests {
                 let t = gen.usize_in(2, 5);
                 let seed = gen.u64();
                 let v = gen.u64_in(0, 2);
-                let r = fuzz_algorithm1(t, Value(v), 2, 6, seed).unwrap();
+                let r = algorithm1_spam(t, Value(v), 2, 6, seed).unwrap();
                 assert_eq!(r.verdict.agreed, Some(Value(v)));
             });
         }

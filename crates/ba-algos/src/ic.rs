@@ -15,11 +15,12 @@
 //! * entry `i` equals processor `i`'s private value whenever `i` is
 //!   correct.
 
-use crate::common::Board;
+use crate::common::{simulation, Board};
 use crate::dolev_strong::{DsActor, DsParams, Variant};
 use ba_crypto::{Chain, KeyRegistry, ProcessId, SchemeKind, Signer, Value, Verifier};
 use ba_sim::actor::{Actor, Envelope, Inbox, Outbox, Payload};
-use ba_sim::engine::{RunOutcome, Simulation};
+use ba_sim::engine::RunOutcome;
+use ba_sim::schedule::{FaultBehavior, ScheduleSpec};
 use std::sync::Arc;
 
 /// Base chain domain for instance separation: instance `i` signs under
@@ -153,34 +154,15 @@ impl Actor<IcMsg> for IcActor {
     }
 }
 
-/// Fault scenarios for [`run`].
-#[derive(Debug, Default)]
-pub enum IcFault {
-    /// All correct.
-    #[default]
-    None,
-    /// The given processors are silent in every instance.
-    Silent {
-        /// The silent processors.
-        set: Vec<ProcessId>,
-    },
-    /// The given processors participate honestly except that each
-    /// equivocates as the transmitter of its own instance (value `1` to
-    /// odd receivers, `0` to even).
-    EquivocateOwnInstance {
-        /// The equivocators.
-        set: Vec<ProcessId>,
-    },
-}
-
 /// An equivocating IC participant: honest in every instance except its
-/// own, where it splits values between receivers.
+/// own, where it signs `1` for `ones` and `0` for everyone else.
 #[derive(Debug)]
 struct IcEquivocator {
     inner: IcActor,
     me: ProcessId,
     signer: Signer,
     n: usize,
+    ones: Vec<ProcessId>,
 }
 
 impl Actor<IcMsg> for IcEquivocator {
@@ -201,7 +183,11 @@ impl Actor<IcMsg> for IcEquivocator {
                 if to == self.me {
                     continue;
                 }
-                let v = if p % 2 == 1 { Value::ONE } else { Value::ZERO };
+                let v = if self.ones.contains(&to) {
+                    Value::ONE
+                } else {
+                    Value::ZERO
+                };
                 let mut chain = Chain::new(IC_DOMAIN_BASE + self.me.0, v);
                 chain.sign_and_append(&self.signer);
                 out.send(
@@ -262,64 +248,54 @@ impl IcReport {
 /// `values` and up to `t` faults.
 ///
 /// ```
-/// use ba_algos::ic::{run, IcFault};
+/// use ba_algos::ic::run;
 /// use ba_crypto::Value;
+/// use ba_sim::ScheduleSpec;
 ///
 /// let values = vec![Value(5), Value(6), Value(7), Value(8)];
-/// let report = run(4, 1, &values, IcFault::None, 1);
+/// let report = run(4, 1, &values, &ScheduleSpec::default(), 1);
 /// assert_eq!(report.common_vector(), Some(values));
 /// ```
 ///
+/// `schedule`'s `Equivocate { ones }` is a processor honest in every
+/// instance but its own, where it signs `1` for `ones` and `0` for the
+/// rest.
+///
 /// # Panics
-/// Panics unless `values.len() == n`, `1 ≤ t ≤ n − 2` and the fault set
-/// fits `t`.
-pub fn run(n: usize, t: usize, values: &[Value], fault: IcFault, seed: u64) -> IcReport {
+/// Panics unless `values.len() == n` and `1 ≤ t ≤ n − 2`, or on a
+/// malformed schedule.
+pub fn run(n: usize, t: usize, values: &[Value], schedule: &ScheduleSpec, seed: u64) -> IcReport {
     assert_eq!(values.len(), n, "one private value per processor");
     assert!(t >= 1 && n >= t + 2);
     let registry = KeyRegistry::new(n, seed, SchemeKind::Fast);
     let vectors = Board::new(n);
 
-    let mut actors: Vec<Box<dyn Actor<IcMsg>>> = Vec::with_capacity(n);
-    let mut faults = 0usize;
-    for i in 0..n as u32 {
-        let id = ProcessId(i);
-        let actor: Box<dyn Actor<IcMsg>> = match &fault {
-            IcFault::Silent { set } if set.contains(&id) => {
-                faults += 1;
-                Box::new(ba_sim::adversary::Silent)
-            }
-            IcFault::EquivocateOwnInstance { set } if set.contains(&id) => {
-                faults += 1;
-                Box::new(IcEquivocator {
-                    inner: IcActor::new(
-                        n,
-                        t,
-                        id,
-                        values[id.index()],
-                        registry.signer(id),
-                        registry.verifier(),
-                        vectors.clone(),
-                    ),
-                    me: id,
-                    signer: registry.signer(id),
-                    n,
-                })
-            }
-            _ => Box::new(IcActor::new(
-                n,
-                t,
-                id,
-                values[id.index()],
-                registry.signer(id),
-                registry.verifier(),
-                vectors.clone(),
-            )),
+    let honest = |p: ProcessId| {
+        let (signer, verifier) = (registry.signer(p), registry.verifier());
+        IcActor::new(
+            n,
+            t,
+            p,
+            values[p.index()],
+            signer,
+            verifier,
+            vectors.clone(),
+        )
+    };
+    let adversary = |p, behavior: &FaultBehavior| -> Option<Box<dyn Actor<IcMsg>>> {
+        let FaultBehavior::Equivocate { ones } = behavior else {
+            return None;
         };
-        actors.push(actor);
-    }
-    assert!(faults <= t, "fault plan exceeds t");
-
-    let mut sim = Simulation::new(actors);
+        Some(Box::new(IcEquivocator {
+            inner: honest(p),
+            me: p,
+            signer: registry.signer(p),
+            n,
+            ones: ones.clone(),
+        }))
+    };
+    let boxed = |p| Box::new(honest(p)) as Box<dyn Actor<IcMsg>>;
+    let mut sim = simulation(schedule, n, t, boxed, adversary);
     let outcome = sim.run(t + 1);
     IcReport {
         outcome,
@@ -335,11 +311,21 @@ mod tests {
         (0..n as u64).map(|i| Value(i * 10 + 1)).collect()
     }
 
+    /// `set` each sign `1` for odd receivers and `0` for even ones in
+    /// their own instance.
+    fn equivocating(n: usize, set: &[u32]) -> ScheduleSpec {
+        let ones = (1..n as u32).step_by(2).map(ProcessId).collect();
+        ScheduleSpec::each(
+            set.iter().copied().map(ProcessId),
+            FaultBehavior::Equivocate { ones },
+        )
+    }
+
     #[test]
     fn fault_free_everyone_gets_the_exact_vector() {
         for (n, t) in [(4usize, 1usize), (6, 2), (8, 3)] {
             let vals = values(n);
-            let r = run(n, t, &vals, IcFault::None, 1);
+            let r = run(n, t, &vals, &ScheduleSpec::default(), 1);
             let common = r.common_vector().unwrap();
             assert_eq!(common, vals, "n={n} t={t}");
         }
@@ -354,9 +340,7 @@ mod tests {
             n,
             t,
             &vals,
-            IcFault::Silent {
-                set: vec![ProcessId(2), ProcessId(4)],
-            },
+            &ScheduleSpec::each([ProcessId(2), ProcessId(4)], FaultBehavior::Silent),
             3,
         );
         let common = r.common_vector().unwrap();
@@ -375,15 +359,7 @@ mod tests {
         let n = 7;
         let t = 2;
         let vals = values(n);
-        let r = run(
-            n,
-            t,
-            &vals,
-            IcFault::EquivocateOwnInstance {
-                set: vec![ProcessId(1), ProcessId(5)],
-            },
-            7,
-        );
+        let r = run(n, t, &vals, &equivocating(n, &[1, 5]), 7);
         // common_vector asserts all correct processors agree.
         let common = r.common_vector().unwrap();
         for i in [0usize, 2, 3, 4, 6] {
@@ -406,7 +382,7 @@ mod tests {
     #[test]
     fn vector_agreement_implies_scalar_projection_agreement() {
         let n = 5;
-        let r = run(n, 1, &values(n), IcFault::None, 9);
+        let r = run(n, 1, &values(n), &ScheduleSpec::default(), 9);
         let decisions: Vec<_> = r
             .outcome
             .decisions
@@ -433,12 +409,12 @@ mod tests {
                 let t = 1;
                 let vals: Vec<Value> = (0..n).map(|i| Value(raw[i])).collect();
                 let bad = ProcessId(victim % n as u32);
-                let fault = if equivocate {
-                    IcFault::EquivocateOwnInstance { set: vec![bad] }
+                let schedule = if equivocate {
+                    equivocating(n, &[bad.0])
                 } else {
-                    IcFault::Silent { set: vec![bad] }
+                    ScheduleSpec::each([bad], FaultBehavior::Silent)
                 };
-                let r = run(n, t, &vals, fault, seed);
+                let r = run(n, t, &vals, &schedule, seed);
                 let common = r.common_vector().unwrap();
                 for i in 0..n {
                     if ProcessId(i as u32) != bad {

@@ -45,13 +45,17 @@
 //!   onto one algorithm configuration and reports the agreement verdict
 //!   next to the paper's message-bound predicate;
 //! * [`trees`] — the complete-binary-tree bookkeeping behind Algorithm 5;
-//! * [`fuzz`] — chain-aware payload fuzzers and spam harnesses proving
-//!   the validators hold up under arbitrary Byzantine bytes.
+//! * [`fuzz`] — chain-aware payload fuzzers, what a schedule's `forge`
+//!   behaviour sends to prove the validators hold up under arbitrary
+//!   Byzantine bytes.
 //!
 //! All algorithms run on the [`ba_sim`] synchronous engine and sign with
-//! [`ba_crypto`] chains. Each module also ships the adversaries relevant to
-//! its worst case (equivocating transmitters, chain-withholding coalitions,
-//! corrupt group roots, …).
+//! [`ba_crypto`] chains. Every `run` takes a [`ba_sim::ScheduleSpec`] and
+//! compiles it through [`ScheduleSpec::compile`](ba_sim::ScheduleSpec::compile)
+//! with the module's adversary hook, which maps the protocol-specific
+//! behaviours onto the adversaries relevant to its worst case
+//! (equivocating transmitters, chain-withholding coalitions, corrupt group
+//! roots, …).
 //!
 //! # Quickstart
 //!

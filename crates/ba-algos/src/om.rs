@@ -18,10 +18,10 @@
 //! E2 compares against the Corollary 1 lower bound — and its explosion for
 //! growing `t` is why the paper's authenticated algorithms matter.
 
-use crate::common::{into_report, AlgoReport};
+use crate::common::{into_report, simulation, AlgoReport};
 use ba_crypto::{ProcessId, Value};
 use ba_sim::actor::{Actor, Inbox, Outbox, Payload, Received};
-use ba_sim::engine::Simulation;
+use ba_sim::schedule::{FaultBehavior, ScheduleSpec};
 use ba_sim::AgreementViolation;
 use std::collections::BTreeMap;
 
@@ -231,19 +231,21 @@ pub mod adversaries {
         }
     }
 
-    /// A relay that flips every value it forwards to odd-numbered targets
-    /// — unauthenticated messages cannot be caught by signature checks, so
-    /// only the majority logic protects the run.
+    /// A relay that flips every value it forwards to the targets in
+    /// `flip` — unauthenticated messages cannot be caught by signature
+    /// checks, so only the majority logic protects the run.
     #[derive(Debug)]
     pub struct FlippingRelay {
         inner: OmActor,
+        flip: Vec<ProcessId>,
     }
 
     impl FlippingRelay {
         /// Creates the adversary from an honest actor's parameters.
-        pub fn new(n: usize, t: usize, me: ProcessId) -> Self {
+        pub fn new(n: usize, t: usize, me: ProcessId, flip: Vec<ProcessId>) -> Self {
             FlippingRelay {
                 inner: OmActor::new(n, t, me, None),
+                flip,
             }
         }
     }
@@ -255,7 +257,7 @@ pub mod adversaries {
             self.inner.step(phase, inbox, &mut scratch);
             for env in scratch.into_staged() {
                 let mut msg = env.payload;
-                if env.to.0 % 2 == 1 {
+                if self.flip.contains(&env.to) {
                     msg.value = Value(1 - msg.value.0 % 2);
                 }
                 out.send(env.to, msg);
@@ -270,34 +272,14 @@ pub mod adversaries {
     }
 }
 
-/// Fault scenarios for [`run`].
-#[derive(Debug, Default)]
-pub enum OmFault {
-    /// All correct.
-    #[default]
-    None,
-    /// Transmitter equivocates (value `1` to the set, `0` elsewhere).
-    Equivocate {
-        /// Recipients of value `1`.
-        ones: Vec<ProcessId>,
-    },
-    /// The given relays flip values toward odd targets.
-    FlippingRelays {
-        /// The corrupt relays.
-        set: Vec<ProcessId>,
-    },
-    /// The given relays are silent.
-    SilentRelays {
-        /// The silent relays.
-        set: Vec<ProcessId>,
-    },
-}
-
 /// Options for [`run`].
 #[derive(Debug, Default)]
 pub struct OmOptions {
-    /// Fault scenario.
-    pub fault: OmFault,
+    /// Fault schedule: `Equivocate { ones }` on the transmitter is an
+    /// [`OmEquivocator`](adversaries::OmEquivocator) sending `1` to `ones`,
+    /// on a relay a [`FlippingRelay`](adversaries::FlippingRelay) flipping
+    /// what it forwards to `ones`.
+    pub schedule: ScheduleSpec,
 }
 
 /// Builds and runs an `OM(t)` scenario.
@@ -315,7 +297,8 @@ pub struct OmOptions {
 /// Propagates any [`AgreementViolation`].
 ///
 /// # Panics
-/// Panics unless `n > 3t` and `t ≥ 1` (the oral-messages requirement).
+/// Panics unless `n > 3t` and `t ≥ 1` (the oral-messages requirement),
+/// or on a malformed schedule.
 pub fn run(
     n: usize,
     t: usize,
@@ -324,53 +307,20 @@ pub fn run(
 ) -> Result<AlgoReport<OmMsg>, AgreementViolation> {
     assert!(t >= 1 && n > 3 * t, "OM(t) needs n > 3t");
 
-    let honest = |p: u32, own: Option<Value>| -> Box<dyn Actor<OmMsg>> {
-        Box::new(OmActor::new(n, t, ProcessId(p), own))
+    let honest = |p: ProcessId| -> Box<dyn Actor<OmMsg>> {
+        Box::new(OmActor::new(n, t, p, (p == ProcessId(0)).then_some(value)))
     };
-
-    let mut actors: Vec<Box<dyn Actor<OmMsg>>> = Vec::with_capacity(n);
-    match &options.fault {
-        OmFault::None => {
-            actors.push(honest(0, Some(value)));
-            for p in 1..n as u32 {
-                actors.push(honest(p, None));
-            }
-        }
-        OmFault::Equivocate { ones } => {
-            actors.push(Box::new(adversaries::OmEquivocator::new(n, ones.clone())));
-            for p in 1..n as u32 {
-                actors.push(honest(p, None));
-            }
-        }
-        OmFault::FlippingRelays { set } => {
-            assert!(set.len() <= t && !set.contains(&ProcessId(0)));
-            actors.push(honest(0, Some(value)));
-            for p in 1..n as u32 {
-                if set.contains(&ProcessId(p)) {
-                    actors.push(Box::new(adversaries::FlippingRelay::new(
-                        n,
-                        t,
-                        ProcessId(p),
-                    )));
-                } else {
-                    actors.push(honest(p, None));
-                }
-            }
-        }
-        OmFault::SilentRelays { set } => {
-            assert!(set.len() <= t && !set.contains(&ProcessId(0)));
-            actors.push(honest(0, Some(value)));
-            for p in 1..n as u32 {
-                if set.contains(&ProcessId(p)) {
-                    actors.push(Box::new(ba_sim::adversary::Silent));
-                } else {
-                    actors.push(honest(p, None));
-                }
-            }
-        }
-    }
-
-    let mut sim = Simulation::new(actors);
+    let adversary = |p: ProcessId, behavior: &FaultBehavior| -> Option<Box<dyn Actor<OmMsg>>> {
+        let FaultBehavior::Equivocate { ones } = behavior else {
+            return None;
+        };
+        Some(if p == ProcessId(0) {
+            Box::new(adversaries::OmEquivocator::new(n, ones.clone()))
+        } else {
+            Box::new(adversaries::FlippingRelay::new(n, t, p, ones.clone()))
+        })
+    };
+    let mut sim = simulation(&options.schedule, n, t, honest, adversary);
     let outcome = sim.run(t + 1);
     into_report(outcome, ProcessId(0), value)
 }
@@ -380,6 +330,19 @@ mod tests {
     use super::*;
     use crate::bounds;
     use ba_sim::Envelope;
+
+    fn odd(n: usize) -> Vec<ProcessId> {
+        (1..n as u32).step_by(2).map(ProcessId).collect()
+    }
+
+    /// `relays` flip what they forward to odd-numbered targets.
+    fn flipping(n: usize, relays: &[u32]) -> ScheduleSpec {
+        let ones = odd(n);
+        ScheduleSpec::each(
+            relays.iter().copied().map(ProcessId),
+            FaultBehavior::Equivocate { ones },
+        )
+    }
 
     #[test]
     fn fault_free_agrees_with_exact_message_count() {
@@ -410,7 +373,10 @@ mod tests {
                 t,
                 Value::ONE,
                 OmOptions {
-                    fault: OmFault::Equivocate { ones },
+                    schedule: ScheduleSpec::each(
+                        [ProcessId(0)],
+                        FaultBehavior::Equivocate { ones },
+                    ),
                 },
             )
             .unwrap();
@@ -426,9 +392,7 @@ mod tests {
             t,
             Value::ONE,
             OmOptions {
-                fault: OmFault::FlippingRelays {
-                    set: vec![ProcessId(2), ProcessId(5)],
-                },
+                schedule: flipping(n, &[2, 5]),
             },
         )
         .unwrap();
@@ -443,9 +407,10 @@ mod tests {
             t,
             Value::ONE,
             OmOptions {
-                fault: OmFault::SilentRelays {
-                    set: vec![ProcessId(3), ProcessId(6), ProcessId(9)],
-                },
+                schedule: ScheduleSpec::each(
+                    [ProcessId(3), ProcessId(6), ProcessId(9)],
+                    FaultBehavior::Silent,
+                ),
             },
         )
         .unwrap();
@@ -506,12 +471,13 @@ mod tests {
                     .take(t)
                     .map(ProcessId)
                     .collect();
-                let fault = if flip {
-                    OmFault::FlippingRelays { set }
+                let behavior = if flip {
+                    FaultBehavior::Equivocate { ones: odd(n) }
                 } else {
-                    OmFault::SilentRelays { set }
+                    FaultBehavior::Silent
                 };
-                let r = run(n, t, Value::ONE, OmOptions { fault }).unwrap();
+                let schedule = ScheduleSpec::each(set, behavior);
+                let r = run(n, t, Value::ONE, OmOptions { schedule }).unwrap();
                 assert_eq!(r.verdict.agreed, Some(Value::ONE));
             });
         }

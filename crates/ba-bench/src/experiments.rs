@@ -7,6 +7,7 @@ use ba_algos::{
 };
 use ba_crypto::{ProcessId, SchemeKind, Value};
 use ba_model::{theorem1, theorem2};
+use ba_sim::schedule::{FaultBehavior, ScheduleSpec};
 
 /// Runs one experiment by id (`"e1"`..`"e16"`).
 ///
@@ -290,6 +291,12 @@ pub fn e3() -> Vec<Table> {
     vec![attack, extraction, conformance]
 }
 
+/// The roots of Algorithm 3's `groups` push the wrong value `0`.
+fn lying_roots(t: usize, s: usize, groups: std::ops::Range<usize>) -> ScheduleSpec {
+    let roots = groups.map(|g| algorithm3::group_root(t, s, g));
+    ScheduleSpec::each(roots, FaultBehavior::Lie { value: Value::ZERO })
+}
+
 /// E4 — Theorem 3: Algorithm 1 phase and message bounds.
 pub fn e4() -> Vec<Table> {
     let mut t_out = Table::new(
@@ -322,7 +329,7 @@ pub fn e4() -> Vec<Table> {
             t,
             Value::ONE,
             algorithm1::Algo1Options {
-                fault: algorithm1::Algo1Fault::Equivocate { ones },
+                schedule: ScheduleSpec::each([ProcessId(0)], FaultBehavior::Equivocate { ones }),
                 scheme: SchemeKind::Fast,
                 ..Default::default()
             },
@@ -333,10 +340,7 @@ pub fn e4() -> Vec<Table> {
                 t,
                 Value::ONE,
                 algorithm1::Algo1Options {
-                    fault: algorithm1::Algo1Fault::Withhold {
-                        extra_members: t - 1,
-                        release_phase: t,
-                    },
+                    schedule: algorithm1::withholding(t, t - 1, t),
                     scheme: SchemeKind::Fast,
                     ..Default::default()
                 },
@@ -447,17 +451,13 @@ pub fn e6() -> Vec<Table> {
             },
         )
         .unwrap();
-        let groups: Vec<usize> = (0..t.min(3)).collect();
         let faulty = algorithm3::run(
             n,
             t,
             s,
             Value::ONE,
             algorithm3::Alg3Options {
-                fault: algorithm3::Alg3Fault::LyingRoots {
-                    groups,
-                    wrong: Value::ZERO,
-                },
+                schedule: lying_roots(t, s, 0..t.min(3)),
                 scheme: SchemeKind::Fast,
                 ..Default::default()
             },
@@ -777,17 +777,13 @@ pub fn e10() -> Vec<Table> {
     ] {
         let s3 = 4 * t;
         let r_groups = (n - (2 * t + 1)).div_ceil(s3);
-        let bad_groups: Vec<usize> = (0..t.min(r_groups)).collect();
         let a3 = algorithm3::run(
             n,
             t,
             s3,
             Value::ONE,
             algorithm3::Alg3Options {
-                fault: algorithm3::Alg3Fault::LyingRoots {
-                    groups: bad_groups,
-                    wrong: Value::ZERO,
-                },
+                schedule: lying_roots(t, s3, 0..t.min(r_groups)),
                 scheme: SchemeKind::Fast,
                 ..Default::default()
             },
@@ -798,14 +794,14 @@ pub fn e10() -> Vec<Table> {
         .messages_by_correct;
         let s5 = pow2m1(t);
         let r_trees = (n - bounds::alpha(t as u64) as usize).div_ceil(s5);
-        let bad_trees: Vec<usize> = (0..t.min(r_trees)).collect();
+        let roots = (0..t.min(r_trees)).filter_map(|tree| algorithm5::tree_root(n, t, s5, tree));
         let a5 = algorithm5::run(
             n,
             t,
             s5,
             Value::ONE,
             algorithm5::Alg5Options {
-                fault: algorithm5::Alg5Fault::SilentTreeRoots { trees: bad_trees },
+                schedule: ScheduleSpec::each(roots, FaultBehavior::Silent),
                 scheme: SchemeKind::Fast,
                 ..Default::default()
             },
@@ -830,30 +826,22 @@ pub fn e10() -> Vec<Table> {
 /// processors get activated or are faulty (the amortization that keeps
 /// Algorithm 5's activation traffic bounded).
 pub fn e11() -> Vec<Table> {
-    use ba_algos::algorithm5::{run_audited, Alg5Fault, Alg5Options};
+    use ba_algos::algorithm5::{run_audited, Alg5Options};
     let mut t_out = Table::new(
         "E11 — Lemma 4 activation audit for Algorithm 5: max per-tree (activated or faulty) vs 2b(C)+1",
         &["n", "t", "s", "fault", "total activated", "max per-tree activated+faulty", "max 2b(C)+1", "within bound"],
     );
-    type Scenario = (usize, usize, usize, &'static str, Alg5Fault, Vec<ProcessId>);
+    // The faulty processors are silent: tree roots (p9; p25, p32, p39 at
+    // alpha = 25) or plain passives.
+    type Scenario = (usize, usize, usize, &'static str, Vec<ProcessId>);
     let scenarios: Vec<Scenario> = vec![
-        (30, 1, 7, "none", Alg5Fault::None, vec![]),
-        (
-            30,
-            1,
-            7,
-            "silent tree root",
-            Alg5Fault::SilentTreeRoots { trees: vec![0] },
-            vec![ProcessId(9)],
-        ),
+        (30, 1, 7, "none", vec![]),
+        (30, 1, 7, "silent tree root", vec![ProcessId(9)]),
         (
             46,
             2,
             7,
             "2 silent passives",
-            Alg5Fault::SilentPassives {
-                set: vec![ProcessId(17), ProcessId(30)],
-            },
             vec![ProcessId(17), ProcessId(30)],
         ),
         (
@@ -861,20 +849,17 @@ pub fn e11() -> Vec<Table> {
             3,
             7,
             "3 silent tree roots",
-            Alg5Fault::SilentTreeRoots {
-                trees: vec![0, 1, 2],
-            },
             vec![ProcessId(25), ProcessId(32), ProcessId(39)],
         ),
     ];
-    for (n, t, s, label, fault, faulty_ids) in scenarios {
+    for (n, t, s, label, faulty_ids) in scenarios {
         let (report, activated) = run_audited(
             n,
             t,
             s,
             Value::ONE,
             Alg5Options {
-                fault,
+                schedule: ScheduleSpec::each(faulty_ids.iter().copied(), FaultBehavior::Silent),
                 scheme: SchemeKind::Fast,
                 ..Default::default()
             },
@@ -918,7 +903,7 @@ pub fn e11() -> Vec<Table> {
 /// (every subtree activated in every block). Agreement still holds, but
 /// the activation traffic the certificates suppress comes back.
 pub fn e12() -> Vec<Table> {
-    use ba_algos::algorithm5::{run, Alg5Fault, Alg5Options};
+    use ba_algos::algorithm5::{run, tree_root, Alg5Options};
     let mut t_out = Table::new(
         "E12 — ablation: proof-of-work activation gating vs naive always-activate (silent tree-root fault)",
         &["n", "t", "s", "gated messages", "naive messages", "overhead", "both agree"],
@@ -929,14 +914,14 @@ pub fn e12() -> Vec<Table> {
         (240, 3, 7),
         (240, 7, 7),
     ] {
-        let fault = || Alg5Fault::SilentTreeRoots { trees: vec![0] };
+        let schedule = || ScheduleSpec::each(tree_root(n, t, s, 0), FaultBehavior::Silent);
         let gated = run(
             n,
             t,
             s,
             Value::ONE,
             Alg5Options {
-                fault: fault(),
+                schedule: schedule(),
                 scheme: SchemeKind::Fast,
                 ..Default::default()
             },
@@ -948,7 +933,7 @@ pub fn e12() -> Vec<Table> {
             s,
             Value::ONE,
             Alg5Options {
-                fault: fault(),
+                schedule: schedule(),
                 scheme: SchemeKind::Fast,
                 naive_activation: true,
                 ..Default::default()
@@ -977,18 +962,18 @@ pub fn e12() -> Vec<Table> {
 /// under the chain-withholding coalition. The `t + 2` phase bound is the
 /// worst case; typical runs decide immediately.
 pub fn e13() -> Vec<Table> {
-    use ba_algos::algorithm1::{run, Algo1Fault, Algo1Options};
+    use ba_algos::algorithm1::{run, withholding, Algo1Options};
 
     let mut t_out = Table::new(
         "E13 — Algorithm 1 decision latency (phase of last first-receipt of a correct 1-message) vs the t+2 bound",
         &["t", "n", "fault-free latency", "withholding latency", "phase bound t+2", "within bound"],
     );
-    let latency = |t: usize, fault: Algo1Fault| -> usize {
+    let latency = |t: usize, schedule: ScheduleSpec| -> usize {
         let r = run(
             t,
             Value::ONE,
             Algo1Options {
-                fault,
+                schedule,
                 trace: true,
                 scheme: SchemeKind::Fast,
                 ..Default::default()
@@ -1020,14 +1005,8 @@ pub fn e13() -> Vec<Table> {
     };
 
     for t in [2usize, 4, 6, 8] {
-        let clean = latency(t, Algo1Fault::None);
-        let withheld = latency(
-            t,
-            Algo1Fault::Withhold {
-                extra_members: t - 1,
-                release_phase: t,
-            },
-        );
+        let clean = latency(t, ScheduleSpec::default());
+        let withheld = latency(t, withholding(t, t - 1, t));
         t_out.row(cells![
             t,
             2 * t + 1,

@@ -137,6 +137,16 @@ pub(crate) fn spec_to_json(spec: &ScheduleSpec) -> (Json, Json) {
                 FaultBehavior::Equivocate { ones } => {
                     pairs.push(("ones".to_string(), ids_to_json(ones)));
                 }
+                FaultBehavior::Lie { value } => {
+                    pairs.push(("value".to_string(), Json::Int(value.0)));
+                }
+                FaultBehavior::Withhold { release } => {
+                    pairs.push(("release".to_string(), Json::Int(*release as u64)));
+                }
+                FaultBehavior::Forge { seed, per_phase } => {
+                    pairs.push(("seed".to_string(), Json::Int(*seed)));
+                    pairs.push(("per_phase".to_string(), Json::Int(*per_phase as u64)));
+                }
             }
             Json::Obj(pairs)
         })
@@ -180,6 +190,16 @@ pub(crate) fn spec_from_json(value: &Json) -> Result<ScheduleSpec, String> {
             },
             "equivocate" => FaultBehavior::Equivocate {
                 ones: ids_from_json(entry, "ones")?,
+            },
+            "lie" => FaultBehavior::Lie {
+                value: Value(field_u64(entry, "value")?),
+            },
+            "withhold" => FaultBehavior::Withhold {
+                release: field_u64(entry, "release")? as usize,
+            },
+            "forge" => FaultBehavior::Forge {
+                seed: field_u64(entry, "seed")?,
+                per_phase: field_u64(entry, "per_phase")? as usize,
             },
             other => return Err(format!("unknown fault behavior {other:?}")),
         };
@@ -295,6 +315,16 @@ mod tests {
                 FaultBehavior::Equivocate {
                     ones: vec![ProcessId(gen.u32_in(1, n as u32))],
                 },
+                FaultBehavior::Lie {
+                    value: Value(gen.u64()),
+                },
+                FaultBehavior::Withhold {
+                    release: gen.usize_in(1, 6),
+                },
+                FaultBehavior::Forge {
+                    seed: gen.u64(),
+                    per_phase: gen.usize_in(0, 9),
+                },
             ];
             let pick = gen.usize_in(0, behaviors.len());
             let schedule = FaultSchedule {
@@ -318,6 +348,35 @@ mod tests {
     }
 
     #[test]
+    fn protocol_specific_tags_roundtrip_as_integer_fields() {
+        for (behavior, rendered) in [
+            (
+                FaultBehavior::Lie { value: Value(7) },
+                r#""behavior":"lie","value":7"#,
+            ),
+            (
+                FaultBehavior::Withhold { release: 3 },
+                r#""behavior":"withhold","release":3"#,
+            ),
+            (
+                FaultBehavior::Forge {
+                    seed: 11,
+                    per_phase: 4,
+                },
+                r#""behavior":"forge","seed":11,"per_phase":4"#,
+            ),
+        ] {
+            let mut schedule = sample();
+            schedule.spec.faults = vec![(ProcessId(0), behavior)];
+            let text = schedule.to_json().render();
+            assert!(text.contains(rendered), "{text}");
+            assert_eq!(FaultSchedule::from_text(&text).unwrap(), schedule);
+            let missing = text.replace(&rendered[rendered.rfind(',').unwrap()..], "");
+            assert!(FaultSchedule::from_text(&missing).is_err(), "{missing}");
+        }
+    }
+
+    #[test]
     fn resolve_rejects_unknown_target_and_bad_spec() {
         let mut schedule = sample();
         schedule.target = "no-such-target".to_string();
@@ -329,6 +388,15 @@ mod tests {
             (ProcessId(1), FaultBehavior::Silent),
         ];
         assert!(overbudget.resolve().is_err(), "t = 1 allows one fault");
+
+        // Corpus JSON is outside input: a repeated omission target is
+        // rejected, naming the processor, rather than parsed and run.
+        let repeated = sample().to_json().render().replace("[2]", "[3,3]");
+        let err = FaultSchedule::from_text(&repeated)
+            .unwrap()
+            .resolve()
+            .unwrap_err();
+        assert!(err.contains("targets of p0"), "{err}");
     }
 
     #[test]

@@ -147,9 +147,11 @@ fn candidates<C: Case + Clone>(case: &C) -> Vec<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::corpus::{default_corpus_path, load, CorpusCase};
     use crate::schedule::FaultSchedule;
     use ba_crypto::ProcessId;
     use ba_sim::schedule::{LinkDrop, ScheduleSpec};
+    use std::path::Path;
 
     /// A deliberately bloated failing schedule: the splitting omission plus
     /// an extra omission target and a link drop in a phase where the
@@ -190,6 +192,32 @@ mod tests {
         assert_minimal(&minimal).unwrap();
         // Shrinking is deterministic.
         assert_eq!(shrink(&bloated()), (minimal, failure));
+    }
+
+    #[test]
+    fn forge_padding_shrinks_back_to_the_committed_schedule() {
+        let (committed, failure) = load(Path::new(default_corpus_path()))
+            .unwrap()
+            .into_iter()
+            .find_map(|entry| match entry.case {
+                CorpusCase::Target(schedule) => Some((schedule, entry.failure)),
+                CorpusCase::Ext(_) => None,
+            })
+            .expect("the committed corpus has a target entry");
+        let mut padded = committed.clone();
+        padded.spec.faults.push((
+            ProcessId(3),
+            FaultBehavior::Forge {
+                seed: 9,
+                per_phase: 4,
+            },
+        ));
+        // Padded past the t = 1 budget the case reports as invalid without
+        // running; dropping the spammer is the first reduction that still
+        // fails, and what is left is already 1-minimal.
+        let invalid = padded.failure(1).unwrap();
+        assert!(invalid.contains("exceed the budget"), "{invalid}");
+        assert_eq!(shrink(&padded), (committed, failure));
     }
 
     #[test]

@@ -958,22 +958,20 @@ pub(crate) fn chunk_seed(seed: u64) -> u64 {
     seed ^ 0xD15E_0001
 }
 
-/// Applies a schedule's generic fault behaviours onto extension actors
-/// (equivocation is not mappable here — the sender's "equivocation" is
-/// signing inconsistent chunks, which the check layer injects through
-/// the rewrite hook).
+/// Compiles a schedule onto the extension's honest actors. The hook maps
+/// nothing: the sender's "equivocation" is signing inconsistent chunks,
+/// which the check layer injects through the rewrite hook.
 pub(crate) fn apply_spec_faults(
-    actors: &mut [Box<dyn Actor<ExtMsg>>],
+    actors: Vec<Box<dyn Actor<ExtMsg>>>,
     spec: &ScheduleSpec,
-) -> Result<(), ScheduleError> {
-    for (p, behavior) in &spec.faults {
-        let honest = std::mem::replace(
-            &mut actors[p.index()],
-            Box::new(NullActor) as Box<dyn Actor<ExtMsg>>,
-        );
-        actors[p.index()] = behavior.apply(honest)?;
-    }
-    Ok(())
+) -> Result<Vec<Box<dyn Actor<ExtMsg>>>, ScheduleError> {
+    let mut honest: Vec<_> = actors.into_iter().map(Some).collect();
+    let n = honest.len();
+    spec.compile(
+        n,
+        |p| honest[p.index()].take().expect("one actor per processor"),
+        |_, _| None,
+    )
 }
 
 /// Per-node digest views assembled from each node's OWN word decisions —

@@ -144,10 +144,10 @@ pub(crate) fn run<R: StageRunner>(
     let setup = ExtSetup::new(opts);
     let run_grid = |runner: &mut R,
                     stage: ExtStage,
-                    mut actors: Vec<Box<dyn Actor<ExtMsg>>>,
+                    actors: Vec<Box<dyn Actor<ExtMsg>>>,
                     phases: usize|
      -> Result<StageOutcome, R::Error> {
-        apply_spec_faults(&mut actors, spec).map_err(ExtError::Schedule)?;
+        let actors = apply_spec_faults(actors, spec).map_err(ExtError::Schedule)?;
         runner.run(stage, rewrite(actors), phases, &setup.registry, opts.t)
     };
 

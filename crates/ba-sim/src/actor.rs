@@ -330,7 +330,7 @@ impl<P: Payload> Outbox<P> {
     /// Records that `count` messages the wrapped honest actor wanted to
     /// send were suppressed before reaching the network. Adversary
     /// wrappers ([`OmitTo`](crate::adversary::OmitTo),
-    /// [`RandomOmit`](crate::random::RandomOmit), …) call this when they
+    /// [`RestrictPeers`](crate::adversary::RestrictPeers), …) call this when they
     /// filter a scratch outbox, so
     /// [`Metrics::omitted_messages`](crate::metrics::Metrics::omitted_messages)
     /// can distinguish a *quiet* run (nothing was ever sent) from a

@@ -7,12 +7,17 @@
 //! others"). These combinators wrap an honest [`Actor`] and apply such
 //! restrictions; protocol-specific attacks (equivocating transmitters,
 //! chain-withholding relays, corrupt tree roots) live next to each
-//! algorithm in `ba-algos`.
+//! algorithm in `ba-algos`. The one generic attack that is *not* a
+//! restriction is the [`Spammer`]: it floods random targets with whatever
+//! a protocol's [`PayloadFuzzer`] forges, which is how
+//! [`FaultBehavior::Forge`](crate::schedule::FaultBehavior::Forge)
+//! probes a protocol's parsing and validation surface.
 //!
 //! Every wrapper reports [`is_correct`](Actor::is_correct) as `false`, so
 //! metrics and the checker treat the processor as faulty.
 
 use crate::actor::{Actor, Envelope, Inbox, Outbox, Payload};
+use ba_crypto::rng::SimRng;
 use ba_crypto::{ProcessId, Value};
 use std::collections::BTreeSet;
 
@@ -221,9 +226,60 @@ impl<P: Payload, A: Actor<P>> Actor<P> for RestrictPeers<A> {
     }
 }
 
+/// Generates one adversarial payload per call.
+///
+/// `Send` because fuzzers live inside actors, which the engine may step on
+/// worker threads ([`Actor`]'s supertrait).
+pub trait PayloadFuzzer<P>: std::fmt::Debug + Send {
+    /// Produces the next payload aimed at `target` during `phase`.
+    fn next(&mut self, rng: &mut SimRng, phase: usize, target: ProcessId) -> P;
+}
+
+/// A faulty processor that sends `per_phase` fuzzer payloads to random
+/// targets every phase, decides nothing, and ignores its inbox.
+/// Deterministic in its seed.
+#[derive(Debug)]
+pub struct Spammer<P, F> {
+    rng: SimRng,
+    n: usize,
+    per_phase: usize,
+    fuzzer: F,
+    _marker: std::marker::PhantomData<fn() -> P>,
+}
+
+impl<P, F> Spammer<P, F> {
+    /// Creates the spammer over `n` targets.
+    pub fn new(n: usize, per_phase: usize, seed: u64, fuzzer: F) -> Self {
+        Spammer {
+            rng: SimRng::new(seed),
+            n,
+            per_phase,
+            fuzzer,
+            _marker: std::marker::PhantomData,
+        }
+    }
+}
+
+impl<P: Payload, F: PayloadFuzzer<P>> Actor<P> for Spammer<P, F> {
+    fn step(&mut self, phase: usize, _inbox: Inbox<'_, P>, out: &mut Outbox<P>) {
+        for _ in 0..self.per_phase {
+            let target = ProcessId(self.rng.range_u32(0, self.n as u32));
+            let payload = self.fuzzer.next(&mut self.rng, phase, target);
+            out.send(target, payload);
+        }
+    }
+    fn decision(&self) -> Option<Value> {
+        None
+    }
+    fn is_correct(&self) -> bool {
+        false
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Simulation;
 
     /// Echoes every received payload back to its sender and to p0; decides
     /// on the first value heard.
@@ -324,6 +380,62 @@ mod tests {
         assert_eq!(staged.len(), 1);
         assert_eq!(staged[0].to, ProcessId(2));
         assert_eq!(r.decision(), Some(Value(6)));
+    }
+
+    /// Forges uniformly random values.
+    #[derive(Debug)]
+    struct RandomValues;
+    impl PayloadFuzzer<Value> for RandomValues {
+        fn next(&mut self, rng: &mut SimRng, _phase: usize, _target: ProcessId) -> Value {
+            Value(rng.next_u64())
+        }
+    }
+
+    /// Counts every message it hears; sends nothing.
+    #[derive(Debug, Default)]
+    struct Counter {
+        heard: usize,
+    }
+    impl Actor<Value> for Counter {
+        fn step(&mut self, _p: usize, inbox: Inbox<'_, Value>, _o: &mut Outbox<Value>) {
+            self.heard += inbox.len();
+        }
+        fn finalize(&mut self, inbox: Inbox<'_, Value>) {
+            self.heard += inbox.len();
+        }
+        fn decision(&self) -> Option<Value> {
+            Some(Value(self.heard as u64))
+        }
+    }
+
+    #[test]
+    fn spammer_floods_deterministically() {
+        let run = || {
+            let mut sim = Simulation::new(vec![
+                Box::new(Spammer::new(2, 5, 42, RandomValues)) as Box<dyn Actor<Value>>,
+                Box::new(Counter::default()),
+            ]);
+            sim.run(4)
+        };
+        let a = run();
+        let b = run();
+        assert_eq!(a.decisions, b.decisions, "seeded determinism");
+        assert_eq!(a.metrics.messages_by_faulty, b.metrics.messages_by_faulty);
+        assert!(a.metrics.messages_by_faulty > 0);
+        assert_eq!(a.metrics.messages_by_correct, 0);
+    }
+
+    #[test]
+    fn spammer_self_sends_are_dropped_by_outbox() {
+        let mut sim = Simulation::new(vec![
+            Box::new(Spammer::new(1, 10, 1, RandomValues)) as Box<dyn Actor<Value>>
+        ]);
+        let outcome = sim.run(3);
+        assert_eq!(
+            outcome.metrics.messages_total(),
+            0,
+            "only self-targets exist"
+        );
     }
 
     mod props {

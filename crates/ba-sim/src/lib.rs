@@ -17,14 +17,15 @@
 //! * [`metrics`] — message/signature/phase accounting with the paper's
 //!   convention (count traffic *sent by correct processors*);
 //! * [`adversary`] — generic Byzantine behaviours (silence, crashing,
-//!   selective omission, inbox starvation) that wrap honest actors; richer,
-//!   protocol-specific attacks live next to each algorithm;
+//!   selective omission, inbox starvation) that wrap honest actors, and the
+//!   seeded [`Spammer`](adversary::Spammer); richer, protocol-specific
+//!   attacks live next to each algorithm;
 //! * [`checker`] — post-run verification of the two Byzantine Agreement
 //!   conditions;
-//! * [`schedule`] — the declarative fault-schedule vocabulary
-//!   ([`FaultBehavior`], [`LinkDrop`], [`ScheduleSpec`]) that the
-//!   `ba-check` model checker compiles onto the adversary wrappers and the
-//!   engine's link-drop hook;
+//! * [`schedule`] — the one fault vocabulary ([`FaultBehavior`],
+//!   [`LinkDrop`], [`ScheduleSpec`]) and [`ScheduleSpec::compile`], which
+//!   every algorithm run and every `ba-check` target calls to turn a
+//!   schedule into actors;
 //! * [`transport`] — the routing [`Fate`] of a staged envelope and the
 //!   one policy that decides it, [`ScheduledDrops`]; anything less
 //!   reliable is a wire's business (`ba-net`);
@@ -92,7 +93,6 @@ pub mod checker;
 pub mod engine;
 pub mod metrics;
 pub mod pool;
-pub mod random;
 pub mod schedule;
 pub mod sweep;
 pub mod trace;

@@ -1,28 +1,33 @@
-//! Schedule-driven fault vocabulary: the bridge between a declarative
-//! fault schedule and the [`adversary`](crate::adversary) wrappers.
+//! The one fault vocabulary: a declarative schedule of what the paper's
+//! adversary does, and the one loop that turns it into actors.
 //!
 //! The model checker (`ba-check`) explores the space of adversarial
 //! *schedules*: who is faulty, how each faulty processor deviates, and
-//! which links drop in which phases. This module defines the in-memory
-//! vocabulary for that space — [`FaultBehavior`], [`LinkDrop`] and
-//! [`ScheduleSpec`] — and the adapter ([`FaultBehavior::apply`]) that
-//! compiles a behaviour into the existing actor wrappers. The serializable
-//! `FaultSchedule` (JSON corpus format, target binding) lives in
-//! `ba-check`; algorithm crates consume `ScheduleSpec` to build checkable
-//! runs without depending on the checker.
+//! which links drop in which phases. This module defines that vocabulary —
+//! [`FaultBehavior`], [`LinkDrop`] and [`ScheduleSpec`] — and
+//! [`ScheduleSpec::compile`], which every algorithm run and every check
+//! target calls to build its actors. The serializable `FaultSchedule`
+//! (JSON corpus format, target binding) lives in `ba-check`; algorithm
+//! crates consume `ScheduleSpec` without depending on the checker.
 //!
-//! Every behaviour here is a *restriction* of correct behaviour (silence,
-//! crashing, selective omission) except [`FaultBehavior::Equivocate`],
-//! which is protocol-specific: the adapter cannot fabricate signed
-//! equivocations generically, so check targets must map it to their own
-//! equivocating adversary before calling [`FaultBehavior::apply`].
+//! Four behaviours are *restrictions* of correct behaviour (silence,
+//! crashing, selective omission, passivity) and compile generically
+//! through [`FaultBehavior::apply`]. The other four — [`Equivocate`],
+//! [`Lie`], [`Withhold`] and [`Forge`] — are protocol-specific: the
+//! generic adapter cannot fabricate a protocol's signed messages, so
+//! `compile` hands them to the caller's adversary hook.
+//!
+//! [`Equivocate`]: FaultBehavior::Equivocate
+//! [`Lie`]: FaultBehavior::Lie
+//! [`Withhold`]: FaultBehavior::Withhold
+//! [`Forge`]: FaultBehavior::Forge
 
 use crate::actor::{Actor, Payload};
 use crate::adversary::{Crash, OmitTo, Silent};
-use ba_crypto::ProcessId;
+use ba_crypto::{ProcessId, Value};
 use core::fmt;
 
-/// Why a [`FaultBehavior`] could not be compiled onto an honest actor.
+/// Why a [`ScheduleSpec`] could not be compiled onto an algorithm's actors.
 ///
 /// Returned (not panicked) so callers that drive many schedules — the
 /// `ba-check` explorer, the `ba-net` soak harness — can surface the
@@ -31,19 +36,17 @@ use core::fmt;
 #[derive(Clone, PartialEq, Eq, Debug)]
 #[non_exhaustive]
 pub enum ScheduleError {
-    /// [`FaultBehavior::Equivocate`] reached the generic adapter: the
-    /// check target must map equivocation to its own signed-message
-    /// adversary before falling through to [`FaultBehavior::apply`].
-    UnmappedEquivocation,
+    /// A protocol-specific behaviour (named by its [`FaultBehavior::tag`])
+    /// that the caller's adversary hook does not map.
+    Unmapped(&'static str),
 }
 
 impl fmt::Display for ScheduleError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ScheduleError::UnmappedEquivocation => write!(
+            ScheduleError::Unmapped(tag) => write!(
                 f,
-                "equivocation is protocol-specific: the check target must map it \
-                 to its own adversary before applying the generic adapter"
+                "{tag:?} is protocol-specific and this algorithm has no adversary for it"
             ),
         }
     }
@@ -71,39 +74,64 @@ pub enum FaultBehavior {
     /// drops (a link may only drop if its sender is faulty, otherwise the
     /// schedule would exceed the fault model).
     Passive,
-    /// Protocol-specific equivocation: send value `1` to `ones` and `0`
-    /// to the rest. Only meaningful for processors the target algorithm
-    /// exposes an equivocating adversary for (typically the transmitter);
-    /// [`FaultBehavior::apply`] panics on it by design.
+    /// Protocol-specific equivocation: value `1` (or, where the protocol
+    /// is multi-valued, a value of the recipient's own) to `ones` and `0`
+    /// to the rest. On a transmitter it splits what it signs; on a relay
+    /// it corrupts what it forwards to `ones`.
     Equivocate {
-        /// Recipients of value `1`.
+        /// The recipients singled out, sorted and deduplicated.
         ones: Vec<ProcessId>,
+    },
+    /// Protocol-specific lie: play the processor's role but push `value`
+    /// instead of the value the protocol gave it (a lying group root, a
+    /// wrong-value gossiper).
+    Lie {
+        /// The value pushed.
+        value: Value,
+    },
+    /// Protocol-specific withholding: every carrier, transmitter first,
+    /// joins one coalition that extends a chain privately and releases it
+    /// at phase `release`.
+    Withhold {
+        /// Phase at which the coalition releases its chain.
+        release: usize,
+    },
+    /// Ignores the protocol and sends `per_phase` of the protocol's fuzzer
+    /// payloads every phase to random targets, through a
+    /// [`Spammer`](crate::adversary::Spammer) seeded with `seed`.
+    Forge {
+        /// The spammer's seed.
+        seed: u64,
+        /// Payloads sent per phase.
+        per_phase: usize,
     },
 }
 
 impl FaultBehavior {
-    /// Compiles this behaviour into an actor by wrapping `honest`.
+    /// Compiles a restriction by wrapping `honest`.
     ///
     /// # Errors
-    /// [`ScheduleError::UnmappedEquivocation`] on
-    /// [`FaultBehavior::Equivocate`]: equivocation needs the target
-    /// algorithm's own signed-message adversary; callers must intercept it
-    /// before falling through to this adapter.
+    /// [`ScheduleError::Unmapped`] on the protocol-specific behaviours,
+    /// which need the algorithm's own adversary (see
+    /// [`ScheduleSpec::compile`]).
     pub fn apply<P: Payload + 'static>(
         &self,
         honest: Box<dyn Actor<P>>,
     ) -> Result<Box<dyn Actor<P>>, ScheduleError> {
-        match self {
-            FaultBehavior::Silent => Ok(Box::new(Silent)),
-            FaultBehavior::CrashAt { phase } => Ok(Box::new(Crash::new(honest, *phase))),
+        Ok(match self {
+            FaultBehavior::Silent => Box::new(Silent),
+            FaultBehavior::CrashAt { phase } => Box::new(Crash::new(honest, *phase)),
             FaultBehavior::OmitTo { targets } => {
-                Ok(Box::new(OmitTo::new(honest, targets.iter().copied())))
+                Box::new(OmitTo::new(honest, targets.iter().copied()))
             }
             // An `OmitTo` with no targets forwards everything unchanged
             // while reporting `is_correct() == false`.
-            FaultBehavior::Passive => Ok(Box::new(OmitTo::new(honest, []))),
-            FaultBehavior::Equivocate { .. } => Err(ScheduleError::UnmappedEquivocation),
-        }
+            FaultBehavior::Passive => Box::new(OmitTo::new(honest, [])),
+            FaultBehavior::Equivocate { .. }
+            | FaultBehavior::Lie { .. }
+            | FaultBehavior::Withhold { .. }
+            | FaultBehavior::Forge { .. } => return Err(ScheduleError::Unmapped(self.tag())),
+        })
     }
 
     /// Short stable tag used by the JSON schedule format and reports.
@@ -114,6 +142,9 @@ impl FaultBehavior {
             FaultBehavior::OmitTo { .. } => "omit-to",
             FaultBehavior::Passive => "passive",
             FaultBehavior::Equivocate { .. } => "equivocate",
+            FaultBehavior::Lie { .. } => "lie",
+            FaultBehavior::Withhold { .. } => "withhold",
+            FaultBehavior::Forge { .. } => "forge",
         }
     }
 }
@@ -137,7 +168,9 @@ pub struct LinkDrop {
 /// Invariants a *well-formed* schedule maintains (checked by
 /// [`validate`](ScheduleSpec::validate)):
 ///
-/// * `faults` is sorted by processor id with no duplicates;
+/// * `faults` is sorted by processor id with no duplicates, and so is
+///   every [`OmitTo::targets`](FaultBehavior::OmitTo) and
+///   [`Equivocate::ones`](FaultBehavior::Equivocate) list;
 /// * every [`LinkDrop::from`] names a faulty processor — otherwise the
 ///   schedule would model message loss on a correct sender, which the
 ///   paper's fault model (and hence the checker) excludes.
@@ -150,6 +183,16 @@ pub struct ScheduleSpec {
 }
 
 impl ScheduleSpec {
+    /// `behavior` on each of `ids`, with no link drops.
+    pub fn each(ids: impl IntoIterator<Item = ProcessId>, behavior: FaultBehavior) -> Self {
+        let mut faults: Vec<_> = ids.into_iter().map(|p| (p, behavior.clone())).collect();
+        faults.sort();
+        ScheduleSpec {
+            faults,
+            link_drops: Vec::new(),
+        }
+    }
+
     /// The behaviour assigned to `p`, if `p` is faulty.
     pub fn behavior_of(&self, p: ProcessId) -> Option<&FaultBehavior> {
         self.faults.iter().find(|(q, _)| *q == p).map(|(_, b)| b)
@@ -163,6 +206,36 @@ impl ScheduleSpec {
     /// Number of faulty processors.
     pub fn fault_count(&self) -> usize {
         self.faults.len()
+    }
+
+    /// Builds one actor per processor `0..n`: a correct processor gets
+    /// `honest(p)`, a restriction wraps it through
+    /// [`FaultBehavior::apply`], and a protocol-specific behaviour gets
+    /// whatever `adversary(p, behavior)` builds. Every algorithm run and
+    /// every check target builds its actors here, each with its own hook.
+    /// The schedule's link drops are the caller's to install on its
+    /// driver.
+    ///
+    /// # Errors
+    /// [`ScheduleError::Unmapped`] when `adversary` returns `None`.
+    pub fn compile<P: Payload + 'static>(
+        &self,
+        n: usize,
+        mut honest: impl FnMut(ProcessId) -> Box<dyn Actor<P>>,
+        mut adversary: impl FnMut(ProcessId, &FaultBehavior) -> Option<Box<dyn Actor<P>>>,
+    ) -> Result<Vec<Box<dyn Actor<P>>>, ScheduleError> {
+        (0..n as u32)
+            .map(ProcessId)
+            .map(|p| {
+                let actor = honest(p);
+                match self.behavior_of(p) {
+                    None => Ok(actor),
+                    Some(behavior) => behavior
+                        .apply(actor)
+                        .or_else(|err| adversary(p, behavior).ok_or(err)),
+                }
+            })
+            .collect()
     }
 
     /// Checks well-formedness against `n` processors and fault budget `t`.
@@ -185,19 +258,16 @@ impl ScheduleSpec {
             if p.index() >= n {
                 return Err(format!("faulty {p} out of range for n = {n}"));
             }
-            if let FaultBehavior::OmitTo { targets } = behavior {
-                for q in targets {
-                    if q.index() >= n {
-                        return Err(format!("omission target {q} out of range for n = {n}"));
-                    }
-                }
+            let (ids, role) = match behavior {
+                FaultBehavior::OmitTo { targets } => (targets, "omission target"),
+                FaultBehavior::Equivocate { ones } => (ones, "equivocation target"),
+                _ => continue,
+            };
+            if ids.windows(2).any(|w| w[0] >= w[1]) {
+                return Err(format!("{role}s of {p} are not sorted and deduplicated"));
             }
-            if let FaultBehavior::Equivocate { ones } = behavior {
-                for q in ones {
-                    if q.index() >= n {
-                        return Err(format!("equivocation target {q} out of range for n = {n}"));
-                    }
-                }
+            if let Some(q) = ids.iter().find(|q| q.index() >= n) {
+                return Err(format!("{role} {q} out of range for n = {n}"));
             }
         }
         for drop in &self.link_drops {
@@ -222,7 +292,6 @@ impl ScheduleSpec {
 mod tests {
     use super::*;
     use crate::actor::{Envelope, Inbox, Outbox};
-    use ba_crypto::Value;
 
     #[derive(Debug, Default)]
     struct Echo;
@@ -265,20 +334,65 @@ mod tests {
                 FaultBehavior::Silent | FaultBehavior::CrashAt { .. } => assert_eq!(sent, 0),
                 FaultBehavior::OmitTo { .. } => assert_eq!(sent, 1, "p0 echo censored"),
                 FaultBehavior::Passive => assert_eq!(sent, 2, "passive forwards everything"),
-                FaultBehavior::Equivocate { .. } => unreachable!(),
+                _ => unreachable!(),
             }
         }
     }
 
     #[test]
     fn apply_rejects_equivocation_with_typed_error() {
-        let err = FaultBehavior::Equivocate { ones: vec![] }
-            .apply(Box::new(Echo) as Box<dyn Actor<Value>>)
-            .unwrap_err();
-        assert_eq!(err, ScheduleError::UnmappedEquivocation);
-        assert!(err.to_string().contains("protocol-specific"), "{err}");
+        let specific = [
+            FaultBehavior::Equivocate { ones: vec![] },
+            FaultBehavior::Lie { value: Value::ZERO },
+            FaultBehavior::Withhold { release: 2 },
+            FaultBehavior::Forge {
+                seed: 1,
+                per_phase: 3,
+            },
+        ];
+        for b in &specific {
+            let err = b
+                .apply(Box::new(Echo) as Box<dyn Actor<Value>>)
+                .unwrap_err();
+            assert_eq!(err, ScheduleError::Unmapped(b.tag()));
+            assert!(err.to_string().contains("protocol-specific"), "{err}");
+        }
         fn assert_err<E: std::error::Error + Send + Sync + 'static>() {}
         assert_err::<ScheduleError>();
+    }
+
+    #[test]
+    fn compile_routes_each_behavior_through_one_loop() {
+        let spec = ScheduleSpec {
+            faults: vec![
+                (ProcessId(1), FaultBehavior::Silent),
+                (ProcessId(2), FaultBehavior::Lie { value: Value(7) }),
+            ],
+            link_drops: vec![],
+        };
+        let mut hooked = Vec::new();
+        let actors = spec
+            .compile(
+                4,
+                |_| Box::new(Echo) as Box<dyn Actor<Value>>,
+                |p, b| {
+                    hooked.push((p, b.tag()));
+                    Some(Box::new(crate::adversary::Silent) as Box<dyn Actor<Value>>)
+                },
+            )
+            .unwrap();
+        let correct: Vec<bool> = actors.iter().map(|a| a.is_correct()).collect();
+        assert_eq!(correct, [true, false, false, true]);
+        assert_eq!(
+            hooked,
+            [(ProcessId(2), "lie")],
+            "restrictions skip the hook"
+        );
+
+        let err = spec
+            .compile(4, |_| Box::new(Echo) as Box<dyn Actor<Value>>, |_, _| None)
+            .unwrap_err();
+        assert_eq!(err, ScheduleError::Unmapped("lie"));
     }
 
     #[test]
@@ -319,16 +433,39 @@ mod tests {
             link_drops: vec![],
         };
         assert!(dup.validate(4, 3).unwrap_err().contains("sorted"));
+        assert_eq!(
+            ScheduleSpec::each([ProcessId(2), ProcessId(1)], FaultBehavior::Silent).faults,
+            [
+                (ProcessId(1), FaultBehavior::Silent),
+                (ProcessId(2), FaultBehavior::Silent)
+            ]
+        );
 
-        let oob = ScheduleSpec {
-            faults: vec![(
-                ProcessId(1),
-                FaultBehavior::OmitTo {
-                    targets: vec![ProcessId(9)],
-                },
-            )],
-            link_drops: vec![],
-        };
+        let oob = ScheduleSpec::each(
+            [ProcessId(1)],
+            FaultBehavior::OmitTo {
+                targets: vec![ProcessId(9)],
+            },
+        );
         assert!(oob.validate(4, 3).unwrap_err().contains("out of range"));
+    }
+
+    #[test]
+    fn validate_rejects_repeated_or_unsorted_recipients() {
+        for behavior in [
+            FaultBehavior::OmitTo {
+                targets: vec![ProcessId(3), ProcessId(3)],
+            },
+            FaultBehavior::Equivocate {
+                ones: vec![ProcessId(3), ProcessId(2)],
+            },
+        ] {
+            let spec = ScheduleSpec::each([ProcessId(1)], behavior);
+            let err = spec.validate(4, 1).unwrap_err();
+            assert!(
+                err.contains("of p1 are not sorted and deduplicated"),
+                "{err}"
+            );
+        }
     }
 }

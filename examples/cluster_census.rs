@@ -7,9 +7,9 @@
 //! cargo run --example cluster_census
 //! ```
 
-use byzantine_agreement::algos::ic::{self, IcFault};
-use byzantine_agreement::algos::{agree, AgreeOptions};
+use byzantine_agreement::algos::{agree, ic, AgreeOptions};
 use byzantine_agreement::crypto::{ProcessId, Value};
+use byzantine_agreement::sim::{FaultBehavior, ScheduleSpec};
 
 fn main() {
     let n = 7;
@@ -25,18 +25,11 @@ fn main() {
         Value(134),
     ];
 
-    // Node 1 lies differently to everyone about its own load; node 4 is
-    // down. The census must still come out identical at every correct
-    // node.
-    let report = ic::run(
-        n,
-        t,
-        &loads,
-        IcFault::EquivocateOwnInstance {
-            set: vec![ProcessId(1)],
-        },
-        42,
-    );
+    // Node 1 lies differently to odd and even nodes about its own load.
+    // The census must still come out identical at every correct node.
+    let ones = (1..n as u32).step_by(2).map(ProcessId).collect();
+    let schedule = ScheduleSpec::each([ProcessId(1)], FaultBehavior::Equivocate { ones });
+    let report = ic::run(n, t, &loads, &schedule, 42);
     let census = report.common_vector().expect("cluster reached a census");
 
     println!(

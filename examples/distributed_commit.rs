@@ -10,10 +10,10 @@
 //! cargo run --example distributed_commit
 //! ```
 
-use byzantine_agreement::algos::algorithm1;
-use byzantine_agreement::algos::algorithm1::{Algo1Fault, Algo1Options};
+use byzantine_agreement::algos::algorithm1::{self, Algo1Options};
 use byzantine_agreement::algos::algorithm2::{self, is_transferable_proof};
 use byzantine_agreement::crypto::{ProcessId, Value};
+use byzantine_agreement::sim::{FaultBehavior, ScheduleSpec};
 
 const COMMIT: Value = Value::ONE;
 
@@ -28,7 +28,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         t,
         COMMIT,
         Algo1Options {
-            fault: Algo1Fault::Equivocate { ones },
+            schedule: ScheduleSpec::each([ProcessId(0)], FaultBehavior::Equivocate { ones }),
             ..Default::default()
         },
     )?;
@@ -43,9 +43,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         t,
         COMMIT,
         algorithm2::Algo2Options {
-            fault: algorithm2::Algo2Fault::CrashAfterCommit {
-                set: vec![ProcessId(3), ProcessId(6)],
-            },
+            // They run Algorithm 1, then crash as accumulation starts.
+            schedule: ScheduleSpec::each(
+                [ProcessId(3), ProcessId(6)],
+                FaultBehavior::CrashAt { phase: t + 4 },
+            ),
             ..Default::default()
         },
     )?;

@@ -7,9 +7,10 @@
 //! cargo run --example formal_model | tail -n +14 > run.dot && dot -Tsvg run.dot
 //! ```
 
-use byzantine_agreement::algos::algorithm1::{self, Algo1Fault, Algo1Options};
+use byzantine_agreement::algos::algorithm1::{self, Algo1Options};
 use byzantine_agreement::crypto::{ProcessId, Value};
 use byzantine_agreement::model::rules::{formal_agreement_holds, generate, Behavior, FormalQuiet};
+use byzantine_agreement::sim::{FaultBehavior, ScheduleSpec};
 
 fn main() {
     // --- 1. A fault-free history from correctness rules alone ----------
@@ -48,9 +49,12 @@ fn main() {
         2,
         Value::ONE,
         Algo1Options {
-            fault: Algo1Fault::Equivocate {
-                ones: vec![ProcessId(1)],
-            },
+            schedule: ScheduleSpec::each(
+                [ProcessId(0)],
+                FaultBehavior::Equivocate {
+                    ones: vec![ProcessId(1)],
+                },
+            ),
             trace: true,
             ..Default::default()
         },

@@ -12,6 +12,7 @@
 
 use byzantine_agreement::algos::{algorithm3, algorithm5, bounds, dolev_strong};
 use byzantine_agreement::crypto::Value;
+use byzantine_agreement::sim::{FaultBehavior, ScheduleSpec};
 
 const ALARM: Value = Value::ONE;
 
@@ -27,10 +28,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         s3,
         ALARM,
         algorithm3::Alg3Options {
-            fault: algorithm3::Alg3Fault::LyingRoots {
-                groups: vec![0, 5],
-                wrong: Value::ZERO,
-            },
+            schedule: ScheduleSpec::each(
+                [0, 5].map(|g| algorithm3::group_root(t, s3, g)),
+                FaultBehavior::Lie { value: Value::ZERO },
+            ),
             ..Default::default()
         },
     )?;
@@ -51,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         s5,
         ALARM,
         algorithm5::Alg5Options {
-            fault: algorithm5::Alg5Fault::SilentTreeRoots { trees: vec![0] },
+            schedule: ScheduleSpec::each(algorithm5::tree_root(n, t, s5, 0), FaultBehavior::Silent),
             ..Default::default()
         },
     )?;

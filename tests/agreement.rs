@@ -3,9 +3,14 @@
 //! both signature schemes.
 
 use byzantine_agreement::algos::{
-    algorithm1, algorithm2, algorithm3, algorithm5, dolev_strong, om,
+    algorithm1, algorithm2, algorithm3, algorithm5, bounds, dolev_strong, om,
 };
 use byzantine_agreement::crypto::{ProcessId, SchemeKind, Value};
+use byzantine_agreement::sim::{FaultBehavior, ScheduleSpec};
+
+fn each(ids: &[u32], behavior: FaultBehavior) -> ScheduleSpec {
+    ScheduleSpec::each(ids.iter().copied().map(ProcessId), behavior)
+}
 
 const SEEDS: [u64; 3] = [1, 0xDEADBEEF, u64::MAX / 7];
 
@@ -15,22 +20,19 @@ fn algorithm1_agreement_matrix() {
         for scheme in [SchemeKind::Hmac, SchemeKind::Fast] {
             for t in [1usize, 3, 5] {
                 for value in [Value::ZERO, Value::ONE] {
-                    let faults = [
-                        algorithm1::Algo1Fault::None,
-                        algorithm1::Algo1Fault::SilentTransmitter,
-                        algorithm1::Algo1Fault::Equivocate {
-                            ones: vec![ProcessId(1), ProcessId(t as u32 + 1)],
-                        },
-                        algorithm1::Algo1Fault::CrashedRelays {
-                            relays: vec![ProcessId(t as u32)],
-                        },
+                    let ones = vec![ProcessId(1), ProcessId(t as u32 + 1)];
+                    let schedules = [
+                        ScheduleSpec::default(),
+                        each(&[0], FaultBehavior::Silent),
+                        each(&[0], FaultBehavior::Equivocate { ones }),
+                        each(&[t as u32], FaultBehavior::Silent),
                     ];
-                    for fault in faults {
+                    for schedule in schedules {
                         let r = algorithm1::run(
                             t,
                             value,
                             algorithm1::Algo1Options {
-                                fault,
+                                schedule,
                                 seed,
                                 scheme,
                                 ..Default::default()
@@ -49,25 +51,18 @@ fn algorithm1_agreement_matrix() {
 fn algorithm2_agreement_and_proofs_matrix() {
     for &seed in &SEEDS {
         for t in [2usize, 4] {
-            let faults = [
-                algorithm2::Algo2Fault::None,
-                algorithm2::Algo2Fault::Silent {
-                    set: vec![ProcessId(1), ProcessId(2 * t as u32)],
-                },
-                algorithm2::Algo2Fault::CrashAfterCommit {
-                    set: vec![ProcessId(2)],
-                },
-                algorithm2::Algo2Fault::WrongValueGossip {
-                    set: vec![ProcessId(3)],
-                    wrong: Value::ZERO,
-                },
+            let schedules = [
+                ScheduleSpec::default(),
+                each(&[1, 2 * t as u32], FaultBehavior::Silent),
+                each(&[2], FaultBehavior::CrashAt { phase: t + 4 }),
+                each(&[3], FaultBehavior::Lie { value: Value::ZERO }),
             ];
-            for fault in faults {
+            for schedule in schedules {
                 let r = algorithm2::run(
                     t,
                     Value::ONE,
                     algorithm2::Algo2Options {
-                        fault,
+                        schedule,
                         seed,
                         scheme: SchemeKind::Fast,
                     },
@@ -95,22 +90,23 @@ fn algorithm2_agreement_and_proofs_matrix() {
 fn algorithm3_agreement_matrix() {
     for &seed in &SEEDS {
         let (n, t, s) = (40usize, 2usize, 5usize);
-        let faults = [
-            algorithm3::Alg3Fault::None,
-            algorithm3::Alg3Fault::SilentRoots { groups: vec![0, 3] },
-            algorithm3::Alg3Fault::LyingRoots {
-                groups: vec![1],
-                wrong: Value::ZERO,
-            },
-            algorithm3::Alg3Fault::SelectiveRoots { groups: vec![2] },
-            algorithm3::Alg3Fault::SilentMembers {
-                set: vec![ProcessId(7), ProcessId(12)],
-            },
-            algorithm3::Alg3Fault::SilentActives {
-                set: vec![ProcessId(1)],
-            },
+        let root = |g| algorithm3::group_root(t, s, g);
+        // Group 2's root omits its even-position members.
+        let skipped = (root(2).0 + 1..root(2).0 + s as u32).step_by(2);
+        let schedules = [
+            ScheduleSpec::default(),
+            ScheduleSpec::each([root(0), root(3)], FaultBehavior::Silent),
+            ScheduleSpec::each([root(1)], FaultBehavior::Lie { value: Value::ZERO }),
+            ScheduleSpec::each(
+                [root(2)],
+                FaultBehavior::OmitTo {
+                    targets: skipped.map(ProcessId).collect(),
+                },
+            ),
+            each(&[7, 12], FaultBehavior::Silent),
+            each(&[1], FaultBehavior::Silent),
         ];
-        for fault in faults {
+        for schedule in schedules {
             for value in [Value::ZERO, Value::ONE] {
                 let r = algorithm3::run(
                     n,
@@ -118,7 +114,7 @@ fn algorithm3_agreement_matrix() {
                     s,
                     value,
                     algorithm3::Alg3Options {
-                        fault: clone3(&fault),
+                        schedule: schedule.clone(),
                         seed,
                         scheme: SchemeKind::Fast,
                         ..Default::default()
@@ -131,49 +127,32 @@ fn algorithm3_agreement_matrix() {
     }
 }
 
-// Alg3Fault has no Clone derive (it is consumed by the runner); rebuild it.
-fn clone3(f: &algorithm3::Alg3Fault) -> algorithm3::Alg3Fault {
-    use algorithm3::Alg3Fault as F;
-    match f {
-        F::None => F::None,
-        F::SilentRoots { groups } => F::SilentRoots {
-            groups: groups.clone(),
-        },
-        F::LyingRoots { groups, wrong } => F::LyingRoots {
-            groups: groups.clone(),
-            wrong: *wrong,
-        },
-        F::SelectiveRoots { groups } => F::SelectiveRoots {
-            groups: groups.clone(),
-        },
-        F::SilentMembers { set } => F::SilentMembers { set: set.clone() },
-        F::SilentActives { set } => F::SilentActives { set: set.clone() },
-    }
-}
-
 #[test]
 fn algorithm5_agreement_matrix() {
     for &seed in &SEEDS[..2] {
         let (n, t, s) = (40usize, 1usize, 3usize);
-        let faults = [
-            algorithm5::Alg5Fault::None,
-            algorithm5::Alg5Fault::SilentPassives {
-                set: vec![ProcessId(15)],
-            },
-            algorithm5::Alg5Fault::SilentTreeRoots { trees: vec![0] },
-            algorithm5::Alg5Fault::WithholdingTreeRoots { trees: vec![1] },
-            algorithm5::Alg5Fault::SilentActives {
-                set: vec![ProcessId(1)],
-            },
+        let root = |tree| algorithm5::tree_root(n, t, s, tree);
+        let actives = (0..bounds::alpha(t as u64) as u32).map(ProcessId);
+        let schedules = [
+            ScheduleSpec::default(),
+            each(&[15], FaultBehavior::Silent),
+            ScheduleSpec::each(root(0), FaultBehavior::Silent),
+            ScheduleSpec::each(
+                root(1),
+                FaultBehavior::OmitTo {
+                    targets: actives.collect(),
+                },
+            ),
+            each(&[1], FaultBehavior::Silent),
         ];
-        for fault in faults {
+        for schedule in schedules {
             let r = algorithm5::run(
                 n,
                 t,
                 s,
                 Value::ONE,
                 algorithm5::Alg5Options {
-                    fault,
+                    schedule,
                     seed,
                     scheme: SchemeKind::Fast,
                     ..Default::default()
@@ -199,9 +178,12 @@ fn baselines_agreement_matrix() {
                     Value::ONE,
                     dolev_strong::DsOptions {
                         variant,
-                        fault: dolev_strong::DsFault::Equivocate {
-                            ones: vec![ProcessId(1), ProcessId(2)],
-                        },
+                        schedule: each(
+                            &[0],
+                            FaultBehavior::Equivocate {
+                                ones: vec![ProcessId(1), ProcessId(2)],
+                            },
+                        ),
                         seed,
                         scheme: SchemeKind::Fast,
                         ..Default::default()
@@ -216,9 +198,13 @@ fn baselines_agreement_matrix() {
             2,
             Value::ONE,
             om::OmOptions {
-                fault: om::OmFault::FlippingRelays {
-                    set: vec![ProcessId(2), ProcessId(4)],
-                },
+                // The relays flip what they forward to odd-numbered targets.
+                schedule: each(
+                    &[2, 4],
+                    FaultBehavior::Equivocate {
+                        ones: vec![ProcessId(1), ProcessId(3), ProcessId(5)],
+                    },
+                ),
             },
         )
         .expect("agreement must hold");

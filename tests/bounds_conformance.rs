@@ -6,6 +6,7 @@ use byzantine_agreement::algos::{
     algorithm1, algorithm2, algorithm3, algorithm4, algorithm5, bounds, dolev_strong, om,
 };
 use byzantine_agreement::crypto::{ProcessId, SchemeKind, Value};
+use byzantine_agreement::sim::{FaultBehavior, ScheduleSpec};
 
 #[test]
 fn upper_bounds_hold_across_sweep() {
@@ -169,10 +170,10 @@ fn worst_case_fault_injection_stays_within_bounds() {
         s,
         Value::ONE,
         algorithm3::Alg3Options {
-            fault: algorithm3::Alg3Fault::LyingRoots {
-                groups: vec![0, 1, 2],
-                wrong: Value::ZERO,
-            },
+            schedule: ScheduleSpec::each(
+                (0..3).map(|g| algorithm3::group_root(t, s, g)),
+                FaultBehavior::Lie { value: Value::ZERO },
+            ),
             ..Default::default()
         },
     )
@@ -187,7 +188,7 @@ fn worst_case_fault_injection_stays_within_bounds() {
         3,
         Value::ONE,
         algorithm1::Algo1Options {
-            fault: algorithm1::Algo1Fault::Equivocate { ones },
+            schedule: ScheduleSpec::each([ProcessId(0)], FaultBehavior::Equivocate { ones }),
             ..Default::default()
         },
     )

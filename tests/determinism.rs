@@ -3,6 +3,7 @@
 
 use byzantine_agreement::algos::{algorithm1, algorithm2, algorithm3, algorithm5};
 use byzantine_agreement::crypto::{ProcessId, SchemeKind, Value};
+use byzantine_agreement::sim::{FaultBehavior, ScheduleSpec};
 
 #[test]
 fn same_seed_same_everything() {
@@ -13,10 +14,10 @@ fn same_seed_same_everything() {
             5,
             Value::ONE,
             algorithm3::Alg3Options {
-                fault: algorithm3::Alg3Fault::LyingRoots {
-                    groups: vec![1],
-                    wrong: Value::ZERO,
-                },
+                schedule: ScheduleSpec::each(
+                    [algorithm3::group_root(2, 5, 1)],
+                    FaultBehavior::Lie { value: Value::ZERO },
+                ),
                 seed: 42,
                 scheme: SchemeKind::Hmac,
                 ..Default::default()
@@ -39,9 +40,12 @@ fn scheme_choice_does_not_change_outcomes() {
                 t,
                 Value::ONE,
                 algorithm1::Algo1Options {
-                    fault: algorithm1::Algo1Fault::Equivocate {
-                        ones: vec![ProcessId(1)],
-                    },
+                    schedule: ScheduleSpec::each(
+                        [ProcessId(0)],
+                        FaultBehavior::Equivocate {
+                            ones: vec![ProcessId(1)],
+                        },
+                    ),
                     seed: 3,
                     scheme,
                     ..Default::default()

@@ -1,9 +1,14 @@
 //! Integration: the `agree` facade, interactive consistency, the
-//! multi-valued Algorithm 1 and the fuzz harnesses, exercised together.
+//! multi-valued Algorithm 1 and forged-traffic schedules, exercised
+//! together.
 
-use byzantine_agreement::algos::ic::{self, IcFault};
-use byzantine_agreement::algos::{agree, algorithm1_multi, bounds, fuzz, AgreeOptions, Selected};
-use byzantine_agreement::crypto::{ProcessId, SchemeKind, Value};
+use byzantine_agreement::algos::algorithm1::{self, Algo1Options};
+use byzantine_agreement::algos::algorithm5::{self, Alg5Options};
+use byzantine_agreement::algos::{
+    agree, algorithm1_multi, bounds, fuzz, ic, AgreeOptions, AlgoReport, Selected,
+};
+use byzantine_agreement::crypto::{Chain, ProcessId, SchemeKind, Value};
+use byzantine_agreement::sim::{FaultBehavior, ScheduleSpec};
 
 #[test]
 fn facade_covers_the_whole_regime_map() {
@@ -34,9 +39,14 @@ fn interactive_consistency_composes_with_faults() {
         n,
         t,
         &vals,
-        IcFault::EquivocateOwnInstance {
-            set: vec![ProcessId(3), ProcessId(6)],
-        },
+        // p3 and p6 each sign 1 for odd and 0 for even receivers in their
+        // own instance.
+        &ScheduleSpec::each(
+            [ProcessId(3), ProcessId(6)],
+            FaultBehavior::Equivocate {
+                ones: (1..n as u32).step_by(2).map(ProcessId).collect(),
+            },
+        ),
         5,
     );
     let census = r.common_vector().unwrap();
@@ -53,7 +63,7 @@ fn multivalued_agreement_interops_with_binary_bounds() {
         let r = algorithm1_multi::run(
             t,
             Value(0xCAFE),
-            algorithm1_multi::MultiFault::None,
+            &ScheduleSpec::default(),
             7,
             SchemeKind::Hmac,
         )
@@ -67,20 +77,37 @@ fn multivalued_agreement_interops_with_binary_bounds() {
     }
 }
 
+/// Algorithm 1 (`n = 7`) with its top `count` processors forging.
+fn algorithm1_spam(count: usize, per_phase: usize, seed: u64) -> AlgoReport<Chain> {
+    let options = Algo1Options {
+        schedule: fuzz::spammers(7, count, per_phase, seed),
+        seed,
+        scheme: SchemeKind::Fast,
+        ..Default::default()
+    };
+    algorithm1::run(3, Value::ONE, options).unwrap()
+}
+
 #[test]
 fn fuzzed_runs_never_break_agreement_or_panic() {
     for seed in [1u64, 99, 4096] {
-        let r = fuzz::fuzz_algorithm1(3, Value::ONE, 2, 12, seed).unwrap();
+        let r = algorithm1_spam(2, 12, seed);
         assert_eq!(r.verdict.agreed, Some(Value::ONE), "seed={seed}");
-        let r = fuzz::fuzz_algorithm5(30, 1, 3, Value::ZERO, 1, 8, seed).unwrap();
+        let options = Alg5Options {
+            schedule: fuzz::spammers(30, 1, 8, seed),
+            seed,
+            scheme: SchemeKind::Fast,
+            ..Default::default()
+        };
+        let r = algorithm5::run(30, 1, 3, Value::ZERO, options).unwrap();
         assert_eq!(r.verdict.agreed, Some(Value::ZERO), "seed={seed}");
     }
 }
 
 #[test]
 fn spam_is_not_billed_to_correct_processors() {
-    let clean = fuzz::fuzz_algorithm1(3, Value::ONE, 0, 0, 5).unwrap();
-    let spammy = fuzz::fuzz_algorithm1(3, Value::ONE, 2, 20, 5).unwrap();
+    let clean = algorithm1_spam(0, 0, 5);
+    let spammy = algorithm1_spam(2, 20, 5);
     // Spam shows up as faulty traffic only; the correct-sender count can
     // only go down (spammers replaced two relays).
     assert!(spammy.outcome.metrics.messages_by_faulty > 0);

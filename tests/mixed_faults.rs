@@ -1,60 +1,60 @@
 //! Integration: heterogeneous fault mixes within a single run — the
 //! strongest scenarios the fault budget allows, combining silence,
-//! spam, selective omission and protocol-specific lies.
+//! forged traffic, selective omission and lossy links.
 
-use byzantine_agreement::algos::algorithm1::{Algo1Actor, Algo1Params};
-use byzantine_agreement::algos::algorithm5::{Alg5Active, Alg5Config, Alg5Passive, Msg5};
-use byzantine_agreement::algos::common::Board;
-use byzantine_agreement::algos::fuzz::{ChainFuzzer, Msg5Fuzzer};
+use byzantine_agreement::algos::algorithm1::{self, Algo1Actor, Algo1Options, Algo1Params};
+use byzantine_agreement::algos::algorithm5::{self, Alg5Options};
+use byzantine_agreement::algos::bounds;
+use byzantine_agreement::crypto::rng::SimRng;
 use byzantine_agreement::crypto::{Chain, KeyRegistry, ProcessId, SchemeKind, Value};
-use byzantine_agreement::sim::adversary::{IgnoreFirst, OmitTo, Silent};
+use byzantine_agreement::sim::adversary::{IgnoreFirst, OmitTo};
 use byzantine_agreement::sim::engine::Simulation;
-use byzantine_agreement::sim::random::{RandomOmit, Spammer};
 use byzantine_agreement::sim::{check_byzantine_agreement, Actor};
+use byzantine_agreement::sim::{FaultBehavior, LinkDrop, ScheduleSpec};
 use std::sync::Arc;
 
+/// `from`'s links in phases `1..=phases`, each dropped with probability
+/// `per_mille / 1000` — a lossy relay as a seeded schedule.
+fn lossy_links(from: u32, n: usize, phases: usize, per_mille: u32, seed: u64) -> Vec<LinkDrop> {
+    let mut rng = SimRng::new(seed);
+    let links = (1..=phases).flat_map(|phase| (0..n as u32).map(move |to| (phase, to)));
+    links
+        .filter(|&(_, to)| to != from)
+        .filter(|_| rng.range_u32(0, 1000) < per_mille)
+        .map(|(phase, to)| LinkDrop {
+            phase,
+            from: ProcessId(from),
+            to: ProcessId(to),
+        })
+        .collect()
+}
+
 /// Algorithm 1 with three different fault classes at once: a silent
-/// relay, a spamming relay, and a lossy (random-omission) relay.
+/// relay, a spamming relay, and a lossy relay.
 #[test]
 fn algorithm1_with_silent_spamming_and_lossy_relays() {
     let t = 3;
     let n = 2 * t + 1;
     for seed in [1u64, 77, 991] {
-        let registry = KeyRegistry::new(n, seed, SchemeKind::Fast);
-        let params = Arc::new(Algo1Params {
-            t,
-            verifier: registry.verifier(),
-        });
-        let honest = |p: u32, own: Option<Value>| {
-            Algo1Actor::new(
-                params.clone(),
-                ProcessId(p),
-                registry.signer(ProcessId(p)),
-                own,
-            )
-        };
-
         // p1: silent. p2: spammer. p3: drops ~half its sends. Rest honest.
-        let mut actors: Vec<Box<dyn Actor<Chain>>> = vec![
-            Box::new(honest(0, Some(Value::ONE))),
-            Box::new(Silent),
-            Box::new(Spammer::new(
-                n,
-                6,
-                seed,
-                ChainFuzzer::new(registry.signer(ProcessId(2)), SchemeKind::Fast),
-            )),
-            Box::new(RandomOmit::new(honest(3, None), 500, seed)),
-        ];
-        for p in 4..n as u32 {
-            actors.push(Box::new(honest(p, None)));
-        }
-
-        let outcome = Simulation::new(actors).run(t + 2);
-        let verdict = check_byzantine_agreement(&outcome, ProcessId(0), Value::ONE)
-            .expect("mixed faults must not break agreement");
-        assert_eq!(verdict.agreed, Some(Value::ONE), "seed={seed}");
-        assert_eq!(verdict.correct_count, n - 3);
+        let schedule = ScheduleSpec {
+            faults: vec![
+                (ProcessId(1), FaultBehavior::Silent),
+                (ProcessId(2), FaultBehavior::Forge { seed, per_phase: 6 }),
+                (ProcessId(3), FaultBehavior::Passive),
+            ],
+            link_drops: lossy_links(3, n, t + 2, 500, seed),
+        };
+        let options = Algo1Options {
+            schedule,
+            seed,
+            scheme: SchemeKind::Fast,
+            ..Default::default()
+        };
+        let r =
+            algorithm1::run(t, Value::ONE, options).expect("mixed faults must not break agreement");
+        assert_eq!(r.verdict.agreed, Some(Value::ONE), "seed={seed}");
+        assert_eq!(r.verdict.correct_count, n - 3);
     }
 }
 
@@ -102,50 +102,34 @@ fn algorithm1_with_coordinated_starvation_attempt() {
 #[test]
 fn algorithm5_with_three_fault_classes() {
     let (n, t, s) = (60usize, 3usize, 3usize);
-    let registry = KeyRegistry::new(n, 9, SchemeKind::Fast);
-    let cfg = Arc::new(Alg5Config::new(n, t, s, registry.verifier()));
-    let scratch = Board::new(cfg.core_count());
-
-    // Choose the faulty trio: core active p2; the root of tree 1; a leaf
-    // passive as spammer.
-    let tree1_root = cfg.forest.processor(1, 1).expect("tree 1 has a real root");
-    let spammer_id = ProcessId(n as u32 - 1);
-
-    let mut actors: Vec<Box<dyn Actor<Msg5>>> = Vec::new();
-    for i in 0..n as u32 {
-        let id = ProcessId(i);
-        let actor: Box<dyn Actor<Msg5>> = if id == ProcessId(2) {
-            Box::new(Silent)
-        } else if id == spammer_id {
-            Box::new(Spammer::new(
-                n,
-                5,
-                13,
-                Msg5Fuzzer::new(registry.signer(id), SchemeKind::Fast),
-            ))
-        } else if id == tree1_root {
-            let inner = Alg5Passive::new(cfg.clone(), id, registry.signer(id));
-            let actives: Vec<ProcessId> = (0..cfg.alpha as u32).map(ProcessId).collect();
-            Box::new(OmitTo::new(inner, actives))
-        } else if id.index() < cfg.alpha {
-            Box::new(Alg5Active::new(
-                cfg.clone(),
-                id,
-                registry.signer(id),
-                (i == 0).then_some(Value::ONE),
-                scratch.clone(),
-            ))
-        } else {
-            Box::new(Alg5Passive::new(cfg.clone(), id, registry.signer(id)))
-        };
-        actors.push(actor);
-    }
-
-    let outcome = Simulation::new(actors).run(cfg.last_phase);
-    let verdict = check_byzantine_agreement(&outcome, ProcessId(0), Value::ONE)
+    // The faulty trio: core active p2; the root of tree 1, which never
+    // reports to the actives; a leaf passive as spammer.
+    let tree1_root = algorithm5::tree_root(n, t, s, 1).expect("tree 1 has a real root");
+    let actives = (0..bounds::alpha(t as u64) as u32).map(ProcessId).collect();
+    let schedule = ScheduleSpec {
+        faults: vec![
+            (ProcessId(2), FaultBehavior::Silent),
+            (tree1_root, FaultBehavior::OmitTo { targets: actives }),
+            (
+                ProcessId(n as u32 - 1),
+                FaultBehavior::Forge {
+                    seed: 13,
+                    per_phase: 5,
+                },
+            ),
+        ],
+        link_drops: vec![],
+    };
+    let options = Alg5Options {
+        schedule,
+        seed: 9,
+        scheme: SchemeKind::Fast,
+        ..Default::default()
+    };
+    let r = algorithm5::run(n, t, s, Value::ONE, options)
         .expect("mixed faults must not break agreement");
-    assert_eq!(verdict.agreed, Some(Value::ONE));
-    assert_eq!(verdict.correct_count, n - 3);
+    assert_eq!(r.verdict.agreed, Some(Value::ONE));
+    assert_eq!(r.verdict.correct_count, n - 3);
 }
 
 /// The fault budget boundary: exactly t mixed faults pass, and the same
@@ -154,37 +138,32 @@ fn algorithm5_with_three_fault_classes() {
 fn exactly_t_mixed_faults_is_survivable() {
     let t = 4;
     let n = 2 * t + 1;
-    let registry = KeyRegistry::new(n, 21, SchemeKind::Fast);
-    let params = Arc::new(Algo1Params {
-        t,
-        verifier: registry.verifier(),
-    });
-    let honest = |p: u32, own: Option<Value>| {
-        Algo1Actor::new(
-            params.clone(),
-            ProcessId(p),
-            registry.signer(ProcessId(p)),
-            own,
-        )
+    let schedule = ScheduleSpec {
+        faults: vec![
+            (ProcessId(1), FaultBehavior::Silent),
+            (
+                ProcessId(2),
+                FaultBehavior::Forge {
+                    seed: 3,
+                    per_phase: 10,
+                },
+            ),
+            (ProcessId(3), FaultBehavior::Passive),
+            (
+                ProcessId(4),
+                FaultBehavior::OmitTo {
+                    targets: vec![ProcessId(7), ProcessId(8)],
+                },
+            ),
+        ],
+        link_drops: lossy_links(3, n, t + 2, 900, 3),
     };
-
-    let mut actors: Vec<Box<dyn Actor<Chain>>> = vec![
-        Box::new(honest(0, Some(Value::ZERO))),
-        Box::new(Silent),
-        Box::new(Spammer::new(
-            n,
-            10,
-            3,
-            ChainFuzzer::new(registry.signer(ProcessId(2)), SchemeKind::Fast),
-        )),
-        Box::new(RandomOmit::new(honest(3, None), 900, 3)),
-        Box::new(OmitTo::new(honest(4, None), [ProcessId(7), ProcessId(8)])),
-    ];
-    for p in 5..n as u32 {
-        actors.push(Box::new(honest(p, None)));
-    }
-
-    let outcome = Simulation::new(actors).run(t + 2);
-    let verdict = check_byzantine_agreement(&outcome, ProcessId(0), Value::ZERO).unwrap();
-    assert_eq!(verdict.agreed, Some(Value::ZERO));
+    let options = Algo1Options {
+        schedule,
+        seed: 21,
+        scheme: SchemeKind::Fast,
+        ..Default::default()
+    };
+    let r = algorithm1::run(t, Value::ZERO, options).unwrap();
+    assert_eq!(r.verdict.agreed, Some(Value::ZERO));
 }
