@@ -18,62 +18,54 @@
 //! digest so the backends can be checked against each other — and a `host`
 //! object naming the backend every other number in the file ran on.
 //!
-//! Emits a JSON report (timings plus exact per-verify hash / signature-check
-//! counts) to the path given as the first argument, default
-//! `BENCH_chain_verify.json`, and prints the human-readable table on
-//! stderr.
+//! Writes the report (timings plus exact per-verify hash / signature-check
+//! counts; DESIGN §7.6) to the one positional argument, default
+//! `BENCH_chain_verify.json`, and prints the human-readable tables on
+//! stderr. Any other argument is a usage error (exit 2).
 //!
 //! ```text
 //! cargo run -p ba-bench --release --bin bench_chain_verify
 //! ```
 
-use ba_bench::microbench::{bench, host_json, print_samples, Sample};
-use ba_crypto::keys::{KeyRegistry, SchemeKind};
+use ba_bench::cli::BenchArgs;
+use ba_bench::microbench::bench;
+use ba_bench::report::Report;
+use ba_check::json::Json;
+use ba_crypto::keys::{KeyRegistry, SchemeKind, Verifier};
 use ba_crypto::sha256::{self, Sha256, DIGEST_LEN};
-use ba_crypto::{Chain, CryptoStats, ProcessId, Value};
+use ba_crypto::{Chain, CryptoError, CryptoStats, ProcessId, Value};
 use std::collections::HashSet;
-use std::fmt::Write as _;
+use std::process::ExitCode;
 
 const LENGTHS: [usize; 3] = [8, 32, 128];
 /// Message sizes of the `sha256` rows: one block, a small message, the
 /// `ext_bulk` payload.
 const SHA_SIZES: [usize; 3] = [64, 1024, 256 * 1024];
 
-struct ShaRow {
-    backend: &'static str,
-    bytes: usize,
-    sample: Sample,
-    digest: [u8; DIGEST_LEN],
-}
-
 /// One row per size for every compressor this host can run.
-fn sha_rows() -> Vec<ShaRow> {
+fn sha_rows(report: &mut Report) {
     type Digest = fn(&[u8]) -> [u8; DIGEST_LEN];
     let mut backends: Vec<(&'static str, Digest)> = vec![("scalar", sha256::scalar_digest)];
     if sha256::backend() != "scalar" {
         backends.push((sha256::backend(), Sha256::digest));
     }
-    let mut rows = Vec::new();
     for bytes in SHA_SIZES {
         let data: Vec<u8> = (0..bytes).map(|i| (i * 131 % 251) as u8).collect();
         for &(backend, digest) in &backends {
-            rows.push(ShaRow {
-                backend,
-                bytes,
-                sample: bench(format!("sha256 {bytes:>6} B {backend}"), || digest(&data)),
-                digest: digest(&data),
-            });
+            let sample = bench(format!("sha256 {bytes:>6} B {backend}"), || digest(&data));
+            let hex: String = digest(&data).iter().map(|b| format!("{b:02x}")).collect();
+            let fields = vec![
+                ("backend", backend.into()),
+                ("bytes", bytes.into()),
+                (
+                    "mb_per_s",
+                    Json::dec(bytes as f64 * 1e3 / sample.median_ns, 1),
+                ),
+                ("digest", hex.into()),
+            ];
+            report.row("sha256", fields, Some(&sample));
         }
     }
-    rows
-}
-
-struct Row {
-    length: usize,
-    strategy: &'static str,
-    sample: Sample,
-    hashes_per_verify: u64,
-    sig_checks_per_verify: u64,
 }
 
 fn build_chain(registry: &KeyRegistry, len: usize) -> Chain {
@@ -94,12 +86,23 @@ fn work_of(f: impl Fn()) -> (u64, u64) {
     (d.hash_invocations, d.sig_verifications)
 }
 
-fn main() {
-    let out_path = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_chain_verify.json".to_string());
+fn main() -> ExitCode {
+    let args = BenchArgs::from_env(
+        "bench_chain_verify",
+        "BENCH_chain_verify.json",
+        &[],
+        &[],
+        &[],
+    );
+    let mut report = Report::new("chain_verify");
+    report.field("scheme", "Fast");
 
-    let mut rows: Vec<Row> = Vec::new();
+    type Verify = fn(&Chain, &Verifier) -> Result<(), CryptoError>;
+    let strategies: [(&str, Verify); 3] = [
+        ("reference", Chain::verify_reference),
+        ("incremental", Chain::verify_uncached),
+        ("stamped", Chain::verify),
+    ];
     for len in LENGTHS {
         // Fast scheme so counter deltas are pure chain-structure cost.
         let registry = KeyRegistry::new(len + 1, 42, SchemeKind::Fast);
@@ -107,90 +110,26 @@ fn main() {
         let verifier = registry.verifier();
         assert!(chain.verify_reference(&verifier).is_ok());
 
-        let (h, s) = work_of(|| {
-            chain.verify_reference(&verifier).unwrap();
-        });
-        rows.push(Row {
-            length: len,
-            strategy: "reference",
-            sample: bench(format!("L={len:>3} reference"), || {
-                chain.verify_reference(&verifier).unwrap()
-            }),
-            hashes_per_verify: h,
-            sig_checks_per_verify: s,
-        });
-
-        let (h, s) = work_of(|| {
-            chain.verify_uncached(&verifier).unwrap();
-        });
-        rows.push(Row {
-            length: len,
-            strategy: "incremental",
-            sample: bench(format!("L={len:>3} incremental"), || {
-                chain.verify_uncached(&verifier).unwrap()
-            }),
-            hashes_per_verify: h,
-            sig_checks_per_verify: s,
-        });
-
-        // Stamp the chain at a barrier, then measure a recipient's clone.
-        Chain::verify_at_barrier([&chain], &verifier, &mut HashSet::new());
-        let received = chain.clone();
-        let (h, s) = work_of(|| {
-            received.verify(&verifier).unwrap();
-        });
-        rows.push(Row {
-            length: len,
-            strategy: "stamped",
-            sample: bench(format!("L={len:>3} stamped"), || {
-                received.verify(&verifier).unwrap()
-            }),
-            hashes_per_verify: h,
-            sig_checks_per_verify: s,
-        });
+        for (strategy, verify) in strategies {
+            if strategy == "stamped" {
+                // Stamp the chain at a barrier; the clone below is what a
+                // broadcast's recipient verifies.
+                Chain::verify_at_barrier([&chain], &verifier, &mut HashSet::new());
+            }
+            let subject = chain.clone();
+            let (hashes, sig_checks) = work_of(|| verify(&subject, &verifier).unwrap());
+            let sample = bench(format!("L={len:>3} {strategy}"), || {
+                verify(&subject, &verifier).unwrap()
+            });
+            let fields = vec![
+                ("length", len.into()),
+                ("strategy", strategy.into()),
+                ("hashes_per_verify", hashes.into()),
+                ("sig_checks_per_verify", sig_checks.into()),
+            ];
+            report.row("rows", fields, Some(&sample));
+        }
     }
-
-    let samples: Vec<Sample> = rows.iter().map(|r| r.sample.clone()).collect();
-    print_samples("chain verification", &samples);
-    let sha = sha_rows();
-    let samples: Vec<Sample> = sha.iter().map(|r| r.sample.clone()).collect();
-    print_samples("sha256", &samples);
-
-    let mut json = String::from("{\n  \"bench\": \"chain_verify\",\n  \"scheme\": \"Fast\",\n");
-    let _ = writeln!(json, "  \"host\": {},", host_json());
-    json.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"length\": {}, \"strategy\": \"{}\", \"median_ns\": {:.1}, \"mean_ns\": {:.1}, \"min_ns\": {:.1}, \"hashes_per_verify\": {}, \"sig_checks_per_verify\": {}}}{}",
-            r.length,
-            r.strategy,
-            r.sample.median_ns,
-            r.sample.mean_ns,
-            r.sample.min_ns,
-            r.hashes_per_verify,
-            r.sig_checks_per_verify,
-            if i + 1 == rows.len() { "" } else { "," }
-        );
-    }
-    json.push_str("  ],\n  \"sha256\": [\n");
-    for (i, r) in sha.iter().enumerate() {
-        let hex: String = r.digest.iter().map(|b| format!("{b:02x}")).collect();
-        let _ = writeln!(
-            json,
-            "    {{\"backend\": \"{}\", \"bytes\": {}, \"median_ns\": {:.1}, \"mb_per_s\": {:.1}, \"digest\": \"{}\"}}{}",
-            r.backend,
-            r.bytes,
-            r.sample.median_ns,
-            r.bytes as f64 * 1e3 / r.sample.median_ns,
-            hex,
-            if i + 1 == sha.len() { "" } else { "," }
-        );
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write(&out_path, &json).unwrap_or_else(|e| {
-        eprintln!("cannot write {out_path}: {e}");
-        std::process::exit(1);
-    });
-    eprintln!("wrote {out_path}");
+    sha_rows(&mut report);
+    report.finish(&args.out)
 }

@@ -29,10 +29,11 @@
 //!
 //! Every section runs the engine the way every driver does, with barrier
 //! verification (`ba_sim::engine` module docs). Every strategy of every
-//! workload must produce identical `Metrics` — the run aborts otherwise.
-//! Emits a JSON report to the path given as the first positional argument
-//! (default `BENCH_engine.json`). Each row is tagged with the host's
-//! `available_parallelism`: on a single-core container the parallel rows
+//! workload that ran must produce identical `Metrics`: each section's
+//! `*_metrics_identical` is a gate, so a divergence still writes the report
+//! and then exits 1. Writes the report (DESIGN §7.6) to the positional
+//! argument, default `BENCH_engine.json`; its `host` object carries
+//! `available_parallelism` — on a single-core container the parallel rows
 //! can only show the pool's (small) coordination overhead, never a
 //! speedup, and the binary says so on stderr.
 //!
@@ -42,23 +43,27 @@
 //!     --section pool_scaling --n 1024 --threads 1,4 --assert-scaling 1.25
 //! ```
 //!
-//! `--assert-scaling <ratio>` makes the binary exit non-zero if, on a
-//! multi-core host, the widest thread count's median exceeds `ratio` × the
-//! single-thread median for any `pool_scaling` cell (on a single-core host
-//! the gate is skipped — there is nothing to win). CI uses this as the
-//! `pool-scaling-smoke` job.
+//! `--assert-scaling <ratio>` makes the binary exit 1 (after writing the
+//! report) if, on a multi-core host, the widest thread count's median
+//! exceeds `ratio` × the narrowest's for any `pool_scaling` cell; on a
+//! single-core host the gate is skipped — there is nothing to win. It is a
+//! usage error (exit 2) without `pool_scaling` or with fewer than two
+//! distinct `--threads`. CI uses this as the `pool-scaling-smoke` job.
 //!
 //! `--dump-trace <threads>` instead prints a traced deterministic run
 //! (decisions, metrics, every envelope) to stdout; CI compares the output
 //! of `--dump-trace 1` and `--dump-trace 4` byte-for-byte.
 
 use ba_algos::{algorithm3, dolev_strong};
-use ba_bench::microbench::{bench, print_samples, Sample};
+use ba_bench::cli::BenchArgs;
+use ba_bench::microbench::bench;
+use ba_bench::report::{Report, ScalingCell};
+use ba_check::json::Json;
 use ba_crypto::keys::{KeyRegistry, SchemeKind, Signer, Verifier};
 use ba_crypto::{Chain, ProcessId, Value};
 use ba_sim::adversary::Silent;
 use ba_sim::{Actor, Inbox, Metrics, Outbox, Payload, PhaseCore, RunOutcome, Simulation};
-use std::fmt::Write as _;
+use std::process::ExitCode;
 
 const FANOUT_PEERS: [usize; 2] = [63, 1023];
 const FANOUT_LENGTHS: [usize; 3] = [8, 32, 128];
@@ -177,213 +182,106 @@ fn dump_trace(threads: usize) {
     }
 }
 
-/// One `pool_scaling` workload cell (everything but the thread count).
+/// A protocol run the `dolev_strong`, `algorithm3` and `pool_scaling`
+/// sections time: everything but the thread count.
 #[derive(Clone, Copy)]
-enum PoolWorkload {
-    DsRelay { n: usize, t: usize },
-    DsBroadcast { n: usize, t: usize },
-    Alg3 { n: usize, t: usize, s: usize },
+struct Workload {
+    protocol: Protocol,
+    n: usize,
+    t: usize,
 }
 
-impl PoolWorkload {
-    fn label(&self) -> String {
-        match *self {
-            PoolWorkload::DsRelay { t, .. } => format!("ds-relay t={t}"),
-            PoolWorkload::DsBroadcast { t, .. } => format!("ds-broadcast t={t}"),
-            PoolWorkload::Alg3 { t, s, .. } => format!("alg3 t={t} s={s}"),
+#[derive(Clone, Copy)]
+enum Protocol {
+    DsRelay,
+    DsBroadcast,
+    Alg3 { s: usize },
+}
+
+impl Workload {
+    /// The protocol's name and its parameters besides n, e.g.
+    /// `("alg3", "t=4 s=32")`.
+    fn describe(&self) -> (&'static str, String) {
+        let t = self.t;
+        match self.protocol {
+            Protocol::DsRelay => ("ds-relay", format!("t={t}")),
+            Protocol::DsBroadcast => ("ds-broadcast", format!("t={t}")),
+            Protocol::Alg3 { s } => ("alg3", format!("t={t} s={s}")),
         }
     }
 
     /// Runs the workload once.
     fn run(&self, threads: usize) -> Metrics {
-        match *self {
-            PoolWorkload::DsRelay { n, t } | PoolWorkload::DsBroadcast { n, t } => {
-                let variant = if matches!(self, PoolWorkload::DsRelay { .. }) {
-                    dolev_strong::Variant::Relay
-                } else {
-                    dolev_strong::Variant::Broadcast
+        let (n, t, scheme) = (self.n, self.t, SchemeKind::Fast);
+        let variant = match self.protocol {
+            Protocol::DsRelay => dolev_strong::Variant::Relay,
+            Protocol::DsBroadcast => dolev_strong::Variant::Broadcast,
+            Protocol::Alg3 { s } => {
+                let opts = algorithm3::Alg3Options {
+                    scheme,
+                    threads,
+                    ..Default::default()
                 };
-                dolev_strong::run(
-                    n,
-                    t,
-                    Value::ONE,
-                    dolev_strong::DsOptions {
-                        variant,
-                        scheme: SchemeKind::Fast,
-                        threads,
-                        ..Default::default()
-                    },
-                )
-                .unwrap()
-                .outcome
-                .metrics
+                let run = algorithm3::run(n, t, s, Value::ONE, opts).unwrap();
+                return run.outcome.metrics;
             }
-            PoolWorkload::Alg3 { n, t, s } => {
-                algorithm3::run(
-                    n,
-                    t,
-                    s,
-                    Value::ONE,
-                    algorithm3::Alg3Options {
-                        scheme: SchemeKind::Fast,
-                        threads,
-                        ..Default::default()
-                    },
-                )
-                .unwrap()
-                .outcome
-                .metrics
-            }
-        }
+        };
+        let opts = dolev_strong::DsOptions {
+            variant,
+            scheme,
+            threads,
+            ..Default::default()
+        };
+        dolev_strong::run(n, t, Value::ONE, opts)
+            .unwrap()
+            .outcome
+            .metrics
     }
 }
 
-struct Row {
-    section: &'static str,
+/// A row's leading fields; `bytes_sent` is the wire bytes sent by correct
+/// processors in one run of the cell (`Metrics::bytes_by_correct`; for
+/// `chain_fanout`, one phase's broadcast).
+fn fields(
+    section: &str,
     label: String,
     n: usize,
     threads: usize,
-    /// Wire bytes sent by correct processors in one run of this cell
-    /// (`Metrics::bytes_by_correct`; for the `chain_fanout` microbench,
-    /// one phase's broadcast).
     bytes_sent: u64,
-    /// `chain_fanout` rows only: the phase's median time over the messages
-    /// it delivered.
-    ns_per_message: Option<f64>,
-    sample: Sample,
+) -> Vec<(&'static str, Json)> {
+    vec![
+        ("section", section.into()),
+        ("label", label.into()),
+        ("n", n.into()),
+        ("threads", threads.into()),
+        ("bytes_sent", bytes_sent.into()),
+    ]
 }
 
-fn json_rows(rows: &[Row], parallelism: usize) -> String {
-    let single_core = parallelism == 1;
-    let mut out = String::new();
-    for (i, r) in rows.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "    {{\"section\": \"{}\", \"label\": \"{}\", \"n\": {}, \"threads\": {}, \"parallelism\": {}, \"single_core\": {single_core}, \"bytes_sent\": {}, {}\"median_ns\": {:.1}, \"mean_ns\": {:.1}, \"min_ns\": {:.1}}}{}",
-            r.section,
-            r.label,
-            r.n,
-            r.threads,
-            parallelism,
-            r.bytes_sent,
-            r.ns_per_message
-                .map_or(String::new(), |ns| format!("\"ns_per_message\": {ns:.2}, ")),
-            r.sample.median_ns,
-            r.sample.mean_ns,
-            r.sample.min_ns,
-            if i + 1 == rows.len() { "" } else { "," }
-        );
-    }
-    out
-}
-
-struct Config {
-    out_path: String,
-    /// Sections to run; empty = all.
-    sections: Vec<String>,
-    pool_ns: Vec<usize>,
-    pool_threads: Vec<usize>,
-    assert_scaling: Option<f64>,
-}
-
-impl Config {
-    fn section(&self, name: &str) -> bool {
-        self.sections.is_empty() || self.sections.iter().any(|s| s == name)
-    }
-}
-
-fn parse_list(flag: &str, value: &str) -> Vec<usize> {
-    let list: Vec<usize> = value
-        .split(',')
-        .map(|v| {
-            v.trim()
-                .parse()
-                .unwrap_or_else(|_| die(&format!("{flag}: bad entry {v:?} in {value:?}")))
-        })
-        .collect();
-    if list.is_empty() {
-        die(&format!("{flag} needs a non-empty comma-separated list"));
-    }
-    list
-}
-
-fn die(msg: &str) -> ! {
-    eprintln!("bench_engine: {msg}");
-    std::process::exit(2);
-}
-
-fn parse_args(args: &[String]) -> Config {
-    let mut cfg = Config {
-        out_path: "BENCH_engine.json".to_string(),
-        sections: Vec::new(),
-        pool_ns: POOL_NS.to_vec(),
-        pool_threads: POOL_THREADS.to_vec(),
-        assert_scaling: None,
-    };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .cloned()
-                .unwrap_or_else(|| die(&format!("{flag} needs a value")))
-        };
-        match arg.as_str() {
-            "--section" => cfg.sections.push(value("--section")),
-            "--n" => cfg.pool_ns = parse_list("--n", &value("--n")),
-            "--threads" => cfg.pool_threads = parse_list("--threads", &value("--threads")),
-            "--assert-scaling" => {
-                let v = value("--assert-scaling");
-                cfg.assert_scaling = Some(
-                    v.parse()
-                        .unwrap_or_else(|_| die(&format!("--assert-scaling: bad ratio {v:?}"))),
-                );
-            }
-            flag if flag.starts_with("--") => die(&format!("unknown flag {flag}")),
-            path => cfg.out_path = path.to_string(),
-        }
-    }
-    let known = [
-        "chain_fanout",
-        "flood",
-        "dolev_strong",
-        "algorithm3",
-        "pool_scaling",
-    ];
-    for s in &cfg.sections {
-        if !known.contains(&s.as_str()) {
-            die(&format!(
-                "unknown section {s:?} (known: {})",
-                known.join(", ")
-            ));
-        }
-    }
-    cfg
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("--dump-trace") {
-        let threads: usize = args
-            .get(1)
-            .and_then(|v| v.parse().ok())
-            .expect("--dump-trace needs a thread count");
+fn main() -> ExitCode {
+    let args = BenchArgs::from_env(
+        "bench_engine",
+        "BENCH_engine.json",
+        &[
+            "chain_fanout",
+            "flood",
+            "dolev_strong",
+            "algorithm3",
+            "pool_scaling",
+        ],
+        &["--n", "--threads", "--assert-scaling", "--dump-trace"],
+        &[],
+    );
+    if let Some(threads) = args.num("--dump-trace") {
         dump_trace(threads);
-        return;
+        return ExitCode::SUCCESS;
     }
-    let cfg = parse_args(&args);
-
-    let parallelism = std::thread::available_parallelism().map_or(1, usize::from);
-    if parallelism == 1 {
-        eprintln!(
-            "bench_engine: warning: single-core host (available_parallelism = 1); \
-             parallel rows measure pool coordination overhead only, never speedup"
-        );
-    }
-    let mut rows: Vec<Row> = Vec::new();
+    let pool_ns = args.list("--n").unwrap_or(POOL_NS.to_vec());
+    let pool_threads = args.list("--threads").unwrap_or(POOL_THREADS.to_vec());
+    let mut report = Report::new("engine");
 
     // -- chain_fanout: a delivered message costs the same at any L and k --
-    let mut fanout_flat = true;
-    if cfg.section("chain_fanout") {
+    if args.section("chain_fanout") {
         let mut per_message: Vec<f64> = Vec::new();
         for peers in FANOUT_PEERS {
             for len in FANOUT_LENGTHS {
@@ -406,16 +304,12 @@ fn main() {
                         assert_eq!(metrics.messages_total(), (FANOUT_PHASES * peers) as u64);
                     }
                 });
-                per_message.push(sample.median_ns / peers as f64);
-                rows.push(Row {
-                    section: "chain_fanout",
-                    label: format!("L={len} k={peers}"),
-                    n,
-                    threads: 1,
-                    bytes_sent,
-                    ns_per_message: per_message.last().copied(),
-                    sample,
-                });
+                let ns_per_message = sample.median_ns / peers as f64;
+                per_message.push(ns_per_message);
+                let label = format!("L={len} k={peers}");
+                let mut row = fields("chain_fanout", label, n, 1, bytes_sent);
+                row.push(("ns_per_message", Json::dec(ns_per_message, 2)));
+                report.row("rows", row, Some(&sample));
             }
         }
         let cheapest = per_message.iter().copied().fold(f64::INFINITY, f64::min);
@@ -423,208 +317,115 @@ fn main() {
         // Copying or verifying per recipient would scale ~16× from L = 8
         // to L = 128, and a per-frame cost paid per message would not
         // amortise from k = 63 to k = 1023. Allow generous noise.
-        fanout_flat = dearest < cheapest * 4.0;
+        report.check("chain_fanout_flat", dearest < cheapest * 4.0);
     }
 
     // -- flood: engine strategies on the synthetic broadcast workload -----
-    let mut flood_identical = true;
-    if cfg.section("flood") {
+    if args.section("flood") {
+        let mut identical = true;
         for n in FLOOD_SIZES {
             let baseline: Metrics = run_flood(n, 1, false).metrics;
             for (label, threads) in [("seq", 1usize), ("par4", 4)] {
                 let outcome = run_flood(n, threads, false);
-                flood_identical &= outcome.metrics == baseline;
-                rows.push(Row {
-                    section: "flood",
-                    label: label.to_string(),
-                    n,
-                    threads,
-                    bytes_sent: outcome.metrics.bytes_by_correct,
-                    ns_per_message: None,
-                    sample: bench(format!("flood n={n:>3} {label}"), || {
-                        run_flood(n, threads, false).metrics.messages_total()
-                    }),
+                identical &= outcome.metrics == baseline;
+                let sample = bench(format!("flood n={n:>3} {label}"), || {
+                    run_flood(n, threads, false).metrics.messages_total()
                 });
+                let bytes = outcome.metrics.bytes_by_correct;
+                let row = fields("flood", label.to_string(), n, threads, bytes);
+                report.row("rows", row, Some(&sample));
             }
         }
+        report.gate("flood_metrics_identical", identical);
     }
 
-    // -- real protocol workloads ------------------------------------------
-    let mut ds_identical = true;
-    if cfg.section("dolev_strong") {
-        for n in [32usize, 64] {
-            let t = 4;
-            let run_ds = |threads: usize| {
-                dolev_strong::run(
-                    n,
-                    t,
-                    Value::ONE,
-                    dolev_strong::DsOptions {
-                        variant: dolev_strong::Variant::Broadcast,
-                        scheme: SchemeKind::Fast,
-                        threads,
-                        ..Default::default()
-                    },
-                )
-                .unwrap()
-            };
-            let baseline = run_ds(1).outcome.metrics;
+    // -- real protocol workloads: sequential vs 4 workers ----------------
+    let broadcast = |n| Workload {
+        protocol: Protocol::DsBroadcast,
+        n,
+        t: 4,
+    };
+    let alg3 = Workload {
+        protocol: Protocol::Alg3 { s: 12 },
+        n: 64,
+        t: 3,
+    };
+    let protocols = [
+        ("dolev_strong", vec![broadcast(32), broadcast(64)]),
+        ("algorithm3", vec![alg3]),
+    ];
+    for (section, workloads) in protocols {
+        if !args.section(section) {
+            continue;
+        }
+        let mut identical = true;
+        for w in workloads {
+            let (name, params) = w.describe();
+            let baseline = w.run(1);
             for threads in [1usize, 4] {
-                let probe = run_ds(threads).outcome.metrics;
-                ds_identical &= probe == baseline;
-                rows.push(Row {
-                    section: "dolev_strong",
-                    label: format!("t={t} threads={threads}"),
-                    n,
-                    threads,
-                    bytes_sent: probe.bytes_by_correct,
-                    ns_per_message: None,
-                    sample: bench(format!("dolev-strong n={n:>3} threads={threads}"), || {
-                        run_ds(threads).outcome.metrics.messages_by_correct
-                    }),
+                let probe = w.run(threads);
+                identical &= probe == baseline;
+                let sample = bench(format!("{name} n={:>3} threads={threads}", w.n), || {
+                    w.run(threads).messages_by_correct
                 });
+                let label = format!("{params} threads={threads}");
+                let row = fields(section, label, w.n, threads, probe.bytes_by_correct);
+                report.row("rows", row, Some(&sample));
             }
         }
-    }
-
-    let mut alg3_identical = true;
-    if cfg.section("algorithm3") {
-        let (n, t, s) = (64usize, 3usize, 12usize);
-        let run_a3 = |threads: usize| {
-            algorithm3::run(
-                n,
-                t,
-                s,
-                Value::ONE,
-                algorithm3::Alg3Options {
-                    scheme: SchemeKind::Fast,
-                    threads,
-                    ..Default::default()
-                },
-            )
-            .unwrap()
-        };
-        let baseline = run_a3(1).outcome.metrics;
-        for threads in [1usize, 4] {
-            let probe = run_a3(threads).outcome.metrics;
-            alg3_identical &= probe == baseline;
-            rows.push(Row {
-                section: "algorithm3",
-                label: format!("t={t} s={s} threads={threads}"),
-                n,
-                threads,
-                bytes_sent: probe.bytes_by_correct,
-                ns_per_message: None,
-                sample: bench(format!("algorithm3 n={n:>3} threads={threads}"), || {
-                    run_a3(threads).outcome.metrics.messages_by_correct
-                }),
-            });
-        }
+        report.gate(&format!("{section}_metrics_identical"), identical);
     }
 
     // -- pool_scaling: the persistent-pool grid ---------------------------
-    let mut pool_identical = true;
-    // (label, n, threads, median_ns) for the --assert-scaling gate.
-    let mut pool_cells: Vec<(String, usize, usize, f64)> = Vec::new();
-    if cfg.section("pool_scaling") {
-        for &n in &cfg.pool_ns {
-            let mut workloads = vec![PoolWorkload::DsRelay { n, t: POOL_T }];
+    let mut cells: Vec<ScalingCell> = Vec::new();
+    if args.section("pool_scaling") {
+        let mut identical = true;
+        for &n in &pool_ns {
+            let mut protocols = vec![Protocol::DsRelay];
             if n <= BROADCAST_MAX_N {
-                workloads.push(PoolWorkload::DsBroadcast { n, t: POOL_T });
+                protocols.push(Protocol::DsBroadcast);
             } else {
                 eprintln!(
                     "bench_engine: skipping ds-broadcast at n={n} \
                      (O(n^2) traffic per phase; relay covers large n)"
                 );
             }
-            workloads.push(PoolWorkload::Alg3 {
-                n,
-                t: POOL_T,
-                s: POOL_S,
-            });
-            for w in workloads {
-                let label = w.label();
+            protocols.push(Protocol::Alg3 { s: POOL_S });
+            for protocol in protocols {
+                let w = Workload {
+                    protocol,
+                    n,
+                    t: POOL_T,
+                };
+                let (name, params) = w.describe();
+                let label = format!("{name} {params}");
                 // The determinism check rides on the measured runs: every
                 // bench iteration compares its metrics to the first run's.
                 let mut baseline: Option<Metrics> = None;
-                for &threads in &cfg.pool_threads {
+                for &threads in &pool_threads {
                     let sample = bench(format!("pool {label} n={n} threads={threads}"), || {
                         let m = w.run(threads);
                         match &baseline {
-                            Some(b) => pool_identical &= m == *b,
+                            Some(b) => identical &= m == *b,
                             None => baseline = Some(m.clone()),
                         }
                         m.messages_by_correct
                     });
-                    pool_cells.push((label.clone(), n, threads, sample.median_ns));
-                    rows.push(Row {
-                        section: "pool_scaling",
-                        label: format!("{label} threads={threads}"),
-                        n,
+                    cells.push(ScalingCell {
+                        workload: format!("{label} n={n}"),
                         threads,
-                        bytes_sent: baseline.as_ref().map_or(0, |m| m.bytes_by_correct),
-                        ns_per_message: None,
-                        sample,
+                        median_ns: sample.median_ns,
                     });
+                    let label = format!("{label} threads={threads}");
+                    let bytes = baseline.as_ref().map_or(0, |m| m.bytes_by_correct);
+                    let row = fields("pool_scaling", label, n, threads, bytes);
+                    report.row("rows", row, Some(&sample));
                 }
             }
         }
+        report.gate("pool_scaling_metrics_identical", identical);
     }
 
-    assert!(
-        flood_identical && ds_identical && alg3_identical && pool_identical,
-        "metrics diverged across engine strategies — determinism contract broken"
-    );
-
-    let samples: Vec<Sample> = rows.iter().map(|r| r.sample.clone()).collect();
-    print_samples("engine data plane", &samples);
-
-    let mut json = String::from("{\n  \"bench\": \"engine\",\n");
-    let _ = writeln!(json, "  \"available_parallelism\": {parallelism},");
-    let _ = writeln!(
-        json,
-        "  \"checks\": {{\"chain_fanout_flat\": {fanout_flat}, \"flood_metrics_identical\": {flood_identical}, \"dolev_strong_metrics_identical\": {ds_identical}, \"algorithm3_metrics_identical\": {alg3_identical}, \"pool_scaling_metrics_identical\": {pool_identical}}},"
-    );
-    json.push_str("  \"rows\": [\n");
-    json.push_str(&json_rows(&rows, parallelism));
-    json.push_str("  ]\n}\n");
-    std::fs::write(&cfg.out_path, &json).unwrap_or_else(|e| {
-        eprintln!("cannot write {}: {e}", cfg.out_path);
-        std::process::exit(1);
-    });
-    eprintln!("wrote {}", cfg.out_path);
-
-    // -- scaling gate (after the JSON, so failures still leave a report) --
-    if let Some(ratio) = cfg.assert_scaling {
-        if parallelism == 1 {
-            eprintln!("bench_engine: --assert-scaling skipped: single-core host");
-            return;
-        }
-        let lo = *cfg.pool_threads.iter().min().expect("non-empty");
-        let hi = *cfg.pool_threads.iter().max().expect("non-empty");
-        let mut failed = false;
-        for (label, n, threads, med) in &pool_cells {
-            if *threads != hi {
-                continue;
-            }
-            let base = pool_cells
-                .iter()
-                .find(|(l, bn, bt, _)| l == label && bn == n && *bt == lo)
-                .map(|(_, _, _, m)| *m)
-                .expect("lo-thread cell exists for every workload");
-            if *med > base * ratio {
-                eprintln!(
-                    "bench_engine: scaling gate FAILED: {label} n={n}: \
-                     threads={hi} median {med:.0} ns > {ratio} x threads={lo} median {base:.0} ns"
-                );
-                failed = true;
-            }
-        }
-        if failed {
-            std::process::exit(1);
-        }
-        eprintln!(
-            "bench_engine: scaling gate passed (threads={hi} <= {ratio} x threads={lo} everywhere)"
-        );
-    }
+    report.scaling_gate(args.ratio("--assert-scaling"), &cells);
+    report.finish(&args.out)
 }

@@ -32,25 +32,32 @@
 //! * `small` — ℓ ∈ {1 KiB, 16 KiB, 256 KiB} on the 4×4 grid (CI);
 //! * `full` — adds ℓ ∈ {1 MiB, 4 MiB} and the 7×7 grid.
 //!
-//! `--check-overhead` exits non-zero unless every fault-free cell with
-//! ℓ ≥ 256 KiB satisfies `total_bytes ≤ 4·ℓ·n` (at small ℓ the inner-BA
-//! signature chains dominate and the ratio is meaningless — the bound is
-//! asymptotic in ℓ). A worker-count determinism check (threads 1 vs 4) is
-//! always on: decisions and metrics must be byte-identical or the run
-//! aborts. Emits a JSON report to the path given
-//! as the first positional argument (default `BENCH_ext.json`).
+//! `--check-overhead` makes `overhead_gate` a gate: every fault-free cell
+//! with ℓ ≥ 256 KiB must satisfy `total_bytes ≤ 4·ℓ·n` (at small ℓ the
+//! inner-BA signature chains dominate and the ratio is meaningless — the
+//! bound is asymptotic in ℓ); without the switch it is a reported value.
+//! Two gates are always on: `determinism` (a threads = 4 rerun of every
+//! cell has byte-identical decisions and metrics) and
+//! `every_correct_node_decides` (the judge finds no violation and every
+//! correct node decides — the faulty families stay within the `t` budget,
+//! so repair must recover the payload). A failed gate exits 1 after the
+//! report (DESIGN §7.6) is written to the positional argument (default
+//! `BENCH_ext.json`).
 //!
 //! ```text
 //! cargo run -p ba-bench --release --bin bench_ext -- --section small --check-overhead
 //! ```
 
-use ba_bench::microbench::{bench, host_json, print_samples, Sample};
+use ba_bench::cli::BenchArgs;
+use ba_bench::microbench::bench;
+use ba_bench::report::Report;
+use ba_check::json::Json;
 use ba_crypto::rng::SimRng;
 use ba_crypto::{Bytes, ProcessId};
 use ba_ext::check::{run_scenario, ExtScenario};
 use ba_ext::{ExtDecision, ExtOptions, ExtReport};
 use ba_sim::schedule::{FaultBehavior, ScheduleSpec};
-use std::fmt::Write as _;
+use std::process::ExitCode;
 
 const KIB: usize = 1024;
 const SMALL_PAYLOADS: [usize; 3] = [KIB, 16 * KIB, 256 * KIB];
@@ -65,24 +72,6 @@ const GATE: f64 = 4.0;
 /// amortizes only asymptotically in ℓ).
 const GATE_MIN_PAYLOAD: usize = 256 * KIB;
 
-struct Row {
-    payload_len: usize,
-    n: usize,
-    t: usize,
-    fault: &'static str,
-    total_bytes: u64,
-    payload_bytes: u64,
-    inner_bytes: u64,
-    dissemination_bytes: u64,
-    vote_bytes: u64,
-    fetch_bytes: u64,
-    overhead_ratio: f64,
-    repair_requests: u64,
-    repair_response_bytes: u64,
-    decided: usize,
-    sample: Sample,
-}
-
 /// The benchmarked fault families: each cell runs fault-free, with the
 /// last `t` grid nodes silent, and with the last `t` nodes garbling.
 const FAULT_FAMILIES: [&str; 3] = ["none", "withhold-t", "garble-t"];
@@ -96,7 +85,7 @@ fn family_scenario(family: &str, n: usize, t: usize) -> ExtScenario {
             Vec::new(),
         ),
         "garble-t" => (Vec::new(), tail),
-        other => die(&format!("unknown fault family {other:?}")),
+        other => unreachable!("unknown fault family {other:?}"),
     };
     ExtScenario {
         spec: ScheduleSpec {
@@ -106,47 +95,6 @@ fn family_scenario(family: &str, n: usize, t: usize) -> ExtScenario {
         garble,
         label: family.to_string(),
     }
-}
-
-struct Config {
-    out_path: String,
-    sections: Vec<String>,
-    check_overhead: bool,
-}
-
-fn die(msg: &str) -> ! {
-    eprintln!("bench_ext: {msg}");
-    std::process::exit(2);
-}
-
-fn parse_args(args: &[String]) -> Config {
-    let mut cfg = Config {
-        out_path: "BENCH_ext.json".to_string(),
-        sections: Vec::new(),
-        check_overhead: false,
-    };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--section" => {
-                let v = it
-                    .next()
-                    .cloned()
-                    .unwrap_or_else(|| die("--section needs a value"));
-                if v != "small" && v != "full" {
-                    die(&format!("unknown section {v:?} (known: small, full)"));
-                }
-                cfg.sections.push(v);
-            }
-            "--check-overhead" => cfg.check_overhead = true,
-            flag if flag.starts_with("--") => die(&format!("unknown flag {flag}")),
-            path => cfg.out_path = path.to_string(),
-        }
-    }
-    if cfg.sections.is_empty() {
-        cfg.sections.push("small".to_string());
-    }
-    cfg
 }
 
 fn payload(len: usize, seed: u64) -> Bytes {
@@ -161,30 +109,19 @@ fn decided_count(report: &ExtReport) -> usize {
         .count()
 }
 
-/// Runs one cell and asserts the determinism and totality contracts: the
-/// judge finds no violation, every correct node decides (the faulty
-/// families stay within the `t` budget, so repair must recover the
-/// payload), and a threads=4 rerun is byte-identical.
-fn probe(p: &Bytes, opts: &ExtOptions, scenario: &ExtScenario) -> ExtReport {
+/// Runs one cell and checks its two contracts: totality (the judge finds
+/// no violation and every correct node decides) and determinism (a
+/// threads = 4 rerun is byte-identical). Returns the report and whether
+/// each held.
+fn probe(p: &Bytes, opts: &ExtOptions, scenario: &ExtScenario) -> (ExtReport, bool, bool) {
+    let cell = format!("n={} ℓ={} [{}]", opts.n, p.len(), scenario.label);
     let base = run_scenario(p, opts, scenario);
     if let Some(failure) = &base.failure {
-        die(&format!(
-            "cell n={} ℓ={} [{}] violated the judge: {failure}",
-            opts.n,
-            p.len(),
-            scenario.label
-        ));
+        eprintln!("bench_ext: cell {cell} violated the judge: {failure}");
     }
-    let report = base
-        .report
-        .unwrap_or_else(|| die(&format!("cell [{}] produced no report", scenario.label)));
+    let report = base.report.expect("every benchmarked scenario compiles");
     let correct_total = report.correct.iter().filter(|c| **c).count();
-    if decided_count(&report) != correct_total {
-        die(&format!(
-            "cell n={} ℓ={} [{}] did not decide on every correct node",
-            opts.n, report.payload_len, scenario.label
-        ));
-    }
+    let decides = base.failure.is_none() && decided_count(&report) == correct_total;
     let threaded = run_scenario(
         p,
         &ExtOptions {
@@ -193,27 +130,31 @@ fn probe(p: &Bytes, opts: &ExtOptions, scenario: &ExtScenario) -> ExtReport {
         },
         scenario,
     );
-    if threaded.report.as_ref() != Some(&report) {
-        die(&format!(
-            "DETERMINISM BROKEN at n={} ℓ={} [{}]: threads=4 diverges from threads=1",
-            opts.n, report.payload_len, scenario.label
-        ));
+    let deterministic = threaded.report.as_ref() == Some(&report);
+    if !deterministic {
+        eprintln!("bench_ext: DETERMINISM BROKEN at {cell}: threads=4 diverges from threads=1");
     }
-    report
+    (report, decides, deterministic)
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let cfg = parse_args(&args);
-
+fn main() -> ExitCode {
+    let args = BenchArgs::from_env(
+        "bench_ext",
+        "BENCH_ext.json",
+        &["small", "full"],
+        &[],
+        &["--check-overhead"],
+    );
     let mut payloads: Vec<usize> = SMALL_PAYLOADS.to_vec();
     let mut grids: Vec<(usize, usize)> = SMALL_GRIDS.to_vec();
-    if cfg.sections.iter().any(|s| s == "full") {
+    if args.named_sections().iter().any(|s| s == "full") {
         payloads.extend(FULL_PAYLOADS);
         grids.extend(FULL_GRIDS);
     }
 
-    let mut rows: Vec<Row> = Vec::new();
+    let mut report = Report::new("ext");
+    let (mut deterministic, mut decides) = (true, true);
+    let mut over_budget: Vec<String> = Vec::new();
     for &(n, t) in &grids {
         for &len in &payloads {
             let opts = ExtOptions {
@@ -225,7 +166,9 @@ fn main() {
             let p = payload(len, len as u64 ^ 0xBA5E);
             for family in FAULT_FAMILIES {
                 let scenario = family_scenario(family, n, t);
-                let report = probe(&p, &opts, &scenario);
+                let (cell, cell_decides, cell_deterministic) = probe(&p, &opts, &scenario);
+                decides &= cell_decides;
+                deterministic &= cell_deterministic;
                 let sample = bench(
                     format!("ext ℓ={len:>8} n={n:>2} t={t} {family:<10}"),
                     || {
@@ -237,101 +180,52 @@ fn main() {
                         )
                     },
                 );
-                rows.push(Row {
-                    payload_len: len,
-                    n,
-                    t,
-                    fault: family,
-                    total_bytes: report.total_wire_bytes(),
-                    payload_bytes: report.payload_wire_bytes(),
-                    inner_bytes: report.inner_metrics.wire_bytes(),
-                    dissemination_bytes: report.dissemination.wire_bytes(),
-                    vote_bytes: report.vote.wire_bytes(),
-                    fetch_bytes: report.fetch.wire_bytes(),
-                    overhead_ratio: report.overhead_ratio(),
-                    repair_requests: report.repair_requests,
-                    repair_response_bytes: report.repair_response_bytes,
-                    decided: decided_count(&report),
-                    sample,
-                });
+                let total = cell.total_wire_bytes();
+                let payload_bytes = cell.payload_wire_bytes();
+                let ratio = cell.overhead_ratio();
+                let gated = family == "none" && len >= GATE_MIN_PAYLOAD;
+                if gated && ratio > GATE {
+                    over_budget.push(format!(
+                        "ℓ={len} n={n}: {total} bytes = {ratio:.2} x ℓn (gate {GATE})"
+                    ));
+                }
+                let fields = vec![
+                    ("payload_len", len.into()),
+                    ("n", n.into()),
+                    ("t", t.into()),
+                    ("fault", family.into()),
+                    ("bytes_sent", total.into()),
+                    ("payload_bytes", payload_bytes.into()),
+                    ("control_bytes", (total - payload_bytes).into()),
+                    ("inner_bytes", cell.inner_metrics.wire_bytes().into()),
+                    (
+                        "dissemination_bytes",
+                        cell.dissemination.wire_bytes().into(),
+                    ),
+                    ("vote_bytes", cell.vote.wire_bytes().into()),
+                    ("fetch_bytes", cell.fetch.wire_bytes().into()),
+                    ("overhead_ratio", Json::dec(ratio, 4)),
+                    ("repair_requests", cell.repair_requests.into()),
+                    ("repair_response_bytes", cell.repair_response_bytes.into()),
+                    ("gated", gated.into()),
+                    ("decided", decided_count(&cell).into()),
+                ];
+                report.row("rows", fields, Some(&sample));
             }
         }
     }
 
-    let samples: Vec<Sample> = rows.iter().map(|r| r.sample.clone()).collect();
-    print_samples("extension protocol", &samples);
-
-    // -- JSON report -------------------------------------------------------
-    let gate_applies = |r: &Row| r.fault == "none" && r.payload_len >= GATE_MIN_PAYLOAD;
-    let overhead_ok = rows
-        .iter()
-        .filter(|r| gate_applies(r))
-        .all(|r| r.overhead_ratio <= GATE);
-    let mut json = String::from("{\n  \"bench\": \"ext\",\n");
-    let _ = writeln!(json, "  \"host\": {},", host_json());
-    let _ = writeln!(
-        json,
-        "  \"checks\": {{\"overhead_gate\": {overhead_ok}, \"gate_constant\": {GATE}, \
-         \"gate_min_payload\": {GATE_MIN_PAYLOAD}, \"determinism\": true}},"
-    );
-    json.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"payload_len\": {}, \"n\": {}, \"t\": {}, \"fault\": \"{}\", \
-             \"bytes_sent\": {}, \
-             \"payload_bytes\": {}, \"control_bytes\": {}, \"inner_bytes\": {}, \
-             \"dissemination_bytes\": {}, \"vote_bytes\": {}, \"fetch_bytes\": {}, \
-             \"overhead_ratio\": {:.4}, \
-             \"repair_requests\": {}, \"repair_response_bytes\": {}, \"gated\": {}, \
-             \"decided\": {}, \"median_ns\": {:.1}, \"mean_ns\": {:.1}, \"min_ns\": {:.1}}}{}",
-            r.payload_len,
-            r.n,
-            r.t,
-            r.fault,
-            r.total_bytes,
-            r.payload_bytes,
-            r.total_bytes - r.payload_bytes,
-            r.inner_bytes,
-            r.dissemination_bytes,
-            r.vote_bytes,
-            r.fetch_bytes,
-            r.overhead_ratio,
-            r.repair_requests,
-            r.repair_response_bytes,
-            gate_applies(r),
-            r.decided,
-            r.sample.median_ns,
-            r.sample.mean_ns,
-            r.sample.min_ns,
-            if i + 1 == rows.len() { "" } else { "," }
-        );
+    for cell in &over_budget {
+        eprintln!("bench_ext: over the overhead budget: {cell}");
     }
-    json.push_str("  ]\n}\n");
-    std::fs::write(&cfg.out_path, &json).unwrap_or_else(|e| {
-        eprintln!("cannot write {}: {e}", cfg.out_path);
-        std::process::exit(1);
-    });
-    eprintln!("wrote {}", cfg.out_path);
-
-    // -- overhead gate (after the JSON, so failures still leave a report) --
-    if cfg.check_overhead {
-        let mut failed = false;
-        for r in rows.iter().filter(|r| gate_applies(r)) {
-            if r.overhead_ratio > GATE {
-                eprintln!(
-                    "bench_ext: overhead gate FAILED: ℓ={} n={}: {} bytes = {:.2} x ℓn \
-                     (gate {GATE})",
-                    r.payload_len, r.n, r.total_bytes, r.overhead_ratio
-                );
-                failed = true;
-            }
-        }
-        if failed {
-            std::process::exit(1);
-        }
-        eprintln!(
-            "bench_ext: overhead gate passed (total ≤ {GATE} x ℓn for every ℓ ≥ {GATE_MIN_PAYLOAD})"
-        );
+    if args.switch("--check-overhead") {
+        report.gate("overhead_gate", over_budget.is_empty());
+    } else {
+        report.check("overhead_gate", over_budget.is_empty());
     }
+    report.check("gate_constant", Json::Dec(GATE.to_string()));
+    report.check("gate_min_payload", GATE_MIN_PAYLOAD);
+    report.gate("determinism", deterministic);
+    report.gate("every_correct_node_decides", decides);
+    report.finish(&args.out)
 }

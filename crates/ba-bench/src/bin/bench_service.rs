@@ -35,21 +35,19 @@
 //!   (`submitted = decided + degraded + shed`) and no-deadlock under
 //!   block-with-deadline admission.
 //!
-//! The determinism check always runs first and the binary exits non-zero
-//! if it fails: the pipelined fleet must be byte-identical across worker
-//! counts, and every multiplexed instance must match its standalone
-//! [`NetRuntime`] run under `chaos.reseeded(instance_seed(seed, i))` —
-//! decisions, suspicion and the whole `Metrics`, with and without chaos.
+//! The determinism check always runs first: the pipelined fleet must be
+//! byte-identical across worker counts, and every multiplexed instance
+//! must match its standalone [`NetRuntime`] run under
+//! `chaos.reseeded(instance_seed(seed, i))` — decisions, suspicion and the
+//! whole `Metrics`, with and without chaos.
 //!
-//! Emits a JSON report (default `BENCH_service.json`) in the same row
-//! format as `bench_engine`, each row tagged with the host's
-//! `available_parallelism` and a `single_core` flag. Beside `median_ns`
+//! Writes the report (DESIGN §7.6; default `BENCH_service.json`) with the
+//! host's `available_parallelism` in its `host` object. Beside `median_ns`
 //! every row carries `build_ns`: the part of it spent building the
 //! instances the timed call runs (`CheckTarget::build`), timed on its own
 //! around the same build calls; 0 on the latency rows, whose clock starts
-//! at admission. On a single-core host
-//! one consolidated warning is printed and thread-scaling rows measure
-//! coordination overhead only.
+//! at admission. On a single-core host thread-scaling rows measure
+//! coordination overhead only, and the binary says so on stderr.
 //!
 //! ```text
 //! cargo run -p ba-bench --release --bin bench_service
@@ -57,22 +55,30 @@
 //!     --k 8 --threads 1,4 --assert-scaling 1.25
 //! ```
 //!
-//! `--assert-scaling <ratio>` exits non-zero if the widest thread count's
-//! pipelined median exceeds ratio × the narrowest's — skipped on
-//! single-core hosts, where extra workers can only add coordination
-//! overhead. CI uses it as the `service-smoke` job.
+//! Gates — `determinism`, and for the sections that ran
+//! `no_agreement_violations`, `open_loop_accounting`,
+//! `open_loop_determinism` and `no_admission_deadlock` — fail the run with
+//! exit 1 after the report is written. So does `--assert-scaling <ratio>`
+//! if the widest thread count's pipelined median exceeds ratio × the
+//! narrowest's; it is skipped on single-core hosts, where extra workers
+//! can only add coordination overhead, and a usage error (exit 2) without
+//! the `throughput` section or with fewer than two distinct `--threads`.
+//! CI uses it as the `service-smoke` job.
 //!
 //! [`NetRuntime`]: ba_net::NetRuntime
 
 use ba_algos::checkable::{find_target, CheckConfig, CheckTarget};
-use ba_bench::microbench::{bench, print_samples, Sample};
+use ba_bench::cli::BenchArgs;
+use ba_bench::microbench::{bench, Sample};
+use ba_bench::report::{Report, ScalingCell};
+use ba_check::json::Json;
 use ba_crypto::{Chain, Value};
 use ba_net::{
     instance_seed, run_target, run_target_multiplexed, AdmissionPolicy, BaService, ChaosProfile,
     InstanceSpec, MultiplexRun, NetConfig, NetRunError, PoissonArrivals, SvcConfig, SvcReport,
 };
 use ba_sim::schedule::ScheduleSpec;
-use std::fmt::Write as _;
+use std::process::ExitCode;
 
 const TARGET: &str = "ds-broadcast";
 const N: usize = 16;
@@ -92,86 +98,6 @@ const OPEN_LOOP_RATES: [f64; 3] = [1.0, 2.0, 4.0];
 const OPEN_LOOP_ARRIVAL_TICKS: u64 = 64;
 const OPEN_LOOP_INFLIGHT: usize = 8;
 const OPEN_LOOP_QUEUE: usize = 8;
-
-struct Config {
-    out_path: String,
-    /// Sections to run; empty = all.
-    sections: Vec<String>,
-    k: usize,
-    threads: Vec<usize>,
-    assert_scaling: Option<f64>,
-}
-
-impl Config {
-    fn section(&self, name: &str) -> bool {
-        self.sections.is_empty() || self.sections.iter().any(|s| s == name)
-    }
-}
-
-fn die(msg: &str) -> ! {
-    eprintln!("bench_service: {msg}");
-    std::process::exit(2);
-}
-
-fn parse_args(args: &[String]) -> Config {
-    let mut cfg = Config {
-        out_path: "BENCH_service.json".to_string(),
-        sections: Vec::new(),
-        k: 8,
-        threads: vec![1, 4],
-        assert_scaling: None,
-    };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .cloned()
-                .unwrap_or_else(|| die(&format!("{flag} needs a value")))
-        };
-        match arg.as_str() {
-            "--section" => cfg.sections.push(value("--section")),
-            "--k" => {
-                let v = value("--k");
-                cfg.k = v.parse().ok().filter(|k| *k >= 2).unwrap_or_else(|| {
-                    die(&format!("--k: need an instance count >= 2, got {v:?}"))
-                });
-            }
-            "--threads" => {
-                let v = value("--threads");
-                cfg.threads = v
-                    .split(',')
-                    .map(|e| {
-                        e.trim().parse().unwrap_or_else(|_| {
-                            die(&format!("--threads: bad entry {e:?} in {v:?}"))
-                        })
-                    })
-                    .collect();
-                if cfg.threads.is_empty() {
-                    die("--threads needs a non-empty comma-separated list");
-                }
-            }
-            "--assert-scaling" => {
-                let v = value("--assert-scaling");
-                cfg.assert_scaling = Some(
-                    v.parse()
-                        .unwrap_or_else(|_| die(&format!("--assert-scaling: bad ratio {v:?}"))),
-                );
-            }
-            flag if flag.starts_with("--") => die(&format!("unknown flag {flag}")),
-            path => cfg.out_path = path.to_string(),
-        }
-    }
-    let known = ["throughput", "latency", "degradation", "open_loop"];
-    for s in &cfg.sections {
-        if !known.contains(&s.as_str()) {
-            die(&format!(
-                "unknown section {s:?} (known: {})",
-                known.join(", ")
-            ));
-        }
-    }
-    cfg
-}
 
 /// The fleet under test: K `ds-broadcast` instances of one (n, seed),
 /// transmitter values alternating so neighbouring instances are not
@@ -203,7 +129,7 @@ fn run_serial(
             match run_target(target, cfg, &net, &solo) {
                 Ok(run) => !run.violated(),
                 Err(NetRunError::Degraded(_)) => false,
-                Err(e) => die(&format!("serial baseline: {e}")),
+                Err(e) => panic!("serial baseline: {e}"),
             }
         })
         .count()
@@ -227,7 +153,7 @@ fn run_svc(
             .with_admit_per_tick(1)
     };
     run_target_multiplexed(target, cfgs, &svc, chaos)
-        .unwrap_or_else(|e| die(&format!("multiplexed run: {e}")))
+        .unwrap_or_else(|e| panic!("multiplexed run: {e}"))
 }
 
 /// What building one fleet costs, timed apart from running it: the median
@@ -238,7 +164,7 @@ fn fleet_build_ns(target: &CheckTarget, cfgs: &[CheckConfig]) -> f64 {
             .map(|cfg| {
                 target
                     .build(cfg)
-                    .unwrap_or_else(|e| die(&format!("build: {e}")))
+                    .unwrap_or_else(|e| panic!("build: {e}"))
                     .phases
             })
             .sum::<usize>()
@@ -333,7 +259,7 @@ fn build_spec(target: &CheckTarget, i: u64) -> InstanceSpec<Chain> {
     let cfg = CheckConfig::new(N, T, value, 11, 1, ScheduleSpec::default());
     let setup = target
         .build(&cfg)
-        .unwrap_or_else(|e| die(&format!("open-loop spec {i}: {e}")));
+        .unwrap_or_else(|e| panic!("open-loop spec {i}: {e}"));
     InstanceSpec {
         actors: setup.actors,
         phases: setup.phases,
@@ -416,15 +342,21 @@ fn no_admission_deadlock(target: &CheckTarget, threads: usize) -> bool {
     accepted == report.outcomes.len() && report.accounting_balanced()
 }
 
-struct Row {
-    section: &'static str,
+/// A row's leading fields; `build_ns` is the share of its median spent
+/// building instances.
+fn fields(
+    section: &str,
     label: String,
     threads: usize,
-    sample: Sample,
-    /// The share of `sample.median_ns` that is instance building.
     build_ns: f64,
-    /// Extra JSON key/value pairs, already rendered (`, "key": value`).
-    extra: String,
+) -> Vec<(&'static str, Json)> {
+    vec![
+        ("section", section.into()),
+        ("label", label.into()),
+        ("n", N.into()),
+        ("threads", threads.into()),
+        ("build_ns", Json::dec(build_ns, 1)),
+    ]
 }
 
 fn percentile(sorted_ns: &[f64], p: f64) -> f64 {
@@ -435,46 +367,41 @@ fn percentile(sorted_ns: &[f64], p: f64) -> f64 {
     sorted_ns[idx.min(sorted_ns.len() - 1)]
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let cfg = parse_args(&args);
-    let th_lo = *cfg.threads.iter().min().expect("non-empty");
-    let th_hi = *cfg.threads.iter().max().expect("non-empty");
-
-    let parallelism = std::thread::available_parallelism().map_or(1, usize::from);
-    let single_core = parallelism == 1;
-    if single_core {
-        eprintln!(
-            "bench_service: warning: single-core host (available_parallelism = 1); \
-             every row is tagged \"single_core\": true, thread-scaling rows measure \
-             coordination overhead only, and --assert-scaling is skipped."
-        );
+fn main() -> ExitCode {
+    let args = BenchArgs::from_env(
+        "bench_service",
+        "BENCH_service.json",
+        &["throughput", "latency", "degradation", "open_loop"],
+        &["--k", "--threads", "--assert-scaling"],
+        &[],
+    );
+    let k = args.num("--k").unwrap_or(8);
+    if k < 2 {
+        args.usage_error(&format!("--k: need an instance count >= 2, got {k}"));
     }
+    let thread_counts = args.list("--threads").unwrap_or(vec![1, 4]);
+    let th_hi = *thread_counts
+        .iter()
+        .max()
+        .expect("a parsed list is non-empty");
+    let mut report = Report::new("service");
 
-    let target = find_target(TARGET).unwrap_or_else(|| die(&format!("no target {TARGET:?}")));
-    let cfgs = fleet_cfgs(cfg.k);
-    let k = cfg.k;
+    let target = find_target(TARGET).expect("the service target is registered");
+    let cfgs = fleet_cfgs(k);
 
     // -- determinism gate (always on; timings are meaningless without it) --
-    let deterministic = determinism_check(target, &cfgs, &cfg.threads);
-    if deterministic {
-        eprintln!(
-            "bench_service: determinism check passed ({k} instances, threads {:?}, \
-             reliable + lossy)",
-            cfg.threads
-        );
-    }
+    report.gate(
+        "determinism",
+        determinism_check(target, &cfgs, &thread_counts),
+    );
 
-    let mut rows: Vec<Row> = Vec::new();
     let reliable = ChaosProfile::reliable();
 
     // -- throughput: serial runtime vs the multiplexer ---------------------
-    // (label, serial-runtime median, pipelined median) per thread count.
-    let mut speedup_hi: Option<f64> = None;
-    let mut pipelined_medians: Vec<(usize, f64)> = Vec::new();
-    if cfg.section("throughput") {
+    let mut cells: Vec<ScalingCell> = Vec::new();
+    if args.section("throughput") {
         let build_ns = fleet_build_ns(target, &cfgs);
-        for &threads in &cfg.threads {
+        for &threads in &thread_counts {
             let serial_decided = run_serial(target, &cfgs, &reliable, threads);
             // The svc-serial probe doubles as the wire-volume source for
             // the serial-runtime row: per-instance byte-identity with the
@@ -511,17 +438,10 @@ fn main() {
                 } else {
                     fleet_bytes(&serial_probe)
                 };
-                rows.push(Row {
-                    section: "throughput",
-                    label: format!("{label} k={k}"),
-                    threads,
-                    sample,
-                    build_ns,
-                    extra: format!(
-                        ", \"agreements_per_sec\": {agreements_per_sec:.1}, \
-                         \"bytes_sent\": {bytes_sent}"
-                    ),
-                });
+                let mut row = fields("throughput", format!("{label} k={k}"), threads, build_ns);
+                row.push(("agreements_per_sec", Json::dec(agreements_per_sec, 1)));
+                row.push(("bytes_sent", bytes_sent.into()));
+                report.row("rows", row, Some(&sample));
             }
             let speedup = medians[0] / medians[2];
             eprintln!(
@@ -530,15 +450,19 @@ fn main() {
                 k as f64 * 1e9 / medians[2],
                 k as f64 * 1e9 / medians[0],
             );
-            pipelined_medians.push((threads, medians[2]));
+            cells.push(ScalingCell {
+                workload: format!("svc-pipelined k={k}"),
+                threads,
+                median_ns: medians[2],
+            });
             if threads == th_hi {
-                speedup_hi = Some(speedup);
+                report.check("pipelined_speedup_vs_serial", Json::dec(speedup, 3));
             }
         }
     }
 
     // -- latency: p50/p99 admission-to-decision, pipelined fleet -----------
-    if cfg.section("latency") {
+    if args.section("latency") {
         let mut merged_ns: Vec<f64> = Vec::new();
         let mut fleet_wire: u64 = 0;
         for i in 0..LATENCY_RUNS {
@@ -550,29 +474,24 @@ fn main() {
         }
         merged_ns.sort_by(|a, b| a.total_cmp(b));
         for (label, p) in [("p50", 0.50), ("p99", 0.99)] {
-            let ns = percentile(&merged_ns, p);
-            rows.push(Row {
-                section: "latency",
-                label: format!("decision {label} k={k}"),
-                threads: th_hi,
-                sample: Sample {
-                    name: format!("decision latency {label} (pipelined, k={k})"),
-                    batch_iters: 1,
-                    batches: (merged_ns.len()) as u32,
-                    median_ns: ns,
-                    mean_ns: merged_ns.iter().sum::<f64>() / merged_ns.len() as f64,
-                    min_ns: merged_ns[0],
-                },
-                build_ns: 0.0,
-                extra: format!(", \"bytes_sent\": {fleet_wire}"),
-            });
+            let sample = Sample {
+                name: format!("decision latency {label} (pipelined, k={k})"),
+                batch_iters: 1,
+                batches: merged_ns.len() as u32,
+                median_ns: percentile(&merged_ns, p),
+                mean_ns: merged_ns.iter().sum::<f64>() / merged_ns.len() as f64,
+                min_ns: merged_ns[0],
+            };
+            let mut row = fields("latency", format!("decision {label} k={k}"), th_hi, 0.0);
+            row.push(("bytes_sent", fleet_wire.into()));
+            report.row("rows", row, Some(&sample));
         }
     }
 
     // -- degradation: agreements/sec vs per-link loss ----------------------
-    let mut no_violations = true;
-    if cfg.section("degradation") {
+    if args.section("degradation") {
         let build_ns = fleet_build_ns(target, &cfgs);
+        let mut no_violations = true;
         for drop in LOSS_SWEEP {
             let chaos = if drop == 0 {
                 ChaosProfile::reliable()
@@ -581,7 +500,6 @@ fn main() {
             };
             let probe = run_svc(target, &cfgs, &chaos, th_hi, true);
             let decided = agreements(&probe);
-            let failed = degraded(&probe);
             no_violations &= probe
                 .runs
                 .iter()
@@ -591,27 +509,26 @@ fn main() {
                 || agreements(&run_svc(target, &cfgs, &chaos, th_hi, true)),
             );
             let agreements_per_sec = decided as f64 * 1e9 / sample.median_ns;
-            rows.push(Row {
-                section: "degradation",
-                label: format!("lossy d={drop} k={k}"),
-                threads: th_hi,
-                sample,
+            let mut row = fields(
+                "degradation",
+                format!("lossy d={drop} k={k}"),
+                th_hi,
                 build_ns,
-                extra: format!(
-                    ", \"drop_per_mille\": {drop}, \"decided\": {decided}, \
-                     \"degraded\": {failed}, \"agreements_per_sec\": {agreements_per_sec:.1}, \
-                     \"bytes_sent\": {}",
-                    fleet_bytes(&probe)
-                ),
-            });
+            );
+            row.extend([
+                ("drop_per_mille", u64::from(drop).into()),
+                ("decided", decided.into()),
+                ("degraded", degraded(&probe).into()),
+                ("agreements_per_sec", Json::dec(agreements_per_sec, 1)),
+                ("bytes_sent", fleet_bytes(&probe).into()),
+            ]);
+            report.row("rows", row, Some(&sample));
         }
+        report.gate("no_agreement_violations", no_violations);
     }
 
     // -- open_loop: Poisson arrivals against the session API ---------------
-    let mut open_loop_accounting: Option<bool> = None;
-    let mut open_loop_deterministic: Option<bool> = None;
-    let mut deadlock_free: Option<bool> = None;
-    if cfg.section("open_loop") {
+    if args.section("open_loop") {
         let mut accounting = true;
         for rate in OPEN_LOOP_RATES {
             let probe = run_open_loop(target, th_hi, rate);
@@ -627,7 +544,6 @@ fn main() {
                 .map(|d| d.as_nanos() as f64)
                 .collect();
             lat_ns.sort_by(|a, b| a.total_cmp(b));
-            let (p50, p99) = (percentile(&lat_ns, 0.50), percentile(&lat_ns, 0.99));
             let sample = bench(
                 format!("open-loop λ={rate} k={submitted} threads={th_hi}"),
                 || run_open_loop(target, th_hi, rate).decided(),
@@ -640,134 +556,38 @@ fn main() {
                  {failed} degraded, {shed} shed ({:.0}% shed) at {agreements_per_sec:.0} agr/s",
                 shed_rate * 100.0
             );
-            rows.push(Row {
-                section: "open_loop",
-                label: format!("poisson λ={rate}"),
-                threads: th_hi,
-                sample,
-                build_ns,
-                extra: format!(
-                    ", \"offered_per_tick\": {rate}, \"submitted\": {submitted}, \
-                     \"decided\": {decided}, \"degraded\": {failed}, \"shed\": {shed}, \
-                     \"shed_rate\": {shed_rate:.3}, \
-                     \"agreements_per_sec\": {agreements_per_sec:.1}, \
-                     \"latency_p50_ns\": {p50:.1}, \"latency_p99_ns\": {p99:.1}, \
-                     \"mean_queue_depth\": {:.2}, \"peak_queue_depth\": {}, \
-                     \"peak_inflight\": {}, \"ticks\": {}",
-                    probe.queue.mean_depth(),
-                    probe.queue.peak_depth,
-                    probe.peak_inflight,
-                    probe.ticks
-                ),
-            });
+            let mut row = fields("open_loop", format!("poisson λ={rate}"), th_hi, build_ns);
+            row.extend([
+                ("offered_per_tick", Json::Dec(rate.to_string())),
+                ("submitted", submitted.into()),
+                ("decided", decided.into()),
+                ("degraded", failed.into()),
+                ("shed", shed.into()),
+                ("shed_rate", Json::dec(shed_rate, 3)),
+                ("agreements_per_sec", Json::dec(agreements_per_sec, 1)),
+                ("latency_p50_ns", Json::dec(percentile(&lat_ns, 0.50), 1)),
+                ("latency_p99_ns", Json::dec(percentile(&lat_ns, 0.99), 1)),
+                ("mean_queue_depth", Json::dec(probe.queue.mean_depth(), 2)),
+                ("peak_queue_depth", probe.queue.peak_depth.into()),
+                ("peak_inflight", probe.peak_inflight.into()),
+                ("ticks", probe.ticks.into()),
+            ]);
+            report.row("rows", row, Some(&sample));
         }
-        open_loop_accounting = Some(accounting);
+        report.gate("open_loop_accounting", accounting);
         // The open-loop analogue of the fleet determinism gate: the same
         // arrival schedule must replay byte-identically at every thread
         // count (wall clock aside).
-        let want = svc_fingerprint(&run_open_loop(target, cfg.threads[0], OPEN_LOOP_RATES[1]));
-        open_loop_deterministic =
-            Some(cfg.threads[1..].iter().all(|&th| {
-                svc_fingerprint(&run_open_loop(target, th, OPEN_LOOP_RATES[1])) == want
-            }));
-        deadlock_free = Some(no_admission_deadlock(target, th_hi));
-    }
-
-    let samples: Vec<Sample> = rows.iter().map(|r| r.sample.clone()).collect();
-    print_samples("ba-svc multiplexer", &samples);
-
-    // -- JSON report -------------------------------------------------------
-    let mut json = String::from("{\n  \"bench\": \"service\",\n");
-    let _ = writeln!(json, "  \"available_parallelism\": {parallelism},");
-    let _ = writeln!(json, "  \"single_core\": {single_core},");
-    let speedup_str = speedup_hi.map_or("null".to_string(), |s| format!("{s:.3}"));
-    let opt = |v: Option<bool>| v.map_or("null".to_string(), |b| b.to_string());
-    let _ = writeln!(
-        json,
-        "  \"checks\": {{\"determinism\": {deterministic}, \"no_agreement_violations\": \
-         {no_violations}, \"pipelined_speedup_vs_serial\": {speedup_str}, \
-         \"open_loop_accounting\": {}, \"open_loop_determinism\": {}, \
-         \"no_admission_deadlock\": {}}},",
-        opt(open_loop_accounting),
-        opt(open_loop_deterministic),
-        opt(deadlock_free),
-    );
-    json.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"section\": \"{}\", \"label\": \"{}\", \"n\": {N}, \"threads\": {}, \
-             \"parallelism\": {parallelism}, \
-             \"single_core\": {single_core}, \"median_ns\": {:.1}, \"build_ns\": {:.1}, \
-             \"mean_ns\": {:.1}, \"min_ns\": {:.1}{}}}{}",
-            r.section,
-            r.label,
-            r.threads,
-            r.sample.median_ns,
-            r.build_ns,
-            r.sample.mean_ns,
-            r.sample.min_ns,
-            r.extra,
-            if i + 1 == rows.len() { "" } else { "," }
+        let fingerprint = |th| svc_fingerprint(&run_open_loop(target, th, OPEN_LOOP_RATES[1]));
+        let want = fingerprint(thread_counts[0]);
+        let replayed = thread_counts[1..].iter().all(|&th| fingerprint(th) == want);
+        report.gate("open_loop_determinism", replayed);
+        report.gate(
+            "no_admission_deadlock",
+            no_admission_deadlock(target, th_hi),
         );
     }
-    json.push_str("  ]\n}\n");
-    std::fs::write(&cfg.out_path, &json).unwrap_or_else(|e| {
-        eprintln!("cannot write {}: {e}", cfg.out_path);
-        std::process::exit(1);
-    });
-    eprintln!("wrote {}", cfg.out_path);
 
-    // -- gates (after the JSON, so failures still leave a report) ----------
-    if !deterministic {
-        eprintln!("bench_service: FAILED: determinism check");
-        std::process::exit(1);
-    }
-    if !no_violations {
-        eprintln!("bench_service: FAILED: an instance violated Byzantine Agreement under loss");
-        std::process::exit(1);
-    }
-    for (check, ok) in [
-        (
-            "open-loop accounting (submitted = decided + degraded + shed)",
-            open_loop_accounting,
-        ),
-        (
-            "open-loop determinism across worker counts",
-            open_loop_deterministic,
-        ),
-        (
-            "no admission deadlock under block-with-deadline",
-            deadlock_free,
-        ),
-    ] {
-        if ok == Some(false) {
-            eprintln!("bench_service: FAILED: {check}");
-            std::process::exit(1);
-        }
-    }
-    if let Some(ratio) = cfg.assert_scaling {
-        if single_core {
-            eprintln!("bench_service: --assert-scaling skipped: single-core host");
-            return;
-        }
-        let med = |th: usize| {
-            pipelined_medians
-                .iter()
-                .find(|(t, _)| *t == th)
-                .map(|(_, m)| *m)
-                .unwrap_or_else(|| die("--assert-scaling needs the throughput section"))
-        };
-        let (lo, hi) = (med(th_lo), med(th_hi));
-        if hi > lo * ratio {
-            eprintln!(
-                "bench_service: scaling gate FAILED: threads={th_hi} median {hi:.0} ns > \
-                 {ratio} x threads={th_lo} median {lo:.0} ns"
-            );
-            std::process::exit(1);
-        }
-        eprintln!(
-            "bench_service: scaling gate passed (threads={th_hi} <= {ratio} x threads={th_lo})"
-        );
-    }
+    report.scaling_gate(args.ratio("--assert-scaling"), &cells);
+    report.finish(&args.out)
 }

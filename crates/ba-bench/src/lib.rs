@@ -30,16 +30,15 @@
 //! Runtime benches live in `benches/`, timed by the in-tree [`microbench`]
 //! harness (no external dependency; the registry is unreachable in the
 //! environments this workspace targets).
-//! `cargo run -p ba-bench --release --bin bench_chain_verify` regenerates
-//! `BENCH_chain_verify.json`, and
-//! `cargo run -p ba-bench --release --bin bench_engine` regenerates
-//! `BENCH_engine.json` (O(1) chain cloning and parallel intra-phase
-//! stepping; `--dump-trace N` prints a traced run for the CI
-//! determinism check).
+//! The four `bench_*` binaries (`cargo run -p ba-bench --release --bin
+//! bench_engine`, and `bench_chain_verify`, `bench_service`, `bench_ext`)
+//! regenerate the committed `BENCH_*.json` files through one [`report`]
+//! writer and one [`cli::BenchArgs`] parser.
 
 pub mod cli;
 pub mod experiments;
 pub mod microbench;
+pub mod report;
 pub mod table;
 
 pub use table::Table;

@@ -112,17 +112,6 @@ pub fn bench<R, F: FnMut() -> R>(name: impl Into<String>, mut f: F) -> Sample {
     }
 }
 
-/// The `"host"` object bench reports carry, so a row can be read against
-/// the machine that produced it: worker threads the OS offers and the
-/// SHA-256 compressor `ba-crypto` dispatched to.
-pub fn host_json() -> String {
-    format!(
-        "{{\"available_parallelism\": {}, \"sha256_backend\": \"{}\"}}",
-        std::thread::available_parallelism().map_or(1, usize::from),
-        ba_crypto::sha256::backend()
-    )
-}
-
 /// Prints samples as an aligned table on **stderr**.
 pub fn print_samples(title: &str, samples: &[Sample]) {
     let width = samples

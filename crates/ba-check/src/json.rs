@@ -6,6 +6,8 @@
 //! ([`Json::Int`] holds a `u64`). Floats are rejected at parse time, which
 //! guarantees that 64-bit seeds round-trip exactly — a float-backed number
 //! type would silently lose precision above 2⁵³ and corrupt replay seeds.
+//! Bench reports need fractions, so [`Json::Dec`] renders a preformatted
+//! decimal; it is render-only, and [`parse`] still rejects what it prints.
 
 use std::fmt::Write as _;
 
@@ -16,8 +18,10 @@ pub enum Json {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// An unsigned integer (the only number form supported).
+    /// An unsigned integer (the only number form [`parse`] accepts).
     Int(u64),
+    /// A decimal, rendered verbatim (see [`Json::dec`]); never parsed.
+    Dec(String),
     /// A string.
     Str(String),
     /// An array.
@@ -25,6 +29,36 @@ pub enum Json {
     /// An object as ordered key/value pairs — insertion order is preserved
     /// so rendering is deterministic.
     Obj(Vec<(String, Json)>),
+}
+
+impl From<bool> for Json {
+    fn from(b: bool) -> Json {
+        Json::Bool(b)
+    }
+}
+
+impl From<u64> for Json {
+    fn from(v: u64) -> Json {
+        Json::Int(v)
+    }
+}
+
+impl From<usize> for Json {
+    fn from(v: usize) -> Json {
+        Json::Int(v as u64)
+    }
+}
+
+impl From<&str> for Json {
+    fn from(s: &str) -> Json {
+        Json::Str(s.to_string())
+    }
+}
+
+impl From<String> for Json {
+    fn from(s: String) -> Json {
+        Json::Str(s)
+    }
 }
 
 impl Json {
@@ -68,80 +102,82 @@ impl Json {
         }
     }
 
+    /// A decimal rendered verbatim with `places` digits after the point —
+    /// for bench reports. [`parse`] rejects the result (see module docs).
+    pub fn dec(x: f64, places: usize) -> Json {
+        Json::Dec(format!("{x:.places$}"))
+    }
+
     /// Renders compactly (no whitespace).
     pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, None, 0);
-        out
+        self.rendered(Style::Compact)
+    }
+
+    /// Renders on one line with `": "` / `", "` separators, for bench
+    /// report rows.
+    pub fn inline(&self) -> String {
+        self.rendered(Style::Inline)
     }
 
     /// Renders with two-space indentation, for committed corpus files.
     pub fn pretty(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, Some(2), 0);
+        let mut out = self.rendered(Style::Pretty);
         out.push('\n');
         out
     }
 
-    fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
-        let (nl, pad, inner_pad) = match indent {
-            Some(width) => (
-                "\n",
-                " ".repeat(width * depth),
-                " ".repeat(width * (depth + 1)),
-            ),
-            None => ("", String::new(), String::new()),
-        };
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Int(v) => {
-                let _ = write!(out, "{v}");
-            }
-            Json::Str(s) => write_escaped(out, s),
-            Json::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(nl);
-                    out.push_str(&inner_pad);
-                    item.write(out, indent, depth + 1);
-                }
-                out.push_str(nl);
-                out.push_str(&pad);
-                out.push(']');
-            }
-            Json::Obj(pairs) => {
-                if pairs.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push('{');
-                for (i, (key, value)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(nl);
-                    out.push_str(&inner_pad);
-                    write_escaped(out, key);
-                    out.push(':');
-                    if indent.is_some() {
-                        out.push(' ');
-                    }
-                    value.write(out, indent, depth + 1);
-                }
-                out.push_str(nl);
-                out.push_str(&pad);
-                out.push('}');
-            }
-        }
+    fn rendered(&self, style: Style) -> String {
+        let mut out = String::new();
+        self.write(&mut out, style, 0);
+        out
     }
+
+    fn write(&self, out: &mut String, style: Style, depth: usize) {
+        let entries: Vec<(Option<&str>, &Json)> = match self {
+            Json::Null => return out.push_str("null"),
+            Json::Bool(b) => return out.push_str(if *b { "true" } else { "false" }),
+            Json::Int(v) => return out.push_str(&v.to_string()),
+            Json::Dec(text) => return out.push_str(text),
+            Json::Str(s) => return write_escaped(out, s),
+            Json::Arr(items) => items.iter().map(|item| (None, item)).collect(),
+            Json::Obj(pairs) => pairs.iter().map(|(k, v)| (Some(k.as_str()), v)).collect(),
+        };
+        let (open, close) = match self {
+            Json::Arr(_) => ('[', ']'),
+            _ => ('{', '}'),
+        };
+        out.push(open);
+        for (i, (key, value)) in entries.iter().enumerate() {
+            if i > 0 {
+                out.push_str(if style == Style::Inline { ", " } else { "," });
+            }
+            if style == Style::Pretty {
+                out.push('\n');
+                out.push_str(&"  ".repeat(depth + 1));
+            }
+            if let Some(key) = key {
+                write_escaped(out, key);
+                out.push_str(if style == Style::Compact { ":" } else { ": " });
+            }
+            value.write(out, style, depth + 1);
+        }
+        if style == Style::Pretty && !entries.is_empty() {
+            out.push('\n');
+            out.push_str(&"  ".repeat(depth));
+        }
+        out.push(close);
+    }
+}
+
+/// How [`Json::write`] lays a value out.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Style {
+    /// No whitespace: `{"a":1,"b":2}`.
+    Compact,
+    /// One line: `{"a": 1, "b": 2}`.
+    Inline,
+    /// Two-space indentation, one entry per line.
+    Pretty,
 }
 
 fn write_escaped(out: &mut String, s: &str) {
@@ -393,6 +429,52 @@ mod tests {
         assert!(parse("1.5").unwrap_err().contains("non-integer"));
         assert!(parse("1e9").unwrap_err().contains("non-integer"));
         assert!(parse("-3").unwrap_err().contains("negative"));
+    }
+
+    #[test]
+    fn decimals_render_verbatim_and_do_not_parse() {
+        assert_eq!(Json::dec(1553.94, 1).render(), "1553.9");
+        assert_eq!(Json::dec(24.0, 2).render(), "24.00");
+        assert_eq!(Json::Dec("4".into()).render(), "4");
+        for value in [Json::dec(0.5, 3), Json::Arr(vec![Json::dec(9.17083, 4)])] {
+            assert!(parse(&value.render()).unwrap_err().contains("non-integer"));
+        }
+    }
+
+    #[test]
+    fn inline_is_one_line_with_spaced_separators() {
+        let value = Json::Obj(vec![
+            ("label".into(), "L=8 k=63".into()),
+            ("n".into(), 64u64.into()),
+            ("ok".into(), true.into()),
+            ("ns".into(), Json::dec(24.664, 2)),
+            (
+                "host".into(),
+                Json::Obj(vec![("cores".into(), 2usize.into())]),
+            ),
+            (
+                "rows".into(),
+                Json::Arr(vec![Json::Int(1), Json::Arr(vec![])]),
+            ),
+            ("none".into(), Json::Obj(vec![])),
+        ]);
+        assert_eq!(
+            value.inline(),
+            r#"{"label": "L=8 k=63", "n": 64, "ok": true, "ns": 24.66, "host": {"cores": 2}, "rows": [1, []], "none": {}}"#
+        );
+    }
+
+    #[test]
+    fn compact_and_pretty_layouts_are_pinned() {
+        let value = Json::Obj(vec![
+            ("a".into(), Json::Arr(vec![Json::Int(1), Json::Null])),
+            ("b".into(), Json::Obj(vec![])),
+        ]);
+        assert_eq!(value.render(), r#"{"a":[1,null],"b":{}}"#);
+        assert_eq!(
+            value.pretty(),
+            "{\n  \"a\": [\n    1,\n    null\n  ],\n  \"b\": {}\n}\n"
+        );
     }
 
     #[test]
