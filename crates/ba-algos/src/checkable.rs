@@ -6,7 +6,7 @@
 //! configuration, validates a schedule against its parameter constraints,
 //! compiles it through [`ScheduleSpec::compile`] with the same adversary
 //! hook the algorithm's own `run` uses, and runs it through the
-//! deterministic engine.
+//! deterministic engine as one [`InstanceSpec`].
 //!
 //! The registry deliberately includes one **unsound** target,
 //! [`weakened Dolev–Strong`](DsParams::weaken_relay_threshold): its relay
@@ -18,8 +18,8 @@ use crate::algorithm1::{self, Algo1Actor, Algo1Params};
 use crate::bounds;
 use crate::dolev_strong::{self, DsParams, Variant};
 use ba_crypto::{Chain, KeyRegistry, ProcessId, SchemeKind, Value};
-use ba_sim::schedule::{FaultBehavior, ScheduleError, ScheduleSpec};
-use ba_sim::{check_byzantine_agreement, Actor, AgreementViolation, RunVerdict, Simulation};
+use ba_sim::schedule::{FaultBehavior, LinkDrop, ScheduleError, ScheduleSpec};
+use ba_sim::{check_byzantine_agreement, Actor, AgreementViolation, InstanceSpec, RunVerdict};
 use std::sync::Arc;
 
 /// One schedule-driven run request against a [`CheckTarget`].
@@ -136,13 +136,14 @@ impl CheckOutcome {
 }
 
 /// A compiled-but-not-yet-run target: the actors with the schedule's fault
-/// behaviours applied, the key registry they sign against, and the phase /
-/// bound parameters.
+/// behaviours applied, the key registry they sign against, the schedule's
+/// link drops and fault budget, and the phase / bound parameters.
 ///
-/// [`CheckTarget::run`] drives a setup through the lock-step
-/// [`Simulation`]; the `ba-net` runtime drives the *same* setup through
-/// its message-passing scheduler, which is what makes the two executions
-/// comparable actor-for-actor.
+/// Everything but the bound is one [`InstanceSpec`] (`setup.into()`), which
+/// every loop takes whole: [`CheckTarget::run`] drives it lock-step
+/// ([`InstanceSpec::run_lockstep`]), and the `ba-net` runtime and service
+/// drive the *same* value over their wire, which is what makes the
+/// executions comparable actor-for-actor.
 #[derive(Debug)]
 pub struct CheckSetup {
     /// The key registry the actors were built against.
@@ -153,6 +154,22 @@ pub struct CheckSetup {
     pub phases: usize,
     /// The closed-form worst-case message bound for these parameters.
     pub message_bound: u64,
+    /// The schedule's link drops.
+    pub link_drops: Vec<LinkDrop>,
+    /// The schedule's fault budget `t`.
+    pub fault_budget: usize,
+}
+
+impl From<CheckSetup> for InstanceSpec<Chain> {
+    fn from(setup: CheckSetup) -> Self {
+        InstanceSpec {
+            actors: setup.actors,
+            phases: setup.phases,
+            fault_budget: setup.fault_budget,
+            link_drops: setup.link_drops,
+            registry: Some(setup.registry),
+        }
+    }
 }
 
 /// One named, checkable algorithm configuration.
@@ -364,6 +381,8 @@ fn build_ds(
         actors,
         phases,
         message_bound: bounds::dolev_strong_max_messages(cfg.n as u64),
+        link_drops: cfg.spec.link_drops.clone(),
+        fault_budget: cfg.t,
     })
 }
 
@@ -384,20 +403,19 @@ fn build_algorithm1(cfg: &CheckConfig) -> Result<CheckSetup, ScheduleError> {
         actors,
         phases: cfg.t + 2,
         message_bound: bounds::alg1_max_messages(cfg.t as u64),
+        link_drops: cfg.spec.link_drops.clone(),
+        fault_budget: cfg.t,
     })
 }
 
 fn drive(cfg: &CheckConfig, setup: CheckSetup) -> CheckOutcome {
-    let mut sim = Simulation::new(setup.actors)
-        .with_threads(cfg.threads)
-        .with_registry(&setup.registry)
-        .with_link_drops(cfg.spec.link_drops.iter().copied());
-    let outcome = sim.run(setup.phases);
+    let message_bound = setup.message_bound;
+    let outcome = InstanceSpec::from(setup).run_lockstep(cfg.threads);
     let verdict = check_byzantine_agreement(&outcome, cfg.transmitter, cfg.value);
     CheckOutcome {
         verdict,
         messages_by_correct: outcome.metrics.messages_by_correct,
-        message_bound: setup.message_bound,
+        message_bound,
         omitted_messages: outcome.metrics.omitted_messages,
         phases: outcome.metrics.phases,
         schedule_error: None,

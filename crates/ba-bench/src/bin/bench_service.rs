@@ -257,16 +257,10 @@ fn build_spec(target: &CheckTarget, i: u64) -> InstanceSpec<Chain> {
         Value::ZERO
     };
     let cfg = CheckConfig::new(N, T, value, 11, 1, ScheduleSpec::default());
-    let setup = target
+    target
         .build(&cfg)
-        .unwrap_or_else(|e| panic!("open-loop spec {i}: {e}"));
-    InstanceSpec {
-        actors: setup.actors,
-        phases: setup.phases,
-        fault_budget: cfg.t,
-        link_drops: vec![],
-        registry: Some(setup.registry),
-    }
+        .unwrap_or_else(|e| panic!("open-loop spec {i}: {e}"))
+        .into()
 }
 
 /// Drives one open-loop run: Poisson arrivals at `rate` instances/tick

@@ -213,10 +213,7 @@ fn soak<C>(
 ) where
     C: Case + Clone + Into<CorpusCase>,
 {
-    let net = NetConfig {
-        threads: cli.threads,
-        ..NetConfig::default()
-    };
+    let net = NetConfig::new().with_threads(cli.threads);
     let mut local = Tally::default();
     for (i, case) in cases.iter().enumerate() {
         let chaos = ChaosProfile::from_name(&cli.profile, derive_seed(cli.seed, i as u64))

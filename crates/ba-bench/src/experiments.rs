@@ -1258,10 +1258,7 @@ pub fn e16() -> Vec<Table> {
     let cfg = CheckConfig::new(4, 1, Value::ONE, 3, 1, ScheduleSpec::default());
     let baseline = target.run(&cfg);
     let base_verdict = baseline.verdict.as_ref().expect("sound fault-free run");
-    let net = NetConfig {
-        threads: 2,
-        ..NetConfig::default()
-    };
+    let net = NetConfig::new().with_threads(2);
     for name in ChaosProfile::NAMES {
         let chaos = ChaosProfile::from_name(name, 41).expect("registry name");
         // Lossless profiles must reproduce the baseline exactly; lossy ones

@@ -684,8 +684,9 @@ impl Actor<ExtMsg> for FetchActor {
 /// builders (the same convention as `SvcConfig`, `NetConfig`, `DsOptions`
 /// and `Alg3Options`).
 ///
-/// Defaults: `n = 16`, `t = 2`, seed 0, sequential stepping, fast scheme,
-/// `ds-broadcast` inner target, `ds-relay` vote target.
+/// Defaults: `n = 16`, `t = 2`, seed 0, sequential stepping,
+/// `ds-broadcast` inner target, `ds-relay` vote target. Chunks are signed
+/// under [`SchemeKind::Fast`].
 #[derive(Clone, Debug)]
 pub struct ExtOptions {
     /// Number of processors; must be a perfect square `m² ≥ 4` (the grid).
@@ -699,8 +700,6 @@ pub struct ExtOptions {
     /// Worker threads for intra-phase stepping on the process-wide worker
     /// pool (results byte-identical at any count).
     pub threads: usize,
-    /// Tag scheme for chunk signatures.
-    pub scheme: SchemeKind,
     /// Name of the inner-BA target for digest agreement (must be
     /// multi-valued; see [`ba_algos::checkable::targets`]).
     pub inner: &'static str,
@@ -719,7 +718,6 @@ impl Default for ExtOptions {
             t: 2,
             seed: 0,
             threads: 1,
-            scheme: SchemeKind::Fast,
             inner: "ds-broadcast",
             vote_inner: "ds-relay",
         }
@@ -753,12 +751,6 @@ impl ExtOptions {
     /// Sets the worker-thread count for intra-phase stepping.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Sets the chunk-signature scheme.
-    pub fn with_scheme(mut self, scheme: SchemeKind) -> Self {
-        self.scheme = scheme;
         self
     }
 
@@ -1008,7 +1000,7 @@ impl ExtSetup {
         ExtSetup {
             grid: Grid::new(opts.n).expect("validated geometry"),
             coder: Coder::new(opts.data_chunks(), opts.n),
-            registry: KeyRegistry::new(opts.n, chunk_seed(opts.seed), opts.scheme),
+            registry: KeyRegistry::new(opts.n, chunk_seed(opts.seed), SchemeKind::Fast),
         }
     }
 
@@ -1165,7 +1157,6 @@ pub fn run_extension(
 ) -> Result<ExtReport, ExtError> {
     let mut runner = pipeline::LockStep {
         threads: opts.threads,
-        spec,
     };
     pipeline::run(&mut runner, payload, opts, spec, rewrite)
 }

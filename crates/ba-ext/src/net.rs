@@ -28,16 +28,16 @@
 //! seed yields independent wire weather per stage, and any stage's run is
 //! individually reproducible.
 
-use crate::pipeline::{self, StageOutcome, StageRunner};
+use crate::pipeline::{self, StageRunner};
 use crate::{ExtDecision, ExtError, ExtMsg, ExtOptions, ExtReport};
-use ba_crypto::keys::KeyRegistry;
 use ba_crypto::sha256::Sha256;
 use ba_crypto::{Bytes, ProcessId};
 use ba_net::svc::instance_seed;
 use ba_net::verdict::{DegradationVerdict, NetStats};
 use ba_net::{ChaosProfile, NetConfig, NetRuntime};
 use ba_sim::schedule::{ScheduleError, ScheduleSpec};
-use ba_sim::{Actor, Payload};
+use ba_sim::trace::Trace;
+use ba_sim::{Actor, InstanceSpec, Payload, RunOutcome};
 
 /// Which stage of the extension protocol a wire event belongs to.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -166,9 +166,8 @@ impl ExtNetRun {
 /// chaos-runtime runner: [`run`](StageRunner::run) is the one place a stage
 /// becomes a standalone runtime run.
 struct Stages<'a> {
-    net: &'a NetConfig,
+    net: NetConfig,
     chaos: &'a ChaosProfile,
-    spec: &'a ScheduleSpec,
     wire: Vec<StageWire>,
 }
 
@@ -180,33 +179,27 @@ impl StageRunner for Stages<'_> {
     }
 
     /// Runs one stage under its own reseeded chaos profile and records its
-    /// wire accounting. The stages differ only in their actors, registry
-    /// and fault budget.
+    /// wire accounting.
     fn run<P: Payload + 'static>(
         &mut self,
         stage: ExtStage,
-        actors: Vec<Box<dyn Actor<P>>>,
-        phases: usize,
-        registry: &KeyRegistry,
-        fault_budget: usize,
-    ) -> Result<StageOutcome, ExtNetError> {
-        let seed = instance_seed(self.chaos.seed, stage.chaos_index(actors.len()));
-        let net = self.net.clone().with_fault_budget(fault_budget);
-        let outcome = NetRuntime::new(actors, net)
-            .with_registry(registry)
-            .with_link_drops(self.spec.link_drops.iter().copied())
+        spec: InstanceSpec<P>,
+    ) -> Result<RunOutcome<P>, ExtNetError> {
+        let seed = instance_seed(self.chaos.seed, stage.chaos_index(spec.actors.len()));
+        let run = NetRuntime::new(spec, self.net)
             .with_chaos(self.chaos.clone().reseeded(seed))
-            .run(phases)
+            .run()
             .map_err(|verdict| ExtNetError::Degraded { stage, verdict })?;
         self.wire.push(StageWire {
             stage,
-            stats: outcome.stats,
-            suspected: outcome.suspected,
+            stats: run.stats,
+            suspected: run.suspected,
         });
-        Ok(StageOutcome {
-            decisions: outcome.decisions,
-            correct: outcome.correct,
-            metrics: outcome.metrics,
+        Ok(RunOutcome {
+            decisions: run.decisions,
+            correct: run.correct,
+            metrics: run.metrics,
+            trace: Trace::default(),
         })
     }
 }
@@ -217,9 +210,9 @@ impl StageRunner for Stages<'_> {
 /// dissemination and fetch stages, exactly as in
 /// [`run_extension`](crate::run_extension).
 ///
-/// `net.threads` sets the worker count; each stage's fault budget is
-/// forced to the schedule's own `t` (`opts.t`, or `t.max(1)` for the
-/// inner-BA stages, matching the lock-step configs).
+/// `net.threads` sets the worker count; each stage's fault budget is the
+/// schedule's own `t` (`opts.t`, or `t.max(1)` for the inner-BA stages,
+/// matching the lock-step configs).
 ///
 /// # Errors
 /// [`ExtNetError::BadOptions`] / [`ExtNetError::Schedule`] mirror the
@@ -234,9 +227,8 @@ pub fn run_extension_net(
     rewrite: impl Fn(Vec<Box<dyn Actor<ExtMsg>>>) -> Vec<Box<dyn Actor<ExtMsg>>>,
 ) -> Result<ExtNetRun, ExtNetError> {
     let mut stages = Stages {
-        net,
+        net: *net,
         chaos,
-        spec,
         wire: Vec::new(),
     };
     let report = pipeline::run(&mut stages, payload, opts, spec, rewrite)?;

@@ -17,20 +17,9 @@ use crate::{
 use ba_algos::checkable::{CheckConfig, CheckTarget};
 use ba_algos::common::Board;
 use ba_crypto::sha256::Sha256;
-use ba_crypto::{Bytes, KeyRegistry, Value};
+use ba_crypto::{Bytes, Value};
 use ba_sim::schedule::ScheduleSpec;
-use ba_sim::{Actor, Metrics, Payload, Simulation};
-
-/// What the pipeline reads back from one completed stage.
-pub(crate) struct StageOutcome {
-    /// Each processor's engine-channel decision (the inner-BA stages' word
-    /// and vote views; the grid stages post to a board instead).
-    pub(crate) decisions: Vec<Option<Value>>,
-    /// Which processors were modeled correct.
-    pub(crate) correct: Vec<bool>,
-    /// The stage's traffic accounting.
-    pub(crate) metrics: Metrics,
-}
+use ba_sim::{Actor, InstanceSpec, Metrics, Payload, RunOutcome};
 
 /// The seam between the stage sequence and a phase driver.
 pub(crate) trait StageRunner {
@@ -42,28 +31,26 @@ pub(crate) trait StageRunner {
     /// inner-BA `CheckConfig::threads`.
     fn threads(&self) -> usize;
 
-    /// Drives `actors` through `phases` phases (plus finalize) as `stage`,
-    /// verifying delivered chains against `registry` at every barrier and
-    /// tolerating at most `fault_budget` observable faults.
+    /// Runs `spec` to completion as `stage`. The pipeline reads back each
+    /// processor's decision (the inner-BA stages' word and vote views; the
+    /// grid stages post to a board instead), the correct set and the
+    /// metrics.
     fn run<P: Payload + 'static>(
         &mut self,
         stage: ExtStage,
-        actors: Vec<Box<dyn Actor<P>>>,
-        phases: usize,
-        registry: &KeyRegistry,
-        fault_budget: usize,
-    ) -> Result<StageOutcome, Self::Error>;
+        spec: InstanceSpec<P>,
+    ) -> Result<RunOutcome<P>, Self::Error>;
 }
 
-/// The synchronous model realized directly: every stage is one
-/// [`Simulation`] run. Nothing is observed on a perfect wire, so the stage
-/// label and the fault budget go unused and a stage cannot fail.
-pub(crate) struct LockStep<'a> {
+/// The synchronous model realized directly: every stage is one lock-step
+/// run ([`InstanceSpec::run_lockstep`]). Nothing is observed on a perfect
+/// wire, so the stage label and the fault budget go unused and a stage
+/// cannot fail.
+pub(crate) struct LockStep {
     pub(crate) threads: usize,
-    pub(crate) spec: &'a ScheduleSpec,
 }
 
-impl StageRunner for LockStep<'_> {
+impl StageRunner for LockStep {
     type Error = ExtError;
 
     fn threads(&self) -> usize {
@@ -73,21 +60,9 @@ impl StageRunner for LockStep<'_> {
     fn run<P: Payload + 'static>(
         &mut self,
         _stage: ExtStage,
-        actors: Vec<Box<dyn Actor<P>>>,
-        phases: usize,
-        registry: &KeyRegistry,
-        _fault_budget: usize,
-    ) -> Result<StageOutcome, ExtError> {
-        let outcome = Simulation::new(actors)
-            .with_threads(self.threads)
-            .with_registry(registry)
-            .with_link_drops(self.spec.link_drops.iter().copied())
-            .run(phases);
-        Ok(StageOutcome {
-            decisions: outcome.decisions,
-            correct: outcome.correct,
-            metrics: outcome.metrics,
-        })
+        spec: InstanceSpec<P>,
+    ) -> Result<RunOutcome<P>, ExtError> {
+        Ok(spec.run_lockstep(self.threads))
     }
 }
 
@@ -106,7 +81,7 @@ fn run_instances<R: StageRunner>(
     let mut views = Vec::new();
     for (stage, cfg) in cfgs {
         let built = target.build(&cfg).map_err(ExtError::Schedule)?;
-        let outcome = runner.run(stage, built.actors, built.phases, &built.registry, cfg.t)?;
+        let outcome = runner.run(stage, built.into())?;
         metrics.merge(&outcome.metrics);
         views.push(outcome.decisions);
     }
@@ -146,9 +121,16 @@ pub(crate) fn run<R: StageRunner>(
                     stage: ExtStage,
                     actors: Vec<Box<dyn Actor<ExtMsg>>>,
                     phases: usize|
-     -> Result<StageOutcome, R::Error> {
+     -> Result<RunOutcome<ExtMsg>, R::Error> {
         let actors = apply_spec_faults(actors, spec).map_err(ExtError::Schedule)?;
-        runner.run(stage, rewrite(actors), phases, &setup.registry, opts.t)
+        let instance = InstanceSpec {
+            actors: rewrite(actors),
+            phases,
+            fault_budget: opts.t,
+            link_drops: spec.link_drops.clone(),
+            registry: Some(setup.registry.clone()),
+        };
+        runner.run(stage, instance)
     };
 
     // Stage 2 — dissemination: encode, sign, run the grid exchange into

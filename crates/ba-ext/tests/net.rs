@@ -49,10 +49,7 @@ fn reliable_wire_is_byte_identical_to_lockstep_at_one_and_four_workers() {
         for spec in [ScheduleSpec::default(), silent_spec(1), silent_spec(0)] {
             let base = run_extension(&p, &opts, &spec, |a| a).expect("lock-step baseline");
             for workers in [1usize, 4] {
-                let net = NetConfig {
-                    threads: workers,
-                    ..NetConfig::default()
-                };
+                let net = NetConfig::new().with_threads(workers);
                 let run =
                     run_extension_net(&p, &opts, &net, &ChaosProfile::reliable(), &spec, |a| a)
                         .unwrap_or_else(|e| panic!("n={n} workers={workers} {spec:?}: {e}"));
@@ -150,10 +147,7 @@ fn chaos_runs_are_reproducible_across_worker_counts() {
     let p = payload(2_000, 3);
     let chaos = ChaosProfile::lossy(77, 150);
     let run = |workers: usize| {
-        let net = NetConfig {
-            threads: workers,
-            ..NetConfig::default()
-        };
+        let net = NetConfig::new().with_threads(workers);
         match run_extension_net(&p, &opts, &net, &chaos, &ScheduleSpec::default(), |a| a) {
             Ok(run) => (
                 run.report.decisions.clone(),
@@ -202,10 +196,7 @@ fn garbling_scenarios_run_identically_over_the_net() {
     let base = run_scenario(&p, &opts, &scenario);
     assert!(base.failure.is_none(), "{:?}", base.failure);
     for workers in [1usize, 4] {
-        let net = NetConfig {
-            threads: workers,
-            ..NetConfig::default()
-        };
+        let net = NetConfig::new().with_threads(workers);
         let (run, failure) =
             run_scenario_net(&p, &opts, &scenario, &net, &ChaosProfile::reliable())
                 .unwrap_or_else(|e| panic!("workers={workers}: {e}"));

@@ -39,51 +39,15 @@
 use crate::chaos::ChaosProfile;
 use crate::verdict::{DegradationReason, DegradationVerdict, NetStats};
 use crate::wire::{self, WirePolicy, WireScratch};
-use ba_crypto::keys::KeyRegistry;
 use ba_crypto::rng::SimRng;
 use ba_crypto::{ProcessId, Value};
 use ba_sim::engine::chunk_geometry;
-use ba_sim::schedule::LinkDrop;
-use ba_sim::{Actor, Metrics, Payload, PhaseCore};
+use ba_sim::{InstanceSpec, Metrics, Payload, PhaseCore};
 use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 
-/// One BA instance handed to the driver: its actors (faults already
-/// applied), phase count, fault budget and scheduled link drops.
-pub struct InstanceSpec<P> {
-    /// One actor per processor; actor `i` is processor `i`.
-    pub actors: Vec<Box<dyn Actor<P>>>,
-    /// Phases the algorithm needs before finalization.
-    pub phases: usize,
-    /// The fault budget `t` for this instance.
-    pub fault_budget: usize,
-    /// Scheduled link drops, with exactly the semantics of
-    /// [`Simulation::with_link_drops`](ba_sim::Simulation::with_link_drops):
-    /// a matching frame is suppressed before it ever reaches the wire and
-    /// accounted under `omitted_messages`.
-    pub link_drops: Vec<LinkDrop>,
-    /// The instance's keys, absent for key-less payloads. Each distinct
-    /// signature chain a flush delivers is verified against them *once*
-    /// and its shared buffer stamped
-    /// ([`Chain::verify_at_barrier`](ba_crypto::Chain::verify_at_barrier),
-    /// the phase core's barrier pass), so every recipient's own `verify`
-    /// is an O(1) stamp hit instead of a full hash-and-check pass.
-    pub registry: Option<KeyRegistry>,
-}
-
-impl<P> std::fmt::Debug for InstanceSpec<P> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("InstanceSpec")
-            .field("n", &self.actors.len())
-            .field("phases", &self.phases)
-            .field("fault_budget", &self.fault_budget)
-            .finish()
-    }
-}
-
 /// What a completed (possibly degraded-but-sound) instance produced —
-/// standalone or multiplexed, the same type
-/// ([`NetOutcome`](crate::runtime::NetOutcome) is an alias).
+/// standalone or multiplexed, the same type.
 #[derive(Clone, Debug)]
 pub struct InstanceRun {
     /// Each processor's decision, indexed by processor id.
@@ -194,8 +158,9 @@ impl<P: Payload> PhaseDriver<P> {
         self.stats.note_solo_flushes(frames as u64);
     }
 
-    /// Plays the last step's frames over the wire — on `scratch`, the
-    /// caller's to keep between calls and instances — and applies the
+    /// Plays the last step's frames over the wire under
+    /// [`WirePolicy::STANDARD`] — on `scratch`, the caller's to keep
+    /// between calls and instances — and applies the
     /// post-wire pipeline: deadline, suspicion, fault budget, then the
     /// core's fill in arrival order ([`PhaseCore::deliver`]). `Ok(None)`
     /// means the phase completed and the instance keeps going;
@@ -209,7 +174,6 @@ impl<P: Payload> PhaseDriver<P> {
     pub(crate) fn deliver(
         &mut self,
         chaos: &ChaosProfile,
-        policy: WirePolicy,
         scratch: &mut WireScratch,
     ) -> Result<Option<InstanceRun>, Box<DegradationVerdict>> {
         if !self.stalled.is_empty() {
@@ -225,14 +189,14 @@ impl<P: Payload> PhaseDriver<P> {
             self.core.links(),
             chaos,
             &mut self.rng,
-            policy,
+            WirePolicy::STANDARD,
             &mut self.stats,
             scratch,
         );
         if report.pending > 0 {
             return Err(self.verdict(DegradationReason::DeadlineBlown {
                 pending_frames: report.pending,
-                deadline_ticks: policy.deadline_ticks,
+                deadline_ticks: WirePolicy::STANDARD.deadline_ticks,
             }));
         }
         // Permanently failed links make their *senders* suspected (an
@@ -260,7 +224,6 @@ impl<P: Payload> PhaseDriver<P> {
             phase: self.core.phase(),
             reason,
             suspected: self.suspected.iter().copied().collect(),
-            failed_links: self.stats.failed_links.clone(),
             stalled_workers: self.stalled.clone(),
             stats: self.stats.clone(),
         })

@@ -5,13 +5,15 @@
 
 use crate::chaos::ChaosProfile;
 use crate::runtime::{NetConfig, NetRuntime};
-use crate::svc::{BaService, InstanceRun, InstanceSpec, SvcConfig};
+use crate::svc::{BaService, InstanceRun, SvcConfig};
 use crate::verdict::{DegradationVerdict, NetStats};
 use ba_algos::checkable::{CheckConfig, CheckTarget};
 use ba_crypto::{Chain, ProcessId, Value};
 use ba_sim::schedule::ScheduleError;
 use ba_sim::trace::Trace;
-use ba_sim::{check_byzantine_agreement, AgreementViolation, Metrics, RunOutcome, RunVerdict};
+use ba_sim::{
+    check_byzantine_agreement, AgreementViolation, InstanceSpec, Metrics, RunOutcome, RunVerdict,
+};
 use std::time::Duration;
 
 /// Why a net-driven check run produced no decisions.
@@ -39,8 +41,7 @@ impl std::error::Error for NetRunError {}
 pub struct NetRun {
     /// Each processor's decision.
     pub decisions: Vec<Option<Value>>,
-    /// Correctness flags after suspicion (see
-    /// [`NetOutcome::correct`](crate::runtime::NetOutcome::correct)).
+    /// Correctness flags after suspicion (see [`InstanceRun::correct`]).
     pub correct: Vec<bool>,
     /// Logical traffic accounting.
     pub metrics: Metrics,
@@ -83,8 +84,8 @@ impl NetRun {
 }
 
 /// Runs `target` under `cfg`'s schedule through the message-passing
-/// runtime, with `net.fault_budget` forced to `cfg.t` (the schedule's own
-/// budget) and `net.threads` taken from the config.
+/// runtime: the built setup, link drops and budget `cfg.t` included, is the
+/// runtime's [`InstanceSpec`], stepped on `net.threads` workers.
 ///
 /// # Errors
 /// [`NetRunError::Schedule`] when the schedule does not compile,
@@ -96,11 +97,10 @@ pub fn run_target(
     chaos: &ChaosProfile,
 ) -> Result<NetRun, NetRunError> {
     let setup = target.build(cfg).map_err(NetRunError::Schedule)?;
-    let runtime = NetRuntime::new(setup.actors, net.clone().with_fault_budget(cfg.t))
-        .with_registry(&setup.registry)
-        .with_link_drops(cfg.spec.link_drops.iter().copied())
-        .with_chaos(chaos.clone());
-    let outcome = runtime.run(setup.phases).map_err(NetRunError::Degraded)?;
+    let outcome = NetRuntime::new(setup.into(), *net)
+        .with_chaos(chaos.clone())
+        .run()
+        .map_err(NetRunError::Degraded)?;
     Ok(NetRun::judge(outcome, cfg))
 }
 
@@ -143,14 +143,7 @@ pub fn run_target_multiplexed(
 ) -> Result<MultiplexRun, NetRunError> {
     let mut specs = Vec::with_capacity(cfgs.len());
     for cfg in cfgs {
-        let setup = target.build(cfg).map_err(NetRunError::Schedule)?;
-        specs.push(InstanceSpec {
-            actors: setup.actors,
-            phases: setup.phases,
-            fault_budget: cfg.t,
-            link_drops: cfg.spec.link_drops.clone(),
-            registry: Some(setup.registry),
-        });
+        specs.push(target.build(cfg).map_err(NetRunError::Schedule)?.into());
     }
     let mut cfg_svc = svc.clone();
     cfg_svc.queue_capacity = cfg_svc.queue_capacity.max(specs.len());
@@ -189,21 +182,10 @@ pub fn check_equivalence(
     cfg: &CheckConfig,
     threads: usize,
 ) -> Result<(), String> {
-    let lockstep = target.run(cfg);
-    if let Some(err) = &lockstep.schedule_error {
-        return Err(format!("lock-step schedule error: {err}"));
-    }
     let setup = target
         .build(cfg)
-        .map_err(|e| format!("net schedule error: {e}"))?;
-    // Re-run the engine from a fresh build to get its raw outcome (the
-    // CheckOutcome only carries summary counts).
-    let mut sim = ba_sim::Simulation::new(setup.actors)
-        .with_threads(cfg.threads)
-        .with_registry(&setup.registry)
-        .with_link_drops(cfg.spec.link_drops.iter().copied());
-    let engine = sim.run(setup.phases);
-
+        .map_err(|e| format!("schedule error: {e}"))?;
+    let engine = InstanceSpec::from(setup).run_lockstep(cfg.threads);
     let netcfg = NetConfig::new().with_threads(threads);
     let net = run_target(target, cfg, &netcfg, &ChaosProfile::reliable())
         .map_err(|e| format!("net run under reliable wire: {e}"))?;

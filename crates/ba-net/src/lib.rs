@@ -25,7 +25,8 @@
 //!   panics or overruns the phase watchdog — never a panic, never
 //!   untrustworthy decisions;
 //! * [`runtime`] — the standalone entry point: [`NetRuntime`] runs one
-//!   driver to completion;
+//!   driver to completion over an [`InstanceSpec`], the instance value
+//!   every loop takes (`ba_sim`'s, re-exported here);
 //! * [`verdict`] — the structured failure vocabulary ([`NetStats`],
 //!   [`FailedLink`], [`DegradationVerdict`]);
 //! * [`harness`] — drives any `ba-algos` checkable target through the
@@ -45,7 +46,7 @@
 //!
 //! ```
 //! use ba_crypto::{ProcessId, Value};
-//! use ba_net::{ChaosProfile, NetConfig, NetRuntime};
+//! use ba_net::{ChaosProfile, InstanceSpec, NetConfig, NetRuntime};
 //! use ba_sim::actor::{Actor, Inbox, Outbox};
 //!
 //! #[derive(Debug)]
@@ -71,15 +72,19 @@
 //!     fn decision(&self) -> Option<Value> { self.0 }
 //! }
 //!
-//! let runtime = NetRuntime::new(
-//!     vec![
+//! let spec = InstanceSpec {
+//!     actors: vec![
 //!         Box::new(Sender(Value::ONE)) as Box<dyn Actor<Value>>,
 //!         Box::new(Receiver(None)),
 //!     ],
-//!     NetConfig { threads: 2, ..NetConfig::default() },
-//! )
-//! .with_chaos(ChaosProfile::jitter(7));
-//! let outcome = runtime.run(2).expect("jitter never exceeds the budget");
+//!     phases: 2,
+//!     fault_budget: 0,
+//!     link_drops: vec![],
+//!     registry: None,
+//! };
+//! let runtime = NetRuntime::new(spec, NetConfig::new().with_threads(2))
+//!     .with_chaos(ChaosProfile::jitter(7));
+//! let outcome = runtime.run().expect("jitter never exceeds the budget");
 //! assert_eq!(outcome.decisions, vec![Some(Value::ONE), Some(Value::ONE)]);
 //! assert_eq!(outcome.metrics.messages_by_correct, 1);
 //! ```
@@ -92,14 +97,15 @@ pub mod svc;
 pub mod verdict;
 mod wire;
 
+pub use ba_sim::InstanceSpec;
 pub use chaos::{ChaosProfile, LinkChaos};
 pub use harness::{
     check_equivalence, run_target, run_target_multiplexed, MultiplexRun, NetRun, NetRunError,
 };
-pub use runtime::{NetConfig, NetOutcome, NetRuntime};
+pub use runtime::{NetConfig, NetRuntime};
 pub use svc::{
-    instance_seed, AdmissionPolicy, BaService, InstanceOutcome, InstanceRun, InstanceSpec,
-    PoissonArrivals, SvcConfig, SvcReport, SvcSession, TicketOutcome, TicketStatus,
+    instance_seed, AdmissionPolicy, BaService, InstanceOutcome, InstanceRun, PoissonArrivals,
+    SvcConfig, SvcReport, SvcSession, TicketOutcome, TicketStatus,
 };
 pub use verdict::{
     AdmissionError, AdmissionVerdict, DegradationReason, DegradationVerdict, FailedLink, NetStats,

@@ -16,19 +16,19 @@
 //!    worker pool (one chunk runs inline), each chunk returning its
 //!    thread-local `CryptoStats` delta;
 //! 2. **watchdog** — an actor that panics while being stepped, or a step
-//!    that returns after more than [`NetConfig::phase_timeout`], aborts
+//!    that returns after more than 5 s (`PHASE_WATCHDOG`), aborts
 //!    the run with a [`WorkerStalled`] verdict instead of a panic. A step
 //!    that *never* returns is not contained: that needed actors on a
 //!    leaked detached thread, and no actor in the workspace blocks;
 //! 3. **wire** — the core routes what was staged (suppressed sends,
-//!    nonexistent receivers and scheduled link drops accounted in
-//!    actor-id order) and the surviving frames' links are played over
-//!    the wire: chaos-rolled loss, delay, duplication, acks,
-//!    bounded retransmission with exponential backoff;
+//!    nonexistent receivers and the spec's scheduled link drops accounted
+//!    in actor-id order) and the surviving frames' links are played over
+//!    the wire: chaos-rolled loss, delay, duplication, acks, at most four
+//!    retransmissions with exponential backoff, 128 virtual ticks a phase;
 //! 4. **budget** — permanently failed links make their *senders* suspected
 //!    (an omission-faulty sender explains every lost frame). While the
 //!    union of scheduled-faulty and suspected processors stays within the
-//!    budget `t` the run degrades gracefully — suspects are reported
+//!    spec's budget `t` the run degrades gracefully — suspects are reported
 //!    `correct = false` so the agreement checker holds them to nothing.
 //!    The moment the union exceeds `t` the model is broken and the run
 //!    aborts with a [`FaultBudgetExceeded`] verdict: no decisions are
@@ -47,55 +47,45 @@
 //! implementation under two loops, not two that agree: stepping, routing,
 //! `Metrics` recording, the inbox fill and barrier verification
 //! ([`Chain::verify_at_barrier`](ba_crypto::Chain::verify_at_barrier),
-//! against the registry passed via [`NetRuntime::with_registry`]) are the
-//! core's, and the wire is the only variable.
+//! against the spec's registry) are the core's, and the wire is the only
+//! variable: [`NetRuntime::new`] takes the very [`InstanceSpec`] that
+//! [`InstanceSpec::run_lockstep`] runs.
 //!
 //! [`WorkerStalled`]: crate::verdict::DegradationReason::WorkerStalled
 //! [`FaultBudgetExceeded`]: crate::verdict::DegradationReason::FaultBudgetExceeded
 //! [`ChaosProfile::reliable`]: crate::chaos::ChaosProfile::reliable
 
 use crate::chaos::ChaosProfile;
-use crate::driver::{InstanceRun, InstanceSpec, PhaseDriver};
+use crate::driver::{InstanceRun, PhaseDriver};
 use crate::verdict::DegradationVerdict;
-use crate::wire::{WirePolicy, WireScratch};
-use ba_crypto::keys::KeyRegistry;
-use ba_sim::schedule::LinkDrop;
-use ba_sim::{Actor, Payload};
+use crate::wire::WireScratch;
+use ba_sim::{InstanceSpec, Payload};
 use std::time::Duration;
 
-/// Tuning knobs for the runtime. Construct with
-/// [`NetConfig::new`]/[`default`](NetConfig::default) and the `with_*`
-/// builders (the same convention as `SvcConfig`, `DsOptions`,
-/// `Alg3Options` and `ExtOptions`).
+/// The wall-clock watchdog on each phase of a standalone run: a step
+/// fan-out that takes longer than this is declared stalled once it
+/// returns.
+const PHASE_WATCHDOG: Duration = Duration::from_secs(5);
+
+/// The runtime's one knob. Construct with
+/// [`NetConfig::new`]/[`default`](NetConfig::default) and
+/// [`with_threads`](NetConfig::with_threads) (the same convention as
+/// `SvcConfig`, `DsOptions`, `Alg3Options` and `ExtOptions`). The wire's
+/// retry policy (4 retransmissions, 128 ticks per phase) and the 5 s phase
+/// watchdog are constants; the fault budget is the instance's own
+/// ([`InstanceSpec::fault_budget`]).
 ///
-/// Defaults: `threads = 1`, `fault_budget = 0`, `max_retries = 4`,
-/// `deadline_ticks = 128`, `phase_timeout = 5s`.
-#[derive(Clone, Debug)]
+/// Default: `threads = 1`.
+#[derive(Clone, Copy, Debug)]
 pub struct NetConfig {
     /// Worker chunks the actors are stepped in (clamped to at least 1 and
     /// at most the actor count).
     pub threads: usize,
-    /// The fault budget `t`: the run aborts when scheduled-faulty plus
-    /// suspected processors exceed this.
-    pub fault_budget: usize,
-    /// Retransmissions allowed per frame after the first attempt.
-    pub max_retries: u32,
-    /// Virtual ticks one phase may use before it is declared blown.
-    pub deadline_ticks: u64,
-    /// Wall-clock watchdog for each phase: a step fan-out that takes
-    /// longer than this is declared stalled once it returns.
-    pub phase_timeout: Duration,
 }
 
 impl Default for NetConfig {
     fn default() -> Self {
-        NetConfig {
-            threads: 1,
-            fault_budget: 0,
-            max_retries: 4,
-            deadline_ticks: 128,
-            phase_timeout: Duration::from_secs(5),
-        }
+        NetConfig { threads: 1 }
     }
 }
 
@@ -110,51 +100,22 @@ impl NetConfig {
         self.threads = threads;
         self
     }
-
-    /// Sets the fault budget `t`.
-    pub fn with_fault_budget(mut self, fault_budget: usize) -> Self {
-        self.fault_budget = fault_budget;
-        self
-    }
-
-    /// Sets the per-frame retransmission budget.
-    pub fn with_max_retries(mut self, max_retries: u32) -> Self {
-        self.max_retries = max_retries;
-        self
-    }
-
-    /// Sets the virtual-tick deadline per phase.
-    pub fn with_deadline_ticks(mut self, deadline_ticks: u64) -> Self {
-        self.deadline_ticks = deadline_ticks;
-        self
-    }
-
-    /// Sets the wall-clock watchdog per phase.
-    pub fn with_phase_timeout(mut self, phase_timeout: Duration) -> Self {
-        self.phase_timeout = phase_timeout;
-        self
-    }
 }
 
-/// What a completed (possibly degraded-but-sound) run produced: the same
-/// type a multiplexed instance settles with.
-pub type NetOutcome = InstanceRun;
-
-/// A message-passing run over `n` actors. Build with [`NetRuntime::new`],
-/// configure, then [`run`](NetRuntime::run) — the runtime is consumed
-/// because the actors move into the run's phase driver.
+/// A message-passing run of one [`InstanceSpec`]. Build with
+/// [`NetRuntime::new`], pick a chaos profile, then [`run`](NetRuntime::run)
+/// — the runtime is consumed because the actors move into the run's phase
+/// driver.
 pub struct NetRuntime<P: Payload> {
-    actors: Vec<Box<dyn Actor<P>>>,
+    spec: InstanceSpec<P>,
     config: NetConfig,
     chaos: ChaosProfile,
-    link_drops: Vec<LinkDrop>,
-    registry: Option<KeyRegistry>,
 }
 
 impl<P: Payload> std::fmt::Debug for NetRuntime<P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NetRuntime")
-            .field("n", &self.actors.len())
+            .field("spec", &self.spec)
             .field("config", &self.config)
             .field("chaos", &self.chaos)
             .finish()
@@ -162,14 +123,13 @@ impl<P: Payload> std::fmt::Debug for NetRuntime<P> {
 }
 
 impl<P: Payload + 'static> NetRuntime<P> {
-    /// Creates a runtime over `actors`; actor `i` is processor `i`.
-    pub fn new(actors: Vec<Box<dyn Actor<P>>>, config: NetConfig) -> Self {
+    /// Creates a runtime over `spec`: its actors (actor `i` is processor
+    /// `i`), phases, fault budget, link drops and keys.
+    pub fn new(spec: InstanceSpec<P>, config: NetConfig) -> Self {
         NetRuntime {
-            actors,
+            spec,
             config,
             chaos: ChaosProfile::reliable(),
-            link_drops: Vec::new(),
-            registry: None,
         }
     }
 
@@ -180,31 +140,12 @@ impl<P: Payload + 'static> NetRuntime<P> {
         self
     }
 
-    /// Declares scheduled link drops, with exactly the semantics of
-    /// [`Simulation::with_link_drops`](ba_sim::Simulation::with_link_drops):
-    /// a matching frame is suppressed before it ever reaches the wire and
-    /// accounted under `omitted_messages`.
-    pub fn with_link_drops(mut self, drops: impl IntoIterator<Item = LinkDrop>) -> Self {
-        self.link_drops.extend(drops);
-        self
-    }
-
-    /// Declares the [`KeyRegistry`] this run's actors sign and verify
-    /// under; mirrors [`Simulation::with_registry`] — barrier verification
-    /// of every delivered chain.
-    ///
-    /// [`Simulation::with_registry`]: ba_sim::Simulation::with_registry
-    pub fn with_registry(mut self, registry: &KeyRegistry) -> Self {
-        self.registry = Some(registry.clone());
-        self
-    }
-
     /// Number of processors.
     pub fn n(&self) -> usize {
-        self.actors.len()
+        self.spec.actors.len()
     }
 
-    /// Runs exactly `phases` phases.
+    /// Runs the instance's phases, then finalizes.
     ///
     /// # Errors
     /// A [`DegradationVerdict`] (boxed — the verdict carries full wire
@@ -213,33 +154,20 @@ impl<P: Payload + 'static> NetRuntime<P> {
     /// stepped, or a step fan-out overruns the watchdog. The runtime never
     /// panics on wire failures and never returns decisions from a run
     /// whose fault assumptions broke.
-    pub fn run(self, phases: usize) -> Result<NetOutcome, Box<DegradationVerdict>> {
+    pub fn run(self) -> Result<InstanceRun, Box<DegradationVerdict>> {
         let NetRuntime {
-            actors,
+            spec,
             config,
             chaos,
-            link_drops,
-            registry,
         } = self;
-        let policy = WirePolicy {
-            max_retries: config.max_retries,
-            deadline_ticks: config.deadline_ticks,
-        };
-        let spec = InstanceSpec {
-            actors,
-            phases,
-            fault_budget: config.fault_budget,
-            link_drops,
-            registry,
-        };
-        let mut driver = PhaseDriver::new(spec, chaos.seed, Some(config.phase_timeout));
+        let mut driver = PhaseDriver::new(spec, chaos.seed, Some(PHASE_WATCHDOG));
         let mut scratch = WireScratch::default();
         loop {
             driver.step(config.threads);
             // A standalone runtime flushes each frame as its own wire
             // send; only the service layer coalesces.
             driver.note_solo_flushes();
-            if let Some(result) = driver.deliver(&chaos, policy, &mut scratch).transpose() {
+            if let Some(result) = driver.deliver(&chaos, &mut scratch).transpose() {
                 return result;
             }
         }
@@ -251,11 +179,11 @@ mod tests {
     use super::*;
     use ba_algos::checkable::{find_target, CheckConfig};
     use ba_algos::domains;
-    use ba_crypto::keys::SchemeKind;
+    use ba_crypto::keys::{KeyRegistry, SchemeKind};
     use ba_crypto::stats::CryptoStats;
     use ba_crypto::{Chain, ProcessId, Value};
     use ba_sim::schedule::ScheduleSpec;
-    use ba_sim::{Inbox, Metrics, Outbox, Simulation};
+    use ba_sim::{Actor, Inbox, Metrics, Outbox, Simulation};
 
     /// Faulty relay: broadcasts `forged` in phase 2 and nothing else.
     #[derive(Debug)]
@@ -316,13 +244,13 @@ mod tests {
             .run(setup.phases);
 
         let setup = build();
-        let net = NetRuntime::new(setup.actors, NetConfig::new().with_fault_budget(t))
-            .with_registry(&setup.registry)
-            .run(setup.phases)
+        let verifier = setup.registry.verifier();
+        let net = NetRuntime::new(setup.into(), NetConfig::new())
+            .run()
             .expect("reliable wire, one scheduled fault");
         // `forged` shares its buffer with every delivered copy: had the
         // flush-boundary pass stamped it, this would be a stamp hit.
-        assert!(forged.verify(&setup.registry.verifier()).is_err());
+        assert!(forged.verify(&verifier).is_err());
 
         let mut expected = vec![Some(Value::ONE); n];
         expected[1] = None;

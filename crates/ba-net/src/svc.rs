@@ -113,14 +113,14 @@
 //! ```
 
 use crate::chaos::ChaosProfile;
+pub use crate::driver::InstanceRun;
 use crate::driver::PhaseDriver;
-pub use crate::driver::{InstanceRun, InstanceSpec};
 use crate::verdict::{
     AdmissionError, AdmissionVerdict, DegradationVerdict, NetStats, ShedOutcome, Ticket,
 };
-use crate::wire::{WirePolicy, WireScratch};
+use crate::wire::WireScratch;
 use ba_crypto::rng::{splitmix64, SimRng};
-use ba_sim::{Payload, QueueStats, WorkerPool};
+use ba_sim::{InstanceSpec, Payload, QueueStats, WorkerPool};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -249,8 +249,9 @@ pub enum AdmissionPolicy {
 /// growing with the service layer.
 ///
 /// Defaults: `threads = 1`, `max_inflight = 64`, `admit_per_tick = 8`,
-/// `max_retries = 4`, `deadline_ticks = 128`, `queue_capacity = 64`,
-/// `admission = AdmissionPolicy::Reject`.
+/// `queue_capacity = 64`, `admission = AdmissionPolicy::Reject`. Every
+/// instance's wire plays the standalone runtime's retry policy (4
+/// retransmissions, 128 ticks per phase).
 #[derive(Clone, Debug)]
 #[non_exhaustive]
 pub struct SvcConfig {
@@ -261,11 +262,6 @@ pub struct SvcConfig {
     pub max_inflight: usize,
     /// Instances admitted from the queue per service tick.
     pub admit_per_tick: usize,
-    /// Retransmissions allowed per frame after the first attempt.
-    pub max_retries: u32,
-    /// Virtual ticks one instance-phase may use before it is declared
-    /// blown.
-    pub deadline_ticks: u64,
     /// Bound on the admission queue (submitted but not yet in flight);
     /// submissions past it trigger the [`AdmissionPolicy`].
     pub queue_capacity: usize,
@@ -279,8 +275,6 @@ impl Default for SvcConfig {
             threads: 1,
             max_inflight: 64,
             admit_per_tick: 8,
-            max_retries: 4,
-            deadline_ticks: 128,
             queue_capacity: 64,
             admission: AdmissionPolicy::Reject,
         }
@@ -308,18 +302,6 @@ impl SvcConfig {
     /// Sets how many queued instances each tick may admit.
     pub fn with_admit_per_tick(mut self, admit_per_tick: usize) -> Self {
         self.admit_per_tick = admit_per_tick;
-        self
-    }
-
-    /// Sets the per-frame retransmission budget.
-    pub fn with_max_retries(mut self, max_retries: u32) -> Self {
-        self.max_retries = max_retries;
-        self
-    }
-
-    /// Sets the virtual-tick deadline per instance phase.
-    pub fn with_deadline_ticks(mut self, deadline_ticks: u64) -> Self {
-        self.deadline_ticks = deadline_ticks;
         self
     }
 
@@ -541,7 +523,6 @@ pub enum TicketOutcome {
 pub struct SvcSession<P> {
     config: SvcConfig,
     chaos: ChaosProfile,
-    policy: WirePolicy,
     started: Instant,
     queue: VecDeque<Instance<P>>,
     active: Vec<Instance<P>>,
@@ -565,14 +546,9 @@ pub struct SvcSession<P> {
 
 impl<P: Payload + 'static> SvcSession<P> {
     fn new(config: SvcConfig, chaos: ChaosProfile) -> Self {
-        let policy = WirePolicy {
-            max_retries: config.max_retries,
-            deadline_ticks: config.deadline_ticks,
-        };
         SvcSession {
             config,
             chaos,
-            policy,
             started: Instant::now(),
             queue: VecDeque::new(),
             active: Vec::new(),
@@ -590,7 +566,8 @@ impl<P: Payload + 'static> SvcSession<P> {
         }
     }
 
-    /// Offers one instance to the session. On success the returned
+    /// Offers one instance to the session — a checkable target's build is
+    /// `setup.into()`. On success the returned
     /// [`Ticket`] identifies the instance for [`try_outcome`](Self::try_outcome) polling; on
     /// refusal the structured [`AdmissionError`] says why. Either way the
     /// decision is appended to the [admission log](Self::admission_log).
@@ -765,13 +742,11 @@ impl<P: Payload + 'static> SvcSession<P> {
         }
 
         // Deliver and settle, in submission order. Each instance plays
-        // the wire with its own rng and policy state — fates are
-        // per-instance even though the physical flushes were shared.
+        // the wire with its own rng — fates are per-instance even though
+        // the physical flushes were shared.
         let now = self.started.elapsed();
         self.active.retain_mut(|inst| {
-            let delivered = inst
-                .driver
-                .deliver(&self.chaos, self.policy, &mut self.wire);
+            let delivered = inst.driver.deliver(&self.chaos, &mut self.wire);
             let Some(result) = delivered.transpose() else {
                 return true;
             };
@@ -991,15 +966,7 @@ mod tests {
                 let (n, t) = if i % 6 == 1 { (7, 2) } else { (4, 1) };
                 let cfg = CheckConfig::new(n, t, Value(i % 2), 11, 1, ScheduleSpec::default());
                 let setup = target.build(&cfg).expect("fault-free schedule");
-                session
-                    .submit(InstanceSpec {
-                        actors: setup.actors,
-                        phases: setup.phases,
-                        fault_budget: t,
-                        link_drops: vec![],
-                        registry: Some(setup.registry),
-                    })
-                    .expect("queue has room");
+                session.submit(setup.into()).expect("queue has room");
                 if i % 3 != 0 {
                     session.tick();
                 }
@@ -1024,15 +991,11 @@ mod tests {
             .with_threads(3)
             .with_max_inflight(5)
             .with_admit_per_tick(2)
-            .with_max_retries(9)
-            .with_deadline_ticks(33)
             .with_queue_capacity(7)
             .with_admission(AdmissionPolicy::ShedOldest);
         assert_eq!(cfg.threads, 3);
         assert_eq!(cfg.max_inflight, 5);
         assert_eq!(cfg.admit_per_tick, 2);
-        assert_eq!(cfg.max_retries, 9);
-        assert_eq!(cfg.deadline_ticks, 33);
         assert_eq!(cfg.queue_capacity, 7);
         assert_eq!(cfg.admission, AdmissionPolicy::ShedOldest);
     }

@@ -366,11 +366,10 @@ pub struct DegradationVerdict {
     pub reason: DegradationReason,
     /// Processors suspected faulty from failed links (senders).
     pub suspected: Vec<ProcessId>,
-    /// Every permanently failed link observed up to the abort.
-    pub failed_links: Vec<FailedLink>,
     /// Indices of the actor chunks lost to a panic or the watchdog.
     pub stalled_workers: Vec<usize>,
-    /// Wire statistics accumulated up to the abort.
+    /// Wire statistics accumulated up to the abort, every permanently
+    /// failed link among them ([`NetStats::failed_links`]).
     pub stats: NetStats,
 }
 
@@ -386,9 +385,9 @@ impl fmt::Display for DegradationVerdict {
                 write!(f, "{p}")?;
             }
         }
-        if !self.failed_links.is_empty() {
+        if !self.stats.failed_links.is_empty() {
             write!(f, "; failed links ")?;
-            for (i, link) in self.failed_links.iter().enumerate() {
+            for (i, link) in self.stats.failed_links.iter().enumerate() {
                 if i > 0 {
                     write!(f, ", ")?;
                 }
@@ -417,14 +416,16 @@ mod tests {
                 budget: 1,
             },
             suspected: vec![ProcessId(1), ProcessId(2)],
-            failed_links: vec![FailedLink {
-                phase: 3,
-                from: ProcessId(1),
-                to: ProcessId(0),
-                attempts: 5,
-            }],
             stalled_workers: vec![],
-            stats: NetStats::default(),
+            stats: NetStats {
+                failed_links: vec![FailedLink {
+                    phase: 3,
+                    from: ProcessId(1),
+                    to: ProcessId(0),
+                    attempts: 5,
+                }],
+                ..NetStats::default()
+            },
         };
         let text = verdict.to_string();
         assert!(text.contains("phase 3"), "{text}");

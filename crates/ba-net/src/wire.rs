@@ -42,6 +42,16 @@ pub(crate) struct WirePolicy {
     pub deadline_ticks: u64,
 }
 
+impl WirePolicy {
+    /// The policy every phase driver plays: four retransmissions after the
+    /// first attempt, 128 virtual ticks per phase. Only the seeded oracle
+    /// tests below vary it.
+    pub const STANDARD: WirePolicy = WirePolicy {
+        max_retries: 4,
+        deadline_ticks: 128,
+    };
+}
+
 /// First retransmission timeout in ticks: one tick to arrive, one for the
 /// ack, one of slack. Doubles per retry, capped at [`BACKOFF_CAP`].
 const INITIAL_BACKOFF: u64 = 3;
@@ -539,10 +549,7 @@ mod tests {
         assert_eq!(footprint(&scratch), warm);
     }
 
-    const POLICY: WirePolicy = WirePolicy {
-        max_retries: 4,
-        deadline_ticks: 128,
-    };
+    const POLICY: WirePolicy = WirePolicy::STANDARD;
 
     fn frames(n: u32) -> Vec<(ProcessId, ProcessId)> {
         (0..n)

@@ -6,10 +6,10 @@
 use ba_algos::checkable::{targets, CheckConfig};
 use ba_crypto::{ProcessId, Value};
 use ba_net::{
-    check_equivalence, run_target, ChaosProfile, DegradationReason, LinkChaos, NetConfig,
-    NetRunError, NetRuntime,
+    check_equivalence, run_target, ChaosProfile, DegradationReason, InstanceSpec, LinkChaos,
+    NetConfig, NetRunError, NetRuntime,
 };
-use ba_sim::schedule::{FaultBehavior, ScheduleSpec};
+use ba_sim::schedule::{FaultBehavior, LinkDrop, ScheduleSpec};
 use ba_sim::{Actor, Inbox, Outbox};
 
 fn cfg_for(target_name: &str, spec: ScheduleSpec) -> CheckConfig {
@@ -33,11 +33,31 @@ fn splitting_spec() -> ScheduleSpec {
     }
 }
 
+/// A passive transmitter whose links to p2 in phase 1 and to p3 in phase
+/// 2 are scheduled to drop: the drops travel inside the setup to every
+/// loop.
+fn dropping_spec() -> ScheduleSpec {
+    let drop = |phase, to| LinkDrop {
+        phase,
+        from: ProcessId(0),
+        to: ProcessId(to),
+    };
+    ScheduleSpec {
+        faults: vec![(ProcessId(0), FaultBehavior::Passive)],
+        link_drops: vec![drop(1, 2), drop(2, 3)],
+    }
+}
+
 #[test]
 fn every_target_is_equivalent_at_one_and_four_workers() {
     for target in targets() {
-        for spec in [ScheduleSpec::default(), splitting_spec()] {
+        for spec in [ScheduleSpec::default(), splitting_spec(), dropping_spec()] {
             let cfg = cfg_for(target.name, spec.clone());
+            if !spec.link_drops.is_empty() {
+                // `check_equivalence` compares every `Metrics` field; the
+                // drops must have fired for that to say anything.
+                assert!(target.run(&cfg).omitted_messages > 0, "{}", target.name);
+            }
             for threads in [1usize, 4] {
                 check_equivalence(target, &cfg, threads).unwrap_or_else(|err| {
                     panic!("{} threads={threads} {spec:?}: {err}", target.name)
@@ -79,10 +99,7 @@ fn sound_targets_survive_recoverable_noise() {
     // Jitter (no loss) and mild loss are masked by retransmission: runs
     // complete, nobody is suspected under jitter, and the agreement
     // verdict holds for every sound target.
-    let net = NetConfig {
-        threads: 2,
-        ..NetConfig::default()
-    };
+    let net = NetConfig::new().with_threads(2);
     for target in targets().iter().filter(|t| t.sound) {
         let cfg = cfg_for(target.name, ScheduleSpec::default());
         for (label, chaos) in [
@@ -156,6 +173,7 @@ fn fault_budget_exceeded_aborts_with_structured_verdict() {
     );
     assert_eq!(verdict.suspected, vec![ProcessId(1)]);
     assert!(verdict
+        .stats
         .failed_links
         .iter()
         .all(|l| l.from == ProcessId(1) && l.to == ProcessId(3)));
@@ -168,10 +186,7 @@ fn chaos_runs_are_reproducible_at_any_worker_count() {
     let cfg = cfg_for(target.name, ScheduleSpec::default());
     let chaos = ChaosProfile::stress(33);
     let run = |threads: usize| {
-        let net = NetConfig {
-            threads,
-            ..NetConfig::default()
-        };
+        let net = NetConfig::new().with_threads(threads);
         match run_target(target, &cfg, &net, &chaos) {
             Ok(run) => (run.decisions, run.suspected, run.stats),
             Err(NetRunError::Degraded(v)) => (vec![], v.suspected, v.stats),
@@ -196,11 +211,17 @@ fn a_panicking_actor_yields_a_structured_verdict_not_a_process_panic() {
         }
     }
     // Four actors in four chunks; only processor 2's chunk is lost.
-    let actors = (0..4)
-        .map(|i| Box::new(PanicsAt((i == 2).then_some(2))) as Box<dyn Actor<Value>>)
-        .collect();
-    let verdict = NetRuntime::new(actors, NetConfig::new().with_threads(4))
-        .run(3)
+    let spec = InstanceSpec {
+        actors: (0..4)
+            .map(|i| Box::new(PanicsAt((i == 2).then_some(2))) as Box<dyn Actor<Value>>)
+            .collect(),
+        phases: 3,
+        fault_budget: 0,
+        link_drops: vec![],
+        registry: None,
+    };
+    let verdict = NetRuntime::new(spec, NetConfig::new().with_threads(4))
+        .run()
         .expect_err("a lost chunk cannot decide");
     assert!(
         matches!(verdict.reason, DegradationReason::WorkerStalled { .. }),

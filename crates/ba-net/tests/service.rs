@@ -13,7 +13,7 @@ use ba_net::{
     LinkChaos, MultiplexRun, NetConfig, NetRunError, NetStats, PoissonArrivals, SvcConfig,
     SvcReport, TicketOutcome, TicketStatus,
 };
-use ba_sim::schedule::{FaultBehavior, ScheduleSpec};
+use ba_sim::schedule::{FaultBehavior, LinkDrop, ScheduleSpec};
 use ba_sim::{Actor, Inbox, Outbox};
 
 fn cfg_for(target_name: &str, value: Value, spec: ScheduleSpec) -> CheckConfig {
@@ -54,13 +54,29 @@ fn wire_fields(stats: &NetStats) -> (u64, u64, u64, u64, u64, u64, u64, Vec<Fail
     )
 }
 
-/// A fleet of 3 instances per target: mixed values, one instance carrying
-/// the splitting schedule so the faulty-sender path is exercised too.
+/// A passive transmitter whose links to p2 in phase 1 and to p3 in phase
+/// 2 are scheduled to drop.
+fn dropping_spec() -> ScheduleSpec {
+    let drop = |phase, to| LinkDrop {
+        phase,
+        from: ProcessId(0),
+        to: ProcessId(to),
+    };
+    ScheduleSpec {
+        faults: vec![(ProcessId(0), FaultBehavior::Passive)],
+        link_drops: vec![drop(1, 2), drop(2, 3)],
+    }
+}
+
+/// A fleet of 4 instances per target: mixed values, one instance carrying
+/// the splitting schedule so the faulty-sender path is exercised too, and
+/// one carrying scheduled link drops.
 fn fleet_cfgs(target_name: &str) -> Vec<CheckConfig> {
     vec![
         cfg_for(target_name, Value::ONE, ScheduleSpec::default()),
         cfg_for(target_name, Value::ZERO, ScheduleSpec::default()),
         cfg_for(target_name, Value::ONE, splitting_spec()),
+        cfg_for(target_name, Value::ONE, dropping_spec()),
     ]
 }
 
@@ -91,12 +107,20 @@ fn multiplexed_instances_match_standalone_runs_for_every_target() {
                             // shares nothing with its fleet.
                             assert_eq!(m.metrics, s.metrics, "{ctx}");
                             assert_eq!(wire_fields(&m.stats), wire_fields(&s.stats), "{ctx}");
+                            if m.stats.frames_failed == 0 {
+                                // Scheduled drops are the only omissions.
+                                assert_eq!(
+                                    m.metrics.omitted_messages,
+                                    target.run(cfg).omitted_messages,
+                                    "{ctx}"
+                                );
+                            }
                         }
                         (Err(m), Err(NetRunError::Degraded(s))) => {
                             assert_eq!(m.phase, s.phase, "{ctx}");
                             assert_eq!(m.reason, s.reason, "{ctx}");
                             assert_eq!(m.suspected, s.suspected, "{ctx}");
-                            assert_eq!(m.failed_links, s.failed_links, "{ctx}");
+                            assert_eq!(m.stats.failed_links, s.stats.failed_links, "{ctx}");
                         }
                         (m, s) => panic!("{ctx}: multiplexed {m:?} but standalone {s:?}"),
                     }
@@ -269,14 +293,7 @@ fn open_loop_spec(target: &CheckTarget, i: u64) -> InstanceSpec<Chain> {
         Value::ZERO
     };
     let cfg = cfg_for(target.name, value, ScheduleSpec::default());
-    let setup = target.build(&cfg).expect("valid schedule");
-    InstanceSpec {
-        actors: setup.actors,
-        phases: setup.phases,
-        fault_budget: cfg.t,
-        link_drops: vec![],
-        registry: Some(setup.registry),
-    }
+    target.build(&cfg).expect("valid schedule").into()
 }
 
 /// Drives one seeded open-loop schedule — `arrival_seed` fixes the Poisson

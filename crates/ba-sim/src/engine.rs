@@ -119,6 +119,53 @@ impl<P> RunOutcome<P> {
     }
 }
 
+/// One BA instance, ready for any loop: its actors (faults already
+/// applied), phase count, fault budget, scheduled link drops and keys.
+/// [`run_lockstep`](Self::run_lockstep) runs it here; `ba_net`'s
+/// `NetRuntime` and `SvcSession` take the same value whole.
+pub struct InstanceSpec<P> {
+    /// One actor per processor; actor `i` is processor `i`.
+    pub actors: Vec<Box<dyn Actor<P>>>,
+    /// Phases the algorithm needs before finalization.
+    pub phases: usize,
+    /// The fault budget `t`. A lock-step run observes no faults beyond the
+    /// scheduled ones and ignores it; over an unreliable wire the instance
+    /// degrades once scheduled-faulty plus suspected processors exceed it.
+    pub fault_budget: usize,
+    /// Scheduled link drops, suppressed at the route pass (see
+    /// [`Simulation::with_link_drops`]) before any wire sees them.
+    pub link_drops: Vec<LinkDrop>,
+    /// The instance's keys, absent for key-less payloads: what delivered
+    /// chains are verified against at the barrier (see the
+    /// [module docs](self)).
+    pub registry: Option<KeyRegistry>,
+}
+
+impl<P> std::fmt::Debug for InstanceSpec<P> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("InstanceSpec")
+            .field("n", &self.actors.len())
+            .field("phases", &self.phases)
+            .field("fault_budget", &self.fault_budget)
+            .finish()
+    }
+}
+
+impl<P: Payload> InstanceSpec<P> {
+    /// Runs the instance on the lock-step loop, stepping across `threads`
+    /// worker chunks: a [`Simulation`] over the actors, with the keys and
+    /// link drops installed, run for [`phases`](Self::phases) phases.
+    pub fn run_lockstep(self, threads: usize) -> RunOutcome<P> {
+        Simulation {
+            core: PhaseCore::new(self.actors, self.link_drops, self.registry),
+            record_trace: false,
+            observer: None,
+            threads: threads.max(1),
+        }
+        .run(self.phases)
+    }
+}
+
 /// One run's whole per-phase state: the actors, their double-buffered
 /// inboxes, the staging segments, the scheduled link drops and the
 /// [`Metrics`] — advanced one phase at a time by whichever loop owns it

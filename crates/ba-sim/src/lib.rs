@@ -11,9 +11,10 @@
 //!   protocol role), the borrowed [`Inbox`] it reads, the [`Outbox`] it
 //!   sends through and owned [`Envelope`]s;
 //! * [`engine`] — the phase core ([`PhaseCore`]: step → route → fill
-//!   on the arena, the one place a phase advances) and the lock-step
-//!   [`Simulation`] loop around it; the `ba-net` crate's unreliable-wire
-//!   driver is the other loop around the same core;
+//!   on the arena, the one place a phase advances), the lock-step
+//!   [`Simulation`] loop around it, and [`InstanceSpec`], the one instance
+//!   value every loop takes; the `ba-net` crate's unreliable-wire driver
+//!   is the other loop around the same core;
 //! * [`metrics`] — message/signature/phase accounting with the paper's
 //!   convention (count traffic *sent by correct processors*);
 //! * [`adversary`] — generic Byzantine behaviours (silence, crashing,
@@ -100,7 +101,7 @@ pub mod transport;
 
 pub use actor::{Actor, Envelope, Inbox, Outbox, Payload, Received};
 pub use checker::{check_byzantine_agreement, AgreementViolation, RunVerdict};
-pub use engine::{PhaseCore, RunOutcome, Simulation};
+pub use engine::{InstanceSpec, PhaseCore, RunOutcome, Simulation};
 pub use metrics::{Metrics, QueueStats};
 pub use pool::WorkerPool;
 pub use schedule::{FaultBehavior, LinkDrop, ScheduleError, ScheduleSpec};

@@ -213,8 +213,6 @@ impl ScheduleSpec {
     /// [`FaultBehavior::apply`], and a protocol-specific behaviour gets
     /// whatever `adversary(p, behavior)` builds. Every algorithm run and
     /// every check target builds its actors here, each with its own hook.
-    /// The schedule's link drops are the caller's to install on its
-    /// driver.
     ///
     /// # Errors
     /// [`ScheduleError::Unmapped`] when `adversary` returns `None`.
@@ -275,6 +273,14 @@ impl ScheduleSpec {
                 return Err(format!(
                     "link drop {}->{} out of range for n = {n}",
                     drop.from, drop.to
+                ));
+            }
+            // Phases are 1-based and no send to oneself is ever staged, so
+            // either drop would never fire.
+            if drop.phase == 0 || drop.from == drop.to {
+                return Err(format!(
+                    "link drop {}->{} at phase {} can never fire",
+                    drop.from, drop.to, drop.phase
                 ));
             }
             if !self.is_faulty(drop.from) {
@@ -421,6 +427,22 @@ mod tests {
         assert!(ok.is_faulty(ProcessId(0)));
         assert!(!ok.is_faulty(ProcessId(2)));
         assert_eq!(ok.fault_count(), 1);
+    }
+
+    #[test]
+    fn validate_rejects_link_drops_that_can_never_fire() {
+        for (phase, to, named) in [(0, 2, "p0->p2 at phase 0"), (1, 0, "p0->p0 at phase 1")] {
+            let spec = ScheduleSpec {
+                faults: vec![(ProcessId(0), FaultBehavior::Passive)],
+                link_drops: vec![LinkDrop {
+                    phase,
+                    from: ProcessId(0),
+                    to: ProcessId(to),
+                }],
+            };
+            let err = spec.validate(4, 1).unwrap_err();
+            assert!(err.contains(named) && err.contains("never fire"), "{err}");
+        }
     }
 
     #[test]

@@ -1,14 +1,15 @@
 //! Integration: what the phase engine allocates, counted — a broadcast is
 //! one frame plus a four-byte index per recipient, a warm phase reuses
 //! every buffer, a run that follows another on the same thread reuses its
-//! message-count-sized staging buffers — and a service session's ticks run
-//! on buffers it keeps. The numbers DESIGN §7.4, §10.4, §11.3 and ROADMAP
-//! state, asserted.
+//! message-count-sized staging buffers, building a checkable target costs
+//! a bounded number of allocations per processor — and a service session's
+//! ticks run on buffers it keeps. The numbers DESIGN §7.4, §10.4, §11.3 and
+//! ROADMAP state, asserted.
 //!
 //! The counting allocator only counts the thread that asked it to, so the
 //! test harness's own threads never show up in a window.
 
-use byzantine_agreement::algos::checkable::{find_target, CheckConfig, CheckSetup};
+use byzantine_agreement::algos::checkable::{find_target, targets, CheckConfig, CheckSetup};
 use byzantine_agreement::crypto::{Chain, Value};
 use byzantine_agreement::net::{BaService, InstanceSpec, SvcConfig};
 use byzantine_agreement::sim::{PhaseCore, ScheduleSpec, Simulation};
@@ -129,6 +130,33 @@ fn a_run_after_a_run_reuses_the_staging_buffers() {
     assert_eq!(second, 1, "blocks of 1 MiB or more in a warm run");
 }
 
+/// Building any checkable target — keys, registry, one boxed actor per
+/// processor, the setup itself — makes at most two allocator calls per
+/// processor, at any `n` (n + 6 … n + 11 when measured), so a service pays
+/// a linear, not quadratic, price per submission.
+#[test]
+fn building_a_target_allocates_at_most_twice_per_processor() {
+    for target in targets() {
+        for n in [16, 64, 256] {
+            // Algorithm 1 needs n = 2t + 1.
+            let (n, t) = if target.name == "algorithm1" {
+                (n + 1, n / 2)
+            } else {
+                (n, 1)
+            };
+            let cfg = CheckConfig::new(n, t, Value::ONE, 7, 1, ScheduleSpec::default());
+            let (setup, calls, _) = counted(|| target.build(&cfg));
+            let setup = setup.expect("a fault-free schedule compiles");
+            assert_eq!(setup.actors.len(), n);
+            assert!(
+                calls <= 2 * n,
+                "{} n = {n}: {calls} allocator calls to build",
+                target.name
+            );
+        }
+    }
+}
+
 /// One phase the way every driver advances it: step, then deliver (route,
 /// fill, verify at the barrier).
 fn phase(core: &mut PhaseCore<Chain>) {
@@ -182,16 +210,7 @@ fn warm_ds_relay_phase_allocates_nothing_per_actor() {
 fn svc_session_allocates_a_bounded_amount_per_delivered_message() {
     let instances = 200;
     let specs: Vec<InstanceSpec<Chain>> = (0..instances)
-        .map(|_| {
-            let setup = fault_free("ds-broadcast", 16, 1);
-            InstanceSpec {
-                actors: setup.actors,
-                phases: setup.phases,
-                fault_budget: 1,
-                link_drops: vec![],
-                registry: Some(setup.registry),
-            }
-        })
+        .map(|_| fault_free("ds-broadcast", 16, 1).into())
         .collect();
     let config = SvcConfig::new()
         .with_max_inflight(8)
