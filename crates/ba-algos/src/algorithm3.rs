@@ -83,6 +83,9 @@ pub struct Alg3Params {
     pub verifier: Verifier,
     /// Algorithm 1 parameters for the active prefix.
     pub alg1: Arc<Algo1Params>,
+    /// The passive groups in index order, each shared by its root and
+    /// members.
+    groups: Vec<Arc<Group>>,
 }
 
 impl Alg3Params {
@@ -98,12 +101,26 @@ impl Alg3Params {
             t,
             verifier: verifier.clone(),
         });
+        // Up to `s` consecutive passive ids per group, the last possibly
+        // short.
+        let groups = (2 * t + 1..n)
+            .step_by(s)
+            .enumerate()
+            .map(|(index, start)| {
+                let members = (start..n.min(start + s)).map(|i| ProcessId(i as u32));
+                Arc::new(Group {
+                    index,
+                    members: members.collect(),
+                })
+            })
+            .collect();
         Alg3Params {
             n,
             t,
             s,
             verifier,
             alg1,
+            groups,
         }
     }
 
@@ -122,32 +139,19 @@ impl Alg3Params {
         self.n - self.active_count()
     }
 
-    /// The passive group at `index`: up to `s` consecutive ids, the last
-    /// group possibly short.
-    fn group(&self, index: usize) -> Group {
-        let start = self.active_count() + index * self.s;
-        let end = (start + self.s).min(self.n);
-        Group {
-            index,
-            members: (start..end).map(|i| ProcessId(i as u32)).collect(),
-        }
-    }
-
     /// The passive groups in index order.
-    pub fn groups(&self) -> Vec<Group> {
-        (0..self.passive_count().div_ceil(self.s))
-            .map(|index| self.group(index))
-            .collect()
+    pub fn groups(&self) -> &[Arc<Group>] {
+        &self.groups
     }
 
-    /// The group containing passive `p`, with `p`'s 1-based position —
-    /// built arithmetically, without materialising the other groups.
-    pub fn group_of(&self, p: ProcessId) -> Option<(Group, usize)> {
+    /// The group containing passive `p` — shared, not copied — with `p`'s
+    /// 1-based position, found arithmetically.
+    pub fn group_of(&self, p: ProcessId) -> Option<(Arc<Group>, usize)> {
         if self.is_active(p) || p.index() >= self.n {
             return None;
         }
         let offset = p.index() - self.active_count();
-        Some((self.group(offset / self.s), offset % self.s + 1))
+        Some((self.groups[offset / self.s].clone(), offset % self.s + 1))
     }
 
     /// Total phases of the schedule.
@@ -258,7 +262,7 @@ impl Actor<Chain> for Alg3Active {
             }
             let mut direct = Chain::new(DIRECT, v);
             direct.sign_and_append(&self.signer);
-            for group in &groups {
+            for group in groups {
                 let covered: BTreeSet<ProcessId> = self
                     .reports
                     .get(&group.index)
@@ -288,7 +292,7 @@ impl Actor<Chain> for Alg3Active {
 #[derive(Debug)]
 pub struct Alg3Root {
     params: Arc<Alg3Params>,
-    group: Group,
+    group: Arc<Group>,
     /// The current collection chain `m(j)`.
     m: Option<Chain>,
     /// Injected wrong value (adversarial roots only).
@@ -297,7 +301,7 @@ pub struct Alg3Root {
 
 impl Alg3Root {
     /// Creates an honest root for `group`.
-    pub fn new(params: Arc<Alg3Params>, group: Group) -> Self {
+    pub fn new(params: Arc<Alg3Params>, group: Arc<Group>) -> Self {
         Alg3Root {
             params,
             group,
@@ -308,7 +312,7 @@ impl Alg3Root {
 
     /// Creates a root that ignores the active quorum and pushes `wrong`
     /// to its members (a faulty root).
-    pub fn new_lying(params: Arc<Alg3Params>, group: Group, wrong: Value) -> Self {
+    pub fn new_lying(params: Arc<Alg3Params>, group: Arc<Group>, wrong: Value) -> Self {
         Alg3Root {
             params,
             group,
@@ -403,7 +407,7 @@ impl Actor<Chain> for Alg3Root {
 #[derive(Debug)]
 pub struct Alg3Member {
     params: Arc<Alg3Params>,
-    group: Group,
+    group: Arc<Group>,
     /// My 1-based position `j`.
     pos: usize,
     signer: Signer,
@@ -416,7 +420,7 @@ pub struct Alg3Member {
 
 impl Alg3Member {
     /// Creates the member at position `pos` (≥ 2) of `group`.
-    pub fn new(params: Arc<Alg3Params>, group: Group, pos: usize, signer: Signer) -> Self {
+    pub fn new(params: Arc<Alg3Params>, group: Arc<Group>, pos: usize, signer: Signer) -> Self {
         assert!(pos >= 2, "position 1 is the root");
         Alg3Member {
             params,
@@ -542,6 +546,29 @@ pub fn group_root(t: usize, s: usize, g: usize) -> ProcessId {
     ProcessId((2 * t + 1 + g * s) as u32)
 }
 
+/// `p`'s honest Algorithm 3 actor — active, group root or group member;
+/// the transmitter (processor 0) sends `value`.
+pub fn honest(
+    params: &Arc<Alg3Params>,
+    registry: &KeyRegistry,
+    p: ProcessId,
+    value: Value,
+) -> Box<dyn Actor<Chain>> {
+    match params.group_of(p) {
+        None => {
+            let own = (p == ProcessId(0)).then_some(value);
+            Box::new(Alg3Active::new(params.clone(), p, registry.signer(p), own))
+        }
+        Some((group, 1)) => Box::new(Alg3Root::new(params.clone(), group)),
+        Some((group, pos)) => Box::new(Alg3Member::new(
+            params.clone(),
+            group,
+            pos,
+            registry.signer(p),
+        )),
+    }
+}
+
 /// Builds and runs an Algorithm 3 scenario.
 ///
 /// ```
@@ -573,21 +600,6 @@ pub fn run(
     let registry = KeyRegistry::new(n, options.seed, options.scheme);
     let params = Arc::new(Alg3Params::new(n, t, s, registry.verifier()));
 
-    let honest = |p: ProcessId| -> Box<dyn Actor<Chain>> {
-        match params.group_of(p) {
-            None => {
-                let own = (p == ProcessId(0)).then_some(value);
-                Box::new(Alg3Active::new(params.clone(), p, registry.signer(p), own))
-            }
-            Some((group, 1)) => Box::new(Alg3Root::new(params.clone(), group)),
-            Some((group, pos)) => Box::new(Alg3Member::new(
-                params.clone(),
-                group,
-                pos,
-                registry.signer(p),
-            )),
-        }
-    };
     let adversary = |p, behavior: &FaultBehavior| -> Option<Box<dyn Actor<Chain>>> {
         match *behavior {
             FaultBehavior::Lie { value } => match params.group_of(p)? {
@@ -600,6 +612,7 @@ pub fn run(
             _ => None,
         }
     };
+    let honest = |p| honest(&params, &registry, p, value);
     let mut sim = simulation(&options.schedule, n, t, honest, adversary)
         .with_threads(options.threads)
         .with_registry(&registry);
@@ -628,6 +641,27 @@ mod tests {
         assert!(params.group_of(ProcessId(3)).is_none());
         assert_eq!(groups[0].member(4), Some(ProcessId(8)));
         assert_eq!(groups[0].member(5), None);
+    }
+
+    #[test]
+    fn a_groups_root_and_members_share_one_group() {
+        let registry = KeyRegistry::new(16, 0, SchemeKind::Fast);
+        let params = Arc::new(Alg3Params::new(16, 2, 4, registry.verifier()));
+        let member = |p: u32| {
+            let (group, pos) = params.group_of(ProcessId(p)).unwrap();
+            Alg3Member::new(params.clone(), group, pos, registry.signer(ProcessId(p)))
+        };
+        let (a, b) = (member(6), member(8));
+        assert!(
+            Arc::ptr_eq(&a.group, &b.group),
+            "one allocation, not a copy"
+        );
+        let (group, _) = params.group_of(ProcessId(5)).unwrap();
+        assert!(Arc::ptr_eq(
+            &Alg3Root::new(params.clone(), group).group,
+            &a.group
+        ));
+        assert!(!Arc::ptr_eq(&member(10).group, &a.group), "another group");
     }
 
     #[test]

@@ -117,6 +117,17 @@ impl<P> Clone for Received<'_, P> {
 
 impl<P> Copy for Received<'_, P> {}
 
+impl<'a, P> Received<'a, P> {
+    /// `frame`, as received by `to`.
+    fn of(to: ProcessId, frame: &'a Frame<P>) -> Self {
+        Received {
+            from: frame.from,
+            to,
+            payload: &frame.payload,
+        }
+    }
+}
+
 impl<P: Clone> Received<'_, P> {
     /// An owned copy of this message.
     pub fn to_envelope(&self) -> Envelope<P> {
@@ -131,7 +142,8 @@ impl<P: Clone> Received<'_, P> {
 /// The messages delivered to one actor for one phase, in delivery order: a
 /// borrowed view, cheap to copy. The engine hands out views over its arena
 /// ([`Inboxes`](crate::arena::Inboxes): a slice of indices into the
-/// phase's shared frames); anyone else builds one over a slice of owned
+/// phase's shared frames, or — after an all-to-all phase — every frame but
+/// the actor's own); anyone else builds one over a slice of owned
 /// envelopes with [`Inbox::of`].
 #[derive(Debug)]
 pub struct Inbox<'a, P>(Repr<'a, P>);
@@ -143,6 +155,12 @@ enum Repr<'a, P> {
         to: ProcessId,
         frames: &'a [Frame<P>],
         idx: &'a [u32],
+    },
+    /// `before`, then `after`: the phase's frames with `to`'s own cut out.
+    AllBut {
+        to: ProcessId,
+        before: &'a [Frame<P>],
+        after: &'a [Frame<P>],
     },
 }
 
@@ -173,11 +191,17 @@ impl<'a, P> Inbox<'a, P> {
         Inbox(Repr::Frames { to, frames, idx })
     }
 
+    /// Processor `to`'s inbox: every frame of `before`, then of `after`.
+    pub(crate) fn all_but(to: ProcessId, before: &'a [Frame<P>], after: &'a [Frame<P>]) -> Self {
+        Inbox(Repr::AllBut { to, before, after })
+    }
+
     /// Number of messages.
     pub fn len(&self) -> usize {
         match self.0 {
             Repr::Envelopes(envelopes) => envelopes.len(),
             Repr::Frames { idx, .. } => idx.len(),
+            Repr::AllBut { before, after, .. } => before.len() + after.len(),
         }
     }
 
@@ -194,14 +218,13 @@ impl<'a, P> Inbox<'a, P> {
                 to: env.to,
                 payload: &env.payload,
             }),
-            Repr::Frames { to, frames, idx } => idx.get(k).map(|&f| {
-                let frame = &frames[f as usize];
-                Received {
-                    from: frame.from,
-                    to,
-                    payload: &frame.payload,
-                }
-            }),
+            Repr::Frames { to, frames, idx } => {
+                idx.get(k).map(|&f| Received::of(to, &frames[f as usize]))
+            }
+            Repr::AllBut { to, before, after } => before
+                .get(k)
+                .or_else(|| after.get(k - before.len()))
+                .map(|frame| Received::of(to, frame)),
         }
     }
 
@@ -529,6 +552,9 @@ mod tests {
         assert_eq!(owned.first(), shared.first());
         assert!(owned.iter().eq(shared.iter()));
         assert_eq!(shared.iter().len(), 2);
+        let cut = Inbox::all_but(ProcessId(1), &frames[1..], &frames[..1]);
+        assert!(owned.iter().eq(cut.iter()));
+        assert_eq!((cut.len(), cut.get(1), cut.get(2)), (2, owned.get(1), None));
         let copies: Vec<_> = shared.iter().map(|m| m.to_envelope()).collect();
         assert_eq!(copies, envelopes);
         let empty: Inbox<'_, Value> = Inbox::of(&[]);

@@ -46,6 +46,20 @@ impl ScheduledDrops {
         self.drops.is_empty()
     }
 
+    /// Whether any link is scheduled to drop during `phase` (drops order by
+    /// phase first, so this is one range query).
+    pub fn any_at(&self, phase: usize) -> bool {
+        let first = LinkDrop {
+            phase,
+            from: ProcessId(0),
+            to: ProcessId(0),
+        };
+        self.drops
+            .range(first..)
+            .next()
+            .is_some_and(|d| d.phase == phase)
+    }
+
     /// Decides the fate of the envelope `from → to` staged during `phase`.
     pub fn admit(&self, phase: usize, from: ProcessId, to: ProcessId) -> Fate {
         if self.drops.contains(&LinkDrop { phase, from, to }) {
@@ -79,5 +93,7 @@ mod tests {
         assert_eq!(t.admit(2, ProcessId(1), ProcessId(0)), Fate::Deliver);
         assert_eq!(t.admit(2, ProcessId(0), ProcessId(2)), Fate::Deliver);
         assert!(ScheduledDrops::default().is_empty());
+        let at: Vec<bool> = (0..4).map(|phase| t.any_at(phase)).collect();
+        assert_eq!(at, [false, false, true, false]);
     }
 }

@@ -1,5 +1,6 @@
 //! Integration: what the phase engine allocates, counted — a broadcast is
-//! one frame plus a four-byte index per recipient, a warm phase reuses
+//! one frame plus a four-byte index per recipient (no index at all in an
+//! all-to-all phase), a warm phase reuses
 //! every buffer, a run that follows another on the same thread reuses its
 //! message-count-sized staging buffers, building a checkable target costs
 //! a bounded number of allocations per processor — and a service session's
@@ -92,8 +93,10 @@ fn fault_free(target: &str, n: usize, t: usize) -> CheckSetup {
 }
 
 /// One all-to-all signed broadcast run holds, at its peak, a few bytes per
-/// delivered message — an inbox index, a routing fate, a staged target id —
-/// not an owned envelope apiece (which read ≈ 128 here).
+/// delivered message — a staged target id and what a protocol keeps of
+/// what it heard — not an owned envelope apiece (which read ≈ 128 here),
+/// nor an inbox index and a routing fate (11.3 with them; 6.2 without): an
+/// all-to-all phase writes neither.
 #[test]
 fn ds_broadcast_peaks_at_a_few_bytes_per_delivered_message() {
     let setup = fault_free("ds-broadcast", 256, 1);
@@ -104,15 +107,16 @@ fn ds_broadcast_peaks_at_a_few_bytes_per_delivered_message() {
     assert!(outcome.decisions.iter().all(|d| *d == Some(Value::ONE)));
     let per_message = peak as f64 / delivered as f64;
     assert!(
-        per_message <= 16.0,
+        per_message <= 8.0,
         "peak {peak} B over {delivered} delivered messages = {per_message:.1} B each"
     );
 }
 
 /// Two fault-free `ds-broadcast` runs at n = 1024 back to back on this
-/// thread — `engine_wide`'s run. The first leaves its staged-target and
-/// route-fate buffers (4 MiB and 1 MiB) in the thread's spare; the second
-/// asks the allocator for one large block only, its delivery index.
+/// thread — `engine_wide`'s run. Both of its phases are all-to-all, so no
+/// run needs a delivery index or route fates; the first leaves its staged
+/// target ids (4 MiB) in the thread's spare, and the second asks the
+/// allocator for no large block at all.
 #[test]
 fn a_run_after_a_run_reuses_the_staging_buffers() {
     let run = || {
@@ -127,7 +131,7 @@ fn a_run_after_a_run_reuses_the_staging_buffers() {
     let ((), _, _) = counted(run);
     let second = LARGE.with(Cell::get);
     assert!(first >= 3, "{first} blocks of 1 MiB or more in a cold run");
-    assert_eq!(second, 1, "blocks of 1 MiB or more in a warm run");
+    assert_eq!(second, 0, "blocks of 1 MiB or more in a warm run");
 }
 
 /// Building any checkable target — keys, registry, one boxed actor per
