@@ -194,7 +194,7 @@ impl Actor<Chain> for Algo2Actor {
                 }
             }
             if received_sigs >= t {
-                out.broadcast((0..n as u32).map(ProcessId), m);
+                out.broadcast_all(n, m);
             } else {
                 let targets = (self.label() + 1..=(self.label() + t + 1).min(n))
                     .map(|label| ProcessId(label as u32 - 1));
@@ -263,7 +263,7 @@ pub mod adversaries {
                 // Broadcast a self-signed wrong-value chain to everyone.
                 let mut m = Chain::new(domains::ALG2, self.wrong);
                 m.sign_and_append(&self.signer);
-                out.broadcast((0..n as u32).map(ProcessId), m);
+                out.broadcast_all(n, m);
             } else {
                 self.inner.step(phase, inbox, out);
             }

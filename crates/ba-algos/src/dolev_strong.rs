@@ -124,6 +124,9 @@ pub struct DsActor {
     signer: Signer,
     own_value: Option<Value>,
     extracted: BTreeSet<Value>,
+    /// The first value extracted, kept beside the set: a relay of it is
+    /// what nearly every delivery carries, and one compare turns it away.
+    first: Option<Value>,
     phase: usize,
 }
 
@@ -141,6 +144,7 @@ impl DsActor {
             signer,
             own_value,
             extracted: BTreeSet::new(),
+            first: None,
             phase: 0,
         }
     }
@@ -148,6 +152,11 @@ impl DsActor {
     /// The extracted value set (diagnostics).
     pub fn extracted(&self) -> &BTreeSet<Value> {
         &self.extracted
+    }
+
+    fn extract(&mut self, value: Value) {
+        self.first.get_or_insert(value);
+        self.extracted.insert(value);
     }
 
     fn absorb_and_relay(
@@ -159,16 +168,21 @@ impl DsActor {
         let mut fresh: Vec<Chain> = Vec::new();
         for env in inbox {
             // An already-extracted value is ignored whatever its chain, so
-            // the set lookup goes before the O(L²) acceptance check.
+            // it is turned away before the chain is even looked at — by one
+            // compare when it is the first (`first` is in the set) — and
+            // the O(L²) acceptance check runs for exactly the rest.
+            let value = env.payload.value();
+            if self.first == Some(value) || self.extracted.contains(&value) {
+                continue;
+            }
             if env.payload.last_signer() == Some(env.from)
-                && !self.extracted.contains(&env.payload.value())
                 && self.params.is_acceptable(env.payload, k, self.me)
             {
                 // Relay only the first two distinct values ever extracted.
                 if self.extracted.len() < 2 {
                     fresh.push(env.payload.clone());
                 }
-                self.extracted.insert(env.payload.value());
+                self.extract(value);
             }
         }
         if let Some(out) = out {
@@ -176,12 +190,10 @@ impl DsActor {
                 let mut relay = chain;
                 relay.sign_and_append(&self.signer);
                 match self.params.variant {
-                    Variant::Broadcast => {
-                        out.broadcast((0..self.params.n as u32).map(ProcessId), relay);
-                    }
+                    Variant::Broadcast => out.broadcast_all(self.params.n, relay),
                     Variant::Relay => {
                         if self.params.in_committee(self.me) {
-                            out.broadcast((0..self.params.n as u32).map(ProcessId), relay);
+                            out.broadcast_all(self.params.n, relay);
                         } else {
                             out.broadcast(self.params.committee(), relay);
                         }
@@ -197,10 +209,10 @@ impl Actor<Chain> for DsActor {
         self.phase = phase;
         if phase == 1 {
             if let Some(v) = self.own_value {
-                self.extracted.insert(v);
+                self.extract(v);
                 let mut chain = Chain::new(self.params.domain, v);
                 chain.sign_and_append(&self.signer);
-                out.broadcast((0..self.params.n as u32).map(ProcessId), chain);
+                out.broadcast_all(self.params.n, chain);
             }
             return;
         }

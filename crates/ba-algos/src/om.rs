@@ -158,7 +158,7 @@ impl Actor<OmMsg> for OmActor {
                     path: vec![self.me],
                     value: v,
                 };
-                out.broadcast((0..self.n as u32).map(ProcessId), msg);
+                out.broadcast_all(self.n, msg);
             }
             return;
         }

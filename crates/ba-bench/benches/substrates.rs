@@ -69,7 +69,7 @@ struct Flood {
 impl Actor<Value> for Flood {
     fn step(&mut self, _phase: usize, inbox: Inbox<'_, Value>, out: &mut Outbox<Value>) {
         black_box(inbox.len());
-        out.broadcast((0..self.n as u32).map(ProcessId), Value::ONE);
+        out.broadcast_all(self.n, Value::ONE);
     }
     fn decision(&self) -> Option<Value> {
         Some(Value::ONE)

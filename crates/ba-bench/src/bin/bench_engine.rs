@@ -100,7 +100,7 @@ struct Broadcaster {
 
 impl Actor<Chain> for Broadcaster {
     fn step(&mut self, _phase: usize, _inbox: Inbox<'_, Chain>, out: &mut Outbox<Chain>) {
-        out.broadcast((0..self.n as u32).map(ProcessId), self.chain.clone());
+        out.broadcast_all(self.n, self.chain.clone());
     }
     fn decision(&self) -> Option<Value> {
         Some(self.chain.value())
@@ -146,7 +146,7 @@ impl Actor<Chain> for FloodRelay {
                 best.sign_and_append(&self.signer);
             }
             let chain = best.clone();
-            out.broadcast((0..self.n as u32).map(ProcessId), chain);
+            out.broadcast_all(self.n, chain);
         }
     }
     fn decision(&self) -> Option<Value> {

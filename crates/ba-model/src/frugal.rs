@@ -168,7 +168,7 @@ impl Actor<Chain> for QuietBroadcast {
             if let Some(v) = self.own_value {
                 let mut chain = Chain::new(FRUGAL_DOMAIN, v);
                 chain.sign_and_append(&self.signer);
-                out.broadcast((0..self.n as u32).map(ProcessId), chain);
+                out.broadcast_all(self.n, chain);
             }
         }
     }

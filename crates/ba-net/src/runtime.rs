@@ -195,7 +195,7 @@ mod tests {
     impl Actor<Chain> for Forger {
         fn step(&mut self, phase: usize, _inbox: Inbox<'_, Chain>, out: &mut Outbox<Chain>) {
             if phase == 2 {
-                out.broadcast((0..self.n as u32).map(ProcessId), self.forged.clone());
+                out.broadcast_all(self.n, self.forged.clone());
             }
         }
         fn decision(&self) -> Option<Value> {

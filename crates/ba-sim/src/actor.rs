@@ -1,5 +1,13 @@
 //! The actor abstraction: protocol roles as state machines stepped once per
 //! phase.
+//!
+//! An actor reads an [`Inbox`] — a borrowed view of the phase's deliveries
+//! whose iterator walks the view's own slices — and stages sends into an
+//! [`Outbox`]: `send` to one processor, `broadcast` to a list, and
+//! `broadcast_all(n, ..)` to every processor of an `n`-processor run but
+//! itself. The last is `broadcast` of `0..n` by definition, and the only
+//! spelling of "everyone" the engine can deliver without touching a target
+//! id (see [`crate::arena`]).
 
 use crate::arena::{Frame, Staging};
 use ba_crypto::{ProcessId, Value};
@@ -126,6 +134,15 @@ impl<'a, P> Received<'a, P> {
             payload: &frame.payload,
         }
     }
+
+    /// `env`, borrowed.
+    fn from_envelope(env: &'a Envelope<P>) -> Self {
+        Received {
+            from: env.from,
+            to: env.to,
+            payload: &env.payload,
+        }
+    }
 }
 
 impl<P: Clone> Received<'_, P> {
@@ -213,11 +230,7 @@ impl<'a, P> Inbox<'a, P> {
     /// The `k`-th message in delivery order.
     pub fn get(&self, k: usize) -> Option<Received<'a, P>> {
         match self.0 {
-            Repr::Envelopes(envelopes) => envelopes.get(k).map(|env| Received {
-                from: env.from,
-                to: env.to,
-                payload: &env.payload,
-            }),
+            Repr::Envelopes(envelopes) => envelopes.get(k).map(Received::from_envelope),
             Repr::Frames { to, frames, idx } => {
                 idx.get(k).map(|&f| Received::of(to, &frames[f as usize]))
             }
@@ -235,31 +248,63 @@ impl<'a, P> Inbox<'a, P> {
 
     /// The messages in delivery order.
     pub fn iter(&self) -> InboxIter<'a, P> {
-        InboxIter {
-            inbox: *self,
-            next: 0,
-        }
+        InboxIter(match self.0 {
+            Repr::Envelopes(envelopes) => IterRepr::Envelopes(envelopes.iter()),
+            Repr::Frames { to, frames, idx } => IterRepr::Frames {
+                to,
+                frames,
+                idx: idx.iter(),
+            },
+            Repr::AllBut { to, before, after } => IterRepr::AllBut {
+                to,
+                before: before.iter(),
+                after: after.iter(),
+            },
+        })
     }
 }
 
-/// Iterator over an [`Inbox`].
+/// Iterator over an [`Inbox`]: walks the view's own slices.
 #[derive(Debug)]
-pub struct InboxIter<'a, P> {
-    inbox: Inbox<'a, P>,
-    next: usize,
+pub struct InboxIter<'a, P>(IterRepr<'a, P>);
+
+#[derive(Debug)]
+enum IterRepr<'a, P> {
+    Envelopes(std::slice::Iter<'a, Envelope<P>>),
+    Frames {
+        to: ProcessId,
+        frames: &'a [Frame<P>],
+        idx: std::slice::Iter<'a, u32>,
+    },
+    AllBut {
+        to: ProcessId,
+        before: std::slice::Iter<'a, Frame<P>>,
+        after: std::slice::Iter<'a, Frame<P>>,
+    },
 }
 
 impl<'a, P> Iterator for InboxIter<'a, P> {
     type Item = Received<'a, P>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        let item = self.inbox.get(self.next)?;
-        self.next += 1;
-        Some(item)
+        match &mut self.0 {
+            IterRepr::Envelopes(envelopes) => envelopes.next().map(Received::from_envelope),
+            IterRepr::Frames { to, frames, idx } => {
+                idx.next().map(|&f| Received::of(*to, &frames[f as usize]))
+            }
+            IterRepr::AllBut { to, before, after } => before
+                .next()
+                .or_else(|| after.next())
+                .map(|frame| Received::of(*to, frame)),
+        }
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = self.inbox.len() - self.next;
+        let left = match &self.0 {
+            IterRepr::Envelopes(envelopes) => envelopes.len(),
+            IterRepr::Frames { idx, .. } => idx.len(),
+            IterRepr::AllBut { before, after, .. } => before.len() + after.len(),
+        };
         (left, Some(left))
     }
 }
@@ -342,6 +387,21 @@ impl<P: Payload> Outbox<P> {
         I: IntoIterator<Item = ProcessId>,
     {
         self.staged.push(self.from, targets, payload);
+    }
+
+    /// Queues `payload` for every processor of an `n`-processor run but the
+    /// sender: by definition `broadcast((0..n).map(ProcessId), payload)`,
+    /// and counted, delivered and expanded by
+    /// [`into_staged`](Self::into_staged) exactly as that call is.
+    ///
+    /// It is staged as one frame that names no target, so it costs the same
+    /// at any `n`; a lock-step phase in which every frame is a
+    /// `broadcast_all` over the run's `n` and no link drop is scheduled is
+    /// delivered without writing anything per message (see
+    /// [`crate::arena`]). `n` is the caller's to give because a scratch
+    /// outbox does not know the run it will be forwarded into.
+    pub fn broadcast_all(&mut self, n: usize, payload: P) {
+        self.staged.push_all(self.from, n, payload);
     }
 
     /// Number of messages (targets, not `send`/`broadcast` calls) staged so
@@ -457,7 +517,7 @@ mod tests {
     #[test]
     fn broadcast_skips_sender() {
         let mut out: Outbox<Value> = Outbox::new(ProcessId(0));
-        out.broadcast((0..4).map(ProcessId), Value::ZERO);
+        out.broadcast([0, 1, 2, 3].map(ProcessId), Value::ZERO);
         assert_eq!(out.staged_len(), 3);
     }
 
@@ -475,7 +535,7 @@ mod tests {
     fn broadcast_moves_payload_into_final_send() {
         let clones = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
         let mut out: Outbox<CountingPayload> = Outbox::new(ProcessId(0));
-        out.broadcast((0..4).map(ProcessId), CountingPayload(clones.clone()));
+        out.broadcast([0, 1, 2, 3].map(ProcessId), CountingPayload(clones.clone()));
         // Four targets, one of which is the sender: three messages staged
         // as one frame, the payload moved in — no clone at all.
         assert_eq!(out.staged_len(), 3);
@@ -483,7 +543,7 @@ mod tests {
 
         // Without the sender among the targets: k targets, still no clone.
         let mut out: Outbox<CountingPayload> = Outbox::new(ProcessId(9));
-        out.broadcast((0..4).map(ProcessId), CountingPayload(clones.clone()));
+        out.broadcast([0, 1, 2, 3].map(ProcessId), CountingPayload(clones.clone()));
         assert_eq!(out.staged_len(), 4);
         assert_eq!(clones.load(std::sync::atomic::Ordering::Relaxed), 0);
 
@@ -496,6 +556,27 @@ mod tests {
     }
 
     #[test]
+    fn broadcast_all_is_broadcast_of_its_id_list() {
+        for m in [0, 1, 5] {
+            let ids: Vec<ProcessId> = (0..m as u32).map(ProcessId).collect();
+            // Inside `0..m` (when it is not empty), and outside it.
+            for from in [0, 3, 7] {
+                let staged = |out: Outbox<Value>| (out.staged_len(), out.into_staged());
+                let mut all: Outbox<Value> = Outbox::new(ProcessId(from));
+                let mut list = Outbox::new(ProcessId(from));
+                all.send(ProcessId(1), Value(1));
+                list.send(ProcessId(1), Value(1));
+                all.broadcast_all(m, Value(2));
+                list.broadcast(ids.iter().copied(), Value(2));
+                let (len, envelopes) = staged(all);
+                assert_eq!((len, envelopes), staged(list), "m={m} from={from}");
+                let inside = (from as usize) < m;
+                assert_eq!(len, 1 + m - usize::from(inside), "m={m} from={from}");
+            }
+        }
+    }
+
+    #[test]
     fn broadcast_to_empty_target_list_is_a_no_op() {
         let mut out: Outbox<Value> = Outbox::new(ProcessId(0));
         out.broadcast(std::iter::empty(), Value::ONE);
@@ -505,7 +586,7 @@ mod tests {
     #[test]
     fn resumed_outbox_appends_and_counts_only_its_own_messages() {
         let mut first: Outbox<Value> = Outbox::new(ProcessId(0));
-        first.broadcast((0..3).map(ProcessId), Value::ONE);
+        first.broadcast([0, 1, 2].map(ProcessId), Value::ONE);
         let mut second = Outbox::resume(ProcessId(5), first.into_staging());
         assert_eq!(second.staged_len(), 0);
         assert_eq!(second.sender(), ProcessId(5));

@@ -3,14 +3,17 @@
 //! The paper counts a broadcast as `n − 1` messages and [`Metrics`] does
 //! too, but nothing in the model says a simulator has to *move* `n − 1`
 //! copies. A `send` or `broadcast` call is staged once, as a *frame* —
-//! the sender, the payload, and a run of target ids in a side buffer — and
-//! stays one object until it is dropped:
+//! the sender, the payload, and to whom: a run of target ids in a side
+//! buffer, or, for [`Outbox::broadcast_all`](crate::actor::Outbox::broadcast_all),
+//! just the `n` of "every id in `0..n` but the sender" — and stays one
+//! object until it is dropped:
 //!
 //! * [`Segment`] — one per worker: every frame the worker's actors staged
 //!   this phase, in (actor, send-seq) order, with each frame's targets in
-//!   the order the caller listed them. "Frames in staging order × targets
-//!   in listed order" is the `(sender, seq)` *message* order every fate,
-//!   link index, trace line and arrival index is expressed in. An actor's
+//!   the order the caller listed them (ascending, for a `broadcast_all`).
+//!   "Frames in staging order × targets in listed order" is the
+//!   `(sender, seq)` *message* order every fate, link index, trace line and
+//!   arrival index is expressed in. An actor's
 //!   [`Outbox`](crate::actor::Outbox) writes straight into the segment's
 //!   buffers, so staging does no per-actor allocation at all.
 //! * [`Inboxes`] — one phase's deliveries: the frames that reached at least
@@ -34,22 +37,15 @@
 //! four bytes each), either in staging order (lock-step: a per-recipient
 //! cursor, nothing materialised) or in the order a wire says the messages
 //! arrived (a destination table built from link indices before any frame
-//! is touched). The third kind needs no fate and no index: when the route
-//! pass finds a lock-step phase *all-to-all* — no link drop scheduled, and
-//! every frame addressed to every processor but its sender, in ascending
-//! order — `Inboxes::fill_dense` only moves the frames, and actor `i`'s
-//! inbox is the frames before its own run and the frames after it (staged
-//! in actor order, a sender's frames are one run). A frame none of whose
-//! targets was reached is dropped right there; every other frame is
-//! dropped once, at [`Inboxes::clear`].
-//!
-//! Two buffers hold one entry per staged message and have one role each:
-//! a segment's target ids and the phase core's route fates. They are taken
-//! from a per-thread `Spare` when their owner is built and returned to it
-//! when the owner drops, so a run that follows another on the same thread
-//! writes into pages the last one already faulted in, instead of asking
-//! the allocator for megabytes the allocator may just have given back to
-//! the kernel.
+//! is touched). The third kind needs no fate and no index: a lock-step
+//! phase is *all-to-all* when no link drop is scheduled in it and every
+//! frame says so itself — a `broadcast_all` over the run's `n`. Then
+//! `Inboxes::fill_dense` only moves the frames, and actor `i`'s inbox is
+//! the frames before its own run and the frames after it (staged in actor
+//! order, a sender's frames are one run). Nothing on the way from `step`
+//! to the inbox is then written per message. A frame none of whose targets
+//! was reached is dropped at the fill; every other frame is dropped once,
+//! at [`Inboxes::clear`].
 //!
 //! [`Metrics`]: crate::metrics::Metrics
 
@@ -58,71 +54,6 @@
 use crate::actor::{Envelope, Inbox, Payload};
 use ba_crypto::ProcessId;
 use std::any::Any;
-use std::cell::Cell;
-use std::ops::{Deref, DerefMut, Range};
-use std::thread::LocalKey;
-
-thread_local! {
-    static SPARE_TARGETS: Cell<Vec<ProcessId>> = const { Cell::new(Vec::new()) };
-    static SPARE_FATES: Cell<Vec<bool>> = const { Cell::new(Vec::new()) };
-}
-
-/// A message-count-sized buffer whose allocation outlives its owner: on
-/// drop it goes back, emptied, to its thread's spare slot — which keeps
-/// at most one buffer, the larger — and the next owner built on that
-/// thread starts from it.
-#[derive(Debug)]
-pub(crate) struct Spare<T: 'static> {
-    buf: Vec<T>,
-    slot: &'static LocalKey<Cell<Vec<T>>>,
-}
-
-impl<T> Spare<T> {
-    /// The buffer `slot` holds on this thread, if any.
-    fn take(slot: &'static LocalKey<Cell<Vec<T>>>) -> Self {
-        let buf = slot.try_with(Cell::take).unwrap_or_default();
-        Spare { buf, slot }
-    }
-}
-
-impl Spare<bool> {
-    /// The phase core's route fates.
-    pub(crate) fn fates() -> Self {
-        Spare::take(&SPARE_FATES)
-    }
-}
-
-impl<T> Drop for Spare<T> {
-    fn drop(&mut self) {
-        if self.buf.capacity() == 0 {
-            return; // nothing to give back
-        }
-        let mut buf = std::mem::take(&mut self.buf);
-        buf.clear();
-        // A thread that is exiting has no spare left; the buffer just frees.
-        let _ = self.slot.try_with(|slot| {
-            let held = slot.take();
-            slot.set(if held.capacity() >= buf.capacity() {
-                held
-            } else {
-                buf
-            });
-        });
-    }
-}
-
-impl<T> Deref for Spare<T> {
-    type Target = Vec<T>;
-    fn deref(&self) -> &Vec<T> {
-        &self.buf
-    }
-}
-
-impl<T> DerefMut for Spare<T> {
-    fn deref_mut(&mut self) -> &mut Vec<T> {
-        &mut self.buf
-    }
-}
 
 /// A directed link, `(from, to)`: all a wire ever learns about a message.
 pub(crate) type Link = (ProcessId, ProcessId);
@@ -136,37 +67,80 @@ pub(crate) struct Frame<P> {
     pub(crate) payload: P,
 }
 
-/// Staged frames and their target runs: frame `f` is addressed to
-/// `targets[ends[f − 1]..ends[f]]`, in the order the caller listed them.
+/// Where a staged frame's targets are: `ids[start..end]` of its staging,
+/// or every id in `0..n` but the sender.
+#[derive(Clone, Copy, Debug)]
+enum Run {
+    Ids(u32, u32),
+    All(u32),
+}
+
+/// One staged frame's targets, in listed order.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Targets<'a> {
+    /// As the caller listed them, the sender already left out.
+    Ids(&'a [ProcessId]),
+    /// `broadcast_all(n, ..)`: every id in `0..n` but `from`, ascending.
+    All { from: ProcessId, n: u32 },
+}
+
+impl<'a> Targets<'a> {
+    fn of(run: Run, from: ProcessId, ids: &'a [ProcessId]) -> Self {
+        match run {
+            Run::Ids(start, end) => Targets::Ids(&ids[start as usize..end as usize]),
+            Run::All(n) => Targets::All { from, n },
+        }
+    }
+
+    /// Number of messages.
+    pub(crate) fn len(self) -> usize {
+        match self {
+            Targets::Ids(ids) => ids.len(),
+            Targets::All { from, n } => n as usize - usize::from(from.0 < n),
+        }
+    }
+
+    /// Whether this is `broadcast_all` over exactly `n` processors.
+    pub(crate) fn is_all(self, n: usize) -> bool {
+        matches!(self, Targets::All { n: m, .. } if m as usize == n)
+    }
+
+    /// The targets in listed order: the ids, or the ranges on either side
+    /// of the sender.
+    pub(crate) fn iter(self) -> impl DoubleEndedIterator<Item = ProcessId> + 'a {
+        let (ids, below, above) = match self {
+            Targets::Ids(ids) => (ids, 0..0, 0..0),
+            Targets::All { from, n } => (
+                &[][..],
+                0..from.0.min(n),
+                from.0.saturating_add(1).min(n)..n,
+            ),
+        };
+        ids.iter().copied().chain(below.chain(above).map(ProcessId))
+    }
+}
+
+/// Staged frames and to whom each goes, in staging order.
 #[derive(Debug)]
 pub(crate) struct Staging<P> {
     frames: Vec<Frame<P>>,
-    /// Per frame: exclusive end offset of its run in `targets`.
-    ends: Vec<u32>,
-    targets: Spare<ProcessId>,
+    /// Per frame: its targets.
+    runs: Vec<Run>,
+    /// The explicit runs' ids, back to back.
+    ids: Vec<ProcessId>,
+    /// Messages staged: every frame's target count, summed.
+    messages: usize,
 }
 
-/// The target runs `ends` delimits, as index ranges, frame by frame.
-fn runs(ends: &[u32]) -> impl Iterator<Item = Range<usize>> + '_ {
-    let mut start = 0usize;
-    ends.iter().map(move |&end| {
-        let run = start..end as usize;
-        start = run.end;
-        run
-    })
-}
-
-/// Empty, and not from the spare: an adversary's scratch outbox, or the
+/// Empty: an adversary's scratch outbox, a worker's segment, or the
 /// placeholder a segment leaves while its staging is out with an outbox.
 impl<P> Default for Staging<P> {
     fn default() -> Self {
         Staging {
             frames: Vec::new(),
-            ends: Vec::new(),
-            targets: Spare {
-                buf: Vec::new(),
-                slot: &SPARE_TARGETS,
-            },
+            runs: Vec::new(),
+            ids: Vec::new(),
+            messages: 0,
         }
     }
 }
@@ -181,48 +155,71 @@ impl<P> Staging<P> {
         targets: impl IntoIterator<Item = ProcessId>,
         payload: P,
     ) {
-        let start = self.targets.len();
-        self.targets
+        let start = self.ids.len();
+        self.ids
             .extend(targets.into_iter().filter(|&to| to != from));
-        if self.targets.len() == start {
-            return;
+        let end = u32::try_from(self.ids.len()).expect("under 2^32 messages per segment");
+        self.stage(Frame { from, payload }, Run::Ids(start as u32, end));
+    }
+
+    /// Stages one frame from `from` to every id in `0..n` but `from`,
+    /// writing no id: what [`push`](Self::push) of `0..n` stages.
+    pub(crate) fn push_all(&mut self, from: ProcessId, n: usize, payload: P) {
+        let n = u32::try_from(n).expect("under 2^32 processors");
+        self.stage(Frame { from, payload }, Run::All(n));
+    }
+
+    fn stage(&mut self, frame: Frame<P>, run: Run) {
+        let messages = Targets::of(run, frame.from, &self.ids).len();
+        if messages > 0 {
+            self.messages += messages;
+            self.frames.push(frame);
+            self.runs.push(run);
         }
-        let end = u32::try_from(self.targets.len()).expect("under 2^32 messages per segment");
-        self.frames.push(Frame { from, payload });
-        self.ends.push(end);
     }
 
     /// Number of staged messages (targets, not frames).
     pub(crate) fn messages(&self) -> usize {
-        self.targets.len()
+        self.messages
     }
 
     /// Drops everything staged, keeping capacity.
     pub(crate) fn clear(&mut self) {
         self.frames.clear();
-        self.ends.clear();
-        self.targets.clear();
+        self.runs.clear();
+        self.ids.clear();
+        self.messages = 0;
     }
 
-    /// Every staged frame with its target run, in staging order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (&Frame<P>, &[ProcessId])> {
-        let runs = runs(&self.ends).map(|run| &self.targets[run]);
-        self.frames.iter().zip(runs)
+    /// Every staged frame with its targets, in staging order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&Frame<P>, Targets<'_>)> {
+        let runs = self.runs.iter();
+        (self.frames.iter().zip(runs))
+            .map(|(frame, &run)| (frame, Targets::of(run, frame.from, &self.ids)))
+    }
+
+    /// Moves the frames out in staging order, each with its targets; the
+    /// caller [`clear`](Self::clear)s what is left.
+    fn drain(&mut self) -> impl Iterator<Item = (Frame<P>, Targets<'_>)> {
+        let (runs, ids) = (&self.runs, &self.ids);
+        self.frames.drain(..).zip(runs).map(move |(frame, &run)| {
+            let targets = Targets::of(run, frame.from, ids);
+            (frame, targets)
+        })
     }
 
     /// Consumes the staging, expanding every frame into one owned
     /// [`Envelope`] per target, in message order; the last target of a
     /// frame takes the payload itself.
-    pub(crate) fn into_envelopes(self) -> Vec<Envelope<P>>
+    pub(crate) fn into_envelopes(mut self) -> Vec<Envelope<P>>
     where
         P: Clone,
     {
-        let mut envelopes = Vec::with_capacity(self.targets.len());
-        for (Frame { from, payload }, run) in self.frames.into_iter().zip(runs(&self.ends)) {
-            let (&last, rest) = self.targets[run]
-                .split_last()
-                .expect("a staged frame has a target");
-            envelopes.extend(rest.iter().map(|&to| Envelope {
+        let mut envelopes = Vec::with_capacity(self.messages);
+        for (Frame { from, payload }, targets) in self.drain() {
+            let mut to = targets.iter();
+            let last = to.next_back().expect("a staged frame has a target");
+            envelopes.extend(to.map(|to| Envelope {
                 from,
                 to,
                 payload: payload.clone(),
@@ -318,13 +315,12 @@ impl<P: Payload> Inboxes<P> {
         self.dense = false;
     }
 
-    /// The all-to-all fill: the route pass found every staged frame
-    /// addressed to every processor but its sender, in ascending order, so
-    /// each reaches all `n − 1` of them and nothing is written per message.
-    /// The frames move into the arena once, in staging order, each passed
-    /// to `on_delivered` as [`fill`](Self::fill) does; actor `i`'s inbox is
-    /// then every frame but its own, which is what the staging-order fill
-    /// would have indexed.
+    /// The all-to-all fill: the route pass found every staged frame a
+    /// `broadcast_all` over this arena's `n`, so each reaches all `n − 1`
+    /// others and nothing is written per message. The frames move into the
+    /// arena once, in staging order, each passed to `on_delivered` as
+    /// [`fill`](Self::fill) does; actor `i`'s inbox is then every frame but
+    /// its own, which is what the staging-order fill would have indexed.
     pub(crate) fn fill_dense(
         &mut self,
         segments: &mut [Segment<P>],
@@ -333,13 +329,11 @@ impl<P: Payload> Inboxes<P> {
         self.clear();
         self.dense = true;
         for seg in segments.iter_mut() {
-            let staged = &mut seg.staged;
-            for (frame, run) in staged.frames.drain(..).zip(runs(&staged.ends)) {
-                let run = &staged.targets[run];
-                on_delivered(&frame, run.len(), &mut run.iter().copied());
+            for (frame, targets) in seg.staged.drain() {
+                on_delivered(&frame, targets.len(), &mut targets.iter());
                 self.frames.push(frame);
             }
-            staged.clear();
+            seg.staged.clear();
         }
     }
 
@@ -418,16 +412,14 @@ impl<P: Payload> Inboxes<P> {
         let mut written = 0usize;
         let mut first = 0usize; // the current frame's first message
         for seg in segments.iter_mut() {
-            let staged = &mut seg.staged;
-            for (frame, run) in staged.frames.drain(..).zip(runs(&staged.ends)) {
-                let run = &staged.targets[run];
+            for (frame, targets) in seg.staged.drain() {
                 let run_fates = fates
-                    .get_mut(first..first + run.len())
+                    .get_mut(first..first + targets.len())
                     .expect("one fate per staged message");
-                first += run.len();
+                first += targets.len();
                 let f = u32::try_from(self.frames.len()).expect("under 2^32 frames per phase");
                 let mut reached = 0usize;
-                for (&to, fate) in run.iter().zip(run_fates.iter_mut()) {
+                for (to, fate) in targets.iter().zip(run_fates.iter_mut()) {
                     if !*fate {
                         continue;
                     }
@@ -451,13 +443,13 @@ impl<P: Payload> Inboxes<P> {
                 if reached == 0 {
                     continue; // drops the frame
                 }
-                let arrived = run.iter().zip(run_fates.iter());
-                let mut arrived = arrived.filter(|(_, &ok)| ok).map(|(&to, _)| to);
+                let arrived = targets.iter().zip(run_fates.iter());
+                let mut arrived = arrived.filter(|(_, &ok)| ok).map(|(to, _)| to);
                 on_delivered(&frame, reached, &mut arrived);
                 self.frames.push(frame);
                 written += reached;
             }
-            staged.clear();
+            seg.staged.clear();
         }
         assert_eq!(first, fates.len(), "one staged message per fate");
         // With distinct slots — a recipient's cursor only increments inside
@@ -486,10 +478,7 @@ impl<P: Payload> Segment<P> {
     /// An empty segment.
     pub fn new() -> Self {
         Segment {
-            staged: Staging {
-                targets: Spare::take(&SPARE_TARGETS),
-                ..Staging::default()
-            },
+            staged: Staging::default(),
             omitted: 0,
             panic: None,
         }
@@ -552,22 +541,27 @@ mod tests {
         staged.push(ProcessId(1), ids([0, 1, 2, 1]), Value(7));
         staged.push(ProcessId(1), ids([1]), Value(8));
         staged.push(ProcessId(1), ids([]), Value(9));
+        staged.push_all(ProcessId(0), 1, Value(11));
+        staged.push_all(ProcessId(1), 3, Value(12));
         staged.push(ProcessId(2), ids([0, 0]), Value(10));
-        assert_eq!(staged.messages(), 4);
+        staged.push_all(ProcessId(5), 2, Value(13));
+        assert_eq!(staged.messages(), 8);
         let runs: Vec<_> = staged
             .iter()
-            .map(|(frame, run)| (frame.from.0, frame.payload.0, run.to_vec()))
+            .map(|(frame, run)| (frame.from.0, frame.payload.0, run.iter().collect()))
             .collect();
         assert_eq!(
             runs,
             vec![
                 (1, 7, ids([0, 2]).collect::<Vec<_>>()),
+                (1, 12, ids([0, 2]).collect()),
                 (2, 10, ids([0, 0]).collect()),
+                (5, 13, ids([0, 1]).collect()),
             ],
-            "a duplicate target is two messages"
+            "a duplicate target is two messages; `0..n` skips only its sender"
         );
         let links: Vec<_> = staged.into_envelopes().iter().map(|e| e.to.0).collect();
-        assert_eq!(links, vec![0, 2, 0, 0]);
+        assert_eq!(links, vec![0, 2, 0, 2, 0, 0, 0, 1]);
     }
 
     #[test]
@@ -711,8 +705,10 @@ mod tests {
         // not at all.
         let drops = Arc::new(AtomicUsize::new(0));
         let frame = |id: u64| Counted(id, drops.clone());
-        let all: &[u32] = &[0, 1, 2];
-        let seg_a = segment([(0, all, frame(0)), (1, all, frame(1)), (1, all, frame(2))]);
+        let mut seg_a = Segment::new();
+        for (from, id) in [(0, 0), (1, 1), (1, 2)] {
+            seg_a.staged.push_all(ProcessId(from), 3, frame(id));
+        }
         let mut inboxes: Inboxes<Counted> = Inboxes::new(3);
         let mut delivered = Vec::new();
         inboxes.fill_dense(&mut [seg_a, Segment::new()], |frame, reached, to| {

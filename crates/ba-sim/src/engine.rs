@@ -24,8 +24,9 @@
 //!
 //! A broadcast counts as one message per recipient and is stored as one
 //! frame (see [`crate::arena`]): each worker stages its actors' frames
-//! into one [`Segment`] in (actor, send-seq) order, targets in a side
-//! buffer; each phase's deliveries are an [`Inboxes`] — the delivered
+//! into one [`Segment`] in (actor, send-seq) order, explicit targets in a
+//! side buffer and a [`broadcast_all`](Outbox::broadcast_all) as its `n`
+//! alone; each phase's deliveries are an [`Inboxes`] — the delivered
 //! frames, once each, plus a flat array of four-byte frame indices
 //! partitioned per recipient by an offsets table — double-buffered and
 //! swapped at the phase barrier. An actor reads its slice of indices
@@ -35,13 +36,15 @@
 //! buffer retains its capacity across phases, so a steady-state phase
 //! allocates nothing (`tests/alloc_budget.rs` counts).
 //!
-//! A lock-step phase in which every frame goes to every processor but its
-//! sender, in ascending order, with no link drop scheduled, is
-//! *all-to-all* — Dolev–Strong's relay rounds are. The route pass
-//! recognises it from the staged targets and writes nothing per message;
-//! the frames move into the arena once, and each actor's inbox is every
-//! frame but its own (see [`crate::arena`]). Metrics, the phase log and
-//! barrier verification see exactly what the indexed fill would show them.
+//! A lock-step phase in which every frame is a `broadcast_all` over the
+//! run's `n`, with no link drop scheduled, is *all-to-all* — Dolev–Strong's
+//! relay rounds are. The frames say so themselves, so the route pass looks
+//! at each frame once and writes nothing per message; the frames move into
+//! the arena once, and each actor's inbox is every frame but its own (see
+//! [`crate::arena`]). From `step` to the inbox nothing is written per
+//! message. Metrics, the phase log and barrier verification see exactly
+//! what the indexed fill would show them. Every other phase, and every
+//! wire delivery, walks a `broadcast_all`'s range as a run of targets.
 //!
 //! # Intra-phase parallelism
 //!
@@ -89,7 +92,7 @@
 //! differ.
 
 use crate::actor::{Actor, Envelope, Outbox, Payload};
-use crate::arena::{Frame, Inboxes, Link, Segment, Spare};
+use crate::arena::{Frame, Inboxes, Link, Segment};
 use crate::metrics::Metrics;
 use crate::pool::WorkerPool;
 use crate::schedule::LinkDrop;
@@ -210,14 +213,11 @@ pub struct PhaseCore<P> {
     /// [`route`](Self::route)): then no fate or count was written, and the
     /// fill writes nothing per message.
     dense: bool,
-    /// `0..n`, what an all-to-all frame's target run is, less its sender.
-    ids: Vec<ProcessId>,
     /// Routing scratch, recycled across phases: per staged message (in
     /// deterministic merge order) whether it survived the route pass — and,
     /// once filled, whether it was delivered — and per recipient how many
-    /// survivors are addressed to it. The fates outlive the core in the
-    /// thread's spare (see [`crate::arena`]), for the next run.
-    fates: Spare<bool>,
+    /// survivors are addressed to it.
+    fates: Vec<bool>,
     counts: Vec<usize>,
     /// The survivors' `(from, to)` in staging order — collected only by a
     /// route pass that [`links`](Self::links) asked for.
@@ -260,8 +260,7 @@ impl<P: Payload> PhaseCore<P> {
             carry_crypto: CryptoStats::default(),
             routed: true,
             dense: false,
-            ids: (0..n as u32).map(ProcessId).collect(),
-            fates: Spare::fates(),
+            fates: Vec::new(),
             counts: vec![0; n],
             links: Vec::new(),
             sent_any: false,
@@ -361,11 +360,13 @@ impl<P: Payload> PhaseCore<P> {
     /// arrived; a lock-step loop never asks, and then no list is built.
     ///
     /// A lock-step phase with no link drop scheduled is *all-to-all* when
-    /// every frame is addressed to every processor but its sender, in
-    /// ascending order — what `broadcast((0..n).map(ProcessId), ..)`
-    /// stages. Every message of such a phase survives and every recipient
-    /// hears every frame but its own, so the pass writes no fate and no
-    /// count, and the fill none of its per-message index.
+    /// every frame says so itself: a
+    /// [`broadcast_all`](Outbox::broadcast_all) over this run's `n`. Every
+    /// message of such a phase survives and every recipient hears every
+    /// frame but its own, so the pass looks at each frame once and writes
+    /// no fate and no count, and the fill none of its per-message index.
+    /// Any other phase walks each frame's targets, a `broadcast_all`'s
+    /// range included.
     fn route(&mut self, want_links: bool) {
         let (phase, n) = (self.phase, self.actors.len());
         self.routed = true;
@@ -375,14 +376,10 @@ impl<P: Payload> PhaseCore<P> {
         self.counts.fill(0);
         self.dense = !want_links
             && !self.scheduled.any_at(phase)
-            && self.segments.iter().all(|seg| {
-                seg.staged.iter().all(|(frame, targets)| {
-                    let (f, ids) = (frame.from.index(), &self.ids[..]);
-                    targets.len() + 1 == n
-                        && targets[..f] == ids[..f]
-                        && targets[f..] == ids[f + 1..]
-                })
-            });
+            && self
+                .segments
+                .iter()
+                .all(|seg| seg.staged.iter().all(|(_, to)| to.is_all(n)));
         for seg in &self.segments {
             self.metrics.record_omitted(phase, seg.omitted);
             if self.dense {
@@ -390,7 +387,7 @@ impl<P: Payload> PhaseCore<P> {
                 continue;
             }
             for (frame, targets) in seg.staged.iter() {
-                for &to in targets {
+                for to in targets.iter() {
                     // Sends to nonexistent processors are dropped; a
                     // correct protocol never does this, an adversary may.
                     let mut survives = to.index() < n;
@@ -790,7 +787,7 @@ mod tests {
     impl Actor<Value> for Flooder {
         fn step(&mut self, phase: usize, _inbox: Inbox<'_, Value>, out: &mut Outbox<Value>) {
             if phase <= self.stop_after {
-                out.broadcast((0..self.n as u32).map(ProcessId), self.value);
+                out.broadcast_all(self.n, self.value);
             }
         }
         fn decision(&self) -> Option<Value> {
@@ -959,7 +956,7 @@ mod tests {
                 let mut chain = ba_crypto::Chain::new(7, Value::ONE);
                 chain.sign_and_append(&self.signer);
                 self.accepted = Some(chain.value());
-                out.broadcast((0..self.n as u32).map(ProcessId), chain);
+                out.broadcast_all(self.n, chain);
                 return;
             }
             for env in inbox {
@@ -971,7 +968,7 @@ mod tests {
                     self.relayed = true;
                     let mut chain = env.payload.clone();
                     chain.sign_and_append(&self.signer);
-                    out.broadcast((0..self.n as u32).map(ProcessId), chain);
+                    out.broadcast_all(self.n, chain);
                 }
             }
         }
@@ -1601,7 +1598,8 @@ mod tests {
         assert_eq!(half.crypto.sig_verifications, 1);
     }
 
-    /// `broadcast` ≡ the loop of `send`s it abbreviates.
+    /// `broadcast_all` ≡ `broadcast` of its id list ≡ the loop of `send`s
+    /// they abbreviate.
     mod props {
         use super::*;
         use crate::arena::Link;
@@ -1614,6 +1612,8 @@ mod tests {
         #[derive(Clone, Debug)]
         struct Call {
             targets: Vec<ProcessId>,
+            /// `Some(m)`: the call says "everyone", `targets` being `0..m`.
+            all: Option<usize>,
             value: Value,
             /// Signed under a foreign registry: fails every verification.
             forged: bool,
@@ -1622,12 +1622,23 @@ mod tests {
         /// What one processor heard: `(phase, from, value, verified)`.
         type Heard = Vec<(usize, u32, u64, bool)>;
 
-        /// Plays its script; with `expand`, every call as one `send` per
-        /// target. Verifies and logs whatever it receives.
+        /// How a scripted call is spelled.
+        #[derive(Clone, Copy, PartialEq, Debug)]
+        enum Spelling {
+            /// One `send` per target.
+            Sends,
+            /// One `broadcast` of the target list.
+            List,
+            /// `broadcast_all` where the call says "everyone", else `List`.
+            All,
+        }
+
+        /// Plays its script in one spelling. Verifies and logs whatever it
+        /// receives.
         #[derive(Debug)]
         struct Scripted {
             script: Vec<Vec<Call>>,
-            expand: bool,
+            spelling: Spelling,
             signer: Signer,
             forger: Signer,
             verifier: Verifier,
@@ -1636,10 +1647,20 @@ mod tests {
 
         impl Scripted {
             fn hear(&mut self, phase: usize, inbox: Inbox<'_, Chain>) {
+                // `iter` yields exactly `get(0..len)`, then nothing: over the
+                // arena's view (indexed or all-but-own) and over an owned
+                // copy of it.
+                let owned: Vec<_> = (0..inbox.len())
+                    .map(|k| inbox.get(k).expect("k < len").to_envelope())
+                    .collect();
+                for view in [inbox, Inbox::of(&owned)] {
+                    let got: Vec<_> = (0..=view.len()).map(|k| view.get(k)).collect();
+                    let walked: Vec<_> = view.iter().map(Some).chain([None]).collect();
+                    assert_eq!(walked, got);
+                    assert_eq!(view.iter().len(), view.len());
+                }
                 let mut heard = self.heard.lock().unwrap();
-                assert_eq!(inbox.get(inbox.len()), None);
-                for (k, m) in inbox.iter().enumerate() {
-                    assert_eq!(inbox.get(k), Some(m), "message {k}");
+                for m in inbox {
                     assert_eq!(m.to, self.signer.id());
                     let ok = m.payload.verify(&self.verifier).is_ok();
                     heard.push((phase, m.from.0, m.payload.value().0, ok));
@@ -1657,14 +1678,15 @@ mod tests {
                     } else {
                         &self.signer
                     });
-                    if self.expand {
-                        for &to in &call.targets {
-                            out.send(to, chain.clone());
+                    match (self.spelling, call.all, &call.targets[..]) {
+                        (Spelling::Sends, ..) => {
+                            for &to in &call.targets {
+                                out.send(to, chain.clone());
+                            }
                         }
-                    } else if let [to] = call.targets[..] {
-                        out.send(to, chain);
-                    } else {
-                        out.broadcast(call.targets.iter().copied(), chain);
+                        (Spelling::All, Some(m), _) => out.broadcast_all(m, chain),
+                        (_, _, &[to]) => out.send(to, chain),
+                        (_, _, targets) => out.broadcast(targets.iter().copied(), chain),
                     }
                 }
             }
@@ -1704,9 +1726,9 @@ mod tests {
         fn case(gen: &mut Gen) -> Case {
             let n = gen.usize_in(2, 7);
             let phases = gen.usize_in(1, 4);
-            // Per phase: 0 — every call is a broadcast to `0..n` in order
-            // (all-to-all); 1 — the same, with drops scheduled in it; else
-            // random target lists.
+            // Per phase: 0 — every call is to everyone (all-to-all); 1 —
+            // the same, with drops scheduled in it; else random target
+            // lists, now and then "everyone" of a run of the wrong size.
             let kinds: Vec<usize> = (0..phases).map(|_| gen.usize_in(0, 4)).collect();
             let mut drops = Vec::new();
             let scripts = (0..n)
@@ -1717,11 +1739,17 @@ mod tests {
                             // An all-to-all caller broadcasts 0, 1 or 2 times.
                             (0..gen.usize_in(0, if kind <= 1 { 3 } else { 4 }))
                                 .map(|_| {
+                                    let all = match kind {
+                                        0 | 1 => Some(n),
+                                        _ => (gen.usize_in(0, 6) == 0)
+                                            .then(|| gen.usize_in(0, n + 3)),
+                                    };
                                     let call = Call {
-                                        targets: match kind {
-                                            0 | 1 => (0..n as u32).map(ProcessId).collect(),
-                                            _ => targets(gen, n),
+                                        targets: match all {
+                                            Some(m) => (0..m as u32).map(ProcessId).collect(),
+                                            None => targets(gen, n),
                                         },
+                                        all,
                                         value: Value(gen.u64_in(0, 5)),
                                         forged: gen.usize_in(0, 5) == 0,
                                     };
@@ -1768,7 +1796,7 @@ mod tests {
         /// that sent anything the core delivered all-to-all.
         fn observe(
             case: &Case,
-            expand: bool,
+            spelling: Spelling,
             threads: usize,
             lossy_wire: bool,
         ) -> (Observed, usize) {
@@ -1780,7 +1808,7 @@ mod tests {
                     let id = ProcessId(i as u32);
                     Box::new(Scripted {
                         script: case.scripts[i].clone(),
-                        expand,
+                        spelling,
                         signer: registry.signer(id),
                         forger: foreign.signer(id),
                         verifier: registry.verifier(),
@@ -1821,32 +1849,35 @@ mod tests {
         #[test]
         fn prop_broadcast_is_its_loop_of_sends() {
             let (mut multi, mut lost_inside, mut unheard) = (0usize, 0usize, 0usize);
-            let mut all_to_all = 0usize;
+            let (mut all_to_all, mut odd_sized) = (0usize, 0usize);
             // Half the phases are all-to-all, so twice the cases keep the
             // random-target phases as many as before those were added.
             run_cases(96, 0xB40A_DCA5, |gen| {
                 let case = case(gen);
                 for lossy_wire in [false, true] {
-                    let (reference, indexed) = observe(&case, true, 1, lossy_wire);
-                    // At n ≥ 3 a one-target frame is never all-to-all, so
-                    // the loop of sends is the indexed fill; at n = 2 both
-                    // spellings may take the all-to-all one.
-                    if case.n >= 3 {
-                        assert_eq!(indexed, 0, "the loop of sends is the indexed fill");
-                    }
+                    let (reference, indexed) = observe(&case, Spelling::Sends, 1, lossy_wire);
+                    assert_eq!(indexed, 0, "the loop of sends is the indexed fill");
                     for threads in [1, 4] {
-                        let (framed, dense) = observe(&case, false, threads, lossy_wire);
-                        assert_eq!(framed, reference, "threads={threads} wire={lossy_wire}");
-                        if lossy_wire {
-                            assert_eq!(dense, 0, "a wire delivery is never all-to-all");
-                        } else if threads == 1 {
-                            all_to_all += dense;
+                        for spelling in [Spelling::List, Spelling::All] {
+                            let (framed, dense) = observe(&case, spelling, threads, lossy_wire);
+                            let at = format!("{spelling:?} threads={threads} wire={lossy_wire}");
+                            assert_eq!(framed, reference, "{at}");
+                            if lossy_wire || spelling == Spelling::List {
+                                assert_eq!(dense, 0, "only `broadcast_all` is dense: {at}");
+                            } else if threads == 1 {
+                                all_to_all += dense;
+                            }
                         }
                     }
                     unheard += usize::from(reference.metrics.omitted_messages > 0);
                 }
                 let calls = case.scripts.iter().flatten().flatten();
-                multi += calls.filter(|call| call.targets.len() > 1).count();
+                let calls: Vec<_> = calls.collect();
+                multi += calls.iter().filter(|call| call.targets.len() > 1).count();
+                odd_sized += calls
+                    .iter()
+                    .filter(|c| c.all.is_some_and(|m| m != case.n))
+                    .count();
                 lost_inside += case.drops.len();
             });
             // The generator really does exercise what the property is about.
@@ -1854,6 +1885,10 @@ mod tests {
             assert!(lost_inside > 100, "{lost_inside} scheduled drops");
             assert!(unheard > 80, "{unheard} runs with omissions");
             assert!(all_to_all > 30, "{all_to_all} phases delivered all-to-all");
+            assert!(
+                odd_sized > 50,
+                "{odd_sized} `broadcast_all`s not of the run's n"
+            );
         }
     }
 }

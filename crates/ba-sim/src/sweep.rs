@@ -174,7 +174,7 @@ mod tests {
             if phase == 1 && self.id == ProcessId(0) {
                 let mut c = Chain::new(1, Value::ONE);
                 c.sign_and_append(&self.registry.signer(self.id));
-                out.broadcast((0..self.n).map(ProcessId), c.clone());
+                out.broadcast_all(self.n as usize, c.clone());
                 self.best = Some(c);
                 return;
             }
@@ -184,7 +184,7 @@ mod tests {
                 {
                     let mut relay = env.payload.clone();
                     relay.sign_and_append(&self.registry.signer(self.id));
-                    out.broadcast((0..self.n).map(ProcessId), relay);
+                    out.broadcast_all(self.n as usize, relay);
                 }
                 self.best.get_or_insert_with(|| env.payload.clone());
             }
