@@ -20,11 +20,10 @@ use crate::algorithm1::Algo1Params;
 use crate::algorithm2::Algo2Actor;
 use crate::algorithm5::{self, is_valid_message};
 use crate::bounds;
-use crate::common::{into_report, Board};
+use crate::common::{instance, run_report, Board};
 use ba_crypto::{Chain, KeyRegistry, ProcessId, SchemeKind, Signer, Value};
 use ba_sim::actor::{Actor, Inbox, Outbox};
-use ba_sim::engine::Simulation;
-use ba_sim::{AgreementViolation, Metrics, RunVerdict};
+use ba_sim::{AgreementViolation, Metrics, RunVerdict, ScheduleSpec};
 use std::sync::Arc;
 
 /// Which algorithm the facade selected.
@@ -171,23 +170,20 @@ pub fn run_small_n(
     });
     let scratch = Board::new(2 * t + 1);
 
-    let actors: Vec<Box<dyn Actor<Chain>>> = (0..n as u32)
-        .map(|p| {
-            Box::new(SmallNActor::new(
-                n,
-                t,
-                ProcessId(p),
-                registry.signer(ProcessId(p)),
-                (p == 0).then_some(value),
-                params.clone(),
-                scratch.clone(),
-            )) as Box<dyn Actor<Chain>>
-        })
-        .collect();
-
-    let mut sim = Simulation::new(actors);
-    let outcome = sim.run(SmallNActor::phases(t));
-    let report = into_report(outcome, ProcessId(0), value)?;
+    let honest = |p: ProcessId| -> Box<dyn Actor<Chain>> {
+        Box::new(SmallNActor::new(
+            n,
+            t,
+            p,
+            registry.signer(p),
+            (p == ProcessId(0)).then_some(value),
+            params.clone(),
+            scratch.clone(),
+        ))
+    };
+    let dims = (n, t, SmallNActor::phases(t));
+    let spec = instance(&ScheduleSpec::default(), dims, None, honest, |_, _| None);
+    let report = run_report(spec, 1, value)?;
     Ok(AgreeReport {
         selected: Selected::SmallN,
         verdict: report.verdict,

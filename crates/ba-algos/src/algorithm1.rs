@@ -24,12 +24,12 @@
 //! chain-withholding coalition that releases a correct 1-message as late as
 //! possible.
 
-use crate::common::{domains, into_report, simulation, AlgoReport};
+use crate::common::{domains, instance, into_report, run_report, AlgoReport};
 use crate::fuzz::ChainFuzzer;
 use ba_crypto::{Chain, KeyRegistry, ProcessId, SchemeKind, Signer, Value, Verifier};
 use ba_sim::actor::{Actor, Inbox, Outbox};
-use ba_sim::schedule::{FaultBehavior, ScheduleSpec};
-use ba_sim::AgreementViolation;
+use ba_sim::schedule::{FaultBehavior, ScheduleError, ScheduleSpec};
+use ba_sim::{AgreementViolation, InstanceSpec, Simulation};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -405,24 +405,44 @@ pub fn run(
         value == Value::ZERO || value == Value::ONE,
         "algorithm 1 is binary"
     );
-    let n = 2 * t + 1;
-    let registry = KeyRegistry::new(n, options.seed, options.scheme);
+    let registry = KeyRegistry::new(2 * t + 1, options.seed, options.scheme);
+    let spec = build(t, value, &registry, &options.schedule);
+    if !options.trace {
+        return run_report(spec, 1, value);
+    }
+    let spec = spec.unwrap_or_else(|err| panic!("{err}"));
+    let phases = spec.phases;
+    let outcome = Simulation::from(spec).with_trace().run(phases);
+    into_report(outcome, ProcessId(0), value)
+}
+
+/// Builds one Algorithm 1 instance over `n = 2t + 1` processors signing
+/// under `registry`: the transmitter `p0` sends `value`, `schedule`'s
+/// faults are applied, and every recipient verifies what it reads (the
+/// spec carries no keys). [`run`] and the `algorithm1` check target both
+/// build through it.
+///
+/// # Errors
+/// [`ScheduleError::Unmapped`] for a `lie` fault.
+///
+/// # Panics
+/// On a schedule malformed for `n = 2t + 1` and `t`.
+pub fn build(
+    t: usize,
+    value: Value,
+    registry: &KeyRegistry,
+    schedule: &ScheduleSpec,
+) -> Result<InstanceSpec<Chain>, ScheduleError> {
     let params = Arc::new(Algo1Params {
         t,
         verifier: registry.verifier(),
     });
-
     let honest = |p: ProcessId| -> Box<dyn Actor<Chain>> {
         let own = (p == ProcessId(0)).then_some(value);
         Box::new(Algo1Actor::new(params.clone(), p, registry.signer(p), own))
     };
-    let hook = adversary(&params, &registry, &options.schedule);
-    let mut sim = simulation(&options.schedule, n, t, honest, hook);
-    if options.trace {
-        sim = sim.with_trace();
-    }
-    let outcome = sim.run(t + 2);
-    into_report(outcome, ProcessId(0), value)
+    let hook = adversary(&params, registry, schedule);
+    instance(schedule, (params.n(), t, t + 2), None, honest, hook)
 }
 
 /// The chain-withholding scenario: the transmitter and `extra` more
@@ -448,7 +468,7 @@ pub fn withholding(t: usize, extra: usize, release: usize) -> ScheduleSpec {
 ///
 /// [`EquivocatingTransmitter`]: adversaries::EquivocatingTransmitter
 /// [`WithholdingMember`]: adversaries::WithholdingMember
-pub(crate) fn adversary<'a>(
+fn adversary<'a>(
     params: &'a Arc<Algo1Params>,
     registry: &'a KeyRegistry,
     schedule: &ScheduleSpec,

@@ -21,7 +21,7 @@
 //! *set*. Messages at most double: `2 · (2t² + 2t)`.
 
 use crate::algorithm1::Algo1Params;
-use crate::common::{domains, into_report, simulation, AlgoReport};
+use crate::common::{domains, instance, run_report, AlgoReport};
 use ba_crypto::{Chain, KeyRegistry, ProcessId, SchemeKind, Signer, Value};
 use ba_sim::actor::{Actor, Inbox, Outbox};
 use ba_sim::schedule::{FaultBehavior, ScheduleSpec};
@@ -252,9 +252,8 @@ pub fn run(
             ones.clone(),
         )))
     };
-    let mut sim = simulation(schedule, n, t, honest, adversary);
-    let outcome = sim.run(t + 2);
-    into_report(outcome, ProcessId(0), value)
+    let spec = instance(schedule, (n, t, t + 2), None, honest, adversary);
+    run_report(spec, 1, value)
 }
 
 #[cfg(test)]

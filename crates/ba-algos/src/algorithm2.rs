@@ -22,7 +22,7 @@
 //! [`Board`] in [`common`](crate::common) so callers can inspect it after the run.
 
 use crate::algorithm1::{Algo1Actor, Algo1Params};
-use crate::common::{domains, into_report, simulation, AlgoReport, Board};
+use crate::common::{domains, instance, run_report, AlgoReport, Board};
 use crate::fuzz::ChainFuzzer;
 use ba_crypto::{Chain, KeyRegistry, ProcessId, SchemeKind, Signer, Value, Verifier};
 use ba_sim::actor::{Actor, Inbox, Outbox};
@@ -367,9 +367,9 @@ pub fn run(
             _ => None,
         }
     };
-    let mut sim = simulation(&options.schedule, n, t, honest, adversary);
-    let outcome = sim.run(3 * t + 3);
-    let report = into_report(outcome, ProcessId(0), value)?;
+    let dims = (n, t, 3 * t + 3);
+    let spec = instance(&options.schedule, dims, None, honest, adversary);
+    let report = run_report(spec, 1, value)?;
     Ok(Algo2Report {
         report,
         proofs: proofs.snapshot(),

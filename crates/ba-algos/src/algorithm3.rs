@@ -25,7 +25,7 @@
 //! intro's trade-off of `t + 3 + 2⌈t/α⌉` phases and `O(αn)` messages.
 
 use crate::algorithm1::{Algo1Actor, Algo1Params};
-use crate::common::{domains, into_report, simulation, AlgoReport};
+use crate::common::{domains, instance, run_report, AlgoReport};
 use crate::fuzz::ChainFuzzer;
 use ba_crypto::{Chain, KeyRegistry, ProcessId, SchemeKind, Signer, Value, Verifier};
 use ba_sim::actor::{Actor, Inbox, Outbox};
@@ -613,11 +613,9 @@ pub fn run(
         }
     };
     let honest = |p| honest(&params, &registry, p, value);
-    let mut sim = simulation(&options.schedule, n, t, honest, adversary)
-        .with_threads(options.threads)
-        .with_registry(&registry);
-    let outcome = sim.run(params.phases());
-    into_report(outcome, ProcessId(0), value)
+    let dims = (n, t, params.phases());
+    let spec = instance(&options.schedule, dims, Some(&registry), honest, adversary);
+    run_report(spec, options.threads, value)
 }
 
 #[cfg(test)]

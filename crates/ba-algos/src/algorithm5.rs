@@ -36,7 +36,7 @@ use crate::algorithm1::Algo1Params;
 use crate::algorithm2::Algo2Actor;
 use crate::algorithm4::{Alg4State, GridLayout, GridMsg, SignedItem};
 use crate::bounds;
-use crate::common::{domains, into_report, simulation, AlgoReport, Board};
+use crate::common::{domains, instance, run_report, AlgoReport, Board};
 use crate::fuzz::Msg5Fuzzer;
 use crate::trees::Forest;
 use ba_crypto::wire::{Decoder, Encoder};
@@ -946,9 +946,9 @@ pub fn run_audited(
         }
         _ => None,
     };
-    let mut sim = simulation(&options.schedule, n, t, honest, adversary);
-    let outcome = sim.run(cfg.last_phase);
-    let report = into_report(outcome, ProcessId(0), value)?;
+    let dims = (n, t, cfg.last_phase);
+    let spec = instance(&options.schedule, dims, None, honest, adversary);
+    let report = run_report(spec, 1, value)?;
     let activated: Vec<bool> = audit_board
         .snapshot()
         .into_iter()

@@ -4,9 +4,9 @@
 //! links drop — but it cannot know how to build each algorithm's actors.
 //! This module is that binding: every [`CheckTarget`] names one algorithm
 //! configuration, validates a schedule against its parameter constraints,
-//! compiles it through [`ScheduleSpec::compile`] with the same adversary
-//! hook the algorithm's own `run` uses, and runs it through the
-//! deterministic engine as one [`InstanceSpec`].
+//! builds it with the algorithm module's own `build` — the one its `run`
+//! calls ([`dolev_strong::build`], [`algorithm1::build`]) — and runs it
+//! through the deterministic engine as one [`InstanceSpec`].
 //!
 //! The registry deliberately includes one **unsound** target,
 //! [`weakened Dolev–Strong`](DsParams::weaken_relay_threshold): its relay
@@ -14,7 +14,7 @@
 //! correct processors. It exists so the checker's corpus can prove the
 //! explorer finds real violations and the shrinker minimizes them.
 
-use crate::algorithm1::{self, Algo1Actor, Algo1Params};
+use crate::algorithm1;
 use crate::bounds;
 use crate::dolev_strong::{self, DsParams, Variant};
 use ba_crypto::{Chain, KeyRegistry, ProcessId, SchemeKind, Value};
@@ -369,43 +369,38 @@ fn build_ds(
     let mut params = DsParams::standard(cfg.n, cfg.t, variant, registry.verifier());
     params.weaken_relay_threshold = weaken;
     params.transmitter = cfg.transmitter;
-    let params = Arc::new(params);
-    let actors = cfg.spec.compile(
-        cfg.n,
-        |p| dolev_strong::honest(&params, &registry, p, cfg.value),
-        |p, b| dolev_strong::adversary(&registry, p, b),
-    )?;
-    let phases = params.phases();
-    Ok(CheckSetup {
-        registry,
-        actors,
-        phases,
-        message_bound: bounds::dolev_strong_max_messages(cfg.n as u64),
-        link_drops: cfg.spec.link_drops.clone(),
-        fault_budget: cfg.t,
-    })
+    let spec = dolev_strong::build(params, &registry, cfg.value, &cfg.spec)?;
+    let bound = bounds::dolev_strong_max_messages(cfg.n as u64);
+    Ok(setup(registry, spec, bound))
 }
 
 fn build_algorithm1(cfg: &CheckConfig) -> Result<CheckSetup, ScheduleError> {
     let registry = registry_for(cfg);
-    let params = Arc::new(Algo1Params {
-        t: cfg.t,
-        verifier: registry.verifier(),
-    });
-    let honest = |p: ProcessId| -> Box<dyn Actor<Chain>> {
-        let own = (p == cfg.transmitter).then_some(cfg.value);
-        Box::new(Algo1Actor::new(params.clone(), p, registry.signer(p), own))
-    };
-    let hook = algorithm1::adversary(&params, &registry, &cfg.spec);
-    let actors = cfg.spec.compile(cfg.n, honest, hook)?;
-    Ok(CheckSetup {
+    let spec = algorithm1::build(cfg.t, cfg.value, &registry, &cfg.spec)?;
+    Ok(setup(
         registry,
-        actors,
-        phases: cfg.t + 2,
-        message_bound: bounds::alg1_max_messages(cfg.t as u64),
-        link_drops: cfg.spec.link_drops.clone(),
-        fault_budget: cfg.t,
-    })
+        spec,
+        bounds::alg1_max_messages(cfg.t as u64),
+    ))
+}
+
+/// A target's setup: what its module's `build` returned, with `registry`
+/// and the target's `message_bound`.
+///
+/// The setup always carries keys, so a target verifies at the phase
+/// barrier even where its module's `run` does not: `algorithm1::run`
+/// builds without keys and every recipient verifies what it reads. The
+/// two agree on verdict, messages, omissions and phases; only the
+/// `crypto` counters differ.
+fn setup(registry: KeyRegistry, spec: InstanceSpec<Chain>, message_bound: u64) -> CheckSetup {
+    CheckSetup {
+        registry,
+        actors: spec.actors,
+        phases: spec.phases,
+        message_bound,
+        link_drops: spec.link_drops,
+        fault_budget: spec.fault_budget,
+    }
 }
 
 fn drive(cfg: &CheckConfig, setup: CheckSetup) -> CheckOutcome {
@@ -426,6 +421,7 @@ fn drive(cfg: &CheckConfig, setup: CheckSetup) -> CheckOutcome {
 mod tests {
     use super::*;
     use ba_sim::schedule::LinkDrop;
+    use ba_sim::Metrics;
 
     fn cfg(target_n: usize, t: usize, spec: ScheduleSpec) -> CheckConfig {
         CheckConfig::new(target_n, t, Value::ONE, 0, 1, spec)
@@ -601,21 +597,68 @@ mod tests {
                 },
             ),
         ];
-        for target_name in ["ds-broadcast", "ds-relay"] {
+        // Each target is its module's own run: same seed, `Fast` keys.
+        let own_run = |name: &str, schedule: &ScheduleSpec| {
+            let ds = |variant| {
+                let options = dolev_strong::DsOptions::new()
+                    .with_variant(variant)
+                    .with_schedule(schedule.clone())
+                    .with_scheme(SchemeKind::Fast);
+                dolev_strong::run(5, 2, Value::ONE, options)
+            };
+            match name {
+                "ds-broadcast" => ds(Variant::Broadcast),
+                "ds-relay" => ds(Variant::Relay),
+                _ => algorithm1::run(
+                    2,
+                    Value::ONE,
+                    algorithm1::Algo1Options {
+                        schedule: schedule.clone(),
+                        scheme: SchemeKind::Fast,
+                        ..Default::default()
+                    },
+                ),
+            }
+        };
+        // The one documented difference: a target verifies at the barrier,
+        // `algorithm1::run` at each recipient, so only crypto work moves.
+        let without_crypto = |mut metrics: Metrics| {
+            metrics.crypto = Default::default();
+            for phase in &mut metrics.per_phase {
+                (phase.hash_invocations, phase.sig_verifications) = (0, 0);
+            }
+            metrics
+        };
+        for target_name in ["ds-broadcast", "ds-relay", "algorithm1"] {
             let target = find_target(target_name).unwrap();
             for spec in &specs {
+                let at = format!("{target_name} {spec:?}");
                 let config = cfg(5, 2, spec.clone());
                 target.validate(&config).unwrap();
                 let outcome = target.run(&config);
-                assert_eq!(outcome.failure(), None, "{target_name} {spec:?}");
+                assert_eq!(outcome.failure(), None, "{at}");
+
+                let own = own_run(target_name, spec).expect("a sound run agrees");
+                let own_metrics = &own.outcome.metrics;
+                assert_eq!(outcome.verdict, Ok(own.verdict), "{at}");
+                assert_eq!(
+                    outcome.messages_by_correct, own_metrics.messages_by_correct,
+                    "{at}"
+                );
+                assert_eq!(
+                    outcome.omitted_messages, own_metrics.omitted_messages,
+                    "{at}"
+                );
+                assert_eq!(outcome.phases, own_metrics.phases, "{at}");
+                let setup = target.build(&config).unwrap();
+                let metrics = InstanceSpec::from(setup).run_lockstep(1).metrics;
+                if target_name == "algorithm1" {
+                    let own_metrics = without_crypto(own_metrics.clone());
+                    assert_eq!(without_crypto(metrics), own_metrics, "{at}");
+                } else {
+                    assert_eq!(&metrics, own_metrics, "{at}");
+                }
             }
-        }
-        let alg1 = find_target("algorithm1").unwrap();
-        for spec in &specs {
-            let config = cfg(5, 2, spec.clone());
-            alg1.validate(&config).unwrap();
-            let outcome = alg1.run(&config);
-            assert_eq!(outcome.failure(), None, "algorithm1 {spec:?}");
         }
     }
 

@@ -1,8 +1,14 @@
 //! Shared vocabulary for the algorithm implementations.
+//!
+//! Every BA `run` builds its instance with `instance` — schedule in, one
+//! [`InstanceSpec`] out — and ends in
+//! [`run_lockstep`](InstanceSpec::run_lockstep). A module the checker
+//! registers exposes that build as its public `build`, so its `run` and
+//! its check targets construct the same actors the same way.
 
-use ba_crypto::{ProcessId, Value};
-use ba_sim::engine::{RunOutcome, Simulation};
-use ba_sim::schedule::{FaultBehavior, ScheduleSpec};
+use ba_crypto::{KeyRegistry, ProcessId, Value};
+use ba_sim::engine::{InstanceSpec, RunOutcome};
+use ba_sim::schedule::{FaultBehavior, ScheduleError, ScheduleSpec};
 use ba_sim::{Actor, AgreementViolation, Payload, RunVerdict};
 
 /// Chain/signature domain tags, one per protocol message space, so a
@@ -85,28 +91,57 @@ pub fn into_report<P: Payload>(
     Ok(AlgoReport { outcome, verdict })
 }
 
-/// What every algorithm's `run` does with its schedule: validate it
+/// What every algorithm's build does with its schedule: validate it
 /// against `(n, t)`, [`compile`](ScheduleSpec::compile) it with the
-/// algorithm's `adversary` hook, and install its link drops on the
-/// simulation.
+/// algorithm's `adversary` hook, and pack the actors with the schedule's
+/// link drops, the fault budget `t`, the phase count and the keys into one
+/// [`InstanceSpec`].
+///
+/// `registry` is the module's verification policy, fixed per module:
+/// `Some` (Dolev–Strong, Algorithm 3) verifies delivered chains at the
+/// phase barrier; `None` (every other module) leaves each recipient to
+/// verify what it reads.
+///
+/// # Errors
+/// [`ScheduleError::Unmapped`] for a behaviour the hook does not map.
 ///
 /// # Panics
-/// On a malformed schedule or a behaviour the hook does not map — like
-/// every other bad parameter of a standalone run.
-pub(crate) fn simulation<P: Payload + 'static>(
+/// On a malformed schedule — like every other bad parameter of a run.
+pub(crate) fn instance<P: Payload + 'static>(
     schedule: &ScheduleSpec,
-    n: usize,
-    t: usize,
+    (n, t, phases): (usize, usize, usize),
+    registry: Option<&KeyRegistry>,
     honest: impl FnMut(ProcessId) -> Box<dyn Actor<P>>,
     adversary: impl FnMut(ProcessId, &FaultBehavior) -> Option<Box<dyn Actor<P>>>,
-) -> Simulation<P> {
+) -> Result<InstanceSpec<P>, ScheduleError> {
     if let Err(err) = schedule.validate(n, t) {
         panic!("invalid schedule: {err}");
     }
-    let actors = schedule
-        .compile(n, honest, adversary)
-        .unwrap_or_else(|err| panic!("{err}"));
-    Simulation::new(actors).with_link_drops(schedule.link_drops.iter().copied())
+    Ok(InstanceSpec {
+        actors: schedule.compile(n, honest, adversary)?,
+        phases,
+        fault_budget: t,
+        link_drops: schedule.link_drops.clone(),
+        registry: registry.cloned(),
+    })
+}
+
+/// Runs a standalone [`instance`] lock-step across `threads` worker chunks
+/// and checks the outcome with `p0` as the transmitter of `sent`.
+///
+/// # Errors
+/// Propagates the [`AgreementViolation`], as [`into_report`] does.
+///
+/// # Panics
+/// If the build failed on a behaviour the algorithm's hook does not map —
+/// like every other bad parameter of a standalone run.
+pub(crate) fn run_report<P: Payload>(
+    built: Result<InstanceSpec<P>, ScheduleError>,
+    threads: usize,
+    sent: Value,
+) -> Result<AlgoReport<P>, AgreementViolation> {
+    let spec = built.unwrap_or_else(|err| panic!("{err}"));
+    into_report(spec.run_lockstep(threads), ProcessId(0), sent)
 }
 
 #[cfg(test)]

@@ -21,12 +21,12 @@
 //! Decision: the unique extracted value, or the default `0` when zero or
 //! several values were extracted.
 
-use crate::common::{domains, into_report, simulation, AlgoReport};
+use crate::common::{domains, instance, run_report, AlgoReport};
 use crate::fuzz::ChainFuzzer;
 use ba_crypto::{Chain, KeyRegistry, ProcessId, SchemeKind, Signer, Value, Verifier};
 use ba_sim::actor::{Actor, Inbox, Outbox};
-use ba_sim::schedule::{FaultBehavior, ScheduleSpec};
-use ba_sim::AgreementViolation;
+use ba_sim::schedule::{FaultBehavior, ScheduleError, ScheduleSpec};
+use ba_sim::{AgreementViolation, InstanceSpec};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -397,27 +397,39 @@ pub fn run(
 ) -> Result<AlgoReport<Chain>, AgreementViolation> {
     assert!(t >= 1 && n >= t + 2, "dolev-strong needs 1 <= t <= n - 2");
     let registry = KeyRegistry::new(n, options.seed, options.scheme);
-    let params = Arc::new(DsParams::standard(
-        n,
-        t,
-        options.variant,
-        registry.verifier(),
-    ));
-    let mut sim = simulation(
-        &options.schedule,
-        n,
-        t,
-        |p| honest(&params, &registry, p, value),
-        |p, b| adversary(&registry, p, b),
+    let params = DsParams::standard(n, t, options.variant, registry.verifier());
+    let spec = build(params, &registry, value, &options.schedule);
+    run_report(spec, options.threads, value)
+}
+
+/// Builds one Dolev–Strong instance over `params`: the transmitter sends
+/// `value`, `schedule`'s faults are applied, and delivered chains are
+/// verified at the phase barrier against `registry`. [`run`] and the
+/// `ds-*` check targets both build through it.
+///
+/// # Errors
+/// [`ScheduleError::Unmapped`] for a `lie` or `withhold` fault.
+///
+/// # Panics
+/// On a schedule malformed for `params.n` and `params.t`.
+pub fn build(
+    params: DsParams,
+    registry: &KeyRegistry,
+    value: Value,
+    schedule: &ScheduleSpec,
+) -> Result<InstanceSpec<Chain>, ScheduleError> {
+    let params = Arc::new(params);
+    instance(
+        schedule,
+        (params.n, params.t, params.phases()),
+        Some(registry),
+        |p| honest(&params, registry, p, value),
+        |p, b| adversary(registry, p, b),
     )
-    .with_threads(options.threads)
-    .with_registry(&registry);
-    let outcome = sim.run(params.phases());
-    into_report(outcome, ProcessId(0), value)
 }
 
 /// `p`'s honest Dolev–Strong actor; the transmitter sends `value`.
-pub(crate) fn honest(
+fn honest(
     params: &Arc<DsParams>,
     registry: &KeyRegistry,
     p: ProcessId,
@@ -430,7 +442,7 @@ pub(crate) fn honest(
 /// Dolev–Strong's adversary hook for [`ScheduleSpec::compile`]:
 /// `Equivocate { ones }` is a [`DsEquivocator`] signing `1` for `ones` and
 /// `0` for everyone else, `Forge` a [`ChainFuzzer`] spammer.
-pub(crate) fn adversary(
+fn adversary(
     registry: &KeyRegistry,
     p: ProcessId,
     behavior: &FaultBehavior,

@@ -15,7 +15,7 @@
 //! * entry `i` equals processor `i`'s private value whenever `i` is
 //!   correct.
 
-use crate::common::{simulation, Board};
+use crate::common::{instance, Board};
 use crate::dolev_strong::{DsActor, DsParams, Variant};
 use ba_crypto::{Chain, KeyRegistry, ProcessId, SchemeKind, Signer, Value, Verifier};
 use ba_sim::actor::{Actor, Envelope, Inbox, Outbox, Payload};
@@ -295,8 +295,8 @@ pub fn run(n: usize, t: usize, values: &[Value], schedule: &ScheduleSpec, seed: 
         }))
     };
     let boxed = |p| Box::new(honest(p)) as Box<dyn Actor<IcMsg>>;
-    let mut sim = simulation(schedule, n, t, boxed, adversary);
-    let outcome = sim.run(t + 1);
+    let spec = instance(schedule, (n, t, t + 1), None, boxed, adversary);
+    let outcome = spec.unwrap_or_else(|err| panic!("{err}")).run_lockstep(1);
     IcReport {
         outcome,
         vectors: vectors.snapshot(),

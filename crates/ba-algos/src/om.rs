@@ -18,7 +18,7 @@
 //! E2 compares against the Corollary 1 lower bound — and its explosion for
 //! growing `t` is why the paper's authenticated algorithms matter.
 
-use crate::common::{into_report, simulation, AlgoReport};
+use crate::common::{instance, run_report, AlgoReport};
 use ba_crypto::{ProcessId, Value};
 use ba_sim::actor::{Actor, Inbox, Outbox, Payload, Received};
 use ba_sim::schedule::{FaultBehavior, ScheduleSpec};
@@ -320,9 +320,8 @@ pub fn run(
             Box::new(adversaries::FlippingRelay::new(n, t, p, ones.clone()))
         })
     };
-    let mut sim = simulation(&options.schedule, n, t, honest, adversary);
-    let outcome = sim.run(t + 1);
-    into_report(outcome, ProcessId(0), value)
+    let spec = instance(&options.schedule, (n, t, t + 1), None, honest, adversary);
+    run_report(spec, 1, value)
 }
 
 #[cfg(test)]

@@ -1022,13 +1022,16 @@ pub fn e13() -> Vec<Table> {
 /// E14 — crypto cost: hash invocations, signature checks and how each
 /// chain verification went, per algorithm run.
 ///
-/// Every driver verifies each unique delivered chain once at the phase
-/// barrier and stamps it (`Chain::verify_at_barrier`); a recipient's own
-/// `verify` of a stamped chain is O(1). `cache hits` counts those stamp
-/// hits, `cache misses` the full O(L) checks (the barrier's, and any of an
-/// unstamped chain), and the hit rate is the share of verifications the
-/// stamp answered — the columns keep the names they had when a prefix
-/// memo stood behind them.
+/// A run whose instance carries keys — Dolev–Strong and Algorithm 3 —
+/// verifies each unique delivered chain once at the phase barrier and
+/// stamps it (`Chain::verify_at_barrier`); a recipient's own `verify` of a
+/// stamped chain is O(1). Algorithms 1, 2 and 5 build their instances
+/// without keys (DESIGN §10.3), so every recipient checks what it reads in
+/// full and their rows show no stamp hits; `Msg5` exposes no chain to a
+/// barrier either. `cache hits` counts the stamp hits, `cache misses` the
+/// full O(L) checks (the barrier's, and any of an unstamped chain), and the
+/// hit rate is the share of verifications the stamp answered — the columns
+/// keep the names they had when a prefix memo stood behind them.
 pub fn e14() -> Vec<Table> {
     let mut t_out = Table::new(
         "E14 — crypto work per run (Fast scheme): hashes and signature checks actually performed, and the verifier-cache hit rate that keeps chain re-verification O(1) per extension",

@@ -15,7 +15,7 @@
 use ba_algos::checkable::{targets, CheckConfig, CheckOutcome};
 use ba_crypto::{ProcessId, Value};
 use ba_sim::schedule::{FaultBehavior, LinkDrop, ScheduleSpec};
-use ba_sim::{check_byzantine_agreement, Simulation};
+use ba_sim::{check_byzantine_agreement, InstanceSpec, Simulation};
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 3, 8];
 
@@ -129,12 +129,12 @@ fn batched_verification_is_pure_accounting() {
             let run = |threads: usize, barrier: bool| {
                 let cfg = CheckConfig::new(n, t, Value::ONE, 11, threads, spec.clone());
                 let setup = target.build(&cfg).expect("schedule is well-formed");
-                let outcome = Simulation::new(setup.actors)
+                let spec = InstanceSpec::from(setup);
+                let phases = spec.phases;
+                let outcome = Simulation::from(spec)
                     .with_threads(threads)
-                    .with_registry(&setup.registry)
-                    .with_link_drops(cfg.spec.link_drops.iter().copied())
                     .with_batched_verification(barrier)
-                    .run(setup.phases);
+                    .run(phases);
                 let verdict = check_byzantine_agreement(&outcome, cfg.transmitter, cfg.value);
                 (format!("{verdict:?}"), outcome.decisions, outcome.metrics)
             };

@@ -13,12 +13,18 @@
 //! the core: [`links`](PhaseCore::links), the surviving messages'
 //! `(from, to)` in staging order. [`Simulation`] is the lock-step loop —
 //! every survivor arrives, in staging order — and keeps what is about
-//! *watching* a run: trace, observer, quiescence. `ba_net`'s phase driver
+//! *watching* a run: trace and observer. `ba_net`'s phase driver
 //! is the other loop: it plays `links()` over an unreliable wire and tells
 //! `deliver` in what order the messages arrived and which never did.
 //! Payloads themselves never leave the arena, and never multiply in it: an
 //! owned [`Envelope`] per message exists only in a trace, in front of an
 //! observer, or in an adversary wrapper's scratch outbox.
+//!
+//! Every loop starts from one value, an [`InstanceSpec`]: the actors, the
+//! phase count, the fault budget, the scheduled link drops and the keys.
+//! A lock-step run is [`InstanceSpec::run_lockstep`], or a
+//! [`Simulation::from`] the spec when a trace or an observer is wanted;
+//! `ba_net`'s `NetRuntime` and `SvcSession` take the spec whole.
 //!
 //! # Data plane
 //!
@@ -143,8 +149,12 @@ pub struct InstanceSpec<P> {
     /// scheduled ones and ignores it; over an unreliable wire the instance
     /// degrades once scheduled-faulty plus suspected processors exceed it.
     pub fault_budget: usize,
-    /// Scheduled link drops, suppressed at the route pass (see
-    /// [`Simulation::with_link_drops`]) before any wire sees them.
+    /// Scheduled link drops: a message sent from `drop.from` to `drop.to`
+    /// during `drop.phase` is suppressed at the route pass, before any wire
+    /// sees it — never delivered, traced or counted as sent, only
+    /// accounted under [`Metrics::omitted_messages`]. The pass runs on the
+    /// calling thread in actor-id order, so results stay byte-identical for
+    /// any thread count.
     pub link_drops: Vec<LinkDrop>,
     /// The instance's keys, absent for key-less payloads: what delivered
     /// chains are verified against at the barrier (see the
@@ -164,16 +174,25 @@ impl<P> std::fmt::Debug for InstanceSpec<P> {
 
 impl<P: Payload> InstanceSpec<P> {
     /// Runs the instance on the lock-step loop, stepping across `threads`
-    /// worker chunks: a [`Simulation`] over the actors, with the keys and
-    /// link drops installed, run for [`phases`](Self::phases) phases.
+    /// worker chunks: [`Simulation::from`] the spec, run for
+    /// [`phases`](Self::phases) phases.
     pub fn run_lockstep(self, threads: usize) -> RunOutcome<P> {
+        let phases = self.phases;
+        Simulation::from(self).with_threads(threads).run(phases)
+    }
+}
+
+impl<P: Payload> From<InstanceSpec<P>> for Simulation<P> {
+    /// A sequential lock-step simulation over the spec's actors, with its
+    /// link drops and keys installed; the phase count is
+    /// [`run`](Simulation::run)'s argument.
+    fn from(spec: InstanceSpec<P>) -> Self {
         Simulation {
-            core: PhaseCore::new(self.actors, self.link_drops, self.registry),
+            core: PhaseCore::new(spec.actors, spec.link_drops, spec.registry),
             record_trace: false,
             observer: None,
-            threads: threads.max(1),
+            threads: 1,
         }
-        .run(self.phases)
     }
 }
 
@@ -222,9 +241,6 @@ pub struct PhaseCore<P> {
     /// The survivors' `(from, to)` in staging order — collected only by a
     /// route pass that [`links`](Self::links) asked for.
     links: Vec<Link>,
-    /// Whether the last routed step staged anything for an existing
-    /// processor.
-    sent_any: bool,
     /// When kept, every delivered message is also cloned into it, as an
     /// owned envelope.
     phase_log: Option<Vec<Envelope<P>>>,
@@ -235,7 +251,7 @@ pub struct PhaseCore<P> {
 impl<P: Payload> PhaseCore<P> {
     /// A core over `actors` (actor `i` is processor `i`) at phase 1.
     /// `link_drops` are suppressed at the route pass (see
-    /// [`Simulation::with_link_drops`]); `registry`, when the payloads
+    /// [`InstanceSpec::link_drops`]); `registry`, when the payloads
     /// carry keys, is what delivered chains are verified against at the
     /// barrier (see the [module docs](self)).
     pub fn new(
@@ -263,7 +279,6 @@ impl<P: Payload> PhaseCore<P> {
             fates: Vec::new(),
             counts: vec![0; n],
             links: Vec::new(),
-            sent_any: false,
             phase_log: None,
             panic: None,
         }
@@ -282,14 +297,6 @@ impl<P: Payload> PhaseCore<P> {
     /// Which processors are modeled as correct (the actors' own flags).
     pub fn correct(&self) -> &[bool] {
         &self.correct
-    }
-
-    /// Whether the phase last routed — by [`links`](Self::links) or
-    /// [`deliver`](Self::deliver) — staged anything addressed to an
-    /// existing processor, delivered or suppressed by a scheduled link
-    /// drop. `false` means the system was quiet that phase.
-    pub fn sent_any(&self) -> bool {
-        self.sent_any
     }
 
     /// Steps every actor through the current phase across up to `threads`
@@ -370,7 +377,6 @@ impl<P: Payload> PhaseCore<P> {
     fn route(&mut self, want_links: bool) {
         let (phase, n) = (self.phase, self.actors.len());
         self.routed = true;
-        self.sent_any = false;
         self.fates.clear();
         self.links.clear();
         self.counts.fill(0);
@@ -383,7 +389,6 @@ impl<P: Payload> PhaseCore<P> {
         for seg in &self.segments {
             self.metrics.record_omitted(phase, seg.omitted);
             if self.dense {
-                self.sent_any |= seg.staged_len() > 0;
                 continue;
             }
             for (frame, targets) in seg.staged.iter() {
@@ -392,11 +397,9 @@ impl<P: Payload> PhaseCore<P> {
                     // correct protocol never does this, an adversary may.
                     let mut survives = to.index() < n;
                     if survives {
-                        self.sent_any = true;
                         if self.scheduled.admit(phase, frame.from, to) == Fate::Omit {
-                            // A scheduled drop: the processor still "sent"
-                            // (the system is not quiet), but nothing
-                            // reaches the wire.
+                            // A scheduled drop: the processor still "sent",
+                            // but nothing reaches the wire.
                             self.metrics.record_omitted(phase, 1);
                             survives = false;
                         } else {
@@ -583,21 +586,6 @@ impl<P: Payload> Simulation<P> {
         self
     }
 
-    /// Declares scheduled link drops: a message sent from `drop.from` to
-    /// `drop.to` during phase `drop.phase` is suppressed at the routing
-    /// barrier — it is never delivered, traced or counted as sent, only
-    /// accounted under [`Metrics::omitted_messages`]. Dropping happens on
-    /// the calling thread in actor-id order, so results stay byte-identical
-    /// for any thread count. Fault schedules use this to model a faulty
-    /// sender omitting specific links in specific phases without touching
-    /// the actor itself.
-    ///
-    /// [`Metrics::omitted_messages`]: crate::metrics::Metrics::omitted_messages
-    pub fn with_link_drops(mut self, drops: impl IntoIterator<Item = LinkDrop>) -> Self {
-        self.core.scheduled.extend(drops);
-        self
-    }
-
     /// The one verification switch in the workspace. `true`, the default,
     /// is barrier verification (see the [module docs](self)) and is what
     /// every driver runs; it needs [`with_registry`](Self::with_registry)
@@ -618,24 +606,8 @@ impl<P: Payload> Simulation<P> {
         self
     }
 
-    /// Number of processors.
-    pub fn n(&self) -> usize {
-        self.core.n()
-    }
-
     /// Runs exactly `phases` phases and returns the outcome.
     pub fn run(&mut self, phases: usize) -> RunOutcome<P> {
-        self.run_inner(phases, false)
-    }
-
-    /// Runs at most `max_phases` phases, stopping early once a phase
-    /// produces no messages at all (the system is quiescent). Useful for
-    /// measuring how many phases a protocol actually uses.
-    pub fn run_until_quiescent(&mut self, max_phases: usize) -> RunOutcome<P> {
-        self.run_inner(max_phases, true)
-    }
-
-    fn run_inner(&mut self, phases: usize, stop_when_quiet: bool) -> RunOutcome<P> {
         let mut trace = Trace::default();
         let keep_phase_log = self.record_trace || self.observer.is_some();
         self.core.phase_log = keep_phase_log.then(Vec::new);
@@ -650,9 +622,6 @@ impl<P: Payload> Simulation<P> {
             }
             if self.record_trace {
                 trace.phases.push(PhaseTrace { envelopes });
-            }
-            if stop_when_quiet && !self.core.sent_any() {
-                break;
             }
         }
         let lost = self.core.finalize(self.threads);
@@ -855,6 +824,22 @@ mod tests {
         assert_eq!(outcome.decisions[1], Some(Value(9)));
     }
 
+    /// A spec over `actors` with `link_drops` scheduled, for the lock-step
+    /// loop: no keys, no fault budget.
+    fn spec<P: Payload>(
+        actors: Vec<Box<dyn Actor<P>>>,
+        phases: usize,
+        link_drops: Vec<LinkDrop>,
+    ) -> InstanceSpec<P> {
+        InstanceSpec {
+            actors,
+            phases,
+            fault_budget: 0,
+            link_drops,
+            registry: None,
+        }
+    }
+
     #[test]
     fn quiescence_stops_early() {
         let mut sim = Simulation::new(vec![
@@ -866,8 +851,8 @@ mod tests {
             Box::new(Listener::default()),
             Box::new(Listener::default()),
         ]);
-        let outcome = sim.run_until_quiescent(100);
-        // Phases 1,2 send; phase 3 sends nothing and stops the run.
+        let outcome = sim.run(3);
+        // Phases 1,2 send; phase 3 sends nothing.
         assert_eq!(outcome.metrics.phases, 3);
         assert_eq!(outcome.metrics.last_active_phase, 2);
         assert_eq!(outcome.metrics.messages_by_correct, 4);
@@ -1231,7 +1216,7 @@ mod tests {
                 Box::new(Listener::default()),
             ])
             .with_threads(threads);
-            sim.run_until_quiescent(100)
+            sim.run(3)
         };
         let seq = run(1);
         let par = run(3);
@@ -1243,7 +1228,7 @@ mod tests {
     #[test]
     fn link_drops_suppress_deliver_and_count() {
         let run = |drops: Vec<LinkDrop>| {
-            let mut sim = Simulation::new(vec![
+            let actors = vec![
                 Box::new(Flooder {
                     n: 3,
                     value: Value(5),
@@ -1251,10 +1236,8 @@ mod tests {
                 }) as Box<dyn Actor<Value>>,
                 Box::new(Listener::default()),
                 Box::new(Listener::default()),
-            ])
-            .with_trace()
-            .with_link_drops(drops);
-            sim.run(2)
+            ];
+            Simulation::from(spec(actors, 2, drops)).with_trace().run(2)
         };
         let clean = run(vec![]);
         assert_eq!(clean.metrics.omitted_messages, 0);
@@ -1301,7 +1284,7 @@ mod tests {
     #[test]
     fn link_drops_are_thread_count_independent() {
         let run = |threads: usize| {
-            let mut sim = Simulation::new(vec![
+            let actors = vec![
                 Box::new(Flooder {
                     n: 4,
                     value: Value(3),
@@ -1310,10 +1293,8 @@ mod tests {
                 Box::new(Listener::default()),
                 Box::new(Listener::default()),
                 Box::new(Listener::default()),
-            ])
-            .with_trace()
-            .with_threads(threads)
-            .with_link_drops([
+            ];
+            let drops = vec![
                 LinkDrop {
                     phase: 1,
                     from: ProcessId(0),
@@ -1324,8 +1305,11 @@ mod tests {
                     from: ProcessId(0),
                     to: ProcessId(3),
                 },
-            ]);
-            sim.run(2)
+            ];
+            Simulation::from(spec(actors, 2, drops))
+                .with_trace()
+                .with_threads(threads)
+                .run(2)
         };
         let seq = run(1);
         let par = run(4);
@@ -1337,14 +1321,13 @@ mod tests {
         }
     }
 
-    /// Satellite: `run_until_quiescent` under scheduled link drops — the
-    /// run still quiesces (drops must not make the engine think traffic is
-    /// pending), and the `sent + omitted` totals are identical for any
+    /// Scheduled link drops in every phase the flooder sends, then a quiet
+    /// phase: the `sent + omitted` totals are identical for any
     /// worker-thread count.
     #[test]
     fn quiescence_under_link_drops_is_reached_and_thread_independent() {
         let run = |threads: usize| {
-            let mut sim = Simulation::new(vec![
+            let actors = vec![
                 Box::new(Flooder {
                     n: 4,
                     value: Value(2),
@@ -1353,9 +1336,8 @@ mod tests {
                 Box::new(Listener::default()),
                 Box::new(Listener::default()),
                 Box::new(Listener::default()),
-            ])
-            .with_threads(threads)
-            .with_link_drops([
+            ];
+            let drops = vec![
                 LinkDrop {
                     phase: 1,
                     from: ProcessId(0),
@@ -1371,13 +1353,13 @@ mod tests {
                     from: ProcessId(0),
                     to: ProcessId(2),
                 },
-            ]);
-            sim.run_until_quiescent(100)
+            ];
+            spec(actors, 4, drops).run_lockstep(threads)
         };
         let baseline = run(1);
-        // The flooder stops after phase 3; phase 4 is quiet and ends the
-        // run well before the 100-phase cap.
+        // The flooder stops after phase 3; phase 4 is quiet.
         assert_eq!(baseline.metrics.phases, 4);
+        assert_eq!(baseline.metrics.last_active_phase, 3);
         assert_eq!(baseline.metrics.omitted_messages, 3);
         assert_eq!(
             baseline.metrics.messages_by_correct + baseline.metrics.omitted_messages,
@@ -1833,8 +1815,9 @@ mod tests {
                 } else {
                     core.deliver(None);
                 }
-                dense += usize::from(core.dense && core.sent_any());
-                trace.push(core.phase_log.take().expect("kept"));
+                let log = core.phase_log.take().expect("kept");
+                dense += usize::from(core.dense && !log.is_empty());
+                trace.push(log);
             }
             assert!(core.finalize(threads).is_empty());
             let observed = Observed {

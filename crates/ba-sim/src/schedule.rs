@@ -151,7 +151,7 @@ impl FaultBehavior {
 
 /// One suppressed link: the envelope from `from` to `to` sent during
 /// `phase` never reaches the wire (see
-/// [`Simulation::with_link_drops`](crate::engine::Simulation::with_link_drops)).
+/// [`InstanceSpec::link_drops`](crate::engine::InstanceSpec::link_drops)).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub struct LinkDrop {
     /// The phase whose send is suppressed (1-based, exact match).

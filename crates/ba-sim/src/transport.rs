@@ -21,8 +21,8 @@ use std::collections::BTreeSet;
 pub enum Fate {
     /// Deliver at the next phase barrier.
     Deliver,
-    /// Suppress: the send still happened (the system is not quiescent) but
-    /// nothing reaches the wire; accounted under
+    /// Suppress: the send still happened but nothing reaches the wire;
+    /// accounted under
     /// [`Metrics::omitted_messages`](crate::metrics::Metrics::omitted_messages).
     Omit,
 }
@@ -67,12 +67,6 @@ impl ScheduledDrops {
         } else {
             Fate::Deliver
         }
-    }
-}
-
-impl Extend<LinkDrop> for ScheduledDrops {
-    fn extend<I: IntoIterator<Item = LinkDrop>>(&mut self, drops: I) {
-        self.drops.extend(drops);
     }
 }
 
