@@ -168,11 +168,6 @@ impl Algo1Actor {
             }
         }
     }
-
-    /// The first correct 1-message this processor accepted, if any.
-    pub fn accepted_chain(&self) -> Option<&Chain> {
-        self.got_one.as_ref()
-    }
 }
 
 impl Actor<Chain> for Algo1Actor {

@@ -486,11 +486,6 @@ impl Alg5Active {
             );
         }
     }
-
-    /// The valid message this active holds (diagnostics).
-    pub fn valid_message(&self) -> Option<&Chain> {
-        self.valid.as_ref()
-    }
 }
 
 impl Actor<Msg5> for Alg5Active {
@@ -806,11 +801,6 @@ impl Alg5Passive {
             signed.sign_and_append(&self.signer);
             out.send(root_id, Msg5::Chain(signed));
         }
-    }
-
-    /// The chain this processor decided on (diagnostics).
-    pub fn decided_chain(&self) -> Option<&Chain> {
-        self.decided.as_ref()
     }
 }
 

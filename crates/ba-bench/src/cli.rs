@@ -1,5 +1,5 @@
-//! Flag parsing for the binaries: [`value_of`] / [`parse_num`] for `check`
-//! and `soak`, [`BenchArgs`] for the four `bench_*` binaries. Every one of
+//! Flag parsing for the binaries: [`value_of`] / [`parse_num`] for `check`,
+//! [`BenchArgs`] for the four `bench_*` binaries. Every one of
 //! them exits with status 2 on malformed input, and only then.
 
 /// The value following `flag`.

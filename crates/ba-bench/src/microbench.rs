@@ -29,13 +29,6 @@ pub struct Sample {
     pub min_ns: f64,
 }
 
-impl Sample {
-    /// Renders the median as a human-friendly time string.
-    pub fn human_median(&self) -> String {
-        human_ns(self.median_ns)
-    }
-}
-
 fn human_ns(ns: f64) -> String {
     if ns < 1_000.0 {
         format!("{ns:.0} ns")

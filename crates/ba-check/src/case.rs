@@ -1,6 +1,7 @@
 //! The contract between the checker and a family of check cases: what a
 //! family supplies so that exploration, shrinking, corpus replay and the
-//! `check` / `soak` front ends can be written once (DESIGN.md §8). Its
+//! `check` front end's two modes (lock-step exploration and `--chaos`
+//! campaigns) can be written once (DESIGN.md §8). Its
 //! *schedule space* is a function listing the cases to run
 //! (`ExploreOptions::cases`, `ExtSchedule::family`); *run*, *judge*
 //! and *shrink candidates* are the methods below.

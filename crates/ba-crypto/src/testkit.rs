@@ -8,8 +8,8 @@
 //! generators. Failures print the case seed so a failing case can be
 //! replayed exactly.
 //!
-//! Set `BA_TESTKIT_CASES` to raise the per-property case count (default
-//! 48) for a deeper soak.
+//! Set `BA_TESTKIT_CASES` to override every property's case count (each
+//! test passes its own default) for a deeper run.
 //!
 //! ```
 //! use ba_crypto::testkit::run_cases;
@@ -21,9 +21,6 @@
 //! ```
 
 use crate::rng::{derive_seed, SimRng};
-
-/// Default number of cases per property.
-pub const DEFAULT_CASES: usize = 48;
 
 /// Per-case value generator handed to the property closure.
 #[derive(Debug)]

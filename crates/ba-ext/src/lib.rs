@@ -766,11 +766,6 @@ impl ExtOptions {
         self
     }
 
-    /// Grid side `m = √n`.
-    pub fn grid_side(&self) -> usize {
-        (self.n as f64).sqrt().round() as usize
-    }
-
     /// Chunks required to reconstruct: `k = n − 2t`.
     pub fn data_chunks(&self) -> usize {
         self.n - 2 * self.t

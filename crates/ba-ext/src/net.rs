@@ -241,7 +241,7 @@ pub fn run_extension_net(
 /// Checks that no two correct nodes in `report` disagree on the outcome —
 /// same variant, same payload bytes, same abort reason — and that no
 /// decided payload mismatches the agreed digest. This is the invariant the
-/// chaos soak and the `ext` check family gate on.
+/// `ext` check family gates on, explored and under `check --chaos`.
 ///
 /// # Errors
 /// A human-readable description of the first disagreement found.

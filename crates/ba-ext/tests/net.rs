@@ -135,7 +135,8 @@ fn chaos_decides_right_or_degrades_with_structured_verdict() {
 /// Chaos outcomes depend only on the profile seed, not the worker count —
 /// and not on this PR or the next: the literals were recorded before the
 /// stage sequence moved into the pipeline, so a silent reshuffle of the
-/// stage → chaos-seed mapping fails here rather than only in soak output.
+/// stage → chaos-seed mapping fails here rather than only in `check --chaos`
+/// output.
 #[test]
 fn chaos_runs_are_reproducible_across_worker_counts() {
     let opts = ExtOptions {

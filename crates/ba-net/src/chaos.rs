@@ -4,14 +4,15 @@
 //! ack loss, duplication, delay, and whether same-tick arrivals may be
 //! reordered. Everything is driven by one `u64` seed through
 //! [`SimRng`](ba_crypto::rng::SimRng), so a chaos campaign is exactly
-//! reproducible from `(profile, seed)` alone: the soak harness can replay a
-//! failing run and the shrinker can re-execute candidates deterministically.
+//! reproducible from `(profile, seed)` alone: the `check --chaos` campaigns
+//! can replay a failing run and the shrinker can re-execute candidates
+//! deterministically.
 //!
 //! Profiles compose with the fault-schedule vocabulary from `ba-sim`: a
 //! [`ScheduleSpec`](ba_sim::schedule::ScheduleSpec) says which *processors*
 //! misbehave, a profile says how the *wire* misbehaves underneath all of
-//! them. The named profiles ([`ChaosProfile::from_name`]) are the soak
-//! binary's CLI vocabulary.
+//! them. The named profiles ([`ChaosProfile::from_name`]) are what the
+//! `check` binary's `--chaos` flag accepts.
 
 use ba_crypto::ProcessId;
 use std::collections::BTreeMap;
@@ -71,8 +72,8 @@ pub struct ChaosProfile {
 }
 
 impl ChaosProfile {
-    /// The names accepted by [`ChaosProfile::from_name`], in the order the
-    /// soak CLI lists them.
+    /// The names accepted by [`ChaosProfile::from_name`], in the order
+    /// `check --chaos` lists them.
     pub const NAMES: &'static [&'static str] = &["reliable", "jitter", "lossy", "stress"];
 
     /// A perfectly reliable wire — the profile the equivalence harness uses

@@ -140,11 +140,6 @@ impl<P: Payload + 'static> NetRuntime<P> {
         self
     }
 
-    /// Number of processors.
-    pub fn n(&self) -> usize {
-        self.spec.actors.len()
-    }
-
     /// Runs the instance's phases, then finalizes.
     ///
     /// # Errors

@@ -412,9 +412,8 @@ impl<P: Payload> Outbox<P> {
 
     /// Records that `count` messages the wrapped honest actor wanted to
     /// send were suppressed before reaching the network. Adversary
-    /// wrappers ([`OmitTo`](crate::adversary::OmitTo),
-    /// [`RestrictPeers`](crate::adversary::RestrictPeers), …) call this when they
-    /// filter a scratch outbox, so
+    /// wrappers ([`OmitTo`](crate::adversary::OmitTo), …) call this when
+    /// they filter a scratch outbox, so
     /// [`Metrics::omitted_messages`](crate::metrics::Metrics::omitted_messages)
     /// can distinguish a *quiet* run (nothing was ever sent) from a
     /// *censored* one (traffic was produced and then suppressed).

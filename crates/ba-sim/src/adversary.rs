@@ -172,60 +172,6 @@ impl<P: Payload, A: Actor<P>> Actor<P> for IgnoreFirst<A> {
     }
 }
 
-/// Behaves like the wrapped honest actor but only accepts messages from and
-/// only sends messages to a restricted peer set — used to build the
-/// split-world histories of Theorem 1, where the coalition `A(p)` behaves
-/// one way toward `p` and another way toward everyone else.
-#[derive(Debug)]
-pub struct RestrictPeers<A> {
-    inner: A,
-    peers: BTreeSet<ProcessId>,
-}
-
-impl<A> RestrictPeers<A> {
-    /// Wraps `inner`; traffic to/from identities outside `peers` is dropped.
-    pub fn new(inner: A, peers: impl IntoIterator<Item = ProcessId>) -> Self {
-        RestrictPeers {
-            inner,
-            peers: peers.into_iter().collect(),
-        }
-    }
-}
-
-impl<P: Payload, A: Actor<P>> Actor<P> for RestrictPeers<A> {
-    fn step(&mut self, phase: usize, inbox: Inbox<'_, P>, out: &mut Outbox<P>) {
-        let kept: Vec<Envelope<P>> = inbox
-            .iter()
-            .filter(|e| self.peers.contains(&e.from))
-            .map(|e| e.to_envelope())
-            .collect();
-        let mut scratch = Outbox::new(out.sender());
-        self.inner.step(phase, Inbox::of(&kept), &mut scratch);
-        out.note_omitted(scratch.omitted_count());
-        for env in scratch.into_staged() {
-            if self.peers.contains(&env.to) {
-                out.send(env.to, env.payload);
-            } else {
-                out.note_omitted(1);
-            }
-        }
-    }
-    fn finalize(&mut self, inbox: Inbox<'_, P>) {
-        let kept: Vec<Envelope<P>> = inbox
-            .iter()
-            .filter(|e| self.peers.contains(&e.from))
-            .map(|e| e.to_envelope())
-            .collect();
-        self.inner.finalize(Inbox::of(&kept));
-    }
-    fn decision(&self) -> Option<Value> {
-        self.inner.decision()
-    }
-    fn is_correct(&self) -> bool {
-        false
-    }
-}
-
 /// Generates one adversarial payload per call.
 ///
 /// `Send` because fuzzers live inside actors, which the engine may step on
@@ -368,18 +314,6 @@ mod tests {
         // env(0,5) passes (not in from_set); env(2,6) is the first match and
         // is discarded.
         assert_eq!(i.decision(), Some(Value(5)));
-    }
-
-    #[test]
-    fn restrict_peers_drops_both_directions() {
-        let mut r = RestrictPeers::new(Echo::default(), [ProcessId(2)]);
-        let mut out = Outbox::new(ProcessId(1));
-        r.step(1, Inbox::of(&[env(0, 5), env(2, 6)]), &mut out);
-        // Inbox from p0 dropped; echo of p2 kept; the phase-1 send to p0 dropped.
-        let staged = out.into_staged();
-        assert_eq!(staged.len(), 1);
-        assert_eq!(staged[0].to, ProcessId(2));
-        assert_eq!(r.decision(), Some(Value(6)));
     }
 
     /// Forges uniformly random values.
@@ -569,10 +503,6 @@ mod tests {
         assert!(!Actor::<Value>::is_correct(&IgnoreFirst::new(
             Echo::default(),
             0,
-            []
-        )));
-        assert!(!Actor::<Value>::is_correct(&RestrictPeers::new(
-            Echo::default(),
             []
         )));
     }

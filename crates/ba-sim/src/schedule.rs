@@ -30,7 +30,7 @@ use core::fmt;
 /// Why a [`ScheduleSpec`] could not be compiled onto an algorithm's actors.
 ///
 /// Returned (not panicked) so callers that drive many schedules — the
-/// `ba-check` explorer, the `ba-net` soak harness — can surface the
+/// `ba-check` explorer, the `check --chaos` campaigns over `ba-net` — can surface the
 /// problem as a per-schedule report instead of aborting the whole
 /// exploration.
 #[derive(Clone, PartialEq, Eq, Debug)]

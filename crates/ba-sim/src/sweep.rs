@@ -20,7 +20,7 @@
 //!   inline with no threads at all;
 //! * the crypto work counters ([`ba_crypto::stats`]) are thread-local and
 //!   each cell runs wholly on one worker thread, so per-cell
-//!   [`Metrics`] deltas are exact.
+//!   [`Metrics`](crate::metrics::Metrics) deltas are exact.
 //!
 //! Cells are free to use intra-phase parallelism themselves (nested
 //! [`WorkerPool::run_chunks`] cannot deadlock — see the
@@ -41,7 +41,6 @@ use std::sync::Mutex;
 
 pub use ba_crypto::rng::derive_seed;
 
-use crate::metrics::Metrics;
 use crate::pool::WorkerPool;
 
 /// Number of worker threads a sweep should use by default: the
@@ -103,16 +102,6 @@ where
                 .expect("every cell index was dispensed exactly once")
         })
         .collect()
-}
-
-/// Folds per-cell metrics into one sweep-level summary (see
-/// [`Metrics::merge`]).
-pub fn merge_metrics<'a>(per_cell: impl IntoIterator<Item = &'a Metrics>) -> Metrics {
-    let mut total = Metrics::default();
-    for m in per_cell {
-        total.merge(m);
-    }
-    total
 }
 
 #[cfg(test)]
@@ -228,18 +217,6 @@ mod tests {
         assert!(seq
             .iter()
             .all(|(_, hashes, hits, full)| *hashes > 0 && *hits == 0 && *full > 0));
-    }
-
-    #[test]
-    fn merge_metrics_sums_cells() {
-        let mut a = Metrics::default();
-        a.record_send(1, true, 1, &crate::metrics::Weighed(1, 8, 0, "x"));
-        let mut b = Metrics::default();
-        b.record_send(2, true, 1, &crate::metrics::Weighed(3, 8, 0, "x"));
-        let total = merge_metrics([&a, &b]);
-        assert_eq!(total.messages_by_correct, 2);
-        assert_eq!(total.signatures_by_correct, 4);
-        assert_eq!(total.per_phase.len(), 2);
     }
 
     #[test]
