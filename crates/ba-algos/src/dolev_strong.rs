@@ -149,11 +149,6 @@ impl DsActor {
         }
     }
 
-    /// The extracted value set (diagnostics).
-    pub fn extracted(&self) -> &BTreeSet<Value> {
-        &self.extracted
-    }
-
     fn extract(&mut self, value: Value) {
         self.first.get_or_insert(value);
         self.extracted.insert(value);
@@ -165,6 +160,13 @@ impl DsActor {
         k: usize,
         out: Option<&mut Outbox<Chain>>,
     ) {
+        // After an all-to-all phase the engine lists the values the inbox's
+        // chains carry. When each is already extracted, the loop below
+        // would turn every message away at its first check.
+        let listed = inbox.chain_values();
+        if listed.is_some_and(|vs| vs.iter().all(|v| self.extracted.contains(v))) {
+            return;
+        }
         let mut fresh: Vec<Chain> = Vec::new();
         for env in inbox {
             // An already-extracted value is ignored whatever its chain, so

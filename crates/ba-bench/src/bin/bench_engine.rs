@@ -57,9 +57,11 @@
 //! usage error (exit 2) without `pool_scaling` or with fewer than two
 //! distinct `--threads`. CI uses this as the `pool-scaling-smoke` job.
 //!
-//! `--dump-trace <threads>` instead prints a traced deterministic run
-//! (decisions, metrics, every envelope) to stdout; CI compares the output
-//! of `--dump-trace 1` and `--dump-trace 4` byte-for-byte.
+//! `--dump-trace <threads>` instead prints two traced deterministic runs
+//! (decisions, metrics, every envelope) to stdout — the n = 16 chain flood,
+//! then `ds-broadcast` at n = 16, t = 2 under an equivocating transmitter;
+//! CI compares the output of `--dump-trace 1` and `--dump-trace 4`
+//! byte-for-byte.
 
 use ba_algos::checkable::{find_target, CheckConfig};
 use ba_algos::{algorithm3, dolev_strong};
@@ -71,7 +73,8 @@ use ba_crypto::keys::{KeyRegistry, SchemeKind, Signer, Verifier};
 use ba_crypto::{Chain, ProcessId, Value};
 use ba_sim::adversary::Silent;
 use ba_sim::{
-    Actor, Inbox, Metrics, Outbox, Payload, PhaseCore, RunOutcome, ScheduleSpec, Simulation,
+    Actor, FaultBehavior, Inbox, InstanceSpec, Metrics, Outbox, Payload, PhaseCore, RunOutcome,
+    ScheduleSpec, Simulation,
 };
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -177,7 +180,26 @@ fn run_flood(n: usize, threads: usize, traced: bool) -> RunOutcome<Chain> {
 }
 
 fn dump_trace(threads: usize) {
-    let outcome = run_flood(16, threads, true);
+    print_trace(&run_flood(16, threads, true));
+    // Dolev–Strong under an equivocating transmitter: its relay phases are
+    // all-to-all chains of both values, the inboxes whose values a
+    // recipient has all extracted are turned away unread, and the run
+    // still has to print the same bytes at any thread count.
+    let ones = (1..8).map(ProcessId).collect();
+    let spec = ScheduleSpec::each([ProcessId(0)], FaultBehavior::Equivocate { ones });
+    let cfg = CheckConfig::new(16, 2, Value::ONE, 7, threads, spec);
+    let setup = find_target("ds-broadcast").expect("registered").build(&cfg);
+    let instance = InstanceSpec::from(setup.expect("an equivocation schedule compiles"));
+    let phases = instance.phases;
+    let mut sim = Simulation::from(instance)
+        .with_threads(threads)
+        .with_trace();
+    println!("ds-broadcast n=16 t=2, transmitter equivocating");
+    print_trace(&sim.run(phases));
+}
+
+/// Prints a traced run: decisions, metrics, then every envelope.
+fn print_trace(outcome: &RunOutcome<Chain>) {
     println!("decisions: {:?}", outcome.decisions);
     println!("metrics: {:#?}", outcome.metrics);
     for (k, phase) in outcome.trace.phases.iter().enumerate() {

@@ -95,6 +95,25 @@ fn equivalence_holds_with_byzantine_schedules() {
 }
 
 #[test]
+fn equivocation_at_n_64_is_equivalent_where_relays_carry_both_values() {
+    // At n = 4 a relay phase holds a handful of frames. At n = 64 every
+    // phase-2 inbox carries both values, and the lock-step engine delivers
+    // those relays all-to-all, listing the values so Dolev–Strong can turn
+    // an inbox away unread; the reliable wire never lists them. At t = 2
+    // the phase-3 inboxes, both values already extracted, are turned away.
+    let target = ba_algos::checkable::find_target("ds-broadcast").unwrap();
+    let ones = (1..32).map(ProcessId).collect();
+    let spec = ScheduleSpec::each([ProcessId(0)], FaultBehavior::Equivocate { ones });
+    for t in [1, 2] {
+        for threads in [1usize, 4] {
+            let cfg = CheckConfig::new(64, t, Value::ONE, 11, threads, spec.clone());
+            check_equivalence(target, &cfg, threads)
+                .unwrap_or_else(|err| panic!("t={t} threads={threads}: {err}"));
+        }
+    }
+}
+
+#[test]
 fn sound_targets_survive_recoverable_noise() {
     // Jitter (no loss) and mild loss are masked by retransmission: runs
     // complete, nobody is suspected under jitter, and the agreement

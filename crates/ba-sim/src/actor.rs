@@ -8,6 +8,12 @@
 //! itself. The last is `broadcast` of `0..n` by definition, and the only
 //! spelling of "everyone" the engine can deliver without touching a target
 //! id (see [`crate::arena`]).
+//!
+//! After such an all-to-all phase an inbox also says which values its
+//! chains carry, without a walk: [`Inbox::chain_values`], a sorted list
+//! that may name more than the recipient hears but never less. A
+//! receiver that would turn away every listed value can skip the inbox
+//! unread; every other view returns `None`.
 
 use crate::arena::{Frame, Staging};
 use ba_crypto::{ProcessId, Value};
@@ -173,11 +179,13 @@ enum Repr<'a, P> {
         frames: &'a [Frame<P>],
         idx: &'a [u32],
     },
-    /// `before`, then `after`: the phase's frames with `to`'s own cut out.
+    /// `before`, then `after`: the phase's frames with `to`'s own cut out;
+    /// `values` is what [`Inbox::chain_values`] returns.
     AllBut {
         to: ProcessId,
         before: &'a [Frame<P>],
         after: &'a [Frame<P>],
+        values: Option<&'a [Value]>,
     },
 }
 
@@ -208,9 +216,20 @@ impl<'a, P> Inbox<'a, P> {
         Inbox(Repr::Frames { to, frames, idx })
     }
 
-    /// Processor `to`'s inbox: every frame of `before`, then of `after`.
-    pub(crate) fn all_but(to: ProcessId, before: &'a [Frame<P>], after: &'a [Frame<P>]) -> Self {
-        Inbox(Repr::AllBut { to, before, after })
+    /// Processor `to`'s inbox: every frame of `before`, then of `after`,
+    /// whose chains' values `values` lists, if it is given.
+    pub(crate) fn all_but(
+        to: ProcessId,
+        before: &'a [Frame<P>],
+        after: &'a [Frame<P>],
+        values: Option<&'a [Value]>,
+    ) -> Self {
+        Inbox(Repr::AllBut {
+            to,
+            before,
+            after,
+            values,
+        })
     }
 
     /// Number of messages.
@@ -234,7 +253,9 @@ impl<'a, P> Inbox<'a, P> {
             Repr::Frames { to, frames, idx } => {
                 idx.get(k).map(|&f| Received::of(to, &frames[f as usize]))
             }
-            Repr::AllBut { to, before, after } => before
+            Repr::AllBut {
+                to, before, after, ..
+            } => before
                 .get(k)
                 .or_else(|| after.get(k - before.len()))
                 .map(|frame| Received::of(to, frame)),
@@ -246,6 +267,20 @@ impl<'a, P> Inbox<'a, P> {
         self.get(0)
     }
 
+    /// The values this inbox's chains carry, when the engine listed them
+    /// without a walk. `Some(vs)` says every message here is a chain (its
+    /// payload's [`Payload::batch_chain`]) whose value is in `vs`, sorted
+    /// and deduplicated; `vs` may name a value that only other recipients
+    /// of the phase hear. `None` says nothing: it is what every view but
+    /// an all-to-all lock-step phase's gives (see [`crate::arena`]), and
+    /// what that one gives when a payload carries no chain.
+    pub fn chain_values(&self) -> Option<&'a [Value]> {
+        match self.0 {
+            Repr::AllBut { values, .. } => values,
+            _ => None,
+        }
+    }
+
     /// The messages in delivery order.
     pub fn iter(&self) -> InboxIter<'a, P> {
         InboxIter(match self.0 {
@@ -255,7 +290,9 @@ impl<'a, P> Inbox<'a, P> {
                 frames,
                 idx: idx.iter(),
             },
-            Repr::AllBut { to, before, after } => IterRepr::AllBut {
+            Repr::AllBut {
+                to, before, after, ..
+            } => IterRepr::AllBut {
                 to,
                 before: before.iter(),
                 after: after.iter(),
@@ -632,9 +669,16 @@ mod tests {
         assert_eq!(owned.first(), shared.first());
         assert!(owned.iter().eq(shared.iter()));
         assert_eq!(shared.iter().len(), 2);
-        let cut = Inbox::all_but(ProcessId(1), &frames[1..], &frames[..1]);
+        let cut = Inbox::all_but(ProcessId(1), &frames[1..], &frames[..1], None);
         assert!(owned.iter().eq(cut.iter()));
         assert_eq!((cut.len(), cut.get(1), cut.get(2)), (2, owned.get(1), None));
+        let values = [Value(7), Value(8)];
+        let listed = Inbox::all_but(ProcessId(1), &frames[1..], &frames[..1], Some(&values));
+        assert!(owned.iter().eq(listed.iter()), "the list changes no read");
+        assert_eq!(listed.chain_values(), Some(&values[..]));
+        for view in [owned, shared, cut] {
+            assert_eq!(view.chain_values(), None);
+        }
         let copies: Vec<_> = shared.iter().map(|m| m.to_envelope()).collect();
         assert_eq!(copies, envelopes);
         let empty: Inbox<'_, Value> = Inbox::of(&[]);

@@ -43,7 +43,13 @@
 //! `Inboxes::fill_dense` only moves the frames, and actor `i`'s inbox is
 //! the frames before its own run and the frames after it (staged in actor
 //! order, a sender's frames are one run). Nothing on the way from `step`
-//! to the inbox is then written per message. A frame none of whose targets
+//! to the inbox is then written per message. The same pass lists the
+//! sorted, distinct values of the frames' chains
+//! ([`Payload::batch_chain`]) when every frame carries one, and every
+//! recipient's view hands that one list out as
+//! [`Inbox::chain_values`](crate::actor::Inbox::chain_values): a superset
+//! of what the recipient hears, since its own frames are cut out but
+//! their values are not. A frame none of whose targets
 //! was reached is dropped at the fill; every other frame is dropped once,
 //! at [`Inboxes::clear`].
 //!
@@ -52,7 +58,7 @@
 #![forbid(unsafe_code)]
 
 use crate::actor::{Envelope, Inbox, Payload};
-use ba_crypto::ProcessId;
+use ba_crypto::{Chain, ProcessId, Value};
 use std::any::Any;
 
 /// A directed link, `(from, to)`: all a wire ever learns about a message.
@@ -255,6 +261,12 @@ pub struct Inboxes<P> {
     /// `offsets` are unused, and actor `i`'s inbox is every frame but its
     /// own.
     dense: bool,
+    /// Filled all-to-all with a chain in every frame: `values` lists the
+    /// chains' values, sorted and deduplicated — what
+    /// [`Inbox::chain_values`] hands every recipient.
+    chained: bool,
+    /// The all-to-all fill's chain values, recycled across phases.
+    values: Vec<Value>,
 }
 
 /// Destination of a surviving message its wire never delivered.
@@ -270,6 +282,8 @@ impl<P: Payload> Inboxes<P> {
             cursors: Vec::new(),
             dest: Vec::new(),
             dense: false,
+            chained: false,
+            values: Vec::new(),
         }
     }
 
@@ -280,7 +294,8 @@ impl<P: Payload> Inboxes<P> {
             // Frames sit in actor order, so `to`'s own are one run.
             let own = self.frames.partition_point(|f| f.from < to);
             let end = own + self.frames[own..].partition_point(|f| f.from == to);
-            return Inbox::all_but(to, &self.frames[..own], &self.frames[end..]);
+            let values = self.chained.then_some(&self.values[..]);
+            return Inbox::all_but(to, &self.frames[..own], &self.frames[end..], values);
         }
         let idx = &self.idx[self.offsets[i]..self.offsets[i + 1]];
         Inbox::over_frames(to, &self.frames, idx)
@@ -313,6 +328,8 @@ impl<P: Payload> Inboxes<P> {
         self.idx.clear();
         self.offsets.fill(0);
         self.dense = false;
+        self.chained = false;
+        self.values.clear();
     }
 
     /// The all-to-all fill: the route pass found every staged frame a
@@ -321,6 +338,9 @@ impl<P: Payload> Inboxes<P> {
     /// arena once, in staging order, each passed to `on_delivered` as
     /// [`fill`](Self::fill) does; actor `i`'s inbox is then every frame but
     /// its own, which is what the staging-order fill would have indexed.
+    /// The same pass lists the values of the frames'
+    /// [`batch_chain`](Payload::batch_chain)s, for
+    /// [`Inbox::chain_values`], unless a frame carries none.
     pub(crate) fn fill_dense(
         &mut self,
         segments: &mut [Segment<P>],
@@ -328,13 +348,22 @@ impl<P: Payload> Inboxes<P> {
     ) {
         self.clear();
         self.dense = true;
+        self.chained = true;
         for seg in segments.iter_mut() {
             for (frame, targets) in seg.staged.drain() {
                 on_delivered(&frame, targets.len(), &mut targets.iter());
+                match frame.payload.batch_chain().map(Chain::value) {
+                    // Relays of one value arrive in runs: skip the repeats.
+                    Some(v) if self.values.last() == Some(&v) => {}
+                    Some(v) => self.values.push(v),
+                    None => self.chained = false,
+                }
                 self.frames.push(frame);
             }
             seg.staged.clear();
         }
+        self.values.sort_unstable();
+        self.values.dedup();
     }
 
     /// Rebuilds this arena from the phase's staged segments — the indexed

@@ -1580,6 +1580,96 @@ mod tests {
         assert_eq!(half.crypto.sig_verifications, 1);
     }
 
+    /// Processor `i` broadcasts an unsigned chain of each of its values to
+    /// everyone at phase 1.
+    #[derive(Debug)]
+    struct Says {
+        n: usize,
+        values: Vec<u64>,
+    }
+
+    impl Actor<Chain> for Says {
+        fn step(&mut self, phase: usize, _inbox: Inbox<'_, Chain>, out: &mut Outbox<Chain>) {
+            if phase == 1 {
+                for &v in &self.values {
+                    out.broadcast_all(self.n, Chain::new(7, Value(v)));
+                }
+            }
+        }
+        fn decision(&self) -> Option<Value> {
+            None
+        }
+    }
+
+    /// A core over one [`Says`] per entry of `says`, with `drops`
+    /// scheduled, stepped through phase 1.
+    fn said(says: &[&[u64]], drops: Vec<LinkDrop>) -> PhaseCore<Chain> {
+        let n = says.len();
+        let actors = says.iter().map(|values| {
+            let values = values.to_vec();
+            Box::new(Says { n, values }) as Box<dyn Actor<Chain>>
+        });
+        let mut core = PhaseCore::new(actors.collect(), drops, None);
+        assert!(core.step(1).is_empty());
+        core
+    }
+
+    /// Every recipient's [`Inbox::chain_values`] for the delivered phase.
+    fn listed<P: Payload>(core: &PhaseCore<P>) -> Vec<Option<Vec<u64>>> {
+        let values = |i| Some(core.cur.of(i).chain_values()?.iter().map(|v| v.0).collect());
+        (0..core.n()).map(values).collect()
+    }
+
+    #[test]
+    fn an_all_to_all_phase_lists_its_chains_values() {
+        let mut agreed = said(&[&[1], &[1], &[1], &[1]], vec![]);
+        agreed.deliver(None);
+        assert!(agreed.dense);
+        assert_eq!(listed(&agreed), vec![Some(vec![1]); 4]);
+        // p1 and p3 relay 1, p2 relays 0 after it: every recipient is told
+        // both, sorted — p2 too, which hears only 1s.
+        let mut split = said(&[&[], &[1], &[1, 0], &[1]], vec![]);
+        split.deliver(None);
+        assert!(split.dense);
+        assert_eq!(listed(&split), vec![Some(vec![0, 1]); 4]);
+        let heard: Vec<_> = split
+            .cur
+            .of(2)
+            .iter()
+            .map(|m| m.payload.value().0)
+            .collect();
+        assert_eq!(heard, vec![1, 1]);
+    }
+
+    #[test]
+    fn every_other_view_lists_no_values() {
+        let says: [&[u64]; 3] = [&[1], &[1], &[0]];
+        let drop = LinkDrop {
+            phase: 1,
+            from: ProcessId(0),
+            to: ProcessId(2),
+        };
+        let mut indexed = said(&says, vec![drop]);
+        indexed.deliver(None);
+        let mut wire = said(&says, vec![]);
+        let order: Vec<usize> = (0..wire.links().len()).collect();
+        wire.deliver(Some(&order));
+        for core in [&indexed, &wire] {
+            assert!(!core.dense);
+            assert_eq!(listed(core), vec![None; 3]);
+        }
+        let envelopes = envelopes_of(&wire, 1);
+        assert_eq!(Inbox::of(&envelopes).chain_values(), None);
+        let mut values = stepped_flooders(3);
+        values.deliver(None);
+        assert!(values.dense, "all-to-all, but no payload carries a chain");
+        assert_eq!(listed(&values), vec![None; 3]);
+        let mut cleared = said(&says, vec![]);
+        cleared.deliver(None);
+        cleared.cur.clear();
+        assert_eq!(listed(&cleared), vec![None; 3]);
+    }
+
     /// `broadcast_all` ≡ `broadcast` of its id list ≡ the loop of `send`s
     /// they abbreviate.
     mod props {
@@ -1640,6 +1730,11 @@ mod tests {
                     let walked: Vec<_> = view.iter().map(Some).chain([None]).collect();
                     assert_eq!(walked, got);
                     assert_eq!(view.iter().len(), view.len());
+                }
+                // The superset contract: every message's value is listed.
+                if let Some(vs) = inbox.chain_values() {
+                    assert!(vs.windows(2).all(|w| w[0] < w[1]), "sorted, deduplicated");
+                    assert!(inbox.iter().all(|m| vs.contains(&m.payload.value())));
                 }
                 let mut heard = self.heard.lock().unwrap();
                 for m in inbox {
@@ -1816,6 +1911,10 @@ mod tests {
                     core.deliver(None);
                 }
                 let log = core.phase_log.take().expect("kept");
+                // Values are listed exactly after an all-to-all phase.
+                for i in 0..case.n {
+                    assert_eq!(core.cur.of(i).chain_values().is_some(), core.dense);
+                }
                 dense += usize::from(core.dense && !log.is_empty());
                 trace.push(log);
             }
