@@ -17,7 +17,10 @@
 //!   column repair machinery each cell exercised.
 //!
 //! The report's `host` object names the SHA-256 backend the timings ran
-//! on: chunk authentication and payload digests are most of a large cell.
+//! on: chunk authentication is most of a large cell. Each node hashes
+//! each payload byte once — the agreed digest is a root over the data
+//! chunks' digests, which the signature checks already computed — so
+//! past that the cell pays for coding and the inner-BA stages.
 //!
 //! Each `(ℓ, n)` cell appears three times: fault-free (`"none"`), with the
 //! last `t` grid nodes silent (`"withhold-t"` — their chunks must be

@@ -178,6 +178,14 @@ impl From<Vec<u8>> for Bytes {
     }
 }
 
+/// Zero-copy: the `Bytes` takes over the allocation (a `Vec` is copied
+/// into a fresh one, since `Arc` keeps its counts beside the bytes).
+impl From<Arc<[u8]>> for Bytes {
+    fn from(data: Arc<[u8]>) -> Self {
+        Bytes::whole(data)
+    }
+}
+
 impl From<&[u8]> for Bytes {
     fn from(v: &[u8]) -> Self {
         Bytes::copy_from_slice(v)
@@ -504,6 +512,14 @@ mod tests {
         set.insert(Bytes::from_static(b"b"));
         set.insert(Bytes::from_static(b"a"));
         assert_eq!(set.iter().next().unwrap(), &Bytes::from_static(b"a"));
+    }
+
+    #[test]
+    fn an_arc_becomes_bytes_without_a_copy() {
+        let data: Arc<[u8]> = Arc::from(&[7u8, 8, 9][..]);
+        let b = Bytes::from(Arc::clone(&data));
+        assert_eq!(b, &[7u8, 8, 9][..]);
+        assert_eq!(b.as_ptr(), data.as_ptr());
     }
 
     #[test]

@@ -462,14 +462,14 @@ mod tests {
             panic!("chunk stays a chunk");
         };
         assert_ne!(garbled.data, chunk.data);
-        assert!(!garbled.verify(&reg.verifier(), ProcessId(0)));
+        assert!(garbled.verify(&reg.verifier(), ProcessId(0)).is_none());
         // Empty chunks are garbled through the index instead.
         let empty =
             crate::SignedChunk::sign(&reg.signer(ProcessId(0)), 1, 0, Bytes::from(Vec::new()));
         let ExtMsg::Chunk(garbled) = Garbler::garble(ExtMsg::Chunk(empty)) else {
             panic!("chunk stays a chunk");
         };
-        assert!(!garbled.verify(&reg.verifier(), ProcessId(0)));
+        assert!(garbled.verify(&reg.verifier(), ProcessId(0)).is_none());
     }
 
     #[test]

@@ -11,12 +11,26 @@
 //!
 //! The field is GF(2⁸) with the usual AES-adjacent reduction polynomial
 //! `x⁸ + x⁴ + x³ + x² + 1` (0x11D), log/exp tables built once. Addition
-//! is XOR, so "any `k` chunks suffice" costs one table-multiply and one
-//! XOR per byte per support chunk — and nothing at all on the systematic
-//! fast path.
+//! is XOR, so "any `k` chunks suffice" costs one multiply and one XOR per
+//! byte per support chunk — and nothing at all on the systematic fast
+//! path.
+//!
+//! # The multiply-accumulate kernels
+//!
+//! A coefficient multiplies a chunk through two 16-entry tables, its
+//! products with every low and every high nibble. The **SSSE3** kernel
+//! looks up 16 bytes a step with `pshufb`; the **scalar** nibble loop is
+//! its fallback and finishes its tail. The CPU picks, as for
+//! `ba_crypto::sha256`'s compressors: asked once, cached, and nothing
+//! else selects a kernel. The unit tests hold both to the plain `gf_mul`
+//! loop. **Safety:** the kernel is the crate's only `unsafe` code; the
+//! private `Kernel::Ssse3` value only comes out of the detection, and the
+//! kernel touches memory through unaligned 16-byte loads and stores
+//! inside its slices.
 
 use ba_crypto::Bytes;
-use std::sync::OnceLock;
+use std::ops::Range;
+use std::sync::{Arc, OnceLock};
 
 /// Reduction polynomial for GF(2⁸).
 const GF_POLY: u16 = 0x11D;
@@ -83,21 +97,151 @@ fn lagrange_coeff(e: u8, xs: &[u8], j: usize) -> u8 {
     gf_div(num, den)
 }
 
-/// Accumulates `coeff · src[b]` into `acc[b]` for every byte position,
-/// through a per-coefficient 256-entry product table so the hot loop is a
-/// lookup and an XOR. `src` shorter than `acc` is implicitly zero-padded
-/// (the tail contributes nothing).
+/// `coeff · x` for every low nibble `x` (`lo`) and every high nibble
+/// `x << 4` (`hi`). Multiplication distributes over XOR, so
+/// `coeff · s = lo[s & 15] ^ hi[s >> 4]` — two 16-entry lookups per byte,
+/// and 32 field products to build instead of 256.
+struct NibbleTables {
+    lo: [u8; 16],
+    hi: [u8; 16],
+}
+
+impl NibbleTables {
+    fn new(coeff: u8) -> NibbleTables {
+        let mut tables = NibbleTables {
+            lo: [0; 16],
+            hi: [0; 16],
+        };
+        for x in 0..16u8 {
+            tables.lo[x as usize] = gf_mul(coeff, x);
+            tables.hi[x as usize] = gf_mul(coeff, x << 4);
+        }
+        tables
+    }
+}
+
+/// Which multiply-accumulate kernel [`fma_bytes`] runs — the same dispatch
+/// rule as `ba_crypto::sha256`'s backends: the CPU is asked once
+/// (`is_x86_feature_detected!("ssse3")`, cached in a static) and nothing
+/// else selects a kernel — no cargo feature, environment variable or
+/// option.
+///
+/// Private, and `Ssse3` is only ever produced by [`Kernel::detect`] after
+/// the CPU reported SSSE3 — the invariant the `unsafe` call in
+/// [`Kernel::fma_prefix`] relies on.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Kernel {
+    Scalar,
+    #[cfg(target_arch = "x86_64")]
+    Ssse3,
+}
+
+impl Kernel {
+    fn detect() -> Kernel {
+        #[cfg(target_arch = "x86_64")]
+        {
+            static DETECTED: OnceLock<Kernel> = OnceLock::new();
+            *DETECTED.get_or_init(|| {
+                if is_x86_feature_detected!("ssse3") {
+                    Kernel::Ssse3
+                } else {
+                    Kernel::Scalar
+                }
+            })
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        Kernel::Scalar
+    }
+
+    /// Accumulates `tables`' products into the longest prefix of `acc` the
+    /// kernel covers in whole steps (`acc` and `src` of equal length) and
+    /// returns its length; the scalar kernel covers nothing here.
+    fn fma_prefix(self, acc: &mut [u8], src: &[u8], tables: &NibbleTables) -> usize {
+        match self {
+            Kernel::Scalar => 0,
+            // SAFETY: `Ssse3` only comes out of `detect`, which saw the CPU
+            // report SSSE3; the kernel touches memory only through
+            // unaligned 16-byte loads and stores inside `acc` and `src`.
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Ssse3 => unsafe { fma_ssse3(acc, src, tables) },
+        }
+    }
+}
+
+/// Accumulates `coeff · src[b]` into `acc[b]` for every byte position.
+/// `src` shorter than `acc` is implicitly zero-padded (the tail
+/// contributes nothing). The SSSE3 kernel, where the CPU has it, takes 16
+/// bytes a step; the scalar nibble loop is its fallback and finishes its
+/// tail.
 fn fma_bytes(acc: &mut [u8], coeff: u8, src: &[u8]) {
+    fma_on(Kernel::detect(), acc, coeff, src);
+}
+
+/// [`fma_bytes`] through `kernel`.
+fn fma_on(kernel: Kernel, acc: &mut [u8], coeff: u8, src: &[u8]) {
     if coeff == 0 {
         return;
     }
-    let mut table = [0u8; 256];
-    for (v, slot) in table.iter_mut().enumerate() {
-        *slot = gf_mul(coeff, v as u8);
-    }
+    let len = acc.len().min(src.len());
+    let (acc, src) = (&mut acc[..len], &src[..len]);
+    let tables = NibbleTables::new(coeff);
+    let done = kernel.fma_prefix(acc, src, &tables);
+    fma_scalar(&mut acc[done..], &src[done..], &tables);
+}
+
+/// The portable kernel: one nibble-table pair lookup and one XOR per byte.
+fn fma_scalar(acc: &mut [u8], src: &[u8], tables: &NibbleTables) {
     for (a, &s) in acc.iter_mut().zip(src) {
-        *a ^= table[s as usize];
+        *a ^= tables.lo[(s & 0x0F) as usize] ^ tables.hi[(s >> 4) as usize];
     }
+}
+
+/// The SSSE3 kernel: `pshufb` looks up 16 low nibbles and 16 high nibbles
+/// at once. Covers the longest multiple of 16 of `acc.len()` (which must
+/// equal `src.len()`) and returns it; the caller finishes the rest.
+///
+/// # Safety
+/// The CPU must support SSSE3.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "ssse3")]
+unsafe fn fma_ssse3(acc: &mut [u8], src: &[u8], tables: &NibbleTables) -> usize {
+    use core::arch::x86_64::*;
+
+    debug_assert_eq!(acc.len(), src.len());
+    let whole = acc.len() / 16 * 16;
+    // SAFETY: the caller guarantees SSSE3. Every pointer comes from a live
+    // slice and is used for one unaligned 16-byte access inside it: the
+    // two 16-byte tables, and the `chunks_exact` pieces of `acc` and `src`.
+    unsafe {
+        let lo = _mm_loadu_si128(tables.lo.as_ptr().cast());
+        let hi = _mm_loadu_si128(tables.hi.as_ptr().cast());
+        let mask = _mm_set1_epi8(0x0F);
+        for (a, s) in acc[..whole]
+            .chunks_exact_mut(16)
+            .zip(src[..whole].chunks_exact(16))
+        {
+            let s = _mm_loadu_si128(s.as_ptr().cast());
+            let low = _mm_shuffle_epi8(lo, _mm_and_si128(s, mask));
+            let high = _mm_shuffle_epi8(hi, _mm_and_si128(_mm_srli_epi16(s, 4), mask));
+            let sum = _mm_xor_si128(_mm_loadu_si128(a.as_ptr().cast()), _mm_xor_si128(low, high));
+            _mm_storeu_si128(a.as_mut_ptr().cast(), sum);
+        }
+    }
+    whole
+}
+
+/// The canonical systematic slices of a `len`-byte payload split `k`
+/// ways: slice `i` is `i·cs .. (i + 1)·cs` clipped to `len`, with
+/// `cs = ⌈len / k⌉` (at least 1), so the last slices may be short or
+/// empty. Data chunk `i` is slice `i` of the payload, and
+/// [`payload_digest`](crate::payload_digest) hashes exactly these slices.
+pub fn data_ranges(k: usize, len: usize) -> impl Iterator<Item = Range<usize>> {
+    let cs = chunk_size(k, len);
+    (0..k).map(move |i| (i * cs).min(len)..((i + 1) * cs).min(len))
+}
+
+fn chunk_size(k: usize, len: usize) -> usize {
+    len.div_ceil(k).max(1)
 }
 
 /// A systematic `(n, k)` erasure coder: `k` data chunks, `n − k` parity
@@ -134,7 +278,7 @@ impl Coder {
     /// Bytes per chunk for an `len`-byte payload (the last data chunk may
     /// be shorter on the wire; it is implicitly zero-padded for coding).
     pub fn chunk_size(&self, len: usize) -> usize {
-        len.div_ceil(self.k).max(1)
+        chunk_size(self.k, len)
     }
 
     /// Splits `payload` into `n` coded chunks. The first `k` are zero-copy
@@ -143,11 +287,7 @@ impl Coder {
     pub fn encode(&self, payload: &Bytes) -> Vec<Bytes> {
         let cs = self.chunk_size(payload.len());
         let mut chunks = Vec::with_capacity(self.n);
-        for i in 0..self.k {
-            let start = (i * cs).min(payload.len());
-            let end = ((i + 1) * cs).min(payload.len());
-            chunks.push(payload.slice(start..end));
-        }
+        chunks.extend(data_ranges(self.k, payload.len()).map(|range| payload.slice(range)));
         let xs: Vec<u8> = (0..self.k as u16).map(|x| x as u8).collect();
         for p in self.k..self.n {
             let mut parity = vec![0u8; cs];
@@ -164,13 +304,13 @@ impl Coder {
     /// chunks (`chunks[i]` holds the chunk at point `i`, `None` when
     /// missing). Returns `None` when fewer than `k` chunks are present.
     ///
-    /// Chunks shorter than `chunk_size` are treated as zero-padded; the
-    /// result is truncated to `len`. Present data chunks are copied
-    /// through unchanged (the systematic fast path), so a fault-free
-    /// reconstruction performs no field arithmetic at all.
-    pub fn reconstruct(&self, chunks: &[Option<Bytes>], len: usize) -> Option<Vec<u8>> {
+    /// Chunks shorter than `chunk_size` are treated as zero-padded, longer
+    /// ones as cut to it; each data slice is written straight into the
+    /// one `len`-byte allocation the returned [`Bytes`] owns. Present data
+    /// chunks are copied through unchanged (the systematic fast path), so
+    /// a fault-free reconstruction performs no field arithmetic at all.
+    pub fn reconstruct(&self, chunks: &[Option<Bytes>], len: usize) -> Option<Bytes> {
         assert_eq!(chunks.len(), self.n, "one slot per coded chunk expected");
-        let cs = self.chunk_size(len);
         let present = chunks.iter().filter(|c| c.is_some()).count();
         if present < self.k {
             return None;
@@ -182,11 +322,13 @@ impl Coder {
             .take(self.k)
             .collect();
         let xs: Vec<u8> = support.iter().map(|&i| i as u8).collect();
-        let mut payload = vec![0u8; cs * self.k];
-        for i in 0..self.k {
-            let out = &mut payload[i * cs..(i + 1) * cs];
+        let mut payload: Arc<[u8]> = std::iter::repeat_n(0u8, len).collect();
+        let buf = Arc::get_mut(&mut payload).expect("a fresh allocation is unshared");
+        for (i, range) in data_ranges(self.k, len).enumerate() {
+            let out = &mut buf[range];
             if let Some(chunk) = &chunks[i] {
-                out[..chunk.len().min(cs)].copy_from_slice(&chunk[..chunk.len().min(cs)]);
+                let copied = chunk.len().min(out.len());
+                out[..copied].copy_from_slice(&chunk[..copied]);
                 continue;
             }
             for (j, &s) in support.iter().enumerate() {
@@ -198,8 +340,7 @@ impl Coder {
                 );
             }
         }
-        payload.truncate(len);
-        Some(payload)
+        Some(Bytes::from(payload))
     }
 }
 
@@ -211,6 +352,66 @@ mod tests {
     fn payload(len: usize, seed: u64) -> Bytes {
         let mut rng = SimRng::new(seed);
         Bytes::from((0..len).map(|_| rng.next_u64() as u8).collect::<Vec<u8>>())
+    }
+
+    /// The multiply-accumulate loop before the nibble tables: one full
+    /// field multiplication per byte.
+    fn fma_reference(acc: &mut [u8], coeff: u8, src: &[u8]) {
+        for (a, &s) in acc.iter_mut().zip(src) {
+            *a ^= gf_mul(coeff, s);
+        }
+    }
+
+    /// The scalar kernel, and SSSE3 where this CPU has it.
+    fn kernels() -> Vec<Kernel> {
+        let mut out = vec![Kernel::Scalar];
+        if Kernel::detect() != Kernel::Scalar {
+            out.push(Kernel::detect());
+        }
+        out
+    }
+
+    #[test]
+    fn every_kernel_matches_the_field_multiplication() {
+        // Two buffers read at every offset in 0..4 and a few far ones, so
+        // the kernels see misaligned sub-slices of a larger allocation.
+        let base = payload(200, 17).to_vec();
+        let start = payload(200, 18).to_vec();
+        for coeff in 0..=255u8 {
+            for acc_len in 0..=80usize {
+                for (offset, short) in [(0, 0), (1, 0), (3, 1), (7, 5), (13, 16), (15, 80)] {
+                    let src = &base[offset + 2..offset + 2 + acc_len.saturating_sub(short)];
+                    let mut expected = start[offset..offset + acc_len].to_vec();
+                    fma_reference(&mut expected, coeff, src);
+                    for kernel in kernels() {
+                        let mut buf = start.clone();
+                        fma_on(kernel, &mut buf[offset..offset + acc_len], coeff, src);
+                        assert_eq!(
+                            &buf[offset..offset + acc_len],
+                            &expected[..],
+                            "{kernel:?} coeff {coeff} len {acc_len} offset {offset} short {short}"
+                        );
+                        // Nothing outside `acc` moved.
+                        assert_eq!(&buf[..offset], &start[..offset]);
+                        assert_eq!(&buf[offset + acc_len..], &start[offset + acc_len..]);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn parity_alone_reconstructs_a_length_off_the_kernel_step() {
+        // 597 = 4 · 150 − 3: chunks of 150 bytes (nine kernel steps and a
+        // 6-byte tail) and a 147-byte last data slice.
+        let coder = Coder::new(4, 12);
+        let p = payload(597, 19);
+        let chunks = coder.encode(&p);
+        let mut have: Vec<Option<Bytes>> = vec![None; 12];
+        for i in [5, 7, 10, 11] {
+            have[i] = Some(chunks[i].clone());
+        }
+        assert_eq!(coder.reconstruct(&have, 597).expect("4 chunks held"), p);
     }
 
     #[test]
@@ -258,7 +459,7 @@ mod tests {
                         have[i] = Some(chunks[i].clone());
                     }
                     let out = coder.reconstruct(&have, 100).expect("3 chunks suffice");
-                    assert_eq!(out, p.to_vec(), "subset {{{a},{b},{c}}}");
+                    assert_eq!(out, p, "subset {{{a},{b},{c}}}");
                 }
             }
         }
@@ -306,7 +507,7 @@ mod tests {
             }
             assert_eq!(
                 coder.reconstruct(&have, len).expect("k chunks held"),
-                p.to_vec(),
+                p,
                 "len {len} k {k} n {n}"
             );
         }

@@ -7,12 +7,15 @@
 //! literature (Chen, *Fundamental Limits of Byzantine Agreement*), this
 //! crate splits the problem:
 //!
-//! 1. **Digest agreement** — the sender hashes the payload
-//!    (SHA-256, 32 bytes) and the digest's four 64-bit words are agreed
+//! 1. **Digest agreement** — the sender hashes the payload into
+//!    [`payload_digest`] (SHA-256 over the digests of its `k` data
+//!    slices, 32 bytes) and the digest's four 64-bit words are agreed
 //!    through an existing *multi-valued* checkable target
 //!    ([`ba_algos::checkable`], Dolev–Strong by default) as pluggable
 //!    inner-BA. Everything downstream can now *verify* the payload, so
-//!    dissemination needs no further agreement rounds.
+//!    dissemination needs no further agreement rounds — and a node
+//!    checks its reconstruction with the chunk digests its signature
+//!    checks already computed, hashing each payload byte once.
 //! 2. **Coded dissemination** — the payload is erasure-coded
 //!    ([`coding::Coder`], systematic RS-lite over GF(256)) into `n`
 //!    sender-signed chunks, `k = n − 2t` of which reconstruct. The chunks
@@ -50,6 +53,10 @@
 //! bits-exchanged figures are schedule-independent and byte-identical at
 //! any worker count like every other counter.
 
+// The one `unsafe fn` (the SSSE3 GF(256) kernel in `coding`) must spell
+// out each unsafe operation and why it is sound.
+#![deny(unsafe_op_in_unsafe_fn)]
+
 pub mod check;
 pub mod coding;
 pub mod net;
@@ -67,6 +74,35 @@ use std::sync::Arc;
 /// Signing domain for extension-layer chunks (disjoint from
 /// [`ba_algos::common::domains`]).
 const DOMAIN_EXT_CHUNK: u32 = 6;
+
+/// Hashing domain of the agreed payload digest ([`payload_digest`]).
+const DOMAIN_EXT_PAYLOAD: u32 = 7;
+
+/// The 32-byte value an agreement on `payload` agrees on, for `k` data
+/// chunks: `SHA-256(domain 7 ‖ len ‖ H(c₀) ‖ … ‖ H(c_{k−1}))`, where the
+/// `c_i` are the payload's canonical systematic slices
+/// ([`coding::data_ranges`]), `len` is a big-endian `u64` and the domain
+/// a big-endian `u32`. Two payloads share it only if they are equal
+/// (modulo SHA-256 collisions), exactly as with a flat hash — but a node
+/// already holding a data chunk's digest from its signature check need
+/// not hash those bytes again.
+pub fn payload_digest(k: usize, payload: &[u8]) -> [u8; DIGEST_LEN] {
+    payload_root(
+        payload.len(),
+        coding::data_ranges(k, payload.len()).map(|range| Sha256::digest(&payload[range])),
+    )
+}
+
+/// [`payload_digest`] from the slice digests themselves.
+fn payload_root(len: usize, digests: impl Iterator<Item = [u8; DIGEST_LEN]>) -> [u8; DIGEST_LEN] {
+    let mut hasher = Sha256::new();
+    hasher.update(&DOMAIN_EXT_PAYLOAD.to_be_bytes());
+    hasher.update(&(len as u64).to_be_bytes());
+    for digest in digests {
+        hasher.update(&digest);
+    }
+    hasher.finalize()
+}
 
 /// Dissemination phases: disperse, row broadcast, column bundles, repair
 /// requests, designated repair responses, escalation re-requests, full-row
@@ -146,18 +182,34 @@ pub struct SignedChunk {
 impl SignedChunk {
     /// The signed bytes: domain, index and payload length as big-endian
     /// `u32`/`u32`/`u64`, then `H(data)`.
-    fn content(index: u16, payload_len: u64, data: &[u8]) -> [u8; 16 + DIGEST_LEN] {
+    fn content(
+        index: u16,
+        payload_len: u64,
+        data_digest: &[u8; DIGEST_LEN],
+    ) -> [u8; 16 + DIGEST_LEN] {
         let mut out = [0u8; 16 + DIGEST_LEN];
         out[..4].copy_from_slice(&DOMAIN_EXT_CHUNK.to_be_bytes());
         out[4..8].copy_from_slice(&u32::from(index).to_be_bytes());
         out[8..16].copy_from_slice(&payload_len.to_be_bytes());
-        out[16..].copy_from_slice(&Sha256::digest(data));
+        out[16..].copy_from_slice(data_digest);
         out
     }
 
     /// Signs `data` as chunk `index` of a `payload_len`-byte payload.
     pub fn sign(signer: &Signer, index: u16, payload_len: u64, data: Bytes) -> SignedChunk {
-        let sig = signer.sign(&Self::content(index, payload_len, &data));
+        let digest = Sha256::digest(&data);
+        Self::sign_digested(signer, index, payload_len, data, &digest)
+    }
+
+    /// [`sign`](Self::sign) with `H(data)` already in hand.
+    fn sign_digested(
+        signer: &Signer,
+        index: u16,
+        payload_len: u64,
+        data: Bytes,
+        data_digest: &[u8; DIGEST_LEN],
+    ) -> SignedChunk {
+        let sig = signer.sign(&Self::content(index, payload_len, data_digest));
         SignedChunk {
             index,
             payload_len,
@@ -166,13 +218,20 @@ impl SignedChunk {
         }
     }
 
-    /// Whether this chunk carries a valid signature by `sender`.
-    pub fn verify(&self, verifier: &Verifier, sender: ProcessId) -> bool {
-        self.sig.signer() == sender
-            && verifier.verify(
+    /// `H(data)` when this chunk carries a valid signature by `sender`,
+    /// `None` otherwise — the check hashes the bytes anyway, and a holder
+    /// reuses the digest for the payload root ([`payload_digest`]).
+    pub fn verify(&self, verifier: &Verifier, sender: ProcessId) -> Option<[u8; DIGEST_LEN]> {
+        if self.sig.signer() != sender {
+            return None;
+        }
+        let digest = Sha256::digest(&self.data);
+        verifier
+            .verify(
                 &self.sig,
-                &Self::content(self.index, self.payload_len, &self.data),
+                &Self::content(self.index, self.payload_len, &digest),
             )
+            .then_some(digest)
     }
 
     /// Encoded wire size: index + payload length + data length prefix +
@@ -325,8 +384,9 @@ impl ExtDecision {
 /// are load-balanced: for each `(requester, chunk)` a single row mate is
 /// designated by deterministic rank rotation, and only if its reply never
 /// lands does the requester escalate to the full row. `finalize`
-/// reconstructs and digest-verifies into a *provisional* decision — the
-/// availability vote and fetch round turn it into the agreed one.
+/// reconstructs and checks the reconstruction against the agreed
+/// [`payload_digest`] into a *provisional* decision — the availability
+/// vote and fetch round turn it into the agreed one.
 #[derive(Debug)]
 pub struct ExtActor {
     id: ProcessId,
@@ -336,8 +396,12 @@ pub struct ExtActor {
     payload_len: Option<u64>,
     verifier: Verifier,
     chunks: Vec<Option<SignedChunk>>,
-    /// Sender only: chunks staged for the disperse phase.
-    outgoing: Option<Vec<SignedChunk>>,
+    /// `H(data)` of each held chunk, from its signature check (or, at the
+    /// sender, from signing).
+    chunk_digests: Vec<Option<[u8; DIGEST_LEN]>>,
+    /// Sender only: chunks staged for the disperse phase, with their data
+    /// digests.
+    outgoing: Option<Outgoing>,
     repair_requests: Vec<(ProcessId, Vec<u16>)>,
     decision: Option<ExtDecision>,
     board: Arc<Board<ExtDecision>>,
@@ -351,13 +415,14 @@ impl ExtActor {
         if idx >= self.chunks.len() || self.chunks[idx].is_some() {
             return;
         }
-        if !chunk.verify(&self.verifier, Self::SENDER) {
+        let Some(digest) = chunk.verify(&self.verifier, Self::SENDER) else {
             return;
-        }
+        };
         if self.payload_len.is_none() {
             self.payload_len = Some(chunk.payload_len);
         }
         self.chunks[idx] = Some(chunk);
+        self.chunk_digests[idx] = Some(digest);
     }
 
     fn absorb(&mut self, inbox: Inbox<'_, ExtMsg>) {
@@ -394,10 +459,17 @@ impl ExtActor {
     /// The row mate designated to answer `requester`'s repair request for
     /// `chunk`: deterministic rank rotation over the requester's row, so
     /// repair load spreads across the row instead of every mate answering
-    /// every request (up to m× duplicate traffic).
+    /// every request (up to m× duplicate traffic). Rank `r` among the
+    /// `m − 1` mates, in id order, is column `r` before the requester's
+    /// own column and `r + 1` from it on.
     fn designated_responder(grid: &Grid, requester: usize, chunk: usize) -> ProcessId {
-        let mates: Vec<ProcessId> = grid.row_mates(requester).collect();
-        mates[(requester + chunk) % mates.len()]
+        let rank = (requester + chunk) % (grid.m - 1);
+        let col = if rank < requester % grid.m {
+            rank
+        } else {
+            rank + 1
+        };
+        ProcessId((grid.row(requester) * grid.m + col) as u32)
     }
 
     /// Answers the buffered repair requests. In the designated round each
@@ -450,8 +522,8 @@ impl ExtActor {
             .map(|c| c.as_ref().map(|chunk| chunk.data.clone()))
             .collect();
         match self.coder.reconstruct(&data, len as usize) {
-            Some(payload) if Sha256::digest(&payload) == digest => {
-                ExtDecision::Decide(Bytes::from(payload))
+            Some(payload) if self.reconstruction_root(&payload) == digest => {
+                ExtDecision::Decide(payload)
             }
             Some(_) => ExtDecision::Abort(AbortReason::DigestMismatch),
             None => ExtDecision::Abort(AbortReason::InsufficientChunks {
@@ -459,6 +531,25 @@ impl ExtActor {
                 needed: self.coder.k(),
             }),
         }
+    }
+
+    /// [`payload_digest`] of `payload`, this node's reconstruction. A held
+    /// data chunk of exactly its slice's length *is* that slice, so its
+    /// digest from the signature check stands in for hashing the slice
+    /// again; every other slice (a missing data chunk, or one the sender
+    /// signed too short or too long, which reconstruction padded or cut)
+    /// is hashed from the reconstruction.
+    fn reconstruction_root(&self, payload: &[u8]) -> [u8; DIGEST_LEN] {
+        let slices = coding::data_ranges(self.coder.k(), payload.len());
+        payload_root(
+            payload.len(),
+            slices.enumerate().map(
+                |(i, range)| match (&self.chunks[i], self.chunk_digests[i]) {
+                    (Some(chunk), Some(digest)) if chunk.data.len() == range.len() => digest,
+                    _ => Sha256::digest(&payload[range]),
+                },
+            ),
+        )
     }
 }
 
@@ -469,16 +560,18 @@ impl Actor<ExtMsg> for ExtActor {
         match phase {
             // Disperse: the sender hands chunk i to node i.
             1 => {
-                if let Some(chunks) = self.outgoing.take() {
-                    for chunk in chunks {
+                if let Some(outgoing) = self.outgoing.take() {
+                    for (chunk, digest) in outgoing.chunks.into_iter().zip(outgoing.digests) {
                         let owner = ProcessId(u32::from(chunk.index));
                         if owner != self.id {
                             out.send(owner, ExtMsg::Chunk(chunk.clone()));
                         }
                         // The sender keeps every chunk (it can answer any
                         // repair). It signed them itself, so they skip the
-                        // verification every received chunk goes through.
+                        // verification every received chunk goes through,
+                        // and their digests come from signing.
                         self.chunks[owner.index()] = Some(chunk);
+                        self.chunk_digests[owner.index()] = Some(digest);
                     }
                 }
             }
@@ -555,12 +648,15 @@ impl Actor<ExtMsg> for ExtActor {
 /// deterministically-ranked available voter, then escalates to the next
 /// `t` — `t + 1` distinct voters include a correct holder, so within
 /// budget the fetch always lands. Responses are verified against the
-/// agreed digest before acceptance. When the vote aborted, every node
-/// finalizes the identical [`AbortReason::InsufficientAvailability`].
+/// agreed [`payload_digest`] before acceptance. When the vote aborted,
+/// every node finalizes the identical
+/// [`AbortReason::InsufficientAvailability`].
 #[derive(Debug)]
 pub struct FetchActor {
     id: ProcessId,
     digest: Option<[u8; DIGEST_LEN]>,
+    /// Data chunks the agreed digest is taken over.
+    k: usize,
     /// The provisionally reconstructed payload, if any; fetched bytes
     /// land here after digest verification.
     payload: Option<Bytes>,
@@ -602,7 +698,9 @@ impl FetchActor {
                 ExtMsg::Fetch => self.fetch_requests.push(env.from),
                 ExtMsg::Full(bytes) => {
                     if self.payload.is_none()
-                        && self.digest.is_some_and(|d| Sha256::digest(bytes) == d)
+                        && self
+                            .digest
+                            .is_some_and(|d| payload_digest(self.k, bytes) == d)
                     {
                         self.payload = Some(bytes.clone());
                     }
@@ -832,7 +930,11 @@ impl ExtOptions {
 pub struct ExtReport {
     /// Payload length ℓ in bytes.
     pub payload_len: usize,
-    /// The sender's payload digest (what honest runs agree on).
+    /// Data chunks `k = n − 2t`: how many slices `digest` is taken over.
+    pub data_chunks: usize,
+    /// What honest runs agree on: the sender's
+    /// [`payload_digest`]`(data_chunks, payload)`, a hash over the
+    /// digests of the payload's `k` data slices.
     pub digest: [u8; DIGEST_LEN],
     /// Per-node *agreed* outcomes (index = processor id; `None` only if a
     /// faulty actor never posted). Every correct node's entry carries the
@@ -982,6 +1084,15 @@ pub(crate) fn assemble_digest_views(
         .collect()
 }
 
+/// The sender's signed chunks, each chunk's data digest, and the payload
+/// digest taken over the first `k` of them.
+#[derive(Clone, Debug)]
+pub(crate) struct Outgoing {
+    chunks: Vec<SignedChunk>,
+    digests: Vec<[u8; DIGEST_LEN]>,
+    pub(crate) payload_digest: [u8; DIGEST_LEN],
+}
+
 /// The state the two grid stages share: chunk-signing registry, signed
 /// outgoing chunks, and the dissemination / fetch actor builders.
 pub(crate) struct ExtSetup {
@@ -999,16 +1110,33 @@ impl ExtSetup {
         }
     }
 
-    pub(crate) fn sign_chunks(&self, payload: &Bytes) -> Vec<SignedChunk> {
+    /// Encodes and signs `payload`, hashing each chunk once: the `k` data
+    /// digests give the payload digest and sign the data chunks, so only
+    /// the parity chunks are hashed for signing alone.
+    pub(crate) fn sign_chunks(&self, payload: &Bytes) -> Outgoing {
         let sender_signer = self.registry.signer(ExtActor::SENDER);
-        self.coder
-            .encode(payload)
+        let data = self.coder.encode(payload);
+        let digests: Vec<[u8; DIGEST_LEN]> =
+            data.iter().map(|chunk| Sha256::digest(chunk)).collect();
+        let chunks = data
             .into_iter()
+            .zip(&digests)
             .enumerate()
-            .map(|(i, data)| {
-                SignedChunk::sign(&sender_signer, i as u16, payload.len() as u64, data)
+            .map(|(i, (data, digest))| {
+                SignedChunk::sign_digested(
+                    &sender_signer,
+                    i as u16,
+                    payload.len() as u64,
+                    data,
+                    digest,
+                )
             })
-            .collect()
+            .collect();
+        Outgoing {
+            chunks,
+            payload_digest: payload_root(payload.len(), digests[..self.coder.k()].iter().copied()),
+            digests,
+        }
     }
 
     /// The dissemination (run A) actors, posting provisional decisions to
@@ -1018,7 +1146,7 @@ impl ExtSetup {
         opts: &ExtOptions,
         payload: &Bytes,
         digest_views: &[Option<[u8; DIGEST_LEN]>],
-        outgoing: &[SignedChunk],
+        outgoing: &Outgoing,
         board: &Arc<Board<ExtDecision>>,
     ) -> Vec<Box<dyn Actor<ExtMsg>>> {
         (0..opts.n)
@@ -1031,7 +1159,8 @@ impl ExtSetup {
                     payload_len: (i == 0).then_some(payload.len() as u64),
                     verifier: self.registry.verifier(),
                     chunks: vec![None; opts.n],
-                    outgoing: (i == 0).then(|| outgoing.to_vec()),
+                    chunk_digests: vec![None; opts.n],
+                    outgoing: (i == 0).then(|| outgoing.clone()),
                     repair_requests: Vec::new(),
                     decision: None,
                     board: Arc::clone(board),
@@ -1059,6 +1188,7 @@ impl ExtSetup {
                 Box::new(FetchActor {
                     id: ProcessId(i as u32),
                     digest: digest_views[i],
+                    k: self.coder.k(),
                     payload: provisional[i].as_ref().and_then(|d| d.payload().cloned()),
                     available,
                     outcome_decide,
@@ -1198,17 +1328,21 @@ mod tests {
         let reg = KeyRegistry::new(4, 9, SchemeKind::Fast);
         let signer = reg.signer(ProcessId(0));
         let chunk = SignedChunk::sign(&signer, 3, 100, Bytes::from(vec![1, 2, 3]));
-        assert!(chunk.verify(&reg.verifier(), ProcessId(0)));
+        // A valid chunk hands back the digest of its bytes.
+        assert_eq!(
+            chunk.verify(&reg.verifier(), ProcessId(0)),
+            Some(Sha256::digest(&[1, 2, 3]))
+        );
         // Wrong claimed sender.
-        assert!(!chunk.verify(&reg.verifier(), ProcessId(1)));
+        assert!(chunk.verify(&reg.verifier(), ProcessId(1)).is_none());
         // Garbled data.
         let mut garbled = chunk.clone();
         garbled.data = Bytes::from(vec![1, 2, 4]);
-        assert!(!garbled.verify(&reg.verifier(), ProcessId(0)));
+        assert!(garbled.verify(&reg.verifier(), ProcessId(0)).is_none());
         // Re-indexed.
         let mut moved = chunk.clone();
         moved.index = 2;
-        assert!(!moved.verify(&reg.verifier(), ProcessId(0)));
+        assert!(moved.verify(&reg.verifier(), ProcessId(0)).is_none());
         // Signed by a non-sender identity.
         let fake = SignedChunk::sign(
             &reg.signer(ProcessId(2)),
@@ -1216,7 +1350,7 @@ mod tests {
             100,
             Bytes::from(vec![1, 2, 3]),
         );
-        assert!(!fake.verify(&reg.verifier(), ProcessId(0)));
+        assert!(fake.verify(&reg.verifier(), ProcessId(0)).is_none());
     }
 
     #[test]
@@ -1279,9 +1413,11 @@ mod tests {
     fn sender_stores_its_own_chunks_without_verifying_them() {
         // Chunk authentication is one digest + one signature check per
         // *received* chunk. The sender holds all n chunks from phase 1 on
-        // — it signed them — so its disperse phase does no crypto, and the
-        // run's totals are the other n − 1 nodes' n chunks each plus every
-        // node's reconstruction digest. The same ledger over `ba_ext::net`.
+        // — it signed them, and was handed their digests — so its disperse
+        // phase does no crypto, and the run's totals are the other n − 1
+        // nodes' n chunks each plus one root hash per node (every data
+        // chunk's digest is already in hand). The same ledger over
+        // `ba_ext::net`.
         let p = payload(10_000, 42);
         let opts = ExtOptions::default();
         let n = opts.n as u64;
@@ -1309,6 +1445,161 @@ mod tests {
             assert_eq!(report.availability.len(), opts.n, "{driver}");
         }
         assert_eq!(lockstep, net);
+    }
+
+    /// Node 1 of an `(n, t)` run that agreed on `payload`'s digest, holding
+    /// every chunk of `chunks` that verifies (in order).
+    fn node_holding(opts: &ExtOptions, payload: &Bytes, chunks: &[SignedChunk]) -> ExtActor {
+        let setup = ExtSetup::new(opts);
+        let mut node = ExtActor {
+            id: ProcessId(1),
+            grid: setup.grid,
+            coder: setup.coder,
+            digest: Some(setup.sign_chunks(payload).payload_digest),
+            payload_len: None,
+            verifier: setup.registry.verifier(),
+            chunks: vec![None; opts.n],
+            chunk_digests: vec![None; opts.n],
+            outgoing: None,
+            repair_requests: Vec::new(),
+            decision: None,
+            board: Board::new(opts.n),
+        };
+        for chunk in chunks {
+            node.try_store(chunk.clone());
+        }
+        node
+    }
+
+    /// The verdict under the flat digest this layer agreed on before:
+    /// decide the reconstruction iff it hashes like the payload.
+    fn flat_digest_verdict(node: &ExtActor, payload: &Bytes) -> ExtDecision {
+        let data: Vec<Option<Bytes>> = node
+            .chunks
+            .iter()
+            .map(|c| c.as_ref().map(|chunk| chunk.data.clone()))
+            .collect();
+        let len = node.payload_len.expect("a chunk was stored") as usize;
+        let reconstruction = node.coder.reconstruct(&data, len).expect("k chunks held");
+        if Sha256::digest(&reconstruction) == Sha256::digest(payload) {
+            ExtDecision::Decide(reconstruction)
+        } else {
+            ExtDecision::Abort(AbortReason::DigestMismatch)
+        }
+    }
+
+    #[test]
+    fn a_root_from_cached_digests_equals_the_payload_digest() {
+        ba_crypto::testkit::run_cases(48, 0x2007, |gen| {
+            let (n, t) = [(4, 1), (9, 1), (9, 2), (16, 1), (16, 3)][gen.usize_in(0, 5)];
+            let opts = ExtOptions::new().with_n(n).with_t(t).with_seed(gen.u64());
+            let k = opts.data_chunks();
+            let len = match gen.usize_in(0, 5) {
+                0 => 0,
+                1 => 1,
+                2 => gen.usize_in(1, k),
+                3 => k * gen.usize_in(1, 300) + gen.usize_in(1, k),
+                _ => 64 * 1024 + gen.usize_in(0, 2 * k),
+            };
+            let payload = Bytes::from(gen.rng().bytes(len));
+            let signed = ExtSetup::new(&opts).sign_chunks(&payload).chunks;
+            // A random k-subset; half the time every parity chunk first.
+            let mut order: Vec<usize> = (0..n).collect();
+            for i in (1..n).rev() {
+                order.swap(i, gen.usize_in(0, i + 1));
+            }
+            if gen.bool() {
+                order.sort_by_key(|&i| i < k);
+            }
+            let held: Vec<SignedChunk> = order[..k].iter().map(|&i| signed[i].clone()).collect();
+            let node = node_holding(&opts, &payload, &held);
+            let oracle = flat_digest_verdict(&node, &payload);
+            assert_eq!(oracle, ExtDecision::Decide(payload.clone()), "len {len}");
+            let reconstruction = oracle.payload().expect("decided");
+            let before = ba_crypto::stats::CryptoStats::snapshot();
+            let root = node.reconstruction_root(reconstruction);
+            let hashes = ba_crypto::stats::CryptoStats::snapshot()
+                .since(&before)
+                .hash_invocations;
+            assert_eq!(
+                root,
+                payload_digest(k, &payload),
+                "n {n} t {t} len {len} held {:?}",
+                &order[..k]
+            );
+            // Held data chunks are not hashed again: one hash per missing
+            // data slice, plus the root itself.
+            let missing = order[k..].iter().filter(|&&i| i < k).count() as u64;
+            assert_eq!(hashes, missing + 1, "len {len} held {:?}", &order[..k]);
+            assert_eq!(node.compute_decision(), oracle, "n {n} t {t} len {len}");
+        });
+    }
+
+    #[test]
+    fn a_data_chunk_signed_at_the_wrong_length_is_judged_like_the_flat_digest() {
+        let opts = ExtOptions::new().with_n(9).with_t(2);
+        let k = opts.data_chunks();
+        let setup = ExtSetup::new(&opts);
+        let signer = setup.registry.signer(ExtActor::SENDER);
+        // k = 5 slices: four of 25 bytes and a last one of 22. Slice 1 and
+        // the last slice end in zero bytes, so trimming them loses nothing.
+        let len = 122;
+        let ranges: Vec<_> = coding::data_ranges(k, len).collect();
+        let mut bytes = payload(len, 3).to_vec();
+        bytes[ranges[1].end - 5..ranges[1].end].fill(0);
+        bytes[len - 3..].fill(0);
+        let payload = Bytes::from(bytes);
+        let honest = setup.sign_chunks(&payload).chunks;
+        let resign = |i: usize, data: Vec<u8>| {
+            SignedChunk::sign(&signer, i as u16, len as u64, Bytes::from(data))
+        };
+        let with_extra = |i: usize| {
+            let mut data = payload[ranges[i].clone()].to_vec();
+            data.push(0xA5);
+            resign(i, data)
+        };
+        let trimmed = |i: usize, zeros: usize| {
+            let data = &payload[ranges[i].clone()];
+            resign(i, data[..data.len() - zeros].to_vec())
+        };
+        let flipped = |i: usize| {
+            let mut data = payload[ranges[i].clone()].to_vec();
+            data[0] ^= 1;
+            resign(i, data)
+        };
+        for (label, forged, decides) in [
+            ("one extra byte, full slice", with_extra(0), true),
+            ("one extra byte, last slice", with_extra(k - 1), true),
+            ("trailing zeros trimmed", trimmed(1, 5), true),
+            ("last slice trimmed", trimmed(k - 1, 3), true),
+            ("a flipped byte", flipped(2), false),
+        ] {
+            let index = forged.index as usize;
+            // Only the data chunks, and the forged one in its own slot.
+            let mut held = honest[..k].to_vec();
+            held[index] = forged;
+            let node = node_holding(&opts, &payload, &held);
+            let oracle = flat_digest_verdict(&node, &payload);
+            assert_eq!(matches!(oracle, ExtDecision::Decide(_)), decides, "{label}");
+            assert_eq!(node.compute_decision(), oracle, "{label}");
+        }
+    }
+
+    #[test]
+    fn designated_responder_is_the_rank_rotation_over_row_mates() {
+        for n in [4, 9, 16] {
+            let grid = Grid::new(n).expect("square");
+            for requester in 0..n {
+                let mates: Vec<ProcessId> = grid.row_mates(requester).collect();
+                for chunk in 0..n {
+                    assert_eq!(
+                        ExtActor::designated_responder(&grid, requester, chunk),
+                        mates[(requester + chunk) % mates.len()],
+                        "n {n} requester {requester} chunk {chunk}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -29,8 +29,7 @@
 //! individually reproducible.
 
 use crate::pipeline::{self, StageRunner};
-use crate::{ExtDecision, ExtError, ExtMsg, ExtOptions, ExtReport};
-use ba_crypto::sha256::Sha256;
+use crate::{payload_digest, ExtDecision, ExtError, ExtMsg, ExtOptions, ExtReport};
 use ba_crypto::{Bytes, ProcessId};
 use ba_net::svc::instance_seed;
 use ba_net::verdict::{DegradationVerdict, NetStats};
@@ -252,7 +251,7 @@ pub fn outcome_agreement(report: &ExtReport) -> Result<(), String> {
             return Err(format!("correct {id} finalized no outcome"));
         };
         if let ExtDecision::Decide(bytes) = decision {
-            if Sha256::digest(bytes) != report.digest {
+            if payload_digest(report.data_chunks, bytes) != report.digest {
                 return Err(format!("correct {id} decided a wrong payload"));
             }
         }

@@ -16,7 +16,6 @@ use crate::{
 };
 use ba_algos::checkable::{CheckConfig, CheckTarget};
 use ba_algos::common::Board;
-use ba_crypto::sha256::Sha256;
 use ba_crypto::{Bytes, Value};
 use ba_sim::schedule::ScheduleSpec;
 use ba_sim::{Actor, InstanceSpec, Metrics, Payload, RunOutcome};
@@ -102,7 +101,11 @@ pub(crate) fn run<R: StageRunner>(
     spec.validate(opts.n, opts.t)
         .map_err(ExtError::BadOptions)?;
     let threads = runner.threads();
-    let digest = Sha256::digest(payload);
+    // The sender encodes and signs first: its data-chunk digests are what
+    // the payload digest is taken over.
+    let setup = ExtSetup::new(opts);
+    let outgoing = setup.sign_chunks(payload);
+    let digest = outgoing.payload_digest;
 
     // Stage 1 — digest agreement: one inner-BA run per 64-bit digest word.
     let word_cfgs = digest.chunks_exact(8).enumerate().map(|(w, word)| {
@@ -116,7 +119,6 @@ pub(crate) fn run<R: StageRunner>(
 
     // The two grid stages: schedule faults, then the caller's adversaries,
     // compiled onto the honest actors.
-    let setup = ExtSetup::new(opts);
     let run_grid = |runner: &mut R,
                     stage: ExtStage,
                     actors: Vec<Box<dyn Actor<ExtMsg>>>,
@@ -133,9 +135,8 @@ pub(crate) fn run<R: StageRunner>(
         runner.run(stage, instance)
     };
 
-    // Stage 2 — dissemination: encode, sign, run the grid exchange into
-    // provisional decisions.
-    let outgoing = setup.sign_chunks(payload);
+    // Stage 2 — dissemination: run the grid exchange over the signed
+    // chunks into provisional decisions.
     let provisional_board = Board::new(opts.n);
     let actors =
         setup.dissemination_actors(opts, payload, &digest_views, &outgoing, &provisional_board);
@@ -169,6 +170,7 @@ pub(crate) fn run<R: StageRunner>(
         .unwrap_or_default();
     Ok(ExtReport {
         payload_len: payload.len(),
+        data_chunks: opts.data_chunks(),
         digest,
         decisions: board.snapshot(),
         correct: fetch.correct,
