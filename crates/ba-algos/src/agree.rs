@@ -20,10 +20,10 @@ use crate::algorithm1::Algo1Params;
 use crate::algorithm2::Algo2Actor;
 use crate::algorithm5::{self, is_valid_message};
 use crate::bounds;
-use crate::common::{instance, run_report, Board};
-use ba_crypto::{Chain, KeyRegistry, ProcessId, SchemeKind, Signer, Value};
+use crate::common::{instance, run_report, Board, RunOptions};
+use ba_crypto::{Chain, KeyRegistry, ProcessId, Signer, Value};
 use ba_sim::actor::{Actor, Inbox, Outbox};
-use ba_sim::{AgreementViolation, Metrics, RunVerdict, ScheduleSpec};
+use ba_sim::{AgreementViolation, Metrics, RunVerdict};
 use std::sync::Arc;
 
 /// Which algorithm the facade selected.
@@ -46,15 +46,6 @@ pub struct AgreeReport {
     pub verdict: RunVerdict,
     /// Traffic accounting.
     pub metrics: Metrics,
-}
-
-/// Options for [`agree`] and [`run_small_n`].
-#[derive(Debug, Default)]
-pub struct AgreeOptions {
-    /// Registry seed.
-    pub seed: u64,
-    /// Signature scheme.
-    pub scheme: SchemeKind,
 }
 
 /// A processor of the small-`n` extension: the first `2t + 1` run
@@ -148,7 +139,9 @@ impl Actor<Chain> for SmallNActor {
     }
 }
 
-/// Runs the small-`n` extension (`n ≥ 2t + 1`).
+/// Runs the small-`n` extension (`n ≥ 2t + 1`). The schedule's
+/// behaviours are the generic ones (silence, crashes, link drops): the
+/// extension maps no protocol-specific fault.
 ///
 /// # Errors
 /// Propagates any [`AgreementViolation`].
@@ -159,7 +152,7 @@ pub fn run_small_n(
     n: usize,
     t: usize,
     value: Value,
-    options: AgreeOptions,
+    options: RunOptions,
 ) -> Result<AgreeReport, AgreementViolation> {
     assert!(t >= 1 && n > 2 * t, "small-n extension needs n >= 2t + 1");
     assert!(value == Value::ZERO || value == Value::ONE);
@@ -182,8 +175,8 @@ pub fn run_small_n(
         ))
     };
     let dims = (n, t, SmallNActor::phases(t));
-    let spec = instance(&ScheduleSpec::default(), dims, None, honest, |_, _| None);
-    let report = run_report(spec, 1, value)?;
+    let spec = instance(&options.schedule, dims, None, honest, |_, _| None);
+    let report = run_report(spec, &options, value)?;
     Ok(AgreeReport {
         selected: Selected::SmallN,
         verdict: report.verdict,
@@ -192,13 +185,13 @@ pub fn run_small_n(
 }
 
 /// Reaches Byzantine Agreement with the paper's regime-appropriate
-/// algorithm (see the module docs).
+/// algorithm (see the module docs), which runs with `options` as given.
 ///
 /// ```
-/// use ba_algos::{agree, AgreeOptions, Selected};
+/// use ba_algos::{agree, RunOptions, Selected};
 /// use ba_crypto::Value;
 ///
-/// let r = agree(12, 1, Value::ONE, AgreeOptions::default())?;
+/// let r = agree(12, 1, Value::ONE, RunOptions::default())?;
 /// assert_eq!(r.verdict.agreed, Some(Value::ONE));
 /// assert_eq!(r.selected, Selected::Algorithm5); // 12 >= alpha(1) = 9
 /// # Ok::<(), ba_sim::AgreementViolation>(())
@@ -213,20 +206,12 @@ pub fn agree(
     n: usize,
     t: usize,
     value: Value,
-    options: AgreeOptions,
+    options: RunOptions,
 ) -> Result<AgreeReport, AgreementViolation> {
     assert!(t >= 1 && n > 2 * t, "byzantine agreement needs n >= 2t + 1");
     let alpha = bounds::alpha(t as u64) as usize;
     if n == 2 * t + 1 {
-        let r = crate::algorithm1::run(
-            t,
-            value,
-            crate::algorithm1::Algo1Options {
-                seed: options.seed,
-                scheme: options.scheme,
-                ..Default::default()
-            },
-        )?;
+        let r = crate::algorithm1::run(t, value, options)?;
         Ok(AgreeReport {
             selected: Selected::Algorithm1,
             verdict: r.verdict,
@@ -235,22 +220,8 @@ pub fn agree(
     } else if n < alpha {
         run_small_n(n, t, value, options)
     } else {
-        // Largest tree size 2^λ − 1 not exceeding max(t, 1).
-        let mut s = 1;
-        while 2 * s < t.max(1) {
-            s = 2 * s + 1;
-        }
-        let r = algorithm5::run(
-            n,
-            t,
-            s,
-            value,
-            algorithm5::Alg5Options {
-                seed: options.seed,
-                scheme: options.scheme,
-                ..Default::default()
-            },
-        )?;
+        let s = bounds::alg5_tree_size(t as u64) as usize;
+        let r = algorithm5::run(n, t, s, value, options)?;
         Ok(AgreeReport {
             selected: Selected::Algorithm5,
             verdict: r.verdict,
@@ -262,6 +233,7 @@ pub fn agree(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ba_crypto::SchemeKind;
 
     #[test]
     fn small_n_extension_agrees_with_bounded_extra_messages() {
@@ -270,7 +242,7 @@ mod tests {
             for extra in [1usize, 3, 2 * t] {
                 let n = core + extra;
                 for v in [Value::ZERO, Value::ONE] {
-                    let r = run_small_n(n, t, v, AgreeOptions::default()).unwrap();
+                    let r = run_small_n(n, t, v, RunOptions::default()).unwrap();
                     assert_eq!(r.verdict.agreed, Some(v), "n={n} t={t}");
                     // Algorithm 2 bound plus the hand-off term.
                     let bound = bounds::alg2_max_messages(t as u64)
@@ -285,11 +257,11 @@ mod tests {
     #[test]
     fn facade_selects_per_regime() {
         let t = 1; // alpha = 9
-        let a = agree(3, t, Value::ONE, AgreeOptions::default()).unwrap();
+        let a = agree(3, t, Value::ONE, RunOptions::default()).unwrap();
         assert_eq!(a.selected, Selected::Algorithm1);
-        let b = agree(5, t, Value::ONE, AgreeOptions::default()).unwrap();
+        let b = agree(5, t, Value::ONE, RunOptions::default()).unwrap();
         assert_eq!(b.selected, Selected::SmallN);
-        let c = agree(20, t, Value::ONE, AgreeOptions::default()).unwrap();
+        let c = agree(20, t, Value::ONE, RunOptions::default()).unwrap();
         assert_eq!(c.selected, Selected::Algorithm5);
         for r in [a, b, c] {
             assert_eq!(r.verdict.agreed, Some(Value::ONE));
@@ -301,7 +273,7 @@ mod tests {
         // Across the regime map the counts stay within a uniform
         // c·(n + t²) envelope (the paper's O(n + t²) claim end to end).
         for (n, t) in [(3usize, 1usize), (7, 1), (9, 4), (12, 4), (30, 1), (60, 3)] {
-            let r = agree(n, t, Value::ONE, AgreeOptions::default()).unwrap();
+            let r = agree(n, t, Value::ONE, RunOptions::default()).unwrap();
             assert_eq!(r.verdict.agreed, Some(Value::ONE));
             let budget = 30 * (n as u64 + (t * t) as u64) + 200;
             assert!(
@@ -315,7 +287,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "n >= 2t + 1")]
     fn facade_rejects_too_many_faults() {
-        let _ = agree(6, 3, Value::ONE, AgreeOptions::default());
+        let _ = agree(6, 3, Value::ONE, RunOptions::default());
     }
 
     mod props {
@@ -334,9 +306,10 @@ mod tests {
                     n,
                     t,
                     Value(v),
-                    AgreeOptions {
+                    RunOptions {
                         seed,
                         scheme: SchemeKind::Fast,
+                        ..Default::default()
                     },
                 )
                 .unwrap();

@@ -24,12 +24,12 @@
 //! chain-withholding coalition that releases a correct 1-message as late as
 //! possible.
 
-use crate::common::{domains, instance, into_report, run_report, AlgoReport};
+use crate::common::{domains, instance, run_report, AlgoReport, RunOptions};
 use crate::fuzz::ChainFuzzer;
-use ba_crypto::{Chain, KeyRegistry, ProcessId, SchemeKind, Signer, Value, Verifier};
+use ba_crypto::{Chain, KeyRegistry, ProcessId, Signer, Value, Verifier};
 use ba_sim::actor::{Actor, Inbox, Outbox};
 use ba_sim::schedule::{FaultBehavior, ScheduleError, ScheduleSpec};
-use ba_sim::{AgreementViolation, InstanceSpec, Simulation};
+use ba_sim::{AgreementViolation, InstanceSpec};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -84,37 +84,45 @@ impl Algo1Params {
     }
 
     /// Whether `chain`, received by `me` as a phase-`k` message, is a
-    /// correct 1-message per the definition above.
+    /// correct 1-message per the definition above. The value is tested
+    /// first, so a 0-chain is never verified.
     pub fn is_correct_one_message(&self, chain: &Chain, k: usize, me: ProcessId) -> bool {
+        chain.value() == Value::ONE && self.correct_message(chain, k, me).is_some()
+    }
+
+    /// The value `v` when `chain`, received by `me` as a phase-`k` message,
+    /// is a correct `v`-message: the definition above for any value (the
+    /// multi-valued variant's validator), `None` otherwise.
+    pub fn correct_message(&self, chain: &Chain, k: usize, me: ProcessId) -> Option<Value> {
         if chain.domain() != domains::ALG1
-            || chain.value() != Value::ONE
             || chain.len() != k
             || chain.verify_simple_path(&self.verifier).is_err()
         {
-            return false;
+            return None;
         }
         let signers: Vec<ProcessId> = chain.signers().collect();
         if signers[0] != ProcessId(0) {
-            return false;
+            return None;
         }
         // No signer may be out of range, be the transmitter again, or be me.
         for &s in &signers[1..] {
             if s.index() >= self.n() || s == ProcessId(0) || s == me {
-                return false;
+                return None;
             }
         }
         if signers.contains(&me) {
-            return false;
+            return None;
         }
         // Consecutive non-transmitter signers must alternate sides.
         for w in signers[1..].windows(2) {
             if side(w[0], self.t) == side(w[1], self.t) {
-                return false;
+                return None;
             }
         }
         // The last signer must be adjacent to me in G.
         let last = *signers.last().expect("chain verified non-empty");
-        last == ProcessId(0) || side(last, self.t) != side(me, self.t)
+        let adjacent = last == ProcessId(0) || side(last, self.t) != side(me, self.t);
+        adjacent.then(|| chain.value())
     }
 }
 
@@ -365,22 +373,10 @@ pub mod adversaries {
     }
 }
 
-/// Options for [`run`].
-#[derive(Debug, Default)]
-pub struct Algo1Options {
-    /// Fault schedule: `Equivocate` is an equivocating transmitter,
-    /// `Withhold` a chain-withholding coalition (see [`withholding`]),
-    /// `Forge` a [`ChainFuzzer`] spammer.
-    pub schedule: ScheduleSpec,
-    /// Key-registry seed (determinism knob).
-    pub seed: u64,
-    /// Signature scheme.
-    pub scheme: SchemeKind,
-    /// Record a full message trace on the outcome.
-    pub trace: bool,
-}
-
 /// Builds and runs an Algorithm 1 scenario with `n = 2t + 1` processors.
+/// The schedule's `Equivocate` is an equivocating transmitter, `Withhold`
+/// a chain-withholding coalition (see [`withholding`]), `Forge` a
+/// [`ChainFuzzer`] spammer.
 ///
 /// # Errors
 /// Returns the [`AgreementViolation`] if the run broke agreement (which
@@ -393,7 +389,7 @@ pub struct Algo1Options {
 pub fn run(
     t: usize,
     value: Value,
-    options: Algo1Options,
+    options: RunOptions,
 ) -> Result<AlgoReport<Chain>, AgreementViolation> {
     assert!(t >= 1, "algorithm 1 needs t >= 1");
     assert!(
@@ -402,13 +398,7 @@ pub fn run(
     );
     let registry = KeyRegistry::new(2 * t + 1, options.seed, options.scheme);
     let spec = build(t, value, &registry, &options.schedule);
-    if !options.trace {
-        return run_report(spec, 1, value);
-    }
-    let spec = spec.unwrap_or_else(|err| panic!("{err}"));
-    let phases = spec.phases;
-    let outcome = Simulation::from(spec).with_trace().run(phases);
-    into_report(outcome, ProcessId(0), value)
+    run_report(spec, &options, value)
 }
 
 /// Builds one Algorithm 1 instance over `n = 2t + 1` processors signing
@@ -511,11 +501,12 @@ fn adversary<'a>(
 mod tests {
     use super::*;
     use crate::bounds;
+    use ba_crypto::SchemeKind;
 
     #[test]
     fn fault_free_value_one_agrees_within_bounds() {
         for t in 1..=6 {
-            let report = run(t, Value::ONE, Algo1Options::default()).unwrap();
+            let report = run(t, Value::ONE, RunOptions::default()).unwrap();
             assert_eq!(report.verdict.agreed, Some(Value::ONE), "t={t}");
             let msgs = report.outcome.metrics.messages_by_correct;
             assert_eq!(
@@ -530,7 +521,7 @@ mod tests {
     #[test]
     fn fault_free_value_zero_agrees_with_minimal_traffic() {
         for t in 1..=6 {
-            let report = run(t, Value::ZERO, Algo1Options::default()).unwrap();
+            let report = run(t, Value::ZERO, RunOptions::default()).unwrap();
             assert_eq!(report.verdict.agreed, Some(Value::ZERO));
             // Only the transmitter's 2t messages: 0-chains are never relayed.
             assert_eq!(report.outcome.metrics.messages_by_correct, 2 * t as u64);
@@ -542,7 +533,7 @@ mod tests {
         let report = run(
             3,
             Value::ONE,
-            Algo1Options {
+            RunOptions {
                 schedule: ScheduleSpec::each([ProcessId(0)], FaultBehavior::Silent),
                 ..Default::default()
             },
@@ -562,7 +553,7 @@ mod tests {
                 let report = run(
                     t,
                     Value::ONE,
-                    Algo1Options {
+                    RunOptions {
                         schedule: ScheduleSpec::each(
                             [ProcessId(0)],
                             FaultBehavior::Equivocate { ones },
@@ -590,7 +581,7 @@ mod tests {
                 let report = run(
                     t,
                     Value::ONE,
-                    Algo1Options {
+                    RunOptions {
                         schedule: withholding(t, extra, release),
                         ..Default::default()
                     },
@@ -613,7 +604,7 @@ mod tests {
         let report = run(
             t,
             Value::ONE,
-            Algo1Options {
+            RunOptions {
                 schedule: withholding(t, t - 1, t),
                 ..Default::default()
             },
@@ -629,7 +620,7 @@ mod tests {
         let report = run(
             t,
             Value::ONE,
-            Algo1Options {
+            RunOptions {
                 schedule: ScheduleSpec::each(
                     [ProcessId(1), ProcessId(4), ProcessId(6)],
                     FaultBehavior::Silent,
@@ -697,7 +688,7 @@ mod tests {
         let report = run(
             2,
             Value::ONE,
-            Algo1Options {
+            RunOptions {
                 trace: true,
                 ..Default::default()
             },
@@ -712,7 +703,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "binary")]
     fn non_binary_value_rejected() {
-        let _ = run(2, Value(7), Algo1Options::default());
+        let _ = run(2, Value(7), RunOptions::default());
     }
 
     mod props {
@@ -739,7 +730,7 @@ mod tests {
                 let report = run(
                     t,
                     Value::ONE,
-                    Algo1Options {
+                    RunOptions {
                         schedule: ScheduleSpec::each([ProcessId(0)], behavior),
                         seed,
                         scheme: SchemeKind::Fast,
@@ -768,7 +759,7 @@ mod tests {
                 let report = run(
                     t,
                     Value(value),
-                    Algo1Options {
+                    RunOptions {
                         schedule: ScheduleSpec::each(relays, FaultBehavior::Silent),
                         seed,
                         scheme: SchemeKind::Fast,

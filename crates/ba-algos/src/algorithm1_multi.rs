@@ -21,49 +21,13 @@
 //! *set*. Messages at most double: `2 · (2t² + 2t)`.
 
 use crate::algorithm1::Algo1Params;
-use crate::common::{domains, instance, run_report, AlgoReport};
-use ba_crypto::{Chain, KeyRegistry, ProcessId, SchemeKind, Signer, Value};
+use crate::common::{domains, instance, run_report, AlgoReport, RunOptions};
+use ba_crypto::{Chain, KeyRegistry, ProcessId, Signer, Value};
 use ba_sim::actor::{Actor, Inbox, Outbox};
-use ba_sim::schedule::{FaultBehavior, ScheduleSpec};
+use ba_sim::schedule::FaultBehavior;
 use ba_sim::AgreementViolation;
 use std::collections::BTreeSet;
 use std::sync::Arc;
-
-/// Whether `chain`, received by `me` at phase `k`, is a correct
-/// `v`-message for *some* value `v` (returned on success).
-pub fn correct_value_message(
-    params: &Algo1Params,
-    chain: &Chain,
-    k: usize,
-    me: ProcessId,
-) -> Option<Value> {
-    // Reuse the binary validator by checking the structural rules
-    // directly: same path/length/signature discipline, any value.
-    if chain.domain() != domains::ALG1
-        || chain.len() != k
-        || chain.verify_simple_path(&params.verifier).is_err()
-    {
-        return None;
-    }
-    let signers: Vec<ProcessId> = chain.signers().collect();
-    if signers[0] != ProcessId(0) || signers.contains(&me) {
-        return None;
-    }
-    for &s in &signers[1..] {
-        if s.index() >= params.n() || s == ProcessId(0) {
-            return None;
-        }
-    }
-    for w in signers[1..].windows(2) {
-        if crate::algorithm1::side(w[0], params.t) == crate::algorithm1::side(w[1], params.t) {
-            return None;
-        }
-    }
-    let last = *signers.last().expect("non-empty");
-    let adjacent = last == ProcessId(0)
-        || crate::algorithm1::side(last, params.t) != crate::algorithm1::side(me, params.t);
-    adjacent.then(|| chain.value())
-}
 
 /// An honest multi-valued Algorithm 1 processor.
 #[derive(Debug)]
@@ -101,7 +65,7 @@ impl Algo1MultiActor {
             if env.payload.last_signer() != Some(env.from) {
                 continue;
             }
-            if let Some(v) = correct_value_message(&self.params, env.payload, k, self.me) {
+            if let Some(v) = self.params.correct_message(env.payload, k, self.me) {
                 if !self.seen.contains(&v) {
                     // Relay only the first two distinct values.
                     if self.seen.len() < 2 {
@@ -201,15 +165,16 @@ impl Actor<Chain> for RainbowTransmitter {
 }
 
 /// Runs the multi-valued Algorithm 1 with any `value` (not just binary).
-/// `schedule`'s `Equivocate { ones }` on the transmitter is a
+/// The schedule's `Equivocate { ones }` on the transmitter is a
 /// [`RainbowTransmitter`] giving each of `ones` its own value.
 ///
 /// ```
 /// use ba_algos::algorithm1_multi::run;
+/// use ba_algos::common::RunOptions;
 /// use ba_crypto::{SchemeKind, Value};
-/// use ba_sim::ScheduleSpec;
 ///
-/// let r = run(2, Value(42), &ScheduleSpec::default(), 1, SchemeKind::Fast)?;
+/// let options = RunOptions::new().with_seed(1).with_scheme(SchemeKind::Fast);
+/// let r = run(2, Value(42), options)?;
 /// assert_eq!(r.verdict.agreed, Some(Value(42)));
 /// # Ok::<(), ba_sim::AgreementViolation>(())
 /// ```
@@ -222,13 +187,11 @@ impl Actor<Chain> for RainbowTransmitter {
 pub fn run(
     t: usize,
     value: Value,
-    schedule: &ScheduleSpec,
-    seed: u64,
-    scheme: SchemeKind,
+    options: RunOptions,
 ) -> Result<AlgoReport<Chain>, AgreementViolation> {
     assert!(t >= 1);
     let n = 2 * t + 1;
-    let registry = KeyRegistry::new(n, seed, scheme);
+    let registry = KeyRegistry::new(n, options.seed, options.scheme);
     let params = Arc::new(Algo1Params {
         t,
         verifier: registry.verifier(),
@@ -252,14 +215,21 @@ pub fn run(
             ones.clone(),
         )))
     };
-    let spec = instance(schedule, (n, t, t + 2), None, honest, adversary);
-    run_report(spec, 1, value)
+    let spec = instance(&options.schedule, (n, t, t + 2), None, honest, adversary);
+    run_report(spec, &options, value)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bounds;
+    use ba_crypto::SchemeKind;
+    use ba_sim::ScheduleSpec;
+
+    fn options(schedule: ScheduleSpec, seed: u64) -> RunOptions {
+        let options = RunOptions::new().with_schedule(schedule).with_seed(seed);
+        options.with_scheme(SchemeKind::Fast)
+    }
 
     /// The transmitter signs a distinct value for every receiver.
     fn rainbow(t: usize) -> ScheduleSpec {
@@ -271,7 +241,7 @@ mod tests {
     fn arbitrary_values_agree_fault_free() {
         for t in 1..=4 {
             for v in [Value(0), Value(7), Value(1_000_000), Value(u64::MAX)] {
-                let r = run(t, v, &ScheduleSpec::default(), 1, SchemeKind::Fast).unwrap();
+                let r = run(t, v, options(ScheduleSpec::default(), 1)).unwrap();
                 assert_eq!(r.verdict.agreed, Some(v), "t={t} v={v}");
             }
         }
@@ -280,7 +250,7 @@ mod tests {
     #[test]
     fn rainbow_transmitter_forces_default_but_agrees() {
         for t in 2..=5 {
-            let r = run(t, Value(42), &rainbow(t), 3, SchemeKind::Fast).unwrap();
+            let r = run(t, Value(42), options(rainbow(t), 3)).unwrap();
             // Every correct processor sees >= 2 distinct values (its own
             // direct one plus relayed ones) and defaults.
             assert_eq!(r.verdict.agreed, Some(Value::ZERO), "t={t}");
@@ -290,7 +260,7 @@ mod tests {
     #[test]
     fn message_count_at_most_doubles() {
         for t in 1..=5 {
-            let r = run(t, Value(9), &rainbow(t), 1, SchemeKind::Fast).unwrap();
+            let r = run(t, Value(9), options(rainbow(t), 1)).unwrap();
             assert!(
                 r.outcome.metrics.messages_by_correct <= 2 * bounds::alg1_max_messages(t as u64),
                 "t={t}"
@@ -304,9 +274,10 @@ mod tests {
         let r = run(
             t,
             Value(555),
-            &ScheduleSpec::each([ProcessId(2), ProcessId(5)], FaultBehavior::Silent),
-            9,
-            SchemeKind::Fast,
+            options(
+                ScheduleSpec::each([ProcessId(2), ProcessId(5)], FaultBehavior::Silent),
+                9,
+            ),
         )
         .unwrap();
         assert_eq!(r.verdict.agreed, Some(Value(555)));
@@ -323,14 +294,11 @@ mod tests {
         let mut chain = Chain::new(domains::ALG1, Value(77));
         chain.sign_and_append(&registry.signer(ProcessId(0)));
         assert_eq!(
-            correct_value_message(&params, &chain, 1, ProcessId(3)),
+            params.correct_message(&chain, 1, ProcessId(3)),
             Some(Value(77))
         );
         // Structural rules still enforced: wrong length.
-        assert_eq!(
-            correct_value_message(&params, &chain, 2, ProcessId(3)),
-            None
-        );
+        assert_eq!(params.correct_message(&chain, 2, ProcessId(3)), None);
     }
 
     mod props {
@@ -349,7 +317,7 @@ mod tests {
                 } else {
                     ScheduleSpec::default()
                 };
-                let r = run(t, Value(v), &schedule, seed, SchemeKind::Fast).unwrap();
+                let r = run(t, Value(v), options(schedule, seed)).unwrap();
                 assert!(r.verdict.agreed.is_some());
             });
         }

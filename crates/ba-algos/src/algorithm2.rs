@@ -22,11 +22,11 @@
 //! [`Board`] in [`common`](crate::common) so callers can inspect it after the run.
 
 use crate::algorithm1::{Algo1Actor, Algo1Params};
-use crate::common::{domains, instance, run_report, AlgoReport, Board};
+use crate::common::{domains, instance, run_report, AlgoReport, Board, RunOptions};
 use crate::fuzz::ChainFuzzer;
-use ba_crypto::{Chain, KeyRegistry, ProcessId, SchemeKind, Signer, Value, Verifier};
+use ba_crypto::{Chain, KeyRegistry, ProcessId, Signer, Value, Verifier};
 use ba_sim::actor::{Actor, Inbox, Outbox};
-use ba_sim::schedule::{FaultBehavior, ScheduleSpec};
+use ba_sim::schedule::FaultBehavior;
 use ba_sim::AgreementViolation;
 use std::sync::Arc;
 
@@ -280,20 +280,6 @@ pub mod adversaries {
     }
 }
 
-/// Options for [`run`].
-#[derive(Debug, Default)]
-pub struct Algo2Options {
-    /// Fault schedule: `Lie { value }` is a [`WrongValueGossip`] pushing
-    /// `value`, `Forge` a [`ChainFuzzer`] spammer.
-    ///
-    /// [`WrongValueGossip`]: adversaries::WrongValueGossip
-    pub schedule: ScheduleSpec,
-    /// Key-registry seed.
-    pub seed: u64,
-    /// Signature scheme.
-    pub scheme: SchemeKind,
-}
-
 /// Report from an Algorithm 2 run: the base report plus each processor's
 /// deposited transferable proof.
 #[derive(Debug)]
@@ -307,12 +293,17 @@ pub struct Algo2Report {
 }
 
 /// Builds and runs an Algorithm 2 scenario with `n = 2t + 1` processors.
+/// The schedule's `Lie { value }` is a [`WrongValueGossip`] pushing
+/// `value`, `Forge` a [`ChainFuzzer`] spammer.
+///
+/// [`WrongValueGossip`]: adversaries::WrongValueGossip
 ///
 /// ```
-/// use ba_algos::algorithm2::{run, Algo2Options};
+/// use ba_algos::algorithm2::run;
+/// use ba_algos::common::RunOptions;
 /// use ba_crypto::Value;
 ///
-/// let r = run(2, Value::ONE, Algo2Options::default())?;
+/// let r = run(2, Value::ONE, RunOptions::default())?;
 /// assert_eq!(r.report.verdict.agreed, Some(Value::ONE));
 /// assert!(r.proofs.iter().all(Option::is_some));
 /// # Ok::<(), ba_sim::AgreementViolation>(())
@@ -324,11 +315,7 @@ pub struct Algo2Report {
 /// # Panics
 /// Panics if `t == 0`, the schedule is malformed, or `value` is not
 /// binary.
-pub fn run(
-    t: usize,
-    value: Value,
-    options: Algo2Options,
-) -> Result<Algo2Report, AgreementViolation> {
+pub fn run(t: usize, value: Value, options: RunOptions) -> Result<Algo2Report, AgreementViolation> {
     assert!(t >= 1, "algorithm 2 needs t >= 1");
     assert!(
         value == Value::ZERO || value == Value::ONE,
@@ -369,7 +356,7 @@ pub fn run(
     };
     let dims = (n, t, 3 * t + 3);
     let spec = instance(&options.schedule, dims, None, honest, adversary);
-    let report = run_report(spec, 1, value)?;
+    let report = run_report(spec, &options, value)?;
     Ok(Algo2Report {
         report,
         proofs: proofs.snapshot(),
@@ -381,6 +368,8 @@ pub fn run(
 mod tests {
     use super::*;
     use crate::bounds;
+    use ba_crypto::SchemeKind;
+    use ba_sim::ScheduleSpec;
 
     fn assert_all_correct_hold_proofs(r: &Algo2Report, t: usize) {
         let common = r.report.verdict.agreed.expect("agreed");
@@ -402,7 +391,7 @@ mod tests {
     #[test]
     fn fault_free_gives_everyone_proofs_within_bounds() {
         for t in 1..=5 {
-            let r = run(t, Value::ONE, Algo2Options::default()).unwrap();
+            let r = run(t, Value::ONE, RunOptions::default()).unwrap();
             assert_eq!(r.report.verdict.agreed, Some(Value::ONE));
             assert_all_correct_hold_proofs(&r, t);
             let msgs = r.report.outcome.metrics.messages_by_correct;
@@ -421,7 +410,7 @@ mod tests {
     #[test]
     fn fault_free_value_zero_also_proves() {
         let t = 3;
-        let r = run(t, Value::ZERO, Algo2Options::default()).unwrap();
+        let r = run(t, Value::ZERO, RunOptions::default()).unwrap();
         assert_eq!(r.report.verdict.agreed, Some(Value::ZERO));
         assert_all_correct_hold_proofs(&r, t);
     }
@@ -432,7 +421,7 @@ mod tests {
         let r = run(
             t,
             Value::ONE,
-            Algo2Options {
+            RunOptions {
                 schedule: ScheduleSpec::each(
                     [ProcessId(1), ProcessId(3), ProcessId(5)],
                     FaultBehavior::Silent,
@@ -451,7 +440,7 @@ mod tests {
         let r = run(
             t,
             Value::ONE,
-            Algo2Options {
+            RunOptions {
                 schedule: ScheduleSpec::each(
                     [ProcessId(2), ProcessId(4), ProcessId(7)],
                     FaultBehavior::CrashAt { phase: t + 4 },
@@ -472,7 +461,7 @@ mod tests {
         let r = run(
             t,
             Value::ONE,
-            Algo2Options {
+            RunOptions {
                 schedule: ScheduleSpec::each((2..=4).map(ProcessId), FaultBehavior::Silent),
                 ..Default::default()
             },
@@ -488,7 +477,7 @@ mod tests {
         let r = run(
             t,
             Value::ONE,
-            Algo2Options {
+            RunOptions {
                 schedule: ScheduleSpec::each(
                     [ProcessId(2), ProcessId(5)],
                     FaultBehavior::Lie { value: Value::ZERO },
@@ -588,10 +577,11 @@ mod tests {
                 let r = run(
                     t,
                     Value::ONE,
-                    Algo2Options {
+                    RunOptions {
                         schedule: ScheduleSpec::each(set, FaultBehavior::Silent),
                         seed,
                         scheme: SchemeKind::Fast,
+                        ..Default::default()
                     },
                 )
                 .unwrap();

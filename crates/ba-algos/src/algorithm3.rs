@@ -25,11 +25,11 @@
 //! intro's trade-off of `t + 3 + 2⌈t/α⌉` phases and `O(αn)` messages.
 
 use crate::algorithm1::{Algo1Actor, Algo1Params};
-use crate::common::{domains, instance, run_report, AlgoReport};
+use crate::common::{domains, instance, run_report, AlgoReport, RunOptions};
 use crate::fuzz::ChainFuzzer;
-use ba_crypto::{Chain, KeyRegistry, ProcessId, SchemeKind, Signer, Value, Verifier};
+use ba_crypto::{Chain, KeyRegistry, ProcessId, Signer, Value, Verifier};
 use ba_sim::actor::{Actor, Inbox, Outbox};
-use ba_sim::schedule::{FaultBehavior, ScheduleSpec};
+use ba_sim::schedule::FaultBehavior;
 use ba_sim::AgreementViolation;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -489,58 +489,6 @@ impl Actor<Chain> for Alg3Member {
     }
 }
 
-/// Options for [`run`]. Construct with
-/// [`Alg3Options::new`]/[`default`](Alg3Options::default) and the
-/// `with_*` builders (the same convention as `SvcConfig`, `NetConfig`,
-/// `DsOptions` and `ExtOptions`).
-///
-/// Defaults: no fault, seed 0, fast scheme, sequential stepping.
-#[derive(Debug, Default)]
-pub struct Alg3Options {
-    /// Fault schedule: `Lie { value }` on a group root is a lying
-    /// [`Alg3Root`] pushing `value`, `Forge` a [`ChainFuzzer`] spammer.
-    pub schedule: ScheduleSpec,
-    /// Registry seed.
-    pub seed: u64,
-    /// Signature scheme.
-    pub scheme: SchemeKind,
-    /// Worker threads for intra-phase stepping (`0`/`1` = sequential).
-    /// Results are byte-identical for any value — see
-    /// [`Simulation::with_threads`](ba_sim::Simulation::with_threads).
-    pub threads: usize,
-}
-
-impl Alg3Options {
-    /// The default options; chain `with_*` builders to customize.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sets the fault schedule.
-    pub fn with_schedule(mut self, schedule: ScheduleSpec) -> Self {
-        self.schedule = schedule;
-        self
-    }
-
-    /// Sets the registry seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Sets the signature scheme.
-    pub fn with_scheme(mut self, scheme: SchemeKind) -> Self {
-        self.scheme = scheme;
-        self
-    }
-
-    /// Sets the worker-thread count for intra-phase stepping.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-}
-
 /// The root `c(1)` of passive group `g`: processor `2t + 1 + g·s`.
 pub fn group_root(t: usize, s: usize, g: usize) -> ProcessId {
     ProcessId((2 * t + 1 + g * s) as u32)
@@ -569,13 +517,16 @@ pub fn honest(
     }
 }
 
-/// Builds and runs an Algorithm 3 scenario.
+/// Builds and runs an Algorithm 3 scenario. The schedule's `Lie { value }`
+/// on a group root is a lying [`Alg3Root`] pushing `value`, `Forge` a
+/// [`ChainFuzzer`] spammer.
 ///
 /// ```
-/// use ba_algos::algorithm3::{run, Alg3Options};
+/// use ba_algos::algorithm3::run;
+/// use ba_algos::common::RunOptions;
 /// use ba_crypto::Value;
 ///
-/// let r = run(20, 1, 4, Value::ONE, Alg3Options::default())?;
+/// let r = run(20, 1, 4, Value::ONE, RunOptions::default())?;
 /// assert_eq!(r.verdict.agreed, Some(Value::ONE));
 /// # Ok::<(), ba_sim::AgreementViolation>(())
 /// ```
@@ -591,7 +542,7 @@ pub fn run(
     t: usize,
     s: usize,
     value: Value,
-    options: Alg3Options,
+    options: RunOptions,
 ) -> Result<AlgoReport<Chain>, AgreementViolation> {
     assert!(
         value == Value::ZERO || value == Value::ONE,
@@ -615,13 +566,15 @@ pub fn run(
     let honest = |p| honest(&params, &registry, p, value);
     let dims = (n, t, params.phases());
     let spec = instance(&options.schedule, dims, Some(&registry), honest, adversary);
-    run_report(spec, options.threads, value)
+    run_report(spec, &options, value)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bounds;
+    use ba_crypto::SchemeKind;
+    use ba_sim::ScheduleSpec;
 
     #[test]
     fn group_layout() {
@@ -684,7 +637,7 @@ mod tests {
     fn fault_free_agrees_within_bounds() {
         for (n, t, s) in [(10, 1, 2), (16, 2, 4), (30, 2, 5), (41, 3, 8)] {
             for v in [Value::ZERO, Value::ONE] {
-                let r = run(n, t, s, v, Alg3Options::default()).unwrap();
+                let r = run(n, t, s, v, RunOptions::default()).unwrap();
                 assert_eq!(r.verdict.agreed, Some(v), "n={n} t={t} s={s}");
                 assert_eq!(r.verdict.correct_count, n);
                 let msgs = r.outcome.metrics.messages_by_correct;
@@ -706,7 +659,7 @@ mod tests {
             t,
             s,
             Value::ONE,
-            Alg3Options {
+            RunOptions {
                 schedule: ScheduleSpec::each(
                     [0, 2].map(|g| group_root(t, s, g)),
                     FaultBehavior::Silent,
@@ -726,7 +679,7 @@ mod tests {
             t,
             s,
             Value::ONE,
-            Alg3Options {
+            RunOptions {
                 schedule: ScheduleSpec::each(
                     [group_root(t, s, 1)],
                     FaultBehavior::Lie { value: Value::ZERO },
@@ -759,7 +712,7 @@ mod tests {
             t,
             s,
             Value::ONE,
-            Alg3Options::new().with_schedule(schedule),
+            RunOptions::new().with_schedule(schedule),
         )
         .unwrap();
         assert_eq!(r.verdict.agreed, Some(Value::ONE));
@@ -768,13 +721,13 @@ mod tests {
     #[test]
     fn silent_members_only_cost_extra_messages() {
         let (n, t, s) = (16, 2, 4);
-        let clean = run(n, t, s, Value::ONE, Alg3Options::default()).unwrap();
+        let clean = run(n, t, s, Value::ONE, RunOptions::default()).unwrap();
         let r = run(
             n,
             t,
             s,
             Value::ONE,
-            Alg3Options {
+            RunOptions {
                 schedule: ScheduleSpec::each([ProcessId(6), ProcessId(10)], FaultBehavior::Silent),
                 ..Default::default()
             },
@@ -793,7 +746,7 @@ mod tests {
             t,
             s,
             Value::ONE,
-            Alg3Options {
+            RunOptions {
                 schedule: ScheduleSpec::each([ProcessId(1), ProcessId(3)], FaultBehavior::Silent),
                 ..Default::default()
             },
@@ -806,7 +759,7 @@ mod tests {
     fn single_member_groups_work() {
         // s = 1: every passive is a root; no collection loop at all.
         let (n, t, s) = (12, 2, 1);
-        let r = run(n, t, s, Value::ONE, Alg3Options::default()).unwrap();
+        let r = run(n, t, s, Value::ONE, RunOptions::default()).unwrap();
         assert_eq!(r.verdict.agreed, Some(Value::ONE));
     }
 
@@ -816,7 +769,7 @@ mod tests {
         let t = 2;
         let s = 4 * t;
         for n in [30usize, 60, 120] {
-            let r = run(n, t, s, Value::ONE, Alg3Options::default()).unwrap();
+            let r = run(n, t, s, Value::ONE, RunOptions::default()).unwrap();
             let msgs = r.outcome.metrics.messages_by_correct;
             assert!(msgs <= bounds::thm5_envelope(n as u64, t as u64), "n={n}");
         }
@@ -878,7 +831,7 @@ mod tests {
                     t,
                     s,
                     Value::ONE,
-                    Alg3Options {
+                    RunOptions {
                         schedule: ScheduleSpec::each([group_root(t, s, bad_group)], behavior),
                         seed,
                         scheme: SchemeKind::Fast,

@@ -36,14 +36,14 @@ use crate::algorithm1::Algo1Params;
 use crate::algorithm2::Algo2Actor;
 use crate::algorithm4::{Alg4State, GridLayout, GridMsg, SignedItem};
 use crate::bounds;
-use crate::common::{domains, instance, run_report, AlgoReport, Board};
+use crate::common::{domains, instance, run_report, AlgoReport, Board, RunOptions};
 use crate::fuzz::Msg5Fuzzer;
 use crate::trees::Forest;
 use ba_crypto::wire::{Decoder, Encoder};
 use ba_crypto::Bytes;
-use ba_crypto::{Chain, KeyRegistry, ProcessId, SchemeKind, Signer, Value, Verifier};
+use ba_crypto::{Chain, KeyRegistry, ProcessId, Signer, Value, Verifier};
 use ba_sim::actor::{Actor, Envelope, Inbox, Outbox, Payload};
-use ba_sim::schedule::{FaultBehavior, ScheduleSpec};
+use ba_sim::schedule::FaultBehavior;
 use ba_sim::AgreementViolation;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -223,9 +223,19 @@ pub struct Alg5Config {
     pub last_phase: usize,
     /// Algorithm 1 parameters for the embedded Algorithm 2.
     pub alg1: Arc<Algo1Params>,
-    /// Ablation knob: skip proof-of-work gating and activate every
-    /// subtree in every block (see `Alg5Options::naive_activation`).
-    pub naive_activation: bool,
+    /// Whether subtrees wait for a proof of work before activating.
+    pub activation: Activation,
+}
+
+/// How [`Alg5Config::proof_of_work_holds`] activates subtrees.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Activation {
+    /// Algorithm 5 as stated: a subtree activates on a proof of work.
+    Gated,
+    /// Ablation: every subtree of every block activates unconditionally.
+    /// Correctness is unaffected; message counts blow up — the experiments
+    /// use this to quantify what Lemma 4's certificates save.
+    Naive,
 }
 
 impl Alg5Config {
@@ -266,16 +276,8 @@ impl Alg5Config {
             blocks,
             last_phase: start,
             alg1,
-            naive_activation: false,
+            activation: Activation::Gated,
         }
-    }
-
-    /// Disables proof-of-work activation gating (every subtree of every
-    /// block is activated unconditionally) — the ablation quantifying
-    /// what Lemma 4's certificate mechanism saves.
-    pub fn with_naive_activation(mut self) -> Self {
-        self.naive_activation = true;
-        self
     }
 
     /// Number of Algorithm 2 participants (`2t + 1`).
@@ -332,7 +334,7 @@ impl Alg5Config {
         root_pos: usize,
         x: u32,
     ) -> bool {
-        if x == self.lambda || self.naive_activation {
+        if x == self.lambda || self.activation == Activation::Naive {
             return true;
         }
         let threshold = self.threshold();
@@ -842,28 +844,15 @@ pub fn tree_root(n: usize, t: usize, s: usize, tree: usize) -> Option<ProcessId>
     Forest::new(bounds::alpha(t as u64) as usize, n, s).processor(tree, 1)
 }
 
-/// Options for [`run`].
-#[derive(Debug, Default)]
-pub struct Alg5Options {
-    /// Fault schedule: `Forge` is a [`Msg5Fuzzer`] spammer.
-    pub schedule: ScheduleSpec,
-    /// Registry seed.
-    pub seed: u64,
-    /// Signature scheme.
-    pub scheme: SchemeKind,
-    /// Ablation: activate every subtree unconditionally (no proofs of
-    /// work). Correctness is unaffected; message counts blow up — the
-    /// experiments use this to quantify Lemma 4's savings.
-    pub naive_activation: bool,
-}
-
-/// Builds and runs an Algorithm 5 scenario.
+/// Builds and runs an Algorithm 5 scenario with gated activation. The
+/// schedule's `Forge` is a [`Msg5Fuzzer`] spammer.
 ///
 /// ```
-/// use ba_algos::algorithm5::{run, Alg5Options};
+/// use ba_algos::algorithm5::run;
+/// use ba_algos::common::RunOptions;
 /// use ba_crypto::Value;
 ///
-/// let r = run(20, 1, 3, Value::ONE, Alg5Options::default())?;
+/// let r = run(20, 1, 3, Value::ONE, RunOptions::default())?;
 /// assert_eq!(r.verdict.agreed, Some(Value::ONE));
 /// # Ok::<(), ba_sim::AgreementViolation>(())
 /// ```
@@ -879,15 +868,15 @@ pub fn run(
     t: usize,
     s: usize,
     value: Value,
-    options: Alg5Options,
+    options: RunOptions,
 ) -> Result<AlgoReport<Msg5>, AgreementViolation> {
-    run_audited(n, t, s, value, options).map(|(report, _)| report)
+    run_audited(n, t, s, value, Activation::Gated, options).map(|(report, _)| report)
 }
 
-/// Like [`run`] but also returns, per passive processor, whether it ever
-/// activated as a subtree root — the quantity Lemma 4 bounds by
-/// `2·b(C) + 1` activated-or-faulty processors per tree `C` with `b(C)`
-/// faults.
+/// Like [`run`] under `activation`, and also returns, per passive
+/// processor, whether it ever activated as a subtree root — the quantity
+/// Lemma 4 bounds by `2·b(C) + 1` activated-or-faulty processors per tree
+/// `C` with `b(C)` faults.
 ///
 /// # Errors
 /// Propagates any [`AgreementViolation`].
@@ -899,18 +888,18 @@ pub fn run_audited(
     t: usize,
     s: usize,
     value: Value,
-    options: Alg5Options,
+    activation: Activation,
+    options: RunOptions,
 ) -> Result<(AlgoReport<Msg5>, Vec<bool>), AgreementViolation> {
     assert!(
         value == Value::ZERO || value == Value::ONE,
         "algorithm 5 is binary"
     );
     let registry = KeyRegistry::new(n, options.seed, options.scheme);
-    let mut cfg = Alg5Config::new(n, t, s, registry.verifier());
-    if options.naive_activation {
-        cfg = cfg.with_naive_activation();
-    }
-    let cfg = Arc::new(cfg);
+    let cfg = Arc::new(Alg5Config {
+        activation,
+        ..Alg5Config::new(n, t, s, registry.verifier())
+    });
     let scratch = Board::new(cfg.core_count());
     let audit_board: Arc<Board<bool>> = Board::new(n);
 
@@ -938,7 +927,7 @@ pub fn run_audited(
     };
     let dims = (n, t, cfg.last_phase);
     let spec = instance(&options.schedule, dims, None, honest, adversary);
-    let report = run_report(spec, 1, value)?;
+    let report = run_report(spec, &options, value)?;
     let activated: Vec<bool> = audit_board
         .snapshot()
         .into_iter()
@@ -950,6 +939,8 @@ pub fn run_audited(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ba_crypto::SchemeKind;
+    use ba_sim::ScheduleSpec;
 
     #[test]
     fn schedule_shape() {
@@ -1020,7 +1011,7 @@ mod tests {
     fn fault_free_agrees_small() {
         // t=1: alpha=9, s=3 (λ=2), n=9+6=15.
         for v in [Value::ZERO, Value::ONE] {
-            let r = run(15, 1, 3, v, Alg5Options::default()).unwrap();
+            let r = run(15, 1, 3, v, RunOptions::default()).unwrap();
             assert_eq!(r.verdict.agreed, Some(v));
             assert_eq!(r.verdict.correct_count, 15);
         }
@@ -1029,14 +1020,14 @@ mod tests {
     #[test]
     fn fault_free_agrees_with_padding() {
         // 13 passives over trees of size 7: one full, one padded.
-        let r = run(22, 1, 7, Value::ONE, Alg5Options::default()).unwrap();
+        let r = run(22, 1, 7, Value::ONE, RunOptions::default()).unwrap();
         assert_eq!(r.verdict.agreed, Some(Value::ONE));
     }
 
     #[test]
     fn fault_free_larger_t() {
         // t=2: alpha=16, n=16+30=46, s=3.
-        let r = run(46, 2, 3, Value::ONE, Alg5Options::default()).unwrap();
+        let r = run(46, 2, 3, Value::ONE, RunOptions::default()).unwrap();
         assert_eq!(r.verdict.agreed, Some(Value::ONE));
         // Theorem 7 envelope.
         assert!(r.outcome.metrics.messages_by_correct <= bounds::alg5_message_envelope(46, 2, 3));
@@ -1050,7 +1041,7 @@ mod tests {
             1,
             7,
             Value::ONE,
-            Alg5Options {
+            RunOptions {
                 schedule: ScheduleSpec::each(tree_root(30, 1, 7, 0), FaultBehavior::Silent),
                 ..Default::default()
             },
@@ -1066,7 +1057,7 @@ mod tests {
             1,
             7,
             Value::ONE,
-            Alg5Options {
+            RunOptions {
                 schedule: ScheduleSpec::each(
                     tree_root(30, 1, 7, 1),
                     FaultBehavior::OmitTo {
@@ -1087,7 +1078,7 @@ mod tests {
             1,
             3,
             Value::ONE,
-            Alg5Options {
+            RunOptions {
                 schedule: ScheduleSpec::each([ProcessId(11)], FaultBehavior::Silent),
                 ..Default::default()
             },
@@ -1103,7 +1094,7 @@ mod tests {
             1,
             3,
             Value::ONE,
-            Alg5Options {
+            RunOptions {
                 schedule: ScheduleSpec::each([ProcessId(2)], FaultBehavior::Silent),
                 ..Default::default()
             },
@@ -1115,7 +1106,7 @@ mod tests {
     #[test]
     fn no_passives_degenerates_to_core() {
         // n == alpha: every processor is active.
-        let r = run(9, 1, 3, Value::ONE, Alg5Options::default()).unwrap();
+        let r = run(9, 1, 3, Value::ONE, RunOptions::default()).unwrap();
         assert_eq!(r.verdict.agreed, Some(Value::ONE));
     }
 
@@ -1123,7 +1114,7 @@ mod tests {
     fn theorem7_envelope_holds_across_sizes() {
         let t = 2; // alpha = 16
         for (n, s) in [(50usize, 3usize), (100, 7), (200, 7)] {
-            let r = run(n, t, s, Value::ONE, Alg5Options::default()).unwrap();
+            let r = run(n, t, s, Value::ONE, RunOptions::default()).unwrap();
             let msgs = r.outcome.metrics.messages_by_correct;
             let envelope = bounds::alg5_message_envelope(n as u64, t as u64, s as u64);
             assert!(msgs <= envelope, "n={n} s={s}: {msgs} > {envelope}");
@@ -1138,7 +1129,8 @@ mod tests {
             t,
             s,
             Value::ONE,
-            Alg5Options {
+            Activation::Gated,
+            RunOptions {
                 schedule: ScheduleSpec::each(faulty_ids.iter().copied(), FaultBehavior::Silent),
                 ..Default::default()
             },
@@ -1189,20 +1181,20 @@ mod tests {
             t,
             s,
             Value::ONE,
-            Alg5Options {
+            RunOptions {
                 schedule: schedule(),
                 ..Default::default()
             },
         )
         .unwrap();
-        let naive = run(
+        let (naive, _) = run_audited(
             n,
             t,
             s,
             Value::ONE,
-            Alg5Options {
+            Activation::Naive,
+            RunOptions {
                 schedule: schedule(),
-                naive_activation: true,
                 ..Default::default()
             },
         )
@@ -1238,7 +1230,7 @@ mod tests {
                     t,
                     s,
                     Value::ONE,
-                    Alg5Options {
+                    RunOptions {
                         schedule: ScheduleSpec::each([ProcessId(passive)], FaultBehavior::Silent),
                         seed,
                         scheme: SchemeKind::Fast,

@@ -83,6 +83,12 @@ pub fn alpha(t: u64) -> u64 {
     root * root
 }
 
+/// The tree size Algorithm 5 runs with for Theorem 7's `s ≈ t`: the
+/// largest `2^λ − 1` not exceeding `max(t, 1)`.
+pub fn alg5_tree_size(t: u64) -> u64 {
+    (1 << (t.max(1) + 1).ilog2()) - 1
+}
+
 /// Lemma 5: Algorithm 5 with tree size `s` runs at most `3t + 4s + 2`
 /// phases (this reproduction's non-overlapping schedule adds `O(log s)`
 /// bookkeeping phases; see [`alg5_phases_schedule`]).
@@ -205,6 +211,18 @@ mod tests {
             assert_eq!(r * r, a);
             assert!(a > 6 * t);
             assert!((r - 1) * (r - 1) <= 6 * t);
+        }
+    }
+
+    #[test]
+    fn alg5_tree_size_is_largest_full_tree_within_t() {
+        assert_eq!(alg5_tree_size(0), 1);
+        for t in 1..200u64 {
+            let s = alg5_tree_size(t);
+            assert!(
+                (s + 1).is_power_of_two() && s <= t && 2 * s + 1 > t,
+                "t={t}"
+            );
         }
     }
 

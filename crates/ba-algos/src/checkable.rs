@@ -612,7 +612,7 @@ mod tests {
                 _ => algorithm1::run(
                     2,
                     Value::ONE,
-                    algorithm1::Algo1Options {
+                    crate::RunOptions {
                         schedule: schedule.clone(),
                         scheme: SchemeKind::Fast,
                         ..Default::default()

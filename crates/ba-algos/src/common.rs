@@ -1,15 +1,15 @@
 //! Shared vocabulary for the algorithm implementations.
 //!
-//! Every BA `run` builds its instance with `instance` — schedule in, one
-//! [`InstanceSpec`] out — and ends in
-//! [`run_lockstep`](InstanceSpec::run_lockstep). A module the checker
-//! registers exposes that build as its public `build`, so its `run` and
-//! its check targets construct the same actors the same way.
+//! Every BA `run` takes one [`RunOptions`], builds its instance with
+//! `instance` — schedule in, one [`InstanceSpec`] out — and ends in
+//! `run_report`, which honours the options' threads and trace. A module
+//! the checker registers exposes that build as its public `build`, so its
+//! `run` and its check targets construct the same actors the same way.
 
-use ba_crypto::{KeyRegistry, ProcessId, Value};
+use ba_crypto::{KeyRegistry, ProcessId, SchemeKind, Value};
 use ba_sim::engine::{InstanceSpec, RunOutcome};
 use ba_sim::schedule::{FaultBehavior, ScheduleError, ScheduleSpec};
-use ba_sim::{Actor, AgreementViolation, Payload, RunVerdict};
+use ba_sim::{Actor, AgreementViolation, Payload, RunVerdict, Simulation};
 
 /// Chain/signature domain tags, one per protocol message space, so a
 /// signature produced inside one algorithm can never be replayed into
@@ -63,6 +63,90 @@ impl<T: Clone> Board<T> {
     /// Snapshot of all slots.
     pub fn snapshot(&self) -> Vec<Option<T>> {
         self.slots.lock().expect("board lock").clone()
+    }
+}
+
+/// The settings of one BA run, taken by every single-instance `run`:
+/// `algorithm1`, `algorithm1_multi`, `algorithm2`, `algorithm3`,
+/// `algorithm5`, [`agree`](crate::agree()) and `dolev_strong`. Construct
+/// with [`new`](RunOptions::new)/[`default`](RunOptions::default) and the
+/// `with_*` builders (the same convention as `SvcConfig`, `NetConfig` and
+/// `ExtOptions`).
+///
+/// `M` is a module's own setting; only Dolev–Strong has one, its
+/// [`Variant`](crate::dolev_strong::Variant)
+/// ([`DsOptions`](crate::dolev_strong::DsOptions)).
+///
+/// Defaults: no fault, seed 0, the HMAC scheme, sequential stepping, no
+/// trace, and `M`'s default — for Dolev–Strong the broadcast variant.
+/// The default for `M` does not guide inference, so a value bound before
+/// any `run` sees it needs its type spelled, as below.
+///
+/// ```
+/// use ba_algos::common::RunOptions;
+/// use ba_algos::dolev_strong::{DsOptions, Variant};
+/// use ba_crypto::SchemeKind;
+///
+/// let o: RunOptions = RunOptions::new();
+/// assert!(o.schedule.faults.is_empty() && o.schedule.link_drops.is_empty());
+/// assert_eq!((o.seed, o.scheme, o.threads, o.trace), (0, SchemeKind::Hmac, 0, false));
+/// assert_eq!(DsOptions::new().variant, Variant::Broadcast);
+/// ```
+#[derive(Debug, Default)]
+pub struct RunOptions<M = ()> {
+    /// Fault schedule, compiled with the module's adversary hook (each
+    /// `run` documents the behaviours it maps).
+    pub schedule: ScheduleSpec,
+    /// Key-registry seed.
+    pub seed: u64,
+    /// Signature scheme.
+    pub scheme: SchemeKind,
+    /// Worker threads for intra-phase stepping (`0`/`1` = sequential).
+    /// Results are byte-identical for any value — see
+    /// [`Simulation::with_threads`].
+    pub threads: usize,
+    /// Record a full message trace on the outcome.
+    pub trace: bool,
+    /// The module's own setting (`()` for all but Dolev–Strong).
+    pub variant: M,
+}
+
+impl<M: Default> RunOptions<M> {
+    /// The default options; chain `with_*` builders to customize.
+    pub fn new() -> Self {
+        Self::default()
+    }
+}
+
+impl<M> RunOptions<M> {
+    /// Sets the fault schedule.
+    pub fn with_schedule(mut self, schedule: ScheduleSpec) -> Self {
+        self.schedule = schedule;
+        self
+    }
+
+    /// Sets the key-registry seed.
+    pub fn with_seed(mut self, seed: u64) -> Self {
+        self.seed = seed;
+        self
+    }
+
+    /// Sets the signature scheme.
+    pub fn with_scheme(mut self, scheme: SchemeKind) -> Self {
+        self.scheme = scheme;
+        self
+    }
+
+    /// Sets the worker-thread count for intra-phase stepping.
+    pub fn with_threads(mut self, threads: usize) -> Self {
+        self.threads = threads;
+        self
+    }
+
+    /// Sets whether the outcome carries a message trace.
+    pub fn with_trace(mut self, trace: bool) -> Self {
+        self.trace = trace;
+        self
     }
 }
 
@@ -126,8 +210,9 @@ pub(crate) fn instance<P: Payload + 'static>(
     })
 }
 
-/// Runs a standalone [`instance`] lock-step across `threads` worker chunks
-/// and checks the outcome with `p0` as the transmitter of `sent`.
+/// Runs a standalone [`instance`] lock-step across `options.threads`
+/// worker chunks, recording a trace when `options.trace` asks for one, and
+/// checks the outcome with `p0` as the transmitter of `sent`.
 ///
 /// # Errors
 /// Propagates the [`AgreementViolation`], as [`into_report`] does.
@@ -135,13 +220,20 @@ pub(crate) fn instance<P: Payload + 'static>(
 /// # Panics
 /// If the build failed on a behaviour the algorithm's hook does not map —
 /// like every other bad parameter of a standalone run.
-pub(crate) fn run_report<P: Payload>(
+pub(crate) fn run_report<P: Payload, M>(
     built: Result<InstanceSpec<P>, ScheduleError>,
-    threads: usize,
+    options: &RunOptions<M>,
     sent: Value,
 ) -> Result<AlgoReport<P>, AgreementViolation> {
     let spec = built.unwrap_or_else(|err| panic!("{err}"));
-    into_report(spec.run_lockstep(threads), ProcessId(0), sent)
+    let outcome = if options.trace {
+        let phases = spec.phases;
+        let sim = Simulation::from(spec).with_threads(options.threads);
+        sim.with_trace().run(phases)
+    } else {
+        spec.run_lockstep(options.threads)
+    };
+    into_report(outcome, ProcessId(0), sent)
 }
 
 #[cfg(test)]

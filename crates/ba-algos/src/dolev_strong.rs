@@ -21,9 +21,9 @@
 //! Decision: the unique extracted value, or the default `0` when zero or
 //! several values were extracted.
 
-use crate::common::{domains, instance, run_report, AlgoReport};
+use crate::common::{domains, instance, run_report, AlgoReport, RunOptions};
 use crate::fuzz::ChainFuzzer;
-use ba_crypto::{Chain, KeyRegistry, ProcessId, SchemeKind, Signer, Value, Verifier};
+use ba_crypto::{Chain, KeyRegistry, ProcessId, Signer, Value, Verifier};
 use ba_sim::actor::{Actor, Inbox, Outbox};
 use ba_sim::schedule::{FaultBehavior, ScheduleError, ScheduleSpec};
 use ba_sim::{AgreementViolation, InstanceSpec};
@@ -302,64 +302,16 @@ impl Actor<Chain> for DsEquivocator {
     }
 }
 
-/// Options for [`run`]. Construct with
-/// [`DsOptions::new`]/[`default`](DsOptions::default) and the `with_*`
-/// builders (the same convention as `SvcConfig`, `NetConfig`,
-/// `Alg3Options` and `ExtOptions`).
-///
-/// Defaults: full variant, no fault, seed 0, fast scheme, sequential
-/// stepping.
-#[derive(Debug, Default)]
-pub struct DsOptions {
-    /// Message pattern.
-    pub variant: Variant,
-    /// Fault schedule: `Equivocate { ones }` is a [`DsEquivocator`]
-    /// signing `1` for `ones` and `0` for the rest, `Forge` a
-    /// [`ChainFuzzer`] spammer.
-    pub schedule: ScheduleSpec,
-    /// Registry seed.
-    pub seed: u64,
-    /// Signature scheme.
-    pub scheme: SchemeKind,
-    /// Worker threads for intra-phase stepping (`0`/`1` = sequential).
-    /// Results are byte-identical for any value — see
-    /// [`Simulation::with_threads`](ba_sim::Simulation::with_threads).
-    pub threads: usize,
-}
+/// Options for [`run`]: the shared [`RunOptions`] with the message pattern
+/// as its `variant`. The schedule's `Equivocate { ones }` is a
+/// [`DsEquivocator`] signing `1` for `ones` and `0` for the rest, `Forge`
+/// a [`ChainFuzzer`] spammer.
+pub type DsOptions = RunOptions<Variant>;
 
 impl DsOptions {
-    /// The default options; chain `with_*` builders to customize.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Sets the message pattern.
     pub fn with_variant(mut self, variant: Variant) -> Self {
         self.variant = variant;
-        self
-    }
-
-    /// Sets the fault schedule.
-    pub fn with_schedule(mut self, schedule: ScheduleSpec) -> Self {
-        self.schedule = schedule;
-        self
-    }
-
-    /// Sets the registry seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Sets the signature scheme.
-    pub fn with_scheme(mut self, scheme: SchemeKind) -> Self {
-        self.scheme = scheme;
-        self
-    }
-
-    /// Sets the worker-thread count for intra-phase stepping.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
         self
     }
 
@@ -401,7 +353,7 @@ pub fn run(
     let registry = KeyRegistry::new(n, options.seed, options.scheme);
     let params = DsParams::standard(n, t, options.variant, registry.verifier());
     let spec = build(params, &registry, value, &options.schedule);
-    run_report(spec, options.threads, value)
+    run_report(spec, &options, value)
 }
 
 /// Builds one Dolev–Strong instance over `params`: the transmitter sends
@@ -468,6 +420,7 @@ fn adversary(
 mod tests {
     use super::*;
     use crate::bounds;
+    use ba_crypto::SchemeKind;
 
     #[test]
     fn fault_free_agrees_both_variants() {

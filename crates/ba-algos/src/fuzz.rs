@@ -180,9 +180,7 @@ pub fn spammers(n: usize, count: usize, per_phase: usize, seed: u64) -> Schedule
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithm1::{self, Algo1Options};
-    use crate::algorithm5::{self, Alg5Options};
-    use crate::AlgoReport;
+    use crate::{algorithm1, algorithm5, AlgoReport, RunOptions};
     use ba_sim::AgreementViolation;
 
     fn algorithm1_spam(
@@ -192,7 +190,7 @@ mod tests {
         per_phase: usize,
         seed: u64,
     ) -> Result<AlgoReport<Chain>, AgreementViolation> {
-        let options = Algo1Options {
+        let options = RunOptions {
             schedule: spammers(2 * t + 1, count, per_phase, seed),
             seed,
             scheme: SchemeKind::Fast,
@@ -221,7 +219,7 @@ mod tests {
 
     #[test]
     fn algorithm5_survives_msg5_spam() {
-        let options = Alg5Options {
+        let options = RunOptions {
             schedule: spammers(30, 1, 6, 11),
             seed: 11,
             scheme: SchemeKind::Fast,

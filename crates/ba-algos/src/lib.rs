@@ -50,8 +50,10 @@
 //!   Byzantine bytes.
 //!
 //! All algorithms run on the [`ba_sim`] synchronous engine and sign with
-//! [`ba_crypto`] chains. Every `run` takes a [`ba_sim::ScheduleSpec`] and
-//! compiles it through [`ScheduleSpec::compile`](ba_sim::ScheduleSpec::compile)
+//! [`ba_crypto`] chains. Every single-instance BA `run` takes one
+//! [`RunOptions`] — fault schedule, key seed, signature scheme, worker
+//! threads, trace switch — and compiles its [`ba_sim::ScheduleSpec`]
+//! through [`ScheduleSpec::compile`](ba_sim::ScheduleSpec::compile)
 //! with the module's adversary hook, which maps the protocol-specific
 //! behaviours onto the adversaries relevant to its worst case
 //! (equivocating transmitters, chain-withholding coalitions, corrupt group
@@ -60,11 +62,11 @@
 //! # Quickstart
 //!
 //! ```
-//! use ba_algos::algorithm1::{self, Algo1Options};
+//! use ba_algos::{algorithm1, RunOptions};
 //! use ba_crypto::Value;
 //!
 //! // n = 2t + 1 = 9 processors, fault-free, transmitter sends 1.
-//! let report = algorithm1::run(4, Value::ONE, Algo1Options::default())?;
+//! let report = algorithm1::run(4, Value::ONE, RunOptions::default())?;
 //! assert_eq!(report.verdict.agreed, Some(Value::ONE));
 //! assert!(report.outcome.metrics.messages_by_correct <= ba_algos::bounds::alg1_max_messages(4));
 //! # Ok::<(), ba_sim::AgreementViolation>(())
@@ -86,6 +88,6 @@ pub mod ic;
 pub mod om;
 pub mod trees;
 
-pub use agree::{agree, AgreeOptions, AgreeReport, Selected};
+pub use agree::{agree, AgreeReport, Selected};
 pub use checkable::{find_target, targets, CheckConfig, CheckOutcome, CheckSetup, CheckTarget};
-pub use common::{domains, AlgoReport};
+pub use common::{domains, AlgoReport, RunOptions};

@@ -18,7 +18,7 @@
 //! E2 compares against the Corollary 1 lower bound — and its explosion for
 //! growing `t` is why the paper's authenticated algorithms matter.
 
-use crate::common::{instance, run_report, AlgoReport};
+use crate::common::{instance, run_report, AlgoReport, RunOptions};
 use ba_crypto::{ProcessId, Value};
 use ba_sim::actor::{Actor, Inbox, Outbox, Payload, Received};
 use ba_sim::schedule::{FaultBehavior, ScheduleSpec};
@@ -272,23 +272,19 @@ pub mod adversaries {
     }
 }
 
-/// Options for [`run`].
-#[derive(Debug, Default)]
-pub struct OmOptions {
-    /// Fault schedule: `Equivocate { ones }` on the transmitter is an
-    /// [`OmEquivocator`](adversaries::OmEquivocator) sending `1` to `ones`,
-    /// on a relay a [`FlippingRelay`](adversaries::FlippingRelay) flipping
-    /// what it forwards to `ones`.
-    pub schedule: ScheduleSpec,
-}
-
-/// Builds and runs an `OM(t)` scenario.
+/// Builds and runs an `OM(t)` scenario under `schedule`, sequentially.
+/// `OM(t)` signs nothing, so it takes no key seed or scheme.
+/// `Equivocate { ones }` on the transmitter is an
+/// [`OmEquivocator`](adversaries::OmEquivocator) sending `1` to `ones`, on
+/// a relay a [`FlippingRelay`](adversaries::FlippingRelay) flipping what it
+/// forwards to `ones`.
 ///
 /// ```
-/// use ba_algos::om::{run, OmOptions};
+/// use ba_algos::om::run;
 /// use ba_crypto::Value;
+/// use ba_sim::ScheduleSpec;
 ///
-/// let r = run(4, 1, Value::ONE, OmOptions::default())?;
+/// let r = run(4, 1, Value::ONE, &ScheduleSpec::default())?;
 /// assert_eq!(r.verdict.agreed, Some(Value::ONE));
 /// # Ok::<(), ba_sim::AgreementViolation>(())
 /// ```
@@ -303,7 +299,7 @@ pub fn run(
     n: usize,
     t: usize,
     value: Value,
-    options: OmOptions,
+    schedule: &ScheduleSpec,
 ) -> Result<AlgoReport<OmMsg>, AgreementViolation> {
     assert!(t >= 1 && n > 3 * t, "OM(t) needs n > 3t");
 
@@ -320,8 +316,8 @@ pub fn run(
             Box::new(adversaries::FlippingRelay::new(n, t, p, ones.clone()))
         })
     };
-    let spec = instance(&options.schedule, (n, t, t + 1), None, honest, adversary);
-    run_report(spec, 1, value)
+    let spec = instance(schedule, (n, t, t + 1), None, honest, adversary);
+    run_report(spec, &RunOptions::<()>::new(), value)
 }
 
 #[cfg(test)]
@@ -346,7 +342,7 @@ mod tests {
     #[test]
     fn fault_free_agrees_with_exact_message_count() {
         for (n, t) in [(4, 1), (5, 1), (7, 2), (10, 3)] {
-            let r = run(n, t, Value::ONE, OmOptions::default()).unwrap();
+            let r = run(n, t, Value::ONE, &ScheduleSpec::default()).unwrap();
             assert_eq!(r.verdict.agreed, Some(Value::ONE), "n={n} t={t}");
             assert_eq!(
                 r.outcome.metrics.messages_by_correct,
@@ -358,7 +354,7 @@ mod tests {
 
     #[test]
     fn fault_free_value_zero() {
-        let r = run(7, 2, Value::ZERO, OmOptions::default()).unwrap();
+        let r = run(7, 2, Value::ZERO, &ScheduleSpec::default()).unwrap();
         assert_eq!(r.verdict.agreed, Some(Value::ZERO));
     }
 
@@ -371,12 +367,7 @@ mod tests {
                 n,
                 t,
                 Value::ONE,
-                OmOptions {
-                    schedule: ScheduleSpec::each(
-                        [ProcessId(0)],
-                        FaultBehavior::Equivocate { ones },
-                    ),
-                },
+                &ScheduleSpec::each([ProcessId(0)], FaultBehavior::Equivocate { ones }),
             )
             .unwrap();
             assert!(r.verdict.agreed.is_some(), "split={split}");
@@ -386,15 +377,7 @@ mod tests {
     #[test]
     fn flipping_relays_defeated_by_majority() {
         let (n, t) = (7, 2);
-        let r = run(
-            n,
-            t,
-            Value::ONE,
-            OmOptions {
-                schedule: flipping(n, &[2, 5]),
-            },
-        )
-        .unwrap();
+        let r = run(n, t, Value::ONE, &flipping(n, &[2, 5])).unwrap();
         assert_eq!(r.verdict.agreed, Some(Value::ONE));
     }
 
@@ -405,12 +388,10 @@ mod tests {
             n,
             t,
             Value::ONE,
-            OmOptions {
-                schedule: ScheduleSpec::each(
-                    [ProcessId(3), ProcessId(6), ProcessId(9)],
-                    FaultBehavior::Silent,
-                ),
-            },
+            &ScheduleSpec::each(
+                [ProcessId(3), ProcessId(6), ProcessId(9)],
+                FaultBehavior::Silent,
+            ),
         )
         .unwrap();
         assert_eq!(r.verdict.agreed, Some(Value::ONE));
@@ -449,7 +430,7 @@ mod tests {
     fn om_needs_n_greater_than_3t() {
         // n = 3t fails at the boundary by construction; the classic
         // counterexample (n=3, t=1) is excluded by the assertion.
-        let result = std::panic::catch_unwind(|| run(6, 2, Value::ONE, OmOptions::default()));
+        let result = std::panic::catch_unwind(|| run(6, 2, Value::ONE, &ScheduleSpec::default()));
         assert!(result.is_err());
     }
 
@@ -476,7 +457,7 @@ mod tests {
                     FaultBehavior::Silent
                 };
                 let schedule = ScheduleSpec::each(set, behavior);
-                let r = run(n, t, Value::ONE, OmOptions { schedule }).unwrap();
+                let r = run(n, t, Value::ONE, &schedule).unwrap();
                 assert_eq!(r.verdict.agreed, Some(Value::ONE));
             });
         }

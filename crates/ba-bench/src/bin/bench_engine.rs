@@ -64,7 +64,7 @@
 //! byte-for-byte.
 
 use ba_algos::checkable::{find_target, CheckConfig};
-use ba_algos::{algorithm3, dolev_strong};
+use ba_algos::{algorithm3, dolev_strong, RunOptions};
 use ba_bench::cli::BenchArgs;
 use ba_bench::microbench::bench;
 use ba_bench::report::{Report, ScalingCell};
@@ -280,7 +280,7 @@ impl Workload {
             Protocol::DsRelay => dolev_strong::Variant::Relay,
             Protocol::DsBroadcast => dolev_strong::Variant::Broadcast,
             Protocol::Alg3 { s } => {
-                let opts = algorithm3::Alg3Options {
+                let opts = RunOptions {
                     scheme,
                     threads,
                     ..Default::default()

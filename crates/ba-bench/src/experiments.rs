@@ -4,6 +4,7 @@ use crate::cells;
 use crate::table::Table;
 use ba_algos::{
     algorithm1, algorithm2, algorithm3, algorithm4, algorithm5, bounds, dolev_strong, om,
+    RunOptions,
 };
 use ba_crypto::{ProcessId, SchemeKind, Value};
 use ba_model::{theorem1, theorem2};
@@ -54,6 +55,12 @@ pub fn run_experiments(ids: &[&str], threads: usize) -> Vec<(String, Vec<Table>)
     ba_sim::sweep::run_sweep(ids, threads, |_, id| (id.to_string(), run_experiment(id)))
 }
 
+/// The options every table runs with: `Fast` keys, seed 0, sequential
+/// stepping, no fault until a `with_*` builder says otherwise.
+fn fast<M: Default>() -> RunOptions<M> {
+    RunOptions::new().with_scheme(SchemeKind::Fast)
+}
+
 fn check(b: bool) -> &'static str {
     if b {
         "yes"
@@ -101,34 +108,9 @@ pub fn e1() -> Vec<Table> {
     for t in 1..=6usize {
         let n = 2 * t + 1;
         let bound = bounds::thm1_signature_lower_bound(n as u64, t as u64);
-        let a1 = algorithm1::run(
-            t,
-            Value::ONE,
-            algorithm1::Algo1Options {
-                scheme: SchemeKind::Fast,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let a2 = algorithm2::run(
-            t,
-            Value::ONE,
-            algorithm2::Algo2Options {
-                scheme: SchemeKind::Fast,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let ds = dolev_strong::run(
-            n,
-            t,
-            Value::ONE,
-            dolev_strong::DsOptions {
-                scheme: SchemeKind::Fast,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let a1 = algorithm1::run(t, Value::ONE, fast()).unwrap();
+        let a2 = algorithm2::run(t, Value::ONE, fast()).unwrap();
+        let ds = dolev_strong::run(n, t, Value::ONE, fast()).unwrap();
         let min_a = theorem1::audit_algorithm1(t, 1);
         counts.row(cells![
             t,
@@ -157,7 +139,7 @@ pub fn e2() -> Vec<Table> {
         ],
     );
     for (n, t) in [(4, 1), (7, 1), (7, 2), (10, 2), (10, 3), (13, 3)] {
-        let r = om::run(n, t, Value::ONE, om::OmOptions::default()).unwrap();
+        let r = om::run(n, t, Value::ONE, &ScheduleSpec::default()).unwrap();
         let measured = r.outcome.metrics.messages_by_correct;
         let formula = bounds::om_messages(n as u64, t as u64);
         let bound = bounds::cor1_message_lower_bound(n as u64, t as u64);
@@ -233,58 +215,22 @@ pub fn e3() -> Vec<Table> {
     for t in [2usize, 4] {
         let n = 2 * t + 1;
         let bound = bounds::thm2_message_lower_bound(n as u64, t as u64);
-        let a1 = algorithm1::run(
-            t,
-            Value::ONE,
-            algorithm1::Algo1Options {
-                scheme: SchemeKind::Fast,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let a1 = algorithm1::run(t, Value::ONE, fast()).unwrap();
         let m = a1.outcome.metrics.messages_by_correct;
         conformance.row(cells!["Algorithm 1", n, t, bound, m, check(m >= bound)]);
-        let a2 = algorithm2::run(
-            t,
-            Value::ONE,
-            algorithm2::Algo2Options {
-                scheme: SchemeKind::Fast,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let a2 = algorithm2::run(t, Value::ONE, fast()).unwrap();
         let m = a2.report.outcome.metrics.messages_by_correct;
         conformance.row(cells!["Algorithm 2", n, t, bound, m, check(m >= bound)]);
     }
     for (n, t, s) in [(40usize, 2usize, 8usize), (60, 3, 12)] {
         let bound = bounds::thm2_message_lower_bound(n as u64, t as u64);
-        let a3 = algorithm3::run(
-            n,
-            t,
-            s,
-            Value::ONE,
-            algorithm3::Alg3Options {
-                scheme: SchemeKind::Fast,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let a3 = algorithm3::run(n, t, s, Value::ONE, fast()).unwrap();
         let m = a3.outcome.metrics.messages_by_correct;
         conformance.row(cells!["Algorithm 3", n, t, bound, m, check(m >= bound)]);
     }
     for (n, t, s) in [(60usize, 1usize, 3usize), (80, 3, 7)] {
         let bound = bounds::thm2_message_lower_bound(n as u64, t as u64);
-        let a5 = algorithm5::run(
-            n,
-            t,
-            s,
-            Value::ONE,
-            algorithm5::Alg5Options {
-                scheme: SchemeKind::Fast,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let a5 = algorithm5::run(n, t, s, Value::ONE, fast()).unwrap();
         let m = a5.outcome.metrics.messages_by_correct;
         conformance.row(cells!["Algorithm 5", n, t, bound, m, check(m >= bound)]);
     }
@@ -315,35 +261,22 @@ pub fn e4() -> Vec<Table> {
     );
     for t in 1..=12usize {
         let n = 2 * t + 1;
-        let clean = algorithm1::run(
-            t,
-            Value::ONE,
-            algorithm1::Algo1Options {
-                scheme: SchemeKind::Fast,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let clean = algorithm1::run(t, Value::ONE, fast()).unwrap();
         let ones: Vec<ProcessId> = (1..=t.max(1) as u32).map(ProcessId).collect();
         let equiv = algorithm1::run(
             t,
             Value::ONE,
-            algorithm1::Algo1Options {
-                schedule: ScheduleSpec::each([ProcessId(0)], FaultBehavior::Equivocate { ones }),
-                scheme: SchemeKind::Fast,
-                ..Default::default()
-            },
+            fast().with_schedule(ScheduleSpec::each(
+                [ProcessId(0)],
+                FaultBehavior::Equivocate { ones },
+            )),
         )
         .unwrap();
         let withhold = if t >= 2 {
             algorithm1::run(
                 t,
                 Value::ONE,
-                algorithm1::Algo1Options {
-                    schedule: algorithm1::withholding(t, t - 1, t),
-                    scheme: SchemeKind::Fast,
-                    ..Default::default()
-                },
+                fast().with_schedule(algorithm1::withholding(t, t - 1, t)),
             )
             .unwrap()
             .outcome
@@ -378,15 +311,7 @@ pub fn e5() -> Vec<Table> {
     );
     for t in 1..=10usize {
         let n = 2 * t + 1;
-        let r = algorithm2::run(
-            t,
-            Value::ONE,
-            algorithm2::Algo2Options {
-                scheme: SchemeKind::Fast,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let r = algorithm2::run(t, Value::ONE, fast()).unwrap();
         let common = r.report.verdict.agreed.unwrap();
         let mut holders = 0usize;
         let mut all_valid = true;
@@ -440,27 +365,13 @@ pub fn e6() -> Vec<Table> {
         (1000, 5, 20),
     ];
     for (n, t, s) in cases {
-        let clean = algorithm3::run(
-            n,
-            t,
-            s,
-            Value::ONE,
-            algorithm3::Alg3Options {
-                scheme: SchemeKind::Fast,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let clean = algorithm3::run(n, t, s, Value::ONE, fast()).unwrap();
         let faulty = algorithm3::run(
             n,
             t,
             s,
             Value::ONE,
-            algorithm3::Alg3Options {
-                schedule: lying_roots(t, s, 0..t.min(3)),
-                scheme: SchemeKind::Fast,
-                ..Default::default()
-            },
+            fast().with_schedule(lying_roots(t, s, 0..t.min(3))),
         )
         .unwrap();
         let bound = bounds::alg3_max_messages(n as u64, t as u64, s as u64);
@@ -560,17 +471,7 @@ pub fn e8() -> Vec<Table> {
         (480, 7, 15),
     ];
     for (n, t, s) in cases {
-        let r = algorithm5::run(
-            n,
-            t,
-            s,
-            Value::ONE,
-            algorithm5::Alg5Options {
-                scheme: SchemeKind::Fast,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let r = algorithm5::run(n, t, s, Value::ONE, fast()).unwrap();
         let msgs = r.outcome.metrics.messages_by_correct;
         let kind = |k: &str| {
             r.outcome
@@ -610,17 +511,7 @@ pub fn e9() -> Vec<Table> {
     let (n, t) = (600usize, 8usize);
     for a in [1usize, 2, 4, 8] {
         let s = bounds::tradeoff_group_size(t as u64, a as u64) as usize;
-        let r = algorithm3::run(
-            n,
-            t,
-            s,
-            Value::ONE,
-            algorithm3::Alg3Options {
-                scheme: SchemeKind::Fast,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let r = algorithm3::run(n, t, s, Value::ONE, fast()).unwrap();
         let msgs = r.outcome.metrics.messages_by_correct;
         t_out.row(cells![
             a,
@@ -640,13 +531,6 @@ pub fn e10() -> Vec<Table> {
         "E10 — messages by correct processors across algorithms ('-' = precondition not met; OM explodes, Algorithm 5 flattens to O(n+t²))",
         &["n", "t", "OM(t)", "DS broadcast", "DS relay", "Alg 3 (s=4t)", "Alg 5 (s~t)", "winner"],
     );
-    let pow2m1 = |t: usize| -> usize {
-        let mut s = 1;
-        while 2 * s < t.max(1) {
-            s = 2 * s + 1;
-        }
-        s
-    };
     for (n, t) in [
         (10usize, 1usize),
         (25, 1),
@@ -660,33 +544,21 @@ pub fn e10() -> Vec<Table> {
     ] {
         let om_msgs = if n > 3 * t && bounds::om_messages(n as u64, t as u64) < 2_000_000 && t <= 2
         {
-            let r = om::run(n, t, Value::ONE, om::OmOptions::default()).unwrap();
+            let r = om::run(n, t, Value::ONE, &ScheduleSpec::default()).unwrap();
             Some(r.outcome.metrics.messages_by_correct)
         } else {
             None
         };
-        let ds_b = dolev_strong::run(
-            n,
-            t,
-            Value::ONE,
-            dolev_strong::DsOptions {
-                scheme: SchemeKind::Fast,
-                ..Default::default()
-            },
-        )
-        .unwrap()
-        .outcome
-        .metrics
-        .messages_by_correct;
+        let ds_b = dolev_strong::run(n, t, Value::ONE, fast())
+            .unwrap()
+            .outcome
+            .metrics
+            .messages_by_correct;
         let ds_r = dolev_strong::run(
             n,
             t,
             Value::ONE,
-            dolev_strong::DsOptions {
-                variant: dolev_strong::Variant::Relay,
-                scheme: SchemeKind::Fast,
-                ..Default::default()
-            },
+            fast().with_variant(dolev_strong::Variant::Relay),
         )
         .unwrap()
         .outcome
@@ -694,20 +566,11 @@ pub fn e10() -> Vec<Table> {
         .messages_by_correct;
         let a3 = if n >= 2 * t + 2 {
             Some(
-                algorithm3::run(
-                    n,
-                    t,
-                    4 * t,
-                    Value::ONE,
-                    algorithm3::Alg3Options {
-                        scheme: SchemeKind::Fast,
-                        ..Default::default()
-                    },
-                )
-                .unwrap()
-                .outcome
-                .metrics
-                .messages_by_correct,
+                algorithm3::run(n, t, 4 * t, Value::ONE, fast())
+                    .unwrap()
+                    .outcome
+                    .metrics
+                    .messages_by_correct,
             )
         } else {
             None
@@ -717,12 +580,9 @@ pub fn e10() -> Vec<Table> {
                 algorithm5::run(
                     n,
                     t,
-                    pow2m1(t),
+                    bounds::alg5_tree_size(t as u64) as usize,
                     Value::ONE,
-                    algorithm5::Alg5Options {
-                        scheme: SchemeKind::Fast,
-                        ..Default::default()
-                    },
+                    fast(),
                 )
                 .unwrap()
                 .outcome
@@ -782,17 +642,13 @@ pub fn e10() -> Vec<Table> {
             t,
             s3,
             Value::ONE,
-            algorithm3::Alg3Options {
-                schedule: lying_roots(t, s3, 0..t.min(r_groups)),
-                scheme: SchemeKind::Fast,
-                ..Default::default()
-            },
+            fast().with_schedule(lying_roots(t, s3, 0..t.min(r_groups))),
         )
         .unwrap()
         .outcome
         .metrics
         .messages_by_correct;
-        let s5 = pow2m1(t);
+        let s5 = bounds::alg5_tree_size(t as u64) as usize;
         let r_trees = (n - bounds::alpha(t as u64) as usize).div_ceil(s5);
         let roots = (0..t.min(r_trees)).filter_map(|tree| algorithm5::tree_root(n, t, s5, tree));
         let a5 = algorithm5::run(
@@ -800,11 +656,7 @@ pub fn e10() -> Vec<Table> {
             t,
             s5,
             Value::ONE,
-            algorithm5::Alg5Options {
-                schedule: ScheduleSpec::each(roots, FaultBehavior::Silent),
-                scheme: SchemeKind::Fast,
-                ..Default::default()
-            },
+            fast().with_schedule(ScheduleSpec::each(roots, FaultBehavior::Silent)),
         )
         .unwrap()
         .outcome
@@ -826,7 +678,7 @@ pub fn e10() -> Vec<Table> {
 /// processors get activated or are faulty (the amortization that keeps
 /// Algorithm 5's activation traffic bounded).
 pub fn e11() -> Vec<Table> {
-    use ba_algos::algorithm5::{run_audited, Alg5Options};
+    use ba_algos::algorithm5::{run_audited, Activation};
     let mut t_out = Table::new(
         "E11 — Lemma 4 activation audit for Algorithm 5: max per-tree (activated or faulty) vs 2b(C)+1",
         &["n", "t", "s", "fault", "total activated", "max per-tree activated+faulty", "max 2b(C)+1", "within bound"],
@@ -858,11 +710,11 @@ pub fn e11() -> Vec<Table> {
             t,
             s,
             Value::ONE,
-            Alg5Options {
-                schedule: ScheduleSpec::each(faulty_ids.iter().copied(), FaultBehavior::Silent),
-                scheme: SchemeKind::Fast,
-                ..Default::default()
-            },
+            Activation::Gated,
+            fast().with_schedule(ScheduleSpec::each(
+                faulty_ids.iter().copied(),
+                FaultBehavior::Silent,
+            )),
         )
         .unwrap();
         assert_eq!(report.verdict.agreed, Some(Value::ONE));
@@ -903,7 +755,7 @@ pub fn e11() -> Vec<Table> {
 /// (every subtree activated in every block). Agreement still holds, but
 /// the activation traffic the certificates suppress comes back.
 pub fn e12() -> Vec<Table> {
-    use ba_algos::algorithm5::{run, tree_root, Alg5Options};
+    use ba_algos::algorithm5::{run_audited, tree_root, Activation};
     let mut t_out = Table::new(
         "E12 — ablation: proof-of-work activation gating vs naive always-activate (silent tree-root fault)",
         &["n", "t", "s", "gated messages", "naive messages", "overhead", "both agree"],
@@ -914,32 +766,16 @@ pub fn e12() -> Vec<Table> {
         (240, 3, 7),
         (240, 7, 7),
     ] {
-        let schedule = || ScheduleSpec::each(tree_root(n, t, s, 0), FaultBehavior::Silent);
-        let gated = run(
-            n,
-            t,
-            s,
-            Value::ONE,
-            Alg5Options {
-                schedule: schedule(),
-                scheme: SchemeKind::Fast,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let naive = run(
-            n,
-            t,
-            s,
-            Value::ONE,
-            Alg5Options {
-                schedule: schedule(),
-                scheme: SchemeKind::Fast,
-                naive_activation: true,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let run = |activation| {
+            let options = fast().with_schedule(ScheduleSpec::each(
+                tree_root(n, t, s, 0),
+                FaultBehavior::Silent,
+            ));
+            run_audited(n, t, s, Value::ONE, activation, options)
+                .unwrap()
+                .0
+        };
+        let (gated, naive) = (run(Activation::Gated), run(Activation::Naive));
         let g = gated.outcome.metrics.messages_by_correct;
         let na = naive.outcome.metrics.messages_by_correct;
         let both =
@@ -962,7 +798,7 @@ pub fn e12() -> Vec<Table> {
 /// under the chain-withholding coalition. The `t + 2` phase bound is the
 /// worst case; typical runs decide immediately.
 pub fn e13() -> Vec<Table> {
-    use ba_algos::algorithm1::{run, withholding, Algo1Options};
+    use ba_algos::algorithm1::{run, withholding};
 
     let mut t_out = Table::new(
         "E13 — Algorithm 1 decision latency (phase of last first-receipt of a correct 1-message) vs the t+2 bound",
@@ -972,12 +808,7 @@ pub fn e13() -> Vec<Table> {
         let r = run(
             t,
             Value::ONE,
-            Algo1Options {
-                schedule,
-                trace: true,
-                scheme: SchemeKind::Fast,
-                ..Default::default()
-            },
+            fast().with_schedule(schedule).with_trace(true),
         )
         .unwrap();
         // For each correct non-transmitter processor, find the phase of
@@ -1064,27 +895,11 @@ pub fn e14() -> Vec<Table> {
         ]);
     };
     for t in [2usize, 4, 6] {
-        let r = algorithm1::run(
-            t,
-            Value::ONE,
-            algorithm1::Algo1Options {
-                scheme: SchemeKind::Fast,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let r = algorithm1::run(t, Value::ONE, fast()).unwrap();
         push("Algorithm 1", 2 * t + 1, t, &r.outcome.metrics);
     }
     for t in [2usize, 4] {
-        let r = algorithm2::run(
-            t,
-            Value::ONE,
-            algorithm2::Algo2Options {
-                scheme: SchemeKind::Fast,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let r = algorithm2::run(t, Value::ONE, fast()).unwrap();
         push("Algorithm 2", 2 * t + 1, t, &r.report.outcome.metrics);
     }
     for (n, t) in [(15usize, 3usize), (25, 3)] {
@@ -1092,41 +907,17 @@ pub fn e14() -> Vec<Table> {
             n,
             t,
             Value::ONE,
-            dolev_strong::DsOptions {
-                variant: dolev_strong::Variant::Relay,
-                scheme: SchemeKind::Fast,
-                ..Default::default()
-            },
+            fast().with_variant(dolev_strong::Variant::Relay),
         )
         .unwrap();
         push("Dolev-Strong relay", n, t, &r.outcome.metrics);
     }
     for (n, t, s) in [(50usize, 2usize, 8usize), (120, 3, 12)] {
-        let r = algorithm3::run(
-            n,
-            t,
-            s,
-            Value::ONE,
-            algorithm3::Alg3Options {
-                scheme: SchemeKind::Fast,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let r = algorithm3::run(n, t, s, Value::ONE, fast()).unwrap();
         push("Algorithm 3", n, t, &r.outcome.metrics);
     }
     for (n, t, s) in [(60usize, 1usize, 3usize), (120, 3, 7)] {
-        let r = algorithm5::run(
-            n,
-            t,
-            s,
-            Value::ONE,
-            algorithm5::Alg5Options {
-                scheme: SchemeKind::Fast,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let r = algorithm5::run(n, t, s, Value::ONE, fast()).unwrap();
         push("Algorithm 5", n, t, &r.outcome.metrics);
     }
     vec![t_out]
@@ -1163,12 +954,9 @@ pub fn e15() -> Vec<Table> {
                 n,
                 t,
                 Value::ONE,
-                dolev_strong::DsOptions {
-                    variant: dolev_strong::Variant::Broadcast,
-                    scheme: SchemeKind::Fast,
-                    threads,
-                    ..Default::default()
-                },
+                fast()
+                    .with_variant(dolev_strong::Variant::Broadcast)
+                    .with_threads(threads),
             )
             .unwrap()
         };
@@ -1193,18 +981,7 @@ pub fn e15() -> Vec<Table> {
     }
     for (n, t, s) in [(64usize, 3usize, 12usize)] {
         let run_with = |threads: usize| {
-            algorithm3::run(
-                n,
-                t,
-                s,
-                Value::ONE,
-                algorithm3::Alg3Options {
-                    scheme: SchemeKind::Fast,
-                    threads,
-                    ..Default::default()
-                },
-            )
-            .unwrap()
+            algorithm3::run(n, t, s, Value::ONE, fast().with_threads(threads)).unwrap()
         };
         let seq = run_with(1);
         let par = run_with(4);

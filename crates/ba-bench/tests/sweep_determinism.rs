@@ -2,7 +2,7 @@
 //! sweep output must be byte-identical for any worker-thread count, even
 //! when the cells themselves use the engine's parallel stepping.
 
-use ba_algos::{algorithm3, dolev_strong};
+use ba_algos::{algorithm3, dolev_strong, RunOptions};
 use ba_crypto::{SchemeKind, Value};
 use ba_sim::sweep::run_sweep;
 
@@ -50,7 +50,7 @@ fn run_cells(threads: usize) -> Vec<CellResult> {
                 *t,
                 *s,
                 Value::ONE,
-                algorithm3::Alg3Options {
+                RunOptions {
                     seed: idx as u64,
                     scheme: SchemeKind::Fast,
                     threads: 2,

@@ -779,8 +779,8 @@ impl Actor<ExtMsg> for FetchActor {
 
 /// Options for [`agree_on_payload`]. Construct with
 /// [`ExtOptions::new`]/[`default`](ExtOptions::default) and the `with_*`
-/// builders (the same convention as `SvcConfig`, `NetConfig`, `DsOptions`
-/// and `Alg3Options`).
+/// builders (the same convention as `SvcConfig`, `NetConfig` and
+/// `RunOptions`).
 ///
 /// Defaults: `n = 16`, `t = 2`, seed 0, sequential stepping,
 /// `ds-broadcast` inner target, `ds-relay` vote target. Chunks are signed

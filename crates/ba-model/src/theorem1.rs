@@ -162,12 +162,12 @@ pub fn attack_frugal(n: usize, t: usize, k: usize, seed: u64) -> Theorem1Attack 
 /// all processors. Theorem 1 predicts at least `t + 1` — which is why the
 /// splicing attack cannot be mounted against it within the fault budget.
 pub fn audit_algorithm1(t: usize, seed: u64) -> usize {
-    use ba_algos::algorithm1::{run, Algo1Options};
+    use ba_algos::{algorithm1::run, RunOptions};
     let traced = |value: Value| {
         let report = run(
             t,
             value,
-            Algo1Options {
+            RunOptions {
                 seed,
                 trace: true,
                 ..Default::default()

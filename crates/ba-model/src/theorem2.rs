@@ -264,12 +264,12 @@ mod tests {
         // In Algorithm 1's value-1 history every processor hears from
         // t + 1 senders (the transmitter plus the opposite side), so the
         // sender set exceeds the fault budget.
-        use ba_algos::algorithm1::{run, Algo1Options};
+        use ba_algos::{algorithm1::run, RunOptions};
         let t = 3;
         let report = run(
             t,
             Value::ONE,
-            Algo1Options {
+            RunOptions {
                 trace: true,
                 ..Default::default()
             },

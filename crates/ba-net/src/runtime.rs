@@ -70,7 +70,7 @@ const PHASE_WATCHDOG: Duration = Duration::from_secs(5);
 /// The runtime's one knob. Construct with
 /// [`NetConfig::new`]/[`default`](NetConfig::default) and
 /// [`with_threads`](NetConfig::with_threads) (the same convention as
-/// `SvcConfig`, `DsOptions`, `Alg3Options` and `ExtOptions`). The wire's
+/// `SvcConfig`, `RunOptions` and `ExtOptions`). The wire's
 /// retry policy (4 retransmissions, 128 ticks per phase) and the 5 s phase
 /// watchdog are constants; the fault budget is the instance's own
 /// ([`InstanceSpec::fault_budget`]).

@@ -7,7 +7,7 @@
 //! cargo run --example cluster_census
 //! ```
 
-use byzantine_agreement::algos::{agree, ic, AgreeOptions};
+use byzantine_agreement::algos::{agree, ic, RunOptions};
 use byzantine_agreement::crypto::{ProcessId, Value};
 use byzantine_agreement::sim::{FaultBehavior, ScheduleSpec};
 
@@ -48,7 +48,7 @@ fn main() {
     println!("aggregate load (identical at every correct node): {total}");
 
     // And the one-call facade for scalar agreement, for comparison.
-    let r = agree(n, t, Value::ONE, AgreeOptions::default()).expect("agreement");
+    let r = agree(n, t, Value::ONE, RunOptions::default()).expect("agreement");
     println!(
         "\nscalar agree() on the same cluster picked {:?} via {:?} in {} phases",
         r.verdict.agreed, r.selected, r.metrics.phases

@@ -10,8 +10,8 @@
 //! cargo run --example distributed_commit
 //! ```
 
-use byzantine_agreement::algos::algorithm1::{self, Algo1Options};
 use byzantine_agreement::algos::algorithm2::{self, is_transferable_proof};
+use byzantine_agreement::algos::{algorithm1, RunOptions};
 use byzantine_agreement::crypto::{ProcessId, Value};
 use byzantine_agreement::sim::{FaultBehavior, ScheduleSpec};
 
@@ -27,7 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let split = algorithm1::run(
         t,
         COMMIT,
-        Algo1Options {
+        RunOptions {
             schedule: ScheduleSpec::each([ProcessId(0)], FaultBehavior::Equivocate { ones }),
             ..Default::default()
         },
@@ -42,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let r = algorithm2::run(
         t,
         COMMIT,
-        algorithm2::Algo2Options {
+        RunOptions {
             // They run Algorithm 1, then crash as accumulation starts.
             schedule: ScheduleSpec::each(
                 [ProcessId(3), ProcessId(6)],

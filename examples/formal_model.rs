@@ -7,7 +7,7 @@
 //! cargo run --example formal_model | tail -n +14 > run.dot && dot -Tsvg run.dot
 //! ```
 
-use byzantine_agreement::algos::algorithm1::{self, Algo1Options};
+use byzantine_agreement::algos::{algorithm1, RunOptions};
 use byzantine_agreement::crypto::{ProcessId, Value};
 use byzantine_agreement::model::rules::{formal_agreement_holds, generate, Behavior, FormalQuiet};
 use byzantine_agreement::sim::{FaultBehavior, ScheduleSpec};
@@ -48,7 +48,7 @@ fn main() {
     let report = algorithm1::run(
         2,
         Value::ONE,
-        Algo1Options {
+        RunOptions {
             schedule: ScheduleSpec::each(
                 [ProcessId(0)],
                 FaultBehavior::Equivocate {

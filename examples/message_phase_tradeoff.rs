@@ -8,7 +8,7 @@
 //! cargo run --example message_phase_tradeoff
 //! ```
 
-use byzantine_agreement::algos::{algorithm3, bounds};
+use byzantine_agreement::algos::{algorithm3, bounds, RunOptions};
 use byzantine_agreement::crypto::Value;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -20,7 +20,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     for a in [1u64, 2, 4, 8] {
         let s = bounds::tradeoff_group_size(t as u64, a) as usize;
-        let r = algorithm3::run(n, t, s, Value::ONE, algorithm3::Alg3Options::default())?;
+        let r = algorithm3::run(n, t, s, Value::ONE, RunOptions::default())?;
         assert_eq!(r.verdict.agreed, Some(Value::ONE));
         let msgs = r.outcome.metrics.messages_by_correct;
         println!(

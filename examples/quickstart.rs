@@ -4,13 +4,13 @@
 //! cargo run --example quickstart
 //! ```
 
-use byzantine_agreement::algos::{algorithm1, algorithm5, bounds};
+use byzantine_agreement::algos::{algorithm1, algorithm5, bounds, RunOptions};
 use byzantine_agreement::crypto::Value;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- The minimal setting: n = 2t + 1, Algorithm 1 (Theorem 3) -------
     let t = 4;
-    let report = algorithm1::run(t, Value::ONE, algorithm1::Algo1Options::default())?;
+    let report = algorithm1::run(t, Value::ONE, RunOptions::default())?;
     println!("Algorithm 1 (n = {}, t = {t}):", 2 * t + 1);
     println!("  agreed value : {:?}", report.verdict.agreed);
     println!(
@@ -30,7 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- The headline: Algorithm 5 with s = t gives O(n + t²) ----------
     let (n, t, s) = (120, 3, 3);
-    let report = algorithm5::run(n, t, s, Value::ONE, algorithm5::Alg5Options::default())?;
+    let report = algorithm5::run(n, t, s, Value::ONE, RunOptions::default())?;
     println!("\nAlgorithm 5 (n = {n}, t = {t}, s = {s}):");
     println!("  agreed value : {:?}", report.verdict.agreed);
     println!("  phases       : {}", report.outcome.metrics.phases);

@@ -10,7 +10,7 @@
 //! cargo run --example sensor_consensus
 //! ```
 
-use byzantine_agreement::algos::{algorithm3, algorithm5, bounds, dolev_strong};
+use byzantine_agreement::algos::{algorithm3, algorithm5, bounds, dolev_strong, RunOptions};
 use byzantine_agreement::crypto::Value;
 use byzantine_agreement::sim::{FaultBehavior, ScheduleSpec};
 
@@ -27,7 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         t,
         s3,
         ALARM,
-        algorithm3::Alg3Options {
+        RunOptions {
             schedule: ScheduleSpec::each(
                 [0, 5].map(|g| algorithm3::group_root(t, s3, g)),
                 FaultBehavior::Lie { value: Value::ZERO },
@@ -51,7 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         t,
         s5,
         ALARM,
-        algorithm5::Alg5Options {
+        RunOptions {
             schedule: ScheduleSpec::each(algorithm5::tree_root(n, t, s5, 0), FaultBehavior::Silent),
             ..Default::default()
         },

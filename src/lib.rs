@@ -24,10 +24,10 @@
 //! # Example
 //!
 //! ```
-//! use byzantine_agreement::algos::{agree, AgreeOptions};
+//! use byzantine_agreement::algos::{agree, RunOptions};
 //! use byzantine_agreement::crypto::Value;
 //!
-//! let report = agree(25, 2, Value::ONE, AgreeOptions::default())?;
+//! let report = agree(25, 2, Value::ONE, RunOptions::default())?;
 //! assert_eq!(report.verdict.agreed, Some(Value::ONE));
 //! # Ok::<(), byzantine_agreement::sim::AgreementViolation>(())
 //! ```

@@ -3,7 +3,7 @@
 //! both signature schemes.
 
 use byzantine_agreement::algos::{
-    algorithm1, algorithm2, algorithm3, algorithm5, bounds, dolev_strong, om,
+    algorithm1, algorithm2, algorithm3, algorithm5, bounds, dolev_strong, om, RunOptions,
 };
 use byzantine_agreement::crypto::{ProcessId, SchemeKind, Value};
 use byzantine_agreement::sim::{FaultBehavior, ScheduleSpec};
@@ -31,7 +31,7 @@ fn algorithm1_agreement_matrix() {
                         let r = algorithm1::run(
                             t,
                             value,
-                            algorithm1::Algo1Options {
+                            RunOptions {
                                 schedule,
                                 seed,
                                 scheme,
@@ -61,10 +61,11 @@ fn algorithm2_agreement_and_proofs_matrix() {
                 let r = algorithm2::run(
                     t,
                     Value::ONE,
-                    algorithm2::Algo2Options {
+                    RunOptions {
                         schedule,
                         seed,
                         scheme: SchemeKind::Fast,
+                        ..Default::default()
                     },
                 )
                 .expect("agreement must hold");
@@ -113,7 +114,7 @@ fn algorithm3_agreement_matrix() {
                     t,
                     s,
                     value,
-                    algorithm3::Alg3Options {
+                    RunOptions {
                         schedule: schedule.clone(),
                         seed,
                         scheme: SchemeKind::Fast,
@@ -151,7 +152,7 @@ fn algorithm5_agreement_matrix() {
                 t,
                 s,
                 Value::ONE,
-                algorithm5::Alg5Options {
+                RunOptions {
                     schedule,
                     seed,
                     scheme: SchemeKind::Fast,
@@ -197,15 +198,13 @@ fn baselines_agreement_matrix() {
             7,
             2,
             Value::ONE,
-            om::OmOptions {
-                // The relays flip what they forward to odd-numbered targets.
-                schedule: each(
-                    &[2, 4],
-                    FaultBehavior::Equivocate {
-                        ones: vec![ProcessId(1), ProcessId(3), ProcessId(5)],
-                    },
-                ),
-            },
+            // The relays flip what they forward to odd-numbered targets.
+            &each(
+                &[2, 4],
+                FaultBehavior::Equivocate {
+                    ones: vec![ProcessId(1), ProcessId(3), ProcessId(5)],
+                },
+            ),
         )
         .expect("agreement must hold");
         assert_eq!(r.verdict.agreed, Some(Value::ONE));
@@ -223,7 +222,7 @@ fn cross_algorithm_consistency_on_shared_settings() {
     let a3 = algorithm3::run(40, t, 6, v, Default::default()).unwrap();
     let a5 = algorithm5::run(60, t, 3, v, Default::default()).unwrap();
     let ds = dolev_strong::run(2 * t + 1, t, v, Default::default()).unwrap();
-    let omr = om::run(10, t, v, Default::default()).unwrap();
+    let omr = om::run(10, t, v, &Default::default()).unwrap();
     for agreed in [
         a1.verdict.agreed,
         a2.report.verdict.agreed,

@@ -4,6 +4,7 @@
 
 use byzantine_agreement::algos::{
     algorithm1, algorithm2, algorithm3, algorithm4, algorithm5, bounds, dolev_strong, om,
+    RunOptions,
 };
 use byzantine_agreement::crypto::{ProcessId, SchemeKind, Value};
 use byzantine_agreement::sim::{FaultBehavior, ScheduleSpec};
@@ -81,7 +82,7 @@ fn lower_bounds_cleared_by_all_algorithms() {
     // Theorem 1 / Corollary 1: unauthenticated OM(t) clears n(t+1)/4 in
     // messages; authenticated algorithms clear it in signatures.
     for (n, t) in [(7usize, 2usize), (10, 3)] {
-        let r = om::run(n, t, Value::ONE, Default::default()).unwrap();
+        let r = om::run(n, t, Value::ONE, &Default::default()).unwrap();
         assert!(
             r.outcome.metrics.messages_by_correct
                 >= bounds::cor1_message_lower_bound(n as u64, t as u64)
@@ -169,7 +170,7 @@ fn worst_case_fault_injection_stays_within_bounds() {
         t,
         s,
         Value::ONE,
-        algorithm3::Alg3Options {
+        RunOptions {
             schedule: ScheduleSpec::each(
                 (0..3).map(|g| algorithm3::group_root(t, s, g)),
                 FaultBehavior::Lie { value: Value::ZERO },
@@ -187,7 +188,7 @@ fn worst_case_fault_injection_stays_within_bounds() {
     let r = algorithm1::run(
         3,
         Value::ONE,
-        algorithm1::Algo1Options {
+        RunOptions {
             schedule: ScheduleSpec::each([ProcessId(0)], FaultBehavior::Equivocate { ones }),
             ..Default::default()
         },

@@ -3,7 +3,7 @@
 //! combination of replay/truncation/forgery lets a wrong value acquire a
 //! valid quorum.
 
-use byzantine_agreement::algos::{algorithm2, domains};
+use byzantine_agreement::algos::{algorithm2, domains, RunOptions};
 use byzantine_agreement::crypto::wire::{Decoder, Encoder};
 use byzantine_agreement::crypto::{Chain, KeyRegistry, ProcessId, SchemeKind, Signature, Value};
 
@@ -17,7 +17,7 @@ fn proofs_survive_serialization_and_reverification() {
     let r = algorithm2::run(
         t,
         Value::ONE,
-        algorithm2::Algo2Options {
+        RunOptions {
             seed,
             scheme: SchemeKind::Hmac,
             ..Default::default()

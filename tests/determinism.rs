@@ -1,9 +1,13 @@
-//! Integration: runs are bit-for-bit reproducible from the seed, and the
-//! agreement outcome is independent of the signature scheme chosen.
+//! Integration: runs are bit-for-bit reproducible from the seed, the
+//! agreement outcome is independent of the signature scheme chosen, and a
+//! run's thread count and trace switch move nothing but the trace.
 
-use byzantine_agreement::algos::{algorithm1, algorithm2, algorithm3, algorithm5};
+use byzantine_agreement::algos::dolev_strong::{self, Variant};
+use byzantine_agreement::algos::{
+    agree, algorithm1, algorithm1_multi, algorithm2, algorithm3, algorithm5, RunOptions, Selected,
+};
 use byzantine_agreement::crypto::{ProcessId, SchemeKind, Value};
-use byzantine_agreement::sim::{FaultBehavior, ScheduleSpec};
+use byzantine_agreement::sim::{FaultBehavior, Metrics, RunOutcome, RunVerdict, ScheduleSpec};
 
 #[test]
 fn same_seed_same_everything() {
@@ -13,7 +17,7 @@ fn same_seed_same_everything() {
             2,
             5,
             Value::ONE,
-            algorithm3::Alg3Options {
+            RunOptions {
                 schedule: ScheduleSpec::each(
                     [algorithm3::group_root(2, 5, 1)],
                     FaultBehavior::Lie { value: Value::ZERO },
@@ -39,7 +43,7 @@ fn scheme_choice_does_not_change_outcomes() {
             let r = algorithm1::run(
                 t,
                 Value::ONE,
-                algorithm1::Algo1Options {
+                RunOptions {
                     schedule: ScheduleSpec::each(
                         [ProcessId(0)],
                         FaultBehavior::Equivocate {
@@ -68,7 +72,7 @@ fn seed_changes_keys_but_not_decisions() {
         let r = algorithm2::run(
             3,
             Value::ONE,
-            algorithm2::Algo2Options {
+            RunOptions {
                 seed,
                 ..Default::default()
             },
@@ -86,7 +90,7 @@ fn algorithm5_metrics_reproducible() {
             1,
             3,
             Value::ONE,
-            algorithm5::Alg5Options {
+            RunOptions {
                 seed,
                 ..Default::default()
             },
@@ -99,4 +103,120 @@ fn algorithm5_metrics_reproducible() {
     // Different seeds change signatures (keys) but not the message
     // pattern of a fault-free run.
     assert_eq!(run(9).messages_by_correct, run(10).messages_by_correct);
+}
+
+/// What a run reports: each processor's decision and correct flag (for
+/// `agree`, which reports neither, its selection and verdict), the whole
+/// metrics, and the traced message count (`agree` reports no trace).
+#[derive(PartialEq, Debug)]
+struct Observed {
+    decided: Decided,
+    metrics: Metrics,
+    traced: Option<usize>,
+}
+
+#[derive(PartialEq, Debug)]
+enum Decided {
+    Each(Vec<Option<Value>>, Vec<bool>),
+    Verdict(Selected, RunVerdict),
+}
+
+fn observed<P: Clone>(outcome: RunOutcome<P>) -> Observed {
+    Observed {
+        traced: Some(outcome.trace.message_count()),
+        decided: Decided::Each(outcome.decisions, outcome.correct),
+        metrics: outcome.metrics,
+    }
+}
+
+/// Every single-instance BA run — Dolev–Strong in both variants, `agree`
+/// in each of its three regimes — under one non-empty schedule, with
+/// `threads` workers and the trace switch at `trace`.
+fn every_run(threads: usize, trace: bool) -> Vec<(&'static str, Observed)> {
+    fn options<M: Default>(
+        (threads, trace): (usize, bool),
+        faulty: &[u32],
+        behavior: FaultBehavior,
+    ) -> RunOptions<M> {
+        RunOptions {
+            schedule: ScheduleSpec::each(faulty.iter().copied().map(ProcessId), behavior),
+            seed: 7,
+            scheme: SchemeKind::Fast,
+            threads,
+            trace,
+            ..Default::default()
+        }
+    }
+    let o = |faulty: &[u32], behavior| options::<()>((threads, trace), faulty, behavior);
+    let ones = |ids: &[u32]| FaultBehavior::Equivocate {
+        ones: ids.iter().copied().map(ProcessId).collect(),
+    };
+    let lie = FaultBehavior::Lie { value: Value::ZERO };
+    let ds = |variant| {
+        let options = options((threads, trace), &[0], ones(&[1, 2, 3, 4])).with_variant(variant);
+        let r = dolev_strong::run(9, 2, Value::ONE, options);
+        observed(r.unwrap().outcome)
+    };
+    let agreed = |n: usize, t: usize| {
+        let r = agree(n, t, Value::ONE, o(&[n as u32 - 1], FaultBehavior::Silent)).unwrap();
+        Observed {
+            decided: Decided::Verdict(r.selected, r.verdict),
+            metrics: r.metrics,
+            traced: None,
+        }
+    };
+    let root3 = algorithm3::group_root(1, 4, 0).0;
+    let root5 = algorithm5::tree_root(30, 1, 3, 0)
+        .expect("tree 0 has a root")
+        .0;
+    vec![
+        ("algorithm1", {
+            let r = algorithm1::run(2, Value::ONE, o(&[0], ones(&[1, 3])));
+            observed(r.unwrap().outcome)
+        }),
+        ("algorithm1_multi", {
+            let r = algorithm1_multi::run(2, Value(42), o(&[0], ones(&[1, 2, 3, 4])));
+            observed(r.unwrap().outcome)
+        }),
+        ("algorithm2", {
+            let r = algorithm2::run(2, Value::ONE, o(&[3], lie.clone()));
+            observed(r.unwrap().report.outcome)
+        }),
+        ("algorithm3", {
+            let r = algorithm3::run(20, 1, 4, Value::ONE, o(&[root3], lie));
+            observed(r.unwrap().outcome)
+        }),
+        ("algorithm5", {
+            let r = algorithm5::run(30, 1, 3, Value::ONE, o(&[root5], FaultBehavior::Silent));
+            observed(r.unwrap().outcome)
+        }),
+        ("ds-broadcast", ds(Variant::Broadcast)),
+        ("ds-relay", ds(Variant::Relay)),
+        ("agree algorithm 1", agreed(5, 2)),
+        ("agree small n", agreed(7, 1)),
+        ("agree algorithm 5", agreed(12, 1)),
+    ]
+}
+
+#[test]
+fn threads_and_trace_move_only_the_trace() {
+    let base = every_run(1, false);
+    let selected: Vec<_> = base
+        .iter()
+        .filter_map(|(_, seen)| match seen.decided {
+            Decided::Verdict(selected, _) => Some(selected),
+            Decided::Each(..) => None,
+        })
+        .collect();
+    let regimes = [Selected::Algorithm1, Selected::SmallN, Selected::Algorithm5];
+    assert_eq!(selected, regimes);
+    for (threads, trace) in [(1, false), (4, false), (1, true), (4, true)] {
+        for ((name, a), (_, b)) in base.iter().zip(every_run(threads, trace)) {
+            let at = format!("{name} threads={threads} trace={trace}");
+            assert_eq!((&a.decided, &a.metrics), (&b.decided, &b.metrics), "{at}");
+            if let Some(traced) = b.traced {
+                assert_eq!(traced > 0, trace, "{at}");
+            }
+        }
+    }
 }

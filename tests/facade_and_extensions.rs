@@ -2,10 +2,9 @@
 //! multi-valued Algorithm 1 and forged-traffic schedules, exercised
 //! together.
 
-use byzantine_agreement::algos::algorithm1::{self, Algo1Options};
-use byzantine_agreement::algos::algorithm5::{self, Alg5Options};
 use byzantine_agreement::algos::{
-    agree, algorithm1_multi, bounds, fuzz, ic, AgreeOptions, AlgoReport, Selected,
+    agree, algorithm1, algorithm1_multi, algorithm5, bounds, fuzz, ic, AlgoReport, RunOptions,
+    Selected,
 };
 use byzantine_agreement::crypto::{Chain, ProcessId, SchemeKind, Value};
 use byzantine_agreement::sim::{FaultBehavior, ScheduleSpec};
@@ -16,7 +15,7 @@ fn facade_covers_the_whole_regime_map() {
     for t in 1..=3usize {
         let alpha = bounds::alpha(t as u64) as usize;
         for n in [2 * t + 1, 2 * t + 2, alpha - 1, alpha, alpha + 13] {
-            let r = agree(n, t, Value::ONE, AgreeOptions::default()).unwrap();
+            let r = agree(n, t, Value::ONE, RunOptions::default()).unwrap();
             assert_eq!(r.verdict.agreed, Some(Value::ONE), "n={n} t={t}");
             let expected = if n == 2 * t + 1 {
                 Selected::Algorithm1
@@ -60,14 +59,7 @@ fn interactive_consistency_composes_with_faults() {
 #[test]
 fn multivalued_agreement_interops_with_binary_bounds() {
     for t in 1..=4 {
-        let r = algorithm1_multi::run(
-            t,
-            Value(0xCAFE),
-            &ScheduleSpec::default(),
-            7,
-            SchemeKind::Hmac,
-        )
-        .unwrap();
+        let r = algorithm1_multi::run(t, Value(0xCAFE), RunOptions::new().with_seed(7)).unwrap();
         assert_eq!(r.verdict.agreed, Some(Value(0xCAFE)));
         // Single-value fault-free run costs exactly the binary worst case.
         assert_eq!(
@@ -79,7 +71,7 @@ fn multivalued_agreement_interops_with_binary_bounds() {
 
 /// Algorithm 1 (`n = 7`) with its top `count` processors forging.
 fn algorithm1_spam(count: usize, per_phase: usize, seed: u64) -> AlgoReport<Chain> {
-    let options = Algo1Options {
+    let options = RunOptions {
         schedule: fuzz::spammers(7, count, per_phase, seed),
         seed,
         scheme: SchemeKind::Fast,
@@ -93,7 +85,7 @@ fn fuzzed_runs_never_break_agreement_or_panic() {
     for seed in [1u64, 99, 4096] {
         let r = algorithm1_spam(2, 12, seed);
         assert_eq!(r.verdict.agreed, Some(Value::ONE), "seed={seed}");
-        let options = Alg5Options {
+        let options = RunOptions {
             schedule: fuzz::spammers(30, 1, 8, seed),
             seed,
             scheme: SchemeKind::Fast,

@@ -10,13 +10,12 @@
 //! against a hand-built `OmitTo(honest, [])` run with the same seeded link
 //! drops, since the old random-omission wrapper has no schedule form.
 
-use byzantine_agreement::algos::algorithm1::{self, Algo1Options};
-use byzantine_agreement::algos::algorithm2::{self, Algo2Options};
-use byzantine_agreement::algos::algorithm3::{self, group_root, Alg3Options};
-use byzantine_agreement::algos::algorithm5::{self, tree_root, Alg5Options};
+use byzantine_agreement::algos::algorithm3::{self, group_root};
+use byzantine_agreement::algos::algorithm5::{self, tree_root};
 use byzantine_agreement::algos::dolev_strong::{self, DsOptions, Variant};
-use byzantine_agreement::algos::om::{self, OmOptions};
-use byzantine_agreement::algos::{algorithm1_multi, bounds, fuzz, ic};
+use byzantine_agreement::algos::{
+    algorithm1, algorithm1_multi, algorithm2, bounds, fuzz, ic, om, RunOptions,
+};
 use byzantine_agreement::crypto::rng::SimRng;
 use byzantine_agreement::crypto::sha256::Sha256;
 use byzantine_agreement::crypto::{ProcessId, SchemeKind, Value};
@@ -78,7 +77,7 @@ fn ds(n: usize, t: usize, variant: Variant, schedule: ScheduleSpec) -> String {
 }
 
 fn a1(t: usize, value: Value, schedule: ScheduleSpec) -> String {
-    let o = Algo1Options {
+    let o = RunOptions {
         schedule,
         seed: 5,
         ..Default::default()
@@ -87,7 +86,7 @@ fn a1(t: usize, value: Value, schedule: ScheduleSpec) -> String {
 }
 
 fn a2(t: usize, schedule: ScheduleSpec) -> String {
-    let o = Algo2Options {
+    let o = RunOptions {
         schedule,
         seed: 2,
         ..Default::default()
@@ -96,12 +95,12 @@ fn a2(t: usize, schedule: ScheduleSpec) -> String {
 }
 
 fn a3(n: usize, t: usize, s: usize, schedule: ScheduleSpec) -> String {
-    let o = Alg3Options::new().with_schedule(schedule).with_seed(4);
+    let o = RunOptions::new().with_schedule(schedule).with_seed(4);
     digest(&algorithm3::run(n, t, s, Value::ONE, o).unwrap().outcome)
 }
 
 fn a5(n: usize, t: usize, s: usize, schedule: ScheduleSpec) -> String {
-    let o = Alg5Options {
+    let o = RunOptions {
         schedule,
         seed: 6,
         ..Default::default()
@@ -115,22 +114,19 @@ fn icr(n: usize, t: usize, schedule: ScheduleSpec, seed: u64) -> String {
 }
 
 fn multi(t: usize, value: Value, schedule: ScheduleSpec, seed: u64) -> String {
-    let r = algorithm1_multi::run(t, value, &schedule, seed, SchemeKind::Fast);
+    let o = RunOptions::new().with_schedule(schedule).with_seed(seed);
+    let r = algorithm1_multi::run(t, value, o.with_scheme(SchemeKind::Fast));
     digest(&r.unwrap().outcome)
 }
 
 fn omr(n: usize, t: usize, schedule: ScheduleSpec) -> String {
-    digest(
-        &om::run(n, t, Value::ONE, OmOptions { schedule })
-            .unwrap()
-            .outcome,
-    )
+    digest(&om::run(n, t, Value::ONE, &schedule).unwrap().outcome)
 }
 
 /// Algorithm 1 with the top `count` processors forging, registry and
 /// spammers seeded from `seed` (the old Algorithm 1 fuzz harness).
 fn fuzz1(t: usize, value: Value, count: usize, per_phase: usize, seed: u64) -> String {
-    let o = Algo1Options {
+    let o = RunOptions {
         schedule: fuzz::spammers(2 * t + 1, count, per_phase, seed),
         seed,
         scheme: SchemeKind::Fast,
@@ -143,7 +139,7 @@ fn fuzz1(t: usize, value: Value, count: usize, per_phase: usize, seed: u64) -> S
 /// Algorithm 5 fuzz harness).
 fn fuzz5(n: usize, t: usize, s: usize, value: Value, count: usize, per_phase: usize) -> String {
     let seed = 4096;
-    let o = Alg5Options {
+    let o = RunOptions {
         schedule: fuzz::spammers(n, count, per_phase, seed),
         seed,
         scheme: SchemeKind::Fast,
@@ -176,7 +172,7 @@ fn mixed1(
         faults,
         link_drops: lossy_links(3, n, t + 2, lossy.0, lossy.1),
     };
-    let o = Algo1Options {
+    let o = RunOptions {
         schedule,
         seed,
         scheme: SchemeKind::Fast,
@@ -201,7 +197,7 @@ fn mixed5() -> String {
         ],
         link_drops: vec![],
     };
-    let o = Alg5Options {
+    let o = RunOptions {
         schedule,
         seed: 9,
         scheme: SchemeKind::Fast,

@@ -2,9 +2,8 @@
 //! strongest scenarios the fault budget allows, combining silence,
 //! forged traffic, selective omission and lossy links.
 
-use byzantine_agreement::algos::algorithm1::{self, Algo1Actor, Algo1Options, Algo1Params};
-use byzantine_agreement::algos::algorithm5::{self, Alg5Options};
-use byzantine_agreement::algos::bounds;
+use byzantine_agreement::algos::algorithm1::{self, Algo1Actor, Algo1Params};
+use byzantine_agreement::algos::{algorithm5, bounds, RunOptions};
 use byzantine_agreement::crypto::rng::SimRng;
 use byzantine_agreement::crypto::{Chain, KeyRegistry, ProcessId, SchemeKind, Value};
 use byzantine_agreement::sim::adversary::{IgnoreFirst, OmitTo};
@@ -45,7 +44,7 @@ fn algorithm1_with_silent_spamming_and_lossy_relays() {
             ],
             link_drops: lossy_links(3, n, t + 2, 500, seed),
         };
-        let options = Algo1Options {
+        let options = RunOptions {
             schedule,
             seed,
             scheme: SchemeKind::Fast,
@@ -120,7 +119,7 @@ fn algorithm5_with_three_fault_classes() {
         ],
         link_drops: vec![],
     };
-    let options = Alg5Options {
+    let options = RunOptions {
         schedule,
         seed: 9,
         scheme: SchemeKind::Fast,
@@ -158,7 +157,7 @@ fn exactly_t_mixed_faults_is_survivable() {
         ],
         link_drops: lossy_links(3, n, t + 2, 900, 3),
     };
-    let options = Algo1Options {
+    let options = RunOptions {
         schedule,
         seed: 21,
         scheme: SchemeKind::Fast,
