@@ -10,7 +10,8 @@
 //!   `2t + 1` processors agree, then the first `t + 1` of them hand every
 //!   remaining processor a *valid message* (the common value with `t + 1`
 //!   signatures, which no faulty coalition can fabricate for another
-//!   value). Implemented by [`run_small_n`] on top of Algorithm 2.
+//!   value). Implemented by [`run_small_n`] with Algorithm 5's own core
+//!   and hand-off code.
 //! * `n ≥ α` — Algorithm 5 with tree size `s ≈ t` (Theorem 7's
 //!   `O(n + t²)`).
 //!
@@ -18,11 +19,11 @@
 
 use crate::algorithm1::Algo1Params;
 use crate::algorithm2::Algo2Actor;
-use crate::algorithm5::{self, is_valid_message};
+use crate::algorithm5::{self, first_valid_message};
 use crate::bounds;
-use crate::common::{instance, run_report, Board, RunOptions};
+use crate::common::{instance, run_report, AlgoReport, Board, RunOptions};
 use ba_crypto::{Chain, KeyRegistry, ProcessId, Signer, Value};
-use ba_sim::actor::{Actor, Inbox, Outbox};
+use ba_sim::actor::{Actor, Inbox, Outbox, Payload};
 use ba_sim::{AgreementViolation, Metrics, RunVerdict};
 use std::sync::Arc;
 
@@ -37,27 +38,44 @@ pub enum Selected {
     Algorithm5,
 }
 
-/// Uniform result of [`agree`].
+/// Uniform result of [`agree`]: what every regime reports whatever its
+/// message type (no trace — see [`agree`]).
 #[derive(Debug)]
 pub struct AgreeReport {
     /// Which algorithm ran.
     pub selected: Selected,
+    /// Each processor's decision, by index.
+    pub decisions: Vec<Option<Value>>,
+    /// Which processors were correct, by index.
+    pub correct: Vec<bool>,
     /// The checked agreement verdict.
     pub verdict: RunVerdict,
     /// Traffic accounting.
     pub metrics: Metrics,
 }
 
+impl AgreeReport {
+    fn new<P: Payload>(selected: Selected, report: AlgoReport<P>) -> Self {
+        let outcome = report.outcome;
+        AgreeReport {
+            selected,
+            decisions: outcome.decisions,
+            correct: outcome.correct,
+            verdict: report.verdict,
+            metrics: outcome.metrics,
+        }
+    }
+}
+
 /// A processor of the small-`n` extension: the first `2t + 1` run
 /// Algorithm 2; at phase `3t + 4` the first `t + 1` send their valid
 /// message to processors `2t + 1 .. n`, who decide on the first valid
-/// message received.
+/// message received. The core runs the hand-off Algorithm 5's actives
+/// run (`Algo2Actor::hand_off`) and decides Algorithm 2's value there.
 #[derive(Debug)]
 pub struct SmallNActor {
     n: usize,
     t: usize,
-    me: ProcessId,
-    signer: Signer,
     core: Option<Algo2Actor>,
     params: Arc<Algo1Params>,
     decided: Option<Value>,
@@ -75,12 +93,10 @@ impl SmallNActor {
         scratch: Arc<Board<Chain>>,
     ) -> Self {
         let core = (me.index() < 2 * t + 1)
-            .then(|| Algo2Actor::new(params.clone(), me, signer.clone(), own_value, scratch));
+            .then(|| Algo2Actor::new(params.clone(), me, signer, own_value, scratch));
         SmallNActor {
             n,
             t,
-            me,
-            signer,
             core,
             params,
             decided: None,
@@ -95,42 +111,20 @@ impl SmallNActor {
 
 impl Actor<Chain> for SmallNActor {
     fn step(&mut self, phase: usize, inbox: Inbox<'_, Chain>, out: &mut Outbox<Chain>) {
-        let t = self.t;
-        if phase <= 3 * t + 3 {
-            if let Some(core) = &mut self.core {
-                core.step(phase, inbox, out);
-            }
-            return;
-        }
-        // Phase 3t + 4: hand-off.
-        if let Some(core) = &mut self.core {
-            core.finalize(inbox);
+        let Some(core) = &mut self.core else { return };
+        if phase <= 3 * self.t + 3 {
+            core.step(phase, inbox, out);
+        } else {
+            core.hand_off(inbox, 2 * self.t + 1..self.n, |p, valid| out.send(p, valid));
             self.decided = core.decision();
-            if self.me.index() < t + 1 {
-                let mut valid = core
-                    .proof()
-                    .expect("Theorem 4: correct core processors hold proofs")
-                    .clone();
-                if !valid.contains_signer(self.me) {
-                    valid.sign_and_append(&self.signer);
-                }
-                for p in 2 * t + 1..self.n {
-                    out.send(ProcessId(p as u32), valid.clone());
-                }
-            }
         }
     }
 
     fn finalize(&mut self, inbox: Inbox<'_, Chain>) {
-        if self.core.is_some() {
-            return;
-        }
-        for env in inbox {
-            if self.decided.is_none()
-                && is_valid_message(env.payload, self.t, &self.params.verifier)
-            {
-                self.decided = Some(env.payload.value());
-            }
+        if self.core.is_none() {
+            let chains = inbox.iter().map(|e| e.payload);
+            let valid = first_valid_message(chains, self.t, &self.params.verifier);
+            self.decided = valid.map(Chain::value);
         }
     }
 
@@ -141,7 +135,8 @@ impl Actor<Chain> for SmallNActor {
 
 /// Runs the small-`n` extension (`n ≥ 2t + 1`). The schedule's
 /// behaviours are the generic ones (silence, crashes, link drops): the
-/// extension maps no protocol-specific fault.
+/// extension maps no protocol-specific fault. `options.trace` is
+/// ignored: an [`AgreeReport`] carries no trace.
 ///
 /// # Errors
 /// Propagates any [`AgreementViolation`].
@@ -152,10 +147,11 @@ pub fn run_small_n(
     n: usize,
     t: usize,
     value: Value,
-    options: RunOptions,
+    mut options: RunOptions,
 ) -> Result<AgreeReport, AgreementViolation> {
     assert!(t >= 1 && n > 2 * t, "small-n extension needs n >= 2t + 1");
     assert!(value == Value::ZERO || value == Value::ONE);
+    options.trace = false;
     let registry = KeyRegistry::new(n, options.seed, options.scheme);
     let params = Arc::new(Algo1Params {
         t,
@@ -177,15 +173,13 @@ pub fn run_small_n(
     let dims = (n, t, SmallNActor::phases(t));
     let spec = instance(&options.schedule, dims, None, honest, |_, _| None);
     let report = run_report(spec, &options, value)?;
-    Ok(AgreeReport {
-        selected: Selected::SmallN,
-        verdict: report.verdict,
-        metrics: report.outcome.metrics,
-    })
+    Ok(AgreeReport::new(Selected::SmallN, report))
 }
 
 /// Reaches Byzantine Agreement with the paper's regime-appropriate
-/// algorithm (see the module docs), which runs with `options` as given.
+/// algorithm (see the module docs), which runs with `options` as given
+/// except `trace`, which is ignored: the regimes' traces have different
+/// message types, so an [`AgreeReport`] carries none.
 ///
 /// ```
 /// use ba_algos::{agree, RunOptions, Selected};
@@ -206,27 +200,20 @@ pub fn agree(
     n: usize,
     t: usize,
     value: Value,
-    options: RunOptions,
+    mut options: RunOptions,
 ) -> Result<AgreeReport, AgreementViolation> {
     assert!(t >= 1 && n > 2 * t, "byzantine agreement needs n >= 2t + 1");
+    options.trace = false;
     let alpha = bounds::alpha(t as u64) as usize;
     if n == 2 * t + 1 {
         let r = crate::algorithm1::run(t, value, options)?;
-        Ok(AgreeReport {
-            selected: Selected::Algorithm1,
-            verdict: r.verdict,
-            metrics: r.outcome.metrics,
-        })
+        Ok(AgreeReport::new(Selected::Algorithm1, r))
     } else if n < alpha {
         run_small_n(n, t, value, options)
     } else {
         let s = bounds::alg5_tree_size(t as u64) as usize;
         let r = algorithm5::run(n, t, s, value, options)?;
-        Ok(AgreeReport {
-            selected: Selected::Algorithm5,
-            verdict: r.verdict,
-            metrics: r.outcome.metrics,
-        })
+        Ok(AgreeReport::new(Selected::Algorithm5, r))
     }
 }
 

@@ -28,6 +28,7 @@ use ba_crypto::{Chain, KeyRegistry, ProcessId, Signer, Value, Verifier};
 use ba_sim::actor::{Actor, Inbox, Outbox};
 use ba_sim::schedule::FaultBehavior;
 use ba_sim::AgreementViolation;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Checks that `chain` is a well-formed increasing message for a receiver
@@ -158,6 +159,39 @@ impl Algo2Actor {
     /// The transferable proof held so far, if any.
     pub fn proof(&self) -> Option<&Chain> {
         self.proof.as_ref()
+    }
+
+    /// Phase `3t + 4` of Algorithm 5 and of the small-`n` extension:
+    /// finishes Algorithm 2 on `inbox`; one of the first `t + 1` then
+    /// sends its [valid message](Self::valid_message) to each id in `to`
+    /// and returns it.
+    pub(crate) fn hand_off(
+        &mut self,
+        inbox: Inbox<'_, Chain>,
+        to: Range<usize>,
+        mut send: impl FnMut(ProcessId, Chain),
+    ) -> Option<Chain> {
+        self.finalize(inbox);
+        (self.me.index() < self.params.t + 1).then(|| {
+            let valid = self.valid_message();
+            for p in to {
+                send(ProcessId(p as u32), valid.clone());
+            }
+            valid
+        })
+    }
+
+    /// Algorithm 5's *valid message*: the transferable proof, signed by
+    /// this processor if it has not signed it yet.
+    pub(crate) fn valid_message(&self) -> Chain {
+        let mut valid = self
+            .proof
+            .clone()
+            .expect("Theorem 4: every correct core processor holds a proof");
+        if !valid.contains_signer(self.me) {
+            valid.sign_and_append(&self.signer);
+        }
+        valid
     }
 }
 

@@ -23,7 +23,7 @@
 //! processors of Algorithm 5 run one instance per block, with a per-block
 //! `tag` separating the signature spaces.
 
-use crate::common::domains;
+use crate::common::{domains, Board};
 use ba_crypto::wire::Encoder;
 use ba_crypto::Bytes;
 use ba_crypto::{KeyRegistry, ProcessId, SchemeKind, Signature, Signer, Value, Verifier};
@@ -101,64 +101,59 @@ impl Payload for GridMsg {
     }
 }
 
-/// Maps grid coordinates to processor identities (row-major).
-#[derive(Clone, Debug)]
+/// The `m × m` grid over processors `0..m²`, row-major: `p` sits at row
+/// `p / m`, column `p % m`. The workspace's one grid geometry (Algorithms
+/// 4 and 5, `ba-ext`'s dissemination); arithmetic only, so every lookup
+/// is O(1).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct GridLayout {
-    ids: Vec<ProcessId>,
     m: usize,
 }
 
 impl GridLayout {
-    /// Creates a layout over `ids`; `ids.len()` must be a perfect square
-    /// `m²` with `m ≥ 1`.
-    ///
-    /// # Panics
-    /// Panics when the length is not a positive perfect square.
-    pub fn new(ids: Vec<ProcessId>) -> Self {
-        let m = (ids.len() as f64).sqrt().round() as usize;
-        assert!(
-            m >= 1 && m * m == ids.len(),
-            "grid needs a perfect square of processors"
-        );
-        GridLayout { ids, m }
+    /// The grid over processors `0..n`, when `n = m²` with `m ≥ 1`.
+    pub fn new(n: usize) -> Option<Self> {
+        let m = n.isqrt();
+        (m >= 1 && m * m == n).then_some(GridLayout { m })
     }
 
     /// Side length `m`.
-    pub fn m(&self) -> usize {
+    pub fn m(self) -> usize {
         self.m
     }
 
-    /// Total processors `m²`.
-    pub fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    /// Whether the grid is empty (never true for a constructed layout).
-    pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
-    }
-
     /// The processor at 0-based `(row, col)`.
-    pub fn id(&self, row: usize, col: usize) -> ProcessId {
-        self.ids[row * self.m + col]
+    pub fn id(self, row: usize, col: usize) -> ProcessId {
+        ProcessId((row * self.m + col) as u32)
     }
 
     /// The 0-based `(row, col)` of `p`, if on the grid.
-    pub fn pos(&self, p: ProcessId) -> Option<(usize, usize)> {
-        self.ids
-            .iter()
-            .position(|&q| q == p)
-            .map(|idx| (idx / self.m, idx % self.m))
+    pub fn pos(self, p: ProcessId) -> Option<(usize, usize)> {
+        let i = p.index();
+        (i < self.m * self.m).then_some((i / self.m, i % self.m))
     }
 
-    /// All members of `row`.
-    pub fn row(&self, row: usize) -> impl Iterator<Item = ProcessId> + '_ {
+    /// All members of `row`, in id order.
+    pub fn row(self, row: usize) -> impl Iterator<Item = ProcessId> {
         (0..self.m).map(move |c| self.id(row, c))
     }
 
-    /// All members of `col`.
-    pub fn col(&self, col: usize) -> impl Iterator<Item = ProcessId> + '_ {
-        (0..self.m).map(move |r| self.id(r, col))
+    /// The other members of `p`'s row, in id order (`p` on the grid).
+    pub fn row_mates(self, p: ProcessId) -> impl Iterator<Item = ProcessId> {
+        self.row(p.index() / self.m).filter(move |&q| q != p)
+    }
+
+    /// The other members of `p`'s column, in id order (`p` on the grid).
+    pub fn col_mates(self, p: ProcessId) -> impl Iterator<Item = ProcessId> {
+        let col = p.index() % self.m;
+        (0..self.m)
+            .map(move |r| self.id(r, col))
+            .filter(move |&q| q != p)
+    }
+
+    /// Whether `p` is on the grid, in `row`.
+    fn in_row(self, p: ProcessId, row: usize) -> bool {
+        self.pos(p).is_some_and(|(r, _)| r == row)
     }
 }
 
@@ -171,7 +166,7 @@ impl GridLayout {
 /// then [`result`](Self::result) is the set `M3`.
 #[derive(Debug)]
 pub struct Alg4State {
-    layout: Arc<GridLayout>,
+    layout: GridLayout,
     verifier: Verifier,
     me: ProcessId,
     row: usize,
@@ -194,7 +189,7 @@ impl Alg4State {
     /// Panics if `me` is not on the grid or `signer` is for a different
     /// identity.
     pub fn new(
-        layout: Arc<GridLayout>,
+        layout: GridLayout,
         me: ProcessId,
         body: Bytes,
         signer: &Signer,
@@ -237,10 +232,8 @@ impl Alg4State {
 
     /// Phase 1: send the signed value along my row.
     pub fn phase1_sends(&self, mut send: impl FnMut(ProcessId, GridMsg)) {
-        for target in self.layout.row(self.row) {
-            if target != self.me {
-                send(target, GridMsg::Item(self.my_item.clone()));
-            }
+        for target in self.layout.row_mates(self.me) {
+            send(target, GridMsg::Item(self.my_item.clone()));
         }
     }
 
@@ -251,11 +244,10 @@ impl Alg4State {
         inbox: Inbox<'_, GridMsg>,
         mut send: impl FnMut(ProcessId, GridMsg),
     ) {
-        let row_set: BTreeSet<ProcessId> = self.layout.row(self.row).collect();
         for env in inbox {
             if let GridMsg::Item(item) = &env.payload {
                 // Correct format: signed by the actual row sender.
-                if row_set.contains(&env.from)
+                if self.layout.in_row(env.from, self.row)
                     && item.signer() == env.from
                     && item.verifies(self.tag, &self.verifier)
                 {
@@ -265,10 +257,8 @@ impl Alg4State {
         }
         self.harvest(self.m1.clone());
         self.m2.push(self.m1.clone()); // my own row bundle
-        for target in self.layout.col(self.col) {
-            if target != self.me {
-                send(target, GridMsg::Row(self.m1.clone()));
-            }
+        for target in self.layout.col_mates(self.me) {
+            send(target, GridMsg::Row(self.m1.clone()));
         }
     }
 
@@ -288,9 +278,8 @@ impl Alg4State {
                     continue;
                 }
                 // Correct format: every item signed by a member of row l.
-                let row_l: BTreeSet<ProcessId> = self.layout.row(l).collect();
                 let ok = items.iter().all(|item| {
-                    row_l.contains(&item.signer()) && item.verifies(self.tag, &self.verifier)
+                    self.layout.in_row(item.signer(), l) && item.verifies(self.tag, &self.verifier)
                 });
                 if ok {
                     self.m2.push(items.clone());
@@ -298,20 +287,16 @@ impl Alg4State {
                 }
             }
         }
-        let bundle: Vec<Vec<SignedItem>> = self.m2.clone();
-        for target in self.layout.row(self.row) {
-            if target != self.me {
-                send(target, GridMsg::Rows(bundle.clone()));
-            }
+        for target in self.layout.row_mates(self.me) {
+            send(target, GridMsg::Rows(self.m2.clone()));
         }
     }
 
     /// Final absorption of phase-3 bundles into `M3`.
     pub fn finish(&mut self, inbox: Inbox<'_, GridMsg>) {
-        let row_set: BTreeSet<ProcessId> = self.layout.row(self.row).collect();
         for env in inbox {
             if let GridMsg::Rows(rows) = &env.payload {
-                if !row_set.contains(&env.from) || rows.len() > 2 * self.layout.m() {
+                if !self.layout.in_row(env.from, self.row) || rows.len() > 2 * self.layout.m() {
                     continue;
                 }
                 for items in rows {
@@ -319,11 +304,11 @@ impl Alg4State {
                         continue;
                     }
                     // Each inner list must be one row's signatures.
-                    let rows_of_signers: BTreeSet<usize> = items
+                    let mut rows_of_signers = items
                         .iter()
-                        .filter_map(|i| self.layout.pos(i.signer()).map(|(r, _)| r))
-                        .collect();
-                    if rows_of_signers.len() > 1 {
+                        .filter_map(|i| self.layout.pos(i.signer()).map(|(r, _)| r));
+                    let first = rows_of_signers.next();
+                    if rows_of_signers.any(|r| Some(r) != first) {
                         continue;
                     }
                     let valid: Vec<SignedItem> = items
@@ -352,18 +337,18 @@ impl Alg4State {
 #[derive(Debug)]
 pub struct GridActor {
     state: Alg4State,
-    results: Arc<crate::common::Board<Vec<SignedItem>>>,
+    results: Arc<Board<Vec<SignedItem>>>,
 }
 
 impl GridActor {
     /// Creates the actor; its exchanged value is its own id.
     pub fn new(
-        layout: Arc<GridLayout>,
+        layout: GridLayout,
         me: ProcessId,
         signer: &Signer,
         verifier: Verifier,
         tag: u64,
-        results: Arc<crate::common::Board<Vec<SignedItem>>>,
+        results: Arc<Board<Vec<SignedItem>>>,
     ) -> Self {
         let mut enc = Encoder::with_capacity(4);
         enc.process_id(me);
@@ -412,39 +397,45 @@ impl Alg4Report {
     /// Lemma 2's set `P`: correct processors whose row contains fewer than
     /// `m/2` faulty processors.
     pub fn lemma2_set(&self) -> Vec<ProcessId> {
-        let m = self.m;
-        let faulty: BTreeSet<ProcessId> = self.faulty.iter().copied().collect();
-        let mut p_set = Vec::new();
-        for row in 0..m {
-            let row_ids: Vec<ProcessId> = (0..m).map(|c| ProcessId((row * m + c) as u32)).collect();
-            let row_faults = row_ids.iter().filter(|id| faulty.contains(id)).count();
-            if 2 * row_faults < m {
-                for id in row_ids {
-                    if !faulty.contains(&id) {
-                        p_set.push(id);
-                    }
-                }
-            }
-        }
-        p_set
+        let (grid, m) = (GridLayout { m: self.m }, self.m);
+        let faulty = |p: &ProcessId| self.faulty.contains(p);
+        let sparse_row = |p: &ProcessId| 2 * grid.row(p.index() / m).filter(faulty).count() < m;
+        let all = (0..(m * m) as u32).map(ProcessId);
+        all.filter(|p| !faulty(p) && sparse_row(p)).collect()
     }
 
     /// Whether every member of `P` holds every other member's value.
     pub fn mutual_exchange_holds(&self) -> bool {
-        let p_set = self.lemma2_set();
-        for &holder in &p_set {
-            let Some(m3) = &self.results[holder.index()] else {
-                return false;
-            };
-            let signers: BTreeSet<ProcessId> = m3.iter().map(SignedItem::signer).collect();
-            for &other in &p_set {
-                if !signers.contains(&other) {
-                    return false;
-                }
-            }
-        }
-        true
+        all_hold(&self.results, &self.lemma2_set())
     }
+}
+
+/// Whether every member of `members` holds a value signed by every member.
+fn all_hold(results: &[Option<Vec<SignedItem>>], members: &[ProcessId]) -> bool {
+    members.iter().all(|holder| {
+        results[holder.index()].as_ref().is_some_and(|items| {
+            let signers: BTreeSet<ProcessId> = items.iter().map(SignedItem::signer).collect();
+            members.iter().all(|p| signers.contains(p))
+        })
+    })
+}
+
+/// Runs a `phases`-phase exchange over `n` processors: `faulty` ones are
+/// silent, every other is `honest(id)`.
+fn exchange(
+    n: usize,
+    faulty: &[ProcessId],
+    phases: usize,
+    honest: impl Fn(ProcessId) -> Box<dyn Actor<GridMsg>>,
+) -> RunOutcome<GridMsg> {
+    let actors = (0..n as u32).map(ProcessId).map(|id| {
+        if faulty.contains(&id) {
+            Box::new(ba_sim::adversary::Silent)
+        } else {
+            honest(id)
+        }
+    });
+    Simulation::new(actors.collect()).run(phases)
 }
 
 /// Runs a standalone `m × m` grid exchange with the given silent faults.
@@ -463,30 +454,19 @@ pub fn run(m: usize, faulty: Vec<ProcessId>, seed: u64, scheme: SchemeKind) -> A
     assert!(m >= 1);
     let n = m * m;
     assert!(faulty.iter().all(|p| p.index() < n));
-    let registry = KeyRegistry::new(n, seed, scheme);
-    let layout = Arc::new(GridLayout::new((0..n as u32).map(ProcessId).collect()));
-    let results = crate::common::Board::new(n);
-    let tag = 0xA164;
-
-    let mut actors: Vec<Box<dyn Actor<GridMsg>>> = Vec::with_capacity(n);
-    for i in 0..n as u32 {
-        let id = ProcessId(i);
-        if faulty.contains(&id) {
-            actors.push(Box::new(ba_sim::adversary::Silent));
-        } else {
-            actors.push(Box::new(GridActor::new(
-                layout.clone(),
-                id,
-                &registry.signer(id),
-                registry.verifier(),
-                tag,
-                results.clone(),
-            )));
-        }
-    }
-
-    let mut sim = Simulation::new(actors);
-    let outcome = sim.run(3);
+    let (registry, results) = (KeyRegistry::new(n, seed, scheme), Board::new(n));
+    let layout = GridLayout { m };
+    let outcome = exchange(n, &faulty, 3, |id| {
+        let (signer, verifier) = (registry.signer(id), registry.verifier());
+        Box::new(GridActor::new(
+            layout,
+            id,
+            &signer,
+            verifier,
+            0xA164,
+            results.clone(),
+        ))
+    });
     Alg4Report {
         outcome,
         results: results.snapshot(),
@@ -518,7 +498,7 @@ pub struct RelayExchangeActor {
     /// Values this processor ended up holding.
     harvested: Vec<SignedItem>,
     seen: BTreeSet<(u32, Bytes)>,
-    results: Arc<crate::common::Board<Vec<SignedItem>>>,
+    results: Arc<Board<Vec<SignedItem>>>,
 }
 
 impl RelayExchangeActor {
@@ -531,7 +511,7 @@ impl RelayExchangeActor {
         signer: &Signer,
         verifier: Verifier,
         tag: u64,
-        results: Arc<crate::common::Board<Vec<SignedItem>>>,
+        results: Arc<Board<Vec<SignedItem>>>,
     ) -> Self {
         let mut enc = Encoder::with_capacity(4);
         enc.process_id(me);
@@ -631,21 +611,11 @@ impl RelayExchangeReport {
     /// Whether every correct processor holds every correct processor's
     /// value — the *full* exchange this baseline guarantees.
     pub fn full_exchange_holds(&self) -> bool {
-        let n = self.results.len();
-        let correct: Vec<ProcessId> = (0..n as u32)
+        let correct: Vec<ProcessId> = (0..self.results.len() as u32)
             .map(ProcessId)
             .filter(|p| !self.faulty.contains(p))
             .collect();
-        for &holder in &correct {
-            let Some(items) = &self.results[holder.index()] else {
-                return false;
-            };
-            let signers: BTreeSet<ProcessId> = items.iter().map(SignedItem::signer).collect();
-            if !correct.iter().all(|p| signers.contains(p)) {
-                return false;
-            }
-        }
-        true
+        all_hold(&self.results, &correct)
     }
 }
 
@@ -664,30 +634,14 @@ pub fn relay_exchange(
 ) -> RelayExchangeReport {
     assert!(t + 1 < n, "need at least one non-relay");
     assert!(faulty.len() <= t, "fault plan exceeds t");
-    let registry = KeyRegistry::new(n, seed, scheme);
-    let results = crate::common::Board::new(n);
-    let tag = 0xE0_E1;
-
-    let mut actors: Vec<Box<dyn Actor<GridMsg>>> = Vec::with_capacity(n);
-    for i in 0..n as u32 {
-        let id = ProcessId(i);
-        if faulty.contains(&id) {
-            actors.push(Box::new(ba_sim::adversary::Silent));
-        } else {
-            actors.push(Box::new(RelayExchangeActor::new(
-                n,
-                t,
-                id,
-                &registry.signer(id),
-                registry.verifier(),
-                tag,
-                results.clone(),
-            )));
-        }
-    }
-
-    let mut sim = Simulation::new(actors);
-    let outcome = sim.run(2);
+    let (registry, results) = (KeyRegistry::new(n, seed, scheme), Board::new(n));
+    let outcome = exchange(n, &faulty, 2, |id| {
+        let signer = registry.signer(id);
+        let (verifier, board) = (registry.verifier(), results.clone());
+        Box::new(RelayExchangeActor::new(
+            n, t, id, &signer, verifier, 0xE0_E1, board,
+        ))
+    });
     RelayExchangeReport {
         outcome,
         results: results.snapshot(),
@@ -702,23 +656,27 @@ mod tests {
 
     #[test]
     fn layout_indexing() {
-        let layout = GridLayout::new((0..9u32).map(ProcessId).collect());
+        let layout = GridLayout::new(9).unwrap();
         assert_eq!(layout.m(), 3);
-        assert_eq!(layout.len(), 9);
         assert_eq!(layout.id(1, 2), ProcessId(5));
         assert_eq!(layout.pos(ProcessId(5)), Some((1, 2)));
         assert_eq!(layout.pos(ProcessId(9)), None);
         let row: Vec<ProcessId> = layout.row(2).collect();
         assert_eq!(row, vec![ProcessId(6), ProcessId(7), ProcessId(8)]);
-        let col: Vec<ProcessId> = layout.col(0).collect();
-        assert_eq!(col, vec![ProcessId(0), ProcessId(3), ProcessId(6)]);
-        assert!(!layout.is_empty());
+        let mates: Vec<ProcessId> = layout.row_mates(ProcessId(4)).collect();
+        assert_eq!(mates, vec![ProcessId(3), ProcessId(5)]);
+        let mates: Vec<ProcessId> = layout.col_mates(ProcessId(4)).collect();
+        assert_eq!(mates, vec![ProcessId(1), ProcessId(7)]);
     }
 
     #[test]
-    #[should_panic(expected = "perfect square")]
     fn non_square_layout_rejected() {
-        let _ = GridLayout::new((0..8u32).map(ProcessId).collect());
+        for n in [0usize, 2, 3, 8, 15, 24, 26] {
+            assert_eq!(GridLayout::new(n), None, "n = {n}");
+        }
+        for m in 1usize..=64 {
+            assert_eq!(GridLayout::new(m * m).map(GridLayout::m), Some(m));
+        }
     }
 
     #[test]

@@ -36,13 +36,13 @@ use crate::algorithm1::Algo1Params;
 use crate::algorithm2::Algo2Actor;
 use crate::algorithm4::{Alg4State, GridLayout, GridMsg, SignedItem};
 use crate::bounds;
-use crate::common::{domains, instance, run_report, AlgoReport, Board, RunOptions};
+use crate::common::{domains, instance, lift, project, run_report, AlgoReport, Board, RunOptions};
 use crate::fuzz::Msg5Fuzzer;
 use crate::trees::Forest;
 use ba_crypto::wire::{Decoder, Encoder};
 use ba_crypto::Bytes;
 use ba_crypto::{Chain, KeyRegistry, ProcessId, Signer, Value, Verifier};
-use ba_sim::actor::{Actor, Envelope, Inbox, Outbox, Payload};
+use ba_sim::actor::{Actor, Inbox, Outbox, Payload};
 use ba_sim::schedule::FaultBehavior;
 use ba_sim::AgreementViolation;
 use std::collections::{BTreeMap, BTreeSet};
@@ -67,6 +67,24 @@ pub enum Msg5 {
     },
     /// One Algorithm 4 grid message.
     Grid(GridMsg),
+}
+
+impl Msg5 {
+    /// The chain this message is, if it is one.
+    fn chain(&self) -> Option<&Chain> {
+        match self {
+            Msg5::Chain(c) => Some(c),
+            _ => None,
+        }
+    }
+
+    /// The grid message this message carries, if it carries one.
+    fn grid(&self) -> Option<&GridMsg> {
+        match self {
+            Msg5::Grid(g) => Some(g),
+            _ => None,
+        }
+    }
 }
 
 impl Payload for Msg5 {
@@ -108,6 +126,18 @@ pub fn is_valid_message(chain: &Chain, t: usize, verifier: &Verifier) -> bool {
     }
     let actives: BTreeSet<ProcessId> = chain.signers().filter(|p| p.index() < 2 * t + 1).collect();
     actives.len() > t
+}
+
+/// The first valid message among `chains`: how a processor outside the
+/// core picks up the hand-off.
+pub(crate) fn first_valid_message<'a>(
+    chains: impl IntoIterator<Item = &'a Chain>,
+    t: usize,
+    verifier: &Verifier,
+) -> Option<&'a Chain> {
+    chains
+        .into_iter()
+        .find(|c| is_valid_message(c, t, verifier))
 }
 
 /// Encodes a string `[index, members]` body.
@@ -216,7 +246,7 @@ pub struct Alg5Config {
     /// The passive forest.
     pub forest: Forest,
     /// Grid layout over the actives.
-    pub grid: Arc<GridLayout>,
+    pub grid: GridLayout,
     /// Blocks in execution order (`x = λ` first).
     pub blocks: Vec<BlockSchedule>,
     /// The final (block 0) phase; also the run length.
@@ -252,7 +282,7 @@ impl Alg5Config {
         );
         let forest = Forest::new(alpha, n, s);
         let lambda = forest.lambda();
-        let grid = Arc::new(GridLayout::new((0..alpha as u32).map(ProcessId).collect()));
+        let grid = GridLayout::new(alpha).expect("alpha is a perfect square");
         let mut blocks = Vec::new();
         let mut start = 3 * t + 5;
         for x in (1..=lambda).rev() {
@@ -365,8 +395,8 @@ pub struct Alg5Active {
     cfg: Arc<Alg5Config>,
     me: ProcessId,
     signer: Signer,
-    /// Embedded Algorithm 2 state (first `2t + 1` actives only).
-    algo2: Option<Algo2Actor>,
+    /// Algorithm 2 and the hand-off (first `2t + 1` actives only).
+    core: Option<Algo2Actor>,
     /// My valid message.
     valid: Option<Chain>,
     /// `B(p, x)` for the block about to run / running.
@@ -390,22 +420,15 @@ impl Alg5Active {
         me: ProcessId,
         signer: Signer,
         own_value: Option<Value>,
-        scratch_board: Arc<Board<Chain>>,
+        scratch: Arc<Board<Chain>>,
     ) -> Self {
-        let algo2 = (me.index() < cfg.core_count()).then(|| {
-            Algo2Actor::new(
-                cfg.alg1.clone(),
-                me,
-                signer.clone(),
-                own_value,
-                scratch_board,
-            )
-        });
+        let core = (me.index() < cfg.core_count())
+            .then(|| Algo2Actor::new(cfg.alg1.clone(), me, signer.clone(), own_value, scratch));
         Alg5Active {
             cfg,
             me,
             signer,
-            algo2,
+            core,
             valid: None,
             b_set: BTreeSet::new(),
             contacted: BTreeSet::new(),
@@ -416,37 +439,23 @@ impl Alg5Active {
         }
     }
 
-    fn chains_of(inbox: Inbox<'_, Msg5>) -> Vec<Envelope<Chain>> {
-        inbox
-            .iter()
-            .filter_map(|e| match e.payload {
-                Msg5::Chain(c) => Some(Envelope {
-                    from: e.from,
-                    to: e.to,
-                    payload: c.clone(),
-                }),
-                _ => None,
-            })
-            .collect()
-    }
-
-    fn grids_of(inbox: Inbox<'_, Msg5>) -> Vec<Envelope<GridMsg>> {
-        inbox
-            .iter()
-            .filter_map(|e| match e.payload {
-                Msg5::Grid(g) => Some(Envelope {
-                    from: e.from,
-                    to: e.to,
-                    payload: g.clone(),
-                }),
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// Computes `π` from the harvested strings for `index`.
-    fn pi(&self, index: u32) -> BTreeMap<ProcessId, BTreeSet<ProcessId>> {
-        support_counts(&self.strings, index, self.cfg.alpha, &self.cfg.verifier)
+    /// Finishes the previous block's grid round on `inbox`, then sets
+    /// `B(p, x)`: the members of `F(p, x)` that at least `α − 2t` actives'
+    /// index-`x` strings list. Returns those support counts `π`.
+    fn finish_grid(
+        &mut self,
+        inbox: Inbox<'_, Msg5>,
+        x: u32,
+    ) -> BTreeMap<ProcessId, BTreeSet<ProcessId>> {
+        if let Some(grid) = &mut self.grid_state {
+            grid.finish(Inbox::of(&project(inbox, Msg5::grid)));
+            self.strings = grid.result().to_vec();
+        }
+        let pi = support_counts(&self.strings, x, self.cfg.alpha, &self.cfg.verifier);
+        let threshold = self.cfg.threshold();
+        let supported = |q: &ProcessId| pi.get(q).map_or(0, BTreeSet::len) >= threshold;
+        self.b_set = self.f_set.iter().copied().filter(supported).collect();
+        pi
     }
 
     /// Sends activations for every depth-`x` subtree supported by `pi`,
@@ -496,33 +505,21 @@ impl Actor<Msg5> for Alg5Active {
         let t = cfg.t;
         match cfg.slot(phase) {
             PhaseSlot::Prefix => {
-                if let Some(algo2) = &mut self.algo2 {
-                    let chains = Self::chains_of(inbox);
+                if let Some(core) = &mut self.core {
+                    let chains = project(inbox, Msg5::chain);
                     let mut scratch = Outbox::new(self.me);
-                    algo2.step(phase, Inbox::of(&chains), &mut scratch);
-                    for env in scratch.into_staged() {
-                        out.send(env.to, Msg5::Chain(env.payload));
-                    }
+                    core.step(phase, Inbox::of(&chains), &mut scratch);
+                    lift(scratch, out, Msg5::Chain);
                 }
             }
             PhaseSlot::Handoff => {
-                if let Some(algo2) = &mut self.algo2 {
-                    let chains = Self::chains_of(inbox);
-                    algo2.finalize(Inbox::of(&chains));
-                    let proof = algo2
-                        .proof()
-                        .expect("Theorem 4: every correct core processor holds a proof")
-                        .clone();
-                    let mut valid = proof;
-                    if !valid.contains_signer(self.me) {
-                        valid.sign_and_append(&self.signer);
-                    }
-                    if self.me.index() < t + 1 {
-                        for p in cfg.core_count()..cfg.alpha {
-                            out.send(ProcessId(p as u32), Msg5::Chain(valid.clone()));
-                        }
-                    }
-                    self.valid = Some(valid);
+                if let Some(core) = &mut self.core {
+                    let chains = project(inbox, Msg5::chain);
+                    let to = cfg.core_count()..cfg.alpha;
+                    let sent = core.hand_off(Inbox::of(&chains), to, |p, valid| {
+                        out.send(p, Msg5::Chain(valid))
+                    });
+                    self.valid = Some(sent.unwrap_or_else(|| core.valid_message()));
                 }
             }
             PhaseSlot::Block { x, local } => {
@@ -531,13 +528,9 @@ impl Actor<Msg5> for Alg5Active {
                     if x == cfg.lambda {
                         // Non-core actives pick up the hand-off valid
                         // message from the inbox.
-                        if self.algo2.is_none() && self.valid.is_none() {
-                            for env in Self::chains_of(inbox) {
-                                if is_valid_message(&env.payload, t, &cfg.verifier) {
-                                    self.valid = Some(env.payload);
-                                    break;
-                                }
-                            }
+                        if self.core.is_none() && self.valid.is_none() {
+                            let chains = inbox.iter().filter_map(|e| e.payload.chain());
+                            self.valid = first_valid_message(chains, t, &cfg.verifier).cloned();
                         }
                         // B(p, λ) = all passive processors; every tree is
                         // activated with an empty proof.
@@ -545,29 +538,16 @@ impl Actor<Msg5> for Alg5Active {
                         let pi = BTreeMap::new();
                         self.send_activations(x, &pi, out);
                     } else {
-                        // Finish the previous block's grid round, then
-                        // compute B(p, x) and C(p, x) from the strings.
-                        if let Some(grid) = &mut self.grid_state {
-                            grid.finish(Inbox::of(&Self::grids_of(inbox)));
-                            self.strings = grid.result().to_vec();
-                        }
-                        let pi = self.pi(x);
-                        let threshold = cfg.threshold();
-                        self.b_set = self
-                            .f_set
-                            .iter()
-                            .copied()
-                            .filter(|q| pi.get(q).map(|s| s.len()).unwrap_or(0) >= threshold)
-                            .collect();
+                        // B(p, x) and C(p, x) come from the strings.
+                        let pi = self.finish_grid(inbox, x);
                         self.send_activations(x, &pi, out);
                     }
                 } else if local == 2 * l + 1 {
                     // Reports from activated roots are in the inbox.
-                    for env in Self::chains_of(inbox) {
-                        if self.contacted.contains(&env.from)
-                            && is_valid_message(&env.payload, t, &cfg.verifier)
-                        {
-                            self.harvested.extend(env.payload.signers());
+                    let reports = inbox.iter().filter(|e| self.contacted.contains(&e.from));
+                    for c in reports.filter_map(|e| e.payload.chain()) {
+                        if is_valid_message(c, t, &cfg.verifier) {
+                            self.harvested.extend(c.signers());
                         }
                     }
                     // F(p, x−1): still-unserved processors, roots excluded.
@@ -581,7 +561,7 @@ impl Actor<Msg5> for Alg5Active {
                     let index = x - 1;
                     let body = encode_string(index, &self.f_set);
                     let grid = Alg4State::new(
-                        cfg.grid.clone(),
+                        cfg.grid,
                         self.me,
                         body,
                         &self.signer,
@@ -590,38 +570,24 @@ impl Actor<Msg5> for Alg5Active {
                     );
                     grid.phase1_sends(|to, msg| out.send(to, Msg5::Grid(msg)));
                     self.grid_state = Some(grid);
-                } else if local == 2 * l + 2 {
+                } else if local > 2 * l + 1 {
                     if let Some(grid) = &mut self.grid_state {
-                        grid.phase2_sends(Inbox::of(&Self::grids_of(inbox)), |to, msg| {
-                            out.send(to, Msg5::Grid(msg))
-                        });
-                    }
-                } else if local == 2 * l + 3 {
-                    if let Some(grid) = &mut self.grid_state {
-                        grid.phase3_sends(Inbox::of(&Self::grids_of(inbox)), |to, msg| {
-                            out.send(to, Msg5::Grid(msg))
-                        });
+                        let grids = project(inbox, Msg5::grid);
+                        let send = |to, msg| out.send(to, Msg5::Grid(msg));
+                        if local == 2 * l + 2 {
+                            grid.phase2_sends(Inbox::of(&grids), send);
+                        } else {
+                            grid.phase3_sends(Inbox::of(&grids), send);
+                        }
                     }
                 }
                 // Collection phases (other locals) are passive-only.
             }
             PhaseSlot::Final => {
-                // Block 0: finish the block-1 grid, compute B(p, 0) and
-                // deliver the valid message directly.
-                if let Some(grid) = &mut self.grid_state {
-                    grid.finish(Inbox::of(&Self::grids_of(inbox)));
-                    self.strings = grid.result().to_vec();
-                }
-                let pi = self.pi(0);
-                let threshold = cfg.threshold();
-                let b0: Vec<ProcessId> = self
-                    .f_set
-                    .iter()
-                    .copied()
-                    .filter(|q| pi.get(q).map(|s| s.len()).unwrap_or(0) >= threshold)
-                    .collect();
+                // Block 0: deliver the valid message directly to B(p, 0).
+                self.finish_grid(inbox, 0);
                 if let Some(valid) = &self.valid {
-                    for q in b0 {
+                    for &q in &self.b_set {
                         out.send(q, Msg5::Chain(valid.clone()));
                     }
                 }
@@ -633,7 +599,7 @@ impl Actor<Msg5> for Alg5Active {
         self.valid
             .as_ref()
             .map(Chain::value)
-            .or_else(|| self.algo2.as_ref().and_then(|a| a.decision()))
+            .or_else(|| self.core.as_ref().and_then(|a| a.decision()))
     }
 }
 
@@ -651,9 +617,9 @@ pub struct Alg5Passive {
     decided: Option<Chain>,
     /// Collection state while activated as a root.
     coll: Option<Collection>,
-    /// Optional audit board: posts `true` when activated as a root
-    /// (used by the Lemma 4 experiments).
-    audit: Option<Arc<Board<bool>>>,
+    /// Audit board: posts `true` when activated as a root (Lemma 4's
+    /// count, read by [`run_audited`]).
+    audit: Arc<Board<bool>>,
 }
 
 #[derive(Debug)]
@@ -664,11 +630,17 @@ struct Collection {
 }
 
 impl Alg5Passive {
-    /// Creates the passive actor.
+    /// Creates the passive actor, which posts `true` to its slot on
+    /// `audit` the first time it activates as a subtree root.
     ///
     /// # Panics
     /// Panics if `me` is not a passive processor of this configuration.
-    pub fn new(cfg: Arc<Alg5Config>, me: ProcessId, signer: Signer) -> Self {
+    pub fn new(
+        cfg: Arc<Alg5Config>,
+        me: ProcessId,
+        signer: Signer,
+        audit: Arc<Board<bool>>,
+    ) -> Self {
         let (tree, pos) = cfg.forest.locate(me).expect("passive processor");
         let height = cfg.forest.height(pos);
         Alg5Passive {
@@ -680,15 +652,8 @@ impl Alg5Passive {
             height,
             decided: None,
             coll: None,
-            audit: None,
+            audit,
         }
-    }
-
-    /// Enables activation auditing: the actor posts `true` to its slot on
-    /// `board` the first time it activates as a subtree root.
-    pub fn with_audit(mut self, board: Arc<Board<bool>>) -> Self {
-        self.audit = Some(board);
-        self
     }
 
     fn consider(&mut self, chain: &Chain) {
@@ -724,9 +689,7 @@ impl Alg5Passive {
                         m.sign_and_append(&self.signer);
                         let nodes = cfg.forest.subtree_members(self.tree, self.pos);
                         self.coll = Some(Collection { m, nodes });
-                        if let Some(board) = &self.audit {
-                            board.post(self.me, true);
-                        }
+                        self.audit.post(self.me, true);
                         break;
                     }
                 }
@@ -791,10 +754,7 @@ impl Alg5Passive {
         let candidates: Vec<&Chain> = inbox
             .iter()
             .filter(|env| env.from == root_id)
-            .filter_map(|env| match &env.payload {
-                Msg5::Chain(c) => Some(c),
-                _ => None,
-            })
+            .filter_map(|env| env.payload.chain())
             .filter(|c| is_valid_message(c, cfg.t, &cfg.verifier))
             .collect();
         if let [only] = candidates[..] {
@@ -915,8 +875,13 @@ pub fn run_audited(
                 scratch.clone(),
             ))
         } else {
-            let passive = Alg5Passive::new(cfg.clone(), p, registry.signer(p));
-            Box::new(passive.with_audit(audit_board.clone()))
+            let signer = registry.signer(p);
+            Box::new(Alg5Passive::new(
+                cfg.clone(),
+                p,
+                signer,
+                audit_board.clone(),
+            ))
         }
     };
     let adversary = |p, behavior: &FaultBehavior| match *behavior {

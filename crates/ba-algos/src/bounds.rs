@@ -207,7 +207,7 @@ mod tests {
         assert_eq!(alpha(6), 49); // 36 -> 49 (strictly bigger)
         for t in 1..50 {
             let a = alpha(t);
-            let r = (a as f64).sqrt() as u64;
+            let r = a.isqrt();
             assert_eq!(r * r, a);
             assert!(a > 6 * t);
             assert!((r - 1) * (r - 1) <= 6 * t);

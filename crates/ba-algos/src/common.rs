@@ -9,7 +9,7 @@
 use ba_crypto::{KeyRegistry, ProcessId, SchemeKind, Value};
 use ba_sim::engine::{InstanceSpec, RunOutcome};
 use ba_sim::schedule::{FaultBehavior, ScheduleError, ScheduleSpec};
-use ba_sim::{Actor, AgreementViolation, Payload, RunVerdict, Simulation};
+use ba_sim::{Actor, AgreementViolation, Envelope, Inbox, Outbox, Payload, RunVerdict, Simulation};
 
 /// Chain/signature domain tags, one per protocol message space, so a
 /// signature produced inside one algorithm can never be replayed into
@@ -234,6 +234,37 @@ pub(crate) fn run_report<P: Payload, M>(
         spec.run_lockstep(options.threads)
     };
     into_report(outcome, ProcessId(0), sent)
+}
+
+/// A nested protocol's share of `inbox`: each message `pick` maps to a
+/// `Q`, as an owned envelope `Inbox::of` can view. Only what is picked is
+/// cloned.
+pub(crate) fn project<P, Q: Clone>(
+    inbox: Inbox<'_, P>,
+    pick: impl Fn(&P) -> Option<&Q>,
+) -> Vec<Envelope<Q>> {
+    inbox
+        .iter()
+        .filter_map(|e| {
+            pick(e.payload).map(|q| Envelope {
+                from: e.from,
+                to: e.to,
+                payload: q.clone(),
+            })
+        })
+        .collect()
+}
+
+/// Sends what a nested protocol staged in `scratch` through `out`, each
+/// payload wrapped by `wrap`, in staging order.
+pub(crate) fn lift<Q: Payload, P: Payload>(
+    scratch: Outbox<Q>,
+    out: &mut Outbox<P>,
+    wrap: impl Fn(Q) -> P,
+) {
+    for env in scratch.into_staged() {
+        out.send(env.to, wrap(env.payload));
+    }
 }
 
 #[cfg(test)]

@@ -15,10 +15,10 @@
 //! * entry `i` equals processor `i`'s private value whenever `i` is
 //!   correct.
 
-use crate::common::{instance, Board};
+use crate::common::{instance, lift, project, Board};
 use crate::dolev_strong::{DsActor, DsParams, Variant};
 use ba_crypto::{Chain, KeyRegistry, ProcessId, SchemeKind, Signer, Value, Verifier};
-use ba_sim::actor::{Actor, Envelope, Inbox, Outbox, Payload};
+use ba_sim::actor::{Actor, Inbox, Outbox, Payload};
 use ba_sim::engine::RunOutcome;
 use ba_sim::schedule::{FaultBehavior, ScheduleSpec};
 use std::sync::Arc;
@@ -94,18 +94,6 @@ impl IcActor {
         IcActor { me, subs, vectors }
     }
 
-    fn demux(inbox: Inbox<'_, IcMsg>, instance: u32) -> Vec<Envelope<Chain>> {
-        inbox
-            .iter()
-            .filter(|e| e.payload.instance == instance)
-            .map(|e| Envelope {
-                from: e.from,
-                to: e.to,
-                payload: e.payload.chain.clone(),
-            })
-            .collect()
-    }
-
     /// The agreed vector (after the run).
     pub fn vector(&self) -> Vec<Value> {
         self.subs
@@ -117,25 +105,17 @@ impl IcActor {
 
 impl Actor<IcMsg> for IcActor {
     fn step(&mut self, phase: usize, inbox: Inbox<'_, IcMsg>, out: &mut Outbox<IcMsg>) {
-        for (i, sub) in self.subs.iter_mut().enumerate() {
-            let sub_inbox = Self::demux(inbox, i as u32);
+        for (instance, sub) in (0..).zip(&mut self.subs) {
+            let sub_inbox = project(inbox, |m| (m.instance == instance).then_some(&m.chain));
             let mut scratch = Outbox::new(self.me);
             sub.step(phase, Inbox::of(&sub_inbox), &mut scratch);
-            for env in scratch.into_staged() {
-                out.send(
-                    env.to,
-                    IcMsg {
-                        instance: i as u32,
-                        chain: env.payload,
-                    },
-                );
-            }
+            lift(scratch, out, |chain| IcMsg { instance, chain });
         }
     }
 
     fn finalize(&mut self, inbox: Inbox<'_, IcMsg>) {
-        for (i, sub) in self.subs.iter_mut().enumerate() {
-            let sub_inbox = Self::demux(inbox, i as u32);
+        for (instance, sub) in (0..).zip(&mut self.subs) {
+            let sub_inbox = project(inbox, |m| (m.instance == instance).then_some(&m.chain));
             sub.finalize(Inbox::of(&sub_inbox));
         }
         self.vectors.post(self.me, self.vector());

@@ -37,6 +37,7 @@
 
 use crate::net::{run_extension_net, ExtNetError, ExtNetRun};
 use crate::{run_extension, ExtDecision, ExtError, ExtMsg, ExtOptions, ExtReport};
+use ba_algos::algorithm4::GridLayout;
 use ba_crypto::rng::SimRng;
 use ba_crypto::{Bytes, ProcessId, Value};
 use ba_net::{ChaosProfile, NetConfig};
@@ -283,9 +284,9 @@ fn judge(payload: &Bytes, report: &ExtReport, scenario: &ExtScenario) -> Option<
 /// A bounded scenario family for `(n, t)`: every single-fault behaviour
 /// on structurally distinct grid positions, withholding/garbling at full
 /// budget `t`, mixed-behaviour budget-`t` schedules, and `extra_random`
-/// seeded random schedules. Scenario count is O(t + extra_random).
+/// seeded random schedules. Scenario count is O(t + extra_random); none
+/// with `t > 0` for a non-square `n`, which has no grid.
 pub fn standard_scenarios(n: usize, t: usize, seed: u64, extra_random: usize) -> Vec<ExtScenario> {
-    let m = (n as f64).sqrt().round() as usize;
     let mut out = Vec::new();
     if t == 0 {
         out.push(ExtScenario {
@@ -294,9 +295,13 @@ pub fn standard_scenarios(n: usize, t: usize, seed: u64, extra_random: usize) ->
         });
         return out;
     }
+    let Some(grid) = GridLayout::new(n) else {
+        return out;
+    };
 
     // Structurally distinct single positions: the sender, the sender's row
     // mate, the sender's column mate, and the far corner.
+    let m = grid.m();
     let positions = [0usize, 1, m, n - 1];
     for &p in positions.iter().filter(|&&p| p < n) {
         let pid = ProcessId(p as u32);
@@ -306,9 +311,7 @@ pub fn standard_scenarios(n: usize, t: usize, seed: u64, extra_random: usize) ->
             (
                 "omit-row",
                 FaultBehavior::OmitTo {
-                    targets: crate::Grid::new(n)
-                        .map(|g| g.row_mates(p).collect())
-                        .unwrap_or_default(),
+                    targets: grid.row_mates(pid).collect(),
                 },
             ),
         ] {

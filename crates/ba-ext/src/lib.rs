@@ -19,8 +19,9 @@
 //! 2. **Coded dissemination** — the payload is erasure-coded
 //!    ([`coding::Coder`], systematic RS-lite over GF(256)) into `n`
 //!    sender-signed chunks, `k = n − 2t` of which reconstruct. The chunks
-//!    flow over the Algorithm-4 grid pattern (√n × √n): disperse one chunk
-//!    per node, broadcast along rows, bundle rows down columns, then a
+//!    flow over Algorithm 4's √n × √n grid ([`GridLayout`], the
+//!    workspace's one grid geometry): disperse one chunk per node,
+//!    broadcast along rows, bundle rows down columns, then a
 //!    demand-driven repair round along rows. Fault-free, the column-bundle
 //!    phase dominates at `ℓ·n²/k ≤ 2ℓn` bytes — within a constant factor
 //!    of the `ℓn` lower bound — and the repair phases are silent.
@@ -62,6 +63,7 @@ pub mod coding;
 pub mod net;
 pub(crate) mod pipeline;
 
+use ba_algos::algorithm4::GridLayout;
 use ba_algos::checkable::{find_target, CheckConfig, CheckTarget};
 use ba_algos::common::Board;
 use ba_crypto::sha256::{Sha256, DIGEST_LEN};
@@ -115,49 +117,6 @@ pub const DISSEMINATION_PHASES: usize = 7;
 /// to the next `t` voters, escalation responses. Silent whenever every
 /// correct node already reconstructed (in particular fault-free).
 pub const FETCH_PHASES: usize = 4;
-
-/// The √n × √n grid underneath the dissemination pattern (the Algorithm-4
-/// exchange geometry: processor `i` sits at row `i / m`, column `i % m`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct Grid {
-    pub(crate) m: usize,
-}
-
-impl Grid {
-    pub(crate) fn new(n: usize) -> Option<Grid> {
-        let m = (n as f64).sqrt().round() as usize;
-        (m >= 2 && m * m == n).then_some(Grid { m })
-    }
-
-    fn row(&self, id: usize) -> usize {
-        id / self.m
-    }
-
-    /// Ids in `id`'s row, excluding `id`.
-    pub(crate) fn row_mates(&self, id: usize) -> impl Iterator<Item = ProcessId> {
-        let start = self.row(id) * self.m;
-        (start..start + self.m)
-            .filter(move |&i| i != id)
-            .map(|i| ProcessId(i as u32))
-    }
-
-    /// Ids in `id`'s column, excluding `id`.
-    fn col_mates(&self, id: usize) -> impl Iterator<Item = ProcessId> {
-        let m = self.m;
-        let col = id % m;
-        (0..m)
-            .map(move |r| r * m + col)
-            .filter(move |&i| i != id)
-            .map(|i| ProcessId(i as u32))
-    }
-
-    /// The chunk indices owned by `id`'s row (chunk `i` is dispersed to
-    /// node `i`, so a row owns a contiguous index range).
-    fn row_indices(&self, id: usize) -> std::ops::Range<usize> {
-        let start = self.row(id) * self.m;
-        start..start + self.m
-    }
-}
 
 /// One erasure-coded chunk, signed by the sender.
 ///
@@ -390,7 +349,7 @@ impl ExtDecision {
 #[derive(Debug)]
 pub struct ExtActor {
     id: ProcessId,
-    grid: Grid,
+    grid: GridLayout,
     coder: Coder,
     digest: Option<[u8; DIGEST_LEN]>,
     payload_len: Option<u64>,
@@ -457,19 +416,13 @@ impl ExtActor {
     }
 
     /// The row mate designated to answer `requester`'s repair request for
-    /// `chunk`: deterministic rank rotation over the requester's row, so
-    /// repair load spreads across the row instead of every mate answering
-    /// every request (up to m× duplicate traffic). Rank `r` among the
-    /// `m − 1` mates, in id order, is column `r` before the requester's
-    /// own column and `r + 1` from it on.
-    fn designated_responder(grid: &Grid, requester: usize, chunk: usize) -> ProcessId {
-        let rank = (requester + chunk) % (grid.m - 1);
-        let col = if rank < requester % grid.m {
-            rank
-        } else {
-            rank + 1
-        };
-        ProcessId((grid.row(requester) * grid.m + col) as u32)
+    /// `chunk`: rank `(requester + chunk) mod (m − 1)` among its row mates
+    /// in id order, so repair load spreads across the row instead of every
+    /// mate answering every request (up to m× duplicate traffic).
+    fn designated_responder(grid: GridLayout, requester: ProcessId, chunk: usize) -> ProcessId {
+        let rank = (requester.index() + chunk) % (grid.m() - 1);
+        let mut mates = grid.row_mates(requester);
+        mates.nth(rank).expect("a row of m ≥ 2 has m − 1 mates")
     }
 
     /// Answers the buffered repair requests. In the designated round each
@@ -482,8 +435,7 @@ impl ExtActor {
                 .iter()
                 .filter(|&&i| {
                     !designated_only
-                        || Self::designated_responder(&self.grid, requester.index(), i as usize)
-                            == self.id
+                        || Self::designated_responder(self.grid, requester, i as usize) == self.id
                 })
                 .filter_map(|&i| self.chunks.get(i as usize).cloned().flatten())
                 .collect();
@@ -578,7 +530,7 @@ impl Actor<ExtMsg> for ExtActor {
             // Row broadcast: own chunk to row mates.
             2 => {
                 if let Some(own) = self.chunks[id].clone() {
-                    out.broadcast(self.grid.row_mates(id), ExtMsg::Chunk(own));
+                    out.broadcast(self.grid.row_mates(self.id), ExtMsg::Chunk(own));
                 }
             }
             // Column bundles: my row's chunks to my column mates. After
@@ -587,11 +539,11 @@ impl Actor<ExtMsg> for ExtActor {
             3 => {
                 let bundle: Vec<SignedChunk> = self
                     .grid
-                    .row_indices(id)
-                    .filter_map(|i| self.chunks[i].clone())
+                    .row(id / self.grid.m())
+                    .filter_map(|owner| self.chunks[owner.index()].clone())
                     .collect();
                 if !bundle.is_empty() {
-                    out.broadcast(self.grid.col_mates(id), ExtMsg::Bundle(bundle));
+                    out.broadcast(self.grid.col_mates(self.id), ExtMsg::Bundle(bundle));
                 }
             }
             // Repair requests: ask row mates for whatever is missing
@@ -599,7 +551,7 @@ impl Actor<ExtMsg> for ExtActor {
             4 => {
                 let missing = self.missing();
                 if !missing.is_empty() {
-                    out.broadcast(self.grid.row_mates(id), ExtMsg::Repair(missing));
+                    out.broadcast(self.grid.row_mates(self.id), ExtMsg::Repair(missing));
                 }
             }
             // Designated repair responses: one responder per (requester,
@@ -610,7 +562,7 @@ impl Actor<ExtMsg> for ExtActor {
             6 => {
                 let missing = self.missing();
                 if !missing.is_empty() {
-                    out.broadcast(self.grid.row_mates(id), ExtMsg::Repair(missing));
+                    out.broadcast(self.grid.row_mates(self.id), ExtMsg::Repair(missing));
                 }
             }
             // Full-row escalation responses: every holder answers.
@@ -880,14 +832,14 @@ impl ExtOptions {
     /// # Errors
     /// A human-readable description of the first problem found.
     pub fn validate(&self) -> Result<(), String> {
-        let Some(grid) = Grid::new(self.n) else {
+        let Some(grid) = GridLayout::new(self.n).filter(|grid| grid.m() >= 2) else {
             return Err(format!("n = {} is not a perfect square ≥ 4", self.n));
         };
-        if self.t >= grid.m {
+        if self.t >= grid.m() {
             return Err(format!(
                 "t = {} exceeds the grid bound √n − 1 = {}",
                 self.t,
-                grid.m - 1
+                grid.m() - 1
             ));
         }
         if 2 * self.t >= self.n {
@@ -1096,7 +1048,7 @@ pub(crate) struct Outgoing {
 /// The state the two grid stages share: chunk-signing registry, signed
 /// outgoing chunks, and the dissemination / fetch actor builders.
 pub(crate) struct ExtSetup {
-    pub(crate) grid: Grid,
+    pub(crate) grid: GridLayout,
     pub(crate) coder: Coder,
     pub(crate) registry: KeyRegistry,
 }
@@ -1104,7 +1056,7 @@ pub(crate) struct ExtSetup {
 impl ExtSetup {
     pub(crate) fn new(opts: &ExtOptions) -> ExtSetup {
         ExtSetup {
-            grid: Grid::new(opts.n).expect("validated geometry"),
+            grid: GridLayout::new(opts.n).expect("validated geometry"),
             coder: Coder::new(opts.data_chunks(), opts.n),
             registry: KeyRegistry::new(opts.n, chunk_seed(opts.seed), SchemeKind::Fast),
         }
@@ -1304,23 +1256,6 @@ mod tests {
     fn payload(len: usize, seed: u64) -> Bytes {
         let mut rng = ba_crypto::rng::SimRng::new(seed);
         Bytes::from((0..len).map(|_| rng.next_u64() as u8).collect::<Vec<u8>>())
-    }
-
-    #[test]
-    fn grid_geometry() {
-        assert!(Grid::new(3).is_none());
-        assert!(Grid::new(1).is_none());
-        let g = Grid::new(9).unwrap();
-        assert_eq!(g.m, 3);
-        assert_eq!(
-            g.row_mates(4).collect::<Vec<_>>(),
-            vec![ProcessId(3), ProcessId(5)]
-        );
-        assert_eq!(
-            g.col_mates(4).collect::<Vec<_>>(),
-            vec![ProcessId(1), ProcessId(7)]
-        );
-        assert_eq!(g.row_indices(7), 6..9);
     }
 
     #[test]
@@ -1588,12 +1523,12 @@ mod tests {
     #[test]
     fn designated_responder_is_the_rank_rotation_over_row_mates() {
         for n in [4, 9, 16] {
-            let grid = Grid::new(n).expect("square");
+            let grid = GridLayout::new(n).expect("square");
             for requester in 0..n {
-                let mates: Vec<ProcessId> = grid.row_mates(requester).collect();
+                let mates: Vec<ProcessId> = grid.row_mates(ProcessId(requester as u32)).collect();
                 for chunk in 0..n {
                     assert_eq!(
-                        ExtActor::designated_responder(&grid, requester, chunk),
+                        ExtActor::designated_responder(grid, ProcessId(requester as u32), chunk),
                         mates[(requester + chunk) % mates.len()],
                         "n {n} requester {requester} chunk {chunk}"
                     );
@@ -1604,6 +1539,12 @@ mod tests {
 
     #[test]
     fn options_validation_catches_bad_geometry() {
+        // The grid needs m ≥ 2: a 1×1 "grid" has no row mates to repair from.
+        for n in [1, 3, 15] {
+            let opts = ExtOptions::new().with_n(n).with_t(0);
+            let expected = format!("n = {n} is not a perfect square ≥ 4");
+            assert_eq!(opts.validate(), Err(expected));
+        }
         let mut opts = ExtOptions {
             n: 15,
             ..ExtOptions::default()

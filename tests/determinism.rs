@@ -106,8 +106,8 @@ fn algorithm5_metrics_reproducible() {
 }
 
 /// What a run reports: each processor's decision and correct flag (for
-/// `agree`, which reports neither, its selection and verdict), the whole
-/// metrics, and the traced message count (`agree` reports no trace).
+/// `agree`, with its selection and verdict), the whole metrics, and the
+/// traced message count (`agree` reports no trace).
 #[derive(PartialEq, Debug)]
 struct Observed {
     decided: Decided,
@@ -118,7 +118,7 @@ struct Observed {
 #[derive(PartialEq, Debug)]
 enum Decided {
     Each(Vec<Option<Value>>, Vec<bool>),
-    Verdict(Selected, RunVerdict),
+    Verdict(Selected, RunVerdict, Vec<Option<Value>>, Vec<bool>),
 }
 
 fn observed<P: Clone>(outcome: RunOutcome<P>) -> Observed {
@@ -160,7 +160,7 @@ fn every_run(threads: usize, trace: bool) -> Vec<(&'static str, Observed)> {
     let agreed = |n: usize, t: usize| {
         let r = agree(n, t, Value::ONE, o(&[n as u32 - 1], FaultBehavior::Silent)).unwrap();
         Observed {
-            decided: Decided::Verdict(r.selected, r.verdict),
+            decided: Decided::Verdict(r.selected, r.verdict, r.decisions, r.correct),
             metrics: r.metrics,
             traced: None,
         }
@@ -204,7 +204,7 @@ fn threads_and_trace_move_only_the_trace() {
     let selected: Vec<_> = base
         .iter()
         .filter_map(|(_, seen)| match seen.decided {
-            Decided::Verdict(selected, _) => Some(selected),
+            Decided::Verdict(selected, ..) => Some(selected),
             Decided::Each(..) => None,
         })
         .collect();

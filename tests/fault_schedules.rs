@@ -9,12 +9,15 @@
 //! counters included) byte for byte. The two lossy-relay rows were pinned
 //! against a hand-built `OmitTo(honest, [])` run with the same seeded link
 //! drops, since the old random-omission wrapper has no schedule form.
+//! The `small-n/*` and `agree/*` rows pin an `AgreeReport`'s verdict and
+//! metrics instead (see `agree_digest`).
 
+use byzantine_agreement::algos::agree::run_small_n;
 use byzantine_agreement::algos::algorithm3::{self, group_root};
 use byzantine_agreement::algos::algorithm5::{self, tree_root};
 use byzantine_agreement::algos::dolev_strong::{self, DsOptions, Variant};
 use byzantine_agreement::algos::{
-    algorithm1, algorithm1_multi, algorithm2, bounds, fuzz, ic, om, RunOptions,
+    agree, algorithm1, algorithm1_multi, algorithm2, bounds, fuzz, ic, om, AgreeReport, RunOptions,
 };
 use byzantine_agreement::crypto::rng::SimRng;
 use byzantine_agreement::crypto::sha256::Sha256;
@@ -22,12 +25,21 @@ use byzantine_agreement::crypto::{ProcessId, SchemeKind, Value};
 use byzantine_agreement::sim::engine::RunOutcome;
 use byzantine_agreement::sim::{FaultBehavior, LinkDrop, Payload, ScheduleSpec};
 
-fn digest<P: Payload>(o: &RunOutcome<P>) -> String {
-    let text = format!("{:?}", (&o.decisions, &o.correct, &o.metrics));
+fn sha_hex(text: &str) -> String {
     Sha256::digest(text.as_bytes())
         .iter()
         .map(|b| format!("{b:02x}"))
         .collect()
+}
+
+fn digest<P: Payload>(o: &RunOutcome<P>) -> String {
+    sha_hex(&format!("{:?}", (&o.decisions, &o.correct, &o.metrics)))
+}
+
+/// What an [`AgreeReport`] carried before it had per-processor decisions:
+/// its verdict and metrics.
+fn agree_digest(r: &AgreeReport) -> String {
+    sha_hex(&format!("{:?} {:?}", r.verdict, r.metrics))
 }
 
 fn each(ids: &[u32], behavior: FaultBehavior) -> ScheduleSpec {
@@ -204,6 +216,16 @@ fn mixed5() -> String {
         ..Default::default()
     };
     digest(&algorithm5::run(n, t, s, Value::ONE, o).unwrap().outcome)
+}
+
+fn small_n(n: usize, t: usize, schedule: ScheduleSpec) -> String {
+    let o = RunOptions::new().with_schedule(schedule).with_seed(8);
+    agree_digest(&run_small_n(n, t, Value::ONE, o).unwrap())
+}
+
+fn agreed(n: usize, t: usize, schedule: ScheduleSpec) -> String {
+    let o = RunOptions::new().with_schedule(schedule).with_seed(8);
+    agree_digest(&agree(n, t, Value::ONE, o).unwrap())
 }
 
 /// Algorithm 3's `groups` roots each omitting their even-position members.
@@ -455,6 +477,46 @@ fn schedules_reproduce_the_deleted_scenarios_byte_for_byte() {
             "mixed/algorithm1-exactly-t",
             "892a44b64d7cf27a68ed97299e4f46b83a48e7e6c92d10bfae6388282c30aea2",
             mixed1(4, Value::ZERO, 21, (3, 10), (900, 3), &[7, 8]),
+        ),
+        // The small-n extension and the facade in each regime, pinned
+        // before the small-n actor and Algorithm 5's actives shared one
+        // Algorithm 2 core and valid-message hand-off.
+        (
+            "small-n/none",
+            "6e816204073b8987b1f7f33ddfeff7e54d82e4258072c100eeb5bb2ca44dda14",
+            small_n(7, 1, ScheduleSpec::default()),
+        ),
+        // p2 is in the core but hands nothing off (only p0 and p1 do).
+        (
+            "small-n/silent-core",
+            "f6d26880c8a3e1ce7eed1e7998dcc0386469168c29ae01ae5da0ee7b998bdc35",
+            small_n(7, 1, silent(&[2])),
+        ),
+        (
+            "small-n/none-t3",
+            "2f6eeea54c6925f78dd232ed972fb98625602427f8c441ea648acc4718f2d162",
+            small_n(12, 3, ScheduleSpec::default()),
+        ),
+        // p2 is one of the t + 1 = 4 hand-off senders.
+        (
+            "small-n/silent-sender-t3",
+            "2479f502c9e912ff79a2b607fce8ec816d5654340a42fe427f4b46442c22081e",
+            small_n(12, 3, silent(&[2])),
+        ),
+        (
+            "agree/algorithm1",
+            "4ccaac5f5d00cec54200ff78dae8ebc9358d4b766d7dec0e9976523a08c9bfe2",
+            agreed(5, 2, silent(&[4])),
+        ),
+        (
+            "agree/small-n",
+            "8a45626f9a2dbd38f36436d3a449b5512befc8c707a7b2808b7bd6b0aecf6b12",
+            agreed(10, 2, silent(&[9])),
+        ),
+        (
+            "agree/algorithm5",
+            "09e320ac506692d4360e6dfd37597bc996504e0b63cf3f7c152035c78a7e80d8",
+            agreed(30, 1, silent(&[3])),
         ),
     ];
     let moved: Vec<&str> = rows
