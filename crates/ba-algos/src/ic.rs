@@ -15,10 +15,10 @@
 //! * entry `i` equals processor `i`'s private value whenever `i` is
 //!   correct.
 
-use crate::common::{instance, lift, project, Board};
+use crate::common::{instance, lift, Board};
 use crate::dolev_strong::{DsActor, DsParams, Variant};
 use ba_crypto::{Chain, KeyRegistry, ProcessId, SchemeKind, Signer, Value, Verifier};
-use ba_sim::actor::{Actor, Inbox, Outbox, Payload};
+use ba_sim::actor::{Actor, Envelope, Inbox, Outbox, Payload};
 use ba_sim::engine::RunOutcome;
 use ba_sim::schedule::{FaultBehavior, ScheduleSpec};
 use std::sync::Arc;
@@ -67,6 +67,9 @@ fn instance_params(n: usize, t: usize, instance: u32, verifier: Verifier) -> Arc
 pub struct IcActor {
     me: ProcessId,
     subs: Vec<DsActor>,
+    /// Per instance, its share of the current inbox (kept across phases
+    /// so the buffers are reused).
+    inboxes: Vec<Vec<Envelope<Chain>>>,
     vectors: Arc<Board<Vec<Value>>>,
 }
 
@@ -91,7 +94,28 @@ impl IcActor {
                 )
             })
             .collect();
-        IcActor { me, subs, vectors }
+        IcActor {
+            me,
+            subs,
+            inboxes: vec![Vec::new(); n],
+            vectors,
+        }
+    }
+
+    /// Sorts `inbox` into the per-instance buffers in one pass, keeping
+    /// inbox order within each; a message tagged with no instance of this
+    /// run is dropped.
+    fn demux(&mut self, inbox: Inbox<'_, IcMsg>) {
+        self.inboxes.iter_mut().for_each(Vec::clear);
+        for m in inbox {
+            if let Some(bucket) = self.inboxes.get_mut(m.payload.instance as usize) {
+                bucket.push(Envelope {
+                    from: m.from,
+                    to: m.to,
+                    payload: m.payload.chain.clone(),
+                });
+            }
+        }
     }
 
     /// The agreed vector (after the run).
@@ -105,18 +129,18 @@ impl IcActor {
 
 impl Actor<IcMsg> for IcActor {
     fn step(&mut self, phase: usize, inbox: Inbox<'_, IcMsg>, out: &mut Outbox<IcMsg>) {
-        for (instance, sub) in (0..).zip(&mut self.subs) {
-            let sub_inbox = project(inbox, |m| (m.instance == instance).then_some(&m.chain));
+        self.demux(inbox);
+        for ((instance, sub), sub_inbox) in (0..).zip(&mut self.subs).zip(&self.inboxes) {
             let mut scratch = Outbox::new(self.me);
-            sub.step(phase, Inbox::of(&sub_inbox), &mut scratch);
+            sub.step(phase, Inbox::of(sub_inbox), &mut scratch);
             lift(scratch, out, |chain| IcMsg { instance, chain });
         }
     }
 
     fn finalize(&mut self, inbox: Inbox<'_, IcMsg>) {
-        for (instance, sub) in (0..).zip(&mut self.subs) {
-            let sub_inbox = project(inbox, |m| (m.instance == instance).then_some(&m.chain));
-            sub.finalize(Inbox::of(&sub_inbox));
+        self.demux(inbox);
+        for (sub, sub_inbox) in self.subs.iter_mut().zip(&self.inboxes) {
+            sub.finalize(Inbox::of(sub_inbox));
         }
         self.vectors.post(self.me, self.vector());
     }
@@ -299,6 +323,50 @@ mod tests {
             set.iter().copied().map(ProcessId),
             FaultBehavior::Equivocate { ones },
         )
+    }
+
+    #[test]
+    fn demux_keeps_inbox_order_and_drops_unknown_instances() {
+        let registry = KeyRegistry::new(3, 1, SchemeKind::Fast);
+        let me = ProcessId(0);
+        let mut actor = IcActor::new(
+            3,
+            1,
+            me,
+            Value::ONE,
+            registry.signer(me),
+            registry.verifier(),
+            Board::new(3),
+        );
+        let msg = |from: u32, instance: u32, v: u64| Envelope {
+            from: ProcessId(from),
+            to: me,
+            payload: IcMsg {
+                instance,
+                chain: Chain::new(IC_DOMAIN_BASE, Value(v)),
+            },
+        };
+        let inbox = [
+            msg(1, 2, 10),
+            msg(2, 0, 11),
+            msg(1, 7, 12),
+            msg(2, 2, 13),
+            msg(1, u32::MAX, 14),
+        ];
+        actor.demux(Inbox::of(&inbox));
+        let seen = |bucket: &[Envelope<Chain>]| -> Vec<(u32, u64)> {
+            bucket
+                .iter()
+                .map(|e| (e.from.0, e.payload.value().0))
+                .collect()
+        };
+        assert_eq!(seen(&actor.inboxes[0]), [(2, 11)]);
+        assert!(actor.inboxes[1].is_empty());
+        assert_eq!(seen(&actor.inboxes[2]), [(1, 10), (2, 13)]);
+        // The buffers are refilled, not appended to, at the next phase.
+        actor.demux(Inbox::of(&inbox[..1]));
+        assert_eq!(seen(&actor.inboxes[2]), [(1, 10)]);
+        assert!(actor.inboxes[0].is_empty());
     }
 
     #[test]

@@ -203,7 +203,7 @@ fn print_trace(outcome: &RunOutcome<Chain>) {
     println!("decisions: {:?}", outcome.decisions);
     println!("metrics: {:#?}", outcome.metrics);
     for (k, phase) in outcome.trace.phases.iter().enumerate() {
-        for env in &phase.envelopes {
+        for env in phase {
             println!(
                 "phase {} | {:>3} -> {:>3} | {:?}",
                 k + 1,

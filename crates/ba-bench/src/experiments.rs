@@ -811,28 +811,21 @@ pub fn e13() -> Vec<Table> {
             fast().with_schedule(schedule).with_trace(true),
         )
         .unwrap();
-        // For each correct non-transmitter processor, find the phase of
-        // the first structurally-correct 1-message addressed to it.
-        let mut worst = 0usize;
-        for p in 1..(2 * t + 1) as u32 {
-            if !r.outcome.correct[p as usize] {
-                continue;
-            }
-            let mut first: Option<usize> = None;
-            'phases: for (k, phase) in r.outcome.trace.phases.iter().enumerate() {
-                for env in &phase.envelopes {
-                    if env.to == ProcessId(p)
-                        && env.payload.value() == Value::ONE
-                        && env.payload.len() == k + 1
-                    {
-                        first = Some(k + 1);
-                        break 'phases;
-                    }
-                }
-            }
-            worst = worst.max(first.unwrap_or(usize::MAX));
-        }
-        worst
+        // For each correct non-transmitter processor, the phase of the
+        // first structurally-correct 1-message addressed to it.
+        (1..2 * t + 1)
+            .filter(|&p| r.outcome.correct[p])
+            .map(|p| {
+                let first = r
+                    .outcome
+                    .trace
+                    .first_receipt(ProcessId(p as u32), |phase, chain| {
+                        chain.value() == Value::ONE && chain.len() == phase
+                    });
+                first.unwrap_or(usize::MAX)
+            })
+            .max()
+            .unwrap_or(0)
     };
 
     for t in [2usize, 4, 6, 8] {

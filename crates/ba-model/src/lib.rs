@@ -12,9 +12,14 @@
 //!
 //! This crate makes those proofs *runnable*:
 //!
-//! * [`history`] — the paper's vocabulary (histories as sequences of
-//!   labeled phase graphs, individual subhistories) materialized from
-//!   simulator traces;
+//! The paper's *history* is [`ba_sim::Trace`], the type the
+//! simulator records: a sequence of labeled phase graphs whose audits
+//! (individual subhistories and their equality, sender sets, receipt
+//! counts) are its methods, so every module here reads a run's trace as
+//! it stands.
+//!
+//! * [`rules`] — Section 2's correctness rules `R_p` and decision
+//!   functions `F_p`, and a generator that grows a history from them;
 //! * [`replay`] — [`ReplayActor`](replay::ReplayActor), a faulty processor
 //!   that replays scripted traffic, plus the split-world script
 //!   construction used by both theorems;
@@ -31,7 +36,6 @@
 //!   `⌈1 + t/2⌉` messages by any correct algorithm.
 
 pub mod frugal;
-pub mod history;
 pub mod replay;
 pub mod rules;
 pub mod theorem1;

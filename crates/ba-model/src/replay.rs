@@ -4,12 +4,13 @@
 use ba_crypto::{ProcessId, Value};
 use ba_sim::actor::{Actor, Inbox, Outbox, Payload};
 use ba_sim::trace::Trace;
-use std::collections::BTreeMap;
 
 /// A faulty processor that sends a fixed script of messages, ignoring
 /// everything it receives.
 ///
-/// The coalition of Theorem 1 is a set of `ReplayActor`s built by
+/// The script is a [`Trace`]: at phase `k` the actor sends what phase `k`
+/// of the script lists, to the same targets, in the same order. The
+/// coalition of Theorem 1 is a set of `ReplayActor`s built by
 /// [`split_script`]: each replays its history-`H` traffic toward the
 /// victim and its history-`G` traffic toward everyone else. The replayed
 /// signatures are genuine (they were recorded from real runs under the
@@ -17,28 +18,21 @@ use std::collections::BTreeMap;
 /// allowed: reusing signatures it has seen, never forging new ones.
 #[derive(Debug)]
 pub struct ReplayActor<P> {
-    /// phase → list of (target, payload).
-    script: BTreeMap<usize, Vec<(ProcessId, P)>>,
+    script: Trace<P>,
 }
 
 impl<P: Payload> ReplayActor<P> {
-    /// Creates the actor from an explicit script.
-    pub fn new(script: BTreeMap<usize, Vec<(ProcessId, P)>>) -> Self {
+    /// Creates the actor replaying `script` (only targets and payloads are
+    /// read; the engine stamps the sender).
+    pub fn new(script: Trace<P>) -> Self {
         ReplayActor { script }
-    }
-
-    /// Total scripted sends (diagnostics).
-    pub fn scripted_sends(&self) -> usize {
-        self.script.values().map(Vec::len).sum()
     }
 }
 
 impl<P: Payload> Actor<P> for ReplayActor<P> {
     fn step(&mut self, phase: usize, _inbox: Inbox<'_, P>, out: &mut Outbox<P>) {
-        if let Some(sends) = self.script.get(&phase) {
-            for (to, payload) in sends {
-                out.send(*to, payload.clone());
-            }
+        for env in self.script.phases.get(phase - 1).into_iter().flatten() {
+            out.send(env.to, env.payload.clone());
         }
     }
     fn decision(&self) -> Option<Value> {
@@ -49,54 +43,22 @@ impl<P: Payload> Actor<P> for ReplayActor<P> {
     }
 }
 
-/// Extracts `sender`'s outgoing traffic from a trace as a replay script.
-pub fn script_from_trace<P: Clone>(
-    trace: &Trace<P>,
-    sender: ProcessId,
-) -> BTreeMap<usize, Vec<(ProcessId, P)>> {
-    let mut script: BTreeMap<usize, Vec<(ProcessId, P)>> = BTreeMap::new();
-    for (i, phase) in trace.phases.iter().enumerate() {
-        for env in &phase.envelopes {
-            if env.from == sender {
-                script
-                    .entry(i + 1)
-                    .or_default()
-                    .push((env.to, env.payload.clone()));
-            }
-        }
-    }
-    script
-}
-
-/// The Theorem 1 split-world script for coalition member `member`:
-/// toward `victim` replay the `toward_victim` history, toward everyone
-/// else replay the `toward_rest` history.
+/// The Theorem 1 split-world script for coalition member `member`: per
+/// phase, its sends to `victim` in the `toward_victim` history, then its
+/// sends to everyone else in the `toward_rest` history.
 pub fn split_script<P: Clone>(
     toward_victim: &Trace<P>,
     toward_rest: &Trace<P>,
     member: ProcessId,
     victim: ProcessId,
-) -> BTreeMap<usize, Vec<(ProcessId, P)>> {
-    let mut script: BTreeMap<usize, Vec<(ProcessId, P)>> = BTreeMap::new();
-    for (i, phase) in toward_victim.phases.iter().enumerate() {
-        for env in &phase.envelopes {
-            if env.from == member && env.to == victim {
-                script
-                    .entry(i + 1)
-                    .or_default()
-                    .push((env.to, env.payload.clone()));
-            }
-        }
-    }
-    for (i, phase) in toward_rest.phases.iter().enumerate() {
-        for env in &phase.envelopes {
-            if env.from == member && env.to != victim {
-                script
-                    .entry(i + 1)
-                    .or_default()
-                    .push((env.to, env.payload.clone()));
-            }
-        }
+) -> Trace<P> {
+    let mut script = toward_victim.filter(|e| e.from == member && e.to == victim);
+    let rest = toward_rest.filter(|e| e.from == member && e.to != victim);
+    script
+        .phases
+        .resize_with(script.len().max(rest.len()), Vec::new);
+    for (phase, sends) in script.phases.iter_mut().zip(rest.phases) {
+        phase.extend(sends);
     }
     script
 }
@@ -104,7 +66,6 @@ pub fn split_script<P: Clone>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ba_sim::trace::PhaseTrace;
     use ba_sim::Envelope;
 
     fn env(from: u32, to: u32, v: u64) -> Envelope<Value> {
@@ -119,25 +80,22 @@ mod tests {
         let v = if h { 0 } else { 100 };
         Trace {
             phases: vec![
-                PhaseTrace {
-                    envelopes: vec![env(1, 2, v), env(1, 3, v + 1), env(0, 2, v + 2)],
-                },
-                PhaseTrace {
-                    envelopes: vec![env(1, 2, v + 3)],
-                },
+                vec![env(1, 2, v), env(1, 3, v + 1), env(0, 2, v + 2)],
+                vec![env(1, 2, v + 3)],
             ],
         }
     }
 
     #[test]
     fn script_extraction() {
-        let script = script_from_trace(&trace(true), ProcessId(1));
+        // A member's own script is its outgoing traffic, phase by phase.
+        let script = trace(true).filter(|e| e.from == ProcessId(1));
         assert_eq!(
-            script[&1],
-            vec![(ProcessId(2), Value(0)), (ProcessId(3), Value(1))]
+            script.phases,
+            vec![vec![env(1, 2, 0), env(1, 3, 1)], vec![env(1, 2, 3)]]
         );
-        assert_eq!(script[&2], vec![(ProcessId(2), Value(3))]);
-        assert!(script_from_trace(&trace(true), ProcessId(9)).is_empty());
+        let silent = trace(true).filter(|e| e.from == ProcessId(9));
+        assert_eq!(silent.message_count(), 0);
     }
 
     #[test]
@@ -145,16 +103,19 @@ mod tests {
         // Victim p2 sees world H; p3 sees world G.
         let script = split_script(&trace(true), &trace(false), ProcessId(1), ProcessId(2));
         assert_eq!(
-            script[&1],
-            vec![(ProcessId(2), Value(0)), (ProcessId(3), Value(101))]
+            script.phases,
+            vec![vec![env(1, 2, 0), env(1, 3, 101)], vec![env(1, 2, 3)]]
         );
-        assert_eq!(script[&2], vec![(ProcessId(2), Value(3))]);
+        // A phase only one history has still enters the script.
+        let mut longer = trace(false);
+        longer.phases.push(vec![env(1, 3, 104)]);
+        let script = split_script(&trace(true), &longer, ProcessId(1), ProcessId(2));
+        assert_eq!(script.phases[2], [env(1, 3, 104)]);
     }
 
     #[test]
     fn replay_actor_sends_script() {
-        let mut actor = ReplayActor::new(script_from_trace(&trace(true), ProcessId(1)));
-        assert_eq!(actor.scripted_sends(), 3);
+        let mut actor = ReplayActor::new(trace(true).filter(|e| e.from == ProcessId(1)));
         let mut out = Outbox::new(ProcessId(1));
         actor.step(1, Inbox::of(&[]), &mut out);
         assert_eq!(out.staged_len(), 2);

@@ -10,9 +10,9 @@
 //!
 //! and a processor is *correct at phase `k`* when its outgoing edges match
 //! `R_p` applied to its own subhistory. [`generate`] runs this definition
-//! literally: it grows a [`History`] phase by phase, applying `R_p` for
-//! correct processors and arbitrary [`Behavior`] overrides for faulty
-//! ones. The result is *the same object the lower-bound proofs
+//! literally: it grows a history — a [`Trace`], the type the simulator
+//! records — phase by phase, applying `R_p` for correct processors and
+//! arbitrary [`Behavior`] overrides for faulty ones. The result is *the same object the lower-bound proofs
 //! manipulate*, so splicing arguments can be checked against the formal
 //! semantics rather than the simulator's.
 //!
@@ -20,8 +20,9 @@
 //! target: generating its fault-free history and replaying the simulator's
 //! produces identical histories (see the tests).
 
-use crate::history::{Edge, History};
 use ba_crypto::{ProcessId, Value};
+use ba_sim::actor::Envelope;
+use ba_sim::trace::Trace;
 use std::collections::BTreeSet;
 
 /// What a processor has observed: the paper's individual subhistory. For
@@ -30,8 +31,9 @@ use std::collections::BTreeSet;
 pub struct Ish<P> {
     /// The phase-0 in-edge (transmitter only).
     pub phase0: Option<Value>,
-    /// Per executed phase, the `(source, label)` pairs received.
-    pub received: Vec<Vec<(ProcessId, P)>>,
+    /// Per executed phase, the envelopes received — what
+    /// [`Trace::individual_subhistory`] returns.
+    pub received: Vec<Vec<Envelope<P>>>,
 }
 
 /// An agreement algorithm in the paper's formal shape.
@@ -55,7 +57,7 @@ pub type Behavior<P> = Box<dyn FnMut(&Ish<P>, usize, ProcessId) -> Option<P>>;
 #[derive(Debug)]
 pub struct Generated<P> {
     /// The generated history.
-    pub history: History<P>,
+    pub history: Trace<P>,
     /// `F_p` applied to each processor's final subhistory.
     pub decisions: Vec<BTreeSet<Value>>,
 }
@@ -73,57 +75,37 @@ pub fn generate<P: Clone>(
     value: Value,
     mut faulty: Vec<(ProcessId, Behavior<P>)>,
 ) -> Generated<P> {
-    let mut ish: Vec<Ish<P>> = (0..n)
-        .map(|i| Ish {
-            phase0: (i == 0).then_some(value),
-            received: Vec::new(),
-        })
-        .collect();
-    let mut history = History {
-        phase0: value,
-        phases: Vec::new(),
+    // A processor's subhistory is the history so far, filtered to it.
+    let ish = |p: ProcessId, history: &Trace<P>| Ish {
+        phase0: (p == ProcessId(0)).then_some(value),
+        received: history.individual_subhistory(p),
     };
+    let ids = || (0..n as u32).map(ProcessId);
+    let mut history = Trace::default();
 
     for phase in 1..=phases {
-        let mut edges: Vec<Edge<P>> = Vec::new();
-        for p in 0..n as u32 {
-            let p = ProcessId(p);
+        let mut edges: Vec<Envelope<P>> = Vec::new();
+        for p in ids() {
+            let seen = ish(p, &history);
             let fault_idx = faulty.iter().position(|(id, _)| *id == p);
-            for q in 0..n as u32 {
-                let q = ProcessId(q);
-                if q == p {
-                    continue;
-                }
+            for q in ids().filter(|&q| q != p) {
                 let label = match fault_idx {
-                    Some(idx) => (faulty[idx].1)(&ish[p.index()], phase, q),
-                    None => algo.rule(p, &ish[p.index()], phase, q),
+                    Some(idx) => (faulty[idx].1)(&seen, phase, q),
+                    None => algo.rule(p, &seen, phase, q),
                 };
-                if let Some(label) = label {
-                    edges.push(Edge {
+                if let Some(payload) = label {
+                    edges.push(Envelope {
                         from: p,
                         to: q,
-                        label,
+                        payload,
                     });
                 }
             }
         }
-        // Deliver: each processor's subhistory gains this phase's in-edges.
-        for (i, slot) in ish.iter_mut().enumerate() {
-            let p = ProcessId(i as u32);
-            slot.received.push(
-                edges
-                    .iter()
-                    .filter(|e| e.to == p)
-                    .map(|e| (e.from, e.label.clone()))
-                    .collect(),
-            );
-        }
         history.phases.push(edges);
     }
 
-    let decisions = (0..n)
-        .map(|i| algo.decide(ProcessId(i as u32), &ish[i]))
-        .collect();
+    let decisions = ids().map(|p| algo.decide(p, &ish(p, &history))).collect();
     Generated { history, decisions }
 }
 
@@ -153,8 +135,8 @@ impl FormalAlgorithm<Value> for FormalQuiet {
             .received
             .iter()
             .flatten()
-            .filter(|(from, _)| *from == ProcessId(0))
-            .map(|(_, v)| *v)
+            .filter(|e| e.from == ProcessId(0))
+            .map(|e| e.payload)
             .collect();
         match seen.len() {
             1 => seen,
@@ -273,11 +255,11 @@ mod tests {
             .collect();
         let mut sim = Simulation::new(actors).with_trace();
         let outcome = sim.run(1);
-        let simulated = History::from_trace(Value::ONE, &outcome.trace);
+        let simulated = outcome.trace;
 
         // Same graph shape: identical (from, to) edge sets per phase
         // (labels differ in representation: Value vs signed Chain).
-        assert_eq!(formal.history.phases.len(), simulated.phases.len());
+        assert_eq!(formal.history.len(), simulated.len());
         for (f_phase, s_phase) in formal.history.phases.iter().zip(&simulated.phases) {
             let f_edges: BTreeSet<(u32, u32)> =
                 f_phase.iter().map(|e| (e.from.0, e.to.0)).collect();

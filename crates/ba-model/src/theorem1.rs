@@ -8,12 +8,10 @@
 //! `H` (value 0) and `G` (value 1), corrupt exactly `A(p)`, and have the
 //! coalition replay its `H`-traffic toward `p` and its `G`-traffic toward
 //! everyone else. Processor `p` then observes precisely `pH` — checked
-//! bit-for-bit via
-//! [`History::individually_equal`](crate::history::History::individually_equal)
-//! — so it decides 0 while every other correct processor decides 1.
+//! bit-for-bit via [`Trace::individually_equal`] — so it decides 0 while
+//! every other correct processor decides 1.
 
 use crate::frugal::FrugalBroadcast;
-use crate::history::History;
 use crate::replay::{split_script, ReplayActor};
 use ba_crypto::{Chain, KeyRegistry, ProcessId, SchemeKind, Value};
 use ba_sim::actor::Actor;
@@ -25,18 +23,12 @@ use std::collections::{BTreeMap, BTreeSet};
 /// Computes `A(p)` for every processor over the given chain histories:
 /// `q ∈ A(p)` iff `q`'s signature reached `p` or `p`'s signature reached
 /// `q` in at least one history.
-pub fn a_sets(histories: &[&History<Chain>]) -> BTreeMap<ProcessId, BTreeSet<ProcessId>> {
+pub fn a_sets(histories: &[&Trace<Chain>]) -> BTreeMap<ProcessId, BTreeSet<ProcessId>> {
     let mut a: BTreeMap<ProcessId, BTreeSet<ProcessId>> = BTreeMap::new();
-    for h in histories {
-        for phase in &h.phases {
-            for edge in phase {
-                for signer in edge.label.signers() {
-                    if signer != edge.to {
-                        a.entry(edge.to).or_default().insert(signer);
-                        a.entry(signer).or_default().insert(edge.to);
-                    }
-                }
-            }
+    for e in histories.iter().flat_map(|h| h.envelopes()) {
+        for signer in e.payload.signers().filter(|&s| s != e.to) {
+            a.entry(e.to).or_default().insert(signer);
+            a.entry(signer).or_default().insert(e.to);
         }
     }
     a
@@ -105,24 +97,16 @@ pub fn attack_frugal(n: usize, t: usize, k: usize, seed: u64) -> Theorem1Attack 
     // Record the two fault-free histories with the same keys.
     let run_traced = |value: Value| -> Trace<Chain> {
         let mut sim = Simulation::new(frugal_actors(&registry, n, k, value)).with_trace();
-        let outcome = sim.run(FrugalBroadcast::phases());
-        outcome.trace
+        sim.run(FrugalBroadcast::phases()).trace
     };
-    let h_trace = run_traced(Value::ZERO);
-    let g_trace = run_traced(Value::ONE);
-    let h = History::from_trace(Value::ZERO, &h_trace);
-    let g = History::from_trace(Value::ONE, &g_trace);
+    let h = run_traced(Value::ZERO);
+    let g = run_traced(Value::ONE);
 
     let all_a = a_sets(&[&h, &g]);
     let a_set = all_a.get(&victim).cloned().unwrap_or_default();
     let feasible = a_set.len() <= t && !a_set.contains(&victim);
 
-    let signatures_in_h = h
-        .phases
-        .iter()
-        .flatten()
-        .map(|e| e.label.len() as u64)
-        .sum();
+    let signatures_in_h = h.envelopes().map(|e| e.payload.len() as u64).sum();
 
     if !feasible {
         return Theorem1Attack {
@@ -138,15 +122,12 @@ pub fn attack_frugal(n: usize, t: usize, k: usize, seed: u64) -> Theorem1Attack 
     // Build H′: the coalition replays H toward the victim, G elsewhere.
     let mut actors = frugal_actors(&registry, n, k, Value::ZERO);
     for &member in &a_set {
-        actors[member.index()] = Box::new(ReplayActor::new(split_script(
-            &h_trace, &g_trace, member, victim,
-        )));
+        actors[member.index()] = Box::new(ReplayActor::new(split_script(&h, &g, member, victim)));
     }
     let mut sim = Simulation::new(actors).with_trace();
     let outcome = sim.run(FrugalBroadcast::phases());
     let violation = ba_sim::check_byzantine_agreement(&outcome, ProcessId(0), Value::ZERO).err();
-    let h_prime = History::from_trace(Value::ZERO, &outcome.trace);
-    let victim_view_preserved = h.individually_equal(&h_prime, victim);
+    let victim_view_preserved = h.individually_equal(&outcome.trace, victim);
 
     Theorem1Attack {
         victim,
@@ -174,7 +155,7 @@ pub fn audit_algorithm1(t: usize, seed: u64) -> usize {
             },
         )
         .expect("fault-free algorithm 1 cannot fail");
-        History::from_trace(value, &report.outcome.trace)
+        report.outcome.trace
     };
     let h = traced(Value::ZERO);
     let g = traced(Value::ONE);
@@ -234,7 +215,7 @@ mod tests {
         let registry = KeyRegistry::new(9, 1, SchemeKind::Hmac);
         let run_traced = |value: Value| {
             let mut sim = Simulation::new(frugal_actors(&registry, 9, 2, value)).with_trace();
-            History::from_trace(value, &sim.run(2).trace)
+            sim.run(2).trace
         };
         let h = run_traced(Value::ZERO);
         let g = run_traced(Value::ONE);

@@ -17,7 +17,6 @@
 //!    them at least `⌈1 + t/2⌉` messages — measured here on Algorithm 1.
 
 use crate::frugal::QuietBroadcast;
-use crate::history::History;
 use ba_crypto::{Chain, KeyRegistry, ProcessId, SchemeKind, Value};
 use ba_sim::actor::Actor;
 use ba_sim::adversary::OmitTo;
@@ -73,8 +72,7 @@ pub fn attack_quiet(n: usize, t: usize, seed: u64) -> Theorem2Attack {
     // reach on silence — its default is 0).
     let mut sim = Simulation::new(quiet_actors(&registry, n, Value::ONE)).with_trace();
     let outcome = sim.run(QuietBroadcast::phases());
-    let h = History::from_trace(Value::ONE, &outcome.trace);
-    let senders = h.senders_to(victim);
+    let senders = outcome.trace.senders_to(victim);
     let feasible = senders.len() <= t;
     let messages_in_h = outcome.metrics.messages_by_correct;
 
@@ -103,8 +101,7 @@ pub fn attack_quiet(n: usize, t: usize, seed: u64) -> Theorem2Attack {
     let mut sim = Simulation::new(actors).with_trace();
     let outcome = sim.run(QuietBroadcast::phases());
     let violation = ba_sim::check_byzantine_agreement(&outcome, ProcessId(0), Value::ONE).err();
-    let h2 = History::from_trace(Value::ONE, &outcome.trace);
-    let victim_starved = h2.received_counts().get(&victim).copied().unwrap_or(0) == 0;
+    let victim_starved = outcome.trace.senders_to(victim).is_empty();
 
     Theorem2Attack {
         victim,
@@ -189,14 +186,10 @@ pub fn extract_algorithm1(t: usize, seed: u64) -> ExtractionReport {
     let agreement_held =
         ba_sim::check_byzantine_agreement(&outcome, ProcessId(0), Value::ONE).is_ok();
 
-    let mut received: BTreeMap<ProcessId, usize> = BTreeMap::new();
-    for phase in &outcome.trace.phases {
-        for env in &phase.envelopes {
-            if b_set.contains(&env.to) && outcome.correct[env.from.index()] {
-                *received.entry(env.to).or_insert(0) += 1;
-            }
-        }
-    }
+    let mut received = outcome
+        .trace
+        .received_counts(|q| outcome.correct[q.index()]);
+    received.retain(|p, _| b_set.contains(p));
 
     ExtractionReport {
         b_set,
@@ -275,9 +268,8 @@ mod tests {
             },
         )
         .unwrap();
-        let h = History::from_trace(Value::ONE, &report.outcome.trace);
         for p in 1..(2 * t + 1) as u32 {
-            let senders = h.senders_to(ProcessId(p));
+            let senders = report.outcome.trace.senders_to(ProcessId(p));
             assert!(senders.len() > t, "p{p} has only {} senders", senders.len());
         }
     }

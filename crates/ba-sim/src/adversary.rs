@@ -452,8 +452,8 @@ mod tests {
 
                 for k in 0..cp.saturating_sub(1).min(phases) {
                     assert_eq!(
-                        baseline.trace.phases[k].envelopes,
-                        crashed.trace.phases[k].envelopes,
+                        baseline.trace.phases[k],
+                        crashed.trace.phases[k],
                         "phase {} trace diverged before the crash (n={n} j={j} cp={cp})",
                         k + 1
                     );
@@ -479,13 +479,12 @@ mod tests {
                 if cp <= phases {
                     let k = cp - 1;
                     let expect: Vec<Envelope<Value>> = baseline.trace.phases[k]
-                        .envelopes
                         .iter()
                         .filter(|e| e.from.index() != j)
                         .cloned()
                         .collect();
                     assert_eq!(
-                        crashed.trace.phases[k].envelopes, expect,
+                        crashed.trace.phases[k], expect,
                         "at the crash phase only processor {j}'s sends may vanish"
                     );
                 }

@@ -102,7 +102,7 @@ use crate::arena::{Frame, Inboxes, Link, Segment};
 use crate::metrics::Metrics;
 use crate::pool::WorkerPool;
 use crate::schedule::LinkDrop;
-use crate::trace::{PhaseTrace, Trace};
+use crate::trace::Trace;
 use crate::transport::{Fate, ScheduledDrops};
 use ba_crypto::keys::KeyRegistry;
 use ba_crypto::stats::CryptoStats;
@@ -621,7 +621,7 @@ impl<P: Payload> Simulation<P> {
                 observer(phase, &envelopes);
             }
             if self.record_trace {
-                trace.phases.push(PhaseTrace { envelopes });
+                trace.phases.push(envelopes);
             }
         }
         let lost = self.core.finalize(self.threads);
@@ -1000,16 +1000,7 @@ mod tests {
             assert_eq!(run.decisions, baseline.decisions, "threads={threads}");
             assert_eq!(run.correct, baseline.correct, "threads={threads}");
             assert_eq!(run.metrics, baseline.metrics, "threads={threads}");
-            assert_eq!(run.trace.len(), baseline.trace.len(), "threads={threads}");
-            for (k, (a, b)) in run
-                .trace
-                .phases
-                .iter()
-                .zip(baseline.trace.phases.iter())
-                .enumerate()
-            {
-                assert_eq!(a.envelopes, b.envelopes, "threads={threads} phase={k}");
-            }
+            assert_eq!(run.trace, baseline.trace, "threads={threads}");
         }
     }
 
@@ -1070,14 +1061,7 @@ mod tests {
             batched.metrics.signatures_by_correct,
             per_delivery.metrics.signatures_by_correct
         );
-        for (a, b) in batched
-            .trace
-            .phases
-            .iter()
-            .zip(per_delivery.trace.phases.iter())
-        {
-            assert_eq!(a.envelopes, b.envelopes);
-        }
+        assert_eq!(batched.trace, per_delivery.trace);
         assert!(
             batched.metrics.crypto.sig_verifications
                 < per_delivery.metrics.crypto.sig_verifications,
@@ -1170,9 +1154,7 @@ mod tests {
             sans_crypto(&barrier.metrics),
             sans_crypto(&reference.metrics)
         );
-        for (a, b) in barrier.trace.phases.iter().zip(&reference.trace.phases) {
-            assert_eq!(a.envelopes, b.envelopes);
-        }
+        assert_eq!(barrier.trace, reference.trace);
         // Phase 2 is where the forged copies are consumed: one failed
         // check per recipient on both sides (nothing to short-circuit),
         // plus the barrier's own failed attempt carried into that phase.
@@ -1316,9 +1298,7 @@ mod tests {
         assert_eq!(seq.metrics.omitted_messages, 2);
         assert_eq!(par.metrics, seq.metrics);
         assert_eq!(par.decisions, seq.decisions);
-        for (a, b) in par.trace.phases.iter().zip(seq.trace.phases.iter()) {
-            assert_eq!(a.envelopes, b.envelopes);
-        }
+        assert_eq!(par.trace, seq.trace);
     }
 
     /// Scheduled link drops in every phase the flooder sends, then a quiet

@@ -30,8 +30,9 @@
 //! * [`transport`] — the routing [`Fate`] of a staged envelope and the
 //!   one policy that decides it, [`ScheduledDrops`]; anything less
 //!   reliable is a wire's business (`ba-net`);
-//! * [`trace`] — optional full message trace for debugging and for the
-//!   formal-model experiments;
+//! * [`trace`] — the optional full message trace, [`Trace`]: the paper's
+//!   Section-2 history, with the audits the lower-bound proofs make over
+//!   it;
 //! * [`pool`] — the persistent [`WorkerPool`] shared by the core's
 //!   intra-phase stepping, the sweep fan-out and `ba-net`'s service tick:
 //!   long-lived threads parked between dispatches instead of
@@ -105,4 +106,5 @@ pub use engine::{InstanceSpec, PhaseCore, RunOutcome, Simulation};
 pub use metrics::{Metrics, QueueStats};
 pub use pool::WorkerPool;
 pub use schedule::{FaultBehavior, LinkDrop, ScheduleError, ScheduleSpec};
+pub use trace::Trace;
 pub use transport::{Fate, ScheduledDrops};

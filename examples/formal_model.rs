@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! cargo run --example formal_model          # prints the analysis
-//! cargo run --example formal_model | tail -n +14 > run.dot && dot -Tsvg run.dot
+//! cargo run --example formal_model | sed -n '/^digraph/,$p' > run.dot && dot -Tsvg run.dot
 //! ```
 
 use byzantine_agreement::algos::{algorithm1, RunOptions};

@@ -7,7 +7,11 @@ use byzantine_agreement::algos::{
     agree, algorithm1, algorithm1_multi, algorithm2, algorithm3, algorithm5, RunOptions, Selected,
 };
 use byzantine_agreement::crypto::{ProcessId, SchemeKind, Value};
-use byzantine_agreement::sim::{FaultBehavior, Metrics, RunOutcome, RunVerdict, ScheduleSpec};
+use byzantine_agreement::sim::{
+    FaultBehavior, Metrics, RunOutcome, RunVerdict, ScheduleSpec, Trace,
+};
+use std::any::Any;
+use std::fmt;
 
 #[test]
 fn same_seed_same_everything() {
@@ -107,12 +111,46 @@ fn algorithm5_metrics_reproducible() {
 
 /// What a run reports: each processor's decision and correct flag (for
 /// `agree`, with its selection and verdict), the whole metrics, and the
-/// traced message count (`agree` reports no trace).
+/// trace (`agree` reports none).
 #[derive(PartialEq, Debug)]
 struct Observed {
     decided: Decided,
     metrics: Metrics,
-    traced: Option<usize>,
+    trace: Option<Traced>,
+}
+
+/// A run's [`Trace`], whatever its payload type, compared with
+/// `Trace: PartialEq` (two traces of different payload types differ).
+struct Traced {
+    trace: Box<dyn Any>,
+    messages: usize,
+    eq: fn(&dyn Any, &dyn Any) -> bool,
+}
+
+impl Traced {
+    fn new<P: PartialEq + 'static>(trace: Trace<P>) -> Self {
+        fn eq<P: PartialEq + 'static>(a: &dyn Any, b: &dyn Any) -> bool {
+            let (a, b) = (a.downcast_ref::<Trace<P>>(), b.downcast_ref::<Trace<P>>());
+            a.is_some() && a == b
+        }
+        Traced {
+            messages: trace.message_count(),
+            trace: Box::new(trace),
+            eq: eq::<P>,
+        }
+    }
+}
+
+impl PartialEq for Traced {
+    fn eq(&self, other: &Self) -> bool {
+        (self.eq)(&*self.trace, &*other.trace)
+    }
+}
+
+impl fmt::Debug for Traced {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "Trace of {} messages", self.messages)
+    }
 }
 
 #[derive(PartialEq, Debug)]
@@ -121,9 +159,9 @@ enum Decided {
     Verdict(Selected, RunVerdict, Vec<Option<Value>>, Vec<bool>),
 }
 
-fn observed<P: Clone>(outcome: RunOutcome<P>) -> Observed {
+fn observed<P: PartialEq + 'static>(outcome: RunOutcome<P>) -> Observed {
     Observed {
-        traced: Some(outcome.trace.message_count()),
+        trace: Some(Traced::new(outcome.trace)),
         decided: Decided::Each(outcome.decisions, outcome.correct),
         metrics: outcome.metrics,
     }
@@ -162,7 +200,7 @@ fn every_run(threads: usize, trace: bool) -> Vec<(&'static str, Observed)> {
         Observed {
             decided: Decided::Verdict(r.selected, r.verdict, r.decisions, r.correct),
             metrics: r.metrics,
-            traced: None,
+            trace: None,
         }
     };
     let root3 = algorithm3::group_root(1, 4, 0).0;
@@ -210,12 +248,17 @@ fn threads_and_trace_move_only_the_trace() {
         .collect();
     let regimes = [Selected::Algorithm1, Selected::SmallN, Selected::Algorithm5];
     assert_eq!(selected, regimes);
+    // Traced at one thread: what every traced run must record exactly.
+    let traced = every_run(1, true);
     for (threads, trace) in [(1, false), (4, false), (1, true), (4, true)] {
-        for ((name, a), (_, b)) in base.iter().zip(every_run(threads, trace)) {
+        let reference = if trace { &traced } else { &base };
+        let runs = every_run(threads, trace);
+        for (((name, a), (_, b)), (_, r)) in base.iter().zip(&runs).zip(reference) {
             let at = format!("{name} threads={threads} trace={trace}");
             assert_eq!((&a.decided, &a.metrics), (&b.decided, &b.metrics), "{at}");
-            if let Some(traced) = b.traced {
-                assert_eq!(traced > 0, trace, "{at}");
+            assert_eq!(b.trace, r.trace, "{at}");
+            if let Some(recorded) = &b.trace {
+                assert_eq!(recorded.messages > 0, trace, "{at}");
             }
         }
     }
