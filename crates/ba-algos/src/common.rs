@@ -30,6 +30,9 @@ pub mod domains {
     /// Base for Algorithm 3 per-group collection chains; group `g` uses
     /// `ALG3_GROUP_BASE + g`.
     pub const ALG3_GROUP_BASE: u32 = 1_000;
+    /// The deliberately under-communicating broadcasts `ba-model`'s
+    /// lower-bound attacks break.
+    pub const FRUGAL: u32 = 7_777;
 }
 
 /// A shared, post-run-readable slot per processor.
@@ -280,6 +283,7 @@ mod tests {
             domains::GRID,
             domains::ALG5_STRING,
             domains::ALG3_GROUP_BASE,
+            domains::FRUGAL,
         ];
         for (i, a) in all.iter().enumerate() {
             for b in &all[i + 1..] {

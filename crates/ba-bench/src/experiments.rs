@@ -2,12 +2,14 @@
 
 use crate::cells;
 use crate::table::Table;
+use ba_algos::checkable::find_target;
 use ba_algos::{
     algorithm1, algorithm2, algorithm3, algorithm4, algorithm5, bounds, dolev_strong, om,
     RunOptions,
 };
-use ba_crypto::{ProcessId, SchemeKind, Value};
-use ba_model::{theorem1, theorem2};
+use ba_crypto::{KeyRegistry, ProcessId, SchemeKind, Value};
+use ba_model::frugal::{FrugalBroadcast, QuietBroadcast};
+use ba_model::{fault_free, theorem1, theorem2};
 use ba_sim::schedule::{FaultBehavior, ScheduleSpec};
 
 /// Runs one experiment by id (`"e1"`..`"e16"`).
@@ -76,7 +78,8 @@ pub fn e1() -> Vec<Table> {
         &["n", "t", "relays k", "|A(p)|", "feasible (|A(p)|<=t)", "p's view = pH", "agreement broken", "outcome as expected"],
     );
     for (n, t, k) in [(9, 3, 2), (11, 4, 3), (16, 14, 2), (9, 2, 3)] {
-        let a = theorem1::attack_frugal(n, t, k, 42);
+        let registry = KeyRegistry::new(n, 42, SchemeKind::Hmac);
+        let a = theorem1::attack(|v| FrugalBroadcast::build(n, k, v, &registry), t);
         let expect_attackable = k < t;
         let as_expected = a.feasible == expect_attackable
             && a.violation.is_some() == expect_attackable
@@ -105,13 +108,14 @@ pub fn e1() -> Vec<Table> {
             "min |A(p)| in Alg 1 (must be > t)",
         ],
     );
+    let alg1 = *find_target("algorithm1").expect("algorithm1 is registered");
     for t in 1..=6usize {
         let n = 2 * t + 1;
         let bound = bounds::thm1_signature_lower_bound(n as u64, t as u64);
         let a1 = algorithm1::run(t, Value::ONE, fast()).unwrap();
         let a2 = algorithm2::run(t, Value::ONE, fast()).unwrap();
         let ds = dolev_strong::run(n, t, Value::ONE, fast()).unwrap();
-        let min_a = theorem1::audit_algorithm1(t, 1);
+        let min_a = theorem1::attack(fault_free(alg1, n, t, 1), t).a_set.len();
         counts.row(cells![
             t,
             n,
@@ -169,7 +173,8 @@ pub fn e3() -> Vec<Table> {
         ],
     );
     for (n, t) in [(6, 1), (8, 2), (12, 4)] {
-        let a = theorem2::attack_quiet(n, t, 7);
+        let registry = KeyRegistry::new(n, 7, SchemeKind::Hmac);
+        let a = theorem2::starve(|v| QuietBroadcast::build(n, v, &registry), t);
         attack.row(cells![
             n,
             t,
@@ -184,8 +189,9 @@ pub fn e3() -> Vec<Table> {
         "E3b — B-set extraction against Algorithm 1: each of the ⌊1+t/2⌋ ignorers is owed ⌈1+t/2⌉ messages",
         &["t", "|B|", "demand ⌈1+t/2⌉", "min received from correct", "agreement held"],
     );
+    let alg1 = *find_target("algorithm1").expect("algorithm1 is registered");
     for t in 1..=8usize {
-        let r = theorem2::extract_algorithm1(t, 3);
+        let r = theorem2::extract(fault_free(alg1, 2 * t + 1, t, 3), t);
         let min_recv = r
             .b_set
             .iter()

@@ -15,16 +15,33 @@
 //! Both decide on the first authenticated value received (default `0`),
 //! which is sound when nothing goes wrong — the attacks in
 //! [`theorem1`](crate::theorem1) and [`theorem2`](crate::theorem2) show
-//! how it breaks.
+//! how it breaks. Each has a `build` that returns the fault-free
+//! [`InstanceSpec`] the attacks take, as every `ba-algos` module does.
 
-use ba_algos::domains;
-use ba_crypto::{Chain, ProcessId, Signer, Value, Verifier};
+use ba_algos::domains::FRUGAL;
+use ba_crypto::{Chain, KeyRegistry, ProcessId, Signer, Value, Verifier};
 use ba_sim::actor::{Actor, Inbox, Outbox};
+use ba_sim::InstanceSpec;
 
-/// Chain domain for the frugal protocols.
-pub const FRUGAL_DOMAIN: u32 = 7_777;
-
-const _: () = assert!(FRUGAL_DOMAIN != domains::ALG1 && FRUGAL_DOMAIN != domains::ALG2);
+/// The fault-free instance of `actor(p, own value)` over `n` processors,
+/// `p0` transmitting `value`: no keys, so every recipient verifies what it
+/// reads, and no fault budget — the toys tolerate none.
+fn instance(
+    n: usize,
+    phases: usize,
+    value: Value,
+    actor: impl Fn(ProcessId, Option<Value>) -> Box<dyn Actor<Chain>>,
+) -> InstanceSpec<Chain> {
+    InstanceSpec {
+        actors: (0..n as u32)
+            .map(|p| actor(ProcessId(p), (p == 0).then_some(value)))
+            .collect(),
+        phases,
+        fault_budget: 0,
+        link_drops: Vec::new(),
+        registry: None,
+    }
+}
 
 /// A `k`-relay signed broadcast.
 ///
@@ -70,13 +87,21 @@ impl FrugalBroadcast {
         }
     }
 
-    /// Number of phases the protocol runs.
-    pub fn phases() -> usize {
-        2
+    /// The fault-free two-phase instance over `n` processors signing
+    /// under `registry`, `p0` transmitting `value` through relays
+    /// `1..=k`.
+    ///
+    /// # Panics
+    /// Unless `1 ≤ k < n − 1`.
+    pub fn build(n: usize, k: usize, value: Value, registry: &KeyRegistry) -> InstanceSpec<Chain> {
+        instance(n, 2, value, |p, own| {
+            let verifier = registry.verifier();
+            Box::new(Self::new(n, k, p, registry.signer(p), verifier, own))
+        })
     }
 
     fn accepts(&self, chain: &Chain) -> bool {
-        chain.domain() == FRUGAL_DOMAIN
+        chain.domain() == FRUGAL
             && chain.first_signer() == Some(ProcessId(0))
             && chain.verify_simple_path(&self.verifier).is_ok()
     }
@@ -100,7 +125,7 @@ impl Actor<Chain> for FrugalBroadcast {
         match phase {
             1 => {
                 if let Some(v) = self.own_value {
-                    let mut chain = Chain::new(FRUGAL_DOMAIN, v);
+                    let mut chain = Chain::new(FRUGAL, v);
                     chain.sign_and_append(&self.signer);
                     for relay in 1..=self.k as u32 {
                         out.send(ProcessId(relay), chain.clone());
@@ -156,9 +181,12 @@ impl QuietBroadcast {
         }
     }
 
-    /// Number of phases the protocol runs.
-    pub fn phases() -> usize {
-        1
+    /// The fault-free one-phase instance over `n` processors signing
+    /// under `registry`, `p0` transmitting `value`.
+    pub fn build(n: usize, value: Value, registry: &KeyRegistry) -> InstanceSpec<Chain> {
+        instance(n, 1, value, |p, own| {
+            Box::new(Self::new(n, registry.signer(p), registry.verifier(), own))
+        })
     }
 }
 
@@ -166,7 +194,7 @@ impl Actor<Chain> for QuietBroadcast {
     fn step(&mut self, phase: usize, _inbox: Inbox<'_, Chain>, out: &mut Outbox<Chain>) {
         if phase == 1 {
             if let Some(v) = self.own_value {
-                let mut chain = Chain::new(FRUGAL_DOMAIN, v);
+                let mut chain = Chain::new(FRUGAL, v);
                 chain.sign_and_append(&self.signer);
                 out.broadcast_all(self.n, chain);
             }
@@ -175,7 +203,7 @@ impl Actor<Chain> for QuietBroadcast {
 
     fn finalize(&mut self, inbox: Inbox<'_, Chain>) {
         for env in inbox {
-            if env.payload.domain() == FRUGAL_DOMAIN
+            if env.payload.domain() == FRUGAL
                 && env.payload.first_signer() == Some(ProcessId(0))
                 && env.payload.verify(&self.verifier).is_ok()
             {
@@ -195,31 +223,17 @@ impl Actor<Chain> for QuietBroadcast {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ba_crypto::{KeyRegistry, SchemeKind};
-    use ba_sim::engine::Simulation;
+    use ba_crypto::SchemeKind;
     use ba_sim::Envelope;
 
-    fn frugal_actors(n: usize, k: usize, value: Value, seed: u64) -> Vec<Box<dyn Actor<Chain>>> {
-        let registry = KeyRegistry::new(n, seed, SchemeKind::Fast);
-        (0..n as u32)
-            .map(|p| {
-                Box::new(FrugalBroadcast::new(
-                    n,
-                    k,
-                    ProcessId(p),
-                    registry.signer(ProcessId(p)),
-                    registry.verifier(),
-                    (p == 0).then_some(value),
-                )) as Box<dyn Actor<Chain>>
-            })
-            .collect()
+    fn fast(n: usize, seed: u64) -> KeyRegistry {
+        KeyRegistry::new(n, seed, SchemeKind::Fast)
     }
 
     #[test]
     fn frugal_works_when_nothing_goes_wrong() {
         for v in [Value::ZERO, Value::ONE] {
-            let mut sim = Simulation::new(frugal_actors(7, 2, v, 1));
-            let outcome = sim.run(FrugalBroadcast::phases());
+            let outcome = FrugalBroadcast::build(7, 2, v, &fast(7, 1)).run_lockstep(1);
             let verdict = ba_sim::check_byzantine_agreement(&outcome, ProcessId(0), v).unwrap();
             assert_eq!(verdict.agreed, Some(v));
         }
@@ -227,8 +241,7 @@ mod tests {
 
     #[test]
     fn frugal_message_count_is_low() {
-        let mut sim = Simulation::new(frugal_actors(10, 2, Value::ONE, 1));
-        let outcome = sim.run(2);
+        let outcome = FrugalBroadcast::build(10, 2, Value::ONE, &fast(10, 1)).run_lockstep(1);
         // k + k(n-2) messages: far below n(t+1)/4 for t near n/2.
         assert_eq!(outcome.metrics.messages_by_correct, 2 + 2 * 8);
     }
@@ -236,19 +249,7 @@ mod tests {
     #[test]
     fn quiet_works_when_nothing_goes_wrong() {
         let n = 6;
-        let registry = KeyRegistry::new(n, 2, SchemeKind::Fast);
-        let actors: Vec<Box<dyn Actor<Chain>>> = (0..n as u32)
-            .map(|p| {
-                Box::new(QuietBroadcast::new(
-                    n,
-                    registry.signer(ProcessId(p)),
-                    registry.verifier(),
-                    (p == 0).then_some(Value::ONE),
-                )) as Box<dyn Actor<Chain>>
-            })
-            .collect();
-        let mut sim = Simulation::new(actors);
-        let outcome = sim.run(QuietBroadcast::phases());
+        let outcome = QuietBroadcast::build(n, Value::ONE, &fast(n, 2)).run_lockstep(1);
         let verdict =
             ba_sim::check_byzantine_agreement(&outcome, ProcessId(0), Value::ONE).unwrap();
         assert_eq!(verdict.agreed, Some(Value::ONE));
@@ -268,7 +269,7 @@ mod tests {
             None,
         );
         // A chain "signed" by the transmitter with a forged tag.
-        let mut forged = Chain::new(FRUGAL_DOMAIN, Value::ONE);
+        let mut forged = Chain::new(FRUGAL, Value::ONE);
         forged.sign_and_append(&registry.signer(ProcessId(3))); // wrong signer
         let env = Envelope {
             from: ProcessId(3),

@@ -237,25 +237,12 @@ mod tests {
         // same protocol must produce identical histories.
         use crate::frugal::QuietBroadcast;
         use ba_crypto::{KeyRegistry, SchemeKind};
-        use ba_sim::engine::Simulation;
 
         let n = 5;
         let formal = generate(n, 1, &FormalQuiet, Value::ONE, Vec::new());
 
         let registry = KeyRegistry::new(n, 1, SchemeKind::Fast);
-        let actors: Vec<Box<dyn ba_sim::Actor<ba_crypto::Chain>>> = (0..n as u32)
-            .map(|p| {
-                Box::new(QuietBroadcast::new(
-                    n,
-                    registry.signer(ProcessId(p)),
-                    registry.verifier(),
-                    (p == 0).then_some(Value::ONE),
-                )) as Box<dyn ba_sim::Actor<ba_crypto::Chain>>
-            })
-            .collect();
-        let mut sim = Simulation::new(actors).with_trace();
-        let outcome = sim.run(1);
-        let simulated = outcome.trace;
+        let simulated = crate::record(QuietBroadcast::build(n, Value::ONE, &registry)).trace;
 
         // Same graph shape: identical (from, to) edge sets per phase
         // (labels differ in representation: Value vs signed Chain).

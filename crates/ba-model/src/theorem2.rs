@@ -1,33 +1,34 @@
 //! Theorem 2 as runnable experiments: any algorithm has a history with at
 //! least `max{⌈(n−1)/2⌉, (1 + t/2)²}` messages from correct processors.
 //!
-//! Two constructions from the proof are reproduced:
+//! Two constructions from the proof are reproduced, each over the
+//! fault-free instances of any algorithm (the builder
+//! [`theorem1::attack`](crate::theorem1::attack) takes), with the faulty
+//! coalition wrapped around the built actors:
 //!
-//! 1. **Starvation** ([`attack_quiet`]) — if some processor `p` would not
+//! 1. **Starvation** ([`starve`]) — if some processor `p` would not
 //!    decide the transmitted value on silence, and the set of processors
 //!    that ever send to `p` has at most `t` members, corrupting exactly
 //!    that set (silently omitting their messages to `p`) starves `p` into
 //!    the default while everyone else proceeds — disagreement. This is
-//!    the `H″` step of the proof, demonstrated against the one-shot
-//!    `QuietBroadcast` one-shot protocol in [`frugal`](crate::frugal).
-//! 2. **Extraction** ([`extract_algorithm1`]) — the `B`-set argument: put
+//!    the `H″` step of the proof; a correct algorithm denies its
+//!    prerequisite.
+//! 2. **Extraction** ([`extract`]) — the `B`-set argument: put
 //!    `⌊1 + t/2⌋` faulty processors in `B`, each ignoring the first
 //!    `⌈t/2⌉` messages it receives and never talking to other `B`
 //!    members; any correct algorithm is then *forced* to send each of
-//!    them at least `⌈1 + t/2⌉` messages — measured here on Algorithm 1.
+//!    them at least `⌈1 + t/2⌉` messages.
 
-use crate::frugal::QuietBroadcast;
-use ba_crypto::{Chain, KeyRegistry, ProcessId, SchemeKind, Value};
-use ba_sim::actor::Actor;
-use ba_sim::adversary::OmitTo;
-use ba_sim::engine::Simulation;
-use ba_sim::AgreementViolation;
+use ba_crypto::{Chain, ProcessId, Value};
+use ba_sim::adversary::{IgnoreFirst, OmitTo, Silent};
+use ba_sim::{Actor, AgreementViolation, InstanceSpec};
 use std::collections::BTreeMap;
 
 /// Result of a starvation attack attempt.
 #[derive(Debug)]
 pub struct Theorem2Attack {
-    /// The starved processor.
+    /// The starved processor: the non-transmitter with the fewest senders
+    /// in the fault-free history, ties going to the highest id.
     pub victim: ProcessId,
     /// The processors that sent to the victim in the fault-free history.
     pub senders: Vec<ProcessId>,
@@ -41,76 +42,53 @@ pub struct Theorem2Attack {
     pub messages_in_h: u64,
 }
 
-fn quiet_actors(registry: &KeyRegistry, n: usize, value: Value) -> Vec<Box<dyn Actor<Chain>>> {
-    (0..n as u32)
-        .map(|p| {
-            Box::new(QuietBroadcast::new(
-                n,
-                registry.signer(ProcessId(p)),
-                registry.verifier(),
-                (p == 0).then_some(value),
-            )) as Box<dyn Actor<Chain>>
-        })
-        .collect()
+/// Replaces `p`'s actor in `spec` with `wrap` applied to it.
+fn corrupt(
+    spec: &mut InstanceSpec<Chain>,
+    p: ProcessId,
+    wrap: impl FnOnce(Box<dyn Actor<Chain>>) -> Box<dyn Actor<Chain>>,
+) {
+    let slot = &mut spec.actors[p.index()];
+    *slot = wrap(std::mem::replace(slot, Box::new(Silent)));
 }
 
-/// Runs the starvation attack against the one-shot quiet broadcast.
+/// Runs the starvation attack with fault budget `t` against the
+/// algorithm whose fault-free instances `build` returns, in its value-1
+/// history (the value the victim would not reach on silence).
 ///
 /// ```
-/// let attack = ba_model::theorem2::attack_quiet(6, 1, 7);
+/// use ba_crypto::{KeyRegistry, SchemeKind};
+/// use ba_model::{frugal::QuietBroadcast, theorem2};
+///
+/// let registry = KeyRegistry::new(6, 7, SchemeKind::Hmac);
+/// let attack = theorem2::starve(|v| QuietBroadcast::build(6, v, &registry), 1);
 /// assert!(attack.feasible && attack.victim_starved);
 /// ```
-///
-/// # Panics
-/// Panics if `t == 0` or `t ≥ n − 1`.
-pub fn attack_quiet(n: usize, t: usize, seed: u64) -> Theorem2Attack {
-    assert!(t >= 1 && t < n - 1);
-    let registry = KeyRegistry::new(n, seed, SchemeKind::Hmac);
-    let victim = ProcessId(n as u32 - 1);
-
-    // Fault-free history with value 1 (the value the victim would not
-    // reach on silence — its default is 0).
-    let mut sim = Simulation::new(quiet_actors(&registry, n, Value::ONE)).with_trace();
-    let outcome = sim.run(QuietBroadcast::phases());
-    let senders = outcome.trace.senders_to(victim);
+pub fn starve(build: impl Fn(Value) -> InstanceSpec<Chain>, t: usize) -> Theorem2Attack {
+    let h = crate::record(build(Value::ONE));
+    let victim = crate::victim(h.decisions.len(), |p| h.trace.senders_to(p).len());
+    let senders = h.trace.senders_to(victim);
     let feasible = senders.len() <= t;
-    let messages_in_h = outcome.metrics.messages_by_correct;
-
-    if !feasible {
-        return Theorem2Attack {
-            victim,
-            senders,
-            feasible,
-            violation: None,
-            victim_starved: false,
-            messages_in_h,
-        };
-    }
-
-    // H″: the victim's senders behave correctly except toward the victim.
-    let mut actors = quiet_actors(&registry, n, Value::ONE);
-    for &member in &senders {
-        let honest = QuietBroadcast::new(
-            n,
-            registry.signer(member),
-            registry.verifier(),
-            (member == ProcessId(0)).then_some(Value::ONE),
-        );
-        actors[member.index()] = Box::new(OmitTo::new(honest, [victim]));
-    }
-    let mut sim = Simulation::new(actors).with_trace();
-    let outcome = sim.run(QuietBroadcast::phases());
-    let violation = ba_sim::check_byzantine_agreement(&outcome, ProcessId(0), Value::ONE).err();
-    let victim_starved = outcome.trace.senders_to(victim).is_empty();
-
-    Theorem2Attack {
+    let mut attack = Theorem2Attack {
         victim,
-        senders,
         feasible,
-        violation,
-        victim_starved,
-        messages_in_h,
+        violation: None,
+        victim_starved: false,
+        messages_in_h: h.metrics.messages_by_correct,
+        senders,
+    };
+    if feasible {
+        // H″: the victim's senders behave correctly except toward it.
+        let mut starved = build(Value::ONE);
+        for &member in &attack.senders {
+            corrupt(&mut starved, member, |a| Box::new(OmitTo::new(a, [victim])));
+        }
+        let outcome = crate::record(starved);
+        attack.violation =
+            ba_sim::check_byzantine_agreement(&outcome, ProcessId(0), Value::ONE).err();
+        attack.victim_starved = outcome.trace.senders_to(victim).is_empty();
     }
+    attack
 }
 
 /// Result of the `B`-set extraction experiment.
@@ -137,64 +115,34 @@ impl ExtractionReport {
     }
 }
 
-/// Runs the extraction experiment against Algorithm 1 (`n = 2t + 1`):
-/// `B = ⌊1 + t/2⌋` faulty processors on side `A` ignore their first
-/// `⌈t/2⌉` messages and never talk to each other; count what correct
-/// processors are forced to send them.
+/// Runs the extraction experiment with fault budget `t` against the
+/// algorithm whose fault-free instances `build` returns, in its value-1
+/// history: `B = {p1, …, p⌊1+t/2⌋}` ignore their first `⌈t/2⌉` messages
+/// and never talk to each other; count what correct processors are forced
+/// to send them.
 ///
 /// # Panics
-/// Panics if `t == 0`.
-pub fn extract_algorithm1(t: usize, seed: u64) -> ExtractionReport {
-    use ba_algos::algorithm1::{Algo1Actor, Algo1Params};
-    use ba_sim::adversary::IgnoreFirst;
-    use std::sync::Arc;
-
-    assert!(t >= 1);
-    let n = 2 * t + 1;
-    let registry = KeyRegistry::new(n, seed, SchemeKind::Hmac);
-    let params = Arc::new(Algo1Params {
-        t,
-        verifier: registry.verifier(),
-    });
-
-    let b_size = 1 + t / 2; // ⌊1 + t/2⌋
-    let demand = 1 + t.div_ceil(2); // ⌈1 + t/2⌉
-    let b_set: Vec<ProcessId> = (1..=b_size as u32).map(ProcessId).collect();
-
-    let mut actors: Vec<Box<dyn Actor<Chain>>> = Vec::with_capacity(n);
-    for p in 0..n as u32 {
-        let id = ProcessId(p);
-        let honest = Algo1Actor::new(
-            params.clone(),
-            id,
-            registry.signer(id),
-            (p == 0).then_some(Value::ONE),
-        );
-        if b_set.contains(&id) {
-            // Ignore the first ⌈t/2⌉ messages; never message other B
-            // members.
-            let ignorer = IgnoreFirst::new(honest, t.div_ceil(2), []);
-            let others: Vec<ProcessId> = b_set.iter().copied().filter(|&q| q != id).collect();
-            actors.push(Box::new(OmitTo::new(ignorer, others)));
-        } else {
-            actors.push(Box::new(honest));
-        }
+/// If the instance has fewer than `⌊1 + t/2⌋ + 1` processors.
+pub fn extract(build: impl Fn(Value) -> InstanceSpec<Chain>, t: usize) -> ExtractionReport {
+    let b_set: Vec<ProcessId> = (1..=(1 + t / 2) as u32).map(ProcessId).collect();
+    let mut spec = build(Value::ONE);
+    for &b in &b_set {
+        let others: Vec<ProcessId> = b_set.iter().copied().filter(|&q| q != b).collect();
+        corrupt(&mut spec, b, |a| {
+            Box::new(OmitTo::new(IgnoreFirst::new(a, t.div_ceil(2)), others))
+        });
     }
-
-    let mut sim = Simulation::new(actors).with_trace();
-    let outcome = sim.run(t + 2);
+    let outcome = crate::record(spec);
     let agreement_held =
         ba_sim::check_byzantine_agreement(&outcome, ProcessId(0), Value::ONE).is_ok();
-
     let mut received = outcome
         .trace
         .received_counts(|q| outcome.correct[q.index()]);
     received.retain(|p, _| b_set.contains(p));
-
     ExtractionReport {
         b_set,
         received_from_correct: received,
-        demand,
+        demand: 1 + t.div_ceil(2),
         agreement_held,
     }
 }
@@ -202,12 +150,27 @@ pub fn extract_algorithm1(t: usize, seed: u64) -> ExtractionReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frugal::QuietBroadcast;
+    use ba_crypto::{KeyRegistry, SchemeKind};
     use ba_sim::checker::AgreementViolation;
+
+    /// The one-shot broadcast over `n` processors, keyed by `seed`.
+    fn quiet(n: usize, seed: u64) -> impl Fn(Value) -> InstanceSpec<Chain> {
+        let registry = KeyRegistry::new(n, seed, SchemeKind::Hmac);
+        move |v| QuietBroadcast::build(n, v, &registry)
+    }
+
+    /// Algorithm 1 at fault budget `t`, keyed by `seed`.
+    fn algorithm1(t: usize, seed: u64) -> impl Fn(Value) -> InstanceSpec<Chain> {
+        let target = *ba_algos::checkable::find_target("algorithm1").unwrap();
+        crate::fault_free(target, 2 * t + 1, t, seed)
+    }
 
     #[test]
     fn starvation_breaks_the_quiet_broadcast() {
-        let attack = attack_quiet(8, 2, 11);
+        let attack = starve(quiet(8, 11), 2);
         assert!(attack.feasible);
+        assert_eq!(attack.victim, ProcessId(7));
         assert_eq!(attack.senders, vec![ProcessId(0)]);
         assert!(attack.victim_starved);
         match attack.violation {
@@ -219,7 +182,7 @@ mod tests {
     #[test]
     fn quiet_broadcast_sits_below_the_message_bound() {
         // n - 1 messages < (1 + t/2)² for large enough t.
-        let attack = attack_quiet(10, 8, 3);
+        let attack = starve(quiet(10, 3), 8);
         let bound = ba_algos::bounds::thm2_message_lower_bound(10, 8);
         assert!(attack.messages_in_h < bound);
     }
@@ -227,7 +190,7 @@ mod tests {
     #[test]
     fn extraction_meets_the_demand_on_algorithm1() {
         for t in 1..=6 {
-            let report = extract_algorithm1(t, 9);
+            let report = extract(algorithm1(t, 9), t);
             assert!(report.agreement_held, "t={t}");
             assert!(
                 report.demand_met(),
@@ -242,7 +205,7 @@ mod tests {
     fn extraction_product_witnesses_the_squared_bound() {
         // |B| * demand ≈ (1 + t/2)²; the witnessed traffic must reach it.
         let t = 6;
-        let report = extract_algorithm1(t, 4);
+        let report = extract(algorithm1(t, 4), t);
         let witnessed: usize = report
             .b_set
             .iter()
@@ -257,21 +220,11 @@ mod tests {
         // In Algorithm 1's value-1 history every processor hears from
         // t + 1 senders (the transmitter plus the opposite side), so the
         // sender set exceeds the fault budget.
-        use ba_algos::{algorithm1::run, RunOptions};
         let t = 3;
-        let report = run(
-            t,
-            Value::ONE,
-            RunOptions {
-                trace: true,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        for p in 1..(2 * t + 1) as u32 {
-            let senders = report.outcome.trace.senders_to(ProcessId(p));
-            assert!(senders.len() > t, "p{p} has only {} senders", senders.len());
-        }
+        let attack = starve(algorithm1(t, 0), t);
+        assert!(!attack.feasible);
+        assert_eq!(attack.senders.len(), t + 1, "{:?}", attack.senders);
+        assert!(attack.violation.is_none());
     }
 
     mod props {
@@ -284,7 +237,7 @@ mod tests {
                 let n = gen.usize_in(4, 12);
                 let seed = gen.u64();
                 let t = 1; // one fault suffices: the only sender is the transmitter
-                let attack = attack_quiet(n, t, seed);
+                let attack = starve(quiet(n, seed), t);
                 assert!(attack.feasible);
                 assert!(attack.violation.is_some());
                 assert!(attack.victim_starved);
@@ -296,7 +249,7 @@ mod tests {
             run_cases(12, 0x72, |gen| {
                 let t = gen.usize_in(1, 6);
                 let seed = gen.u64();
-                let report = extract_algorithm1(t, seed);
+                let report = extract(algorithm1(t, seed), t);
                 assert!(report.agreement_held);
                 assert!(report.demand_met());
             });

@@ -113,24 +113,20 @@ impl<P: Payload, A: Actor<P>> Actor<P> for OmitTo<A> {
 }
 
 /// Behaves like the wrapped honest actor except that it ignores the first
-/// `k` messages it receives from processors in `from_set` (all processors
-/// when the set is empty) — the faulty behaviour of the set `B` in the
+/// `k` messages it receives — the faulty behaviour of the set `B` in the
 /// proof of Theorem 2 ("it ignores the first ⌈t/2⌉ messages received").
 #[derive(Debug)]
 pub struct IgnoreFirst<A> {
     inner: A,
     remaining: usize,
-    from_set: BTreeSet<ProcessId>,
 }
 
 impl<A> IgnoreFirst<A> {
-    /// Wraps `inner`, discarding the first `k` messages received from
-    /// `from_set` (from anyone when `from_set` is empty).
-    pub fn new(inner: A, k: usize, from_set: impl IntoIterator<Item = ProcessId>) -> Self {
+    /// Wraps `inner`, discarding the first `k` messages received.
+    pub fn new(inner: A, k: usize) -> Self {
         IgnoreFirst {
             inner,
             remaining: k,
-            from_set: from_set.into_iter().collect(),
         }
     }
 
@@ -138,20 +134,15 @@ impl<A> IgnoreFirst<A> {
     pub fn remaining(&self) -> usize {
         self.remaining
     }
-}
 
-impl<A> IgnoreFirst<A> {
     fn filter<P: Clone>(&mut self, inbox: Inbox<'_, P>) -> Vec<Envelope<P>> {
-        let mut kept = Vec::with_capacity(inbox.len());
-        for env in inbox {
-            let matches = self.from_set.is_empty() || self.from_set.contains(&env.from);
-            if matches && self.remaining > 0 {
-                self.remaining -= 1;
-            } else {
-                kept.push(env.to_envelope());
-            }
-        }
-        kept
+        let skip = self.remaining.min(inbox.len());
+        self.remaining -= skip;
+        inbox
+            .iter()
+            .skip(skip)
+            .map(|env| env.to_envelope())
+            .collect()
     }
 }
 
@@ -295,7 +286,7 @@ mod tests {
 
     #[test]
     fn ignore_first_discards_prefix() {
-        let mut i = IgnoreFirst::new(Echo::default(), 2, []);
+        let mut i = IgnoreFirst::new(Echo::default(), 2);
         let mut out = Outbox::new(ProcessId(1));
         i.step(2, Inbox::of(&[env(0, 5), env(2, 6), env(3, 7)]), &mut out);
         // First two discarded; only env(3,7) reaches the inner actor.
@@ -304,16 +295,6 @@ mod tests {
         let staged = out.into_staged();
         assert_eq!(staged.len(), 1);
         assert_eq!(staged[0].to, ProcessId(3));
-    }
-
-    #[test]
-    fn ignore_first_respects_from_set() {
-        let mut i = IgnoreFirst::new(Echo::default(), 1, [ProcessId(2)]);
-        let mut out = Outbox::new(ProcessId(1));
-        i.step(2, Inbox::of(&[env(0, 5), env(2, 6)]), &mut out);
-        // env(0,5) passes (not in from_set); env(2,6) is the first match and
-        // is discarded.
-        assert_eq!(i.decision(), Some(Value(5)));
     }
 
     /// Forges uniformly random values.
@@ -501,8 +482,7 @@ mod tests {
         )));
         assert!(!Actor::<Value>::is_correct(&IgnoreFirst::new(
             Echo::default(),
-            0,
-            []
+            0
         )));
     }
 }

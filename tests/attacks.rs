@@ -1,15 +1,31 @@
 //! Integration: the lower-bound attacks of `ba-model` end-to-end —
 //! splicing and starvation break frugal protocols, and the same
-//! prerequisites are denied by the paper's algorithms.
+//! prerequisites are denied by every sound registered target.
 
-use byzantine_agreement::model::{theorem1, theorem2};
-use byzantine_agreement::sim::AgreementViolation;
+use byzantine_agreement::algos::bounds::thm1_signature_lower_bound;
+use byzantine_agreement::algos::checkable::{find_target, targets};
+use byzantine_agreement::crypto::{Chain, KeyRegistry, SchemeKind, Value};
+use byzantine_agreement::model::frugal::{FrugalBroadcast, QuietBroadcast};
+use byzantine_agreement::model::{fault_free, theorem1, theorem2};
+use byzantine_agreement::sim::{AgreementViolation, InstanceSpec};
+
+/// The `k`-relay broadcast over `n` processors, keyed by `seed`.
+fn frugal(n: usize, k: usize, seed: u64) -> impl Fn(Value) -> InstanceSpec<Chain> {
+    let registry = KeyRegistry::new(n, seed, SchemeKind::Hmac);
+    move |v| FrugalBroadcast::build(n, k, v, &registry)
+}
+
+/// Algorithm 1 at fault budget `t`, keyed by `seed`.
+fn algorithm1(t: usize, seed: u64) -> impl Fn(Value) -> InstanceSpec<Chain> {
+    let target = *find_target("algorithm1").unwrap();
+    fault_free(target, 2 * t + 1, t, seed)
+}
 
 #[test]
 fn theorem1_attack_succeeds_exactly_when_a_set_fits_the_budget() {
     // k relays => |A(victim)| = k + 1.
     for (n, t, k) in [(9usize, 3usize, 2usize), (11, 4, 3), (13, 5, 4)] {
-        let a = theorem1::attack_frugal(n, t, k, 99);
+        let a = theorem1::attack(frugal(n, k, 99), t);
         assert!(a.feasible, "n={n} t={t} k={k}");
         assert!(a.victim_view_preserved);
         assert!(matches!(
@@ -18,7 +34,7 @@ fn theorem1_attack_succeeds_exactly_when_a_set_fits_the_budget() {
         ));
     }
     for (n, t, k) in [(9usize, 2usize, 3usize), (11, 3, 4)] {
-        let a = theorem1::attack_frugal(n, t, k, 99);
+        let a = theorem1::attack(frugal(n, k, 99), t);
         assert!(!a.feasible, "n={n} t={t} k={k}");
         assert!(a.violation.is_none());
     }
@@ -27,14 +43,15 @@ fn theorem1_attack_succeeds_exactly_when_a_set_fits_the_budget() {
 #[test]
 fn theorem1_prerequisite_denied_by_algorithm1_for_all_t() {
     for t in 1..=5 {
-        assert!(theorem1::audit_algorithm1(t, 123) > t);
+        assert!(theorem1::attack(algorithm1(t, 123), t).a_set.len() > t);
     }
 }
 
 #[test]
 fn theorem2_starvation_succeeds_against_quiet_broadcast() {
     for (n, t) in [(5usize, 1usize), (9, 3), (14, 5)] {
-        let a = theorem2::attack_quiet(n, t, 5);
+        let registry = KeyRegistry::new(n, 5, SchemeKind::Hmac);
+        let a = theorem2::starve(|v| QuietBroadcast::build(n, v, &registry), t);
         assert!(a.feasible);
         assert!(a.victim_starved);
         assert!(a.violation.is_some(), "n={n} t={t}");
@@ -45,7 +62,7 @@ fn theorem2_starvation_succeeds_against_quiet_broadcast() {
 fn theorem2_extraction_never_falls_short() {
     for t in 1..=8 {
         for seed in [0u64, 17, 991] {
-            let r = theorem2::extract_algorithm1(t, seed);
+            let r = theorem2::extract(algorithm1(t, seed), t);
             assert!(r.agreement_held, "t={t} seed={seed}");
             assert!(
                 r.demand_met(),
@@ -56,11 +73,55 @@ fn theorem2_extraction_never_falls_short() {
     }
 }
 
+/// Theorems 1 and 2 hold for every correct algorithm, so every sound
+/// registered target must deny both proofs their prerequisites: no
+/// splice fits the budget, no victim can be starved, every `B`-set
+/// ignorer is still sent its due, and some fault-free history carries the
+/// theorem's `n(t+1)/4` signatures.
+#[test]
+fn every_sound_target_denies_the_lower_bound_attacks() {
+    let mut cells = 0;
+    for target in targets().iter().filter(|target| target.sound) {
+        for t in 1..=6 {
+            for n in [2 * t + 1, 2 * t + 3, 4 * t + 4] {
+                if !target.supports(n, t) {
+                    continue;
+                }
+                let at = format!("{} n={n} t={t}", target.name);
+                let build = fault_free(*target, n, t, 0);
+
+                let splice = theorem1::attack(&build, t);
+                assert!(!splice.feasible, "{at}: A(p) = {:?}", splice.a_set);
+                assert!(splice.a_set.len() > t, "{at}");
+                let bound = thm1_signature_lower_bound(n as u64, t as u64);
+                assert!(
+                    splice.max_signatures_h_g >= bound,
+                    "{at}: {} < {bound}",
+                    splice.max_signatures_h_g
+                );
+
+                let starved = theorem2::starve(&build, t);
+                assert!(!starved.feasible, "{at}: senders {:?}", starved.senders);
+
+                let extracted = theorem2::extract(&build, t);
+                assert!(extracted.agreement_held, "{at}");
+                assert!(
+                    extracted.demand_met(),
+                    "{at}: {:?}",
+                    extracted.received_from_correct
+                );
+                cells += 1;
+            }
+        }
+    }
+    assert!(cells > 0);
+}
+
 #[test]
 fn attacks_are_deterministic_per_seed() {
-    let a = theorem1::attack_frugal(9, 3, 2, 7);
-    let b = theorem1::attack_frugal(9, 3, 2, 7);
+    let a = theorem1::attack(frugal(9, 2, 7), 3);
+    let b = theorem1::attack(frugal(9, 2, 7), 3);
     assert_eq!(a.a_set, b.a_set);
     assert_eq!(a.violation.is_some(), b.violation.is_some());
-    assert_eq!(a.signatures_in_h, b.signatures_in_h);
+    assert_eq!(a.max_signatures_h_g, b.max_signatures_h_g);
 }

@@ -83,7 +83,7 @@ fn algorithm1_with_coordinated_starvation_attempt() {
         Box::new(honest(0, Some(Value::ONE))),
         Box::new(OmitTo::new(honest(1, None), [victim])),
         Box::new(OmitTo::new(honest(2, None), [victim])),
-        Box::new(IgnoreFirst::new(honest(3, None), 2, [])),
+        Box::new(IgnoreFirst::new(honest(3, None), 2)),
     ];
     for p in 4..n as u32 {
         actors.push(Box::new(honest(p, None)));
