@@ -19,18 +19,16 @@
 //!
 //! Bounds (Theorem 3): `t + 2` phases and at most `2t² + 2t` messages.
 //!
-//! The module also ships the adversaries that drive the algorithm's
-//! interesting executions: an equivocating transmitter and a
-//! chain-withholding coalition that releases a correct 1-message as late as
-//! possible.
+//! The module also ships the adversary that drives the algorithm's tail
+//! phases: a chain-withholding coalition that releases a correct 1-message
+//! as late as possible. An equivocating transmitter is the shared
+//! [`SplitTransmitter`](crate::common::SplitTransmitter).
 
-use crate::common::{domains, instance, run_report, AlgoReport, RunOptions};
-use crate::fuzz::ChainFuzzer;
+use crate::common::{chain_adversary, domains, instance, run_report, AlgoReport, RunOptions};
 use ba_crypto::{Chain, KeyRegistry, ProcessId, Signer, Value, Verifier};
 use ba_sim::actor::{Actor, Inbox, Outbox};
 use ba_sim::schedule::{FaultBehavior, ScheduleError, ScheduleSpec};
 use ba_sim::{AgreementViolation, InstanceSpec};
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Which side of the bipartite graph a processor belongs to.
@@ -228,57 +226,9 @@ impl Actor<Chain> for Algo1Actor {
     }
 }
 
-/// Adversaries for Algorithm 1.
+/// Algorithm 1's own adversary.
 pub mod adversaries {
     use super::*;
-
-    /// A faulty transmitter that sends a signed `1` to `ones`, a signed `0`
-    /// to `zeros`, and nothing to anyone else.
-    #[derive(Debug)]
-    pub struct EquivocatingTransmitter {
-        signer: Signer,
-        ones: BTreeSet<ProcessId>,
-        zeros: BTreeSet<ProcessId>,
-    }
-
-    impl EquivocatingTransmitter {
-        /// Creates the adversary; `signer` must be the transmitter's.
-        pub fn new(
-            signer: Signer,
-            ones: impl IntoIterator<Item = ProcessId>,
-            zeros: impl IntoIterator<Item = ProcessId>,
-        ) -> Self {
-            EquivocatingTransmitter {
-                signer,
-                ones: ones.into_iter().collect(),
-                zeros: zeros.into_iter().collect(),
-            }
-        }
-    }
-
-    impl Actor<Chain> for EquivocatingTransmitter {
-        fn step(&mut self, phase: usize, _inbox: Inbox<'_, Chain>, out: &mut Outbox<Chain>) {
-            if phase != 1 {
-                return;
-            }
-            let mut one = Chain::new(domains::ALG1, Value::ONE);
-            one.sign_and_append(&self.signer);
-            for &p in &self.ones {
-                out.send(p, one.clone());
-            }
-            let mut zero = Chain::new(domains::ALG1, Value::ZERO);
-            zero.sign_and_append(&self.signer);
-            for &p in &self.zeros {
-                out.send(p, zero.clone());
-            }
-        }
-        fn decision(&self) -> Option<Value> {
-            None
-        }
-        fn is_correct(&self) -> bool {
-            false
-        }
-    }
 
     /// A coalition member in the chain-withholding attack: the faulty
     /// transmitter starts a 1-chain that crawls through the coalition
@@ -374,9 +324,11 @@ pub mod adversaries {
 }
 
 /// Builds and runs an Algorithm 1 scenario with `n = 2t + 1` processors.
-/// The schedule's `Equivocate` is an equivocating transmitter, `Withhold`
-/// a chain-withholding coalition (see [`withholding`]), `Forge` a
-/// [`ChainFuzzer`] spammer.
+/// The schedule's `Withhold` is a chain-withholding coalition (see
+/// [`withholding`]), `Equivocate { ones }` a
+/// [`SplitTransmitter`](crate::common::SplitTransmitter) signing `1` for
+/// `ones` and `0` for the rest, `Forge` a
+/// [`ChainFuzzer`](crate::fuzz::ChainFuzzer) spammer.
 ///
 /// # Errors
 /// Returns the [`AgreementViolation`] if the run broke agreement (which
@@ -442,16 +394,12 @@ pub fn withholding(t: usize, extra: usize, release: usize) -> ScheduleSpec {
 }
 
 /// Algorithm 1's adversary hook for [`ScheduleSpec::compile`]:
+/// `Withhold { release }` is a [`WithholdingMember`] of the coalition of
+/// every `Withhold` carrier in `schedule`, ordered transmitter first and
+/// then alternating sides (`p0, 1, t+1, 2, t+2, …`) so the private chain
+/// stays a path in `G`; every other behaviour goes to the shared chain
+/// adversary, signing in [`domains::ALG1`].
 ///
-/// * `Equivocate { ones }` — an [`EquivocatingTransmitter`] signing `1`
-///   for `ones` and `0` for every other processor;
-/// * `Withhold { release }` — a [`WithholdingMember`] of the coalition
-///   of every `Withhold` carrier in `schedule`, ordered transmitter first
-///   and then alternating sides (`p0, 1, t+1, 2, t+2, …`) so the private
-///   chain stays a path in `G`;
-/// * `Forge` — a [`ChainFuzzer`] spammer.
-///
-/// [`EquivocatingTransmitter`]: adversaries::EquivocatingTransmitter
 /// [`WithholdingMember`]: adversaries::WithholdingMember
 fn adversary<'a>(
     params: &'a Arc<Algo1Params>,
@@ -471,29 +419,16 @@ fn adversary<'a>(
         Side::B => (p.index() - t, 1),
     });
     move |p, behavior| -> Option<Box<dyn Actor<Chain>>> {
-        Some(match behavior {
-            FaultBehavior::Equivocate { ones } => {
-                let zeros = (1..params.n() as u32)
-                    .map(ProcessId)
-                    .filter(|q| !ones.contains(q));
-                Box::new(adversaries::EquivocatingTransmitter::new(
-                    registry.signer(p),
-                    ones.iter().copied(),
-                    zeros,
-                ))
-            }
-            FaultBehavior::Withhold { release } => Box::new(adversaries::WithholdingMember::new(
-                params.clone(),
-                registry.signer(p),
-                coalition.clone(),
-                coalition.iter().position(|&q| q == p)?,
-                *release,
-            )),
-            FaultBehavior::Forge { seed, per_phase } => {
-                ChainFuzzer::spammer(registry, p, *seed, *per_phase)
-            }
-            _ => return None,
-        })
+        let FaultBehavior::Withhold { release } = *behavior else {
+            return chain_adversary(registry, domains::ALG1, p, behavior);
+        };
+        Some(Box::new(adversaries::WithholdingMember::new(
+            params.clone(),
+            registry.signer(p),
+            coalition.clone(),
+            coalition.iter().position(|&q| q == p)?,
+            release,
+        )))
     }
 }
 

@@ -21,7 +21,9 @@
 //! *set*. Messages at most double: `2 · (2t² + 2t)`.
 
 use crate::algorithm1::Algo1Params;
-use crate::common::{domains, instance, run_report, AlgoReport, RunOptions};
+use crate::common::{
+    chain_adversary, domains, instance, run_report, AlgoReport, RunOptions, SplitTransmitter,
+};
 use ba_crypto::{Chain, KeyRegistry, ProcessId, Signer, Value};
 use ba_sim::actor::{Actor, Inbox, Outbox};
 use ba_sim::schedule::FaultBehavior;
@@ -123,50 +125,12 @@ impl Actor<Chain> for Algo1MultiActor {
     }
 }
 
-/// A transmitter that signs a different value, `100 + p`, for every
-/// receiver `p` in `ones` and `0` for the rest — with every receiver in
-/// `ones`, the strongest equivocation the multi-valued setting allows.
-#[derive(Debug)]
-pub struct RainbowTransmitter {
-    signer: Signer,
-    n: usize,
-    ones: Vec<ProcessId>,
-}
-
-impl RainbowTransmitter {
-    /// Creates the adversary.
-    pub fn new(signer: Signer, n: usize, ones: Vec<ProcessId>) -> Self {
-        RainbowTransmitter { signer, n, ones }
-    }
-}
-
-impl Actor<Chain> for RainbowTransmitter {
-    fn step(&mut self, phase: usize, _inbox: Inbox<'_, Chain>, out: &mut Outbox<Chain>) {
-        if phase != 1 {
-            return;
-        }
-        for p in 1..self.n as u32 {
-            let value = if self.ones.contains(&ProcessId(p)) {
-                Value(100 + p as u64)
-            } else {
-                Value::ZERO
-            };
-            let mut chain = Chain::new(domains::ALG1, value);
-            chain.sign_and_append(&self.signer);
-            out.send(ProcessId(p), chain);
-        }
-    }
-    fn decision(&self) -> Option<Value> {
-        None
-    }
-    fn is_correct(&self) -> bool {
-        false
-    }
-}
-
 /// Runs the multi-valued Algorithm 1 with any `value` (not just binary).
 /// The schedule's `Equivocate { ones }` on the transmitter is a
-/// [`RainbowTransmitter`] giving each of `ones` its own value.
+/// [`SplitTransmitter`] giving each `p` of `ones` its own value `100 + p`
+/// and `0` to the rest — with every receiver in `ones`, the strongest
+/// equivocation the multi-valued setting allows. `Forge` is a
+/// [`ChainFuzzer`](crate::fuzz::ChainFuzzer) spammer.
 ///
 /// ```
 /// use ba_algos::algorithm1_multi::run;
@@ -207,13 +171,14 @@ pub fn run(
     };
     let adversary = |p, behavior: &FaultBehavior| -> Option<Box<dyn Actor<Chain>>> {
         let FaultBehavior::Equivocate { ones } = behavior else {
-            return None;
+            return chain_adversary(&registry, domains::ALG1, p, behavior);
         };
-        Some(Box::new(RainbowTransmitter::new(
-            registry.signer(p),
-            n,
-            ones.clone(),
-        )))
+        let values = (0..n as u32).map(|q| match ones.binary_search(&ProcessId(q)) {
+            Ok(_) => Value(100 + u64::from(q)),
+            Err(_) => Value::ZERO,
+        });
+        let split = SplitTransmitter::new(registry.signer(p), domains::ALG1, values);
+        Some(Box::new(split))
     };
     let spec = instance(&options.schedule, (n, t, t + 2), None, honest, adversary);
     run_report(spec, &options, value)

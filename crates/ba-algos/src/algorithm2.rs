@@ -22,8 +22,9 @@
 //! [`Board`] in [`common`](crate::common) so callers can inspect it after the run.
 
 use crate::algorithm1::{Algo1Actor, Algo1Params};
-use crate::common::{domains, instance, run_report, AlgoReport, Board, RunOptions};
-use crate::fuzz::ChainFuzzer;
+use crate::common::{
+    chain_adversary, domains, instance, run_report, AlgoReport, Board, RunOptions,
+};
 use ba_crypto::{Chain, KeyRegistry, ProcessId, Signer, Value, Verifier};
 use ba_sim::actor::{Actor, Inbox, Outbox};
 use ba_sim::schedule::FaultBehavior;
@@ -328,7 +329,9 @@ pub struct Algo2Report {
 
 /// Builds and runs an Algorithm 2 scenario with `n = 2t + 1` processors.
 /// The schedule's `Lie { value }` is a [`WrongValueGossip`] pushing
-/// `value`, `Forge` a [`ChainFuzzer`] spammer.
+/// `value`; `Equivocate` and `Forge` are Algorithm 1's (see
+/// [`algorithm1::run`](crate::algorithm1::run)), since the transmitter
+/// signs only in the Algorithm 1 prefix.
 ///
 /// [`WrongValueGossip`]: adversaries::WrongValueGossip
 ///
@@ -374,19 +377,16 @@ pub fn run(t: usize, value: Value, options: RunOptions) -> Result<Algo2Report, A
         ))
     };
     let adversary = |p, behavior: &FaultBehavior| -> Option<Box<dyn Actor<Chain>>> {
-        match *behavior {
-            FaultBehavior::Lie { value } => Some(Box::new(adversaries::WrongValueGossip::new(
-                params.clone(),
-                p,
-                registry.signer(p),
-                proofs.clone(),
-                value,
-            ))),
-            FaultBehavior::Forge { seed, per_phase } => {
-                Some(ChainFuzzer::spammer(&registry, p, seed, per_phase))
-            }
-            _ => None,
-        }
+        let FaultBehavior::Lie { value } = *behavior else {
+            return chain_adversary(&registry, domains::ALG1, p, behavior);
+        };
+        Some(Box::new(adversaries::WrongValueGossip::new(
+            params.clone(),
+            p,
+            registry.signer(p),
+            proofs.clone(),
+            value,
+        )))
     };
     let dims = (n, t, 3 * t + 3);
     let spec = instance(&options.schedule, dims, None, honest, adversary);
@@ -529,6 +529,25 @@ mod tests {
                 if r.report.outcome.correct[i] {
                     assert_eq!(p.value(), Value::ONE, "p{i} holds wrong-value proof");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn equivocating_transmitter_agrees_within_bounds() {
+        for t in 1..=4 {
+            let n = 2 * t as u32 + 1;
+            for ones in [vec![], (1..n).step_by(2).collect(), (1..n).collect()] {
+                let ones: Vec<ProcessId> = ones.into_iter().map(ProcessId).collect();
+                let at = format!("t={t} ones={ones:?}");
+                let behavior = FaultBehavior::Equivocate { ones };
+                let schedule = ScheduleSpec::each([ProcessId(0)], behavior);
+                let r = run(t, Value::ONE, RunOptions::new().with_schedule(schedule));
+                let r = r.unwrap_or_else(|v| panic!("{at}: {v}"));
+                assert!(r.report.verdict.agreed.is_some(), "{at}");
+                assert_all_correct_hold_proofs(&r, t);
+                let msgs = r.report.outcome.metrics.messages_by_correct;
+                assert!(msgs <= bounds::alg2_max_messages(t as u64), "{at}: {msgs}");
             }
         }
     }

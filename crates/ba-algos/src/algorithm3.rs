@@ -25,8 +25,7 @@
 //! intro's trade-off of `t + 3 + 2⌈t/α⌉` phases and `O(αn)` messages.
 
 use crate::algorithm1::{Algo1Actor, Algo1Params};
-use crate::common::{domains, instance, run_report, AlgoReport, RunOptions};
-use crate::fuzz::ChainFuzzer;
+use crate::common::{chain_adversary, domains, instance, run_report, AlgoReport, RunOptions};
 use ba_crypto::{Chain, KeyRegistry, ProcessId, Signer, Value, Verifier};
 use ba_sim::actor::{Actor, Inbox, Outbox};
 use ba_sim::schedule::FaultBehavior;
@@ -166,6 +165,26 @@ impl Alg3Params {
             && chain.len() == 1
             && chain.first_signer().is_some_and(|s| self.is_active(s))
             && chain.verify(&self.verifier).is_ok()
+    }
+
+    /// The values the actives' direct messages in `inbox` carry with more
+    /// than `t` distinct signers, each message signed by its own sender,
+    /// in increasing order.
+    pub(crate) fn direct_quorum(&self, inbox: Inbox<'_, Chain>) -> Vec<Value> {
+        let mut by_value: BTreeMap<Value, BTreeSet<ProcessId>> = BTreeMap::new();
+        for env in inbox {
+            if self.is_direct(env.payload) && env.payload.first_signer() == Some(env.from) {
+                by_value
+                    .entry(env.payload.value())
+                    .or_default()
+                    .insert(env.from);
+            }
+        }
+        by_value
+            .into_iter()
+            .filter(|(_, signers)| signers.len() > self.t)
+            .map(|(v, _)| v)
+            .collect()
     }
 
     /// Whether `chain` is a well-formed collection chain for `group`:
@@ -330,23 +349,7 @@ impl Actor<Chain> for Alg3Root {
         if phase == t + 4 {
             // Active value messages (sent at t+3): take the unique value
             // with >= t+1 distinct active signers.
-            let mut by_value: BTreeMap<Value, BTreeSet<ProcessId>> = BTreeMap::new();
-            for env in inbox {
-                if self.params.is_direct(env.payload)
-                    && env.payload.first_signer() == Some(env.from)
-                {
-                    by_value
-                        .entry(env.payload.value())
-                        .or_default()
-                        .insert(env.from);
-                }
-            }
-            let quorum: Vec<Value> = by_value
-                .iter()
-                .filter(|(_, signers)| signers.len() > t)
-                .map(|(&v, _)| v)
-                .collect();
-            if let [v] = quorum[..] {
+            if let [v] = self.params.direct_quorum(inbox)[..] {
                 self.m = Some(Chain::new(self.group.domain(), v));
             }
             if let Some(wrong) = self.lie {
@@ -432,23 +435,6 @@ impl Alg3Member {
             phase: 0,
         }
     }
-
-    fn absorb_direct(&mut self, inbox: Inbox<'_, Chain>) {
-        let mut by_value: BTreeMap<Value, BTreeSet<ProcessId>> = BTreeMap::new();
-        for env in inbox {
-            if self.params.is_direct(env.payload) && env.payload.first_signer() == Some(env.from) {
-                by_value
-                    .entry(env.payload.value())
-                    .or_default()
-                    .insert(env.from);
-            }
-        }
-        for (v, signers) in by_value {
-            if signers.len() > self.params.t {
-                self.from_actives = Some(v);
-            }
-        }
-    }
 }
 
 impl Actor<Chain> for Alg3Member {
@@ -480,7 +466,8 @@ impl Actor<Chain> for Alg3Member {
 
     fn finalize(&mut self, inbox: Inbox<'_, Chain>) {
         if self.phase == self.params.phases() {
-            self.absorb_direct(inbox);
+            // The largest value received from >= t+1 actives.
+            self.from_actives = self.params.direct_quorum(inbox).last().copied();
         }
     }
 
@@ -518,8 +505,10 @@ pub fn honest(
 }
 
 /// Builds and runs an Algorithm 3 scenario. The schedule's `Lie { value }`
-/// on a group root is a lying [`Alg3Root`] pushing `value`, `Forge` a
-/// [`ChainFuzzer`] spammer.
+/// on a group root is a lying [`Alg3Root`] pushing `value`; `Equivocate`
+/// and `Forge` are Algorithm 1's (see
+/// [`algorithm1::run`](crate::algorithm1::run)), since the transmitter
+/// signs only in the actives' Algorithm 1 prefix.
 ///
 /// ```
 /// use ba_algos::algorithm3::run;
@@ -552,14 +541,11 @@ pub fn run(
     let params = Arc::new(Alg3Params::new(n, t, s, registry.verifier()));
 
     let adversary = |p, behavior: &FaultBehavior| -> Option<Box<dyn Actor<Chain>>> {
-        match *behavior {
-            FaultBehavior::Lie { value } => match params.group_of(p)? {
-                (group, 1) => Some(Box::new(Alg3Root::new_lying(params.clone(), group, value))),
-                _ => None,
-            },
-            FaultBehavior::Forge { seed, per_phase } => {
-                Some(ChainFuzzer::spammer(&registry, p, seed, per_phase))
-            }
+        let FaultBehavior::Lie { value } = *behavior else {
+            return chain_adversary(&registry, domains::ALG1, p, behavior);
+        };
+        match params.group_of(p)? {
+            (group, 1) => Some(Box::new(Alg3Root::new_lying(params.clone(), group, value))),
             _ => None,
         }
     };
@@ -753,6 +739,27 @@ mod tests {
         )
         .unwrap();
         assert_eq!(r.verdict.agreed, Some(Value::ONE));
+    }
+
+    #[test]
+    fn equivocating_transmitter_agrees_within_bounds() {
+        let s = 2;
+        for t in 1..=4 {
+            // Two full groups and a short one.
+            let n = 2 * t + 1 + 2 * s + 1;
+            for ones in [vec![], (1..n).step_by(2).collect(), (1..n).collect()] {
+                let ones: Vec<ProcessId> = ones.into_iter().map(|p| ProcessId(p as u32)).collect();
+                let at = format!("t={t} ones={ones:?}");
+                let behavior = FaultBehavior::Equivocate { ones };
+                let schedule = ScheduleSpec::each([ProcessId(0)], behavior);
+                let options = RunOptions::new().with_schedule(schedule);
+                let r = run(n, t, s, Value::ONE, options).unwrap_or_else(|v| panic!("{at}: {v}"));
+                assert!(r.verdict.agreed.is_some(), "{at}");
+                let msgs = r.outcome.metrics.messages_by_correct;
+                let bound = bounds::alg3_max_messages(n as u64, t as u64, s as u64);
+                assert!(msgs <= bound, "{at}: {msgs} > {bound}");
+            }
+        }
     }
 
     #[test]

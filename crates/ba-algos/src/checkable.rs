@@ -560,6 +560,33 @@ mod tests {
     }
 
     #[test]
+    fn a_non_zero_transmitter_equivocates_to_everyone_else() {
+        let ones = vec![ProcessId(0)];
+        let spec = ScheduleSpec::each([ProcessId(2)], FaultBehavior::Equivocate { ones });
+        let mut config = cfg(4, 1, spec);
+        config.transmitter = ProcessId(2);
+        let ds = find_target("ds-broadcast").unwrap();
+        ds.validate(&config).unwrap();
+        let instance = InstanceSpec::from(ds.build(&config).unwrap());
+        let phases = instance.phases;
+        let mut sim = ba_sim::Simulation::from(instance).with_trace();
+        let trace = sim.run(phases).trace;
+        let sent: Vec<_> = trace.phases[0]
+            .iter()
+            .map(|e| (e.from, e.to, e.payload.value()))
+            .collect();
+        let (p0, p1, p2, p3) = (ProcessId(0), ProcessId(1), ProcessId(2), ProcessId(3));
+        assert_eq!(
+            sent,
+            [
+                (p2, p0, Value::ONE),
+                (p2, p1, Value::ZERO),
+                (p2, p3, Value::ZERO)
+            ]
+        );
+    }
+
+    #[test]
     fn sound_targets_survive_restriction_schedules() {
         let specs = [
             ScheduleSpec::default(),

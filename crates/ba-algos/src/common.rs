@@ -6,10 +6,12 @@
 //! the checker registers exposes that build as its public `build`, so its
 //! `run` and its check targets construct the same actors the same way.
 
-use ba_crypto::{KeyRegistry, ProcessId, SchemeKind, Value};
+use crate::fuzz::ChainFuzzer;
+use ba_crypto::{Chain, KeyRegistry, ProcessId, SchemeKind, Signer, Value};
 use ba_sim::engine::{InstanceSpec, RunOutcome};
 use ba_sim::schedule::{FaultBehavior, ScheduleError, ScheduleSpec};
 use ba_sim::{Actor, AgreementViolation, Envelope, Inbox, Outbox, Payload, RunVerdict, Simulation};
+use std::collections::BTreeMap;
 
 /// Chain/signature domain tags, one per protocol message space, so a
 /// signature produced inside one algorithm can never be replayed into
@@ -237,6 +239,89 @@ pub(crate) fn run_report<P: Payload, M>(
         spec.run_lockstep(options.threads)
     };
     into_report(outcome, ProcessId(0), sent)
+}
+
+/// The faulty transmitter of a signature-chain protocol, the defining
+/// Byzantine move of the signed-message model: in phase 1 it signs each
+/// distinct value once under its domain and sends every other processor
+/// `q` the chain for `values[q]`; then it stays silent.
+#[derive(Debug)]
+pub struct SplitTransmitter {
+    signer: Signer,
+    domain: u32,
+    values: Vec<Value>,
+}
+
+impl SplitTransmitter {
+    /// Creates the transmitter signing as `signer` under `domain`; the
+    /// `q`-th of `values` is what processor `q` is sent (the signer's own
+    /// entry is ignored).
+    pub fn new(signer: Signer, domain: u32, values: impl IntoIterator<Item = Value>) -> Self {
+        let values = values.into_iter().collect();
+        SplitTransmitter {
+            signer,
+            domain,
+            values,
+        }
+    }
+}
+
+impl Actor<Chain> for SplitTransmitter {
+    fn step(&mut self, phase: usize, _inbox: Inbox<'_, Chain>, out: &mut Outbox<Chain>) {
+        if phase != 1 {
+            return;
+        }
+        let mut signed: BTreeMap<Value, Chain> = BTreeMap::new();
+        for (q, &value) in self.values.iter().enumerate() {
+            let q = ProcessId(q as u32);
+            if q == self.signer.id() {
+                continue;
+            }
+            let chain = signed.entry(value).or_insert_with(|| {
+                let mut chain = Chain::new(self.domain, value);
+                chain.sign_and_append(&self.signer);
+                chain
+            });
+            out.send(q, chain.clone());
+        }
+    }
+    fn decision(&self) -> Option<Value> {
+        None
+    }
+    fn is_correct(&self) -> bool {
+        false
+    }
+}
+
+/// The adversary hook every signature-chain protocol's own hook falls
+/// through to, with the domain its transmitter signs in:
+/// `Equivocate { ones }` is a [`SplitTransmitter`] signing `1` for `ones`
+/// and `0` for everyone else, `Forge` a [`ChainFuzzer`] spammer, and
+/// every other behaviour is unmapped.
+pub(crate) fn chain_adversary(
+    registry: &KeyRegistry,
+    domain: u32,
+    p: ProcessId,
+    behavior: &FaultBehavior,
+) -> Option<Box<dyn Actor<Chain>>> {
+    match behavior {
+        FaultBehavior::Equivocate { ones } => {
+            let values =
+                (0..registry.len() as u32).map(|q| match ones.binary_search(&ProcessId(q)) {
+                    Ok(_) => Value::ONE,
+                    Err(_) => Value::ZERO,
+                });
+            Some(Box::new(SplitTransmitter::new(
+                registry.signer(p),
+                domain,
+                values,
+            )))
+        }
+        FaultBehavior::Forge { seed, per_phase } => {
+            Some(ChainFuzzer::spammer(registry, p, *seed, *per_phase))
+        }
+        _ => None,
+    }
 }
 
 /// A nested protocol's share of `inbox`: each message `pick` maps to a

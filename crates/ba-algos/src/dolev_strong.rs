@@ -21,11 +21,10 @@
 //! Decision: the unique extracted value, or the default `0` when zero or
 //! several values were extracted.
 
-use crate::common::{domains, instance, run_report, AlgoReport, RunOptions};
-use crate::fuzz::ChainFuzzer;
+use crate::common::{chain_adversary, domains, instance, run_report, AlgoReport, RunOptions};
 use ba_crypto::{Chain, KeyRegistry, ProcessId, Signer, Value, Verifier};
 use ba_sim::actor::{Actor, Inbox, Outbox};
-use ba_sim::schedule::{FaultBehavior, ScheduleError, ScheduleSpec};
+use ba_sim::schedule::{ScheduleError, ScheduleSpec};
 use ba_sim::{AgreementViolation, InstanceSpec};
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -243,69 +242,11 @@ impl Actor<Chain> for DsActor {
     }
 }
 
-/// An equivocating transmitter for Dolev–Strong: signs `a` for one subset
-/// and `b` for the rest.
-#[derive(Debug)]
-pub struct DsEquivocator {
-    signer: Signer,
-    n: usize,
-    a: Value,
-    a_set: BTreeSet<ProcessId>,
-    b: Value,
-}
-
-impl DsEquivocator {
-    /// Creates the adversary sending `a` to `a_set` and `b` elsewhere.
-    pub fn new(
-        signer: Signer,
-        n: usize,
-        a: Value,
-        a_set: impl IntoIterator<Item = ProcessId>,
-        b: Value,
-    ) -> Self {
-        DsEquivocator {
-            signer,
-            n,
-            a,
-            a_set: a_set.into_iter().collect(),
-            b,
-        }
-    }
-}
-
-impl Actor<Chain> for DsEquivocator {
-    fn step(&mut self, phase: usize, _inbox: Inbox<'_, Chain>, out: &mut Outbox<Chain>) {
-        if phase != 1 {
-            return;
-        }
-        let mut ca = Chain::new(domains::DOLEV_STRONG, self.a);
-        ca.sign_and_append(&self.signer);
-        let mut cb = Chain::new(domains::DOLEV_STRONG, self.b);
-        cb.sign_and_append(&self.signer);
-        for p in 1..self.n as u32 {
-            let id = ProcessId(p);
-            out.send(
-                id,
-                if self.a_set.contains(&id) {
-                    ca.clone()
-                } else {
-                    cb.clone()
-                },
-            );
-        }
-    }
-    fn decision(&self) -> Option<Value> {
-        None
-    }
-    fn is_correct(&self) -> bool {
-        false
-    }
-}
-
 /// Options for [`run`]: the shared [`RunOptions`] with the message pattern
 /// as its `variant`. The schedule's `Equivocate { ones }` is a
-/// [`DsEquivocator`] signing `1` for `ones` and `0` for the rest, `Forge`
-/// a [`ChainFuzzer`] spammer.
+/// [`SplitTransmitter`](crate::common::SplitTransmitter) signing `1` for
+/// `ones` and `0` for the rest, `Forge` a
+/// [`ChainFuzzer`](crate::fuzz::ChainFuzzer) spammer.
 pub type DsOptions = RunOptions<Variant>;
 
 impl DsOptions {
@@ -378,7 +319,7 @@ pub fn build(
         (params.n, params.t, params.phases()),
         Some(registry),
         |p| honest(&params, registry, p, value),
-        |p, b| adversary(registry, p, b),
+        |p, b| chain_adversary(registry, params.domain, p, b),
     )
 }
 
@@ -393,34 +334,12 @@ fn honest(
     Box::new(DsActor::new(params.clone(), p, registry.signer(p), own))
 }
 
-/// Dolev–Strong's adversary hook for [`ScheduleSpec::compile`]:
-/// `Equivocate { ones }` is a [`DsEquivocator`] signing `1` for `ones` and
-/// `0` for everyone else, `Forge` a [`ChainFuzzer`] spammer.
-fn adversary(
-    registry: &KeyRegistry,
-    p: ProcessId,
-    behavior: &FaultBehavior,
-) -> Option<Box<dyn Actor<Chain>>> {
-    match behavior {
-        FaultBehavior::Equivocate { ones } => Some(Box::new(DsEquivocator::new(
-            registry.signer(p),
-            registry.len(),
-            Value::ONE,
-            ones.iter().copied(),
-            Value::ZERO,
-        ))),
-        FaultBehavior::Forge { seed, per_phase } => {
-            Some(ChainFuzzer::spammer(registry, p, *seed, *per_phase))
-        }
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bounds;
     use ba_crypto::SchemeKind;
+    use ba_sim::schedule::FaultBehavior;
 
     #[test]
     fn fault_free_agrees_both_variants() {
@@ -491,6 +410,24 @@ mod tests {
             // Everyone extracts both values and falls to the default.
             assert_eq!(r.verdict.agreed, Some(Value::ZERO), "{variant:?}");
         }
+    }
+
+    #[test]
+    fn equivocator_signs_in_the_instance_domain() {
+        // An embedding runs Dolev–Strong under its own domain; a
+        // transmitter signing 1 for everyone else is then heard in it.
+        let (n, t) = (7, 2);
+        let registry = KeyRegistry::new(n, 0, SchemeKind::Fast);
+        let mut params = DsParams::standard(n, t, Variant::Broadcast, registry.verifier());
+        params.domain = domains::DOLEV_STRONG + 100;
+        let ones = (1..n as u32).map(ProcessId).collect();
+        let schedule = ScheduleSpec::each([ProcessId(0)], FaultBehavior::Equivocate { ones });
+        let spec = build(params, &registry, Value::ZERO, &schedule).unwrap();
+        let outcome = spec.run_lockstep(1);
+        for (p, decision) in outcome.correct_decisions() {
+            assert_eq!(decision, Some(Value::ONE), "{p}");
+        }
+        assert_eq!(outcome.correct_decisions().count(), n - 1);
     }
 
     #[test]

@@ -2,10 +2,12 @@
 //!
 //! The paper's adversary can send *anything* — malformed chains, forged
 //! signatures, replayed prefixes, wrong domains. These fuzzers generate
-//! exactly that traffic (deterministically, per seed); each algorithm's
-//! adversary hook compiles `Forge` into a [`Spammer`] over the fuzzer for
-//! its payload type, so forged traffic is one more schedule entry that
-//! runs, the checker and the shrinker all share.
+//! exactly that traffic (deterministically, per seed). `Forge` compiles
+//! into a [`Spammer`] over the fuzzer for the protocol's payload type —
+//! [`ChainFuzzer`] through the hook every signature-chain protocol
+//! shares, [`Msg5Fuzzer`] through Algorithm 5's — so forged traffic is
+//! one more schedule entry that runs, the checker and the shrinker all
+//! share.
 
 use crate::algorithm4::SignedItem;
 use crate::algorithm5::Msg5;
@@ -180,7 +182,7 @@ pub fn spammers(n: usize, count: usize, per_phase: usize, seed: u64) -> Schedule
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{algorithm1, algorithm5, AlgoReport, RunOptions};
+    use crate::{algorithm1, algorithm1_multi, algorithm5, AlgoReport, RunOptions};
     use ba_sim::AgreementViolation;
 
     fn algorithm1_spam(
@@ -215,6 +217,21 @@ mod tests {
         // Transmitter honestly sends 0; spammers push garbage 1-chains.
         let r = algorithm1_spam(3, Value::ZERO, 2, 10, 7).unwrap();
         assert_eq!(r.verdict.agreed, Some(Value::ZERO));
+    }
+
+    #[test]
+    fn algorithm1_multi_survives_chain_spam() {
+        for t in [2usize, 3] {
+            let options = RunOptions {
+                schedule: spammers(2 * t + 1, t, 8, 19),
+                seed: 19,
+                scheme: SchemeKind::Fast,
+                ..Default::default()
+            };
+            let r = algorithm1_multi::run(t, Value(42), options).unwrap();
+            assert_eq!(r.verdict.agreed, Some(Value(42)), "t={t}");
+            assert!(r.outcome.metrics.messages_by_faulty > 0);
+        }
     }
 
     #[test]
