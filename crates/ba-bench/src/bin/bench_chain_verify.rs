@@ -17,6 +17,8 @@
 //! `ba_crypto::sha256::backend()` reports it), in MB/s, each with its
 //! digest so the backends can be checked against each other — and a `host`
 //! object naming the backend every other number in the file ran on.
+//! Beside the hash sit the signatures: `signing` rows sign and verify one
+//! 128-byte message under each scheme, `Hmac` and `Fast`.
 //!
 //! Writes the report (timings plus exact per-verify hash / signature-check
 //! counts; DESIGN §7.6) to the one positional argument, default
@@ -64,6 +66,26 @@ fn sha_rows(report: &mut Report) {
                 ("digest", hex.into()),
             ];
             report.row("sha256", fields, Some(&sample));
+        }
+    }
+}
+
+/// A `sign` and a `verify` row per scheme, over one 128-byte message.
+fn signing_rows(report: &mut Report) {
+    let msg = [7u8; 128];
+    for scheme in [SchemeKind::Hmac, SchemeKind::Fast] {
+        let registry = KeyRegistry::new(8, 1, scheme);
+        let (signer, verifier) = (registry.signer(ProcessId(0)), registry.verifier());
+        let sig = signer.sign(&msg);
+        let sign = bench(format!("sign {scheme:?}"), || signer.sign(&msg));
+        let verify = bench(format!("verify {scheme:?}"), || verifier.verify(&sig, &msg));
+        for (op, sample) in [("sign", sign), ("verify", verify)] {
+            let fields = vec![
+                ("op", op.into()),
+                ("scheme", format!("{scheme:?}").into()),
+                ("bytes", msg.len().into()),
+            ];
+            report.row("signing", fields, Some(&sample));
         }
     }
 }
@@ -131,5 +153,6 @@ fn main() -> ExitCode {
         }
     }
     sha_rows(&mut report);
+    signing_rows(&mut report);
     report.finish(&args.out)
 }

@@ -16,6 +16,12 @@
 //!   sequential and 4 worker threads;
 //! * `dolev_strong` / `algorithm3` — the same comparison on the two real
 //!   protocol workloads the experiments scale up;
+//! * `algorithms` — the paper's other protocols, one sequential row per
+//!   run at seed 1 with `Fast` keys: Algorithm 1 at t ∈ {2, 4, 8, 16},
+//!   Algorithm 2 at t ∈ {2, 4, 8}, Algorithm 4 at m ∈ {3, 5, 8} with p0
+//!   faulty, Algorithm 5 at (n, t, s) ∈ {(60, 1, 1), (120, 3, 3),
+//!   (240, 7, 7)} and OM(2) at n = 10 — how simulator wall-clock scales
+//!   beside the message counts the experiments report;
 //! * `pool_scaling` — the persistent-pool grid: Dolev–Strong and
 //!   Algorithm 3 at n ∈ {1024, 10240, 51200} × threads ∈ {1, 2, 4, 8}.
 //!   Dolev–Strong uses the relay variant (O(nt) traffic) at every n and
@@ -36,13 +42,14 @@
 //!
 //! Every section runs the engine the way every driver does, with barrier
 //! verification (`ba_sim::engine` module docs). Every strategy of every
-//! workload that ran must produce identical `Metrics`: each section's
-//! `*_metrics_identical` is a gate, so a divergence still writes the report
-//! and then exits 1. Writes the report (DESIGN §7.6) to the positional
-//! argument, default `BENCH_engine.json`; its `host` object carries
-//! `available_parallelism` — on a single-core container the parallel rows
-//! can only show the pool's (small) coordination overhead, never a
-//! speedup, and the binary says so on stderr.
+//! workload that ran must produce identical `Metrics`: each section that
+//! compares strategies (`flood`, `dolev_strong`, `algorithm3`,
+//! `pool_scaling`) has a `*_metrics_identical` gate, so a divergence still
+//! writes the report and then exits 1. Writes the report (DESIGN §7.6) to
+//! the positional argument, default `BENCH_engine.json`; its `host` object
+//! carries `available_parallelism` — on a single-core container the
+//! parallel rows can only show the pool's (small) coordination overhead,
+//! never a speedup, and the binary says so on stderr.
 //!
 //! ```text
 //! cargo run -p ba-bench --release --bin bench_engine
@@ -64,7 +71,8 @@
 //! byte-for-byte.
 
 use ba_algos::checkable::{find_target, CheckConfig};
-use ba_algos::{algorithm3, dolev_strong, RunOptions};
+use ba_algos::RunOptions;
+use ba_algos::{algorithm1, algorithm2, algorithm3, algorithm4, algorithm5, dolev_strong, om};
 use ba_bench::cli::BenchArgs;
 use ba_bench::microbench::bench;
 use ba_bench::report::{Report, ScalingCell};
@@ -302,6 +310,58 @@ impl Workload {
     }
 }
 
+/// An `algorithms` row: its label, n, and one run of it.
+type AlgorithmRun = (String, usize, Box<dyn Fn() -> Metrics>);
+
+fn algorithm_runs() -> Vec<AlgorithmRun> {
+    let opts = || RunOptions::new().with_seed(1).with_scheme(SchemeKind::Fast);
+    let mut runs: Vec<AlgorithmRun> = Vec::new();
+    for t in [2, 4, 8, 16] {
+        let run = move || {
+            algorithm1::run(t, Value::ONE, opts())
+                .unwrap()
+                .outcome
+                .metrics
+        };
+        runs.push((format!("alg1 t={t}"), 2 * t + 1, Box::new(run)));
+    }
+    for t in [2, 4, 8] {
+        let run = move || {
+            algorithm2::run(t, Value::ONE, opts())
+                .unwrap()
+                .report
+                .outcome
+                .metrics
+        };
+        runs.push((format!("alg2 t={t}"), 2 * t + 1, Box::new(run)));
+    }
+    for m in [3, 5, 8] {
+        let run = move || {
+            algorithm4::run(m, vec![ProcessId(0)], 1, SchemeKind::Fast)
+                .outcome
+                .metrics
+        };
+        runs.push((format!("alg4 m={m} faulty=p0"), m * m, Box::new(run)));
+    }
+    for (n, t, s) in [(60, 1, 1), (120, 3, 3), (240, 7, 7)] {
+        let run = move || {
+            algorithm5::run(n, t, s, Value::ONE, opts())
+                .unwrap()
+                .outcome
+                .metrics
+        };
+        runs.push((format!("alg5 t={t} s={s}"), n, Box::new(run)));
+    }
+    let run = || {
+        om::run(10, 2, Value::ONE, &ScheduleSpec::default())
+            .unwrap()
+            .outcome
+            .metrics
+    };
+    runs.push(("om t=2".into(), 10, Box::new(run)));
+    runs
+}
+
 /// A row's leading fields; `bytes_sent` is the wire bytes sent by correct
 /// processors in one run of the cell (`Metrics::bytes_by_correct`; for
 /// `chain_fanout`, one phase's broadcast).
@@ -330,6 +390,7 @@ fn main() -> ExitCode {
             "flood",
             "dolev_strong",
             "algorithm3",
+            "algorithms",
             "pool_scaling",
         ],
         &["--n", "--threads", "--assert-scaling", "--dump-trace"],
@@ -439,6 +500,16 @@ fn main() -> ExitCode {
             }
         }
         report.gate(&format!("{section}_metrics_identical"), identical);
+    }
+
+    // -- algorithms: the paper's other protocols, sequential --------------
+    if args.section("algorithms") {
+        for (label, n, run) in algorithm_runs() {
+            let bytes = run().bytes_by_correct;
+            let sample = bench(format!("{label} n={n}"), || run().messages_by_correct);
+            let row = fields("algorithms", label, n, 1, bytes);
+            report.row("rows", row, Some(&sample));
+        }
     }
 
     // -- pool_scaling: the persistent-pool grid ---------------------------

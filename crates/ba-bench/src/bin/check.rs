@@ -93,6 +93,7 @@
 //! reproduce byte-identical campaign outcomes; only the elapsed time on
 //! the final `soak:` line differs.
 
+use ba_algos::checkable::CheckConfig;
 use ba_bench::cli::parse_num;
 use ba_check::corpus::{self, default_corpus_path, CorpusCase, CorpusEntry};
 use ba_check::json::Json;
@@ -101,6 +102,7 @@ use ba_check::{
     Strategy, Violation,
 };
 use ba_crypto::rng::derive_seed;
+use ba_crypto::Value;
 use ba_ext::check::run_scenario_net;
 use ba_ext::net::ExtNetError;
 use ba_net::{run_target, ChaosProfile, FailedLink, NetConfig, NetRunError};
@@ -314,7 +316,8 @@ impl Family {
 /// Runs `family` at `(n, t)` with `extra` sampled schedules (the
 /// extension family adds them to its standard scenario set): explored on
 /// the lock-step engine, or one chaos campaign per case under `--chaos`.
-/// Returns the number of unexpected violations.
+/// Returns the number of unexpected violations; fails, before building a
+/// case, when the family rejects `(n, t)` or `--value`.
 fn run_family(
     cli: &Cli,
     out: &mut Out,
@@ -327,9 +330,9 @@ fn run_family(
     let sound = family.sound();
     Ok(match *family {
         Family::Target(target) => {
-            if !target.supports(n, t) {
-                return Err(format!("{} does not support n = {n}, t = {t}", target.name));
-            }
+            let fault_free = ScheduleSpec::default();
+            let cfg = CheckConfig::new(n, t, Value(cli.value), cli.seed, 1, fault_free);
+            target.validate(&cfg)?;
             let mut cases = ExploreOptions {
                 target,
                 n,
@@ -368,7 +371,7 @@ fn run_family(
             )
         }
         Family::Ext { inner } => {
-            let mut cases = ExtSchedule {
+            let fault_free = ExtSchedule {
                 n,
                 t,
                 payload_len: 2_048,
@@ -378,8 +381,9 @@ fn run_family(
                 vote_inner: "ds-relay".to_string(),
                 spec: ScheduleSpec::default(),
                 garble: Vec::new(),
-            }
-            .family(extra);
+            };
+            fault_free.validate()?;
+            let mut cases = fault_free.family(extra);
             let label = match cli.chaos {
                 Some(_) => {
                     for (i, case) in cases.iter_mut().enumerate() {

@@ -11,8 +11,10 @@
 //! Experiments run across worker threads by default (one cell per id; see
 //! `ba_sim::sweep`). The tables on stdout are byte-identical for any
 //! thread count — `--seq` / `--threads N` only change wall-clock, which is
-//! reported on stderr so redirected output stays stable.
+//! reported on stderr so redirected output stays stable. An unknown id or
+//! flag is a usage error (exit 2), caught before anything runs.
 
+use ba_bench::cli::usage_error;
 use ba_bench::experiments::{run_experiments, ALL_IDS};
 use ba_sim::sweep::default_threads;
 
@@ -34,8 +36,11 @@ fn main() {
             threads = 1;
         } else if a == "--threads" {
             expect_threads = true;
-        } else {
+        } else if a == "all" || ALL_IDS.contains(&a.as_str()) {
             args.push(a);
+        } else {
+            let usage = "usage: experiments [--csv] [--seq | --threads N] [all | e1..e16 ...]";
+            usage_error("experiments", &format!("unknown argument {a:?}\n{usage}"));
         }
     }
     if expect_threads {

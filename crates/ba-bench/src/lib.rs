@@ -27,13 +27,15 @@
 //! Run them with `cargo run -p ba-bench --bin experiments -- all` (or a
 //! single id); ids fan out across worker threads by default (`--seq` /
 //! `--threads N` to control it) with byte-identical stdout either way.
-//! Runtime benches live in `benches/`, timed by the in-tree [`microbench`]
-//! harness (no external dependency; the registry is unreachable in the
-//! environments this workspace targets).
-//! The four `bench_*` binaries (`cargo run -p ba-bench --release --bin
-//! bench_engine`, and `bench_chain_verify`, `bench_service`, `bench_ext`)
-//! regenerate the committed `BENCH_*.json` files through one [`report`]
-//! writer and one [`cli::BenchArgs`] parser.
+//! Wall-clock is timed in one place: the four `bench_*` binaries
+//! (`cargo run -p ba-bench --release --bin bench_engine`, and
+//! `bench_chain_verify`, `bench_service`, `bench_ext`) time their rows
+//! with the in-tree [`microbench`] harness (no external dependency; the
+//! registry is unreachable in the environments this workspace targets)
+//! and regenerate the committed `BENCH_*.json` files through one
+//! [`report`] writer and one [`cli::BenchArgs`] parser. The per-algorithm
+//! runtimes are `bench_engine --section algorithms`; signing is the
+//! `signing` table of `bench_chain_verify`.
 
 pub mod cli;
 pub mod experiments;

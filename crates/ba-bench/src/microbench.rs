@@ -1,10 +1,12 @@
-//! A tiny self-contained wall-clock benchmark harness.
+//! A tiny self-contained wall-clock benchmark harness: the one timer
+//! behind every row the `bench_*` binaries write through
+//! [`crate::report::Report`].
 //!
 //! The workspace builds with no external crates (the registry is
-//! unreachable in the environments it targets), so the `benches/` targets
-//! cannot use criterion. This module provides the small subset we need:
-//! warm-up, batch-size calibration to a target batch duration, a fixed
-//! number of measured batches, and median/mean/min per-iteration times.
+//! unreachable in the environments it targets), so this module provides
+//! the small subset of criterion we need: warm-up, batch-size calibration
+//! to a target batch duration, a fixed number of measured batches, and
+//! median/mean/min per-iteration times.
 //!
 //! Timings are written to **stderr** by [`print_samples`] so benchmark
 //! binaries can keep stdout byte-stable for any machine-readable output.
