@@ -27,8 +27,8 @@ use crate::common::{
 };
 use ba_crypto::{Chain, KeyRegistry, ProcessId, Signer, Value, Verifier};
 use ba_sim::actor::{Actor, Inbox, Outbox};
-use ba_sim::schedule::FaultBehavior;
-use ba_sim::AgreementViolation;
+use ba_sim::schedule::{FaultBehavior, ScheduleError, ScheduleSpec};
+use ba_sim::{AgreementViolation, InstanceSpec};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -360,12 +360,39 @@ pub fn run(t: usize, value: Value, options: RunOptions) -> Result<Algo2Report, A
     );
     let n = 2 * t + 1;
     let registry = KeyRegistry::new(n, options.seed, options.scheme);
+    let proofs = Board::new(n);
+    let spec = build(t, value, &registry, &options.schedule, &proofs);
+    let report = run_report(spec, &options, value)?;
+    Ok(Algo2Report {
+        report,
+        proofs: proofs.snapshot(),
+        verifier: registry.verifier(),
+    })
+}
+
+/// Builds one Algorithm 2 instance over `n = 2t + 1` processors signing
+/// under `registry`: the transmitter `p0` sends `value`, `schedule`'s
+/// faults are applied, every processor deposits its transferable proof on
+/// `proofs`, and every recipient verifies what it reads (the spec carries
+/// no keys). [`run`] and the `algorithm2` check target both build through
+/// it.
+///
+/// # Errors
+/// [`ScheduleError::Unmapped`] for a `withhold` fault.
+///
+/// # Panics
+/// On a schedule malformed for `n = 2t + 1` and `t`.
+pub fn build(
+    t: usize,
+    value: Value,
+    registry: &KeyRegistry,
+    schedule: &ScheduleSpec,
+    proofs: &Arc<Board<Chain>>,
+) -> Result<InstanceSpec<Chain>, ScheduleError> {
     let params = Arc::new(Algo1Params {
         t,
         verifier: registry.verifier(),
     });
-    let proofs = Board::new(n);
-
     let honest = |p: ProcessId| -> Box<dyn Actor<Chain>> {
         let own = (p == ProcessId(0)).then_some(value);
         Box::new(Algo2Actor::new(
@@ -378,7 +405,7 @@ pub fn run(t: usize, value: Value, options: RunOptions) -> Result<Algo2Report, A
     };
     let adversary = |p, behavior: &FaultBehavior| -> Option<Box<dyn Actor<Chain>>> {
         let FaultBehavior::Lie { value } = *behavior else {
-            return chain_adversary(&registry, domains::ALG1, p, behavior);
+            return chain_adversary(registry, domains::ALG1, p, behavior);
         };
         Some(Box::new(adversaries::WrongValueGossip::new(
             params.clone(),
@@ -388,14 +415,8 @@ pub fn run(t: usize, value: Value, options: RunOptions) -> Result<Algo2Report, A
             value,
         )))
     };
-    let dims = (n, t, 3 * t + 3);
-    let spec = instance(&options.schedule, dims, None, honest, adversary);
-    let report = run_report(spec, &options, value)?;
-    Ok(Algo2Report {
-        report,
-        proofs: proofs.snapshot(),
-        verifier: registry.verifier(),
-    })
+    let dims = (params.n(), t, 3 * t + 3);
+    instance(schedule, dims, None, honest, adversary)
 }
 
 #[cfg(test)]

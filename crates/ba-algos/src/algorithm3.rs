@@ -28,8 +28,8 @@ use crate::algorithm1::{Algo1Actor, Algo1Params};
 use crate::common::{chain_adversary, domains, instance, run_report, AlgoReport, RunOptions};
 use ba_crypto::{Chain, KeyRegistry, ProcessId, Signer, Value, Verifier};
 use ba_sim::actor::{Actor, Inbox, Outbox};
-use ba_sim::schedule::FaultBehavior;
-use ba_sim::AgreementViolation;
+use ba_sim::schedule::{FaultBehavior, ScheduleError, ScheduleSpec};
+use ba_sim::{AgreementViolation, InstanceSpec};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -37,20 +37,22 @@ use std::sync::Arc;
 /// active → member).
 const DIRECT: u32 = domains::ALG3_GROUP_BASE - 1;
 
-/// A passive group: its index, root and members in position order
-/// (`members[0]` is the root `c(1)`).
-#[derive(Clone, PartialEq, Eq, Debug)]
+/// A passive group: its index and its members, consecutive ids in
+/// position order (the first is the root `c(1)`).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Group {
     /// Group index (0-based).
     pub index: usize,
-    /// All members; `members[0]` is the root.
-    pub members: Vec<ProcessId>,
+    /// The root's id.
+    first: usize,
+    /// Number of members, the root included.
+    size: usize,
 }
 
 impl Group {
     /// The root `c(1)`.
     pub fn root(&self) -> ProcessId {
-        self.members[0]
+        ProcessId(self.first as u32)
     }
 
     /// The chain domain for this group's collection messages.
@@ -60,12 +62,20 @@ impl Group {
 
     /// The member at 1-based position `j` (`c(j)`).
     pub fn member(&self, j: usize) -> Option<ProcessId> {
-        self.members.get(j - 1).copied()
+        (1..=self.size)
+            .contains(&j)
+            .then(|| ProcessId((self.first + j - 1) as u32))
     }
 
     /// 1-based position of `p` in this group.
     pub fn position(&self, p: ProcessId) -> Option<usize> {
-        self.members.iter().position(|&q| q == p).map(|i| i + 1)
+        let offset = p.index().checked_sub(self.first)?;
+        (offset < self.size).then_some(offset + 1)
+    }
+
+    /// All members in position order, the root first.
+    pub fn members(&self) -> impl ExactSizeIterator<Item = ProcessId> {
+        (self.first..self.first + self.size).map(|i| ProcessId(i as u32))
     }
 }
 
@@ -82,9 +92,6 @@ pub struct Alg3Params {
     pub verifier: Verifier,
     /// Algorithm 1 parameters for the active prefix.
     pub alg1: Arc<Algo1Params>,
-    /// The passive groups in index order, each shared by its root and
-    /// members.
-    groups: Vec<Arc<Group>>,
 }
 
 impl Alg3Params {
@@ -100,26 +107,12 @@ impl Alg3Params {
             t,
             verifier: verifier.clone(),
         });
-        // Up to `s` consecutive passive ids per group, the last possibly
-        // short.
-        let groups = (2 * t + 1..n)
-            .step_by(s)
-            .enumerate()
-            .map(|(index, start)| {
-                let members = (start..n.min(start + s)).map(|i| ProcessId(i as u32));
-                Arc::new(Group {
-                    index,
-                    members: members.collect(),
-                })
-            })
-            .collect();
         Alg3Params {
             n,
             t,
             s,
             verifier,
             alg1,
-            groups,
         }
     }
 
@@ -138,19 +131,29 @@ impl Alg3Params {
         self.n - self.active_count()
     }
 
-    /// The passive groups in index order.
-    pub fn groups(&self) -> &[Arc<Group>] {
-        &self.groups
+    /// Group `index`: up to `s` consecutive passive ids, the last group
+    /// possibly short.
+    fn group(&self, index: usize) -> Group {
+        let first = self.active_count() + index * self.s;
+        Group {
+            index,
+            first,
+            size: self.s.min(self.n - first),
+        }
     }
 
-    /// The group containing passive `p` — shared, not copied — with `p`'s
-    /// 1-based position, found arithmetically.
-    pub fn group_of(&self, p: ProcessId) -> Option<(Arc<Group>, usize)> {
+    /// The passive groups in index order.
+    pub fn groups(&self) -> impl ExactSizeIterator<Item = Group> + '_ {
+        (0..self.passive_count().div_ceil(self.s)).map(|index| self.group(index))
+    }
+
+    /// The group containing passive `p`, with `p`'s 1-based position.
+    pub fn group_of(&self, p: ProcessId) -> Option<(Group, usize)> {
         if self.is_active(p) || p.index() >= self.n {
             return None;
         }
         let offset = p.index() - self.active_count();
-        Some((self.groups[offset / self.s].clone(), offset % self.s + 1))
+        Some((self.group(offset / self.s), offset % self.s + 1))
     }
 
     /// Total phases of the schedule.
@@ -265,13 +268,9 @@ impl Actor<Chain> for Alg3Active {
             // The inbox holds the roots' reports (sent at t+2s+2); cover
             // every member whose signature is missing.
             let v = self.committed.expect("committed at t+3");
-            let groups = self.params.groups();
             for env in inbox {
-                if let Some((group, 1)) = groups
-                    .iter()
-                    .find_map(|g| g.position(env.from).map(|pos| (g, pos)))
-                {
-                    if self.params.is_collection_chain(env.payload, group) {
+                if let Some((group, 1)) = self.params.group_of(env.from) {
+                    if self.params.is_collection_chain(env.payload, &group) {
                         self.reports
                             .entry(group.index)
                             .or_default()
@@ -281,7 +280,7 @@ impl Actor<Chain> for Alg3Active {
             }
             let mut direct = Chain::new(DIRECT, v);
             direct.sign_and_append(&self.signer);
-            for group in groups {
+            for group in self.params.groups() {
                 let covered: BTreeSet<ProcessId> = self
                     .reports
                     .get(&group.index)
@@ -293,7 +292,7 @@ impl Actor<Chain> for Alg3Active {
                             .collect()
                     })
                     .unwrap_or_default();
-                for &member in &group.members[1..] {
+                for member in group.members().skip(1) {
                     if !covered.contains(&member) {
                         out.send(member, direct.clone());
                     }
@@ -311,7 +310,7 @@ impl Actor<Chain> for Alg3Active {
 #[derive(Debug)]
 pub struct Alg3Root {
     params: Arc<Alg3Params>,
-    group: Arc<Group>,
+    group: Group,
     /// The current collection chain `m(j)`.
     m: Option<Chain>,
     /// Injected wrong value (adversarial roots only).
@@ -320,7 +319,7 @@ pub struct Alg3Root {
 
 impl Alg3Root {
     /// Creates an honest root for `group`.
-    pub fn new(params: Arc<Alg3Params>, group: Arc<Group>) -> Self {
+    pub fn new(params: Arc<Alg3Params>, group: Group) -> Self {
         Alg3Root {
             params,
             group,
@@ -331,7 +330,7 @@ impl Alg3Root {
 
     /// Creates a root that ignores the active quorum and pushes `wrong`
     /// to its members (a faulty root).
-    pub fn new_lying(params: Arc<Alg3Params>, group: Arc<Group>, wrong: Value) -> Self {
+    pub fn new_lying(params: Arc<Alg3Params>, group: Group, wrong: Value) -> Self {
         Alg3Root {
             params,
             group,
@@ -344,7 +343,7 @@ impl Alg3Root {
 impl Actor<Chain> for Alg3Root {
     fn step(&mut self, phase: usize, inbox: Inbox<'_, Chain>, out: &mut Outbox<Chain>) {
         let t = self.params.t;
-        let s_g = self.group.members.len();
+        let s_g = self.group.members().len();
 
         if phase == t + 4 {
             // Active value messages (sent at t+3): take the unique value
@@ -410,7 +409,7 @@ impl Actor<Chain> for Alg3Root {
 #[derive(Debug)]
 pub struct Alg3Member {
     params: Arc<Alg3Params>,
-    group: Arc<Group>,
+    group: Group,
     /// My 1-based position `j`.
     pos: usize,
     signer: Signer,
@@ -423,7 +422,7 @@ pub struct Alg3Member {
 
 impl Alg3Member {
     /// Creates the member at position `pos` (≥ 2) of `group`.
-    pub fn new(params: Arc<Alg3Params>, group: Arc<Group>, pos: usize, signer: Signer) -> Self {
+    pub fn new(params: Arc<Alg3Params>, group: Group, pos: usize, signer: Signer) -> Self {
         assert!(pos >= 2, "position 1 is the root");
         Alg3Member {
             params,
@@ -483,7 +482,7 @@ pub fn group_root(t: usize, s: usize, g: usize) -> ProcessId {
 
 /// `p`'s honest Algorithm 3 actor — active, group root or group member;
 /// the transmitter (processor 0) sends `value`.
-pub fn honest(
+fn honest(
     params: &Arc<Alg3Params>,
     registry: &KeyRegistry,
     p: ProcessId,
@@ -538,21 +537,41 @@ pub fn run(
         "algorithm 3 is binary"
     );
     let registry = KeyRegistry::new(n, options.seed, options.scheme);
-    let params = Arc::new(Alg3Params::new(n, t, s, registry.verifier()));
+    let params = Alg3Params::new(n, t, s, registry.verifier());
+    let spec = build(params, &registry, value, &options.schedule);
+    run_report(spec, &options, value)
+}
 
+/// Builds one Algorithm 3 instance over `params`: the transmitter sends
+/// `value`, `schedule`'s faults are applied, and delivered chains are
+/// verified at the phase barrier against `registry`. [`run`] and the
+/// `algorithm3-s2` check target both build through it.
+///
+/// # Errors
+/// [`ScheduleError::Unmapped`] for a `withhold` fault, or a `lie` fault
+/// on anything but a group root.
+///
+/// # Panics
+/// On a schedule malformed for `params.n` and `params.t`.
+pub fn build(
+    params: Alg3Params,
+    registry: &KeyRegistry,
+    value: Value,
+    schedule: &ScheduleSpec,
+) -> Result<InstanceSpec<Chain>, ScheduleError> {
+    let params = Arc::new(params);
     let adversary = |p, behavior: &FaultBehavior| -> Option<Box<dyn Actor<Chain>>> {
         let FaultBehavior::Lie { value } = *behavior else {
-            return chain_adversary(&registry, domains::ALG1, p, behavior);
+            return chain_adversary(registry, domains::ALG1, p, behavior);
         };
         match params.group_of(p)? {
             (group, 1) => Some(Box::new(Alg3Root::new_lying(params.clone(), group, value))),
             _ => None,
         }
     };
-    let honest = |p| honest(&params, &registry, p, value);
-    let dims = (n, t, params.phases());
-    let spec = instance(&options.schedule, dims, Some(&registry), honest, adversary);
-    run_report(spec, &options, value)
+    let honest = |p| honest(&params, registry, p, value);
+    let dims = (params.n, params.t, params.phases());
+    instance(schedule, dims, Some(registry), honest, adversary)
 }
 
 #[cfg(test)]
@@ -567,11 +586,11 @@ mod tests {
         let registry = KeyRegistry::new(16, 0, SchemeKind::Fast);
         let params = Alg3Params::new(16, 2, 4, registry.verifier());
         // Actives 0..=4; passives 5..=15 in groups of 4: [5-8], [9-12], [13-15].
-        let groups = params.groups();
+        let groups: Vec<Group> = params.groups().collect();
         assert_eq!(groups.len(), 3);
         assert_eq!(groups[0].root(), ProcessId(5));
         assert_eq!(groups[1].root(), ProcessId(9));
-        assert_eq!(groups[2].members.len(), 3);
+        assert_eq!(groups[2].members().len(), 3);
         let (g, pos) = params.group_of(ProcessId(10)).unwrap();
         assert_eq!(g.index, 1);
         assert_eq!(pos, 2);
@@ -581,39 +600,18 @@ mod tests {
     }
 
     #[test]
-    fn a_groups_root_and_members_share_one_group() {
-        let registry = KeyRegistry::new(16, 0, SchemeKind::Fast);
-        let params = Arc::new(Alg3Params::new(16, 2, 4, registry.verifier()));
-        let member = |p: u32| {
-            let (group, pos) = params.group_of(ProcessId(p)).unwrap();
-            Alg3Member::new(params.clone(), group, pos, registry.signer(ProcessId(p)))
-        };
-        let (a, b) = (member(6), member(8));
-        assert!(
-            Arc::ptr_eq(&a.group, &b.group),
-            "one allocation, not a copy"
-        );
-        let (group, _) = params.group_of(ProcessId(5)).unwrap();
-        assert!(Arc::ptr_eq(
-            &Alg3Root::new(params.clone(), group).group,
-            &a.group
-        ));
-        assert!(!Arc::ptr_eq(&member(10).group, &a.group), "another group");
-    }
-
-    #[test]
     fn group_of_is_the_listed_group_and_position_for_every_passive() {
         // Even split, short last group (3 of 4, then 1 of 7), s > passives.
         for (n, t, s) in [(13, 2, 4), (16, 2, 4), (30, 3, 7), (24, 3, 7), (9, 1, 10)] {
             let registry = KeyRegistry::new(n, 0, SchemeKind::Fast);
             let params = Alg3Params::new(n, t, s, registry.verifier());
-            let groups = params.groups();
-            let listed: usize = groups.iter().map(|g| g.members.len()).sum();
+            let groups: Vec<Group> = params.groups().collect();
+            let listed: usize = groups.iter().map(|g| g.members().len()).sum();
             assert_eq!(listed, params.passive_count(), "n={n} t={t} s={s}");
             for p in (0..n as u32 + 2).map(ProcessId) {
                 let expected = groups
                     .iter()
-                    .find_map(|g| g.position(p).map(|pos| (g.clone(), pos)));
+                    .find_map(|g| g.position(p).map(|pos| (*g, pos)));
                 assert_eq!(params.group_of(p), expected, "n={n} t={t} s={s} {p:?}");
             }
         }
@@ -786,7 +784,8 @@ mod tests {
     fn collection_chain_validation() {
         let registry = KeyRegistry::new(12, 1, SchemeKind::Hmac);
         let params = Alg3Params::new(12, 2, 4, registry.verifier());
-        let group = params.groups()[0].clone(); // members 5,6,7,8
+        let mut groups = params.groups();
+        let group = groups.next().unwrap(); // members 5,6,7,8
         let mut chain = Chain::new(group.domain(), Value::ONE);
         assert!(params.is_collection_chain(&chain, &group), "bare value ok");
         chain.sign_and_append(&registry.signer(ProcessId(6)));
@@ -796,7 +795,7 @@ mod tests {
             "increasing positions ok"
         );
         // Wrong domain.
-        let other = params.groups()[1].clone();
+        let other = groups.next().unwrap();
         assert!(!params.is_collection_chain(&chain, &other));
         // Out-of-order positions.
         let mut bad = Chain::new(group.domain(), Value::ONE);

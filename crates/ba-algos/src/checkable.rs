@@ -5,8 +5,9 @@
 //! This module is that binding: every [`CheckTarget`] names one algorithm
 //! configuration, validates a schedule against its parameter constraints,
 //! builds it with the algorithm module's own `build` — the one its `run`
-//! calls ([`dolev_strong::build`], [`algorithm1::build`]) — and runs it
-//! through the deterministic engine as one [`InstanceSpec`].
+//! calls ([`dolev_strong::build`], [`algorithm1::build`],
+//! [`algorithm2::build`], [`algorithm3::build`]) — and runs it through the
+//! deterministic engine as one [`InstanceSpec`].
 //!
 //! The registry deliberately includes one **unsound** target,
 //! [`weakened Dolev–Strong`](DsParams::weaken_relay_threshold): its relay
@@ -14,9 +15,10 @@
 //! correct processors. It exists so the checker's corpus can prove the
 //! explorer finds real violations and the shrinker minimizes them.
 
-use crate::algorithm1;
-use crate::bounds;
+use crate::algorithm3::{self, Alg3Params};
+use crate::common::Board;
 use crate::dolev_strong::{self, DsParams, Variant};
+use crate::{algorithm1, algorithm2, bounds};
 use ba_crypto::{Chain, KeyRegistry, ProcessId, SchemeKind, Value};
 use ba_sim::schedule::{FaultBehavior, LinkDrop, ScheduleError, ScheduleSpec};
 use ba_sim::{check_byzantine_agreement, Actor, AgreementViolation, InstanceSpec, RunVerdict};
@@ -208,6 +210,16 @@ impl CheckTarget {
         (self.supports)(n, t)
     }
 
+    /// The smallest dimensions at or above `(n, t)` the target supports,
+    /// the smallest `n` first: the one rule a suite that loops over
+    /// [`targets`] picks each target's dimensions by.
+    pub fn dims_from(&self, n: usize, t: usize) -> (usize, usize) {
+        (n..)
+            .flat_map(|n| (t..n).map(move |t| (n, t)))
+            .find(|&(n, t)| self.supports(n, t))
+            .expect("every target supports some larger n")
+    }
+
     /// Full validation of a config: dimensions, schedule well-formedness,
     /// and the target-specific rule that equivocation only makes sense on
     /// the transmitter ([`CheckConfig::transmitter`]).
@@ -255,7 +267,8 @@ impl CheckTarget {
     /// [`ScheduleError::Unmapped`] when the schedule carries a
     /// protocol-specific behaviour the target's adversary hook does not
     /// map (`lie` and `withhold` on the Dolev–Strong targets, `lie` on
-    /// `algorithm1`).
+    /// `algorithm1`, `withhold` on `algorithm2`, `withhold` and a `lie`
+    /// off a group root on `algorithm3-s2`).
     pub fn build(&self, cfg: &CheckConfig) -> Result<CheckSetup, ScheduleError> {
         debug_assert!(self.validate(cfg).is_ok());
         (self.build_fn)(cfg)
@@ -326,6 +339,22 @@ pub fn targets() -> &'static [CheckTarget] {
             supports: alg1_supports,
             build_fn: build_algorithm1,
         },
+        CheckTarget {
+            name: "algorithm2",
+            summary: "Algorithm 2, Algorithm 1 plus a transferable proof (n = 2t + 1)",
+            sound: true,
+            multi_valued: false,
+            supports: alg1_supports,
+            build_fn: build_algorithm2,
+        },
+        CheckTarget {
+            name: "algorithm3-s2",
+            summary: "Algorithm 3, active/passive groups of s = 2 (n >= 2t + 2)",
+            sound: true,
+            multi_valued: false,
+            supports: alg3_supports,
+            build_fn: build_algorithm3_s2,
+        },
     ];
     TARGETS
 }
@@ -341,6 +370,10 @@ fn ds_supports(n: usize, t: usize) -> bool {
 
 fn alg1_supports(n: usize, t: usize) -> bool {
     t >= 1 && n == 2 * t + 1
+}
+
+fn alg3_supports(n: usize, t: usize) -> bool {
+    t >= 1 && n >= 2 * t + 2
 }
 
 /// The registry every target signs with.
@@ -384,14 +417,33 @@ fn build_algorithm1(cfg: &CheckConfig) -> Result<CheckSetup, ScheduleError> {
     ))
 }
 
+fn build_algorithm2(cfg: &CheckConfig) -> Result<CheckSetup, ScheduleError> {
+    let registry = registry_for(cfg);
+    let proofs = Board::new(cfg.n);
+    let spec = algorithm2::build(cfg.t, cfg.value, &registry, &cfg.spec, &proofs)?;
+    Ok(setup(
+        registry,
+        spec,
+        bounds::alg2_max_messages(cfg.t as u64),
+    ))
+}
+
+fn build_algorithm3_s2(cfg: &CheckConfig) -> Result<CheckSetup, ScheduleError> {
+    let registry = registry_for(cfg);
+    let params = Alg3Params::new(cfg.n, cfg.t, 2, registry.verifier());
+    let spec = algorithm3::build(params, &registry, cfg.value, &cfg.spec)?;
+    let (n, t) = (cfg.n as u64, cfg.t as u64);
+    Ok(setup(registry, spec, bounds::alg3_max_messages(n, t, 2)))
+}
+
 /// A target's setup: what its module's `build` returned, with `registry`
 /// and the target's `message_bound`.
 ///
 /// The setup always carries keys, so a target verifies at the phase
-/// barrier even where its module's `run` does not: `algorithm1::run`
-/// builds without keys and every recipient verifies what it reads. The
-/// two agree on verdict, messages, omissions and phases; only the
-/// `crypto` counters differ.
+/// barrier even where its module's `run` does not: `algorithm1::run` and
+/// `algorithm2::run` build without keys and every recipient verifies what
+/// it reads. The two agree on verdict, messages, omissions and phases;
+/// only the `crypto` counters differ.
 fn setup(registry: KeyRegistry, spec: InstanceSpec<Chain>, message_bound: u64) -> CheckSetup {
     CheckSetup {
         registry,
@@ -445,7 +497,7 @@ mod tests {
 
     #[test]
     fn registry_resolves_names() {
-        assert_eq!(targets().len(), 4);
+        assert_eq!(targets().len(), 6);
         for target in targets() {
             assert_eq!(find_target(target.name).unwrap().name, target.name);
         }
@@ -624,31 +676,52 @@ mod tests {
                 },
             ),
         ];
-        // Each target is its module's own run: same seed, `Fast` keys.
-        let own_run = |name: &str, schedule: &ScheduleSpec| {
+        // Each target is its module's own run at the target's dimensions
+        // (same seed, `Fast` keys), with whether the module's own build
+        // installs keys.
+        let own_run = |name: &str, (n, t): (usize, usize), schedule: &ScheduleSpec| {
+            let options = || {
+                crate::RunOptions::new()
+                    .with_schedule(schedule.clone())
+                    .with_scheme(SchemeKind::Fast)
+            };
+            let registry = KeyRegistry::new(n, 0, SchemeKind::Fast);
             let ds = |variant| {
+                let params = DsParams::standard(n, t, variant, registry.verifier());
+                let keyed = dolev_strong::build(params, &registry, Value::ONE, schedule);
                 let options = dolev_strong::DsOptions::new()
                     .with_variant(variant)
                     .with_schedule(schedule.clone())
                     .with_scheme(SchemeKind::Fast);
-                dolev_strong::run(5, 2, Value::ONE, options)
+                (dolev_strong::run(n, t, Value::ONE, options), keyed)
             };
-            match name {
+            let (run, keyed) = match name {
                 "ds-broadcast" => ds(Variant::Broadcast),
                 "ds-relay" => ds(Variant::Relay),
-                _ => algorithm1::run(
-                    2,
-                    Value::ONE,
-                    crate::RunOptions {
-                        schedule: schedule.clone(),
-                        scheme: SchemeKind::Fast,
-                        ..Default::default()
-                    },
+                "algorithm1" => (
+                    algorithm1::run(t, Value::ONE, options()),
+                    algorithm1::build(t, Value::ONE, &registry, schedule),
                 ),
-            }
+                "algorithm2" => (
+                    algorithm2::run(t, Value::ONE, options()).map(|r| r.report),
+                    algorithm2::build(t, Value::ONE, &registry, schedule, &Board::new(n)),
+                ),
+                _ => (
+                    algorithm3::run(n, t, 2, Value::ONE, options()),
+                    algorithm3::build(
+                        Alg3Params::new(n, t, 2, registry.verifier()),
+                        &registry,
+                        Value::ONE,
+                        schedule,
+                    ),
+                ),
+            };
+            let keyed = keyed.expect("the schedule compiles").registry.is_some();
+            (run.expect("a sound run agrees"), keyed)
         };
         // The one documented difference: a target verifies at the barrier,
-        // `algorithm1::run` at each recipient, so only crypto work moves.
+        // a module whose build installs no keys at each recipient, so only
+        // crypto work moves.
         let without_crypto = |mut metrics: Metrics| {
             metrics.crypto = Default::default();
             for phase in &mut metrics.per_phase {
@@ -656,16 +729,16 @@ mod tests {
             }
             metrics
         };
-        for target_name in ["ds-broadcast", "ds-relay", "algorithm1"] {
-            let target = find_target(target_name).unwrap();
+        for target in targets().iter().filter(|target| target.sound) {
+            let dims = target.dims_from(5, 2);
             for spec in &specs {
-                let at = format!("{target_name} {spec:?}");
-                let config = cfg(5, 2, spec.clone());
+                let at = format!("{} {dims:?} {spec:?}", target.name);
+                let config = cfg(dims.0, dims.1, spec.clone());
                 target.validate(&config).unwrap();
                 let outcome = target.run(&config);
                 assert_eq!(outcome.failure(), None, "{at}");
 
-                let own = own_run(target_name, spec).expect("a sound run agrees");
+                let (own, keyed) = own_run(target.name, dims, spec);
                 let own_metrics = &own.outcome.metrics;
                 assert_eq!(outcome.verdict, Ok(own.verdict), "{at}");
                 assert_eq!(
@@ -679,11 +752,11 @@ mod tests {
                 assert_eq!(outcome.phases, own_metrics.phases, "{at}");
                 let setup = target.build(&config).unwrap();
                 let metrics = InstanceSpec::from(setup).run_lockstep(1).metrics;
-                if target_name == "algorithm1" {
+                if keyed {
+                    assert_eq!(&metrics, own_metrics, "{at}");
+                } else {
                     let own_metrics = without_crypto(own_metrics.clone());
                     assert_eq!(without_crypto(metrics), own_metrics, "{at}");
-                } else {
-                    assert_eq!(&metrics, own_metrics, "{at}");
                 }
             }
         }
@@ -743,8 +816,7 @@ mod tests {
     #[test]
     fn runs_are_thread_count_independent() {
         for target in targets() {
-            let n = if target.name == "algorithm1" { 5 } else { 4 };
-            let t = if target.name == "algorithm1" { 2 } else { 1 };
+            let (n, t) = target.dims_from(4, 1);
             let mut config = cfg(n, t, splitting_spec());
             let sequential = target.run(&config);
             config.threads = 4;

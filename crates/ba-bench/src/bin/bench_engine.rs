@@ -85,7 +85,6 @@ use ba_sim::{
     ScheduleSpec, Simulation,
 };
 use std::process::ExitCode;
-use std::sync::Arc;
 
 const FANOUT_PEERS: [usize; 2] = [63, 1023];
 const FANOUT_LENGTHS: [usize; 3] = [8, 32, 128];
@@ -254,8 +253,8 @@ impl Workload {
     /// Builds an instance equivalent to the one [`run`](Self::run) builds —
     /// keys, parameters, one actor per processor — without running it, and
     /// returns its actor count: what `build_ns` times. Dolev–Strong goes
-    /// through its check target, Algorithm 3 through the actors its `run`
-    /// constructs.
+    /// through its check target, Algorithm 3 through the `build` its `run`
+    /// calls.
     fn build(&self) -> usize {
         let (n, t) = (self.n, self.t);
         let target = match self.protocol {
@@ -263,9 +262,9 @@ impl Workload {
             Protocol::DsBroadcast => "ds-broadcast",
             Protocol::Alg3 { s } => {
                 let registry = KeyRegistry::new(n, 0, SchemeKind::Fast);
-                let params = Arc::new(algorithm3::Alg3Params::new(n, t, s, registry.verifier()));
-                let honest = |p| algorithm3::honest(&params, &registry, ProcessId(p), Value::ONE);
-                return (0..n as u32).map(honest).collect::<Vec<_>>().len();
+                let params = algorithm3::Alg3Params::new(n, t, s, registry.verifier());
+                let spec = algorithm3::build(params, &registry, Value::ONE, &Default::default());
+                return spec.expect("a fault-free schedule compiles").actors.len();
             }
         };
         let cfg = CheckConfig::new(n, t, Value::ONE, 0, 1, ScheduleSpec::default());

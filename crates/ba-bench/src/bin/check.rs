@@ -10,6 +10,7 @@
 //! cargo run -p ba-bench --bin check --release -- \
 //!     --target ds-weak-relay-threshold --n 4 --t 1 --budget 200
 //!     # explore one target; violations print as corpus-format JSON
+//!     # (with neither --n nor --t, at the family's default dimensions)
 //!
 //! cargo run -p ba-bench --bin check --release -- \
 //!     --target ds-broadcast --n 7 --t 3 --random --budget 500 --seed 7
@@ -114,8 +115,10 @@ use std::process::ExitCode;
 
 struct Cli {
     target: Option<String>,
-    n: usize,
-    t: usize,
+    /// `--n` and `--t`; with neither, a target runs at its family's
+    /// default dimensions, and a missing one reads n = 4 or t = 1.
+    n: Option<usize>,
+    t: Option<usize>,
     value: u64,
     seed: u64,
     /// Schedules to explore, or campaigns per target under `--chaos`.
@@ -200,8 +203,8 @@ fn usage() -> ! {
 fn parse_cli() -> Cli {
     let mut cli = Cli {
         target: None,
-        n: 4,
-        t: 1,
+        n: None,
+        t: None,
         value: 1,
         seed: 0,
         budget: 150,
@@ -221,8 +224,8 @@ fn parse_cli() -> Cli {
         let mut value_of = |flag: &str| ba_bench::cli::value_of(&mut args, flag);
         match flag.as_str() {
             "--target" => cli.target = Some(value_of("--target")),
-            "--n" => cli.n = parse_num(&value_of("--n"), "--n"),
-            "--t" => cli.t = parse_num(&value_of("--t"), "--t"),
+            "--n" => cli.n = Some(parse_num(&value_of("--n"), "--n")),
+            "--t" => cli.t = Some(parse_num(&value_of("--t"), "--t")),
             "--value" => cli.value = parse_num(&value_of("--value"), "--value") as u64,
             "--seed" => cli.seed = parse_num(&value_of("--seed"), "--seed") as u64,
             "--budget" => cli.budget = parse_num(&value_of("--budget"), "--budget"),
@@ -304,7 +307,8 @@ impl Family {
         }
     }
 
-    /// The smallest dimensions the family supports.
+    /// The family's default dimensions: (4, 1) where it supports them,
+    /// else (3, 1).
     fn default_dims(&self) -> (usize, usize) {
         match self {
             Family::Target(target) if !target.supports(4, 1) => (3, 1),
@@ -679,15 +683,19 @@ fn save_corpus(path: &str, new_entries: &[CorpusEntry]) -> Result<usize, String>
     Ok(added)
 }
 
-/// No `--target`: every sound target at its smallest supported dimensions,
-/// a short extension-family sweep, then the committed corpus — or, under
-/// `--chaos`, campaigns on every registered target.
+/// No `--target`: every sound target at its default dimensions, a short
+/// extension-family sweep, then the committed corpus — or, under
+/// `--chaos`, campaigns on every registered target. A target that refuses
+/// `--value` gets one `skipped` line on stderr and the rest still run.
 fn run_all(cli: &Cli, out: &mut Out) -> Result<usize, String> {
     let chaos = cli.chaos.is_some();
     let mut unexpected = 0;
     for target in targets().iter().filter(|target| chaos || target.sound) {
         let family = Family::Target(target);
-        unexpected += run_family(cli, out, &family, family.default_dims(), cli.budget)?;
+        match run_family(cli, out, &family, family.default_dims(), cli.budget) {
+            Ok(found) => unexpected += found,
+            Err(reason) => eprintln!("{}: skipped: {reason}", target.name),
+        }
     }
     if !chaos {
         let ext = Family::resolve("ext", &cli.inner)?;
@@ -718,8 +726,13 @@ fn main() -> ExitCode {
     let (mode, mut outcome) = if cli.replay_only {
         ("replay", replay_corpus(&cli, &mut out).map(|()| 0))
     } else if let Some(name) = &cli.target {
-        let outcome = Family::resolve(name, &cli.inner)
-            .and_then(|family| run_family(&cli, &mut out, &family, (cli.n, cli.t), cli.budget));
+        let outcome = Family::resolve(name, &cli.inner).and_then(|family| {
+            let dims = match (cli.n, cli.t) {
+                (None, None) => family.default_dims(),
+                (n, t) => (n.unwrap_or(4), t.unwrap_or(1)),
+            };
+            run_family(&cli, &mut out, &family, dims, cli.budget)
+        });
         ("explore", outcome)
     } else {
         ("smoke", run_all(&cli, &mut out))

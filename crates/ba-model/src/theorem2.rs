@@ -11,8 +11,14 @@
 //!    that ever send to `p` has at most `t` members, corrupting exactly
 //!    that set (silently omitting their messages to `p`) starves `p` into
 //!    the default while everyone else proceeds — disagreement. This is
-//!    the `H″` step of the proof; a correct algorithm denies its
-//!    prerequisite.
+//!    the `H″` step of the proof. A correct algorithm may meet the
+//!    prerequisite in its fault-free history and still survive the
+//!    starved one, because the starved history is a different history:
+//!    in Algorithm 3 a passive member hears only from its group root, but
+//!    when the root omits to it the member never signs, the root's report
+//!    lacks its signature, and the actives send it the value directly.
+//!    To act toward the others as in the fault-free history, the
+//!    coalition would need the victim's unforgeable signature.
 //! 2. **Extraction** ([`extract`]) — the `B`-set argument: put
 //!    `⌊1 + t/2⌋` faulty processors in `B`, each ignoring the first
 //!    `⌈t/2⌉` messages it receives and never talking to other `B`
@@ -32,7 +38,9 @@ pub struct Theorem2Attack {
     pub victim: ProcessId,
     /// The processors that sent to the victim in the fault-free history.
     pub senders: Vec<ProcessId>,
-    /// Whether `|senders| ≤ t` (the prerequisite correct algorithms deny).
+    /// Whether `|senders| ≤ t`: the prerequisite for starving the victim.
+    /// A correct algorithm can meet it and still reach the victim in the
+    /// starved history (Algorithm 3's passive members).
     pub feasible: bool,
     /// The violation produced by the starved history, if any.
     pub violation: Option<AgreementViolation>,
@@ -213,6 +221,22 @@ mod tests {
             .sum();
         let bound = (1 + t / 2) * (1 + t.div_ceil(2));
         assert!(witnessed >= bound, "{witnessed} < {bound}");
+    }
+
+    #[test]
+    fn algorithm3_meets_the_prerequisite_and_still_reaches_the_victim() {
+        // Algorithm 3 with s = 2 at n = 5, t = 1: actives p0..p2, one group
+        // {p3, p4}. Fault-free, member p4 hears only from its root p3, so
+        // the prerequisite holds — but when p3 omits to p4, p4 never signs,
+        // p3's report lacks p4's signature, and the actives send p4 the
+        // value directly in the last phase.
+        let target = *ba_algos::checkable::find_target("algorithm3-s2").unwrap();
+        let attack = starve(crate::fault_free(target, 5, 1, 0), 1);
+        assert!(attack.feasible);
+        assert_eq!(attack.victim, ProcessId(4));
+        assert_eq!(attack.senders, vec![ProcessId(3)]);
+        assert!(!attack.victim_starved);
+        assert!(attack.violation.is_none(), "{:?}", attack.violation);
     }
 
     #[test]

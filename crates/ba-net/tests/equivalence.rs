@@ -3,7 +3,7 @@
 //! worker-thread counts 1 and 4; under chaos it degrades gracefully —
 //! structured verdicts, never a panic, never an untrustworthy decision.
 
-use ba_algos::checkable::{targets, CheckConfig};
+use ba_algos::checkable::{targets, CheckConfig, CheckTarget};
 use ba_crypto::{ProcessId, Value};
 use ba_net::{
     check_equivalence, run_target, ChaosProfile, DegradationReason, InstanceSpec, LinkChaos,
@@ -12,12 +12,8 @@ use ba_net::{
 use ba_sim::schedule::{FaultBehavior, LinkDrop, ScheduleSpec};
 use ba_sim::{Actor, Inbox, Outbox};
 
-fn cfg_for(target_name: &str, spec: ScheduleSpec) -> CheckConfig {
-    let (n, t) = if target_name == "algorithm1" {
-        (5, 2)
-    } else {
-        (4, 1)
-    };
+fn cfg_for(target: &CheckTarget, spec: ScheduleSpec) -> CheckConfig {
+    let (n, t) = target.dims_from(4, 1);
     CheckConfig::new(n, t, Value::ONE, 11, 1, spec)
 }
 
@@ -52,7 +48,7 @@ fn dropping_spec() -> ScheduleSpec {
 fn every_target_is_equivalent_at_one_and_four_workers() {
     for target in targets() {
         for spec in [ScheduleSpec::default(), splitting_spec(), dropping_spec()] {
-            let cfg = cfg_for(target.name, spec.clone());
+            let cfg = cfg_for(target, spec.clone());
             if !spec.link_drops.is_empty() {
                 // `check_equivalence` compares every `Metrics` field; the
                 // drops must have fired for that to say anything.
@@ -87,7 +83,7 @@ fn equivalence_holds_with_byzantine_schedules() {
     ];
     for target in targets() {
         for spec in &specs {
-            let cfg = cfg_for(target.name, spec.clone());
+            let cfg = cfg_for(target, spec.clone());
             check_equivalence(target, &cfg, 4)
                 .unwrap_or_else(|err| panic!("{} {spec:?}: {err}", target.name));
         }
@@ -120,7 +116,7 @@ fn sound_targets_survive_recoverable_noise() {
     // verdict holds for every sound target.
     let net = NetConfig::new().with_threads(2);
     for target in targets().iter().filter(|t| t.sound) {
-        let cfg = cfg_for(target.name, ScheduleSpec::default());
+        let cfg = cfg_for(target, ScheduleSpec::default());
         for (label, chaos) in [
             ("jitter", ChaosProfile::jitter(21)),
             ("lossy", ChaosProfile::lossy(22, 200)),
@@ -144,7 +140,7 @@ fn sound_targets_survive_recoverable_noise() {
 #[test]
 fn unsound_target_is_still_caught_through_the_net_runtime() {
     let weak = ba_algos::checkable::find_target("ds-weak-relay-threshold").unwrap();
-    let cfg = cfg_for(weak.name, splitting_spec());
+    let cfg = cfg_for(weak, splitting_spec());
     let run = run_target(weak, &cfg, &NetConfig::default(), &ChaosProfile::reliable()).unwrap();
     assert!(
         run.violated(),
@@ -158,7 +154,7 @@ fn dead_link_within_budget_degrades_gracefully() {
     // its sender suspected, the run completes, and the remaining correct
     // processors still agree.
     let target = ba_algos::checkable::find_target("ds-broadcast").unwrap();
-    let cfg = cfg_for(target.name, ScheduleSpec::default());
+    let cfg = cfg_for(target, ScheduleSpec::default());
     let chaos = ChaosProfile::reliable().with_link(ProcessId(1), ProcessId(3), LinkChaos::dead());
     let run = run_target(target, &cfg, &NetConfig::default(), &chaos).unwrap();
     assert_eq!(run.suspected, vec![ProcessId(1)]);
@@ -174,7 +170,7 @@ fn fault_budget_exceeded_aborts_with_structured_verdict() {
     // the transmitter; killing a correct sender's link on top pushes the
     // observable fault set to 2 and the runtime must refuse to decide.
     let target = ba_algos::checkable::find_target("ds-broadcast").unwrap();
-    let cfg = cfg_for(target.name, splitting_spec());
+    let cfg = cfg_for(target, splitting_spec());
     let chaos = ChaosProfile::reliable().with_link(ProcessId(1), ProcessId(3), LinkChaos::dead());
     let err = run_target(target, &cfg, &NetConfig::default(), &chaos).unwrap_err();
     let NetRunError::Degraded(verdict) = err else {
@@ -202,7 +198,7 @@ fn fault_budget_exceeded_aborts_with_structured_verdict() {
 #[test]
 fn chaos_runs_are_reproducible_at_any_worker_count() {
     let target = ba_algos::checkable::find_target("ds-relay").unwrap();
-    let cfg = cfg_for(target.name, ScheduleSpec::default());
+    let cfg = cfg_for(target, ScheduleSpec::default());
     let chaos = ChaosProfile::stress(33);
     let run = |threads: usize| {
         let net = NetConfig::new().with_threads(threads);

@@ -16,12 +16,8 @@ use ba_net::{
 use ba_sim::schedule::{FaultBehavior, LinkDrop, ScheduleSpec};
 use ba_sim::{Actor, Inbox, Outbox};
 
-fn cfg_for(target_name: &str, value: Value, spec: ScheduleSpec) -> CheckConfig {
-    let (n, t) = if target_name == "algorithm1" {
-        (5, 2)
-    } else {
-        (4, 1)
-    };
+fn cfg_for(target: &CheckTarget, value: Value, spec: ScheduleSpec) -> CheckConfig {
+    let (n, t) = target.dims_from(4, 1);
     CheckConfig::new(n, t, value, 11, 1, spec)
 }
 
@@ -71,19 +67,19 @@ fn dropping_spec() -> ScheduleSpec {
 /// A fleet of 4 instances per target: mixed values, one instance carrying
 /// the splitting schedule so the faulty-sender path is exercised too, and
 /// one carrying scheduled link drops.
-fn fleet_cfgs(target_name: &str) -> Vec<CheckConfig> {
+fn fleet_cfgs(target: &CheckTarget) -> Vec<CheckConfig> {
     vec![
-        cfg_for(target_name, Value::ONE, ScheduleSpec::default()),
-        cfg_for(target_name, Value::ZERO, ScheduleSpec::default()),
-        cfg_for(target_name, Value::ONE, splitting_spec()),
-        cfg_for(target_name, Value::ONE, dropping_spec()),
+        cfg_for(target, Value::ONE, ScheduleSpec::default()),
+        cfg_for(target, Value::ZERO, ScheduleSpec::default()),
+        cfg_for(target, Value::ONE, splitting_spec()),
+        cfg_for(target, Value::ONE, dropping_spec()),
     ]
 }
 
 #[test]
 fn multiplexed_instances_match_standalone_runs_for_every_target() {
     for target in targets() {
-        let cfgs = fleet_cfgs(target.name);
+        let cfgs = fleet_cfgs(target);
         for chaos in [ChaosProfile::reliable(), ChaosProfile::lossy(77, 150)] {
             for threads in [1usize, 4] {
                 // Stagger admissions so phases pipeline.
@@ -155,7 +151,7 @@ fn multiplexed_runs_are_worker_count_independent() {
         (per_instance, mux.stats.clone(), mux.ticks)
     };
     for target in targets() {
-        let cfgs = fleet_cfgs(target.name);
+        let cfgs = fleet_cfgs(target);
         for chaos in [ChaosProfile::reliable(), ChaosProfile::stress(91)] {
             let run = |threads: usize| {
                 let svc = SvcConfig::new()
@@ -179,7 +175,7 @@ fn multiplexed_runs_are_worker_count_independent() {
 #[test]
 fn coalesced_flushes_are_batched_across_instances() {
     let target = find_target("ds-broadcast").unwrap();
-    let cfg = cfg_for(target.name, Value::ONE, ScheduleSpec::default());
+    let cfg = cfg_for(target, Value::ONE, ScheduleSpec::default());
     let cfgs = vec![cfg.clone(), cfg.clone(), cfg.clone(), cfg.clone()];
 
     // All four instances admitted in one tick march phases in lockstep, so
@@ -216,9 +212,9 @@ fn degradation_verdicts_stay_per_instance() {
     // its own FaultBudgetExceeded verdict. The service settles them all.
     let target = find_target("ds-broadcast").unwrap();
     let cfgs = vec![
-        cfg_for(target.name, Value::ONE, ScheduleSpec::default()),
-        cfg_for(target.name, Value::ONE, splitting_spec()),
-        cfg_for(target.name, Value::ZERO, ScheduleSpec::default()),
+        cfg_for(target, Value::ONE, ScheduleSpec::default()),
+        cfg_for(target, Value::ONE, splitting_spec()),
+        cfg_for(target, Value::ZERO, ScheduleSpec::default()),
     ];
     let chaos = ChaosProfile::reliable().with_link(ProcessId(1), ProcessId(3), LinkChaos::dead());
     let svc = SvcConfig::default();
@@ -257,7 +253,7 @@ fn latencies_and_ticks_reflect_pipelining() {
     // must finish in far fewer ticks than K serial protocol runs, and
     // every decided instance reports a latency.
     let target = find_target("ds-broadcast").unwrap();
-    let cfg = cfg_for(target.name, Value::ONE, ScheduleSpec::default());
+    let cfg = cfg_for(target, Value::ONE, ScheduleSpec::default());
     let k = 8usize;
     let cfgs = vec![cfg; k];
     let pipelined = SvcConfig::new().with_admit_per_tick(1);
@@ -292,7 +288,7 @@ fn open_loop_spec(target: &CheckTarget, i: u64) -> InstanceSpec<Chain> {
     } else {
         Value::ZERO
     };
-    let cfg = cfg_for(target.name, value, ScheduleSpec::default());
+    let cfg = cfg_for(target, value, ScheduleSpec::default());
     target.build(&cfg).expect("valid schedule").into()
 }
 
@@ -623,7 +619,7 @@ fn instance_seeds_isolate_chaos_streams_within_one_fleet() {
     // identical specs, different wire histories. (Seed-level injectivity
     // is unit-tested in ba-net::svc; this is the service-level effect.)
     let target = find_target("ds-broadcast").unwrap();
-    let cfg = cfg_for(target.name, Value::ONE, ScheduleSpec::default());
+    let cfg = cfg_for(target, Value::ONE, ScheduleSpec::default());
     let cfgs = vec![cfg.clone(), cfg];
     let svc = SvcConfig::new().with_admit_per_tick(1);
     let chaos = ChaosProfile::lossy(77, 300);

@@ -139,18 +139,13 @@ fn an_all_to_all_run_asks_for_no_large_block() {
 
 /// Building any checkable target — keys, registry, one boxed actor per
 /// processor, the setup itself — makes at most two allocator calls per
-/// processor, at any `n` (n + 6 … n + 11 when measured), so a service pays
+/// processor, at any `n` (n + 6 … n + 13 when measured), so a service pays
 /// a linear, not quadratic, price per submission.
 #[test]
 fn building_a_target_allocates_at_most_twice_per_processor() {
     for target in targets() {
         for n in [16, 64, 256] {
-            // Algorithm 1 needs n = 2t + 1.
-            let (n, t) = if target.name == "algorithm1" {
-                (n + 1, n / 2)
-            } else {
-                (n, 1)
-            };
+            let (n, t) = target.dims_from(n, 1);
             let cfg = CheckConfig::new(n, t, Value::ONE, 7, 1, ScheduleSpec::default());
             let (setup, calls, _) = counted(|| target.build(&cfg));
             let setup = setup.expect("a fault-free schedule compiles");
