@@ -6,19 +6,23 @@
 //! configuration, validates a schedule against its parameter constraints,
 //! builds it with the algorithm module's own `build` — the one its `run`
 //! calls ([`dolev_strong::build`], [`algorithm1::build`],
-//! [`algorithm2::build`], [`algorithm3::build`]) — and runs it through the
-//! deterministic engine as one [`InstanceSpec`].
+//! [`algorithm2::build`], [`algorithm3::build`], [`om::build`]) — and runs
+//! it through the deterministic engine as one [`InstanceSpec`].
 //!
-//! The registry deliberately includes one **unsound** target,
-//! [`weakened Dolev–Strong`](DsParams::weaken_relay_threshold): its relay
+//! The registry deliberately includes **unsound** targets. The
+//! [`weakened Dolev–Strong`](DsParams::weaken_relay_threshold) relay
 //! threshold is off by one, so the right omission schedule splits the
-//! correct processors. It exists so the checker's corpus can prove the
-//! explorer finds real violations and the shrinker minimizes them.
+//! correct processors; it exists so the checker's corpus can prove the
+//! explorer finds real violations and the shrinker minimizes them. The
+//! other two show what signatures buy (Corollary 1): `om-n3t` runs `OM(t)`
+//! at `n = 3t`, below its resilience, and `ds-broadcast-oral` runs
+//! Dolev–Strong over [`SchemeKind::Oral`] signatures, which anyone can
+//! forge.
 
 use crate::algorithm3::{self, Alg3Params};
 use crate::common::Board;
 use crate::dolev_strong::{self, DsParams, Variant};
-use crate::{algorithm1, algorithm2, bounds};
+use crate::{algorithm1, algorithm2, bounds, om};
 use ba_crypto::{Chain, KeyRegistry, ProcessId, SchemeKind, Value};
 use ba_sim::schedule::{FaultBehavior, LinkDrop, ScheduleError, ScheduleSpec};
 use ba_sim::{check_byzantine_agreement, Actor, AgreementViolation, InstanceSpec, RunVerdict};
@@ -266,9 +270,9 @@ impl CheckTarget {
     /// # Errors
     /// [`ScheduleError::Unmapped`] when the schedule carries a
     /// protocol-specific behaviour the target's adversary hook does not
-    /// map (`lie` and `withhold` on the Dolev–Strong targets, `lie` on
-    /// `algorithm1`, `withhold` on `algorithm2`, `withhold` and a `lie`
-    /// off a group root on `algorithm3-s2`).
+    /// map (`lie` and `withhold` on the Dolev–Strong and `OM(t)` targets,
+    /// `lie` on `algorithm1`, `withhold` on `algorithm2`, `withhold` and a
+    /// `lie` off a group root on `algorithm3-s2`).
     pub fn build(&self, cfg: &CheckConfig) -> Result<CheckSetup, ScheduleError> {
         debug_assert!(self.validate(cfg).is_ok());
         (self.build_fn)(cfg)
@@ -355,6 +359,30 @@ pub fn targets() -> &'static [CheckTarget] {
             supports: alg3_supports,
             build_fn: build_algorithm3_s2,
         },
+        CheckTarget {
+            name: "om",
+            summary: "OM(t), oral messages as tagless signature chains (n > 3t, t + 1 phases)",
+            sound: true,
+            multi_valued: false,
+            supports: om_supports,
+            build_fn: build_om,
+        },
+        CheckTarget {
+            name: "om-n3t",
+            summary: "OM(t) at n = 3t, below its resilience (the oral-messages impossibility)",
+            sound: false,
+            multi_valued: false,
+            supports: om_n3t_supports,
+            build_fn: build_om,
+        },
+        CheckTarget {
+            name: "ds-broadcast-oral",
+            summary: "Dolev-Strong broadcast over forgeable tagless signatures (unsound)",
+            sound: false,
+            multi_valued: true,
+            supports: ds_supports,
+            build_fn: build_ds_broadcast_oral,
+        },
     ];
     TARGETS
 }
@@ -376,29 +404,47 @@ fn alg3_supports(n: usize, t: usize) -> bool {
     t >= 1 && n >= 2 * t + 2
 }
 
-/// The registry every target signs with.
+fn om_supports(n: usize, t: usize) -> bool {
+    t >= 1 && n > 3 * t
+}
+
+/// Uncapped in `t`: [`CheckTarget::dims_from`] searches upward for a match.
+fn om_n3t_supports(n: usize, t: usize) -> bool {
+    t >= 1 && n == 3 * t
+}
+
+/// The registry every keyed target signs with.
 fn registry_for(cfg: &CheckConfig) -> KeyRegistry {
     KeyRegistry::new(cfg.n, cfg.seed, SchemeKind::Fast)
 }
 
+/// The registry of the unauthenticated targets: tagless signatures.
+fn oral_registry(cfg: &CheckConfig) -> KeyRegistry {
+    KeyRegistry::new(cfg.n, cfg.seed, SchemeKind::Oral)
+}
+
 fn build_ds_broadcast(cfg: &CheckConfig) -> Result<CheckSetup, ScheduleError> {
-    build_ds(cfg, Variant::Broadcast, false)
+    build_ds(cfg, registry_for(cfg), Variant::Broadcast, false)
 }
 
 fn build_ds_relay(cfg: &CheckConfig) -> Result<CheckSetup, ScheduleError> {
-    build_ds(cfg, Variant::Relay, false)
+    build_ds(cfg, registry_for(cfg), Variant::Relay, false)
 }
 
 fn build_ds_weak(cfg: &CheckConfig) -> Result<CheckSetup, ScheduleError> {
-    build_ds(cfg, Variant::Broadcast, true)
+    build_ds(cfg, registry_for(cfg), Variant::Broadcast, true)
+}
+
+fn build_ds_broadcast_oral(cfg: &CheckConfig) -> Result<CheckSetup, ScheduleError> {
+    build_ds(cfg, oral_registry(cfg), Variant::Broadcast, false)
 }
 
 fn build_ds(
     cfg: &CheckConfig,
+    registry: KeyRegistry,
     variant: Variant,
     weaken: bool,
 ) -> Result<CheckSetup, ScheduleError> {
-    let registry = registry_for(cfg);
     let mut params = DsParams::standard(cfg.n, cfg.t, variant, registry.verifier());
     params.weaken_relay_threshold = weaken;
     params.transmitter = cfg.transmitter;
@@ -434,6 +480,13 @@ fn build_algorithm3_s2(cfg: &CheckConfig) -> Result<CheckSetup, ScheduleError> {
     let spec = algorithm3::build(params, &registry, cfg.value, &cfg.spec)?;
     let (n, t) = (cfg.n as u64, cfg.t as u64);
     Ok(setup(registry, spec, bounds::alg3_max_messages(n, t, 2)))
+}
+
+fn build_om(cfg: &CheckConfig) -> Result<CheckSetup, ScheduleError> {
+    let registry = oral_registry(cfg);
+    let spec = om::build(cfg.n, cfg.t, cfg.value, &registry, &cfg.spec)?;
+    let (n, t) = (cfg.n as u64, cfg.t as u64);
+    Ok(setup(registry, spec, bounds::om_messages(n, t)))
 }
 
 /// A target's setup: what its module's `build` returned, with `registry`
@@ -497,13 +550,16 @@ mod tests {
 
     #[test]
     fn registry_resolves_names() {
-        assert_eq!(targets().len(), 6);
+        assert_eq!(targets().len(), 9);
         for target in targets() {
             assert_eq!(find_target(target.name).unwrap().name, target.name);
         }
         assert!(find_target("nope").is_none());
         assert!(find_target("ds-broadcast").unwrap().sound);
-        assert!(!find_target("ds-weak-relay-threshold").unwrap().sound);
+        assert!(find_target("om").unwrap().sound);
+        for unsound in ["ds-weak-relay-threshold", "om-n3t", "ds-broadcast-oral"] {
+            assert!(!find_target(unsound).unwrap().sound, "{unsound}");
+        }
     }
 
     #[test]
@@ -677,8 +733,8 @@ mod tests {
             ),
         ];
         // Each target is its module's own run at the target's dimensions
-        // (same seed, `Fast` keys), with whether the module's own build
-        // installs keys.
+        // (same seed, `Fast` keys — `om` always signs orally), with whether
+        // the module's own build installs keys.
         let own_run = |name: &str, (n, t): (usize, usize), schedule: &ScheduleSpec| {
             let options = || {
                 crate::RunOptions::new()
@@ -706,7 +762,7 @@ mod tests {
                     algorithm2::run(t, Value::ONE, options()).map(|r| r.report),
                     algorithm2::build(t, Value::ONE, &registry, schedule, &Board::new(n)),
                 ),
-                _ => (
+                "algorithm3-s2" => (
                     algorithm3::run(n, t, 2, Value::ONE, options()),
                     algorithm3::build(
                         Alg3Params::new(n, t, 2, registry.verifier()),
@@ -715,6 +771,17 @@ mod tests {
                         schedule,
                     ),
                 ),
+                "om" => (
+                    om::run(n, t, Value::ONE, options()),
+                    om::build(
+                        n,
+                        t,
+                        Value::ONE,
+                        &KeyRegistry::new(n, 0, SchemeKind::Oral),
+                        schedule,
+                    ),
+                ),
+                other => panic!("no module run is paired with sound target {other:?}"),
             };
             let keyed = keyed.expect("the schedule compiles").registry.is_some();
             (run.expect("a sound run agrees"), keyed)
@@ -779,6 +846,69 @@ mod tests {
         // The same schedule is harmless against the correct protocol.
         let sound = find_target("ds-broadcast").unwrap();
         assert_eq!(sound.run(&config).failure(), None);
+    }
+
+    /// A faulty relay's script: nothing in phase 1, then `chain` to `to`
+    /// alone in phase 2.
+    #[derive(Debug)]
+    struct LateChain {
+        to: ProcessId,
+        chain: Chain,
+    }
+
+    impl Actor<Chain> for LateChain {
+        fn step(
+            &mut self,
+            phase: usize,
+            _inbox: ba_sim::Inbox<'_, Chain>,
+            out: &mut ba_sim::Outbox<Chain>,
+        ) {
+            if phase == 2 {
+                out.send(self.to, self.chain.clone());
+            }
+        }
+        fn decision(&self) -> Option<Value> {
+            None
+        }
+        fn is_correct(&self) -> bool {
+            false
+        }
+    }
+
+    /// `ds-broadcast-oral`'s hand-written witness at n = 4, t = 1: the
+    /// transmitter is correct and sends 1; faulty p3 forges "0 by p0", the
+    /// way [`ChainFuzzer`](crate::fuzz::ChainFuzzer) forges a signature,
+    /// signs it and sends it to p2 alone in the last phase. Without tags
+    /// p2 extracts both values and falls to the default 0 while p1 decides
+    /// 1; under `Fast` keys the forgery fails and agreement holds.
+    ///
+    /// The forger must be a relay: Dolev–Strong takes a chain only from
+    /// its last signer, so a faulty transmitter cannot pass one off under
+    /// a forged relay signature. The checker does not find this witness
+    /// yet: its explorer draws no `forge`, and the seeded `forge` spammer
+    /// found no violation in 120 schedules at n = 4, t = 1 under either
+    /// scheme.
+    #[test]
+    fn a_forged_transmitter_signature_splits_dolev_strong_only_without_tags() {
+        for (name, splits) in [("ds-broadcast-oral", true), ("ds-broadcast", false)] {
+            let forger = ProcessId(3);
+            let config = cfg(4, 1, ScheduleSpec::each([forger], FaultBehavior::Silent));
+            let target = find_target(name).unwrap();
+            target.validate(&config).unwrap();
+            let mut setup = target.build(&config).unwrap();
+            let lie = Chain::new(crate::common::domains::DOLEV_STRONG, Value::ZERO);
+            let mut chain = crate::fuzz::with_forged(&lie, ProcessId(0), setup.registry.kind());
+            chain.sign_and_append(&setup.registry.signer(forger));
+            let to = ProcessId(2);
+            setup.actors[forger.index()] = Box::new(LateChain { to, chain });
+            let outcome = drive(&config, setup);
+            assert_eq!(
+                outcome.violation().is_some(),
+                splits,
+                "{name}: {:?}",
+                outcome.verdict
+            );
+        }
     }
 
     #[test]

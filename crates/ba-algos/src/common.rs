@@ -29,6 +29,8 @@ pub mod domains {
     pub const GRID: u32 = 4;
     /// Algorithm 5 strings (`[F(p, x), x]` lists signed by one active).
     pub const ALG5_STRING: u32 = 5;
+    /// `OM(t)` oral messages (relay paths signed under `SchemeKind::Oral`).
+    pub const OM: u32 = 6;
     /// Base for Algorithm 3 per-group collection chains; group `g` uses
     /// `ALG3_GROUP_BASE + g`.
     pub const ALG3_GROUP_BASE: u32 = 1_000;
@@ -73,7 +75,7 @@ impl<T: Clone> Board<T> {
 
 /// The settings of one BA run, taken by every single-instance `run`:
 /// `algorithm1`, `algorithm1_multi`, `algorithm2`, `algorithm3`,
-/// `algorithm5`, [`agree`](crate::agree()) and `dolev_strong`. Construct
+/// `algorithm5`, [`agree`](crate::agree()), `dolev_strong` and `om`. Construct
 /// with [`new`](RunOptions::new)/[`default`](RunOptions::default) and the
 /// `with_*` builders (the same convention as `SvcConfig`, `NetConfig` and
 /// `ExtOptions`).
@@ -187,7 +189,7 @@ pub fn into_report<P: Payload>(
 /// [`InstanceSpec`].
 ///
 /// `registry` is the module's verification policy, fixed per module:
-/// `Some` (Dolev–Strong, Algorithm 3) verifies delivered chains at the
+/// `Some` (Dolev–Strong, Algorithm 3, `OM(t)`) verifies delivered chains at the
 /// phase barrier; `None` (every other module) leaves each recipient to
 /// verify what it reads.
 ///
@@ -367,6 +369,7 @@ mod tests {
             domains::DOLEV_STRONG,
             domains::GRID,
             domains::ALG5_STRING,
+            domains::OM,
             domains::ALG3_GROUP_BASE,
             domains::FRUGAL,
         ];

@@ -64,20 +64,7 @@ impl ChainFuzzer {
             2 => {
                 // Forged signature claiming a random identity.
                 let fake = ProcessId(rng.range_u32(0, 16));
-                let forged = Signature::forged(fake, self.kind);
-                // Only constructible through the decode path; emulate by
-                // encoding and re-decoding a crafted buffer.
-                let mut enc = ba_crypto::wire::Encoder::new();
-                chain.encode(&mut enc);
-                let mut raw = enc.finish().to_vec();
-                let off = 4 + 8;
-                let count = u32::from_be_bytes(raw[off..off + 4].try_into().expect("u32"));
-                raw[off..off + 4].copy_from_slice(&(count + 1).to_be_bytes());
-                let mut enc2 = ba_crypto::wire::Encoder::new();
-                forged.encode(&mut enc2);
-                raw.extend_from_slice(&enc2.finish());
-                chain = Chain::decode(&mut ba_crypto::wire::Decoder::new(&raw))
-                    .expect("crafted buffer decodes");
+                chain = with_forged(&chain, fake, self.kind);
             }
             3 => {
                 // Over-long self-signed chain (duplicate signer).
@@ -92,6 +79,23 @@ impl ChainFuzzer {
         }
         chain
     }
+}
+
+/// `chain` extended by a [`Signature::forged`] claiming `signer` under
+/// `kind`: what a processor without `signer`'s key can append. A chain
+/// only takes a signature its signer made, so the forgery goes in through
+/// the decode path: encode, splice, re-decode.
+pub(crate) fn with_forged(chain: &Chain, signer: ProcessId, kind: SchemeKind) -> Chain {
+    let mut enc = ba_crypto::wire::Encoder::new();
+    chain.encode(&mut enc);
+    let mut raw = enc.finish().to_vec();
+    let off = 4 + 8;
+    let count = u32::from_be_bytes(raw[off..off + 4].try_into().expect("u32"));
+    raw[off..off + 4].copy_from_slice(&(count + 1).to_be_bytes());
+    let mut enc = ba_crypto::wire::Encoder::new();
+    Signature::forged(signer, kind).encode(&mut enc);
+    raw.extend_from_slice(&enc.finish());
+    Chain::decode(&mut ba_crypto::wire::Decoder::new(&raw)).expect("crafted buffer decodes")
 }
 
 impl PayloadFuzzer<Chain> for ChainFuzzer {

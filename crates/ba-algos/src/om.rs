@@ -4,13 +4,15 @@
 //! Corollary 1 states that *without* authentication, `n(t+1)/4` is a lower
 //! bound on the number of **messages**. `OM(t)` is the classic
 //! unauthenticated algorithm (requiring `n > 3t`), implemented here over
-//! the exponential-information-gathering (EIG) tree:
+//! the exponential-information-gathering (EIG) tree. An oral message is a
+//! signature chain under [`SchemeKind::Oral`], whose signatures carry no
+//! tag: its signers are the relay path, and anyone could have written it.
 //!
 //! * **Phase 1** — the transmitter sends its value to everyone (path
 //!   `[q]`).
 //! * **Phase `k`** (`2 ≤ k ≤ t + 1`) — each processor relays every value it
 //!   received at phase `k − 1` with path `π` to every processor not on
-//!   `π`, extending the path with itself.
+//!   `π`, extending the path with itself (appending its signature).
 //! * **Decision** — recursive majority over the EIG tree with default `0`.
 //!
 //! The exact message count `(n−1) + (n−1)(n−2) + … + (n−1)⋯(n−t−1)` (see
@@ -18,97 +20,75 @@
 //! E2 compares against the Corollary 1 lower bound — and its explosion for
 //! growing `t` is why the paper's authenticated algorithms matter.
 
-use crate::common::{instance, run_report, AlgoReport, RunOptions};
-use ba_crypto::{ProcessId, Value};
-use ba_sim::actor::{Actor, Inbox, Outbox, Payload, Received};
-use ba_sim::schedule::{FaultBehavior, ScheduleSpec};
-use ba_sim::AgreementViolation;
+use crate::common::{chain_adversary, domains, instance, run_report, AlgoReport, RunOptions};
+use ba_crypto::{Chain, KeyRegistry, ProcessId, SchemeKind, Signer, Value, Verifier};
+use ba_sim::actor::{Actor, Inbox, Outbox, Received};
+use ba_sim::schedule::{FaultBehavior, ScheduleError, ScheduleSpec};
+use ba_sim::{AgreementViolation, InstanceSpec};
 use std::collections::BTreeMap;
 
-/// An oral (unauthenticated, source-stamped) message: the relay path and
-/// the claimed value.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct OmMsg {
-    /// Relay path, starting at the transmitter; the last entry is the
-    /// claimed sender of this hop.
-    pub path: Vec<ProcessId>,
-    /// The relayed value.
-    pub value: Value,
-}
-
-impl Payload for OmMsg {
-    fn weight_bytes(&self) -> usize {
-        8 + 4 * self.path.len()
-    }
-    fn kind(&self) -> &'static str {
-        "oral"
-    }
-}
-
-/// An honest `OM(t)` processor.
+/// An honest `OM(t)` processor. Of a chain's signer path it trusts only
+/// the last hop, which must be the engine-stamped sender.
 #[derive(Debug)]
 pub struct OmActor {
     n: usize,
     t: usize,
-    me: ProcessId,
+    signer: Signer,
+    verifier: Verifier,
     own_value: Option<Value>,
-    /// EIG tree: received value per path.
+    /// EIG tree: received value per signer path.
     tree: BTreeMap<Vec<ProcessId>, Value>,
     phase: usize,
 }
 
 impl OmActor {
-    /// Creates the actor; `own_value` is `Some` for the transmitter.
-    pub fn new(n: usize, t: usize, me: ProcessId, own_value: Option<Value>) -> Self {
+    /// Creates `me`'s actor over `registry`'s identities; `own_value` is
+    /// `Some` for the transmitter.
+    pub fn new(t: usize, registry: &KeyRegistry, me: ProcessId, own_value: Option<Value>) -> Self {
         OmActor {
-            n,
+            n: registry.len(),
             t,
-            me,
+            signer: registry.signer(me),
+            verifier: registry.verifier(),
             own_value,
             tree: BTreeMap::new(),
             phase: 0,
         }
     }
 
-    fn is_valid(&self, env: Received<'_, OmMsg>, k: usize) -> bool {
-        let path = &env.payload.path;
-        path.len() == k
-            && path[0] == ProcessId(0)
-            && *path.last().expect("nonempty") == env.from
-            && !path.contains(&self.me)
-            && path.iter().all(|p| p.index() < self.n)
-            && {
-                let mut seen = path.clone();
-                seen.sort_unstable();
-                seen.windows(2).all(|w| w[0] != w[1])
-            }
+    fn is_valid(&self, env: Received<'_, Chain>, k: usize) -> bool {
+        let chain = env.payload;
+        chain.domain() == domains::OM
+            && chain.len() == k
+            && chain.first_signer() == Some(ProcessId(0))
+            && chain.last_signer() == Some(env.from)
+            && !chain.contains_signer(self.signer.id())
+            && chain.verify_simple_path(&self.verifier).is_ok()
     }
 
-    fn absorb(&mut self, inbox: Inbox<'_, OmMsg>, k: usize, out: Option<&mut Outbox<OmMsg>>) {
-        let mut relays: Vec<OmMsg> = Vec::new();
+    fn absorb(&mut self, inbox: Inbox<'_, Chain>, k: usize, out: Option<&mut Outbox<Chain>>) {
+        let mut relays: Vec<Chain> = Vec::new();
         for env in inbox {
             if !self.is_valid(env, k) {
                 continue;
             }
-            let msg = &env.payload;
-            if self.tree.contains_key(&msg.path) {
+            let chain = env.payload;
+            let path: Vec<ProcessId> = chain.signers().collect();
+            if self.tree.contains_key(&path) {
                 continue; // first writer wins, duplicates dropped
             }
-            self.tree.insert(msg.path.clone(), msg.value);
-            if msg.path.len() <= self.t {
-                let mut path = msg.path.clone();
-                path.push(self.me);
-                relays.push(OmMsg {
-                    path,
-                    value: msg.value,
-                });
+            self.tree.insert(path, chain.value());
+            if chain.len() <= self.t {
+                let mut relay = chain.clone();
+                relay.sign_and_append(&self.signer);
+                relays.push(relay);
             }
         }
         if let Some(out) = out {
             for relay in relays {
                 for p in 0..self.n as u32 {
                     let id = ProcessId(p);
-                    if !relay.path.contains(&id) {
+                    if !relay.contains_signer(id) {
                         out.send(id, relay.clone());
                     }
                 }
@@ -132,7 +112,7 @@ impl OmActor {
         *counts.entry(stored).or_insert(0) += 1;
         for p in 0..self.n as u32 {
             let id = ProcessId(p);
-            if id == self.me || path.contains(&id) {
+            if id == self.signer.id() || path.contains(&id) {
                 continue;
             }
             let mut child = path.to_vec();
@@ -149,16 +129,14 @@ impl OmActor {
     }
 }
 
-impl Actor<OmMsg> for OmActor {
-    fn step(&mut self, phase: usize, inbox: Inbox<'_, OmMsg>, out: &mut Outbox<OmMsg>) {
+impl Actor<Chain> for OmActor {
+    fn step(&mut self, phase: usize, inbox: Inbox<'_, Chain>, out: &mut Outbox<Chain>) {
         self.phase = phase;
         if phase == 1 {
             if let Some(v) = self.own_value {
-                let msg = OmMsg {
-                    path: vec![self.me],
-                    value: v,
-                };
-                out.broadcast_all(self.n, msg);
+                let mut chain = Chain::new(domains::OM, v);
+                chain.sign_and_append(&self.signer);
+                out.broadcast_all(self.n, chain);
             }
             return;
         }
@@ -168,7 +146,7 @@ impl Actor<OmMsg> for OmActor {
         self.absorb(inbox, phase - 1, Some(out));
     }
 
-    fn finalize(&mut self, inbox: Inbox<'_, OmMsg>) {
+    fn finalize(&mut self, inbox: Inbox<'_, Chain>) {
         if self.own_value.is_none() {
             let k = self.phase;
             self.absorb(inbox, k, None);
@@ -187,80 +165,48 @@ impl Actor<OmMsg> for OmActor {
 pub mod adversaries {
     use super::*;
 
-    /// An equivocating transmitter: value `1` to the given set, `0` to the
-    /// rest.
-    #[derive(Debug)]
-    pub struct OmEquivocator {
-        n: usize,
-        ones: Vec<ProcessId>,
-    }
-
-    impl OmEquivocator {
-        /// Creates the adversary.
-        pub fn new(n: usize, ones: Vec<ProcessId>) -> Self {
-            OmEquivocator { n, ones }
-        }
-    }
-
-    impl Actor<OmMsg> for OmEquivocator {
-        fn step(&mut self, phase: usize, _inbox: Inbox<'_, OmMsg>, out: &mut Outbox<OmMsg>) {
-            if phase != 1 {
-                return;
-            }
-            for p in 1..self.n as u32 {
-                let id = ProcessId(p);
-                let v = if self.ones.contains(&id) {
-                    Value::ONE
-                } else {
-                    Value::ZERO
-                };
-                out.send(
-                    id,
-                    OmMsg {
-                        path: vec![ProcessId(0)],
-                        value: v,
-                    },
-                );
-            }
-        }
-        fn decision(&self) -> Option<Value> {
-            None
-        }
-        fn is_correct(&self) -> bool {
-            false
-        }
-    }
-
     /// A relay that flips every value it forwards to the targets in
-    /// `flip` — unauthenticated messages cannot be caught by signature
-    /// checks, so only the majority logic protects the run.
+    /// `flip`, re-signing the flipped value along the same path — which
+    /// anyone can under [`SchemeKind::Oral`], so only the majority logic
+    /// protects the run.
     #[derive(Debug)]
     pub struct FlippingRelay {
         inner: OmActor,
+        registry: KeyRegistry,
         flip: Vec<ProcessId>,
     }
 
     impl FlippingRelay {
         /// Creates the adversary from an honest actor's parameters.
-        pub fn new(n: usize, t: usize, me: ProcessId, flip: Vec<ProcessId>) -> Self {
+        pub fn new(t: usize, registry: &KeyRegistry, me: ProcessId, flip: Vec<ProcessId>) -> Self {
             FlippingRelay {
-                inner: OmActor::new(n, t, me, None),
+                inner: OmActor::new(t, registry, me, None),
+                registry: registry.clone(),
                 flip,
             }
         }
+
+        fn flipped(&self, chain: &Chain) -> Chain {
+            let mut flipped = Chain::new(chain.domain(), Value(1 - chain.value().0 % 2));
+            for p in chain.signers() {
+                flipped.sign_and_append(&self.registry.signer(p));
+            }
+            flipped
+        }
     }
 
-    impl Actor<OmMsg> for FlippingRelay {
-        fn step(&mut self, phase: usize, inbox: Inbox<'_, OmMsg>, out: &mut Outbox<OmMsg>) {
+    impl Actor<Chain> for FlippingRelay {
+        fn step(&mut self, phase: usize, inbox: Inbox<'_, Chain>, out: &mut Outbox<Chain>) {
             // Run the honest logic into a scratch outbox, then corrupt.
             let mut scratch = Outbox::new(out.sender());
             self.inner.step(phase, inbox, &mut scratch);
             for env in scratch.into_staged() {
-                let mut msg = env.payload;
-                if self.flip.contains(&env.to) {
-                    msg.value = Value(1 - msg.value.0 % 2);
-                }
-                out.send(env.to, msg);
+                let chain = if self.flip.contains(&env.to) {
+                    self.flipped(&env.payload)
+                } else {
+                    env.payload
+                };
+                out.send(env.to, chain);
             }
         }
         fn decision(&self) -> Option<Value> {
@@ -272,19 +218,17 @@ pub mod adversaries {
     }
 }
 
-/// Builds and runs an `OM(t)` scenario under `schedule`, sequentially.
-/// `OM(t)` signs nothing, so it takes no key seed or scheme.
-/// `Equivocate { ones }` on the transmitter is an
-/// [`OmEquivocator`](adversaries::OmEquivocator) sending `1` to `ones`, on
-/// a relay a [`FlippingRelay`](adversaries::FlippingRelay) flipping what it
-/// forwards to `ones`.
+/// Builds and runs an `OM(t)` scenario under `options`. `OM(t)` is
+/// unauthenticated, so it always signs under [`SchemeKind::Oral`] with
+/// `options.seed` and ignores `options.scheme`; see [`build`] for the
+/// behaviours its schedule maps.
 ///
 /// ```
 /// use ba_algos::om::run;
+/// use ba_algos::RunOptions;
 /// use ba_crypto::Value;
-/// use ba_sim::ScheduleSpec;
 ///
-/// let r = run(4, 1, Value::ONE, &ScheduleSpec::default())?;
+/// let r = run(4, 1, Value::ONE, RunOptions::new())?;
 /// assert_eq!(r.verdict.agreed, Some(Value::ONE));
 /// # Ok::<(), ba_sim::AgreementViolation>(())
 /// ```
@@ -299,25 +243,59 @@ pub fn run(
     n: usize,
     t: usize,
     value: Value,
-    schedule: &ScheduleSpec,
-) -> Result<AlgoReport<OmMsg>, AgreementViolation> {
+    options: RunOptions,
+) -> Result<AlgoReport<Chain>, AgreementViolation> {
     assert!(t >= 1 && n > 3 * t, "OM(t) needs n > 3t");
+    let registry = KeyRegistry::new(n, options.seed, SchemeKind::Oral);
+    let spec = build(n, t, value, &registry, &options.schedule);
+    run_report(spec, &options, value)
+}
 
-    let honest = |p: ProcessId| -> Box<dyn Actor<OmMsg>> {
-        Box::new(OmActor::new(n, t, p, (p == ProcessId(0)).then_some(value)))
+/// Builds one `OM(t)` instance over `n` processors signing under the
+/// [`SchemeKind::Oral`] `registry`: the transmitter `p0` sends `value`,
+/// `schedule`'s faults are applied, and delivered chains are verified at
+/// the phase barrier. [`run`] and the `om` / `om-n3t` check targets both
+/// build through it; only `run` insists on `n > 3t`.
+///
+/// `Equivocate { ones }` on the transmitter and `Forge` go to the shared
+/// chain adversary; `Equivocate` on a relay is a
+/// [`FlippingRelay`](adversaries::FlippingRelay) flipping what it forwards
+/// to `ones`.
+///
+/// # Errors
+/// [`ScheduleError::Unmapped`] for a `lie` or `withhold` fault.
+///
+/// # Panics
+/// On a keyed registry (oral messages carry no tags), or a schedule
+/// malformed for `n` and `t`.
+pub fn build(
+    n: usize,
+    t: usize,
+    value: Value,
+    registry: &KeyRegistry,
+    schedule: &ScheduleSpec,
+) -> Result<InstanceSpec<Chain>, ScheduleError> {
+    assert_eq!(
+        registry.kind(),
+        SchemeKind::Oral,
+        "OM(t) is unauthenticated"
+    );
+    let honest = |p: ProcessId| -> Box<dyn Actor<Chain>> {
+        Box::new(OmActor::new(
+            t,
+            registry,
+            p,
+            (p == ProcessId(0)).then_some(value),
+        ))
     };
-    let adversary = |p: ProcessId, behavior: &FaultBehavior| -> Option<Box<dyn Actor<OmMsg>>> {
-        let FaultBehavior::Equivocate { ones } = behavior else {
-            return None;
-        };
-        Some(if p == ProcessId(0) {
-            Box::new(adversaries::OmEquivocator::new(n, ones.clone()))
-        } else {
-            Box::new(adversaries::FlippingRelay::new(n, t, p, ones.clone()))
-        })
+    let adversary = |p: ProcessId, behavior: &FaultBehavior| match behavior {
+        FaultBehavior::Equivocate { ones } if p != ProcessId(0) => Some(Box::new(
+            adversaries::FlippingRelay::new(t, registry, p, ones.clone()),
+        )
+            as Box<dyn Actor<Chain>>),
+        _ => chain_adversary(registry, domains::OM, p, behavior),
     };
-    let spec = instance(schedule, (n, t, t + 1), None, honest, adversary);
-    run_report(spec, &RunOptions::<()>::new(), value)
+    instance(schedule, (n, t, t + 1), Some(registry), honest, adversary)
 }
 
 #[cfg(test)]
@@ -325,6 +303,11 @@ mod tests {
     use super::*;
     use crate::bounds;
     use ba_sim::Envelope;
+
+    fn run(n: usize, t: usize, value: Value, schedule: &ScheduleSpec) -> AlgoReport<Chain> {
+        let options = RunOptions::new().with_schedule(schedule.clone());
+        super::run(n, t, value, options).unwrap()
+    }
 
     fn odd(n: usize) -> Vec<ProcessId> {
         (1..n as u32).step_by(2).map(ProcessId).collect()
@@ -342,7 +325,7 @@ mod tests {
     #[test]
     fn fault_free_agrees_with_exact_message_count() {
         for (n, t) in [(4, 1), (5, 1), (7, 2), (10, 3)] {
-            let r = run(n, t, Value::ONE, &ScheduleSpec::default()).unwrap();
+            let r = run(n, t, Value::ONE, &ScheduleSpec::default());
             assert_eq!(r.verdict.agreed, Some(Value::ONE), "n={n} t={t}");
             assert_eq!(
                 r.outcome.metrics.messages_by_correct,
@@ -354,7 +337,7 @@ mod tests {
 
     #[test]
     fn fault_free_value_zero() {
-        let r = run(7, 2, Value::ZERO, &ScheduleSpec::default()).unwrap();
+        let r = run(7, 2, Value::ZERO, &ScheduleSpec::default());
         assert_eq!(r.verdict.agreed, Some(Value::ZERO));
     }
 
@@ -368,8 +351,7 @@ mod tests {
                 t,
                 Value::ONE,
                 &ScheduleSpec::each([ProcessId(0)], FaultBehavior::Equivocate { ones }),
-            )
-            .unwrap();
+            );
             assert!(r.verdict.agreed.is_some(), "split={split}");
         }
     }
@@ -377,7 +359,7 @@ mod tests {
     #[test]
     fn flipping_relays_defeated_by_majority() {
         let (n, t) = (7, 2);
-        let r = run(n, t, Value::ONE, &flipping(n, &[2, 5])).unwrap();
+        let r = run(n, t, Value::ONE, &flipping(n, &[2, 5]));
         assert_eq!(r.verdict.agreed, Some(Value::ONE));
     }
 
@@ -392,38 +374,52 @@ mod tests {
                 [ProcessId(3), ProcessId(6), ProcessId(9)],
                 FaultBehavior::Silent,
             ),
-        )
-        .unwrap();
+        );
         assert_eq!(r.verdict.agreed, Some(Value::ONE));
     }
 
     #[test]
     fn message_validation_rejects_malformed_paths() {
-        let actor = OmActor::new(5, 1, ProcessId(3), None);
-        let is_valid = |from: u32, path: Vec<u32>, k: usize| {
+        let registry = KeyRegistry::new(5, 0, SchemeKind::Oral);
+        let actor = OmActor::new(1, &registry, ProcessId(3), None);
+        let signed = |registry: &KeyRegistry, domain: u32, path: &[u32]| {
+            let mut chain = Chain::new(domain, Value::ONE);
+            for &p in path {
+                chain.sign_and_append(&registry.signer(ProcessId(p)));
+            }
+            chain
+        };
+        let is_valid = |from: u32, payload: Chain, k: usize| {
             let env = Envelope {
                 from: ProcessId(from),
                 to: ProcessId(3),
-                payload: OmMsg {
-                    path: path.into_iter().map(ProcessId).collect(),
-                    value: Value::ONE,
-                },
+                payload,
             };
             let received = Inbox::of(std::slice::from_ref(&env)).first();
             actor.is_valid(received.expect("one message"), k)
         };
+        let path = |path: &[u32]| signed(&registry, domains::OM, path);
         // Valid: phase-2 message from p1 with path [q, p1].
-        assert!(is_valid(1, vec![0, 1], 2));
+        assert!(is_valid(1, path(&[0, 1]), 2));
         // Path must end at the actual sender.
-        assert!(!is_valid(2, vec![0, 1], 2));
+        assert!(!is_valid(2, path(&[0, 1]), 2));
         // Path must start at the transmitter.
-        assert!(!is_valid(1, vec![1, 1], 2));
+        assert!(!is_valid(1, path(&[1, 1]), 2));
         // Receiver must not appear on the path.
-        assert!(!is_valid(3, vec![0, 3], 2));
+        assert!(!is_valid(3, path(&[0, 3]), 2));
         // Length must match the phase.
-        assert!(!is_valid(1, vec![0, 1], 3));
+        assert!(!is_valid(1, path(&[0, 1]), 3));
         // Duplicates rejected.
-        assert!(!is_valid(1, vec![0, 2, 2, 1], 4));
+        assert!(!is_valid(1, path(&[0, 2, 2, 1]), 4));
+        // Another protocol's chain is not an oral message.
+        assert!(!is_valid(
+            1,
+            signed(&registry, domains::DOLEV_STRONG, &[0, 1]),
+            2
+        ));
+        // Nor is a keyed signature an oral one.
+        let keyed = KeyRegistry::new(5, 0, SchemeKind::Fast);
+        assert!(!is_valid(1, signed(&keyed, domains::OM, &[0, 1]), 2));
     }
 
     #[test]
@@ -457,7 +453,7 @@ mod tests {
                     FaultBehavior::Silent
                 };
                 let schedule = ScheduleSpec::each(set, behavior);
-                let r = run(n, t, Value::ONE, &schedule).unwrap();
+                let r = run(n, t, Value::ONE, &schedule);
                 assert_eq!(r.verdict.agreed, Some(Value::ONE));
             });
         }

@@ -351,12 +351,7 @@ fn algorithm_runs() -> Vec<AlgorithmRun> {
         };
         runs.push((format!("alg5 t={t} s={s}"), n, Box::new(run)));
     }
-    let run = || {
-        om::run(10, 2, Value::ONE, &ScheduleSpec::default())
-            .unwrap()
-            .outcome
-            .metrics
-    };
+    let run = move || om::run(10, 2, Value::ONE, opts()).unwrap().outcome.metrics;
     runs.push(("om t=2".into(), 10, Box::new(run)));
     runs
 }

@@ -143,7 +143,7 @@ pub fn e2() -> Vec<Table> {
         ],
     );
     for (n, t) in [(4, 1), (7, 1), (7, 2), (10, 2), (10, 3), (13, 3)] {
-        let r = om::run(n, t, Value::ONE, &ScheduleSpec::default()).unwrap();
+        let r = om::run(n, t, Value::ONE, RunOptions::new()).unwrap();
         let measured = r.outcome.metrics.messages_by_correct;
         let formula = bounds::om_messages(n as u64, t as u64);
         let bound = bounds::cor1_message_lower_bound(n as u64, t as u64);
@@ -550,7 +550,7 @@ pub fn e10() -> Vec<Table> {
     ] {
         let om_msgs = if n > 3 * t && bounds::om_messages(n as u64, t as u64) < 2_000_000 && t <= 2
         {
-            let r = om::run(n, t, Value::ONE, &ScheduleSpec::default()).unwrap();
+            let r = om::run(n, t, Value::ONE, RunOptions::new()).unwrap();
             Some(r.outcome.metrics.messages_by_correct)
         } else {
             None

@@ -277,6 +277,23 @@ mod tests {
         CorpusEntry::new(schedule, failure)
     }
 
+    /// `OM(t)` below its resilience: the first violation the explorer finds
+    /// on `om-n3t` at n = 3, t = 1, shrunk — no explorer change needed.
+    fn oral_entry() -> CorpusEntry {
+        let space = crate::ExploreOptions {
+            target: crate::find_target("om-n3t").expect("registered"),
+            n: 3,
+            t: 1,
+            value: 1,
+            seed: 0,
+            budget: 150,
+            strategy: crate::Strategy::Exhaustive,
+        };
+        let report = crate::explore(space.cases(), 1);
+        let found = report.violations.first().expect("om-n3t falls at n = 3");
+        CorpusEntry::new(found.minimized.clone(), found.minimized_failure.clone())
+    }
+
     #[test]
     fn corpus_roundtrips_both_families() {
         let entries = vec![splitting_entry(), ext_splitting_entry()];
@@ -344,7 +361,7 @@ mod tests {
     #[test]
     #[ignore = "writes the committed corpus; run explicitly after intentional changes"]
     fn regenerate_committed_corpus() {
-        let entries = [splitting_entry(), ext_splitting_entry()];
+        let entries = [splitting_entry(), ext_splitting_entry(), oral_entry()];
         for entry in &entries {
             replay_minimal(entry, 1).unwrap();
         }

@@ -1,7 +1,9 @@
 //! The committed regression corpus: the explorer must rediscover the
 //! known-bad schedule for the weakened Dolev–Strong variant, every
 //! committed entry must replay with its exact failure string, and every
-//! committed counterexample must be 1-minimal.
+//! committed counterexample must be 1-minimal. Besides the weakened
+//! variant's entries it pins `om-n3t`'s: `OM(t)` at n = 3t, where one
+//! silent relay splits the correct processors.
 
 use ba_check::corpus::{self, default_corpus_path};
 use ba_check::{explore, find_target, Case, CorpusCase, ExploreOptions, Strategy};
@@ -46,6 +48,12 @@ fn committed_corpus_covers_both_families() {
         entries.iter().any(|e| matches!(e.case, CorpusCase::Ext(_))),
         "the corpus ships an extension-family entry"
     );
+    assert!(
+        entries
+            .iter()
+            .any(|e| matches!(&e.case, CorpusCase::Target(s) if s.target == "om-n3t")),
+        "the corpus ships the oral-messages impossibility"
+    );
 }
 
 #[test]
@@ -73,9 +81,9 @@ fn committed_counterexamples_are_one_minimal() {
 fn corpus_schedules_are_harmless_on_the_sound_variant() {
     let entries = corpus::load(Path::new(default_corpus_path())).unwrap();
     for entry in &entries {
-        // Every committed failure is a bug in the weakened variant, not in
-        // the schedule: swapping in the sound inner target must clear it,
-        // in both families.
+        // Every committed failure is a bug in the weakened variant (or the
+        // missing signatures of `om-n3t`), not in the schedule: swapping in
+        // the sound signed target must clear it, in both families.
         match &entry.case {
             CorpusCase::Target(schedule) => {
                 let mut on_sound = schedule.clone();

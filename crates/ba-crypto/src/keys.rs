@@ -14,7 +14,9 @@
 //! Two tag constructions are provided: [`SchemeKind::Hmac`] (HMAC-SHA-256,
 //! 32-byte tags) and [`SchemeKind::Fast`] (64-bit keyed-mix tags) for large
 //! parameter sweeps where hashing would dominate runtime. Both are
-//! deterministic in the run seed.
+//! deterministic in the run seed. [`SchemeKind::Oral`] is the
+//! unauthenticated model (Corollary 1): a signature only names its signer,
+//! so anyone can produce anyone's.
 
 use crate::error::CryptoError;
 use crate::hmac::HmacKey;
@@ -35,6 +37,11 @@ pub enum SchemeKind {
     /// 64-bit keyed mixing, 8-byte tags. Fast mode for big sweeps; still
     /// unforgeable against the scripted adversaries in this workspace.
     Fast,
+    /// No tag at all: a signature names its signer and nothing else, so
+    /// every in-range signature verifies and
+    /// [`Signature::forged`] is as good as a real one. Oral messages
+    /// (`OM(t)`) carry their relay path as such a chain.
+    Oral,
 }
 
 /// A signature: the claimed signer plus an authentication tag over the
@@ -49,6 +56,7 @@ pub struct Signature {
 enum Tag {
     Hmac([u8; 32]),
     Fast(u64),
+    Oral,
 }
 
 impl Signature {
@@ -62,6 +70,7 @@ impl Signature {
         match self.tag {
             Tag::Hmac(_) => 4 + 1 + 32,
             Tag::Fast(_) => 4 + 1 + 8,
+            Tag::Oral => 4 + 1,
         }
     }
 
@@ -76,6 +85,9 @@ impl Signature {
             Tag::Fast(t) => {
                 enc.u8(1);
                 enc.u64(*t);
+            }
+            Tag::Oral => {
+                enc.u8(2);
             }
         }
     }
@@ -94,6 +106,7 @@ impl Signature {
                 hasher.update(&[1]);
                 hasher.update(&t.to_be_bytes());
             }
+            Tag::Oral => hasher.update(&[2]),
         }
     }
 
@@ -113,18 +126,21 @@ impl Signature {
                 Tag::Hmac(t)
             }
             1 => Tag::Fast(dec.u64()?),
+            2 => Tag::Oral,
             other => return Err(CryptoError::BadDiscriminant { found: other }),
         };
         Ok(Signature { signer, tag })
     }
 
-    /// Produces a deliberately invalid signature claiming to be from
-    /// `signer` — used by adversaries attempting forgery and by tests that
-    /// check forged signatures are rejected.
+    /// Produces a signature claiming to be from `signer` without its key —
+    /// used by adversaries attempting forgery and by tests that check
+    /// forged signatures are rejected. Under [`SchemeKind::Oral`] it
+    /// verifies: there is no key to lack.
     pub fn forged(signer: ProcessId, kind: SchemeKind) -> Self {
         let tag = match kind {
             SchemeKind::Hmac => Tag::Hmac([0xAB; 32]),
             SchemeKind::Fast => Tag::Fast(0xDEAD_BEEF_DEAD_BEEF),
+            SchemeKind::Oral => Tag::Oral,
         };
         Signature { signer, tag }
     }
@@ -206,7 +222,7 @@ impl KeyRegistry {
             SchemeKind::Hmac => (0..n)
                 .map(|id| HmacKey::new(&hmac_secret(seed, id)))
                 .collect(),
-            SchemeKind::Fast => Vec::new(),
+            SchemeKind::Fast | SchemeKind::Oral => Vec::new(),
         };
         let mut state = seed ^ 0xA076_1D64_78BD_642F;
         let fast_keys = (0..n).map(|_| splitmix64(&mut state) | 1).collect();
@@ -266,7 +282,9 @@ impl KeyRegistry {
     }
 
     fn tag_for(&self, id: ProcessId, content: &[u8]) -> Tag {
-        crate::stats::record_tag_op();
+        if self.inner.kind != SchemeKind::Oral {
+            crate::stats::record_tag_op();
+        }
         match self.inner.kind {
             SchemeKind::Hmac => Tag::Hmac(self.inner.hmac_keys[id.index()].tag(content)),
             SchemeKind::Fast => {
@@ -281,6 +299,7 @@ impl KeyRegistry {
                 let mut s = acc ^ key.rotate_left(17);
                 Tag::Fast(splitmix64(&mut s))
             }
+            SchemeKind::Oral => Tag::Oral,
         }
     }
 }
@@ -320,7 +339,8 @@ pub struct Verifier {
 
 impl Verifier {
     /// Returns `true` when `sig` is a valid signature of `content` by its
-    /// claimed signer.
+    /// claimed signer — under [`SchemeKind::Oral`], when it names an
+    /// in-range signer and carries no tag.
     pub fn verify(&self, sig: &Signature, content: &[u8]) -> bool {
         self.check(sig, content).is_ok()
     }
@@ -345,6 +365,7 @@ impl Verifier {
         let ok = match (&sig.tag, &expected) {
             (Tag::Hmac(a), Tag::Hmac(b)) => crate::hmac::tags_equal(a, b),
             (Tag::Fast(a), Tag::Fast(b)) => a == b,
+            (Tag::Oral, Tag::Oral) => true,
             _ => false,
         };
         if ok {
@@ -479,6 +500,51 @@ mod tests {
             assert_eq!(decoded, sig);
             assert!(reg.verifier().verify(&decoded, b"payload"));
         }
+    }
+
+    #[test]
+    fn oral_signature_roundtrips_in_five_bytes() {
+        let reg = KeyRegistry::new(5, 42, SchemeKind::Oral);
+        let sig = reg.signer(ProcessId(4)).sign(b"payload");
+        let mut enc = Encoder::new();
+        sig.encode(&mut enc);
+        let buf = enc.finish();
+        assert_eq!((buf.len(), sig.encoded_len()), (5, 5));
+        assert_eq!(&buf[4..], [2]);
+        let decoded = Signature::decode(&mut Decoder::new(&buf)).unwrap();
+        assert_eq!(decoded, sig);
+        // No tag binds the content: any content verifies.
+        assert!(reg.verifier().verify(&decoded, b"anything"));
+    }
+
+    #[test]
+    fn oral_and_keyed_signatures_reject_each_other() {
+        let oral = KeyRegistry::new(3, 5, SchemeKind::Oral);
+        for keyed in registries() {
+            let sig = oral.signer(ProcessId(1)).sign(b"m");
+            assert!(!keyed.verifier().verify(&sig, b"m"), "{:?}", keyed.kind());
+            let sig = keyed.signer(ProcessId(1)).sign(b"m");
+            assert!(!oral.verifier().verify(&sig, b"m"), "{:?}", keyed.kind());
+        }
+    }
+
+    #[test]
+    fn forged_oral_signatures_verify_only_under_oral() {
+        let oral = KeyRegistry::new(5, 42, SchemeKind::Oral);
+        let forged = Signature::forged(ProcessId(3), SchemeKind::Oral);
+        assert!(oral.verifier().verify(&forged, b"anything"));
+        for keyed in registries() {
+            assert!(!keyed.verifier().verify(&forged, b"anything"));
+        }
+        // Still only in-range signers.
+        let stranger = Signature::forged(ProcessId(5), SchemeKind::Oral);
+        assert_eq!(
+            oral.verifier().check(&stranger, b"m"),
+            Err(CryptoError::UnknownSigner {
+                signer: ProcessId(5),
+                registered: 5
+            })
+        );
     }
 
     #[test]

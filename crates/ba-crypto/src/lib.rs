@@ -36,6 +36,8 @@
 //! `Hmac` (full 256-bit tags) and `Fast` (64-bit keyed-mix tags) for large
 //! parameter sweeps. Both enforce the unforgeability contract above; the
 //! substitution from real public-key signatures is documented in DESIGN.md.
+//! A third, `Oral`, drops it on purpose: its signatures carry no tag, which
+//! is the unauthenticated model of the paper's Corollary 1.
 //!
 //! # Example
 //!

@@ -61,7 +61,7 @@ pub struct CryptoStats {
     /// SHA-256 digest computations (one per `Sha256::finalize`).
     pub hash_invocations: u64,
     /// Tag computations: every sign and every verification recomputes one
-    /// authentication tag.
+    /// authentication tag (none under `SchemeKind::Oral`, which has no tag).
     pub tag_ops: u64,
     /// Individual signature verifications performed by a `Verifier`.
     pub sig_verifications: u64,

@@ -199,12 +199,12 @@ fn baselines_agreement_matrix() {
             2,
             Value::ONE,
             // The relays flip what they forward to odd-numbered targets.
-            &each(
+            RunOptions::new().with_schedule(each(
                 &[2, 4],
                 FaultBehavior::Equivocate {
                     ones: vec![ProcessId(1), ProcessId(3), ProcessId(5)],
                 },
-            ),
+            )),
         )
         .expect("agreement must hold");
         assert_eq!(r.verdict.agreed, Some(Value::ONE));
@@ -222,7 +222,7 @@ fn cross_algorithm_consistency_on_shared_settings() {
     let a3 = algorithm3::run(40, t, 6, v, Default::default()).unwrap();
     let a5 = algorithm5::run(60, t, 3, v, Default::default()).unwrap();
     let ds = dolev_strong::run(2 * t + 1, t, v, Default::default()).unwrap();
-    let omr = om::run(10, t, v, &Default::default()).unwrap();
+    let omr = om::run(10, t, v, Default::default()).unwrap();
     for agreed in [
         a1.verdict.agreed,
         a2.report.verdict.agreed,

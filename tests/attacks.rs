@@ -3,11 +3,11 @@
 //! registered target survives both constructions.
 
 use byzantine_agreement::algos::bounds::thm1_signature_lower_bound;
-use byzantine_agreement::algos::checkable::{find_target, targets, CheckTarget};
+use byzantine_agreement::algos::checkable::{find_target, targets, CheckConfig, CheckTarget};
 use byzantine_agreement::crypto::{Chain, KeyRegistry, SchemeKind, Value};
 use byzantine_agreement::model::frugal::{FrugalBroadcast, QuietBroadcast};
 use byzantine_agreement::model::{fault_free, theorem1, theorem2};
-use byzantine_agreement::sim::{AgreementViolation, InstanceSpec};
+use byzantine_agreement::sim::{AgreementViolation, InstanceSpec, ScheduleSpec};
 
 /// The `k`-relay broadcast over `n` processors, keyed by `seed`.
 fn frugal(n: usize, k: usize, seed: u64) -> impl Fn(Value) -> InstanceSpec<Chain> {
@@ -73,12 +73,42 @@ fn theorem2_extraction_never_falls_short() {
     }
 }
 
+/// The most messages a fault-free history of an audited cell may cost:
+/// `OM(t)`'s exponential count passes it from (20, 4) on.
+const MAX_AUDITED_MESSAGES: u64 = 100_000;
+
 /// The cells the audits probe: each `(n, t)` of `n ∈ {2t + 1, 2t + 3,
-/// 4t + 4}`, `t ∈ 1..=6`, that `target` supports.
+/// 4t + 4}`, `t ∈ 1..=6`, that `target` supports and whose fault-free
+/// message bound is at most [`MAX_AUDITED_MESSAGES`].
 fn cells(target: &CheckTarget) -> impl Iterator<Item = (usize, usize)> + '_ {
     (1..=6)
         .flat_map(|t| [2 * t + 1, 2 * t + 3, 4 * t + 4].map(|n| (n, t)))
         .filter(|&(n, t)| target.supports(n, t))
+        .filter(|&(n, t)| {
+            let config = CheckConfig::new(n, t, Value::ONE, 0, 1, ScheduleSpec::default());
+            let setup = target
+                .build(&config)
+                .expect("a fault-free schedule compiles");
+            setup.message_bound <= MAX_AUDITED_MESSAGES
+        })
+}
+
+/// The cost cap drops only `OM(t)`'s cells at t ≥ 4: every other target
+/// keeps each cell it supports.
+#[test]
+fn the_audits_cost_cap_drops_no_cell_of_the_polynomial_targets() {
+    let audited = [
+        ("ds-broadcast", 18),
+        ("ds-relay", 18),
+        ("ds-weak-relay-threshold", 18),
+        ("algorithm1", 6),
+        ("algorithm2", 6),
+        ("algorithm3-s2", 12),
+        ("om", 5),
+    ];
+    for (name, count) in audited {
+        assert_eq!(cells(find_target(name).unwrap()).count(), count, "{name}");
+    }
 }
 
 /// Theorems 1 and 2 hold for every correct algorithm, so every sound

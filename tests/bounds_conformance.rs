@@ -82,7 +82,7 @@ fn lower_bounds_cleared_by_all_algorithms() {
     // Theorem 1 / Corollary 1: unauthenticated OM(t) clears n(t+1)/4 in
     // messages; authenticated algorithms clear it in signatures.
     for (n, t) in [(7usize, 2usize), (10, 3)] {
-        let r = om::run(n, t, Value::ONE, &Default::default()).unwrap();
+        let r = om::run(n, t, Value::ONE, Default::default()).unwrap();
         assert!(
             r.outcome.metrics.messages_by_correct
                 >= bounds::cor1_message_lower_bound(n as u64, t as u64)
