@@ -44,10 +44,12 @@ pub fn is_increasing_message(
     upper_label: usize,
     verifier: &Verifier,
 ) -> bool {
+    increasing_shape(chain, value, upper_label) && chain.verify(verifier).is_ok()
+}
+
+/// [`is_increasing_message`] short of the signature check.
+fn increasing_shape(chain: &Chain, value: Value, upper_label: usize) -> bool {
     if chain.domain() != domains::ALG2 || chain.value() != value || chain.is_empty() {
-        return false;
-    }
-    if chain.verify(verifier).is_err() {
         return false;
     }
     let mut prev = 0usize; // labels start at 1
@@ -71,7 +73,12 @@ pub fn is_transferable_proof(
     t: usize,
     verifier: &Verifier,
 ) -> bool {
-    if chain.value() != value || chain.verify(verifier).is_err() {
+    proof_shape(chain, value, owner, t) && chain.verify(verifier).is_ok()
+}
+
+/// [`is_transferable_proof`] short of the signature check.
+fn proof_shape(chain: &Chain, value: Value, owner: ProcessId, t: usize) -> bool {
+    if chain.value() != value {
         return false;
     }
     let mut others: Vec<ProcessId> = chain.signers().filter(|&s| s != owner).collect();
@@ -123,36 +130,25 @@ impl Algo2Actor {
         self.me.index() + 1
     }
 
+    /// Keeps the best increasing message and the best proof among
+    /// `inbox`'s chains, verifying each chain that could be either once.
     fn absorb_increasing(&mut self, inbox: Inbox<'_, Chain>) {
         let Some(committed) = self.committed else {
             return;
         };
         for env in inbox {
-            if is_increasing_message(env.payload, committed, self.label(), &self.params.verifier) {
-                let better = self
-                    .best
-                    .as_ref()
-                    .is_none_or(|b| env.payload.len() > b.len());
-                if better {
-                    self.best = Some(env.payload.clone());
-                }
+            let chain = env.payload;
+            let increasing = increasing_shape(chain, committed, self.label());
+            let proof = chain.domain() == domains::ALG2
+                && proof_shape(chain, committed, self.me, self.params.t);
+            if !(increasing || proof) || chain.verify(&self.params.verifier).is_err() {
+                continue;
             }
-            if env.payload.domain() == domains::ALG2
-                && is_transferable_proof(
-                    env.payload,
-                    committed,
-                    self.me,
-                    self.params.t,
-                    &self.params.verifier,
-                )
-            {
-                let better = self
-                    .proof
-                    .as_ref()
-                    .is_none_or(|p| env.payload.len() > p.len());
-                if better {
-                    self.proof = Some(env.payload.clone());
-                }
+            if increasing && self.best.as_ref().is_none_or(|b| chain.len() > b.len()) {
+                self.best = Some(chain.clone());
+            }
+            if proof && self.proof.as_ref().is_none_or(|p| chain.len() > p.len()) {
+                self.proof = Some(chain.clone());
             }
         }
     }
@@ -221,8 +217,10 @@ impl Actor<Chain> for Algo2Actor {
                 Some(b) => (b.clone(), b.len()),
                 None => (Chain::new(domains::ALG2, committed), 0),
             };
+            // `m` is a verified chain (or a fresh one) plus this
+            // processor's own signature: it verifies by construction.
             m.sign_and_append(&self.signer);
-            if is_transferable_proof(&m, committed, self.me, t, &self.params.verifier) {
+            if proof_shape(&m, committed, self.me, t) {
                 let better = self.proof.as_ref().is_none_or(|p| m.len() > p.len());
                 if better {
                     self.proof = Some(m.clone());

@@ -95,11 +95,18 @@ impl Payload for Msg5 {
             Msg5::Grid(g) => g.signature_count(),
         }
     }
+    /// A chain weighs what [`Chain`]'s own accounting says, and a proof
+    /// item its body plus its signature's encoding: signatures are
+    /// charged at their scheme's [`encoded_len`](ba_crypto::Signature::encoded_len).
     fn weight_bytes(&self) -> usize {
         match self {
-            Msg5::Chain(c) => 16 + 40 * c.len(),
+            Msg5::Chain(c) => c.weight_bytes(),
             Msg5::Activate { valid, proof } => {
-                16 + 40 * valid.len() + proof.iter().map(|i| i.body.len() + 40).sum::<usize>()
+                valid.weight_bytes()
+                    + proof
+                        .iter()
+                        .map(|i| i.body.len() + i.sig.encoded_len())
+                        .sum::<usize>()
             }
             Msg5::Grid(g) => g.weight_bytes(),
         }

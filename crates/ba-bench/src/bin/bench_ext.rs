@@ -14,13 +14,19 @@
 //!   the same total by stage (the last two are the control plane ROADMAP
 //!   wants cut: the `n`-instance availability vote and the fetch round);
 //! * `repair_requests` / `repair_response_bytes` — how much of the grid's
-//!   column repair machinery each cell exercised.
+//!   column repair machinery each cell exercised;
+//! * `dissemination_hashes` — SHA-256 invocations of the dissemination
+//!   stage. The phase barrier checks each distinct coded chunk once per
+//!   agreement and every recipient's check is a stamp hit, so fault-free
+//!   this is exactly `2n`: `n` chunk checks plus one payload root per
+//!   node (CI asserts it at 16 KiB and 256 KiB).
 //!
 //! The report's `host` object names the SHA-256 backend the timings ran
-//! on: chunk authentication is most of a large cell. Each node hashes
-//! each payload byte once — the agreed digest is a root over the data
-//! chunks' digests, which the signature checks already computed — so
-//! past that the cell pays for coding and the inner-BA stages.
+//! on. Each payload byte is hashed once per agreement at the barrier,
+//! plus the sender's signing pass — the agreed digest is a root over the
+//! data chunks' digests, which those checks already computed — so past
+//! that a cell pays for signing, coding, reconstruction copies and the
+//! inner-BA stages.
 //!
 //! Each `(ℓ, n)` cell appears three times: fault-free (`"none"`), with the
 //! last `t` grid nodes silent (`"withhold-t"` — their chunks must be
@@ -204,6 +210,10 @@ fn main() -> ExitCode {
                     (
                         "dissemination_bytes",
                         cell.dissemination.wire_bytes().into(),
+                    ),
+                    (
+                        "dissemination_hashes",
+                        cell.dissemination.crypto.hash_invocations.into(),
                     ),
                     ("vote_bytes", cell.vote.wire_bytes().into()),
                     ("fetch_bytes", cell.fetch.wire_bytes().into()),

@@ -854,7 +854,7 @@ pub fn e13() -> Vec<Table> {
 ///
 /// A run whose instance carries keys — Dolev–Strong and Algorithm 3 —
 /// verifies each unique delivered chain once at the phase barrier and
-/// stamps it (`Chain::verify_at_barrier`); a recipient's own `verify` of a
+/// stamps it (`ba_crypto::stamp::Barrier`); a recipient's own `verify` of a
 /// stamped chain is O(1). Algorithms 1, 2 and 5 build their instances
 /// without keys (DESIGN §10.3), so every recipient checks what it reads in
 /// full and their rows show no stamp hits; `Msg5` exposes no chain to a

@@ -60,40 +60,41 @@
 
 use crate::error::CryptoError;
 use crate::keys::{Signature, Signer, Verifier};
-use crate::rng::splitmix64;
 use crate::sha256::{Sha256, DIGEST_LEN};
+use crate::stamp::{Barrier, BarrierSeen, Stamp};
 use crate::stats::CryptoStats;
 use crate::wire::{Decoder, Encoder};
 use crate::{ProcessId, Value};
-use std::collections::HashSet;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// The shared signature buffer plus its barrier-verification stamp.
 ///
 /// The stamp implements *barrier verification*, the way every phase driver
-/// verifies what it delivers: [`Chain::verify_at_barrier`] verifies each
-/// unique delivered chain once and, on success, writes a token derived from
-/// the verifying registry, the chain's domain and its value into the buffer.
+/// verifies what it delivers (see [`crate::stamp`]): a [`Barrier`] pass
+/// verifies each unique delivered chain once and, on success, stamps the
+/// buffer for the verifying registry, the chain's domain and its value.
 /// Every clone sharing the buffer (a broadcast fan-out) then short-circuits
 /// [`Chain::verify`] to an O(1) stamp comparison. The stamp can never
-/// validate the wrong content: it is compared against a value recomputed
+/// validate the wrong content: it is compared against a word recomputed
 /// from the *asking* chain's domain/value and the *asking* verifier's
 /// registry token, and any mutation of the buffer (append, copy-on-write,
 /// test surgery) resets it to the never-valid `0`.
+#[derive(Clone)]
 struct SigBuf {
     sigs: Vec<Signature>,
-    /// `0` = unstamped; otherwise [`expected_stamp`] of the registry that
-    /// verified this exact buffer under the owning chain's domain/value.
-    stamp: AtomicU64,
+    /// Stamped for the registry that verified this exact buffer under the
+    /// owning chain's domain/value ([`Chain::stamp_key`]). Cloning the
+    /// buffer (the copy-on-write path, *not* `Chain::clone`, which only
+    /// bumps the [`Arc`]) starts unstamped: the clone exists to be mutated.
+    stamp: Stamp,
 }
 
 impl SigBuf {
     fn new(sigs: Vec<Signature>) -> Self {
         SigBuf {
             sigs,
-            stamp: AtomicU64::new(0),
+            stamp: Stamp::new(),
         }
     }
 }
@@ -106,23 +107,6 @@ impl fmt::Debug for SigBuf {
             .field("sigs", &self.sigs)
             .finish_non_exhaustive()
     }
-}
-
-/// Cloning the buffer (the copy-on-write path, *not* `Chain::clone`, which
-/// only bumps the [`Arc`]) starts unstamped: the clone exists to be
-/// mutated.
-impl Clone for SigBuf {
-    fn clone(&self) -> Self {
-        SigBuf::new(self.sigs.clone())
-    }
-}
-
-/// The stamp a verifier over `token`'s registry writes for a verified
-/// buffer carried under (`domain`, `value`). Always odd, hence never the
-/// unstamped `0`.
-fn expected_stamp(token: u64, domain: u32, value: Value) -> u64 {
-    let mut s = token ^ ((domain as u64) << 32) ^ value.0.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    splitmix64(&mut s) | 1
 }
 
 /// A signed chain: `domain`-tagged value plus ordered signatures.
@@ -273,7 +257,7 @@ impl Chain {
         // The buffer's content changes: any barrier-verification stamp no
         // longer describes it. (The copy-on-write clone already starts
         // unstamped; this covers the sole-owner fast path.)
-        *buf.stamp.get_mut() = 0;
+        buf.stamp.reset();
         buf.sigs.push(sig);
         self
     }
@@ -298,8 +282,10 @@ impl Chain {
     /// first failing signature's error.
     pub fn verify(&self, verifier: &Verifier) -> Result<(), CryptoError> {
         if !self.is_empty()
-            && self.sigs.stamp.load(Ordering::Acquire)
-                == expected_stamp(verifier.batch_token(), self.domain, self.value)
+            && self
+                .sigs
+                .stamp
+                .holds(verifier.batch_token(), self.stamp_key())
         {
             crate::stats::record_cache_hit();
             return Ok(());
@@ -327,49 +313,39 @@ impl Chain {
         Ok(())
     }
 
-    /// Barrier verification — how every phase driver verifies the chains
-    /// it is about to deliver. Each *unique* chain among `chains` (unique
-    /// by shared signature buffer, domain and value, so a broadcast
+    /// Barrier verification of `chains` alone: one [`Barrier`] pass that
+    /// meets each of them through [`Barrier::chain`] — each *unique* chain
+    /// (by shared signature buffer, domain and value, so a broadcast
     /// fan-out is one entry) is [`verify`](Self::verify)-ed once and, on
-    /// success, its buffer is stamped: every recipient's own `verify` of a
-    /// clone sharing that buffer is then an O(1) stamp comparison. A chain
+    /// success, its buffer is stamped, so every recipient's own `verify`
+    /// of a clone sharing that buffer is an O(1) stamp comparison. A chain
     /// that fails stays unstamped, so each recipient's `verify` still
     /// rejects it in full; unsigned chains are skipped.
     ///
-    /// `seen` is scratch the caller recycles across barriers (cleared
-    /// here: buffer addresses only identify chains that are alive).
-    /// Returns the calling thread's [`CryptoStats`] delta for the pass;
-    /// attributing it to a phase stays with the caller.
+    /// `seen` is a set the caller recycles across barriers. Returns the
+    /// calling thread's [`CryptoStats`] delta for the pass.
     pub fn verify_at_barrier<'a>(
         chains: impl IntoIterator<Item = &'a Chain>,
         verifier: &Verifier,
-        seen: &mut HashSet<(usize, u32, u64)>,
+        seen: &mut BarrierSeen,
     ) -> CryptoStats {
-        let before = CryptoStats::snapshot();
-        seen.clear();
+        let mut barrier = Barrier::new(verifier, seen);
         for chain in chains {
-            if chain.is_empty() {
-                continue;
-            }
-            let key = (chain.storage_id(), chain.domain, chain.value.0);
-            if seen.insert(key) && chain.verify(verifier).is_ok() {
-                chain.mark_verified(verifier);
-            }
+            barrier.chain(chain);
         }
-        CryptoStats::snapshot().since(&before)
+        barrier.finish()
     }
 
-    /// Stamps this chain's shared signature buffer as verified by
-    /// `verifier`'s registry. Private so that only
-    /// [`verify_at_barrier`](Self::verify_at_barrier) can stamp, and only
-    /// after a successful [`verify`](Self::verify). Sound against misuse of
-    /// shared buffers all the same: the stamp binds the registry, domain
-    /// and value, and any buffer mutation resets it.
-    fn mark_verified(&self, verifier: &Verifier) {
-        self.sigs.stamp.store(
-            expected_stamp(verifier.batch_token(), self.domain, self.value),
-            Ordering::Release,
-        );
+    /// The stamp on this chain's shared signature buffer — written by a
+    /// [`Barrier`] alone, after a successful [`verify`](Self::verify).
+    pub(crate) fn stamp(&self) -> &Stamp {
+        &self.sigs.stamp
+    }
+
+    /// The content a buffer stamp stands for besides the buffer itself:
+    /// this chain's domain and value.
+    pub(crate) fn stamp_key(&self) -> u64 {
+        (u64::from(self.domain) << 32) ^ self.value.0.wrapping_mul(0x9E37_79B9_7F4A_7C15)
     }
 
     /// A deliberately naive O(L²) verification retained as the oracle for
@@ -493,7 +469,7 @@ mod tests {
         let buf = Arc::make_mut(&mut c.sigs);
         // Buffer surgery invalidates any batched-verification stamp, just
         // as sign_and_append does.
-        *buf.stamp.get_mut() = 0;
+        buf.stamp.reset();
         &mut buf.sigs
     }
 
@@ -761,11 +737,11 @@ mod tests {
         let reg = KeyRegistry::new(6, 11, SchemeKind::Fast);
         let v = reg.verifier();
         let c = signed_chain(&reg, &[0, 1, 2, 3]);
-        Chain::verify_at_barrier([&c], &v, &mut HashSet::new());
+        Chain::verify_at_barrier([&c], &v, &mut BarrierSeen::new());
         let mut bad = c.clone();
         sigs_mut(&mut bad).push(Signature::forged(ProcessId(5), SchemeKind::Fast));
         assert!(bad.verify(&v).is_err());
-        Chain::verify_at_barrier([&bad], &v, &mut HashSet::new());
+        Chain::verify_at_barrier([&bad], &v, &mut BarrierSeen::new());
         assert!(bad.verify(&v).is_err());
         // The untampered chain is still a stamp hit.
         let before = CryptoStats::snapshot();
@@ -779,8 +755,7 @@ mod tests {
         let reg = KeyRegistry::new(6, 3, SchemeKind::Fast);
         let v = reg.verifier();
         let c = signed_chain(&reg, &[0, 1, 2]);
-        c.verify(&v).unwrap();
-        c.mark_verified(&v);
+        Chain::verify_at_barrier([&c], &v, &mut BarrierSeen::new());
         // Every clone shares the stamped buffer: verify is pure stamp
         // comparison — zero hashes, zero signature checks.
         let clone = c.clone();
@@ -798,8 +773,7 @@ mod tests {
         let reg = KeyRegistry::new(6, 4, SchemeKind::Fast);
         let v = reg.verifier();
         let mut c = signed_chain(&reg, &[0, 1]);
-        c.verify(&v).unwrap();
-        c.mark_verified(&v);
+        Chain::verify_at_barrier([&c], &v, &mut BarrierSeen::new());
 
         // Relay extension (copy-on-write): the extended chain's new
         // signature is actually checked, not waved through.
@@ -826,8 +800,7 @@ mod tests {
         let reg = KeyRegistry::new(6, 5, SchemeKind::Fast);
         let other = KeyRegistry::new(6, 5, SchemeKind::Fast);
         let c = signed_chain(&reg, &[0, 1]);
-        c.verify(&reg.verifier()).unwrap();
-        c.mark_verified(&reg.verifier());
+        Chain::verify_at_barrier([&c], &reg.verifier(), &mut BarrierSeen::new());
 
         // A different registry's verifier must not honor the stamp (it
         // never verified anything) — and signature checks really run.
@@ -972,7 +945,7 @@ mod tests {
                 // Before and after the barrier pass: unstamped, then
                 // stamped when (and only when) the chain is valid.
                 assert_eq!(c.verify(&v), reference);
-                Chain::verify_at_barrier([&c], &v, &mut HashSet::new());
+                Chain::verify_at_barrier([&c], &v, &mut BarrierSeen::new());
                 assert_eq!(c.verify(&v), reference);
             });
         }

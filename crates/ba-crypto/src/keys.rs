@@ -176,9 +176,9 @@ struct RegistryInner {
     hmac_keys: Vec<HmacKey>,
     fast_keys: Vec<u64>,
     kind: SchemeKind,
-    /// Process-unique instance token; the barrier-verification stamp on a
-    /// signature-chain buffer (see
-    /// [`Chain::verify_at_barrier`](crate::Chain::verify_at_barrier)) mixes it in
+    /// Process-unique instance token; a barrier-verification stamp (on a
+    /// signature-chain buffer or a signed window, see [`crate::stamp`])
+    /// mixes it in
     /// so a stamp written under one registry can never satisfy a verifier
     /// over another — even one built from the same seed.
     token: u64,

@@ -24,6 +24,9 @@
 //! * [`chain`] — signature chains (value + ordered list of signatures, each
 //!   covering the value and all previous signatures), the workhorse of the
 //!   paper's authenticated algorithms;
+//! * [`stamp`] — barrier verification: a phase barrier's one check of a
+//!   chain or a signed byte window, stamped so every recipient's copy is
+//!   an O(1) hit;
 //! * [`wire`] — a tiny deterministic binary encoding used as the canonical
 //!   byte representation that signatures cover, plus the internal
 //!   [`Bytes`] buffer type;
@@ -62,6 +65,7 @@ pub mod hmac;
 pub mod keys;
 pub mod rng;
 pub mod sha256;
+pub mod stamp;
 pub mod stats;
 pub mod testkit;
 pub mod wire;
@@ -71,6 +75,7 @@ pub use error::CryptoError;
 #[allow(deprecated)]
 pub use keys::VerifierCache;
 pub use keys::{KeyRegistry, SchemeKind, Signature, Signer, Verifier};
+pub use stamp::{Barrier, WindowStamp};
 pub use stats::CryptoStats;
 pub use wire::Bytes;
 

@@ -65,13 +65,14 @@ pub struct CryptoStats {
     pub tag_ops: u64,
     /// Individual signature verifications performed by a `Verifier`.
     pub sig_verifications: u64,
-    /// Chain verifications answered by a barrier stamp in O(1) (see
-    /// `Chain::verify_at_barrier`). The name predates the stamp: it
+    /// Chain and signed-window verifications answered by a barrier stamp
+    /// in O(1) (see `ba_crypto::stamp`). The name predates the stamp: it
     /// counted verifier-cache hits when there was a cache.
     pub cache_hits: u64,
-    /// Full chain verifications: every signature checked against its
+    /// Full verifications: a chain's every signature checked against its
     /// prefix digest (`Chain::verify_uncached`, and `Chain::verify`
-    /// without a stamp).
+    /// without a stamp), or a signed window hashed and checked
+    /// (`WindowStamp::verify` without a stamp).
     pub cache_misses: u64,
 }
 

@@ -119,6 +119,12 @@ impl Bytes {
     pub fn shares_allocation(&self, other: &Bytes) -> bool {
         Arc::ptr_eq(&self.data, &other.data)
     }
+
+    /// Whether `other` is the same range of the same allocation — so, the
+    /// allocation being immutable, the same bytes without reading them.
+    pub(crate) fn same_window(&self, other: &Bytes) -> bool {
+        self.shares_allocation(other) && (self.start, self.end) == (other.start, other.end)
+    }
 }
 
 impl Deref for Bytes {

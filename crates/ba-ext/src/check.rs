@@ -516,6 +516,63 @@ mod tests {
         assert!(report.len() > 15, "family too small: {}", report.len());
     }
 
+    /// `report` with every crypto work counter of every stage zeroed.
+    fn sans_crypto(mut report: ExtReport) -> ExtReport {
+        for metrics in [
+            &mut report.inner_metrics,
+            &mut report.dissemination,
+            &mut report.vote,
+            &mut report.fetch,
+        ] {
+            *metrics = crate::sans_crypto(metrics);
+        }
+        report
+    }
+
+    #[test]
+    fn barrier_verification_reports_what_every_recipient_verifying_reports() {
+        // The reference verifies every delivery at its recipient; every
+        // stage of the barrier run checks each unique chain and chunk once.
+        // Fault-free, withholding at full budget and garbling at full
+        // budget: the reports agree in everything but the crypto work.
+        let p = payload(4_096, 17);
+        let opts = ExtOptions::new().with_t(3);
+        let family = standard_scenarios(opts.n, opts.t, opts.seed, 0);
+        let scenarios = std::iter::once(ExtScenario::default()).chain(
+            family
+                .into_iter()
+                .filter(|s| s.label == "withhold-3-chunks" || s.label == "garble-3-relays"),
+        );
+        let mut ran = 0;
+        for scenario in scenarios {
+            let install = |actors| install_garblers(&scenario.garble, actors);
+            let barrier = run_extension(&p, &opts, &scenario.spec, install).expect("runs");
+            let reference = crate::pipeline::run(
+                &mut crate::pipeline::Reference,
+                &p,
+                &opts,
+                &scenario.spec,
+                install,
+            )
+            .expect("runs");
+            assert!(
+                barrier.dissemination.crypto.sig_verifications
+                    < reference.dissemination.crypto.sig_verifications,
+                "{}: the barrier checks each chunk once",
+                scenario.label
+            );
+            assert_eq!(judge(&p, &barrier, &scenario), None, "{}", scenario.label);
+            assert_eq!(
+                sans_crypto(barrier),
+                sans_crypto(reference),
+                "{}",
+                scenario.label
+            );
+            ran += 1;
+        }
+        assert_eq!(ran, 3);
+    }
+
     #[test]
     fn faulty_sender_forces_aborts_not_wrong_payloads() {
         let p = payload(2_048, 5);

@@ -14,8 +14,11 @@
 //!    ([`ba_algos::checkable`], Dolev–Strong by default) as pluggable
 //!    inner-BA. Everything downstream can now *verify* the payload, so
 //!    dissemination needs no further agreement rounds — and a node
-//!    checks its reconstruction with the chunk digests its signature
-//!    checks already computed, hashing each payload byte once.
+//!    checks its reconstruction with the chunk digests the signature
+//!    checks already computed. The phase barrier checks each distinct
+//!    chunk once per agreement (every recipient's check is a stamp hit),
+//!    so each payload byte is hashed once at the barrier, plus the
+//!    sender's signing pass.
 //! 2. **Coded dissemination** — the payload is erasure-coded
 //!    ([`coding::Coder`], systematic RS-lite over GF(256)) into `n`
 //!    sender-signed chunks, `k = n − 2t` of which reconstruct. The chunks
@@ -67,7 +70,10 @@ use ba_algos::algorithm4::GridLayout;
 use ba_algos::checkable::{find_target, CheckConfig, CheckTarget};
 use ba_algos::common::Board;
 use ba_crypto::sha256::{Sha256, DIGEST_LEN};
-use ba_crypto::{Bytes, KeyRegistry, ProcessId, SchemeKind, Signature, Signer, Value, Verifier};
+use ba_crypto::{
+    Barrier, Bytes, KeyRegistry, ProcessId, SchemeKind, Signature, Signer, Value, Verifier,
+    WindowStamp,
+};
 use ba_sim::schedule::{ScheduleError, ScheduleSpec};
 use ba_sim::{Actor, Inbox, Metrics, Outbox, Payload};
 use coding::Coder;
@@ -124,7 +130,13 @@ pub const FETCH_PHASES: usize = 4;
 /// bytes (through their digest), so relays can authenticate chunks without
 /// any further agreement: a garbled or re-indexed chunk fails verification
 /// and is dropped at the first correct hop.
-#[derive(Clone, PartialEq, Eq, Debug)]
+///
+/// A chunk is a signed window ([`WindowStamp`]): its clones share one
+/// barrier-verification stamp, so a phase barrier that checked the chunk
+/// once answers every recipient's [`verify`](Self::verify) with the digest
+/// it computed. Equality and `Debug` ignore the stamp — it is verification
+/// state, not content.
+#[derive(Clone)]
 pub struct SignedChunk {
     /// Position in the coded-chunk vector (also the id of the node the
     /// chunk was dispersed to).
@@ -136,21 +148,38 @@ pub struct SignedChunk {
     pub data: Bytes,
     /// The sender's signature over `(index, payload_len, H(data))`.
     pub sig: Signature,
+    /// Shared by every clone; written by the phase barrier alone.
+    stamp: WindowStamp,
+}
+
+impl PartialEq for SignedChunk {
+    fn eq(&self, other: &Self) -> bool {
+        (self.index, self.payload_len, &self.data, &self.sig)
+            == (other.index, other.payload_len, &other.data, &other.sig)
+    }
+}
+
+impl Eq for SignedChunk {}
+
+impl std::fmt::Debug for SignedChunk {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SignedChunk")
+            .field("index", &self.index)
+            .field("payload_len", &self.payload_len)
+            .field("data", &self.data)
+            .field("sig", &self.sig)
+            .finish()
+    }
 }
 
 impl SignedChunk {
-    /// The signed bytes: domain, index and payload length as big-endian
-    /// `u32`/`u32`/`u64`, then `H(data)`.
-    fn content(
-        index: u16,
-        payload_len: u64,
-        data_digest: &[u8; DIGEST_LEN],
-    ) -> [u8; 16 + DIGEST_LEN] {
-        let mut out = [0u8; 16 + DIGEST_LEN];
+    /// The signed header: domain, index and payload length as big-endian
+    /// `u32`/`u32`/`u64`. The signature covers it followed by `H(data)`.
+    fn header(index: u16, payload_len: u64) -> [u8; 16] {
+        let mut out = [0u8; 16];
         out[..4].copy_from_slice(&DOMAIN_EXT_CHUNK.to_be_bytes());
         out[4..8].copy_from_slice(&u32::from(index).to_be_bytes());
-        out[8..16].copy_from_slice(&payload_len.to_be_bytes());
-        out[16..].copy_from_slice(data_digest);
+        out[8..].copy_from_slice(&payload_len.to_be_bytes());
         out
     }
 
@@ -168,29 +197,41 @@ impl SignedChunk {
         data: Bytes,
         data_digest: &[u8; DIGEST_LEN],
     ) -> SignedChunk {
-        let sig = signer.sign(&Self::content(index, payload_len, data_digest));
+        let sig = WindowStamp::sign(signer, &Self::header(index, payload_len), data_digest);
         SignedChunk {
             index,
             payload_len,
             data,
             sig,
+            stamp: WindowStamp::default(),
         }
     }
 
     /// `H(data)` when this chunk carries a valid signature by `sender`,
-    /// `None` otherwise — the check hashes the bytes anyway, and a holder
-    /// reuses the digest for the payload root ([`payload_digest`]).
+    /// `None` otherwise — and a holder reuses the digest for the payload
+    /// root ([`payload_digest`]). A stamp hit when the phase barrier
+    /// checked this exact chunk under `verifier`'s registry (no hashing),
+    /// a full check otherwise.
     pub fn verify(&self, verifier: &Verifier, sender: ProcessId) -> Option<[u8; DIGEST_LEN]> {
         if self.sig.signer() != sender {
             return None;
         }
-        let digest = Sha256::digest(&self.data);
-        verifier
-            .verify(
-                &self.sig,
-                &Self::content(self.index, self.payload_len, &digest),
-            )
-            .then_some(digest)
+        self.stamp.verify(
+            verifier,
+            &Self::header(self.index, self.payload_len),
+            &self.data,
+            &self.sig,
+        )
+    }
+
+    /// Hands this chunk to the phase barrier's verification pass.
+    fn verify_at_barrier(&self, barrier: &mut Barrier<'_>) {
+        barrier.window(
+            &self.stamp,
+            &Self::header(self.index, self.payload_len),
+            &self.data,
+            &self.sig,
+        );
     }
 
     /// Encoded wire size: index + payload length + data length prefix +
@@ -244,6 +285,18 @@ impl Payload for ExtMsg {
             ExtMsg::Bundle(chunks) => chunks.iter().map(|c| c.data.len()).sum(),
             ExtMsg::Repair(_) | ExtMsg::Fetch => 0,
             ExtMsg::Full(payload) => payload.len(),
+        }
+    }
+
+    fn verify_at_barrier(&self, barrier: &mut Barrier<'_>) {
+        match self {
+            ExtMsg::Chunk(chunk) => chunk.verify_at_barrier(barrier),
+            ExtMsg::Bundle(chunks) => {
+                for chunk in chunks {
+                    chunk.verify_at_barrier(barrier);
+                }
+            }
+            ExtMsg::Repair(_) | ExtMsg::Fetch | ExtMsg::Full(_) => {}
         }
     }
 
@@ -1249,6 +1302,18 @@ impl Actor<ExtMsg> for NullActor {
     }
 }
 
+/// `metrics` with every crypto work counter zeroed: what a barrier run
+/// and the per-recipient reference must agree on.
+#[cfg(test)]
+pub(crate) fn sans_crypto(metrics: &Metrics) -> Metrics {
+    let mut m = metrics.clone();
+    m.crypto = Default::default();
+    for phase in &mut m.per_phase {
+        (phase.hash_invocations, phase.sig_verifications) = (0, 0);
+    }
+    m
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1347,12 +1412,14 @@ mod tests {
     #[test]
     fn sender_stores_its_own_chunks_without_verifying_them() {
         // Chunk authentication is one digest + one signature check per
-        // *received* chunk. The sender holds all n chunks from phase 1 on
-        // — it signed them, and was handed their digests — so its disperse
-        // phase does no crypto, and the run's totals are the other n − 1
-        // nodes' n chunks each plus one root hash per node (every data
-        // chunk's digest is already in hand). The same ledger over
-        // `ba_ext::net`.
+        // *distinct* chunk, paid once at the phase barrier that first
+        // delivers it; every recipient's check is a stamp hit handing back
+        // that digest. The sender holds all n chunks from phase 1 on — it
+        // signed them, and was handed their digests — so its disperse
+        // phase does no crypto (the barrier's work is carried into the
+        // phase that consumes it), and the run's totals are the n chunks'
+        // checks plus one root hash per node (every data chunk's digest is
+        // already in hand). The same ledger over `ba_ext::net`.
         let p = payload(10_000, 42);
         let opts = ExtOptions::default();
         let n = opts.n as u64;
@@ -1367,19 +1434,222 @@ mod tests {
         )
         .unwrap()
         .report;
-        for (driver, report) in [("lock-step", &lockstep), ("net", &net)] {
+        for (runner, report) in [("lock-step", &lockstep), ("net", &net)] {
             let m = &report.dissemination;
-            assert_eq!(m.per_phase[0].hash_invocations, 0, "{driver}");
-            assert_eq!(m.per_phase[0].sig_verifications, 0, "{driver}");
-            assert_eq!(m.crypto.sig_verifications, (n - 1) * n, "{driver}");
-            assert_eq!(m.crypto.tag_ops, (n - 1) * n, "{driver}");
-            assert_eq!(m.crypto.hash_invocations, (n - 1) * n + n, "{driver}");
+            assert_eq!(m.per_phase[0].hash_invocations, 0, "{runner}");
+            assert_eq!(m.per_phase[0].sig_verifications, 0, "{runner}");
+            assert_eq!(m.crypto.sig_verifications, n, "{runner}");
+            assert_eq!(m.crypto.tag_ops, n, "{runner}");
+            assert_eq!(m.crypto.hash_invocations, 2 * n, "{runner}");
+            // Each of the n − 1 receivers stores all n chunks through a
+            // stamp hit (the barrier's own re-checks of a chunk it meets
+            // again in a later phase are hits too).
+            assert!(m.crypto.cache_hits >= (n - 1) * n, "{runner}");
             // What the sender disperses is untouched: n − 1 signed chunks.
-            assert_eq!(m.per_phase[0].messages_by_correct, n - 1, "{driver}");
-            assert_eq!(m.per_phase[0].signatures_by_correct, n - 1, "{driver}");
-            assert_eq!(report.availability.len(), opts.n, "{driver}");
+            assert_eq!(m.per_phase[0].messages_by_correct, n - 1, "{runner}");
+            assert_eq!(m.per_phase[0].signatures_by_correct, n - 1, "{runner}");
+            assert_eq!(report.availability.len(), opts.n, "{runner}");
         }
         assert_eq!(lockstep, net);
+    }
+
+    /// A faulty relay: its honest dissemination actor, except that in the
+    /// row-broadcast phase its own chunk goes out as `forge(chunk)`. Logs
+    /// the honest chunk and the forgery.
+    #[derive(Debug)]
+    struct Forger {
+        honest: Box<dyn Actor<ExtMsg>>,
+        id: ProcessId,
+        forge: fn(&SignedChunk) -> SignedChunk,
+        log: Arc<std::sync::Mutex<Option<(SignedChunk, SignedChunk)>>>,
+    }
+
+    impl Actor<ExtMsg> for Forger {
+        fn step(&mut self, phase: usize, inbox: Inbox<'_, ExtMsg>, out: &mut Outbox<ExtMsg>) {
+            let mut staged = Outbox::new(self.id);
+            self.honest.step(phase, inbox, &mut staged);
+            for env in staged.into_staged() {
+                let payload = match (phase, env.payload) {
+                    (2, ExtMsg::Chunk(own)) => {
+                        let mut log = self.log.lock().expect("unpoisoned");
+                        let (_, forged) = log.get_or_insert_with(|| {
+                            let forged = (self.forge)(&own);
+                            (own, forged)
+                        });
+                        ExtMsg::Chunk(forged.clone())
+                    }
+                    (_, other) => other,
+                };
+                out.send(env.to, payload);
+            }
+        }
+
+        fn finalize(&mut self, inbox: Inbox<'_, ExtMsg>) {
+            self.honest.finalize(inbox);
+        }
+
+        fn decision(&self) -> Option<Value> {
+            None
+        }
+
+        fn is_correct(&self) -> bool {
+            false
+        }
+    }
+
+    /// `chunk` with its first byte flipped, on a clone that shares its
+    /// stamp.
+    fn garbled_clone(chunk: &SignedChunk) -> SignedChunk {
+        let mut garbled = chunk.clone();
+        let mut data = chunk.data.to_vec();
+        data[0] ^= 0xFF;
+        garbled.data = Bytes::from(data);
+        garbled
+    }
+
+    /// A chunk at `chunk`'s index over garbled bytes, signed in the
+    /// sender's name under another registry seed.
+    fn foreign_signed(chunk: &SignedChunk) -> SignedChunk {
+        let foreign = KeyRegistry::new(16, 0xF0E1, SchemeKind::Fast);
+        let garbled = garbled_clone(chunk);
+        SignedChunk::sign(
+            &foreign.signer(ExtActor::SENDER),
+            chunk.index,
+            chunk.payload_len,
+            garbled.data,
+        )
+    }
+
+    #[derive(Clone, Copy, Debug)]
+    enum Runner {
+        Reference,
+        LockStep,
+        Net,
+    }
+
+    /// What one forged dissemination run left behind.
+    struct ForgedRun {
+        provisional: Vec<Option<ExtDecision>>,
+        correct: Vec<bool>,
+        metrics: Metrics,
+        honest: SignedChunk,
+        forged: SignedChunk,
+        verifier: Verifier,
+    }
+
+    /// The dissemination stage of a fault-free 16-node, t = 3 run, except
+    /// that node 1 hands its row mates `forge` of its chunk — a data chunk
+    /// (k = 10), which no row mate can hold any earlier, so each consumes
+    /// the forgery first — on `runner`.
+    fn disseminate_with_forger(
+        payload: &Bytes,
+        forge: fn(&SignedChunk) -> SignedChunk,
+        runner: Runner,
+    ) -> ForgedRun {
+        let opts = ExtOptions::new().with_t(3);
+        let setup = ExtSetup::new(&opts);
+        let outgoing = setup.sign_chunks(payload);
+        let views = vec![Some(outgoing.payload_digest); opts.n];
+        let board = Board::new(opts.n);
+        let mut actors = setup.dissemination_actors(&opts, payload, &views, &outgoing, &board);
+        let log = Arc::default();
+        let id = ProcessId(1);
+        let honest = std::mem::replace(&mut actors[id.index()], Box::new(NullActor));
+        actors[id.index()] = Box::new(Forger {
+            honest,
+            id,
+            forge,
+            log: Arc::clone(&log),
+        });
+        let spec = ba_sim::InstanceSpec {
+            actors,
+            phases: DISSEMINATION_PHASES,
+            fault_budget: opts.t,
+            link_drops: Vec::new(),
+            registry: Some(setup.registry.clone()),
+        };
+        let (correct, metrics) = match runner {
+            Runner::Reference => {
+                let run = ba_sim::Simulation::from(spec)
+                    .with_batched_verification(false)
+                    .run(DISSEMINATION_PHASES);
+                (run.correct, run.metrics)
+            }
+            Runner::LockStep => {
+                let run = spec.run_lockstep(1);
+                (run.correct, run.metrics)
+            }
+            Runner::Net => {
+                let run = ba_net::NetRuntime::new(spec, ba_net::NetConfig::new())
+                    .run()
+                    .expect("reliable wire, one faulty relay");
+                (run.correct, run.metrics)
+            }
+        };
+        let (honest, forged) = log.lock().expect("unpoisoned").take().expect("forged");
+        ForgedRun {
+            provisional: board.snapshot(),
+            correct,
+            metrics,
+            honest,
+            forged,
+            verifier: setup.registry.verifier(),
+        }
+    }
+
+    #[test]
+    fn chunk_failing_barrier_verification_is_rejected_by_every_recipient() {
+        // Two forgeries of a data chunk: a garbled clone that shares the
+        // stamp the barrier wrote for the honest chunk (accepted through
+        // that stamp, it would come with the honest digest, and the
+        // reconstruction root would wave a wrong payload through), and a
+        // chunk signed in the sender's name under another registry seed.
+        let p = payload(4_096, 31);
+        for (label, forge) in [
+            (
+                "garbled clone",
+                garbled_clone as fn(&SignedChunk) -> SignedChunk,
+            ),
+            ("foreign registry", foreign_signed),
+        ] {
+            let reference = disseminate_with_forger(&p, forge, Runner::Reference);
+            for (i, decision) in reference.provisional.iter().enumerate() {
+                if reference.correct[i] {
+                    assert_eq!(
+                        decision.as_ref(),
+                        Some(&ExtDecision::Decide(p.clone())),
+                        "{label}: node {i}"
+                    );
+                }
+            }
+            for runner in [Runner::LockStep, Runner::Net] {
+                let run = disseminate_with_forger(&p, forge, runner);
+                assert_eq!(run.provisional, reference.provisional, "{label} {runner:?}");
+                assert_eq!(run.correct, reference.correct, "{label} {runner:?}");
+                assert_eq!(
+                    sans_crypto(&run.metrics),
+                    sans_crypto(&reference.metrics),
+                    "{label} {runner:?}"
+                );
+                // The honest chunk was stamped at a barrier: its check is
+                // a hit. The forgery, had the barrier stamped it (or had
+                // the garbled clone ridden the honest stamp), would be one
+                // too.
+                let before = ba_crypto::stats::CryptoStats::snapshot();
+                assert!(run.honest.verify(&run.verifier, ExtActor::SENDER).is_some());
+                let hit = ba_crypto::stats::CryptoStats::snapshot().since(&before);
+                assert_eq!((hit.hash_invocations, hit.cache_hits), (0, 1), "{label}");
+                assert!(
+                    run.forged.verify(&run.verifier, ExtActor::SENDER).is_none(),
+                    "{label} {runner:?}"
+                );
+                assert!(
+                    run.metrics.crypto.sig_verifications
+                        < reference.metrics.crypto.sig_verifications,
+                    "{label} {runner:?}: the barrier is on"
+                );
+            }
+        }
     }
 
     /// Node 1 of an `(n, t)` run that agreed on `payload`'s digest, holding

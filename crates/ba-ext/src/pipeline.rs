@@ -65,6 +65,33 @@ impl StageRunner for LockStep {
     }
 }
 
+/// The tests' reference: every stage one lock-step run with barrier
+/// verification off, so every recipient verifies every delivery in full.
+/// Its reports equal [`LockStep`]'s in everything but the `crypto`
+/// counters.
+#[cfg(test)]
+pub(crate) struct Reference;
+
+#[cfg(test)]
+impl StageRunner for Reference {
+    type Error = ExtError;
+
+    fn threads(&self) -> usize {
+        1
+    }
+
+    fn run<P: Payload + 'static>(
+        &mut self,
+        _stage: ExtStage,
+        spec: InstanceSpec<P>,
+    ) -> Result<RunOutcome<P>, ExtError> {
+        let phases = spec.phases;
+        Ok(ba_sim::Simulation::from(spec)
+            .with_batched_verification(false)
+            .run(phases))
+    }
+}
+
 /// Per-node decisions of consecutive inner-BA instances:
 /// `views[instance][node]`.
 type Views = Vec<Vec<Option<Value>>>;

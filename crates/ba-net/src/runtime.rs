@@ -46,8 +46,7 @@
 //! the `harness` module checks this for every checkable target. It is one
 //! implementation under two loops, not two that agree: stepping, routing,
 //! `Metrics` recording, the inbox fill and barrier verification
-//! ([`Chain::verify_at_barrier`](ba_crypto::Chain::verify_at_barrier),
-//! against the spec's registry) are the core's, and the wire is the only
+//! ([`ba_crypto::stamp`], against the spec's registry) are the core's, and the wire is the only
 //! variable: [`NetRuntime::new`] takes the very [`InstanceSpec`] that
 //! [`InstanceSpec::run_lockstep`] runs.
 //!

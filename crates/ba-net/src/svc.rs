@@ -42,11 +42,11 @@
 //!   `solo_flushes`) — and never holds a frame: frames stay in their
 //!   instance's arena from staging to inbox.
 //! * **Barrier verification at the flush boundary** — like every driver,
-//!   the service verifies each distinct signature chain a flush delivers
-//!   *once* against the instance's [`InstanceSpec::registry`] and stamps
-//!   its shared buffer
-//!   ([`Chain::verify_at_barrier`](ba_crypto::Chain::verify_at_barrier)),
-//!   so all `n` recipients' own `verify` calls are O(1) stamp hits.
+//!   the service verifies each distinct signed object (a chain, a coded
+//!   chunk) a flush delivers *once* against the instance's
+//!   [`InstanceSpec::registry`] and stamps its shared storage
+//!   ([`ba_crypto::stamp`]), so all `n` recipients' own checks are O(1)
+//!   stamp hits.
 //! * **Per-instance verdicts** — chaos fates, retransmission state, fault
 //!   budgets and degradation are all tracked per instance: one instance
 //!   blowing its budget — or one whose actor panics mid-step — yields

@@ -61,14 +61,23 @@ pub trait Payload: Clone + fmt::Debug + Send + Sync {
         "message"
     }
 
-    /// The signature chain this payload carries, if any — what a phase
-    /// driver hands to
-    /// [`Chain::verify_at_barrier`](ba_crypto::Chain::verify_at_barrier):
-    /// payloads that return `Some` are verified once per unique chain at
-    /// the barrier, and each recipient's own `verify` is then a stamp
-    /// comparison. Defaults to `None` (recipients verify in full).
+    /// The signature chain this payload carries, if any: what the default
+    /// [`verify_at_barrier`](Payload::verify_at_barrier) hands the barrier,
+    /// and what [`Inbox::chain_values`] lists. Defaults to `None`.
     fn batch_chain(&self) -> Option<&ba_crypto::Chain> {
         None
+    }
+
+    /// Hands every signed object this payload carries to the phase
+    /// barrier's one verification pass (see [`ba_crypto::stamp`]): each is
+    /// checked once per unique object, and each recipient's own check is
+    /// then a stamp comparison. What is not handed over, recipients verify
+    /// in full. Defaults to the [`batch_chain`](Payload::batch_chain), if
+    /// any.
+    fn verify_at_barrier(&self, barrier: &mut ba_crypto::Barrier<'_>) {
+        if let Some(chain) = self.batch_chain() {
+            barrier.chain(chain);
+        }
     }
 }
 

@@ -69,27 +69,32 @@
 //! that changes from one phase to the next. Per-phase crypto counters stay
 //! identical too: each chunk measures its own thread-local [`CryptoStats`]
 //! delta (the sum over chunks is schedule-independent), and what a
-//! [`Chain::verify`] costs depends only on the chain and on the stamps the
-//! previous barrier wrote — never on which actor verified what first.
+//! [`Chain::verify`](ba_crypto::Chain::verify) (or a chunk's check) costs
+//! depends only on what is checked and on the stamps the previous barrier
+//! wrote — never on which actor verified what first.
 //!
 //! # Barrier verification
 //!
-//! A core given a [`KeyRegistry`] verifies signature chains at the
+//! A core given a [`KeyRegistry`] verifies signed payloads at the
 //! barrier, not at the receivers: once the next phase's inbox arena is
-//! filled, `deliver` hands its frames — each once, and only those that
-//! reached a recipient — to [`Chain::verify_at_barrier`], which verifies
-//! each *unique* chain once (deduplicated by shared signature storage, so
-//! a loop of sends of one chain is one entry like the broadcast it spells
-//! out) and stamps the chain's buffer as verified under this run's
+//! filled, `deliver` makes one [`Barrier`] pass over its frames — each
+//! once, and only those that reached a recipient — and asks each payload
+//! to hand over what it carries ([`Payload::verify_at_barrier`]). The pass
+//! verifies each *unique* signed object once: a chain (deduplicated by
+//! shared signature storage, so a loop of sends of one chain is one entry
+//! like the broadcast it spells out), or a signed byte window such as
+//! `ba-ext`'s coded chunks (deduplicated by the stamp its clones share).
+//! It stamps each object that passes as verified under this run's
 //! registry. When recipients call
-//! [`Chain::verify`] during the next phase, the stamp short-circuits to an
+//! [`Chain::verify`](ba_crypto::Chain::verify) (or a window's check)
+//! during the next phase, the stamp short-circuits to an
 //! O(1) comparison — so a Dolev–Strong phase delivering O(n²) messages pays
-//! crypto for O(unique chains) instead of O(n²) full verifications. A chain
-//! that fails at the barrier is left unstamped and every recipient's own
-//! `verify` rejects it. The barrier's work is attributed to the phase in
-//! which the messages are consumed, and the counters are byte-identical
-//! across thread counts — the pass runs on the calling thread over the
-//! filled arena.
+//! crypto for O(unique chains) instead of O(n²) full verifications. An
+//! object that fails at the barrier is left unstamped and every
+//! recipient's own check rejects it. The barrier's work is attributed to
+//! the phase in which the messages are consumed, and the counters are
+//! byte-identical across thread counts — the pass runs on the calling
+//! thread over the filled arena.
 //!
 //! [`Simulation::with_batched_verification`]`(false)` switches the pass off
 //! so every recipient verifies every delivery in full: the reference the
@@ -105,10 +110,10 @@ use crate::schedule::LinkDrop;
 use crate::trace::Trace;
 use crate::transport::{Fate, ScheduledDrops};
 use ba_crypto::keys::KeyRegistry;
+use ba_crypto::stamp::{Barrier, BarrierSeen};
 use ba_crypto::stats::CryptoStats;
-use ba_crypto::{Chain, ProcessId, Value};
+use ba_crypto::{ProcessId, Value};
 use std::any::Any;
-use std::collections::HashSet;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 
@@ -219,8 +224,8 @@ pub struct PhaseCore<P> {
     metrics: Metrics,
     registry: Option<KeyRegistry>,
     batch_verify: bool,
-    /// Barrier-verification scratch: unique chains seen this barrier.
-    seen_chains: HashSet<(usize, u32, u64)>,
+    /// Barrier-verification working set: unique objects seen this barrier.
+    seen: BarrierSeen,
     /// Summed thread-local crypto delta of the last step's chunks.
     step_crypto: CryptoStats,
     /// Barrier crypto work, carried into the phase that consumes the
@@ -271,7 +276,7 @@ impl<P: Payload> PhaseCore<P> {
             metrics: Metrics::default(),
             registry,
             batch_verify: true,
-            seen_chains: HashSet::new(),
+            seen: BarrierSeen::new(),
             step_crypto: CryptoStats::default(),
             carry_crypto: CryptoStats::default(),
             routed: true,
@@ -485,11 +490,12 @@ impl<P: Payload> PhaseCore<P> {
         if let (true, Some(registry)) = (self.batch_verify, &self.registry) {
             // The pass verifies what the *next* phase consumes; its cost is
             // carried there.
-            self.carry_crypto = Chain::verify_at_barrier(
-                self.nxt.payloads().filter_map(Payload::batch_chain),
-                &registry.verifier(),
-                &mut self.seen_chains,
-            );
+            let verifier = registry.verifier();
+            let mut barrier = Barrier::new(&verifier, &mut self.seen);
+            for payload in self.nxt.payloads() {
+                payload.verify_at_barrier(&mut barrier);
+            }
+            self.carry_crypto = barrier.finish();
         }
         // Phase barrier: consumed inboxes become next phase's collection
         // arena, every buffer keeping its capacity.
@@ -744,6 +750,7 @@ fn step_chunk<P: Payload>(
 mod tests {
     use super::*;
     use crate::actor::{Inbox, Outbox};
+    use ba_crypto::Chain;
 
     /// Floods `Value` to everyone each phase until `stop_after`.
     #[derive(Debug)]
