@@ -171,7 +171,7 @@ pub fn run_small_n(
         ))
     };
     let dims = (n, t, SmallNActor::phases(t));
-    let spec = instance(&options.schedule, dims, None, honest, |_, _| None);
+    let spec = instance(&options.schedule, dims, &registry, honest, |_, _| None);
     let report = run_report(spec, &options, value)?;
     Ok(AgreeReport::new(Selected::SmallN, report))
 }

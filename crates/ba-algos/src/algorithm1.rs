@@ -355,9 +355,9 @@ pub fn run(
 
 /// Builds one Algorithm 1 instance over `n = 2t + 1` processors signing
 /// under `registry`: the transmitter `p0` sends `value`, `schedule`'s
-/// faults are applied, and every recipient verifies what it reads (the
-/// spec carries no keys). [`run`] and the `algorithm1` check target both
-/// build through it.
+/// faults are applied, and delivered chains are verified at the phase
+/// barrier against `registry`. [`run`] and the `algorithm1` check target
+/// both build through it.
 ///
 /// # Errors
 /// [`ScheduleError::Unmapped`] for a `lie` fault.
@@ -379,7 +379,7 @@ pub fn build(
         Box::new(Algo1Actor::new(params.clone(), p, registry.signer(p), own))
     };
     let hook = adversary(&params, registry, schedule);
-    instance(schedule, (params.n(), t, t + 2), None, honest, hook)
+    instance(schedule, (params.n(), t, t + 2), registry, honest, hook)
 }
 
 /// The chain-withholding scenario: the transmitter and `extra` more

@@ -180,7 +180,13 @@ pub fn run(
         let split = SplitTransmitter::new(registry.signer(p), domains::ALG1, values);
         Some(Box::new(split))
     };
-    let spec = instance(&options.schedule, (n, t, t + 2), None, honest, adversary);
+    let spec = instance(
+        &options.schedule,
+        (n, t, t + 2),
+        &registry,
+        honest,
+        adversary,
+    );
     run_report(spec, &options, value)
 }
 

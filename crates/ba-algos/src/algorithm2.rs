@@ -371,9 +371,9 @@ pub fn run(t: usize, value: Value, options: RunOptions) -> Result<Algo2Report, A
 /// Builds one Algorithm 2 instance over `n = 2t + 1` processors signing
 /// under `registry`: the transmitter `p0` sends `value`, `schedule`'s
 /// faults are applied, every processor deposits its transferable proof on
-/// `proofs`, and every recipient verifies what it reads (the spec carries
-/// no keys). [`run`] and the `algorithm2` check target both build through
-/// it.
+/// `proofs`, and delivered chains are verified at the phase barrier
+/// against `registry`. [`run`] and the `algorithm2` check target both
+/// build through it.
 ///
 /// # Errors
 /// [`ScheduleError::Unmapped`] for a `withhold` fault.
@@ -414,7 +414,7 @@ pub fn build(
         )))
     };
     let dims = (params.n(), t, 3 * t + 3);
-    instance(schedule, dims, None, honest, adversary)
+    instance(schedule, dims, registry, honest, adversary)
 }
 
 #[cfg(test)]

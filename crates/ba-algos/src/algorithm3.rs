@@ -571,7 +571,7 @@ pub fn build(
     };
     let honest = |p| honest(&params, registry, p, value);
     let dims = (params.n, params.t, params.phases());
-    instance(schedule, dims, Some(registry), honest, adversary)
+    instance(schedule, dims, registry, honest, adversary)
 }
 
 #[cfg(test)]

@@ -60,6 +60,12 @@ impl SignedItem {
         self.sig.signer()
     }
 
+    /// Encoded size: the body, then the signature at its scheme's
+    /// [`encoded_len`](Signature::encoded_len).
+    pub fn encoded_len(&self) -> usize {
+        self.body.len() + self.sig.encoded_len()
+    }
+
     /// Whether the signature verifies under `tag`.
     pub fn verifies(&self, tag: u64, verifier: &Verifier) -> bool {
         verifier.verify(&self.sig, &Self::content(tag, &self.body))
@@ -87,13 +93,9 @@ impl Payload for GridMsg {
     }
     fn weight_bytes(&self) -> usize {
         match self {
-            GridMsg::Item(item) => item.body.len() + 40,
-            GridMsg::Row(items) => items.iter().map(|i| i.body.len() + 40).sum(),
-            GridMsg::Rows(rows) => rows
-                .iter()
-                .flat_map(|r| r.iter())
-                .map(|i| i.body.len() + 40)
-                .sum(),
+            GridMsg::Item(item) => item.encoded_len(),
+            GridMsg::Row(items) => items.iter().map(SignedItem::encoded_len).sum(),
+            GridMsg::Rows(rows) => rows.iter().flatten().map(SignedItem::encoded_len).sum(),
         }
     }
     fn kind(&self) -> &'static str {

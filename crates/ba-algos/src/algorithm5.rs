@@ -41,10 +41,10 @@ use crate::fuzz::Msg5Fuzzer;
 use crate::trees::Forest;
 use ba_crypto::wire::{Decoder, Encoder};
 use ba_crypto::Bytes;
-use ba_crypto::{Chain, KeyRegistry, ProcessId, Signer, Value, Verifier};
+use ba_crypto::{Barrier, Chain, KeyRegistry, ProcessId, Signer, Value, Verifier};
 use ba_sim::actor::{Actor, Inbox, Outbox, Payload};
-use ba_sim::schedule::FaultBehavior;
-use ba_sim::AgreementViolation;
+use ba_sim::schedule::{FaultBehavior, ScheduleError, ScheduleSpec};
+use ba_sim::{AgreementViolation, InstanceSpec};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -96,17 +96,13 @@ impl Payload for Msg5 {
         }
     }
     /// A chain weighs what [`Chain`]'s own accounting says, and a proof
-    /// item its body plus its signature's encoding: signatures are
-    /// charged at their scheme's [`encoded_len`](ba_crypto::Signature::encoded_len).
+    /// item its [`encoded_len`](SignedItem::encoded_len): signatures are
+    /// charged at their scheme's encoded length.
     fn weight_bytes(&self) -> usize {
         match self {
             Msg5::Chain(c) => c.weight_bytes(),
             Msg5::Activate { valid, proof } => {
-                valid.weight_bytes()
-                    + proof
-                        .iter()
-                        .map(|i| i.body.len() + i.sig.encoded_len())
-                        .sum::<usize>()
+                valid.weight_bytes() + proof.iter().map(SignedItem::encoded_len).sum::<usize>()
             }
             Msg5::Grid(g) => g.weight_bytes(),
         }
@@ -116,6 +112,15 @@ impl Payload for Msg5 {
             Msg5::Chain(_) => "chain",
             Msg5::Activate { .. } => "activate",
             Msg5::Grid(_) => "grid",
+        }
+    }
+    /// Hands the barrier the chain a message is, or an activation's valid
+    /// message. Proof strings and grid items are [`SignedItem`]s, which
+    /// carry no stamp: their recipients check them.
+    fn verify_at_barrier(&self, barrier: &mut Barrier<'_>) {
+        match self {
+            Msg5::Chain(chain) | Msg5::Activate { valid: chain, .. } => barrier.chain(chain),
+            Msg5::Grid(_) => {}
         }
     }
 }
@@ -863,17 +868,46 @@ pub fn run_audited(
         "algorithm 5 is binary"
     );
     let registry = KeyRegistry::new(n, options.seed, options.scheme);
-    let cfg = Arc::new(Alg5Config {
+    let cfg = Alg5Config {
         activation,
         ..Alg5Config::new(n, t, s, registry.verifier())
-    });
-    let scratch = Board::new(cfg.core_count());
-    let audit_board: Arc<Board<bool>> = Board::new(n);
+    };
+    let activated = Board::new(n);
+    let spec = build(cfg, &registry, value, &options.schedule, &activated);
+    let report = run_report(spec, &options, value)?;
+    let activated: Vec<bool> = activated
+        .snapshot()
+        .into_iter()
+        .map(|slot| slot.unwrap_or(false))
+        .collect();
+    Ok((report, activated))
+}
 
+/// Builds one Algorithm 5 instance over `cfg`: the transmitter `p0` sends
+/// `value`, `schedule`'s faults are applied, every passive that activates
+/// as a subtree root posts `true` on `activated`, and delivered chains are
+/// verified at the phase barrier against `registry`. [`run`] and
+/// [`run_audited`] build through it.
+///
+/// # Errors
+/// [`ScheduleError::Unmapped`] for any fault but `forge`, which is a
+/// [`Msg5Fuzzer`] spammer.
+///
+/// # Panics
+/// On a schedule malformed for `cfg.n` and `cfg.t`.
+pub fn build(
+    cfg: Alg5Config,
+    registry: &KeyRegistry,
+    value: Value,
+    schedule: &ScheduleSpec,
+    activated: &Arc<Board<bool>>,
+) -> Result<InstanceSpec<Msg5>, ScheduleError> {
+    let cfg = Arc::new(cfg);
+    let scratch = Board::new(cfg.core_count());
     let honest = |p: ProcessId| -> Box<dyn Actor<Msg5>> {
+        let signer = registry.signer(p);
         if p.index() < cfg.alpha {
             let own = (p == ProcessId(0)).then_some(value);
-            let signer = registry.signer(p);
             Box::new(Alg5Active::new(
                 cfg.clone(),
                 p,
@@ -882,30 +916,17 @@ pub fn run_audited(
                 scratch.clone(),
             ))
         } else {
-            let signer = registry.signer(p);
-            Box::new(Alg5Passive::new(
-                cfg.clone(),
-                p,
-                signer,
-                audit_board.clone(),
-            ))
+            Box::new(Alg5Passive::new(cfg.clone(), p, signer, activated.clone()))
         }
     };
     let adversary = |p, behavior: &FaultBehavior| match *behavior {
         FaultBehavior::Forge { seed, per_phase } => {
-            Some(Msg5Fuzzer::spammer(&registry, p, seed, per_phase))
+            Some(Msg5Fuzzer::spammer(registry, p, seed, per_phase))
         }
         _ => None,
     };
-    let dims = (n, t, cfg.last_phase);
-    let spec = instance(&options.schedule, dims, None, honest, adversary);
-    let report = run_report(spec, &options, value)?;
-    let activated: Vec<bool> = audit_board
-        .snapshot()
-        .into_iter()
-        .map(|slot| slot.unwrap_or(false))
-        .collect();
-    Ok((report, activated))
+    let dims = (cfg.n, cfg.t, cfg.last_phase);
+    instance(schedule, dims, registry, honest, adversary)
 }
 
 #[cfg(test)]
@@ -1212,6 +1233,47 @@ mod tests {
                 .unwrap();
                 assert_eq!(r.verdict.agreed, Some(Value::ONE));
             });
+        }
+    }
+
+    #[test]
+    fn chains_failing_barrier_verification_are_rejected_by_every_recipient() {
+        // A faulty passive broadcasts, in phase 1, a valid message for 0
+        // signed by the first t + 1 actives under a *different* registry
+        // seed: once as a chain, once as an activation's valid message.
+        // Every passive decides on the first valid message it reads, so
+        // one recipient waved through by a stamp would decide 0.
+        use crate::common::{barrier_matches_reference, OneShot};
+        let (n, t, s) = (30, 1, 7);
+        let registry = KeyRegistry::new(n, 6, SchemeKind::Fast);
+        let foreign = KeyRegistry::new(n, 7, SchemeKind::Fast);
+        let mut forged = Chain::new(domains::ALG2, Value::ZERO);
+        for p in 0..=t as u32 {
+            forged.sign_and_append(&foreign.signer(ProcessId(p)));
+        }
+        let activate = Msg5::Activate {
+            valid: forged.clone(),
+            proof: Vec::new(),
+        };
+        for payload in [Msg5::Chain(forged.clone()), activate] {
+            let outcome = barrier_matches_reference(|| {
+                let cfg = Alg5Config::new(n, t, s, registry.verifier());
+                let schedule = ScheduleSpec::default();
+                let spec = build(cfg, &registry, Value::ONE, &schedule, &Board::new(n));
+                let mut spec = spec.expect("fault-free schedule");
+                spec.actors[n - 1] = Box::new(OneShot {
+                    n,
+                    phase: 1,
+                    payload: payload.clone(),
+                });
+                spec
+            });
+            let mut expected = vec![Some(Value::ONE); n];
+            expected[n - 1] = None;
+            assert_eq!(outcome.decisions, expected, "{payload:?}");
+            // `forged` shares its buffer with every delivered copy: had
+            // the barrier stamped it, this would be a stamp hit.
+            assert!(forged.verify(&registry.verifier()).is_err());
         }
     }
 }

@@ -491,12 +491,6 @@ fn build_om(cfg: &CheckConfig) -> Result<CheckSetup, ScheduleError> {
 
 /// A target's setup: what its module's `build` returned, with `registry`
 /// and the target's `message_bound`.
-///
-/// The setup always carries keys, so a target verifies at the phase
-/// barrier even where its module's `run` does not: `algorithm1::run` and
-/// `algorithm2::run` build without keys and every recipient verifies what
-/// it reads. The two agree on verdict, messages, omissions and phases;
-/// only the `crypto` counters differ.
 fn setup(registry: KeyRegistry, spec: InstanceSpec<Chain>, message_bound: u64) -> CheckSetup {
     CheckSetup {
         registry,
@@ -526,7 +520,6 @@ fn drive(cfg: &CheckConfig, setup: CheckSetup) -> CheckOutcome {
 mod tests {
     use super::*;
     use ba_sim::schedule::LinkDrop;
-    use ba_sim::Metrics;
 
     fn cfg(target_n: usize, t: usize, spec: ScheduleSpec) -> CheckConfig {
         CheckConfig::new(target_n, t, Value::ONE, 0, 1, spec)
@@ -733,68 +726,30 @@ mod tests {
             ),
         ];
         // Each target is its module's own run at the target's dimensions
-        // (same seed, `Fast` keys — `om` always signs orally), with whether
-        // the module's own build installs keys.
+        // (same seed, `Fast` keys — `om` always signs orally).
         let own_run = |name: &str, (n, t): (usize, usize), schedule: &ScheduleSpec| {
             let options = || {
                 crate::RunOptions::new()
                     .with_schedule(schedule.clone())
                     .with_scheme(SchemeKind::Fast)
             };
-            let registry = KeyRegistry::new(n, 0, SchemeKind::Fast);
             let ds = |variant| {
-                let params = DsParams::standard(n, t, variant, registry.verifier());
-                let keyed = dolev_strong::build(params, &registry, Value::ONE, schedule);
                 let options = dolev_strong::DsOptions::new()
                     .with_variant(variant)
                     .with_schedule(schedule.clone())
                     .with_scheme(SchemeKind::Fast);
-                (dolev_strong::run(n, t, Value::ONE, options), keyed)
+                dolev_strong::run(n, t, Value::ONE, options)
             };
-            let (run, keyed) = match name {
+            let run = match name {
                 "ds-broadcast" => ds(Variant::Broadcast),
                 "ds-relay" => ds(Variant::Relay),
-                "algorithm1" => (
-                    algorithm1::run(t, Value::ONE, options()),
-                    algorithm1::build(t, Value::ONE, &registry, schedule),
-                ),
-                "algorithm2" => (
-                    algorithm2::run(t, Value::ONE, options()).map(|r| r.report),
-                    algorithm2::build(t, Value::ONE, &registry, schedule, &Board::new(n)),
-                ),
-                "algorithm3-s2" => (
-                    algorithm3::run(n, t, 2, Value::ONE, options()),
-                    algorithm3::build(
-                        Alg3Params::new(n, t, 2, registry.verifier()),
-                        &registry,
-                        Value::ONE,
-                        schedule,
-                    ),
-                ),
-                "om" => (
-                    om::run(n, t, Value::ONE, options()),
-                    om::build(
-                        n,
-                        t,
-                        Value::ONE,
-                        &KeyRegistry::new(n, 0, SchemeKind::Oral),
-                        schedule,
-                    ),
-                ),
+                "algorithm1" => algorithm1::run(t, Value::ONE, options()),
+                "algorithm2" => algorithm2::run(t, Value::ONE, options()).map(|r| r.report),
+                "algorithm3-s2" => algorithm3::run(n, t, 2, Value::ONE, options()),
+                "om" => om::run(n, t, Value::ONE, options()),
                 other => panic!("no module run is paired with sound target {other:?}"),
             };
-            let keyed = keyed.expect("the schedule compiles").registry.is_some();
-            (run.expect("a sound run agrees"), keyed)
-        };
-        // The one documented difference: a target verifies at the barrier,
-        // a module whose build installs no keys at each recipient, so only
-        // crypto work moves.
-        let without_crypto = |mut metrics: Metrics| {
-            metrics.crypto = Default::default();
-            for phase in &mut metrics.per_phase {
-                (phase.hash_invocations, phase.sig_verifications) = (0, 0);
-            }
-            metrics
+            run.expect("a sound run agrees")
         };
         for target in targets().iter().filter(|target| target.sound) {
             let dims = target.dims_from(5, 2);
@@ -805,7 +760,7 @@ mod tests {
                 let outcome = target.run(&config);
                 assert_eq!(outcome.failure(), None, "{at}");
 
-                let (own, keyed) = own_run(target.name, dims, spec);
+                let own = own_run(target.name, dims, spec);
                 let own_metrics = &own.outcome.metrics;
                 assert_eq!(outcome.verdict, Ok(own.verdict), "{at}");
                 assert_eq!(
@@ -819,12 +774,7 @@ mod tests {
                 assert_eq!(outcome.phases, own_metrics.phases, "{at}");
                 let setup = target.build(&config).unwrap();
                 let metrics = InstanceSpec::from(setup).run_lockstep(1).metrics;
-                if keyed {
-                    assert_eq!(&metrics, own_metrics, "{at}");
-                } else {
-                    let own_metrics = without_crypto(own_metrics.clone());
-                    assert_eq!(without_crypto(metrics), own_metrics, "{at}");
-                }
+                assert_eq!(&metrics, own_metrics, "{at}");
             }
         }
     }

@@ -186,12 +186,8 @@ pub fn into_report<P: Payload>(
 /// against `(n, t)`, [`compile`](ScheduleSpec::compile) it with the
 /// algorithm's `adversary` hook, and pack the actors with the schedule's
 /// link drops, the fault budget `t`, the phase count and the keys into one
-/// [`InstanceSpec`].
-///
-/// `registry` is the module's verification policy, fixed per module:
-/// `Some` (Dolev–Strong, Algorithm 3, `OM(t)`) verifies delivered chains at the
-/// phase barrier; `None` (every other module) leaves each recipient to
-/// verify what it reads.
+/// [`InstanceSpec`]. With the keys in the spec, every chain a payload
+/// hands over is verified once at the phase barrier (DESIGN §10.3).
 ///
 /// # Errors
 /// [`ScheduleError::Unmapped`] for a behaviour the hook does not map.
@@ -201,7 +197,7 @@ pub fn into_report<P: Payload>(
 pub(crate) fn instance<P: Payload + 'static>(
     schedule: &ScheduleSpec,
     (n, t, phases): (usize, usize, usize),
-    registry: Option<&KeyRegistry>,
+    registry: &KeyRegistry,
     honest: impl FnMut(ProcessId) -> Box<dyn Actor<P>>,
     adversary: impl FnMut(ProcessId, &FaultBehavior) -> Option<Box<dyn Actor<P>>>,
 ) -> Result<InstanceSpec<P>, ScheduleError> {
@@ -213,7 +209,7 @@ pub(crate) fn instance<P: Payload + 'static>(
         phases,
         fault_budget: t,
         link_drops: schedule.link_drops.clone(),
-        registry: registry.cloned(),
+        registry: Some(registry.clone()),
     })
 }
 
@@ -355,6 +351,59 @@ pub(crate) fn lift<Q: Payload, P: Payload>(
     for env in scratch.into_staged() {
         out.send(env.to, wrap(env.payload));
     }
+}
+
+/// A faulty processor that broadcasts `payload` to everyone in `phase`
+/// and does nothing else: the forger of the barrier soundness tests.
+#[cfg(test)]
+#[derive(Debug)]
+pub(crate) struct OneShot<P> {
+    pub(crate) n: usize,
+    pub(crate) phase: usize,
+    pub(crate) payload: P,
+}
+
+#[cfg(test)]
+impl<P: Payload> Actor<P> for OneShot<P> {
+    fn step(&mut self, phase: usize, _inbox: Inbox<'_, P>, out: &mut Outbox<P>) {
+        if phase == self.phase {
+            out.broadcast_all(self.n, self.payload.clone());
+        }
+    }
+    fn decision(&self) -> Option<Value> {
+        None
+    }
+    fn is_correct(&self) -> bool {
+        false
+    }
+}
+
+/// Runs `spec()` verifying at the phase barrier and on the per-recipient
+/// reference (`with_batched_verification(false)`), asserts that the two
+/// agree on decisions, the correct set and [`Metrics`](ba_sim::Metrics)
+/// without crypto, and returns the barrier run.
+#[cfg(test)]
+pub(crate) fn barrier_matches_reference<P: Payload>(
+    spec: impl Fn() -> InstanceSpec<P>,
+) -> RunOutcome<P> {
+    let run = |barrier: bool| {
+        let spec = spec();
+        let phases = spec.phases;
+        Simulation::from(spec)
+            .with_batched_verification(barrier)
+            .run(phases)
+    };
+    // The reference runs first, so no stamp the barrier run wrote (were
+    // one ever written in error) can answer its checks.
+    let reference = run(false);
+    let barrier = run(true);
+    assert_eq!(barrier.decisions, reference.decisions);
+    assert_eq!(barrier.correct, reference.correct);
+    assert_eq!(
+        barrier.metrics.without_crypto(),
+        reference.metrics.without_crypto()
+    );
+    barrier
 }
 
 #[cfg(test)]

@@ -317,7 +317,7 @@ pub fn build(
     instance(
         schedule,
         (params.n, params.t, params.phases()),
-        Some(registry),
+        registry,
         |p| honest(&params, registry, p, value),
         |p, b| chain_adversary(registry, params.domain, p, b),
     )

@@ -17,10 +17,10 @@
 
 use crate::common::{instance, lift, Board};
 use crate::dolev_strong::{DsActor, DsParams, Variant};
-use ba_crypto::{Chain, KeyRegistry, ProcessId, SchemeKind, Signer, Value, Verifier};
+use ba_crypto::{Barrier, Chain, KeyRegistry, ProcessId, SchemeKind, Signer, Value, Verifier};
 use ba_sim::actor::{Actor, Envelope, Inbox, Outbox, Payload};
-use ba_sim::engine::RunOutcome;
-use ba_sim::schedule::{FaultBehavior, ScheduleSpec};
+use ba_sim::engine::{InstanceSpec, RunOutcome};
+use ba_sim::schedule::{FaultBehavior, ScheduleError, ScheduleSpec};
 use std::sync::Arc;
 
 /// Base chain domain for instance separation: instance `i` signs under
@@ -40,11 +40,15 @@ impl Payload for IcMsg {
     fn signature_count(&self) -> usize {
         self.chain.len()
     }
+    /// A 4-byte instance tag, then the chain as [`Chain`] weighs it.
     fn weight_bytes(&self) -> usize {
-        20 + 40 * self.chain.len()
+        4 + self.chain.weight_bytes()
     }
     fn kind(&self) -> &'static str {
         "ic-chain"
+    }
+    fn verify_at_barrier(&self, barrier: &mut Barrier<'_>) {
+        barrier.chain(&self.chain);
     }
 }
 
@@ -269,11 +273,31 @@ impl IcReport {
 /// Panics unless `values.len() == n` and `1 ≤ t ≤ n − 2`, or on a
 /// malformed schedule.
 pub fn run(n: usize, t: usize, values: &[Value], schedule: &ScheduleSpec, seed: u64) -> IcReport {
-    assert_eq!(values.len(), n, "one private value per processor");
-    assert!(t >= 1 && n >= t + 2);
     let registry = KeyRegistry::new(n, seed, SchemeKind::Fast);
     let vectors = Board::new(n);
+    let spec = build(n, t, values, schedule, &registry, &vectors);
+    let outcome = spec.unwrap_or_else(|err| panic!("{err}")).run_lockstep(1);
+    IcReport {
+        outcome,
+        vectors: vectors.snapshot(),
+    }
+}
 
+/// Builds one interactive-consistency instance over `n` processors
+/// signing under `registry`: processor `i` holds `values[i]`,
+/// `schedule`'s faults are applied, every processor posts its vector on
+/// `vectors`, and delivered chains are verified at the phase barrier.
+/// [`run`] builds through it.
+fn build(
+    n: usize,
+    t: usize,
+    values: &[Value],
+    schedule: &ScheduleSpec,
+    registry: &KeyRegistry,
+    vectors: &Arc<Board<Vec<Value>>>,
+) -> Result<InstanceSpec<IcMsg>, ScheduleError> {
+    assert_eq!(values.len(), n, "one private value per processor");
+    assert!(t >= 1 && n >= t + 2);
     let honest = |p: ProcessId| {
         let (signer, verifier) = (registry.signer(p), registry.verifier());
         IcActor::new(
@@ -299,12 +323,7 @@ pub fn run(n: usize, t: usize, values: &[Value], schedule: &ScheduleSpec, seed: 
         }))
     };
     let boxed = |p| Box::new(honest(p)) as Box<dyn Actor<IcMsg>>;
-    let spec = instance(schedule, (n, t, t + 1), None, boxed, adversary);
-    let outcome = spec.unwrap_or_else(|err| panic!("{err}")).run_lockstep(1);
-    IcReport {
-        outcome,
-        vectors: vectors.snapshot(),
-    }
+    instance(schedule, (n, t, t + 1), registry, boxed, adversary)
 }
 
 #[cfg(test)]
@@ -471,5 +490,46 @@ mod tests {
                 }
             });
         }
+    }
+
+    #[test]
+    fn chain_failing_barrier_verification_is_rejected_by_every_recipient() {
+        // The last processor relays, in phase 2, a well-formed length-2
+        // chain for 9 in p0's instance whose signatures come from a
+        // *different* registry seed. A recipient waved through by a stamp
+        // would extract a second value there, and its vector's first entry
+        // would fall back to the default.
+        use crate::common::{barrier_matches_reference, OneShot};
+        let (n, t) = (6, 2);
+        let registry = KeyRegistry::new(n, 1, SchemeKind::Fast);
+        let foreign = KeyRegistry::new(n, 2, SchemeKind::Fast);
+        let mut chain = Chain::new(IC_DOMAIN_BASE, Value(9));
+        chain
+            .sign_and_append(&foreign.signer(ProcessId(0)))
+            .sign_and_append(&foreign.signer(ProcessId(n as u32 - 1)));
+        let forged = IcMsg {
+            instance: 0,
+            chain: chain.clone(),
+        };
+        let vectors = Board::new(n);
+        barrier_matches_reference(|| {
+            let schedule = ScheduleSpec::default();
+            let spec = build(n, t, &values(n), &schedule, &registry, &vectors);
+            let mut spec = spec.expect("fault-free schedule");
+            spec.actors[n - 1] = Box::new(OneShot {
+                n,
+                phase: 2,
+                payload: forged.clone(),
+            });
+            spec
+        });
+        // Both runs post the same vectors, as their decisions (which fold
+        // the vectors) are equal; the forger posts none.
+        let mut expected = values(n);
+        expected[n - 1] = Value::ZERO;
+        for (p, vector) in vectors.snapshot().iter().enumerate().take(n - 1) {
+            assert_eq!(vector.as_ref(), Some(&expected), "p{p}");
+        }
+        assert!(chain.verify(&registry.verifier()).is_err());
     }
 }

@@ -295,7 +295,7 @@ pub fn build(
             as Box<dyn Actor<Chain>>),
         _ => chain_adversary(registry, domains::OM, p, behavior),
     };
-    instance(schedule, (n, t, t + 1), Some(registry), honest, adversary)
+    instance(schedule, (n, t, t + 1), registry, honest, adversary)
 }
 
 #[cfg(test)]

@@ -20,8 +20,10 @@
 //!   run at seed 1 with `Fast` keys: Algorithm 1 at t ∈ {2, 4, 8, 16},
 //!   Algorithm 2 at t ∈ {2, 4, 8}, Algorithm 4 at m ∈ {3, 5, 8} with p0
 //!   faulty, Algorithm 5 at (n, t, s) ∈ {(60, 1, 1), (120, 3, 3),
-//!   (240, 7, 7)} and OM(2) at n = 10 — how simulator wall-clock scales
-//!   beside the message counts the experiments report;
+//!   (240, 7, 7), (4096, 15, 15)} and OM(2) at n = 10 — how simulator
+//!   wall-clock scales beside the message counts the experiments report.
+//!   Each row carries `ns_per_message`: its median over the run's
+//!   messages sent by correct processors;
 //! * `pool_scaling` — the persistent-pool grid: Dolev–Strong and
 //!   Algorithm 3 at n ∈ {1024, 10240, 51200} × threads ∈ {1, 2, 4, 8}.
 //!   Dolev–Strong uses the relay variant (O(nt) traffic) at every n and
@@ -342,7 +344,7 @@ fn algorithm_runs() -> Vec<AlgorithmRun> {
         };
         runs.push((format!("alg4 m={m} faulty=p0"), m * m, Box::new(run)));
     }
-    for (n, t, s) in [(60, 1, 1), (120, 3, 3), (240, 7, 7)] {
+    for (n, t, s) in [(60, 1, 1), (120, 3, 3), (240, 7, 7), (4096, 15, 15)] {
         let run = move || {
             algorithm5::run(n, t, s, Value::ONE, opts())
                 .unwrap()
@@ -499,9 +501,11 @@ fn main() -> ExitCode {
     // -- algorithms: the paper's other protocols, sequential --------------
     if args.section("algorithms") {
         for (label, n, run) in algorithm_runs() {
-            let bytes = run().bytes_by_correct;
+            let probe = run();
             let sample = bench(format!("{label} n={n}"), || run().messages_by_correct);
-            let row = fields("algorithms", label, n, 1, bytes);
+            let ns_per_message = sample.median_ns / probe.messages_by_correct as f64;
+            let mut row = fields("algorithms", label, n, 1, probe.bytes_by_correct);
+            row.push(("ns_per_message", Json::dec(ns_per_message, 2)));
             report.row("rows", row, Some(&sample));
         }
     }

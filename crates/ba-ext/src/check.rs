@@ -524,7 +524,7 @@ mod tests {
             &mut report.vote,
             &mut report.fetch,
         ] {
-            *metrics = crate::sans_crypto(metrics);
+            *metrics = metrics.without_crypto();
         }
         report
     }

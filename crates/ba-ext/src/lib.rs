@@ -1302,18 +1302,6 @@ impl Actor<ExtMsg> for NullActor {
     }
 }
 
-/// `metrics` with every crypto work counter zeroed: what a barrier run
-/// and the per-recipient reference must agree on.
-#[cfg(test)]
-pub(crate) fn sans_crypto(metrics: &Metrics) -> Metrics {
-    let mut m = metrics.clone();
-    m.crypto = Default::default();
-    for phase in &mut m.per_phase {
-        (phase.hash_invocations, phase.sig_verifications) = (0, 0);
-    }
-    m
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1627,8 +1615,8 @@ mod tests {
                 assert_eq!(run.provisional, reference.provisional, "{label} {runner:?}");
                 assert_eq!(run.correct, reference.correct, "{label} {runner:?}");
                 assert_eq!(
-                    sans_crypto(&run.metrics),
-                    sans_crypto(&reference.metrics),
+                    run.metrics.without_crypto(),
+                    reference.metrics.without_crypto(),
                     "{label} {runner:?}"
                 );
                 // The honest chunk was stamped at a barrier: its check is

@@ -24,12 +24,13 @@ use ba_sim::actor::{Actor, Inbox, Outbox};
 use ba_sim::InstanceSpec;
 
 /// The fault-free instance of `actor(p, own value)` over `n` processors,
-/// `p0` transmitting `value`: no keys, so every recipient verifies what it
-/// reads, and no fault budget — the toys tolerate none.
+/// `p0` transmitting `value`, chains verified at the phase barrier
+/// against `registry`, and no fault budget — the toys tolerate none.
 fn instance(
     n: usize,
     phases: usize,
     value: Value,
+    registry: &KeyRegistry,
     actor: impl Fn(ProcessId, Option<Value>) -> Box<dyn Actor<Chain>>,
 ) -> InstanceSpec<Chain> {
     InstanceSpec {
@@ -39,7 +40,7 @@ fn instance(
         phases,
         fault_budget: 0,
         link_drops: Vec::new(),
-        registry: None,
+        registry: Some(registry.clone()),
     }
 }
 
@@ -94,7 +95,7 @@ impl FrugalBroadcast {
     /// # Panics
     /// Unless `1 ≤ k < n − 1`.
     pub fn build(n: usize, k: usize, value: Value, registry: &KeyRegistry) -> InstanceSpec<Chain> {
-        instance(n, 2, value, |p, own| {
+        instance(n, 2, value, registry, |p, own| {
             let verifier = registry.verifier();
             Box::new(Self::new(n, k, p, registry.signer(p), verifier, own))
         })
@@ -184,7 +185,7 @@ impl QuietBroadcast {
     /// The fault-free one-phase instance over `n` processors signing
     /// under `registry`, `p0` transmitting `value`.
     pub fn build(n: usize, value: Value, registry: &KeyRegistry) -> InstanceSpec<Chain> {
-        instance(n, 1, value, |p, own| {
+        instance(n, 1, value, registry, |p, own| {
             Box::new(Self::new(n, registry.signer(p), registry.verifier(), own))
         })
     }

@@ -174,10 +174,9 @@ mod tests {
     use ba_algos::checkable::{find_target, CheckConfig};
     use ba_algos::domains;
     use ba_crypto::keys::{KeyRegistry, SchemeKind};
-    use ba_crypto::stats::CryptoStats;
     use ba_crypto::{Chain, ProcessId, Value};
     use ba_sim::schedule::ScheduleSpec;
-    use ba_sim::{Actor, Inbox, Metrics, Outbox, Simulation};
+    use ba_sim::{Actor, Inbox, Outbox, Simulation};
 
     /// Faulty relay: broadcasts `forged` in phase 2 and nothing else.
     #[derive(Debug)]
@@ -222,14 +221,6 @@ mod tests {
             });
             setup
         };
-        let sans_crypto = |metrics: &Metrics| {
-            let mut m = metrics.clone();
-            m.crypto = CryptoStats::default();
-            for phase in &mut m.per_phase {
-                (phase.hash_invocations, phase.sig_verifications) = (0, 0);
-            }
-            m
-        };
 
         let setup = build();
         let reference = Simulation::new(setup.actors)
@@ -251,6 +242,9 @@ mod tests {
         assert_eq!(net.decisions, expected);
         assert_eq!(net.decisions, reference.decisions);
         assert_eq!(net.correct, reference.correct);
-        assert_eq!(sans_crypto(&net.metrics), sans_crypto(&reference.metrics));
+        assert_eq!(
+            net.metrics.without_crypto(),
+            reference.metrics.without_crypto()
+        );
     }
 }

@@ -1141,14 +1141,6 @@ mod tests {
             assert!(forged.verify(&registry.verifier()).is_err());
             outcome
         };
-        let sans_crypto = |metrics: &Metrics| {
-            let mut m = metrics.clone();
-            m.crypto = CryptoStats::default();
-            for phase in &mut m.per_phase {
-                (phase.hash_invocations, phase.sig_verifications) = (0, 0);
-            }
-            m
-        };
 
         let reference = run(false);
         let barrier = run(true);
@@ -1158,8 +1150,8 @@ mod tests {
         assert_eq!(barrier.decisions, reference.decisions);
         assert_eq!(barrier.correct, reference.correct);
         assert_eq!(
-            sans_crypto(&barrier.metrics),
-            sans_crypto(&reference.metrics)
+            barrier.metrics.without_crypto(),
+            reference.metrics.without_crypto()
         );
         assert_eq!(barrier.trace, reference.trace);
         // Phase 2 is where the forged copies are consumed: one failed

@@ -111,6 +111,20 @@ impl Metrics {
         self.bytes_by_correct - self.payload_bytes_by_correct
     }
 
+    /// These metrics with every crypto work counter zeroed — the run
+    /// totals and each phase's hashes and signature checks: what a run
+    /// verifying at the phase barrier and the per-recipient reference
+    /// ([`with_batched_verification(false)`](crate::Simulation::with_batched_verification))
+    /// must agree on.
+    pub fn without_crypto(&self) -> Metrics {
+        let mut m = self.clone();
+        m.crypto = CryptoStats::default();
+        for phase in &mut m.per_phase {
+            (phase.hash_invocations, phase.sig_verifications) = (0, 0);
+        }
+        m
+    }
+
     /// Records `count` sent copies of `payload` — a frame and the number
     /// of recipients it reached. The phase core's fill
     /// ([`PhaseCore::deliver`](crate::engine::PhaseCore::deliver)) is the

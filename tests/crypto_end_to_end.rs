@@ -3,9 +3,14 @@
 //! combination of replay/truncation/forgery lets a wrong value acquire a
 //! valid quorum.
 
-use byzantine_agreement::algos::{algorithm2, domains, RunOptions};
+use byzantine_agreement::algos::dolev_strong::{self, DsOptions, Variant};
+use byzantine_agreement::algos::{
+    agree, algorithm1, algorithm1_multi, algorithm2, algorithm3, algorithm5, domains, ic, om,
+    RunOptions, Selected,
+};
 use byzantine_agreement::crypto::wire::{Decoder, Encoder};
 use byzantine_agreement::crypto::{Chain, KeyRegistry, ProcessId, SchemeKind, Signature, Value};
+use byzantine_agreement::sim::{Metrics, ScheduleSpec};
 
 #[test]
 fn proofs_survive_serialization_and_reverification() {
@@ -125,4 +130,91 @@ fn cross_domain_replay_is_rejected() {
     let relabeled = Chain::decode(&mut Decoder::new(&raw)).unwrap();
     assert_eq!(relabeled.domain(), domains::ALG2);
     assert!(relabeled.verify(&registry.verifier()).is_err());
+}
+
+#[test]
+fn every_ba_module_verifies_its_chains_at_the_phase_barrier() {
+    // Every BA instance carries its keys and every payload hands the
+    // chains it carries to the barrier, so a fault-free run's recipients
+    // read stamps: a payload that forgets to hand its chains over shows
+    // here as zero stamp hits.
+    let opts = || RunOptions::new().with_seed(1).with_scheme(SchemeKind::Fast);
+    let ds = |variant| {
+        let o = DsOptions::new()
+            .with_variant(variant)
+            .with_seed(1)
+            .with_scheme(SchemeKind::Fast);
+        dolev_strong::run(7, 2, Value::ONE, o)
+            .unwrap()
+            .outcome
+            .metrics
+    };
+    let agreed = |n, t, selected| {
+        let r = agree(n, t, Value::ONE, opts()).unwrap();
+        assert_eq!(r.selected, selected, "agree at n = {n}, t = {t}");
+        r.metrics
+    };
+    let values: Vec<Value> = (0..6).map(Value).collect();
+    let runs: Vec<(&str, Metrics)> = vec![
+        ("dolev-strong broadcast", ds(Variant::Broadcast)),
+        ("dolev-strong relay", ds(Variant::Relay)),
+        (
+            "algorithm1",
+            algorithm1::run(3, Value::ONE, opts())
+                .unwrap()
+                .outcome
+                .metrics,
+        ),
+        (
+            "algorithm1_multi",
+            algorithm1_multi::run(3, Value(42), opts())
+                .unwrap()
+                .outcome
+                .metrics,
+        ),
+        (
+            "algorithm2",
+            algorithm2::run(3, Value::ONE, opts())
+                .unwrap()
+                .report
+                .outcome
+                .metrics,
+        ),
+        (
+            "algorithm3",
+            algorithm3::run(20, 2, 3, Value::ONE, opts())
+                .unwrap()
+                .outcome
+                .metrics,
+        ),
+        (
+            "algorithm5",
+            algorithm5::run(30, 1, 7, Value::ONE, opts())
+                .unwrap()
+                .outcome
+                .metrics,
+        ),
+        ("agree (algorithm 1)", agreed(5, 2, Selected::Algorithm1)),
+        ("agree (small n)", agreed(10, 2, Selected::SmallN)),
+        ("agree (algorithm 5)", agreed(30, 1, Selected::Algorithm5)),
+        (
+            "ic",
+            ic::run(6, 2, &values, &ScheduleSpec::default(), 1)
+                .outcome
+                .metrics,
+        ),
+        (
+            "om",
+            om::run(7, 2, Value::ONE, opts()).unwrap().outcome.metrics,
+        ),
+    ];
+    let unstamped: Vec<&str> = runs
+        .iter()
+        .filter(|(_, metrics)| metrics.crypto.cache_hits == 0)
+        .map(|(name, _)| *name)
+        .collect();
+    assert!(
+        unstamped.is_empty(),
+        "no stamp hit, so nothing was verified at the barrier: {unstamped:?}"
+    );
 }

@@ -20,7 +20,15 @@
 //! `mixed/algorithm5-three-classes` and `agree/algorithm5` rows were
 //! re-pinned by the same change and by `Msg5` charging each signature at
 //! its scheme's encoded length instead of 40 bytes: only the crypto
-//! counters and the byte counts moved.
+//! counters and the byte counts moved. Every `algorithm1/*` row but
+//! `silent-transmitter`, and the `algorithm2/*`, `algorithm5/*`, `ic/*`,
+//! `algorithm1-multi/*`, `fuzz/*`, `mixed/*`, `small-n/*` and `agree/*`
+//! rows, were re-pinned when every BA instance began carrying its keys,
+//! so that every chain is verified at the phase barrier: only the crypto
+//! counters moved. The `algorithm5/*`, `ic/*`, `fuzz/algorithm5`,
+//! `mixed/algorithm5-three-classes` and `agree/algorithm5` rows also
+//! moved in their byte counts, when grid items and `ic` messages began
+//! charging each signature at its scheme's encoded length.
 
 use byzantine_agreement::algos::agree::run_small_n;
 use byzantine_agreement::algos::algorithm3::{self, group_root};
@@ -283,7 +291,7 @@ fn schedules_reproduce_the_deleted_scenarios_byte_for_byte() {
         ),
         (
             "algorithm1/none",
-            "75770491280883e81487f60776cf6b5a2371245837adff9d5a2433e2f9d2ad9c",
+            "f65c8b29fad922f7f98ad34c00b5f914d38a4eabc1318d1deb26d98299af2cd3",
             a1(3, Value::ONE, ScheduleSpec::default()),
         ),
         (
@@ -293,12 +301,12 @@ fn schedules_reproduce_the_deleted_scenarios_byte_for_byte() {
         ),
         (
             "algorithm1/equivocate",
-            "d8aaea230f0abbb68aed442922f23aac2f65852de03cca1da21a31ce605761c9",
+            "7ace1ea11cb1607f3dafbcc370f78a219d65916cc00a06c12698a04ec9997c07",
             a1(3, Value::ONE, equivocate(&[0], &[1, 4])),
         ),
         (
             "algorithm1/withhold",
-            "fe6f5bd6cc0f1b3a0265baa26587acafdfeb430080544b59551a20a8491467cf",
+            "4cee68b6db5c721270bb3bb463ebfb4ba4703df1818500e4bea9886db6f9cb2d",
             a1(
                 4,
                 Value::ONE,
@@ -307,28 +315,28 @@ fn schedules_reproduce_the_deleted_scenarios_byte_for_byte() {
         ),
         (
             "algorithm1/crashed-relays",
-            "97c8c10e1db8c810109a9aaea38d4a3f034014d1af785f928e75563ffa4f2ae6",
+            "7ed7f3b291101daa46c3bd0fb007d54186a4936e4c7142e8298ece43715c72b8",
             a1(3, Value::ZERO, silent(&[1, 4, 6])),
         ),
         (
             "algorithm2/none",
-            "0be347d5742b7226580dec6c53639f40958fa6eb78e35c40094837df6b9c1400",
+            "52455ca261567d3ad174f11279d1893d6652709d12b52e061e4bda7bda361a60",
             a2(3, ScheduleSpec::default()),
         ),
         (
             "algorithm2/silent",
-            "f5dedc10e02b0cfc08ee90be4e6cf2043cbf424d3a32eb6fbbf8b4694060ab03",
+            "d6c38e56d999c27225508e4d800fa0c117592a03efa4b286d99361a679400067",
             a2(3, silent(&[1, 3, 5])),
         ),
         (
             "algorithm2/crash-after-commit",
-            "6dfe88b33ef8a744ab9add7b0c3acc820cb042aebf9b436112efd1396785e827",
+            "29eda92c7cd1fe65f9df1fb31309ffa8efe16b547e8a6aea28e6059fa95a3eae",
             // Crash at t + 4, once the Algorithm 1 prefix has committed.
             a2(4, each(&[2, 4, 7], FaultBehavior::CrashAt { phase: 4 + 4 })),
         ),
         (
             "algorithm2/wrong-value-gossip",
-            "fb041be0464a335fec9dd571f1eb3c0ff4bf55bf8b3cf82a0a2ec7ac7032adc3",
+            "8e5d8f6d3d3cd8f2fa27ff7c46ac25d3f33d1d3fcee37d53786a0275c321948b",
             a2(3, each(&[2, 5], lie0.clone())),
         ),
         (
@@ -373,17 +381,17 @@ fn schedules_reproduce_the_deleted_scenarios_byte_for_byte() {
         ),
         (
             "algorithm5/none",
-            "904477b19e00b5c79d153083cce63e3759f7a02a0bbcfe39cc586c3f1b224458",
+            "7463bed34328eadfb1a8540351a7e76132d2a7cbb5f1139ed932b63ecd0b02fc",
             a5(30, 1, 7, ScheduleSpec::default()),
         ),
         (
             "algorithm5/silent-passives",
-            "f149a84f4355bee8dc0095ce399ca5a4cf642b34069ca256d2cb2e3e63efc3e0",
+            "263642dfe7c4a434718b05d5dc8669f8403eafe4eca7932ff073b678b036fd96",
             a5(46, 2, 7, silent(&[17, 30])),
         ),
         (
             "algorithm5/silent-tree-roots",
-            "c5417dd80974129c02705ec027971013c719b42c3c1762304e83b10c90f146be",
+            "85042023fb08623fd54bebea1f42b376ab2f885703dd82997b2765e71f23e9b7",
             a5(
                 120,
                 3,
@@ -396,7 +404,7 @@ fn schedules_reproduce_the_deleted_scenarios_byte_for_byte() {
         ),
         (
             "algorithm5/withholding-tree-roots",
-            "0e3315cc65f3adfebde7e1d46505058236858824a57060bd64e3d88a28d6b1b0",
+            "b0a5cc4782fb4896bfe909e11b32ccf2afc4af6e216f1b89d01a61a7a0dccd9d",
             a5(
                 30,
                 1,
@@ -411,37 +419,37 @@ fn schedules_reproduce_the_deleted_scenarios_byte_for_byte() {
         ),
         (
             "algorithm5/silent-actives",
-            "3c658c03befe666d7711caac54656547501e471bf801b3fa9779b4176ccda101",
+            "3f38e7e13cebdb810d486647ad9cbe0902bd963b8fa7deb1e4973505c064314d",
             a5(24, 1, 3, silent(&[2])),
         ),
         (
             "ic/none",
-            "37124f1f9bf43b5e1417d51cf988421d2e44e8a2ab8fde928c2730c495dd5a07",
+            "34406bbd779057cab1e0a87cbea9845f2386c69b5f59081585d11f24fd36e62b",
             icr(6, 2, ScheduleSpec::default(), 1),
         ),
         (
             "ic/silent",
-            "12e7c8abcc50e2677d21a30d32b34ba3e1a233c6394b0777dc38cac47f84b7ba",
+            "db62f0dc921bbfe86d26fd11f9123f2a23f7bb06c070a0794a298081327598bc",
             icr(6, 2, silent(&[2, 4]), 3),
         ),
         (
             "ic/equivocate-own-instance",
-            "ffa122038005458aef7c627b0d3d1d39f1c6a3238c52adadaf1c33836e8703fb",
+            "45bf64966957d4059717876af036b2b5bf1d552540b65a18b0d733ded130506f",
             icr(7, 2, equivocate(&[1, 5], &odd(7)), 7),
         ),
         (
             "algorithm1-multi/none",
-            "2bc381fa63f3165e0ea4e392f9bb7128f089fa0001e09eeb46c572587ab4bdc0",
+            "83911700ba869040114df3213d1afbbd7840c60795fadd55d7b7f03d9fb137a2",
             multi(3, Value(42), ScheduleSpec::default(), 1),
         ),
         (
             "algorithm1-multi/rainbow",
-            "bf195337bdd6583d813e15db9f48fd9db9ffcaac1bda06f59d479636794cd8bd",
+            "0895bc84ab3522310909742d35533125ca9b188f0217a5a2de0e8e74ad8129ff",
             multi(3, Value(42), equivocate(&[0], &[1, 2, 3, 4, 5, 6]), 3),
         ),
         (
             "algorithm1-multi/silent-relays",
-            "60fa3eab8c5bd46afe012530a13b310f3292f5e45914348bf3b9c1f5a5b29e64",
+            "da44d9b76aaaa40be5c8a0a76d4c364132e77748263cdabe1c97f0d75e53173d",
             multi(3, Value(555), silent(&[2, 5]), 9),
         ),
         (
@@ -466,27 +474,27 @@ fn schedules_reproduce_the_deleted_scenarios_byte_for_byte() {
         ),
         (
             "fuzz/algorithm1",
-            "a9e554a2a621522d3f865f29870af52daa7eff275a8c3222f4f5b79fdb4133a3",
+            "59429992bffcc91aee928bcd4acf9556bfd0941558ee1bd0b134c2f5f95742b1",
             fuzz1(3, Value::ONE, 2, 12, 99),
         ),
         (
             "fuzz/algorithm5",
-            "98eb6e712578e958ba0e45fbbbd65fa677741f6ae156728a23488c7776cb6c78",
+            "4baebc334ce51f739b8771529ea6d536f0fc4b48a778b95235f93dcf49ac724a",
             fuzz5(30, 1, 3, Value::ZERO, 1, 8),
         ),
         (
             "mixed/algorithm1-silent-spam-lossy",
-            "0e0924b7b751aae54677348046fcab6a6c66cc892b0896bbbaa33d0b642c7f1d",
+            "e78b21993902827278bef5425dae05ef595ca6b522d749ecdf0ddc9ddf40158c",
             mixed1(3, Value::ONE, 77, (77, 6), (500, 77), &[]),
         ),
         (
             "mixed/algorithm5-three-classes",
-            "f0376df197587b7aa4959da6815c0e25263b109b2c72e77f77f643c5e6dba88e",
+            "cf77bea85bfb0c3e2ff0eb2267f051c22ae8f360f58490d0510926bbca40d5c2",
             mixed5(),
         ),
         (
             "mixed/algorithm1-exactly-t",
-            "892a44b64d7cf27a68ed97299e4f46b83a48e7e6c92d10bfae6388282c30aea2",
+            "713e02d28f4c93b064dbb84d5609c65ac2270dfbb86b3ff80545a62f7fd3645d",
             mixed1(4, Value::ZERO, 21, (3, 10), (900, 3), &[7, 8]),
         ),
         // The small-n extension and the facade in each regime, pinned
@@ -494,39 +502,39 @@ fn schedules_reproduce_the_deleted_scenarios_byte_for_byte() {
         // Algorithm 2 core and valid-message hand-off.
         (
             "small-n/none",
-            "6edf1801e688dcb5c02dc0a28dec8bf9ce5d47c0f273d33cf2cda813bfc8068e",
+            "61ed0b40c9ed1dae756c3c5ad402dca312dbbc39d1831adc55be64dbf64ffcbc",
             small_n(7, 1, ScheduleSpec::default()),
         ),
         // p2 is in the core but hands nothing off (only p0 and p1 do).
         (
             "small-n/silent-core",
-            "d9717ea8c5d1dd6c2cbdda22c41060bc2724745a87112461886e81bf1276a234",
+            "ec563f3abb91cef9be0c92d4e35350e1b688ef01233308a2b1fc9e7673aa8244",
             small_n(7, 1, silent(&[2])),
         ),
         (
             "small-n/none-t3",
-            "015fa285c87aadc6a38b95e0b0b6b31ba90821f500b41c47a939bc8b42eb6624",
+            "67f75afebb670347511eac5d5087d6aa47c0b8b47bf567083ddc3cf46a5a4692",
             small_n(12, 3, ScheduleSpec::default()),
         ),
         // p2 is one of the t + 1 = 4 hand-off senders.
         (
             "small-n/silent-sender-t3",
-            "45cab396ecc093c22cf2251234a287d6d0cf0e5119d10bcee5f80c3f09ca979d",
+            "4e5783b5f938863b15ec429c57302d5ad13bccaf0f8a8249511becb7a6be00e4",
             small_n(12, 3, silent(&[2])),
         ),
         (
             "agree/algorithm1",
-            "4ccaac5f5d00cec54200ff78dae8ebc9358d4b766d7dec0e9976523a08c9bfe2",
+            "fdc6a7a65ebf13ba71cd258c0393906b25934cc9d7b12e1bf1e6cc61227fa8e3",
             agreed(5, 2, silent(&[4])),
         ),
         (
             "agree/small-n",
-            "fcc4ab49bbff6cbea048de07d1d5df9ca8f1113e0ed54e6e160dac0d984081a4",
+            "b6fa720690bd16ad4035f252fecfc93f83f63c397ae775cdbe4bb57ae9d33b55",
             agreed(10, 2, silent(&[9])),
         ),
         (
             "agree/algorithm5",
-            "01b18db244cf477459e07f27be84a81c267db824c0953d4f72e0f4b0167751b0",
+            "ae9f336382dada83cdd8794650807a544db556c18e850012e6a356e686ee0c74",
             agreed(30, 1, silent(&[3])),
         ),
     ];
