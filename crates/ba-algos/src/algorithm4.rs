@@ -23,12 +23,12 @@
 //! processors of Algorithm 5 run one instance per block, with a per-block
 //! `tag` separating the signature spaces.
 
-use crate::common::{domains, Board};
+use crate::common::{domains, instance, run_instance, Board, RunOptions};
 use ba_crypto::wire::Encoder;
 use ba_crypto::Bytes;
-use ba_crypto::{KeyRegistry, ProcessId, SchemeKind, Signature, Signer, Value, Verifier};
+use ba_crypto::{KeyRegistry, ProcessId, Signature, Signer, Value, Verifier};
 use ba_sim::actor::{Actor, Inbox, Outbox, Payload};
-use ba_sim::engine::{RunOutcome, Simulation};
+use ba_sim::engine::RunOutcome;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -389,8 +389,6 @@ pub struct Alg4Report {
     pub outcome: RunOutcome<GridMsg>,
     /// Each processor's harvested `M3` (by processor index).
     pub results: Vec<Option<Vec<SignedItem>>>,
-    /// The faulty processors of the scenario.
-    pub faulty: Vec<ProcessId>,
     /// Side length.
     pub m: usize,
 }
@@ -400,7 +398,7 @@ impl Alg4Report {
     /// `m/2` faulty processors.
     pub fn lemma2_set(&self) -> Vec<ProcessId> {
         let (grid, m) = (GridLayout { m: self.m }, self.m);
-        let faulty = |p: &ProcessId| self.faulty.contains(p);
+        let faulty = |p: &ProcessId| !self.outcome.correct[p.index()];
         let sparse_row = |p: &ProcessId| 2 * grid.row(p.index() / m).filter(faulty).count() < m;
         let all = (0..(m * m) as u32).map(ProcessId);
         all.filter(|p| !faulty(p) && sparse_row(p)).collect()
@@ -422,43 +420,28 @@ fn all_hold(results: &[Option<Vec<SignedItem>>], members: &[ProcessId]) -> bool 
     })
 }
 
-/// Runs a `phases`-phase exchange over `n` processors: `faulty` ones are
-/// silent, every other is `honest(id)`.
-fn exchange(
-    n: usize,
-    faulty: &[ProcessId],
-    phases: usize,
-    honest: impl Fn(ProcessId) -> Box<dyn Actor<GridMsg>>,
-) -> RunOutcome<GridMsg> {
-    let actors = (0..n as u32).map(ProcessId).map(|id| {
-        if faulty.contains(&id) {
-            Box::new(ba_sim::adversary::Silent)
-        } else {
-            honest(id)
-        }
-    });
-    Simulation::new(actors.collect()).run(phases)
-}
-
-/// Runs a standalone `m × m` grid exchange with the given silent faults.
+/// Runs a standalone `m × m` grid exchange tolerating `t` faults. Faults
+/// are `options.schedule`'s generic behaviours (`silent`, `crash-at`,
+/// `omit-to`, `passive`); the grid maps no protocol-specific one.
 ///
 /// ```
 /// use ba_algos::algorithm4::run;
-/// use ba_crypto::SchemeKind;
+/// use ba_algos::common::RunOptions;
 ///
-/// let report = run(3, vec![], 1, SchemeKind::Fast);
+/// let report = run(3, 1, RunOptions::new());
 /// assert!(report.mutual_exchange_holds());
 /// ```
 ///
 /// # Panics
-/// Panics if `m == 0` or a fault id is off the grid.
-pub fn run(m: usize, faulty: Vec<ProcessId>, seed: u64, scheme: SchemeKind) -> Alg4Report {
+/// Panics if `m == 0`, or on a malformed schedule or one with a
+/// protocol-specific behaviour.
+pub fn run(m: usize, t: usize, options: RunOptions) -> Alg4Report {
     assert!(m >= 1);
     let n = m * m;
-    assert!(faulty.iter().all(|p| p.index() < n));
-    let (registry, results) = (KeyRegistry::new(n, seed, scheme), Board::new(n));
+    let registry = KeyRegistry::new(n, options.seed, options.scheme);
+    let results = Board::new(n);
     let layout = GridLayout { m };
-    let outcome = exchange(n, &faulty, 3, |id| {
+    let honest = |id| -> Box<dyn Actor<GridMsg>> {
         let (signer, verifier) = (registry.signer(id), registry.verifier());
         Box::new(GridActor::new(
             layout,
@@ -468,11 +451,11 @@ pub fn run(m: usize, faulty: Vec<ProcessId>, seed: u64, scheme: SchemeKind) -> A
             0xA164,
             results.clone(),
         ))
-    });
+    };
+    let built = instance(&options.schedule, (n, t, 3), &registry, honest, |_, _| None);
     Alg4Report {
-        outcome,
+        outcome: run_instance(built, &options),
         results: results.snapshot(),
-        faulty,
         m,
     }
 }
@@ -605,49 +588,41 @@ pub struct RelayExchangeReport {
     pub outcome: RunOutcome<GridMsg>,
     /// Each processor's harvested values (by processor index).
     pub results: Vec<Option<Vec<SignedItem>>>,
-    /// The faulty processors of the scenario.
-    pub faulty: Vec<ProcessId>,
 }
 
 impl RelayExchangeReport {
     /// Whether every correct processor holds every correct processor's
     /// value — the *full* exchange this baseline guarantees.
     pub fn full_exchange_holds(&self) -> bool {
-        let correct: Vec<ProcessId> = (0..self.results.len() as u32)
-            .map(ProcessId)
-            .filter(|p| !self.faulty.contains(p))
+        let correct: Vec<ProcessId> = (0..)
+            .zip(&self.outcome.correct)
+            .filter_map(|(p, &correct)| correct.then_some(ProcessId(p)))
             .collect();
         all_hold(&self.results, &correct)
     }
 }
 
 /// Runs the two-phase relay full exchange over `n` processors tolerating
-/// `t` faults (relays are processors `0..=t`), with the given silent
-/// faults.
+/// `t` faults (relays are processors `0..=t`), with faults as [`run`]
+/// takes them.
 ///
 /// # Panics
-/// Panics unless `t + 1 < n` and the fault set fits `t`.
-pub fn relay_exchange(
-    n: usize,
-    t: usize,
-    faulty: Vec<ProcessId>,
-    seed: u64,
-    scheme: SchemeKind,
-) -> RelayExchangeReport {
+/// Panics unless `t + 1 < n`, or as [`run`] does on the schedule.
+pub fn relay_exchange(n: usize, t: usize, options: RunOptions) -> RelayExchangeReport {
     assert!(t + 1 < n, "need at least one non-relay");
-    assert!(faulty.len() <= t, "fault plan exceeds t");
-    let (registry, results) = (KeyRegistry::new(n, seed, scheme), Board::new(n));
-    let outcome = exchange(n, &faulty, 2, |id| {
+    let registry = KeyRegistry::new(n, options.seed, options.scheme);
+    let results = Board::new(n);
+    let honest = |id| -> Box<dyn Actor<GridMsg>> {
         let signer = registry.signer(id);
         let (verifier, board) = (registry.verifier(), results.clone());
         Box::new(RelayExchangeActor::new(
             n, t, id, &signer, verifier, 0xE0_E1, board,
         ))
-    });
+    };
+    let built = instance(&options.schedule, (n, t, 2), &registry, honest, |_, _| None);
     RelayExchangeReport {
-        outcome,
+        outcome: run_instance(built, &options),
         results: results.snapshot(),
-        faulty,
     }
 }
 
@@ -655,6 +630,15 @@ pub fn relay_exchange(
 mod tests {
     use super::*;
     use crate::bounds;
+    use ba_crypto::SchemeKind;
+    use ba_sim::{FaultBehavior, ScheduleSpec};
+
+    /// `faulty` silent, keys from `seed` under the fast scheme.
+    fn silent(faulty: impl IntoIterator<Item = u32>, seed: u64) -> RunOptions {
+        let schedule = ScheduleSpec::each(faulty.into_iter().map(ProcessId), FaultBehavior::Silent);
+        let options = RunOptions::new().with_schedule(schedule).with_seed(seed);
+        options.with_scheme(SchemeKind::Fast)
+    }
 
     #[test]
     fn layout_indexing() {
@@ -684,7 +668,7 @@ mod tests {
     #[test]
     fn fault_free_full_exchange_within_message_bound() {
         for m in [2usize, 3, 4, 5] {
-            let report = run(m, Vec::new(), 1, SchemeKind::Fast);
+            let report = run(m, 0, silent([], 1));
             assert!(report.mutual_exchange_holds(), "m={m}");
             // Everyone is in P when there are no faults.
             assert_eq!(report.lemma2_set().len(), m * m);
@@ -698,8 +682,7 @@ mod tests {
     fn lemma2_holds_with_concentrated_row_faults() {
         // Kill a whole row: its members leave P, everyone else exchanges.
         let m = 4;
-        let faulty: Vec<ProcessId> = (4..8u32).map(ProcessId).collect();
-        let report = run(m, faulty, 2, SchemeKind::Fast);
+        let report = run(m, 4, silent(4..8, 2));
         let p_set = report.lemma2_set();
         assert_eq!(p_set.len(), m * m - 4);
         assert!(report.mutual_exchange_holds());
@@ -709,8 +692,7 @@ mod tests {
     fn lemma2_holds_with_scattered_faults() {
         let m = 5;
         let t = 4;
-        let faulty: Vec<ProcessId> = vec![ProcessId(0), ProcessId(7), ProcessId(13), ProcessId(21)];
-        let report = run(m, faulty, 3, SchemeKind::Fast);
+        let report = run(m, t, silent([0, 7, 13, 21], 3));
         let p_set = report.lemma2_set();
         assert!(p_set.len() >= bounds::alg4_min_successful((m * m) as u64, t as u64) as usize);
         assert!(report.mutual_exchange_holds());
@@ -758,7 +740,7 @@ mod tests {
     #[test]
     fn relay_exchange_is_full_and_costs_nt() {
         for (n, t) in [(9usize, 2usize), (25, 4), (49, 6)] {
-            let r = relay_exchange(n, t, vec![], 1, SchemeKind::Fast);
+            let r = relay_exchange(n, t, silent([], 1));
             assert!(r.full_exchange_holds(), "n={n} t={t}");
             // (n-1)(t+1) + (t+1)(n-t-1) messages exactly, fault-free.
             let expected = ((n - 1) * (t + 1) + (t + 1) * (n - t - 1)) as u64;
@@ -770,16 +752,14 @@ mod tests {
     fn relay_exchange_survives_t_silent_relays_minus_one() {
         // t faults, all aimed at relays: one correct relay remains.
         let (n, t) = (16usize, 3usize);
-        let faulty: Vec<ProcessId> = (0..t as u32).map(ProcessId).collect();
-        let r = relay_exchange(n, t, faulty, 2, SchemeKind::Fast);
+        let r = relay_exchange(n, t, silent(0..t as u32, 2));
         assert!(r.full_exchange_holds());
     }
 
     #[test]
     fn relay_exchange_survives_silent_non_relays() {
         let (n, t) = (12usize, 2usize);
-        let faulty = vec![ProcessId(5), ProcessId(9)];
-        let r = relay_exchange(n, t, faulty, 3, SchemeKind::Fast);
+        let r = relay_exchange(n, t, silent([5, 9], 3));
         assert!(r.full_exchange_holds());
     }
 
@@ -789,13 +769,13 @@ mod tests {
         // once t+1 > 1.5(m-1): for m = 5 that is t >= 7.
         let m = 5; // N = 25
         let t = 7;
-        let grid = run(m, vec![], 4, SchemeKind::Fast);
-        let relay = relay_exchange(m * m, t, vec![], 4, SchemeKind::Fast);
+        let grid = run(m, 0, silent([], 4));
+        let relay = relay_exchange(m * m, t, silent([], 4));
         assert!(
             grid.outcome.metrics.messages_by_correct < relay.outcome.metrics.messages_by_correct
         );
         // And below the crossover the relay baseline is cheaper.
-        let cheap_relay = relay_exchange(m * m, 2, vec![], 4, SchemeKind::Fast);
+        let cheap_relay = relay_exchange(m * m, 2, silent([], 4));
         assert!(
             cheap_relay.outcome.metrics.messages_by_correct
                 < grid.outcome.metrics.messages_by_correct
@@ -813,12 +793,10 @@ mod tests {
                 let seed = gen.u64();
                 let mask = gen.u64();
                 let n = m * m;
-                let faulty: Vec<ProcessId> = (0..n as u32)
+                let faulty = (0..n as u32)
                     .filter(|i| mask & (1 << (i % 63)) != 0)
-                    .take(m - 1)
-                    .map(ProcessId)
-                    .collect();
-                let report = run(m, faulty, seed, SchemeKind::Fast);
+                    .take(m - 1);
+                let report = run(m, m - 1, silent(faulty, seed));
                 assert!(report.mutual_exchange_holds());
                 assert!(
                     report.outcome.metrics.messages_by_correct

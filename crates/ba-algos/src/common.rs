@@ -1,8 +1,9 @@
 //! Shared vocabulary for the algorithm implementations.
 //!
-//! Every BA `run` takes one [`RunOptions`], builds its instance with
+//! Every `run` takes one [`RunOptions`], builds its instance with
 //! `instance` — schedule in, one [`InstanceSpec`] out — and ends in
-//! `run_report`, which honours the options' threads and trace. A module
+//! `run_instance`, which honours the options' threads and trace; a BA run
+//! checks the outcome through `run_report`. A module
 //! the checker registers exposes that build as its public `build`, so its
 //! `run` and its check targets construct the same actors the same way.
 
@@ -73,9 +74,10 @@ impl<T: Clone> Board<T> {
     }
 }
 
-/// The settings of one BA run, taken by every single-instance `run`:
+/// The settings of one run, taken by every single-instance `run`:
 /// `algorithm1`, `algorithm1_multi`, `algorithm2`, `algorithm3`,
-/// `algorithm5`, [`agree`](crate::agree()), `dolev_strong` and `om`. Construct
+/// `algorithm4` (and its `relay_exchange`), `algorithm5`,
+/// [`agree`](crate::agree()), `dolev_strong`, `ic` and `om`. Construct
 /// with [`new`](RunOptions::new)/[`default`](RunOptions::default) and the
 /// `with_*` builders (the same convention as `SvcConfig`, `NetConfig` and
 /// `ExtOptions`).
@@ -214,29 +216,39 @@ pub(crate) fn instance<P: Payload + 'static>(
 }
 
 /// Runs a standalone [`instance`] lock-step across `options.threads`
-/// worker chunks, recording a trace when `options.trace` asks for one, and
-/// checks the outcome with `p0` as the transmitter of `sent`.
-///
-/// # Errors
-/// Propagates the [`AgreementViolation`], as [`into_report`] does.
+/// worker chunks, recording a trace when `options.trace` asks for one.
 ///
 /// # Panics
 /// If the build failed on a behaviour the algorithm's hook does not map —
 /// like every other bad parameter of a standalone run.
-pub(crate) fn run_report<P: Payload, M>(
+pub(crate) fn run_instance<P: Payload, M>(
     built: Result<InstanceSpec<P>, ScheduleError>,
     options: &RunOptions<M>,
-    sent: Value,
-) -> Result<AlgoReport<P>, AgreementViolation> {
+) -> RunOutcome<P> {
     let spec = built.unwrap_or_else(|err| panic!("{err}"));
-    let outcome = if options.trace {
+    if options.trace {
         let phases = spec.phases;
         let sim = Simulation::from(spec).with_threads(options.threads);
         sim.with_trace().run(phases)
     } else {
         spec.run_lockstep(options.threads)
-    };
-    into_report(outcome, ProcessId(0), sent)
+    }
+}
+
+/// [`run_instance`], then checks the outcome with `p0` as the transmitter
+/// of `sent`.
+///
+/// # Errors
+/// Propagates the [`AgreementViolation`], as [`into_report`] does.
+///
+/// # Panics
+/// As [`run_instance`] does.
+pub(crate) fn run_report<P: Payload, M>(
+    built: Result<InstanceSpec<P>, ScheduleError>,
+    options: &RunOptions<M>,
+    sent: Value,
+) -> Result<AlgoReport<P>, AgreementViolation> {
+    into_report(run_instance(built, options), ProcessId(0), sent)
 }
 
 /// The faulty transmitter of a signature-chain protocol, the defining

@@ -15,9 +15,9 @@
 //! * entry `i` equals processor `i`'s private value whenever `i` is
 //!   correct.
 
-use crate::common::{instance, lift, Board};
+use crate::common::{chain_adversary, instance, lift, run_instance, Board, RunOptions};
 use crate::dolev_strong::{DsActor, DsParams, Variant};
-use ba_crypto::{Barrier, Chain, KeyRegistry, ProcessId, SchemeKind, Signer, Value, Verifier};
+use ba_crypto::{Barrier, Chain, KeyRegistry, ProcessId, Signer, Value, Verifier};
 use ba_sim::actor::{Actor, Envelope, Inbox, Outbox, Payload};
 use ba_sim::engine::{InstanceSpec, RunOutcome};
 use ba_sim::schedule::{FaultBehavior, ScheduleError, ScheduleSpec};
@@ -65,12 +65,13 @@ fn instance_params(n: usize, t: usize, instance: u32, verifier: Verifier) -> Arc
     })
 }
 
-/// An honest interactive-consistency processor: one [`DsActor`] per
-/// instance, demultiplexed by the `instance` tag.
+/// An interactive-consistency processor: one [`DsActor`] per instance,
+/// demultiplexed by the `instance` tag. A faulty one runs an adversary in
+/// its own instance instead and reports itself faulty.
 #[derive(Debug)]
 pub struct IcActor {
     me: ProcessId,
-    subs: Vec<DsActor>,
+    subs: Vec<Box<dyn Actor<Chain>>>,
     /// Per instance, its share of the current inbox (kept across phases
     /// so the buffers are reused).
     inboxes: Vec<Vec<Envelope<Chain>>>,
@@ -90,12 +91,12 @@ impl IcActor {
     ) -> Self {
         let subs = (0..n as u32)
             .map(|i| {
-                DsActor::new(
+                Box::new(DsActor::new(
                     instance_params(n, t, i, verifier.clone()),
                     me,
                     signer.clone(),
                     (ProcessId(i) == me).then_some(own_value),
-                )
+                )) as Box<dyn Actor<Chain>>
             })
             .collect();
         IcActor {
@@ -122,12 +123,17 @@ impl IcActor {
         }
     }
 
-    /// The agreed vector (after the run).
-    pub fn vector(&self) -> Vec<Value> {
-        self.subs
-            .iter()
-            .map(|s| s.decision().expect("dolev-strong always decides"))
-            .collect()
+    /// This processor with `adversary` in place of its own instance's
+    /// transmitter.
+    fn with_own(mut self, adversary: Box<dyn Actor<Chain>>) -> Self {
+        self.subs[self.me.index()] = adversary;
+        self
+    }
+
+    /// The agreed vector (after the run); `None` on a faulty processor,
+    /// whose own instance decides nothing.
+    pub fn vector(&self) -> Option<Vec<Value>> {
+        self.subs.iter().map(|s| s.decision()).collect()
     }
 }
 
@@ -146,7 +152,9 @@ impl Actor<IcMsg> for IcActor {
         for (sub, sub_inbox) in self.subs.iter_mut().zip(&self.inboxes) {
             sub.finalize(Inbox::of(sub_inbox));
         }
-        self.vectors.post(self.me, self.vector());
+        if let Some(vector) = self.vector() {
+            self.vectors.post(self.me, vector);
+        }
     }
 
     fn decision(&self) -> Option<Value> {
@@ -154,68 +162,15 @@ impl Actor<IcMsg> for IcActor {
         // scalar agreement implies vector agreement (exact vectors are
         // compared via the board by the runner's callers).
         let mut acc = 0xcbf2_9ce4_8422_2325u64;
-        for v in self.vector() {
+        for v in self.vector()? {
             acc ^= v.0.wrapping_add(0x9e37_79b9);
             acc = acc.wrapping_mul(0x0000_0100_0000_01B3);
         }
         Some(Value(acc))
     }
-}
 
-/// An equivocating IC participant: honest in every instance except its
-/// own, where it signs `1` for `ones` and `0` for everyone else.
-#[derive(Debug)]
-struct IcEquivocator {
-    inner: IcActor,
-    me: ProcessId,
-    signer: Signer,
-    n: usize,
-    ones: Vec<ProcessId>,
-}
-
-impl Actor<IcMsg> for IcEquivocator {
-    fn step(&mut self, phase: usize, inbox: Inbox<'_, IcMsg>, out: &mut Outbox<IcMsg>) {
-        // Drive the honest actor but strip its own-instance phase-1
-        // broadcast, replacing it with a split-value send.
-        let mut scratch = Outbox::new(self.me);
-        self.inner.step(phase, inbox, &mut scratch);
-        for env in scratch.into_staged() {
-            if phase == 1 && env.payload.instance == self.me.0 {
-                continue;
-            }
-            out.send(env.to, env.payload);
-        }
-        if phase == 1 {
-            for p in 0..self.n as u32 {
-                let to = ProcessId(p);
-                if to == self.me {
-                    continue;
-                }
-                let v = if self.ones.contains(&to) {
-                    Value::ONE
-                } else {
-                    Value::ZERO
-                };
-                let mut chain = Chain::new(IC_DOMAIN_BASE + self.me.0, v);
-                chain.sign_and_append(&self.signer);
-                out.send(
-                    to,
-                    IcMsg {
-                        instance: self.me.0,
-                        chain,
-                    },
-                );
-            }
-        }
-    }
-    fn finalize(&mut self, inbox: Inbox<'_, IcMsg>) {
-        self.inner.finalize(inbox);
-    }
-    fn decision(&self) -> Option<Value> {
-        None
-    }
     fn is_correct(&self) -> bool {
-        false
+        self.subs[self.me.index()].is_correct()
     }
 }
 
@@ -256,29 +211,31 @@ impl IcReport {
 /// `values` and up to `t` faults.
 ///
 /// ```
+/// use ba_algos::common::RunOptions;
 /// use ba_algos::ic::run;
 /// use ba_crypto::Value;
-/// use ba_sim::ScheduleSpec;
 ///
 /// let values = vec![Value(5), Value(6), Value(7), Value(8)];
-/// let report = run(4, 1, &values, &ScheduleSpec::default(), 1);
+/// let report = run(4, 1, &values, RunOptions::new().with_seed(1));
 /// assert_eq!(report.common_vector(), Some(values));
 /// ```
 ///
-/// `schedule`'s `Equivocate { ones }` is a processor honest in every
-/// instance but its own, where it signs `1` for `ones` and `0` for the
-/// rest.
+/// The schedule's `Equivocate { ones }` and `Forge` are a processor
+/// honest in every instance but its own, where it runs the adversary
+/// Dolev–Strong maps them to: a
+/// [`SplitTransmitter`](crate::common::SplitTransmitter) signing `1` for
+/// `ones` and `0` for the rest, each value once, or a
+/// [`ChainFuzzer`](crate::fuzz::ChainFuzzer) spammer.
 ///
 /// # Panics
 /// Panics unless `values.len() == n` and `1 ≤ t ≤ n − 2`, or on a
 /// malformed schedule.
-pub fn run(n: usize, t: usize, values: &[Value], schedule: &ScheduleSpec, seed: u64) -> IcReport {
-    let registry = KeyRegistry::new(n, seed, SchemeKind::Fast);
+pub fn run(n: usize, t: usize, values: &[Value], options: RunOptions) -> IcReport {
+    let registry = KeyRegistry::new(n, options.seed, options.scheme);
     let vectors = Board::new(n);
-    let spec = build(n, t, values, schedule, &registry, &vectors);
-    let outcome = spec.unwrap_or_else(|err| panic!("{err}")).run_lockstep(1);
+    let built = build(n, t, values, &options.schedule, &registry, &vectors);
     IcReport {
-        outcome,
+        outcome: run_instance(built, &options),
         vectors: vectors.snapshot(),
     }
 }
@@ -310,17 +267,9 @@ fn build(
             vectors.clone(),
         )
     };
-    let adversary = |p, behavior: &FaultBehavior| -> Option<Box<dyn Actor<IcMsg>>> {
-        let FaultBehavior::Equivocate { ones } = behavior else {
-            return None;
-        };
-        Some(Box::new(IcEquivocator {
-            inner: honest(p),
-            me: p,
-            signer: registry.signer(p),
-            n,
-            ones: ones.clone(),
-        }))
+    let adversary = |p: ProcessId, behavior: &FaultBehavior| -> Option<Box<dyn Actor<IcMsg>>> {
+        let own = chain_adversary(registry, IC_DOMAIN_BASE + p.0, p, behavior)?;
+        Some(Box::new(honest(p).with_own(own)))
     };
     let boxed = |p| Box::new(honest(p)) as Box<dyn Actor<IcMsg>>;
     instance(schedule, (n, t, t + 1), registry, boxed, adversary)
@@ -329,9 +278,15 @@ fn build(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ba_crypto::SchemeKind;
 
     fn values(n: usize) -> Vec<Value> {
         (0..n as u64).map(|i| Value(i * 10 + 1)).collect()
+    }
+
+    fn options(schedule: ScheduleSpec, seed: u64) -> RunOptions {
+        let options = RunOptions::new().with_schedule(schedule).with_seed(seed);
+        options.with_scheme(SchemeKind::Fast)
     }
 
     /// `set` each sign `1` for odd receivers and `0` for even ones in
@@ -392,7 +347,7 @@ mod tests {
     fn fault_free_everyone_gets_the_exact_vector() {
         for (n, t) in [(4usize, 1usize), (6, 2), (8, 3)] {
             let vals = values(n);
-            let r = run(n, t, &vals, &ScheduleSpec::default(), 1);
+            let r = run(n, t, &vals, options(ScheduleSpec::default(), 1));
             let common = r.common_vector().unwrap();
             assert_eq!(common, vals, "n={n} t={t}");
         }
@@ -403,13 +358,8 @@ mod tests {
         let n = 6;
         let t = 2;
         let vals = values(n);
-        let r = run(
-            n,
-            t,
-            &vals,
-            &ScheduleSpec::each([ProcessId(2), ProcessId(4)], FaultBehavior::Silent),
-            3,
-        );
+        let silent = ScheduleSpec::each([ProcessId(2), ProcessId(4)], FaultBehavior::Silent);
+        let r = run(n, t, &vals, options(silent, 3));
         let common = r.common_vector().unwrap();
         assert_eq!(common.len(), n);
         for i in 0..n {
@@ -426,7 +376,7 @@ mod tests {
         let n = 7;
         let t = 2;
         let vals = values(n);
-        let r = run(n, t, &vals, &equivocating(n, &[1, 5]), 7);
+        let r = run(n, t, &vals, options(equivocating(n, &[1, 5]), 7));
         // common_vector asserts all correct processors agree.
         let common = r.common_vector().unwrap();
         for i in [0usize, 2, 3, 4, 6] {
@@ -449,7 +399,7 @@ mod tests {
     #[test]
     fn vector_agreement_implies_scalar_projection_agreement() {
         let n = 5;
-        let r = run(n, 1, &values(n), &ScheduleSpec::default(), 9);
+        let r = run(n, 1, &values(n), options(ScheduleSpec::default(), 9));
         let decisions: Vec<_> = r
             .outcome
             .decisions
@@ -472,16 +422,16 @@ mod tests {
                 let seed = gen.u64();
                 let raw: Vec<u64> = (0..8).map(|_| gen.u64()).collect();
                 let victim = gen.u32();
-                let equivocate = gen.bool();
+                let behavior = gen.usize_in(0, 3);
                 let t = 1;
                 let vals: Vec<Value> = (0..n).map(|i| Value(raw[i])).collect();
                 let bad = ProcessId(victim % n as u32);
-                let schedule = if equivocate {
-                    equivocating(n, &[bad.0])
-                } else {
-                    ScheduleSpec::each([bad], FaultBehavior::Silent)
+                let schedule = match behavior {
+                    0 => equivocating(n, &[bad.0]),
+                    1 => ScheduleSpec::each([bad], FaultBehavior::Forge { seed, per_phase: 4 }),
+                    _ => ScheduleSpec::each([bad], FaultBehavior::Silent),
                 };
-                let r = run(n, t, &vals, &schedule, seed);
+                let r = run(n, t, &vals, options(schedule, seed));
                 let common = r.common_vector().unwrap();
                 for i in 0..n {
                     if ProcessId(i as u32) != bad {

@@ -179,9 +179,14 @@ fn run_flood(n: usize, threads: usize, traced: bool) -> RunOutcome<Chain> {
             }) as Box<dyn Actor<Chain>>
         })
         .collect();
-    let mut sim = Simulation::new(actors)
-        .with_threads(threads)
-        .with_registry(&registry);
+    let spec = InstanceSpec {
+        actors,
+        phases: FLOOD_PHASES,
+        fault_budget: 0,
+        link_drops: Vec::new(),
+        registry: Some(registry),
+    };
+    let mut sim = Simulation::from(spec).with_threads(threads);
     if traced {
         sim = sim.with_trace();
     }
@@ -338,7 +343,8 @@ fn algorithm_runs() -> Vec<AlgorithmRun> {
     }
     for m in [3, 5, 8] {
         let run = move || {
-            algorithm4::run(m, vec![ProcessId(0)], 1, SchemeKind::Fast)
+            let silent = ScheduleSpec::each([ProcessId(0)], FaultBehavior::Silent);
+            algorithm4::run(m, 1, opts().with_schedule(silent))
                 .outcome
                 .metrics
         };

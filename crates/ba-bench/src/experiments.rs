@@ -408,8 +408,9 @@ pub fn e7() -> Vec<Table> {
         let n_grid = m * m;
         let t = m - 1;
         // Scatter t silent faults across distinct rows.
-        let faulty: Vec<ProcessId> = (0..t).map(|i| ProcessId((i * m + i) as u32)).collect();
-        let r = algorithm4::run(m, faulty, 5, SchemeKind::Fast);
+        let faulty = (0..t).map(|i| ProcessId((i * m + i) as u32));
+        let silent = ScheduleSpec::each(faulty, FaultBehavior::Silent);
+        let r = algorithm4::run(m, t, fast().with_schedule(silent).with_seed(5));
         let p_len = r.lemma2_set().len();
         t_out.row(cells![
             m,
@@ -435,8 +436,8 @@ pub fn e7() -> Vec<Table> {
     );
     for (m, t) in [(4usize, 2usize), (4, 5), (5, 3), (5, 7), (8, 4), (8, 12)] {
         let n_grid = m * m;
-        let grid = algorithm4::run(m, vec![], 6, SchemeKind::Fast);
-        let relay = algorithm4::relay_exchange(n_grid, t, vec![], 6, SchemeKind::Fast);
+        let grid = algorithm4::run(m, t, fast().with_seed(6));
+        let relay = algorithm4::relay_exchange(n_grid, t, fast().with_seed(6));
         assert!(grid.mutual_exchange_holds() && relay.full_exchange_holds());
         let g = grid.outcome.metrics.messages_by_correct;
         let r = relay.outcome.metrics.messages_by_correct;

@@ -223,10 +223,10 @@ mod tests {
         };
 
         let setup = build();
-        let reference = Simulation::new(setup.actors)
-            .with_registry(&setup.registry)
+        let phases = setup.phases;
+        let reference = Simulation::from(InstanceSpec::from(setup))
             .with_batched_verification(false)
-            .run(setup.phases);
+            .run(phases);
 
         let setup = build();
         let verifier = setup.registry.verifier();

@@ -8,7 +8,7 @@
 //! ```
 
 use byzantine_agreement::algos::{agree, ic, RunOptions};
-use byzantine_agreement::crypto::{ProcessId, Value};
+use byzantine_agreement::crypto::{ProcessId, SchemeKind, Value};
 use byzantine_agreement::sim::{FaultBehavior, ScheduleSpec};
 
 fn main() {
@@ -29,7 +29,8 @@ fn main() {
     // The census must still come out identical at every correct node.
     let ones = (1..n as u32).step_by(2).map(ProcessId).collect();
     let schedule = ScheduleSpec::each([ProcessId(1)], FaultBehavior::Equivocate { ones });
-    let report = ic::run(n, t, &loads, &schedule, 42);
+    let options = RunOptions::new().with_schedule(schedule).with_seed(42);
+    let report = ic::run(n, t, &loads, options.with_scheme(SchemeKind::Fast));
     let census = report.common_vector().expect("cluster reached a census");
 
     println!(

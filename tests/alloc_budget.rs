@@ -102,8 +102,9 @@ fn fault_free(target: &str, n: usize, t: usize) -> CheckSetup {
 #[test]
 fn ds_broadcast_peaks_at_a_few_bytes_per_delivered_message() {
     let setup = fault_free("ds-broadcast", 256, 1);
-    let mut sim = Simulation::new(setup.actors).with_registry(&setup.registry);
-    let (outcome, _, peak) = counted(|| sim.run(setup.phases));
+    let phases = setup.phases;
+    let mut sim = Simulation::from(InstanceSpec::from(setup));
+    let (outcome, _, peak) = counted(|| sim.run(phases));
     let delivered = outcome.metrics.messages_total();
     assert_eq!(delivered, 255 * 256);
     assert!(outcome.decisions.iter().all(|d| *d == Some(Value::ONE)));
@@ -123,10 +124,7 @@ fn ds_broadcast_peaks_at_a_few_bytes_per_delivered_message() {
 #[test]
 fn an_all_to_all_run_asks_for_no_large_block() {
     let run = || {
-        let setup = fault_free("ds-broadcast", 1024, 1);
-        let outcome = Simulation::new(setup.actors)
-            .with_registry(&setup.registry)
-            .run(setup.phases);
+        let outcome = InstanceSpec::from(fault_free("ds-broadcast", 1024, 1)).run_lockstep(1);
         assert_eq!(outcome.metrics.messages_total(), 1023 * 1024);
     };
     let ((), _, _) = counted(run);

@@ -44,7 +44,8 @@ fn upper_bounds_hold_across_sweep() {
     }
 
     for m in 2..=6usize {
-        let r = algorithm4::run(m, vec![], 1, SchemeKind::Fast);
+        let options = RunOptions::new().with_seed(1).with_scheme(SchemeKind::Fast);
+        let r = algorithm4::run(m, 0, options);
         assert_eq!(
             r.outcome.metrics.messages_by_correct,
             bounds::alg4_max_messages(m as u64),

@@ -10,7 +10,7 @@ use byzantine_agreement::algos::{
 };
 use byzantine_agreement::crypto::wire::{Decoder, Encoder};
 use byzantine_agreement::crypto::{Chain, KeyRegistry, ProcessId, SchemeKind, Signature, Value};
-use byzantine_agreement::sim::{Metrics, ScheduleSpec};
+use byzantine_agreement::sim::Metrics;
 
 #[test]
 fn proofs_survive_serialization_and_reverification() {
@@ -197,12 +197,7 @@ fn every_ba_module_verifies_its_chains_at_the_phase_barrier() {
         ("agree (algorithm 1)", agreed(5, 2, Selected::Algorithm1)),
         ("agree (small n)", agreed(10, 2, Selected::SmallN)),
         ("agree (algorithm 5)", agreed(30, 1, Selected::Algorithm5)),
-        (
-            "ic",
-            ic::run(6, 2, &values, &ScheduleSpec::default(), 1)
-                .outcome
-                .metrics,
-        ),
+        ("ic", ic::run(6, 2, &values, opts()).outcome.metrics),
         (
             "om",
             om::run(7, 2, Value::ONE, opts()).unwrap().outcome.metrics,

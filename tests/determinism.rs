@@ -4,7 +4,8 @@
 
 use byzantine_agreement::algos::dolev_strong::{self, Variant};
 use byzantine_agreement::algos::{
-    agree, algorithm1, algorithm1_multi, algorithm2, algorithm3, algorithm5, RunOptions, Selected,
+    agree, algorithm1, algorithm1_multi, algorithm2, algorithm3, algorithm4, algorithm5, ic, om,
+    RunOptions, Selected,
 };
 use byzantine_agreement::crypto::{ProcessId, SchemeKind, Value};
 use byzantine_agreement::sim::{
@@ -167,9 +168,10 @@ fn observed<P: PartialEq + 'static>(outcome: RunOutcome<P>) -> Observed {
     }
 }
 
-/// Every single-instance BA run — Dolev–Strong in both variants, `agree`
-/// in each of its three regimes — under one non-empty schedule, with
-/// `threads` workers and the trace switch at `trace`.
+/// Every single-instance run — each BA run, Dolev–Strong in both variants,
+/// `agree` in each of its three regimes, Algorithm 4's grid exchange, its
+/// relay baseline and interactive consistency — under one non-empty
+/// schedule, with `threads` workers and the trace switch at `trace`.
 fn every_run(threads: usize, trace: bool) -> Vec<(&'static str, Observed)> {
     fn options<M: Default>(
         (threads, trace): (usize, bool),
@@ -226,6 +228,22 @@ fn every_run(threads: usize, trace: bool) -> Vec<(&'static str, Observed)> {
         }),
         ("algorithm5", {
             let r = algorithm5::run(30, 1, 3, Value::ONE, o(&[root5], FaultBehavior::Silent));
+            observed(r.unwrap().outcome)
+        }),
+        ("algorithm4", {
+            let r = algorithm4::run(3, 1, o(&[4], FaultBehavior::Silent));
+            observed(r.outcome)
+        }),
+        ("relay_exchange", {
+            let r = algorithm4::relay_exchange(9, 2, o(&[1, 6], FaultBehavior::Silent));
+            observed(r.outcome)
+        }),
+        ("ic", {
+            let values: Vec<Value> = (10..15).map(Value).collect();
+            observed(ic::run(5, 1, &values, o(&[2], ones(&[1, 3]))).outcome)
+        }),
+        ("om", {
+            let r = om::run(7, 2, Value::ONE, o(&[0], ones(&[1, 2, 3])));
             observed(r.unwrap().outcome)
         }),
         ("ds-broadcast", ds(Variant::Broadcast)),

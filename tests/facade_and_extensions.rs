@@ -34,20 +34,16 @@ fn interactive_consistency_composes_with_faults() {
     let n = 8;
     let t = 2;
     let vals: Vec<Value> = (0..n as u64).map(|i| Value(i * i + 3)).collect();
-    let r = ic::run(
-        n,
-        t,
-        &vals,
-        // p3 and p6 each sign 1 for odd and 0 for even receivers in their
-        // own instance.
-        &ScheduleSpec::each(
-            [ProcessId(3), ProcessId(6)],
-            FaultBehavior::Equivocate {
-                ones: (1..n as u32).step_by(2).map(ProcessId).collect(),
-            },
-        ),
-        5,
+    // p3 and p6 each sign 1 for odd and 0 for even receivers in their own
+    // instance.
+    let schedule = ScheduleSpec::each(
+        [ProcessId(3), ProcessId(6)],
+        FaultBehavior::Equivocate {
+            ones: (1..n as u32).step_by(2).map(ProcessId).collect(),
+        },
     );
+    let options = RunOptions::new().with_schedule(schedule).with_seed(5);
+    let r = ic::run(n, t, &vals, options.with_scheme(SchemeKind::Fast));
     let census = r.common_vector().unwrap();
     for i in 0..n {
         if i != 3 && i != 6 {

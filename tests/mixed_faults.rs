@@ -7,8 +7,7 @@ use byzantine_agreement::algos::{algorithm5, bounds, RunOptions};
 use byzantine_agreement::crypto::rng::SimRng;
 use byzantine_agreement::crypto::{Chain, KeyRegistry, ProcessId, SchemeKind, Value};
 use byzantine_agreement::sim::adversary::{IgnoreFirst, OmitTo};
-use byzantine_agreement::sim::engine::Simulation;
-use byzantine_agreement::sim::{check_byzantine_agreement, Actor};
+use byzantine_agreement::sim::{check_byzantine_agreement, Actor, InstanceSpec};
 use byzantine_agreement::sim::{FaultBehavior, LinkDrop, ScheduleSpec};
 use std::sync::Arc;
 
@@ -89,7 +88,14 @@ fn algorithm1_with_coordinated_starvation_attempt() {
         actors.push(Box::new(honest(p, None)));
     }
 
-    let outcome = Simulation::new(actors).run(t + 2);
+    let spec = InstanceSpec {
+        actors,
+        phases: t + 2,
+        fault_budget: t,
+        link_drops: Vec::new(),
+        registry: Some(registry.clone()),
+    };
+    let outcome = spec.run_lockstep(1);
     let verdict = check_byzantine_agreement(&outcome, ProcessId(0), Value::ONE).unwrap();
     // The victim still hears from the transmitter and the remaining
     // correct B-side relays: starvation needs more traitors than t allows.
