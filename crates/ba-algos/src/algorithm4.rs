@@ -520,11 +520,14 @@ impl RelayExchangeActor {
         p.index() <= self.t
     }
 
+    /// Keeps each new `(signer, body)` whose signature verifies. An item
+    /// already held is not checked again, and a forgery is never recorded
+    /// as seen, so it cannot shadow a genuine copy that arrives later.
     fn harvest(&mut self, items: impl IntoIterator<Item = SignedItem>) {
         for item in items {
-            if item.verifies(self.tag, &self.verifier)
-                && self.seen.insert((item.signer().0, item.body.clone()))
-            {
+            let key = (item.signer().0, item.body.clone());
+            if !self.seen.contains(&key) && item.verifies(self.tag, &self.verifier) {
+                self.seen.insert(key);
                 self.harvested.push(item);
             }
         }
@@ -630,6 +633,7 @@ pub fn relay_exchange(n: usize, t: usize, options: RunOptions) -> RelayExchangeR
 mod tests {
     use super::*;
     use crate::bounds;
+    use ba_crypto::stats::CryptoStats;
     use ba_crypto::SchemeKind;
     use ba_sim::{FaultBehavior, ScheduleSpec};
 
@@ -745,7 +749,48 @@ mod tests {
             // (n-1)(t+1) + (t+1)(n-t-1) messages exactly, fault-free.
             let expected = ((n - 1) * (t + 1) + (t + 1) * (n - t - 1)) as u64;
             assert_eq!(r.outcome.metrics.messages_by_correct, expected);
+            // Each processor checks each of the n − 1 other items once:
+            // a relay as it arrives, a non-relay from the first bundle.
+            let checks = r.outcome.metrics.crypto.sig_verifications;
+            assert_eq!(checks, (n * (n - 1)) as u64, "n={n} t={t}");
         }
+    }
+
+    #[test]
+    fn relay_harvest_checks_an_item_once_and_a_forgery_shadows_nothing() {
+        let registry = KeyRegistry::new(4, 5, SchemeKind::Fast);
+        let tag = 0xE0_E1;
+        let mut actor = RelayExchangeActor::new(
+            4,
+            1,
+            ProcessId(0),
+            &registry.signer(ProcessId(0)),
+            registry.verifier(),
+            tag,
+            Board::new(4),
+        );
+        let genuine = SignedItem::new(
+            tag,
+            Bytes::from_static(b"two"),
+            &registry.signer(ProcessId(2)),
+        );
+        let forged = SignedItem {
+            sig: Signature::forged(ProcessId(2), SchemeKind::Fast),
+            ..genuine.clone()
+        };
+        let checks = |actor: &mut RelayExchangeActor, items: Vec<SignedItem>| {
+            let before = CryptoStats::snapshot();
+            actor.harvest(items);
+            CryptoStats::snapshot().since(&before).sig_verifications
+        };
+        // The forgery is checked and dropped; the genuine item that follows
+        // is checked and kept.
+        assert_eq!(checks(&mut actor, vec![forged.clone(), genuine.clone()]), 2);
+        assert_eq!(actor.harvested.len(), 2);
+        assert_eq!(actor.harvested[1], genuine);
+        // Held now: neither copy is checked again, nor kept twice.
+        assert_eq!(checks(&mut actor, vec![genuine.clone(), forged]), 0);
+        assert_eq!(actor.harvested.len(), 2);
     }
 
     #[test]

@@ -19,14 +19,19 @@
 //!   stage. The phase barrier checks each distinct coded chunk once per
 //!   agreement and every recipient's check is a stamp hit, so fault-free
 //!   this is exactly `2n`: `n` chunk checks plus one payload root per
-//!   node (CI asserts it at 16 KiB and 256 KiB).
+//!   node (CI asserts it at 16 KiB and 256 KiB);
+//! * `zero_copy_decisions` — correct nodes whose decided payload shares
+//!   the sender's allocation: their `k` data chunks arrived as the
+//!   adjacent windows `encode` cut, so reconstruction returned that window
+//!   and copied nothing. Fault-free this is every node (CI asserts `n` at
+//!   n = 16).
 //!
 //! The report's `host` object names the SHA-256 backend the timings ran
 //! on. Each payload byte is hashed once per agreement at the barrier,
 //! plus the sender's signing pass — the agreed digest is a root over the
 //! data chunks' digests, which those checks already computed — so past
-//! that a cell pays for signing, coding, reconstruction copies and the
-//! inner-BA stages.
+//! that a cell pays for signing, coding (a decode only where a data chunk
+//! is missing or is no window of the payload) and the inner-BA stages.
 //!
 //! Each `(ℓ, n)` cell appears three times: fault-free (`"none"`), with the
 //! last `t` grid nodes silent (`"withhold-t"` — their chunks must be
@@ -115,6 +120,15 @@ fn decided_count(report: &ExtReport) -> usize {
     report
         .correct_decisions()
         .filter(|(_, d)| matches!(d, Some(ExtDecision::Decide(_))))
+        .count()
+}
+
+/// Correct nodes that decided on a window of `p`'s own allocation.
+fn zero_copy_count(report: &ExtReport, p: &Bytes) -> usize {
+    report
+        .correct_decisions()
+        .filter_map(|(_, d)| d.and_then(ExtDecision::payload))
+        .filter(|decided| decided.shares_allocation(p))
         .count()
 }
 
@@ -222,6 +236,7 @@ fn main() -> ExitCode {
                     ("repair_response_bytes", cell.repair_response_bytes.into()),
                     ("gated", gated.into()),
                     ("decided", decided_count(&cell).into()),
+                    ("zero_copy_decisions", zero_copy_count(&cell, &p).into()),
                 ];
                 report.row("rows", fields, Some(&sample));
             }

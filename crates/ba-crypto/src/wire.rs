@@ -114,6 +114,39 @@ impl Bytes {
         }
     }
 
+    /// The inverse of [`slice`](Bytes::slice): `self` followed by `next`
+    /// as one window, when that window already exists — `next` starts
+    /// where `self` ends in the same allocation, or either side is empty.
+    /// O(1) — no bytes move; `None` otherwise (a gap, an overlap, another
+    /// allocation), where joining would take a copy.
+    ///
+    /// ```
+    /// use ba_crypto::wire::Bytes;
+    ///
+    /// let b = Bytes::from((0u8..8).collect::<Vec<u8>>());
+    /// let joined = b.slice(0..3).joined(&b.slice(3..8)).expect("adjacent");
+    /// assert_eq!(joined, b);
+    /// assert!(joined.shares_allocation(&b));
+    /// assert_eq!(b.slice(0..3).joined(&b.slice(4..8)), None); // a gap
+    /// let copy = Bytes::copy_from_slice(&b[3..8]);
+    /// assert_eq!(b.slice(0..3).joined(&copy), None); // another allocation
+    /// ```
+    pub fn joined(&self, next: &Bytes) -> Option<Bytes> {
+        if next.is_empty() {
+            Some(self.clone())
+        } else if self.is_empty() {
+            Some(next.clone())
+        } else if self.shares_allocation(next) && self.end == next.start {
+            Some(Bytes {
+                data: Arc::clone(&self.data),
+                start: self.start,
+                end: next.end,
+            })
+        } else {
+            None
+        }
+    }
+
     /// Whether `other` is a view of the same underlying allocation —
     /// diagnostic for zero-copy invariants in tests.
     pub fn shares_allocation(&self, other: &Bytes) -> bool {
@@ -549,6 +582,38 @@ mod tests {
         let mut set = std::collections::BTreeSet::new();
         set.insert(b.slice(4..12));
         assert!(set.contains(&Bytes::copy_from_slice(&(4u8..12).collect::<Vec<u8>>())));
+    }
+
+    #[test]
+    fn joined_is_the_inverse_of_slice() {
+        let b = Bytes::from((0u8..32).collect::<Vec<u8>>());
+        let s = b.slice(4..20);
+        // Adjacent windows join into the window they cover, at any depth.
+        let whole = b.slice(0..4).joined(&s).expect("adjacent");
+        let whole = whole.joined(&s.slice(16..16)).expect("empty next");
+        let whole = whole.joined(&b.slice(20..32)).expect("adjacent");
+        assert_eq!(whole, b);
+        assert!(whole.same_window(&b));
+        let inner = s.slice(0..5).joined(&s.slice(5..16)).expect("adjacent");
+        assert!(inner.same_window(&s));
+        // A gap, an overlap, the wrong order: no shared window.
+        assert_eq!(b.slice(0..4).joined(&b.slice(5..9)), None);
+        assert_eq!(b.slice(0..6).joined(&b.slice(5..9)), None);
+        assert_eq!(b.slice(5..9).joined(&b.slice(0..5)), None);
+        // The same bytes in another allocation do not join.
+        let copy = Bytes::copy_from_slice(&b[4..8]);
+        assert_eq!(b.slice(0..4).joined(&copy), None);
+        assert_eq!(copy.joined(&b.slice(8..12)), None);
+        // Empty on either side: the other side, whatever its allocation.
+        let empty = Bytes::new();
+        assert!(empty.joined(&s).expect("empty self").same_window(&s));
+        assert!(s.joined(&empty).expect("empty next").same_window(&s));
+        assert!(b
+            .slice(3..3)
+            .joined(&copy)
+            .expect("empty self")
+            .same_window(&copy));
+        assert!(empty.joined(&Bytes::new()).expect("both empty").is_empty());
     }
 
     #[test]

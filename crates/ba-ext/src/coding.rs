@@ -5,9 +5,9 @@
 //! `n − k` *parity chunks* so that **any** `k` of the `n` coded chunks
 //! reconstruct the payload exactly. Chunk `i` is the value of a degree
 //! `< k` polynomial (per byte position) at the field point `i`: points
-//! `0..k` carry the data itself (systematic — fault-free decoding is a
-//! straight concatenation with no field arithmetic), points `k..n` carry
-//! Lagrange-interpolated parity.
+//! `0..k` carry the data itself (systematic — fault-free decoding hands
+//! back the window the data chunks already are, with no field arithmetic
+//! and no copy), points `k..n` carry Lagrange-interpolated parity.
 //!
 //! The field is GF(2⁸) with the usual AES-adjacent reduction polynomial
 //! `x⁸ + x⁴ + x³ + x² + 1` (0x11D), log/exp tables built once. Addition
@@ -304,17 +304,33 @@ impl Coder {
     /// chunks (`chunks[i]` holds the chunk at point `i`, `None` when
     /// missing). Returns `None` when fewer than `k` chunks are present.
     ///
-    /// Chunks shorter than `chunk_size` are treated as zero-padded, longer
-    /// ones as cut to it; each data slice is written straight into the
-    /// one `len`-byte allocation the returned [`Bytes`] owns. Present data
-    /// chunks are copied through unchanged (the systematic fast path), so
-    /// a fault-free reconstruction performs no field arithmetic at all.
+    /// When every data chunk is present at its [`data_ranges`] length and
+    /// each starts where the one before it ends in the same allocation —
+    /// the windows [`encode`](Coder::encode) cut, as a fault-free run
+    /// delivers them — the payload is that one window
+    /// ([`Bytes::joined`]): no bytes move. Otherwise each data slice is
+    /// written into one fresh `len`-byte allocation: chunks shorter than
+    /// their slice are treated as zero-padded, longer ones as cut to it,
+    /// present data chunks are copied through unchanged and only missing
+    /// ones are decoded from the support chunks. Both paths return the
+    /// same bytes, and neither does field arithmetic while every data
+    /// chunk is present.
     pub fn reconstruct(&self, chunks: &[Option<Bytes>], len: usize) -> Option<Bytes> {
         assert_eq!(chunks.len(), self.n, "one slot per coded chunk expected");
         let present = chunks.iter().filter(|c| c.is_some()).count();
         if present < self.k {
             return None;
         }
+        Some(
+            self.data_window(chunks, len)
+                .unwrap_or_else(|| self.copied(chunks, len)),
+        )
+    }
+
+    /// The copy path of [`reconstruct`](Coder::reconstruct): every data
+    /// slice written into one fresh `len`-byte allocation, from `chunks`
+    /// holding at least `k` present chunks.
+    fn copied(&self, chunks: &[Option<Bytes>], len: usize) -> Bytes {
         // Support set: the first k present chunks (deterministic, so every
         // node reconstructs identically from identical chunk sets).
         let support: Vec<usize> = (0..self.n)
@@ -340,7 +356,19 @@ impl Coder {
                 );
             }
         }
-        Some(Bytes::from(payload))
+        Bytes::from(payload)
+    }
+
+    /// The window the `k` data chunks already are — each present at its
+    /// canonical length, adjacent to the one before in one allocation —
+    /// or `None` when reconstruction has to copy.
+    fn data_window(&self, chunks: &[Option<Bytes>], len: usize) -> Option<Bytes> {
+        let mut data = chunks
+            .iter()
+            .zip(data_ranges(self.k, len))
+            .map(|(chunk, range)| chunk.as_ref().filter(|c| c.len() == range.len()));
+        let first = data.next()??.clone();
+        data.try_fold(first, |window, chunk| window.joined(chunk?))
     }
 }
 
@@ -443,6 +471,114 @@ mod tests {
                 .collect::<Vec<u8>>(),
             p.to_vec()
         );
+    }
+
+    #[test]
+    fn fault_free_reconstruction_is_zero_copy() {
+        for (len, k, n) in [(64, 4, 6), (100, 3, 6), (2, 4, 9), (0, 3, 5)] {
+            let coder = Coder::new(k, n);
+            let p = payload(len, len as u64);
+            let have: Vec<Option<Bytes>> = coder.encode(&p).into_iter().map(Some).collect();
+            let out = coder.reconstruct(&have, len).expect("every chunk held");
+            assert_eq!(out, p, "len {len} k {k} n {n}");
+            assert!(out.shares_allocation(&p), "len {len} k {k} n {n}");
+            assert_eq!(out.as_ptr(), p.as_ptr(), "len {len} k {k} n {n}");
+        }
+        // Without its parity chunks too, and inside a larger allocation.
+        let coder = Coder::new(3, 7);
+        let outer = payload(40, 9);
+        let p = outer.slice(5..35);
+        let mut have: Vec<Option<Bytes>> = coder.encode(&p).into_iter().map(Some).collect();
+        have[3..].fill(None);
+        let out = coder.reconstruct(&have, 30).expect("the data chunks held");
+        assert_eq!(out, p);
+        assert_eq!(out.as_ptr(), p.as_ptr());
+        assert_eq!(out.len(), 30);
+    }
+
+    /// What one data slot holds in [`prop_reconstruct_equals_the_copy_path`].
+    #[derive(Clone, Copy, Debug)]
+    enum Slot {
+        /// The window `encode` cut.
+        Window,
+        /// The same bytes in an allocation of their own.
+        Copy,
+        /// One byte short: a shorter window of the same allocation.
+        Short,
+        /// One byte long, in an allocation of its own.
+        Long,
+        /// Missing, for parity to stand in.
+        Missing,
+    }
+
+    #[test]
+    fn prop_reconstruct_equals_the_copy_path() {
+        ba_crypto::testkit::run_cases(256, 0x2C0D, |gen| {
+            let n = gen.usize_in(1, 13);
+            let k = gen.usize_in(1, n + 1);
+            let len = match gen.usize_in(0, 5) {
+                0 => 0,
+                1 => 1,
+                2 => gen.usize_in(0, k),
+                // Not a multiple of k (when k > 1).
+                3 => k * gen.usize_in(1, 9) + if k > 1 { gen.usize_in(1, k) } else { 0 },
+                _ => gen.usize_in(0, 301),
+            };
+            let p = payload(len, gen.u64());
+            let coder = Coder::new(k, n);
+            let chunks = coder.encode(&p);
+            let mut have: Vec<Option<Bytes>> = chunks.iter().cloned().map(Some).collect();
+            // Half the cases hold every window `encode` cut; the rest
+            // tamper with each data slot at random.
+            let tamper = gen.bool();
+            let mut zero_copy = true;
+            for (i, range) in data_ranges(k, len).enumerate() {
+                let chunk = &chunks[i];
+                let slot = match gen.usize_in(0, 8) {
+                    _ if !tamper => Slot::Window,
+                    0 => Slot::Copy,
+                    1 if !chunk.is_empty() => Slot::Short,
+                    2 => Slot::Long,
+                    3 => Slot::Missing,
+                    _ => Slot::Window,
+                };
+                have[i] = match slot {
+                    Slot::Window => Some(chunk.clone()),
+                    Slot::Copy => Some(Bytes::copy_from_slice(chunk)),
+                    Slot::Short => Some(chunk.slice(0..chunk.len() - 1)),
+                    Slot::Long => Some(Bytes::from([&chunk[..], &[0xA5]].concat())),
+                    Slot::Missing => None,
+                };
+                // An empty copy joins like an empty window: nothing to move.
+                zero_copy &= match slot {
+                    Slot::Window => true,
+                    Slot::Copy => range.is_empty(),
+                    Slot::Short | Slot::Long | Slot::Missing => false,
+                };
+            }
+            // Parity chunks drop out at random, at times below k present.
+            for parity in &mut have[k..] {
+                if gen.bool() {
+                    *parity = None;
+                }
+            }
+            let present = have.iter().filter(|c| c.is_some()).count();
+            let out = coder.reconstruct(&have, len);
+            if present < k {
+                assert_eq!(out, None);
+                return;
+            }
+            let out = out.expect("k chunks held");
+            assert_eq!(out, coder.copied(&have, len), "len {len} k {k} n {n}");
+            assert_eq!(out.len(), len);
+            if len > 0 {
+                assert_eq!(
+                    out.shares_allocation(&p),
+                    zero_copy,
+                    "len {len} k {k} n {n}"
+                );
+            }
+        });
     }
 
     #[test]

@@ -1640,6 +1640,53 @@ mod tests {
         }
     }
 
+    /// `chunk` as signed, its bytes copied into an allocation of their own.
+    fn copied_clone(chunk: &SignedChunk) -> SignedChunk {
+        let mut copied = chunk.clone();
+        copied.data = Bytes::copy_from_slice(&chunk.data);
+        copied
+    }
+
+    #[test]
+    fn data_chunks_that_are_not_payload_windows_take_the_copy_path_and_still_decide() {
+        let p = payload(4_096, 32);
+        // Node 1 relays its genuine data chunk from an allocation of its
+        // own; its row mates 2 and 3 hold that copy, so their data chunks
+        // are no adjacent windows and reconstruction copies. The sender
+        // holds its own windows.
+        for runner in [Runner::LockStep, Runner::Net] {
+            let run = disseminate_with_forger(&p, copied_clone, runner);
+            let mut copied = Vec::new();
+            for (i, decision) in run.provisional.iter().enumerate() {
+                if run.correct[i] {
+                    let decided = decision.as_ref().and_then(ExtDecision::payload);
+                    assert_eq!(decided, Some(&p), "{runner:?} node {i}");
+                    if !decided.is_some_and(|d| d.shares_allocation(&p)) {
+                        copied.push(i);
+                    }
+                }
+            }
+            assert!(
+                copied.contains(&2) && copied.contains(&3),
+                "{runner:?} {copied:?}"
+            );
+            assert!(!copied.contains(&0), "{runner:?} {copied:?}");
+        }
+        // A withheld data chunk: parity stands in, decoded into a copy.
+        let opts = ExtOptions::new().with_n(9).with_t(2);
+        let signed = ExtSetup::new(&opts).sign_chunks(&p).chunks;
+        let mut held = signed.clone();
+        held.remove(2);
+        let node = node_holding(&opts, &p, &held);
+        let decision = node.compute_decision();
+        assert_eq!(decision, ExtDecision::Decide(p.clone()));
+        assert!(!decision.payload().expect("decided").shares_allocation(&p));
+        // Every data chunk held: the payload's own window.
+        let node = node_holding(&opts, &p, &signed);
+        let decision = node.compute_decision();
+        assert!(decision.payload().expect("decided").shares_allocation(&p));
+    }
+
     /// Node 1 of an `(n, t)` run that agreed on `payload`'s digest, holding
     /// every chunk of `chunks` that verifies (in order).
     fn node_holding(opts: &ExtOptions, payload: &Bytes, chunks: &[SignedChunk]) -> ExtActor {
