@@ -28,7 +28,8 @@ use ba_crypto::wire::Encoder;
 use ba_crypto::Bytes;
 use ba_crypto::{KeyRegistry, ProcessId, Signature, Signer, Value, Verifier};
 use ba_sim::actor::{Actor, Inbox, Outbox, Payload};
-use ba_sim::engine::RunOutcome;
+use ba_sim::engine::{InstanceSpec, RunOutcome};
+use ba_sim::schedule::{ScheduleError, ScheduleSpec};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -440,6 +441,31 @@ pub fn run(m: usize, t: usize, options: RunOptions) -> Alg4Report {
     let n = m * m;
     let registry = KeyRegistry::new(n, options.seed, options.scheme);
     let results = Board::new(n);
+    let built = build(m, t, &registry, &options.schedule, &results);
+    Alg4Report {
+        outcome: run_instance(built, &options),
+        results: results.snapshot(),
+        m,
+    }
+}
+
+/// Builds one `m × m` grid exchange tolerating `t` faults, signing under
+/// `registry`: `schedule`'s faults are applied, every processor posts
+/// what it harvested on `results`, and delivered items are verified at
+/// the phase barrier. [`run`] builds through it.
+///
+/// # Errors
+/// [`ScheduleError::Unmapped`] for a protocol-specific behaviour.
+///
+/// # Panics
+/// On a schedule malformed for `m²` processors and `t`.
+pub fn build(
+    m: usize,
+    t: usize,
+    registry: &KeyRegistry,
+    schedule: &ScheduleSpec,
+    results: &Arc<Board<Vec<SignedItem>>>,
+) -> Result<InstanceSpec<GridMsg>, ScheduleError> {
     let layout = GridLayout { m };
     let honest = |id| -> Box<dyn Actor<GridMsg>> {
         let (signer, verifier) = (registry.signer(id), registry.verifier());
@@ -452,12 +478,7 @@ pub fn run(m: usize, t: usize, options: RunOptions) -> Alg4Report {
             results.clone(),
         ))
     };
-    let built = instance(&options.schedule, (n, t, 3), &registry, honest, |_, _| None);
-    Alg4Report {
-        outcome: run_instance(built, &options),
-        results: results.snapshot(),
-        m,
-    }
+    instance(schedule, (m * m, t, 3), registry, honest, |_, _| None)
 }
 
 /// The paper's naive two-phase full-exchange baseline (Section 6 intro):

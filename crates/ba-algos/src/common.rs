@@ -45,6 +45,12 @@ pub mod domains {
 /// Actors deposit artifacts that are not decisions — Algorithm 2's
 /// transferable proofs, Algorithm 5's valid messages — and runners read
 /// them after the simulation finishes.
+///
+/// The board is write-only during a run: actors [`post`](Self::post),
+/// and only the caller reads, through [`snapshot`](Self::snapshot), once
+/// the run is over. An actor that read another processor's slot mid-run
+/// would learn something outside its own subhistory, which Section 2's
+/// correct processor cannot; `ba_model::locality` catches it.
 #[derive(Debug)]
 pub struct Board<T> {
     slots: std::sync::Mutex<Vec<Option<T>>>,
@@ -61,11 +67,6 @@ impl<T: Clone> Board<T> {
     /// Deposits `value` into `id`'s slot (replacing any previous deposit).
     pub fn post(&self, id: ProcessId, value: T) {
         self.slots.lock().expect("board lock")[id.index()] = Some(value);
-    }
-
-    /// Reads `id`'s slot.
-    pub fn get(&self, id: ProcessId) -> Option<T> {
-        self.slots.lock().expect("board lock")[id.index()].clone()
     }
 
     /// Snapshot of all slots.

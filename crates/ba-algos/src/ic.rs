@@ -245,7 +245,14 @@ pub fn run(n: usize, t: usize, values: &[Value], options: RunOptions) -> IcRepor
 /// `schedule`'s faults are applied, every processor posts its vector on
 /// `vectors`, and delivered chains are verified at the phase barrier.
 /// [`run`] builds through it.
-fn build(
+///
+/// # Errors
+/// [`ScheduleError::Unmapped`] for a protocol-specific behaviour other
+/// than `equivocate` and `forge`.
+///
+/// # Panics
+/// As [`run`] does.
+pub fn build(
     n: usize,
     t: usize,
     values: &[Value],

@@ -1888,6 +1888,60 @@ mod tests {
         }
     }
 
+    /// Section 2's locality audit over the two grid stages: every
+    /// correct node sends and decides from its own subhistory alone,
+    /// fault-free at n = 4 and with a silent node at n = 9, and in the
+    /// fetch stage a node that lacks the payload pulls it. Each build
+    /// signs the chunks under fresh keys, so no stamp from the recorded
+    /// run reaches the replayed one.
+    #[test]
+    fn grid_stages_follow_their_rules() {
+        use ba_model::locality::audit;
+        use ba_sim::{FaultBehavior, InstanceSpec};
+        let p = payload(3_000, 5);
+        for (n, t, silent) in [(4, 1, None), (9, 2, Some(ProcessId(4)))] {
+            let opts = ExtOptions::new().with_n(n).with_t(t);
+            let spec = ScheduleSpec::each(silent, FaultBehavior::Silent);
+            let digest = ExtSetup::new(&opts).sign_chunks(&p).payload_digest;
+            let views = vec![Some(digest); n];
+            type Actors = Vec<Box<dyn Actor<ExtMsg>>>;
+            let stage = |phases, actors: &dyn Fn(&ExtSetup, &Outgoing) -> Actors| {
+                let setup = ExtSetup::new(&opts);
+                let outgoing = setup.sign_chunks(&p);
+                let actors = actors(&setup, &outgoing);
+                InstanceSpec {
+                    actors: apply_spec_faults(actors, &spec).unwrap(),
+                    phases,
+                    fault_budget: t,
+                    link_drops: Vec::new(),
+                    registry: Some(setup.registry),
+                }
+            };
+            let disseminate = |board: &Arc<Board<ExtDecision>>| {
+                stage(DISSEMINATION_PHASES, &|setup, outgoing| {
+                    setup.dissemination_actors(&opts, &p, &views, outgoing, board)
+                })
+            };
+            assert_eq!(audit(|| disseminate(&Board::new(n))), Ok(()), "n = {n}");
+
+            // The fetch stage starts from the provisional decisions, with
+            // node 2's dropped so that it has to fetch the payload, and
+            // the views a vote that decides every voter's input yields.
+            let board = Board::new(n);
+            disseminate(&board).run_lockstep(1);
+            let mut provisional = board.snapshot();
+            provisional[2] = None;
+            let votes = vote_inputs(&provisional);
+            let vote_views: Vec<_> = votes.iter().map(|&v| vec![Some(v); n]).collect();
+            let fetch = || {
+                stage(FETCH_PHASES, &|setup, _| {
+                    setup.fetch_actors(&opts, &views, &provisional, &vote_views, &Board::new(n))
+                })
+            };
+            assert_eq!(audit(fetch), Ok(()), "n = {n}");
+        }
+    }
+
     #[test]
     fn threading_is_byte_identical() {
         let p = payload(5_000, 7);

@@ -23,8 +23,11 @@
 //! counts) are its methods, so every module here reads a run's trace as
 //! it stands.
 //!
-//! * [`rules`] — Section 2's correctness rules `R_p` and decision
-//!   functions `F_p`, and a generator that grows a history from them;
+//! * [`locality`] — Section 2's correct processor checked on the engine:
+//!   [`audit`](locality::audit) replays every other processor's recorded
+//!   sends to each correct one and requires it to send and decide as
+//!   recorded, so its rule `R_p` reads its own subhistory and nothing
+//!   else;
 //! * [`replay`] — [`ReplayActor`](replay::ReplayActor), a faulty processor
 //!   that replays scripted traffic, plus the split-world script
 //!   construction of Theorem 1;
@@ -43,12 +46,12 @@
 use ba_algos::checkable::{CheckConfig, CheckTarget};
 use ba_crypto::{Chain, ProcessId, Value};
 use ba_sim::schedule::ScheduleSpec;
-use ba_sim::{InstanceSpec, RunOutcome, Simulation};
+use ba_sim::{InstanceSpec, Payload, RunOutcome, Simulation};
 use std::cmp::Reverse;
 
 pub mod frugal;
+pub mod locality;
 pub mod replay;
-pub mod rules;
 pub mod theorem1;
 pub mod theorem2;
 
@@ -72,7 +75,7 @@ pub fn fault_free(
 }
 
 /// Runs `spec` lock-step on one thread, recording its history.
-fn record(spec: InstanceSpec<Chain>) -> RunOutcome<Chain> {
+fn record<P: Payload>(spec: InstanceSpec<P>) -> RunOutcome<P> {
     let phases = spec.phases;
     Simulation::from(spec).with_trace().run(phases)
 }
@@ -84,4 +87,53 @@ fn victim(n: usize, size: impl Fn(ProcessId) -> usize) -> ProcessId {
         .map(ProcessId)
         .min_by_key(|&p| (size(p), Reverse(p)))
         .expect("a proof needs a processor besides the transmitter")
+}
+
+/// Section 2's quiet broadcast on the engine: its fault-free history
+/// follows the rule `R_p` and decides the sent value, and starving its
+/// victim is the proof of Theorem 2 in miniature.
+#[cfg(test)]
+mod rules {
+    mod tests {
+        use crate::frugal::QuietBroadcast;
+        use crate::{locality, theorem2};
+        use ba_crypto::{KeyRegistry, ProcessId, SchemeKind, Value};
+        use ba_sim::AgreementViolation;
+
+        #[test]
+        fn fault_free_quiet_generates_and_decides() {
+            let keys = || KeyRegistry::new(5, 1, SchemeKind::Fast);
+            let run = crate::record(QuietBroadcast::build(5, Value::ONE, &keys()));
+            assert_eq!(run.trace.phases[0].len(), 4, "n-1 labeled edges");
+            let verdict =
+                ba_sim::check_byzantine_agreement(&run, ProcessId(0), Value::ONE).unwrap();
+            assert_eq!(verdict.agreed, Some(Value::ONE));
+            assert!(run.decisions.iter().all(|&d| d == Some(Value::ONE)));
+            assert_eq!(
+                locality::audit(|| QuietBroadcast::build(5, Value::ONE, &keys())),
+                Ok(())
+            );
+        }
+
+        #[test]
+        fn formal_theorem2_starvation() {
+            // The transmitter is faulty: it follows R_p except toward the
+            // victim (the exact H'' of the proof).
+            let registry = KeyRegistry::new(5, 1, SchemeKind::Fast);
+            let attack = theorem2::starve(|v| QuietBroadcast::build(5, v, &registry), 1);
+            let victim = ProcessId(4);
+            assert_eq!(attack.victim, victim);
+            assert_eq!(attack.senders, [ProcessId(0)]);
+            assert!(attack.feasible && attack.victim_starved);
+            assert!(matches!(
+                attack.violation,
+                Some(AgreementViolation::Disagreement {
+                    a: ProcessId(1),
+                    a_value: Value::ONE,
+                    b,
+                    b_value: Value::ZERO,
+                }) if b == victim
+            ));
+        }
+    }
 }
