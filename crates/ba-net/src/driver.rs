@@ -1,27 +1,36 @@
-//! The unreliable-wire loop around the phase core: how a single BA
-//! instance advances one phase when its frames have to cross the
-//! [`wire`].
+//! The wire loop around the phase core: how a single BA instance
+//! advances one phase when its frames have to cross the [`wire`].
 //!
 //! The phase itself — actors stepped, sends routed, [`Metrics`] recorded,
 //! inboxes filled, chains verified at the barrier — is
 //! [`ba_sim::PhaseCore`], the same code the lock-step
 //! [`Simulation`](ba_sim::Simulation) loops over. [`PhaseDriver`] adds
-//! what only an unreliable wire needs, and both public entry points run
+//! what only a wire needs, and both public entry points run
 //! it: a standalone [`NetRuntime`](crate::runtime::NetRuntime) drives one
 //! to completion, a [`SvcSession`](crate::svc::SvcSession) drives one per
 //! in-flight ticket. One phase is two calls:
 //!
 //! 1. [`step`](PhaseDriver::step) — the core steps (or, after the last
 //!    phase, finalizes) the actors; the driver times the call for the
-//!    watchdog and remembers lost chunks.
-//! 2. [`deliver`](PhaseDriver::deliver) — the core routes what was staged
-//!    and the surviving frames' links are played over the [`wire`]; then
-//!    deadline, sender suspicion and the fault budget; then the core
-//!    fills the inboxes in the order the wire says they arrived. After
-//!    the finalize step it returns the finished [`InstanceRun`] instead.
+//!    watchdog and remembers lost chunks. Over a wire that can misbehave
+//!    it also routes, building the list of links the wire will play.
+//! 2. [`deliver`](PhaseDriver::deliver) — the surviving frames' links are
+//!    played over the [`wire`]; then deadline, sender suspicion and the
+//!    fault budget; then the core fills the inboxes in the order the wire
+//!    says they arrived. After the finalize step it returns the finished
+//!    [`InstanceRun`] instead.
 //!
-//! No frame ever leaves the core: the wire and the caller read
-//! [`links`](PhaseDriver::links), `(from, to)` per frame. The caller owns
+//! Under a reliable [`ChaosProfile`] the wire's answer is known in
+//! advance — every frame arrives on its first attempt, in staging order —
+//! so step 1 builds no link list and step 2 does not play the wire: it
+//! writes that answer's statistics ([`wire::deliver_reliable`]), checks
+//! the fault budget, and delivers the phase in lock step, the
+//! all-to-all fill included. The profile picks the path when the driver
+//! is built.
+//!
+//! No frame ever leaves the core: the wire reads the core's links, and
+//! the caller visits them, `(from, to)` per frame, through
+//! [`for_each_link`](PhaseDriver::for_each_link). The caller owns
 //! what happens *between* the two calls (a session counts every
 //! instance's links into per-link flushes) and around them (tickets,
 //! timestamps).
@@ -67,7 +76,7 @@ pub struct InstanceRun {
     pub suspected: Vec<ProcessId>,
 }
 
-/// One instance over the unreliable wire: its [`PhaseCore`] plus what is
+/// One instance over the wire: its [`PhaseCore`] plus what is
 /// about the wire — chaos rng, wire statistics, suspicion, fault budget,
 /// watchdog — privately owned so fates and verdicts never leak across
 /// instances.
@@ -80,6 +89,9 @@ pub(crate) struct PhaseDriver<P> {
     rng: SimRng,
     stats: NetStats,
     watchdog: Option<Duration>,
+    /// Whether the profile is reliable: then the wire's answer is known
+    /// in advance and the phase is delivered in lock step.
+    lockstep: bool,
     /// Chunk indices the last step lost to a panic or the watchdog.
     stalled: Vec<usize>,
     /// Set once the finalize step ran.
@@ -87,10 +99,15 @@ pub(crate) struct PhaseDriver<P> {
 }
 
 impl<P: Payload> PhaseDriver<P> {
-    /// Builds the driver for `spec`, drawing chaos fates from a private
-    /// rng seeded `seed`. `watchdog` bounds the wall-clock duration of one
-    /// step.
-    pub(crate) fn new(spec: InstanceSpec<P>, seed: u64, watchdog: Option<Duration>) -> Self {
+    /// Builds the driver for `spec` over a wire that misbehaves as `chaos`
+    /// says, drawing its fates from a private rng seeded `seed`.
+    /// `watchdog` bounds the wall-clock duration of one step.
+    pub(crate) fn new(
+        spec: InstanceSpec<P>,
+        chaos: &ChaosProfile,
+        seed: u64,
+        watchdog: Option<Duration>,
+    ) -> Self {
         let core = PhaseCore::new(spec.actors, spec.link_drops, spec.registry);
         let scheduled_faulty = (0..core.n())
             .filter(|&i| !core.correct()[i])
@@ -105,6 +122,7 @@ impl<P: Payload> PhaseDriver<P> {
             rng: SimRng::new(seed),
             stats: NetStats::default(),
             watchdog,
+            lockstep: chaos.is_reliable(),
             stalled: Vec::new(),
             finalized: false,
         }
@@ -137,24 +155,33 @@ impl<P: Payload> PhaseDriver<P> {
         }
         // Route now, on whichever worker steps this instance: the wire
         // will want the links, and a session's serial section between the
-        // fleet's steps and deliveries should not pay for the pass.
-        self.links();
+        // fleet's steps and deliveries should not pay for the pass. A
+        // lock-step delivery routes without them.
+        if !self.lockstep && self.stalled.is_empty() {
+            self.core.links();
+        }
     }
 
-    /// The `(from, to)` of every frame the last step left bound for the
-    /// wire, in staging order; none when the step stalled.
-    pub(crate) fn links(&mut self) -> &[(ProcessId, ProcessId)] {
+    /// Calls `visit(from, to)` for every frame the last step left bound
+    /// for the wire, in staging order ([`PhaseCore::for_each_link`]); for
+    /// none when the step stalled.
+    pub(crate) fn for_each_link(&self, visit: impl FnMut(ProcessId, ProcessId)) {
         if self.stalled.is_empty() {
-            self.core.links()
-        } else {
-            &[]
+            self.core.for_each_link(visit);
         }
+    }
+
+    /// The number of frames the last step left bound for the wire.
+    fn frames(&self) -> usize {
+        let mut frames = 0;
+        self.for_each_link(|_, _| frames += 1);
+        frames
     }
 
     /// Records that this instance's frames each went out as their own
     /// wire send (no coalescing layer above this driver).
     pub(crate) fn note_solo_flushes(&mut self) {
-        let frames = self.links().len();
+        let frames = self.frames();
         self.stats.note_solo_flushes(frames as u64);
     }
 
@@ -162,10 +189,12 @@ impl<P: Payload> PhaseDriver<P> {
     /// [`WirePolicy::STANDARD`] — on `scratch`, the caller's to keep
     /// between calls and instances — and applies the
     /// post-wire pipeline: deadline, suspicion, fault budget, then the
-    /// core's fill in arrival order ([`PhaseCore::deliver`]). `Ok(None)`
-    /// means the phase completed and the instance keeps going;
-    /// `Ok(Some(run))` is the finished run, returned by the call that
-    /// follows the finalize step.
+    /// core's fill in arrival order ([`PhaseCore::deliver`]). Under a
+    /// reliable profile the wire is not played: its answer is
+    /// [`wire::deliver_reliable`]'s, and the core fills in lock step
+    /// after the same budget check. `Ok(None)` means the phase completed
+    /// and the instance keeps going; `Ok(Some(run))` is the finished run,
+    /// returned by the call that follows the finalize step.
     ///
     /// # Errors
     /// This instance's own [`DegradationVerdict`]: the last step lost a
@@ -184,26 +213,32 @@ impl<P: Payload> PhaseDriver<P> {
         if self.finalized {
             return Ok(Some(self.finish()));
         }
-        let report = wire::deliver(
-            self.core.phase(),
-            self.core.links(),
-            chaos,
-            &mut self.rng,
-            WirePolicy::STANDARD,
-            &mut self.stats,
-            scratch,
-        );
-        if report.pending > 0 {
-            return Err(self.verdict(DegradationReason::DeadlineBlown {
-                pending_frames: report.pending,
-                deadline_ticks: WirePolicy::STANDARD.deadline_ticks,
-            }));
-        }
-        // Permanently failed links make their *senders* suspected (an
-        // omission-faulty sender explains every lost frame).
-        self.suspected
-            .extend(report.failed.iter().map(|link| link.from));
-        self.stats.failed_links.extend(report.failed);
+        let arrivals = if self.lockstep {
+            wire::deliver_reliable(self.frames(), &mut self.stats);
+            None
+        } else {
+            let report = wire::deliver(
+                self.core.phase(),
+                self.core.links(),
+                chaos,
+                &mut self.rng,
+                WirePolicy::STANDARD,
+                &mut self.stats,
+                scratch,
+            );
+            if report.pending > 0 {
+                return Err(self.verdict(DegradationReason::DeadlineBlown {
+                    pending_frames: report.pending,
+                    deadline_ticks: WirePolicy::STANDARD.deadline_ticks,
+                }));
+            }
+            // Permanently failed links make their *senders* suspected (an
+            // omission-faulty sender explains every lost frame).
+            self.suspected
+                .extend(report.failed.iter().map(|link| link.from));
+            self.stats.failed_links.extend(report.failed);
+            Some(report.order)
+        };
 
         // Fault budget: scheduled faults plus suspected senders. Within it
         // the run degrades gracefully; past it no decision could be
@@ -215,7 +250,7 @@ impl<P: Payload> PhaseDriver<P> {
                 budget: self.fault_budget,
             }));
         }
-        self.core.deliver(Some(report.order));
+        self.core.deliver(arrivals);
         Ok(None)
     }
 
@@ -241,6 +276,141 @@ impl<P: Payload> PhaseDriver<P> {
             metrics: outcome.metrics,
             stats: std::mem::take(&mut self.stats),
             suspected: self.suspected.iter().copied().collect(),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::chaos::LinkChaos;
+    use ba_algos::checkable::{find_target, CheckConfig};
+    use ba_crypto::Chain;
+    use ba_sim::schedule::{FaultBehavior, LinkDrop, ScheduleSpec};
+
+    /// Everything a finished run shows — decisions, the correct set, the
+    /// whole `Metrics` and `NetStats`, the suspects — or its verdict.
+    type Shown = Result<
+        (
+            Vec<Option<Value>>,
+            Vec<bool>,
+            Metrics,
+            NetStats,
+            Vec<ProcessId>,
+        ),
+        Box<DegradationVerdict>,
+    >;
+
+    /// Runs `spec` to the end over a reliable wire, every frame its own
+    /// flush; `play_wire` makes the driver play the wire anyway.
+    fn drive(spec: InstanceSpec<Chain>, threads: usize, play_wire: bool) -> Shown {
+        let chaos = ChaosProfile::reliable();
+        let mut driver = PhaseDriver::new(spec, &chaos, 5, None);
+        assert!(driver.lockstep, "a reliable profile delivers in lock step");
+        driver.lockstep = !play_wire;
+        let mut scratch = WireScratch::default();
+        loop {
+            driver.step(threads);
+            driver.note_solo_flushes();
+            if let Some(result) = driver.deliver(&chaos, &mut scratch).transpose() {
+                return result.map(|run| {
+                    let InstanceRun {
+                        decisions,
+                        correct,
+                        metrics,
+                        stats,
+                        suspected,
+                    } = run;
+                    (decisions, correct, metrics, stats, suspected)
+                });
+            }
+        }
+    }
+
+    fn spec(target: &str, schedule: &ScheduleSpec, over_budget: bool) -> InstanceSpec<Chain> {
+        let target = find_target(target).expect("registered target");
+        let (n, t) = target.dims_from(5, 1);
+        let cfg = CheckConfig::new(n, t, Value::ONE, 11, 1, schedule.clone());
+        let mut spec: InstanceSpec<Chain> = target.build(&cfg).expect("valid schedule").into();
+        if over_budget {
+            spec.fault_budget = schedule.faults.len() - 1;
+        }
+        spec
+    }
+
+    #[test]
+    fn a_reliable_wire_is_delivered_in_lock_step() {
+        let drop = LinkDrop {
+            phase: 1,
+            from: ProcessId(0),
+            to: ProcessId(2),
+        };
+        // (schedule, whether the instance's fault budget is one short of
+        // its scheduled faults)
+        let schedules = [
+            (ScheduleSpec::default(), false),
+            (
+                ScheduleSpec {
+                    faults: vec![(ProcessId(0), FaultBehavior::Passive)],
+                    link_drops: vec![drop],
+                },
+                false,
+            ),
+            (
+                ScheduleSpec::each([ProcessId(2)], FaultBehavior::Silent),
+                false,
+            ),
+            (
+                ScheduleSpec::each([ProcessId(1)], FaultBehavior::Silent),
+                true,
+            ),
+        ];
+        for target in ["ds-broadcast", "ds-relay"] {
+            for (schedule, over_budget) in &schedules {
+                for threads in [1, 4] {
+                    let at = format!("{target} {schedule:?} over={over_budget} threads={threads}");
+                    let lockstep = drive(spec(target, schedule, *over_budget), threads, false);
+                    let played = drive(spec(target, schedule, *over_budget), threads, true);
+                    assert_eq!(lockstep, played, "{at}");
+                    match lockstep {
+                        Err(verdict) => assert!(
+                            *over_budget
+                                && matches!(
+                                    verdict.reason,
+                                    DegradationReason::FaultBudgetExceeded { .. }
+                                ),
+                            "{at}: {verdict:?}"
+                        ),
+                        Ok((_, _, metrics, stats, _)) => {
+                            assert!(!over_budget, "{at}: decided past its budget");
+                            assert!(stats.frames_delivered > 0, "{at}");
+                            assert_eq!(stats.max_ticks_in_phase, 3, "{at}");
+                            let dropped = !schedule.link_drops.is_empty();
+                            assert_eq!(metrics.omitted_messages > 0, dropped, "{at}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_wire_that_can_misbehave_is_played() {
+        let schedule = ScheduleSpec::default();
+        let slow = LinkChaos {
+            max_delay_ticks: 1,
+            ..LinkChaos::RELIABLE
+        };
+        let mut reordering = ChaosProfile::reliable();
+        reordering.reorder = true;
+        for chaos in [
+            ChaosProfile::jitter(3),
+            ChaosProfile::lossy(3, 0),
+            reordering,
+            ChaosProfile::reliable().with_link(ProcessId(1), ProcessId(2), slow),
+        ] {
+            let driver = PhaseDriver::new(spec("ds-broadcast", &schedule, false), &chaos, 3, None);
+            assert!(!driver.lockstep, "{chaos:?}");
         }
     }
 }

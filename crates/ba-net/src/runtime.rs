@@ -24,7 +24,10 @@
 //!    nonexistent receivers and the spec's scheduled link drops accounted
 //!    in actor-id order) and the surviving frames' links are played over
 //!    the wire: chaos-rolled loss, delay, duplication, acks, at most four
-//!    retransmissions with exponential backoff, 128 virtual ticks a phase;
+//!    retransmissions with exponential backoff, 128 virtual ticks a phase.
+//!    A reliable profile's wire is not played: every frame would arrive
+//!    on its first attempt in staging order, so the driver records that
+//!    answer's statistics and the phase is delivered in lock step;
 //! 4. **budget** — permanently failed links make their *senders* suspected
 //!    (an omission-faulty sender explains every lost frame). While the
 //!    union of scheduled-faulty and suspected processors stays within the
@@ -41,8 +44,9 @@
 //! # Equivalence with the lock-step engine
 //!
 //! Under [`ChaosProfile::reliable`] every frame arrives on its first
-//! attempt in staging order, so inbox contents, metrics and decisions are
-//! byte-identical to [`ba_sim::Simulation`] at any worker-thread count —
+//! attempt in staging order — the driver delivers the phase in lock step,
+//! as [`ba_sim::Simulation`] does — so inbox contents, metrics and
+//! decisions are byte-identical to it at any worker-thread count —
 //! the `harness` module checks this for every checkable target. It is one
 //! implementation under two loops, not two that agree: stepping, routing,
 //! `Metrics` recording, the inbox fill and barrier verification
@@ -154,7 +158,7 @@ impl<P: Payload + 'static> NetRuntime<P> {
             config,
             chaos,
         } = self;
-        let mut driver = PhaseDriver::new(spec, chaos.seed, Some(PHASE_WATCHDOG));
+        let mut driver = PhaseDriver::new(spec, &chaos, chaos.seed, Some(PHASE_WATCHDOG));
         let mut scratch = WireScratch::default();
         loop {
             driver.step(config.threads);

@@ -36,7 +36,10 @@
 //!   pool fan-out) is paid once for the whole fleet.
 //! * **Shared-wire batching** — all instances' frames for one directed
 //!   link share a single flush per tick. The session *counts* them — each
-//!   driver's links, summed per directed link, one
+//!   driver's links, visited through
+//!   [`PhaseCore::for_each_link`](ba_sim::PhaseCore::for_each_link) (a
+//!   reliable instance builds no list of them), summed per directed link,
+//!   one
 //!   [`NetStats::note_flush`] per link ([`NetStats::flushes`]; the
 //!   standalone runtime's one-send-per-frame behaviour shows up as
 //!   `solo_flushes`) — and never holds a frame: frames stay in their
@@ -46,7 +49,9 @@
 //!   chunk) a flush delivers *once* against the instance's
 //!   [`InstanceSpec::registry`] and stamps its shared storage
 //!   ([`ba_crypto::stamp`]), so all `n` recipients' own checks are O(1)
-//!   stamp hits.
+//!   stamp hits. On a reliable wire the flush is the lock-step phase: the
+//!   driver plays no wire, and a phase of `broadcast_all`s takes the
+//!   engine's all-to-all fill.
 //! * **Per-instance verdicts** — chaos fates, retransmission state, fault
 //!   budgets and degradation are all tracked per instance: one instance
 //!   blowing its budget — or one whose actor panics mid-step — yields
@@ -56,7 +61,8 @@
 //! # One driver
 //!
 //! Every in-flight ticket owns one phase driver (the crate-private
-//! `driver` module: [`ba_sim::PhaseCore`] plus the wire) — the same code a
+//! `driver` module: [`ba_sim::PhaseCore`] plus the wire, or its known
+//! answer when the profile is reliable) — the same code a
 //! standalone [`NetRuntime`](crate::runtime::NetRuntime) runs as its single
 //! instance. The session adds only what is fleet-level: tickets and
 //! timestamps, admission, and the per-link flush count between a driver's
@@ -659,7 +665,7 @@ impl<P: Payload + 'static> SvcSession<P> {
         self.next_id += 1;
         self.queue.push_back(Instance {
             id,
-            driver: PhaseDriver::new(spec, instance_seed(self.chaos.seed, id), None),
+            driver: PhaseDriver::new(spec, &self.chaos, instance_seed(self.chaos.seed, id), None),
             submitted_tick: self.tick,
             submitted_at: self.started.elapsed(),
             admitted_tick: 0,
@@ -727,14 +733,15 @@ impl<P: Payload + 'static> SvcSession<P> {
         if self.flush_counts.len() < stride * stride {
             self.flush_counts.resize(stride * stride, 0);
         }
-        for inst in &mut self.active {
-            for &(from, to) in inst.driver.links() {
+        let (counts, touched) = (&mut self.flush_counts, &mut self.flush_touched);
+        for inst in &self.active {
+            inst.driver.for_each_link(|from, to| {
                 let cell = from.index() * stride + to.index();
-                if self.flush_counts[cell] == 0 {
-                    self.flush_touched.push(cell);
+                if counts[cell] == 0 {
+                    touched.push(cell);
                 }
-                self.flush_counts[cell] += 1;
-            }
+                counts[cell] += 1;
+            });
         }
         for cell in self.flush_touched.drain(..) {
             let frames = std::mem::take(&mut self.flush_counts[cell]);

@@ -23,8 +23,11 @@
 //! The wire runs entirely on the driver's calling thread with one seeded
 //! [`SimRng`], so a chaos campaign is bit-reproducible from the seed — at
 //! any worker-thread count. Under a reliable profile no RNG draw is ever
-//! consumed and delivery order equals staging order, which is what makes
-//! the runtime byte-identical to the lock-step engine.
+//! consumed and delivery order equals staging order: the answer is known
+//! before a tick is played, so the phase driver does not play it —
+//! [`deliver_reliable`] writes its statistics and the phase is delivered
+//! in lock step, as the lock-step engine delivers it. The tests hold that
+//! closed form to what [`deliver`] plays.
 //!
 //! [`DeadlineBlown`]: crate::verdict::DegradationReason::DeadlineBlown
 
@@ -266,6 +269,21 @@ pub(crate) fn deliver<'a>(
     }
 }
 
+/// What [`deliver`] answers for `links` frames under a reliable profile,
+/// without playing a tick: every frame arrives on its first attempt, in
+/// staging order, so nothing fails or is pending and no rng is drawn. Each
+/// frame is one transmission and one delivery; a phase that sent anything
+/// takes three ticks — out at tick 0, in at 1, acked at 2 — and an empty
+/// one none.
+pub(crate) fn deliver_reliable(links: usize, stats: &mut NetStats) {
+    if links == 0 {
+        return;
+    }
+    stats.physical_transmissions += links as u64;
+    stats.frames_delivered += links as u64;
+    stats.max_ticks_in_phase = stats.max_ticks_in_phase.max(3);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -493,6 +511,50 @@ mod tests {
             }
         });
         assert!(blown > 0, "no case blew its deadline");
+    }
+
+    #[test]
+    fn the_reliable_closed_form_is_what_the_wire_plays() {
+        // Statistics carried in from earlier phases, a tick maximum below
+        // and above the three a reliable phase takes among them.
+        let profile = ChaosProfile::reliable();
+        let mut shared = WireScratch::default();
+        let mut empty = 0usize;
+        run_cases(256, 0xC105_ED5E, |gen| {
+            let links = seeded_links(gen);
+            let before = NetStats {
+                frames_delivered: gen.u64_in(0, 1000),
+                physical_transmissions: gen.u64_in(0, 1000),
+                max_ticks_in_phase: gen.u64_in(0, 7),
+                ..NetStats::default()
+            };
+            let seed = gen.u64();
+            let mut played = before.clone();
+            let mut rng = SimRng::new(seed);
+            let report = deliver(
+                3,
+                &links,
+                &profile,
+                &mut rng,
+                POLICY,
+                &mut played,
+                &mut shared,
+            );
+            let identity: Vec<usize> = (0..links.len()).collect();
+            assert_eq!(report.order, identity, "arrival order is staging order");
+            assert!(report.failed.is_empty());
+            assert_eq!(report.pending, 0);
+            assert_eq!(rng.next_u64(), SimRng::new(seed).next_u64(), "no draw");
+
+            let mut closed = before.clone();
+            deliver_reliable(links.len(), &mut closed);
+            assert_eq!(closed, played);
+            if links.is_empty() {
+                assert_eq!(closed, before, "an empty phase moves nothing");
+                empty += 1;
+            }
+        });
+        assert!(empty > 0, "no case was an empty phase");
     }
 
     #[test]

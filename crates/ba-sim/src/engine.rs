@@ -10,12 +10,14 @@
 //! message; move the frames that reach anyone into next phase's inboxes
 //! and index them per recipient; attribute the phase's crypto; verify at
 //! the barrier; swap). Between the two calls exactly one thing can leave
-//! the core: [`links`](PhaseCore::links), the surviving messages'
-//! `(from, to)` in staging order. [`Simulation`] is the lock-step loop —
-//! every survivor arrives, in staging order — and keeps what is about
-//! *watching* a run: trace and observer. `ba_net`'s phase driver
-//! is the other loop: it plays `links()` over an unreliable wire and tells
-//! `deliver` in what order the messages arrived and which never did.
+//! the core: the surviving messages' `(from, to)` in staging order, as a
+//! list ([`links`](PhaseCore::links)) or visited on the staged frames
+//! ([`for_each_link`](PhaseCore::for_each_link)). [`Simulation`] is the
+//! lock-step loop — every survivor arrives, in staging order — and keeps
+//! what is about *watching* a run: trace and observer. `ba_net`'s phase
+//! driver is the other loop: over a wire that can misbehave it plays
+//! `links()` and tells `deliver` in what order the messages arrived and
+//! which never did; over a reliable one it delivers in lock step too.
 //! Payloads themselves never leave the arena, and never multiply in it: an
 //! owned [`Envelope`] per message exists only in a trace, in front of an
 //! observer, or in an adversary wrapper's scratch outbox.
@@ -207,8 +209,8 @@ impl<P: Payload> From<InstanceSpec<P>> for Simulation<P> {
 /// (see the [module docs](self)). `Send`, so a service can step a fleet of
 /// cores on the worker pool.
 ///
-/// A phase is `step` → (`links`, for a caller with a wire) → `deliver`;
-/// after the last one, `finalize` → `finish`.
+/// A phase is `step` → (`links` or `for_each_link`, for a caller with a
+/// wire) → `deliver`; after the last one, `finalize` → `finish`.
 pub struct PhaseCore<P> {
     actors: Vec<Box<dyn Actor<P>>>,
     correct: Vec<bool>,
@@ -244,8 +246,9 @@ pub struct PhaseCore<P> {
     fates: Vec<bool>,
     counts: Vec<usize>,
     /// The survivors' `(from, to)` in staging order — collected only by a
-    /// route pass that [`links`](Self::links) asked for.
+    /// route pass that [`links`](Self::links) asked for, and then `listed`.
     links: Vec<Link>,
+    listed: bool,
     /// When kept, every delivered message is also cloned into it, as an
     /// owned envelope.
     phase_log: Option<Vec<Envelope<P>>>,
@@ -284,6 +287,7 @@ impl<P: Payload> PhaseCore<P> {
             fates: Vec::new(),
             counts: vec![0; n],
             links: Vec::new(),
+            listed: false,
             phase_log: None,
             panic: None,
         }
@@ -328,6 +332,7 @@ impl<P: Payload> PhaseCore<P> {
         let (chunk_size, chunks) = chunk_geometry(self.actors.len(), threads);
         self.segments.resize_with(chunks, Segment::new);
         self.routed = false;
+        self.listed = false;
         let (phase, cur) = (self.phase, &self.cur);
         self.step_crypto = step_chunks(
             &mut self.actors,
@@ -382,6 +387,7 @@ impl<P: Payload> PhaseCore<P> {
     fn route(&mut self, want_links: bool) {
         let (phase, n) = (self.phase, self.actors.len());
         self.routed = true;
+        self.listed = want_links;
         self.fates.clear();
         self.links.clear();
         self.counts.fill(0);
@@ -391,6 +397,7 @@ impl<P: Payload> PhaseCore<P> {
                 .segments
                 .iter()
                 .all(|seg| seg.staged.iter().all(|(_, to)| to.is_all(n)));
+        let fate = route_fate(&self.scheduled, phase, n);
         for seg in &self.segments {
             self.metrics.record_omitted(phase, seg.omitted);
             if self.dense {
@@ -398,22 +405,22 @@ impl<P: Payload> PhaseCore<P> {
             }
             for (frame, targets) in seg.staged.iter() {
                 for to in targets.iter() {
-                    // Sends to nonexistent processors are dropped; a
-                    // correct protocol never does this, an adversary may.
-                    let mut survives = to.index() < n;
-                    if survives {
-                        if self.scheduled.admit(phase, frame.from, to) == Fate::Omit {
+                    let survives = match fate(frame.from, to) {
+                        None => false,
+                        Some(Fate::Omit) => {
                             // A scheduled drop: the processor still "sent",
                             // but nothing reaches the wire.
                             self.metrics.record_omitted(phase, 1);
-                            survives = false;
-                        } else {
+                            false
+                        }
+                        Some(Fate::Deliver) => {
                             self.counts[to.index()] += 1;
                             if want_links {
                                 self.links.push((frame.from, to));
                             }
+                            true
                         }
-                    }
+                    };
                     self.fates.push(survives);
                 }
             }
@@ -430,6 +437,32 @@ impl<P: Payload> PhaseCore<P> {
             self.route(true);
         }
         &self.links
+    }
+
+    /// Calls `visit(from, to)` for every message of the last
+    /// [`step`](Self::step) that survives routing, in staging order — the
+    /// entries [`links`](Self::links) lists. Unless that list was already
+    /// built, they are read off the staged frames with the route pass's
+    /// own survival rule, so no list is built and the route pass is
+    /// neither run nor told a wire is listening: a lock-step delivery after
+    /// the visit may still fill all-to-all.
+    pub fn for_each_link(&self, mut visit: impl FnMut(ProcessId, ProcessId)) {
+        if self.listed {
+            for &(from, to) in &self.links {
+                visit(from, to);
+            }
+            return;
+        }
+        let fate = route_fate(&self.scheduled, self.phase, self.actors.len());
+        for seg in &self.segments {
+            for (frame, targets) in seg.staged.iter() {
+                for to in targets.iter() {
+                    if fate(frame.from, to) == Some(Fate::Deliver) {
+                        visit(frame.from, to);
+                    }
+                }
+            }
+        }
     }
 
     /// Completes the phase: moves the frames of the last
@@ -523,6 +556,29 @@ impl<P: Payload> PhaseCore<P> {
             metrics,
             trace: Trace::default(),
         }
+    }
+}
+
+/// The route pass's survival rule for the messages staged during `phase`
+/// of an `n`-processor run, as the fate of `from → to`: `None` when `to`
+/// does not exist (a correct protocol never sends there, an adversary
+/// may), else what the scheduled link drops say — looked up per message
+/// only in a phase that has any.
+fn route_fate(
+    scheduled: &ScheduledDrops,
+    phase: usize,
+    n: usize,
+) -> impl Fn(ProcessId, ProcessId) -> Option<Fate> + '_ {
+    let drops = scheduled.any_at(phase);
+    move |from, to| {
+        let exists = to.index() < n;
+        exists.then(|| {
+            if drops {
+                scheduled.admit(phase, from, to)
+            } else {
+                Fate::Deliver
+            }
+        })
     }
 }
 
@@ -1878,9 +1934,18 @@ mod tests {
             for _ in 0..case.phases {
                 core.phase_log = Some(Vec::new());
                 assert!(core.step(threads).is_empty());
+                // The visitor lists the survivors before the route pass
+                // (off the staged frames) and after it (off its list).
+                let visit = |core: &PhaseCore<Chain>| {
+                    let mut visited = Vec::new();
+                    core.for_each_link(|from, to| visited.push((from, to)));
+                    visited
+                };
+                links.push(visit(&core));
                 if lossy_wire {
-                    links.push(core.links().to_vec());
-                    let survivors = links.last().map_or(0, Vec::len);
+                    let survivors = core.links().len();
+                    assert_eq!(core.links(), links.last().expect("pushed"));
+                    assert_eq!(&visit(&core), links.last().expect("pushed"));
                     let order: Vec<usize> = (0..survivors)
                         .rev()
                         .filter(|_| wire.range_u32(0, 4) != 0)
