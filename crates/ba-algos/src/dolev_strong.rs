@@ -520,6 +520,46 @@ mod tests {
         assert!(!params.in_committee(ProcessId(5)));
     }
 
+    #[test]
+    fn a_copy_claiming_another_value_is_rejected_beside_the_honest_chain() {
+        // Faulty p5 relays, in phase 2, the chain [p0, p5] for 0 — the
+        // transmitter's signature, then its own — with its value field
+        // rewritten to 1: the same signatures, its own buffer. The barrier
+        // pass meets the honest relays of 0 by p1..p4 first, then the
+        // copy; the copy must not ride their d_0. A recipient that took it
+        // would extract 1 and relay it in phase 3.
+        use crate::common::{barrier_matches_reference, OneShot};
+        let (n, t) = (6, 2);
+        let registry = KeyRegistry::new(n, 11, SchemeKind::Fast);
+        let mut honest = Chain::new(domains::DOLEV_STRONG, Value::ZERO);
+        honest
+            .sign_and_append(&registry.signer(ProcessId(0)))
+            .sign_and_append(&registry.signer(ProcessId(n as u32 - 1)));
+        let mut enc = ba_crypto::wire::Encoder::new();
+        honest.encode(&mut enc);
+        let mut bytes = enc.finish().to_vec();
+        bytes[4..12].copy_from_slice(&Value::ONE.0.to_be_bytes()); // the value field
+        let tampered = Chain::decode(&mut ba_crypto::wire::Decoder::new(&bytes)).unwrap();
+        assert_eq!(tampered.signatures(), honest.signatures());
+        let outcome = barrier_matches_reference(|| {
+            let params = DsParams::standard(n, t, Variant::Broadcast, registry.verifier());
+            let schedule = ScheduleSpec::default();
+            let mut spec = build(params, &registry, Value::ZERO, &schedule).expect("fault-free");
+            spec.actors[n - 1] = Box::new(OneShot {
+                n,
+                phase: 2,
+                payload: tampered.clone(),
+            });
+            spec
+        });
+        let mut expected = vec![Some(Value::ZERO); n];
+        expected[n - 1] = None;
+        assert_eq!(outcome.decisions, expected);
+        // Every delivered copy shares `tampered`'s buffer: had the pass
+        // stamped it, this would be a stamp hit.
+        assert!(tampered.verify(&registry.verifier()).is_err());
+    }
+
     mod props {
         use super::*;
         use ba_crypto::testkit::run_cases;

@@ -5,7 +5,7 @@
 //! * `reference` — the retained naive verifier (`Chain::verify_reference`),
 //!   which re-derives every prefix digest from scratch: O(L²) hashing;
 //! * `incremental` — the full check, rolling the prefix digest forward
-//!   (`Chain::verify_uncached`): L + 1 hashes, L signature checks — what
+//!   (`Chain::verify_uncached`): L hashes, L signature checks — what
 //!   the phase barrier pays once per unique delivered chain;
 //! * `stamped` — `Chain::verify` of a clone of a chain the barrier stamped
 //!   (`Chain::verify_at_barrier`), as every recipient of a broadcast sees

@@ -27,11 +27,14 @@
 //!
 //! Collision resistance of `H` makes `d_i` bind the domain, the value and
 //! every signature before position `i`, so the unforgeability argument is
-//! unchanged while full verification costs exactly `L + 1` hash
-//! invocations plus `L` constant-content signature checks — O(L) total.
-//! The chain keeps the running `d_L` ("tip") so appending a signature is
-//! O(1); verification always recomputes the digests from the fields so a
-//! tampered chain can never ride a stale tip.
+//! unchanged while full verification costs exactly `L` hash invocations
+//! (`d_0 ..= d_{L−1}`: the digests a signature covers) plus `L`
+//! constant-content signature checks — O(L) total. Both preimages are
+//! written on the stack, and all but an `Hmac` link's are one padded
+//! SHA-256 block. The chain keeps the running `d_L` ("tip") so appending a
+//! signature is O(1); verification always recomputes the digests from the
+//! fields and never reads the tip, so a tampered chain can never ride a
+//! stale one.
 //!
 //! # Shared signature storage
 //!
@@ -51,9 +54,11 @@
 //! already verified this exact signature buffer under the asking
 //! verifier's registry (see [`Chain::verify_at_barrier`]), it is an O(1)
 //! stamp comparison. Otherwise it is a full check, rolling the prefix
-//! digest forward signature by signature: `L + 1` hashes and `L` signature
+//! digest forward signature by signature: `L` hashes and `L` signature
 //! checks, stopping at the first bad signature. Nothing else is remembered
-//! between calls. [`Chain::verify_uncached`] is the full check alone, and
+//! between calls; within one barrier pass, chains of one domain and value
+//! share the `d_0` the pass computed ([`Barrier`]).
+//! [`Chain::verify_uncached`] is the full check alone, and
 //! [`Chain::verify_reference`] is a deliberately naive O(L²)
 //! implementation retained as the oracle for the equivalence property
 //! tests.
@@ -163,21 +168,23 @@ impl PartialEq for Chain {
 impl Eq for Chain {}
 
 /// `d_0 = H("ba-chain" || domain || value)`: binds the protocol domain and
-/// the carried value.
-fn seed_digest(domain: u32, value: Value) -> [u8; DIGEST_LEN] {
-    let mut h = Sha256::new();
-    h.update(b"ba-chain");
-    h.update(&domain.to_be_bytes());
-    h.update(&value.0.to_be_bytes());
-    h.finalize()
+/// the carried value. The 20-byte preimage is one padded block.
+pub(crate) fn seed_digest(domain: u32, value: Value) -> [u8; DIGEST_LEN] {
+    let mut pre = [0u8; 8 + 4 + 8];
+    pre[..8].copy_from_slice(b"ba-chain");
+    pre[8..12].copy_from_slice(&domain.to_be_bytes());
+    pre[12..].copy_from_slice(&value.0.to_be_bytes());
+    Sha256::digest(&pre)
 }
 
-/// `d_{i+1} = H(d_i || encode(sig_i))`.
+/// `d_{i+1} = H(d_i || encode(sig_i))`, the preimage written on the stack:
+/// 37 or 45 bytes (one padded block) for an `Oral` or `Fast` signature, 69
+/// for an `Hmac` one.
 fn extend_digest(prev: &[u8; DIGEST_LEN], sig: &Signature) -> [u8; DIGEST_LEN] {
-    let mut h = Sha256::new();
-    h.update(prev);
-    sig.hash_into(&mut h);
-    h.finalize()
+    let mut pre = [0u8; DIGEST_LEN + Signature::MAX_ENCODED_LEN];
+    pre[..DIGEST_LEN].copy_from_slice(prev);
+    let len = DIGEST_LEN + sig.encode_to(&mut pre[DIGEST_LEN..]);
+    Sha256::digest(&pre[..len])
 }
 
 impl Chain {
@@ -281,36 +288,57 @@ impl Chain {
     /// [`CryptoError::EmptyChain`] when no signatures are present, or the
     /// first failing signature's error.
     pub fn verify(&self, verifier: &Verifier) -> Result<(), CryptoError> {
-        if !self.is_empty()
-            && self
-                .sigs
-                .stamp
-                .holds(verifier.batch_token(), self.stamp_key())
-        {
-            crate::stats::record_cache_hit();
+        if self.stamp_hit(verifier) {
             return Ok(());
         }
         self.verify_uncached(verifier)
     }
 
+    /// Whether the barrier stamped this buffer under `verifier`'s registry
+    /// for this domain and value; a hit is counted.
+    pub(crate) fn stamp_hit(&self, verifier: &Verifier) -> bool {
+        let hit = !self.is_empty()
+            && self
+                .sigs
+                .stamp
+                .holds(verifier.batch_token(), self.stamp_key());
+        if hit {
+            crate::stats::record_cache_hit();
+        }
+        hit
+    }
+
     /// The full check, ignoring any stamp: rolls the prefix digest forward
     /// from `d_0`, checking each signature against the digest of what
-    /// precedes it — `L + 1` hashes and `L` signature checks on a valid
-    /// chain, fewer when a signature fails.
+    /// precedes it — `L` hashes (`d_0 ..= d_{L−1}`, the digests a
+    /// signature covers) and `L` signature checks on a valid chain, fewer
+    /// when a signature fails.
     ///
     /// # Errors
     /// As [`verify`](Self::verify).
     pub fn verify_uncached(&self, verifier: &Verifier) -> Result<(), CryptoError> {
-        if self.is_empty() {
+        self.verify_from(verifier, || seed_digest(self.domain, self.value))
+    }
+
+    /// The full check from the `d_0` that `seed` returns, which must be
+    /// this chain's `seed_digest` — a [`Barrier`] pass hands every chain of
+    /// one domain and value the `d_0` it already computed. `d_L` covers
+    /// nothing, so it is never computed.
+    pub(crate) fn verify_from(
+        &self,
+        verifier: &Verifier,
+        seed: impl FnOnce() -> [u8; DIGEST_LEN],
+    ) -> Result<(), CryptoError> {
+        let Some((last, before)) = self.sigs.sigs.split_last() else {
             return Err(CryptoError::EmptyChain);
-        }
+        };
         crate::stats::record_cache_miss();
-        let mut d = seed_digest(self.domain, self.value);
-        for sig in self.sigs.sigs.iter() {
+        let mut d = seed();
+        for sig in before {
             verifier.check(sig, &d)?;
             d = extend_digest(&d, sig);
         }
-        Ok(())
+        verifier.check(last, &d)
     }
 
     /// Barrier verification of `chains` alone: one [`Barrier`] pass that
@@ -495,9 +523,9 @@ mod tests {
     #[test]
     fn prefix_digest_preimages_are_the_documented_encoding() {
         // d_0 = H("ba-chain" || domain || value) and
-        // d_{i+1} = H(d_i || encode(sig_i)), byte for byte: the digests
-        // are fed field by field, the encoder spells the same preimage.
-        for kind in [SchemeKind::Hmac, SchemeKind::Fast] {
+        // d_{i+1} = H(d_i || encode(sig_i)), byte for byte: the stack
+        // preimages and the encoder spell the same bytes.
+        for kind in [SchemeKind::Hmac, SchemeKind::Fast, SchemeKind::Oral] {
             let reg = KeyRegistry::new(6, 99, kind);
             let c = signed_chain(&reg, &[0, 4, 2]);
             let mut enc = Encoder::new();
@@ -515,6 +543,72 @@ mod tests {
                 v.check(sig, d).unwrap();
             }
             assert_eq!(Some(&c.tip), expected.last());
+        }
+    }
+
+    #[test]
+    fn prefix_digests_of_fixed_inputs_are_pinned() {
+        // d_0 and d_{i+1} for fixed domains, values, prefixes and
+        // signatures of each tag kind (decoded from fixed bytes, so no tag
+        // function is involved): the stack preimages hash the bytes the
+        // field-by-field hashers did.
+        let hex =
+            |d: [u8; DIGEST_LEN]| -> String { d.iter().map(|b| format!("{b:02x}")).collect() };
+        let seeds = [
+            (
+                (0, 0),
+                "513cf1822d793d677dc75e7481ecc00bade99230cc65d008b9de8844de504f05",
+            ),
+            (
+                (1, 1),
+                "acfe5d83dde19d82cf4baff809e569cf83f7407685c8eb6acf4a7c4d9b33f67a",
+            ),
+            (
+                (7, 0x0123_4567_89ab_cdef),
+                "acd587e9915b4c077a6af180b0bc641686f01da7dbe6bf404936846cd76d5b44",
+            ),
+            (
+                (u32::MAX, u64::MAX),
+                "8a8f78098c49ad663611cb3b1639d8ab34509ce2b31b0efc092c746bdfc35918",
+            ),
+        ];
+        for ((domain, value), expected) in seeds {
+            assert_eq!(
+                hex(seed_digest(domain, Value(value))),
+                expected,
+                "d_0({domain}, {value})"
+            );
+        }
+        let prev: [u8; DIGEST_LEN] =
+            std::array::from_fn(|i| (i as u8).wrapping_mul(37).wrapping_add(5));
+        let mut hmac = vec![0, 0, 0, 3, 0];
+        hmac.extend((0..32u8).map(|i| i ^ 0xA5));
+        let fast = vec![
+            0, 0, 1, 2, 1, 0xfe, 0xdc, 0xba, 0x98, 0x76, 0x54, 0x32, 0x10,
+        ];
+        let oral = vec![0, 0, 0, 9, 2];
+        let extended = [
+            (
+                hmac,
+                "a3659e35e9ba0a9e40bc515ad77a7c68c272938b89d8f52ff07cb93f2c1cff37",
+                "e5aa2ccf0fb61f81803b89ba6857612118e47893d27906f53a19b9b295e29d7e",
+            ),
+            (
+                fast,
+                "15aa95876379fbc66d4ad6d551ae8343839ba8a4cea6743d1fac8d0dbc9eb169",
+                "75293911fbf1de370939bfad8be91b2e66758b07fa14853d40962f0a4168149c",
+            ),
+            (
+                oral,
+                "ad636f2e4986fd365cffc96d9750ae90c7848033ce37f8bb39210a7fa5b9ea9d",
+                "fceb2a47de5e66ad052578160815464181761133d24b700b98ea831ef9c60596",
+            ),
+        ];
+        for (bytes, from_prev, from_seed) in extended {
+            let sig = Signature::decode(&mut Decoder::new(&bytes)).unwrap();
+            assert_eq!(hex(extend_digest(&prev, &sig)), from_prev, "{bytes:?}");
+            let d0 = seed_digest(3, Value::ONE);
+            assert_eq!(hex(extend_digest(&d0, &sig)), from_seed, "{bytes:?}");
         }
     }
 
@@ -712,8 +806,9 @@ mod tests {
     #[test]
     fn verify_hashing_is_linear_in_chain_length() {
         // With SchemeKind::Fast the only hashing is the prefix-digest
-        // chain, so verifying L signatures costs exactly L + 1 hash
-        // invocations (d_0 ..= d_L) — the tentpole O(L) guarantee.
+        // chain, so verifying L signatures costs exactly L hash
+        // invocations (d_0 ..= d_{L-1}, one per signature; d_L covers
+        // nothing and is not computed) — the O(L) guarantee.
         let reg = KeyRegistry::new(40, 7, SchemeKind::Fast);
         for l in [1usize, 4, 8, 32] {
             let mut c = Chain::new(3, Value::ONE);
@@ -723,7 +818,7 @@ mod tests {
             let before = CryptoStats::snapshot();
             c.verify_uncached(&reg.verifier()).unwrap();
             let delta = CryptoStats::snapshot().since(&before);
-            assert_eq!(delta.hash_invocations, l as u64 + 1, "length {l}");
+            assert_eq!(delta.hash_invocations, l as u64, "length {l}");
             assert_eq!(delta.sig_verifications, l as u64, "length {l}");
         }
     }

@@ -12,8 +12,8 @@
 //! * a [`Verifier`] checks any signature against the registry.
 //!
 //! Two tag constructions are provided: [`SchemeKind::Hmac`] (HMAC-SHA-256,
-//! 32-byte tags) and [`SchemeKind::Fast`] (64-bit keyed-mix tags) for large
-//! parameter sweeps where hashing would dominate runtime. Both are
+//! 32-byte tags) and [`SchemeKind::Fast`] (64-bit keyed word-wise tags)
+//! for large parameter sweeps where hashing would dominate runtime. Both are
 //! deterministic in the run seed. [`SchemeKind::Oral`] is the
 //! unauthenticated model (Corollary 1): a signature only names its signer,
 //! so anyone can produce anyone's.
@@ -34,8 +34,11 @@ pub enum SchemeKind {
     /// HMAC-SHA-256, 32-byte tags. The default; cryptographically faithful.
     #[default]
     Hmac,
-    /// 64-bit keyed mixing, 8-byte tags. Fast mode for big sweeps; still
-    /// unforgeable against the scripted adversaries in this workspace.
+    /// 8-byte tags: the content absorbed eight bytes at a time into a
+    /// keyed 64-bit accumulator (XOR, odd multiply, rotate), then a keyed
+    /// splitmix finalizer. Fast mode for big sweeps — a 32-byte prefix
+    /// digest is four absorb steps; still unforgeable against the scripted
+    /// adversaries in this workspace.
     Fast,
     /// No tag at all: a signature names its signer and nothing else, so
     /// every in-range signature verifies and
@@ -92,22 +95,31 @@ impl Signature {
         }
     }
 
-    /// Feeds `hasher` exactly the bytes [`encode`](Self::encode) appends,
-    /// without materializing them (the chain prefix digests hash one
-    /// signature per link).
-    pub(crate) fn hash_into(&self, hasher: &mut Sha256) {
-        hasher.update(&self.signer.0.to_be_bytes());
+    /// The most bytes [`encode`](Self::encode) appends: an HMAC
+    /// signature's.
+    pub(crate) const MAX_ENCODED_LEN: usize = 4 + 1 + 32;
+
+    /// Writes exactly the bytes [`encode`](Self::encode) appends to the
+    /// front of `out`, returning how many — the encoding on the stack, for
+    /// the chain prefix digests, which hash one signature per link.
+    ///
+    /// # Panics
+    /// If `out` is shorter than the signature's
+    /// [`encoded_len`](Self::encoded_len).
+    pub(crate) fn encode_to(&self, out: &mut [u8]) -> usize {
+        out[..4].copy_from_slice(&self.signer.0.to_be_bytes());
         match &self.tag {
             Tag::Hmac(t) => {
-                hasher.update(&[0]);
-                hasher.update(t);
+                out[4] = 0;
+                out[5..37].copy_from_slice(t);
             }
             Tag::Fast(t) => {
-                hasher.update(&[1]);
-                hasher.update(&t.to_be_bytes());
+                out[4] = 1;
+                out[5..13].copy_from_slice(&t.to_be_bytes());
             }
-            Tag::Oral => hasher.update(&[2]),
+            Tag::Oral => out[4] = 2,
         }
+        self.encoded_len()
     }
 
     /// Decodes a signature from `dec`.
@@ -189,6 +201,30 @@ fn hmac_secret(seed: u64, id: usize) -> [u8; 32] {
     let mut enc = Encoder::with_capacity(16);
     enc.u64(seed).u32(id as u32).raw(b"ba-key");
     Sha256::digest(&enc.finish())
+}
+
+/// The [`SchemeKind::Fast`] tag of `content` under `key`: a keyed word-wise
+/// absorb, then a keyed splitmix finalizer. Each 8-byte little-endian word
+/// is XORed into the accumulator, which is then multiplied by an odd
+/// constant and rotated; the tail's bytes are absorbed one at a time, and
+/// the length last. Every step is a bijection of the accumulator, so
+/// changing any one word or byte, all else equal, changes the tag; the
+/// rotation carries a word's high bits into the next word's multiply.
+fn fast_tag(key: u64, content: &[u8]) -> u64 {
+    const WORD_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
+    const BYTE_MUL: u64 = 0x0000_0100_0000_01B3;
+    let mut acc = key ^ 0xcbf2_9ce4_8422_2325;
+    let mut words = content.chunks_exact(8);
+    for word in &mut words {
+        let word = u64::from_le_bytes(word.try_into().expect("8-byte word"));
+        acc = (acc ^ word).wrapping_mul(WORD_MUL).rotate_left(29);
+    }
+    for &b in words.remainder() {
+        acc = (acc ^ u64::from(b)).wrapping_mul(BYTE_MUL);
+    }
+    acc = (acc ^ content.len() as u64).wrapping_mul(WORD_MUL);
+    let mut s = acc ^ key.rotate_left(17);
+    splitmix64(&mut s)
 }
 
 /// Source of registry instance tokens. Starts at 1 so a token of 0 never
@@ -281,24 +317,16 @@ impl KeyRegistry {
         self.inner.token
     }
 
+    /// `id`'s tag over `content` under this registry's scheme: HMAC-SHA-256
+    /// from the identity's prepared key, the word-wise [`fast_tag`] under
+    /// its 64-bit key, or no tag. One tag op, except under `Oral`.
     fn tag_for(&self, id: ProcessId, content: &[u8]) -> Tag {
         if self.inner.kind != SchemeKind::Oral {
             crate::stats::record_tag_op();
         }
         match self.inner.kind {
             SchemeKind::Hmac => Tag::Hmac(self.inner.hmac_keys[id.index()].tag(content)),
-            SchemeKind::Fast => {
-                // Keyed FNV-style absorb followed by a splitmix finalizer:
-                // fast, and distinct keys give unrelated tag functions.
-                let key = self.inner.fast_keys[id.index()];
-                let mut acc = key ^ 0xcbf2_9ce4_8422_2325;
-                for &b in content {
-                    acc ^= b as u64;
-                    acc = acc.wrapping_mul(0x0000_0100_0000_01B3);
-                }
-                let mut s = acc ^ key.rotate_left(17);
-                Tag::Fast(splitmix64(&mut s))
-            }
+            SchemeKind::Fast => Tag::Fast(fast_tag(self.inner.fast_keys[id.index()], content)),
             SchemeKind::Oral => Tag::Oral,
         }
     }
@@ -554,6 +582,57 @@ mod tests {
             Signature::decode(&mut Decoder::new(&buf)),
             Err(CryptoError::BadDiscriminant { found: 9 })
         );
+    }
+
+    #[test]
+    fn the_stack_encoding_is_the_wire_encoding() {
+        let oral = KeyRegistry::new(5, 42, SchemeKind::Oral);
+        let [hmac, fast] = registries();
+        for reg in [hmac, fast, oral] {
+            for id in 0..5 {
+                let sig = reg.signer(ProcessId(id)).sign(b"m");
+                let mut enc = Encoder::new();
+                sig.encode(&mut enc);
+                let mut out = [0xEE; Signature::MAX_ENCODED_LEN];
+                let len = sig.encode_to(&mut out);
+                assert_eq!(&out[..len], enc.as_slice(), "{:?} p{id}", reg.kind());
+            }
+        }
+        let widest = Signature::forged(ProcessId(u32::MAX), SchemeKind::Hmac);
+        assert_eq!(widest.encoded_len(), Signature::MAX_ENCODED_LEN);
+    }
+
+    #[test]
+    fn every_one_byte_change_moves_the_fast_tag() {
+        // The word-wise absorb at every length across the 8-byte words and
+        // their tails: flipping any byte, appending or dropping one, and
+        // changing the key each change the tag.
+        let key = 0x0123_4567_89AB_CDEF | 1;
+        let content: Vec<u8> = (0..=80u8).map(|i| i.wrapping_mul(151) ^ 0x5A).collect();
+        for len in 0..=80 {
+            let msg = &content[..len];
+            let tag = fast_tag(key, msg);
+            for i in 0..len {
+                for bit in [0x01, 0x80, 0xFF] {
+                    let mut flipped = msg.to_vec();
+                    flipped[i] ^= bit;
+                    assert_ne!(
+                        fast_tag(key, &flipped),
+                        tag,
+                        "len {len} byte {i} bit {bit:#x}"
+                    );
+                }
+            }
+            for extra in [0, 0xFF] {
+                let mut longer = msg.to_vec();
+                longer.push(extra);
+                assert_ne!(fast_tag(key, &longer), tag, "len {len} + {extra:#x}");
+            }
+            if let Some((_, shorter)) = msg.split_last() {
+                assert_ne!(fast_tag(key, shorter), tag, "len {len} - 1");
+            }
+            assert_ne!(fast_tag(key ^ 2, msg), tag, "len {len} other key");
+        }
     }
 
     #[test]

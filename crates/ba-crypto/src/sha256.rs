@@ -18,6 +18,9 @@
 //! * **`scalar`**: the portable FIPS round function over a 16-word rolling
 //!   message schedule.
 //!
+//! [`Sha256::digest`] of an input under 56 bytes skips the hasher: it
+//! pads the input into one block on the stack and compresses it once.
+//!
 //! **Dispatch rule.** The first hasher created asks the CPU once
 //! (`is_x86_feature_detected!` for `sha`, `sse2`, `ssse3` and `sse4.1`,
 //! cached in a static) and every hasher after it takes the same answer:
@@ -44,6 +47,11 @@ pub const DIGEST_LEN: usize = 32;
 
 /// Size of a SHA-256 message block in bytes.
 pub const BLOCK_LEN: usize = 64;
+
+/// Inputs shorter than this fit one padded block (see
+/// [`Sha256::digest`]): a block less the padding's `0x80` and the 8-byte
+/// bit length.
+const ONE_BLOCK_LIMIT: usize = BLOCK_LEN - 8;
 
 const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
@@ -136,9 +144,7 @@ pub fn backend() -> &'static str {
 /// route a hasher here.
 #[doc(hidden)]
 pub fn scalar_digest(data: &[u8]) -> [u8; DIGEST_LEN] {
-    let mut h = Sha256::with_backend(Backend::Scalar);
-    h.update(data);
-    h.finalize()
+    Sha256::digest_with(Backend::Scalar, data)
 }
 
 /// Streaming SHA-256 hasher.
@@ -219,7 +225,7 @@ impl Sha256 {
         let mut padded = [0u8; 2 * BLOCK_LEN];
         padded[..self.buf_len].copy_from_slice(&self.buf[..self.buf_len]);
         padded[self.buf_len] = 0x80;
-        let end = if self.buf_len < BLOCK_LEN - 8 {
+        let end = if self.buf_len < ONE_BLOCK_LIMIT {
             BLOCK_LEN
         } else {
             2 * BLOCK_LEN
@@ -227,14 +233,13 @@ impl Sha256 {
         let bit_len = self.total_len.wrapping_mul(8);
         padded[end - 8..end].copy_from_slice(&bit_len.to_be_bytes());
         self.compress_blocks(&padded[..end]);
-        let mut out = [0u8; DIGEST_LEN];
-        for (bytes, word) in out.chunks_exact_mut(4).zip(self.state) {
-            bytes.copy_from_slice(&word.to_be_bytes());
-        }
-        out
+        digest_bytes(self.state)
     }
 
-    /// One-shot convenience for hashing a byte slice.
+    /// One-shot digest of a byte slice. An input under 56 bytes (a chain's
+    /// prefix digest, a key derivation) is one padded block on the stack
+    /// and one compression, with no hasher state around it; a longer one
+    /// streams.
     ///
     /// ```
     /// use ba_crypto::sha256::Sha256;
@@ -242,9 +247,29 @@ impl Sha256 {
     /// assert_eq!(d[0], 0xe3);
     /// ```
     pub fn digest(data: &[u8]) -> [u8; DIGEST_LEN] {
-        let mut h = Sha256::new();
-        h.update(data);
-        h.finalize()
+        Self::digest_with(Backend::detect(), data)
+    }
+
+    /// [`digest`](Self::digest) on `backend`. An input under
+    /// [`ONE_BLOCK_LIMIT`] bytes leaves room in its block for the padding's
+    /// `0x80` and 8-byte length, so it is padded on the stack and
+    /// compressed once; a longer one streams through a hasher. The length
+    /// alone picks the path, and both give the same digest.
+    fn digest_with(backend: Backend, data: &[u8]) -> [u8; DIGEST_LEN] {
+        if data.len() >= ONE_BLOCK_LIMIT {
+            let mut h = Sha256::with_backend(backend);
+            h.update(data);
+            return h.finalize();
+        }
+        crate::stats::record_hash();
+        let mut block = [0u8; BLOCK_LEN];
+        block[..data.len()].copy_from_slice(data);
+        block[data.len()] = 0x80;
+        let bit_len = (data.len() as u64) * 8;
+        block[BLOCK_LEN - 8..].copy_from_slice(&bit_len.to_be_bytes());
+        let mut state = H0;
+        backend.compress(&mut state, &block);
+        digest_bytes(state)
     }
 
     /// Folds a whole number of 64-byte blocks, read in place from
@@ -252,6 +277,15 @@ impl Sha256 {
     fn compress_blocks(&mut self, blocks: &[u8]) {
         self.backend.compress(&mut self.state, blocks);
     }
+}
+
+/// The big-endian bytes of a final state.
+fn digest_bytes(state: [u32; 8]) -> [u8; DIGEST_LEN] {
+    let mut out = [0u8; DIGEST_LEN];
+    for (bytes, word) in out.chunks_exact_mut(4).zip(state) {
+        bytes.copy_from_slice(&word.to_be_bytes());
+    }
+    out
 }
 
 /// The portable compressor: FIPS 180-4 §6.2.2 with the message schedule
@@ -590,6 +624,30 @@ mod tests {
                     digest_on(backend, &[&data[..len]]),
                     expected,
                     "{backend:?} len {len}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn the_one_shot_digest_is_the_streamed_one_at_every_length() {
+        // 0..=130 crosses the one-block limit (55 | 56) and the first two
+        // block boundaries: the stack block and the hasher must agree.
+        let data = pattern(130);
+        for len in 0..=data.len() {
+            let expected = reference_sha256(&data[..len]);
+            for backend in backends() {
+                let before = crate::stats::CryptoStats::snapshot();
+                let one_shot = Sha256::digest_with(backend, &data[..len]);
+                let hashes = crate::stats::CryptoStats::snapshot()
+                    .since(&before)
+                    .hash_invocations;
+                assert_eq!(one_shot, expected, "{backend:?} len {len}");
+                assert_eq!(hashes, 1, "{backend:?} len {len}: one digest counted");
+                assert_eq!(
+                    digest_on(backend, &[&data[..len]]),
+                    expected,
+                    "{backend:?} len {len} streamed"
                 );
             }
         }

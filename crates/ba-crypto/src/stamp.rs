@@ -30,12 +30,13 @@
 //! runs serially on the phase loop's thread, so which stamps exist never
 //! depends on how the phase's actors were scheduled.
 
+use crate::chain::seed_digest;
 use crate::keys::{Signature, Signer, Verifier};
 use crate::rng::splitmix64;
 use crate::sha256::{Sha256, DIGEST_LEN};
 use crate::stats::CryptoStats;
 use crate::wire::Bytes;
-use crate::Chain;
+use crate::{Chain, Value};
 use std::collections::HashSet;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -221,9 +222,18 @@ pub type BarrierSeen = HashSet<(usize, u64, u64)>;
 /// and stamps those that pass (see the [module docs](self)). A phase
 /// loop runs one per phase, serially, over everything it is about to
 /// deliver.
+///
+/// A chain's full check starts from `d_0 = H("ba-chain" ‖ domain ‖
+/// value)`, a hash of public fields alone. The pass keeps the last `d_0`
+/// it computed, keyed on the exact domain and value, so the chains of one
+/// broadcast — every relay of one value — hash their seed once. That
+/// skips no signature check and no tag: every chain the pass has not met
+/// is still checked signature by signature, and nothing outlives the pass.
 pub struct Barrier<'a> {
     verifier: &'a Verifier,
     seen: &'a mut BarrierSeen,
+    /// The last chain seed computed: domain, value, `d_0`.
+    seed: Option<(u32, Value, [u8; DIGEST_LEN])>,
     before: CryptoStats,
 }
 
@@ -235,23 +245,37 @@ impl<'a> Barrier<'a> {
         Barrier {
             verifier,
             seen,
+            seed: None,
             before: CryptoStats::snapshot(),
         }
     }
 
     /// Checks `chain` unless this pass already met it (by shared signature
     /// buffer, domain and value, so a broadcast fan-out is one entry) and
-    /// stamps its buffer when it passes. Unsigned chains are skipped.
+    /// stamps its buffer when it passes. Unsigned chains are skipped. A
+    /// full check takes `d_0` from the pass when the last seed it computed
+    /// has this chain's domain and value (see [`Barrier`]).
     pub fn chain(&mut self, chain: &Chain) {
         if chain.is_empty() {
             return;
         }
-        let key = (
-            chain.storage_id(),
-            u64::from(chain.domain()),
-            chain.value().0,
-        );
-        if self.seen.insert(key) && chain.verify(self.verifier).is_ok() {
+        let (domain, value) = (chain.domain(), chain.value());
+        if !self
+            .seen
+            .insert((chain.storage_id(), u64::from(domain), value.0))
+        {
+            return;
+        }
+        let last = &mut self.seed;
+        let seed = || match *last {
+            Some((d, v, digest)) if (d, v) == (domain, value) => digest,
+            _ => {
+                let digest = seed_digest(domain, value);
+                *last = Some((domain, value, digest));
+                digest
+            }
+        };
+        if chain.stamp_hit(self.verifier) || chain.verify_from(self.verifier, seed).is_ok() {
             chain
                 .stamp()
                 .write(self.verifier.batch_token(), chain.stamp_key());
@@ -406,6 +430,90 @@ mod tests {
         let forged = WindowStamp::default();
         barrier_pass(&v, &[(&forged, b"h", &window, &forged_sig)]);
         assert!(forged.verify(&v, b"h", &window, &forged_sig).is_none());
+    }
+
+    /// `(hash_invocations, sig_verifications, cache_hits)` of one barrier
+    /// pass over `chains`, in order.
+    fn chain_pass(v: &Verifier, chains: &[Chain]) -> (u64, u64, u64) {
+        let mut seen = BarrierSeen::new();
+        let mut barrier = Barrier::new(v, &mut seen);
+        for chain in chains {
+            barrier.chain(chain);
+        }
+        let d = barrier.finish();
+        (d.hash_invocations, d.sig_verifications, d.cache_hits)
+    }
+
+    fn chain_of(reg: &KeyRegistry, domain: u32, value: Value, signers: &[u32]) -> Chain {
+        let mut c = Chain::new(domain, value);
+        for &id in signers {
+            c.sign_and_append(&reg.signer(ProcessId(id)));
+        }
+        c
+    }
+
+    #[test]
+    fn a_pass_hashes_each_chain_seed_once() {
+        // Fresh chains of one domain and value (the relays of one
+        // broadcast): d_0 once for the pass, then L_i − 1 links each, and
+        // every signature checked.
+        let reg = KeyRegistry::new(8, 3, SchemeKind::Fast);
+        let v = reg.verifier();
+        let lens = [1usize, 3, 5, 2, 8];
+        let chains: Vec<Chain> = lens
+            .iter()
+            .enumerate()
+            .map(|(i, &l)| {
+                let signers: Vec<u32> = (0..l as u32).map(|k| (k + i as u32) % 8).collect();
+                chain_of(&reg, 4, Value::ONE, &signers)
+            })
+            .collect();
+        let total: u64 = lens.iter().map(|&l| l as u64).sum();
+        let links: u64 = lens.iter().map(|&l| l as u64 - 1).sum();
+        assert_eq!(chain_pass(&v, &chains), (1 + links, total, 0));
+        // A second pass finds every buffer stamped: hits, nothing hashed.
+        assert_eq!(chain_pass(&v, &chains), (0, 0, lens.len() as u64));
+
+        // Two values alternating: the pass keeps one seed, so each switch
+        // recomputes d_0, and a run of one value reuses it.
+        let order = [0u64, 1, 1, 0, 1, 0, 0];
+        let chains: Vec<Chain> = order
+            .iter()
+            .map(|&x| chain_of(&reg, 4, Value(x), &[0, 1]))
+            .collect();
+        let switches = 1 + order.windows(2).filter(|w| w[0] != w[1]).count() as u64;
+        let n = order.len() as u64;
+        assert_eq!(chain_pass(&v, &chains), (switches + n, 2 * n, 0));
+        // Another domain with the same value is another seed.
+        let chains = [
+            chain_of(&reg, 4, Value::ONE, &[2]),
+            chain_of(&reg, 5, Value::ONE, &[2]),
+        ];
+        assert_eq!(chain_pass(&v, &chains), (2, 2, 0));
+    }
+
+    #[test]
+    fn a_shared_seed_never_validates_another_value() {
+        // An honest chain for 0 and a copy of its signatures claiming 1
+        // (its own buffer), honest first: the copy's check starts from its
+        // own d_0, fails, and stays unstamped.
+        let reg = KeyRegistry::new(4, 9, SchemeKind::Fast);
+        let v = reg.verifier();
+        let honest = chain_of(&reg, 2, Value::ZERO, &[0, 1, 2]);
+        let mut enc = crate::wire::Encoder::new();
+        honest.encode(&mut enc);
+        let mut bytes = enc.finish().to_vec();
+        bytes[4..12].copy_from_slice(&1u64.to_be_bytes());
+        let copy = Chain::decode(&mut crate::wire::Decoder::new(&bytes)).unwrap();
+        assert_eq!(
+            (copy.value(), copy.signatures()),
+            (Value::ONE, honest.signatures())
+        );
+        chain_pass(&v, &[honest.clone(), copy.clone()]);
+        assert!(honest.verify(&v).is_ok());
+        let (verdict, (_, checks, hits)) = cost(|| copy.verify(&v));
+        assert!(verdict.is_err());
+        assert_eq!((checks, hits), (1, 0), "a full check, not a stamp hit");
     }
 
     #[test]

@@ -58,7 +58,8 @@ pub(crate) fn record_cache_miss() {
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct CryptoStats {
-    /// SHA-256 digest computations (one per `Sha256::finalize`).
+    /// SHA-256 digest computations (one per `Sha256::finalize` or
+    /// one-shot `Sha256::digest`).
     pub hash_invocations: u64,
     /// Tag computations: every sign and every verification recomputes one
     /// authentication tag (none under `SchemeKind::Oral`, which has no tag).

@@ -182,16 +182,17 @@ mod tests {
     use ba_sim::schedule::ScheduleSpec;
     use ba_sim::{Actor, Inbox, Outbox, Simulation};
 
-    /// Faulty relay: broadcasts `forged` in phase 2 and nothing else.
+    /// Faulty relay: broadcasts `forged` in `phase` and nothing else.
     #[derive(Debug)]
     struct Forger {
         n: usize,
+        phase: usize,
         forged: Chain,
     }
 
     impl Actor<Chain> for Forger {
         fn step(&mut self, phase: usize, _inbox: Inbox<'_, Chain>, out: &mut Outbox<Chain>) {
-            if phase == 2 {
+            if phase == self.phase {
                 out.broadcast_all(self.n, self.forged.clone());
             }
         }
@@ -203,24 +204,19 @@ mod tests {
         }
     }
 
-    #[test]
-    fn chain_failing_barrier_verification_is_rejected_by_every_recipient() {
-        // p1 relays a well-formed length-2 Dolev–Strong chain for value 9
-        // whose signatures come from a *different* registry seed. A
-        // recipient waved through by a stamp would extract a second value
-        // and fall back to the default decision.
-        let (n, t) = (6, 2);
+    /// `ds-broadcast` at `cfg` with `forged`'s last signer replaced by a
+    /// [`Forger`] of it in `phase`, on the lock-step per-delivery reference
+    /// and on the runtime: both agree, every other processor decides
+    /// `cfg`'s value, and `forged` is never stamped.
+    fn every_recipient_rejects(cfg: &CheckConfig, phase: usize, forged: &Chain) {
         let target = find_target("ds-broadcast").expect("registered target");
-        let cfg = CheckConfig::new(n, t, Value::ONE, 11, 1, ScheduleSpec::default());
-        let foreign = KeyRegistry::new(n, 12, SchemeKind::Fast);
-        let mut forged = Chain::new(domains::DOLEV_STRONG, Value(9));
-        forged
-            .sign_and_append(&foreign.signer(ProcessId(0)))
-            .sign_and_append(&foreign.signer(ProcessId(1)));
+        let n = cfg.n;
+        let forger = forged.last_signer().expect("a signed chain").index();
         let build = || {
-            let mut setup = target.build(&cfg).expect("fault-free schedule");
-            setup.actors[1] = Box::new(Forger {
+            let mut setup = target.build(cfg).expect("fault-free schedule");
+            setup.actors[forger] = Box::new(Forger {
                 n,
+                phase,
                 forged: forged.clone(),
             });
             setup
@@ -241,8 +237,8 @@ mod tests {
         // flush-boundary pass stamped it, this would be a stamp hit.
         assert!(forged.verify(&verifier).is_err());
 
-        let mut expected = vec![Some(Value::ONE); n];
-        expected[1] = None;
+        let mut expected = vec![Some(cfg.value); n];
+        expected[forger] = None;
         assert_eq!(net.decisions, expected);
         assert_eq!(net.decisions, reference.decisions);
         assert_eq!(net.correct, reference.correct);
@@ -250,5 +246,42 @@ mod tests {
             net.metrics.without_crypto(),
             reference.metrics.without_crypto()
         );
+    }
+
+    #[test]
+    fn chain_failing_barrier_verification_is_rejected_by_every_recipient() {
+        // p1 relays a well-formed length-2 Dolev–Strong chain for value 9
+        // whose signatures come from a *different* registry seed. A
+        // recipient waved through by a stamp would extract a second value
+        // and fall back to the default decision.
+        let cfg = CheckConfig::new(6, 2, Value::ONE, 11, 1, ScheduleSpec::default());
+        let foreign = KeyRegistry::new(cfg.n, 12, SchemeKind::Fast);
+        let mut forged = Chain::new(domains::DOLEV_STRONG, Value(9));
+        forged
+            .sign_and_append(&foreign.signer(ProcessId(0)))
+            .sign_and_append(&foreign.signer(ProcessId(1)));
+        every_recipient_rejects(&cfg, 2, &forged);
+    }
+
+    #[test]
+    fn a_copy_claiming_another_value_is_rejected_beside_the_honest_chain() {
+        // p5 relays, in phase 2, the chain [p0, p5] for 0 with its value
+        // field rewritten to 1: the same signatures, its own buffer. The
+        // flush-boundary pass meets the honest relays of 0 by p1..p4
+        // first; the copy must not ride the d_0 computed for them.
+        let cfg = CheckConfig::new(6, 2, Value::ZERO, 11, 1, ScheduleSpec::default());
+        let target = find_target("ds-broadcast").expect("registered target");
+        let registry = target.build(&cfg).expect("fault-free schedule").registry;
+        let mut honest = Chain::new(domains::DOLEV_STRONG, Value::ZERO);
+        honest
+            .sign_and_append(&registry.signer(ProcessId(0)))
+            .sign_and_append(&registry.signer(ProcessId(5)));
+        let mut enc = ba_crypto::wire::Encoder::new();
+        honest.encode(&mut enc);
+        let mut bytes = enc.finish().to_vec();
+        bytes[4..12].copy_from_slice(&Value::ONE.0.to_be_bytes()); // the value field
+        let tampered = Chain::decode(&mut ba_crypto::wire::Decoder::new(&bytes)).unwrap();
+        assert_eq!(tampered.signatures(), honest.signatures());
+        every_recipient_rejects(&cfg, 2, &tampered);
     }
 }

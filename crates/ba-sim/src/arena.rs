@@ -111,6 +111,21 @@ impl<'a> Targets<'a> {
         matches!(self, Targets::All { n: m, .. } if m as usize == n)
     }
 
+    /// Calls `visit` on each target in listed order — what
+    /// [`iter`](Self::iter) yields, walked per variant: the per-message
+    /// loops (routing, the link visitor, the indexed fill) run this rather
+    /// than step a chain of three iterators.
+    #[inline]
+    pub(crate) fn for_each(self, mut visit: impl FnMut(ProcessId)) {
+        match self {
+            Targets::Ids(ids) => ids.iter().for_each(|&to| visit(to)),
+            Targets::All { from, n } => {
+                (0..from.0.min(n)).for_each(|to| visit(ProcessId(to)));
+                (from.0.saturating_add(1).min(n)..n).for_each(|to| visit(ProcessId(to)));
+            }
+        }
+    }
+
     /// The targets in listed order: the ids, or the ranges on either side
     /// of the sender.
     pub(crate) fn iter(self) -> impl DoubleEndedIterator<Item = ProcessId> + 'a {
@@ -448,9 +463,11 @@ impl<P: Payload> Inboxes<P> {
                 first += targets.len();
                 let f = u32::try_from(self.frames.len()).expect("under 2^32 frames per phase");
                 let mut reached = 0usize;
-                for (to, fate) in targets.iter().zip(run_fates.iter_mut()) {
+                let mut fates = run_fates.iter_mut();
+                targets.for_each(|to| {
+                    let fate = fates.next().expect("one fate per target");
                     if !*fate {
-                        continue;
+                        return;
                     }
                     let slot = match wire {
                         None => {
@@ -464,11 +481,11 @@ impl<P: Payload> Inboxes<P> {
                     };
                     if slot == FAILED {
                         *fate = false;
-                        continue;
+                        return;
                     }
                     self.idx[slot] = f;
                     reached += 1;
-                }
+                });
                 if reached == 0 {
                     continue; // drops the frame
                 }

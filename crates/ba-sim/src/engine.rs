@@ -404,7 +404,7 @@ impl<P: Payload> PhaseCore<P> {
                 continue;
             }
             for (frame, targets) in seg.staged.iter() {
-                for to in targets.iter() {
+                targets.for_each(|to| {
                     let survives = match fate(frame.from, to) {
                         None => false,
                         Some(Fate::Omit) => {
@@ -422,7 +422,7 @@ impl<P: Payload> PhaseCore<P> {
                         }
                     };
                     self.fates.push(survives);
-                }
+                });
             }
         }
     }
@@ -456,11 +456,11 @@ impl<P: Payload> PhaseCore<P> {
         let fate = route_fate(&self.scheduled, self.phase, self.actors.len());
         for seg in &self.segments {
             for (frame, targets) in seg.staged.iter() {
-                for to in targets.iter() {
+                targets.for_each(|to| {
                     if fate(frame.from, to) == Some(Fate::Deliver) {
                         visit(frame.from, to);
                     }
-                }
+                });
             }
         }
     }

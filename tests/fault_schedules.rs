@@ -35,6 +35,37 @@
 //! per recipient: decisions, the correct set and `Metrics` without crypto
 //! are unchanged, and hashes went 300 → 264, tag operations 210 → 192,
 //! signature checks 137 → 129 and stamp misses 71 → 63 (hits stay 54).
+//!
+//! Every row but `ds/silent-transmitter` and
+//! `algorithm1/silent-transmitter` was re-pinned when a chain's full check
+//! stopped hashing the digest no signature covers (L hashes, not L + 1), a
+//! barrier pass began hashing each chain seed once, and the `Fast` tag
+//! became word-wise: decisions, the correct set and every `Metrics` field
+//! but the hash counts (per phase and in total) are unchanged. Total
+//! hashes, old → new: `ds/none` 68 → 56; `ds/equivocate` 200 → 170;
+//! `ds/silent-relays` 88 → 72; `algorithm1/none` 68 → 56;
+//! `algorithm1/equivocate` 88 → 76; `algorithm1/withhold` 148 → 136;
+//! `algorithm1/crashed-relays` 8 → 7; `algorithm2/none` 181 → 162;
+//! `algorithm2/silent` 85 → 75; `algorithm2/crash-after-commit` 176 → 154;
+//! `algorithm2/wrong-value-gossip` 150 → 131; `algorithm3/none` 219 → 191;
+//! `algorithm3/silent-roots` 177 → 146; `algorithm3/lying-roots` 241 → 204;
+//! `algorithm3/selective-roots` 242 → 205; `algorithm3/silent-members` 182
+//! → 150; `algorithm3/silent-actives` 175 → 155; `algorithm5/none` 2528 →
+//! 2486; `algorithm5/silent-passives` 8666 → 8607;
+//! `algorithm5/silent-tree-roots` 26259 → 26066;
+//! `algorithm5/withholding-tree-roots` 2678 → 2627;
+//! `algorithm5/silent-actives` 1188 → 1157; `ic/none` 144 → 108;
+//! `ic/silent` 64 → 48; `ic/equivocate-own-instance` 264 → 201;
+//! `algorithm1-multi/none` 28 → 16; `algorithm1-multi/rainbow` 78 → 56;
+//! `algorithm1-multi/silent-relays` 20 → 12; `om/none` 178 → 107;
+//! `om/equivocate` 182 → 122; `om/flipping-relays` 368 → 284;
+//! `om/silent-relays` 898 → 588; `fuzz/algorithm1` 471 → 427;
+//! `fuzz/algorithm5` 718 → 625; `mixed/algorithm1-silent-spam-lossy` 121 →
+//! 104; `mixed/algorithm5-three-classes` 853 → 726;
+//! `mixed/algorithm1-exactly-t` 259 → 237; `small-n/none` 59 → 52;
+//! `small-n/silent-core` 36 → 32; `small-n/none-t3` 181 → 162;
+//! `small-n/silent-sender-t3` 146 → 130; `agree/algorithm1` 38 → 32;
+//! `agree/small-n` 114 → 101; `agree/algorithm5` 851 → 803.
 
 use byzantine_agreement::algos::agree::run_small_n;
 use byzantine_agreement::algos::algorithm3::{self, group_root};
@@ -278,7 +309,7 @@ fn schedules_reproduce_the_deleted_scenarios_byte_for_byte() {
     let rows: Vec<(&str, &str, String)> = vec![
         (
             "ds/none",
-            "b5dd118033d538e4b0c6469a45463a9e94814b97c4c528984c2b9ff2dd5d6fce",
+            "2aa5899867a95f0b4494034ac240598e6a6d5da123c15ea066d9086258f3c4c4",
             ds(7, 2, Variant::Broadcast, ScheduleSpec::default()),
         ),
         (
@@ -288,17 +319,17 @@ fn schedules_reproduce_the_deleted_scenarios_byte_for_byte() {
         ),
         (
             "ds/equivocate",
-            "fc02e3dee23951be9b5e63b898c5d30b61aae1bff861ff5264a07fcf4adedf94",
+            "da5479da3edb29c1d18daca93f65e59ab36d11c8d809b43da93ae2134ed0c22b",
             ds(9, 3, Variant::Relay, equivocate(&[0], &[1, 2, 3, 4])),
         ),
         (
             "ds/silent-relays",
-            "5435371603e22d2d3515aaabc864a8239ecf5510be68f3626a413596caa2c98d",
+            "136e07c303b154a086527f56628f5ce4b03cb35d82e15442f2f768b49be053f4",
             ds(12, 3, Variant::Relay, silent(&[1, 2, 3])),
         ),
         (
             "algorithm1/none",
-            "f65c8b29fad922f7f98ad34c00b5f914d38a4eabc1318d1deb26d98299af2cd3",
+            "4dd9f3f3fd099e73d0ae19a588cdd26f0d3e016e17bb25d35a2157f088b4e93f",
             a1(3, Value::ONE, ScheduleSpec::default()),
         ),
         (
@@ -308,12 +339,12 @@ fn schedules_reproduce_the_deleted_scenarios_byte_for_byte() {
         ),
         (
             "algorithm1/equivocate",
-            "7ace1ea11cb1607f3dafbcc370f78a219d65916cc00a06c12698a04ec9997c07",
+            "f9ee70dcac98b048edd12f7ea4260510aa0b3fc045e390b15f92dd80845aa00f",
             a1(3, Value::ONE, equivocate(&[0], &[1, 4])),
         ),
         (
             "algorithm1/withhold",
-            "4cee68b6db5c721270bb3bb463ebfb4ba4703df1818500e4bea9886db6f9cb2d",
+            "756a9215b7bd7df633e4eff46c538cf9990997d5bcc2a429367e148b0e152714",
             a1(
                 4,
                 Value::ONE,
@@ -322,38 +353,38 @@ fn schedules_reproduce_the_deleted_scenarios_byte_for_byte() {
         ),
         (
             "algorithm1/crashed-relays",
-            "7ed7f3b291101daa46c3bd0fb007d54186a4936e4c7142e8298ece43715c72b8",
+            "93507c97b664c30bf203fb576bcc5c7273e94cc4167c8f8a6713eb6d89807406",
             a1(3, Value::ZERO, silent(&[1, 4, 6])),
         ),
         (
             "algorithm2/none",
-            "52455ca261567d3ad174f11279d1893d6652709d12b52e061e4bda7bda361a60",
+            "ea6d93febfa29d9c7785adfc21f39f245c15a9873a22783e4349dfcda2361bc1",
             a2(3, ScheduleSpec::default()),
         ),
         (
             "algorithm2/silent",
-            "d6c38e56d999c27225508e4d800fa0c117592a03efa4b286d99361a679400067",
+            "71801dc4fbf4fca5c273bc5df32512ef65b7f8be39019016b91a8106b1387edb",
             a2(3, silent(&[1, 3, 5])),
         ),
         (
             "algorithm2/crash-after-commit",
-            "29eda92c7cd1fe65f9df1fb31309ffa8efe16b547e8a6aea28e6059fa95a3eae",
+            "516cb21942be299971d33f1e9ba99af73d38e1823c9290ad4ecf4c78a479b37c",
             // Crash at t + 4, once the Algorithm 1 prefix has committed.
             a2(4, each(&[2, 4, 7], FaultBehavior::CrashAt { phase: 4 + 4 })),
         ),
         (
             "algorithm2/wrong-value-gossip",
-            "8e5d8f6d3d3cd8f2fa27ff7c46ac25d3f33d1d3fcee37d53786a0275c321948b",
+            "6f51ccc4441a2addba4ee4b786607e3d69f8f7c886aa74ed0da3c451c60310f2",
             a2(3, each(&[2, 5], lie0.clone())),
         ),
         (
             "algorithm3/none",
-            "e3ce645b6a865d9e467ec9e1eaa65d31c623fc31770ede700a87babd17bcf967",
+            "2159b06319d655eb1ed74db9a3fb78c5048e4a05b4037e060076f884542280d3",
             a3(20, 2, 4, ScheduleSpec::default()),
         ),
         (
             "algorithm3/silent-roots",
-            "9bac3fc14b8fee7a9b154e6ac52cacb465a5efc7cfaa55ee0dff371e9240f5d9",
+            "2bc5e8619f22a1bc80e3d2b08fb81d05e5bfb9073547e7cc7a6a9a22036fc74f",
             a3(
                 20,
                 2,
@@ -363,7 +394,7 @@ fn schedules_reproduce_the_deleted_scenarios_byte_for_byte() {
         ),
         (
             "algorithm3/lying-roots",
-            "856eedc21fac4b4b928948f3a1d4083c1f8f974390e4174a1d8c3f4187d9d1e2",
+            "24fcbc3986cd630f1718dc46e5c3260bb1a00afaeaae38f94b9784730c212e41",
             a3(
                 20,
                 2,
@@ -373,32 +404,32 @@ fn schedules_reproduce_the_deleted_scenarios_byte_for_byte() {
         ),
         (
             "algorithm3/selective-roots",
-            "5f17802493d99fa5b7e53f373a3162451afa7a6058abbba9c5a339e0c74d9ec3",
+            "534d64357ce06b56fd2c895fe90fe9ab915715b725c5a5847cf650d989b39551",
             a3(24, 2, 5, selective_roots(24, 2, 5, &[0, 1])),
         ),
         (
             "algorithm3/silent-members",
-            "ef210ff76e4130c17ab5554c26758fab5f4951657b8a299ff2984dfb6dc9553f",
+            "e8618ebaa327837d893ad60471e293604d68252d68511d276db024566752b3a2",
             a3(16, 2, 4, silent(&[6, 10])),
         ),
         (
             "algorithm3/silent-actives",
-            "20aaeab12ae2899008bdb55766d439398e4af7c3f3393bd364b42232565b72dd",
+            "8c4cc063adf2e35bb9da76f1b0808284362aad4ae81c3a7dafb7110013b9b553",
             a3(20, 2, 4, silent(&[1, 3])),
         ),
         (
             "algorithm5/none",
-            "7463bed34328eadfb1a8540351a7e76132d2a7cbb5f1139ed932b63ecd0b02fc",
+            "bd58b15925de77bc8e3df5e77f0dc082cc4be3ba0de572c31164c5e3f774f365",
             a5(30, 1, 7, ScheduleSpec::default()),
         ),
         (
             "algorithm5/silent-passives",
-            "263642dfe7c4a434718b05d5dc8669f8403eafe4eca7932ff073b678b036fd96",
+            "9d28f9c763c1be2a7eaf9a94a4d8a52c1137bf16a3250ac0d470c8e69c9f8beb",
             a5(46, 2, 7, silent(&[17, 30])),
         ),
         (
             "algorithm5/silent-tree-roots",
-            "85042023fb08623fd54bebea1f42b376ab2f885703dd82997b2765e71f23e9b7",
+            "a5522da8c28736a9a034de9d621a1404a5d5109ecb9cebf90ac43fde96a711b3",
             a5(
                 120,
                 3,
@@ -411,7 +442,7 @@ fn schedules_reproduce_the_deleted_scenarios_byte_for_byte() {
         ),
         (
             "algorithm5/withholding-tree-roots",
-            "b0a5cc4782fb4896bfe909e11b32ccf2afc4af6e216f1b89d01a61a7a0dccd9d",
+            "f18209713abf3dd9c3d4197481eb70dabf73ff863c54bea3962cadfbc86e882c",
             a5(
                 30,
                 1,
@@ -426,82 +457,82 @@ fn schedules_reproduce_the_deleted_scenarios_byte_for_byte() {
         ),
         (
             "algorithm5/silent-actives",
-            "3f38e7e13cebdb810d486647ad9cbe0902bd963b8fa7deb1e4973505c064314d",
+            "2e949404219fdae3c1e924c615363e8f5cafe3a19d49f8be9d949cbac159b73c",
             a5(24, 1, 3, silent(&[2])),
         ),
         (
             "ic/none",
-            "34406bbd779057cab1e0a87cbea9845f2386c69b5f59081585d11f24fd36e62b",
+            "6242e002102fc79e79759af61257e9446bb91bae0cf208c159e5c10db59e38b4",
             icr(6, 2, ScheduleSpec::default(), 1),
         ),
         (
             "ic/silent",
-            "db62f0dc921bbfe86d26fd11f9123f2a23f7bb06c070a0794a298081327598bc",
+            "85435e23b87a704883c259b08cc7f9250d5d5c8b1ade367cd03a3e5a293034dc",
             icr(6, 2, silent(&[2, 4]), 3),
         ),
         (
             "ic/equivocate-own-instance",
-            "87ec259104eeb574a42eea4ca38567bda05cd32e30ed6ad62b5a24548c0bdf60",
+            "e28649786c02457dc2aa13eee3c21ed765d482b36f32ae8d1e97fd15aeb3f28a",
             icr(7, 2, equivocate(&[1, 5], &odd(7)), 7),
         ),
         (
             "algorithm1-multi/none",
-            "83911700ba869040114df3213d1afbbd7840c60795fadd55d7b7f03d9fb137a2",
+            "e5950ef700ea0e932f7943938cd558492c79c38e39bbf2399a0b6fb80b2779b8",
             multi(3, Value(42), ScheduleSpec::default(), 1),
         ),
         (
             "algorithm1-multi/rainbow",
-            "0895bc84ab3522310909742d35533125ca9b188f0217a5a2de0e8e74ad8129ff",
+            "f4c0a6028a14df71a4962cf8c4387b5abd81b4693420af3f7bfaa6c25f4994ef",
             multi(3, Value(42), equivocate(&[0], &[1, 2, 3, 4, 5, 6]), 3),
         ),
         (
             "algorithm1-multi/silent-relays",
-            "da44d9b76aaaa40be5c8a0a76d4c364132e77748263cdabe1c97f0d75e53173d",
+            "09488967dacf070467cac2d802bda04a926e2c67f0e414d368812f255a1eec95",
             multi(3, Value(555), silent(&[2, 5]), 9),
         ),
         (
             "om/none",
-            "7595cd0181630056fef434b9483ab42cb556a848f9ac145eb79cf644002be1fb",
+            "b7896580132e9109cf3bc9a7885f229ac0d2ad0e42c8c0750ed02418980e52c1",
             omr(7, 2, ScheduleSpec::default()),
         ),
         (
             "om/equivocate",
-            "fb9a121843247f23232ddf668a11953295db8928e65806dc6d391287626f4d78",
+            "a66bbe30a37dc27ea8a4204f271858309fc8a855f292a14496eec51cef7d25cb",
             omr(7, 2, equivocate(&[0], &[1, 2, 3])),
         ),
         (
             "om/flipping-relays",
-            "2de39b3a7a22233a2ab64afba6c028c16064dd18d2519b9a1520f47ba1b43276",
+            "169450aa0be67a8c77fc8c02de94835b3cdc07aa5789477717d1fa8709f6c928",
             omr(7, 2, equivocate(&[2, 5], &odd(7))),
         ),
         (
             "om/silent-relays",
-            "71ad406c89459234b4fe4c30835f2a6f79bbde102d6662dc416fc5211b797865",
+            "8a3910b0607823b5392565037d65223eed5b9f9354e048d23fc993f4159cd466",
             omr(10, 3, silent(&[3, 6, 9])),
         ),
         (
             "fuzz/algorithm1",
-            "59429992bffcc91aee928bcd4acf9556bfd0941558ee1bd0b134c2f5f95742b1",
+            "496be005ff6826431ff6b9193e2afd6b0170d1516591a9b001a2b3799b327aaa",
             fuzz1(3, Value::ONE, 2, 12, 99),
         ),
         (
             "fuzz/algorithm5",
-            "4baebc334ce51f739b8771529ea6d536f0fc4b48a778b95235f93dcf49ac724a",
+            "f4c70bfcca1cf71447b491d88df0ba8a22b22fabeee244e1aaef3494c27384c5",
             fuzz5(30, 1, 3, Value::ZERO, 1, 8),
         ),
         (
             "mixed/algorithm1-silent-spam-lossy",
-            "e78b21993902827278bef5425dae05ef595ca6b522d749ecdf0ddc9ddf40158c",
+            "de735a4d9ecbed0134bb16d1cdf5a5af00f9b2b5f2f82d735400ee103621cd23",
             mixed1(3, Value::ONE, 77, (77, 6), (500, 77), &[]),
         ),
         (
             "mixed/algorithm5-three-classes",
-            "cf77bea85bfb0c3e2ff0eb2267f051c22ae8f360f58490d0510926bbca40d5c2",
+            "c702670c7a828ccd7e02da64625468e01f1e3b3c0512d70ec44479eeaf44c72c",
             mixed5(),
         ),
         (
             "mixed/algorithm1-exactly-t",
-            "713e02d28f4c93b064dbb84d5609c65ac2270dfbb86b3ff80545a62f7fd3645d",
+            "01392aa7ab6e91fb4640243526bde19d5e406d8fe90c671e1200cc07c0952fc3",
             mixed1(4, Value::ZERO, 21, (3, 10), (900, 3), &[7, 8]),
         ),
         // The small-n extension and the facade in each regime, pinned
@@ -509,39 +540,39 @@ fn schedules_reproduce_the_deleted_scenarios_byte_for_byte() {
         // Algorithm 2 core and valid-message hand-off.
         (
             "small-n/none",
-            "61ed0b40c9ed1dae756c3c5ad402dca312dbbc39d1831adc55be64dbf64ffcbc",
+            "a39b7a0818863ef3baeb0451e0ecc7a4109de02c3b9cf59eebc2904231beac85",
             small_n(7, 1, ScheduleSpec::default()),
         ),
         // p2 is in the core but hands nothing off (only p0 and p1 do).
         (
             "small-n/silent-core",
-            "ec563f3abb91cef9be0c92d4e35350e1b688ef01233308a2b1fc9e7673aa8244",
+            "23ac5726c4b220ef5492728dc73d701a9dc7d1429abc25773ed71ad016fb2cbb",
             small_n(7, 1, silent(&[2])),
         ),
         (
             "small-n/none-t3",
-            "67f75afebb670347511eac5d5087d6aa47c0b8b47bf567083ddc3cf46a5a4692",
+            "b7f58a4ec63a59f0dc1553a63eb2e014b877f2f5168725d3c8b6596dd9c2d41d",
             small_n(12, 3, ScheduleSpec::default()),
         ),
         // p2 is one of the t + 1 = 4 hand-off senders.
         (
             "small-n/silent-sender-t3",
-            "4e5783b5f938863b15ec429c57302d5ad13bccaf0f8a8249511becb7a6be00e4",
+            "165b651cc46a64003aab4e89426562538761141d5511355e764d3344971230a8",
             small_n(12, 3, silent(&[2])),
         ),
         (
             "agree/algorithm1",
-            "fdc6a7a65ebf13ba71cd258c0393906b25934cc9d7b12e1bf1e6cc61227fa8e3",
+            "ee0a73c51233acd6072f5f3dc8b19dbb93be04add068cfff1df35bea91fe4090",
             agreed(5, 2, silent(&[4])),
         ),
         (
             "agree/small-n",
-            "b6fa720690bd16ad4035f252fecfc93f83f63c397ae775cdbe4bb57ae9d33b55",
+            "d4ddee5aeb82a0484d2c27231198c6202b4ba6685c1f74ce27aa5b0dedfbf66a",
             agreed(10, 2, silent(&[9])),
         ),
         (
             "agree/algorithm5",
-            "ae9f336382dada83cdd8794650807a544db556c18e850012e6a356e686ee0c74",
+            "22475d0607481a5cf8eb161c7c938ea66ab3fe3d3d8a5b957a71d3edb469dc0a",
             agreed(30, 1, silent(&[3])),
         ),
     ];
